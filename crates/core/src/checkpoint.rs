@@ -87,7 +87,8 @@ impl Manifest {
 /// Why a checkpoint could not be written or resumed from.
 #[derive(Debug)]
 pub enum CheckpointError {
-    Io(std::io::Error),
+    /// A filesystem operation on `path` failed.
+    Io { path: PathBuf, source: std::io::Error },
     /// Unparseable or internally inconsistent checkpoint contents.
     Corrupt(String),
     /// Valid contents that do not belong to this run (version or
@@ -98,7 +99,7 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Io(e) => write!(f, "checkpoint io: {e}"),
+            Self::Io { path, source } => write!(f, "checkpoint io: {}: {source}", path.display()),
             Self::Corrupt(m) => write!(f, "checkpoint corrupt: {m}"),
             Self::Mismatch(m) => write!(f, "checkpoint mismatch: {m}"),
         }
@@ -107,10 +108,9 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
+/// Tags an I/O failure with the path it happened on.
+fn io_at(path: &Path) -> impl FnOnce(std::io::Error) -> CheckpointError + '_ {
+    move |source| CheckpointError::Io { path: path.to_path_buf(), source }
 }
 
 /// Path of the manifest inside a checkpoint directory.
@@ -134,12 +134,12 @@ pub fn save_checkpoint(
     traces: &[RoundTrace],
     fingerprint: u64,
 ) -> Result<(), CheckpointError> {
-    std::fs::create_dir_all(dir)?;
+    std::fs::create_dir_all(dir).map_err(io_at(dir))?;
     let next_round = protocol.rounds_completed();
     let commit = commit_dir(dir, next_round);
     if commit.exists() {
         // leftover from a crash between envelope copy and manifest rename
-        std::fs::remove_dir_all(&commit)?;
+        std::fs::remove_dir_all(&commit).map_err(io_at(&commit))?;
     }
     protocol.snapshot_clients_to(&commit).map_err(CheckpointError::Corrupt)?;
     let server = protocol.export_server_state().ok_or_else(|| {
@@ -156,8 +156,8 @@ pub fn save_checkpoint(
     let json =
         serde_json::to_string(&manifest).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
     let tmp = dir.join("manifest.json.tmp");
-    std::fs::write(&tmp, json.as_bytes())?;
-    std::fs::rename(&tmp, manifest_path(dir))?;
+    std::fs::write(&tmp, json.as_bytes()).map_err(io_at(&tmp))?;
+    std::fs::rename(&tmp, manifest_path(dir)).map_err(io_at(&tmp))?;
     prune_old_commits(dir, next_round)?;
     Ok(())
 }
@@ -165,13 +165,12 @@ pub fn save_checkpoint(
 /// Removes `commit-r{M}` directories other than the one the manifest
 /// points at. Unrecognized entries are left alone.
 fn prune_old_commits(dir: &Path, keep: u32) -> Result<(), CheckpointError> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
+    for entry in std::fs::read_dir(dir).map_err(io_at(dir))? {
+        let path = entry.map_err(io_at(dir))?.path();
+        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
         let Some(num) = name.strip_prefix("commit-r") else { continue };
         match num.parse::<u32>() {
-            Ok(n) if n != keep => std::fs::remove_dir_all(entry.path())?,
+            Ok(n) if n != keep => std::fs::remove_dir_all(&path).map_err(io_at(&path))?,
             _ => {}
         }
     }
@@ -184,7 +183,7 @@ fn prune_old_commits(dir: &Path, keep: u32) -> Result<(), CheckpointError> {
 /// checkpoint vs. wrong run) stay distinguishable.
 pub fn load_manifest(dir: &Path) -> Result<Manifest, CheckpointError> {
     let path = manifest_path(dir);
-    let text = std::fs::read_to_string(&path)?;
+    let text = std::fs::read_to_string(&path).map_err(io_at(&path))?;
     let manifest: Manifest = serde_json::from_str(&text)
         .map_err(|e| CheckpointError::Corrupt(format!("manifest: {e}")))?;
     if manifest.version != MANIFEST_VERSION {

@@ -10,9 +10,7 @@ use crate::config::PtfConfig;
 use crate::upload::{build_upload_into, ClientUpload};
 use ptf_data::negative::sample_negatives_into;
 use ptf_federated::{ClientData, RoundScratch};
-use ptf_models::{
-    build_model, build_model_scoped, ItemScope, ModelHyper, ModelKind, Recommender, ScopeView,
-};
+use ptf_models::{build_model_scoped, ItemScope, ModelHyper, ModelKind, Recommender, ScopeView};
 use ptf_privacy::ScoredItem;
 use rand::Rng;
 
@@ -76,29 +74,6 @@ impl PtfClient {
             positives: data.positives,
             server_data: Vec::new(),
             model: build_model_scoped(kind, 1, hyper, &scope, seed),
-            kind,
-            spare_upload: None,
-            local_rounds: 0,
-            touched: Vec::new(),
-            keep: Vec::new(),
-        }
-    }
-
-    /// Builds a client with a full (unscoped) item table from a shared
-    /// sequential RNG — the legacy construction path, kept as the
-    /// `scoped_clients = false` debug mode.
-    pub fn new_full(
-        data: ClientData,
-        kind: ModelKind,
-        hyper: &ModelHyper,
-        num_items: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
-        Self {
-            id: data.id,
-            positives: data.positives,
-            server_data: Vec::new(),
-            model: build_model(kind, 1, num_items, hyper, rng),
             kind,
             spare_upload: None,
             local_rounds: 0,
@@ -463,17 +438,6 @@ mod tests {
         let _ = c.local_round(&cfg(), &mut RoundScratch::default(), &mut test_rng(9));
         assert!(c.item_rows() > before, "negative sampling must materialize rows");
         assert!(c.item_rows() <= 40);
-    }
-
-    #[test]
-    fn full_table_debug_clients_still_work() {
-        let data = ClientData { id: 3, positives: vec![1, 4, 9] };
-        let mut c =
-            PtfClient::new_full(data, ModelKind::Mf, &ModelHyper::small(), 40, &mut test_rng(2));
-        assert_eq!(c.item_rows(), 40);
-        let (upload, loss) = c.local_round(&cfg(), &mut RoundScratch::default(), &mut test_rng(3));
-        assert!(!upload.is_empty());
-        assert!(loss.is_finite());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! [`crate::PtfFedRec`] keeps the whole client fleet resident — one
 //! `PtfClient` (model + optimizer state) per user — which is exactly
-//! right up to ~10⁵ users and hopeless at 10⁶. [`CohortFedRec`] runs the
-//! *same* protocol with peak memory `O(cohort)` instead of `O(users)`:
+//! right up to ~10⁵ users and hopeless at 10⁶. [`CohortFedRec`] is the
+//! *same* round driver ([`crate::protocol::Round`]) over the [`Stored`]
+//! client host, with peak memory `O(cohort)` instead of `O(users)`:
 //!
 //! * the dataset stays on disk ([`CohortData::Arena`] reads one user row
 //!   per client construction — see `ptf_data::arena`);
@@ -25,8 +26,8 @@
 //!
 //! **Server scope.** The hidden server model has a `users × dim` user
 //! table — the one inherently `O(users)` structure in the protocol.
-//! Under [`ServerScope::FullFleet`] it is built exactly as the unsharded
-//! engine builds it (required for parity with [`crate::PtfFedRec`]).
+//! Under [`ServerScope::FullFleet`] it is built exactly as the resident
+//! host builds it (required for parity with [`crate::PtfFedRec`]).
 //! Under [`ServerScope::ActiveParticipants`] the table covers only the
 //! users that can ever participate (the union of every round's
 //! participation draw — deterministic given the config), keyed by their
@@ -38,15 +39,13 @@
 
 use crate::client::PtfClient;
 use crate::config::{ConfigError, PtfConfig};
+use crate::protocol::{ClientHost, ClientPhase, Round};
 use crate::rounds;
 use crate::server::PtfServer;
 use crate::upload::ClientUpload;
 use ptf_data::{CsrArena, Dataset};
-use ptf_federated::{
-    derive_seed, ClientData, FederatedProtocol, RngStream, RoundCtx, RoundTrace, Scheduler,
-    ScratchPool,
-};
-use ptf_models::{ModelHyper, ModelKind, Recommender};
+use ptf_federated::{derive_seed, ClientData, RngStream};
+use ptf_models::{ModelHyper, ModelKind};
 use ptf_privacy::ScoredItem;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -206,29 +205,25 @@ impl ClientStore {
     }
 }
 
-/// Cohort-sharded PTF-FedRec (see module docs).
-pub struct CohortFedRec {
-    pub cfg: PtfConfig,
+/// The host whose clients live in envelopes between participations (see
+/// module docs): a round's participants are rebuilt, trained and parked
+/// again in cohort-sized slices.
+pub struct Stored {
     client_kind: ModelKind,
-    server_kind: ModelKind,
     hyper: ModelHyper,
     data: CohortData,
-    trainable: Vec<u32>,
-    server: PtfServer,
-    /// `Some(active)` under [`ServerScope::ActiveParticipants`]: the
-    /// sorted ever-participating user set the server model is keyed by.
-    user_map: Option<Vec<u32>>,
-    scheduler: Scheduler,
-    scratch: ScratchPool,
     store: ClientStore,
     cohort: usize,
-    round: u32,
 }
 
-impl CohortFedRec {
+/// Cohort-sharded PTF-FedRec (see module docs).
+pub type CohortFedRec = Round<Stored>;
+
+impl Round<Stored> {
     /// Builds the cohort runtime. Unlike [`crate::PtfFedRec::try_new`]
     /// this constructs *no* clients — they materialize lazily, cohort by
-    /// cohort, as rounds sample them.
+    /// cohort, as rounds sample them. Fails if `cfg` is inconsistent or
+    /// the on-disk store root cannot be created.
     pub fn try_new(
         data: CohortData,
         client_kind: ModelKind,
@@ -238,7 +233,13 @@ impl CohortFedRec {
         opts: CohortOptions,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let scheduler = Scheduler::new(cfg.threads);
+        let store = match opts.store {
+            StoreKind::Memory => ClientStore::Memory(BTreeMap::new()),
+            StoreKind::Disk(root) => match std::fs::create_dir_all(&root) {
+                Ok(()) => ClientStore::Disk { root },
+                Err(e) => return Err(ConfigError::StoreRoot { path: root, reason: e.to_string() }),
+            },
+        };
         let trainable = data.trainable();
         let user_map = match opts.server_scope {
             ServerScope::FullFleet => None,
@@ -246,50 +247,15 @@ impl CohortFedRec {
         };
         let server_users = user_map.as_ref().map_or(data.num_users(), Vec::len);
         let server = rounds::build_server(server_users, data.num_items(), server_kind, hyper, &cfg);
-        let store = match opts.store {
-            StoreKind::Memory => ClientStore::Memory(BTreeMap::new()),
-            StoreKind::Disk(root) => {
-                std::fs::create_dir_all(&root)
-                    .unwrap_or_else(|e| panic!("client store root {}: {e}", root.display()));
-                ClientStore::Disk { root }
-            }
-        };
-        let scratch = ScratchPool::with_reuse(cfg.scratch_reuse);
-        Ok(Self {
-            cfg,
-            client_kind,
-            server_kind,
-            hyper: hyper.clone(),
-            data,
-            trainable,
-            server,
-            user_map,
-            scheduler,
-            scratch,
-            store,
-            cohort: opts.cohort,
-            round: 0,
-        })
-    }
-
-    pub fn rounds_completed(&self) -> u32 {
-        self.round
-    }
-
-    /// The clients (ascending id) the participation policy may sample.
-    pub fn trainable(&self) -> &[u32] {
-        &self.trainable
+        let host = Stored { client_kind, hyper: hyper.clone(), data, store, cohort: opts.cohort };
+        Ok(Self::assemble(cfg, host, server, user_map, trainable))
     }
 
     /// Rows of the hidden server model's user table — `num_users` under
     /// [`ServerScope::FullFleet`], the active-participant count under
     /// [`ServerScope::ActiveParticipants`].
     pub fn server_users(&self) -> usize {
-        self.user_map.as_ref().map_or(self.data.num_users(), Vec::len)
-    }
-
-    pub fn server(&self) -> &PtfServer {
-        &self.server
+        self.server.model().num_users()
     }
 
     /// Serializes the server's full state for a checkpoint manifest.
@@ -302,9 +268,9 @@ impl CohortFedRec {
         self.server = PtfServer::import_full_state(
             envelope,
             self.server_users(),
-            self.data.num_items(),
-            self.server_kind,
-            &self.hyper,
+            self.host.data.num_items(),
+            self.server.model_kind(),
+            &self.host.hyper,
             self.cfg.graph_threshold,
         )?;
         Ok(())
@@ -323,7 +289,7 @@ impl CohortFedRec {
     /// the client half of a checkpoint commit.
     pub fn snapshot_clients_to(&self, dir: &Path) -> Result<(), String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("snapshot dir: {e}"))?;
-        match &self.store {
+        match &self.host.store {
             ClientStore::Memory(map) => {
                 for (&id, json) in map {
                     let (shard, file) = envelope_rel(id);
@@ -349,7 +315,7 @@ impl CohortFedRec {
     /// `dir` — the client half of a resume. Every envelope is validated
     /// to parse (a corrupted one fails the resume here, not mid-round).
     pub fn reset_clients_from(&mut self, dir: &Path) -> Result<(), String> {
-        match &mut self.store {
+        match &mut self.host.store {
             ClientStore::Memory(map) => {
                 map.clear();
                 let map = std::cell::RefCell::new(map);
@@ -382,29 +348,31 @@ impl CohortFedRec {
             }
         }
     }
+}
 
+impl Stored {
     /// Builds user `id`'s client exactly as the resident fleet would —
     /// same partition, same derived `ClientInit` seed.
-    fn build_fresh(&self, id: u32) -> PtfClient {
+    fn build_fresh(&self, id: u32, cfg: &PtfConfig) -> PtfClient {
         let mut positives = Vec::new();
         self.data.row_into(id, &mut positives);
-        let seed = derive_seed(self.cfg.seed, 0, RngStream::ClientInit(id).id());
+        let seed = derive_seed(cfg.seed, 0, RngStream::ClientInit(id).id());
         PtfClient::new(
             ClientData { id, positives },
             self.client_kind,
             &self.hyper,
             self.data.num_items(),
             seed,
-            &self.cfg,
+            cfg,
         )
     }
 
     /// Builds the client, then replays its envelope (model state,
     /// dispersed set, eviction index) onto it.
-    fn restore_client(&self, id: u32, json: &str) -> PtfClient {
+    fn restore_client(&self, id: u32, json: &str, cfg: &PtfConfig) -> PtfClient {
         let env: ClientEnvelope =
             serde_json::from_str(json).unwrap_or_else(|e| panic!("client {id} envelope: {e}"));
-        let mut client = self.build_fresh(id);
+        let mut client = self.build_fresh(id, cfg);
         client
             .import_model_state(&env.model)
             .unwrap_or_else(|e| panic!("client {id} model restore: {e}"));
@@ -433,111 +401,61 @@ impl CohortFedRec {
         let json = serde_json::to_string(&env).expect("client envelope encodes");
         self.store.save(client.id, &json);
     }
+}
 
-    /// Rewrites a participant's stored envelope with the round's
-    /// dispersal — the stored counterpart of
-    /// [`PtfClient::receive_disperse`].
-    fn save_disperse(&mut self, client: u32, items: &[ScoredItem], round: u32) {
-        let json = self.store.load(client).expect("participant envelope exists after its cohort");
-        let mut env: ClientEnvelope =
-            serde_json::from_str(&json).unwrap_or_else(|e| panic!("client {client} envelope: {e}"));
-        env.round = round;
-        env.disp_items = items.iter().map(|&(i, _)| i).collect();
-        env.disp_scores = items.iter().map(|&(_, s)| s).collect();
-        let json = serde_json::to_string(&env).expect("client envelope encodes");
-        self.store.save(client, &json);
-    }
+impl ClientHost for Stored {
+    const NAME: &'static str = "PTF-FedRec/cohort";
 
-    /// One round over an explicit participant set — the cohort-sharded
-    /// equivalent of the unsharded protocol's `round_with`, with
-    /// identical observable ordering: `ctx.begin`, the parallel client
-    /// phase (in cohort-sized slices), uploads replayed in ascending
-    /// client order, server training/dispersal, trace assembly.
-    fn round_with(&mut self, ctx: &mut RoundCtx<'_>, participants: Vec<u32>) -> RoundTrace {
-        let round = self.round;
-        ctx.begin(&participants);
-
+    fn client_phase(
+        &mut self,
+        phase: &ClientPhase<'_>,
+        participants: &[u32],
+    ) -> (Vec<ClientUpload>, Vec<f32>) {
         let cohort = if self.cohort == 0 { participants.len().max(1) } else { self.cohort };
         let mut uploads: Vec<ClientUpload> = Vec::with_capacity(participants.len());
         let mut losses: Vec<f32> = Vec::with_capacity(participants.len());
         for chunk in participants.chunks(cohort) {
-            // parallel phase: construct-or-restore + local round, one
-            // derived RNG stream per client — bit-identical regardless of
+            // parallel: construct-or-restore + local round, one derived
+            // RNG stream per client — bit-identical regardless of
             // chunking or thread count
-            let cfg = &self.cfg;
             let this = &*self;
-            let mut cohort_clients: Vec<(PtfClient, ClientUpload, f32)> =
-                self.scheduler.map_indices_with(&self.scratch, chunk.len(), |scratch, i| {
+            let trained: Vec<(PtfClient, ClientUpload, f32)> =
+                phase.scheduler.map_indices_with(phase.scratch, chunk.len(), |scratch, i| {
                     let id = chunk[i];
                     let mut client = match this.store.load(id) {
-                        Some(json) => this.restore_client(id, &json),
-                        None => this.build_fresh(id),
+                        Some(json) => this.restore_client(id, &json, phase.cfg),
+                        None => this.build_fresh(id, phase.cfg),
                     };
-                    let (upload, loss) = rounds::client_round(&mut client, cfg, round, scratch);
+                    let (upload, loss) =
+                        rounds::client_round(&mut client, phase.cfg, phase.round, scratch);
                     (client, upload, loss)
                 });
             // serial: persist post-training envelopes, collect uploads in
             // participant order, drop the cohort's clients
-            for (client, upload, loss) in cohort_clients.drain(..) {
-                self.save_envelope(&client, round);
+            for (client, upload, loss) in trained {
+                self.save_envelope(&client, phase.round);
                 uploads.push(upload);
                 losses.push(loss);
             }
         }
+        (uploads, losses)
+    }
 
-        let (server_loss, disperses) = rounds::server_phase_mapped(
-            &mut self.server,
-            &self.cfg,
-            round,
-            &uploads,
-            ctx,
-            self.user_map.as_deref(),
-        );
-        for (client, items) in &disperses {
-            self.save_disperse(*client, items, round);
+    /// Rewrites each participant's stored envelope with the round's
+    /// dispersal — the stored counterpart of
+    /// [`PtfClient::receive_disperse`].
+    fn deliver(&mut self, round: u32, dispersals: Vec<(u32, Vec<ScoredItem>)>) {
+        for (client, items) in dispersals {
+            let json =
+                self.store.load(client).expect("participant envelope exists after its cohort");
+            let mut env: ClientEnvelope = serde_json::from_str(&json)
+                .unwrap_or_else(|e| panic!("client {client} envelope: {e}"));
+            env.round = round;
+            env.disp_items = items.iter().map(|&(i, _)| i).collect();
+            env.disp_scores = items.iter().map(|&(_, s)| s).collect();
+            let json = serde_json::to_string(&env).expect("client envelope encodes");
+            self.store.save(client, &json);
         }
-
-        let trace = rounds::round_trace(round, &losses, server_loss, ctx);
-        self.round += 1;
-        trace
-    }
-}
-
-impl FederatedProtocol for CohortFedRec {
-    fn name(&self) -> &'static str {
-        "PTF-FedRec/cohort"
-    }
-
-    fn configured_rounds(&self) -> u32 {
-        self.cfg.rounds
-    }
-
-    fn run_round(&mut self, ctx: &mut RoundCtx<'_>) -> RoundTrace {
-        let participants = rounds::sample_participants(&self.cfg, &self.trainable, self.round);
-        self.round_with(ctx, participants)
-    }
-
-    fn run_round_external(
-        &mut self,
-        ctx: &mut RoundCtx<'_>,
-        participants: &[u32],
-    ) -> Option<RoundTrace> {
-        let mut chosen: Vec<u32> = participants
-            .iter()
-            .copied()
-            .filter(|id| self.trainable.binary_search(id).is_ok())
-            .collect();
-        chosen.sort_unstable();
-        chosen.dedup();
-        Some(self.round_with(ctx, chosen))
-    }
-
-    fn recommender(&self) -> &dyn Recommender {
-        self.server.model()
-    }
-
-    fn threads(&self) -> usize {
-        self.scheduler.threads()
     }
 }
 

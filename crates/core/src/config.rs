@@ -17,6 +17,8 @@ pub enum ConfigError {
     NotPositive(&'static str),
     /// A fraction field left `[0, 1]`.
     OutOfUnitRange { field: &'static str, got: f64 },
+    /// The on-disk client store's root directory could not be created.
+    StoreRoot { path: std::path::PathBuf, reason: String },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -28,6 +30,9 @@ impl std::fmt::Display for ConfigError {
             Self::NotPositive(field) => write!(f, "{field} must be positive"),
             Self::OutOfUnitRange { field, got } => {
                 write!(f, "{field} must be in [0,1], got {got}")
+            }
+            Self::StoreRoot { path, reason } => {
+                write!(f, "cannot create client store {}: {reason}", path.display())
             }
         }
     }
@@ -103,8 +108,7 @@ pub enum StorageMode {
     },
     /// Every client row-sparse, regardless of density.
     Sparse,
-    /// Every client dense (seed-derived full tables — *not* the legacy
-    /// `scoped_clients = false` sequential-RNG path).
+    /// Every client dense (full tables, from the same derived seeds).
     Dense,
 }
 
@@ -205,24 +209,10 @@ pub struct PtfConfig {
     /// thread). Runs are bit-identical at any value — see
     /// `ptf_federated::scheduler`.
     pub threads: usize,
-    /// Reuse per-worker scratch buffers across rounds (the production
-    /// mode; steady-state rounds allocate nothing on the client path).
-    /// `false` checks out fresh buffers for every client task — a debug
-    /// mode that must produce bit-identical runs, which the determinism
-    /// suite asserts.
-    pub scratch_reuse: bool,
-    /// Build client models item-scoped (the production mode): each client
-    /// holds only the embedding rows of its own pool — positives at
-    /// construction, sampled negatives and dispersed items on first touch
-    /// — cutting paper-scale peak heap ~15–50× and collapsing federation
-    /// build time (client init is parallel and proportional to the
-    /// partition, not the catalogue). `false` restores full per-client
-    /// `items × dim` tables built from one sequential RNG — a debug mode
-    /// for A/B-ing the scoped path.
-    pub scoped_clients: bool,
-    /// Per-client storage representation and eviction schedule (only
-    /// meaningful when `scoped_clients` is true; the legacy path always
-    /// builds full sequential-RNG tables, which cannot evict).
+    /// Per-client storage representation and eviction schedule. Clients
+    /// are item-scoped: each holds only the embedding rows of its own
+    /// pool — positives at construction, sampled negatives and dispersed
+    /// items on first touch — unless the policy builds it dense.
     pub storage: StoragePolicy,
 }
 
@@ -246,8 +236,6 @@ impl PtfConfig {
             graph_threshold: 0.5,
             seed: 17,
             threads: 0,
-            scratch_reuse: true,
-            scoped_clients: true,
             storage: StoragePolicy::default(),
         }
     }

@@ -13,12 +13,11 @@ use std::fmt::Write as _;
 /// clients for a run to be bit-reproducible: protocol hyperparameters,
 /// model architectures, dataset dimensions, and the seed.
 ///
-/// Deliberately *excluded*: execution knobs that cannot change results —
-/// `threads`, `scratch_reuse`, `scoped_clients`, and the client storage
-/// policy (all are representation/parallelism choices with
-/// bit-identical outcomes by construction, and a shard legitimately
-/// runs with different ones than the server). The cohort size of a
-/// checkpointed run is excluded for the same reason.
+/// Deliberately *excluded*: the two execution knobs that cannot change
+/// results — `threads` and the client storage policy (parallelism and
+/// representation choices with bit-identical outcomes by construction,
+/// and a shard legitimately runs with different ones than the server).
+/// The cohort size of a checkpointed run is excluded for the same reason.
 ///
 /// The digest is FNV-1a 64 over a canonical text rendering with floats
 /// as raw bits — stable across platforms, not across releases (any
@@ -122,8 +121,7 @@ mod tests {
         // execution knobs must NOT change the digest
         let mut other = cfg.clone();
         other.threads = 7;
-        other.scratch_reuse = !cfg.scratch_reuse;
-        other.scoped_clients = !cfg.scoped_clients;
+        other.storage.mode = crate::config::StorageMode::Dense;
         assert_eq!(fp(&cfg), fp(&other), "execution knobs are not semantics");
     }
 

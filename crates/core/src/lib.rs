@@ -15,8 +15,10 @@
 //! 3. [`server::PtfServer::disperse_for`] — the server returns α
 //!    confidence/hard scored items per client ([`disperse`], §III-B3).
 //!
-//! [`protocol::PtfFedRec`] implements Algorithm 1 as a
-//! [`ptf_federated::FederatedProtocol`]; build it with the typed
+//! [`protocol::Round`] implements Algorithm 1 as a
+//! [`ptf_federated::FederatedProtocol`], once, over a
+//! [`protocol::ClientHost`]: [`PtfFedRec`] keeps the fleet resident,
+//! [`CohortFedRec`] parks it in envelopes. Build the former with the typed
 //! [`Federation::builder`], which wires the protocol into an
 //! [`ptf_federated::Engine`] whose observer stack carries the
 //! communication ledger, JSON trace recording, and any custom
@@ -62,12 +64,12 @@ pub mod upload;
 pub use builder::{Federation, FederationBuilder};
 pub use checkpoint::{CheckpointError, Manifest, MANIFEST_VERSION};
 pub use client::PtfClient;
-pub use cohort::{CohortData, CohortFedRec, CohortOptions, ServerScope, StoreKind};
+pub use cohort::{CohortData, CohortFedRec, CohortOptions, ServerScope, StoreKind, Stored};
 pub use config::{
     ConfigError, DefenseKind, DisperseStrategy, PtfConfig, StorageMode, StoragePolicy,
 };
 pub use converge::ConvergedRun;
 pub use fingerprint::{config_fingerprint, fnv1a64};
-pub use protocol::PtfFedRec;
+pub use protocol::{ClientHost, ClientPhase, PtfFedRec, Resident, Round};
 pub use server::PtfServer;
 pub use upload::{build_upload, ClientUpload};

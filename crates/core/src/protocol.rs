@@ -1,18 +1,29 @@
 //! The full PTF-FedRec learning protocol (Algorithm 1).
 //!
-//! One [`PtfFedRec`] owns the protocol state a run needs: the client
-//! fleet (each with its private data and local model) and the server with
-//! its hidden model. It implements [`FederatedProtocol`], so an
+//! Algorithm 1 has one round shape — sample `U^t`, clients train on
+//! `D_i ∪ D̃_i` and upload predictions, the server trains its hidden
+//! model and disperses α items — wherever a client happens to live. So
+//! there is one driver, [`Round`], generic over a [`ClientHost`]: the
+//! thing that knows where a participant's state is kept and where its
+//! local round executes. Two hosts exist:
+//!
+//! * [`Resident`] — the whole fleet stays in memory, one
+//!   [`PtfClient`] per user. [`PtfFedRec`] is the driver at this host.
+//! * [`crate::cohort::Stored`] — clients are rebuilt from envelopes in
+//!   bounded cohorts and dropped again. [`crate::CohortFedRec`] is the
+//!   driver at that host.
+//!
+//! The driver implements [`FederatedProtocol`], so an
 //! [`ptf_federated::Engine`] drives its rounds and wires in the
 //! communication ledger, trace recording, and any other
-//! [`ptf_federated::RoundObserver`] from the outside — construct it
-//! through [`crate::Federation::builder`].
+//! [`ptf_federated::RoundObserver`] from the outside — construct the
+//! resident one through [`crate::Federation::builder`].
 //!
 //! Each round is the two-phase map/reduce of
 //! [`ptf_federated::scheduler`]: client local training runs in parallel
 //! on per-`(seed, round, client)` derived RNG streams, then uploads,
 //! server training, and dispersal replay serially in participant order —
-//! so a run is bit-identical at any thread count.
+//! so a run is bit-identical at any thread count and at any host.
 
 use crate::client::PtfClient;
 use crate::config::{ConfigError, PtfConfig};
@@ -20,134 +31,91 @@ use crate::rounds;
 use crate::server::PtfServer;
 use crate::upload::ClientUpload;
 use ptf_data::Dataset;
-use ptf_federated::{
-    partition_clients, FederatedProtocol, RoundCtx, RoundTrace, Scheduler, ScratchPool,
-};
-use ptf_metrics::RankingReport;
-use ptf_models::{evaluate_model_with_threads, ModelHyper, ModelKind, Recommender};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ptf_federated::{FederatedProtocol, RoundCtx, RoundTrace, Scheduler, ScratchPool};
+use ptf_models::{ModelHyper, ModelKind, Recommender};
+use ptf_privacy::ScoredItem;
 
-/// A configured PTF-FedRec federation.
-pub struct PtfFedRec {
-    pub cfg: PtfConfig,
-    clients: Vec<PtfClient>,
-    trainable: Vec<u32>,
-    server: PtfServer,
-    scheduler: Scheduler,
+/// What the driver lends a host for one round's client phase.
+pub struct ClientPhase<'a> {
+    pub cfg: &'a PtfConfig,
+    pub round: u32,
+    pub scheduler: Scheduler,
     /// Per-worker reusable client-phase buffers (see
     /// [`ptf_federated::RoundScratch`]).
-    scratch: ScratchPool,
-    round: u32,
-    /// Uploads of the most recent round (kept for privacy auditing).
-    last_uploads: Vec<ClientUpload>,
-    /// Heap allocations performed *inside* the most recent round's
-    /// parallel client phase (0 unless the `ptf_tensor::alloc` shim is
-    /// installed; 0 in steady state with an allocation-free client model).
-    last_client_allocs: u64,
+    pub scratch: &'a ScratchPool,
 }
 
-impl PtfFedRec {
-    /// Builds the federation: one client per user of `train`, a hidden
-    /// server model, and fresh per-participant state. Fails (instead of
-    /// panicking) if `cfg` is inconsistent.
-    ///
-    /// With `cfg.scoped_clients` (the default) the whole fleet builds in
-    /// parallel on the scheduler: each client's partition *and*
-    /// item-scoped model come from one task seeded by its own derived
-    /// `RngStream::ClientInit` stream, so the build is bit-identical at
-    /// any thread count and no longer burns minutes on per-client
-    /// full-table `randn` (the PR-4 Gowalla build spent 213 s there).
-    ///
-    /// Most callers want [`crate::Federation::builder`], which wraps this
-    /// in an engine with an observer stack.
-    pub fn try_new(
-        train: &Dataset,
-        client_kind: ModelKind,
-        server_kind: ModelKind,
-        hyper: &ModelHyper,
+/// Where a participant's state lives and where its local round runs.
+///
+/// A host never sees the server, the observers or the round order — the
+/// driver owns those — so a new host (a segment store, a remote shard)
+/// implements the two required methods and inherits every parity suite.
+pub trait ClientHost {
+    /// Protocol name the driver reports at this host.
+    const NAME: &'static str;
+
+    /// Algorithm 1 lines 5–8 for every id in `participants` (ascending):
+    /// one [`rounds::client_round`] each, on `phase.scheduler` with
+    /// scratch from `phase.scratch`. Returns the uploads and the local
+    /// losses, both in participant order.
+    fn client_phase(
+        &mut self,
+        phase: &ClientPhase<'_>,
+        participants: &[u32],
+    ) -> (Vec<ClientUpload>, Vec<f32>);
+
+    /// Hands every participant of `round` its new `D̃_i`.
+    fn deliver(&mut self, round: u32, dispersals: Vec<(u32, Vec<ScoredItem>)>);
+
+    /// Receives round *t*'s uploads back at the start of round *t + 1*,
+    /// once the privacy audit can no longer ask for them. Hosts whose
+    /// clients outlive a round reuse the buffers; the default drops them.
+    fn recycle(&mut self, _uploads: Vec<ClientUpload>) {}
+}
+
+/// The PTF-FedRec round driver over the client host `H`.
+pub struct Round<H> {
+    pub cfg: PtfConfig,
+    pub(crate) host: H,
+    pub(crate) server: PtfServer,
+    /// `Some(active)` when the server model is keyed by rank in the
+    /// sorted ever-participating user set instead of by raw user id (see
+    /// [`rounds::server_phase_mapped`]).
+    user_map: Option<Vec<u32>>,
+    trainable: Vec<u32>,
+    scheduler: Scheduler,
+    scratch: ScratchPool,
+    pub(crate) round: u32,
+    /// Uploads of the most recent round (kept for privacy auditing).
+    last_uploads: Vec<ClientUpload>,
+}
+
+impl<H: ClientHost> Round<H> {
+    /// The shared tail of every host's `try_new`: `cfg` is already
+    /// validated, `trainable` is ascending.
+    pub(crate) fn assemble(
         cfg: PtfConfig,
-    ) -> Result<Self, ConfigError> {
-        cfg.validate()?;
+        host: H,
+        server: PtfServer,
+        user_map: Option<Vec<u32>>,
+        trainable: Vec<u32>,
+    ) -> Self {
         let scheduler = Scheduler::new(cfg.threads);
-        let num_items = train.num_items();
-        let (clients, server) = if cfg.scoped_clients {
-            let cfg_ref = &cfg;
-            let clients: Vec<PtfClient> = scheduler.map_indices(train.num_users(), |u| {
-                rounds::build_client(train, u as u32, client_kind, hyper, cfg_ref)
-            });
-            let server =
-                rounds::build_server(train.num_users(), num_items, server_kind, hyper, cfg_ref);
-            (clients, server)
-        } else {
-            // legacy debug path: full client tables off one sequential RNG
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            let clients: Vec<PtfClient> = partition_clients(train)
-                .into_iter()
-                .map(|p| PtfClient::new_full(p, client_kind, hyper, num_items, &mut rng))
-                .collect();
-            let server = PtfServer::new(train.num_users(), num_items, server_kind, hyper, &mut rng);
-            (clients, server)
-        };
-        let trainable: Vec<u32> =
-            clients.iter().filter(|c| c.num_positives() > 0).map(|c| c.id).collect();
-        let scratch = ScratchPool::with_reuse(cfg.scratch_reuse);
-        Ok(Self {
+        Self {
             cfg,
-            clients,
-            trainable,
+            host,
             server,
+            user_map,
+            trainable,
             scheduler,
-            scratch,
+            scratch: ScratchPool::new(),
             round: 0,
             last_uploads: Vec::new(),
-            last_client_allocs: 0,
-        })
-    }
-
-    /// Total materialized item-embedding rows across the client fleet —
-    /// the scoped-client memory story in one number (compare against
-    /// `num_clients × num_items`, what full tables would hold).
-    pub fn materialized_item_rows(&self) -> usize {
-        self.clients.iter().map(PtfClient::item_rows).sum()
-    }
-
-    /// How many clients the storage policy built with a full (dense) item
-    /// table — the dense-fallback story in one number.
-    pub fn dense_clients(&self) -> usize {
-        self.clients.iter().filter(|c| c.item_scope().is_full()).count()
+        }
     }
 
     pub fn server(&self) -> &PtfServer {
         &self.server
-    }
-
-    pub fn client(&self, id: u32) -> &PtfClient {
-        &self.clients[id as usize]
-    }
-
-    /// The uploads of the most recent round (for privacy audits).
-    pub fn last_uploads(&self) -> &[ClientUpload] {
-        &self.last_uploads
-    }
-
-    /// Heap allocations inside the most recent round's parallel client
-    /// phase. Always 0 unless the binary installed the
-    /// `ptf_tensor::alloc::CountingAlloc` shim; with the shim and an
-    /// allocation-free client model (MF), steady-state rounds report 0 —
-    /// the release-mode hot-path test asserts exactly that.
-    pub fn last_round_client_allocs(&self) -> u64 {
-        self.last_client_allocs
-    }
-
-    pub fn rounds_completed(&self) -> u32 {
-        self.round
-    }
-
-    /// Evaluates the *server* model — the artifact PTF-FedRec trains —
-    /// with the paper's ranking protocol, on the configured worker count.
-    pub fn evaluate(&self, train: &Dataset, test: &Dataset, k: usize) -> RankingReport {
-        evaluate_model_with_threads(self.server.model(), train, test, k, self.scheduler.threads())
     }
 
     /// The clients (ascending id) the participation policy may sample.
@@ -155,52 +123,46 @@ impl PtfFedRec {
         &self.trainable
     }
 
-    /// One round over an explicit participant set: the shared body of
-    /// [`FederatedProtocol::run_round`] (which samples the set) and
-    /// [`FederatedProtocol::run_round_external`] (which is handed one by
-    /// an external driver, e.g. a networked round server replaying the
-    /// clients that made its deadline).
+    /// The uploads of the most recent round (for privacy audits).
+    pub fn last_uploads(&self) -> &[ClientUpload] {
+        &self.last_uploads
+    }
+
+    pub fn rounds_completed(&self) -> u32 {
+        self.round
+    }
+
+    /// One round over an explicit participant set (ascending, unique):
+    /// the shared body of [`FederatedProtocol::run_round`] (which samples
+    /// the set) and [`FederatedProtocol::run_round_external`] (which is
+    /// handed one by an external driver, e.g. a networked round server
+    /// replaying the clients that made its deadline).
     fn round_with(&mut self, ctx: &mut RoundCtx<'_>, participants: Vec<u32>) -> RoundTrace {
         let round = self.round;
-        // hand the previous round's upload buffers back to their owners so
-        // steady-state upload staging reuses per-client capacity
-        for upload in self.last_uploads.drain(..) {
-            let owner = upload.client as usize;
-            self.clients[owner].recycle_upload(upload);
-        }
+        self.host.recycle(std::mem::take(&mut self.last_uploads));
         ctx.begin(&participants);
 
         // lines 5–8, parallel phase: local training + upload construction
-        // on one derived RNG stream per client, all transient state in
-        // per-worker scratch buffers; the allocation counter brackets
-        // exactly the client-path work (thread-local, so parallel workers
-        // count independently)
-        let cfg = &self.cfg;
-        let mut refs = participant_refs(&mut self.clients, &participants);
-        let results: Vec<(ClientUpload, f32, u64)> =
-            self.scheduler.map_clients_with(&self.scratch, &mut refs, |scratch, _, client| {
-                let allocs_before = ptf_tensor::alloc::thread_allocs();
-                let (upload, loss) = rounds::client_round(client, cfg, round, scratch);
-                let allocs = ptf_tensor::alloc::thread_allocs() - allocs_before;
-                (upload, loss, allocs)
-            });
-        drop(refs);
+        // on one derived RNG stream per client
+        let phase = ClientPhase {
+            cfg: &self.cfg,
+            round,
+            scheduler: self.scheduler,
+            scratch: &self.scratch,
+        };
+        let (uploads, losses) = self.host.client_phase(&phase, &participants);
 
-        // serial phase: replay uploads into the observer stack in
-        // participant order, train the hidden model, disperse (lines 9–12)
-        let mut uploads: Vec<ClientUpload> = Vec::with_capacity(results.len());
-        let mut losses: Vec<f32> = Vec::with_capacity(results.len());
-        self.last_client_allocs = 0;
-        for (upload, loss, allocs) in results {
-            losses.push(loss);
-            self.last_client_allocs += allocs;
-            uploads.push(upload);
-        }
-        let (server_loss, disperses) =
-            rounds::server_phase(&mut self.server, &self.cfg, round, &uploads, ctx);
-        for (client, items) in disperses {
-            self.clients[client as usize].receive_disperse(items);
-        }
+        // lines 9–12, serial phase: replay uploads into the observer stack
+        // in participant order, train the hidden model, disperse
+        let (server_loss, dispersals) = rounds::server_phase_mapped(
+            &mut self.server,
+            &self.cfg,
+            round,
+            &uploads,
+            ctx,
+            self.user_map.as_deref(),
+        );
+        self.host.deliver(round, dispersals);
 
         let trace = rounds::round_trace(round, &losses, server_loss, ctx);
         self.last_uploads = uploads;
@@ -209,28 +171,9 @@ impl PtfFedRec {
     }
 }
 
-/// Mutable references to the participating clients, in participant order
-/// (`participants` must be sorted ascending, as produced by
-/// `Participation::sample`).
-fn participant_refs<'a>(
-    clients: &'a mut [PtfClient],
-    participants: &[u32],
-) -> Vec<&'a mut PtfClient> {
-    debug_assert!(participants.windows(2).all(|w| w[0] < w[1]));
-    let mut want = participants.iter().copied().peekable();
-    let mut refs = Vec::with_capacity(participants.len());
-    for (i, c) in clients.iter_mut().enumerate() {
-        if want.peek() == Some(&(i as u32)) {
-            want.next();
-            refs.push(c);
-        }
-    }
-    refs
-}
-
-impl FederatedProtocol for PtfFedRec {
+impl<H: ClientHost> FederatedProtocol for Round<H> {
     fn name(&self) -> &'static str {
-        "PTF-FedRec"
+        H::NAME
     }
 
     fn configured_rounds(&self) -> u32 {
@@ -272,14 +215,154 @@ impl FederatedProtocol for PtfFedRec {
     }
 }
 
+/// The host whose whole fleet stays in memory: one [`PtfClient`] (model
+/// + optimizer state) per user, built once and trained in place.
+pub struct Resident {
+    clients: Vec<PtfClient>,
+    /// Heap allocations performed *inside* the most recent round's
+    /// parallel client phase (0 unless the `ptf_tensor::alloc` shim is
+    /// installed; 0 in steady state with an allocation-free client model).
+    last_client_allocs: u64,
+}
+
+impl ClientHost for Resident {
+    const NAME: &'static str = "PTF-FedRec";
+
+    fn client_phase(
+        &mut self,
+        phase: &ClientPhase<'_>,
+        participants: &[u32],
+    ) -> (Vec<ClientUpload>, Vec<f32>) {
+        // all transient state lives in per-worker scratch buffers; the
+        // allocation counter brackets exactly the client-path work
+        // (thread-local, so parallel workers count independently)
+        let mut refs = participant_refs(&mut self.clients, participants);
+        let results: Vec<(ClientUpload, f32, u64)> =
+            phase.scheduler.map_clients_with(phase.scratch, &mut refs, |scratch, _, client| {
+                let allocs_before = ptf_tensor::alloc::thread_allocs();
+                let (upload, loss) = rounds::client_round(client, phase.cfg, phase.round, scratch);
+                let allocs = ptf_tensor::alloc::thread_allocs() - allocs_before;
+                (upload, loss, allocs)
+            });
+        let mut uploads = Vec::with_capacity(results.len());
+        let mut losses = Vec::with_capacity(results.len());
+        self.last_client_allocs = 0;
+        for (upload, loss, allocs) in results {
+            uploads.push(upload);
+            losses.push(loss);
+            self.last_client_allocs += allocs;
+        }
+        (uploads, losses)
+    }
+
+    fn deliver(&mut self, _round: u32, dispersals: Vec<(u32, Vec<ScoredItem>)>) {
+        for (client, items) in dispersals {
+            self.clients[client as usize].receive_disperse(items);
+        }
+    }
+
+    /// Hands the upload buffers back to their owners so steady-state
+    /// upload staging reuses per-client capacity.
+    fn recycle(&mut self, uploads: Vec<ClientUpload>) {
+        for upload in uploads {
+            let owner = upload.client as usize;
+            self.clients[owner].recycle_upload(upload);
+        }
+    }
+}
+
+/// PTF-FedRec with the whole client fleet resident.
+pub type PtfFedRec = Round<Resident>;
+
+impl Round<Resident> {
+    /// Builds the federation: one client per user of `train`, a hidden
+    /// server model, and fresh per-participant state. Fails (instead of
+    /// panicking) if `cfg` is inconsistent.
+    ///
+    /// The whole fleet builds in parallel on the scheduler: each client's
+    /// partition *and* item-scoped model come from one task seeded by its
+    /// own derived `RngStream::ClientInit` stream, so the build is
+    /// bit-identical at any thread count and proportional to the
+    /// partitions, not to `users × items`.
+    ///
+    /// Most callers want [`crate::Federation::builder`], which wraps this
+    /// in an engine with an observer stack.
+    pub fn try_new(
+        train: &Dataset,
+        client_kind: ModelKind,
+        server_kind: ModelKind,
+        hyper: &ModelHyper,
+        cfg: PtfConfig,
+    ) -> Result<Self, ConfigError> {
+        cfg.validate()?;
+        let scheduler = Scheduler::new(cfg.threads);
+        let clients: Vec<PtfClient> = scheduler.map_indices(train.num_users(), |u| {
+            rounds::build_client(train, u as u32, client_kind, hyper, &cfg)
+        });
+        let server =
+            rounds::build_server(train.num_users(), train.num_items(), server_kind, hyper, &cfg);
+        let trainable: Vec<u32> =
+            clients.iter().filter(|c| c.num_positives() > 0).map(|c| c.id).collect();
+        let host = Resident { clients, last_client_allocs: 0 };
+        Ok(Self::assemble(cfg, host, server, None, trainable))
+    }
+
+    /// Total materialized item-embedding rows across the client fleet —
+    /// the scoped-client memory story in one number (compare against
+    /// `num_clients × num_items`, what full tables would hold).
+    pub fn materialized_item_rows(&self) -> usize {
+        self.host.clients.iter().map(PtfClient::item_rows).sum()
+    }
+
+    /// How many clients the storage policy built with a full (dense) item
+    /// table — the dense-fallback story in one number.
+    pub fn dense_clients(&self) -> usize {
+        self.host.clients.iter().filter(|c| c.item_scope().is_full()).count()
+    }
+
+    pub fn client(&self, id: u32) -> &PtfClient {
+        &self.host.clients[id as usize]
+    }
+
+    /// Heap allocations inside the most recent round's parallel client
+    /// phase. Always 0 unless the binary installed the
+    /// `ptf_tensor::alloc::CountingAlloc` shim; with the shim and an
+    /// allocation-free client model (MF), steady-state rounds report 0 —
+    /// the release-mode hot-path test asserts exactly that.
+    pub fn last_round_client_allocs(&self) -> u64 {
+        self.host.last_client_allocs
+    }
+}
+
+/// Mutable references to the participating clients, in participant order
+/// (`participants` must be sorted ascending, as produced by
+/// `Participation::sample`).
+fn participant_refs<'a>(
+    clients: &'a mut [PtfClient],
+    participants: &[u32],
+) -> Vec<&'a mut PtfClient> {
+    debug_assert!(participants.windows(2).all(|w| w[0] < w[1]));
+    let mut want = participants.iter().copied().peekable();
+    let mut refs = Vec::with_capacity(participants.len());
+    for (i, c) in clients.iter_mut().enumerate() {
+        if want.peek() == Some(&(i as u32)) {
+            want.next();
+            refs.push(c);
+        }
+    }
+    refs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::Federation;
     use crate::config::{DefenseKind, DisperseStrategy};
+    use ptf_comm::Message;
     use ptf_data::{SyntheticConfig, TrainTestSplit};
-    use ptf_federated::Engine;
-    use ptf_models::ModelHyper;
+    use ptf_federated::{Engine, RoundObserver};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn tiny_split() -> TrainTestSplit {
         let cfg = SyntheticConfig::new("tiny", 24, 48, 10.0);
@@ -309,6 +392,119 @@ mod tests {
             .config(cfg)
             .build()
             .expect("valid test config")
+    }
+
+    /// What the driver asked of a host, in call order.
+    #[derive(Debug, PartialEq)]
+    enum HostCall {
+        Recycle(Vec<u32>),
+        ClientPhase(u32, Vec<u32>),
+        Deliver(u32, Vec<u32>),
+    }
+
+    /// A host with no client models: fabricates two predictions per
+    /// participant and logs every call.
+    struct FakeHost(Rc<RefCell<Vec<HostCall>>>);
+
+    impl ClientHost for FakeHost {
+        const NAME: &'static str = "fake";
+
+        fn client_phase(
+            &mut self,
+            phase: &ClientPhase<'_>,
+            participants: &[u32],
+        ) -> (Vec<ClientUpload>, Vec<f32>) {
+            self.0.borrow_mut().push(HostCall::ClientPhase(phase.round, participants.to_vec()));
+            let uploads = participants
+                .iter()
+                .map(|&client| ClientUpload {
+                    client,
+                    predictions: vec![(client % 7, 0.9), (client % 7 + 1, 0.2)],
+                    audit_positives: vec![client % 7],
+                })
+                .collect();
+            (uploads, vec![0.5; participants.len()])
+        }
+
+        fn deliver(&mut self, round: u32, dispersals: Vec<(u32, Vec<ScoredItem>)>) {
+            let to = dispersals.iter().map(|d| d.0).collect();
+            self.0.borrow_mut().push(HostCall::Deliver(round, to));
+        }
+
+        fn recycle(&mut self, uploads: Vec<ClientUpload>) {
+            let from = uploads.iter().map(|u| u.client).collect();
+            self.0.borrow_mut().push(HostCall::Recycle(from));
+        }
+    }
+
+    /// The observer hooks of a round as `(hook, client or count, bytes)`.
+    type HookLog = Vec<(&'static str, u32, u64)>;
+
+    struct Hooks(Rc<RefCell<HookLog>>);
+
+    impl RoundObserver for Hooks {
+        fn on_round_start(&mut self, _round: u32, participants: &[u32]) {
+            self.0.borrow_mut().extend(participants.iter().map(|&p| ("begin", p, 0)));
+        }
+        fn on_upload(&mut self, msg: &Message) {
+            self.0.borrow_mut().push(("up", msg.client().unwrap(), msg.bytes() as u64));
+        }
+        fn on_disperse(&mut self, msg: &Message) {
+            self.0.borrow_mut().push(("down", msg.client().unwrap(), msg.bytes() as u64));
+        }
+        fn on_round_end(&mut self, trace: &RoundTrace) {
+            self.0.borrow_mut().push(("end", trace.participants as u32, trace.bytes));
+        }
+    }
+
+    #[test]
+    fn driver_filters_orders_and_recycles_on_any_host() {
+        let mut cfg = quick_cfg();
+        cfg.alpha = 4;
+        let server = rounds::build_server(12, 16, ModelKind::Mf, &ModelHyper::small(), &cfg);
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let hooks = Rc::new(RefCell::new(HookLog::new()));
+        // user 4 exists but has nothing to train on; 999 does not exist
+        let round = Round::assemble(cfg, FakeHost(calls.clone()), server, None, vec![3, 5, 9]);
+        let mut engine = Engine::new(round).with_observer(Hooks(hooks.clone()));
+
+        let t0 = engine.run_round_external(&[9, 3, 3, 999, 4]).expect("external sets are honored");
+        assert_eq!(t0.participants, 2);
+        assert_eq!(
+            *calls.borrow(),
+            [
+                HostCall::Recycle(vec![]),
+                HostCall::ClientPhase(0, vec![3, 9]),
+                HostCall::Deliver(0, vec![3, 9]),
+            ]
+        );
+        let seen = hooks.borrow().clone();
+        let order: Vec<String> = seen.iter().map(|(hook, c, _)| format!("{hook} {c}")).collect();
+        assert_eq!(order.join(", "), "begin 3, begin 9, up 3, up 9, down 3, down 9, end 2");
+        let wire: u64 = seen.iter().filter(|e| e.0 != "end").map(|e| e.2).sum();
+        assert!(wire > 0);
+        assert_eq!(wire, t0.bytes, "trace bytes must equal what the observers saw");
+        assert_eq!(engine.ledger().summary().total_bytes, t0.bytes);
+        let audited: Vec<u32> = engine.protocol().last_uploads().iter().map(|u| u.client).collect();
+        assert_eq!(audited, [3, 9]);
+
+        // an empty set still counts a round, and round 0's uploads come
+        // back to the host before it starts
+        calls.borrow_mut().clear();
+        let t1 = engine.run_round_external(&[]).expect("external sets are honored");
+        assert_eq!((t1.round, t1.participants, t1.bytes), (1, 0, 0));
+        assert_eq!(
+            *calls.borrow(),
+            [
+                HostCall::Recycle(vec![3, 9]),
+                HostCall::ClientPhase(1, vec![]),
+                HostCall::Deliver(1, vec![]),
+            ]
+        );
+        assert_eq!(engine.protocol().rounds_completed(), 2);
+        assert_eq!(engine.ledger().summary().rounds, 2);
+        assert!(engine.protocol().last_uploads().is_empty());
+        assert_eq!(engine.protocol().name(), "fake");
     }
 
     #[test]

@@ -309,10 +309,9 @@ std::thread_local! {
 mod tests {
     use super::*;
 
+    /// A per-test file (tests run concurrently); each test removes its own.
     fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("ptf-arena-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create test dir");
-        dir.join(name)
+        std::env::temp_dir().join(format!("ptf-arena-test-{}-{name}", std::process::id()))
     }
 
     fn write_sample(path: &Path) {
@@ -338,6 +337,7 @@ mod tests {
         assert_eq!(row, vec![0, 7]);
         assert!(a.read_user_into(3, &mut row).is_err(), "out-of-range user accepted");
         assert_eq!(a.nonempty_users().unwrap(), vec![0, 2], "empty user 1 must be skipped");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -349,6 +349,7 @@ mod tests {
         w.push_user(&[0]).unwrap();
         // finishing before all declared rows are in must fail
         assert!(w.finish().is_err(), "short arena accepted");
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -383,6 +384,7 @@ mod tests {
             matches!(CsrArena::open(&path), Err(ArenaError::Format(_))),
             "inconsistent nnz accepted"
         );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -402,5 +404,6 @@ mod tests {
         // other rows still read fine
         a.read_user_into(2, &mut row).unwrap();
         assert_eq!(row, vec![0, 7]);
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -290,9 +290,8 @@ mod tests {
     #[test]
     fn arena_stream_matches_materialize() {
         let cfg = tiny();
-        let dir = std::env::temp_dir().join(format!("ptf-scale-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tiny.arena");
+        let path =
+            std::env::temp_dir().join(format!("ptf-scale-test-{}.arena", std::process::id()));
         cfg.write_arena(2024, &path).unwrap();
         let arena = CsrArena::open(&path).unwrap();
         let mem = cfg.materialize(2024);
@@ -305,6 +304,7 @@ mod tests {
         // and the fully-materialized arena equals the in-memory build
         let back = arena_to_dataset(&arena, "scale-test").unwrap();
         assert_eq!(back.user_items(5), mem.user_items(5));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

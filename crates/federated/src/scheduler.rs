@@ -51,9 +51,9 @@ use std::collections::HashSet;
 ///
 /// Reuse is observationally pure: results depend only on
 /// `(client, round, seed)`, never on which warmed buffer served the task
-/// — the determinism suite runs every protocol with pooling on and in
-/// fresh-buffers mode ([`ScratchPool::fresh`]) and asserts bit-identical
-/// traces.
+/// — thread-count parity already hands each client a different buffer at
+/// 1 vs 8 threads, and this module's tests compare the pooled map with a
+/// pass-through pool ([`ScratchPool::fresh`]).
 #[derive(Default)]
 pub struct RoundScratch {
     /// Sampled negative item ids ([`ptf_data::negative::sample_negatives_into`]).
@@ -81,8 +81,7 @@ pub struct RoundScratch {
 }
 
 /// A shared checkout/restore pool of [`RoundScratch`] values — a thin
-/// alias over the generic [`ptf_tensor::par::Pool`], constructed in
-/// production (reusing) or fresh-buffers (debug) mode.
+/// alias over the generic [`ptf_tensor::par::Pool`].
 pub type ScratchPool = ptf_tensor::par::Pool<RoundScratch>;
 
 /// A logical random stream within one `(seed, round)` scope.

@@ -139,8 +139,7 @@ impl<T: Default> Pool<T> {
         Self::with_reuse(false)
     }
 
-    /// `reuse = false` gives the [`Pool::fresh`] behaviour.
-    pub fn with_reuse(reuse: bool) -> Self {
+    fn with_reuse(reuse: bool) -> Self {
         // capacity for more workers than any host exposes, so the slot
         // vector itself never reallocates on the hot path
         Self { slots: std::sync::Mutex::new(Vec::with_capacity(128)), reuse }

@@ -411,14 +411,18 @@ fn run_train_scale(name: &'static str, a: TrainArgs) -> Result<(), String> {
     // exact per-round participant count: fraction 0 defers to min_clients
     let p = a.participants.unwrap_or(64).clamp(1, sc.num_users);
     cfg.participation = Participation { fraction: 0.0, min_clients: p };
+    // a bad config must fail before the arena is streamed to disk
+    cfg.validate().map_err(|e| e.to_string())?;
     // The run's working directory: the checkpoint dir when durable (the
-    // arena is part of what a resume needs), a temp dir otherwise.
-    let (root, durable) = match &a.checkpoint {
-        Some(dir) => (dir.clone(), true),
+    // arena is part of what a resume needs), a temp dir otherwise —
+    // removed on every exit path, since the arena and envelopes in it
+    // were working files of this run only.
+    let (root, _cleanup) = match &a.checkpoint {
+        Some(dir) => (dir.clone(), None),
         None => {
             let tmp =
                 std::env::temp_dir().join(format!("ptf-scale-{}-{}", std::process::id(), a.seed));
-            (tmp, false)
+            (tmp.clone(), Some(RemoveOnDrop(tmp)))
         }
     };
     std::fs::create_dir_all(&root).map_err(|e| format!("cannot create {}: {e}", root.display()))?;
@@ -503,12 +507,17 @@ fn run_train_scale(name: &'static str, a: TrainArgs) -> Result<(), String> {
             format_bytes(summary.total_bytes as f64)
         );
     }
-    save_trained_model(&engine, a.save.as_deref())?;
-    if !durable {
-        // the arena and envelopes were working files of this run only
-        let _ = std::fs::remove_dir_all(&root);
+    save_trained_model(&engine, a.save.as_deref())
+}
+
+/// Deletes a directory tree when dropped (errors ignored: there is
+/// nothing useful to do about a temp dir that will not go away).
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
-    Ok(())
 }
 
 /// `--save FILE`: export the trained (server) model's state.

@@ -1,17 +1,8 @@
 //! Command-line interface for the `ptf` binary.
 //!
 //! Hand-rolled argument parsing (no CLI dependency) kept separate from the
-//! binary so it is unit-testable. Supported commands:
-//!
-//! ```text
-//! ptf stats    [--scale small|paper] [--seed N]
-//! ptf train    --dataset ml100k|steam|gowalla [--protocol ptf|fcf|fedmf|metamf|centralized]
-//!              [--client M] [--server M] [--rounds N] [--scale S] [--seed N] [--k K]
-//!              [--threads N] [--json]
-//! ptf privacy  --dataset D [--defense none|ldp|sampling|full] [--epsilon E]
-//!              [--threads N] [--json]
-//! ptf generate --dataset D --out FILE [--scale S] [--seed N]
-//! ```
+//! binary so it is unit-testable. [`USAGE`] lists the commands and flags;
+//! `ptf-lint` checks it against the README.
 
 use ptf_data::{DatasetPreset, Scale};
 use ptf_models::ModelKind;

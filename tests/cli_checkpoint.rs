@@ -171,9 +171,20 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
         assert!(!stderr.contains("panicked"), "{label} panicked:\n{stderr}");
     };
 
-    // missing manifest
+    // missing manifest: the message names the file that is not there
     std::fs::remove_file(&manifest).expect("remove manifest");
-    expect_clean_failure(run(&["--resume"]), "checkpoint io", "missing manifest");
+    let want = format!("checkpoint io: {}", manifest.display());
+    expect_clean_failure(run(&["--resume"]), &want, "missing manifest");
+
+    // a checkpoint path that cannot hold the client store (it is a file)
+    let file = fresh_dir("damage-file");
+    std::fs::write(&file, "not a directory").expect("write file");
+    let mut args = preset_args();
+    args.extend(["--checkpoint".into(), file.display().to_string()]);
+    let blocked = ptf().args(args).output().expect("spawn failed");
+    let want = format!("cannot create client store {}", file.join("clients").display());
+    expect_clean_failure(blocked, &want, "checkpoint path is a file");
+    std::fs::remove_file(&file).ok();
 
     // truncated manifest
     std::fs::write(&manifest, &good[..40]).expect("truncate");
@@ -209,13 +220,21 @@ fn flag_misuse_is_rejected_with_an_error() {
         ("train --dataset scale-10k --protocol fcf", "--protocol ptf only"),
         ("train --dataset ml100k --cohort 8 --protocol fedmf", "--protocol ptf only"),
         ("train --dataset scale-10k --users 0", "--users must be > 0"),
+        ("train --dataset scale-10k --evict-interval 3", "storage.evict_budget must be positive"),
     ];
+    // every rejected run gets a private temp dir and must leave it empty:
+    // a scale run that fails may not leak its `ptf-scale-*` working files
+    let tmp = fresh_dir("misuse-tmp");
+    std::fs::create_dir_all(&tmp).expect("mkdir");
     for (cmd, want) in cases {
         let args: Vec<String> = cmd.split_whitespace().map(String::from).collect();
-        let out = ptf().args(&args).output().expect("spawn failed");
+        let out = ptf().env("TMPDIR", &tmp).args(&args).output().expect("spawn failed");
         assert_eq!(out.status.code(), Some(1), "{cmd:?} should be a run error");
         let stderr = stderr_of(&out);
         assert!(stderr.contains(want), "{cmd:?}: expected {want:?} in stderr:\n{stderr}");
         assert!(!stderr.contains("panicked"), "{cmd:?} panicked:\n{stderr}");
+        let left: Vec<_> = std::fs::read_dir(&tmp).expect("read tmp").flatten().collect();
+        assert!(left.is_empty(), "{cmd:?} left files behind: {left:?}");
     }
+    std::fs::remove_dir_all(&tmp).ok();
 }

@@ -17,10 +17,10 @@
 
 use ptf_fedrec::core::{
     checkpoint, config_fingerprint, CheckpointError, CohortData, CohortFedRec, CohortOptions,
-    Federation, PtfConfig, ServerScope, StorageMode, StoreKind,
+    Federation, PtfConfig, PtfFedRec, ServerScope, StorageMode, StoreKind,
 };
 use ptf_fedrec::data::{SyntheticConfig, TrainTestSplit};
-use ptf_fedrec::federated::{Engine, Participation, RunTrace};
+use ptf_fedrec::federated::{Engine, FederatedProtocol, Participation, RunTrace, TraceRecorder};
 use ptf_fedrec::metrics::RankingReport;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 use std::path::PathBuf;
@@ -169,6 +169,50 @@ fn disk_store_matches_memory_store() {
     std::fs::remove_dir_all(&root).ok();
     assert_eq!(mem.0, disk.0, "disk store changed the RunTrace");
     assert_eq!(mem.1, disk.1, "disk store changed the RankingReport");
+}
+
+/// `Engine::run_round_external` — the entry point a networked round
+/// server and the repo benchmark's cohort workload drive — must filter,
+/// order and dedup a handed-in participant set identically at every
+/// client host: unsorted, duplicated and unknown ids, and an empty round.
+#[test]
+fn external_participant_sets_match_across_hosts() {
+    let s = split(40);
+    let sets: [&[u32]; 4] = [&[17, 3, 3, 29, 4000], &[], &[5, 17, 1, 1, 3], &[39, 0, 17, 3]];
+    fn drive<P: FederatedProtocol>(
+        protocol: P,
+        sets: &[&[u32]],
+        s: &TrainTestSplit,
+    ) -> (String, RankingReport) {
+        let recorder = TraceRecorder::new();
+        let mut engine = Engine::new(protocol).with_observer(recorder.clone());
+        for set in sets {
+            engine.run_round_external(set).expect("PTF-FedRec honors external sets");
+        }
+        assert_eq!(engine.ledger().summary().rounds, sets.len() as u32);
+        (recorder.to_json(), engine.evaluate(&s.train, &s.test, 10))
+    }
+    let cohort = |store: StoreKind| {
+        CohortFedRec::try_new(
+            CohortData::Mem(s.train.clone()),
+            ModelKind::Mf,
+            ModelKind::NeuMf,
+            &ModelHyper::small(),
+            cfg(2),
+            CohortOptions { cohort: 2, store, ..CohortOptions::default() },
+        )
+        .expect("valid config")
+    };
+    let resident =
+        PtfFedRec::try_new(&s.train, ModelKind::Mf, ModelKind::NeuMf, &ModelHyper::small(), cfg(1))
+            .expect("valid config");
+    let reference = drive(resident, &sets, &s);
+    assert!(reference.0.contains("\"participants\":3"), "sets were not deduped: {}", reference.0);
+    assert_eq!(reference, drive(cohort(StoreKind::Memory), &sets, &s), "memory store diverged");
+    let root = fresh_dir("external");
+    let disk = drive(cohort(StoreKind::Disk(root.clone())), &sets, &s);
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(reference, disk, "disk store diverged");
 }
 
 /// `ServerScope::ActiveParticipants` is a different run than
@@ -333,7 +377,7 @@ fn checkpoint_resume_reproduces_uninterrupted_run() {
 fn checkpoint_loading_rejects_damage_without_panicking() {
     let dir = fresh_dir("damage");
     assert!(
-        matches!(checkpoint::load_manifest(&dir), Err(CheckpointError::Io(_))),
+        matches!(checkpoint::load_manifest(&dir), Err(CheckpointError::Io { .. })),
         "missing checkpoint dir must be an Io error"
     );
 

@@ -135,43 +135,6 @@ fn partial_participation_sampling_is_thread_invariant() {
 }
 
 #[test]
-fn scratch_buffer_reuse_is_observationally_pure() {
-    // the scratch-pool hot path must be invisible in the results: runs
-    // with warmed, reused buffers (production) and with fresh buffers per
-    // client task (debug mode) are bit-identical, at 1 and 8 threads,
-    // for both an allocation-free MF fleet and the default NeuMF fleet
-    let s = split();
-    for client_model in [ModelKind::Mf, ModelKind::NeuMf] {
-        let run = |threads: usize, reuse: bool| -> (RunTrace, RankingReport) {
-            let mut cfg = PtfConfig::small();
-            cfg.rounds = 3;
-            cfg.client_epochs = 2;
-            cfg.alpha = 8;
-            cfg.threads = threads;
-            cfg.scratch_reuse = reuse;
-            let mut engine = Federation::builder(&s.train)
-                .client_model(client_model)
-                .server_model(ModelKind::NeuMf)
-                .hyper(ModelHyper::small())
-                .config(cfg)
-                .build()
-                .expect("valid config");
-            let trace = engine.run();
-            let report = engine.evaluate(&s.train, &s.test, 10);
-            (trace, report)
-        };
-        let pooled = run(1, true);
-        for (threads, reuse) in [(1, false), (8, true), (8, false)] {
-            let other = run(threads, reuse);
-            assert_eq!(
-                pooled, other,
-                "{client_model}: scratch reuse changed results (threads={threads}, reuse={reuse})"
-            );
-        }
-    }
-}
-
-#[test]
 fn heterogeneous_models_are_thread_invariant() {
     // graph models carry RwLock-cached propagation state; parity must
     // hold for them too (LightGCN client, NGCF server)

@@ -35,11 +35,11 @@ fn steady_state_mf_rounds_allocate_nothing_on_the_client_path() {
     // so a single warmed scratch serves every client deterministically
     cfg.defense = DefenseKind::NoDefense;
     cfg.threads = 1;
-    // full client tables: every item row exists up front, so the strict
+    // dense client tables: every item row exists up front, so the strict
     // zero-allocation guarantee holds from the first steady-state round
-    // (the scoped path is covered by the sibling test below, where
+    // (the row-sparse path is covered by the sibling test below, where
     // allocations may only come from first-touch row materialization)
-    cfg.scoped_clients = false;
+    cfg.storage.mode = StorageMode::Dense;
     let mut fed = Federation::builder(&s.train)
         .client_model(ModelKind::Mf)
         .server_model(ModelKind::Mf)
@@ -84,7 +84,6 @@ fn steady_state_scoped_mf_rounds_allocate_nothing_once_rows_settle() {
     cfg.alpha = 8;
     cfg.defense = DefenseKind::NoDefense;
     cfg.threads = 1;
-    assert!(cfg.scoped_clients, "scoped clients are the default");
     // this test asserts Rows-scoped behavior specifically; the ~16-positive
     // clients over a 40-item catalogue would otherwise trip the dense
     // fallback and hold all 40 rows from round one
