@@ -193,22 +193,6 @@ impl PtfClient {
         scratch.pool_ids.sort_unstable();
         scratch.pool_ids.dedup();
 
-        // Auto storage re-evaluation: the construction-time dense/sparse
-        // choice only sees `D_i`, but the dispersed set `D̃_i` grows the
-        // trained pool over rounds. Once the actual pool crosses the
-        // dense threshold, switch to the dense representation — a one-way
-        // ratchet that is bit-identical on every shared row (`densify` is
-        // representation-only). Skipped under eviction (the opposite
-        // policy: bound rows, don't materialize them all) and for NGCF,
-        // whose message-dropout stream is drawn over materialized rows —
-        // densifying would shift that stream.
-        if cfg.storage.evict_interval == 0
-            && self.kind != ModelKind::Ngcf
-            && self.model.scoped()
-            && cfg.storage.mode.wants_dense_pool(scratch.pool_ids.len(), num_items)
-        {
-            self.model.densify();
-        }
         self.model.prepare_items(&scratch.pool_ids);
 
         // 3. training samples (user id 0 inside the local model)

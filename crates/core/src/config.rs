@@ -125,19 +125,6 @@ impl StorageMode {
             }
         }
     }
-
-    /// Re-evaluation form of [`wants_dense`](Self::wants_dense) for a
-    /// training pool whose size is known exactly. Construction can only
-    /// *estimate* the pool from `D_i`; the dispersed set `D̃_i` grows it
-    /// over rounds, so `Auto` clients re-check this every local round and
-    /// densify once the actual pool crosses the threshold.
-    pub fn wants_dense_pool(self, pool: usize, num_items: usize) -> bool {
-        match self {
-            Self::Sparse => false,
-            Self::Dense => true,
-            Self::Auto { dense_fraction } => pool as f64 >= dense_fraction * num_items as f64,
-        }
-    }
 }
 
 /// Per-client storage policy: the dense-fallback heuristic plus the

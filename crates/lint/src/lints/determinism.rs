@@ -266,6 +266,6 @@ mod tests {
     fn out_of_scope_files_are_skipped_by_caller() {
         assert!(in_scope("crates/core/src/server.rs"));
         assert!(!in_scope("crates/net/src/server.rs"));
-        assert!(!in_scope("crates/bench/benches/micro_protocol.rs"));
+        assert!(!in_scope("crates/bench/benches/table4_communication.rs"));
     }
 }

@@ -370,31 +370,6 @@ impl Recommender for LightGcn {
         true
     }
 
-    fn export_state(&self) -> Option<String> {
-        scoped::export_state("LightGCN", &self.scope, &self.params, self.item_seed)
-    }
-
-    fn import_state(&mut self, json: &str) -> Result<(), String> {
-        scoped::import_state(
-            "LightGCN",
-            &mut self.scope,
-            &mut self.params,
-            &mut self.adam,
-            self.emb,
-            self.num_users,
-            &mut self.item_seed,
-            json,
-        )?;
-        if !self.scope.is_dense() {
-            // the restored scope need not cover the live edge list; the
-            // graph is not part of a checkpoint, so callers re-set it
-            self.graph_edges.clear();
-            self.prop = empty_propagation(self.num_users, self.scope.len());
-        }
-        self.invalidate();
-        Ok(())
-    }
-
     fn export_full_state(&self) -> Option<String> {
         // LightGCN draws no randomness after init, so the envelope
         // carries no RNG stream
@@ -424,26 +399,6 @@ impl Recommender for LightGcn {
         self.prop = empty_propagation(self.num_users, self.scope.len());
         self.invalidate();
         Ok(())
-    }
-
-    fn densify(&mut self) -> bool {
-        let grew = scoped::densify_item_rows(
-            &mut self.scope,
-            &mut self.params,
-            &mut self.adam,
-            self.emb,
-            self.num_users,
-            self.item_seed,
-            0.1,
-        );
-        if grew {
-            // the stored edge list is in global ids, which the dense node
-            // space maps identically
-            self.prop = normalized_bipartite(self.num_users, self.num_items, &self.graph_edges);
-            self.graph_edges.clear();
-            self.invalidate();
-        }
-        grew
     }
 }
 

@@ -262,7 +262,10 @@ impl Recommender for MfModel {
         total / batch.len() as f32
     }
 
-    fn export_state(&self) -> Option<String> {
+    fn export_full_state(&self) -> Option<String> {
+        // MF trains with plain SGD (no optimizer moments, no RNG), so the
+        // user table + full row table with its ids and init seed is
+        // already lossless for bit-identical resume
         let wire = MfWire {
             arch: "MF".to_string(),
             user_emb: self.user_emb.clone(),
@@ -271,7 +274,7 @@ impl Recommender for MfModel {
         serde_json::to_string(&wire).ok()
     }
 
-    fn import_state(&mut self, json: &str) -> Result<(), String> {
+    fn import_full_state(&mut self, json: &str) -> Result<(), String> {
         let wire: MfWire =
             serde_json::from_str(json).map_err(|e| format!("bad checkpoint: {e}"))?;
         if wire.arch != "MF" {
@@ -298,21 +301,6 @@ impl Recommender for MfModel {
         self.user_emb = wire.user_emb;
         self.items = wire.items;
         Ok(())
-    }
-
-    fn export_full_state(&self) -> Option<String> {
-        // MF trains with plain SGD (no optimizer moments, no RNG), so the
-        // ordinary checkpoint — user table + full row table with its ids
-        // and init seed — is already lossless for bit-identical resume
-        self.export_state()
-    }
-
-    fn import_full_state(&mut self, json: &str) -> Result<(), String> {
-        self.import_state(json)
-    }
-
-    fn densify(&mut self) -> bool {
-        self.items.densify()
     }
 }
 
@@ -447,18 +435,18 @@ mod tests {
         for _ in 0..20 {
             m.train_batch(&[(0, 1, 1.0), (1, 4, 0.0), (0, 25, 1.0)]);
         }
-        let ckpt = m.export_state().unwrap();
+        let ckpt = m.export_full_state().unwrap();
         let expected = m.score(0, &[1, 4, 20, 25, 7]);
 
         let mut fresh = MfModel::new_scoped(2, 4, 0.2, &scope, 999);
         assert_ne!(fresh.score(0, &[1, 4, 20, 25, 7]), expected);
-        fresh.import_state(&ckpt).unwrap();
+        fresh.import_full_state(&ckpt).unwrap();
         assert_eq!(fresh.score(0, &[1, 4, 20, 25, 7]), expected);
         assert!(fresh.item_scope().contains(25), "materialized rows restored");
 
         // wrong-shape and wrong-arch checkpoints are rejected
         let mut other = MfModel::new_scoped(3, 4, 0.2, &scope, 5);
-        assert!(other.import_state(&ckpt).unwrap_err().contains("shape mismatch"));
-        assert!(m.import_state("{garbage").is_err());
+        assert!(other.import_full_state(&ckpt).unwrap_err().contains("shape mismatch"));
+        assert!(m.import_full_state("{garbage").is_err());
     }
 }

@@ -282,23 +282,6 @@ impl Recommender for NeuMf {
         loss
     }
 
-    fn export_state(&self) -> Option<String> {
-        scoped::export_state("NeuMF", &self.scope, &self.params, self.item_seed)
-    }
-
-    fn import_state(&mut self, json: &str) -> Result<(), String> {
-        scoped::import_state(
-            "NeuMF",
-            &mut self.scope,
-            &mut self.params,
-            &mut self.adam,
-            self.item_emb,
-            0,
-            &mut self.item_seed,
-            json,
-        )
-    }
-
     fn export_full_state(&self) -> Option<String> {
         scoped::export_full_state(
             "NeuMF",
@@ -322,18 +305,6 @@ impl Recommender for NeuMf {
             json,
         )?;
         Ok(())
-    }
-
-    fn densify(&mut self) -> bool {
-        scoped::densify_item_rows(
-            &mut self.scope,
-            &mut self.params,
-            &mut self.adam,
-            self.item_emb,
-            0,
-            self.item_seed,
-            0.1,
-        )
     }
 }
 

@@ -409,30 +409,6 @@ impl Recommender for Ngcf {
         true
     }
 
-    fn export_state(&self) -> Option<String> {
-        scoped::export_state("NGCF", &self.scope, &self.params, self.item_seed)
-    }
-
-    fn import_state(&mut self, json: &str) -> Result<(), String> {
-        scoped::import_state(
-            "NGCF",
-            &mut self.scope,
-            &mut self.params,
-            &mut self.adam,
-            self.emb,
-            self.num_users,
-            &mut self.item_seed,
-            json,
-        )?;
-        if !self.scope.is_dense() {
-            // the graph is not part of a checkpoint; callers re-set it
-            self.graph_edges.clear();
-            self.prop = empty_propagation(self.num_users, self.scope.len());
-        }
-        self.invalidate();
-        Ok(())
-    }
-
     fn export_full_state(&self) -> Option<String> {
         scoped::export_full_state(
             "NGCF",
@@ -464,24 +440,6 @@ impl Recommender for Ngcf {
         self.prop = empty_propagation(self.num_users, self.scope.len());
         self.invalidate();
         Ok(())
-    }
-
-    fn densify(&mut self) -> bool {
-        let grew = scoped::densify_item_rows(
-            &mut self.scope,
-            &mut self.params,
-            &mut self.adam,
-            self.emb,
-            self.num_users,
-            self.item_seed,
-            0.1,
-        );
-        if grew {
-            self.prop = normalized_bipartite(self.num_users, self.num_items, &self.graph_edges);
-            self.graph_edges.clear();
-            self.invalidate();
-        }
-        grew
     }
 }
 

@@ -280,12 +280,12 @@ mod tests {
             for _ in 0..10 {
                 trained.train_batch(&[(0, 0, 1.0), (0, 12, 0.0), (1, 3, 1.0)]);
             }
-            let ckpt = trained.export_state().expect("scoped models checkpoint");
+            let ckpt = trained.export_full_state().expect("scoped models checkpoint");
             let probe = [0u32, 3, 7, 12];
             let expected = trained.score(1, &probe);
 
             let mut fresh = build_model_scoped(kind, 3, &hyper, &scope, 4242);
-            fresh.import_state(&ckpt).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            fresh.import_full_state(&ckpt).unwrap_or_else(|e| panic!("{kind}: {e}"));
             if kind == ModelKind::LightGcn || kind == ModelKind::Ngcf {
                 // the graph is not part of a checkpoint
                 fresh.set_graph(&[(0, 0, 1.0), (1, 3, 1.0)]);
@@ -318,13 +318,15 @@ mod checkpoint_tests {
             for _ in 0..30 {
                 trained.train_batch(&[(0, 0, 1.0), (0, 5, 0.0), (1, 3, 1.0)]);
             }
-            let checkpoint = trained.export_state().expect("autograd models checkpoint");
+            let checkpoint = trained.export_full_state().expect("every model checkpoints");
             let expected = trained.score(0, &[0, 3, 5]);
 
             let mut fresh = build_model(kind, 4, 8, &hyper, &mut test_rng(99));
             fresh.set_graph(&[(0, 0, 1.0), (1, 3, 1.0)]);
             assert_ne!(fresh.score(0, &[0, 3, 5]), expected, "{kind}: seeds collided?");
-            fresh.import_state(&checkpoint).unwrap();
+            fresh.import_full_state(&checkpoint).unwrap();
+            // the graph is not part of a checkpoint
+            fresh.set_graph(&[(0, 0, 1.0), (1, 3, 1.0)]);
             assert_eq!(fresh.score(0, &[0, 3, 5]), expected, "{kind}: state not restored");
         }
     }
@@ -334,9 +336,9 @@ mod checkpoint_tests {
         let hyper = ModelHyper::small();
         let neumf = build_model(ModelKind::NeuMf, 4, 8, &hyper, &mut test_rng(1));
         let mut lightgcn = build_model(ModelKind::LightGcn, 4, 8, &hyper, &mut test_rng(2));
-        let ckpt = neumf.export_state().unwrap();
-        assert!(lightgcn.import_state(&ckpt).is_err(), "cross-architecture load must fail");
-        assert!(lightgcn.import_state("{garbage").is_err());
+        let ckpt = neumf.export_full_state().unwrap();
+        assert!(lightgcn.import_full_state(&ckpt).is_err(), "cross-architecture load must fail");
+        assert!(lightgcn.import_full_state("{garbage").is_err());
     }
 
     #[test]
@@ -344,8 +346,8 @@ mod checkpoint_tests {
         let hyper = ModelHyper::small();
         let small = build_model(ModelKind::LightGcn, 4, 8, &hyper, &mut test_rng(3));
         let mut big = build_model(ModelKind::LightGcn, 4, 16, &hyper, &mut test_rng(4));
-        let ckpt = small.export_state().unwrap();
-        let err = big.import_state(&ckpt).unwrap_err();
+        let ckpt = small.export_full_state().unwrap();
+        let err = big.import_full_state(&ckpt).unwrap_err();
         assert!(err.contains("shape mismatch"), "{err}");
     }
 }

@@ -137,178 +137,13 @@ pub(crate) fn evict_item_rows(
     }
 }
 
-/// Converts a scoped model's item block to the dense identity layout in
-/// one pass: a new embedding matrix holds every catalogue row (kept rows
-/// copied byte-for-byte, missing rows filled with their derived init) and
-/// the optimizer moments grow matching zero rows at the fresh positions —
-/// exactly the state a scoped model would reach by materializing every
-/// remaining row lazily, so densifying is representation-only for
-/// dropout-free models. Returns `false` (no-op) when already dense.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn densify_item_rows(
-    scope: &mut ScopeIndex,
-    params: &mut Params,
-    adam: &mut Adam,
-    emb: ParamId,
-    row_offset: usize,
-    item_seed: u64,
-    std: f32,
-) -> bool {
-    let Some(ids) = scope.ids().map(<[u32]>::to_vec) else {
-        return false;
-    };
-    let num_items = scope.num_items();
-    let dim = params.get(emb).cols();
-    let old = params.get(emb);
-    let mut dense = Matrix::zeros(row_offset + num_items, dim);
-    for r in 0..row_offset {
-        dense.row_mut(r).copy_from_slice(old.row(r));
-    }
-    let mut pos = 0usize;
-    for id in 0..num_items as u32 {
-        let at = row_offset + id as usize;
-        if pos < ids.len() && ids[pos] == id {
-            dense.row_mut(at).copy_from_slice(old.row(row_offset + pos));
-            pos += 1;
-        } else {
-            init::derived_normal_row(item_seed, id, std, dense.row_mut(at));
-        }
-    }
-    let (t, mut m, mut v) = adam.export_state();
-    for buf in [&mut m, &mut v] {
-        let old_m = &buf[emb.index()];
-        let mut grown = Matrix::zeros(row_offset + num_items, old_m.cols());
-        for r in 0..row_offset {
-            grown.row_mut(r).copy_from_slice(old_m.row(r));
-        }
-        for (p, &id) in ids.iter().enumerate() {
-            grown.row_mut(row_offset + id as usize).copy_from_slice(old_m.row(row_offset + p));
-        }
-        buf[emb.index()] = grown;
-    }
-    *params.get_mut(emb) = dense;
-    *scope = ScopeIndex::dense(num_items);
-    adam.restore_state(params, t, m, v).expect("densified moments match densified params");
-    true
-}
-
-/// Checkpoint envelope of a scoped model: the parameter store, the
-/// materialized item ids (without which the row↔id mapping is lost), and
-/// the per-row init seed (without which cold rows would re-derive
-/// differently after a restore). The seed travels as hex — the vendored
-/// JSON layer rounds bare u64s ≥ 2⁵³ through `f64`.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct ScopedWire {
-    arch: String,
-    item_ids: Vec<u32>,
-    item_seed: String,
-    params: Params,
-}
-
-/// Serializes a model's state: the plain `Params` JSON for dense models
-/// (the legacy checkpoint format, unchanged), the [`ScopedWire`]
-/// envelope when the model is item-scoped.
-pub(crate) fn export_state(
-    arch: &str,
-    scope: &ScopeIndex,
-    params: &Params,
-    item_seed: u64,
-) -> Option<String> {
-    match scope.ids() {
-        None => serde_json::to_string(params).ok(),
-        Some(ids) => serde_json::to_string(&ScopedWire {
-            arch: arch.to_string(),
-            item_ids: ids.to_vec(),
-            item_seed: format!("{item_seed:016x}"),
-            params: params.clone(),
-        })
-        .ok(),
-    }
-}
-
-/// Restores a checkpoint produced by [`export_state`] into
-/// `(scope, params, adam)`.
-///
-/// Dense models take the legacy path: plain `Params` payload, shapes
-/// must match exactly, optimizer moments are left alone. Scoped models
-/// parse the envelope and may *reshape*: a checkpoint's item block can
-/// hold more (or fewer) materialized rows than the live model, so the
-/// whole store is replaced, the id set restored, and the optimizer
-/// state re-zeroed (resuming training re-warms Adam's moments — the
-/// documented checkpoint contract).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn import_state(
-    arch: &str,
-    scope: &mut ScopeIndex,
-    params: &mut Params,
-    adam: &mut Adam,
-    emb: ParamId,
-    row_offset: usize,
-    live_item_seed: &mut u64,
-    json: &str,
-) -> Result<(), String> {
-    if scope.is_dense() {
-        let loaded: Params =
-            serde_json::from_str(json).map_err(|e| format!("bad checkpoint: {e}"))?;
-        return params.load_state_from(&loaded);
-    }
-    let wire: ScopedWire = serde_json::from_str(json)
-        .map_err(|e| format!("bad scoped checkpoint (expected {arch} envelope): {e}"))?;
-    if wire.arch != arch {
-        return Err(format!("architecture mismatch: expected {arch}, got {}", wire.arch));
-    }
-    if wire.params.len() != params.len() {
-        return Err(format!("parameter count mismatch: {} vs {}", wire.params.len(), params.len()));
-    }
-    for ((id, name_new, mat_new), (_, name_live, mat_live)) in wire.params.iter().zip(params.iter())
-    {
-        if name_new != name_live {
-            return Err(format!("parameter name mismatch: {name_new:?} vs {name_live:?}"));
-        }
-        if id == emb {
-            if mat_new.cols() != mat_live.cols()
-                || mat_new.rows() != row_offset + wire.item_ids.len()
-            {
-                return Err(format!(
-                    "shape mismatch for {name_new:?}: {:?} does not fit {} item rows",
-                    mat_new.shape(),
-                    wire.item_ids.len()
-                ));
-            }
-        } else if mat_new.shape() != mat_live.shape() {
-            return Err(format!(
-                "shape mismatch for {name_new:?}: {:?} vs {:?}",
-                mat_new.shape(),
-                mat_live.shape()
-            ));
-        }
-    }
-    if !wire.item_ids.windows(2).all(|w| w[0] < w[1]) {
-        return Err("checkpoint item ids must be sorted and unique".to_string());
-    }
-    if wire.item_ids.last().is_some_and(|&l| l as usize >= scope.num_items()) {
-        return Err("checkpoint item id out of range".to_string());
-    }
-    let item_seed = u64::from_str_radix(&wire.item_seed, 16)
-        .map_err(|e| format!("bad checkpoint item seed: {e}"))?;
-    *scope = ScopeIndex::from_scope(&ItemScope::Rows {
-        num_items: scope.num_items(),
-        ids: wire.item_ids,
-    });
-    *params = wire.params;
-    *live_item_seed = item_seed;
-    adam.reset_state(params);
-    Ok(())
-}
-
 /// Full-state envelope: everything a model needs to *resume training
 /// bit-identically* — parameters, scope mapping, init seed, optimizer
 /// step counter + both moment buffers, and (for models that own one) the
 /// raw state of the training-time RNG. This is the cohort runtime's
-/// client-recycling format; [`ScopedWire`] stays the lighter
-/// inference-grade checkpoint. All u64s travel as hex strings — the
-/// vendored JSON layer routes bare integers through `f64`, which silently
-/// rounds values ≥ 2⁵³.
+/// client-recycling format and what `ptf train --save` writes. All u64s
+/// travel as hex strings — the vendored JSON layer routes bare integers
+/// through `f64`, which silently rounds values ≥ 2⁵³.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct FullWire {
     arch: String,

@@ -195,28 +195,14 @@ pub trait Recommender: Send + Sync {
     /// `(user, item, weight)` edges. Non-graph models ignore this.
     fn set_graph(&mut self, _edges: &[(u32, u32, f32)]) {}
 
-    /// Serializes the model's trainable parameters as JSON (the hidden
-    /// server model's checkpoint format), if the model supports it.
-    fn export_state(&self) -> Option<String> {
-        None
-    }
-
-    /// Restores previously [`Recommender::export_state`]d parameters.
-    /// Names and shapes must match exactly; optimizer state is *not*
-    /// restored (resuming training re-warms Adam's moments).
-    fn import_state(&mut self, _json: &str) -> Result<(), String> {
-        Err("this model does not support checkpointing".to_string())
-    }
-
     /// Serializes *everything* needed to resume training bit-identically:
     /// parameters, scope mapping, init seed, optimizer step counter and
     /// moment buffers, and any model-owned training RNG. This is the
-    /// cohort runtime's client-recycling format — a model restored via
+    /// cohort runtime's client-recycling format and the one model-state
+    /// format (`ptf train --save` writes it too) — a model restored via
     /// [`Recommender::import_full_state`] produces the same bytes per
-    /// training step as one that was never serialized.
-    /// [`Recommender::export_state`] remains the lighter inference-grade
-    /// checkpoint (no optimizer state). Models that cannot make the
-    /// bit-resume guarantee return `None`.
+    /// training step as one that was never serialized. Models that
+    /// cannot make the bit-resume guarantee return `None`.
     fn export_full_state(&self) -> Option<String> {
         None
     }
@@ -229,20 +215,6 @@ pub trait Recommender: Send + Sync {
     /// left partially restored; discard it.
     fn import_full_state(&mut self, _json: &str) -> Result<(), String> {
         Err("this model does not support full-state checkpointing".to_string())
-    }
-
-    /// Converts a scoped model to the dense identity representation in
-    /// place: every catalogue row materializes (kept rows byte-identical,
-    /// fresh rows at their derived init, optimizer moments zero), which is
-    /// exactly the state lazy materialization would have reached — so for
-    /// models without training-time RNG draws over the node space,
-    /// training continues bit-identically to the un-densified twin.
-    /// (NGCF with `message_dropout > 0` draws masks over all materialized
-    /// nodes, so its draws change after densifying.) `StorageMode::Auto`
-    /// uses this when a client's touched-row fraction outgrows the sparse
-    /// representation. Returns `false` when already dense or unsupported.
-    fn densify(&mut self) -> bool {
-        false
     }
 }
 

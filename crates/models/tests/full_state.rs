@@ -1,7 +1,7 @@
 //! Full-state envelope guarantees: a model restored from
 //! `export_full_state` continues training bit-identically to the model
-//! that exported it, and `densify` is representation-only (a densified
-//! scoped model trains in lockstep with its un-densified twin).
+//! that exported it, the item scope reshapes to the envelope's in either
+//! direction, and damaged or mismatched envelopes are rejected.
 
 use ptf_models::{
     ItemScope, LightGcn, LightGcnConfig, MfModel, NeuMf, NeuMfConfig, Ngcf, NgcfConfig, Recommender,
@@ -49,6 +49,7 @@ fn assert_bit_resume(
         b.set_graph(e);
     }
     assert_eq!(a.score(0, &all_items()), b.score(0, &all_items()), "restored state diverged");
+    assert!(b.item_scope().contains(15), "lazily grown id set lost in the envelope");
     for step in 0..4 {
         let la = a.train_batch(&probe_batch());
         let lb = b.train_batch(&probe_batch());
@@ -106,13 +107,12 @@ fn mf_full_state_resumes_bit_identically() {
 
 #[test]
 fn dense_envelope_densifies_a_scoped_model() {
-    // a client that densified mid-run saves a dense envelope; restoring
-    // it into a freshly built (sparse) model must densify the model
+    // restoring a dense model's envelope into a freshly built (sparse)
+    // model must densify the model
     let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
-    let mut a = NeuMf::new_scoped(USERS, &cfg, &scope(), 42);
-    a.train_batch(&warmup_batch());
-    assert!(a.densify());
+    let mut a = NeuMf::new_scoped(USERS, &cfg, &ItemScope::Full(ITEMS), 42);
     assert!(!a.scoped());
+    a.train_batch(&warmup_batch());
     a.train_batch(&probe_batch());
     let envelope = a.export_full_state().unwrap();
     let mut b = NeuMf::new_scoped(USERS, &cfg, &scope(), 999);
@@ -123,66 +123,6 @@ fn dense_envelope_densifies_a_scoped_model() {
     let la = a.train_batch(&probe_batch());
     let lb = b.train_batch(&probe_batch());
     assert_eq!(la.to_bits(), lb.to_bits());
-}
-
-/// Densify mid-run, then train the dense model and its sparse twin on
-/// identical batches: scores must stay bit-equal (the Auto storage-mode
-/// re-evaluation leans on exactly this property).
-fn assert_densify_parity(
-    dense: &mut dyn Recommender,
-    sparse: &mut dyn Recommender,
-    graph: Option<&[(u32, u32, f32)]>,
-) {
-    if let Some(e) = graph {
-        dense.set_graph(e);
-        sparse.set_graph(e);
-    }
-    for _ in 0..3 {
-        dense.train_batch(&warmup_batch());
-        sparse.train_batch(&warmup_batch());
-    }
-    assert!(dense.densify(), "first densify converts");
-    assert!(!dense.densify(), "second densify is a no-op");
-    assert!(!dense.scoped());
-    assert!(sparse.scoped());
-    assert_eq!(
-        dense.score(0, &all_items()),
-        sparse.score(0, &all_items()),
-        "densify changed model output"
-    );
-    for step in 0..4 {
-        let ld = dense.train_batch(&probe_batch());
-        let ls = sparse.train_batch(&probe_batch());
-        assert_eq!(ld.to_bits(), ls.to_bits(), "loss diverged at post-densify step {step}");
-        assert_eq!(
-            dense.score(2, &all_items()),
-            sparse.score(2, &all_items()),
-            "scores diverged at post-densify step {step}"
-        );
-    }
-}
-
-#[test]
-fn neumf_densify_keeps_training_in_lockstep() {
-    let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
-    let mut dense = NeuMf::new_scoped(USERS, &cfg, &scope(), 42);
-    let mut sparse = NeuMf::new_scoped(USERS, &cfg, &scope(), 42);
-    assert_densify_parity(&mut dense, &mut sparse, None);
-}
-
-#[test]
-fn lightgcn_densify_keeps_training_in_lockstep() {
-    let cfg = LightGcnConfig { dim: 8, layers: 2, lr: 0.02 };
-    let mut dense = LightGcn::new_scoped(USERS, &cfg, &scope(), 42);
-    let mut sparse = LightGcn::new_scoped(USERS, &cfg, &scope(), 42);
-    assert_densify_parity(&mut dense, &mut sparse, Some(&edges()));
-}
-
-#[test]
-fn mf_densify_keeps_training_in_lockstep() {
-    let mut dense = MfModel::new_scoped(USERS, 8, 0.1, &scope(), 42);
-    let mut sparse = MfModel::new_scoped(USERS, 8, 0.1, &scope(), 42);
-    assert_densify_parity(&mut dense, &mut sparse, None);
 }
 
 #[test]
@@ -198,7 +138,11 @@ fn corrupt_full_state_envelopes_are_rejected() {
         m.import_full_state(&other).unwrap_err().contains("architecture mismatch"),
         "cross-architecture envelope accepted"
     );
-    // legacy inference checkpoint is not a full-state envelope
-    let legacy = m.export_state().unwrap();
-    assert!(m.import_full_state(&legacy).is_err(), "legacy checkpoint accepted as full state");
+    // same architecture, different embedding width
+    let wide = NeuMf::new_scoped(USERS, &NeuMfConfig { dim: 16, ..cfg }, &scope(), 42);
+    let other = wide.export_full_state().unwrap();
+    assert!(
+        m.import_full_state(&other).unwrap_err().contains("shape mismatch"),
+        "wrong-shape envelope accepted"
+    );
 }

@@ -12,9 +12,10 @@
 //! call them unconditionally: without the shim installed they simply report
 //! zero. Two consumers rely on this:
 //!
-//! * `bench_paper_scale` uses [`peak_bytes`] as an allocator-precise
-//!   "peak RSS" figure (live heap high-water mark — tighter than OS RSS,
-//!   which includes the binary and allocator slack);
+//! * the repo benchmark (`benchmark/`) and `tests/scale_flat_heap.rs` use
+//!   [`peak_bytes`] as an allocator-precise "peak RSS" figure (live heap
+//!   high-water mark — tighter than OS RSS, which includes the binary
+//!   and allocator slack);
 //! * the federated protocols measure [`thread_allocs`] around each
 //!   client's local round to *prove* the scratch-buffer hot path performs
 //!   zero steady-state heap allocations (the counter is thread-local, so

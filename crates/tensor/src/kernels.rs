@@ -1,8 +1,8 @@
-//! Env-selectable compute kernels for the workspace's f32 hot loops.
+//! Compute kernels for the workspace's f32 hot loops.
 //!
 //! Every dot product, AXPY, reduction and fused SGD update in the
-//! workspace routes through this module, which dispatches between two
-//! backends:
+//! workspace routes through this module. Its reductions dispatch between
+//! two env-selectable backends:
 //!
 //! * [`Backend::Scalar`] — sequential reference loops
 //!   (`PTF_KERNEL=scalar`). Reductions accumulate left-to-right in one
@@ -18,9 +18,8 @@
 //!   `tests/kernel_parity.rs`).
 //!
 //! **Element-wise kernels** ([`axpy`], [`add_assign`],
-//! [`mf_sgd_update`], [`adam_update`]) are backend-independent — both
-//! backends run the same sequential loop and are therefore trivially
-//! bit-identical. This is a measured decision, not an omission: an
+//! [`mf_sgd_update`], [`adam_update`]) have no backend: each is one
+//! sequential loop. This is a measured decision, not an omission: an
 //! element-wise loop has no reassociation barrier, so LLVM already
 //! auto-vectorizes the plain form; an earlier hand-chunked 8-lane
 //! variant of these kernels benchmarked 1.5–1.8× *slower* end-to-end
@@ -176,32 +175,18 @@ pub fn frob_sq_with(backend: Backend, x: &[f32]) -> f32 {
     }
 }
 
-/// `y += alpha * x` (element-wise: backend-independent, see module docs).
+/// `y += alpha * x` (element-wise: one plain loop, see module docs).
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    axpy_with(backend(), alpha, x, y)
-}
-
-/// [`axpy`] with an explicit backend (accepted for API uniformity —
-/// element-wise kernels run the same loop under both).
-#[inline]
-pub fn axpy_with(_backend: Backend, alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (y, &x) in y.iter_mut().zip(x) {
         *y += alpha * x;
     }
 }
 
-/// `y += x` (element-wise: backend-independent, see module docs).
+/// `y += x` (element-wise: one plain loop, see module docs).
 #[inline]
 pub fn add_assign(y: &mut [f32], x: &[f32]) {
-    add_assign_with(backend(), y, x)
-}
-
-/// [`add_assign`] with an explicit backend (accepted for API
-/// uniformity — element-wise kernels run the same loop under both).
-#[inline]
-pub fn add_assign_with(_backend: Backend, y: &mut [f32], x: &[f32]) {
     debug_assert_eq!(x.len(), y.len(), "add_assign length mismatch");
     for (y, &x) in y.iter_mut().zip(x) {
         *y += x;
@@ -209,24 +194,10 @@ pub fn add_assign_with(_backend: Backend, y: &mut [f32], x: &[f32]) {
 }
 
 /// Fused per-sample MF SGD update from pre-step values (element-wise:
-/// backend-independent, see module docs):
+/// one plain loop, see module docs):
 /// `uₖ ← uₖ − lr·(err·vₖ + reg·uₖ)`, `vₖ ← vₖ − lr·(err·uₖ + reg·vₖ)`.
 #[inline]
 pub fn mf_sgd_update(u: &mut [f32], v: &mut [f32], err: f32, lr: f32, reg: f32) {
-    mf_sgd_update_with(backend(), u, v, err, lr, reg)
-}
-
-/// [`mf_sgd_update`] with an explicit backend (accepted for API
-/// uniformity — element-wise kernels run the same loop under both).
-#[inline]
-pub fn mf_sgd_update_with(
-    _backend: Backend,
-    u: &mut [f32],
-    v: &mut [f32],
-    err: f32,
-    lr: f32,
-    reg: f32,
-) {
     debug_assert_eq!(u.len(), v.len(), "mf_sgd_update length mismatch");
     for (u, v) in u.iter_mut().zip(v.iter_mut()) {
         let (uk, vk) = (*u, *v);
@@ -235,33 +206,12 @@ pub fn mf_sgd_update_with(
     }
 }
 
-/// Fused Adam slice update (element-wise: backend-independent, see
-/// module docs): one pass updating first/second moments and the
-/// parameter slice with precomputed bias corrections `bc1 = 1−β₁ᵗ`,
-/// `bc2 = 1−β₂ᵗ`.
+/// Fused Adam slice update (element-wise: one plain loop, see module
+/// docs): one pass updating first/second moments and the parameter
+/// slice with precomputed bias corrections `bc1 = 1−β₁ᵗ`, `bc2 = 1−β₂ᵗ`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn adam_update(
-    p: &mut [f32],
-    m: &mut [f32],
-    v: &mut [f32],
-    g: &[f32],
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    bc1: f32,
-    bc2: f32,
-) {
-    adam_update_with(backend(), p, m, v, g, lr, beta1, beta2, eps, bc1, bc2)
-}
-
-/// [`adam_update`] with an explicit backend (accepted for API
-/// uniformity — element-wise kernels run the same loop under both).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn adam_update_with(
-    _backend: Backend,
     p: &mut [f32],
     m: &mut [f32],
     v: &mut [f32],
@@ -352,62 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_kernels_are_bit_identical_across_backends() {
-        for dim in [0usize, 1, 5, 8, 13, 16, 24, 40, 64] {
-            let x = lcg_vals(dim, 11);
-            let base = lcg_vals(dim, 22);
-            let mut ys = base.clone();
-            let mut yv = base.clone();
-            axpy_with(Backend::Scalar, 0.37, &x, &mut ys);
-            axpy_with(Backend::Vector, 0.37, &x, &mut yv);
-            assert_eq!(ys, yv, "axpy dim {dim}");
-            add_assign_with(Backend::Scalar, &mut ys, &x);
-            add_assign_with(Backend::Vector, &mut yv, &x);
-            assert_eq!(ys, yv, "add_assign dim {dim}");
-
-            let (mut us, mut vs) = (lcg_vals(dim, 33), lcg_vals(dim, 44));
-            let (mut uv, mut vv) = (us.clone(), vs.clone());
-            mf_sgd_update_with(Backend::Scalar, &mut us, &mut vs, 0.21, 0.05, 1e-4);
-            mf_sgd_update_with(Backend::Vector, &mut uv, &mut vv, 0.21, 0.05, 1e-4);
-            assert_eq!(us, uv, "mf u dim {dim}");
-            assert_eq!(vs, vv, "mf v dim {dim}");
-
-            let g = lcg_vals(dim, 55);
-            let (mut p1, mut m1, mut v1) = (lcg_vals(dim, 66), lcg_vals(dim, 67), vec![0.1; dim]);
-            let (mut p2, mut m2, mut v2) = (p1.clone(), m1.clone(), v1.clone());
-            adam_update_with(
-                Backend::Scalar,
-                &mut p1,
-                &mut m1,
-                &mut v1,
-                &g,
-                1e-3,
-                0.9,
-                0.999,
-                1e-8,
-                0.1,
-                0.01,
-            );
-            adam_update_with(
-                Backend::Vector,
-                &mut p2,
-                &mut m2,
-                &mut v2,
-                &g,
-                1e-3,
-                0.9,
-                0.999,
-                1e-8,
-                0.1,
-                0.01,
-            );
-            assert_eq!(p1, p2, "adam p dim {dim}");
-            assert_eq!(m1, m2, "adam m dim {dim}");
-            assert_eq!(v1, v2, "adam v dim {dim}");
-        }
-    }
-
-    #[test]
     fn nan_and_inf_lanes_propagate_in_both_backends() {
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             for pos in [0usize, 3, 8, 12] {
@@ -430,10 +324,10 @@ mod tests {
             assert_eq!(dot_with(be, &[], &[]), 0.0);
             assert_eq!(sum_with(be, &[]), 0.0);
             assert_eq!(frob_sq_with(be, &[]), 0.0);
-            let mut y: [f32; 0] = [];
-            axpy_with(be, 2.0, &[], &mut y);
-            add_assign_with(be, &mut y, &[]);
         }
+        let mut y: [f32; 0] = [];
+        axpy(2.0, &[], &mut y);
+        add_assign(&mut y, &[]);
     }
 
     #[test]

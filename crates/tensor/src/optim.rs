@@ -78,20 +78,10 @@ impl Adam {
         self.t
     }
 
-    /// Re-shapes the moment buffers to `params` (all zeros) and resets
-    /// the step counter — used after a state restore changes parameter
-    /// shapes (scoped checkpoints may carry a different number of
-    /// materialized item rows).
-    pub fn reset_state(&mut self, params: &Params) {
-        self.m = params.iter().map(|(_, _, p)| Matrix::zeros_like(p)).collect();
-        self.v = params.iter().map(|(_, _, p)| Matrix::zeros_like(p)).collect();
-        self.t = 0;
-    }
-
     /// Snapshots the optimizer state — step counter and both moment
     /// buffers — for a *full* checkpoint ([`Adam::restore_state`] is the
-    /// inverse). Unlike [`Adam::reset_state`]-based restores, a
-    /// round-tripped optimizer continues training bit-identically.
+    /// inverse). A round-tripped optimizer continues training
+    /// bit-identically.
     pub fn export_state(&self) -> (u64, Vec<Matrix>, Vec<Matrix>) {
         (self.t, self.m.clone(), self.v.clone())
     }

@@ -125,35 +125,6 @@ impl<'de> serde::Deserialize<'de> for Params {
     }
 }
 
-impl Params {
-    /// Copies values from a checkpointed store into this one. Every
-    /// parameter must match by name, order and shape — this is a *state*
-    /// restore, not a migration tool.
-    pub fn load_state_from(&mut self, other: &Params) -> Result<(), String> {
-        if self.len() != other.len() {
-            return Err(format!("parameter count mismatch: {} vs {}", self.len(), other.len()));
-        }
-        for ((_, name_a, mat_a), (_, name_b, mat_b)) in self.iter().zip(other.iter()) {
-            if name_a != name_b {
-                return Err(format!("parameter name mismatch: {name_a:?} vs {name_b:?}"));
-            }
-            if mat_a.shape() != mat_b.shape() {
-                return Err(format!(
-                    "shape mismatch for {name_a:?}: {:?} vs {:?}",
-                    mat_a.shape(),
-                    mat_b.shape()
-                ));
-            }
-        }
-        for i in 0..other.len() {
-            let id = ParamId(i);
-            let src = other.get(id).clone();
-            *self.get_mut(id) = src;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod serde_tests {
     use super::*;
@@ -173,32 +144,5 @@ mod serde_tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back.name(ParamId(0)), "emb");
         assert_eq!(back.get(ParamId(1)).as_slice(), &[5., 6.]);
-    }
-
-    #[test]
-    fn load_state_restores_checkpoint() {
-        let checkpoint = store();
-        let mut live = store();
-        live.get_mut(ParamId(0)).fill(0.0); // "training" drifted
-        live.load_state_from(&checkpoint).unwrap();
-        assert_eq!(live.get(ParamId(0)).as_slice(), &[1., 2., 3., 4.]);
-    }
-
-    #[test]
-    fn load_state_rejects_mismatches() {
-        let mut live = store();
-        let mut renamed = Params::new();
-        renamed.push("other", Matrix::zeros(2, 2));
-        renamed.push("w", Matrix::zeros(1, 2));
-        assert!(live.load_state_from(&renamed).unwrap_err().contains("name mismatch"));
-
-        let mut reshaped = Params::new();
-        reshaped.push("emb", Matrix::zeros(3, 2));
-        reshaped.push("w", Matrix::zeros(1, 2));
-        assert!(live.load_state_from(&reshaped).unwrap_err().contains("shape mismatch"));
-
-        let mut short = Params::new();
-        short.push("emb", Matrix::zeros(2, 2));
-        assert!(live.load_state_from(&short).unwrap_err().contains("count mismatch"));
     }
 }

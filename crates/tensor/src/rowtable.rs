@@ -557,22 +557,6 @@ impl RowTable {
         }
     }
 
-    /// Converts a sparse table into the dense identity table,
-    /// materializing every missing row with its derived init.
-    /// Already-materialized rows keep their (possibly trained) values
-    /// byte-for-byte, so densifying is representation-only: the result is
-    /// bit-identical to a `Full`-scope table that received the same
-    /// updates. Returns `false` (no-op) when already dense.
-    pub fn densify(&mut self) -> bool {
-        if self.index.is_dense() {
-            return false;
-        }
-        let all: Vec<u32> = (0..self.num_items() as u32).collect();
-        self.ensure_many(&all);
-        self.index.ids = None;
-        true
-    }
-
     /// Like [`RowTable::ensure`], but a freshly materialized row is
     /// filled by `fill` instead of the table init (copy-on-first-touch —
     /// the FCF/MetaMF clients seed their local rows from the server's
@@ -828,21 +812,6 @@ mod tests {
         let mut legacy = RowTable::dense_with(3, 2, |r, row| row.fill(r as f32));
         assert_eq!(legacy.retain_ids(&[0]), 0);
         assert_eq!(legacy.row(2), &[2.0, 2.0]);
-    }
-
-    #[test]
-    fn densify_matches_full_table_bit_for_bit() {
-        let mut sparse = scoped(&[2, 5]);
-        let mut full = RowTable::from_scope(&ItemScope::Full(20), 4, 3, 0.1, 77);
-        // train one shared row identically in both representations
-        let r = sparse.lookup(5).unwrap();
-        sparse.row_mut(r)[0] += 0.25;
-        full.row_mut(5)[0] += 0.25;
-        assert!(sparse.densify());
-        assert!(sparse.is_dense());
-        assert_eq!(sparse, full);
-        // second call is a no-op
-        assert!(!sparse.densify());
     }
 
     #[test]

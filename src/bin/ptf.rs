@@ -520,7 +520,7 @@ impl Drop for RemoveOnDrop {
     }
 }
 
-/// `--save FILE`: export the trained (server) model's state.
+/// `--save FILE`: export the trained (server) model's full state.
 fn save_trained_model<P: FederatedProtocol>(
     engine: &Engine<P>,
     save: Option<&str>,
@@ -529,7 +529,7 @@ fn save_trained_model<P: FederatedProtocol>(
         let state = engine
             .protocol()
             .recommender()
-            .export_state()
+            .export_full_state()
             .ok_or("this model does not support checkpointing")?;
         std::fs::write(path, state).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("trained model checkpointed to {path}");

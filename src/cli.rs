@@ -414,11 +414,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .transpose()?
                     .unwrap_or(Scale::Small),
                 seed: parse_seed(&opts)?,
-                k: opts
-                    .get("k")
-                    .map(|s| s.parse().map_err(|_| format!("bad --k {s:?}")))
-                    .transpose()?
-                    .unwrap_or(20),
+                k: parse_k(&opts)?,
                 threads: parse_threads(&opts)?,
                 save: opts.get("save").cloned(),
                 storage: opts
@@ -457,7 +453,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 resume: opts.flag("resume"),
                 halt_after: opts
                     .get("halt-after")
-                    .map(|s| s.parse().map_err(|_| format!("bad --halt-after {s:?}")))
+                    .map(|s| match s.parse::<u32>() {
+                        Ok(0) => Err("--halt-after must be > 0".to_string()),
+                        Ok(n) => Ok(n),
+                        Err(_) => Err(format!("bad --halt-after {s:?}")),
+                    })
                     .transpose()?,
                 json: opts.flag("json"),
             })
@@ -543,11 +543,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .transpose()?
                     .unwrap_or(Scale::Small),
                 seed: parse_seed(&opts)?,
-                k: opts
-                    .get("k")
-                    .map(|s| s.parse().map_err(|_| format!("bad --k {s:?}")))
-                    .transpose()?
-                    .unwrap_or(20),
+                k: parse_k(&opts)?,
                 port: opts
                     .get("port")
                     .map(|s| s.parse().map_err(|_| format!("bad --port {s:?}")))
@@ -652,6 +648,19 @@ fn parse_participation(opts: &Options) -> Result<f64, String> {
         return Err(format!("--participation must be in (0, 1], got {f}"));
     }
     Ok(f)
+}
+
+/// `--k N`, the ranking cutoff of the evaluation (default 20).
+fn parse_k(opts: &Options) -> Result<usize, String> {
+    let k = opts
+        .get("k")
+        .map(|s| s.parse().map_err(|_| format!("bad --k {s:?}")))
+        .transpose()?
+        .unwrap_or(20);
+    if k == 0 {
+        return Err("--k must be > 0".to_string());
+    }
+    Ok(k)
 }
 
 fn parse_seed(opts: &Options) -> Result<u64, String> {
@@ -848,6 +857,19 @@ mod tests {
         }
         let err = parse(&argv("train --dataset ml100k --checkpoint-every soon")).unwrap_err();
         assert!(err.contains("--checkpoint-every"), "{err}");
+        // halting before the first round would commit nothing to resume from
+        let err =
+            parse(&argv("train --dataset ml100k --checkpoint ckpt --halt-after 0")).unwrap_err();
+        assert_eq!(err, "--halt-after must be > 0");
+    }
+
+    #[test]
+    fn zero_ranking_cutoff_is_rejected() {
+        for cmd in ["train", "serve"] {
+            let err = parse(&argv(&format!("{cmd} --dataset ml100k --k 0"))).unwrap_err();
+            assert_eq!(err, "--k must be > 0", "{cmd}");
+            assert!(parse(&argv(&format!("{cmd} --dataset ml100k --k 1"))).is_ok(), "{cmd}");
+        }
     }
 
     #[test]

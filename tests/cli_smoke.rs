@@ -148,6 +148,56 @@ fn privacy_json_reports_attack_f1() {
 }
 
 #[test]
+fn saved_model_restores_the_printed_runs_server_scores() {
+    use ptf_fedrec::data::{DatasetPreset, Scale, TrainTestSplit};
+    use ptf_fedrec::models::{build_model, evaluate_model, ModelHyper, ModelKind};
+    use rand::SeedableRng;
+
+    let dir = std::env::temp_dir().join(format!("ptf-smoke-save-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("server.json");
+    let out = ptf()
+        .args(["train", "--dataset", "ml100k", "--client", "mf", "--server", "neumf"])
+        .args(["--rounds", "2", "--seed", "7", "--k", "5", "--json", "--save"])
+        .arg(&path)
+        .output()
+        .expect("spawn failed");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let state = std::fs::read_to_string(&path).expect("--save should write the file");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // the split `ptf train` evaluated on, and a same-shape server model
+    // built from an unrelated seed so nothing can match by accident
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let data = DatasetPreset::MovieLens100K.generate(Scale::Small, &mut rng);
+    let split = TrainTestSplit::split_80_20(&data, &mut rng);
+    let mut server = build_model(
+        ModelKind::NeuMf,
+        split.train.num_users(),
+        split.train.num_items(),
+        &ModelHyper::small(),
+        &mut ptf_fedrec::data::test_rng(999),
+    );
+    server.import_full_state(&state).expect("saved state imports");
+
+    // the report is a function of the server's scores for every user; it
+    // must equal the printed one to the last digit
+    let m = evaluate_model(&*server, &split.train, &split.test, 5).metrics;
+    for (name, value) in [
+        ("recall", m.recall),
+        ("ndcg", m.ndcg),
+        ("hit_rate", m.hit_rate),
+        ("precision", m.precision),
+        ("mrr", m.mrr),
+        ("map", m.map),
+    ] {
+        let line = format!("\"{name}\": {}", serde_json::to_string(&value).unwrap());
+        assert!(stdout.contains(&line), "restored model's {line} not in:\n{stdout}");
+    }
+}
+
+#[test]
 fn invalid_config_is_an_error_message_not_a_panic() {
     // --rounds 0 fails PtfConfig validation: the binary must exit 1 with
     // the ConfigError message on stderr and no panic backtrace

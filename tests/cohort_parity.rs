@@ -262,10 +262,9 @@ fn active_scope_is_self_consistent_across_cohorts_and_threads() {
     }
 }
 
-/// `StorageMode::Auto` re-evaluates the dense-fallback decision as the
-/// dispersed set grows the training pool; flipping representation
-/// mid-run must be invisible in the results (NGCF excluded by design —
-/// its dropout stream is drawn over materialized rows).
+/// `StorageMode::Auto` picks each client's representation at
+/// construction; a fleet it builds dense must be indistinguishable in
+/// the results from an all-sparse one.
 #[test]
 fn auto_storage_reevaluation_matches_sparse() {
     let s = split(30);
@@ -283,8 +282,7 @@ fn auto_storage_reevaluation_matches_sparse() {
         (engine.run(), engine.evaluate(&s.train, &s.test, 10))
     };
     let sparse = run(StorageMode::Sparse);
-    // a threshold low enough that dispersal growth trips it mid-run for
-    // clients that started sparse
+    // a threshold low enough that every client is built dense
     let auto = run(StorageMode::Auto { dense_fraction: 0.05 });
     assert_eq!(sparse.0, auto.0, "auto densification changed the RunTrace");
     assert_eq!(sparse.1, auto.1, "auto densification changed the RankingReport");

@@ -238,9 +238,9 @@ fn scoped_state_roundtrips_through_checkpoints() {
         for _ in 0..5 {
             m.train_batch(&[(0, 1, 1.0), (0, 19, 0.0)]);
         }
-        let ckpt = m.export_state().expect("scoped export");
+        let ckpt = m.export_full_state().expect("scoped export");
         let mut back = build_model_scoped(kind, 1, &h, &scope, 777);
-        back.import_state(&ckpt).unwrap_or_else(|e| panic!("{kind}: {e}"));
+        back.import_full_state(&ckpt).unwrap_or_else(|e| panic!("{kind}: {e}"));
         if back.uses_graph() {
             back.set_graph(&[(0, 1, 1.0)]);
         }
