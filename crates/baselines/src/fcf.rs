@@ -21,9 +21,9 @@ use ptf_federated::{
 };
 use ptf_models::mf::{mf_sgd_step, MfModel};
 use ptf_models::Recommender;
-use ptf_tensor::RowTable;
+use ptf_tensor::{ItemScope, RowTable};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Observer over one client's item-delta rows: `(client, delta, dim, V)`.
 /// The delta is a [`RowTable`] scoped to the items the client touched;
@@ -97,8 +97,8 @@ pub struct Fcf {
 
 impl Fcf {
     pub fn new(train: &Dataset, cfg: FcfConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let model = MfModel::new(train.num_users(), train.num_items(), cfg.dim, cfg.lr, &mut rng);
+        let scope = ItemScope::Full(train.num_items());
+        let model = MfModel::new_scoped(train.num_users(), cfg.dim, cfg.lr, &scope, cfg.seed);
         let clients = partition_clients(train);
         let trainable = clients.iter().filter(|c| c.is_trainable()).map(|c| c.id).collect();
         let scheduler = Scheduler::new(cfg.threads);

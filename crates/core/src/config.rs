@@ -271,6 +271,10 @@ impl PtfConfig {
         if self.storage.evict_interval > 0 {
             positive(self.storage.evict_budget > 0, "storage.evict_budget")?;
         }
+        if let DefenseKind::Ldp { epsilon } = self.defense {
+            // `Ldp::new` asserts this; NaN fails the comparison too
+            positive(epsilon > 0.0 && epsilon.is_finite(), "defense.epsilon")?;
+        }
         Ok(())
     }
 }
@@ -325,6 +329,11 @@ mod tests {
             let mut c = PtfConfig::paper();
             set(&mut c);
             assert_eq!(c.validate(), Err(ConfigError::NotPositive(field)));
+        }
+        for epsilon in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = PtfConfig::paper();
+            c.defense = DefenseKind::Ldp { epsilon };
+            assert_eq!(c.validate(), Err(ConfigError::NotPositive("defense.epsilon")));
         }
     }
 

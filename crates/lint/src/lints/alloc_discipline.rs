@@ -33,16 +33,27 @@ const BANNED: &[&str] = &[
 
 pub fn check(sf: &SourceFile, entry: &HotPath) -> Vec<Diagnostic> {
     let mut hot = vec![entry.fns.is_empty(); sf.len()];
+    let mut diags = Vec::new();
     if !entry.fns.is_empty() {
-        for (name, start, end) in function_spans(&sf.code) {
-            if entry.fns.contains(&name) {
-                for flag in hot.iter_mut().take(end + 1).skip(start) {
+        let spans = function_spans(&sf.code);
+        for (name, start, end) in &spans {
+            if entry.fns.contains(name) {
+                for flag in hot.iter_mut().take(end + 1).skip(*start) {
                     *flag = true;
                 }
             }
         }
+        // a declared fn that moved or was renamed must fail here, or its
+        // lint coverage silently vanishes
+        for name in entry.fns.iter().filter(|f| !spans.iter().any(|(n, ..)| n == *f)) {
+            diags.push(Diagnostic::new(
+                "crates/lint/hot_paths.toml",
+                1,
+                NAME,
+                format!("hot_paths.toml: fn {name} not found in {}", entry.path),
+            ));
+        }
     }
-    let mut diags = Vec::new();
     for (i, &is_hot) in hot.iter().enumerate() {
         if !is_hot || sf.is_test[i] || sf.allows(i, NAME) {
             continue;
@@ -68,7 +79,8 @@ pub fn check(sf: &SourceFile, entry: &HotPath) -> Vec<Diagnostic> {
 /// Locates `(name, start_line, end_line)` (0-based, inclusive) of every
 /// function with a body. Signatures never contain `{`, so the body is
 /// the brace-balanced span from the first `{` after the `fn` name;
-/// bodyless trait methods (`;` first) are skipped.
+/// bodyless trait methods (`;` first, outside any `[T; N]` array type)
+/// are skipped.
 pub fn function_spans(code: &[String]) -> Vec<(String, usize, usize)> {
     let stream: Vec<(usize, String)> = code
         .iter()
@@ -88,7 +100,15 @@ pub fn function_spans(code: &[String]) -> Vec<(String, usize, usize)> {
         let fn_line = stream[i].0.min(fn_line);
         // find the body's `{` (or `;` for bodyless declarations)
         let mut j = i + 2;
-        while j < stream.len() && stream[j].1 != "{" && stream[j].1 != ";" {
+        let mut brackets = 0usize;
+        while j < stream.len() {
+            match stream[j].1.as_str() {
+                "[" => brackets += 1,
+                "]" => brackets = brackets.saturating_sub(1),
+                "{" => break,
+                ";" if brackets == 0 => break,
+                _ => {}
+            }
             j += 1;
         }
         if j >= stream.len() || stream[j].1 == ";" {
@@ -145,6 +165,15 @@ fn hot_bad(x: &[f32]) -> Vec<f32> {\n    x.to_vec()\n}\n";
     }
 
     #[test]
+    fn a_declared_fn_that_does_not_exist_is_reported() {
+        let sf = SourceFile::from_text("x.rs", SRC);
+        let got = check(&sf, &entry(&["hot", "moved_away"]));
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert_eq!(got[0].file, "crates/lint/hot_paths.toml");
+        assert_eq!(got[0].msg, "hot_paths.toml: fn moved_away not found in x.rs");
+    }
+
+    #[test]
     fn whole_file_mode_checks_everything_but_tests() {
         let sf = SourceFile::from_text("x.rs", SRC);
         let got = check(&sf, &entry(&[]));
@@ -158,5 +187,12 @@ fn hot_bad(x: &[f32]) -> Vec<f32> {\n    x.to_vec()\n}\n";
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0], ("a".to_string(), 1, 5));
         assert_eq!(spans[1].0, "c");
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_end_it() {
+        let src = "fn lanes(acc: &[f32; 8]) -> f32 {\n    acc[0]\n}\n";
+        let spans = function_spans(&SourceFile::from_text("x.rs", src).code);
+        assert_eq!(spans, vec![("lanes".to_string(), 0, 2)]);
     }
 }

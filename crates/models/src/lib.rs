@@ -14,7 +14,18 @@
 //! All models implement [`traits::Recommender`] and are constructible by
 //! name through [`registry`], which is how the protocol layers stay
 //! model-agnostic (the heart of the paper's "hide your model" property).
+//!
+//! An architecture is its forward pass. Each has one constructor — the
+//! seed-derived `new_scoped(num_users, cfg, &ItemScope, seed)`, which
+//! servers reach through [`registry::build_model`] with a `Full` scope —
+//! and everything around the forward pass is shared: `scoped::ScopedParams`
+//! owns an autograd model's parameters, Adam moments, item scope and seed
+//! (lazy rows, eviction, batch staging, the full-state envelope), and
+//! `backbone::GraphBackbone` adds what NGCF and LightGCN have in common
+//! (propagation operator, global edge list, final-embedding cache, the
+//! cached scoring loop).
 
+mod backbone;
 pub mod eval;
 pub mod graph;
 pub mod lightgcn;

@@ -6,18 +6,18 @@
 //! gradients as *protocol messages* (FCF uploads them in the clear, FedMF
 //! encrypts them), so the math must be callable outside a training step.
 //!
-//! The item table is a [`RowTable`]: dense for servers and centralized
-//! runs, row-sparse for item-scoped clients, which hold only the
-//! embedding rows they have actually touched (positives at construction;
-//! sampled negatives and dispersed items materialize lazily with
-//! seed-derived deterministic init). The table's trailing column is the
-//! item bias, so one arena row carries the whole per-item state.
+//! The item table is a [`RowTable`]: dense for servers, baselines and
+//! centralized runs, row-sparse for item-scoped clients, which hold only
+//! the embedding rows they have actually touched (positives at
+//! construction; sampled negatives and dispersed items materialize
+//! lazily). Either way every row starts from its seed-derived
+//! deterministic init. The table's trailing column is the item bias, so
+//! one arena row carries the whole per-item state.
 
-use crate::lightgcn::stable_sigmoid;
-use crate::traits::{Recommender, ScopeView};
+use crate::scoped::{dense_rng, item_seed, EMB_STD};
+use crate::traits::{stable_sigmoid, Recommender, ScopeView};
 use ptf_tensor::kernels;
 use ptf_tensor::{ItemScope, Matrix, RowTable};
-use rand::Rng;
 
 /// Numerically stable BCE of a logit against a (soft) target.
 pub fn bce_loss(logit: f32, target: f32) -> f32 {
@@ -111,39 +111,16 @@ struct MfWire {
 }
 
 impl MfModel {
-    /// A dense MF model with the legacy sequential-RNG init (user and
-    /// item tables drawn from one `rng` stream, biases zero) — servers
-    /// and baselines that own the full catalogue.
-    pub fn new(
-        num_users: usize,
-        num_items: usize,
-        dim: usize,
-        lr: f32,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let user_emb = Matrix::randn(num_users, dim, 0.1, rng);
-        let item_emb = Matrix::randn(num_items, dim, 0.1, rng);
-        let items = RowTable::dense_with(num_items, dim + 1, |r, row| {
-            row[..dim].copy_from_slice(item_emb.row(r));
-            row[dim] = 0.0;
-        });
-        Self { user_emb, items, lr, reg: 1e-4 }
-    }
-
     /// An item-scoped MF model: the item table materializes only `scope`
     /// (plus whatever later training touches), every row initialized from
     /// its `(seed, id)`-derived stream. Two models with the same `seed`
     /// — one `Full`, one `Rows` — hold bit-identical values on every
     /// shared row.
     pub fn new_scoped(num_users: usize, dim: usize, lr: f32, scope: &ItemScope, seed: u64) -> Self {
-        use ptf_tensor::derive_seed;
-        use rand::SeedableRng;
         // the user table draws from its own derived stream so its values
         // cannot depend on the item scope (Full vs Rows parity)
-        let mut rng = rand::rngs::StdRng::seed_from_u64(derive_seed(seed, 0, DENSE_INIT_STREAM));
-        let user_emb = Matrix::randn(num_users, dim, 0.1, &mut rng);
-        let items =
-            RowTable::from_scope(scope, dim + 1, dim, 0.1, derive_seed(seed, 0, ITEM_INIT_STREAM));
+        let user_emb = Matrix::randn(num_users, dim, EMB_STD, &mut dense_rng(seed));
+        let items = RowTable::from_scope(scope, dim + 1, dim, EMB_STD, item_seed(seed));
         Self { user_emb, items, lr, reg: 1e-4 }
     }
 
@@ -190,10 +167,6 @@ impl MfModel {
         self.items.with_row(item, |row| kernels::dot(u, &row[..dim]) + row[dim])
     }
 }
-
-/// Stream discriminators inside one scoped model's seed namespace.
-const DENSE_INIT_STREAM: u64 = 1;
-const ITEM_INIT_STREAM: u64 = 2;
 
 impl Recommender for MfModel {
     fn name(&self) -> &'static str {
@@ -307,7 +280,6 @@ impl Recommender for MfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptf_tensor::test_rng;
 
     #[test]
     fn bce_loss_matches_naive_formula() {
@@ -360,7 +332,7 @@ mod tests {
 
     #[test]
     fn sgd_overfits_tiny_data() {
-        let mut m = MfModel::new(2, 4, 8, 0.1, &mut test_rng(2));
+        let mut m = MfModel::new_scoped(2, 8, 0.1, &ItemScope::Full(4), 2);
         let data: Vec<(u32, u32, f32)> = vec![(0, 0, 1.0), (0, 1, 0.0), (1, 2, 1.0), (1, 3, 0.0)];
         for _ in 0..300 {
             m.train_batch(&data);
@@ -371,7 +343,7 @@ mod tests {
 
     #[test]
     fn recommender_impl_shapes() {
-        let m = MfModel::new(3, 5, 4, 0.1, &mut test_rng(3));
+        let m = MfModel::new_scoped(3, 4, 0.1, &ItemScope::Full(5), 3);
         assert_eq!(m.num_params(), 3 * 4 + 5 * 4 + 5);
         assert_eq!(m.score_all(1).len(), 5);
         assert_eq!(m.name(), "MF");

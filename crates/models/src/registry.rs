@@ -101,7 +101,9 @@ impl ModelHyper {
     }
 }
 
-/// Constructs a boxed model of the requested architecture.
+/// Constructs a boxed dense model of the requested architecture: the
+/// [`build_model_scoped`] model over the full catalogue, from a seed drawn
+/// off `rng` — servers, `Centralized` and clients share one init scheme.
 pub fn build_model(
     kind: ModelKind,
     num_users: usize,
@@ -109,36 +111,7 @@ pub fn build_model(
     hyper: &ModelHyper,
     rng: &mut impl Rng,
 ) -> Box<dyn Recommender> {
-    match kind {
-        ModelKind::NeuMf => Box::new(NeuMf::new(
-            num_users,
-            num_items,
-            &NeuMfConfig { dim: hyper.dim, layers: hyper.mlp_layers.clone(), lr: hyper.lr },
-            rng,
-        )),
-        ModelKind::Ngcf => Box::new(Ngcf::new(
-            num_users,
-            num_items,
-            &NgcfConfig {
-                dim: hyper.dim,
-                layers: hyper.gcn_layers,
-                lr: hyper.lr,
-                leaky_slope: 0.2,
-                reg: hyper.ngcf_reg,
-                message_dropout: hyper.ngcf_dropout,
-            },
-            rng,
-        )),
-        ModelKind::LightGcn => Box::new(LightGcn::new(
-            num_users,
-            num_items,
-            &LightGcnConfig { dim: hyper.dim, layers: hyper.gcn_layers, lr: hyper.lr },
-            rng,
-        )),
-        ModelKind::Mf => {
-            Box::new(crate::mf::MfModel::new(num_users, num_items, hyper.dim, hyper.lr, rng))
-        }
-    }
+    build_model_scoped(kind, num_users, hyper, &ItemScope::Full(num_items), rng.gen())
 }
 
 /// Constructs a boxed model whose item embeddings cover exactly `scope`.

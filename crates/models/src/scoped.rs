@@ -1,15 +1,26 @@
-//! Shared machinery for item-scoped autograd models (NeuMF, NGCF,
-//! LightGCN): lazy growth of the item block of an embedding parameter,
-//! and the checkpoint envelope that round-trips the materialized id set.
+//! The seed-derived init scheme every model builds from, and the
+//! item-row store shared by the autograd models (NeuMF, NGCF, LightGCN).
+//!
+//! Everything outside a model's forward pass is the same for all three:
+//! one embedding parameter whose item block materializes lazily from a
+//! `(seed, id)`-derived init, Adam moments that must grow, shrink and
+//! reset with it, and the full-state envelope that round-trips the lot.
+//! [`ScopedParams`] owns that state, so "id, parameter row and both
+//! moment rows move together" is a property of the type rather than a
+//! calling convention.
 
-use ptf_tensor::{derive_seed, init, Adam, ItemScope, Matrix, ParamId, Params, ScopeIndex};
+use crate::scratch::BatchScratch;
+use crate::traits::ScopeView;
+use ptf_tensor::{derive_seed, init, Adam, Grads, ItemScope, Matrix, ParamId, Params, ScopeIndex};
 
-/// Stream discriminators inside one scoped model's seed namespace (the
-/// same constants as `MfModel`'s, applied to a different derived master).
-pub(crate) const DENSE_INIT_STREAM: u64 = 1;
-pub(crate) const ITEM_INIT_STREAM: u64 = 2;
+/// Stream discriminators inside one model's seed namespace.
+const DENSE_INIT_STREAM: u64 = 1;
+const ITEM_INIT_STREAM: u64 = 2;
 
-/// The RNG for a scoped model's non-item parameters (user embeddings,
+/// Standard deviation of every embedding row's normal init.
+pub(crate) const EMB_STD: f32 = 0.1;
+
+/// The RNG for a model's non-item parameters (user embeddings,
 /// MLP/propagation weights). A separate stream from the item rows, so the
 /// dense draws cannot depend on the item scope — the keystone of
 /// `Full`-vs-`Rows` bit-parity.
@@ -18,123 +29,38 @@ pub(crate) fn dense_rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(derive_seed(seed, 0, DENSE_INIT_STREAM))
 }
 
-/// The per-row item-init seed of a scoped model.
+/// The per-row item-init seed of a model built from `seed`.
 pub(crate) fn item_seed(seed: u64) -> u64 {
     derive_seed(seed, 0, ITEM_INIT_STREAM)
 }
 
-/// Builds the eagerly materialized item block of an embedding parameter:
-/// one row per scoped id, each from its `(item_seed, id)`-derived stream.
-pub(crate) fn scoped_item_rows(
-    scope: &ItemScope,
-    dim: usize,
-    std: f32,
-    seed: u64,
-) -> ptf_tensor::Matrix {
+/// The eagerly materialized item block of an embedding parameter: one
+/// row per id of `scope`, each from its `(seed, id)`-derived stream.
+pub(crate) fn item_block(scope: &ItemScope, dim: usize, seed: u64) -> Matrix {
+    let seed = item_seed(seed);
     match scope {
-        ItemScope::Full(n) => init::derived_normal_rows(0..*n as u32, dim, std, seed),
+        ItemScope::Full(n) => init::derived_normal_rows(0..*n as u32, dim, EMB_STD, seed),
         ItemScope::Rows { ids, .. } => {
-            init::derived_normal_rows(ids.iter().copied(), dim, std, seed)
+            init::derived_normal_rows(ids.iter().copied(), dim, EMB_STD, seed)
         }
     }
 }
 
-/// Materializes every id in `ids` that the scope does not hold yet:
-/// inserts the derived-init row into the item block of `emb` (which
-/// starts `row_offset` rows into the parameter — NGCF/LightGCN put user
-/// rows first) and a zero row into the optimizer moments at the same
-/// position. Returns true if anything was inserted (graph models must
-/// rebuild their propagation operator, since node indices shifted).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ensure_item_rows(
-    scope: &mut ScopeIndex,
-    params: &mut Params,
-    adam: &mut Adam,
+/// An autograd model's trainable state: its [`Params`], their [`Adam`]
+/// moments, and the bookkeeping of the one item-scoped embedding
+/// parameter — which global item id backs which row (the item block
+/// starts `row_offset` rows into the parameter; NGCF/LightGCN put user
+/// rows first), and the seed every unmaterialized row derives from.
+pub(crate) struct ScopedParams {
+    params: Params,
+    adam: Adam,
     emb: ParamId,
     row_offset: usize,
+    scope: ScopeIndex,
     item_seed: u64,
-    std: f32,
-    ids: impl Iterator<Item = u32>,
-) -> bool {
-    let mut inserted_any = false;
-    let mut buf: Vec<f32> = Vec::new();
-    for id in ids {
-        let (pos, inserted) = scope.insert(id);
-        if !inserted {
-            continue;
-        }
-        inserted_any = true;
-        let dim = params.get(emb).cols();
-        buf.clear();
-        buf.resize(dim, 0.0);
-        init::derived_normal_row(item_seed, id, std, &mut buf);
-        params.get_mut(emb).insert_row(row_offset + pos, &buf);
-        adam.insert_zero_row(emb, row_offset + pos);
-    }
-    inserted_any
-}
-
-/// Evicts every materialized id the keep set does not cover — the exact
-/// inverse of [`ensure_item_rows`], applied coherently to the embedding
-/// rows and the optimizer moments.
-///
-/// Row-scoped models remove id, parameter row, and both moment rows
-/// together (walking ids in descending order so earlier positions stay
-/// valid). Dense seed-derived models cannot shrink, so they reset the
-/// evicted rows in place — parameter row back to its derived init, moment
-/// rows to zero — which is the same post-state a row-scoped model
-/// re-materializes into. Legacy dense models built from a sequential RNG
-/// (`item_seed == 0` sentinel) have no reproducible init and evict
-/// nothing. Returns the number of rows evicted/reset.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evict_item_rows(
-    scope: &mut ScopeIndex,
-    params: &mut Params,
-    adam: &mut Adam,
-    emb: ParamId,
-    row_offset: usize,
-    item_seed: u64,
-    std: f32,
-    keep_sorted: &[u32],
-) -> usize {
-    debug_assert!(keep_sorted.windows(2).all(|w| w[0] < w[1]), "keep ids must be sorted unique");
-    match scope.ids() {
-        None => {
-            if item_seed == 0 {
-                return 0;
-            }
-            let dim = params.get(emb).cols();
-            let mut buf = vec![0.0f32; dim];
-            let mut k = 0usize;
-            let mut reset = 0usize;
-            for id in 0..scope.num_items() as u32 {
-                while k < keep_sorted.len() && keep_sorted[k] < id {
-                    k += 1;
-                }
-                if k < keep_sorted.len() && keep_sorted[k] == id {
-                    continue;
-                }
-                init::derived_normal_row(item_seed, id, std, &mut buf);
-                let at = row_offset + id as usize;
-                params.get_mut(emb).row_mut(at).copy_from_slice(&buf);
-                adam.zero_moment_row(emb, at);
-                reset += 1;
-            }
-            reset
-        }
-        Some(ids) => {
-            // snapshot the victims, then drop back-to-front so every
-            // not-yet-processed position is unaffected by earlier removals
-            let victims: Vec<u32> =
-                ids.iter().copied().filter(|id| keep_sorted.binary_search(id).is_err()).collect();
-            for &id in victims.iter().rev() {
-                let pos = scope.remove(id).expect("victim was materialized");
-                params.get_mut(emb).remove_row(row_offset + pos);
-                adam.remove_row(emb, row_offset + pos);
-            }
-            victims.len()
-        }
-    }
+    /// Reused batch-staging vectors + autograd arena (steady-state
+    /// training is allocation-free after the first batch).
+    scratch: BatchScratch,
 }
 
 /// Full-state envelope: everything a model needs to *resume training
@@ -159,113 +85,251 @@ struct FullWire {
     rng: Option<Vec<String>>,
 }
 
-/// Serializes a model's complete training state as a [`FullWire`]
-/// envelope (dense and scoped models alike — the scope travels inside).
-pub(crate) fn export_full_state(
-    arch: &str,
-    scope: &ScopeIndex,
-    params: &Params,
-    item_seed: u64,
-    adam: &Adam,
-    rng: Option<&rand::rngs::StdRng>,
-) -> Option<String> {
-    let (t, m, v) = adam.export_state();
-    serde_json::to_string(&FullWire {
-        arch: arch.to_string(),
-        item_ids: scope.ids().map(<[u32]>::to_vec),
-        item_seed: format!("{item_seed:016x}"),
-        params: params.clone(),
-        adam_t: format!("{t:x}"),
-        adam_m: m,
-        adam_v: v,
-        rng: rng.map(|r| r.state().iter().map(|w| format!("{w:016x}")).collect()),
-    })
-    .ok()
-}
-
-/// Restores a [`export_full_state`] envelope into
-/// `(scope, params, adam)`, returning the envelope's training RNG if it
-/// carried one. The scope may *reshape* in either direction: a sparse
-/// envelope restores its id set (however grown), a dense envelope
-/// densifies the live model — either way the whole parameter store and
-/// both optimizer moment buffers are replaced, so the restored model
-/// continues training bit-identically to the exported one.
-///
-/// On error the model may be left partially restored; callers must
-/// discard it (the cohort runtime rebuilds from scratch or aborts).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn import_full_state(
-    arch: &str,
-    scope: &mut ScopeIndex,
-    params: &mut Params,
-    adam: &mut Adam,
-    emb: ParamId,
-    row_offset: usize,
-    live_item_seed: &mut u64,
-    json: &str,
-) -> Result<Option<rand::rngs::StdRng>, String> {
-    let wire: FullWire = serde_json::from_str(json)
-        .map_err(|e| format!("bad full-state checkpoint (expected {arch} envelope): {e}"))?;
-    if wire.arch != arch {
-        return Err(format!("architecture mismatch: expected {arch}, got {}", wire.arch));
-    }
-    if wire.params.len() != params.len() {
-        return Err(format!("parameter count mismatch: {} vs {}", wire.params.len(), params.len()));
-    }
-    let num_items = scope.num_items();
-    let item_rows = wire.item_ids.as_ref().map_or(num_items, Vec::len);
-    for ((id, name_new, mat_new), (_, name_live, mat_live)) in wire.params.iter().zip(params.iter())
-    {
-        if name_new != name_live {
-            return Err(format!("parameter name mismatch: {name_new:?} vs {name_live:?}"));
+impl ScopedParams {
+    /// Takes ownership of a fully registered parameter store whose `emb`
+    /// parameter ends in the [`item_block`] of `(scope, seed)`, preceded
+    /// by `row_offset` scope-independent rows.
+    pub fn new(
+        params: Params,
+        emb: ParamId,
+        row_offset: usize,
+        scope: &ItemScope,
+        seed: u64,
+        lr: f32,
+    ) -> Self {
+        let scope = ScopeIndex::from_scope(scope);
+        assert_eq!(params.get(emb).rows(), row_offset + scope.len(), "item block/scope mismatch");
+        let adam = Adam::with_defaults(&params, lr);
+        Self {
+            params,
+            adam,
+            emb,
+            row_offset,
+            scope,
+            item_seed: item_seed(seed),
+            scratch: BatchScratch::default(),
         }
-        if id == emb {
-            if mat_new.cols() != mat_live.cols() || mat_new.rows() != row_offset + item_rows {
-                return Err(format!(
-                    "shape mismatch for {name_new:?}: {:?} does not fit {item_rows} item rows",
-                    mat_new.shape(),
-                ));
+    }
+
+    pub fn params(&self) -> &Params {
+        &self.params
+    }
+
+    /// The item-scoped embedding parameter.
+    pub fn emb(&self) -> ParamId {
+        self.emb
+    }
+
+    pub fn dim(&self) -> usize {
+        self.params.get(self.emb).cols()
+    }
+
+    /// Total catalogue size (global id space).
+    pub fn num_items(&self) -> usize {
+        self.scope.num_items()
+    }
+
+    pub fn is_dense(&self) -> bool {
+        self.scope.is_dense()
+    }
+
+    pub fn view(&self) -> ScopeView<'_> {
+        match self.scope.ids() {
+            None => ScopeView::Full(self.scope.num_items()),
+            Some(ids) => ScopeView::Rows(ids),
+        }
+    }
+
+    /// Row of a *materialized* item in the embedding parameter.
+    pub fn lookup(&self, id: u32) -> Option<usize> {
+        self.scope.lookup(id).map(|r| self.row_offset + r)
+    }
+
+    /// Writes the derived init of item `id` — what its row holds while
+    /// unmaterialized — into `out` (`dim` entries).
+    pub fn cold_row(&self, id: u32, out: &mut [f32]) {
+        init::derived_normal_row(self.item_seed, id, EMB_STD, out);
+    }
+
+    /// Materializes every id in `ids` that the scope does not hold yet:
+    /// inserts the derived-init row into the item block and a zero row
+    /// into the optimizer moments at the same position. Returns true if
+    /// anything was inserted (graph models must rebuild their propagation
+    /// operator, since node indices shifted).
+    pub fn ensure(&mut self, ids: impl Iterator<Item = u32>) -> bool {
+        let mut inserted_any = false;
+        let mut buf: Vec<f32> = Vec::new();
+        for id in ids {
+            let (pos, inserted) = self.scope.insert(id);
+            if !inserted {
+                continue;
             }
-        } else if mat_new.shape() != mat_live.shape() {
+            inserted_any = true;
+            buf.clear();
+            buf.resize(self.dim(), 0.0);
+            self.cold_row(id, &mut buf);
+            self.params.get_mut(self.emb).insert_row(self.row_offset + pos, &buf);
+            self.adam.insert_zero_row(self.emb, self.row_offset + pos);
+        }
+        inserted_any
+    }
+
+    /// Evicts every materialized id the sorted keep set does not cover —
+    /// the exact inverse of [`ScopedParams::ensure`].
+    ///
+    /// Row-scoped stores remove id, parameter row, and both moment rows
+    /// together (walking ids in descending order so earlier positions
+    /// stay valid). Dense stores cannot shrink, so they reset the evicted
+    /// rows in place — parameter row back to its derived init, moment
+    /// rows to zero — which is the same post-state a row-scoped store
+    /// re-materializes into. Returns the number of rows evicted/reset.
+    pub fn evict(&mut self, keep_sorted: &[u32]) -> usize {
+        debug_assert!(
+            keep_sorted.windows(2).all(|w| w[0] < w[1]),
+            "keep ids must be sorted unique"
+        );
+        let victims: Vec<u32> =
+            self.view().iter().filter(|id| keep_sorted.binary_search(id).is_err()).collect();
+        for &id in victims.iter().rev() {
+            match self.scope.remove(id) {
+                Some(pos) => {
+                    self.params.get_mut(self.emb).remove_row(self.row_offset + pos);
+                    self.adam.remove_row(self.emb, self.row_offset + pos);
+                }
+                // dense identity scope: nothing to drop, reset in place
+                None => {
+                    let at = self.row_offset + id as usize;
+                    let row = self.params.get_mut(self.emb).row_mut(at);
+                    init::derived_normal_row(self.item_seed, id, EMB_STD, row);
+                    self.adam.zero_moment_row(self.emb, at);
+                }
+            }
+        }
+        victims.len()
+    }
+
+    /// Splits `batch` into the staged user/row/label columns of the
+    /// store's scratch, which it hands out (return it through
+    /// [`ScopedParams::apply`]). Every batch item must be materialized.
+    pub fn stage(&mut self, batch: &[(u32, u32, f32)]) -> BatchScratch {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.users.clear();
+        scratch.users.extend(batch.iter().map(|&(u, _, _)| u));
+        scratch.rows.clear();
+        scratch.rows.extend(
+            batch.iter().map(|&(_, i, _)| self.lookup(i).expect("item materialized") as u32),
+        );
+        scratch.labels.clear();
+        scratch.labels.extend(batch.iter().map(|&(_, _, l)| l));
+        scratch
+    }
+
+    /// One Adam step on `grads`, then takes `scratch` (and the gradient
+    /// buffers) back for the next batch.
+    pub fn apply(&mut self, mut scratch: BatchScratch, grads: Grads) {
+        self.adam.step(&mut self.params, &grads);
+        scratch.arena.recycle(grads);
+        self.scratch = scratch;
+    }
+
+    /// Serializes the complete training state as a [`FullWire`] envelope
+    /// (dense and scoped stores alike — the scope travels inside).
+    pub fn export(&self, arch: &str, rng: Option<&rand::rngs::StdRng>) -> Option<String> {
+        let (t, m, v) = self.adam.export_state();
+        serde_json::to_string(&FullWire {
+            arch: arch.to_string(),
+            item_ids: self.scope.ids().map(<[u32]>::to_vec),
+            item_seed: format!("{:016x}", self.item_seed),
+            params: self.params.clone(),
+            adam_t: format!("{t:x}"),
+            adam_m: m,
+            adam_v: v,
+            rng: rng.map(|r| r.state().iter().map(|w| format!("{w:016x}")).collect()),
+        })
+        .ok()
+    }
+
+    /// Restores a [`ScopedParams::export`] envelope, returning the
+    /// envelope's training RNG if it carried one. The scope may *reshape*
+    /// in either direction: a sparse envelope restores its id set
+    /// (however grown), a dense envelope densifies the live store —
+    /// either way the whole parameter store and both optimizer moment
+    /// buffers are replaced, so the restored model continues training
+    /// bit-identically to the exported one.
+    ///
+    /// On error the store may be left partially restored; callers must
+    /// discard it (the cohort runtime rebuilds from scratch or aborts).
+    pub fn import(&mut self, arch: &str, json: &str) -> Result<Option<rand::rngs::StdRng>, String> {
+        let wire: FullWire = serde_json::from_str(json)
+            .map_err(|e| format!("bad full-state checkpoint (expected {arch} envelope): {e}"))?;
+        if wire.arch != arch {
+            return Err(format!("architecture mismatch: expected {arch}, got {}", wire.arch));
+        }
+        if wire.params.len() != self.params.len() {
             return Err(format!(
-                "shape mismatch for {name_new:?}: {:?} vs {:?}",
-                mat_new.shape(),
-                mat_live.shape()
+                "parameter count mismatch: {} vs {}",
+                wire.params.len(),
+                self.params.len()
             ));
         }
-    }
-    if let Some(ids) = &wire.item_ids {
-        if !ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err("checkpoint item ids must be sorted and unique".to_string());
-        }
-        if ids.last().is_some_and(|&l| l as usize >= num_items) {
-            return Err("checkpoint item id out of range".to_string());
-        }
-    }
-    let item_seed = u64::from_str_radix(&wire.item_seed, 16)
-        .map_err(|e| format!("bad checkpoint item seed: {e}"))?;
-    let t = u64::from_str_radix(&wire.adam_t, 16)
-        .map_err(|e| format!("bad checkpoint step counter: {e}"))?;
-    let rng = match &wire.rng {
-        None => None,
-        Some(words) => {
-            if words.len() != 4 {
-                return Err(format!("rng state must be 4 words, got {}", words.len()));
+        let num_items = self.scope.num_items();
+        let item_rows = wire.item_ids.as_ref().map_or(num_items, Vec::len);
+        for ((id, name_new, mat_new), (_, name_live, mat_live)) in
+            wire.params.iter().zip(self.params.iter())
+        {
+            if name_new != name_live {
+                return Err(format!("parameter name mismatch: {name_new:?} vs {name_live:?}"));
             }
-            let mut s = [0u64; 4];
-            for (slot, word) in s.iter_mut().zip(words) {
-                *slot = u64::from_str_radix(word, 16)
-                    .map_err(|e| format!("bad checkpoint rng word: {e}"))?;
+            if id == self.emb {
+                if mat_new.cols() != mat_live.cols()
+                    || mat_new.rows() != self.row_offset + item_rows
+                {
+                    return Err(format!(
+                        "shape mismatch for {name_new:?}: {:?} does not fit {item_rows} item rows",
+                        mat_new.shape(),
+                    ));
+                }
+            } else if mat_new.shape() != mat_live.shape() {
+                return Err(format!(
+                    "shape mismatch for {name_new:?}: {:?} vs {:?}",
+                    mat_new.shape(),
+                    mat_live.shape()
+                ));
             }
-            Some(rand::rngs::StdRng::from_state(s))
         }
-    };
-    *scope = match wire.item_ids {
-        None => ScopeIndex::dense(num_items),
-        Some(ids) => ScopeIndex::from_scope(&ItemScope::Rows { num_items, ids }),
-    };
-    *params = wire.params;
-    *live_item_seed = item_seed;
-    adam.restore_state(params, t, wire.adam_m, wire.adam_v)?;
-    Ok(rng)
+        if let Some(ids) = &wire.item_ids {
+            if !ids.windows(2).all(|w| w[0] < w[1]) {
+                return Err("checkpoint item ids must be sorted and unique".to_string());
+            }
+            if ids.last().is_some_and(|&l| l as usize >= num_items) {
+                return Err("checkpoint item id out of range".to_string());
+            }
+        }
+        let item_seed = u64::from_str_radix(&wire.item_seed, 16)
+            .map_err(|e| format!("bad checkpoint item seed: {e}"))?;
+        let t = u64::from_str_radix(&wire.adam_t, 16)
+            .map_err(|e| format!("bad checkpoint step counter: {e}"))?;
+        let rng = match &wire.rng {
+            None => None,
+            Some(words) => {
+                if words.len() != 4 {
+                    return Err(format!("rng state must be 4 words, got {}", words.len()));
+                }
+                let mut s = [0u64; 4];
+                for (slot, word) in s.iter_mut().zip(words) {
+                    *slot = u64::from_str_radix(word, 16)
+                        .map_err(|e| format!("bad checkpoint rng word: {e}"))?;
+                }
+                Some(rand::rngs::StdRng::from_state(s))
+            }
+        };
+        self.scope = match wire.item_ids {
+            None => ScopeIndex::dense(num_items),
+            Some(ids) => ScopeIndex::from_scope(&ItemScope::Rows { num_items, ids }),
+        };
+        self.params = wire.params;
+        self.item_seed = item_seed;
+        self.adam.restore_state(&self.params, t, wire.adam_m, wire.adam_v)?;
+        Ok(rng)
+    }
 }

@@ -1,12 +1,13 @@
 //! Reusable per-model training scratch.
 //!
 //! Every autograd-backed model's `train_batch` needs the same transient
-//! state: staging vectors splitting the batch into user/item/label
-//! columns, and a [`GraphArena`] for the tape. Holding one
-//! [`BatchScratch`] per model and rebuilding each batch over it makes the
-//! steady-state training loop allocation-free — the buffers grow to the
-//! largest batch seen and are then reused verbatim (asserted by the
-//! counting-allocator hot-path tests).
+//! state: staging vectors splitting the batch into user/item-row/label
+//! columns, and a [`GraphArena`] for the tape. The model's
+//! [`crate::scoped::ScopedParams`] holds one [`BatchScratch`] and restages
+//! each batch over it, which makes the steady-state training loop
+//! allocation-free — the buffers grow to the largest batch seen and are
+//! then reused verbatim (asserted by the counting-allocator hot-path
+//! tests).
 
 use ptf_tensor::GraphArena;
 
@@ -15,10 +16,9 @@ use ptf_tensor::GraphArena;
 #[derive(Default)]
 pub(crate) struct BatchScratch {
     pub users: Vec<u32>,
-    /// Item ids (or node/row-mapped indices, per model).
-    pub items: Vec<u32>,
-    pub labels: Vec<f32>,
-    /// Secondary index column (row-mapped items, BPR negatives, …).
+    /// Row of each batch item in the scoped embedding parameter (for the
+    /// graph models that is the item's node index).
     pub rows: Vec<u32>,
+    pub labels: Vec<f32>,
     pub arena: GraphArena,
 }

@@ -80,6 +80,18 @@ pub fn cached_id_range(n: usize) -> Arc<Vec<u32>> {
     }
     cur.clone()
 }
+
+/// The sigmoid every model's score goes through, stable for large `|x|`.
+#[inline]
+pub(crate) fn stable_sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
 /// A trainable implicit-feedback recommender.
 ///
 /// Scores are probabilities in `[0, 1]` (sigmoid outputs): the protocol
@@ -134,15 +146,16 @@ pub trait Recommender: Send + Sync {
     /// optimizer moments to zero, exactly what a never-touched row holds,
     /// so re-touching it later is bit-identical to a model that had never
     /// materialized it. Row-scoped models physically remove the rows
-    /// (bounding client memory); dense seed-derived models reset them in
+    /// (bounding client memory); dense models reset them in
     /// place — either way the two representations stay bit-identical
     /// under the same train-and-evict schedule.
     ///
     /// Graph models require `keep_sorted` to cover every item referenced
     /// by the current interaction graph (the caller's keep set naturally
     /// does: graph edges come from positives and dispersed items, which
-    /// are always kept). Models with no reproducible init — the default —
-    /// evict nothing and return 0.
+    /// are always kept). Every model in this crate is seed-derived and
+    /// evicts; the default, for implementations outside it that have no
+    /// reproducible init, evicts nothing and returns 0.
     fn evict_items(&mut self, _keep_sorted: &[u32]) -> usize {
         0
     }

@@ -138,6 +138,17 @@ fn corrupt_full_state_envelopes_are_rejected() {
         m.import_full_state(&other).unwrap_err().contains("architecture mismatch"),
         "cross-architecture envelope accepted"
     );
+    // a parameter (user_emb, emptied) whose declared shape overflows
+    // `rows * cols`: the wrapped product would equal the empty buffer
+    let good = m.export_full_state().unwrap();
+    let shape = format!(r#""rows":{USERS},"cols":8,"data":["#);
+    let (head, tail) = good.split_once(&shape).expect("user_emb is an 4x8 parameter");
+    let (_, tail) = tail.split_once(']').unwrap();
+    let overflow = format!(r#"{head}"rows":4294967296,"cols":4294967296,"data":[]{tail}"#);
+    assert!(
+        m.import_full_state(&overflow).unwrap_err().contains("cannot be 4294967296x4294967296"),
+        "overflowing shape accepted"
+    );
     // same architecture, different embedding width
     let wide = NeuMf::new_scoped(USERS, &NeuMfConfig { dim: 16, ..cfg }, &scope(), 42);
     let other = wide.export_full_state().unwrap();

@@ -107,11 +107,6 @@ enum Source {
         logits: Var,
         targets: BufRange,
     },
-    /// Mean BPR (pairwise) loss over two n×1 logit columns.
-    BprLoss {
-        pos: Var,
-        neg: Var,
-    },
     /// Squared Frobenius norm → 1×1 (for L2 regularization).
     FrobSq {
         p: Var,
@@ -518,26 +513,6 @@ impl<'p> Graph<'p> {
         self.finish(s, out, Source::BceWithLogits { logits, targets: range })
     }
 
-    /// Mean Bayesian Personalized Ranking loss `−mean ln σ(xᵖ − xⁿ)` over
-    /// paired n×1 logit columns (positive item vs sampled negative).
-    pub fn bpr_loss(&mut self, pos: Var, neg: Var) -> Var {
-        let (n, c) = self.shape(pos);
-        assert_eq!(c, 1, "bpr_loss expects n×1 logit columns");
-        assert_eq!((n, c), self.shape(neg), "bpr_loss: pos/neg shape mismatch");
-        let (s, mut out) = self.new_slot();
-        out.reset_to(1, 1);
-        let p = self.value(pos).as_slice();
-        let q = self.value(neg).as_slice();
-        let mut total = 0.0f64;
-        for (&xp, &xn) in p.iter().zip(q) {
-            let d = xp - xn;
-            // −ln σ(d) = softplus(−d), computed stably
-            total += ((-d).max(0.0) + (-(-d).abs()).exp().ln_1p()) as f64;
-        }
-        out.as_mut_slice()[0] = (total / n as f64) as f32;
-        self.finish(s, out, Source::BprLoss { pos, neg })
-    }
-
     /// Inverted dropout with the given drop `rate`: each element is zeroed
     /// with probability `rate` and survivors are scaled by `1/(1−rate)`,
     /// so expectations match the identity at inference time (where callers
@@ -797,26 +772,6 @@ impl<'p> Graph<'p> {
                         let nf = t.len() as f32;
                         for (k, &ti) in t.iter().enumerate() {
                             d.as_mut_slice()[k] += sv * (sigmoid(x[k]) - ti) / nf;
-                        }
-                    });
-                }
-                Source::BprLoss { pos, neg } => {
-                    let sv = g.scalar();
-                    // d/dxp [−ln σ(xp−xn)] = −σ(xn−xp); the negative of dxn
-                    self.add_to(&mut grads, pos, |s, d| {
-                        let pv = s.value(pos).as_slice();
-                        let qv = s.value(neg).as_slice();
-                        let nf = pv.len() as f32;
-                        for (k, dd) in d.as_mut_slice().iter_mut().enumerate() {
-                            *dd -= sv * sigmoid(qv[k] - pv[k]) / nf;
-                        }
-                    });
-                    self.add_to(&mut grads, neg, |s, d| {
-                        let pv = s.value(pos).as_slice();
-                        let qv = s.value(neg).as_slice();
-                        let nf = pv.len() as f32;
-                        for (k, dd) in d.as_mut_slice().iter_mut().enumerate() {
-                            *dd += sv * sigmoid(qv[k] - pv[k]) / nf;
                         }
                     });
                 }
@@ -1479,90 +1434,6 @@ mod loss_op_tests {
     use super::*;
     use crate::test_rng;
     use rand::Rng as _;
-
-    fn col(vals: &[f32]) -> Matrix {
-        Matrix::col_vector(vals.to_vec())
-    }
-
-    #[test]
-    fn bpr_loss_matches_manual_formula() {
-        let mut p = Params::new();
-        let pos = p.push("pos", col(&[1.2, -0.3, 0.5]));
-        let neg = p.push("neg", col(&[0.2, 0.4, -1.0]));
-        let mut g = Graph::new(&p);
-        let pv = g.param(pos);
-        let nv = g.param(neg);
-        let l = g.bpr_loss(pv, nv);
-        let manual: f32 = [1.2f32 - 0.2, -0.3 - 0.4, 0.5 + 1.0]
-            .iter()
-            .map(|&d| -(1.0 / (1.0 + (-d).exp())).ln())
-            .sum::<f32>()
-            / 3.0;
-        assert!((g.scalar(l) - manual).abs() < 1e-5);
-    }
-
-    #[test]
-    fn bpr_gradient_matches_finite_difference() {
-        let mut p = Params::new();
-        let pos = p.push("pos", col(&[0.4, -0.2]));
-        let neg = p.push("neg", col(&[0.1, 0.6]));
-        let grads = {
-            let mut g = Graph::new(&p);
-            let pv = g.param(pos);
-            let nv = g.param(neg);
-            let l = g.bpr_loss(pv, nv);
-            g.backward(l)
-        };
-        let eps = 1e-2f32;
-        for (id, sign) in [(pos, 1.0f32), (neg, 1.0)] {
-            let analytic = grads.dense(id, &p);
-            for r in 0..2 {
-                let orig = p.get(id).get(r, 0);
-                p.get_mut(id).set(r, 0, orig + eps);
-                let hi = {
-                    let mut g = Graph::new(&p);
-                    let pv = g.param(pos);
-                    let nv = g.param(neg);
-                    let l = g.bpr_loss(pv, nv);
-                    g.scalar(l)
-                };
-                p.get_mut(id).set(r, 0, orig - eps);
-                let lo = {
-                    let mut g = Graph::new(&p);
-                    let pv = g.param(pos);
-                    let nv = g.param(neg);
-                    let l = g.bpr_loss(pv, nv);
-                    g.scalar(l)
-                };
-                p.get_mut(id).set(r, 0, orig);
-                let numeric = (hi - lo) / (2.0 * eps) * sign;
-                assert!(
-                    (analytic.get(r, 0) - numeric).abs() < 1e-3,
-                    "bpr grad mismatch at ({r}): {} vs {numeric}",
-                    analytic.get(r, 0)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bpr_loss_decreases_when_positive_outranks_negative() {
-        let p = Params::new();
-        let mut g = Graph::new(&p);
-        let close = {
-            let pv = g.leaf(col(&[0.1]));
-            let nv = g.leaf(col(&[0.0]));
-            let l = g.bpr_loss(pv, nv);
-            g.scalar(l)
-        };
-        let wide = {
-            let pv = g.leaf(col(&[3.0]));
-            let nv = g.leaf(col(&[-3.0]));
-            let l = g.bpr_loss(pv, nv);
-            g.scalar(l)
-        };
-        assert!(wide < close);
-    }
 
     #[test]
     fn dropout_zeroes_and_rescales() {

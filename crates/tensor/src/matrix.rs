@@ -512,7 +512,7 @@ impl serde::Serialize for Matrix {
 impl<'de> serde::Deserialize<'de> for Matrix {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let wire = MatrixWire::deserialize(deserializer)?;
-        if wire.data.len() != wire.rows * wire.cols {
+        if wire.rows.checked_mul(wire.cols) != Some(wire.data.len()) {
             return Err(serde::de::Error::custom(format!(
                 "matrix buffer of {} elements cannot be {}x{}",
                 wire.data.len(),
@@ -541,5 +541,13 @@ mod serde_tests {
         let json = r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}"#;
         let err = serde_json::from_str::<Matrix>(json).unwrap_err();
         assert!(err.to_string().contains("cannot be 2x2"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_shape_is_rejected() {
+        // rows * cols wraps to 0 == data.len() in release, panics in debug
+        let json = r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#;
+        let err = serde_json::from_str::<Matrix>(json).unwrap_err();
+        assert!(err.to_string().contains("cannot be 4294967296x4294967296"), "{err}");
     }
 }

@@ -298,21 +298,6 @@ impl RowTable {
         }
     }
 
-    /// A dense table filled by `fill(row, &mut row_slice)` — the bridge
-    /// from legacy sequential-RNG construction (rows keep whatever values
-    /// the caller writes; cold rows cannot occur on a dense table).
-    pub fn dense_with(
-        num_items: usize,
-        cols: usize,
-        mut fill: impl FnMut(usize, &mut [f32]),
-    ) -> Self {
-        let mut data = vec![0.0f32; num_items * cols];
-        for r in 0..num_items {
-            fill(r, &mut data[r * cols..(r + 1) * cols]);
-        }
-        Self { index: ScopeIndex::dense(num_items), cols, init: RowInit::Zeros, data }
-    }
-
     pub fn num_items(&self) -> usize {
         self.index.num_items()
     }
@@ -503,12 +488,9 @@ impl RowTable {
     /// Eviction is *semantically free* on seed-derived tables: a dropped
     /// row re-materializes bit-identically on next touch, because its init
     /// is a pure function of `(table seed, id)`. Sparse tables compact the
-    /// arena in one forward merge pass (O(rows) movement); dense
-    /// seed-derived tables reset the evicted rows in place to their
-    /// derived init — the representation-independent meaning of "row
-    /// state is back to init". Dense tables built from caller-supplied
-    /// values ([`RowTable::dense_with`]) have no reproducible init to
-    /// return to, so they refuse to evict and return 0.
+    /// arena in one forward merge pass (O(rows) movement); dense tables
+    /// reset the evicted rows in place to their derived init — the
+    /// representation-independent meaning of "row state is back to init".
     pub fn retain_ids(&mut self, keep_sorted: &[u32]) -> usize {
         debug_assert!(
             keep_sorted.windows(2).all(|w| w[0] < w[1]),
@@ -518,10 +500,7 @@ impl RowTable {
         let init = self.init;
         match &mut self.index.ids {
             None => {
-                if matches!(init, RowInit::Zeros) {
-                    return 0;
-                }
-                // dense seed-derived table: reset non-kept rows in place,
+                // dense table: reset non-kept rows in place,
                 // walking the keep list in lockstep with the identity rows
                 let mut k = 0usize;
                 let mut reset = 0usize;
@@ -663,7 +642,7 @@ impl<'de> serde::Deserialize<'de> for RowTable {
                 ids.len()
             }
         };
-        if w.data.len() != rows * w.cols {
+        if rows.checked_mul(w.cols) != Some(w.data.len()) {
             return Err(D::Error::custom(format!(
                 "row table buffer of {} elements cannot be {rows}x{}",
                 w.data.len(),
@@ -808,10 +787,6 @@ mod tests {
         assert_eq!(dense.row(6), fresh.row(6), "evicted dense row must return to init");
         assert_eq!(dense.row(11), &trained_11[..], "kept dense row must be untouched");
         assert_eq!(dense.rows(), 20, "dense tables never drop rows, only reset them");
-        // legacy value-filled dense tables have no derived init: refuse
-        let mut legacy = RowTable::dense_with(3, 2, |r, row| row.fill(r as f32));
-        assert_eq!(legacy.retain_ids(&[0]), 0);
-        assert_eq!(legacy.row(2), &[2.0, 2.0]);
     }
 
     #[test]
@@ -839,18 +814,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_with_wraps_legacy_buffers() {
-        let t = RowTable::dense_with(3, 2, |r, row| {
-            row[0] = r as f32;
-            row[1] = -(r as f32);
-        });
-        assert!(t.is_dense());
-        assert_eq!(t.lookup(2), Some(2));
-        assert_eq!(t.row(1), &[1.0, -1.0]);
-        assert_eq!(t.len(), 6);
-    }
-
-    #[test]
     fn serde_roundtrip_sparse_and_dense() {
         let mut t = scoped(&[2, 8]);
         t.ensure(5);
@@ -863,7 +826,8 @@ mod tests {
         assert_eq!(a.ensure(11), b.ensure(11));
         assert_eq!(a, b);
 
-        let d = RowTable::dense_with(3, 2, |r, row| row.fill(r as f32));
+        let mut d = RowTable::from_scope(&ItemScope::Full(3), 2, 1, 0.1, 77);
+        d.row_mut(1).fill(5.0);
         let back: RowTable = serde_json::from_str(&serde_json::to_string(&d).unwrap()).unwrap();
         assert_eq!(d, back);
     }

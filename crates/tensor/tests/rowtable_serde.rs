@@ -96,6 +96,11 @@ fn seed_envelope_edge_cases() {
     assert!(serde_json::from_str::<RowTable>(&envelope("\"0xg\"")).is_err());
     assert!(serde_json::from_str::<RowTable>(&envelope("\"\"")).is_err());
     assert!(serde_json::from_str::<RowTable>(&envelope("null")).is_err());
+    // a dense shape whose rows * cols overflows usize is a shape mismatch,
+    // not a wrapped multiply that happens to equal the empty buffer
+    let overflow = r#"{"num_items":4294967296,"cols":4294967296,"ids":null,"data":[],"init_seed":"1","init_std":0.1,"init_cols":2}"#;
+    let err = serde_json::from_str::<RowTable>(overflow).unwrap_err();
+    assert!(err.to_string().contains("cannot be 4294967296x4294967296"), "{err}");
     // the canonical 16-digit form round-trips
     assert!(serde_json::from_str::<RowTable>(&envelope("\"ffffffffffffffff\"")).is_ok());
 }

@@ -477,7 +477,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     .unwrap_or(DefenseChoice::Full),
                 epsilon: opts
                     .get("epsilon")
-                    .map(|s| s.parse().map_err(|_| format!("bad --epsilon {s:?}")))
+                    .map(|s| match s.parse::<f64>() {
+                        Ok(e) if e > 0.0 && e.is_finite() => Ok(e),
+                        Ok(_) => Err("--epsilon must be > 0".to_string()),
+                        Err(_) => Err(format!("bad --epsilon {s:?}")),
+                    })
                     .transpose()?
                     .unwrap_or(5.0),
                 scale: opts
@@ -870,6 +874,17 @@ mod tests {
             assert_eq!(err, "--k must be > 0", "{cmd}");
             assert!(parse(&argv(&format!("{cmd} --dataset ml100k --k 1"))).is_ok(), "{cmd}");
         }
+    }
+
+    #[test]
+    fn non_positive_epsilon_is_rejected() {
+        for bad in ["0", "-1", "nan", "inf"] {
+            let err =
+                parse(&argv(&format!("privacy --dataset steam --defense ldp --epsilon {bad}")))
+                    .unwrap_err();
+            assert_eq!(err, "--epsilon must be > 0", "{bad}");
+        }
+        assert!(parse(&argv("privacy --dataset steam --defense ldp --epsilon 0.5")).is_ok());
     }
 
     #[test]

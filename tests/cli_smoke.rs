@@ -209,6 +209,16 @@ fn invalid_config_is_an_error_message_not_a_panic() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("rounds must be positive"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "panic leaked to the user: {stderr}");
+
+    // --epsilon 0 used to reach `Ldp::new`'s assert inside the first round
+    let out = ptf()
+        .args(["privacy", "--dataset", "steam", "--defense", "ldp", "--epsilon", "0"])
+        .output()
+        .expect("spawn failed");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--epsilon must be > 0"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "panic leaked to the user: {stderr}");
 }
 
 #[test]

@@ -226,9 +226,9 @@ fn neumf_server_batch_loop_is_allocation_free_after_warmup() {
     // index buffers, and recycled gradient buffers: after the first few
     // batches grow every capacity, further batches of the same shape may
     // not touch the heap at all.
-    use ptf_fedrec::models::{NeuMf, NeuMfConfig, Recommender};
+    use ptf_fedrec::models::{ItemScope, NeuMf, NeuMfConfig, Recommender};
     let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 1e-3 };
-    let mut m = NeuMf::new(6, 24, &cfg, &mut ptf_fedrec::data::test_rng(11));
+    let mut m = NeuMf::new_scoped(6, &cfg, &ItemScope::Full(24), 11);
     let batch: Vec<(u32, u32, f32)> =
         (0..32u32).map(|k| (k % 6, (k * 7) % 24, if k % 2 == 0 { 1.0 } else { 0.3 })).collect();
     for _ in 0..3 {

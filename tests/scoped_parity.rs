@@ -4,7 +4,9 @@
 //! live*, never *what they hold*: a `Rows`-scoped model and a `Full`
 //! model built from the same seed (`build_model_scoped`) are bit-identical
 //! on every row both hold — at init, through training, and through lazy
-//! materialization of rows the scoped model never started with.
+//! materialization of rows the scoped model never started with. The
+//! dense model `build_model` hands servers is the `Full` one of the seed
+//! it draws from its `rng`, so the same holds for it.
 //!
 //! NGCF runs with `message_dropout = 0` here: dropout masks span the
 //! whole node space, so their RNG draw counts differ between a scoped and
@@ -12,7 +14,11 @@
 //! but training trajectories under active dropout are not comparable).
 
 use proptest::prelude::*;
-use ptf_fedrec::models::{build_model_scoped, ItemScope, ModelHyper, ModelKind};
+use ptf_fedrec::data::test_rng;
+use ptf_fedrec::models::{
+    build_model, build_model_scoped, ItemScope, ModelHyper, ModelKind, Recommender,
+};
+use rand::Rng;
 
 const NUM_ITEMS: usize = 24;
 
@@ -29,6 +35,20 @@ fn hyper(kind: ModelKind) -> ModelHyper {
 
 const ALL_KINDS: [ModelKind; 4] =
     [ModelKind::Mf, ModelKind::NeuMf, ModelKind::LightGcn, ModelKind::Ngcf];
+
+/// The three models every parity case compares: the one `build_model`
+/// hands servers and `Centralized` (dense, seed drawn from its `rng`), the
+/// `Full`-scoped model of the seed that `rng` yields, and a `Rows`-scoped
+/// model of the same seed. All three must stay bit-identical.
+fn built_full_and_rows(kind: ModelKind, ids: &[u32], rng_seed: u64) -> [Box<dyn Recommender>; 3] {
+    let h = hyper(kind);
+    let built = build_model(kind, 2, NUM_ITEMS, &h, &mut test_rng(rng_seed));
+    let seed: u64 = test_rng(rng_seed).gen();
+    let full = build_model_scoped(kind, 2, &h, &ItemScope::Full(NUM_ITEMS), seed);
+    let rows = build_model_scoped(kind, 2, &h, &ItemScope::rows(NUM_ITEMS, ids.to_vec()), seed);
+    assert!(!built.scoped() && !full.scoped() && rows.scoped());
+    [built, full, rows]
+}
 
 /// Sorted, deduplicated, non-empty scope ids.
 fn scope_strategy() -> impl Strategy<Value = Vec<u32>> {
@@ -48,10 +68,11 @@ fn batch_strategy() -> impl Strategy<Value = Vec<(u32, u32, f32)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Bit-identical scores and training losses between a `Rows`-scoped
-    /// and a `Full` model from the same seed, across every architecture,
-    /// including after training on in-scope *and* out-of-scope items
-    /// (the latter exercise lazy materialization mid-trajectory).
+    /// Bit-identical scores and training losses between `build_model`'s
+    /// model, a `Full` and a `Rows`-scoped model from the seed it drew,
+    /// across every architecture, including after training on in-scope
+    /// *and* out-of-scope items (the latter exercise lazy materialization
+    /// mid-trajectory).
     #[test]
     fn scoped_and_full_models_are_bit_identical(
         ids in scope_strategy(),
@@ -60,49 +81,39 @@ proptest! {
     ) {
         let all_items: Vec<u32> = (0..NUM_ITEMS as u32).collect();
         for kind in ALL_KINDS {
-            let h = hyper(kind);
-            let mut full =
-                build_model_scoped(kind, 2, &h, &ItemScope::Full(NUM_ITEMS), seed);
-            let mut scoped = build_model_scoped(
-                kind,
-                2,
-                &h,
-                &ItemScope::rows(NUM_ITEMS, ids.clone()),
-                seed,
-            );
+            let mut models = built_full_and_rows(kind, &ids, seed);
             // graph models see the same (global-id) ego graph
-            if full.uses_graph() {
-                let edges: Vec<(u32, u32, f32)> =
-                    ids.iter().map(|&i| (0u32, i, 1.0f32)).collect();
-                full.set_graph(&edges);
-                scoped.set_graph(&edges);
+            let edges: Vec<(u32, u32, f32)> = ids.iter().map(|&i| (0u32, i, 1.0f32)).collect();
+            for m in models.iter_mut().filter(|m| m.uses_graph()) {
+                m.set_graph(&edges);
             }
-            prop_assert_eq!(
-                full.score(0, &all_items),
-                scoped.score(0, &all_items),
-                "{} init scores diverged", kind
-            );
+            let [built, full, scoped] = &mut models;
+            let init = full.score(0, &all_items);
+            prop_assert_eq!(&built.score(0, &all_items), &init, "{} built init scores", kind);
+            prop_assert_eq!(&scoped.score(0, &all_items), &init, "{} init scores diverged", kind);
             for batch in &batches {
                 let lf = full.train_batch(batch);
-                let ls = scoped.train_batch(batch);
-                prop_assert_eq!(lf, ls, "{} training loss diverged", kind);
+                prop_assert_eq!(built.train_batch(batch), lf, "{} built training loss", kind);
+                prop_assert_eq!(scoped.train_batch(batch), lf, "{} training loss diverged", kind);
+                let trained = full.score(1, &all_items);
+                prop_assert_eq!(&built.score(1, &all_items), &trained, "{} built scores", kind);
+                prop_assert_eq!(
+                    &scoped.score(1, &all_items),
+                    &trained,
+                    "{} post-training scores diverged", kind
+                );
             }
-            prop_assert_eq!(
-                full.score(1, &all_items),
-                scoped.score(1, &all_items),
-                "{} post-training scores diverged", kind
-            );
             // the scoped model only ever materialized what it touched
             prop_assert!(scoped.item_scope().len() <= NUM_ITEMS);
         }
     }
 
-    /// Eviction is representation-independent: a dense (`Full`) model
-    /// resets cold rows in place while a `Rows` model physically removes
-    /// them, but under the *same* train → evict → retrain schedule the two
-    /// stay bit-identical — on surviving rows, on evicted rows (both back
-    /// at derived init), and through rematerialization when training
-    /// touches an evicted row again.
+    /// Eviction is representation-independent: dense models (`build_model`'s
+    /// and the `Full`-scoped one) reset cold rows in place while a `Rows`
+    /// model physically removes them, but under the *same* train → evict →
+    /// retrain schedule all stay bit-identical — on surviving rows, on
+    /// evicted rows (back at derived init), and through rematerialization
+    /// when training touches an evicted row again.
     #[test]
     fn eviction_preserves_dense_sparse_parity(
         ids in scope_strategy(),
@@ -112,55 +123,54 @@ proptest! {
     ) {
         let all_items: Vec<u32> = (0..NUM_ITEMS as u32).collect();
         for kind in ALL_KINDS {
-            let h = hyper(kind);
-            let mut full =
-                build_model_scoped(kind, 2, &h, &ItemScope::Full(NUM_ITEMS), seed);
-            let mut scoped = build_model_scoped(
-                kind,
-                2,
-                &h,
-                &ItemScope::rows(NUM_ITEMS, ids.clone()),
-                seed,
-            );
+            let mut models = built_full_and_rows(kind, &ids, seed);
             let edge_ids: Vec<u32> = ids.iter().copied().take(3).collect();
-            if full.uses_graph() {
-                let edges: Vec<(u32, u32, f32)> =
-                    edge_ids.iter().map(|&i| (0u32, i, 1.0f32)).collect();
-                full.set_graph(&edges);
-                scoped.set_graph(&edges);
-            }
-            for batch in &batches {
-                full.train_batch(batch);
-                scoped.train_batch(batch);
-            }
+            let edges: Vec<(u32, u32, f32)> =
+                edge_ids.iter().map(|&i| (0u32, i, 1.0f32)).collect();
             // the keep set must cover every ego-graph edge item (the
             // protocol guarantees this: edges derive from the pool)
             let mut keep: Vec<u32> =
                 keep_extra.iter().copied().chain(edge_ids.iter().copied()).collect();
             keep.sort_unstable();
             keep.dedup();
-            full.evict_items(&keep);
-            scoped.evict_items(&keep);
+            for m in &mut models {
+                if m.uses_graph() {
+                    m.set_graph(&edges);
+                }
+                for batch in &batches {
+                    m.train_batch(batch);
+                }
+                m.evict_items(&keep);
+            }
+            let [built, full, scoped] = &mut models;
             prop_assert!(
                 scoped.item_scope().len() <= keep.len(),
                 "{} eviction left {} rows for a {}-id keep set",
                 kind, scoped.item_scope().len(), keep.len()
             );
+            let evicted = full.score(0, &all_items);
+            prop_assert_eq!(&built.score(0, &all_items), &evicted, "{} built post-eviction", kind);
             prop_assert_eq!(
-                full.score(0, &all_items),
-                scoped.score(0, &all_items),
+                &scoped.score(0, &all_items),
+                &evicted,
                 "{} post-eviction scores diverged", kind
             );
             // retraining rematerializes evicted rows from derived init on
-            // both sides — the trajectories must not fork
+            // every side — the trajectories must not fork
             for batch in &batches {
                 let lf = full.train_batch(batch);
-                let ls = scoped.train_batch(batch);
-                prop_assert_eq!(lf, ls, "{} post-eviction training loss diverged", kind);
+                prop_assert_eq!(built.train_batch(batch), lf, "{} built post-eviction loss", kind);
+                prop_assert_eq!(
+                    scoped.train_batch(batch),
+                    lf,
+                    "{} post-eviction training loss diverged", kind
+                );
             }
+            let retrained = full.score(1, &all_items);
+            prop_assert_eq!(&built.score(1, &all_items), &retrained, "{} built retrained", kind);
             prop_assert_eq!(
-                full.score(1, &all_items),
-                scoped.score(1, &all_items),
+                &scoped.score(1, &all_items),
+                &retrained,
                 "{} retrained scores diverged", kind
             );
         }
