@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Bumped whenever the manifest or envelope wire shapes change.
-pub const MANIFEST_VERSION: u32 = 1;
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// The checkpoint manifest — everything a resume needs besides the
 /// committed client envelopes.

@@ -47,6 +47,7 @@ use ptf_data::{CsrArena, Dataset};
 use ptf_federated::{derive_seed, ClientData, RngStream};
 use ptf_models::{ModelHyper, ModelKind};
 use ptf_privacy::ScoredItem;
+use ptf_tensor::PackedF32s;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -139,8 +140,10 @@ impl Default for CohortOptions {
 
 /// A client's cross-round state at rest. Parallel arrays instead of
 /// tuple vectors keep the encoding in the workspace's minimal JSON
-/// vocabulary; the model rides along as its own nested full-state
-/// envelope (see `docs/checkpoint-format.md`).
+/// vocabulary: ids and counters are decimal, the dispersed scores are one
+/// packed string ([`PackedF32s`], like every `f32` buffer at rest), and
+/// the model rides along as its own nested full-state envelope (see
+/// `docs/checkpoint-format.md`).
 #[derive(Serialize, Deserialize)]
 struct ClientEnvelope {
     /// Global round this envelope was last written in (debug/validation).
@@ -152,7 +155,7 @@ struct ClientEnvelope {
     touched_rounds: Vec<u32>,
     /// The dispersed set `D̃_i`, split `(item, score)`.
     disp_items: Vec<u32>,
-    disp_scores: Vec<f32>,
+    disp_scores: PackedF32s,
     /// `Recommender::export_full_state` envelope.
     model: String,
 }
@@ -192,12 +195,18 @@ impl ClientStore {
             Self::Disk { root } => {
                 let (shard, file) = envelope_rel(id);
                 let dir = root.join(shard);
-                std::fs::create_dir_all(&dir)
-                    .unwrap_or_else(|e| panic!("client store shard dir: {e}"));
                 // tmp + rename so a crash mid-write never leaves a torn
                 // envelope where a resume would read it
                 let tmp = dir.join(format!("{id}.json.tmp"));
-                std::fs::write(&tmp, json).unwrap_or_else(|e| panic!("client store write: {e}"));
+                let written = std::fs::write(&tmp, json).or_else(|e| {
+                    if e.kind() != std::io::ErrorKind::NotFound {
+                        return Err(e);
+                    }
+                    // the shard's first envelope: its directory is missing
+                    std::fs::create_dir_all(&dir)?;
+                    std::fs::write(&tmp, json)
+                });
+                written.unwrap_or_else(|e| panic!("client store write: {e}"));
                 std::fs::rename(&tmp, dir.join(file))
                     .unwrap_or_else(|e| panic!("client store rename: {e}"));
             }
@@ -379,9 +388,11 @@ impl Stored {
         let touched: Vec<(u32, u32)> =
             env.touched_items.iter().copied().zip(env.touched_rounds.iter().copied()).collect();
         client.restore_eviction_state(env.local_rounds, touched);
-        let disp: Vec<ScoredItem> =
-            env.disp_items.iter().copied().zip(env.disp_scores.iter().copied()).collect();
-        client.receive_disperse(disp);
+        let scores = env
+            .disp_scores
+            .unpack("disp_scores")
+            .unwrap_or_else(|e| panic!("client {id} envelope: {e}"));
+        client.receive_disperse(env.disp_items.iter().copied().zip(scores).collect());
         client
     }
 
@@ -395,7 +406,7 @@ impl Stored {
             touched_items: touched.iter().map(|&(i, _)| i).collect(),
             touched_rounds: touched.iter().map(|&(_, r)| r).collect(),
             disp_items: client.server_data().iter().map(|&(i, _)| i).collect(),
-            disp_scores: client.server_data().iter().map(|&(_, s)| s).collect(),
+            disp_scores: pack_scores(client.server_data()),
             model,
         };
         let json = serde_json::to_string(&env).expect("client envelope encodes");
@@ -452,11 +463,15 @@ impl ClientHost for Stored {
                 .unwrap_or_else(|e| panic!("client {client} envelope: {e}"));
             env.round = round;
             env.disp_items = items.iter().map(|&(i, _)| i).collect();
-            env.disp_scores = items.iter().map(|&(_, s)| s).collect();
+            env.disp_scores = pack_scores(&items);
             let json = serde_json::to_string(&env).expect("client envelope encodes");
             self.store.save(client, &json);
         }
     }
+}
+
+fn pack_scores(items: &[ScoredItem]) -> PackedF32s {
+    PackedF32s::pack(&items.iter().map(|&(_, s)| s).collect::<Vec<f32>>())
 }
 
 /// The union of every round's participation draw — the users the server
@@ -515,8 +530,102 @@ fn validate_envelope(id: u32, json: &str) -> Result<(), String> {
     if env.touched_items.len() != env.touched_rounds.len() {
         return Err(format!("client {id} envelope: ragged recency index"));
     }
-    if env.disp_items.len() != env.disp_scores.len() {
+    let scores =
+        env.disp_scores.unpack("disp_scores").map_err(|e| format!("client {id} envelope: {e}"))?;
+    if env.disp_items.len() != scores.len() {
         return Err(format!("client {id} envelope: ragged dispersed set"));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptf_data::SyntheticConfig;
+    use ptf_models::{ItemScope, MfModel, NeuMf, NeuMfConfig, Recommender};
+    use ptf_tensor::{test_rng, Matrix, RowTable};
+
+    /// `-0.0`, a NaN with payload bits, both infinities, a subnormal.
+    const ODD: [u32; 5] = [0x8000_0000, 0x7fc0_1234, 0x7f80_0000, 0xff80_0000, 0x0000_0001];
+    const ODD_HEX: &str = "800000007fc012347f800000ff80000000000001";
+
+    fn odd() -> Vec<f32> {
+        ODD.iter().map(|&b| f32::from_bits(b)).collect()
+    }
+
+    fn bits(values: impl IntoIterator<Item = f32>) -> Vec<u32> {
+        values.into_iter().map(f32::to_bits).collect()
+    }
+
+    /// The decimal encoding lost the sign of `-0.0` on a "bit-identical"
+    /// restore, and one non-finite value made the whole export fail — the
+    /// cohort host turned that into a panic, `save_checkpoint` into
+    /// "server model does not support full-state export". Every state
+    /// envelope must carry every bit pattern, export → import → export.
+    #[test]
+    fn odd_bit_patterns_survive_every_state_envelope() {
+        let m = Matrix::from_vec(1, 5, odd());
+        let json = serde_json::to_string(&m).expect("a NaN matrix serializes");
+        let back: Matrix = serde_json::from_str(&json).unwrap();
+        assert_eq!(bits(back.as_slice().iter().copied()), ODD);
+
+        let mut t = RowTable::sparse_zeroed(9, 5);
+        t.ensure_with(4, |row| row.copy_from_slice(&odd()));
+        let json = serde_json::to_string(&t).expect("a NaN row table serializes");
+        let back: RowTable = serde_json::from_str(&json).unwrap();
+        assert_eq!(bits(back.row(0).iter().copied()), ODD);
+
+        // MF full-state envelope: the user table is public
+        let scope = ItemScope::rows(9, vec![1, 4]);
+        let mut mf = MfModel::new_scoped(2, 5, 0.1, &scope, 7);
+        mf.user_emb.row_mut(1).copy_from_slice(&odd());
+        let envelope = mf.export_full_state().expect("non-finite parameters still export");
+        let mut fresh = MfModel::new_scoped(2, 5, 0.1, &scope, 8);
+        fresh.import_full_state(&envelope).unwrap();
+        assert_eq!(bits(fresh.user_emb.row(1).iter().copied()), ODD);
+        assert_eq!(fresh.export_full_state().unwrap(), envelope);
+
+        // NeuMF full-state envelope: its parameters are private, so the
+        // odd values go into the first buffer (user_emb, 2x4) as text
+        let cfg = NeuMfConfig { dim: 4, layers: vec![8, 4], lr: 0.01 };
+        let mut envelope = NeuMf::new_scoped(2, &cfg, &scope, 7).export_full_state().unwrap();
+        let at = envelope.find(r#""data":""#).expect("parameters are packed strings") + 8;
+        envelope.replace_range(at..at + ODD_HEX.len(), ODD_HEX);
+        let mut fresh = NeuMf::new_scoped(2, &cfg, &scope, 8);
+        fresh.import_full_state(&envelope).unwrap();
+        assert_eq!(fresh.export_full_state().expect("NaN parameters still export"), envelope);
+
+        // server envelope: uploaded scores land in the soft-edge memory
+        // (and training on them drives the hidden model itself to NaN)
+        let cfg = PtfConfig::small();
+        let hyper = ModelHyper::small();
+        let mut server = PtfServer::new(2, 9, ModelKind::Mf, &hyper, &mut test_rng(1));
+        let scored: Vec<ScoredItem> = (3..8).zip(odd()).collect();
+        let upload =
+            ClientUpload { client: 1, predictions: scored.clone(), audit_positives: vec![] };
+        server.train_on_uploads(&[upload], &cfg, &mut test_rng(2));
+        let envelope = server.export_full_state().expect("a NaN server still exports");
+        assert!(envelope.contains(&format!(r#""edge_scores":"{ODD_HEX}""#)), "{envelope}");
+        let back = PtfServer::import_full_state(&envelope, 2, 9, ModelKind::Mf, &hyper, 0.5);
+        assert_eq!(back.unwrap().export_full_state().unwrap(), envelope);
+
+        // a parked cohort client whose dispersed set holds such scores
+        let data = SyntheticConfig::new("odd", 2, 9, 3.0).generate(&mut test_rng(3));
+        let mut host = Stored {
+            client_kind: ModelKind::Mf,
+            hyper,
+            data: CohortData::Mem(data),
+            store: ClientStore::Memory(BTreeMap::new()),
+            cohort: 0,
+        };
+        let client = host.build_fresh(1, &cfg);
+        host.save_envelope(&client, 0);
+        host.deliver(0, vec![(1, scored)]);
+        let parked = host.store.load(1).unwrap();
+        validate_envelope(1, &parked).unwrap();
+        let restored = host.restore_client(1, &parked, &cfg);
+        assert_eq!(bits(restored.server_data().iter().map(|&(_, s)| s)), ODD);
+        host.save_envelope(&restored, 0);
+        assert_eq!(host.store.load(1).unwrap(), parked, "re-parking changed the envelope");
+    }
 }

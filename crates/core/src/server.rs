@@ -9,14 +9,16 @@ use crate::disperse::select_disperse_items;
 use crate::upload::ClientUpload;
 use ptf_models::{build_model, ModelHyper, ModelKind, Recommender};
 use ptf_privacy::ScoredItem;
+use ptf_tensor::PackedF32s;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Checkpoint wire format of the server's full state. The soft-edge
 /// memory is flattened into parallel arrays in `BTreeMap` (key) order,
-/// so the encoding is deterministic; the model rides along as its own
-/// nested full-state envelope.
+/// so the encoding is deterministic — ids as decimal arrays, scores as
+/// one packed string; the model rides along as its own nested full-state
+/// envelope.
 #[derive(Serialize, Deserialize)]
 struct ServerWire {
     kind: String,
@@ -24,7 +26,7 @@ struct ServerWire {
     counts: Vec<u64>,
     edge_users: Vec<u32>,
     edge_items: Vec<u32>,
-    edge_scores: Vec<f32>,
+    edge_scores: PackedF32s,
 }
 
 /// The central server: hidden model + the state backing D̃ construction.
@@ -140,7 +142,7 @@ impl PtfServer {
             counts: self.item_update_counts.clone(),
             edge_users: self.edges.keys().map(|&(u, _)| u).collect(),
             edge_items: self.edges.keys().map(|&(_, i)| i).collect(),
-            edge_scores: self.edges.values().copied().collect(),
+            edge_scores: PackedF32s::pack(&self.edges.values().copied().collect::<Vec<f32>>()),
         };
         serde_json::to_string(&wire).ok()
     }
@@ -174,24 +176,23 @@ impl PtfServer {
                 wire.counts.len()
             ));
         }
+        let edge_scores = wire.edge_scores.unpack("server edge_scores")?;
         if wire.edge_users.len() != wire.edge_items.len()
-            || wire.edge_users.len() != wire.edge_scores.len()
+            || wire.edge_users.len() != edge_scores.len()
         {
             return Err(format!(
                 "server edge arrays disagree: {} users, {} items, {} scores",
                 wire.edge_users.len(),
                 wire.edge_items.len(),
-                wire.edge_scores.len()
+                edge_scores.len()
             ));
         }
         // throwaway init — every parameter is overwritten by the envelope
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let mut model = build_model(kind, num_users, num_items, hyper, &mut rng);
         model.import_full_state(&wire.model)?;
-        let mut edges = BTreeMap::new();
-        for k in 0..wire.edge_users.len() {
-            edges.insert((wire.edge_users[k], wire.edge_items[k]), wire.edge_scores[k]);
-        }
+        let edges: BTreeMap<(u32, u32), f32> =
+            wire.edge_users.into_iter().zip(wire.edge_items).zip(edge_scores).collect();
         // the graph is not part of the model envelope: re-derive it so a
         // resumed server disperses identically even if its first
         // post-resume round trains on nothing

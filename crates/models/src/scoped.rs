@@ -69,7 +69,11 @@ pub(crate) struct ScopedParams {
 /// raw state of the training-time RNG. This is the cohort runtime's
 /// client-recycling format and what `ptf train --save` writes. All u64s
 /// travel as hex strings — the vendored JSON layer routes bare integers
-/// through `f64`, which silently rounds values ≥ 2⁵³.
+/// through `f64`, which silently rounds values ≥ 2⁵³ — and every matrix
+/// (parameters and both moment buffers) carries its values as one packed
+/// string of raw `f32` bits ([`ptf_tensor::PackedF32s`]), so non-finite
+/// values and `-0.0` round-trip and the cost of an export does not grow
+/// with a float formatter call per parameter.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct FullWire {
     arch: String,

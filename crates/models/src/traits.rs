@@ -214,8 +214,11 @@ pub trait Recommender: Send + Sync {
     /// cohort runtime's client-recycling format and the one model-state
     /// format (`ptf train --save` writes it too) — a model restored via
     /// [`Recommender::import_full_state`] produces the same bytes per
-    /// training step as one that was never serialized. Models that
-    /// cannot make the bit-resume guarantee return `None`.
+    /// training step as one that was never serialized. The envelope is
+    /// JSON text whose `f32` buffers are packed strings of raw bits
+    /// ([`ptf_tensor::PackedF32s`]; `docs/checkpoint-format.md`), so any
+    /// parameter value — NaN, ±inf, `-0.0` — exports and restores exactly.
+    /// Models that cannot make the bit-resume guarantee return `None`.
     fn export_full_state(&self) -> Option<String> {
         None
     }

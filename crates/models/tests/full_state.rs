@@ -141,13 +141,19 @@ fn corrupt_full_state_envelopes_are_rejected() {
     // a parameter (user_emb, emptied) whose declared shape overflows
     // `rows * cols`: the wrapped product would equal the empty buffer
     let good = m.export_full_state().unwrap();
-    let shape = format!(r#""rows":{USERS},"cols":8,"data":["#);
+    let shape = format!(r#""rows":{USERS},"cols":8,"data":""#);
     let (head, tail) = good.split_once(&shape).expect("user_emb is an 4x8 parameter");
-    let (_, tail) = tail.split_once(']').unwrap();
-    let overflow = format!(r#"{head}"rows":4294967296,"cols":4294967296,"data":[]{tail}"#);
+    let (_, tail) = tail.split_once('"').unwrap();
+    let overflow = format!(r#"{head}"rows":4294967296,"cols":4294967296,"data":""{tail}"#);
     assert!(
         m.import_full_state(&overflow).unwrap_err().contains("cannot be 4294967296x4294967296"),
         "overflowing shape accepted"
+    );
+    // a packed buffer with a stray digit is not a whole number of values
+    let torn = good.replacen(&shape, &format!("{shape}0"), 1);
+    assert!(
+        m.import_full_state(&torn).unwrap_err().contains("matrix data: packed f32 string"),
+        "torn parameter buffer accepted"
     );
     // same architecture, different embedding width
     let wide = NeuMf::new_scoped(USERS, &NeuMfConfig { dim: 16, ..cfg }, &scope(), 42);

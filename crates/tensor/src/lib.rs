@@ -8,7 +8,8 @@
 //! scalar reference, `PTF_KERNEL`), the [`optim`] optimizers (Adam with
 //! lazy row-sparse embedding updates, plain SGD), the [`par`] fork/join
 //! primitives (plus the [`par::Pool`] worker-scratch pool) behind
-//! deterministic parallel client execution, and the [`alloc`]
+//! deterministic parallel client execution, the [`packed`] raw-bits text
+//! form every `f32` buffer takes in a state envelope, and the [`alloc`]
 //! counting-allocator shim behind heap accounting in the perf harness.
 //!
 //! The design is deliberately "define-by-run": every training batch builds a
@@ -45,6 +46,7 @@ pub mod init;
 pub mod kernels;
 pub mod matrix;
 pub mod optim;
+pub mod packed;
 pub mod par;
 pub mod params;
 pub mod rowtable;
@@ -54,6 +56,7 @@ pub use grad::{GradBuf, Grads, RowSparse};
 pub use graph::{Graph, GraphArena, Var};
 pub use matrix::Matrix;
 pub use optim::{Adam, Sgd};
+pub use packed::PackedF32s;
 pub use params::{ParamId, Params};
 pub use rowtable::{derive_seed, ItemScope, RowTable, ScopeIndex};
 pub use sparse::{Csr, PropagationMatrix};

@@ -6,6 +6,7 @@
 //! hand-rolled training loops.
 
 use crate::kernels;
+use crate::packed::PackedF32s;
 use rand::Rng;
 
 /// A dense row-major matrix of `f32`.
@@ -493,34 +494,37 @@ mod tests {
     }
 }
 
-/// Wire form for (de)serialization; shape consistency is re-validated on
+/// Wire form for (de)serialization: the shape plus the row-major buffer
+/// as one [`PackedF32s`] string. Shape consistency is re-validated on
 /// load so corrupted checkpoints fail loudly instead of mis-shaping math.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct MatrixWire {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: PackedF32s,
 }
 
 impl serde::Serialize for Matrix {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        MatrixWire { rows: self.rows, cols: self.cols, data: self.data.clone() }
+        MatrixWire { rows: self.rows, cols: self.cols, data: PackedF32s::pack(&self.data) }
             .serialize(serializer)
     }
 }
 
 impl<'de> serde::Deserialize<'de> for Matrix {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error;
         let wire = MatrixWire::deserialize(deserializer)?;
-        if wire.rows.checked_mul(wire.cols) != Some(wire.data.len()) {
-            return Err(serde::de::Error::custom(format!(
+        let data = wire.data.unpack("matrix data").map_err(D::Error::custom)?;
+        if wire.rows.checked_mul(wire.cols) != Some(data.len()) {
+            return Err(D::Error::custom(format!(
                 "matrix buffer of {} elements cannot be {}x{}",
-                wire.data.len(),
+                data.len(),
                 wire.rows,
                 wire.cols
             )));
         }
-        Ok(Matrix { rows: wire.rows, cols: wire.cols, data: wire.data })
+        Ok(Matrix { rows: wire.rows, cols: wire.cols, data })
     }
 }
 
@@ -538,7 +542,7 @@ mod serde_tests {
 
     #[test]
     fn corrupted_shape_is_rejected() {
-        let json = r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}"#;
+        let json = r#"{"rows":2,"cols":2,"data":"3f8000004000000040400000"}"#;
         let err = serde_json::from_str::<Matrix>(json).unwrap_err();
         assert!(err.to_string().contains("cannot be 2x2"), "{err}");
     }
@@ -546,7 +550,7 @@ mod serde_tests {
     #[test]
     fn overflowing_shape_is_rejected() {
         // rows * cols wraps to 0 == data.len() in release, panics in debug
-        let json = r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#;
+        let json = r#"{"rows":4294967296,"cols":4294967296,"data":""}"#;
         let err = serde_json::from_str::<Matrix>(json).unwrap_err();
         assert!(err.to_string().contains("cannot be 4294967296x4294967296"), "{err}");
     }

@@ -27,6 +27,7 @@
 //! headroom so peak heap stays close to the touched-row footprint).
 
 use crate::matrix::Matrix;
+use crate::packed::PackedF32s;
 
 /// Mixes `(master, a, b)` into one well-distributed 64-bit seed.
 ///
@@ -592,16 +593,18 @@ fn fill_row(init: RowInit, id: u32, out: &mut [f32]) {
 }
 
 /// Wire form; shape and ordering invariants are re-validated on load.
-/// The seed travels as a hex string: the vendored JSON layer routes bare
-/// integers through `f64`, which silently rounds u64 seeds ≥ 2⁵³ — and a
-/// rounded seed would re-derive *different* lazy rows after a restore.
+/// The arena travels as one [`PackedF32s`] string (ids stay a decimal
+/// array). The seed travels as a hex string: the vendored JSON layer
+/// routes bare integers through `f64`, which silently rounds u64 seeds
+/// ≥ 2⁵³ — and a rounded seed would re-derive *different* lazy rows after
+/// a restore.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct RowTableWire {
     num_items: usize,
     cols: usize,
     /// `None` = dense identity mapping.
     ids: Option<Vec<u32>>,
-    data: Vec<f32>,
+    data: PackedF32s,
     init_seed: String,
     init_std: f32,
     init_cols: usize,
@@ -617,7 +620,7 @@ impl serde::Serialize for RowTable {
             num_items: self.num_items(),
             cols: self.cols,
             ids: self.index.ids().map(<[u32]>::to_vec),
-            data: self.data.clone(),
+            data: PackedF32s::pack(&self.data),
             init_seed: format!("{init_seed:016x}"),
             init_std,
             init_cols,
@@ -642,10 +645,11 @@ impl<'de> serde::Deserialize<'de> for RowTable {
                 ids.len()
             }
         };
-        if rows.checked_mul(w.cols) != Some(w.data.len()) {
+        let data = w.data.unpack("row table data").map_err(D::Error::custom)?;
+        if rows.checked_mul(w.cols) != Some(data.len()) {
             return Err(D::Error::custom(format!(
                 "row table buffer of {} elements cannot be {rows}x{}",
-                w.data.len(),
+                data.len(),
                 w.cols
             )));
         }
@@ -663,7 +667,7 @@ impl<'de> serde::Deserialize<'de> for RowTable {
             index: ScopeIndex { num_items: w.num_items, ids: w.ids },
             cols: w.cols,
             init,
-            data: w.data,
+            data,
         })
     }
 }
@@ -834,9 +838,9 @@ mod tests {
 
     #[test]
     fn serde_rejects_corrupt_tables() {
-        let bad = r#"{"num_items":5,"cols":2,"ids":[3,1],"data":[0,0,0,0],"init_seed":"1","init_std":0.1,"init_cols":2}"#;
+        let bad = r#"{"num_items":5,"cols":2,"ids":[3,1],"data":"00000000000000000000000000000000","init_seed":"1","init_std":0.1,"init_cols":2}"#;
         assert!(serde_json::from_str::<RowTable>(bad).is_err(), "unsorted ids accepted");
-        let bad = r#"{"num_items":5,"cols":2,"ids":[1],"data":[0,0,0,0],"init_seed":"1","init_std":0.1,"init_cols":2}"#;
+        let bad = r#"{"num_items":5,"cols":2,"ids":[1],"data":"00000000000000000000000000000000","init_seed":"1","init_std":0.1,"init_cols":2}"#;
         assert!(serde_json::from_str::<RowTable>(bad).is_err(), "shape mismatch accepted");
     }
 

@@ -69,7 +69,7 @@ proptest! {
         let s: String =
             bytes.iter().map(|&b| ALPHABET[b as usize % ALPHABET.len()] as char).collect();
         let envelope = format!(
-            r#"{{"num_items":4,"cols":2,"ids":[0,2],"data":[0,0,0,0],"init_seed":"{s}","init_std":0.1,"init_cols":2}}"#
+            r#"{{"num_items":4,"cols":2,"ids":[0,2],"data":"00000000000000000000000000000000","init_seed":"{s}","init_std":0.1,"init_cols":2}}"#
         );
         let parsed = serde_json::from_str::<RowTable>(&envelope);
         // oracle: the seed field is valid iff it is parseable hex; anything
@@ -86,7 +86,7 @@ proptest! {
 fn seed_envelope_edge_cases() {
     let envelope = |seed_json: &str| {
         format!(
-            r#"{{"num_items":4,"cols":2,"ids":[0,2],"data":[0,0,0,0],"init_seed":{seed_json},"init_std":0.1,"init_cols":2}}"#
+            r#"{{"num_items":4,"cols":2,"ids":[0,2],"data":"00000000000000000000000000000000","init_seed":{seed_json},"init_std":0.1,"init_cols":2}}"#
         )
     };
     // a JSON *number* seed is exactly the f64-rounding hazard — reject it
@@ -98,7 +98,7 @@ fn seed_envelope_edge_cases() {
     assert!(serde_json::from_str::<RowTable>(&envelope("null")).is_err());
     // a dense shape whose rows * cols overflows usize is a shape mismatch,
     // not a wrapped multiply that happens to equal the empty buffer
-    let overflow = r#"{"num_items":4294967296,"cols":4294967296,"ids":null,"data":[],"init_seed":"1","init_std":0.1,"init_cols":2}"#;
+    let overflow = r#"{"num_items":4294967296,"cols":4294967296,"ids":null,"data":"","init_seed":"1","init_std":0.1,"init_cols":2}"#;
     let err = serde_json::from_str::<RowTable>(overflow).unwrap_err();
     assert!(err.to_string().contains("cannot be 4294967296x4294967296"), "{err}");
     // the canonical 16-digit form round-trips

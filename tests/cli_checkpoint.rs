@@ -194,8 +194,37 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
     std::fs::write(&manifest, "{\"version\": tru").expect("corrupt");
     expect_clean_failure(run(&["--resume"]), "checkpoint corrupt", "corrupt manifest");
 
-    // fingerprint drift: valid manifest, different run config
+    // a checkpoint written by the previous format (decimal f32 arrays)
+    assert!(good.starts_with("{\"version\":2,"), "manifest head: {}", &good[..20]);
+    std::fs::write(&manifest, good.replacen("\"version\":2", "\"version\":1", 1))
+        .expect("downgrade");
+    let want = "checkpoint mismatch: manifest version 1 (this build reads version 2)";
+    expect_clean_failure(run(&["--resume"]), want, "version-1 manifest");
     std::fs::write(&manifest, &good).expect("restore manifest");
+
+    // damaged committed client envelopes: resume validates every one it
+    // copies back into the live store
+    let envelope = std::fs::read_dir(dir.join("commit-r2"))
+        .expect("commit dir")
+        .flatten()
+        .flat_map(|shard| std::fs::read_dir(shard.path()).expect("shard dir").flatten())
+        .map(|file| file.path())
+        .min()
+        .expect("a committed envelope");
+    let id = envelope.file_stem().unwrap().to_str().unwrap().to_string();
+    let intact = std::fs::read_to_string(&envelope).expect("envelope reads");
+    let want = format!("checkpoint corrupt: client {id} envelope");
+    std::fs::write(&envelope, &intact[..intact.len() / 2]).expect("truncate envelope");
+    expect_clean_failure(run(&["--resume"]), &want, "truncated envelope");
+    // one score too many for the dispersed items
+    let ragged = intact.replacen("\"disp_scores\":\"", "\"disp_scores\":\"3f800000", 1);
+    assert_ne!(ragged, intact, "envelope has no disp_scores string");
+    std::fs::write(&envelope, ragged).expect("ragged envelope");
+    let want = format!("checkpoint corrupt: client {id} envelope: ragged dispersed set");
+    expect_clean_failure(run(&["--resume"]), &want, "ragged dispersed set");
+    std::fs::write(&envelope, &intact).expect("restore envelope");
+
+    // fingerprint drift: valid manifest, different run config
     let mut args = preset_args();
     let i = args.iter().position(|a| a == "--seed").expect("--seed in args");
     args[i + 1] = "999".into();

@@ -195,6 +195,15 @@ fn saved_model_restores_the_printed_runs_server_scores() {
         let line = format!("\"{name}\": {}", serde_json::to_string(&value).unwrap());
         assert!(stdout.contains(&line), "restored model's {line} not in:\n{stdout}");
     }
+
+    // a file saved before parameter buffers were packed holds decimal
+    // arrays: refused with the cause, not with a dump of the array
+    let (head, tail) = state.split_once(r#""data":""#).expect("parameters are packed strings");
+    let (_, tail) = tail.split_once('"').unwrap();
+    let decimal = format!(r#"{head}"data":[0.25,-1.5]{tail}"#);
+    let err = server.import_full_state(&decimal).unwrap_err();
+    assert!(err.contains("packed f32 hex string: expected string, got array"), "{err}");
+    assert!(err.len() < 200, "error dumps the envelope: {} bytes", err.len());
 }
 
 #[test]

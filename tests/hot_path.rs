@@ -195,6 +195,53 @@ fn eviction_keeps_client_rows_bounded_over_fifty_rounds() {
 }
 
 #[test]
+fn a_stored_client_round_does_not_allocate_per_parameter() {
+    // One MF client-round of the cohort runtime: restore the client from
+    // its envelope, train, save the envelope, rewrite it with the
+    // dispersal. Parameter buffers travel as one packed string each, so
+    // the count is a function of the envelope's *fields*, never of the
+    // ~8.5 k parameters a 256-row, 32-dim client holds — the decimal
+    // encoding this replaced took ≈ 18.7 k allocations for the same round.
+    use ptf_fedrec::core::{CohortData, CohortFedRec, CohortOptions, StoreKind};
+    use ptf_fedrec::federated::Engine;
+    let data =
+        SyntheticConfig::new("stored", 6, 3000, 40.0).generate(&mut ptf_fedrec::data::test_rng(51));
+    let mut cfg = PtfConfig::paper();
+    cfg.rounds = 6;
+    cfg.threads = 1;
+    cfg.storage.evict_interval = 1;
+    cfg.storage.evict_budget = 256;
+    let protocol = CohortFedRec::try_new(
+        CohortData::Mem(data),
+        ModelKind::Mf,
+        ModelKind::Mf,
+        &ModelHyper::default(),
+        cfg,
+        CohortOptions { store: StoreKind::Memory, ..CohortOptions::default() },
+    )
+    .expect("valid config");
+    let mut engine = Engine::new(protocol);
+    let client = [engine.protocol().trainable()[0]];
+    // warm-up: the first round builds the client, the next ones grow its
+    // row set to the eviction budget and the scratch buffers to size
+    for _ in 0..4 {
+        engine.run_round_external(&client).expect("external participant sets are honored");
+    }
+    // a single participant runs on this thread, so the thread counter
+    // sees the whole round (server phase included)
+    let before = alloc::thread_allocs();
+    let trace = engine.run_round_external(&client).expect("external participant sets are honored");
+    let allocs = alloc::thread_allocs() - before;
+    assert_eq!(trace.participants, 1);
+    assert!(allocs > 0, "the counting shim must see the envelope buffers");
+    assert!(
+        allocs <= 1_500,
+        "one stored client-round took {allocs} allocations; the envelope codec is allocating \
+         per parameter again"
+    );
+}
+
+#[test]
 fn default_neumf_rounds_report_their_client_allocations() {
     // the counter itself must work for allocating models too — NeuMF's
     // autograd forward allocates, and the shim has to see it
