@@ -543,7 +543,7 @@ mod tests {
     use super::*;
     use ptf_data::SyntheticConfig;
     use ptf_models::{ItemScope, MfModel, NeuMf, NeuMfConfig, Recommender};
-    use ptf_tensor::{test_rng, Matrix, RowTable};
+    use ptf_tensor::{test_rng, Matrix, PackedF32s, RowTable};
 
     /// `-0.0`, a NaN with payload bits, both infinities, a subnormal.
     const ODD: [u32; 5] = [0x8000_0000, 0x7fc0_1234, 0x7f80_0000, 0xff80_0000, 0x0000_0001];
@@ -595,21 +595,38 @@ mod tests {
         fresh.import_full_state(&envelope).unwrap();
         assert_eq!(fresh.export_full_state().expect("NaN parameters still export"), envelope);
 
-        // server envelope: uploaded scores land in the soft-edge memory
-        // (and training on them drives the hidden model itself to NaN)
+        // server envelope: a graph server keeps every uploaded score in its
+        // soft-edge memory. The autograd models reject targets outside
+        // [0, 1] in debug builds, so the odd values go in as text.
         let cfg = PtfConfig::small();
         let hyper = ModelHyper::small();
-        let mut server = PtfServer::new(2, 9, ModelKind::Mf, &hyper, &mut test_rng(1));
-        let scored: Vec<ScoredItem> = (3..8).zip(odd()).collect();
-        let upload =
-            ClientUpload { client: 1, predictions: scored.clone(), audit_positives: vec![] };
-        server.train_on_uploads(&[upload], &cfg, &mut test_rng(2));
-        let envelope = server.export_full_state().expect("a NaN server still exports");
-        assert!(envelope.contains(&format!(r#""edge_scores":"{ODD_HEX}""#)), "{envelope}");
+        let trained = |kind: ModelKind, scores: &[f32]| {
+            let mut server = PtfServer::new(2, 9, kind, &hyper, &mut test_rng(1));
+            let predictions = (3..8).zip(scores.iter().copied()).collect();
+            let upload = ClientUpload { client: 1, predictions, audit_positives: vec![] };
+            server.train_on_uploads(&[upload], &cfg, &mut test_rng(2));
+            server.export_full_state().expect("the server exports")
+        };
+        let tame = [0.25, 0.5, 0.75, 1.0, 0.0];
+        let envelope = trained(ModelKind::LightGcn, &tame);
+        let tame_hex = serde_json::to_string(&PackedF32s::pack(&tame)).unwrap();
+        let field = format!(r#""edge_scores":{tame_hex}"#);
+        assert!(envelope.contains(&field), "{envelope}");
+        let envelope = envelope.replace(&field, &format!(r#""edge_scores":"{ODD_HEX}""#));
+        let back = PtfServer::import_full_state(&envelope, 2, 9, ModelKind::LightGcn, &hyper, 0.5);
+        assert_eq!(back.unwrap().export_full_state().unwrap(), envelope);
+
+        // a graph-less server keeps no edge memory, whatever it trains on
+        // (the odd scores drive the hidden MF model itself to NaN): its
+        // edge arrays are empty, and stay empty through import and re-export
+        let envelope = trained(ModelKind::Mf, &odd());
+        let empty = r#""edge_users":[],"edge_items":[],"edge_scores":"""#;
+        assert!(envelope.contains(empty), "{envelope}");
         let back = PtfServer::import_full_state(&envelope, 2, 9, ModelKind::Mf, &hyper, 0.5);
         assert_eq!(back.unwrap().export_full_state().unwrap(), envelope);
 
         // a parked cohort client whose dispersed set holds such scores
+        let scored: Vec<ScoredItem> = (3..8).zip(odd()).collect();
         let data = SyntheticConfig::new("odd", 2, 9, 3.0).generate(&mut test_rng(3));
         let mut host = Stored {
             client_kind: ModelKind::Mf,

@@ -13,7 +13,8 @@
 //! 2. [`server::PtfServer::train_on_uploads`] — the server trains its
 //!    *hidden* model on the union of uploads with soft-label BCE (Eq. 5);
 //! 3. [`server::PtfServer::disperse_for`] — the server returns α
-//!    confidence/hard scored items per client ([`disperse`], §III-B3).
+//!    confidence/hard scored items per client ([`disperse`], §III-B3):
+//!    the confidence share, then the hard share, each in rank order.
 //!
 //! [`protocol::Round`] implements Algorithm 1 as a
 //! [`ptf_federated::FederatedProtocol`], once, over a

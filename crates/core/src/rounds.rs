@@ -137,22 +137,13 @@ pub fn server_phase_mapped(
         }
     };
     let mut server_rng = round_rng(cfg.seed, round, RngStream::Server);
-    let server_loss = if map.is_none() {
-        server.train_on_uploads(uploads, cfg, &mut server_rng)
-    } else {
-        let remapped: Vec<ClientUpload> = uploads
-            .iter()
-            .map(|up| ClientUpload {
-                client: compact(up.client),
-                predictions: up.predictions.clone(),
-                audit_positives: up.audit_positives.clone(),
-            })
-            .collect();
-        server.train_on_uploads(&remapped, cfg, &mut server_rng)
-    };
+    let server_loss = server.train_on_uploads_as(uploads, cfg, &mut server_rng, compact);
     let mut disperses = Vec::with_capacity(uploads.len());
+    let mut uploaded: Vec<u32> =
+        Vec::with_capacity(uploads.iter().map(ClientUpload::len).max().unwrap_or(0));
     for up in uploads {
-        let mut uploaded: Vec<u32> = up.predictions.iter().map(|&(i, _)| i).collect();
+        uploaded.clear();
+        uploaded.extend(up.predictions.iter().map(|&(i, _)| i));
         uploaded.sort_unstable();
         let mut disperse_rng = round_rng(cfg.seed, round, RngStream::Disperse(up.client));
         let items = server.disperse_for(compact(up.client), &uploaded, cfg, &mut disperse_rng);

@@ -3,9 +3,18 @@
 //! The server's elaborately designed model never leaves this struct — the
 //! only things that cross the trust boundary are prediction triples in
 //! (via [`ClientUpload`]) and scored items out (via [`PtfServer::disperse_for`]).
+//!
+//! This is the serial stretch of a round, so it does only what the hidden
+//! model needs: the soft-edge memory exists only for a model that
+//! [`uses_graph`](Recommender::uses_graph), the confidence ranking of D̃
+//! is computed once where the update counts change rather than once per
+//! participant, and score buffer and selection marks are scratch the
+//! server keeps from one dispersal to the next. D̃ᵢ comes out in the
+//! order [`crate::disperse`] specifies: confidence share, then hard share,
+//! each in rank order.
 
 use crate::config::PtfConfig;
-use crate::disperse::select_disperse_items;
+use crate::disperse::{rank_by_confidence, select_disperse_items, SelectScratch};
 use crate::upload::ClientUpload;
 use ptf_models::{build_model, ModelHyper, ModelKind, Recommender};
 use ptf_privacy::ScoredItem;
@@ -17,8 +26,8 @@ use std::collections::BTreeMap;
 /// Checkpoint wire format of the server's full state. The soft-edge
 /// memory is flattened into parallel arrays in `BTreeMap` (key) order,
 /// so the encoding is deterministic — ids as decimal arrays, scores as
-/// one packed string; the model rides along as its own nested full-state
-/// envelope.
+/// one packed string, all three empty unless the hidden model is a graph
+/// model; the model rides along as its own nested full-state envelope.
 #[derive(Serialize, Deserialize)]
 struct ServerWire {
     kind: String,
@@ -35,11 +44,19 @@ pub struct PtfServer {
     kind: ModelKind,
     /// Per-item embedding-update counts — the confidence signal (§III-B3).
     item_update_counts: Vec<u64>,
+    /// Every item id by confidence rank ([`rank_by_confidence`]),
+    /// re-ranked wherever `item_update_counts` changes.
+    confidence_order: Vec<u32>,
     /// Persistent soft-edge memory `(user, item) → last uploaded score`,
-    /// backing the graph models' adjacency (DESIGN.md §5). A `BTreeMap`
-    /// so iteration order — which feeds `set_graph` — is a function of
-    /// the keys, never of a per-process hash seed.
+    /// backing the graph models' adjacency (DESIGN.md §5); stays empty
+    /// for a model that does not use a graph. A `BTreeMap` so iteration
+    /// order — which feeds `set_graph` — is a function of the keys, never
+    /// of a per-process hash seed.
     edges: BTreeMap<(u32, u32), f32>,
+    /// Scratch kept across dispersals: one participant's catalogue-wide
+    /// scores, the selection's buffers.
+    scores: Vec<f32>,
+    select: SelectScratch,
 }
 
 impl PtfServer {
@@ -50,11 +67,26 @@ impl PtfServer {
         hyper: &ModelHyper,
         rng: &mut impl Rng,
     ) -> Self {
+        let model = build_model(kind, num_users, num_items, hyper, rng);
+        Self::assemble(model, kind, vec![0; num_items], BTreeMap::new())
+    }
+
+    fn assemble(
+        model: Box<dyn Recommender>,
+        kind: ModelKind,
+        item_update_counts: Vec<u64>,
+        edges: BTreeMap<(u32, u32), f32>,
+    ) -> Self {
+        let mut confidence_order = Vec::new();
+        rank_by_confidence(&item_update_counts, &mut confidence_order);
         Self {
-            model: build_model(kind, num_users, num_items, hyper, rng),
+            model,
             kind,
-            item_update_counts: vec![0; num_items],
-            edges: BTreeMap::new(),
+            item_update_counts,
+            confidence_order,
+            edges,
+            scores: Vec::new(),
+            select: SelectScratch::default(),
         }
     }
 
@@ -78,27 +110,39 @@ impl PtfServer {
         cfg: &PtfConfig,
         rng: &mut impl Rng,
     ) -> f32 {
-        let mut samples: Vec<(u32, u32, f32)> = Vec::new();
+        self.train_on_uploads_as(uploads, cfg, rng, |client| client)
+    }
+
+    /// [`train_on_uploads`](Self::train_on_uploads) with every upload's
+    /// client id translated by `user_of` into the hidden model's user
+    /// index (the cohort runtime's compacted active-user ids).
+    pub(crate) fn train_on_uploads_as(
+        &mut self,
+        uploads: &[ClientUpload],
+        cfg: &PtfConfig,
+        rng: &mut impl Rng,
+        user_of: impl Fn(u32) -> u32,
+    ) -> f32 {
+        let graph = self.model.uses_graph();
+        let mut samples: Vec<(u32, u32, f32)> =
+            Vec::with_capacity(uploads.iter().map(ClientUpload::len).sum());
         for up in uploads {
+            let user = user_of(up.client);
             for &(item, score) in &up.predictions {
-                samples.push((up.client, item, score));
+                samples.push((user, item, score));
                 self.item_update_counts[item as usize] += 1;
-                self.edges.insert((up.client, item), score);
+                if graph {
+                    self.edges.insert((user, item), score);
+                }
             }
         }
         if samples.is_empty() {
             return 0.0;
         }
-
-        // graph models rebuild their bipartite graph from the accumulated
-        // high-confidence soft edges
-        let edges: Vec<(u32, u32, f32)> = self
-            .edges
-            .iter()
-            .filter(|&(_, &s)| s >= cfg.graph_threshold)
-            .map(|(&(u, i), &s)| (u, i, s))
-            .collect();
-        self.model.set_graph(&edges);
+        rank_by_confidence(&self.item_update_counts, &mut self.confidence_order);
+        if graph {
+            self.model.set_graph(&confident_edges(&self.edges, cfg.graph_threshold));
+        }
 
         let mut loss_sum = 0.0f32;
         for _ in 0..cfg.server_epochs {
@@ -109,25 +153,24 @@ impl PtfServer {
     }
 
     /// §III-B3: builds D̃ᵢ for one client — α confidence/hard items scored
-    /// by the hidden model.
+    /// by the hidden model, in [`crate::disperse`]'s order. The returned
+    /// set is the call's one allocation.
     pub fn disperse_for(
-        &self,
+        &mut self,
         client: u32,
         uploaded_sorted: &[u32],
         cfg: &PtfConfig,
         rng: &mut impl Rng,
     ) -> Vec<ScoredItem> {
-        let scores = self.model.score_all(client);
-        let items = select_disperse_items(
-            &self.item_update_counts,
-            &scores,
+        self.model.score_all_into(client, &mut self.scores);
+        select_disperse_items(
+            &self.confidence_order,
+            &self.scores,
             uploaded_sorted,
-            cfg.alpha,
-            cfg.mu,
-            cfg.disperse,
+            cfg,
             rng,
-        );
-        items.into_iter().map(|i| (i, scores[i as usize])).collect()
+            &mut self.select,
+        )
     }
 
     /// Serializes the server's complete training state — hidden-model
@@ -191,19 +234,22 @@ impl PtfServer {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let mut model = build_model(kind, num_users, num_items, hyper, &mut rng);
         model.import_full_state(&wire.model)?;
-        let edges: BTreeMap<(u32, u32), f32> =
-            wire.edge_users.into_iter().zip(wire.edge_items).zip(edge_scores).collect();
-        // the graph is not part of the model envelope: re-derive it so a
-        // resumed server disperses identically even if its first
-        // post-resume round trains on nothing
-        let graph: Vec<(u32, u32, f32)> = edges
-            .iter()
-            .filter(|&(_, &s)| s >= graph_threshold)
-            .map(|(&(u, i), &s)| (u, i, s))
-            .collect();
-        model.set_graph(&graph);
-        Ok(Self { model, kind, item_update_counts: wire.counts, edges })
+        let mut edges = BTreeMap::new();
+        if model.uses_graph() {
+            edges.extend(wire.edge_users.into_iter().zip(wire.edge_items).zip(edge_scores));
+            // the graph is not part of the model envelope: re-derive it so
+            // a resumed server disperses identically even if its first
+            // post-resume round trains on nothing
+            model.set_graph(&confident_edges(&edges, graph_threshold));
+        }
+        Ok(Self::assemble(model, kind, wire.counts, edges))
     }
+}
+
+/// The soft edges at or above the graph threshold, in key order — what a
+/// graph model's adjacency is rebuilt from.
+fn confident_edges(edges: &BTreeMap<(u32, u32), f32>, threshold: f32) -> Vec<(u32, u32, f32)> {
+    edges.iter().filter(|&(_, &s)| s >= threshold).map(|(&(u, i), &s)| (u, i, s)).collect()
 }
 
 fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
@@ -271,6 +317,50 @@ mod tests {
         assert!(high.contains(&(0, 3)));
         assert!(high.contains(&(1, 3)));
         assert!(!high.contains(&(0, 7)));
+    }
+
+    #[test]
+    fn graphless_server_keeps_no_edge_memory() {
+        let config = cfg();
+        let ups = [upload(0, &[(3, 0.9), (7, 0.2)])];
+        let mut s = server(ModelKind::NeuMf);
+        s.train_on_uploads(&ups, &config, &mut test_rng(4));
+        assert!(s.edges.is_empty());
+
+        // an envelope that carries edges anyway (a graph server's arrays
+        // under a graph-less kind) imports without them
+        let mut graph = server(ModelKind::LightGcn);
+        graph.train_on_uploads(&ups, &config, &mut test_rng(4));
+        let mut wire: ServerWire =
+            serde_json::from_str(&graph.export_full_state().unwrap()).unwrap();
+        assert_eq!(wire.edge_items, vec![3, 7]);
+        let own: ServerWire = serde_json::from_str(&s.export_full_state().unwrap()).unwrap();
+        (wire.kind, wire.model) = (own.kind, own.model);
+        let envelope = serde_json::to_string(&wire).unwrap();
+        let hyper = ModelHyper::small();
+        let back = PtfServer::import_full_state(&envelope, 4, 30, ModelKind::NeuMf, &hyper, 0.5);
+        let back = back.unwrap();
+        assert!(back.edges.is_empty());
+        assert_eq!(back.export_full_state(), s.export_full_state());
+    }
+
+    #[test]
+    fn dispersal_leaves_no_trace_in_the_server_scratch() {
+        // for A then for B, or for B on a server that never served A
+        let config = cfg();
+        let ups = [upload(0, &[(3, 0.9), (7, 0.1)]), upload(1, &[(4, 0.8), (7, 0.3), (9, 0.6)])];
+        let trained = || {
+            let mut s = server(ModelKind::Mf);
+            s.train_on_uploads(&ups, &config, &mut test_rng(5));
+            s
+        };
+        let mut both = trained();
+        both.disperse_for(0, &[3, 7], &config, &mut test_rng(6));
+        let after_a = both.disperse_for(1, &[4, 7, 9], &config, &mut test_rng(7));
+        let fresh = trained().disperse_for(1, &[4, 7, 9], &config, &mut test_rng(7));
+        assert_eq!(after_a, fresh);
+        // confidence share first: the most-uploaded free item leads
+        assert_eq!(after_a[0].0, 3);
     }
 
     #[test]

@@ -24,6 +24,16 @@ pub fn bce_loss(logit: f32, target: f32) -> f32 {
     logit.max(0.0) - logit * target + (-logit.abs()).exp().ln_1p()
 }
 
+/// `(stable_sigmoid(logit), bce_loss(logit, target))`, bit for bit, from
+/// one `exp`: both are functions of `exp(-|logit|)`, and the per-sample
+/// training step needs both.
+#[inline]
+fn sigmoid_and_bce(logit: f32, target: f32) -> (f32, f32) {
+    let e = (-logit.abs()).exp();
+    let sigmoid = if logit >= 0.0 { 1.0 / (1.0 + e) } else { e / (1.0 + e) };
+    (sigmoid, logit.max(0.0) - logit * target + e.ln_1p())
+}
+
 /// Per-sample MF gradients for `σ(⟨u, v⟩ + b) ≈ label` under BCE with L2
 /// regularization `reg` on both embeddings, written into caller-owned
 /// scratch buffers (resized to `dim`, previous contents overwritten).
@@ -43,12 +53,13 @@ pub fn mf_gradients_into(
 ) -> (f32, f32) {
     debug_assert_eq!(user_vec.len(), item_vec.len());
     let logit = kernels::dot(user_vec, item_vec) + item_bias;
-    let err = stable_sigmoid(logit) - label;
+    let (sigmoid, loss) = sigmoid_and_bce(logit, label);
+    let err = sigmoid - label;
     du.clear();
     du.extend(user_vec.iter().zip(item_vec).map(|(&u, &v)| err * v + reg * u));
     dv.clear();
     dv.extend(user_vec.iter().zip(item_vec).map(|(&u, &v)| err * u + reg * v));
-    (err, bce_loss(logit, label))
+    (err, loss)
 }
 
 /// Allocating convenience wrapper over [`mf_gradients_into`].
@@ -84,10 +95,11 @@ pub fn mf_sgd_step(
 ) -> f32 {
     debug_assert_eq!(user_vec.len(), item_vec.len());
     let logit = kernels::dot(user_vec, item_vec) + *item_bias;
-    let err = stable_sigmoid(logit) - label;
+    let (sigmoid, loss) = sigmoid_and_bce(logit, label);
+    let err = sigmoid - label;
     kernels::mf_sgd_update(user_vec, item_vec, err, lr, reg);
     *item_bias -= lr * err;
-    bce_loss(logit, label)
+    loss
 }
 
 /// A plain MF model (user table, item [`RowTable`] with a trailing bias
@@ -280,6 +292,21 @@ impl Recommender for MfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fused_sigmoid_and_bce_is_bit_identical_to_the_two_calls() {
+        let mut logits = vec![0.0f32, -0.0, 88.0, -88.0, 104.0, -104.0, 1e-40, -1e-40];
+        logits.extend([f32::MIN_POSITIVE, -f32::MIN_POSITIVE, f32::MAX, f32::MIN]);
+        logits.extend([f32::INFINITY, f32::NEG_INFINITY]);
+        logits.extend((-4000..=4000).map(|k| k as f32 * 0.0251));
+        for &x in &logits {
+            for t in [0.0f32, 1.0, 0.3, 0.999] {
+                let (sigmoid, loss) = sigmoid_and_bce(x, t);
+                assert_eq!(sigmoid.to_bits(), stable_sigmoid(x).to_bits(), "sigmoid, x={x:e}");
+                assert_eq!(loss.to_bits(), bce_loss(x, t).to_bits(), "loss, x={x:e} t={t}");
+            }
+        }
+    }
 
     #[test]
     fn bce_loss_matches_naive_formula() {

@@ -242,6 +242,48 @@ fn a_stored_client_round_does_not_allocate_per_parameter() {
 }
 
 #[test]
+fn a_steady_state_mf_server_phase_allocates_once_per_participant() {
+    // The server's serial half: train the hidden model on the uploads,
+    // then score the catalogue and select D̃ for every participant.
+    // The training triples are one pre-sized buffer; scores, taken-marks
+    // and the hard-share buffer are scratch the server keeps, so what is
+    // left is the dispersal set handed to each client plus a constant — where selecting per
+    // participant from freshly collected candidates took ≈ 32 each. The
+    // lint cannot see this: it bounds constructs per function, not calls.
+    use ptf_fedrec::core::rounds;
+    use ptf_fedrec::federated::{RoundCtx, RoundScratch};
+    let s = split();
+    let mut cfg = PtfConfig::small();
+    cfg.alpha = 8;
+    cfg.threads = 1;
+    let hyper = ModelHyper::small();
+    let users = s.train.num_users() as u32;
+    let mut scratch = RoundScratch::default();
+    let uploads: Vec<_> = (0..users)
+        .map(|id| {
+            let mut client = rounds::build_client(&s.train, id, ModelKind::Mf, &hyper, &cfg);
+            rounds::client_round(&mut client, &cfg, 0, &mut scratch).0
+        })
+        .collect();
+    let mut server =
+        rounds::build_server(users as usize, s.train.num_items(), ModelKind::Mf, &hyper, &cfg);
+    for round in 0..2 {
+        rounds::server_phase(&mut server, &cfg, round, &uploads, &mut RoundCtx::detached(round));
+    }
+    let before = alloc::thread_allocs();
+    let (_, dispersals) =
+        rounds::server_phase(&mut server, &cfg, 2, &uploads, &mut RoundCtx::detached(2));
+    let allocs = alloc::thread_allocs() - before;
+    assert_eq!(dispersals.len(), uploads.len());
+    assert!(dispersals.iter().all(|(_, items)| items.len() == cfg.alpha));
+    assert!(
+        allocs <= uploads.len() as u64 + 16,
+        "a server phase over {} participants took {allocs} allocations",
+        uploads.len()
+    );
+}
+
+#[test]
 fn default_neumf_rounds_report_their_client_allocations() {
     // the counter itself must work for allocating models too — NeuMF's
     // autograd forward allocates, and the shim has to see it
