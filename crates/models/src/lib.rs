@@ -1,7 +1,8 @@
 //! # ptf-models
 //!
 //! The recommendation models of the PTF-FedRec paper, built from scratch on
-//! the `ptf-tensor` autograd substrate:
+//! the `ptf-tensor` kernels (NeuMF and MF by hand, NGCF and LightGCN on its
+//! autograd tape):
 //!
 //! * [`neumf::NeuMf`] — MLP-over-concatenated-embeddings (Eq. 1), the
 //!   default *client* model;
@@ -19,7 +20,7 @@
 //! seed-derived `new_scoped(num_users, cfg, &ItemScope, seed)`, which
 //! servers reach through [`registry::build_model`] with a `Full` scope —
 //! and everything around the forward pass is shared: `scoped::ScopedParams`
-//! owns an autograd model's parameters, Adam moments, item scope and seed
+//! owns an Adam-trained model's parameters, moments, item scope and seed
 //! (lazy rows, eviction, batch staging, the full-state envelope), and
 //! `backbone::GraphBackbone` adds what NGCF and LightGCN have in common
 //! (propagation operator, global edge list, final-embedding cache, the

@@ -28,7 +28,7 @@ pub fn bce_loss(logit: f32, target: f32) -> f32 {
 /// one `exp`: both are functions of `exp(-|logit|)`, and the per-sample
 /// training step needs both.
 #[inline]
-fn sigmoid_and_bce(logit: f32, target: f32) -> (f32, f32) {
+pub(crate) fn sigmoid_and_bce(logit: f32, target: f32) -> (f32, f32) {
     let e = (-logit.abs()).exp();
     let sigmoid = if logit >= 0.0 { 1.0 / (1.0 + e) } else { e / (1.0 + e) };
     (sigmoid, logit.max(0.0) - logit * target + e.ln_1p())

@@ -1,5 +1,5 @@
 //! The seed-derived init scheme every model builds from, and the
-//! item-row store shared by the autograd models (NeuMF, NGCF, LightGCN).
+//! item-row store shared by the Adam-trained models (NeuMF, NGCF, LightGCN).
 //!
 //! Everything outside a model's forward pass is the same for all three:
 //! one embedding parameter whose item block materializes lazily from a
@@ -46,7 +46,7 @@ pub(crate) fn item_block(scope: &ItemScope, dim: usize, seed: u64) -> Matrix {
     }
 }
 
-/// An autograd model's trainable state: its [`Params`], their [`Adam`]
+/// An Adam-trained model's state: its [`Params`], their [`Adam`]
 /// moments, and the bookkeeping of the one item-scoped embedding
 /// parameter — which global item id backs which row (the item block
 /// starts `row_offset` rows into the parameter; NGCF/LightGCN put user
@@ -58,8 +58,9 @@ pub(crate) struct ScopedParams {
     row_offset: usize,
     scope: ScopeIndex,
     item_seed: u64,
-    /// Reused batch-staging vectors + autograd arena (steady-state
-    /// training is allocation-free after the first batch).
+    /// Reused batch-staging vectors + autograd arena of the tape models
+    /// (steady-state training is allocation-free after the first batch;
+    /// stays empty under NeuMF, which keeps its own working buffers).
     scratch: BatchScratch,
 }
 
@@ -228,10 +229,15 @@ impl ScopedParams {
         scratch
     }
 
-    /// One Adam step on `grads`, then takes `scratch` (and the gradient
-    /// buffers) back for the next batch.
+    /// One Adam step on `grads`.
+    pub fn step(&mut self, grads: &Grads) {
+        self.adam.step(&mut self.params, grads);
+    }
+
+    /// One Adam step on the tape's `grads`, then takes `scratch` (and the
+    /// gradient buffers) back for the next batch.
     pub fn apply(&mut self, mut scratch: BatchScratch, grads: Grads) {
-        self.adam.step(&mut self.params, &grads);
+        self.step(&grads);
         scratch.arena.recycle(grads);
         self.scratch = scratch;
     }

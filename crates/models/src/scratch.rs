@@ -1,8 +1,8 @@
 //! Reusable per-model training scratch.
 //!
-//! Every autograd-backed model's `train_batch` needs the same transient
-//! state: staging vectors splitting the batch into user/item-row/label
-//! columns, and a [`GraphArena`] for the tape. The model's
+//! Every tape-backed model's (NGCF, LightGCN) `train_batch` needs the
+//! same transient state: staging vectors splitting the batch into
+//! user/item-row/label columns, and a [`GraphArena`] for the tape. The model's
 //! [`crate::scoped::ScopedParams`] holds one [`BatchScratch`] and restages
 //! each batch over it, which makes the steady-state training loop
 //! allocation-free — the buffers grow to the largest batch seen and are

@@ -133,7 +133,7 @@ pub trait Recommender: Send + Sync {
     /// derived init either way — but it lets a scoped model do the growth
     /// up front: MF merges the whole batch into its row table in one
     /// arena pass (which is what keeps paper-scale round throughput flat
-    /// under scoping); the autograd models currently still insert row by
+    /// under scoping); the Adam-trained models currently still insert row by
     /// row, just before the round instead of mid-batch. Dense models
     /// ignore it.
     fn prepare_items(&mut self, _sorted_ids: &[u32]) {}

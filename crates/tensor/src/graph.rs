@@ -603,31 +603,31 @@ impl<'p> Graph<'p> {
                             UnaryOp::Sigmoid => {
                                 // y(1-y) in terms of the stored output
                                 let y = s.value(Var(i)).as_slice();
-                                for k in 0..dst.len() {
-                                    dst[k] += y[k] * (1.0 - y[k]) * gs[k];
+                                for ((d, &y), &g) in dst.iter_mut().zip(y).zip(gs) {
+                                    *d += y * (1.0 - y) * g;
                                 }
                             }
                             UnaryOp::Relu => {
                                 let x = s.value(p).as_slice();
-                                for k in 0..dst.len() {
-                                    dst[k] += if x[k] > 0.0 { gs[k] } else { 0.0 };
+                                for ((d, &x), &g) in dst.iter_mut().zip(x).zip(gs) {
+                                    *d += if x > 0.0 { g } else { 0.0 };
                                 }
                             }
                             UnaryOp::LeakyRelu(a) => {
                                 let x = s.value(p).as_slice();
-                                for k in 0..dst.len() {
-                                    dst[k] += if x[k] > 0.0 { gs[k] } else { a * gs[k] };
+                                for ((d, &x), &g) in dst.iter_mut().zip(x).zip(gs) {
+                                    *d += if x > 0.0 { g } else { a * g };
                                 }
                             }
                             UnaryOp::Tanh => {
                                 let y = s.value(Var(i)).as_slice();
-                                for k in 0..dst.len() {
-                                    dst[k] += (1.0 - y[k] * y[k]) * gs[k];
+                                for ((d, &y), &g) in dst.iter_mut().zip(y).zip(gs) {
+                                    *d += (1.0 - y * y) * g;
                                 }
                             }
                             UnaryOp::Neg => {
-                                for k in 0..dst.len() {
-                                    dst[k] -= gs[k];
+                                for (d, &g) in dst.iter_mut().zip(gs) {
+                                    *d -= g;
                                 }
                             }
                         }
@@ -655,16 +655,18 @@ impl<'p> Graph<'p> {
                     BinOp::Mul => {
                         self.add_to(&mut grads, a, |s, d| {
                             let bv = s.value(b).as_slice();
-                            let gs = g.as_slice();
-                            for (k, dd) in d.as_mut_slice().iter_mut().enumerate() {
-                                *dd += bv[k] * gs[k];
+                            for ((dd, &bv), &gv) in
+                                d.as_mut_slice().iter_mut().zip(bv).zip(g.as_slice())
+                            {
+                                *dd += bv * gv;
                             }
                         });
                         self.add_to(&mut grads, b, |s, d| {
                             let av = s.value(a).as_slice();
-                            let gs = g.as_slice();
-                            for (k, dd) in d.as_mut_slice().iter_mut().enumerate() {
-                                *dd += av[k] * gs[k];
+                            for ((dd, &av), &gv) in
+                                d.as_mut_slice().iter_mut().zip(av).zip(g.as_slice())
+                            {
+                                *dd += av * gv;
                             }
                         });
                     }
@@ -770,17 +772,18 @@ impl<'p> Graph<'p> {
                         let x = s.value(logits).as_slice();
                         let t = s.arena().f32_range(targets);
                         let nf = t.len() as f32;
-                        for (k, &ti) in t.iter().enumerate() {
-                            d.as_mut_slice()[k] += sv * (sigmoid(x[k]) - ti) / nf;
+                        for ((dd, &xi), &ti) in d.as_mut_slice().iter_mut().zip(x).zip(t) {
+                            *dd += sv * (sigmoid(xi) - ti) / nf;
                         }
                     });
                 }
                 Source::Dropout { p, mask } => {
                     self.add_to(&mut grads, p, |s, d| {
                         let mv = s.arena().f32_range(mask);
-                        let gs = g.as_slice();
-                        for (k, dd) in d.as_mut_slice().iter_mut().enumerate() {
-                            *dd += gs[k] * mv[k];
+                        for ((dd, &gv), &mv) in
+                            d.as_mut_slice().iter_mut().zip(g.as_slice()).zip(mv)
+                        {
+                            *dd += gv * mv;
                         }
                     });
                 }

@@ -1,8 +1,12 @@
 //! Compute kernels for the workspace's f32 hot loops.
 //!
 //! Every dot product, AXPY, reduction and fused SGD update in the
-//! workspace routes through this module. Its reductions dispatch between
-//! two env-selectable backends:
+//! workspace routes through this module, with one exception: on the
+//! output widths 16/32/64 the three matmul forms of [`crate::matrix`]
+//! accumulate whole output rows in registers instead of calling [`axpy`]
+//! or [`dot`] per `(row, k)` — serially per element, so they have no
+//! backend either. Its reductions dispatch between two env-selectable
+//! backends:
 //!
 //! * [`Backend::Scalar`] — sequential reference loops
 //!   (`PTF_KERNEL=scalar`). Reductions accumulate left-to-right in one

@@ -4,6 +4,22 @@
 //! `Vec<f32>` plus a shape; all shaping errors panic early with the shapes
 //! involved, since silent broadcasting bugs are the classic failure mode of
 //! hand-rolled training loops.
+//!
+//! # Fixed-width row kernels
+//!
+//! The three matmul forms — [`acc`] (`out += a × b`), [`nt_acc`]
+//! (`out += g × bᵀ`) and [`tn_acc`] (`out += aᵀ × g`), which
+//! [`Matrix::matmul_into`], [`Matrix::matmul_nt_acc`] and
+//! [`Matrix::matmul_tn_acc`] wrap with shape checks and which NeuMF's
+//! hand-derived step calls on its own buffers — are load/store-bound when
+//! written as one `axpy` or `dot` per `(row, k)`: the same short output
+//! row is loaded, updated and stored once per k. For the output widths
+//! the models actually use — 16, 32 and 64 — each form has a row kernel
+//! monomorphised over the width that accumulates the output row in a
+//! local `[f32; N]` (registers, on baseline SSE2) and stores it once.
+//! Every other width keeps the plain loops. On the fixed widths all three
+//! forms sum each output element serially, left to right, and never read
+//! the kernel backend.
 
 use crate::kernels;
 use crate::packed::PackedF32s;
@@ -179,9 +195,7 @@ impl Matrix {
         out
     }
 
-    /// Dense matrix product `self × rhs` using an ikj loop (cache friendly
-    /// for row-major operands at the small-to-medium sizes this workspace
-    /// uses).
+    /// Dense matrix product `self × rhs` (see [`Matrix::matmul_into`]).
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         self.matmul_into(rhs, &mut out);
@@ -189,8 +203,7 @@ impl Matrix {
     }
 
     /// In-place [`Matrix::matmul`]: overwrites `out` with `self × rhs`,
-    /// reusing its buffer. The k-accumulation is serial per output
-    /// element, so the result is bit-identical across kernel backends.
+    /// reusing its buffer ([`acc`] into zeros).
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
@@ -198,52 +211,23 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.reset_to(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                kernels::axpy(a, b_row, out_row);
-            }
-        }
+        acc(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
     /// `out += self × rhsᵀ` — the `dA = dY × Bᵀ` backward form, computed
-    /// without materializing the transpose. Each output element is a row
-    /// dot, so the result routes through the active reduction kernel.
+    /// without allocating the transpose ([`nt_acc`]).
     pub fn matmul_nt_acc(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, rhs.cols, "matmul_nt_acc: inner dim mismatch");
         assert_eq!(out.shape(), (self.rows, rhs.rows), "matmul_nt_acc: out shape mismatch");
-        for i in 0..self.rows {
-            let g_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * rhs.rows..(i + 1) * rhs.rows];
-            for (k, o) in out_row.iter_mut().enumerate() {
-                let b_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                *o += kernels::dot(g_row, b_row);
-            }
-        }
+        nt_acc(&self.data, self.cols, &rhs.data, rhs.rows, &mut out.data);
     }
 
     /// `out += selfᵀ × rhs` — the `dB = Aᵀ × dY` backward form, computed
-    /// without materializing the transpose. Accumulation over the shared
-    /// dimension is serial (axpy per row), bit-identical across backends.
+    /// without materializing the transpose ([`tn_acc`]).
     pub fn matmul_tn_acc(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, rhs.rows, "matmul_tn_acc: inner dim mismatch");
         assert_eq!(out.shape(), (self.cols, rhs.cols), "matmul_tn_acc: out shape mismatch");
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let g_row = &rhs.data[i * rhs.cols..(i + 1) * rhs.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[k * rhs.cols..(k + 1) * rhs.cols];
-                kernels::axpy(a, g_row, out_row);
-            }
-        }
+        tn_acc(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
     /// `self += other`.
@@ -299,7 +283,6 @@ impl Matrix {
     /// optimizer shifts its per-row state identically, see
     /// `Adam::insert_zero_row`).
     pub fn insert_row(&mut self, at: usize, vals: &[f32]) {
-        assert!(at <= self.rows, "insert_row at {at} out of bounds ({} rows)", self.rows);
         assert_eq!(
             vals.len(),
             self.cols,
@@ -307,8 +290,19 @@ impl Matrix {
             vals.len(),
             self.cols
         );
+        self.splice_row(at, vals.iter().copied());
+    }
+
+    /// [`Matrix::insert_row`] of an all-zero row (no temporary row is
+    /// built).
+    pub fn insert_zero_row(&mut self, at: usize) {
+        self.splice_row(at, std::iter::repeat_n(0.0, self.cols));
+    }
+
+    fn splice_row(&mut self, at: usize, vals: impl Iterator<Item = f32>) {
+        assert!(at <= self.rows, "insert_row at {at} out of bounds ({} rows)", self.rows);
         let idx = at * self.cols;
-        self.data.splice(idx..idx, vals.iter().copied());
+        self.data.splice(idx..idx, vals);
         self.rows += 1;
     }
 
@@ -362,6 +356,149 @@ impl Matrix {
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         assert_eq!(self.shape(), other.shape(), "max_abs_diff shape mismatch");
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max)
+    }
+}
+
+/// `out += a × b` over row-major slices: `a` is `rows × inner`, `b` is
+/// `inner × width`, `out` is `rows × width`. The sum over the inner
+/// dimension is serial per output element at every width — the fixed
+/// widths keep the output row in registers across it, every other width
+/// runs one axpy per `(row, k)` — so the result is bit-identical across
+/// kernel backends and across the two forms.
+pub fn acc(a: &[f32], inner: usize, b: &[f32], width: usize, out: &mut [f32]) {
+    assert_eq!(b.len(), inner * width, "acc: right-hand side is not {inner}x{width}");
+    assert_eq!(a.len() * width, out.len() * inner, "acc: row counts differ");
+    match width {
+        0 => {}
+        16 => acc_rows::<16>(a, inner, b, out),
+        32 => acc_rows::<32>(a, inner, b, out),
+        64 => acc_rows::<64>(a, inner, b, out),
+        _ => {
+            for (i, out_row) in out.chunks_exact_mut(width).enumerate() {
+                for (k, &x) in a[i * inner..(i + 1) * inner].iter().enumerate() {
+                    if x == 0.0 {
+                        continue;
+                    }
+                    kernels::axpy(x, &b[k * width..(k + 1) * width], out_row);
+                }
+            }
+        }
+    }
+}
+
+/// `out += g × bᵀ` over row-major slices: `g` is `rows × inner`, `b` is
+/// `width × inner`, `out` is `rows × width`. When `width` is one of the
+/// fixed widths and `inner` is at most 64, each product is a serial
+/// left-to-right chain over a stack copy of `bᵀ`, independent of the
+/// kernel backend; otherwise each output element is a row dot through the
+/// active reduction kernel.
+pub fn nt_acc(g: &[f32], inner: usize, b: &[f32], width: usize, out: &mut [f32]) {
+    assert_eq!(b.len(), width * inner, "nt_acc: right-hand side is not {width}x{inner}");
+    assert_eq!(g.len() * width, out.len() * inner, "nt_acc: row counts differ");
+    let small = inner <= NT_MAX_INNER;
+    match width {
+        0 => {}
+        16 if small => nt_acc_rows::<16>(g, inner, b, out),
+        32 if small => nt_acc_rows::<32>(g, inner, b, out),
+        64 if small => nt_acc_rows::<64>(g, inner, b, out),
+        _ => {
+            for (i, out_row) in out.chunks_exact_mut(width).enumerate() {
+                let g_row = &g[i * inner..(i + 1) * inner];
+                for (k, o) in out_row.iter_mut().enumerate() {
+                    *o += kernels::dot(g_row, &b[k * inner..(k + 1) * inner]);
+                }
+            }
+        }
+    }
+}
+
+/// `out += aᵀ × g` over row-major slices: `a` is `rows × a_cols`, `g` is
+/// `rows × width`, `out` is `a_cols × width`. The sum over the shared
+/// rows is serial per output element at every width (the fixed widths
+/// hold an output row in registers while the rows stream past it; other
+/// widths run one axpy per `(row, k)`), bit-identical across backends.
+pub fn tn_acc(a: &[f32], a_cols: usize, g: &[f32], width: usize, out: &mut [f32]) {
+    assert_eq!(out.len(), a_cols * width, "tn_acc: output is not {a_cols}x{width}");
+    assert_eq!(a.len() * width, g.len() * a_cols, "tn_acc: row counts differ");
+    match width {
+        0 => {}
+        16 => tn_acc_rows::<16>(a, a_cols, g, out),
+        32 => tn_acc_rows::<32>(a, a_cols, g, out),
+        64 => tn_acc_rows::<64>(a, a_cols, g, out),
+        _ => {
+            for (i, g_row) in g.chunks_exact(width).enumerate() {
+                for (k, &x) in a[i * a_cols..(i + 1) * a_cols].iter().enumerate() {
+                    if x == 0.0 {
+                        continue;
+                    }
+                    kernels::axpy(x, g_row, &mut out[k * width..(k + 1) * width]);
+                }
+            }
+        }
+    }
+}
+
+/// `acc += x · row`, lane by lane, over a compile-time width — the one
+/// inner loop of the fixed-width kernels. With `N` known LLVM unrolls it
+/// and keeps `acc` in vector registers across the caller's outer loop.
+#[inline(always)]
+fn axpy_lanes<const N: usize>(x: f32, row: &[f32], acc: &mut [f32; N]) {
+    let row: &[f32; N] = row.try_into().expect("a row of the kernel's width");
+    for j in 0..N {
+        acc[j] += x * row[j];
+    }
+}
+
+/// [`acc`] at width `N`: the output row lives in a local across the whole
+/// k loop and is stored once. No zero-skip: adding `0·b` is a no-op for
+/// finite `b` (a sum that started at `+0.0` is never `-0.0`), and a
+/// branch-free k loop is what lets the row stay in registers.
+fn acc_rows<const N: usize>(a: &[f32], inner: usize, b: &[f32], out: &mut [f32]) {
+    for (i, out_row) in out.chunks_exact_mut(N).enumerate() {
+        let mut row: [f32; N] = (&*out_row).try_into().expect("a row of the kernel's width");
+        for (k, &x) in a[i * inner..(i + 1) * inner].iter().enumerate() {
+            axpy_lanes(x, &b[k * N..(k + 1) * N], &mut row);
+        }
+        out_row.copy_from_slice(&row);
+    }
+}
+
+/// [`tn_acc`] at width `N`: output row `k` lives in a local while the
+/// shared rows stream past it.
+fn tn_acc_rows<const N: usize>(a: &[f32], a_cols: usize, g: &[f32], out: &mut [f32]) {
+    for (k, out_row) in out.chunks_exact_mut(N).enumerate() {
+        let mut row: [f32; N] = (&*out_row).try_into().expect("a row of the kernel's width");
+        for (i, g_row) in g.chunks_exact(N).enumerate() {
+            axpy_lanes(a[i * a_cols + k], g_row, &mut row);
+        }
+        out_row.copy_from_slice(&row);
+    }
+}
+
+/// Widest inner dimension [`nt_acc_rows`] copies onto its stack.
+const NT_MAX_INNER: usize = 64;
+
+/// [`nt_acc`] at width `N`: `b` is small, so its transpose is laid out
+/// once on the stack and every product becomes the row accumulation of
+/// [`acc_rows`], summed from zero and then added to `out`.
+fn nt_acc_rows<const N: usize>(g: &[f32], inner: usize, b: &[f32], out: &mut [f32]) {
+    if inner == 0 {
+        return;
+    }
+    let mut bt = [[0.0f32; N]; NT_MAX_INNER];
+    for (n, b_row) in b.chunks_exact(inner).enumerate() {
+        for (k, &v) in b_row.iter().enumerate() {
+            bt[k][n] = v;
+        }
+    }
+    for (i, out_row) in out.chunks_exact_mut(N).enumerate() {
+        let mut row = [0.0f32; N];
+        for (k, &x) in g[i * inner..(i + 1) * inner].iter().enumerate() {
+            axpy_lanes(x, &bt[k], &mut row);
+        }
+        for (o, &v) in out_row.iter_mut().zip(&row) {
+            *o += v;
+        }
     }
 }
 

@@ -130,10 +130,8 @@ impl Adam {
     /// bit-identical.
     pub fn insert_zero_row(&mut self, id: crate::params::ParamId, at: usize) {
         let i = id.index();
-        let cols = self.m[i].cols();
-        let zeros = vec![0.0f32; cols];
-        self.m[i].insert_row(at, &zeros);
-        self.v[i].insert_row(at, &zeros);
+        self.m[i].insert_zero_row(at);
+        self.v[i].insert_zero_row(at);
     }
 
     /// Mirrors a `Matrix::remove_row` on parameter `id`: drops row `at`

@@ -16,9 +16,14 @@
 //! Lengths are drawn from `0..=64`, which covers the empty slice, every
 //! sub-chunk length, the exact 8-lane width, and non-multiple-of-8
 //! remainders.
+//!
+//! The three matmul forms are checked against a naive triple loop at the
+//! end of the file: on the fixed widths (16/32/64) they are serial per
+//! output element and must match it bit for bit, under either backend.
 
 use proptest::prelude::*;
-use ptf_tensor::kernels::{dot_with, frob_sq_with, sum_with, Backend};
+use ptf_tensor::kernels::{self, dot_with, frob_sq_with, sum_with, Backend};
+use ptf_tensor::Matrix;
 
 const S: Backend = Backend::Scalar;
 const V: Backend = Backend::Vector;
@@ -114,4 +119,118 @@ fn infinities_reach_the_accumulator_in_both_backends() {
     assert_eq!(sum_with(V, &x), f32::INFINITY);
     assert_eq!(frob_sq_with(S, &x), f32::INFINITY);
     assert_eq!(frob_sq_with(V, &x), f32::INFINITY);
+}
+
+/// Deterministic values salted with the cases a skipped or reordered term
+/// would get wrong: exact zeros, `-0.0` and subnormals.
+fn salted(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    Matrix::from_fn(rows, cols, |_, _| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        match (state >> 33) % 11 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::from_bits(((state >> 40) as u32 & 0x007f_ffff) | 1),
+            3 => -f32::from_bits(((state >> 40) as u32 & 0x007f_ffff) | 1),
+            _ => ((state >> 40) as f32 / (1u64 << 24) as f32) * 3.0 - 1.5,
+        }
+    })
+}
+
+/// `out += a × b`, every output element summed over `k` left to right
+/// with no term skipped.
+fn naive_acc(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let mut sum = out.get(i, j);
+            for k in 0..a.cols() {
+                sum += a.get(i, k) * b.get(k, j);
+            }
+            out.set(i, j, sum);
+        }
+    }
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn fixed_width_matmul_forms_match_the_naive_serial_loop_bit_for_bit() {
+    // one test function: it flips the process-global backend, which the
+    // fixed-width paths must not read (nothing else in this binary does)
+    for backend in [S, V] {
+        kernels::set_backend(backend);
+        for width in [16usize, 32, 64] {
+            // inner dims through 65: every remainder of every unroll
+            // factor, and one past nt_acc's 64-wide stack copy
+            for inner in 1..=65usize {
+                let rows = 1 + inner % 4;
+                let seed = (width * 100 + inner) as u64;
+
+                let a = salted(rows, inner, seed);
+                let b = salted(inner, width, seed + 1);
+                let mut expect = Matrix::zeros(rows, width);
+                naive_acc(&a, &b, &mut expect);
+                let mut got = Matrix::full(1, 1, 9.9); // wrong shape, dirty
+                a.matmul_into(&b, &mut got);
+                assert_eq!(bits(&got), bits(&expect), "matmul_into {rows}x{inner}x{width}");
+
+                // out += aᵀ × g onto a dirty accumulator; the shared
+                // dimension is `inner` here
+                let a = salted(inner, rows, seed + 2);
+                let g = salted(inner, width, seed + 3);
+                let dirty = salted(rows, width, seed + 4);
+                let mut expect = dirty.clone();
+                naive_acc(&a.transpose(), &g, &mut expect);
+                let mut got = dirty.clone();
+                a.matmul_tn_acc(&g, &mut got);
+                assert_eq!(bits(&got), bits(&expect), "matmul_tn_acc {inner}x{rows}x{width}");
+
+                // out += g × bᵀ: the product is summed from zero, then
+                // added to the accumulator
+                let g = salted(rows, inner, seed + 5);
+                let b = salted(width, inner, seed + 6);
+                let mut product = Matrix::zeros(rows, width);
+                naive_acc(&g, &b.transpose(), &mut product);
+                let mut expect = dirty.clone();
+                expect.add_assign(&product);
+                let mut got = dirty;
+                g.matmul_nt_acc(&b, &mut got);
+                if inner <= 64 {
+                    assert_eq!(bits(&got), bits(&expect), "matmul_nt_acc {rows}x{inner}x{width}");
+                } else {
+                    // past the stack copy it is a row dot per element
+                    assert!(got.max_abs_diff(&expect) < 1e-4, "matmul_nt_acc {rows}x{inner}");
+                }
+            }
+        }
+    }
+    kernels::set_backend(V); // restore the default
+}
+
+#[test]
+fn other_widths_keep_the_plain_loops() {
+    // a width with no row kernel: same sums, same order (the zero-skip of
+    // the plain loops changes nothing for finite operands from zero)
+    for (rows, inner, width) in [(3usize, 5usize, 24usize), (2, 33, 7), (4, 1, 1), (1, 17, 65)] {
+        let a = salted(rows, inner, 7);
+        let b = salted(inner, width, 8);
+        let mut expect = Matrix::zeros(rows, width);
+        naive_acc(&a, &b, &mut expect);
+        assert_eq!(bits(&a.matmul(&b)), bits(&expect), "matmul {rows}x{inner}x{width}");
+
+        let g = salted(rows, width, 9);
+        let mut expect = Matrix::zeros(inner, width);
+        naive_acc(&a.transpose(), &g, &mut expect);
+        let mut got = Matrix::zeros(inner, width);
+        a.matmul_tn_acc(&g, &mut got);
+        assert_eq!(bits(&got), bits(&expect), "matmul_tn_acc {rows}x{inner}x{width}");
+
+        let mut expect = Matrix::zeros(rows, inner);
+        naive_acc(&g, &b.transpose(), &mut expect);
+        let mut got = Matrix::zeros(rows, inner);
+        g.matmul_nt_acc(&b, &mut got);
+        assert!(got.max_abs_diff(&expect) < 1e-4, "matmul_nt_acc {rows}x{width}x{inner}");
+    }
 }

@@ -285,8 +285,9 @@ fn a_steady_state_mf_server_phase_allocates_once_per_participant() {
 
 #[test]
 fn default_neumf_rounds_report_their_client_allocations() {
-    // the counter itself must work for allocating models too — NeuMF's
-    // autograd forward allocates, and the shim has to see it
+    // the counter itself must work for allocating models too — a NeuMF
+    // client's first round grows its working buffers and its scoring
+    // calls allocate theirs, and the shim has to see it
     let s = split();
     let mut cfg = PtfConfig::small();
     cfg.rounds = 2;
@@ -307,14 +308,44 @@ fn default_neumf_rounds_report_their_client_allocations() {
 }
 
 #[test]
+fn a_steady_state_neumf_client_round_allocates_a_constant() {
+    // The paper's client model: once its working buffers have grown to
+    // the round's batches, a dense NeuMF client-round allocates only the
+    // upload it hands over and the block buffers of its two `&self`
+    // scoring calls — a count that does not depend on how many batches
+    // the round trained (the tape build took 54 here, 109 at the paper's
+    // three layers). The lint cannot see this: it bounds constructs per
+    // function, not calls.
+    use ptf_fedrec::core::rounds;
+    use ptf_fedrec::federated::RoundScratch;
+    let s = split();
+    let mut cfg = PtfConfig::small();
+    cfg.alpha = 8;
+    cfg.threads = 1;
+    cfg.storage.mode = StorageMode::Dense;
+    let mut client =
+        rounds::build_client(&s.train, 0, ModelKind::NeuMf, &ModelHyper::small(), &cfg);
+    let mut scratch = RoundScratch::default();
+    for round in 0..3 {
+        let (upload, _) = rounds::client_round(&mut client, &cfg, round, &mut scratch);
+        client.recycle_upload(upload);
+    }
+    let before = alloc::thread_allocs();
+    let (upload, loss) = rounds::client_round(&mut client, &cfg, 3, &mut scratch);
+    let allocs = alloc::thread_allocs() - before;
+    assert!(loss.is_finite() && !upload.predictions.is_empty());
+    assert!(allocs <= 24, "a steady-state NeuMF client-round took {allocs} allocations");
+}
+
+#[test]
 fn neumf_server_batch_loop_is_allocation_free_after_warmup() {
     // The server phase trains its hidden model (NeuMF here) on the
     // crowdsourced pool batch after batch, every round, for the lifetime
-    // of the federation. With the arena-backed tape the whole
-    // forward/backward/Adam cycle must reuse pooled node slots, staged
-    // index buffers, and recycled gradient buffers: after the first few
-    // batches grow every capacity, further batches of the same shape may
-    // not touch the heap at all.
+    // of the federation. The hand-derived step works in buffers the
+    // model owns — staged rows, activations, the two `dz` blocks, the
+    // reused gradient store — so after the first batch has grown every
+    // capacity, further batches of the same shape may not touch the heap
+    // at all (mixed users: one run per row, the worst case for staging).
     use ptf_fedrec::models::{ItemScope, NeuMf, NeuMfConfig, Recommender};
     let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 1e-3 };
     let mut m = NeuMf::new_scoped(6, &cfg, &ItemScope::Full(24), 11);
@@ -327,11 +358,7 @@ fn neumf_server_batch_loop_is_allocation_free_after_warmup() {
     for _ in 0..20 {
         m.train_batch(&batch);
     }
-    assert_eq!(
-        alloc::thread_allocs() - t0,
-        0,
-        "arena-tape NeuMF training must not allocate once warm"
-    );
+    assert_eq!(alloc::thread_allocs() - t0, 0, "NeuMF training must not allocate once warm");
 }
 
 #[test]
