@@ -52,17 +52,13 @@ pub fn hyper(scale: Scale) -> ModelHyper {
     }
 }
 
-/// PTF-FedRec configuration per scale. `PTF_ROUNDS` overrides the round
-/// budget for quick sensitivity checks.
+/// PTF-FedRec configuration per scale.
 pub fn ptf_config(scale: Scale) -> PtfConfig {
     let mut cfg = match scale {
         Scale::Paper => PtfConfig::paper(),
         Scale::Small => PtfConfig::small(),
     };
     cfg.seed = seed();
-    if let Some(r) = std::env::var("PTF_ROUNDS").ok().and_then(|s| s.parse().ok()) {
-        cfg.rounds = r;
-    }
     cfg
 }
 
@@ -154,19 +150,17 @@ pub fn attack_f1(fed: &Engine<PtfFedRec>) -> f64 {
     )
 }
 
-/// The LDP budget used for the Table V comparison row
-/// (`PTF_LDP_EPS`, default 5.0 — the paper does not state its ε; 5.0 lands
-/// the attack F1 between the sampling rows as in Table V).
-pub fn ldp_epsilon() -> f64 {
-    std::env::var("PTF_LDP_EPS").ok().and_then(|s| s.parse().ok()).unwrap_or(5.0)
-}
+/// The LDP budget used for the Table V comparison row (the CLI's
+/// `--epsilon` default — the paper does not state its ε; 5.0 lands the
+/// attack F1 between the sampling rows as in Table V).
+pub const LDP_EPSILON: f64 = 5.0;
 
 /// The four defense rows of Table V.
 pub fn defense_rows() -> [ptf_core::DefenseKind; 4] {
     use ptf_core::DefenseKind;
     [
         DefenseKind::NoDefense,
-        DefenseKind::Ldp { epsilon: ldp_epsilon() },
+        DefenseKind::Ldp { epsilon: LDP_EPSILON },
         DefenseKind::Sampling,
         DefenseKind::SamplingSwapping,
     ]

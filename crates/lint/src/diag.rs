@@ -58,8 +58,10 @@ or annotate a cold branch with `// lint: allow(alloc-discipline) — <why>`.",
         "`ptf-net` servers and the CLI are deployment surfaces: a panic tears \
 down a fleet's round loop, while the PR 7 error contract is exit-1 with a \
 message. Production paths in crates/net/src and src/ must propagate errors \
-(`?`, `Result`) instead of `unwrap()`/`expect()`/`panic!`. Test modules are \
-exempt. Truly infallible cases (e.g. a fixed-size slice-to-array conversion) \
+(`?`, `Result`) instead of `unwrap()`/`expect()`/`panic!` — and write to \
+stdout through a fallible writer, not `print!`/`println!`, which panic when \
+stdout is a closed pipe or a full disk (`eprint!`/`eprintln!` stay allowed). \
+Test modules are exempt. Truly infallible cases (e.g. a fixed-size slice-to-array conversion) \
 should be rewritten to be visibly infallible, or annotated with \
 `// lint: allow(panic-policy) — <why>`.",
     ),
@@ -75,10 +77,10 @@ shim (CountingAlloc) is the canonical entry.",
         "spec-conformance",
         "Normative docs must match the code they describe: the frame-kind \
 table in docs/wire-protocol.md must equal the `FrameKind` enum in \
-crates/net/src/wire.rs (name and discriminant, both directions), the README \
-usage block must be a verbatim copy of the CLI's `USAGE` text, and every \
-`--flag` a README `ptf` invocation mentions must exist in src/cli.rs. Drift \
-in either direction is an error — fix the doc or the code, never ignore.",
+crates/net/src/wire.rs (name and discriminant, both directions). Drift in \
+either direction is an error — fix the doc or the code, never ignore. (The \
+README's `ptf` usage block and flags are held to the CLI's command table by \
+the tests in src/cli.rs.)",
     ),
 ];
 

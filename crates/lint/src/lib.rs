@@ -8,12 +8,12 @@
 //!   hash-order iteration in protocol/round/model code;
 //! - **alloc-discipline** — no allocating constructs in functions
 //!   declared hot in `crates/lint/hot_paths.toml`;
-//! - **panic-policy** — no `unwrap()`/`expect()`/`panic!` on `ptf-net`
-//!   and CLI production paths;
+//! - **panic-policy** — no `unwrap()`/`expect()`/`panic!`, and no
+//!   `print!`/`println!`, on `ptf-net` and CLI production paths;
 //! - **unsafe-audit** — every `unsafe` has a `// SAFETY:` comment and a
 //!   matching entry in `docs/unsafe-inventory.md`;
-//! - **spec-conformance** — the wire-protocol doc, README usage block,
-//!   and README flags match the code.
+//! - **spec-conformance** — the wire-protocol doc's frame-kind table
+//!   matches the `FrameKind` enum.
 //!
 //! Run it with `cargo run -p ptf-lint`; see `--explain <lint>` for the
 //! rationale behind any family, and `// lint: allow(<name>) — why` to

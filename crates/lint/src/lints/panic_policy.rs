@@ -7,6 +7,10 @@
 //! infallible conversions should be rewritten to be visibly infallible
 //! (e.g. `from_le_bytes` on indexed bytes rather than
 //! `try_into().unwrap()`).
+//!
+//! `print!`/`println!` are banned with them: they panic when stdout is a
+//! closed pipe (`ptf … | head`) or a full disk. Stdout goes through one
+//! fallible writer; `eprint!`/`eprintln!` stay allowed.
 
 use crate::diag::Diagnostic;
 use crate::source::SourceFile;
@@ -18,7 +22,9 @@ pub const NAME: &str = "panic-policy";
 const SCOPE: &[&str] = &["crates/net/src/", "src/"];
 
 /// Panicking constructs. `.unwrap_or*` and `.expect_err` do not match;
-/// `debug_assert!` is allowed (stripped in release builds).
+/// `debug_assert!` is allowed (stripped in release builds). A token that
+/// starts with a letter matches only at a word boundary, so `println!`
+/// does not catch `eprintln!`.
 const BANNED: &[(&str, &str)] = &[
     (".unwrap()", "propagate the error (`?`) or rewrite to be visibly infallible"),
     (".expect(", "propagate the error (`?`) instead of panicking with a message"),
@@ -26,7 +32,17 @@ const BANNED: &[(&str, &str)] = &[
     ("unreachable!", "return an error; unreachable states should be typed away"),
     ("todo!", "unfinished code must not ship on a production path"),
     ("unimplemented!", "unfinished code must not ship on a production path"),
+    ("print!", "write through a fallible writer; a closed stdout must not panic"),
+    ("println!", "write through a fallible writer; a closed stdout must not panic"),
 ];
+
+/// Whether `code` contains `tok` starting at a token boundary.
+fn mentions(code: &str, tok: &str) -> bool {
+    code.match_indices(tok).any(|(at, _)| {
+        !tok.starts_with(char::is_alphabetic)
+            || !code[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_')
+    })
+}
 
 pub fn in_scope(rel: &str) -> bool {
     SCOPE.iter().any(|p| rel.starts_with(p))
@@ -39,7 +55,7 @@ pub fn check(sf: &SourceFile) -> Vec<Diagnostic> {
             continue;
         }
         for (tok, fix) in BANNED {
-            if sf.code[i].contains(tok) {
+            if mentions(&sf.code[i], tok) {
                 diags.push(Diagnostic::new(
                     &sf.rel,
                     i + 1,
@@ -76,6 +92,14 @@ mod tests {
     fn tests_and_allows_are_exempt() {
         let src = "// lint: allow(panic-policy) — poisoned mutex is unrecoverable\nlet g = m.lock().unwrap();\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
         assert!(diags(src).is_empty());
+    }
+
+    #[test]
+    fn stdout_macros_are_flagged_and_stderr_ones_are_not() {
+        let got = diags("println!(\"{report}\");\nprint!(\"x\");\nstd::println!();\n");
+        assert_eq!(got.len(), 3, "{got:?}");
+        assert!(got[0].msg.contains("`println!`") && got[1].msg.contains("`print!`"));
+        assert!(diags("eprintln!(\"listening\");\neprint!(\"x\");\n").is_empty());
     }
 
     #[test]

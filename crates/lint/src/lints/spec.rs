@@ -1,19 +1,13 @@
-//! Spec-conformance checks: normative docs must match the code.
+//! Spec-conformance check: normative docs must match the code.
 //!
-//! Three invariants, each checked in both directions where drift can
-//! hide:
+//! One invariant, checked in both directions: the frame-kind table in
+//! `docs/wire-protocol.md` equals the `FrameKind` enum in
+//! `crates/net/src/wire.rs` (names *and* discriminants). (The README's
+//! `ptf` usage block and flags are held to the CLI's command table by
+//! the tests in `src/cli.rs`, which read the table itself.)
 //!
-//! 1. the frame-kind table in `docs/wire-protocol.md` equals the
-//!    `FrameKind` enum in `crates/net/src/wire.rs` (names *and*
-//!    discriminants);
-//! 2. the README usage block is a verbatim (whitespace-normalized) copy
-//!    of the CLI's `USAGE` text;
-//! 3. every `--flag` that a README `ptf` invocation mentions exists in
-//!    `src/cli.rs`.
-//!
-//! These run on raw file text, not the lexed model — docs are not Rust,
-//! and for `wire.rs`/`cli.rs` the string literals are exactly what we
-//! need to read.
+//! This runs on raw file text, not the lexed model — the doc is not Rust,
+//! and `wire.rs`'s discriminants are exactly what we need to read.
 
 use crate::diag::Diagnostic;
 use std::fs;
@@ -23,21 +17,12 @@ pub const NAME: &str = "spec-conformance";
 
 const WIRE_RS: &str = "crates/net/src/wire.rs";
 const WIRE_MD: &str = "docs/wire-protocol.md";
-const CLI_RS: &str = "src/cli.rs";
-const README: &str = "README.md";
 
 pub fn check(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let read = |rel: &str| {
         fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel}: cannot read: {e}"))
     };
-    let wire_rs = read(WIRE_RS)?;
-    let wire_md = read(WIRE_MD)?;
-    let cli_rs = read(CLI_RS)?;
-    let readme = read(README)?;
-    let mut diags = check_frame_kinds(&wire_rs, &wire_md);
-    diags.extend(check_usage_sync(&cli_rs, &readme));
-    diags.extend(check_readme_flags(&cli_rs, &readme));
-    Ok(diags)
+    Ok(check_frame_kinds(&read(WIRE_RS)?, &read(WIRE_MD)?))
 }
 
 /// `Name = N` variants of `enum FrameKind { … }` in wire.rs.
@@ -147,113 +132,6 @@ fn check_frame_kinds(wire_rs: &str, wire_md: &str) -> Vec<Diagnostic> {
     diags
 }
 
-/// The command lines of `USAGE` in cli.rs: every line between `USAGE:`
-/// and the first blank line of the literal, whitespace-normalized.
-pub fn usage_lines(cli_src: &str) -> Vec<String> {
-    let Some(at) = cli_src.find("USAGE: &str") else {
-        return Vec::new();
-    };
-    let Some(open) = cli_src[at..].find('"') else {
-        return Vec::new();
-    };
-    let body = &cli_src[at + open + 1..];
-    let Some(close) = body.find("\";") else {
-        return Vec::new();
-    };
-    let body = &body[..close];
-    let mut out = Vec::new();
-    let mut in_usage = false;
-    for line in body.lines() {
-        let line = line.trim_end_matches('\\');
-        if line.trim() == "USAGE:" {
-            in_usage = true;
-            continue;
-        }
-        if in_usage {
-            if line.trim().is_empty() {
-                break;
-            }
-            out.push(normalize(line));
-        }
-    }
-    out
-}
-
-fn normalize(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
-}
-
-/// README must contain every USAGE command line verbatim (modulo
-/// whitespace) — the quickstart block is a copy of `ptf help`, and this
-/// is how model/flag lists in the README stay current.
-fn check_usage_sync(cli_rs: &str, readme: &str) -> Vec<Diagnostic> {
-    let usage = usage_lines(cli_rs);
-    if usage.is_empty() {
-        return vec![Diagnostic::new(
-            CLI_RS,
-            1,
-            NAME,
-            "could not locate the USAGE block (`USAGE: &str` with a `USAGE:` section)".to_string(),
-        )];
-    }
-    let readme_norm: Vec<String> = readme.lines().map(normalize).collect();
-    let anchor = readme_norm.iter().position(|l| l.starts_with("ptf stats")).map(|i| i + 1);
-    let mut diags = Vec::new();
-    for line in &usage {
-        if !readme_norm.contains(line) {
-            diags.push(Diagnostic::new(
-                README,
-                anchor.unwrap_or(1),
-                NAME,
-                format!(
-                    "usage drift: `{line}` (from cli.rs USAGE) is missing — re-copy the \
-                     `ptf help` block into the README"
-                ),
-            ));
-        }
-    }
-    diags
-}
-
-/// Flags mentioned by `ptf` invocations in the README, with line anchors.
-pub fn readme_ptf_flags(readme: &str) -> Vec<(usize, String)> {
-    let trim = |t: &str| t.trim_matches(|c: char| "`,.();:*\"'".contains(c)).to_string();
-    let mut out = Vec::new();
-    for (i, line) in readme.lines().enumerate() {
-        let toks: Vec<String> = line.split_whitespace().map(&trim).collect();
-        let Some(at) = toks.iter().position(|t| t == "ptf" || t.ends_with("/ptf")) else {
-            continue;
-        };
-        for t in &toks[at + 1..] {
-            if let Some(name) = t.strip_prefix("--") {
-                if !name.is_empty() && name.chars().all(|c| c.is_ascii_lowercase() || c == '-') {
-                    out.push((i + 1, name.to_string()));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Every README-mentioned flag must exist in cli.rs (as `--flag` in the
-/// USAGE text or as the bare `"flag"` option literal).
-fn check_readme_flags(cli_rs: &str, readme: &str) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for (line, flag) in readme_ptf_flags(readme) {
-        let known =
-            cli_rs.contains(&format!("--{flag}")) || cli_rs.contains(&format!("\"{flag}\""));
-        if !known {
-            diags.push(Diagnostic::new(
-                README,
-                line,
-                NAME,
-                format!("`--{flag}` is documented but not defined in {CLI_RS}"),
-            ));
-        }
-    }
-    diags
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,33 +156,5 @@ mod tests {
         assert_eq!(check_frame_kinds(ENUM, md_missing).len(), 1);
         let md_extra = "| 1 | `Hello` |\n| 2 | `Welcome` |\n| 9 | `Bogus` |\n";
         assert_eq!(check_frame_kinds(ENUM, md_extra).len(), 1);
-    }
-
-    const CLI: &str = "pub const USAGE: &str = \"\\\nptf — tool\n\nUSAGE:\n    ptf stats [--scale small|paper] [--seed N]\n    ptf train --dataset D [--json]\n\nnotes with --other-flag text\n\";\n";
-
-    #[test]
-    fn usage_sync_flags_drift() {
-        let ok = "```text\nptf stats    [--scale small|paper] [--seed N]\nptf train --dataset D [--json]\n```\n";
-        assert!(check_usage_sync(CLI, ok).is_empty());
-        let stale =
-            "```text\nptf stats [--scale small|paper] [--seed N]\nptf train --dataset D\n```\n";
-        let got = check_usage_sync(CLI, stale);
-        assert_eq!(got.len(), 1, "{got:?}");
-        assert!(got[0].msg.contains("ptf train"));
-    }
-
-    #[test]
-    fn readme_flags_are_scoped_to_ptf_invocations() {
-        let md = "Run `ptf train --dataset ml100k --json`.\ncargo bench --bench foo\n./target/release/ptf serve --port 0\n";
-        let flags = readme_ptf_flags(md);
-        let names: Vec<&str> = flags.iter().map(|(_, f)| f.as_str()).collect();
-        assert_eq!(names, vec!["dataset", "json", "port"]);
-    }
-
-    #[test]
-    fn unknown_readme_flag_is_reported() {
-        let got = check_readme_flags(CLI, "`ptf train --bogus-flag 3`\n");
-        assert_eq!(got.len(), 1);
-        assert!(got[0].msg.contains("--bogus-flag"));
     }
 }

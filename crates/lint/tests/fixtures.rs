@@ -115,8 +115,6 @@ fn spec_bad_tree_finds_all_four_drifts() {
     assert_eq!(
         anchors,
         vec![
-            ("README.md", 7),             // usage drift (anchor: usage block)
-            ("README.md", 11),            // --bogus-flag not in cli.rs
             ("docs/wire-protocol.md", 1), // Reject undocumented
             ("docs/wire-protocol.md", 8), // Welcome kind mismatch
         ],

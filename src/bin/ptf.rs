@@ -1,25 +1,28 @@
 //! `ptf` — the command-line entry point of the PTF-FedRec reproduction.
 //!
-//! See `ptf help` (or [`ptf_fedrec::cli::USAGE`]) for the commands. Every
+//! See `ptf help` (or [`ptf_fedrec::cli::usage`]) for the commands. Every
 //! protocol — PTF-FedRec and all baselines — runs through the same
 //! `FederatedProtocol`-typed engine path: one `match` builds a
-//! `Box<dyn FederatedProtocol>`, and run/evaluate/report plumbing below it
-//! is written exactly once.
+//! `Box<dyn FederatedProtocol>`, and every `ptf train` ends in
+//! [`finish_train`]. Everything printed to stdout goes through [`emit`].
 
 use ptf_fedrec::baselines::{
     Centralized, CentralizedConfig, Fcf, FcfConfig, FedMf, FedMfConfig, MetaMf, MetaMfConfig,
 };
 use ptf_fedrec::cli::{
-    parse, Command, DataChoice, DefenseChoice, ProtocolChoice, StorageChoice, USAGE,
+    parse, usage, ClientArgs, Command, DataChoice, DefenseChoice, FleetArgs, PrivacyArgs,
+    ProtocolChoice, ServeArgs, StorageChoice, TrainArgs,
 };
 use ptf_fedrec::comm::{format_bytes, CommLedger, LedgerSummary};
 use ptf_fedrec::core::{
     checkpoint, config_fingerprint, CohortData, CohortFedRec, CohortOptions, DefenseKind,
     Federation, PtfConfig, PtfFedRec, ServerScope, StorageMode, StoragePolicy, StoreKind,
 };
-use ptf_fedrec::data::{CsrArena, DatasetPreset, DatasetStats, Scale, ScaleConfig, TrainTestSplit};
+use ptf_fedrec::data::{
+    CsrArena, Dataset, DatasetPreset, DatasetStats, Scale, ScaleConfig, TrainTestSplit,
+};
 use ptf_fedrec::federated::{
-    Engine, FederatedProtocol, Participation, RoundObserver, RunTrace, TraceRecorder,
+    Engine, FederatedProtocol, Participation, RoundObserver, RoundTrace, RunTrace, TraceRecorder,
 };
 use ptf_fedrec::metrics::RankingReport;
 use ptf_fedrec::models::{evaluate_model, ModelHyper, ModelKind};
@@ -35,18 +38,64 @@ use std::time::Duration;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse(&args) {
-        Ok(cmd) => {
-            if let Err(e) = run(cmd) {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
+    let code = match parse(&args).map(run) {
+        Ok(Ok(())) | Ok(Err(Failure::StdoutClosed)) => 0,
+        Ok(Err(Failure::Message(e))) => {
+            eprintln!("error: {e}");
+            1
         }
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(2);
+            2
         }
+    };
+    std::process::exit(code);
+}
+
+/// Why a run stopped early.
+enum Failure {
+    /// Exit 1 with this message.
+    Message(String),
+    /// The reader of stdout went away (`ptf … | head`): nobody is left to
+    /// tell, so the run unwinds — temp dirs are still removed — and ends
+    /// quietly.
+    StdoutClosed,
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Self::Message(message)
     }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Self::Message(message.to_string())
+    }
+}
+
+/// The one place this binary writes to stdout.
+fn emit(text: &str) -> Result<(), Failure> {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    match writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Err(Failure::StdoutClosed),
+        Err(e) => Err(format!("cannot write to stdout: {e}").into()),
+    }
+}
+
+fn print_json<T: Serialize>(value: &T) -> Result<(), Failure> {
+    emit(&serde_json::to_string_pretty(value).map_err(|e| e.to_string())?)
+}
+
+/// The Table IV line of a text report.
+fn print_traffic(summary: &LedgerSummary) -> Result<(), Failure> {
+    emit(&format!(
+        "communication: {} per client-round (total {})",
+        format_bytes(summary.avg_client_bytes_per_round),
+        format_bytes(summary.total_bytes as f64)
+    ))
 }
 
 fn scaled_hyper(scale: Scale) -> ModelHyper {
@@ -74,81 +123,76 @@ fn load_split(dataset: DatasetPreset, scale: Scale, seed: u64) -> TrainTestSplit
 /// The config a networked run uses. `ptf serve` and every `ptf client`
 /// build this independently from the same flags — the handshake
 /// fingerprint rejects the connection if they disagree.
-fn net_config(scale: Scale, seed: u64, rounds: Option<u32>, participation: f64) -> PtfConfig {
-    let mut cfg = scaled_config(scale, seed);
-    if let Some(r) = rounds {
-        cfg.rounds = r;
-    }
-    cfg.participation.fraction = participation;
+fn net_config(f: &FleetArgs) -> PtfConfig {
+    let mut cfg = scaled_config(f.scale, f.seed);
+    cfg.rounds = f.rounds.unwrap_or(cfg.rounds);
+    cfg.participation.fraction = f.participation;
+    cfg
+}
+
+/// The PTF-FedRec config of every `ptf train` path.
+fn train_config(a: &TrainArgs) -> PtfConfig {
+    let mut cfg = scaled_config(a.scale, a.seed);
+    cfg.rounds = a.rounds.unwrap_or(cfg.rounds);
+    cfg.threads = a.threads;
+    cfg.storage = StoragePolicy {
+        mode: match a.storage {
+            StorageChoice::Auto => StoragePolicy::default().mode,
+            StorageChoice::Sparse => StorageMode::Sparse,
+            StorageChoice::Dense => StorageMode::Dense,
+        },
+        evict_interval: a.evict_interval,
+        evict_budget: a.evict_budget,
+    };
     cfg
 }
 
 /// One `match`, one `Box<dyn FederatedProtocol>`: everything downstream
 /// (run, evaluate, report, JSON) is protocol-agnostic.
-#[allow(clippy::too_many_arguments)]
-fn build_protocol(
-    choice: ProtocolChoice,
-    train: &ptf_fedrec::data::Dataset,
-    client: ModelKind,
-    server: ModelKind,
-    rounds: Option<u32>,
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-    storage: StoragePolicy,
-) -> Result<Box<dyn FederatedProtocol>, String> {
-    let small = matches!(scale, Scale::Small);
-    Ok(match choice {
-        ProtocolChoice::Ptf => {
-            let mut cfg = scaled_config(scale, seed);
-            cfg.threads = threads;
-            cfg.storage = storage;
-            if let Some(r) = rounds {
-                cfg.rounds = r;
-            }
-            Box::new(
-                PtfFedRec::try_new(train, client, server, &scaled_hyper(scale), cfg)
-                    .map_err(|e| e.to_string())?,
-            )
-        }
+fn build_protocol(a: &TrainArgs, train: &Dataset) -> Result<Box<dyn FederatedProtocol>, String> {
+    let small = matches!(a.scale, Scale::Small);
+    Ok(match a.protocol {
+        ProtocolChoice::Ptf => Box::new(
+            PtfFedRec::try_new(train, a.client, a.server, &scaled_hyper(a.scale), train_config(a))
+                .map_err(|e| e.to_string())?,
+        ),
         ProtocolChoice::Fcf => {
             let mut cfg = if small { FcfConfig::small() } else { FcfConfig::default() };
-            cfg.seed = seed;
-            cfg.threads = threads;
-            if let Some(r) = rounds {
-                cfg.rounds = r;
-            }
+            cfg.seed = a.seed;
+            cfg.threads = a.threads;
+            cfg.rounds = a.rounds.unwrap_or(cfg.rounds);
             Box::new(Fcf::new(train, cfg))
         }
         ProtocolChoice::FedMf => {
             let mut cfg = if small { FedMfConfig::small() } else { FedMfConfig::default() };
-            cfg.base.seed = seed;
-            cfg.base.threads = threads;
-            if let Some(r) = rounds {
-                cfg.base.rounds = r;
-            }
+            cfg.base.seed = a.seed;
+            cfg.base.threads = a.threads;
+            cfg.base.rounds = a.rounds.unwrap_or(cfg.base.rounds);
             Box::new(FedMf::new(train, cfg))
         }
         ProtocolChoice::MetaMf => {
             let mut cfg = if small { MetaMfConfig::small() } else { MetaMfConfig::default() };
-            cfg.seed = seed;
-            cfg.threads = threads;
-            if let Some(r) = rounds {
-                cfg.rounds = r;
-            }
+            cfg.seed = a.seed;
+            cfg.threads = a.threads;
+            cfg.rounds = a.rounds.unwrap_or(cfg.rounds);
             Box::new(MetaMf::new(train, cfg))
         }
         ProtocolChoice::Centralized => {
             let mut cfg =
                 if small { CentralizedConfig::small() } else { CentralizedConfig::default() };
-            cfg.seed = seed;
-            cfg.threads = threads;
-            if let Some(r) = rounds {
-                cfg.epochs = r;
-            }
-            Box::new(Centralized::new(server, train, &scaled_hyper(scale), cfg))
+            cfg.seed = a.seed;
+            cfg.threads = a.threads;
+            cfg.epochs = a.rounds.unwrap_or(cfg.epochs);
+            Box::new(Centralized::new(a.server, train, &scaled_hyper(a.scale), cfg))
         }
     })
+}
+
+fn log_round(t: &RoundTrace) {
+    eprintln!(
+        "  round {:>3}: client loss {:.4}, server loss {:.4}",
+        t.round, t.mean_client_loss, t.server_loss
+    );
 }
 
 /// The machine-readable shape of `ptf train --json`.
@@ -175,56 +219,78 @@ struct ScaleTrainJson {
     communication: LedgerSummary,
 }
 
-/// Everything `ptf train` parsed, bundled so the three run paths (plain
-/// engine, cohort-scheduled preset, streamed scale) share one signature.
-struct TrainArgs {
-    protocol: ProtocolChoice,
-    client: ModelKind,
-    server: ModelKind,
-    rounds: Option<u32>,
-    scale: Scale,
-    seed: u64,
-    k: usize,
-    threads: usize,
-    save: Option<String>,
-    policy: StoragePolicy,
-    users: Option<usize>,
-    cohort: Option<usize>,
-    participants: Option<usize>,
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: u32,
-    resume: bool,
-    halt_after: Option<u32>,
-    json: bool,
+/// The tail of every `ptf train`: evaluate when there is a held-out split
+/// (a streamed fleet of `users` has none), report as JSON or text, and
+/// honour `--save`.
+fn finish_train<P: FederatedProtocol>(
+    a: &TrainArgs,
+    engine: &Engine<P>,
+    trace: RunTrace,
+    held_out: Option<&TrainTestSplit>,
+    users: usize,
+) -> Result<(), Failure> {
+    let protocol = engine.protocol().name().to_string();
+    let dataset = a.dataset.name().to_string();
+    let communication = engine.ledger().summary();
+    let report = held_out.map(|split| engine.evaluate(&split.train, &split.test, a.k));
+    if a.json {
+        let seed = a.seed;
+        match report {
+            Some(report) => {
+                print_json(&TrainJson { protocol, dataset, seed, trace, report, communication })?
+            }
+            None => print_json(&ScaleTrainJson {
+                protocol,
+                dataset,
+                users,
+                seed,
+                trace,
+                communication,
+            })?,
+        }
+    } else {
+        match report {
+            Some(report) => emit(&report.to_string())?,
+            None => {
+                emit(&format!("scale run: {} rounds over {users} users", communication.rounds))?
+            }
+        }
+        print_traffic(&communication)?;
+    }
+    if let Some(path) = &a.save {
+        let state = engine
+            .protocol()
+            .recommender()
+            .export_full_state()
+            .ok_or("this model does not support checkpointing")?;
+        std::fs::write(path, state).map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("trained model checkpointed to {path}");
+    }
+    Ok(())
 }
 
 /// Builds (and on `--resume` rewinds) a cohort protocol, then drives it
 /// to its round budget — or to `--halt-after` — committing a durable
-/// checkpoint every `checkpoint_every` completed rounds plus one at the
+/// checkpoint every `--checkpoint-every` completed rounds plus one at the
 /// stopping point whenever `--checkpoint` is set. Returns the engine
-/// (for evaluation/export) and the recorder, which after a resume holds
-/// the *whole* run's trace: the manifest's committed rounds are replayed
-/// into it before the first live round.
-#[allow(clippy::too_many_arguments)]
+/// (for evaluation/export) and the trace, which after a resume is the
+/// *whole* run's: the manifest's committed rounds are replayed into the
+/// recorder before the first live round.
 fn run_cohort_engine(
+    a: &TrainArgs,
     data: CohortData,
-    client: ModelKind,
-    server: ModelKind,
-    hyper: &ModelHyper,
     cfg: PtfConfig,
     opts: CohortOptions,
-    ckpt: Option<&Path>,
-    checkpoint_every: u32,
-    resume: bool,
-    halt_after: Option<u32>,
-) -> Result<(Engine<CohortFedRec>, TraceRecorder), String> {
+) -> Result<(Engine<CohortFedRec>, RunTrace), String> {
+    let hyper = scaled_hyper(a.scale);
+    let ckpt = a.checkpoint.as_deref().map(Path::new);
     let fingerprint =
-        config_fingerprint(&cfg, client, server, hyper, data.num_users(), data.num_items());
+        config_fingerprint(&cfg, a.client, a.server, &hyper, data.num_users(), data.num_items());
     let budget = cfg.rounds;
-    let mut protocol =
-        CohortFedRec::try_new(data, client, server, hyper, cfg, opts).map_err(|e| e.to_string())?;
+    let mut protocol = CohortFedRec::try_new(data, a.client, a.server, &hyper, cfg, opts)
+        .map_err(|e| e.to_string())?;
     let recorder = TraceRecorder::new();
-    let mut engine = if resume {
+    let mut engine = if a.resume {
         let dir = ckpt.ok_or("--resume requires --checkpoint DIR")?;
         let manifest = checkpoint::load_manifest(dir).map_err(|e| e.to_string())?;
         manifest.verify_fingerprint(fingerprint).map_err(|e| e.to_string())?;
@@ -242,19 +308,16 @@ fn run_cohort_engine(
     }
     .with_observer(recorder.clone());
     while engine.rounds_completed() < budget {
-        if halt_after.is_some_and(|h| engine.rounds_completed() >= h) {
+        if a.halt_after.is_some_and(|h| engine.rounds_completed() >= h) {
             break;
         }
-        let t = engine.run_round();
-        eprintln!(
-            "  round {:>3}: client loss {:.4}, server loss {:.4}",
-            t.round, t.mean_client_loss, t.server_loss
-        );
+        log_round(&engine.run_round());
         let done = engine.rounds_completed();
         let at_end = done >= budget;
-        let halting = halt_after.is_some_and(|h| done >= h);
+        let halting = a.halt_after.is_some_and(|h| done >= h);
         if let Some(dir) = ckpt {
-            if at_end || halting || (checkpoint_every > 0 && done % checkpoint_every == 0) {
+            let due = a.checkpoint_every > 0 && done % a.checkpoint_every == 0;
+            if at_end || halting || due {
                 checkpoint::save_checkpoint(
                     dir,
                     engine.protocol(),
@@ -271,122 +334,39 @@ fn run_cohort_engine(
             break;
         }
     }
-    Ok((engine, recorder))
+    let trace = recorder.trace();
+    Ok((engine, trace))
 }
 
-/// `ptf train` on an in-RAM preset through the classic engine path (any
-/// protocol, whole fleet resident, no checkpointing).
-fn run_train_plain(preset: DatasetPreset, a: TrainArgs) -> Result<(), String> {
+/// `ptf train` on one of the in-RAM Table II presets: through the classic
+/// engine path (any protocol, whole fleet resident), or — under `--cohort`
+/// and/or `--checkpoint` — through the cohort engine, where
+/// `ServerScope::FullFleet` keeps the run bit-identical to the classic one.
+fn run_train_preset(preset: DatasetPreset, a: &TrainArgs, cohort: bool) -> Result<(), Failure> {
     let split = load_split(preset, a.scale, a.seed);
-    let boxed = build_protocol(
-        a.protocol,
-        &split.train,
-        a.client,
-        a.server,
-        a.rounds,
-        a.scale,
-        a.seed,
-        a.threads,
-        a.policy,
-    )?;
-    eprintln!(
-        "training {} on {} ({} clients, {} items)",
-        boxed.name(),
-        preset.name(),
-        split.train.num_users(),
-        split.train.num_items(),
-    );
-    let recorder = TraceRecorder::new();
-    let mut engine = Engine::new(boxed).with_observer(recorder.clone());
-    let trace = engine.run();
-    for r in &trace.rounds {
-        eprintln!(
-            "  round {:>3}: client loss {:.4}, server loss {:.4}",
-            r.round, r.mean_client_loss, r.server_loss
-        );
-    }
-    let report = engine.evaluate(&split.train, &split.test, a.k);
-    let summary = engine.ledger().summary();
-    if a.json {
-        let out = TrainJson {
-            protocol: engine.protocol().name().to_string(),
-            dataset: preset.name().to_string(),
-            seed: a.seed,
-            trace: recorder.trace(),
-            report,
-            communication: summary,
+    let (users, items) = (split.train.num_users(), split.train.num_items());
+    let sizes = format!("{} ({users} clients, {items} items)", preset.name());
+    if cohort {
+        let opts = CohortOptions {
+            cohort: a.cohort.unwrap_or(0),
+            store: match &a.checkpoint {
+                Some(dir) => StoreKind::Disk(Path::new(dir).join("clients")),
+                None => StoreKind::Memory,
+            },
+            server_scope: ServerScope::FullFleet,
         };
-        println!("{}", serde_json::to_string_pretty(&out).map_err(|e| e.to_string())?);
+        eprintln!("training PTF-FedRec/cohort on {sizes}");
+        let data = CohortData::Mem(split.train.clone());
+        let (engine, trace) = run_cohort_engine(a, data, train_config(a), opts)?;
+        finish_train(a, &engine, trace, Some(&split), users)
     } else {
-        println!("{report}");
-        println!(
-            "communication: {} per client-round (total {})",
-            format_bytes(summary.avg_client_bytes_per_round),
-            format_bytes(summary.total_bytes as f64)
-        );
+        let protocol = build_protocol(a, &split.train)?;
+        eprintln!("training {} on {sizes}", protocol.name());
+        let mut engine = Engine::new(protocol);
+        let trace = engine.run();
+        trace.rounds.iter().for_each(log_round);
+        finish_train(a, &engine, trace, Some(&split), users)
     }
-    save_trained_model(&engine, a.save.as_deref())
-}
-
-/// `ptf train` on one of the in-RAM Table II presets under cohort
-/// scheduling and/or durable checkpointing. `ServerScope::FullFleet`
-/// keeps the run bit-identical to the plain engine path.
-fn run_train_cohort_preset(preset: DatasetPreset, a: TrainArgs) -> Result<(), String> {
-    let split = load_split(preset, a.scale, a.seed);
-    let mut cfg = scaled_config(a.scale, a.seed);
-    cfg.threads = a.threads;
-    cfg.storage = a.policy;
-    if let Some(r) = a.rounds {
-        cfg.rounds = r;
-    }
-    let store = match &a.checkpoint {
-        Some(dir) => StoreKind::Disk(dir.join("clients")),
-        None => StoreKind::Memory,
-    };
-    let opts = CohortOptions {
-        cohort: a.cohort.unwrap_or(0),
-        store,
-        server_scope: ServerScope::FullFleet,
-    };
-    eprintln!(
-        "training PTF-FedRec/cohort on {} ({} clients, {} items)",
-        preset.name(),
-        split.train.num_users(),
-        split.train.num_items(),
-    );
-    let (engine, recorder) = run_cohort_engine(
-        CohortData::Mem(split.train.clone()),
-        a.client,
-        a.server,
-        &scaled_hyper(a.scale),
-        cfg,
-        opts,
-        a.checkpoint.as_deref(),
-        a.checkpoint_every,
-        a.resume,
-        a.halt_after,
-    )?;
-    let report = engine.evaluate(&split.train, &split.test, a.k);
-    let summary = engine.ledger().summary();
-    if a.json {
-        let out = TrainJson {
-            protocol: engine.protocol().name().to_string(),
-            dataset: preset.name().to_string(),
-            seed: a.seed,
-            trace: recorder.trace(),
-            report,
-            communication: summary,
-        };
-        println!("{}", serde_json::to_string_pretty(&out).map_err(|e| e.to_string())?);
-    } else {
-        println!("{report}");
-        println!(
-            "communication: {} per client-round (total {})",
-            format_bytes(summary.avg_client_bytes_per_round),
-            format_bytes(summary.total_bytes as f64)
-        );
-    }
-    save_trained_model(&engine, a.save.as_deref())
 }
 
 /// `ptf train` on a streamed `scale-*` dataset: the fleet is generated
@@ -394,20 +374,15 @@ fn run_train_cohort_preset(preset: DatasetPreset, a: TrainArgs) -> Result<(), St
 /// on-disk envelopes, the server is scoped to the ever-participating
 /// users, and ranking evaluation is skipped (there is no held-out
 /// split at this scale).
-fn run_train_scale(name: &'static str, a: TrainArgs) -> Result<(), String> {
+fn run_train_scale(name: &'static str, a: &TrainArgs) -> Result<(), Failure> {
     let mut sc = ScaleConfig::preset(name).ok_or_else(|| format!("unknown scale preset {name}"))?;
     if let Some(u) = a.users {
         if u == 0 {
-            return Err("--users must be > 0".to_string());
+            return Err("--users must be > 0".into());
         }
         sc.num_users = u;
     }
-    let mut cfg = scaled_config(a.scale, a.seed);
-    cfg.threads = a.threads;
-    cfg.storage = a.policy;
-    if let Some(r) = a.rounds {
-        cfg.rounds = r;
-    }
+    let mut cfg = train_config(a);
     // exact per-round participant count: fraction 0 defers to min_clients
     let p = a.participants.unwrap_or(64).clamp(1, sc.num_users);
     cfg.participation = Participation { fraction: 0.0, min_clients: p };
@@ -418,7 +393,7 @@ fn run_train_scale(name: &'static str, a: TrainArgs) -> Result<(), String> {
     // removed on every exit path, since the arena and envelopes in it
     // were working files of this run only.
     let (root, _cleanup) = match &a.checkpoint {
-        Some(dir) => (dir.clone(), None),
+        Some(dir) => (PathBuf::from(dir), None),
         None => {
             let tmp =
                 std::env::temp_dir().join(format!("ptf-scale-{}-{}", std::process::id(), a.seed));
@@ -446,7 +421,8 @@ fn run_train_scale(name: &'static str, a: TrainArgs) -> Result<(), String> {
                 "{} was generated as \"{found}\" but this run wants \"{meta}\" — \
                  delete it or point --checkpoint at a fresh directory",
                 arena_path.display(),
-            ));
+            )
+            .into());
         }
     }
     let arena = CsrArena::open(&arena_path)
@@ -460,7 +436,8 @@ fn run_train_scale(name: &'static str, a: TrainArgs) -> Result<(), String> {
             arena.num_items(),
             sc.num_users,
             sc.num_items,
-        ));
+        )
+        .into());
     }
     let opts = CohortOptions {
         cohort: a.cohort.unwrap_or(1024),
@@ -475,39 +452,8 @@ fn run_train_scale(name: &'static str, a: TrainArgs) -> Result<(), String> {
         if opts.cohort == 0 { sc.num_users } else { opts.cohort },
         p,
     );
-    let num_users = sc.num_users;
-    let (engine, recorder) = run_cohort_engine(
-        CohortData::Arena(arena),
-        a.client,
-        a.server,
-        &scaled_hyper(a.scale),
-        cfg,
-        opts,
-        a.checkpoint.as_deref(),
-        a.checkpoint_every,
-        a.resume,
-        a.halt_after,
-    )?;
-    let summary = engine.ledger().summary();
-    if a.json {
-        let out = ScaleTrainJson {
-            protocol: engine.protocol().name().to_string(),
-            dataset: name.to_string(),
-            users: num_users,
-            seed: a.seed,
-            trace: recorder.trace(),
-            communication: summary,
-        };
-        println!("{}", serde_json::to_string_pretty(&out).map_err(|e| e.to_string())?);
-    } else {
-        println!("scale run: {} rounds over {} users", summary.rounds, num_users);
-        println!(
-            "communication: {} per client-round (total {})",
-            format_bytes(summary.avg_client_bytes_per_round),
-            format_bytes(summary.total_bytes as f64)
-        );
-    }
-    save_trained_model(&engine, a.save.as_deref())
+    let (engine, trace) = run_cohort_engine(a, CohortData::Arena(arena), cfg, opts)?;
+    finish_train(a, &engine, trace, None, sc.num_users)
 }
 
 /// Deletes a directory tree when dropped (errors ignored: there is
@@ -520,21 +466,90 @@ impl Drop for RemoveOnDrop {
     }
 }
 
-/// `--save FILE`: export the trained (server) model's full state.
-fn save_trained_model<P: FederatedProtocol>(
-    engine: &Engine<P>,
-    save: Option<&str>,
-) -> Result<(), String> {
-    if let Some(path) = save {
-        let state = engine
-            .protocol()
-            .recommender()
-            .export_full_state()
-            .ok_or("this model does not support checkpointing")?;
-        std::fs::write(path, state).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("trained model checkpointed to {path}");
+/// `ptf train`: the cross-flag rules, then the run path the dataset and
+/// the cohort/checkpoint flags select.
+fn run_train(a: &TrainArgs) -> Result<(), Failure> {
+    let is_scale = matches!(a.dataset, DataChoice::Scale(_));
+    let cohort = is_scale || a.cohort.is_some() || a.checkpoint.is_some();
+    if a.resume && a.checkpoint.is_none() {
+        return Err("--resume requires --checkpoint DIR".into());
     }
-    Ok(())
+    if a.checkpoint_every > 0 && a.checkpoint.is_none() {
+        return Err("--checkpoint-every requires --checkpoint DIR".into());
+    }
+    if (a.users.is_some() || a.participants.is_some()) && !is_scale {
+        return Err("--users/--participants apply only to the scale-* datasets".into());
+    }
+    if a.halt_after.is_some() && !cohort {
+        return Err("--halt-after requires --checkpoint, --cohort, or a scale-* dataset".into());
+    }
+    if cohort && a.protocol != ProtocolChoice::Ptf {
+        return Err("cohort scheduling and checkpointing support --protocol ptf only".into());
+    }
+    if a.evict_budget > 0 && a.evict_interval == 0 {
+        return Err("--evict-budget requires --evict-interval".into());
+    }
+    match a.dataset {
+        DataChoice::Scale(name) => run_train_scale(name, a),
+        DataChoice::Preset(preset) => run_train_preset(preset, a, cohort),
+    }
+}
+
+/// The machine-readable shape of `ptf privacy --json`.
+#[derive(Serialize)]
+struct PrivacyJson {
+    defense: String,
+    attack_f1: f64,
+    dataset: String,
+    seed: u64,
+    trace: RunTrace,
+    report: RankingReport,
+    communication: LedgerSummary,
+}
+
+fn run_privacy(a: &PrivacyArgs) -> Result<(), Failure> {
+    let split = load_split(a.dataset, a.scale, a.seed);
+    let mut cfg = scaled_config(a.scale, a.seed);
+    cfg.threads = a.threads;
+    cfg.defense = match a.defense {
+        DefenseChoice::None => DefenseKind::NoDefense,
+        DefenseChoice::Ldp => DefenseKind::Ldp { epsilon: a.epsilon },
+        DefenseChoice::Sampling => DefenseKind::Sampling,
+        DefenseChoice::Full => DefenseKind::SamplingSwapping,
+    };
+    let defense = cfg.defense.name();
+    let recorder = TraceRecorder::new();
+    let mut fed = Federation::builder(&split.train)
+        .client_model(ModelKind::NeuMf)
+        .server_model(ModelKind::Ngcf)
+        .hyper(scaled_hyper(a.scale))
+        .config(cfg)
+        .observer(recorder.clone())
+        .build()
+        .map_err(|e| e.to_string())?;
+    fed.run();
+    let f1 = TopGuessAttack::default().mean_f1(
+        fed.protocol()
+            .last_uploads()
+            .iter()
+            .map(|u| (u.predictions.as_slice(), u.audit_positives.as_slice())),
+    );
+    let report = fed.evaluate(&split.train, &split.test, 20);
+    if a.json {
+        print_json(&PrivacyJson {
+            defense: defense.to_string(),
+            attack_f1: f1,
+            dataset: a.dataset.name().to_string(),
+            seed: a.seed,
+            trace: recorder.trace(),
+            report,
+            communication: fed.ledger().summary(),
+        })
+    } else {
+        emit(&format!(
+            "defense: {defense}\ntop-guess attack F1: {f1:.4} (lower = better privacy)\n{report}"
+        ))
+    }
 }
 
 /// The machine-readable shape of `ptf serve --json` — `ptf train`'s
@@ -550,6 +565,57 @@ struct ServeJson {
     connections: usize,
 }
 
+fn run_serve(a: &ServeArgs) -> Result<(), Failure> {
+    let f = &a.fleet;
+    let split = load_split(f.dataset, f.scale, f.seed);
+    let opts = NetServerOptions {
+        cfg: net_config(f),
+        client_kind: f.client,
+        server_kind: f.server,
+        hyper: scaled_hyper(f.scale),
+        round_deadline: Duration::from_millis(a.deadline_ms),
+        gather_timeout: Duration::from_millis(a.gather_ms),
+        verbose: true,
+    };
+    let endpoint = tcp::serve(("127.0.0.1", a.port))
+        .map_err(|e| format!("cannot bind 127.0.0.1:{}: {e}", a.port))?;
+    // the smoke tests (and humans scripting ephemeral ports) parse
+    // this line, so it goes out before anything blocks
+    eprintln!("listening on {}", endpoint.local_addr);
+    eprintln!(
+        "serving ptf-fedrec on {} ({} clients, {} items, {} rounds)",
+        f.dataset.name(),
+        split.train.num_users(),
+        split.train.num_items(),
+        opts.cfg.rounds,
+    );
+    let (report, trained) =
+        run_server(&split.train, &endpoint.events, &opts).map_err(|e| e.to_string())?;
+    let ranking = evaluate_model(trained.model(), &split.train, &split.test, a.k);
+    if f.json {
+        return print_json(&ServeJson {
+            dataset: f.dataset.name().to_string(),
+            seed: f.seed,
+            trace: report.trace,
+            report: ranking,
+            communication: report.communication,
+            stragglers: report.stragglers,
+            connections: report.connections,
+        });
+    }
+    emit(&ranking.to_string())?;
+    print_traffic(&report.communication)?;
+    emit(&format!(
+        "connections: {}, stragglers dropped: {}",
+        report.connections,
+        report.stragglers.len()
+    ))?;
+    report
+        .stragglers
+        .iter()
+        .try_for_each(|s| emit(&format!("  round {:>3}: dropped client {}", s.round, s.client)))
+}
+
 /// The machine-readable shape of `ptf client --json`.
 #[derive(Serialize)]
 struct ClientJson {
@@ -559,285 +625,61 @@ struct ClientJson {
     summary: ShardSummary,
 }
 
-/// The machine-readable shape of `ptf privacy --json`.
-#[derive(Serialize)]
-struct PrivacyJson {
-    defense: String,
-    attack_f1: f64,
-    dataset: String,
-    seed: u64,
-    trace: RunTrace,
-    report: RankingReport,
-    communication: LedgerSummary,
+fn run_client(a: &ClientArgs) -> Result<(), Failure> {
+    let f = &a.fleet;
+    let split = load_split(f.dataset, f.scale, f.seed);
+    let fleet = split.train.num_users() as u32;
+    // checked before the range is materialized: `--ids 0-4294967295`
+    // would otherwise allocate 16 GiB of ids to be told this by the shard
+    let (lo, hi) = a.ids.unwrap_or((0, fleet.saturating_sub(1)));
+    if hi >= fleet {
+        return Err(format!("client id {hi} outside fleet 0..{fleet}").into());
+    }
+    let opts = ShardOptions {
+        cfg: net_config(f),
+        client_kind: f.client,
+        server_kind: f.server,
+        hyper: scaled_hyper(f.scale),
+        ids: (lo..=hi).collect(),
+        straggle: a
+            .straggle_round
+            .map(|round| Straggle { round, delay: Duration::from_millis(a.straggle_ms) }),
+    };
+    eprintln!("hosting clients {lo}..={hi} of {fleet} on {}", a.addr);
+    let mut conn =
+        tcp::connect(a.addr.as_str()).map_err(|e| format!("cannot connect to {}: {e}", a.addr))?;
+    let summary = run_shard(&split.train, &mut conn, &opts).map_err(|e| e.to_string())?;
+    if f.json {
+        let (dataset, seed) = (f.dataset.name().to_string(), f.seed);
+        return print_json(&ClientJson { dataset, seed, addr: a.addr.clone(), summary });
+    }
+    emit(&format!(
+        "shard done: {} clients, {} uploads, {} dropped, {} rounds, {} up / {} down",
+        summary.clients,
+        summary.participations,
+        summary.dropped,
+        summary.rounds_finished,
+        format_bytes(summary.bytes_up as f64),
+        format_bytes(summary.bytes_down as f64),
+    ))
 }
 
-fn run(cmd: Command) -> Result<(), String> {
+fn run(cmd: Command) -> Result<(), Failure> {
     match cmd {
-        Command::Help => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        Command::Stats { scale, seed } => {
-            for preset in DatasetPreset::ALL {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let data = preset.generate(scale, &mut rng);
-                println!("{}", DatasetStats::of(&data));
-            }
-            Ok(())
-        }
-        Command::Train {
-            dataset,
-            protocol,
-            client,
-            server,
-            rounds,
-            scale,
-            seed,
-            k,
-            threads,
-            save,
-            storage,
-            evict_interval,
-            evict_budget,
-            users,
-            cohort,
-            participants,
-            checkpoint,
-            checkpoint_every,
-            resume,
-            halt_after,
-            json,
-        } => {
-            let policy = StoragePolicy {
-                mode: match storage {
-                    StorageChoice::Auto => StoragePolicy::default().mode,
-                    StorageChoice::Sparse => StorageMode::Sparse,
-                    StorageChoice::Dense => StorageMode::Dense,
-                },
-                evict_interval,
-                evict_budget,
-            };
-            let is_scale = matches!(dataset, DataChoice::Scale(_));
-            let wants_cohort = is_scale || cohort.is_some() || checkpoint.is_some();
-            if resume && checkpoint.is_none() {
-                return Err("--resume requires --checkpoint DIR".to_string());
-            }
-            if checkpoint_every > 0 && checkpoint.is_none() {
-                return Err("--checkpoint-every requires --checkpoint DIR".to_string());
-            }
-            if (users.is_some() || participants.is_some()) && !is_scale {
-                return Err("--users/--participants apply only to the scale-* datasets".to_string());
-            }
-            if halt_after.is_some() && !wants_cohort {
-                return Err("--halt-after requires --checkpoint, --cohort, or a scale-* dataset"
-                    .to_string());
-            }
-            if wants_cohort && protocol != ProtocolChoice::Ptf {
-                return Err(
-                    "cohort scheduling and checkpointing support --protocol ptf only".to_string()
-                );
-            }
-            let args = TrainArgs {
-                protocol,
-                client,
-                server,
-                rounds,
-                scale,
-                seed,
-                k,
-                threads,
-                save,
-                policy,
-                users,
-                cohort,
-                participants,
-                checkpoint: checkpoint.map(PathBuf::from),
-                checkpoint_every,
-                resume,
-                halt_after,
-                json,
-            };
-            match dataset {
-                DataChoice::Scale(name) => run_train_scale(name, args),
-                DataChoice::Preset(preset) if wants_cohort => run_train_cohort_preset(preset, args),
-                DataChoice::Preset(preset) => run_train_plain(preset, args),
-            }
-        }
-        Command::Privacy { dataset, defense, epsilon, scale, seed, threads, json } => {
-            let split = load_split(dataset, scale, seed);
-            let mut cfg = scaled_config(scale, seed);
-            cfg.threads = threads;
-            cfg.defense = match defense {
-                DefenseChoice::None => DefenseKind::NoDefense,
-                DefenseChoice::Ldp => DefenseKind::Ldp { epsilon },
-                DefenseChoice::Sampling => DefenseKind::Sampling,
-                DefenseChoice::Full => DefenseKind::SamplingSwapping,
-            };
-            let defense_name = cfg.defense.name();
-            let recorder = TraceRecorder::new();
-            let mut fed = Federation::builder(&split.train)
-                .client_model(ModelKind::NeuMf)
-                .server_model(ModelKind::Ngcf)
-                .hyper(scaled_hyper(scale))
-                .config(cfg)
-                .observer(recorder.clone())
-                .build()
-                .map_err(|e| e.to_string())?;
-            fed.run();
-            let f1 = TopGuessAttack::default().mean_f1(
-                fed.protocol()
-                    .last_uploads()
-                    .iter()
-                    .map(|u| (u.predictions.as_slice(), u.audit_positives.as_slice())),
-            );
-            let report = fed.evaluate(&split.train, &split.test, 20);
-            if json {
-                let out = PrivacyJson {
-                    defense: defense_name.to_string(),
-                    attack_f1: f1,
-                    dataset: dataset.name().to_string(),
-                    seed,
-                    trace: recorder.trace(),
-                    report,
-                    communication: fed.ledger().summary(),
-                };
-                println!("{}", serde_json::to_string_pretty(&out).map_err(|e| e.to_string())?);
-            } else {
-                println!("defense: {defense_name}");
-                println!("top-guess attack F1: {f1:.4} (lower = better privacy)");
-                println!("{report}");
-            }
-            Ok(())
-        }
-        Command::Serve {
-            dataset,
-            client,
-            server,
-            rounds,
-            scale,
-            seed,
-            k,
-            port,
-            participation,
-            deadline_ms,
-            gather_ms,
-            json,
-        } => {
-            let split = load_split(dataset, scale, seed);
-            let opts = NetServerOptions {
-                cfg: net_config(scale, seed, rounds, participation),
-                client_kind: client,
-                server_kind: server,
-                hyper: scaled_hyper(scale),
-                round_deadline: Duration::from_millis(deadline_ms),
-                gather_timeout: Duration::from_millis(gather_ms),
-                verbose: true,
-            };
-            let endpoint = tcp::serve(("127.0.0.1", port))
-                .map_err(|e| format!("cannot bind 127.0.0.1:{port}: {e}"))?;
-            // the smoke tests (and humans scripting ephemeral ports) parse
-            // this line, so it goes out before anything blocks
-            eprintln!("listening on {}", endpoint.local_addr);
-            eprintln!(
-                "serving ptf-fedrec on {} ({} clients, {} items, {} rounds)",
-                dataset.name(),
-                split.train.num_users(),
-                split.train.num_items(),
-                opts.cfg.rounds,
-            );
-            let (report, trained) =
-                run_server(&split.train, &endpoint.events, &opts).map_err(|e| e.to_string())?;
-            let ranking = evaluate_model(trained.model(), &split.train, &split.test, k);
-            if json {
-                let out = ServeJson {
-                    dataset: dataset.name().to_string(),
-                    seed,
-                    trace: report.trace,
-                    report: ranking,
-                    communication: report.communication,
-                    stragglers: report.stragglers,
-                    connections: report.connections,
-                };
-                println!("{}", serde_json::to_string_pretty(&out).map_err(|e| e.to_string())?);
-            } else {
-                println!("{ranking}");
-                println!(
-                    "communication: {} per client-round (total {})",
-                    format_bytes(report.communication.avg_client_bytes_per_round),
-                    format_bytes(report.communication.total_bytes as f64)
-                );
-                println!(
-                    "connections: {}, stragglers dropped: {}",
-                    report.connections,
-                    report.stragglers.len()
-                );
-                for s in &report.stragglers {
-                    println!("  round {:>3}: dropped client {}", s.round, s.client);
-                }
-            }
-            Ok(())
-        }
-        Command::Client {
-            addr,
-            dataset,
-            client,
-            server,
-            rounds,
-            scale,
-            seed,
-            ids,
-            participation,
-            straggle_round,
-            straggle_ms,
-            json,
-        } => {
-            let split = load_split(dataset, scale, seed);
-            let fleet = split.train.num_users() as u32;
-            let ids: Vec<u32> = match ids {
-                Some((lo, hi)) => (lo..=hi).collect(),
-                None => (0..fleet).collect(),
-            };
-            let opts = ShardOptions {
-                cfg: net_config(scale, seed, rounds, participation),
-                client_kind: client,
-                server_kind: server,
-                hyper: scaled_hyper(scale),
-                ids,
-                straggle: straggle_round
-                    .map(|round| Straggle { round, delay: Duration::from_millis(straggle_ms) }),
-            };
-            eprintln!(
-                "hosting clients {}..={} of {} on {}",
-                opts.ids.first().copied().unwrap_or(0),
-                opts.ids.last().copied().unwrap_or(0),
-                fleet,
-                addr,
-            );
-            let mut conn = tcp::connect(addr.as_str())
-                .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-            let summary = run_shard(&split.train, &mut conn, &opts).map_err(|e| e.to_string())?;
-            if json {
-                let out = ClientJson { dataset: dataset.name().to_string(), seed, addr, summary };
-                println!("{}", serde_json::to_string_pretty(&out).map_err(|e| e.to_string())?);
-            } else {
-                println!(
-                    "shard done: {} clients, {} uploads, {} dropped, {} rounds, {} up / {} down",
-                    summary.clients,
-                    summary.participations,
-                    summary.dropped,
-                    summary.rounds_finished,
-                    format_bytes(summary.bytes_up as f64),
-                    format_bytes(summary.bytes_down as f64),
-                );
-            }
-            Ok(())
-        }
+        Command::Help => emit(&usage()),
+        Command::Stats { scale, seed } => DatasetPreset::ALL.iter().try_for_each(|preset| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            emit(&DatasetStats::of(&preset.generate(scale, &mut rng)).to_string())
+        }),
+        Command::Train(args) => run_train(&args),
+        Command::Privacy(args) => run_privacy(&args),
+        Command::Serve(args) => run_serve(&args),
+        Command::Client(args) => run_client(&args),
         Command::Generate { dataset, out, scale, seed } => {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let data = dataset.generate(scale, &mut rng);
             std::fs::write(&out, data.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!("wrote {} ({})", out, DatasetStats::of(&data));
-            Ok(())
+            emit(&format!("wrote {} ({})", out, DatasetStats::of(&data)))
         }
     }
 }

@@ -1,11 +1,26 @@
 //! Command-line interface for the `ptf` binary.
 //!
 //! Hand-rolled argument parsing (no CLI dependency) kept separate from the
-//! binary so it is unit-testable. [`USAGE`] lists the commands and flags;
-//! `ptf-lint` checks it against the README.
+//! binary so it is unit-testable. Everything reads one table, `COMMANDS`:
+//! a row per command, naming its flags (`Flag { name, arg, required }`)
+//! and the function that builds the [`Command`] from what was given.
+//! [`parse`] walks `argv` against the row, [`usage`] prints the synopsis
+//! from it, and the tests below hold the README and the CI scripts to it.
+//!
+//! A flag whose values form a closed set (`--scale small|paper`) is a
+//! `Value` with `MEMBERS`: each member once, with its accepted
+//! spellings, canonical name first. The synopsis and the
+//! `unknown scale "x" (small|paper)` error are both printed from that list.
+//!
+//! A new flag goes in three places: its row in `COMMANDS`, a field of the
+//! struct the command carries, and the typed read (`opt`/`get`/`req`/
+//! `switch`/`positive`) that fills the field, default beside it. A flag
+//! that is declared and never read, or read and never declared, fails
+//! `tests::every_row_parses_prints_and_is_read_by_its_builder`.
 
 use ptf_data::{DatasetPreset, Scale};
 use ptf_models::ModelKind;
+use std::cell::RefCell;
 
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -13,114 +28,129 @@ pub enum Command {
     /// Print Table II style statistics of the three synthetic presets.
     Stats { scale: Scale, seed: u64 },
     /// Run a federated protocol and report metrics + traffic.
-    Train {
-        dataset: DataChoice,
-        /// Which protocol drives the run (all share one engine code path).
-        protocol: ProtocolChoice,
-        client: ModelKind,
-        server: ModelKind,
-        rounds: Option<u32>,
-        scale: Scale,
-        seed: u64,
-        k: usize,
-        /// Worker threads for the parallel client phase (`0` = every
-        /// hardware thread, the default). Runs are bit-identical at any
-        /// value.
-        threads: usize,
-        /// Write the trained model's checkpoint here after training.
-        save: Option<String>,
-        /// Per-client storage representation policy.
-        storage: StorageChoice,
-        /// Evict cold embedding rows every N local rounds (`0` = never).
-        evict_interval: u32,
-        /// Row budget an eviction pass trims each client back to.
-        evict_budget: usize,
-        /// Override a scale preset's user count (scale datasets only).
-        users: Option<usize>,
-        /// Clients resident in memory at once during the parallel phase
-        /// (`0` = the whole fleet; cohorting is what bounds peak heap).
-        /// Defaults to the whole fleet on the in-RAM presets and 1024 on
-        /// the scale presets.
-        cohort: Option<usize>,
-        /// Exact number of participants sampled per round (scale
-        /// datasets only; default 64 there).
-        participants: Option<usize>,
-        /// Durable checkpoint directory (written every
-        /// `--checkpoint-every` rounds and at the end of the run).
-        checkpoint: Option<String>,
-        /// Commit a checkpoint every N completed rounds (`0` = only at
-        /// the end of the run).
-        checkpoint_every: u32,
-        /// Resume from `--checkpoint` instead of starting from round 0.
-        resume: bool,
-        /// Stop (with a checkpoint, if configured) after N completed
-        /// rounds — the kill half of kill-and-resume tests.
-        halt_after: Option<u32>,
-        /// Emit the run as machine-readable JSON on stdout.
-        json: bool,
-    },
+    Train(TrainArgs),
     /// Run the Top-Guess privacy audit under one defense.
-    Privacy {
-        dataset: DatasetPreset,
-        defense: DefenseChoice,
-        epsilon: f64,
-        scale: Scale,
-        seed: u64,
-        /// Worker threads for the parallel client phase (`0` = all).
-        threads: usize,
-        /// Emit the audit as machine-readable JSON on stdout.
-        json: bool,
-    },
+    Privacy(PrivacyArgs),
     /// Export a synthetic dataset as JSON.
     Generate { dataset: DatasetPreset, out: String, scale: Scale, seed: u64 },
     /// Run the networked round server (`ptf serve`).
-    Serve {
-        dataset: DatasetPreset,
-        client: ModelKind,
-        server: ModelKind,
-        rounds: Option<u32>,
-        scale: Scale,
-        seed: u64,
-        k: usize,
-        /// TCP port to bind on 127.0.0.1 (`0` = ephemeral; the bound
-        /// address is printed to stderr).
-        port: u16,
-        /// Fraction of trainable clients sampled per round (must match
-        /// the clients' `--participation`).
-        participation: f64,
-        /// Per-round upload deadline; clients past it are dropped for
-        /// that round.
-        deadline_ms: u64,
-        /// How long to wait for the full fleet to connect before
-        /// giving up.
-        gather_ms: u64,
-        /// Emit the run as machine-readable JSON on stdout.
-        json: bool,
-    },
+    Serve(ServeArgs),
     /// Run a networked client shard (`ptf client`).
-    Client {
-        /// Server address, e.g. `127.0.0.1:7878`.
-        addr: String,
-        dataset: DatasetPreset,
-        client: ModelKind,
-        server: ModelKind,
-        rounds: Option<u32>,
-        scale: Scale,
-        seed: u64,
-        /// Inclusive client-id range `A-B` (or a single id `A`) this
-        /// process hosts; `None` hosts the whole fleet.
-        ids: Option<(u32, u32)>,
-        /// Must match the server's `--participation`.
-        participation: f64,
-        /// Test/chaos hook: before uploading in this round, sleep
-        /// `--straggle-ms` (the server drops the shard for that round).
-        straggle_round: Option<u32>,
-        straggle_ms: u64,
-        /// Emit the shard summary as machine-readable JSON on stdout.
-        json: bool,
-    },
+    Client(ClientArgs),
     /// Print usage.
     Help,
+}
+
+/// Everything `ptf train` takes; the three run paths (plain engine,
+/// cohort-scheduled preset, streamed scale) share it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TrainArgs {
+    pub dataset: DataChoice,
+    /// Which protocol drives the run (all share one engine code path).
+    pub protocol: ProtocolChoice,
+    pub client: ModelKind,
+    pub server: ModelKind,
+    pub rounds: Option<u32>,
+    pub scale: Scale,
+    pub seed: u64,
+    pub k: usize,
+    /// Worker threads for the parallel client phase (`0` = every
+    /// hardware thread, the default). Runs are bit-identical at any
+    /// value.
+    pub threads: usize,
+    /// Write the trained model's checkpoint here after training.
+    pub save: Option<String>,
+    /// Per-client storage representation policy.
+    pub storage: StorageChoice,
+    /// Evict cold embedding rows every N local rounds (`0` = never).
+    pub evict_interval: u32,
+    /// Row budget an eviction pass trims each client back to.
+    pub evict_budget: usize,
+    /// Override a scale preset's user count (scale datasets only).
+    pub users: Option<usize>,
+    /// Clients resident in memory at once during the parallel phase
+    /// (`0` = the whole fleet; cohorting is what bounds peak heap).
+    /// Defaults to the whole fleet on the in-RAM presets and 1024 on
+    /// the scale presets.
+    pub cohort: Option<usize>,
+    /// Exact number of participants sampled per round (scale
+    /// datasets only; default 64 there).
+    pub participants: Option<usize>,
+    /// Durable checkpoint directory (written every
+    /// `--checkpoint-every` rounds and at the end of the run).
+    pub checkpoint: Option<String>,
+    /// Commit a checkpoint every N completed rounds (`0` = only at
+    /// the end of the run).
+    pub checkpoint_every: u32,
+    /// Resume from `--checkpoint` instead of starting from round 0.
+    pub resume: bool,
+    /// Stop (with a checkpoint, if configured) after N completed
+    /// rounds — the kill half of kill-and-resume tests.
+    pub halt_after: Option<u32>,
+    /// Emit the run as machine-readable JSON on stdout.
+    pub json: bool,
+}
+
+/// Everything `ptf privacy` takes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PrivacyArgs {
+    pub dataset: DatasetPreset,
+    pub defense: DefenseChoice,
+    pub epsilon: f64,
+    pub scale: Scale,
+    pub seed: u64,
+    /// Worker threads for the parallel client phase (`0` = all).
+    pub threads: usize,
+    /// Emit the audit as machine-readable JSON on stdout.
+    pub json: bool,
+}
+
+/// What `ptf serve` and every `ptf client` of one run must agree on — the
+/// whole input of the networked run's config, which the handshake
+/// fingerprints.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FleetArgs {
+    pub dataset: DatasetPreset,
+    pub client: ModelKind,
+    pub server: ModelKind,
+    pub rounds: Option<u32>,
+    pub scale: Scale,
+    pub seed: u64,
+    /// Fraction of trainable clients sampled per round.
+    pub participation: f64,
+    /// Emit the run (or shard summary) as machine-readable JSON on stdout.
+    pub json: bool,
+}
+
+/// Everything `ptf serve` takes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ServeArgs {
+    pub fleet: FleetArgs,
+    pub k: usize,
+    /// TCP port to bind on 127.0.0.1 (`0` = ephemeral; the bound
+    /// address is printed to stderr).
+    pub port: u16,
+    /// Per-round upload deadline; clients past it are dropped for
+    /// that round.
+    pub deadline_ms: u64,
+    /// How long to wait for the full fleet to connect before
+    /// giving up.
+    pub gather_ms: u64,
+}
+
+/// Everything `ptf client` takes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ClientArgs {
+    pub fleet: FleetArgs,
+    /// Server address, e.g. `127.0.0.1:7878`.
+    pub addr: String,
+    /// Inclusive client-id range `A-B` (or a single id `A`) this
+    /// process hosts; `None` hosts the whole fleet.
+    pub ids: Option<(u32, u32)>,
+    /// Test/chaos hook: before uploading in this round, sleep
+    /// `--straggle-ms` (the server drops the shard for that round).
+    pub straggle_round: Option<u32>,
+    pub straggle_ms: u64,
 }
 
 /// What `ptf train --dataset` names: a Table II synthetic preset or a
@@ -176,30 +206,523 @@ pub enum ProtocolChoice {
     Centralized,
 }
 
-pub const USAGE: &str = "\
-ptf — PTF-FedRec: parameter transmission-free federated recommendation
+/// What a flag value parses into. Closed sets list `MEMBERS` and inherit
+/// `parse`; open values (numbers, text, id ranges) override it.
+trait Value: Clone + 'static {
+    /// What an unknown member is reported as: `unknown {WHAT} "x" (a|b)`.
+    const WHAT: &'static str = "";
+    /// Every member of a closed set with its accepted spellings (matched
+    /// case-insensitively), canonical name first.
+    const MEMBERS: &'static [(Self, &'static [&'static str])] = &[];
 
-USAGE:
-    ptf stats    [--scale small|paper] [--seed N]
-    ptf train    --dataset ml100k|steam|gowalla|scale-10k|scale-100k|scale-1m
-                 [--protocol ptf|fcf|fedmf|metamf|centralized]
-                 [--client neumf|ngcf|lightgcn|mf] [--server neumf|ngcf|lightgcn|mf]
-                 [--rounds N] [--scale S] [--seed N] [--k K] [--threads N]
-                 [--storage auto|sparse|dense] [--evict-interval N]
-                 [--evict-budget N] [--users N] [--cohort N] [--participants N]
-                 [--checkpoint DIR] [--checkpoint-every N] [--resume]
-                 [--halt-after N] [--save checkpoint.json] [--json]
-    ptf privacy  --dataset D [--defense none|ldp|sampling|full] [--epsilon E]
-                 [--scale S] [--seed N] [--threads N] [--json]
-    ptf generate --dataset D --out FILE [--scale S] [--seed N]
-    ptf serve    --dataset D [--port P] [--client M] [--server M] [--rounds N]
-                 [--scale S] [--seed N] [--k K] [--participation F]
-                 [--deadline-ms N] [--gather-ms N] [--json]
-    ptf client   --addr HOST:PORT --dataset D [--ids A-B] [--client M]
-                 [--server M] [--rounds N] [--scale S] [--seed N]
-                 [--participation F] [--straggle-round N] [--straggle-ms N]
-                 [--json]
+    fn parse(_flag: &str, s: &str) -> Result<Self, String> {
+        pick(s).ok_or_else(|| unknown(Self::WHAT, &names::<Self>(), s))
+    }
 
+    /// Whether `--flag must be > 0` holds; only numbers are asked.
+    fn is_positive(&self) -> bool {
+        true
+    }
+}
+
+/// The member of a closed set spelled `s`.
+fn pick<T: Value>(s: &str) -> Option<T> {
+    let s = s.to_ascii_lowercase();
+    T::MEMBERS.iter().find(|(_, spellings)| spellings.contains(&s.as_str())).map(|(v, _)| v.clone())
+}
+
+/// The canonical names of a closed set, in declaration order.
+fn names<T: Value>() -> Vec<&'static str> {
+    T::MEMBERS.iter().map(|(_, spellings)| spellings[0]).collect()
+}
+
+fn unknown(what: &str, names: &[&str], s: &str) -> String {
+    format!("unknown {what} {s:?} ({})", names.join("|"))
+}
+
+impl Value for DatasetPreset {
+    const WHAT: &'static str = "dataset";
+    const MEMBERS: &'static [(Self, &'static [&'static str])] = &[
+        (Self::MovieLens100K, &["ml100k", "ml-100k", "movielens"]),
+        (Self::Steam200K, &["steam", "steam200k", "steam-200k"]),
+        (Self::Gowalla, &["gowalla"]),
+    ];
+}
+
+/// `--dataset` for `train`: the Table II presets, then the streamed scale
+/// presets listed here (canonical names match `ScaleConfig::preset`).
+impl Value for DataChoice {
+    const WHAT: &'static str = "dataset";
+    const MEMBERS: &'static [(Self, &'static [&'static str])] = &[
+        (Self::Scale("scale-10k"), &["scale-10k", "scale10k"]),
+        (Self::Scale("scale-100k"), &["scale-100k", "scale100k"]),
+        (Self::Scale("scale-1m"), &["scale-1m", "scale1m"]),
+    ];
+
+    fn parse(_flag: &str, s: &str) -> Result<Self, String> {
+        let choice = pick(s).map(Self::Preset).or_else(|| pick(s));
+        choice.ok_or_else(|| unknown(Self::WHAT, &train_datasets(), s))
+    }
+}
+
+fn train_datasets() -> Vec<&'static str> {
+    [names::<DatasetPreset>(), names::<DataChoice>()].concat()
+}
+
+impl Value for Scale {
+    const WHAT: &'static str = "scale";
+    const MEMBERS: &'static [(Self, &'static [&'static str])] =
+        &[(Self::Small, &["small"]), (Self::Paper, &["paper"])];
+}
+
+impl Value for ModelKind {
+    const WHAT: &'static str = "model";
+    const MEMBERS: &'static [(Self, &'static [&'static str])] = &[
+        (Self::NeuMf, &["neumf"]),
+        (Self::Ngcf, &["ngcf"]),
+        (Self::LightGcn, &["lightgcn"]),
+        (Self::Mf, &["mf"]),
+    ];
+}
+
+impl Value for StorageChoice {
+    const WHAT: &'static str = "storage";
+    const MEMBERS: &'static [(Self, &'static [&'static str])] = &[
+        (Self::Auto, &["auto"]),
+        (Self::Sparse, &["sparse", "scoped"]),
+        (Self::Dense, &["dense", "full"]),
+    ];
+}
+
+impl Value for DefenseChoice {
+    const WHAT: &'static str = "defense";
+    const MEMBERS: &'static [(Self, &'static [&'static str])] = &[
+        (Self::None, &["none"]),
+        (Self::Ldp, &["ldp"]),
+        (Self::Sampling, &["sampling"]),
+        (Self::Full, &["full", "sampling+swapping"]),
+    ];
+}
+
+impl Value for ProtocolChoice {
+    const WHAT: &'static str = "protocol";
+    const MEMBERS: &'static [(Self, &'static [&'static str])] = &[
+        (Self::Ptf, &["ptf", "ptf-fedrec", "ptffedrec"]),
+        (Self::Fcf, &["fcf"]),
+        (Self::FedMf, &["fedmf"]),
+        (Self::MetaMf, &["metamf"]),
+        (Self::Centralized, &["centralized", "central"]),
+    ];
+}
+
+fn number<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("bad --{flag} {s:?}"))
+}
+
+macro_rules! count_values {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn parse(flag: &str, s: &str) -> Result<Self, String> {
+                number(flag, s)
+            }
+
+            fn is_positive(&self) -> bool {
+                *self > 0
+            }
+        }
+    )*};
+}
+count_values!(u16, u32, u64, usize);
+
+impl Value for f64 {
+    fn parse(flag: &str, s: &str) -> Result<Self, String> {
+        number(flag, s)
+    }
+
+    /// `nan` and `inf` are no usable budget either.
+    fn is_positive(&self) -> bool {
+        *self > 0.0 && self.is_finite()
+    }
+}
+
+impl Value for String {
+    fn parse(_flag: &str, s: &str) -> Result<Self, String> {
+        Ok(s.to_string())
+    }
+}
+
+/// `--ids A-B` (inclusive) or a single id `--ids A`.
+impl Value for (u32, u32) {
+    fn parse(flag: &str, s: &str) -> Result<Self, String> {
+        let bad = || format!("bad --{flag} {s:?} (expected A-B or a single id A)");
+        let (lo, hi) = s.split_once('-').unwrap_or((s, s));
+        let lo: u32 = lo.trim().parse().map_err(|_| bad())?;
+        let hi: u32 = hi.trim().parse().map_err(|_| bad())?;
+        if lo > hi {
+            return Err(format!("bad --{flag} {s:?}: {lo} > {hi}"));
+        }
+        Ok((lo, hi))
+    }
+}
+
+/// What follows a flag on the command line, and so in the synopsis.
+enum Arg {
+    /// Nothing: `[--json]`.
+    Switch,
+    /// A free value, shown as this placeholder: `[--seed N]`.
+    Text(&'static str),
+    /// A member of the closed set with these names: `[--scale small|paper]`.
+    OneOf(fn() -> Vec<&'static str>),
+}
+
+use Arg::{OneOf, Switch, Text};
+
+struct Flag {
+    name: &'static str,
+    arg: Arg,
+    required: bool,
+}
+
+struct CommandSpec {
+    name: &'static str,
+    flags: &'static [Flag],
+    /// Builds the command from the flags given; being in the row, no
+    /// second `match` on the command name exists.
+    build: fn(&Given) -> Result<Command, String>,
+}
+
+/// Flags several commands take, said once.
+const DATASET: Flag = Flag { name: "dataset", arg: OneOf(names::<DatasetPreset>), required: true };
+const CLIENT: Flag = Flag { name: "client", arg: OneOf(names::<ModelKind>), required: false };
+const SERVER: Flag = Flag { name: "server", arg: OneOf(names::<ModelKind>), required: false };
+const ROUNDS: Flag = Flag { name: "rounds", arg: Text("N"), required: false };
+const SCALE: Flag = Flag { name: "scale", arg: OneOf(names::<Scale>), required: false };
+const SEED: Flag = Flag { name: "seed", arg: Text("N"), required: false };
+const K: Flag = Flag { name: "k", arg: Text("N"), required: false };
+const THREADS: Flag = Flag { name: "threads", arg: Text("N"), required: false };
+const PARTICIPATION: Flag = Flag { name: "participation", arg: Text("F"), required: false };
+const JSON: Flag = Flag { name: "json", arg: Switch, required: false };
+
+/// The command table: the parser, `ptf help` and the doc checks read this.
+const COMMANDS: &[CommandSpec] = &[
+    CommandSpec { name: "stats", flags: &[SCALE, SEED], build: stats },
+    CommandSpec {
+        name: "train",
+        flags: &[
+            Flag { name: "dataset", arg: OneOf(train_datasets), required: true },
+            Flag { name: "protocol", arg: OneOf(names::<ProtocolChoice>), required: false },
+            CLIENT,
+            SERVER,
+            ROUNDS,
+            SCALE,
+            SEED,
+            K,
+            THREADS,
+            Flag { name: "storage", arg: OneOf(names::<StorageChoice>), required: false },
+            Flag { name: "evict-interval", arg: Text("N"), required: false },
+            Flag { name: "evict-budget", arg: Text("N"), required: false },
+            Flag { name: "users", arg: Text("N"), required: false },
+            Flag { name: "cohort", arg: Text("N"), required: false },
+            Flag { name: "participants", arg: Text("N"), required: false },
+            Flag { name: "checkpoint", arg: Text("DIR"), required: false },
+            Flag { name: "checkpoint-every", arg: Text("N"), required: false },
+            Flag { name: "resume", arg: Switch, required: false },
+            Flag { name: "halt-after", arg: Text("N"), required: false },
+            Flag { name: "save", arg: Text("FILE"), required: false },
+            JSON,
+        ],
+        build: train,
+    },
+    CommandSpec {
+        name: "privacy",
+        flags: &[
+            DATASET,
+            Flag { name: "defense", arg: OneOf(names::<DefenseChoice>), required: false },
+            Flag { name: "epsilon", arg: Text("E"), required: false },
+            SCALE,
+            SEED,
+            THREADS,
+            JSON,
+        ],
+        build: privacy,
+    },
+    CommandSpec {
+        name: "generate",
+        flags: &[DATASET, Flag { name: "out", arg: Text("FILE"), required: true }, SCALE, SEED],
+        build: generate,
+    },
+    CommandSpec {
+        name: "serve",
+        flags: &[
+            DATASET,
+            Flag { name: "port", arg: Text("N"), required: false },
+            CLIENT,
+            SERVER,
+            ROUNDS,
+            SCALE,
+            SEED,
+            K,
+            PARTICIPATION,
+            Flag { name: "deadline-ms", arg: Text("N"), required: false },
+            Flag { name: "gather-ms", arg: Text("N"), required: false },
+            JSON,
+        ],
+        build: serve,
+    },
+    CommandSpec {
+        name: "client",
+        flags: &[
+            Flag { name: "addr", arg: Text("HOST:PORT"), required: true },
+            DATASET,
+            Flag { name: "ids", arg: Text("A-B"), required: false },
+            CLIENT,
+            SERVER,
+            ROUNDS,
+            SCALE,
+            SEED,
+            PARTICIPATION,
+            Flag { name: "straggle-round", arg: Text("N"), required: false },
+            Flag { name: "straggle-ms", arg: Text("N"), required: false },
+            JSON,
+        ],
+        build: client,
+    },
+];
+
+/// What one invocation gave of its command's row, read by flag name.
+struct Given<'a> {
+    cmd: &'static CommandSpec,
+    /// `(flag, value)` in argv order; a switch's value is empty.
+    values: Vec<(&'static str, &'a str)>,
+    /// Every flag a builder asked for, so a test can hold it to the row.
+    read: RefCell<Vec<&'static str>>,
+}
+
+/// Walks `args` against the command's row: every argument is a flag of
+/// the row, given once, with its value; every required flag is there.
+fn collect<'a>(cmd: &'static CommandSpec, args: &'a [String]) -> Result<Given<'a>, String> {
+    let mut given = Given { cmd, values: Vec::new(), read: RefCell::new(Vec::new()) };
+    let mut args = args.iter();
+    while let Some(key) = args.next() {
+        let Some(name) = key.strip_prefix("--") else {
+            return Err(format!("unexpected argument {key:?}"));
+        };
+        let Some(flag) = cmd.flags.iter().find(|f| f.name == name) else {
+            return Err(format!("unknown option --{name}"));
+        };
+        let value = match flag.arg {
+            Switch => "",
+            Text(_) | OneOf(_) => args.next().ok_or_else(|| format!("--{name} needs a value"))?,
+        };
+        if given.has(name) {
+            return Err(format!("--{name} given twice"));
+        }
+        given.values.push((flag.name, value));
+    }
+    match cmd.flags.iter().find(|f| f.required && !given.has(f.name)) {
+        Some(missing) => Err(given.requires(missing.name)),
+        None => Ok(given),
+    }
+}
+
+impl Given<'_> {
+    fn has(&self, name: &str) -> bool {
+        self.values.iter().any(|(given, _)| *given == name)
+    }
+
+    fn requires(&self, name: &str) -> String {
+        format!("{} requires --{name}", self.cmd.name)
+    }
+
+    fn raw(&self, name: &'static str) -> Option<&str> {
+        debug_assert!(
+            self.cmd.flags.iter().any(|f| f.name == name),
+            "`{}` reads --{name}, which its row does not list",
+            self.cmd.name
+        );
+        self.read.borrow_mut().push(name);
+        self.values.iter().find(|(given, _)| *given == name).map(|(_, value)| *value)
+    }
+
+    /// `--name VALUE`, if given.
+    fn opt<T: Value>(&self, name: &'static str) -> Result<Option<T>, String> {
+        self.raw(name).map(|s| T::parse(name, s)).transpose()
+    }
+
+    /// `--name VALUE`, or `default`.
+    fn get<T: Value>(&self, name: &'static str, default: T) -> Result<T, String> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    /// `--name VALUE` of a required flag.
+    fn req<T: Value>(&self, name: &'static str) -> Result<T, String> {
+        self.opt(name)?.ok_or_else(|| self.requires(name))
+    }
+
+    /// Whether the valueless `--name` was given.
+    fn switch(&self, name: &'static str) -> bool {
+        self.raw(name).is_some()
+    }
+
+    /// `--name N`, if given, where only `N > 0` means anything.
+    fn positive<T: Value>(&self, name: &'static str) -> Result<Option<T>, String> {
+        match self.opt::<T>(name)? {
+            Some(v) if !v.is_positive() => Err(format!("--{name} must be > 0")),
+            v => Ok(v),
+        }
+    }
+}
+
+fn stats(g: &Given) -> Result<Command, String> {
+    Ok(Command::Stats { scale: g.get("scale", Scale::Small)?, seed: g.get("seed", 2024)? })
+}
+
+fn train(g: &Given) -> Result<Command, String> {
+    Ok(Command::Train(TrainArgs {
+        dataset: g.req("dataset")?,
+        protocol: g.get("protocol", ProtocolChoice::Ptf)?,
+        client: g.get("client", ModelKind::NeuMf)?,
+        server: g.get("server", ModelKind::Ngcf)?,
+        rounds: g.opt("rounds")?,
+        scale: g.get("scale", Scale::Small)?,
+        seed: g.get("seed", 2024)?,
+        k: g.positive("k")?.unwrap_or(20),
+        threads: g.get("threads", 0)?,
+        save: g.opt("save")?,
+        storage: g.get("storage", StorageChoice::Auto)?,
+        evict_interval: g.get("evict-interval", 0)?,
+        evict_budget: g.get("evict-budget", 0)?,
+        users: g.opt("users")?,
+        cohort: g.opt("cohort")?,
+        participants: g.opt("participants")?,
+        checkpoint: g.opt("checkpoint")?,
+        checkpoint_every: g.get("checkpoint-every", 0)?,
+        resume: g.switch("resume"),
+        halt_after: g.positive("halt-after")?,
+        json: g.switch("json"),
+    }))
+}
+
+fn privacy(g: &Given) -> Result<Command, String> {
+    Ok(Command::Privacy(PrivacyArgs {
+        dataset: g.req("dataset")?,
+        defense: g.get("defense", DefenseChoice::Full)?,
+        epsilon: g.positive("epsilon")?.unwrap_or(5.0),
+        scale: g.get("scale", Scale::Small)?,
+        seed: g.get("seed", 2024)?,
+        threads: g.get("threads", 0)?,
+        json: g.switch("json"),
+    }))
+}
+
+fn generate(g: &Given) -> Result<Command, String> {
+    Ok(Command::Generate {
+        dataset: g.req("dataset")?,
+        out: g.req("out")?,
+        scale: g.get("scale", Scale::Small)?,
+        seed: g.get("seed", 2024)?,
+    })
+}
+
+/// The flags `serve` and `client` share. `--participation F` is in
+/// (0, 1]; the default `1.0` samples every client.
+fn fleet(g: &Given) -> Result<FleetArgs, String> {
+    let participation = g.get("participation", 1.0)?;
+    if !(participation > 0.0 && participation <= 1.0) {
+        return Err(format!("--participation must be in (0, 1], got {participation}"));
+    }
+    Ok(FleetArgs {
+        dataset: g.req("dataset")?,
+        client: g.get("client", ModelKind::NeuMf)?,
+        server: g.get("server", ModelKind::Ngcf)?,
+        rounds: g.opt("rounds")?,
+        scale: g.get("scale", Scale::Small)?,
+        seed: g.get("seed", 2024)?,
+        participation,
+        json: g.switch("json"),
+    })
+}
+
+fn serve(g: &Given) -> Result<Command, String> {
+    Ok(Command::Serve(ServeArgs {
+        fleet: fleet(g)?,
+        k: g.positive("k")?.unwrap_or(20),
+        port: g.get("port", 7878)?,
+        deadline_ms: g.get("deadline-ms", 30_000)?,
+        gather_ms: g.get("gather-ms", 30_000)?,
+    }))
+}
+
+fn client(g: &Given) -> Result<Command, String> {
+    Ok(Command::Client(ClientArgs {
+        fleet: fleet(g)?,
+        addr: g.req("addr")?,
+        ids: g.opt("ids")?,
+        straggle_round: g.opt("straggle-round")?,
+        straggle_ms: g.get("straggle-ms", 0)?,
+    }))
+}
+
+/// Parses a full argument list (without the program name).
+pub fn parse(args: &[String]) -> Result<Command, String> {
+    let Some((name, rest)) = args.split_first() else {
+        return Ok(Command::Help);
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(format!("unknown command {name:?}\n\n{}", usage()));
+    };
+    (cmd.build)(&collect(cmd, rest)?)
+}
+
+/// Columns a synopsis line may fill, and where a command's flags start
+/// (`    ptf generate ` — continuation lines hang under it).
+const WIDTH: usize = 80;
+const INDENT: usize = 17;
+
+/// One command's synopsis, greedily wrapped: required flags bare,
+/// optional ones bracketed, closed sets spelled out.
+fn synopsis_of(cmd: &CommandSpec) -> Vec<String> {
+    let mut lines = Vec::new();
+    let mut line = format!("    ptf {:<8} ", cmd.name);
+    for flag in cmd.flags {
+        let body = match flag.arg {
+            Switch => format!("--{}", flag.name),
+            Text(placeholder) => format!("--{} {placeholder}", flag.name),
+            OneOf(set) => format!("--{} {}", flag.name, set().join("|")),
+        };
+        let piece = if flag.required { body } else { format!("[{body}]") };
+        if line.len() > INDENT {
+            if line.len() + 1 + piece.len() > WIDTH {
+                lines.push(std::mem::replace(&mut line, " ".repeat(INDENT)));
+            } else {
+                line.push(' ');
+            }
+        }
+        line.push_str(&piece);
+    }
+    lines.push(line);
+    lines
+}
+
+/// The `USAGE:` lines of `ptf help`, one command after another.
+pub fn synopsis() -> Vec<String> {
+    COMMANDS.iter().flat_map(synopsis_of).collect()
+}
+
+/// What `ptf help` prints: the synopsis generated from the command table,
+/// then the notes.
+pub fn usage() -> String {
+    format!(
+        "ptf — PTF-FedRec: parameter transmission-free federated recommendation\n\n\
+         USAGE:\n{}\n\n{NOTES}",
+        synopsis().join("\n")
+    )
+}
+
+const NOTES: &str = "\
 `--client`/`--server` select the model architectures for the ptf protocol;
 centralized trains the --server architecture (ignoring --client), and the
 MF-family baselines (fcf, fedmf, metamf) use their paper dimensions and
@@ -230,458 +753,6 @@ a config-fingerprint handshake rejects drift. With the same seed the
 run's trace is byte-identical to `ptf train`. See docs/wire-protocol.md.
 ";
 
-fn parse_dataset(s: &str) -> Result<DatasetPreset, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "ml100k" | "ml-100k" | "movielens" => Ok(DatasetPreset::MovieLens100K),
-        "steam" | "steam200k" | "steam-200k" => Ok(DatasetPreset::Steam200K),
-        "gowalla" => Ok(DatasetPreset::Gowalla),
-        other => Err(format!("unknown dataset {other:?} (ml100k|steam|gowalla)")),
-    }
-}
-
-/// `--dataset` for `train`: the Table II presets plus the streamed scale
-/// presets. The canonical scale names match `ScaleConfig::preset`.
-fn parse_data(s: &str) -> Result<DataChoice, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "scale-10k" | "scale10k" => Ok(DataChoice::Scale("scale-10k")),
-        "scale-100k" | "scale100k" => Ok(DataChoice::Scale("scale-100k")),
-        "scale-1m" | "scale1m" => Ok(DataChoice::Scale("scale-1m")),
-        _ => parse_dataset(s).map(DataChoice::Preset).map_err(|_| {
-            format!("unknown dataset {s:?} (ml100k|steam|gowalla|scale-10k|scale-100k|scale-1m)")
-        }),
-    }
-}
-
-fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "small" => Ok(Scale::Small),
-        "paper" => Ok(Scale::Paper),
-        other => Err(format!("unknown scale {other:?} (small|paper)")),
-    }
-}
-
-fn parse_model(s: &str) -> Result<ModelKind, String> {
-    ModelKind::parse(s).ok_or_else(|| format!("unknown model {s:?} (neumf|ngcf|lightgcn|mf)"))
-}
-
-fn parse_storage(s: &str) -> Result<StorageChoice, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "auto" => Ok(StorageChoice::Auto),
-        "sparse" | "scoped" => Ok(StorageChoice::Sparse),
-        "dense" | "full" => Ok(StorageChoice::Dense),
-        other => Err(format!("unknown storage {other:?} (auto|sparse|dense)")),
-    }
-}
-
-fn parse_defense(s: &str) -> Result<DefenseChoice, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "none" => Ok(DefenseChoice::None),
-        "ldp" => Ok(DefenseChoice::Ldp),
-        "sampling" => Ok(DefenseChoice::Sampling),
-        "full" | "sampling+swapping" => Ok(DefenseChoice::Full),
-        other => Err(format!("unknown defense {other:?} (none|ldp|sampling|full)")),
-    }
-}
-
-fn parse_protocol(s: &str) -> Result<ProtocolChoice, String> {
-    match s.to_ascii_lowercase().as_str() {
-        "ptf" | "ptf-fedrec" | "ptffedrec" => Ok(ProtocolChoice::Ptf),
-        "fcf" => Ok(ProtocolChoice::Fcf),
-        "fedmf" => Ok(ProtocolChoice::FedMf),
-        "metamf" => Ok(ProtocolChoice::MetaMf),
-        "centralized" | "central" => Ok(ProtocolChoice::Centralized),
-        other => Err(format!("unknown protocol {other:?} (ptf|fcf|fedmf|metamf|centralized)")),
-    }
-}
-
-/// Parsed `--key value` options plus valueless `--flag` switches.
-struct Options {
-    values: std::collections::HashMap<String, String>,
-    flags: std::collections::HashSet<String>,
-}
-
-impl Options {
-    fn get(&self, key: &str) -> Option<&String> {
-        self.values.get(key)
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.flags.contains(key)
-    }
-}
-
-/// Consumes `--key value` options and valueless `--flag` switches into a
-/// lookup, rejecting unknowns and duplicates.
-fn parse_options(args: &[String], allowed: &[&str], flags: &[&str]) -> Result<Options, String> {
-    let mut out = Options {
-        values: std::collections::HashMap::new(),
-        flags: std::collections::HashSet::new(),
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let key = &args[i];
-        let Some(name) = key.strip_prefix("--") else {
-            return Err(format!("unexpected argument {key:?}"));
-        };
-        if flags.contains(&name) {
-            if !out.flags.insert(name.to_string()) {
-                return Err(format!("--{name} given twice"));
-            }
-            i += 1;
-            continue;
-        }
-        if !allowed.contains(&name) {
-            return Err(format!("unknown option --{name}"));
-        }
-        let value = args.get(i + 1).ok_or_else(|| format!("--{name} needs a value"))?.clone();
-        if out.values.insert(name.to_string(), value).is_some() {
-            return Err(format!("--{name} given twice"));
-        }
-        i += 2;
-    }
-    Ok(out)
-}
-
-/// Parses a full argument list (without the program name).
-pub fn parse(args: &[String]) -> Result<Command, String> {
-    let Some(cmd) = args.first() else {
-        return Ok(Command::Help);
-    };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "stats" => {
-            let opts = parse_options(rest, &["scale", "seed"], &[])?;
-            Ok(Command::Stats {
-                scale: opts
-                    .get("scale")
-                    .map(|s| parse_scale(s))
-                    .transpose()?
-                    .unwrap_or(Scale::Small),
-                seed: parse_seed(&opts)?,
-            })
-        }
-        "train" => {
-            let opts = parse_options(
-                rest,
-                &[
-                    "dataset",
-                    "protocol",
-                    "client",
-                    "server",
-                    "rounds",
-                    "scale",
-                    "seed",
-                    "k",
-                    "threads",
-                    "save",
-                    "storage",
-                    "evict-interval",
-                    "evict-budget",
-                    "users",
-                    "cohort",
-                    "participants",
-                    "checkpoint",
-                    "checkpoint-every",
-                    "halt-after",
-                ],
-                &["json", "resume"],
-            )?;
-            Ok(Command::Train {
-                dataset: parse_data(opts.get("dataset").ok_or("train requires --dataset")?)?,
-                protocol: opts
-                    .get("protocol")
-                    .map(|s| parse_protocol(s))
-                    .transpose()?
-                    .unwrap_or(ProtocolChoice::Ptf),
-                client: opts
-                    .get("client")
-                    .map(|s| parse_model(s))
-                    .transpose()?
-                    .unwrap_or(ModelKind::NeuMf),
-                server: opts
-                    .get("server")
-                    .map(|s| parse_model(s))
-                    .transpose()?
-                    .unwrap_or(ModelKind::Ngcf),
-                rounds: opts
-                    .get("rounds")
-                    .map(|s| s.parse().map_err(|_| format!("bad --rounds {s:?}")))
-                    .transpose()?,
-                scale: opts
-                    .get("scale")
-                    .map(|s| parse_scale(s))
-                    .transpose()?
-                    .unwrap_or(Scale::Small),
-                seed: parse_seed(&opts)?,
-                k: parse_k(&opts)?,
-                threads: parse_threads(&opts)?,
-                save: opts.get("save").cloned(),
-                storage: opts
-                    .get("storage")
-                    .map(|s| parse_storage(s))
-                    .transpose()?
-                    .unwrap_or(StorageChoice::Auto),
-                evict_interval: opts
-                    .get("evict-interval")
-                    .map(|s| s.parse().map_err(|_| format!("bad --evict-interval {s:?}")))
-                    .transpose()?
-                    .unwrap_or(0),
-                evict_budget: opts
-                    .get("evict-budget")
-                    .map(|s| s.parse().map_err(|_| format!("bad --evict-budget {s:?}")))
-                    .transpose()?
-                    .unwrap_or(0),
-                users: opts
-                    .get("users")
-                    .map(|s| s.parse().map_err(|_| format!("bad --users {s:?}")))
-                    .transpose()?,
-                cohort: opts
-                    .get("cohort")
-                    .map(|s| s.parse().map_err(|_| format!("bad --cohort {s:?}")))
-                    .transpose()?,
-                participants: opts
-                    .get("participants")
-                    .map(|s| s.parse().map_err(|_| format!("bad --participants {s:?}")))
-                    .transpose()?,
-                checkpoint: opts.get("checkpoint").cloned(),
-                checkpoint_every: opts
-                    .get("checkpoint-every")
-                    .map(|s| s.parse().map_err(|_| format!("bad --checkpoint-every {s:?}")))
-                    .transpose()?
-                    .unwrap_or(0),
-                resume: opts.flag("resume"),
-                halt_after: opts
-                    .get("halt-after")
-                    .map(|s| match s.parse::<u32>() {
-                        Ok(0) => Err("--halt-after must be > 0".to_string()),
-                        Ok(n) => Ok(n),
-                        Err(_) => Err(format!("bad --halt-after {s:?}")),
-                    })
-                    .transpose()?,
-                json: opts.flag("json"),
-            })
-        }
-        "privacy" => {
-            let opts = parse_options(
-                rest,
-                &["dataset", "defense", "epsilon", "scale", "seed", "threads"],
-                &["json"],
-            )?;
-            Ok(Command::Privacy {
-                dataset: parse_dataset(opts.get("dataset").ok_or("privacy requires --dataset")?)?,
-                defense: opts
-                    .get("defense")
-                    .map(|s| parse_defense(s))
-                    .transpose()?
-                    .unwrap_or(DefenseChoice::Full),
-                epsilon: opts
-                    .get("epsilon")
-                    .map(|s| match s.parse::<f64>() {
-                        Ok(e) if e > 0.0 && e.is_finite() => Ok(e),
-                        Ok(_) => Err("--epsilon must be > 0".to_string()),
-                        Err(_) => Err(format!("bad --epsilon {s:?}")),
-                    })
-                    .transpose()?
-                    .unwrap_or(5.0),
-                scale: opts
-                    .get("scale")
-                    .map(|s| parse_scale(s))
-                    .transpose()?
-                    .unwrap_or(Scale::Small),
-                seed: parse_seed(&opts)?,
-                threads: parse_threads(&opts)?,
-                json: opts.flag("json"),
-            })
-        }
-        "generate" => {
-            let opts = parse_options(rest, &["dataset", "out", "scale", "seed"], &[])?;
-            Ok(Command::Generate {
-                dataset: parse_dataset(opts.get("dataset").ok_or("generate requires --dataset")?)?,
-                out: opts.get("out").ok_or("generate requires --out")?.clone(),
-                scale: opts
-                    .get("scale")
-                    .map(|s| parse_scale(s))
-                    .transpose()?
-                    .unwrap_or(Scale::Small),
-                seed: parse_seed(&opts)?,
-            })
-        }
-        "serve" => {
-            let opts = parse_options(
-                rest,
-                &[
-                    "dataset",
-                    "client",
-                    "server",
-                    "rounds",
-                    "scale",
-                    "seed",
-                    "k",
-                    "port",
-                    "participation",
-                    "deadline-ms",
-                    "gather-ms",
-                ],
-                &["json"],
-            )?;
-            Ok(Command::Serve {
-                dataset: parse_dataset(opts.get("dataset").ok_or("serve requires --dataset")?)?,
-                client: opts
-                    .get("client")
-                    .map(|s| parse_model(s))
-                    .transpose()?
-                    .unwrap_or(ModelKind::NeuMf),
-                server: opts
-                    .get("server")
-                    .map(|s| parse_model(s))
-                    .transpose()?
-                    .unwrap_or(ModelKind::Ngcf),
-                rounds: opts
-                    .get("rounds")
-                    .map(|s| s.parse().map_err(|_| format!("bad --rounds {s:?}")))
-                    .transpose()?,
-                scale: opts
-                    .get("scale")
-                    .map(|s| parse_scale(s))
-                    .transpose()?
-                    .unwrap_or(Scale::Small),
-                seed: parse_seed(&opts)?,
-                k: parse_k(&opts)?,
-                port: opts
-                    .get("port")
-                    .map(|s| s.parse().map_err(|_| format!("bad --port {s:?}")))
-                    .transpose()?
-                    .unwrap_or(7878),
-                participation: parse_participation(&opts)?,
-                deadline_ms: opts
-                    .get("deadline-ms")
-                    .map(|s| s.parse().map_err(|_| format!("bad --deadline-ms {s:?}")))
-                    .transpose()?
-                    .unwrap_or(30_000),
-                gather_ms: opts
-                    .get("gather-ms")
-                    .map(|s| s.parse().map_err(|_| format!("bad --gather-ms {s:?}")))
-                    .transpose()?
-                    .unwrap_or(30_000),
-                json: opts.flag("json"),
-            })
-        }
-        "client" => {
-            let opts = parse_options(
-                rest,
-                &[
-                    "addr",
-                    "dataset",
-                    "client",
-                    "server",
-                    "rounds",
-                    "scale",
-                    "seed",
-                    "ids",
-                    "participation",
-                    "straggle-round",
-                    "straggle-ms",
-                ],
-                &["json"],
-            )?;
-            Ok(Command::Client {
-                addr: opts.get("addr").ok_or("client requires --addr HOST:PORT")?.clone(),
-                dataset: parse_dataset(opts.get("dataset").ok_or("client requires --dataset")?)?,
-                client: opts
-                    .get("client")
-                    .map(|s| parse_model(s))
-                    .transpose()?
-                    .unwrap_or(ModelKind::NeuMf),
-                server: opts
-                    .get("server")
-                    .map(|s| parse_model(s))
-                    .transpose()?
-                    .unwrap_or(ModelKind::Ngcf),
-                rounds: opts
-                    .get("rounds")
-                    .map(|s| s.parse().map_err(|_| format!("bad --rounds {s:?}")))
-                    .transpose()?,
-                scale: opts
-                    .get("scale")
-                    .map(|s| parse_scale(s))
-                    .transpose()?
-                    .unwrap_or(Scale::Small),
-                seed: parse_seed(&opts)?,
-                ids: opts.get("ids").map(|s| parse_ids(s)).transpose()?,
-                participation: parse_participation(&opts)?,
-                straggle_round: opts
-                    .get("straggle-round")
-                    .map(|s| s.parse().map_err(|_| format!("bad --straggle-round {s:?}")))
-                    .transpose()?,
-                straggle_ms: opts
-                    .get("straggle-ms")
-                    .map(|s| s.parse().map_err(|_| format!("bad --straggle-ms {s:?}")))
-                    .transpose()?
-                    .unwrap_or(0),
-                json: opts.flag("json"),
-            })
-        }
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
-    }
-}
-
-/// `--ids A-B` (inclusive) or a single id `--ids A`.
-fn parse_ids(s: &str) -> Result<(u32, u32), String> {
-    let bad = || format!("bad --ids {s:?} (expected A-B or a single id A)");
-    let (lo, hi) = match s.split_once('-') {
-        Some((lo, hi)) => (lo, hi),
-        None => (s, s),
-    };
-    let lo: u32 = lo.trim().parse().map_err(|_| bad())?;
-    let hi: u32 = hi.trim().parse().map_err(|_| bad())?;
-    if lo > hi {
-        return Err(format!("bad --ids {s:?}: {lo} > {hi}"));
-    }
-    Ok((lo, hi))
-}
-
-/// `--participation F` in (0, 1]; the default `1.0` samples every client.
-fn parse_participation(opts: &Options) -> Result<f64, String> {
-    let f = opts
-        .get("participation")
-        .map(|s| s.parse::<f64>().map_err(|_| format!("bad --participation {s:?}")))
-        .transpose()?
-        .unwrap_or(1.0);
-    if !(f > 0.0 && f <= 1.0) {
-        return Err(format!("--participation must be in (0, 1], got {f}"));
-    }
-    Ok(f)
-}
-
-/// `--k N`, the ranking cutoff of the evaluation (default 20).
-fn parse_k(opts: &Options) -> Result<usize, String> {
-    let k = opts
-        .get("k")
-        .map(|s| s.parse().map_err(|_| format!("bad --k {s:?}")))
-        .transpose()?
-        .unwrap_or(20);
-    if k == 0 {
-        return Err("--k must be > 0".to_string());
-    }
-    Ok(k)
-}
-
-fn parse_seed(opts: &Options) -> Result<u64, String> {
-    opts.get("seed")
-        .map(|s| s.parse().map_err(|_| format!("bad --seed {s:?}")))
-        .transpose()
-        .map(|o| o.unwrap_or(2024))
-}
-
-/// `--threads N`; the default `0` means "every hardware thread".
-fn parse_threads(opts: &Options) -> Result<usize, String> {
-    opts.get("threads")
-        .map(|s| s.parse().map_err(|_| format!("bad --threads {s:?}")))
-        .transpose()
-        .map(|o| o.unwrap_or(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,7 +773,7 @@ mod tests {
         let cmd = parse(&argv("train --dataset ml100k")).unwrap();
         assert_eq!(
             cmd,
-            Command::Train {
+            Command::Train(TrainArgs {
                 dataset: DataChoice::Preset(DatasetPreset::MovieLens100K),
                 protocol: ProtocolChoice::Ptf,
                 client: ModelKind::NeuMf,
@@ -724,7 +795,7 @@ mod tests {
                 resume: false,
                 halt_after: None,
                 json: false,
-            }
+            })
         );
     }
 
@@ -735,7 +806,7 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Train { storage, evict_interval, evict_budget, .. } => {
+            Command::Train(TrainArgs { storage, evict_interval, evict_budget, .. }) => {
                 assert_eq!(storage, StorageChoice::Sparse);
                 assert_eq!(evict_interval, 5);
                 assert_eq!(evict_budget, 512);
@@ -749,7 +820,7 @@ mod tests {
             ("scoped", StorageChoice::Sparse),
         ] {
             match parse(&argv(&format!("train --dataset ml100k --storage {s}"))).unwrap() {
-                Command::Train { storage, .. } => assert_eq!(storage, want, "{s}"),
+                Command::Train(TrainArgs { storage, .. }) => assert_eq!(storage, want, "{s}"),
                 other => panic!("wrong parse: {other:?}"),
             }
         }
@@ -766,7 +837,17 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Train { dataset, client, server, rounds, scale, seed, k, save, .. } => {
+            Command::Train(TrainArgs {
+                dataset,
+                client,
+                server,
+                rounds,
+                scale,
+                seed,
+                k,
+                save,
+                ..
+            }) => {
                 assert_eq!(dataset, DataChoice::Preset(DatasetPreset::Gowalla));
                 assert_eq!(save, None);
                 assert_eq!(client, ModelKind::LightGcn);
@@ -783,16 +864,16 @@ mod tests {
     #[test]
     fn threads_option_parses_on_train_and_privacy() {
         match parse(&argv("train --dataset ml100k --threads 4")).unwrap() {
-            Command::Train { threads, .. } => assert_eq!(threads, 4),
+            Command::Train(TrainArgs { threads, .. }) => assert_eq!(threads, 4),
             other => panic!("wrong parse: {other:?}"),
         }
         match parse(&argv("privacy --dataset steam --threads 2")).unwrap() {
-            Command::Privacy { threads, .. } => assert_eq!(threads, 2),
+            Command::Privacy(PrivacyArgs { threads, .. }) => assert_eq!(threads, 2),
             other => panic!("wrong parse: {other:?}"),
         }
         // default: 0 = every hardware thread
         match parse(&argv("privacy --dataset steam")).unwrap() {
-            Command::Privacy { threads, .. } => assert_eq!(threads, 0),
+            Command::Privacy(PrivacyArgs { threads, .. }) => assert_eq!(threads, 0),
             other => panic!("wrong parse: {other:?}"),
         }
         assert!(parse(&argv("train --dataset ml100k --threads many"))
@@ -806,7 +887,7 @@ mod tests {
             [("scale-10k", "scale-10k"), ("SCALE-100K", "scale-100k"), ("scale1m", "scale-1m")]
         {
             match parse(&argv(&format!("train --dataset {s}"))).unwrap() {
-                Command::Train { dataset, .. } => {
+                Command::Train(TrainArgs { dataset, .. }) => {
                     assert_eq!(dataset, DataChoice::Scale(want), "{s}")
                 }
                 other => panic!("wrong parse: {other:?}"),
@@ -815,7 +896,7 @@ mod tests {
         match parse(&argv("train --dataset scale-10k --users 5000 --cohort 256 --participants 32"))
             .unwrap()
         {
-            Command::Train { users, cohort, participants, .. } => {
+            Command::Train(TrainArgs { users, cohort, participants, .. }) => {
                 assert_eq!(users, Some(5000));
                 assert_eq!(cohort, Some(256));
                 assert_eq!(participants, Some(32));
@@ -824,7 +905,7 @@ mod tests {
         }
         // unset: defaults are decided by the binary per dataset kind
         match parse(&argv("train --dataset scale-1m")).unwrap() {
-            Command::Train { users, cohort, participants, .. } => {
+            Command::Train(TrainArgs { users, cohort, participants, .. }) => {
                 assert_eq!(users, None);
                 assert_eq!(cohort, None);
                 assert_eq!(participants, None);
@@ -842,7 +923,9 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Train { checkpoint, checkpoint_every, resume, halt_after, .. } => {
+            Command::Train(TrainArgs {
+                checkpoint, checkpoint_every, resume, halt_after, ..
+            }) => {
                 assert_eq!(checkpoint.as_deref(), Some("ckpt"));
                 assert_eq!(checkpoint_every, 2);
                 assert!(!resume);
@@ -853,7 +936,7 @@ mod tests {
         // --resume is a valueless flag: it must not swallow the next option
         match parse(&argv("train --dataset ml100k --checkpoint ckpt --resume --rounds 4")).unwrap()
         {
-            Command::Train { resume, rounds, .. } => {
+            Command::Train(TrainArgs { resume, rounds, .. }) => {
                 assert!(resume);
                 assert_eq!(rounds, Some(4));
             }
@@ -905,7 +988,7 @@ mod tests {
         ] {
             let cmd = parse(&argv(&format!("train --dataset ml100k --protocol {s}"))).unwrap();
             match cmd {
-                Command::Train { protocol, .. } => assert_eq!(protocol, want, "{s}"),
+                Command::Train(TrainArgs { protocol, .. }) => assert_eq!(protocol, want, "{s}"),
                 other => panic!("wrong parse: {other:?}"),
             }
         }
@@ -916,14 +999,14 @@ mod tests {
     #[test]
     fn json_is_a_valueless_flag() {
         match parse(&argv("train --dataset ml100k --json --rounds 2")).unwrap() {
-            Command::Train { json, rounds, .. } => {
+            Command::Train(TrainArgs { json, rounds, .. }) => {
                 assert!(json);
                 assert_eq!(rounds, Some(2), "--json must not swallow the next option");
             }
             other => panic!("wrong parse: {other:?}"),
         }
         match parse(&argv("privacy --dataset steam --json")).unwrap() {
-            Command::Privacy { json, .. } => assert!(json),
+            Command::Privacy(PrivacyArgs { json, .. }) => assert!(json),
             other => panic!("wrong parse: {other:?}"),
         }
         assert!(parse(&argv("train --dataset ml100k --json --json"))
@@ -941,7 +1024,7 @@ mod tests {
         ] {
             let cmd = parse(&argv(&format!("privacy --dataset steam --defense {s}"))).unwrap();
             match cmd {
-                Command::Privacy { defense, .. } => assert_eq!(defense, want),
+                Command::Privacy(PrivacyArgs { defense, .. }) => assert_eq!(defense, want),
                 other => panic!("wrong parse: {other:?}"),
             }
         }
@@ -962,7 +1045,7 @@ mod tests {
     #[test]
     fn dataset_aliases() {
         for alias in ["ml100k", "ML-100K", "movielens"] {
-            assert_eq!(parse_dataset(alias).unwrap(), DatasetPreset::MovieLens100K);
+            assert_eq!(pick(alias), Some(DatasetPreset::MovieLens100K));
         }
     }
 
@@ -977,20 +1060,22 @@ mod tests {
         let cmd = parse(&argv("serve --dataset ml100k")).unwrap();
         assert_eq!(
             cmd,
-            Command::Serve {
-                dataset: DatasetPreset::MovieLens100K,
-                client: ModelKind::NeuMf,
-                server: ModelKind::Ngcf,
-                rounds: None,
-                scale: Scale::Small,
-                seed: 2024,
+            Command::Serve(ServeArgs {
+                fleet: FleetArgs {
+                    dataset: DatasetPreset::MovieLens100K,
+                    client: ModelKind::NeuMf,
+                    server: ModelKind::Ngcf,
+                    rounds: None,
+                    scale: Scale::Small,
+                    seed: 2024,
+                    participation: 1.0,
+                    json: false,
+                },
                 k: 20,
                 port: 7878,
-                participation: 1.0,
                 deadline_ms: 30_000,
                 gather_ms: 30_000,
-                json: false,
-            }
+            })
         );
     }
 
@@ -1002,9 +1087,13 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Serve {
-                port, participation, deadline_ms, gather_ms, rounds, json, ..
-            } => {
+            Command::Serve(ServeArgs {
+                port,
+                deadline_ms,
+                gather_ms,
+                fleet: FleetArgs { participation, rounds, json, .. },
+                ..
+            }) => {
                 assert_eq!(port, 0);
                 assert_eq!(participation, 0.5);
                 assert_eq!(deadline_ms, 2000);
@@ -1025,7 +1114,7 @@ mod tests {
         let err = parse(&argv("client --dataset ml100k")).unwrap_err();
         assert!(err.contains("--addr"), "{err}");
         match parse(&argv("client --addr 127.0.0.1:7878 --dataset ml100k --ids 3-9")).unwrap() {
-            Command::Client { addr, ids, straggle_round, straggle_ms, .. } => {
+            Command::Client(ClientArgs { addr, ids, straggle_round, straggle_ms, .. }) => {
                 assert_eq!(addr, "127.0.0.1:7878");
                 assert_eq!(ids, Some((3, 9)));
                 assert_eq!(straggle_round, None);
@@ -1035,11 +1124,11 @@ mod tests {
         }
         // a single id hosts exactly that client; omitted hosts the fleet
         match parse(&argv("client --addr h:1 --dataset ml100k --ids 5")).unwrap() {
-            Command::Client { ids, .. } => assert_eq!(ids, Some((5, 5))),
+            Command::Client(ClientArgs { ids, .. }) => assert_eq!(ids, Some((5, 5))),
             other => panic!("wrong parse: {other:?}"),
         }
         match parse(&argv("client --addr h:1 --dataset ml100k")).unwrap() {
-            Command::Client { ids, .. } => assert_eq!(ids, None),
+            Command::Client(ClientArgs { ids, .. }) => assert_eq!(ids, None),
             other => panic!("wrong parse: {other:?}"),
         }
         for bad in ["9-3", "a-b", "3-", "-3"] {
@@ -1056,13 +1145,171 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Client { straggle_round, straggle_ms, json, .. } => {
+            Command::Client(ClientArgs {
+                straggle_round,
+                straggle_ms,
+                fleet: FleetArgs { json, .. },
+                ..
+            }) => {
                 assert_eq!(straggle_round, Some(2));
                 assert_eq!(straggle_ms, 5000);
                 assert!(json);
             }
             other => panic!("wrong parse: {other:?}"),
         }
+    }
+
+    /// A value `flag` accepts whatever its type: counts take `3`, id
+    /// ranges `1-2`, and fractions, budgets, paths and addresses `0.5`.
+    fn sample(flag: &Flag) -> Option<&'static str> {
+        match flag.arg {
+            Switch => None,
+            Text("N") => Some("3"),
+            Text("A-B") => Some("1-2"),
+            Text(_) => Some("0.5"),
+            OneOf(set) => Some(set()[0]),
+        }
+    }
+
+    #[test]
+    fn every_row_parses_prints_and_is_read_by_its_builder() {
+        for cmd in COMMANDS {
+            let mut args = Vec::new();
+            for flag in cmd.flags {
+                args.push(format!("--{}", flag.name));
+                args.extend(sample(flag).map(String::from));
+            }
+            let given = collect(cmd, &args).unwrap_or_else(|e| panic!("{}: {e}", cmd.name));
+            (cmd.build)(&given).unwrap_or_else(|e| panic!("{} {args:?}: {e}", cmd.name));
+            // a read outside the row trips `raw`'s debug_assert (debug
+            // builds) or this comparison; so does a row entry nobody reads
+            let mut read = given.read.borrow().clone();
+            read.sort_unstable();
+            read.dedup();
+            let mut row: Vec<&str> = cmd.flags.iter().map(|f| f.name).collect();
+            row.sort_unstable();
+            assert_eq!(read, row, "`{}` builder vs its row", cmd.name);
+
+            let lines = synopsis_of(cmd);
+            let text = format!("{} ", lines.join(" ").replace(']', " "));
+            for flag in cmd.flags {
+                assert!(text.contains(&format!("--{} ", flag.name)), "{}: {text}", flag.name);
+            }
+            for line in &lines {
+                assert!(line.len() <= WIDTH, "{} columns: {line}", line.len());
+            }
+        }
+    }
+
+    fn normalize(s: &str) -> String {
+        s.split_whitespace().collect::<Vec<_>>().join(" ")
+    }
+
+    fn repo_file(rel: &str) -> String {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    /// The README's copy of the synopsis: the fenced block that opens
+    /// with `ptf stats`, whitespace-normalized.
+    fn usage_block(readme: &str) -> Vec<String> {
+        readme
+            .lines()
+            .skip_while(|l| !l.starts_with("ptf stats"))
+            .take_while(|l| !l.starts_with("```"))
+            .map(normalize)
+            .collect()
+    }
+
+    #[test]
+    fn readme_usage_block_is_the_help_synopsis() {
+        let want: Vec<String> = synopsis().iter().map(|l| normalize(l)).collect();
+        assert_eq!(
+            usage_block(&repo_file("README.md")),
+            want,
+            "re-copy the synopsis of `ptf help` into README.md's \"The `ptf` binary\" block"
+        );
+        // what a stale copy is compared as: its own lines, so it differs
+        let stale = "intro\n```text\nptf stats    [--scale small|paper]\n  [--json]\n```\nptf x\n";
+        assert_eq!(usage_block(stale), ["ptf stats [--scale small|paper]", "[--json]"]);
+    }
+
+    /// `(line, flag)` for every `--flag` after a `ptf` invocation in
+    /// `text` that is not a flag of the command the invocation names — of
+    /// any command, when it names none (`ptf $args …`). Lines continued
+    /// with `\` count as one, anchored at the first; `"$BIN"` is how
+    /// `ci/net_smoke.sh` spells the binary.
+    fn stray_flags(text: &str) -> Vec<(usize, String)> {
+        let mut out = Vec::new();
+        let mut logical = String::new();
+        let mut anchor = 0;
+        for (i, line) in text.lines().enumerate() {
+            if logical.is_empty() {
+                anchor = i + 1;
+            }
+            logical.push_str(line.trim_end_matches('\\'));
+            logical.push(' ');
+            if line.ends_with('\\') {
+                continue;
+            }
+            // the rows the current invocation may be; `None` before any
+            let mut rows: Option<Vec<&CommandSpec>> = None;
+            let (mut after_flag, mut expect_command) = (false, false);
+            for t in logical.split_whitespace() {
+                let t = t.trim_matches(|c: char| "`,.();:*\"'[]".contains(c));
+                if (t == "ptf" || t.ends_with("/ptf") || t == "$BIN") && !after_flag {
+                    rows = Some(COMMANDS.iter().collect());
+                    expect_command = true;
+                    continue;
+                }
+                let Some(rows) = rows.as_mut() else { continue };
+                match t.strip_prefix("--") {
+                    Some(name) => {
+                        let is_flag = !name.is_empty()
+                            && name.chars().all(|c| c.is_ascii_lowercase() || c == '-');
+                        if is_flag && !rows.iter().any(|c| c.flags.iter().any(|f| f.name == name)) {
+                            out.push((anchor, name.to_string()));
+                        }
+                        after_flag = is_flag;
+                    }
+                    None => {
+                        if let Some(named) = COMMANDS.iter().find(|c| expect_command && c.name == t)
+                        {
+                            *rows = vec![named];
+                        }
+                        (after_flag, expect_command) = (false, false);
+                    }
+                }
+            }
+            logical.clear();
+        }
+        out
+    }
+
+    #[test]
+    fn documented_invocations_use_flags_of_the_named_command() {
+        let mut files: Vec<String> =
+            ["README.md", ".github/workflows/ci.yml", "ci/net_smoke.sh"].map(String::from).into();
+        let docs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("docs");
+        for entry in std::fs::read_dir(&docs).expect("docs/ is readable").flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.ends_with(".md") {
+                files.push(format!("docs/{name}"));
+            }
+        }
+        assert!(files.len() > 3, "no docs/*.md found");
+        for rel in &files {
+            assert_eq!(stray_flags(&repo_file(rel)), [], "{rel}: (line, --flag) no command takes");
+        }
+        // scoped to `ptf` invocations, held to the command they name
+        let drift = "Run `ptf train --dataset ml100k --bogus-flag 3`.\n\
+                     cargo bench --bench foo\n\
+                     ./target/release/ptf serve --port 0 \\\n  --cohort 8 --json\n\
+                     timeout 9 \"$BIN\" client --addr h:1 --protocol ptf --k 5\n\
+                     ./target/release/ptf $args --checkpoint /tmp/c --frobnicate\n";
+        let got = stray_flags(drift);
+        let want = [(1, "bogus-flag"), (3, "cohort"), (5, "protocol"), (5, "k"), (6, "frobnicate")];
+        assert_eq!(got, want.map(|(line, flag)| (line, flag.to_string())));
     }
 }
 
@@ -1075,7 +1322,7 @@ mod save_option_tests {
         let args: Vec<String> =
             "train --dataset ml100k --save out.json".split_whitespace().map(String::from).collect();
         match parse(&args).unwrap() {
-            Command::Train { save, .. } => assert_eq!(save.as_deref(), Some("out.json")),
+            Command::Train(TrainArgs { save, .. }) => assert_eq!(save.as_deref(), Some("out.json")),
             other => panic!("wrong parse: {other:?}"),
         }
     }

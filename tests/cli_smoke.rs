@@ -231,6 +231,42 @@ fn invalid_config_is_an_error_message_not_a_panic() {
 }
 
 #[test]
+fn ids_beyond_the_fleet_fail_before_anything_is_allocated_or_dialed() {
+    // used to collect 2^32 ids (16 GiB) and abort; nothing listens on
+    // port 1, so reaching the connect would say "cannot connect" instead
+    let out = ptf()
+        .args(["client", "--addr", "127.0.0.1:1", "--dataset", "ml100k", "--ids", "0-4294967295"])
+        .output()
+        .expect("spawn failed");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("client id 4294967295 outside fleet 0..120"), "stderr: {stderr}");
+}
+
+#[test]
+fn a_full_or_closed_stdout_is_an_error_message_not_a_panic() {
+    use std::process::Stdio;
+    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        let out = ptf().arg("stats").stdout(full).output().expect("spawn failed");
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error: cannot write to stdout"), "stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "panic leaked to the user: {stderr}");
+    }
+    // `ptf stats | head -0`: the reader is gone before the first line
+    let mut child = ptf()
+        .arg("stats")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn failed");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait failed");
+    assert_eq!(out.status.code(), Some(0), "a closed pipe ends the run quietly");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+}
+
+#[test]
 fn generate_writes_loadable_json() {
     let dir = std::env::temp_dir().join(format!("ptf-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
