@@ -36,8 +36,10 @@ use ptf_federated::RoundTrace;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// Bumped whenever the manifest or envelope wire shapes change.
-pub const MANIFEST_VERSION: u32 = 2;
+/// Bumped whenever the manifest or envelope wire shapes change — or the
+/// values `ptf_tensor::init::derived_normal_row` derives, since an
+/// envelope's unmaterialized item rows are re-derived on restore.
+pub const MANIFEST_VERSION: u32 = 3;
 
 /// The checkpoint manifest — everything a resume needs besides the
 /// committed client envelopes.

@@ -38,17 +38,6 @@ impl ModelKind {
             Self::Mf => "MF",
         }
     }
-
-    /// Case-insensitive parse of the paper's model names.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "neumf" => Some(Self::NeuMf),
-            "ngcf" => Some(Self::Ngcf),
-            "lightgcn" => Some(Self::LightGcn),
-            "mf" => Some(Self::Mf),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for ModelKind {
@@ -168,15 +157,6 @@ pub fn build_model_scoped(
 mod tests {
     use super::*;
     use ptf_tensor::test_rng;
-
-    #[test]
-    fn parse_roundtrip() {
-        for kind in [ModelKind::NeuMf, ModelKind::Ngcf, ModelKind::LightGcn, ModelKind::Mf] {
-            assert_eq!(ModelKind::parse(kind.name()), Some(kind));
-            assert_eq!(ModelKind::parse(&kind.name().to_lowercase()), Some(kind));
-        }
-        assert_eq!(ModelKind::parse("bert4rec"), None);
-    }
 
     #[test]
     fn builds_mf_through_the_registry() {

@@ -163,18 +163,17 @@ impl ScopedParams {
     /// operator, since node indices shifted).
     pub fn ensure(&mut self, ids: impl Iterator<Item = u32>) -> bool {
         let mut inserted_any = false;
-        let mut buf: Vec<f32> = Vec::new();
         for id in ids {
             let (pos, inserted) = self.scope.insert(id);
             if !inserted {
                 continue;
             }
             inserted_any = true;
-            buf.clear();
-            buf.resize(self.dim(), 0.0);
-            self.cold_row(id, &mut buf);
-            self.params.get_mut(self.emb).insert_row(self.row_offset + pos, &buf);
-            self.adam.insert_zero_row(self.emb, self.row_offset + pos);
+            let at = self.row_offset + pos;
+            let emb = self.params.get_mut(self.emb);
+            emb.insert_zero_row(at);
+            init::derived_normal_row(self.item_seed, id, EMB_STD, emb.row_mut(at));
+            self.adam.insert_zero_row(self.emb, at);
         }
         inserted_any
     }

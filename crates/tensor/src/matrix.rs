@@ -278,36 +278,19 @@ impl Matrix {
         kernels::frob_sq(&self.data)
     }
 
-    /// Inserts `vals` as a new row at index `at`, shifting later rows
-    /// down. Backbone of lazily growing scoped embedding tables (the
-    /// optimizer shifts its per-row state identically, see
-    /// `Adam::insert_zero_row`).
-    pub fn insert_row(&mut self, at: usize, vals: &[f32]) {
-        assert_eq!(
-            vals.len(),
-            self.cols,
-            "insert_row: row of {} vs {} cols",
-            vals.len(),
-            self.cols
-        );
-        self.splice_row(at, vals.iter().copied());
-    }
-
-    /// [`Matrix::insert_row`] of an all-zero row (no temporary row is
-    /// built).
+    /// Inserts an all-zero row at index `at`, shifting later rows down.
+    /// Backbone of lazily growing scoped embedding tables: the caller
+    /// writes the row's init in place (the optimizer shifts its per-row
+    /// state identically, see `Adam::insert_zero_row`).
     pub fn insert_zero_row(&mut self, at: usize) {
-        self.splice_row(at, std::iter::repeat_n(0.0, self.cols));
-    }
-
-    fn splice_row(&mut self, at: usize, vals: impl Iterator<Item = f32>) {
-        assert!(at <= self.rows, "insert_row at {at} out of bounds ({} rows)", self.rows);
+        assert!(at <= self.rows, "insert_zero_row at {at} out of bounds ({} rows)", self.rows);
         let idx = at * self.cols;
-        self.data.splice(idx..idx, vals);
+        self.data.splice(idx..idx, std::iter::repeat_n(0.0, self.cols));
         self.rows += 1;
     }
 
     /// Removes the row at index `at`, shifting later rows up — the exact
-    /// inverse of [`Matrix::insert_row`]. Backbone of cold-row eviction in
+    /// inverse of [`Matrix::insert_zero_row`]. Backbone of cold-row eviction in
     /// scoped embedding tables (the optimizer drops its per-row state
     /// identically, see `Adam::remove_row`).
     pub fn remove_row(&mut self, at: usize) {

@@ -121,7 +121,7 @@ impl Adam {
         Ok(())
     }
 
-    /// Mirrors a `Matrix::insert_row` on parameter `id`: inserts an
+    /// Mirrors a `Matrix::insert_zero_row` on parameter `id`: inserts an
     /// all-zero row into both moment matrices at `at`, so a lazily
     /// materialized embedding row starts with fresh optimizer state while
     /// every previously tracked row keeps its moments. A zero-moment row
@@ -340,7 +340,7 @@ mod tests {
         );
 
         // re-materialize it: zero moments, same global step counter
-        p.get_mut(id).insert_row(1, &[0.0, 0.0]);
+        p.get_mut(id).insert_zero_row(1);
         adam.insert_zero_row(id, 1);
         assert_eq!(adam.m[id.index()].row(1), &[0.0, 0.0], "stale first moment resurrected");
         assert_eq!(adam.v[id.index()].row(1), &[0.0, 0.0], "stale second moment resurrected");

@@ -194,12 +194,17 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
     std::fs::write(&manifest, "{\"version\": tru").expect("corrupt");
     expect_clean_failure(run(&["--resume"]), "checkpoint corrupt", "corrupt manifest");
 
-    // a checkpoint written by the previous format (decimal f32 arrays)
-    assert!(good.starts_with("{\"version\":2,"), "manifest head: {}", &good[..20]);
-    std::fs::write(&manifest, good.replacen("\"version\":2", "\"version\":1", 1))
-        .expect("downgrade");
-    let want = "checkpoint mismatch: manifest version 1 (this build reads version 2)";
-    expect_clean_failure(run(&["--resume"]), want, "version-1 manifest");
+    // checkpoints written by earlier formats: decimal f32 arrays (1), and
+    // item rows derived by the Box–Muller init, which unmaterialized rows
+    // would no longer re-derive to (2)
+    assert!(good.starts_with("{\"version\":3,"), "manifest head: {}", &good[..20]);
+    for old in [1, 2] {
+        std::fs::write(&manifest, good.replacen("\"version\":3", &format!("\"version\":{old}"), 1))
+            .expect("downgrade");
+        let want =
+            format!("checkpoint mismatch: manifest version {old} (this build reads version 3)");
+        expect_clean_failure(run(&["--resume"]), &want, &format!("version-{old} manifest"));
+    }
     std::fs::write(&manifest, &good).expect("restore manifest");
 
     // damaged committed client envelopes: resume validates every one it
