@@ -596,7 +596,7 @@ mod tests {
         assert_eq!(fresh.export_full_state().expect("NaN parameters still export"), envelope);
 
         // server envelope: a graph server keeps every uploaded score in its
-        // soft-edge memory. The autograd models reject targets outside
+        // soft-edge memory. The graph models reject targets outside
         // [0, 1] in debug builds, so the odd values go in as text.
         let cfg = PtfConfig::small();
         let hyper = ModelHyper::small();

@@ -7,16 +7,19 @@
 //! but the propagation rule itself lives here: the [`ScopedParams`] store
 //! of the joint table, the propagation operator and the global edge list
 //! it is re-derived from when lazy materialization shifts node indices,
-//! and the final-embedding cache. An architecture supplies its forward
-//! pass (`build_final`), the final embedding of a cold item, and its loss.
+//! the final-embedding cache and the scoring loop over it, where a batch's
+//! rows sit in the node space ([`BatchNodes`]), and the pieces of the loss
+//! both hand-derived steps share. An architecture supplies its forward and
+//! backward pass, the final embedding of a cold item, and its cache build.
 
 use crate::graph::{empty_propagation, normalized_bipartite};
+use crate::mf::sigmoid_and_bce;
 use crate::scoped::{self, ScopedParams, EMB_STD};
-use crate::scratch::BatchScratch;
 use crate::traits::stable_sigmoid;
 use ptf_tensor::kernels;
 use ptf_tensor::prelude::*;
-use ptf_tensor::{Grads, ItemScope, ParamId};
+use ptf_tensor::{ItemScope, ParamId};
+use std::cell::RefCell;
 use std::sync::RwLock;
 
 /// The joint node table of a graph model built from `seed`: `num_users`
@@ -36,6 +39,30 @@ pub(crate) fn joint_table(
     Matrix::from_vec(num_users + scope.initial_rows(), dim, data)
 }
 
+/// Where a batch's rows sit in the node space. The loss reads the final
+/// embeddings of `nodes` only — the sorted unique users and items of the
+/// batch, `R` in the models' derivations — so their top layer is computed
+/// over `R` alone.
+#[derive(Default)]
+pub(crate) struct BatchNodes {
+    /// The node of each row's user and item.
+    pub users: Vec<u32>,
+    pub items: Vec<u32>,
+    /// `R`, ascending.
+    pub nodes: Vec<u32>,
+    /// The position in `nodes` of each row's user and item.
+    pub user_at: Vec<u32>,
+    pub item_at: Vec<u32>,
+    /// Node → position in `nodes` (`u32::MAX` off `R`).
+    position: Vec<u32>,
+}
+
+std::thread_local! {
+    /// The final embedding of a cold item while it is scored; see
+    /// [`GraphBackbone::score_into`].
+    static COLD_FINAL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
 pub(crate) struct GraphBackbone {
     num_users: usize,
     store: ScopedParams,
@@ -47,7 +74,16 @@ pub(crate) struct GraphBackbone {
     /// Final propagated embeddings, invalidated on training/graph changes.
     /// An `RwLock` (not `RefCell`) so concurrent evaluation threads can
     /// score through one shared model.
-    cache: RwLock<Option<Matrix>>,
+    cache: RwLock<Cache>,
+}
+
+/// The final-embedding cache. A stale cache keeps its buffer, so the
+/// rebuild after every round of training writes into memory it already
+/// holds.
+#[derive(Default)]
+struct Cache {
+    fresh: bool,
+    rows: Matrix,
 }
 
 impl GraphBackbone {
@@ -67,7 +103,7 @@ impl GraphBackbone {
             store: ScopedParams::new(params, emb, num_users, scope, seed, lr),
             prop: empty_propagation(num_users, scope.initial_rows()),
             graph_edges: Vec::new(),
-            cache: RwLock::new(None),
+            cache: RwLock::default(),
         }
     }
 
@@ -79,8 +115,14 @@ impl GraphBackbone {
         &self.store
     }
 
-    pub fn prop(&self) -> &PropagationMatrix {
-        &self.prop
+    /// `Ã`, symmetric: it propagates forward and backward alike.
+    pub fn prop(&self) -> &Csr {
+        self.prop.csr()
+    }
+
+    /// The embedding parameter's rows, `nodes × dim`: `E₀`.
+    pub fn emb(&self) -> &[f32] {
+        self.store.params().get(self.store.emb()).as_slice()
     }
 
     /// Node index of a *materialized* item in the joint table.
@@ -144,50 +186,51 @@ impl GraphBackbone {
         self.invalidate();
     }
 
-    fn ensure_cache(&self, build_final: impl FnOnce(&mut Graph<'_>) -> Var) {
-        if self.cache.read().expect("cache lock poisoned").is_some() {
-            return;
-        }
-        let mut g = Graph::new(self.store.params());
-        let f = build_final(&mut g);
-        let fresh = g.value(f).clone();
-        // racing evaluators compute the same matrix; last write wins
-        *self.cache.write().expect("cache lock poisoned") = Some(fresh);
-    }
-
     fn invalidate(&mut self) {
-        *self.cache.get_mut().expect("cache lock poisoned") = None;
+        self.cache.get_mut().expect("cache lock poisoned").fresh = false;
     }
 
     /// Runs `f` on the final node embeddings, building them with the
-    /// architecture's clean (inference) forward pass if the cache is stale.
+    /// architecture's clean (inference) forward pass if the cache is
+    /// stale: `build` fills a `nodes × width` matrix.
     pub fn with_final<R>(
         &self,
-        build_final: impl FnOnce(&mut Graph<'_>) -> Var,
+        build: impl FnOnce(&mut Matrix),
         f: impl FnOnce(&Matrix) -> R,
     ) -> R {
-        self.ensure_cache(build_final);
-        let cache = self.cache.read().expect("cache lock poisoned");
-        f(cache.as_ref().expect("cache ensured above"))
+        if !self.cache.read().expect("cache lock poisoned").fresh {
+            let mut cache = self.cache.write().expect("cache lock poisoned");
+            // racing evaluators wait here; the first one builds
+            if !cache.fresh {
+                build(&mut cache.rows);
+                cache.fresh = true;
+            }
+        }
+        f(&self.cache.read().expect("cache lock poisoned").rows)
     }
 
-    /// Sigmoid dot products of `user`'s final embedding with each item's.
-    /// An unmaterialized item is necessarily isolated; `cold_final` writes
-    /// the final embedding a full model computes for such an edgeless item.
-    pub fn score(
+    /// Sigmoid dot products of `user`'s final embedding with each item's,
+    /// into `out` (cleared first). An unmaterialized item is necessarily
+    /// isolated; `cold_final` writes the final embedding a full model
+    /// computes for such an edgeless item into a thread-local buffer, so
+    /// scoring allocates nothing once the cache is built and `out` has
+    /// grown.
+    pub fn score_into(
         &self,
         user: u32,
         items: &[u32],
-        build_final: impl FnOnce(&mut Graph<'_>) -> Var,
-        mut cold_final: impl FnMut(u32, &mut Vec<f32>),
-    ) -> Vec<f32> {
+        out: &mut Vec<f32>,
+        build: impl FnOnce(&mut Matrix),
+        cold_final: impl Fn(u32, &mut [f32]),
+    ) {
         debug_assert!((user as usize) < self.num_users, "user id out of range");
-        self.with_final(build_final, |emb| {
+        out.clear();
+        self.with_final(build, |emb| {
             let u = emb.row(user as usize);
-            let mut cold: Vec<f32> = Vec::new();
-            items
-                .iter()
-                .map(|&i| {
+            COLD_FINAL.with(|cell| {
+                let mut cold = cell.borrow_mut();
+                cold.resize(emb.cols(), 0.0);
+                out.extend(items.iter().map(|&i| {
                     debug_assert!((i as usize) < self.store.num_items(), "item id out of range");
                     let dot = match self.node_of(i) {
                         Some(node) => kernels::dot(u, emb.row(node as usize)),
@@ -197,23 +240,72 @@ impl GraphBackbone {
                         }
                     };
                     stable_sigmoid(dot)
-                })
-                .collect()
-        })
+                }));
+            });
+        });
     }
 
-    /// Materializes the batch's items and stages its user/node/label
-    /// columns (see [`ScopedParams::stage`]); the cache goes stale because
-    /// the caller is about to train.
-    pub fn stage_batch(&mut self, batch: &[(u32, u32, f32)]) -> BatchScratch {
+    /// Materializes the batch's items and records where its rows sit in
+    /// the node space; the cache goes stale because the caller is about
+    /// to train.
+    pub fn begin_batch(&mut self, batch: &[(u32, u32, f32)], at: &mut BatchNodes) {
         self.ensure_items(batch.iter().map(|&(_, i, _)| i));
         self.invalidate();
-        self.store.stage(batch)
+        at.users.clear();
+        at.items.clear();
+        for &(u, i, _) in batch {
+            debug_assert!((u as usize) < self.num_users, "user id out of range");
+            at.users.push(u);
+            at.items.push(self.node_of(i).expect("item materialized"));
+        }
+        // mark R, then number it in node order
+        at.position.clear();
+        at.position.resize(self.prop.nodes(), u32::MAX);
+        for &node in at.users.iter().chain(&at.items) {
+            at.position[node as usize] = 0;
+        }
+        at.nodes.clear();
+        for (node, position) in at.position.iter_mut().enumerate() {
+            if *position == 0 {
+                *position = at.nodes.len() as u32;
+                at.nodes.push(node as u32);
+            }
+        }
+        let position = |&node: &u32| at.position[node as usize];
+        at.user_at.clear();
+        at.user_at.extend(at.users.iter().map(position));
+        at.item_at.clear();
+        at.item_at.extend(at.items.iter().map(position));
     }
 
-    /// See [`ScopedParams::apply`].
-    pub fn apply(&mut self, scratch: BatchScratch, grads: Grads) {
-        self.store.apply(scratch, grads);
+    /// The reused gradient store: every parameter of a graph model,
+    /// the joint table included, takes a dense gradient (propagation
+    /// spreads a batch's gradient over its neighbours).
+    pub fn new_grads(&self) -> Grads {
+        let p = self.store.params();
+        let mut grads = Grads::new_for(p);
+        for (id, _, m) in p.iter() {
+            *grads.slot_mut(id) = Some(GradBuf::Dense(Matrix::zeros_like(m)));
+        }
+        grads
+    }
+
+    /// The dense gradient of the joint table, reshaped to the current
+    /// node count and zeroed.
+    pub fn emb_grad<'g>(&self, grads: &'g mut Grads) -> &'g mut [f32] {
+        let (rows, cols) = self.store.params().get(self.store.emb()).shape();
+        match grads.slot_mut(self.store.emb()) {
+            Some(GradBuf::Dense(m)) => {
+                m.reset_to(rows, cols);
+                m.as_mut_slice()
+            }
+            _ => unreachable!("the joint table takes a dense gradient"),
+        }
+    }
+
+    /// One Adam step on `grads`.
+    pub fn step(&mut self, grads: &Grads) {
+        self.store.step(grads);
     }
 
     /// Restores a full-state envelope (see [`ScopedParams::import`]). The
@@ -224,5 +316,45 @@ impl GraphBackbone {
         self.prop = empty_propagation(self.num_users, self.store.view().len());
         self.invalidate();
         Ok(rng)
+    }
+}
+
+/// Turns each logit into `∂loss/∂logit` of the batch-mean BCE in place
+/// and returns the mean loss.
+pub(crate) fn bce_grads(logits: &mut [f32], batch: &[(u32, u32, f32)]) -> f32 {
+    let mut total = 0.0f64;
+    for (x, &(_, _, t)) in logits.iter_mut().zip(batch) {
+        debug_assert!((0.0..=1.0).contains(&t), "target {t} outside [0,1]");
+        let (sigmoid, loss) = sigmoid_and_bce(*x, t);
+        total += loss as f64;
+        *x = (sigmoid - t) / batch.len() as f32;
+    }
+    (total / batch.len() as f64) as f32
+}
+
+/// Adds the batch loss's gradient with respect to one block of `d`-wide
+/// rows `e` into `g` (same layout): row `k` of the batch, with its user
+/// at row `users[k]` and its item at row `items[k]`, read `⟨e_u, e_v⟩`
+/// with weight `dl[k]` and, for an L2 penalty `c2/2·(‖e_u‖² + ‖e_v‖²)`,
+/// contributes `∂/∂e_u = dl·e_v + c2·e_u` and symmetrically.
+pub(crate) fn add_pair_grads(
+    g: &mut [f32],
+    e: &[f32],
+    d: usize,
+    users: &[u32],
+    items: &[u32],
+    dl: &[f32],
+    c2: f32,
+) {
+    for ((&u, &v), &dl) in users.iter().zip(items).zip(dl) {
+        let (u, v) = (u as usize * d, v as usize * d);
+        // users come first in the node space, hence in R
+        debug_assert!(u < v, "a user row below its item row");
+        let (below, above) = g.split_at_mut(v);
+        let rows = below[u..u + d].iter_mut().zip(&mut above[..d]);
+        for ((gu, gv), (&eu, &ev)) in rows.zip(e[u..u + d].iter().zip(&e[v..v + d])) {
+            *gu += dl * ev + c2 * eu;
+            *gv += dl * eu + c2 * ev;
+        }
     }
 }

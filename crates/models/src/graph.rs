@@ -81,7 +81,7 @@ mod tests {
         // one user connected to two items with weight 1:
         // deg(u)=2, deg(i)=1 → entries 1/sqrt(2)
         let prop = normalized_bipartite(1, 2, &[(0, 0, 1.0), (0, 1, 1.0)]);
-        let dense = prop.forward().to_dense();
+        let dense = prop.csr().to_dense();
         let s = 1.0 / 2.0f32.sqrt();
         assert!((dense.get(0, 1) - s).abs() < 1e-6);
         assert!((dense.get(0, 2) - s).abs() < 1e-6);
@@ -94,7 +94,7 @@ mod tests {
     fn matrix_is_symmetric() {
         let prop =
             normalized_bipartite(3, 4, &[(0, 0, 1.0), (0, 3, 1.0), (1, 0, 1.0), (2, 2, 1.0)]);
-        let d = prop.forward().to_dense();
+        let d = prop.csr().to_dense();
         for r in 0..7 {
             for c in 0..7 {
                 assert!((d.get(r, c) - d.get(c, r)).abs() < 1e-7, "asymmetry at ({r},{c})");
@@ -107,27 +107,27 @@ mod tests {
         // user 0 — item 0 with weight 0.5 only:
         // deg both 0.5 → normalized value 0.5/0.5 = 1
         let prop = normalized_bipartite(1, 1, &[(0, 0, 0.5)]);
-        let dense = prop.forward().to_dense();
+        let dense = prop.csr().to_dense();
         assert!((dense.get(0, 1) - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn non_positive_weights_dropped() {
         let prop = normalized_bipartite(1, 2, &[(0, 0, 0.0), (0, 1, -1.0)]);
-        assert_eq!(prop.forward().nnz(), 0);
+        assert_eq!(prop.csr().nnz(), 0);
     }
 
     #[test]
     fn empty_propagation_is_zero() {
         let prop = empty_propagation(2, 3);
-        assert_eq!(prop.forward().rows(), 5);
-        assert_eq!(prop.forward().nnz(), 0);
+        assert_eq!(prop.csr().rows(), 5);
+        assert_eq!(prop.csr().nnz(), 0);
     }
 
     #[test]
     fn duplicate_edges_accumulate_weight() {
         let a = normalized_bipartite(1, 1, &[(0, 0, 0.5), (0, 0, 0.5)]);
         let b = normalized_bipartite(1, 1, &[(0, 0, 1.0)]);
-        assert!((a.forward().to_dense().get(0, 1) - b.forward().to_dense().get(0, 1)).abs() < 1e-6);
+        assert!((a.csr().to_dense().get(0, 1) - b.csr().to_dense().get(0, 1)).abs() < 1e-6);
     }
 }

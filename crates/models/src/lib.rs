@@ -1,8 +1,12 @@
 //! # ptf-models
 //!
 //! The recommendation models of the PTF-FedRec paper, built from scratch on
-//! the `ptf-tensor` kernels (NeuMF and MF by hand, NGCF and LightGCN on its
-//! autograd tape):
+//! the `ptf-tensor` kernels. Every model's training step is written out by
+//! hand over buffers the model owns — MF as a fused per-sample SGD step,
+//! NeuMF, NGCF and LightGCN as per-batch forward and backward passes whose
+//! derivations are their module docs. The autograd tape they replaced
+//! lives on in the dev-only `ptf-tape` crate as their test oracle: each
+//! model's `hand_derived_step_matches_the_tape` proptest rebuilds it there.
 //!
 //! * [`neumf::NeuMf`] — MLP-over-concatenated-embeddings (Eq. 1), the
 //!   default *client* model;
@@ -21,10 +25,11 @@
 //! servers reach through [`registry::build_model`] with a `Full` scope —
 //! and everything around the forward pass is shared: `scoped::ScopedParams`
 //! owns an Adam-trained model's parameters, moments, item scope and seed
-//! (lazy rows, eviction, batch staging, the full-state envelope), and
+//! (lazy rows, eviction, the Adam step, the full-state envelope), and
 //! `backbone::GraphBackbone` adds what NGCF and LightGCN have in common
-//! (propagation operator, global edge list, final-embedding cache, the
-//! cached scoring loop).
+//! (propagation operator, global edge list, where a batch sits in the
+//! node space, the final-embedding cache and the allocation-free scoring
+//! loop over it).
 
 mod backbone;
 pub mod eval;
@@ -35,7 +40,6 @@ pub mod neumf;
 pub mod ngcf;
 pub mod registry;
 mod scoped;
-mod scratch;
 pub mod traits;
 
 pub use eval::{evaluate_model, evaluate_model_with_threads};

@@ -52,7 +52,7 @@
 //! batch and none is exported.
 
 use crate::mf::sigmoid_and_bce;
-use crate::scoped::{self, ScopedParams, EMB_STD};
+use crate::scoped::{self, dense, ScopedParams, EMB_STD};
 use crate::traits::{stable_sigmoid, Recommender, ScopeView};
 use ptf_tensor::prelude::*;
 use ptf_tensor::{init, kernels, matrix, ItemScope, ParamId, Params, RowSparse};
@@ -318,13 +318,6 @@ impl NeuMf {
     }
 }
 
-fn dense(grads: &mut Grads, id: ParamId) -> &mut [f32] {
-    match grads.slot_mut(id) {
-        Some(GradBuf::Dense(m)) => m.as_mut_slice(),
-        _ => unreachable!("weights, biases and the head take dense gradients"),
-    }
-}
-
 fn sparse(grads: &mut Grads, id: ParamId) -> &mut RowSparse {
     match grads.slot_mut(id) {
         Some(GradBuf::Rows(rs)) => rs,
@@ -467,6 +460,7 @@ impl Recommender for NeuMf {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use ptf_tape::{Graph, Var};
 
     /// The oracle: the same model built on the autograd tape, which is
     /// how NeuMF trained and scored before its step was written by hand.

@@ -9,9 +9,10 @@
 //! moment rows move together" is a property of the type rather than a
 //! calling convention.
 
-use crate::scratch::BatchScratch;
 use crate::traits::ScopeView;
-use ptf_tensor::{derive_seed, init, Adam, Grads, ItemScope, Matrix, ParamId, Params, ScopeIndex};
+use ptf_tensor::{
+    derive_seed, init, Adam, GradBuf, Grads, ItemScope, Matrix, ParamId, Params, ScopeIndex,
+};
 
 /// Stream discriminators inside one model's seed namespace.
 const DENSE_INIT_STREAM: u64 = 1;
@@ -46,6 +47,14 @@ pub(crate) fn item_block(scope: &ItemScope, dim: usize, seed: u64) -> Matrix {
     }
 }
 
+/// The dense gradient buffer of `id` in a model's reused [`Grads`].
+pub(crate) fn dense(grads: &mut Grads, id: ParamId) -> &mut [f32] {
+    match grads.slot_mut(id) {
+        Some(GradBuf::Dense(m)) => m.as_mut_slice(),
+        _ => unreachable!("weights, biases and the head take dense gradients"),
+    }
+}
+
 /// An Adam-trained model's state: its [`Params`], their [`Adam`]
 /// moments, and the bookkeeping of the one item-scoped embedding
 /// parameter — which global item id backs which row (the item block
@@ -58,10 +67,6 @@ pub(crate) struct ScopedParams {
     row_offset: usize,
     scope: ScopeIndex,
     item_seed: u64,
-    /// Reused batch-staging vectors + autograd arena of the tape models
-    /// (steady-state training is allocation-free after the first batch;
-    /// stays empty under NeuMF, which keeps its own working buffers).
-    scratch: BatchScratch,
 }
 
 /// Full-state envelope: everything a model needs to *resume training
@@ -105,15 +110,7 @@ impl ScopedParams {
         let scope = ScopeIndex::from_scope(scope);
         assert_eq!(params.get(emb).rows(), row_offset + scope.len(), "item block/scope mismatch");
         let adam = Adam::with_defaults(&params, lr);
-        Self {
-            params,
-            adam,
-            emb,
-            row_offset,
-            scope,
-            item_seed: item_seed(seed),
-            scratch: BatchScratch::default(),
-        }
+        Self { params, adam, emb, row_offset, scope, item_seed: item_seed(seed) }
     }
 
     pub fn params(&self) -> &Params {
@@ -212,33 +209,9 @@ impl ScopedParams {
         victims.len()
     }
 
-    /// Splits `batch` into the staged user/row/label columns of the
-    /// store's scratch, which it hands out (return it through
-    /// [`ScopedParams::apply`]). Every batch item must be materialized.
-    pub fn stage(&mut self, batch: &[(u32, u32, f32)]) -> BatchScratch {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.users.clear();
-        scratch.users.extend(batch.iter().map(|&(u, _, _)| u));
-        scratch.rows.clear();
-        scratch.rows.extend(
-            batch.iter().map(|&(_, i, _)| self.lookup(i).expect("item materialized") as u32),
-        );
-        scratch.labels.clear();
-        scratch.labels.extend(batch.iter().map(|&(_, _, l)| l));
-        scratch
-    }
-
     /// One Adam step on `grads`.
     pub fn step(&mut self, grads: &Grads) {
         self.adam.step(&mut self.params, grads);
-    }
-
-    /// One Adam step on the tape's `grads`, then takes `scratch` (and the
-    /// gradient buffers) back for the next batch.
-    pub fn apply(&mut self, mut scratch: BatchScratch, grads: Grads) {
-        self.step(&grads);
-        scratch.arena.recycle(grads);
-        self.scratch = scratch;
     }
 
     /// Serializes the complete training state as a [`FullWire`] envelope

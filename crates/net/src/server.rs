@@ -12,7 +12,8 @@
 //! 2. **Rounds** — for each round: draw the participant set on the same
 //!    `RngStream::Participation` stream as the in-process engine,
 //!    announce it, collect uploads until the round deadline, drop
-//!    stragglers (the protocol's partial-participation path), sort
+//!    stragglers and clients whose upload is malformed (the protocol's
+//!    partial-participation path), sort
 //!    uploads into ascending client order, and run the shared
 //!    [`ptf_core::rounds::server_phase`] — which is what makes the
 //!    resulting `RunTrace` bit-identical to the in-process engine when
@@ -63,7 +64,9 @@ pub struct NetServerOptions {
     pub verbose: bool,
 }
 
-/// One straggler drop event: `client` missed `round`'s deadline.
+/// One straggler drop event: `client` missed `round`'s deadline, or sent
+/// an upload the server cannot train on (an item outside the catalogue, a
+/// score that is not a probability).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct StragglerDrop {
     pub round: u32,
@@ -195,6 +198,7 @@ pub fn run_server(
 ) -> Result<(NetRunReport, PtfServer), NetError> {
     opts.cfg.validate().map_err(|e| NetError::Protocol(e.to_string()))?;
     let fleet = train.num_users();
+    let num_items = train.num_items() as u32;
     let fingerprint = config_fingerprint(
         &opts.cfg,
         opts.client_kind,
@@ -256,9 +260,11 @@ pub fn run_server(
             let _ = announced;
         }
 
-        // collect uploads until the deadline or until nobody is pending
+        // collect uploads until the deadline or until nobody is pending; a
+        // malformed upload drops its client for the round on receipt
         let mut uploads: Vec<ClientUpload> = Vec::with_capacity(pending.len());
         let mut losses_by_client: HashMap<u32, f32> = HashMap::with_capacity(pending.len());
+        let mut dropped: Vec<u32> = Vec::new();
         let round_deadline = Instant::now() + opts.round_deadline;
         while !pending.is_empty() {
             let remaining = round_deadline.saturating_duration_since(Instant::now());
@@ -274,6 +280,10 @@ pub fn run_server(
                         continue; // unsampled or duplicate upload
                     };
                     pending.swap_remove(at);
+                    if !is_trainable(&triples, num_items) {
+                        dropped.push(client);
+                        continue;
+                    }
                     losses_by_client.insert(client, loss);
                     uploads.push(ClientUpload {
                         client,
@@ -289,9 +299,11 @@ pub fn run_server(
             }
         }
 
-        // deadline passed: drop stragglers via partial participation
-        pending.sort_unstable();
-        for &p in &pending {
+        // deadline passed: drop stragglers and malformed uploads via
+        // partial participation
+        dropped.append(&mut pending);
+        dropped.sort_unstable();
+        for &p in &dropped {
             stragglers.push(StragglerDrop { round, client: p });
             if let Some(peer) = sessions.peer_of(p) {
                 peer.send(Frame::Dropped { client: p, round });
@@ -322,7 +334,7 @@ pub fn run_server(
                 "  round {:>3}: {} participants ({} dropped), client loss {:.4}, server loss {:.4}",
                 round,
                 round_trace.participants,
-                pending.len(),
+                dropped.len(),
                 round_trace.mean_client_loss,
                 round_trace.server_loss
             );
@@ -348,6 +360,15 @@ pub fn run_server(
         connections: sessions.connections_seen,
     };
     Ok((report, server))
+}
+
+/// Whether the server may train on an upload: every item inside the
+/// catalogue and every score a probability (finite, in `[0, 1]`). The
+/// hidden model indexes its rows and graph by item id, so anything else
+/// is discarded on receipt and its client dropped for the round, exactly
+/// like a straggler.
+fn is_trainable(triples: &[(u32, u32, f32)], num_items: u32) -> bool {
+    triples.iter().all(|&(_, item, score)| item < num_items && (0.0..=1.0).contains(&score))
 }
 
 /// One step of the event loop shared by the gather and round phases:

@@ -8,6 +8,7 @@ use ptf_core::{PtfConfig, PtfFedRec};
 use ptf_data::{Dataset, SyntheticConfig};
 use ptf_federated::{Engine, Participation};
 use ptf_models::{ModelHyper, ModelKind};
+use ptf_net::wire::Frame;
 use ptf_net::{
     loopback_hub, run_server, run_shard, NetError, NetServerOptions, ShardOptions, Straggle,
     StragglerDrop,
@@ -160,6 +161,93 @@ fn straggler_is_dropped_and_trace_matches_unsampled_reference() {
         loopback_trace_json(&train, &cfg, &shards, Some((1, plan)), Duration::from_millis(1000));
     assert_eq!(stragglers, vec![StragglerDrop { round: last_round, client: straggler }]);
     assert_eq!(net, reference, "dropped straggler must equal an unsampled client");
+}
+
+#[test]
+fn a_malformed_upload_drops_its_client_and_the_run_goes_on() {
+    // one logical client speaks the protocol by hand and answers every
+    // announcement with an upload the server cannot train on — an item
+    // past the catalogue, then a NaN score, then a score above 1. Each is
+    // discarded on receipt and its client dropped for that round like a
+    // straggler, so the run must equal an engine run that never sampled it
+    let train = dataset();
+    let cfg = config(1);
+    let bad = 7u32;
+    let num_items = train.num_items() as u32;
+    let malformed = [(bad, num_items, 0.5), (bad, 3, f32::NAN), (bad, 3, 1.5)];
+
+    let protocol =
+        PtfFedRec::try_new(&train, CLIENT, SERVER, &ModelHyper::small(), cfg.clone()).unwrap();
+    let reduced: Vec<u32> = protocol.trainable().iter().copied().filter(|&c| c != bad).collect();
+    assert!(reduced.len() + 1 == protocol.trainable().len(), "test needs a trainable offender");
+    let mut engine = Engine::new(protocol);
+    let mut reference = ptf_federated::RunTrace::default();
+    for _ in 0..cfg.rounds {
+        reference.push(engine.run_round_external(&reduced).expect("external sets are honored"));
+    }
+
+    let (hub, events) = loopback_hub();
+    let opts = server_options(&cfg);
+    let train = &train;
+    let (report, dropped_notices) = std::thread::scope(|scope| {
+        let shard_opts = ShardOptions {
+            cfg: cfg.clone(),
+            client_kind: CLIENT,
+            server_kind: SERVER,
+            hyper: ModelHyper::small(),
+            ids: (0..24).filter(|&c| c != bad).collect(),
+            straggle: None,
+        };
+        let honest = scope.spawn({
+            let hub = hub.clone();
+            move || run_shard(train, &mut hub.connect(), &shard_opts)
+        });
+        let offender = scope.spawn({
+            let hub = hub.clone();
+            let cfg = cfg.clone();
+            move || {
+                let mut conn = hub.connect();
+                let fingerprint = ptf_net::config_fingerprint(
+                    &cfg,
+                    CLIENT,
+                    SERVER,
+                    &ModelHyper::small(),
+                    train.num_users(),
+                    train.num_items(),
+                );
+                conn.send(&Frame::Hello { client: bad, trainable: true, fingerprint }).unwrap();
+                let mut dropped = Vec::new();
+                loop {
+                    match conn.recv().unwrap().expect("the server finishes the run") {
+                        Frame::Announce { client, round, .. } => {
+                            assert_eq!(client, bad);
+                            let triples = vec![(bad, 1, 0.25), malformed[round as usize % 3]];
+                            conn.send(&Frame::Upload { client, round, loss: 0.5, triples })
+                                .unwrap();
+                        }
+                        Frame::Dropped { round, .. } => dropped.push(round),
+                        Frame::Welcome { .. } => {}
+                        Frame::Finished { .. } => return dropped,
+                        other => panic!("unexpected frame for the offender: {other:?}"),
+                    }
+                }
+            }
+        });
+        let (report, _server) = run_server(train, &events, &opts).unwrap();
+        let summary = honest.join().unwrap().expect("the honest shard completes every round");
+        assert_eq!(summary.rounds_finished, cfg.rounds);
+        assert_eq!(summary.dropped, 0, "only the offender is dropped");
+        (report, offender.join().unwrap())
+    });
+    let expected: Vec<StragglerDrop> =
+        (0..cfg.rounds).map(|round| StragglerDrop { round, client: bad }).collect();
+    assert_eq!(report.stragglers, expected);
+    assert_eq!(dropped_notices, (0..cfg.rounds).collect::<Vec<_>>());
+    assert_eq!(
+        serde_json::to_string(&report.trace).unwrap(),
+        serde_json::to_string(&reference).unwrap(),
+        "a dropped offender must equal an unsampled client"
+    );
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Arena-backed tape for reverse-mode automatic differentiation.
+//! Arena-backed tape for reverse-mode automatic differentiation — the
+//! oracle the hand-derived model steps are tested against.
 //!
 //! A [`Graph`] is built fresh for every training batch ("define-by-run"):
 //! operations execute eagerly, recording just enough structure for
@@ -19,11 +20,9 @@
 //! [`GraphArena::recycle`] additionally parks a consumed [`Grads`] so the
 //! gradient buffers themselves are reused across optimizer steps.
 
-use crate::grad::{GradBuf, Grads, RowSparse};
-use crate::kernels;
-use crate::matrix::Matrix;
-use crate::params::{ParamId, Params};
-use crate::sparse::PropagationMatrix;
+use crate::sparse::transpose;
+use ptf_tensor::{kernels, Csr, GradBuf, Grads, Matrix, ParamId, Params, RowSparse};
+use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,9 +66,9 @@ enum Source {
         a: Var,
         b: Var,
     },
-    /// `prop.forward() × b`; backward is `prop.backward() × dY`.
+    /// `a × b`; backward is `aᵀ × dY`.
     Spmm {
-        prop: PropagationMatrix,
+        a: Arc<Csr>,
         b: Var,
     },
     /// Row lookup; `idx` ranges into the arena's `idx_buf`.
@@ -179,19 +178,18 @@ impl GraphArena {
     /// allocating: dense gradients keep their matrices (re-zeroed on
     /// reuse), row-sparse ones keep their table capacity.
     pub fn recycle(&mut self, mut grads: Grads) {
-        let n = grads.bufs.len();
-        if self.spare_bufs.len() < n {
-            self.spare_bufs.resize_with(n, || None);
-        }
-        for (i, slot) in grads.bufs.iter_mut().enumerate() {
-            if let Some(mut buf) = slot.take() {
+        let ids: Vec<ParamId> = grads.iter().map(|(id, _)| id).collect();
+        for id in ids {
+            if let Some(mut buf) = grads.slot_mut(id).take() {
                 if let GradBuf::Rows(rs) = &mut buf {
                     rs.clear();
                 }
-                self.spare_bufs[i] = Some(buf);
+                if self.spare_bufs.len() <= id.index() {
+                    self.spare_bufs.resize_with(id.index() + 1, || None);
+                }
+                self.spare_bufs[id.index()] = Some(buf);
             }
         }
-        grads.bufs.clear();
         self.spare_grads = Some(grads);
     }
 
@@ -347,11 +345,11 @@ impl<'p> Graph<'p> {
         self.finish(s, out, Source::MatMul { a, b })
     }
 
-    /// Sparse propagation `prop × b` (NGCF/LightGCN message passing).
-    pub fn spmm(&mut self, prop: &PropagationMatrix, b: Var) -> Var {
+    /// Sparse product `a × b` (NGCF/LightGCN message passing).
+    pub fn spmm(&mut self, a: &Csr, b: Var) -> Var {
         let (s, mut out) = self.new_slot();
-        prop.forward().matmul_into(self.value(b), &mut out);
-        self.finish(s, out, Source::Spmm { prop: prop.clone(), b })
+        a.matmul_into(self.value(b), &mut out);
+        self.finish(s, out, Source::Spmm { a: Arc::new(a.clone()), b })
     }
 
     /// Element-wise sum.
@@ -676,8 +674,8 @@ impl<'p> Graph<'p> {
                     self.add_to(&mut grads, a, |s, d| g.matmul_nt_acc(s.value(b), d));
                     self.add_to(&mut grads, b, |s, d| s.value(a).matmul_tn_acc(&g, d));
                 }
-                Source::Spmm { prop, b } => {
-                    self.add_to(&mut grads, b, |_, d| prop.backward().matmul_acc(&g, d));
+                Source::Spmm { a, b } => {
+                    self.add_to(&mut grads, b, |_, d| transpose(&a).matmul_acc(&g, d));
                 }
                 Source::Gather { src, idx } => {
                     let param_src = match &self.arena().nodes[src.0].src {
@@ -890,17 +888,17 @@ fn sigmoid(x: f32) -> f32 {
     }
 }
 
-impl Matrix {
-    /// Zero matrix with the same shape as `other`.
-    pub fn zeros_like(other: &Matrix) -> Matrix {
-        Matrix::zeros(other.rows(), other.cols())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::Csr;
+
+    /// The handle of the `i`-th parameter pushed into a store: these
+    /// tests name parameters by position.
+    #[allow(non_snake_case)]
+    fn ParamId(i: usize) -> ptf_tensor::ParamId {
+        let mut p = Params::new();
+        (0..=i).map(|_| p.push("", Matrix::default())).last().expect("i + 1 pushes")
+    }
 
     /// Central finite differences of `loss(params)` w.r.t. parameter `id`.
     fn numeric_grad(params: &mut Params, id: ParamId, loss: &dyn Fn(&Params) -> f32) -> Matrix {
@@ -1107,7 +1105,7 @@ mod tests {
             4,
             &[(0, 0, 0.5), (0, 3, 1.5), (1, 1, 2.0), (2, 0, 1.0), (2, 2, 0.25)],
         );
-        let prop = PropagationMatrix::new(adj.clone());
+        let prop = adj.clone();
         let mut p = Params::new();
         let x = p.push("x", test_matrix(4, 2, 1.0));
 
@@ -1329,7 +1327,7 @@ mod tests {
             4,
             &[(0, 1, 0.5), (1, 0, 0.5), (1, 2, 0.7), (2, 1, 0.7), (3, 3, 1.0)],
         );
-        let prop = PropagationMatrix::new(adj);
+        let prop = adj;
         let mut p = Params::new();
         let emb = p.push("emb", test_matrix(4, 3, 1.1));
         let w1 = p.push("w1", test_matrix(3, 3, 0.8));
@@ -1340,7 +1338,7 @@ mod tests {
             let side = g.spmm(&prop, e);
             let aff = g.mul(side, e);
             let lin = g.matmul(aff, w);
-            let mut rng = crate::test_rng(40);
+            let mut rng = ptf_tensor::test_rng(40);
             let drop = g.dropout(lin, 0.3, &mut rng);
             let act = g.tanh(drop);
             let both = g.concat_cols(act, e);
@@ -1435,7 +1433,7 @@ mod tests {
 #[cfg(test)]
 mod loss_op_tests {
     use super::*;
-    use crate::test_rng;
+    use ptf_tensor::test_rng;
     use rand::Rng as _;
 
     #[test]

@@ -3,7 +3,7 @@
 //! algebra must agree with its dense counterpart.
 
 use proptest::prelude::*;
-use ptf_tensor::prelude::*;
+use ptf_tape::prelude::*;
 use ptf_tensor::ParamId;
 
 /// A small matrix with bounded entries (away from activation kinks).
@@ -132,7 +132,7 @@ proptest! {
         let dense = m.to_dense().matmul(&x);
         prop_assert!(sparse.max_abs_diff(&dense) < 1e-4);
         // transpose round-trips
-        let tt = m.transpose().transpose().to_dense();
+        let tt = transpose(&transpose(&m)).to_dense();
         let md = m.to_dense();
         prop_assert_eq!(tt.as_slice(), md.as_slice());
     }

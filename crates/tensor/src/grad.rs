@@ -49,7 +49,7 @@ impl RowSparse {
     }
 
     /// Drops all accumulated rows, keeping the allocation (and `cols`)
-    /// for reuse — the recycling path of the autograd arena.
+    /// for reuse across batches.
     pub fn clear(&mut self) {
         self.slot_of_row.clear();
         self.rows.clear();
@@ -133,7 +133,7 @@ impl GradBuf {
 /// Gradients for every parameter of a [`Params`] store, aligned by index.
 #[derive(Clone, Debug)]
 pub struct Grads {
-    pub(crate) bufs: Vec<Option<GradBuf>>,
+    bufs: Vec<Option<GradBuf>>,
 }
 
 impl Grads {
@@ -142,14 +142,14 @@ impl Grads {
     }
 
     /// Empties every slot and re-sizes to `params`, keeping the `Vec`
-    /// allocation — used when a recycled `Grads` shell is reused.
-    pub(crate) fn reset_for(&mut self, params: &Params) {
+    /// allocation — for reusing a `Grads` shell.
+    pub fn reset_for(&mut self, params: &Params) {
         self.bufs.clear();
         self.bufs.resize_with(params.len(), || None);
     }
 
-    /// Mutable access to the gradient slot of `id` (used by the graph's
-    /// backward pass and by tests/optimizers that synthesize gradients).
+    /// Mutable access to the gradient slot of `id` (where a hand-derived
+    /// backward pass writes its gradients).
     pub fn slot_mut(&mut self, id: ParamId) -> &mut Option<GradBuf> {
         &mut self.bufs[id.index()]
     }

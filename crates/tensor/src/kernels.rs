@@ -27,9 +27,9 @@
 //! element-wise loop has no reassociation barrier, so LLVM already
 //! auto-vectorizes the plain form; an earlier hand-chunked 8-lane
 //! variant of these kernels benchmarked 1.5–1.8× *slower* end-to-end
-//! on the axpy-heavy autograd models (NGCF 8.4 → 14.5 ms/batch) — the
-//! chunk/remainder bookkeeping defeated the optimizer on the many
-//! short slices the tape emits.
+//! on the axpy-heavy models of the time, which ran on an autograd tape
+//! (NGCF 8.4 → 14.5 ms/batch) — the chunk/remainder bookkeeping
+//! defeated the optimizer on the many short slices the tape emitted.
 //!
 //! Both backends are pure functions of their inputs: results are
 //! independent of thread count, so the determinism suite passes under
@@ -108,7 +108,7 @@ pub fn dot_with(backend: Backend, a: &[f32], b: &[f32]) -> f32 {
     match backend {
         Backend::Scalar => a.iter().zip(b).map(|(&x, &y)| x * y).sum(),
         Backend::Vector => {
-            // short slices (the tape's length-1 output layers) skip the
+            // short slices (length-1 output layers) skip the
             // lane machinery entirely — the result is the same pure
             // left-to-right chain the remainder loop would compute
             if a.len() < LANES {

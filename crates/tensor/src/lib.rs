@@ -1,23 +1,24 @@
 //! # ptf-tensor
 //!
 //! A small, dependency-light numeric substrate for the PTF-FedRec
-//! reproduction: dense row-major [`Matrix`] values, CSR [`sparse::Csr`]
-//! matrices for graph propagation, an arena-backed reverse-mode autograd
-//! tape ([`graph::Graph`] over a reusable [`graph::GraphArena`]), the
+//! reproduction: dense row-major [`Matrix`] values and the fixed-width
+//! [`matrix`] products over row-major slices, CSR [`sparse::Csr`]
+//! matrices with a register-resident spmm for graph propagation, the
 //! env-selectable [`kernels`] (chunked 8-lane vector backend vs the
 //! scalar reference, `PTF_KERNEL`), the [`optim`] optimizers (Adam with
-//! lazy row-sparse embedding updates, plain SGD), the [`par`] fork/join
-//! primitives (plus the [`par::Pool`] worker-scratch pool) behind
-//! deterministic parallel client execution, the [`packed`] raw-bits text
+//! lazy row-sparse embedding updates, plain SGD) over a [`Params`] store
+//! and its [`Grads`], the [`par`] fork/join primitives (plus the
+//! [`par::Pool`] worker-scratch pool) behind deterministic parallel client
+//! execution, the seed-derived row [`init`], the [`packed`] raw-bits text
 //! form every `f32` buffer takes in a state envelope, and the [`alloc`]
 //! counting-allocator shim behind heap accounting in the perf harness.
 //!
-//! The design is deliberately "define-by-run": every training batch builds a
-//! fresh [`graph::Graph`] over a shared [`params::Params`] store, computes a
-//! scalar loss, and calls [`graph::Graph::backward`] to obtain per-parameter
-//! gradients. Embedding lookups produce *row-sparse* gradients so that a
-//! client holding a 10k-item embedding table only pays for the rows its
-//! batch touched.
+//! There is no autograd here. Every model writes its forward and
+//! backward pass by hand over buffers it owns, fills a reused [`Grads`]
+//! — dense for weights, row-sparse ([`RowSparse`]) for embedding tables,
+//! so a client holding a 10k-item table only pays for the rows its batch
+//! touched — and steps an optimizer with it. The reverse-mode tape those
+//! passes are checked against lives in the dev-only `ptf-tape` crate.
 //!
 //! ```
 //! use ptf_tensor::prelude::*;
@@ -26,22 +27,23 @@
 //! let mut params = Params::new();
 //! let w = params.push("w", Matrix::randn(3, 1, 0.1, &mut rng));
 //!
-//! // one gradient step of least squares via the autograd graph
+//! // one Adam step of least squares `‖x·w − y‖²`, gradient by hand:
+//! // d/dw = 2·xᵀ·(x·w − y)
 //! let x = Matrix::from_vec(2, 3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0]);
+//! let y = Matrix::from_vec(2, 1, vec![1.0, -1.0]);
+//! let mut residual = x.matmul(params.get(w));
+//! residual.scaled_add_assign(-1.0, &y);
+//! let mut dw = Matrix::zeros(3, 1);
+//! x.matmul_tn_acc(&residual.map(|r| 2.0 * r), &mut dw);
+//!
+//! let mut grads = Grads::new_for(&params);
+//! *grads.slot_mut(w) = Some(GradBuf::Dense(dw));
 //! let mut adam = Adam::with_defaults(&params, 0.05);
-//! let mut g = Graph::new(&params);
-//! let xv = g.leaf(x);
-//! let wv = g.param(w);
-//! let pred = g.matmul(xv, wv);
-//! let loss = g.bce_with_logits(pred, &[1.0, 0.0]);
-//! let grads = g.backward(loss);
-//! drop(g);
 //! adam.step(&mut params, &grads);
 //! ```
 
 pub mod alloc;
 pub mod grad;
-pub mod graph;
 pub mod init;
 pub mod kernels;
 pub mod matrix;
@@ -53,7 +55,6 @@ pub mod rowtable;
 pub mod sparse;
 
 pub use grad::{GradBuf, Grads, RowSparse};
-pub use graph::{Graph, GraphArena, Var};
 pub use matrix::Matrix;
 pub use optim::{Adam, Sgd};
 pub use packed::PackedF32s;
@@ -64,7 +65,6 @@ pub use sparse::{Csr, PropagationMatrix};
 /// Convenience prelude that re-exports the types almost every user needs.
 pub mod prelude {
     pub use crate::grad::{GradBuf, Grads};
-    pub use crate::graph::{Graph, GraphArena, Var};
     pub use crate::matrix::Matrix;
     pub use crate::optim::{Adam, Sgd};
     pub use crate::params::{ParamId, Params};

@@ -34,7 +34,7 @@ pub struct Matrix {
 }
 
 /// An empty 0×0 matrix (no allocation) — the "parked buffer" state of
-/// arena-pooled matrices.
+/// reused matrices.
 impl Default for Matrix {
     fn default() -> Self {
         Self { rows: 0, cols: 0, data: Vec::new() }
@@ -55,6 +55,11 @@ impl Matrix {
     /// An all-zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self { rows, cols, data: vec![0.0; rows * cols] }
+    }
+
+    /// Zero matrix with the same shape as `other`.
+    pub fn zeros_like(other: &Matrix) -> Self {
+        Self::zeros(other.rows, other.cols)
     }
 
     /// A matrix filled with `value`.
@@ -174,8 +179,8 @@ impl Matrix {
     }
 
     /// Reshapes this matrix in place to `rows × cols`, zero-filled.
-    /// Existing buffer capacity is reused — the steady-state path of the
-    /// autograd arena performs no heap allocation once warmed.
+    /// Existing buffer capacity is reused, so a reused gradient buffer
+    /// performs no heap allocation once warmed.
     pub fn reset_to(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
@@ -425,7 +430,7 @@ pub fn tn_acc(a: &[f32], a_cols: usize, g: &[f32], width: usize, out: &mut [f32]
 /// inner loop of the fixed-width kernels. With `N` known LLVM unrolls it
 /// and keeps `acc` in vector registers across the caller's outer loop.
 #[inline(always)]
-fn axpy_lanes<const N: usize>(x: f32, row: &[f32], acc: &mut [f32; N]) {
+pub(crate) fn axpy_lanes<const N: usize>(x: f32, row: &[f32], acc: &mut [f32; N]) {
     let row: &[f32; N] = row.try_into().expect("a row of the kernel's width");
     for j in 0..N {
         acc[j] += x * row[j];

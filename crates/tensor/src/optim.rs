@@ -193,7 +193,6 @@ impl Adam {
 mod tests {
     use super::*;
     use crate::grad::RowSparse;
-    use crate::graph::Graph;
 
     #[test]
     fn sgd_moves_against_gradient() {
@@ -207,20 +206,15 @@ mod tests {
 
     #[test]
     fn adam_minimizes_quadratic() {
-        // minimize ||w - c||² for a fixed target c
+        // minimize ||w - c||² for a fixed target c: d/dw = 2(w − c)
         let mut p = Params::new();
         let w = p.push("w", Matrix::zeros(1, 3));
         let target = Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]);
         let mut adam = Adam::with_defaults(&p, 0.05);
         for _ in 0..600 {
-            let grads = {
-                let mut g = Graph::new(&p);
-                let wv = g.param(w);
-                let t = g.leaf(target.clone());
-                let d = g.sub(wv, t);
-                let l = g.frob_sq(d);
-                g.backward(l)
-            };
+            let grad = p.get(w).zip_map(&target, |w, c| 2.0 * (w - c));
+            let mut grads = Grads::new_for(&p);
+            *grads.slot_mut(w) = Some(GradBuf::Dense(grad));
             adam.step(&mut p, &grads);
         }
         assert!(p.get(w).max_abs_diff(&target) < 1e-2, "{:?}", p.get(w));
@@ -242,18 +236,22 @@ mod tests {
         let mut adam = Adam::with_defaults(&p, 0.05);
         let mut last_loss = f32::INFINITY;
         for _ in 0..400 {
-            let (grads, loss) = {
-                let mut g = Graph::new(&p);
-                let xv = g.leaf(x.clone());
-                let wv = g.param(w);
-                let bv = g.param(b);
-                let o = g.matmul(xv, wv);
-                let o = g.add_row(o, bv);
-                let l = g.bce_with_logits(o, &targets);
-                (g.backward(l), g.scalar(l))
-            };
+            // mean BCE of σ(x·w + b): dlogit = (σ − t)/n, dw = xᵀ·dlogit,
+            // db = Σ dlogit
+            let logits = x.matmul(p.get(w)).map(|z| z + p.get(b).scalar());
+            let mut loss = 0.0f32;
+            let dlogit = Matrix::from_fn(n, 1, |r, _| {
+                let (z, t) = (logits.get(r, 0), targets[r]);
+                loss += z.max(0.0) - z * t + (-z.abs()).exp().ln_1p();
+                (1.0 / (1.0 + (-z).exp()) - t) / n as f32
+            });
+            let mut dw = Matrix::zeros(2, 1);
+            x.matmul_tn_acc(&dlogit, &mut dw);
+            let mut grads = Grads::new_for(&p);
+            *grads.slot_mut(w) = Some(GradBuf::Dense(dw));
+            *grads.slot_mut(b) = Some(GradBuf::Dense(Matrix::full(1, 1, dlogit.sum())));
             adam.step(&mut p, &grads);
-            last_loss = loss;
+            last_loss = loss / n as f32;
         }
         assert!(last_loss < 0.1, "logistic loss did not converge: {last_loss}");
         // weights should point in the (+, −) direction

@@ -1,8 +1,8 @@
 //! Trainable parameter storage.
 //!
-//! A model owns a [`Params`] store; each training batch builds a
-//! [`crate::Graph`] borrowing the store immutably, and the optimizer then
-//! applies the returned [`crate::Grads`] mutably. Identifiers are plain
+//! A model owns a [`Params`] store; each training batch reads it in the
+//! forward and backward pass, fills a [`crate::Grads`] aligned with it, and
+//! the optimizer then applies that mutably. Identifiers are plain
 //! indices so models can keep them in their structs.
 
 use crate::matrix::Matrix;

@@ -1,12 +1,24 @@
 //! CSR sparse matrices for graph propagation.
 //!
 //! NGCF and LightGCN repeatedly multiply a fixed, symmetrically normalized
-//! bipartite adjacency matrix with a dense embedding matrix. [`Csr`] stores
-//! that adjacency once; [`PropagationMatrix`] additionally caches the
-//! transpose so the autograd backward pass (`dX = Aᵀ·dY`) pays no per-batch
-//! transposition cost.
+//! bipartite adjacency matrix `Ã` with dense embedding rows, forward
+//! (`Ã·E`) and backward (`Ãᵀ·G = Ã·G`). [`Csr`] stores that adjacency
+//! once; [`PropagationMatrix`] is the square operator the models build
+//! from it, and because it is symmetric one buffer serves both
+//! directions.
+//!
+//! # Register-resident rows
+//!
+//! [`Csr::spmm_acc`] (`out += A·x`) and [`Csr::spmm_acc_at`] (the same
+//! over a chosen subset of output rows) work on row-major slices. On the
+//! fixed widths 16, 32 and 64 each output row lives in a local `[f32; N]`
+//! while the row's stored entries stream past it, and is stored once — as
+//! `matrix::acc`'s rows do. Every width sums each output element serially
+//! over the row's entries in column order, so the result is bit-identical
+//! to one `axpy` per entry, at any width and under either kernel backend.
 
-use crate::matrix::Matrix;
+use crate::kernels;
+use crate::matrix::{axpy_lanes, Matrix};
 
 /// Compressed sparse row matrix with `f32` values.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,61 +44,45 @@ impl Csr {
             assert!((r as usize) < rows, "row {r} out of bounds ({rows} rows)");
             assert!((c as usize) < cols, "col {c} out of bounds ({cols} cols)");
         }
-        // counting sort by row
-        let mut counts = vec![0usize; rows + 1];
+        // counting sort by row, keeping each row's triplets in input order
+        let mut indptr = vec![0usize; rows + 1];
         for &(r, _, _) in triplets {
-            counts[r as usize + 1] += 1;
+            indptr[r as usize + 1] += 1;
         }
         for i in 0..rows {
-            counts[i + 1] += counts[i];
+            indptr[i + 1] += indptr[i];
         }
-        let indptr_raw = counts.clone();
-        let mut order = vec![0usize; triplets.len()];
-        let mut cursor = indptr_raw.clone();
-        for (i, &(r, _, _)) in triplets.iter().enumerate() {
-            order[cursor[r as usize]] = i;
+        let mut cursor = indptr[..rows].to_vec();
+        let mut entries = vec![(0u32, 0.0f32); triplets.len()];
+        for &(r, c, v) in triplets {
+            entries[cursor[r as usize]] = (c, v);
             cursor[r as usize] += 1;
         }
 
-        // within each row, sort by column and merge duplicates
-        let mut indptr = Vec::with_capacity(rows + 1);
+        // within each row, sort by column and merge duplicates; `indptr`
+        // is rewritten to the merged counts as the rows go by
         let mut indices: Vec<u32> = Vec::with_capacity(triplets.len());
         let mut values: Vec<f32> = Vec::with_capacity(triplets.len());
-        indptr.push(0);
-        let mut row_buf: Vec<(u32, f32)> = Vec::new();
+        let mut start = 0;
         for r in 0..rows {
-            row_buf.clear();
-            for &t in &order[indptr_raw[r]..indptr_raw[r + 1]] {
-                let (_, c, v) = triplets[t];
-                row_buf.push((c, v));
-            }
-            row_buf.sort_unstable_by_key(|&(c, _)| c);
+            let row = &mut entries[start..indptr[r + 1]];
+            start = indptr[r + 1];
+            row.sort_unstable_by_key(|&(c, _)| c);
             let mut i = 0;
-            while i < row_buf.len() {
-                let (c, mut v) = row_buf[i];
+            while i < row.len() {
+                let (c, mut v) = row[i];
                 let mut j = i + 1;
-                while j < row_buf.len() && row_buf[j].0 == c {
-                    v += row_buf[j].1;
+                while j < row.len() && row[j].0 == c {
+                    v += row[j].1;
                     j += 1;
                 }
                 indices.push(c);
                 values.push(v);
                 i = j;
             }
-            indptr.push(indices.len());
+            indptr[r + 1] = indices.len();
         }
         Self { rows, cols, indptr, indices, values }
-    }
-
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        Self {
-            rows: n,
-            cols: n,
-            indptr: (0..=n).collect(),
-            indices: (0..n as u32).collect(),
-            values: vec![1.0; n],
-        }
     }
 
     pub fn rows(&self) -> usize {
@@ -124,9 +120,8 @@ impl Csr {
         self.matmul_acc(rhs, out);
     }
 
-    /// Accumulating sparse × dense product `out += self × rhs`. The
-    /// per-row accumulation is serial over stored entries (an axpy per
-    /// entry), so the result is bit-identical across kernel backends.
+    /// Accumulating sparse × dense product `out += self × rhs`: the
+    /// shape-checked [`Csr::spmm_acc`].
     pub fn matmul_acc(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols,
@@ -137,41 +132,72 @@ impl Csr {
             rhs.rows(),
             rhs.cols()
         );
-        let d = rhs.cols();
-        assert_eq!(out.shape(), (self.rows, d), "spmm: out shape mismatch");
-        for r in 0..self.rows {
-            let out_row = &mut out.as_mut_slice()[r * d..(r + 1) * d];
-            for k in self.indptr[r]..self.indptr[r + 1] {
-                let c = self.indices[k] as usize;
-                let v = self.values[k];
-                let rhs_row = &rhs.as_slice()[c * d..(c + 1) * d];
-                crate::kernels::axpy(v, rhs_row, out_row);
+        assert_eq!(out.shape(), (self.rows, rhs.cols()), "spmm: out shape mismatch");
+        self.spmm_acc(rhs.as_slice(), rhs.cols(), out.as_mut_slice());
+    }
+
+    /// `out += self·x` over row-major slices: `x` is `cols × width`,
+    /// `out` is `rows × width` (see the module docs for the summation
+    /// order).
+    pub fn spmm_acc(&self, x: &[f32], width: usize, out: &mut [f32]) {
+        assert_eq!(out.len(), self.rows * width, "spmm: output is not {}x{width}", self.rows);
+        self.spmm_over(0..self.rows, x, width, out);
+    }
+
+    /// `out[k] += self[rows[k], :]·x` — [`Csr::spmm_acc`] restricted to
+    /// the output rows `rows`, packed: `out` is `rows.len() × width`.
+    pub fn spmm_acc_at(&self, rows: &[u32], x: &[f32], width: usize, out: &mut [f32]) {
+        assert_eq!(out.len(), rows.len() * width, "spmm: output is not {}x{width}", rows.len());
+        self.spmm_over(rows.iter().map(|&r| r as usize), x, width, out);
+    }
+
+    /// The one spmm loop behind both forms: output row `k` takes matrix
+    /// row `rows[k]`.
+    fn spmm_over(
+        &self,
+        rows: impl Iterator<Item = usize>,
+        x: &[f32],
+        width: usize,
+        out: &mut [f32],
+    ) {
+        assert_eq!(
+            x.len(),
+            self.cols * width,
+            "spmm: right-hand side is not {}x{width}",
+            self.cols
+        );
+        match width {
+            0 => {}
+            16 => self.spmm_rows::<16>(rows, x, out),
+            32 => self.spmm_rows::<32>(rows, x, out),
+            64 => self.spmm_rows::<64>(rows, x, out),
+            _ => {
+                for (r, out_row) in rows.zip(out.chunks_exact_mut(width)) {
+                    for k in self.indptr[r]..self.indptr[r + 1] {
+                        let c = self.indices[k] as usize;
+                        kernels::axpy(self.values[k], &x[c * width..(c + 1) * width], out_row);
+                    }
+                }
             }
         }
     }
 
-    /// Transposed copy.
-    pub fn transpose(&self) -> Csr {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.indices {
-            counts[c as usize + 1] += 1;
-        }
-        for i in 0..self.cols {
-            counts[i + 1] += counts[i];
-        }
-        let mut indices = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f32; self.nnz()];
-        let mut cursor = counts.clone();
-        for r in 0..self.rows {
+    /// [`Csr::spmm_over`] at width `N`: the output row lives in a local
+    /// across the row's entries and is stored once.
+    fn spmm_rows<const N: usize>(
+        &self,
+        rows: impl Iterator<Item = usize>,
+        x: &[f32],
+        out: &mut [f32],
+    ) {
+        for (r, out_row) in rows.zip(out.chunks_exact_mut(N)) {
+            let mut acc: [f32; N] = (&*out_row).try_into().expect("a row of the kernel's width");
             for k in self.indptr[r]..self.indptr[r + 1] {
                 let c = self.indices[k] as usize;
-                let slot = cursor[c];
-                cursor[c] += 1;
-                indices[slot] = r as u32;
-                values[slot] = self.values[k];
+                axpy_lanes(self.values[k], &x[c * N..(c + 1) * N], &mut acc);
             }
+            out_row.copy_from_slice(&acc);
         }
-        Csr { rows: self.cols, cols: self.rows, indptr: counts, indices, values }
     }
 
     /// Materializes as a dense matrix (tests and tiny graphs only).
@@ -183,55 +209,30 @@ impl Csr {
         }
         m
     }
-
-    /// Per-row number of stored entries (node degree for adjacency use).
-    pub fn row_degrees(&self) -> Vec<usize> {
-        (0..self.rows).map(|r| self.indptr[r + 1] - self.indptr[r]).collect()
-    }
 }
 
-/// An adjacency matrix plus its cached transpose, shared by every
-/// autograd graph that propagates over it.
-///
-/// The buffers are behind [`std::sync::Arc`] (not `Rc`): a model holding
-/// a `PropagationMatrix` is scored from many evaluation threads at once
-/// and moved onto scheduler workers, so the shared handles must be
-/// thread-safe. The matrices themselves are immutable after construction.
+/// The symmetric propagation operator of a GCN: a square [`Csr`] that is
+/// its own transpose, so `Ã·G` is also the backward pass of `Ã·E`.
+/// Symmetry is the caller's contract (the normalized bipartite adjacency
+/// has it by construction); only squareness is checked.
 #[derive(Clone, Debug)]
 pub struct PropagationMatrix {
-    forward: std::sync::Arc<Csr>,
-    backward: std::sync::Arc<Csr>,
+    csr: Csr,
 }
 
 impl PropagationMatrix {
-    pub fn new(m: Csr) -> Self {
-        let backward = std::sync::Arc::new(m.transpose());
-        Self { forward: std::sync::Arc::new(m), backward }
-    }
-
-    /// For symmetric matrices (e.g. symmetrically normalized adjacency)
-    /// the transpose equals the matrix itself; this constructor skips the
-    /// transposition and shares one buffer.
     pub fn new_symmetric(m: Csr) -> Self {
         assert_eq!(m.rows(), m.cols(), "symmetric propagation matrix must be square");
-        let rc = std::sync::Arc::new(m);
-        Self { forward: rc.clone(), backward: rc }
+        Self { csr: m }
     }
 
-    pub fn forward(&self) -> &std::sync::Arc<Csr> {
-        &self.forward
+    pub fn csr(&self) -> &Csr {
+        &self.csr
     }
 
-    pub fn backward(&self) -> &std::sync::Arc<Csr> {
-        &self.backward
-    }
-
-    pub fn rows(&self) -> usize {
-        self.forward.rows()
-    }
-
-    pub fn cols(&self) -> usize {
-        self.forward.cols()
+    /// Node count (rows = cols).
+    pub fn nodes(&self) -> usize {
+        self.csr.rows()
     }
 }
 
@@ -271,21 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_matches_dense_transpose() {
-        let m = sample();
-        let t = m.transpose();
-        assert_eq!(t.to_dense().as_slice(), m.to_dense().transpose().as_slice());
-        // double transpose is identity
-        assert_eq!(t.transpose().to_dense().as_slice(), m.to_dense().as_slice());
-    }
-
-    #[test]
-    fn identity_propagates_unchanged() {
-        let x = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(Csr::identity(3).matmul(&x).as_slice(), x.as_slice());
-    }
-
-    #[test]
     fn matmul_into_reuses_dirty_buffer() {
         let m = sample();
         let x = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
@@ -299,17 +285,67 @@ mod tests {
         assert_eq!(out.as_slice(), doubled.as_slice());
     }
 
+    /// A random square adjacency over `n` nodes and `n × width` rows,
+    /// salted with zeros and `-0.0`.
+    fn random_case(seed: u64, n: usize, width: usize) -> (Csr, Vec<f32>) {
+        use rand::Rng;
+        let mut rng = crate::test_rng(seed);
+        let triplets: Vec<(u32, u32, f32)> = (0..3 * n)
+            .map(|_| {
+                let (r, c) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                (r, c, rng.gen_range(-1.0f32..1.0))
+            })
+            .collect();
+        let x = (0..n * width)
+            .map(|k| match k % 11 {
+                0 => 0.0,
+                5 => -0.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect();
+        (Csr::from_triplets(n, n, &triplets), x)
+    }
+
+    #[test]
+    fn fixed_width_rows_equal_one_axpy_per_entry_bit_for_bit() {
+        for width in [1, 7, 16, 31, 32, 33, 64] {
+            let (m, x) = random_case(width as u64, 13, width);
+            let mut expect: Vec<f32> = (0..13 * width).map(|k| 0.25 * k as f32).collect();
+            let mut got = expect.clone();
+            for (r, c, v) in m.iter() {
+                let (r, c) = (r as usize, c as usize);
+                for j in 0..width {
+                    expect[r * width + j] += v * x[c * width + j];
+                }
+            }
+            m.spmm_acc(&x, width, &mut got);
+            let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&expect), "width {width}");
+        }
+    }
+
+    #[test]
+    fn spmm_at_a_row_subset_equals_those_rows_of_the_full_product() {
+        for width in [5, 32] {
+            let (m, x) = random_case(40 + width as u64, 17, width);
+            let mut full = vec![0.0f32; 17 * width];
+            m.spmm_acc(&x, width, &mut full);
+            let rows = [0u32, 3, 4, 16];
+            let mut packed = vec![0.0f32; rows.len() * width];
+            m.spmm_acc_at(&rows, &x, width, &mut packed);
+            for (k, &r) in rows.iter().enumerate() {
+                let r = r as usize;
+                assert_eq!(&packed[k * width..(k + 1) * width], &full[r * width..(r + 1) * width]);
+            }
+        }
+    }
+
     #[test]
     fn empty_rows_are_fine() {
         let m = Csr::from_triplets(3, 3, &[]);
         assert_eq!(m.nnz(), 0);
         let x = Matrix::full(3, 2, 1.0);
         assert_eq!(m.matmul(&x).as_slice(), &[0.0; 6]);
-    }
-
-    #[test]
-    fn degrees() {
-        assert_eq!(sample().row_degrees(), vec![2, 0, 2]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! Everything lives in focused sub-crates; this crate re-exports them under
 //! one roof so applications can depend on a single name:
 //!
-//! * [`tensor`] — dense/CSR matrices, reverse-mode autograd, Adam/SGD.
+//! * [`tensor`] — dense/CSR matrices, fixed-width matmul and spmm kernels,
+//!   Adam/SGD.
 //! * [`data`] — implicit-feedback datasets, synthetic generators, splits.
 //! * [`models`] — NeuMF, NGCF, LightGCN, MF recommenders.
 //! * [`metrics`] — Recall@K, NDCG@K, F1 and friends.

@@ -362,6 +362,91 @@ fn neumf_server_batch_loop_is_allocation_free_after_warmup() {
 }
 
 #[test]
+fn ngcf_server_batch_loop_is_allocation_free_after_warmup() {
+    // The paper's hidden server model: its hand-derived step works in
+    // buffers the model owns — per-layer forward blocks, dropout bits,
+    // the gradient blocks, the reused gradient store — so once the first
+    // batches have grown them, further batches of the same shape may not
+    // touch the heap (dropout on, three layers, a soft-edge graph).
+    use ptf_fedrec::models::{ItemScope, Ngcf, NgcfConfig, Recommender};
+    let cfg = NgcfConfig { dim: 16, ..NgcfConfig::default() };
+    let mut m = Ngcf::new_scoped(6, &cfg, &ItemScope::Full(24), 11);
+    let edges: Vec<(u32, u32, f32)> = (0..30u32).map(|k| (k % 6, (k * 5) % 24, 0.9)).collect();
+    m.set_graph(&edges);
+    let batch: Vec<(u32, u32, f32)> =
+        (0..32u32).map(|k| (k % 6, (k * 7) % 24, if k % 2 == 0 { 1.0 } else { 0.3 })).collect();
+    for _ in 0..3 {
+        m.train_batch(&batch);
+    }
+    let t0 = alloc::thread_allocs();
+    for _ in 0..20 {
+        m.train_batch(&batch);
+    }
+    assert_eq!(alloc::thread_allocs() - t0, 0, "NGCF training must not allocate once warm");
+}
+
+#[test]
+fn an_ngcf_servers_scoring_does_not_allocate_once_its_cache_is_built() {
+    // dispersal scores the catalogue once per participant and evaluation
+    // once per user: after the first call has built the final-embedding
+    // cache (and the caller's buffer has grown), scoring is a read of it
+    // — cold items included, whose final rows go through a thread-local
+    // buffer
+    use ptf_fedrec::models::{ItemScope, Ngcf, NgcfConfig, Recommender};
+    let cfg = NgcfConfig { dim: 16, ..NgcfConfig::default() };
+    let mut m = Ngcf::new_scoped(6, &cfg, &ItemScope::rows(40, vec![3, 9]), 5);
+    m.set_graph(&[(0, 3, 0.9), (1, 9, 0.8), (2, 12, 0.7)]);
+    m.train_batch(&[(0, 3, 1.0), (4, 20, 0.0)]);
+    let mut scores = Vec::new();
+    m.score_all_into(0, &mut scores);
+    assert_eq!(scores.len(), 40);
+    let t0 = alloc::thread_allocs();
+    for user in 0..6 {
+        m.score_all_into(user, &mut scores);
+    }
+    assert_eq!(alloc::thread_allocs() - t0, 0, "scoring through a built cache allocated");
+    // and training, which invalidates the cache, rebuilds it into the
+    // buffers it already holds
+    for _ in 0..2 {
+        m.train_batch(&[(0, 3, 1.0), (4, 20, 0.0)]);
+        m.score_all_into(0, &mut scores);
+    }
+    let t0 = alloc::thread_allocs();
+    m.train_batch(&[(0, 3, 1.0), (4, 20, 0.0)]);
+    m.score_all_into(0, &mut scores);
+    assert_eq!(alloc::thread_allocs() - t0, 0, "a cache rebuild allocated");
+}
+
+#[test]
+fn a_steady_state_sparse_lightgcn_client_round_allocates_a_constant() {
+    // A LightGCN client: each round re-sets its ego graph, trains through
+    // the hand-derived step and scores twice. The count does not depend on
+    // how many batches the round trained — the tape build took 45. Of the
+    // 30 left, 16 are two rebuilds of the propagation operator (8 each):
+    // one when the round's fresh negatives materialize, one for the new
+    // ego graph.
+    use ptf_fedrec::core::rounds;
+    use ptf_fedrec::federated::RoundScratch;
+    let s = split();
+    let mut cfg = PtfConfig::small();
+    cfg.alpha = 8;
+    cfg.threads = 1;
+    cfg.storage.mode = StorageMode::Sparse;
+    let mut client =
+        rounds::build_client(&s.train, 0, ModelKind::LightGcn, &ModelHyper::small(), &cfg);
+    let mut scratch = RoundScratch::default();
+    for round in 0..3 {
+        let (upload, _) = rounds::client_round(&mut client, &cfg, round, &mut scratch);
+        client.recycle_upload(upload);
+    }
+    let before = alloc::thread_allocs();
+    let (upload, loss) = rounds::client_round(&mut client, &cfg, 3, &mut scratch);
+    let allocs = alloc::thread_allocs() - before;
+    assert!(loss.is_finite() && !upload.predictions.is_empty());
+    assert!(allocs <= 30, "a steady-state sparse LightGCN client-round took {allocs} allocations");
+}
+
+#[test]
 fn mf_gradients_into_is_allocation_free_per_sample() {
     // the explicit-gradient MF API the baselines decompose: after the
     // caller's scratch vectors size themselves once, every further sample
