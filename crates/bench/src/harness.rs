@@ -1,7 +1,7 @@
 //! Shared plumbing for the experiment binaries.
 
 use ptf_baselines::{CentralizedConfig, FcfConfig, FedMfConfig, MetaMfConfig};
-use ptf_core::{Federation, PtfConfig, PtfFedRec};
+use ptf_core::{PtfConfig, PtfFedRec};
 use ptf_data::{DatasetPreset, Scale, TrainTestSplit};
 use ptf_federated::{Engine, FederatedProtocol};
 use ptf_models::{ModelHyper, ModelKind};
@@ -110,13 +110,10 @@ pub fn build_ptf(
     cfg: PtfConfig,
     hyper: &ModelHyper,
 ) -> Engine<PtfFedRec> {
-    Federation::builder(&split.train)
-        .client_model(client_kind)
-        .server_model(server_kind)
-        .hyper(hyper.clone())
-        .config(cfg)
-        .build()
-        .expect("harness config is valid")
+    Engine::new(
+        PtfFedRec::try_new(&split.train, client_kind, server_kind, hyper, cfg)
+            .expect("harness config is valid"),
+    )
 }
 
 /// Builds and runs a PTF-FedRec federation to completion.

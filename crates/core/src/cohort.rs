@@ -35,7 +35,7 @@
 //! `O(users)` term from a scale run's heap. The id compaction is visible
 //! only inside the server model — ledger records, dispersal keys, and
 //! all RNG streams stay on raw user ids (see
-//! [`crate::rounds::server_phase_mapped`]).
+//! [`crate::rounds::server_phase`]).
 
 use crate::client::PtfClient;
 use crate::config::{ConfigError, PtfConfig};
@@ -257,7 +257,7 @@ impl Round<Stored> {
         let server_users = user_map.as_ref().map_or(data.num_users(), Vec::len);
         let server = rounds::build_server(server_users, data.num_items(), server_kind, hyper, &cfg);
         let host = Stored { client_kind, hyper: hyper.clone(), data, store, cohort: opts.cohort };
-        Ok(Self::assemble(cfg, host, server, user_map, trainable))
+        Ok(Self::new(cfg, host, server, user_map, trainable))
     }
 
     /// Rows of the hidden server model's user table — `num_users` under

@@ -5,14 +5,11 @@ use ptf_privacy::SamplingConfig;
 
 /// Why a federation could not be configured.
 ///
-/// Returned by [`PtfConfig::validate`] and
-/// [`crate::FederationBuilder::build`] instead of panicking, so the CLI
-/// and library callers can surface a message (and a non-zero exit) rather
-/// than a backtrace.
+/// Returned by [`PtfConfig::validate`] and every driver's `try_new`
+/// instead of panicking, so the CLI and library callers can surface a
+/// message (and a non-zero exit) rather than a backtrace.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
-    /// A required builder field was never set.
-    MissingField(&'static str),
     /// A count/size field that must be strictly positive was zero.
     NotPositive(&'static str),
     /// A fraction field left `[0, 1]`.
@@ -24,9 +21,6 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::MissingField(field) => {
-                write!(f, "missing required field `{field}` (set it on the builder)")
-            }
             Self::NotPositive(field) => write!(f, "{field} must be positive"),
             Self::OutOfUnitRange { field, got } => {
                 write!(f, "{field} must be in [0,1], got {got}")
@@ -374,8 +368,8 @@ mod tests {
             ConfigError::OutOfUnitRange { field: "lambda", got: -0.5 }.to_string(),
             "lambda must be in [0,1], got -0.5"
         );
-        let e = ConfigError::MissingField("client_model");
-        assert!(e.to_string().contains("client_model"), "{e}");
+        let e = ConfigError::StoreRoot { path: "client-store".into(), reason: "denied".into() };
+        assert!(e.to_string().contains("client-store"), "{e}");
         // it is a real std error
         let _: &dyn std::error::Error = &e;
     }

@@ -19,16 +19,16 @@
 //! [`protocol::Round`] implements Algorithm 1 as a
 //! [`ptf_federated::FederatedProtocol`], once, over a
 //! [`protocol::ClientHost`]: [`PtfFedRec`] keeps the fleet resident,
-//! [`CohortFedRec`] parks it in envelopes. Build the former with the typed
-//! [`Federation::builder`], which wires the protocol into an
-//! [`ptf_federated::Engine`] whose observer stack carries the
+//! [`CohortFedRec`] parks it in envelopes, and `ptf-net`'s round server
+//! reaches it over a transport. Wrap the driver in an
+//! [`ptf_federated::Engine`], whose observer stack carries the
 //! communication ledger, JSON trace recording, and any custom
 //! [`ptf_federated::RoundObserver`]:
 //!
 //! ```no_run
-//! use ptf_core::{Federation, PtfConfig};
+//! use ptf_core::{PtfConfig, PtfFedRec};
 //! use ptf_data::{DatasetPreset, Scale, TrainTestSplit};
-//! use ptf_federated::TraceRecorder;
+//! use ptf_federated::{Engine, TraceRecorder};
 //! use ptf_models::{ModelHyper, ModelKind};
 //!
 //! let mut rng = ptf_data::test_rng(7);
@@ -36,25 +36,24 @@
 //! let split = TrainTestSplit::split_80_20(&data, &mut rng);
 //!
 //! let recorder = TraceRecorder::new();
-//! let mut fed = Federation::builder(&split.train)
-//!     .client_model(ModelKind::NeuMf)   // public client model
-//!     .server_model(ModelKind::Ngcf)    // hidden server model — never transmitted
-//!     .hyper(ModelHyper::default())
-//!     .config(PtfConfig::paper())
-//!     .observer(recorder.clone())       // JSON round traces, for free
-//!     .build()?;                        // ConfigError instead of a panic
+//! let protocol = PtfFedRec::try_new(
+//!     &split.train,
+//!     ModelKind::NeuMf, // public client model
+//!     ModelKind::Ngcf,  // hidden server model — never transmitted
+//!     &ModelHyper::default(),
+//!     PtfConfig::paper(),
+//! )?; // ConfigError instead of a panic
+//! let mut fed = Engine::new(protocol).with_observer(recorder.clone()); // JSON round traces
 //! fed.run();
 //! println!("{}", fed.evaluate(&split.train, &split.test, 20));
 //! println!("{}", recorder.to_json());
 //! # Ok::<(), ptf_core::ConfigError>(())
 //! ```
 
-pub mod builder;
 pub mod checkpoint;
 pub mod client;
 pub mod cohort;
 pub mod config;
-pub mod converge;
 pub mod disperse;
 pub mod fingerprint;
 pub mod protocol;
@@ -62,14 +61,12 @@ pub mod rounds;
 pub mod server;
 pub mod upload;
 
-pub use builder::{Federation, FederationBuilder};
 pub use checkpoint::{CheckpointError, Manifest, MANIFEST_VERSION};
 pub use client::PtfClient;
 pub use cohort::{CohortData, CohortFedRec, CohortOptions, ServerScope, StoreKind, Stored};
 pub use config::{
     ConfigError, DefenseKind, DisperseStrategy, PtfConfig, StorageMode, StoragePolicy,
 };
-pub use converge::ConvergedRun;
 pub use fingerprint::{config_fingerprint, fnv1a64};
 pub use protocol::{ClientHost, ClientPhase, PtfFedRec, Resident, Round};
 pub use server::PtfServer;

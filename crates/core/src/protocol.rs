@@ -5,19 +5,24 @@
 //! model and disperses α items — wherever a client happens to live. So
 //! there is one driver, [`Round`], generic over a [`ClientHost`]: the
 //! thing that knows where a participant's state is kept and where its
-//! local round executes. Two hosts exist:
+//! local round executes. Three hosts exist:
 //!
 //! * [`Resident`] — the whole fleet stays in memory, one
 //!   [`PtfClient`] per user. [`PtfFedRec`] is the driver at this host.
 //! * [`crate::cohort::Stored`] — clients are rebuilt from envelopes in
 //!   bounded cohorts and dropped again. [`crate::CohortFedRec`] is the
 //!   driver at that host.
+//! * `Remote`, in `ptf-net`'s round server — clients live in other
+//!   processes behind a transport. Its client phase announces the round,
+//!   collects uploads until a deadline and drops stragglers, which then
+//!   count as unsampled.
 //!
 //! The driver implements [`FederatedProtocol`], so an
 //! [`ptf_federated::Engine`] drives its rounds and wires in the
 //! communication ledger, trace recording, and any other
-//! [`ptf_federated::RoundObserver`] from the outside — construct the
-//! resident one through [`crate::Federation::builder`].
+//! [`ptf_federated::RoundObserver`] from the outside:
+//! `Engine::new(PtfFedRec::try_new(..)?)`, plus `.with_observer(..)` for
+//! each extra sink.
 //!
 //! Each round is the two-phase map/reduce of
 //! [`ptf_federated::scheduler`]: client local training runs in parallel
@@ -56,8 +61,10 @@ pub trait ClientHost {
 
     /// Algorithm 1 lines 5–8 for every id in `participants` (ascending):
     /// one [`rounds::client_round`] each, on `phase.scheduler` with
-    /// scratch from `phase.scratch`. Returns the uploads and the local
-    /// losses, both in participant order.
+    /// scratch from `phase.scratch`, or in the participant's own process.
+    /// Returns the uploads and the local losses, both in participant
+    /// order. A host may leave out a participant whose upload never
+    /// arrived; the round then treats it as unsampled.
     fn client_phase(
         &mut self,
         phase: &ClientPhase<'_>,
@@ -80,7 +87,7 @@ pub struct Round<H> {
     pub(crate) server: PtfServer,
     /// `Some(active)` when the server model is keyed by rank in the
     /// sorted ever-participating user set instead of by raw user id (see
-    /// [`rounds::server_phase_mapped`]).
+    /// [`rounds::server_phase`]).
     user_map: Option<Vec<u32>>,
     trainable: Vec<u32>,
     scheduler: Scheduler,
@@ -91,9 +98,12 @@ pub struct Round<H> {
 }
 
 impl<H: ClientHost> Round<H> {
-    /// The shared tail of every host's `try_new`: `cfg` is already
-    /// validated, `trainable` is ascending.
-    pub(crate) fn assemble(
+    /// The driver over `host`: `cfg` is already validated, `server` is
+    /// fresh, and `trainable` is the ascending set the participation
+    /// policy samples from. `user_map` compacts the server model's user
+    /// ids (see [`rounds::server_phase`]); hosts outside this crate pass
+    /// `None`.
+    pub fn new(
         cfg: PtfConfig,
         host: H,
         server: PtfServer,
@@ -118,6 +128,17 @@ impl<H: ClientHost> Round<H> {
         &self.server
     }
 
+    /// The client host, for a caller that keeps transport or session
+    /// state in it between rounds.
+    pub fn host_mut(&mut self) -> &mut H {
+        &mut self.host
+    }
+
+    /// Takes the trained hidden server model back out of the driver.
+    pub fn into_server(self) -> PtfServer {
+        self.server
+    }
+
     /// The clients (ascending id) the participation policy may sample.
     pub fn trainable(&self) -> &[u32] {
         &self.trainable
@@ -135,8 +156,8 @@ impl<H: ClientHost> Round<H> {
     /// One round over an explicit participant set (ascending, unique):
     /// the shared body of [`FederatedProtocol::run_round`] (which samples
     /// the set) and [`FederatedProtocol::run_round_external`] (which is
-    /// handed one by an external driver, e.g. a networked round server
-    /// replaying the clients that made its deadline).
+    /// handed one, e.g. by a parity test replaying a run without a
+    /// dropped straggler).
     fn round_with(&mut self, ctx: &mut RoundCtx<'_>, participants: Vec<u32>) -> RoundTrace {
         let round = self.round;
         self.host.recycle(std::mem::take(&mut self.last_uploads));
@@ -154,7 +175,7 @@ impl<H: ClientHost> Round<H> {
 
         // lines 9–12, serial phase: replay uploads into the observer stack
         // in participant order, train the hidden model, disperse
-        let (server_loss, dispersals) = rounds::server_phase_mapped(
+        let (server_loss, dispersals) = rounds::server_phase(
             &mut self.server,
             &self.cfg,
             round,
@@ -189,8 +210,7 @@ impl<H: ClientHost> FederatedProtocol for Round<H> {
 
     /// PTF-FedRec honors externally-chosen participant sets: the body is
     /// the same round as [`Self::run_round`] minus the participation
-    /// draw. Unknown or non-trainable ids are ignored (a networked driver
-    /// may hand in a deadline-filtered set).
+    /// draw. Unknown or non-trainable ids are ignored.
     fn run_round_external(
         &mut self,
         ctx: &mut RoundCtx<'_>,
@@ -283,10 +303,8 @@ impl Round<Resident> {
     /// partition *and* item-scoped model come from one task seeded by its
     /// own derived `RngStream::ClientInit` stream, so the build is
     /// bit-identical at any thread count and proportional to the
-    /// partitions, not to `users × items`.
-    ///
-    /// Most callers want [`crate::Federation::builder`], which wraps this
-    /// in an engine with an observer stack.
+    /// partitions, not to `users × items`. Wrap it in an
+    /// [`ptf_federated::Engine`] to run it.
     pub fn try_new(
         train: &Dataset,
         client_kind: ModelKind,
@@ -304,7 +322,7 @@ impl Round<Resident> {
         let trainable: Vec<u32> =
             clients.iter().filter(|c| c.num_positives() > 0).map(|c| c.id).collect();
         let host = Resident { clients, last_client_allocs: 0 };
-        Ok(Self::assemble(cfg, host, server, None, trainable))
+        Ok(Self::new(cfg, host, server, None, trainable))
     }
 
     /// Total materialized item-embedding rows across the client fleet —
@@ -356,10 +374,9 @@ fn participant_refs<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::Federation;
     use crate::config::{DefenseKind, DisperseStrategy};
     use ptf_comm::Message;
-    use ptf_data::{SyntheticConfig, TrainTestSplit};
+    use ptf_data::{SyntheticConfig, ThreeWaySplit, TrainTestSplit};
     use ptf_federated::{Engine, RoundObserver};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -385,13 +402,10 @@ mod tests {
         server: ModelKind,
         cfg: PtfConfig,
     ) -> Engine<PtfFedRec> {
-        Federation::builder(train)
-            .client_model(client)
-            .server_model(server)
-            .hyper(ModelHyper::small())
-            .config(cfg)
-            .build()
-            .expect("valid test config")
+        Engine::new(
+            PtfFedRec::try_new(train, client, server, &ModelHyper::small(), cfg)
+                .expect("valid test config"),
+        )
     }
 
     /// What the driver asked of a host, in call order.
@@ -465,7 +479,7 @@ mod tests {
         let calls = Rc::new(RefCell::new(Vec::new()));
         let hooks = Rc::new(RefCell::new(HookLog::new()));
         // user 4 exists but has nothing to train on; 999 does not exist
-        let round = Round::assemble(cfg, FakeHost(calls.clone()), server, None, vec![3, 5, 9]);
+        let round = Round::new(cfg, FakeHost(calls.clone()), server, None, vec![3, 5, 9]);
         let mut engine = Engine::new(round).with_observer(Hooks(hooks.clone()));
 
         let t0 = engine.run_round_external(&[9, 3, 3, 999, 4]).expect("external sets are honored");
@@ -505,6 +519,11 @@ mod tests {
         assert_eq!(engine.ledger().summary().rounds, 2);
         assert!(engine.protocol().last_uploads().is_empty());
         assert_eq!(engine.protocol().name(), "fake");
+
+        // a host outside this crate gets its state and the server back
+        let mut round = engine.into_protocol();
+        assert!(Rc::ptr_eq(&round.host_mut().0, &calls));
+        assert_eq!(round.into_server().model().num_users(), 12);
     }
 
     #[test]
@@ -668,5 +687,57 @@ mod tests {
             fed.run()
         };
         assert_eq!(run(1), run(8));
+    }
+
+    #[test]
+    fn invalid_config_is_reported_not_panicked() {
+        let split = tiny_split();
+        let mut cfg = quick_cfg();
+        cfg.lambda = 7.0;
+        let hyper = ModelHyper::small();
+        let built =
+            PtfFedRec::try_new(&split.train, ModelKind::NeuMf, ModelKind::NeuMf, &hyper, cfg);
+        assert_eq!(built.err(), Some(ConfigError::OutOfUnitRange { field: "lambda", got: 7.0 }));
+    }
+
+    /// A split with a validation side, and an engine for early stopping.
+    fn early_stopping_setup(rounds: u32) -> (ThreeWaySplit, Engine<PtfFedRec>) {
+        let data = SyntheticConfig::new("es", 30, 60, 12.0).generate(&mut ptf_data::test_rng(41));
+        let split = ThreeWaySplit::split(&data, 0.2, 0.1, &mut ptf_data::test_rng(42));
+        let mut cfg = PtfConfig::small();
+        cfg.rounds = rounds;
+        cfg.client_epochs = 2;
+        let fed = quick_engine(&split.train, ModelKind::NeuMf, ModelKind::NeuMf, cfg);
+        (split, fed)
+    }
+
+    #[test]
+    fn early_stopping_respects_round_budget() {
+        let (split, mut fed) = early_stopping_setup(4);
+        let run = fed.run_with_early_stopping(&split.train, &split.validation, 10, 10);
+        assert!(run.trace.num_rounds() <= 4);
+        assert!(!run.stopped_early || run.trace.num_rounds() < 4);
+        assert!(run.best_ndcg.is_finite());
+        assert!((run.best_round as usize) < run.trace.num_rounds());
+    }
+
+    #[test]
+    fn impatient_early_stopping_stops_at_first_plateau() {
+        let (split, mut fed) = early_stopping_setup(12);
+        let run = fed.run_with_early_stopping(&split.train, &split.validation, 10, 1);
+        // with patience 1, the run ends one round after any dip — on a
+        // noisy tiny dataset that happens well before 12 rounds
+        assert!(
+            run.trace.num_rounds() < 12 || !run.stopped_early,
+            "rounds: {}",
+            run.trace.num_rounds()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "patience")]
+    fn early_stopping_rejects_zero_patience() {
+        let (split, mut fed) = early_stopping_setup(2);
+        let _ = fed.run_with_early_stopping(&split.train, &split.validation, 10, 0);
     }
 }

@@ -1,10 +1,13 @@
 //! The reusable halves of a PTF-FedRec round.
 //!
-//! The in-process engine (`ptf-federated`) and the networked deployment in
-//! `ptf-net` must produce bit-identical results for the same seed and
-//! config — the loopback parity test asserts a byte-equal `RunTrace`.
-//! Instead of keeping two copies of the round choreography in sync, the
-//! pieces live here and both drivers call them:
+//! One driver, [`crate::Round`], runs Algorithm 1 at every client host —
+//! resident, stored, or behind `ptf-net`'s transport — and it assembles
+//! each round from the pieces here. They are public because two callers
+//! outside the driver must match it bit for bit: a `ptf client` shard
+//! process builds and trains its clients with [`build_client`] and
+//! [`client_round`], and outside choreography (a benchmark that times
+//! each half) replays a round call by call and checks its `RunTrace`
+//! against the driver's.
 //!
 //! * [`build_client`] / [`build_server`] — fleet construction from the
 //!   per-participant derived `ClientInit`/`ServerInit` RNG streams, so a
@@ -19,7 +22,7 @@
 //!
 //! Everything here is deterministic given `(cfg.seed, round)`: no step
 //! reads ambient state, so the caller may be an in-process scheduler, a
-//! TCP server thread, or a test harness.
+//! TCP client process, or a test harness.
 
 use crate::client::PtfClient;
 use crate::config::PtfConfig;
@@ -90,32 +93,20 @@ pub fn client_round(
 /// the collected uploads into the observer stack, train the hidden model
 /// on their union, and compute each participant's dispersal set.
 ///
-/// `uploads` must be in ascending client order — the order the
-/// in-process engine replays participants in, and the order a networked
-/// server must sort received uploads into before calling this.
-/// Returns the server training loss and one `(client, items)` dispersal
-/// per upload; delivering the items (locally or over a wire) is the
-/// caller's job.
-pub fn server_phase(
-    server: &mut PtfServer,
-    cfg: &PtfConfig,
-    round: u32,
-    uploads: &[ClientUpload],
-    ctx: &mut RoundCtx<'_>,
-) -> (f32, Vec<(u32, Vec<ScoredItem>)>) {
-    server_phase_mapped(server, cfg, round, uploads, ctx, None)
-}
-
-/// [`server_phase`] with an optional user-id compaction map.
+/// `uploads` must be in ascending client order — the order every host
+/// hands the driver its uploads in. Returns the server training loss and
+/// one `(client, items)` dispersal per upload; delivering the items
+/// (locally or over a wire) is the caller's job.
 ///
-/// The cohort runtime's *active-participants* server scope builds the
-/// hidden model over only the users that can ever participate, indexed
-/// by their position in the sorted active set. With `map = Some(active)`
-/// the server model and its soft-edge memory see compact ids, while
-/// everything observable from outside — observer/ledger records, the
-/// dispersal keys, and every RNG stream — stays keyed by the raw client
-/// id. With `map = None` this *is* [`server_phase`], byte for byte.
-pub fn server_phase_mapped(
+/// `map` compacts user ids for the hidden model. The cohort runtime's
+/// *active-participants* server scope builds the model over only the
+/// users that can ever participate, indexed by their position in the
+/// sorted active set. With `map = Some(active)` the server model and its
+/// soft-edge memory see compact ids, while everything observable from
+/// outside — observer/ledger records, the dispersal keys, and every RNG
+/// stream — stays keyed by the raw client id. `None` keys the model by
+/// raw id.
+pub fn server_phase(
     server: &mut PtfServer,
     cfg: &PtfConfig,
     round: u32,

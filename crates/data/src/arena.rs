@@ -171,22 +171,25 @@ impl CsrArena {
         if &header[..8] != MAGIC {
             return Err(ArenaError::Format("wrong magic (not an arena file)".to_string()));
         }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("fixed slice"));
+        let version = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
         if version != VERSION {
             return Err(ArenaError::Format(format!(
                 "unsupported arena version {version} (reader supports {VERSION})"
             )));
         }
-        let num_users = u64::from_le_bytes(header[16..24].try_into().expect("fixed slice"));
-        let num_items = u64::from_le_bytes(header[24..32].try_into().expect("fixed slice"));
-        let nnz = u64::from_le_bytes(header[32..40].try_into().expect("fixed slice"));
+        let (num_users, num_items, nnz) =
+            (u64_at(&header, 16), u64_at(&header, 24), u64_at(&header, 32));
         if num_users == 0 || num_items == 0 {
             return Err(ArenaError::Format("empty user or item space".to_string()));
         }
         if num_users > u32::MAX as u64 || num_items > u32::MAX as u64 {
             return Err(ArenaError::Format("user or item space exceeds u32 ids".to_string()));
         }
-        let expect_len = HEADER_LEN + 8 * (num_users + 1) + 4 * nnz;
+        // num_users fits a u32, so only a crafted nnz can overflow this
+        let expect_len = nnz
+            .checked_mul(4)
+            .and_then(|indices| indices.checked_add(HEADER_LEN + 8 * (num_users + 1)))
+            .ok_or_else(|| ArenaError::Format(format!("nnz {nnz} overflows the file length")))?;
         let actual_len = file.metadata()?.len();
         if actual_len < expect_len {
             return Err(ArenaError::Format(format!(
@@ -231,7 +234,7 @@ impl CsrArena {
             let at = HEADER_LEN + 8 * entry as u64;
             self.file.read_exact_at(&mut buf[..want], at)?;
             for chunk in buf[..want].chunks_exact(8) {
-                let p = u64::from_le_bytes(chunk.try_into().expect("fixed chunk"));
+                let p = u64_at(chunk, 0);
                 if let Some(prev) = prev {
                     if p < prev {
                         return Err(ArenaError::Format(format!(
@@ -299,6 +302,12 @@ impl CsrArena {
     }
 }
 
+/// The little-endian `u64` at `bytes[at..at + 8]`.
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    let b = &bytes[at..at + 8];
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
 std::thread_local! {
     /// Raw byte scratch for row reads: steady-state row fetches reuse one
     /// buffer per thread instead of allocating per call.
@@ -308,6 +317,7 @@ std::thread_local! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A per-test file (tests run concurrently); each test removes its own.
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -377,14 +387,53 @@ mod tests {
             "future version accepted"
         );
         // nnz disagreeing with the final indptr entry
-        let mut badnnz = full;
+        let mut badnnz = full.clone();
         badnnz[32] = 99;
         std::fs::write(&path, &badnnz).unwrap();
         assert!(
             matches!(CsrArena::open(&path), Err(ArenaError::Format(_))),
             "inconsistent nnz accepted"
         );
+        // an nnz whose byte length overflows a u64, with the final indptr
+        // entry crafted to agree: 4·nnz wraps to 0 if unchecked
+        let mut huge = full;
+        let last_indptr = (HEADER_LEN + 8 * 3) as usize;
+        huge[32..40].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        huge[last_indptr..last_indptr + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        std::fs::write(&path, &huge).unwrap();
+        assert!(
+            matches!(CsrArena::open(&path), Err(ArenaError::Format(_))),
+            "overflowing nnz accepted"
+        );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Damage anywhere in a small arena — header, indptr or rows — is
+        /// an error, never a panic: `open` either refuses the file or
+        /// returns an arena whose every read answers `Ok` or `Err`.
+        #[test]
+        fn damaged_arenas_are_errors_not_panics(
+            edits in proptest::collection::vec((0usize..92, any::<u8>()), 1..6),
+        ) {
+            let path = tmp("damaged.arena");
+            write_sample(&path);
+            let mut bytes = std::fs::read(&path).unwrap();
+            for (at, byte) in edits {
+                bytes[at] = byte; // the sample is 92 bytes long
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            if let Ok(arena) = CsrArena::open(&path) {
+                let mut row = Vec::new();
+                for user in 0..=arena.num_users() as u32 {
+                    let _ = arena.read_user_into(user, &mut row);
+                }
+                let _ = arena.nonempty_users();
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

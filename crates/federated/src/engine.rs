@@ -31,11 +31,12 @@ pub trait FederatedProtocol {
     fn run_round(&mut self, ctx: &mut RoundCtx<'_>) -> RoundTrace;
 
     /// Executes one round over an *externally chosen* participant set
-    /// instead of sampling one — the hook externally-driven deployments
-    /// (a networked round server that collects uploads until a deadline,
-    /// or a replay harness) use to keep this in-process engine as their
-    /// bit-exact reference. Protocols that cannot honor an external set
-    /// return `None` (the default) and the round does not run.
+    /// instead of sampling one — the hook replay harnesses use, e.g. to
+    /// build the reference run in which a dropped straggler was never
+    /// sampled. (The networked round server does not use it: its deadline
+    /// policy lives in its client host.) Protocols that cannot honor an
+    /// external set return `None` (the default) and the round does not
+    /// run.
     fn run_round_external(
         &mut self,
         _ctx: &mut RoundCtx<'_>,
@@ -229,6 +230,12 @@ impl<P: FederatedProtocol> Engine<P> {
 
     pub fn protocol_mut(&mut self) -> &mut P {
         &mut self.protocol
+    }
+
+    /// Ends the run and hands the protocol back (its trained model, its
+    /// host state).
+    pub fn into_protocol(self) -> P {
+        self.protocol
     }
 
     /// The engine's communication ledger (recording since round 0).

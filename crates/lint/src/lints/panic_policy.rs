@@ -1,5 +1,5 @@
-//! Panic-policy lint: production paths in the networked stack and the
-//! CLI must propagate errors, not panic.
+//! Panic-policy lint: production paths in the networked stack, the
+//! on-disk arena decoder and the CLI must propagate errors, not panic.
 //!
 //! The PR 7 contract: bind/connect/mid-run failures exit 1 with a
 //! message. A stray `unwrap()` in the server's round loop instead tears
@@ -17,9 +17,10 @@ use crate::source::SourceFile;
 
 pub const NAME: &str = "panic-policy";
 
-/// Production surfaces: the networked deployment stack and the binary's
-/// own sources (`src/cli.rs`, `src/bin/ptf.rs`, `src/lib.rs`).
-const SCOPE: &[&str] = &["crates/net/src/", "src/"];
+/// Production surfaces: the networked deployment stack, the arena
+/// decoder (it reads files a user hands the CLI), and the binary's own
+/// sources (`src/cli.rs`, `src/bin/ptf.rs`, `src/lib.rs`).
+const SCOPE: &[&str] = &["crates/net/src/", "crates/data/src/arena.rs", "src/"];
 
 /// Panicking constructs. `.unwrap_or*` and `.expect_err` do not match;
 /// `debug_assert!` is allowed (stripped in release builds). A token that
@@ -106,6 +107,8 @@ mod tests {
     fn scope_covers_net_and_cli() {
         assert!(in_scope("crates/net/src/transport.rs"));
         assert!(in_scope("src/bin/ptf.rs"));
+        assert!(in_scope("crates/data/src/arena.rs"));
+        assert!(!in_scope("crates/data/src/scale.rs"));
         assert!(!in_scope("crates/models/src/mf.rs"));
         assert!(!in_scope("crates/net/tests/loopback_parity.rs"));
     }

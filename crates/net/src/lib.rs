@@ -15,18 +15,20 @@
 //!   transport (same codec, no sockets) used by the parity tests.
 //! * [`tcp`] — `std::net` transport: [`tcp::serve`] / [`tcp::connect`],
 //!   thread-per-connection.
-//! * [`server`] — [`run_server`]: handshake/gather, round
-//!   announcements, deadlines with straggler dropping (partial
-//!   participation), and the shared [`ptf_core::rounds`] server half.
+//! * [`server`] — [`run_server`]: handshake/gather, then the one round
+//!   driver, [`ptf_core::Round`], over a remote client host whose client
+//!   phase is round announcements and deadlines with straggler dropping
+//!   (partial participation).
 //! * [`client`] — [`run_shard`]: hosts any subset of the fleet's
-//!   clients over one connection.
+//!   clients over one connection, training each with the same
+//!   [`ptf_core::rounds::client_round`] the in-process hosts run.
 //!
 //! The headline property is **parity**: for the same seed and config, a
 //! networked run (loopback or TCP, any sharding of clients over
 //! connections) produces a `RunTrace` bit-identical to the in-process
-//! engine — the round choreography lives once in [`ptf_core::rounds`]
-//! and both drivers call it. See `docs/wire-protocol.md` for the frame
-//! format and `tests/` for the parity suite.
+//! engine — the round order lives once, in the driver, and only where a
+//! client runs differs. See `docs/wire-protocol.md` for the frame format
+//! and `tests/` for the parity suite.
 
 pub mod client;
 pub mod error;

@@ -1,24 +1,26 @@
-//! The networked round server: session handling, round announcements,
-//! deadlines, and the server half of Algorithm 1.
+//! The networked round server: session handling, and the client host
+//! that puts Algorithm 1's participants behind a transport.
 //!
 //! The server is a synchronous state machine over the transport's event
-//! queue. A run has two phases:
+//! queue. A run has three steps:
 //!
 //! 1. **Gather** — wait (bounded by `gather_timeout`) until every logical
 //!    client `0..fleet` has completed a `Hello` handshake (protocol
 //!    version checked by the codec, config fingerprint checked here).
 //!    The trainable set is fixed at gather end from the hello flags —
 //!    exactly the in-process `num_positives() > 0` filter.
-//! 2. **Rounds** — for each round: draw the participant set on the same
-//!    `RngStream::Participation` stream as the in-process engine,
-//!    announce it, collect uploads until the round deadline, drop
+//! 2. **Rounds** — the one round driver, [`ptf_core::Round`], runs every
+//!    round over the `Remote` host. The driver draws the participant
+//!    set, trains the hidden model and records the trace exactly as it
+//!    does in process. `Remote` only moves frames: it announces the
+//!    round, collects uploads until the round deadline, and drops
 //!    stragglers and clients whose upload is malformed (the protocol's
-//!    partial-participation path), sort
-//!    uploads into ascending client order, and run the shared
-//!    [`ptf_core::rounds::server_phase`] — which is what makes the
-//!    resulting `RunTrace` bit-identical to the in-process engine when
-//!    nobody straggles, and identical to an engine run with the
-//!    straggler unsampled when someone does.
+//!    partial-participation path). That is what makes the resulting
+//!    `RunTrace` bit-identical to the in-process engine when nobody
+//!    straggles, and identical to an engine run with the straggler
+//!    unsampled when someone does.
+//! 3. **Finish** — `Finished` to every live connection, then a flush of
+//!    every outbound queue.
 //!
 //! Reconnects are graceful: a client whose connection died may `Hello`
 //! again from a new connection at any time and resumes with the next
@@ -28,12 +30,12 @@ use crate::config_fingerprint;
 use crate::error::NetError;
 use crate::transport::{ConnId, Event, PeerHandle};
 use crate::wire::{Frame, RejectReason};
-use ptf_comm::{CommLedger, LedgerSummary};
-use ptf_core::rounds;
-use ptf_core::{ClientUpload, PtfConfig, PtfServer};
+use ptf_comm::LedgerSummary;
+use ptf_core::{rounds, ClientHost, ClientPhase, ClientUpload, PtfConfig, PtfServer, Round};
 use ptf_data::Dataset;
-use ptf_federated::{RoundCtx, RoundObserver, RunTrace};
+use ptf_federated::{Engine, RunTrace};
 use ptf_models::{ModelHyper, ModelKind};
+use ptf_privacy::ScoredItem;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
@@ -198,7 +200,6 @@ pub fn run_server(
 ) -> Result<(NetRunReport, PtfServer), NetError> {
     opts.cfg.validate().map_err(|e| NetError::Protocol(e.to_string()))?;
     let fleet = train.num_users();
-    let num_items = train.num_items() as u32;
     let fingerprint = config_fingerprint(
         &opts.cfg,
         opts.client_kind,
@@ -208,7 +209,7 @@ pub fn run_server(
         train.num_items(),
     );
     let mut sessions = Sessions::new(fleet);
-    let mut server =
+    let server =
         rounds::build_server(fleet, train.num_items(), opts.server_kind, &opts.hyper, &opts.cfg);
 
     // ── gather: the full fleet must handshake before round 0 ──────────
@@ -237,129 +238,163 @@ pub fn run_server(
         );
     }
 
-    // ── rounds ────────────────────────────────────────────────────────
-    let mut ledger = CommLedger::new();
+    // ── rounds: the one driver over the remote host ───────────────────
+    let host = Remote {
+        events,
+        sessions,
+        fingerprint,
+        rounds: opts.cfg.rounds,
+        num_items: train.num_items() as u32,
+        round_deadline: opts.round_deadline,
+        stragglers: Vec::new(),
+        error: None,
+    };
+    let mut engine = Engine::new(Round::new(opts.cfg.clone(), host, server, None, trainable));
     let mut trace = RunTrace::default();
-    let mut stragglers = Vec::new();
-    let deadline_ms = opts.round_deadline.as_millis().min(u32::MAX as u128) as u32;
-
-    for round in 0..opts.cfg.rounds {
-        let participants = rounds::sample_participants(&opts.cfg, &trainable, round);
-        let mut ctx = RoundCtx::new(round, vec![&mut ledger]);
-        ctx.begin(&participants);
-
-        // announce; clients with no live connection are instant
-        // stragglers (they may reconnect for a later round)
-        let mut pending: Vec<u32> = Vec::with_capacity(participants.len());
-        for &p in &participants {
-            let announced = sessions
-                .peer_of(p)
-                .map(|peer| peer.send(Frame::Announce { client: p, round, deadline_ms }))
-                .unwrap_or(false);
-            pending.push(p); // even unreachable ones: dropped at deadline
-            let _ = announced;
+    for _ in 0..opts.cfg.rounds {
+        let round = engine.run_round();
+        let host = engine.protocol_mut().host_mut();
+        if let Some(e) = host.error.take() {
+            return Err(e);
         }
-
-        // collect uploads until the deadline or until nobody is pending; a
-        // malformed upload drops its client for the round on receipt
-        let mut uploads: Vec<ClientUpload> = Vec::with_capacity(pending.len());
-        let mut losses_by_client: HashMap<u32, f32> = HashMap::with_capacity(pending.len());
-        let mut dropped: Vec<u32> = Vec::new();
-        let round_deadline = Instant::now() + opts.round_deadline;
-        while !pending.is_empty() {
-            let remaining = round_deadline.saturating_duration_since(Instant::now());
-            match recv_step(events, remaining, &mut sessions, fingerprint, opts.cfg.rounds)? {
-                Step::Frame(conn, Frame::Upload { client, round: r, loss, triples }) => {
-                    if r != round {
-                        continue; // stale upload from a closed round
-                    }
-                    if sessions.conn_of.get(client as usize).copied().flatten() != Some(conn) {
-                        continue; // not the connection speaking for this id
-                    }
-                    let Some(at) = pending.iter().position(|&p| p == client) else {
-                        continue; // unsampled or duplicate upload
-                    };
-                    pending.swap_remove(at);
-                    if !is_trainable(&triples, num_items) {
-                        dropped.push(client);
-                        continue;
-                    }
-                    losses_by_client.insert(client, loss);
-                    uploads.push(ClientUpload {
-                        client,
-                        predictions: triples
-                            .into_iter()
-                            .map(|(_, item, score)| (item, score))
-                            .collect(),
-                        audit_positives: Vec::new(),
-                    });
-                }
-                Step::Frame(_, _) | Step::Nothing => {}
-                Step::TimedOut => break,
-            }
-        }
-
-        // deadline passed: drop stragglers and malformed uploads via
-        // partial participation
-        dropped.append(&mut pending);
-        dropped.sort_unstable();
-        for &p in &dropped {
-            stragglers.push(StragglerDrop { round, client: p });
-            if let Some(peer) = sessions.peer_of(p) {
-                peer.send(Frame::Dropped { client: p, round });
-            }
-        }
-
-        // the shared serial half: replay in ascending client order,
-        // train the hidden model, compute dispersals
-        uploads.sort_unstable_by_key(|u| u.client);
-        let losses: Vec<f32> = uploads.iter().map(|u| losses_by_client[&u.client]).collect();
-        let (server_loss, disperses) =
-            rounds::server_phase(&mut server, &opts.cfg, round, &uploads, &mut ctx);
-        for (client, items) in disperses {
-            if let Some(peer) = sessions.peer_of(client) {
-                peer.send(Frame::Disperse {
-                    client,
-                    round,
-                    triples: items.iter().map(|&(item, score)| (client, item, score)).collect(),
-                });
-            }
-        }
-
-        let round_trace = rounds::round_trace(round, &losses, server_loss, &ctx);
-        drop(ctx);
-        ledger.on_round_end(&round_trace);
         if opts.verbose {
             eprintln!(
                 "  round {:>3}: {} participants ({} dropped), client loss {:.4}, server loss {:.4}",
-                round,
-                round_trace.participants,
-                dropped.len(),
-                round_trace.mean_client_loss,
-                round_trace.server_loss
+                round.round,
+                round.participants,
+                host.stragglers.iter().filter(|d| d.round == round.round).count(),
+                round.mean_client_loss,
+                round.server_loss
             );
         }
-        trace.push(round_trace);
+        trace.push(round);
     }
+    let communication = engine.ledger().summary();
+    let mut driver = engine.into_protocol();
+    let host = driver.host_mut();
 
-    // tell every live connection the run is over
-    for peer in sessions.peers.values() {
+    // ── finish: tell every live connection the run is over ────────────
+    for peer in host.sessions.peers.values() {
         peer.send(Frame::Finished { rounds: opts.cfg.rounds });
     }
     // flush every outbound queue before returning: the caller may exit
     // the process right away, and the last dispersals plus `Finished`
     // are still sitting in the writer threads' queues — exiting now
     // would silently drop them and peers would see EOF mid-protocol
-    for (_, peer) in sessions.peers.drain() {
+    for (_, peer) in host.sessions.peers.drain() {
         peer.flush(SHUTDOWN_FLUSH_TIMEOUT);
     }
     let report = NetRunReport {
         trace,
-        communication: ledger.summary(),
-        stragglers,
-        connections: sessions.connections_seen,
+        communication,
+        stragglers: std::mem::take(&mut host.stragglers),
+        connections: host.sessions.connections_seen,
     };
-    Ok((report, server))
+    Ok((report, driver.into_server()))
+}
+
+/// The networked [`ClientHost`]: every participant lives in a client
+/// process behind the transport. Deadlines and stragglers are this
+/// host's policy. The driver sees a straggler only as a participant that
+/// sent no upload, which is exactly an unsampled one.
+struct Remote<'a> {
+    events: &'a Receiver<Event>,
+    sessions: Sessions,
+    fingerprint: u64,
+    /// Configured rounds, echoed in the `Welcome` of a reconnect.
+    rounds: u32,
+    num_items: u32,
+    round_deadline: Duration,
+    /// Every drop so far, in round order.
+    stragglers: Vec<StragglerDrop>,
+    /// The first transport failure. Collection stops once it is set, and
+    /// [`run_server`] returns it after the round.
+    error: Option<NetError>,
+}
+
+impl ClientHost for Remote<'_> {
+    const NAME: &'static str = "PTF-FedRec/remote";
+
+    /// Announces the round to its participants and collects uploads until
+    /// the deadline or until nobody is pending. A straggler or a malformed
+    /// upload drops its client for the round with a `Dropped` frame; the
+    /// other uploads come back in ascending client order.
+    fn client_phase(
+        &mut self,
+        phase: &ClientPhase<'_>,
+        participants: &[u32],
+    ) -> (Vec<ClientUpload>, Vec<f32>) {
+        let round = phase.round;
+        let deadline_ms = self.round_deadline.as_millis().min(u32::MAX as u128) as u32;
+        // a participant with no live connection stays pending and drops
+        // at the deadline (it may reconnect for a later round)
+        for &p in participants {
+            if let Some(peer) = self.sessions.peer_of(p) {
+                peer.send(Frame::Announce { client: p, round, deadline_ms });
+            }
+        }
+        let mut pending = participants.to_vec();
+        let mut received: Vec<(ClientUpload, f32)> = Vec::with_capacity(pending.len());
+        let mut dropped: Vec<u32> = Vec::new();
+        let deadline = Instant::now() + self.round_deadline;
+        while !pending.is_empty() {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            match recv_step(
+                self.events,
+                remaining,
+                &mut self.sessions,
+                self.fingerprint,
+                self.rounds,
+            ) {
+                Ok(Step::Frame(conn, Frame::Upload { client, round: r, loss, triples })) => {
+                    if r != round {
+                        continue; // stale upload from a closed round
+                    }
+                    if self.sessions.conn_of.get(client as usize).copied().flatten() != Some(conn) {
+                        continue; // not the connection speaking for this id
+                    }
+                    let Some(at) = pending.iter().position(|&p| p == client) else {
+                        continue; // unsampled or duplicate upload
+                    };
+                    pending.swap_remove(at);
+                    if !is_trainable(&triples, self.num_items) {
+                        dropped.push(client);
+                        continue;
+                    }
+                    let predictions =
+                        triples.into_iter().map(|(_, item, score)| (item, score)).collect();
+                    let upload = ClientUpload { client, predictions, audit_positives: Vec::new() };
+                    received.push((upload, loss));
+                }
+                Ok(Step::Frame(..) | Step::Nothing) => {}
+                Ok(Step::TimedOut) => break,
+                Err(e) => {
+                    self.error = Some(e);
+                    break;
+                }
+            }
+        }
+        dropped.append(&mut pending);
+        dropped.sort_unstable();
+        for &client in &dropped {
+            self.stragglers.push(StragglerDrop { round, client });
+            if let Some(peer) = self.sessions.peer_of(client) {
+                peer.send(Frame::Dropped { client, round });
+            }
+        }
+        received.sort_unstable_by_key(|(upload, _)| upload.client);
+        received.into_iter().unzip()
+    }
+
+    /// Sends each participant its `Disperse` frame.
+    fn deliver(&mut self, round: u32, dispersals: Vec<(u32, Vec<ScoredItem>)>) {
+        for (client, items) in dispersals {
+            if let Some(peer) = self.sessions.peer_of(client) {
+                let triples = items.iter().map(|&(item, score)| (client, item, score)).collect();
+                peer.send(Frame::Disperse { client, round, triples });
+            }
+        }
+    }
 }
 
 /// Whether the server may train on an upload: every item inside the

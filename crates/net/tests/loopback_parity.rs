@@ -333,6 +333,60 @@ fn client_reconnect_during_gather_still_reaches_parity() {
 }
 
 #[test]
+fn a_transport_that_dies_mid_run_is_an_error_not_a_hang() {
+    // one hand-driven shard speaks for the whole fleet and owns the only
+    // hub: it answers round 0, then drops its connection and the hub on
+    // round 1's first announcement. With every sender gone the event
+    // queue closes, and the server must report that long before the
+    // round deadline instead of waiting it out
+    let train = dataset();
+    let cfg = config(1);
+    let opts = server_options(&cfg);
+    let (hub, events) = loopback_hub();
+    let train = &train;
+    let start = std::time::Instant::now();
+    let served = std::thread::scope(|scope| {
+        let shard = scope.spawn(move || {
+            let mut conn = hub.connect();
+            let fingerprint = ptf_net::config_fingerprint(
+                &cfg,
+                CLIENT,
+                SERVER,
+                &ModelHyper::small(),
+                train.num_users(),
+                train.num_items(),
+            );
+            for client in 0..train.num_users() as u32 {
+                conn.send(&Frame::Hello { client, trainable: true, fingerprint }).unwrap();
+            }
+            loop {
+                match conn.recv().unwrap().expect("the server is still running") {
+                    Frame::Announce { client, round: 0, .. } => {
+                        let triples = vec![(client, 1, 0.25)];
+                        conn.send(&Frame::Upload { client, round: 0, loss: 0.5, triples }).unwrap();
+                    }
+                    Frame::Announce { .. } => return, // drops `conn` and `hub`
+                    _ => {}
+                }
+            }
+        });
+        let served = run_server(train, &events, &opts);
+        shard.join().unwrap();
+        served
+    });
+    match served {
+        Err(NetError::Disconnected(_)) => {}
+        Err(e) => panic!("expected a disconnect, got {e}"),
+        Ok(_) => panic!("a run whose transport died must not succeed"),
+    }
+    assert!(
+        start.elapsed() < opts.round_deadline / 3,
+        "the closed queue was noticed only after {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
 fn fingerprint_mismatch_is_rejected_at_handshake() {
     let train = dataset();
     let cfg = config(1);

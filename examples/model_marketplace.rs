@@ -10,8 +10,9 @@
 //! cargo run --release --example model_marketplace
 //! ```
 
-use ptf_fedrec::core::{Federation, PtfConfig};
+use ptf_fedrec::core::{PtfConfig, PtfFedRec};
 use ptf_fedrec::data::{DatasetPreset, Scale, TrainTestSplit};
+use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 
 fn main() {
@@ -29,13 +30,16 @@ fn main() {
     for server_kind in ModelKind::ALL {
         let mut cfg = PtfConfig::small();
         cfg.rounds = 10;
-        let mut fed = Federation::builder(&split.train)
-            .client_model(ModelKind::NeuMf) // the public client model never changes
-            .server_model(server_kind)
-            .hyper(ModelHyper::small())
-            .config(cfg)
-            .build()
-            .expect("example config is valid");
+        let mut fed = Engine::new(
+            PtfFedRec::try_new(
+                &split.train,
+                ModelKind::NeuMf, // the public client model never changes
+                server_kind,
+                &ModelHyper::small(),
+                cfg,
+            )
+            .expect("example config is valid"),
+        );
         fed.run();
         let report = fed.evaluate(&split.train, &split.test, 20);
         let bytes = fed.ledger().avg_client_bytes_per_round();

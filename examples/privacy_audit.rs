@@ -5,8 +5,9 @@
 //! cargo run --release --example privacy_audit
 //! ```
 
-use ptf_fedrec::core::{DefenseKind, Federation, PtfConfig};
+use ptf_fedrec::core::{DefenseKind, PtfConfig, PtfFedRec};
 use ptf_fedrec::data::{DatasetPreset, Scale, TrainTestSplit};
+use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 use ptf_fedrec::privacy::TopGuessAttack;
 
@@ -27,13 +28,11 @@ fn main() {
         let mut cfg = PtfConfig::small();
         cfg.rounds = 6;
         cfg.defense = defense;
-        let mut fed = Federation::builder(&split.train)
-            .client_model(ModelKind::NeuMf)
-            .server_model(ModelKind::Ngcf)
-            .hyper(ModelHyper::small())
-            .config(cfg)
-            .build()
-            .expect("example config is valid");
+        let hyper = ModelHyper::small();
+        let mut fed = Engine::new(
+            PtfFedRec::try_new(&split.train, ModelKind::NeuMf, ModelKind::Ngcf, &hyper, cfg)
+                .expect("example config is valid"),
+        );
         fed.run();
 
         // the curious server's view: the final round of uploads

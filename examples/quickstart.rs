@@ -1,12 +1,12 @@
-//! Quickstart: train a hidden server model with PTF-FedRec through the
-//! typed federation builder.
+//! Quickstart: train a hidden server model with PTF-FedRec.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
-use ptf_fedrec::core::{ConfigError, Federation, PtfConfig};
+use ptf_fedrec::core::{ConfigError, PtfConfig, PtfFedRec};
 use ptf_fedrec::data::{DatasetPreset, Scale, TrainTestSplit};
+use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 
 fn main() -> Result<(), ConfigError> {
@@ -22,17 +22,18 @@ fn main() -> Result<(), ConfigError> {
     );
 
     // 2. The federation: every user is a client running the public NeuMF;
-    //    the platform's NGCF stays hidden on the server. The builder
-    //    validates the configuration instead of panicking, and wires the
-    //    engine's communication ledger automatically.
+    //    the platform's NGCF stays hidden on the server. `try_new`
+    //    validates the configuration instead of panicking, and the engine
+    //    wires its communication ledger automatically.
     let mut cfg = PtfConfig::small();
     cfg.rounds = 8;
-    let mut fed = Federation::builder(&split.train)
-        .client_model(ModelKind::NeuMf) // public client model
-        .server_model(ModelKind::Ngcf) // hidden server model — never transmitted
-        .hyper(ModelHyper::small())
-        .config(cfg)
-        .build()?;
+    let mut fed = Engine::new(PtfFedRec::try_new(
+        &split.train,
+        ModelKind::NeuMf, // public client model
+        ModelKind::Ngcf,  // hidden server model — never transmitted
+        &ModelHyper::small(),
+        cfg,
+    )?);
 
     // 3. Train: only prediction triples cross the wire.
     let trace = fed.run();

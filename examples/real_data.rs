@@ -10,9 +10,10 @@
 //!
 //! Without an argument it demonstrates the parsers on embedded samples.
 
-use ptf_fedrec::core::{Federation, PtfConfig};
+use ptf_fedrec::core::{PtfConfig, PtfFedRec};
 use ptf_fedrec::data::loader::{parse_movielens_100k, parse_pairs_csv};
 use ptf_fedrec::data::{DatasetStats, TrainTestSplit};
+use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 
 fn main() {
@@ -57,16 +58,14 @@ fn main() {
     let mut cfg = PtfConfig::small();
     cfg.rounds = 5;
     cfg.alpha = cfg.alpha.min(dataset.num_items() / 2);
-    let mut fed = Federation::builder(&split.train)
-        .client_model(ModelKind::NeuMf)
-        .server_model(ModelKind::LightGcn)
-        .hyper(ModelHyper::small())
-        .config(cfg)
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
+    let hyper = ModelHyper::small();
+    let protocol =
+        PtfFedRec::try_new(&split.train, ModelKind::NeuMf, ModelKind::LightGcn, &hyper, cfg)
+            .unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            });
+    let mut fed = Engine::new(protocol);
     let trace = fed.run();
     println!(
         "trained {} rounds; final client loss {:.4}",

@@ -16,7 +16,7 @@ use ptf_fedrec::cli::{
 use ptf_fedrec::comm::{format_bytes, CommLedger, LedgerSummary};
 use ptf_fedrec::core::{
     checkpoint, config_fingerprint, CohortData, CohortFedRec, CohortOptions, DefenseKind,
-    Federation, PtfConfig, PtfFedRec, ServerScope, StorageMode, StoragePolicy, StoreKind,
+    PtfConfig, PtfFedRec, ServerScope, StorageMode, StoragePolicy, StoreKind,
 };
 use ptf_fedrec::data::{
     CsrArena, Dataset, DatasetPreset, DatasetStats, Scale, ScaleConfig, TrainTestSplit,
@@ -518,16 +518,12 @@ fn run_privacy(a: &PrivacyArgs) -> Result<(), Failure> {
         DefenseChoice::Full => DefenseKind::SamplingSwapping,
     };
     let defense = cfg.defense.name();
-    let recorder = TraceRecorder::new();
-    let mut fed = Federation::builder(&split.train)
-        .client_model(ModelKind::NeuMf)
-        .server_model(ModelKind::Ngcf)
-        .hyper(scaled_hyper(a.scale))
-        .config(cfg)
-        .observer(recorder.clone())
-        .build()
-        .map_err(|e| e.to_string())?;
-    fed.run();
+    let hyper = scaled_hyper(a.scale);
+    let mut fed = Engine::new(
+        PtfFedRec::try_new(&split.train, ModelKind::NeuMf, ModelKind::Ngcf, &hyper, cfg)
+            .map_err(|e| e.to_string())?,
+    );
+    let trace = fed.run();
     let f1 = TopGuessAttack::default().mean_f1(
         fed.protocol()
             .last_uploads()
@@ -541,7 +537,7 @@ fn run_privacy(a: &PrivacyArgs) -> Result<(), Failure> {
             attack_f1: f1,
             dataset: a.dataset.name().to_string(),
             seed: a.seed,
-            trace: recorder.trace(),
+            trace,
             report,
             communication: fed.ledger().summary(),
         })

@@ -16,16 +16,16 @@
 //! * [`federated`] — client registry, participation sampling, and the
 //!   protocol-agnostic `FederatedProtocol` engine with `RoundObserver`
 //!   hooks.
-//! * [`core`] — the PTF-FedRec protocol itself plus the typed
-//!   `Federation::builder` front door.
+//! * [`core`] — the PTF-FedRec protocol itself: one round driver over
+//!   resident, stored and remote client hosts.
 //! * [`baselines`] — centralized trainers, FCF, FedMF, MetaMF — all
 //!   implementing the same `FederatedProtocol` as PTF-FedRec.
 //! * [`net`] — networked deployment: wire protocol, loopback/TCP
 //!   transports, the round server (`ptf serve`) and client runner
 //!   (`ptf client`), bit-identical to the in-process engine.
 //!
-//! See `examples/quickstart.rs` for an end-to-end federated run through
-//! the builder, `examples/communication_report.rs` for heterogeneous
+//! See `examples/quickstart.rs` for an end-to-end federated run,
+//! `examples/communication_report.rs` for heterogeneous
 //! protocols driven by one engine loop, and the `ptf` binary ([`cli`])
 //! for a command-line front door.
 

@@ -7,7 +7,7 @@
 //! one. These tests pin the contract:
 //!
 //! * a cohort run's `RunTrace` (and the trained server's ranking
-//!   report) is bit-identical to the unsharded [`Federation`] engine at
+//!   report) is bit-identical to the unsharded [`PtfFedRec`] engine at
 //!   every cohort size and thread count;
 //! * the on-disk envelope store is bit-identical to the in-memory one;
 //! * a checkpointed-then-resumed run reproduces the uninterrupted run's
@@ -17,7 +17,7 @@
 
 use ptf_fedrec::core::{
     checkpoint, config_fingerprint, CheckpointError, CohortData, CohortFedRec, CohortOptions,
-    Federation, PtfConfig, PtfFedRec, ServerScope, StorageMode, StoreKind,
+    PtfConfig, PtfFedRec, ServerScope, StorageMode, StoreKind,
 };
 use ptf_fedrec::data::{SyntheticConfig, TrainTestSplit};
 use ptf_fedrec::federated::{Engine, FederatedProtocol, Participation, RunTrace, TraceRecorder};
@@ -79,13 +79,16 @@ fn run_cohort(
 fn cohort_runs_match_unsharded_bit_for_bit() {
     let s = split(150);
     let reference = {
-        let mut engine = Federation::builder(&s.train)
-            .client_model(ModelKind::Mf)
-            .server_model(ModelKind::NeuMf)
-            .hyper(ModelHyper::small())
-            .config(cfg(1))
-            .build()
-            .expect("valid config");
+        let mut engine = Engine::new(
+            PtfFedRec::try_new(
+                &s.train,
+                ModelKind::Mf,
+                ModelKind::NeuMf,
+                &ModelHyper::small(),
+                cfg(1),
+            )
+            .expect("valid config"),
+        );
         let trace = engine.run();
         let report = engine.evaluate(&s.train, &s.test, 10);
         (trace, report)
@@ -121,13 +124,10 @@ fn cohort_parity_holds_for_every_architecture() {
         let mut c = cfg(2);
         c.rounds = 2;
         let reference = {
-            let mut engine = Federation::builder(&s.train)
-                .client_model(client)
-                .server_model(server)
-                .hyper(ModelHyper::small())
-                .config(c.clone())
-                .build()
-                .expect("valid config");
+            let mut engine = Engine::new(
+                PtfFedRec::try_new(&s.train, client, server, &ModelHyper::small(), c.clone())
+                    .expect("valid config"),
+            );
             (engine.run(), engine.evaluate(&s.train, &s.test, 10))
         };
         let got = run_cohort(
@@ -272,13 +272,16 @@ fn auto_storage_reevaluation_matches_sparse() {
         let mut c = cfg(2);
         c.rounds = 3;
         c.storage.mode = mode;
-        let mut engine = Federation::builder(&s.train)
-            .client_model(ModelKind::NeuMf)
-            .server_model(ModelKind::NeuMf)
-            .hyper(ModelHyper::small())
-            .config(c)
-            .build()
-            .expect("valid config");
+        let mut engine = Engine::new(
+            PtfFedRec::try_new(
+                &s.train,
+                ModelKind::NeuMf,
+                ModelKind::NeuMf,
+                &ModelHyper::small(),
+                c,
+            )
+            .expect("valid config"),
+        );
         (engine.run(), engine.evaluate(&s.train, &s.test, 10))
     };
     let sparse = run(StorageMode::Sparse);

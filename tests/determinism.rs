@@ -9,7 +9,7 @@
 use ptf_fedrec::baselines::{
     Centralized, CentralizedConfig, Fcf, FcfConfig, FedMf, FedMfConfig, MetaMf, MetaMfConfig,
 };
-use ptf_fedrec::core::{Federation, PtfConfig};
+use ptf_fedrec::core::{PtfConfig, PtfFedRec};
 use ptf_fedrec::data::{SyntheticConfig, TrainTestSplit};
 use ptf_fedrec::federated::{Engine, FederatedProtocol, Participation, RunTrace};
 use ptf_fedrec::metrics::RankingReport;
@@ -54,13 +54,16 @@ fn ptf_fedrec_is_thread_invariant() {
         cfg.client_epochs = 2;
         cfg.alpha = 8;
         cfg.threads = threads;
-        Federation::builder(&s.train)
-            .client_model(ModelKind::NeuMf)
-            .server_model(ModelKind::NeuMf)
-            .hyper(ModelHyper::small())
-            .config(cfg)
-            .build()
-            .expect("valid config")
+        Engine::new(
+            PtfFedRec::try_new(
+                &s.train,
+                ModelKind::NeuMf,
+                ModelKind::NeuMf,
+                &ModelHyper::small(),
+                cfg,
+            )
+            .expect("valid config"),
+        )
     });
 }
 
@@ -124,13 +127,16 @@ fn partial_participation_sampling_is_thread_invariant() {
         cfg.alpha = 6;
         cfg.threads = threads;
         cfg.participation = Participation { fraction: 0.3, min_clients: 2 };
-        Federation::builder(&s.train)
-            .client_model(ModelKind::NeuMf)
-            .server_model(ModelKind::NeuMf)
-            .hyper(ModelHyper::small())
-            .config(cfg)
-            .build()
-            .expect("valid config")
+        Engine::new(
+            PtfFedRec::try_new(
+                &s.train,
+                ModelKind::NeuMf,
+                ModelKind::NeuMf,
+                &ModelHyper::small(),
+                cfg,
+            )
+            .expect("valid config"),
+        )
     });
 }
 
@@ -145,12 +151,15 @@ fn heterogeneous_models_are_thread_invariant() {
         cfg.client_epochs = 1;
         cfg.alpha = 6;
         cfg.threads = threads;
-        Federation::builder(&s.train)
-            .client_model(ModelKind::LightGcn)
-            .server_model(ModelKind::Ngcf)
-            .hyper(ModelHyper::small())
-            .config(cfg)
-            .build()
-            .expect("valid config")
+        Engine::new(
+            PtfFedRec::try_new(
+                &s.train,
+                ModelKind::LightGcn,
+                ModelKind::Ngcf,
+                &ModelHyper::small(),
+                cfg,
+            )
+            .expect("valid config"),
+        )
     });
 }

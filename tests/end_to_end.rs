@@ -2,7 +2,7 @@
 //! data generation to evaluation, through the facade crate.
 
 use ptf_fedrec::baselines::{train_centralized, CentralizedConfig};
-use ptf_fedrec::core::{Federation, PtfConfig, PtfFedRec};
+use ptf_fedrec::core::{PtfConfig, PtfFedRec};
 use ptf_fedrec::data::{Dataset, DatasetPreset, Scale, SyntheticConfig, TrainTestSplit};
 use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{evaluate_model, ModelHyper, ModelKind};
@@ -13,13 +13,10 @@ fn engine(
     server: ModelKind,
     cfg: PtfConfig,
 ) -> Engine<PtfFedRec> {
-    Federation::builder(train)
-        .client_model(client)
-        .server_model(server)
-        .hyper(ModelHyper::small())
-        .config(cfg)
-        .build()
-        .expect("valid test config")
+    Engine::new(
+        PtfFedRec::try_new(train, client, server, &ModelHyper::small(), cfg)
+            .expect("valid test config"),
+    )
 }
 
 fn quick_cfg() -> PtfConfig {

@@ -9,8 +9,9 @@
 //! training-pool assembly, local SGD, scoring, and upload staging all run
 //! inside reused buffers.
 
-use ptf_fedrec::core::{DefenseKind, Federation, PtfConfig, StorageMode};
+use ptf_fedrec::core::{DefenseKind, PtfConfig, PtfFedRec, StorageMode};
 use ptf_fedrec::data::{SyntheticConfig, TrainTestSplit};
+use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 use ptf_fedrec::tensor::alloc;
 
@@ -40,13 +41,10 @@ fn steady_state_mf_rounds_allocate_nothing_on_the_client_path() {
     // (the row-sparse path is covered by the sibling test below, where
     // allocations may only come from first-touch row materialization)
     cfg.storage.mode = StorageMode::Dense;
-    let mut fed = Federation::builder(&s.train)
-        .client_model(ModelKind::Mf)
-        .server_model(ModelKind::Mf)
-        .hyper(ModelHyper::small())
-        .config(cfg)
-        .build()
-        .expect("valid config");
+    let mut fed = Engine::new(
+        PtfFedRec::try_new(&s.train, ModelKind::Mf, ModelKind::Mf, &ModelHyper::small(), cfg)
+            .expect("valid config"),
+    );
 
     // warm-up: round 1 grows the scratch/upload buffers, round 2 first
     // sees server-dispersed soft labels (D̃ enlarges the training pool),
@@ -88,13 +86,10 @@ fn steady_state_scoped_mf_rounds_allocate_nothing_once_rows_settle() {
     // clients over a 40-item catalogue would otherwise trip the dense
     // fallback and hold all 40 rows from round one
     cfg.storage.mode = StorageMode::Sparse;
-    let mut fed = Federation::builder(&s.train)
-        .client_model(ModelKind::Mf)
-        .server_model(ModelKind::Mf)
-        .hyper(ModelHyper::small())
-        .config(cfg)
-        .build()
-        .expect("valid config");
+    let mut fed = Engine::new(
+        PtfFedRec::try_new(&s.train, ModelKind::Mf, ModelKind::Mf, &ModelHyper::small(), cfg)
+            .expect("valid config"),
+    );
 
     let full_rows = s.train.num_users() * s.train.num_items();
     assert!(
@@ -151,13 +146,10 @@ fn eviction_keeps_client_rows_bounded_over_fifty_rounds() {
         c
     };
     let build = |cfg: PtfConfig| {
-        Federation::builder(&s.train)
-            .client_model(ModelKind::Mf)
-            .server_model(ModelKind::Mf)
-            .hyper(ModelHyper::small())
-            .config(cfg)
-            .build()
-            .expect("valid config")
+        Engine::new(
+            PtfFedRec::try_new(&s.train, ModelKind::Mf, ModelKind::Mf, &ModelHyper::small(), cfg)
+                .expect("valid config"),
+        )
     };
     let mut evicting = build(cfg);
     let mut control = build(control_cfg);
@@ -203,7 +195,6 @@ fn a_stored_client_round_does_not_allocate_per_parameter() {
     // ~8.5 k parameters a 256-row, 32-dim client holds — the decimal
     // encoding this replaced took ≈ 18.7 k allocations for the same round.
     use ptf_fedrec::core::{CohortData, CohortFedRec, CohortOptions, StoreKind};
-    use ptf_fedrec::federated::Engine;
     let data =
         SyntheticConfig::new("stored", 6, 3000, 40.0).generate(&mut ptf_fedrec::data::test_rng(51));
     let mut cfg = PtfConfig::paper();
@@ -268,11 +259,12 @@ fn a_steady_state_mf_server_phase_allocates_once_per_participant() {
     let mut server =
         rounds::build_server(users as usize, s.train.num_items(), ModelKind::Mf, &hyper, &cfg);
     for round in 0..2 {
-        rounds::server_phase(&mut server, &cfg, round, &uploads, &mut RoundCtx::detached(round));
+        let mut ctx = RoundCtx::detached(round);
+        rounds::server_phase(&mut server, &cfg, round, &uploads, &mut ctx, None);
     }
     let before = alloc::thread_allocs();
     let (_, dispersals) =
-        rounds::server_phase(&mut server, &cfg, 2, &uploads, &mut RoundCtx::detached(2));
+        rounds::server_phase(&mut server, &cfg, 2, &uploads, &mut RoundCtx::detached(2), None);
     let allocs = alloc::thread_allocs() - before;
     assert_eq!(dispersals.len(), uploads.len());
     assert!(dispersals.iter().all(|(_, items)| items.len() == cfg.alpha));
@@ -293,13 +285,10 @@ fn default_neumf_rounds_report_their_client_allocations() {
     cfg.rounds = 2;
     cfg.client_epochs = 1;
     cfg.threads = 1;
-    let mut fed = Federation::builder(&s.train)
-        .client_model(ModelKind::NeuMf)
-        .server_model(ModelKind::NeuMf)
-        .hyper(ModelHyper::small())
-        .config(cfg)
-        .build()
-        .expect("valid config");
+    let mut fed = Engine::new(
+        PtfFedRec::try_new(&s.train, ModelKind::NeuMf, ModelKind::NeuMf, &ModelHyper::small(), cfg)
+            .expect("valid config"),
+    );
     fed.run_round();
     assert!(
         fed.protocol().last_round_client_allocs() > 0,

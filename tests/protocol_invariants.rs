@@ -2,7 +2,7 @@
 //! properties the paper claims, checked on live federations.
 
 use ptf_fedrec::baselines::{Fcf, FcfConfig};
-use ptf_fedrec::core::{DefenseKind, Federation, PtfConfig, PtfFedRec};
+use ptf_fedrec::core::{DefenseKind, PtfConfig, PtfFedRec};
 use ptf_fedrec::data::{Dataset, SyntheticConfig, TrainTestSplit};
 use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
@@ -23,13 +23,10 @@ fn cfg(defense: DefenseKind) -> PtfConfig {
 }
 
 fn build(train: &Dataset, cfg: PtfConfig) -> Engine<PtfFedRec> {
-    Federation::builder(train)
-        .client_model(ModelKind::NeuMf)
-        .server_model(ModelKind::NeuMf)
-        .hyper(ModelHyper::small())
-        .config(cfg)
-        .build()
-        .expect("valid test config")
+    Engine::new(
+        PtfFedRec::try_new(train, ModelKind::NeuMf, ModelKind::NeuMf, &ModelHyper::small(), cfg)
+            .expect("valid test config"),
+    )
 }
 
 fn run(defense: DefenseKind) -> Engine<PtfFedRec> {
@@ -195,13 +192,11 @@ fn paper_scale_movielens_smoke() {
     let split = TrainTestSplit::split_80_20(&data, &mut rng);
     let mut cfg = ptf_fedrec::core::PtfConfig::paper();
     cfg.rounds = 2;
-    let mut fed = Federation::builder(&split.train)
-        .client_model(ModelKind::NeuMf)
-        .server_model(ModelKind::Ngcf)
-        .hyper(ptf_fedrec::models::ModelHyper::default())
-        .config(cfg)
-        .build()
-        .expect("paper config is valid");
+    let hyper = ModelHyper::default();
+    let mut fed = Engine::new(
+        PtfFedRec::try_new(&split.train, ModelKind::NeuMf, ModelKind::Ngcf, &hyper, cfg)
+            .expect("paper config is valid"),
+    );
     let trace = fed.run();
     assert_eq!(trace.num_rounds(), 2);
     assert!(trace.rounds[0].participants == 943);
