@@ -27,7 +27,7 @@ use ptf_federated::{
     RoundCtx, RoundScratch, RoundTrace, Scheduler, ScratchPool,
 };
 use ptf_models::mf::bce_loss;
-use ptf_models::Recommender;
+use ptf_models::{stable_sigmoid, Recommender};
 use ptf_tensor::{Matrix, RowTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,7 +183,7 @@ impl MetaMf {
             for &(item, label) in samples.iter() {
                 let e_i = self.gen_item(&gate, item);
                 let logit: f32 = e_i.iter().zip(user_row.iter()).map(|(&a, &b)| a * b).sum();
-                let err = sigmoid(logit) - label;
+                let err = stable_sigmoid(logit) - label;
                 client_loss += bce_loss(logit, label);
                 steps += 1;
                 // dE_i = err · p, folded straight into the reductions
@@ -359,30 +359,17 @@ impl Recommender for MetaMf {
         self.basis.len() + self.w_gate.len() + self.b_gate.len() + self.codes.len()
     }
 
-    fn score(&self, user: u32, items: &[u32]) -> Vec<f32> {
+    fn logits_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
         let (gate, _) = self.gate_of(user);
         let p = self.user_emb.row(user as usize);
-        items
-            .iter()
-            .map(|&i| {
-                let logit: f32 = self.gen_item(&gate, i).iter().zip(p).map(|(&a, &b)| a * b).sum();
-                sigmoid(logit)
-            })
-            .collect()
+        out.clear();
+        out.extend(items.iter().map(|&i| -> f32 {
+            self.gen_item(&gate, i).iter().zip(p).map(|(&a, &b)| a * b).sum()
+        }));
     }
 
     fn train_batch(&mut self, _batch: &[(u32, u32, f32)]) -> f32 {
         unimplemented!("MetaMF trains through its federated protocol, not batches")
-    }
-}
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 

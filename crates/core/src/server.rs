@@ -8,8 +8,9 @@
 //! model needs: the soft-edge memory exists only for a model that
 //! [`uses_graph`](Recommender::uses_graph), the confidence ranking of D̃
 //! is computed once where the update counts change rather than once per
-//! participant, and score buffer and selection marks are scratch the
-//! server keeps from one dispersal to the next. D̃ᵢ comes out in the
+//! participant, and the logit buffer (where the selection also marks
+//! what it has taken) and the selection's buffers are scratch the server
+//! keeps from one dispersal to the next. D̃ᵢ comes out in the
 //! order [`crate::disperse`] specifies: confidence share, then hard share,
 //! each in rank order.
 
@@ -54,8 +55,8 @@ pub struct PtfServer {
     /// of a per-process hash seed.
     edges: BTreeMap<(u32, u32), f32>,
     /// Scratch kept across dispersals: one participant's catalogue-wide
-    /// scores, the selection's buffers.
-    scores: Vec<f32>,
+    /// logits, the selection's buffers.
+    logits: Vec<f32>,
     select: SelectScratch,
 }
 
@@ -85,7 +86,7 @@ impl PtfServer {
             item_update_counts,
             confidence_order,
             edges,
-            scores: Vec::new(),
+            logits: Vec::new(),
             select: SelectScratch::default(),
         }
     }
@@ -153,8 +154,9 @@ impl PtfServer {
     }
 
     /// §III-B3: builds D̃ᵢ for one client — α confidence/hard items scored
-    /// by the hidden model, in [`crate::disperse`]'s order. The returned
-    /// set is the call's one allocation.
+    /// by the hidden model, in [`crate::disperse`]'s order. The model
+    /// hands over logits; the selection takes the sigmoid only where it
+    /// needs a score. The returned set is the call's one allocation.
     pub fn disperse_for(
         &mut self,
         client: u32,
@@ -162,10 +164,10 @@ impl PtfServer {
         cfg: &PtfConfig,
         rng: &mut impl Rng,
     ) -> Vec<ScoredItem> {
-        self.model.score_all_into(client, &mut self.scores);
+        self.model.logits_all_into(client, &mut self.logits);
         select_disperse_items(
             &self.confidence_order,
-            &self.scores,
+            &mut self.logits,
             uploaded_sorted,
             cfg,
             rng,
@@ -262,6 +264,7 @@ fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DisperseStrategy;
     use ptf_tensor::test_rng;
 
     fn cfg() -> PtfConfig {
@@ -375,6 +378,33 @@ mod tests {
             assert!(i != 3 && i != 7, "uploaded item {i} dispersed back");
             let model_score = s.model().score(0, &[i])[0];
             assert!((score - model_score).abs() < 1e-6, "dispersed score is stale");
+        }
+    }
+
+    #[test]
+    fn a_nan_server_disperses_without_nan() {
+        // an MF server trained on an upload holding NaN and ±∞ scores
+        // goes NaN for that client and for the uploaded items; dispersal
+        // used to abort the process on the first NaN it ranked
+        let mut s = server(ModelKind::Mf);
+        let mut config = cfg();
+        let odd = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.5];
+        let ups = [upload(1, &(3..8).zip(odd).collect::<Vec<_>>())];
+        s.train_on_uploads(&ups, &config, &mut test_rng(8));
+        let nan_items: Vec<u32> =
+            (0..30).filter(|&i| s.model().score(0, &[i])[0].is_nan()).collect();
+        assert!(!nan_items.is_empty(), "the server must have gone NaN somewhere");
+        for strategy in [DisperseStrategy::ConfidenceHard, DisperseStrategy::Random] {
+            config.disperse = strategy;
+            for client in 0..4 {
+                let d = s.disperse_for(client, &[], &config, &mut test_rng(9));
+                for &(i, score) in &d {
+                    assert!(!score.is_nan(), "client {client}: item {i} dispersed with NaN");
+                }
+                if client != 1 {
+                    assert_eq!(d.len(), config.alpha, "client {client} still has finite items");
+                }
+            }
         }
     }
 

@@ -404,8 +404,9 @@ mod tests {
         fn num_params(&self) -> usize {
             1
         }
-        fn score(&self, _user: u32, items: &[u32]) -> Vec<f32> {
-            items.iter().map(|&i| self.score - i as f32 * 0.01).collect()
+        fn logits_into(&self, _user: u32, items: &[u32], out: &mut Vec<f32>) {
+            out.clear();
+            out.extend(items.iter().map(|&i| self.score - i as f32 * 0.01));
         }
         fn train_batch(&mut self, _batch: &[(u32, u32, f32)]) -> f32 {
             0.0

@@ -3,7 +3,7 @@
 //! Both architectures keep one embedding table over the joint user+item
 //! node space (`user u → node u`, materialized item row `r → node
 //! num_users + r`), propagate it over the normalized interaction graph,
-//! and score sigmoid dot products of cached final embeddings. Everything
+//! and score dot products (logits) of cached final embeddings. Everything
 //! but the propagation rule itself lives here: the [`ScopedParams`] store
 //! of the joint table, the propagation operator and the global edge list
 //! it is re-derived from when lazy materialization shifts node indices,
@@ -15,7 +15,6 @@
 use crate::graph::{empty_propagation, normalized_bipartite};
 use crate::mf::sigmoid_and_bce;
 use crate::scoped::{self, ScopedParams, EMB_STD};
-use crate::traits::stable_sigmoid;
 use ptf_tensor::kernels;
 use ptf_tensor::prelude::*;
 use ptf_tensor::{ItemScope, ParamId};
@@ -59,7 +58,7 @@ pub(crate) struct BatchNodes {
 
 std::thread_local! {
     /// The final embedding of a cold item while it is scored; see
-    /// [`GraphBackbone::score_into`].
+    /// [`GraphBackbone::logits_into`].
     static COLD_FINAL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -152,6 +151,16 @@ impl GraphBackbone {
         }
     }
 
+    /// [`GraphBackbone::ensure_items`] for a sorted, unique batch, merged
+    /// in one pass ([`ScopedParams::ensure_many`]); the operator is
+    /// rebuilt once if anything was inserted.
+    pub fn prepare_items(&mut self, sorted_ids: &[u32]) {
+        if self.store.ensure_many(sorted_ids) {
+            self.rebuild_scoped_prop();
+            self.invalidate();
+        }
+    }
+
     /// Evicts every materialized item outside `keep_sorted`, which must
     /// cover every current graph-edge item (the protocol's keep set
     /// always does: edges come from positives and dispersed items) — an
@@ -209,13 +218,13 @@ impl GraphBackbone {
         f(&self.cache.read().expect("cache lock poisoned").rows)
     }
 
-    /// Sigmoid dot products of `user`'s final embedding with each item's,
-    /// into `out` (cleared first). An unmaterialized item is necessarily
-    /// isolated; `cold_final` writes the final embedding a full model
-    /// computes for such an edgeless item into a thread-local buffer, so
-    /// scoring allocates nothing once the cache is built and `out` has
-    /// grown.
-    pub fn score_into(
+    /// Dot products of `user`'s final embedding with each item's — the
+    /// logits — into `out` (cleared first). An unmaterialized item is
+    /// necessarily isolated; `cold_final` writes the final embedding a
+    /// full model computes for such an edgeless item into a thread-local
+    /// buffer, so scoring allocates nothing once the cache is built and
+    /// `out` has grown.
+    pub fn logits_into(
         &self,
         user: u32,
         items: &[u32],
@@ -232,14 +241,13 @@ impl GraphBackbone {
                 cold.resize(emb.cols(), 0.0);
                 out.extend(items.iter().map(|&i| {
                     debug_assert!((i as usize) < self.store.num_items(), "item id out of range");
-                    let dot = match self.node_of(i) {
+                    match self.node_of(i) {
                         Some(node) => kernels::dot(u, emb.row(node as usize)),
                         None => {
                             cold_final(i, &mut cold);
                             kernels::dot(u, &cold)
                         }
-                    };
-                    stable_sigmoid(dot)
+                    }
                 }));
             });
         });

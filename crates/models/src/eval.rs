@@ -8,7 +8,7 @@ use ptf_tensor::par;
 /// Per-worker evaluation scratch: the full-item score buffer plus the
 /// top-k selection workspace. One of these is checked out of a
 /// [`par::Pool`] per user, so a steady-state evaluation pass performs no
-/// heap allocation per user beyond what the model's own `score_all_into`
+/// heap allocation per user beyond what the model's own `logits_all_into`
 /// implementation needs (zero for MF).
 #[derive(Default)]
 struct EvalScratch {
@@ -152,8 +152,9 @@ mod tests {
         fn num_params(&self) -> usize {
             0
         }
-        fn score(&self, _user: u32, items: &[u32]) -> Vec<f32> {
-            vec![f32::NAN; items.len()]
+        fn logits_into(&self, _user: u32, items: &[u32], out: &mut Vec<f32>) {
+            out.clear();
+            out.resize(items.len(), f32::NAN);
         }
         fn train_batch(&mut self, _batch: &[(u32, u32, f32)]) -> f32 {
             f32::NAN

@@ -48,6 +48,6 @@ pub use mf::MfModel;
 pub use neumf::{NeuMf, NeuMfConfig};
 pub use ngcf::{Ngcf, NgcfConfig};
 pub use registry::{build_model, build_model_scoped, ModelHyper, ModelKind};
-pub use traits::{cached_id_range, train_on_samples, Recommender, ScopeView};
+pub use traits::{cached_id_range, stable_sigmoid, train_on_samples, Recommender, ScopeView};
 
 pub use ptf_tensor::ItemScope;

@@ -15,7 +15,7 @@
 //! one arena row carries the whole per-item state.
 
 use crate::scoped::{dense_rng, item_seed, EMB_STD};
-use crate::traits::{stable_sigmoid, Recommender, ScopeView};
+use crate::traits::{Recommender, ScopeView};
 use ptf_tensor::kernels;
 use ptf_tensor::{ItemScope, Matrix, RowTable};
 
@@ -215,18 +215,23 @@ impl Recommender for MfModel {
         self.items.retain_ids(keep_sorted)
     }
 
-    fn score(&self, user: u32, items: &[u32]) -> Vec<f32> {
-        items.iter().map(|&i| stable_sigmoid(self.logit(user, i))).collect()
+    fn logits_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
+        out.clear();
+        out.extend(items.iter().map(|&i| self.logit(user, i)));
     }
 
-    fn score_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
+    /// A dense table is one row-major block of `[embedding, bias]` rows,
+    /// so the catalogue goes through [`kernels::row_logits`], whose every
+    /// logit equals [`MfModel::logit`]'s bit for bit; a row-scoped table
+    /// scores id by id, deriving the cold rows.
+    fn logits_all_into(&self, user: u32, out: &mut Vec<f32>) {
         out.clear();
-        out.extend(items.iter().map(|&i| stable_sigmoid(self.logit(user, i))));
-    }
-
-    fn score_all_into(&self, user: u32, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend((0..self.num_items() as u32).map(|i| stable_sigmoid(self.logit(user, i))));
+        if self.items.is_dense() {
+            out.resize(self.num_items(), 0.0);
+            kernels::row_logits(self.user_emb.row(user as usize), self.items.arena(), out);
+        } else {
+            out.extend((0..self.num_items() as u32).map(|i| self.logit(user, i)));
+        }
     }
 
     fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
@@ -292,6 +297,31 @@ impl Recommender for MfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::stable_sigmoid;
+
+    #[test]
+    fn catalogue_logits_equal_the_per_item_logit_bit_for_bit() {
+        // dims on and off the lane width; dense and row-scoped tables
+        for dim in [3usize, 8, 13, 32] {
+            let batch = [(0u32, 5u32, 1.0f32), (1, 30, 0.0), (1, 44, 1.0), (0, 2, 0.0)];
+            for scope in [ItemScope::Full(47), ItemScope::rows(47, vec![5, 9, 30])] {
+                let mut m = MfModel::new_scoped(2, dim, 0.1, &scope, 9);
+                m.train_batch(&batch);
+                for user in 0..2 {
+                    let mut all = vec![7.0; 2];
+                    m.logits_all_into(user, &mut all);
+                    assert_eq!(all.len(), 47);
+                    for (i, &x) in all.iter().enumerate() {
+                        assert_eq!(x.to_bits(), m.logit(user, i as u32).to_bits(), "item {i}");
+                    }
+                    let scores = m.score_all(user);
+                    for (s, x) in scores.iter().zip(&all) {
+                        assert_eq!(s.to_bits(), stable_sigmoid(*x).to_bits());
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn fused_sigmoid_and_bce_is_bit_identical_to_the_two_calls() {

@@ -53,7 +53,7 @@
 
 use crate::mf::sigmoid_and_bce;
 use crate::scoped::{self, dense, ScopedParams, EMB_STD};
-use crate::traits::{stable_sigmoid, Recommender, ScopeView};
+use crate::traits::{Recommender, ScopeView};
 use ptf_tensor::prelude::*;
 use ptf_tensor::{init, kernels, matrix, ItemScope, ParamId, Params, RowSparse};
 
@@ -369,20 +369,14 @@ impl Recommender for NeuMf {
     }
 
     fn prepare_items(&mut self, sorted_ids: &[u32]) {
-        self.store.ensure(sorted_ids.iter().copied());
+        self.store.ensure_many(sorted_ids);
     }
 
     fn evict_items(&mut self, keep_sorted: &[u32]) -> usize {
         self.store.evict(keep_sorted)
     }
 
-    fn score(&self, user: u32, items: &[u32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.score_into(user, items, &mut out);
-        out
-    }
-
-    fn score_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
+    fn logits_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
         debug_assert!((user as usize) < self.num_users, "user id out of range");
         debug_assert!(
             items.iter().all(|&i| (i as usize) < self.store.num_items()),
@@ -404,7 +398,7 @@ impl Recommender for NeuMf {
                 }
             }
             self.forward(|_| user, block.len(), &mut f);
-            out.extend(f.logits.iter().map(|&x| stable_sigmoid(x)));
+            out.extend_from_slice(&f.logits);
         }
     }
 
@@ -587,7 +581,7 @@ mod tests {
 
     #[test]
     fn long_item_lists_score_block_by_block_like_short_ones() {
-        // score_into works in SCORE_BLOCK-row blocks; a row's score must
+        // logits_into works in SCORE_BLOCK-row blocks; a row's score must
         // not depend on which block it falls in
         let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
         let m = NeuMf::new_scoped(2, &cfg, &ItemScope::Full(3 * SCORE_BLOCK + 5), 4);

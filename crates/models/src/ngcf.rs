@@ -488,21 +488,15 @@ impl Recommender for Ngcf {
     }
 
     fn prepare_items(&mut self, sorted_ids: &[u32]) {
-        self.base.ensure_items(sorted_ids.iter().copied());
+        self.base.prepare_items(sorted_ids);
     }
 
     fn evict_items(&mut self, keep_sorted: &[u32]) -> usize {
         self.base.evict_items(keep_sorted)
     }
 
-    fn score(&self, user: u32, items: &[u32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.score_into(user, items, &mut out);
-        out
-    }
-
-    fn score_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
-        self.base.score_into(
+    fn logits_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
+        self.base.logits_into(
             user,
             items,
             out,

@@ -82,8 +82,16 @@ pub fn cached_id_range(n: usize) -> Arc<Vec<u32>> {
 }
 
 /// The sigmoid every model's score goes through, stable for large `|x|`.
+///
+/// Monotone to within one ulp: `stable_sigmoid(y) <=
+/// stable_sigmoid(x).next_up()` for every `y <= x`. It is not monotone
+/// outright — on `x < 0`, `e / (1 + e)` rounds numerator and denominator
+/// apart, and σ(−1.9443452) is one ulp above σ(−1.9443451) — but `exp`
+/// is, and no step back is larger than one ulp. That bound is what lets a
+/// ranking by score compare logits first (D̃ᵢ's hard share);
+/// `stable_sigmoid_is_monotone_within_one_ulp` pins it.
 #[inline]
-pub(crate) fn stable_sigmoid(x: f32) -> f32 {
+pub fn stable_sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
     } else {
@@ -94,9 +102,13 @@ pub(crate) fn stable_sigmoid(x: f32) -> f32 {
 
 /// A trainable implicit-feedback recommender.
 ///
-/// Scores are probabilities in `[0, 1]` (sigmoid outputs): the protocol
-/// ships them across the network as soft labels, and the receiving side
-/// trains on them with a soft-target binary cross-entropy.
+/// Scores are probabilities in `[0, 1]`: the protocol ships them across
+/// the network as soft labels, and the receiving side trains on them
+/// with a soft-target binary cross-entropy. A score is always
+/// [`stable_sigmoid`] ∘ logit, so a model implements one scoring method,
+/// [`Recommender::logits_into`], and every `score*` method is provided on
+/// top of it. A caller that only ranks (D̃ᵢ's hard share) compares
+/// logits and takes the sigmoid only where it needs a probability.
 ///
 /// `Send + Sync` are supertraits because the federation scheduler moves
 /// client-local models onto worker threads and the ranking evaluator
@@ -131,11 +143,11 @@ pub trait Recommender: Send + Sync {
     /// touch (`sorted_ids` ascending, unique). Semantically identical to
     /// letting `train_batch` materialize lazily — rows hold the same
     /// derived init either way — but it lets a scoped model do the growth
-    /// up front: MF merges the whole batch into its row table in one
-    /// arena pass (which is what keeps paper-scale round throughput flat
-    /// under scoping); the Adam-trained models currently still insert row by
-    /// row, just before the round instead of mid-batch. Dense models
-    /// ignore it.
+    /// up front, merging the whole batch in one backward pass: MF over
+    /// its row table (which is what keeps paper-scale round throughput
+    /// flat under scoping), the Adam-trained models over the item block
+    /// and both moment buffers together, a graph model then rebuilding
+    /// its propagation operator once. Dense models ignore it.
     fn prepare_items(&mut self, _sorted_ids: &[u32]) {}
 
     /// Evicts every materialized item row whose global id is *not* in
@@ -160,37 +172,49 @@ pub trait Recommender: Send + Sync {
         0
     }
 
-    /// Predicted preference of `user` for each of `items`.
-    fn score(&self, user: u32, items: &[u32]) -> Vec<f32>;
+    /// The logit of `user`'s preference for each of `items`, into a
+    /// caller-owned buffer (cleared on entry) — the one scoring method a
+    /// model implements. Every score is [`stable_sigmoid`] of its logit.
+    fn logits_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>);
 
-    /// Predicted preference of `user` for every item.
-    ///
-    /// The default routes through the shared [`cached_id_range`] instead
-    /// of collecting a fresh id vector per call; the returned score
-    /// vector is the only allocation left.
-    fn score_all(&self, user: u32) -> Vec<f32> {
+    /// [`Recommender::logits_into`] over the whole catalogue. The default
+    /// routes through the shared [`cached_id_range`] instead of collecting
+    /// a fresh id vector per call, so a model with an allocation-free
+    /// `logits_into` gets an allocation-free `logits_all_into`; a model
+    /// whose item table is one dense block may override it with a blocked
+    /// kernel.
+    fn logits_all_into(&self, user: u32, out: &mut Vec<f32>) {
         let ids = cached_id_range(self.num_items());
-        self.score(user, &ids[..self.num_items()])
+        self.logits_into(user, &ids[..self.num_items()], out);
+    }
+
+    /// Predicted preference of `user` for each of `items`.
+    fn score(&self, user: u32, items: &[u32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.score_into(user, items, &mut out);
+        out
+    }
+
+    /// Predicted preference of `user` for every item; the returned vector
+    /// is the only allocation.
+    fn score_all(&self, user: u32) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.score_all_into(user, &mut out);
+        out
     }
 
     /// [`Recommender::score`] into a caller-owned buffer (cleared on
-    /// entry). The default delegates to `score` and still allocates;
-    /// models on the federated hot path (MF) override it to write
-    /// straight into the scratch buffer, making a steady-state client
-    /// round allocation-free.
+    /// entry): the logits, with the sigmoid taken in place.
     fn score_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
-        out.clear();
-        out.extend(self.score(user, items));
+        self.logits_into(user, items, out);
+        out.iter_mut().for_each(|x| *x = stable_sigmoid(*x));
     }
 
     /// [`Recommender::score_all`] into a caller-owned buffer (cleared on
-    /// entry); same contract as [`Recommender::score_into`]. The default
-    /// scores the shared [`cached_id_range`] through `score_into`, so a
-    /// model with an allocation-free `score_into` gets an
-    /// allocation-free `score_all_into` for free.
+    /// entry); same contract as [`Recommender::score_into`].
     fn score_all_into(&self, user: u32, out: &mut Vec<f32>) {
-        let ids = cached_id_range(self.num_items());
-        self.score_into(user, &ids[..self.num_items()], out);
+        self.logits_all_into(user, out);
+        out.iter_mut().for_each(|x| *x = stable_sigmoid(*x));
     }
 
     /// True if [`Recommender::set_graph`] actually consumes edges. Lets
@@ -278,8 +302,9 @@ mod tests {
         fn num_params(&self) -> usize {
             0
         }
-        fn score(&self, _user: u32, items: &[u32]) -> Vec<f32> {
-            vec![0.5; items.len()]
+        fn logits_into(&self, _user: u32, items: &[u32], out: &mut Vec<f32>) {
+            out.clear();
+            out.resize(items.len(), 0.0);
         }
         fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
             self.calls += 1;
@@ -290,7 +315,66 @@ mod tests {
     #[test]
     fn score_all_covers_every_item() {
         let m = Constant { users: 2, items: 7, calls: 0 };
-        assert_eq!(m.score_all(0).len(), 7);
+        assert_eq!(m.score_all(0), vec![0.5; 7]);
+        assert_eq!(m.score(1, &[3, 3]), vec![0.5; 2]);
+    }
+
+    /// The rank of `x` in value order among non-NaN `f32`s (±0 share 0).
+    fn rank(x: f32) -> i64 {
+        let bits = x.to_bits();
+        let magnitude = i64::from(bits & 0x7fff_ffff);
+        if bits >> 31 == 1 {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+
+    fn of_rank(k: i64) -> f32 {
+        let magnitude = k.unsigned_abs() as u32;
+        f32::from_bits(if k < 0 { magnitude | 0x8000_0000 } else { magnitude })
+    }
+
+    /// Walks every `stride`-th `f32` from `from` up to `to` and checks no
+    /// score seen so far exceeds the current one by more than one ulp.
+    fn assert_monotone_within_one_ulp(from: f32, to: f32, stride: usize) {
+        let mut best = (from, stable_sigmoid(from));
+        for k in (rank(from)..=rank(to)).step_by(stride) {
+            let x = of_rank(k);
+            let s = stable_sigmoid(x);
+            let (y, t) = best;
+            assert!(t <= s.next_up(), "σ({y:e}) = {t:e} > σ({x:e}) = {s:e} + 1 ulp");
+            if s > best.1 {
+                best = (x, s);
+            }
+        }
+    }
+
+    #[test]
+    fn stable_sigmoid_is_monotone_within_one_ulp() {
+        // a strided sweep of every f32 from −∞ to +∞, then the 2¹⁷
+        // values either side of where σ changes branch (±0), reaches 1
+        // (≈ 16.6), underflows to 0 (≈ −103) and steps back by an ulp
+        // (−1.9443452)
+        assert_monotone_within_one_ulp(f32::NEG_INFINITY, f32::INFINITY, 9_973);
+        for c in [0.0f32, 16.6, -16.6, 103.0, -103.0, -1.944_345_2] {
+            let (lo, hi) = (of_rank(rank(c) - (1 << 17)), of_rank(rank(c) + (1 << 17)));
+            assert_monotone_within_one_ulp(lo, hi, 1);
+        }
+        assert!(stable_sigmoid(-1.944_345_2) > stable_sigmoid(-1.944_345_1), "no longer wobbles");
+        for (x, s) in [(f32::NEG_INFINITY, 0.0f32), (-0.0, 0.5), (0.0, 0.5), (f32::INFINITY, 1.0)] {
+            assert_eq!(stable_sigmoid(x), s, "σ({x})");
+        }
+    }
+
+    /// Every finite `f32` in `[−104, 17]` — everywhere σ is not flat
+    /// (below, σ(y) = exp(y) ≤ σ(−104); above, σ = 1): the exhaustive
+    /// form of `stable_sigmoid_is_monotone_within_one_ulp` (≈ 2.2·10⁹
+    /// values; run it in a release build).
+    #[test]
+    #[ignore = "exhaustive sweep; run in release"]
+    fn stable_sigmoid_is_monotone_within_one_ulp_on_every_f32() {
+        assert_monotone_within_one_ulp(-104.0, 17.0, 1);
     }
 
     #[test]

@@ -294,6 +294,16 @@ impl Matrix {
         self.rows += 1;
     }
 
+    /// Appends `extra` all-zero rows: the growth step of a batched
+    /// insertion that then merges its rows into place. Capacity doubles,
+    /// as a run of [`Matrix::insert_zero_row`] calls would leave it.
+    pub fn push_zero_rows(&mut self, extra: usize) {
+        let len = self.data.len() + extra * self.cols;
+        reserve_doubling(&mut self.data, len);
+        self.data.resize(len, 0.0);
+        self.rows += extra;
+    }
+
     /// Removes the row at index `at`, shifting later rows up — the exact
     /// inverse of [`Matrix::insert_zero_row`]. Backbone of cold-row eviction in
     /// scoped embedding tables (the optimizer drops its per-row state
@@ -344,6 +354,20 @@ impl Matrix {
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         assert_eq!(self.shape(), other.shape(), "max_abs_diff shape mismatch");
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max)
+    }
+}
+
+/// Makes room for `v` to grow to `len` by doubling its capacity, as a
+/// run of one-at-a-time insertions would. A batch that more than doubles
+/// `v` in one go would otherwise get exactly `len` from `Vec::reserve`
+/// and leave no headroom, so every later batch would reallocate.
+pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>, len: usize) {
+    if len > v.capacity() {
+        let mut cap = v.capacity().max(4);
+        while cap < len {
+            cap *= 2;
+        }
+        v.reserve_exact(cap - v.len());
     }
 }
 

@@ -134,6 +134,14 @@ impl Adam {
         self.v[i].insert_zero_row(at);
     }
 
+    /// Both moment matrices of parameter `id`, for a caller that reshapes
+    /// the parameter and must move its optimizer rows in step (a batched
+    /// row insertion).
+    pub fn moments_mut(&mut self, id: crate::params::ParamId) -> (&mut Matrix, &mut Matrix) {
+        let i = id.index();
+        (&mut self.m[i], &mut self.v[i])
+    }
+
     /// Mirrors a `Matrix::remove_row` on parameter `id`: drops row `at`
     /// from both moment matrices, the exact inverse of
     /// [`Adam::insert_zero_row`]. Eviction must go through this (not a
