@@ -54,7 +54,6 @@ pub struct Centralized {
     scheduler: Scheduler,
     scratch: ScratchPool,
     round: u32,
-    losses: Vec<f32>,
 }
 
 impl Centralized {
@@ -70,25 +69,7 @@ impl Centralized {
         let edges: Vec<(u32, u32, f32)> = train.pairs().map(|(u, i)| (u, i, 1.0)).collect();
         model.set_graph(&edges);
         let scheduler = Scheduler::new(cfg.threads);
-        Self {
-            cfg,
-            model,
-            train: train.clone(),
-            scheduler,
-            scratch: ScratchPool::new(),
-            round: 0,
-            losses: Vec::new(),
-        }
-    }
-
-    /// Per-epoch mean losses of the rounds run so far.
-    pub fn epoch_losses(&self) -> &[f32] {
-        &self.losses
-    }
-
-    /// Consumes the protocol, returning the trained model.
-    pub fn into_model(self) -> Box<dyn Recommender> {
-        self.model
+        Self { cfg, model, train: train.clone(), scheduler, scratch: ScratchPool::new(), round: 0 }
     }
 }
 
@@ -133,7 +114,6 @@ impl FederatedProtocol for Centralized {
         let mut shuffle_rng = round_rng(seed, round, RngStream::Shuffle);
         shuffle(&mut samples, &mut shuffle_rng);
         let loss = ptf_models::train_on_samples(&mut *self.model, &samples, self.cfg.batch);
-        self.losses.push(loss);
         let trace = RoundTrace::new(self.round, &[], loss, ctx.bytes());
         self.round += 1;
         trace
@@ -146,23 +126,6 @@ impl FederatedProtocol for Centralized {
     fn threads(&self) -> usize {
         self.scheduler.threads()
     }
-}
-
-/// Trains `kind` centrally on `train`; returns the fitted model and the
-/// per-epoch mean losses. Convenience wrapper over [`Centralized`].
-pub fn train_centralized(
-    kind: ModelKind,
-    train: &Dataset,
-    hyper: &ModelHyper,
-    cfg: &CentralizedConfig,
-) -> (Box<dyn Recommender>, Vec<f32>) {
-    let mut central = Centralized::new(kind, train, hyper, cfg.clone());
-    for round in 0..cfg.epochs {
-        let mut ctx = RoundCtx::detached(round);
-        central.run_round(&mut ctx);
-    }
-    let losses = central.epoch_losses().to_vec();
-    (central.into_model(), losses)
 }
 
 fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
@@ -184,11 +147,24 @@ mod tests {
         TrainTestSplit::split_80_20(&data, &mut ptf_data::test_rng(3))
     }
 
+    /// Runs every configured epoch; returns the engine (whose protocol
+    /// holds the trained model) and the per-epoch mean losses.
+    fn train(
+        kind: ModelKind,
+        s: &TrainTestSplit,
+        hyper: &ModelHyper,
+        cfg: CentralizedConfig,
+    ) -> (Engine<Centralized>, Vec<f32>) {
+        let mut engine = Engine::new(Centralized::new(kind, &s.train, hyper, cfg));
+        let losses = engine.run().rounds.iter().map(|r| r.server_loss).collect();
+        (engine, losses)
+    }
+
     #[test]
     fn loss_decreases_over_epochs() {
         let s = split();
         let cfg = CentralizedConfig { epochs: 8, batch: 128, neg_ratio: 4, seed: 5, threads: 0 };
-        let (_, losses) = train_centralized(ModelKind::NeuMf, &s.train, &ModelHyper::small(), &cfg);
+        let (_, losses) = train(ModelKind::NeuMf, &s, &ModelHyper::small(), cfg);
         assert_eq!(losses.len(), 8);
         assert!(
             losses.last().unwrap() < losses.first().unwrap(),
@@ -201,7 +177,7 @@ mod tests {
         let s = split();
         let cfg = CentralizedConfig { epochs: 10, batch: 128, neg_ratio: 4, seed: 7, threads: 0 };
         let hyper = ModelHyper::small();
-        let (trained, _) = train_centralized(ModelKind::LightGcn, &s.train, &hyper, &cfg);
+        let (trained, _) = train(ModelKind::LightGcn, &s, &hyper, cfg);
         let untrained = build_model(
             ModelKind::LightGcn,
             s.train.num_users(),
@@ -210,7 +186,7 @@ mod tests {
             &mut ptf_data::test_rng(99),
         );
         let k = 10;
-        let got = evaluate_model(&*trained, &s.train, &s.test, k);
+        let got = evaluate_model(trained.protocol().recommender(), &s.train, &s.test, k);
         let base = evaluate_model(&*untrained, &s.train, &s.test, k);
         assert!(
             got.metrics.recall > base.metrics.recall,
@@ -225,10 +201,11 @@ mod tests {
         let s = split();
         let cfg = CentralizedConfig { epochs: 2, batch: 128, neg_ratio: 4, seed: 11, threads: 0 };
         let hyper = ModelHyper::small();
-        let (a, la) = train_centralized(ModelKind::NeuMf, &s.train, &hyper, &cfg);
-        let (b, lb) = train_centralized(ModelKind::NeuMf, &s.train, &hyper, &cfg);
+        let (a, la) = train(ModelKind::NeuMf, &s, &hyper, cfg.clone());
+        let (b, lb) = train(ModelKind::NeuMf, &s, &hyper, cfg);
         assert_eq!(la, lb);
-        assert_eq!(a.score(0, &[0, 1, 2]), b.score(0, &[0, 1, 2]));
+        let score = |e: &Engine<Centralized>| e.protocol().recommender().score(0, &[0, 1, 2]);
+        assert_eq!(score(&a), score(&b));
     }
 
     #[test]
@@ -246,22 +223,5 @@ mod tests {
         }
         assert_eq!(engine.ledger().summary().total_bytes, 0);
         assert!(engine.evaluate(&s.train, &s.test, 10).users_evaluated > 0);
-    }
-
-    #[test]
-    fn engine_run_matches_train_centralized_wrapper() {
-        let s = split();
-        let cfg = CentralizedConfig { epochs: 2, batch: 128, neg_ratio: 4, seed: 17, threads: 0 };
-        let hyper = ModelHyper::small();
-        let (model, losses) = train_centralized(ModelKind::NeuMf, &s.train, &hyper, &cfg);
-        let mut engine =
-            Engine::new(Centralized::new(ModelKind::NeuMf, &s.train, &hyper, cfg.clone()));
-        let trace = engine.run();
-        let engine_losses: Vec<f32> = trace.rounds.iter().map(|r| r.server_loss).collect();
-        assert_eq!(losses, engine_losses);
-        assert_eq!(
-            model.score(0, &[0, 1, 2]),
-            engine.protocol().recommender().score(0, &[0, 1, 2])
-        );
     }
 }

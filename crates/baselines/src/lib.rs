@@ -22,7 +22,7 @@ pub mod fedmf;
 pub mod he;
 pub mod metamf;
 
-pub use centralized::{train_centralized, Centralized, CentralizedConfig};
+pub use centralized::{Centralized, CentralizedConfig};
 pub use fcf::{Fcf, FcfConfig};
 pub use fedmf::{FedMf, FedMfConfig};
 pub use he::HeContext;

@@ -1,10 +1,10 @@
 //! Table III — recommendation performance of PTF-FedRec against
 //! centralized and federated baselines on all three datasets.
 
-use ptf_baselines::{train_centralized, Fcf, FedMf, FederatedProtocol, MetaMf};
+use ptf_baselines::{Centralized, Engine, Fcf, FedMf, FederatedProtocol, MetaMf};
 use ptf_bench::*;
 use ptf_data::DatasetPreset;
-use ptf_models::{evaluate_model, ModelKind};
+use ptf_models::ModelKind;
 
 fn main() {
     let scale = scale();
@@ -24,8 +24,10 @@ fn main() {
         let split = split_for(preset, scale);
         eprintln!("[table3] {} — centralized baselines", preset.name());
         for kind in ModelKind::ALL {
-            let (model, _) = train_centralized(kind, &split.train, &h, &centralized_config(scale));
-            let r = evaluate_model(&*model, &split.train, &split.test, EVAL_K);
+            let central = Centralized::new(kind, &split.train, &h, centralized_config(scale));
+            let mut engine = Engine::new(central);
+            engine.run();
+            let r = engine.evaluate(&split.train, &split.test, EVAL_K);
             push(
                 &mut rows,
                 format!("Centralized {}", kind.name()),

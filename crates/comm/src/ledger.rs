@@ -10,8 +10,8 @@ use std::collections::HashMap;
 /// Protocols no longer own a ledger: `ptf_federated::Engine` carries one
 /// as its first `RoundObserver` (the impl lives in `ptf_federated`, which
 /// owns the observer trait) and feeds it every message the protocol
-/// reports through its `RoundCtx`. [`CommLedger::upload`]/
-/// [`CommLedger::download`] remain for direct, engine-less recording.
+/// reports through its `RoundCtx`. [`CommLedger::record`] and
+/// [`CommLedger::upload`] remain for direct, engine-less recording.
 #[derive(Clone, Debug, Default)]
 pub struct CommLedger {
     total_bytes: u64,
@@ -97,17 +97,6 @@ impl CommLedger {
         });
     }
 
-    /// Convenience: record a server→client download.
-    pub fn download(&mut self, client: u32, round: u32, label: &'static str, payload: Payload) {
-        self.record(&Message {
-            from: Endpoint::Server,
-            to: Endpoint::Client(client),
-            round,
-            label,
-            payload,
-        });
-    }
-
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
@@ -185,12 +174,17 @@ impl CommLedger {
 mod tests {
     use super::*;
 
+    fn download(ledger: &mut CommLedger, client: u32, round: u32, payload: Payload) {
+        let to = Endpoint::Client(client);
+        ledger.record(&Message { from: Endpoint::Server, to, round, label: "down", payload });
+    }
+
     #[test]
     fn records_and_averages_per_client_round() {
         let mut ledger = CommLedger::new();
         // round 0: client 0 uploads 12B and downloads 8B; client 1 uploads 24B
         ledger.upload(0, 0, "up", Payload::Triples { count: 1 });
-        ledger.download(0, 0, "down", Payload::ScoredItems { count: 1 });
+        download(&mut ledger, 0, 0, Payload::ScoredItems { count: 1 });
         ledger.upload(1, 0, "up", Payload::Triples { count: 2 });
         // round 1: only client 0, 12B
         ledger.upload(0, 1, "up", Payload::Triples { count: 1 });
@@ -231,7 +225,7 @@ mod tests {
         let mut ledger = CommLedger::new();
         ledger.begin_round(0);
         ledger.upload(3, 0, "up", Payload::Triples { count: 5 });
-        ledger.download(3, 0, "down", Payload::ScoredItems { count: 2 });
+        download(&mut ledger, 3, 0, Payload::ScoredItems { count: 2 });
         ledger.begin_round(1);
         ledger.upload(1, 1, "up", Payload::Triples { count: 9 });
         let wire = ledger.snapshot();

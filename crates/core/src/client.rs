@@ -6,7 +6,7 @@
 //! over `D_i ∪ D̃_i` — followed by the privacy-preserving construction of
 //! the upload `D̂ᵗᵢ` (§III-B2).
 
-use crate::config::PtfConfig;
+use crate::config::{builds_dense, PtfConfig};
 use crate::upload::{build_upload_into, ClientUpload};
 use ptf_data::negative::sample_negatives_into;
 use ptf_federated::{ClientData, RoundScratch};
@@ -46,11 +46,12 @@ impl PtfClient {
     /// dispersed items materialize lazily on first touch — so a client
     /// never allocates the full `items × dim` table it can never use.
     ///
-    /// The storage policy may override the representation per client:
-    /// one whose expected training pool covers a large catalogue fraction
-    /// is built dense from the *same* derived seed (`ItemScope::Full`),
-    /// which skips the per-sample id→row binary search while holding
-    /// bit-identical values on every shared row.
+    /// A client whose expected training pool `positives × (1 + neg_ratio)`
+    /// covers a quarter of the catalogue is built dense instead
+    /// (`ItemScope::Full`), from the *same* derived seed: it would
+    /// materialize most rows anyway, and a dense table skips the
+    /// per-sample id→row binary search while holding bit-identical values
+    /// on every shared row. The layout is decided here, never configured.
     ///
     /// Seeding by value (not by a shared `&mut rng`) is what lets the
     /// federation build the whole fleet in parallel with bit-identical
@@ -63,17 +64,26 @@ impl PtfClient {
         seed: u64,
         cfg: &PtfConfig,
     ) -> Self {
-        let scope = if cfg.storage.mode.wants_dense(data.positives.len(), cfg.neg_ratio, num_items)
-        {
+        let scope = if builds_dense(data.positives.len(), cfg.neg_ratio, num_items) {
             ItemScope::Full(num_items)
         } else {
             data.item_scope(num_items)
         };
+        Self::with_scope(data, kind, hyper, &scope, seed)
+    }
+
+    fn with_scope(
+        data: ClientData,
+        kind: ModelKind,
+        hyper: &ModelHyper,
+        scope: &ItemScope,
+        seed: u64,
+    ) -> Self {
         Self {
             id: data.id,
             positives: data.positives,
             server_data: Vec::new(),
-            model: build_model_scoped(kind, 1, hyper, &scope, seed),
+            model: build_model_scoped(kind, 1, hyper, scope, seed),
             kind,
             spare_upload: None,
             local_rounds: 0,
@@ -330,20 +340,28 @@ fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DefenseKind, StorageMode};
+    use crate::config::DefenseKind;
     use ptf_tensor::test_rng;
 
+    fn data() -> ClientData {
+        ClientData { id: 7, positives: vec![1, 4, 9, 15, 22] }
+    }
+
+    /// A 5-positive client over a 40-item catalogue: its ~25-item pool
+    /// covers over a quarter of the catalogue, so it is built dense.
     fn client(kind: ModelKind) -> PtfClient {
-        let data = ClientData { id: 7, positives: vec![1, 4, 9, 15, 22] };
-        PtfClient::new(data, kind, &ModelHyper::small(), 40, 1, &cfg())
+        PtfClient::new(data(), kind, &ModelHyper::small(), 40, 1, &cfg())
+    }
+
+    /// The same client over a catalogue more than 20× its positives,
+    /// which keeps it row-sparse.
+    fn scoped_client(kind: ModelKind) -> PtfClient {
+        PtfClient::new(data(), kind, &ModelHyper::small(), 120, 1, &cfg())
     }
 
     fn cfg() -> PtfConfig {
         let mut c = PtfConfig::small();
         c.client_epochs = 2;
-        // these tests assert scoped row counts; a 5-positive client over a
-        // 40-item catalogue would trip the dense fallback
-        c.storage.mode = StorageMode::Sparse;
         c
     }
 
@@ -415,9 +433,9 @@ mod tests {
 
     #[test]
     fn clients_are_item_scoped_and_grow_lazily() {
-        let c = client(ModelKind::Mf);
+        let c = scoped_client(ModelKind::Mf);
         assert_eq!(c.item_rows(), 5, "fresh client holds exactly its positives");
-        let mut c = client(ModelKind::NeuMf);
+        let mut c = scoped_client(ModelKind::NeuMf);
         let before = c.item_rows();
         let _ = c.local_round(&cfg(), &mut RoundScratch::default(), &mut test_rng(9));
         assert!(c.item_rows() > before, "negative sampling must materialize rows");
@@ -426,16 +444,13 @@ mod tests {
 
     #[test]
     fn dense_fallback_builds_a_full_table_from_the_same_seed() {
-        let data = ClientData { id: 7, positives: vec![1, 4, 9, 15, 22] };
-        let mut auto_cfg = cfg();
         // 5 positives × (1 + 4) = 25 expected pool ≥ ¼ of 40 → dense
-        auto_cfg.storage.mode = StorageMode::Auto { dense_fraction: 0.25 };
-        let dense =
-            PtfClient::new(data.clone(), ModelKind::Mf, &ModelHyper::small(), 40, 1, &auto_cfg);
+        let dense = client(ModelKind::Mf);
         assert_eq!(dense.item_rows(), 40, "dense fallback materializes the catalogue");
 
-        // same seed, forced sparse: every shared row must be bit-identical
-        let sparse = PtfClient::new(data, ModelKind::Mf, &ModelHyper::small(), 40, 1, &cfg());
+        // same seed, scoped: every shared row must be bit-identical
+        let scope = data().item_scope(40);
+        let sparse = PtfClient::with_scope(data(), ModelKind::Mf, &ModelHyper::small(), &scope, 1);
         assert_eq!(sparse.item_rows(), 5);
         let items: Vec<u32> = vec![1, 4, 9, 15, 22];
         assert_eq!(dense.score(&items), sparse.score(&items));
@@ -443,8 +458,8 @@ mod tests {
 
     #[test]
     fn eviction_keeps_rows_bounded_across_rounds() {
-        let mut evicting = client(ModelKind::Mf);
-        let mut control = client(ModelKind::Mf);
+        let mut evicting = scoped_client(ModelKind::Mf);
+        let mut control = scoped_client(ModelKind::Mf);
         let mut config = cfg();
         // budget must sit above the ~25-id per-round pool (5 positives ×
         // (1 + neg_ratio)): the keep set never drops rows the client is
@@ -470,6 +485,38 @@ mod tests {
         // positives are always in the keep set
         for &p in &[1u32, 4, 9, 15, 22] {
             assert!(evicting.item_scope().contains(p), "positive {p} was evicted");
+        }
+    }
+
+    /// The layout is invisible in the results: one client built `Full`
+    /// and one built `Rows` from the same seed, driven through the same
+    /// local rounds with dispersals and eviction, upload the same
+    /// predictions, report the same losses and score every item the same.
+    #[test]
+    fn full_and_rows_layouts_train_identically() {
+        let hyper = ModelHyper::small();
+        let mut config = cfg();
+        config.storage.evict_interval = 2;
+        config.storage.evict_budget = 30;
+        let all: Vec<u32> = (0..40).collect();
+        for kind in [ModelKind::Mf, ModelKind::NeuMf, ModelKind::LightGcn] {
+            let mut full = PtfClient::with_scope(data(), kind, &hyper, &ItemScope::Full(40), 1);
+            let mut rows = PtfClient::with_scope(data(), kind, &hyper, &data().item_scope(40), 1);
+            let (mut rng_full, mut rng_rows) = (test_rng(13), test_rng(13));
+            let mut scratch = RoundScratch::default();
+            for round in 0..6u32 {
+                let dispersed: Vec<ScoredItem> =
+                    (0..6u32).map(|k| ((round * 7 + k * 5) % 40, 0.1 + 0.15 * k as f32)).collect();
+                full.receive_disperse(dispersed.clone());
+                rows.receive_disperse(dispersed);
+                let (up_full, loss_full) = full.local_round(&config, &mut scratch, &mut rng_full);
+                let (up_rows, loss_rows) = rows.local_round(&config, &mut scratch, &mut rng_rows);
+                assert_eq!(up_full, up_rows, "{kind}: uploads diverged in round {round}");
+                assert_eq!(loss_full.to_bits(), loss_rows.to_bits(), "{kind}: round {round} loss");
+            }
+            assert_eq!(full.item_rows(), 40);
+            assert!(rows.item_rows() < 40, "{kind}: eviction never ran on the scoped client");
+            assert_eq!(full.score(&all), rows.score(&all), "{kind}: scores diverged");
         }
     }
 

@@ -645,4 +645,34 @@ mod tests {
         host.save_envelope(&restored, 0);
         assert_eq!(host.store.load(1).unwrap(), parked, "re-parking changed the envelope");
     }
+
+    /// The active-scope server table is sized by sampling every round's
+    /// participants inside `try_new`, so a bad fraction used to panic
+    /// there instead of coming back as an error.
+    #[test]
+    fn active_scope_rejects_a_bad_participation_fraction() {
+        let data = SyntheticConfig::new("scope", 12, 20, 4.0).generate(&mut test_rng(4));
+        for fraction in [1.5, -0.5, f64::NAN] {
+            let mut cfg = PtfConfig::small();
+            cfg.participation.fraction = fraction;
+            let built = CohortFedRec::try_new(
+                CohortData::Mem(data.clone()),
+                ModelKind::Mf,
+                ModelKind::Mf,
+                &ModelHyper::small(),
+                cfg,
+                CohortOptions {
+                    server_scope: ServerScope::ActiveParticipants,
+                    ..CohortOptions::default()
+                },
+            );
+            assert!(
+                matches!(
+                    built.err(),
+                    Some(ConfigError::OutOfUnitRange { field: "participation.fraction", .. })
+                ),
+                "fraction {fraction} was accepted"
+            );
+        }
+    }
 }

@@ -87,47 +87,24 @@ impl DisperseStrategy {
     }
 }
 
-/// How a client decides between row-sparse and dense item storage.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum StorageMode {
-    /// Per-client heuristic: a client whose expected per-round training
-    /// pool `positives × (1 + neg_ratio)` reaches `dense_fraction` of the
-    /// catalogue is built dense (it would materialize most rows anyway,
-    /// and dense tables skip the binary-search id→row lookup per sample);
-    /// everyone else stays row-sparse. Either representation is built
-    /// from the same derived seed, so the choice never changes results.
-    Auto {
-        /// Catalogue fraction at which a client goes dense (default ¼).
-        dense_fraction: f64,
-    },
-    /// Every client row-sparse, regardless of density.
-    Sparse,
-    /// Every client dense (full tables, from the same derived seeds).
-    Dense,
+/// Whether a client with `positives` positive interactions over a
+/// `num_items` catalogue is built dense: its expected per-round training
+/// pool `positives × (1 + neg_ratio)` reaches a quarter of the catalogue,
+/// so it would materialize most rows anyway, and a dense table skips the
+/// binary-search id→row lookup per sample. Everyone else stays
+/// row-sparse. Both layouts are built from the same derived seed, so the
+/// choice never changes a result. Integer arithmetic decides exactly as
+/// `expected ≥ 0.25 · num_items` in `f64` for any catalogue below 2⁵³.
+pub(crate) fn builds_dense(positives: usize, neg_ratio: usize, num_items: usize) -> bool {
+    4 * positives * (1 + neg_ratio) >= num_items
 }
 
-impl StorageMode {
-    /// True if a client with `positives` positive interactions over a
-    /// `num_items` catalogue should be built dense.
-    pub fn wants_dense(self, positives: usize, neg_ratio: usize, num_items: usize) -> bool {
-        match self {
-            Self::Sparse => false,
-            Self::Dense => true,
-            Self::Auto { dense_fraction } => {
-                let expected = (positives * (1 + neg_ratio)) as f64;
-                expected >= dense_fraction * num_items as f64
-            }
-        }
-    }
-}
-
-/// Per-client storage policy: the dense-fallback heuristic plus the
-/// cold-row eviction schedule that bounds a client's materialized row set
-/// over long runs (without eviction the set grows monotonically — every
-/// sampled negative materializes a row that is never dropped).
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Per-client cold-row eviction schedule, which bounds a client's
+/// materialized row set over long runs (without eviction the set grows
+/// monotonically — every sampled negative materializes a row that is
+/// never dropped).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StoragePolicy {
-    pub mode: StorageMode,
     /// Evict cold rows every this many *local* rounds (0 = never — the
     /// default; eviction is opt-in because it trades re-materialization
     /// work for bounded memory).
@@ -138,16 +115,6 @@ pub struct StoragePolicy {
     /// the most recently touched other rows — so the budget is a floor
     /// the keep set can exceed only when a single round's pool does.
     pub evict_budget: usize,
-}
-
-impl Default for StoragePolicy {
-    fn default() -> Self {
-        Self {
-            mode: StorageMode::Auto { dense_fraction: 0.25 },
-            evict_interval: 0,
-            evict_budget: 0,
-        }
-    }
 }
 
 /// Full protocol configuration. [`PtfConfig::paper`] reproduces §IV-D;
@@ -190,10 +157,11 @@ pub struct PtfConfig {
     /// thread). Runs are bit-identical at any value — see
     /// `ptf_federated::scheduler`.
     pub threads: usize,
-    /// Per-client storage representation and eviction schedule. Clients
-    /// are item-scoped: each holds only the embedding rows of its own
-    /// pool — positives at construction, sampled negatives and dispersed
-    /// items on first touch — unless the policy builds it dense.
+    /// Per-client cold-row eviction schedule. Clients are item-scoped:
+    /// each holds only the embedding rows of its own pool — positives at
+    /// construction, sampled negatives and dispersed items on first touch
+    /// — unless its pool covers a quarter of the catalogue, which builds
+    /// it dense (see `PtfClient::new`).
     pub storage: StoragePolicy,
 }
 
@@ -259,9 +227,7 @@ impl PtfConfig {
         unit(self.mu, "mu")?;
         unit(self.lambda, "lambda")?;
         unit(self.graph_threshold as f64, "graph_threshold")?;
-        if let StorageMode::Auto { dense_fraction } = self.storage.mode {
-            unit(dense_fraction, "storage.dense_fraction")?;
-        }
+        unit(self.participation.fraction, "participation.fraction")?;
         if self.storage.evict_interval > 0 {
             positive(self.storage.evict_budget > 0, "storage.evict_budget")?;
         }
@@ -310,6 +276,25 @@ mod tests {
     }
 
     #[test]
+    fn validate_catches_bad_participation_fraction() {
+        for fraction in [1.5, -0.5, f64::NAN] {
+            let mut c = PtfConfig::paper();
+            c.participation.fraction = fraction;
+            assert!(
+                matches!(
+                    c.validate(),
+                    Err(ConfigError::OutOfUnitRange { field: "participation.fraction", got })
+                        if got.to_bits() == fraction.to_bits()
+                ),
+                "fraction {fraction} was accepted"
+            );
+        }
+        let mut c = PtfConfig::paper();
+        c.participation.fraction = 0.0;
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
     fn validate_catches_zero_counts() {
         type Mutator = fn(&mut PtfConfig);
         let cases: [(&str, Mutator); 5] = [
@@ -334,15 +319,9 @@ mod tests {
     #[test]
     fn storage_defaults_and_validation() {
         let c = PtfConfig::paper();
-        assert_eq!(c.storage.mode, StorageMode::Auto { dense_fraction: 0.25 });
+        assert_eq!(c.storage, StoragePolicy::default());
         assert_eq!(c.storage.evict_interval, 0, "eviction is opt-in");
 
-        let mut c = PtfConfig::paper();
-        c.storage.mode = StorageMode::Auto { dense_fraction: 1.5 };
-        assert_eq!(
-            c.validate(),
-            Err(ConfigError::OutOfUnitRange { field: "storage.dense_fraction", got: 1.5 })
-        );
         let mut c = PtfConfig::paper();
         c.storage.evict_interval = 5;
         assert_eq!(c.validate(), Err(ConfigError::NotPositive("storage.evict_budget")));
@@ -352,13 +331,23 @@ mod tests {
 
     #[test]
     fn dense_fallback_heuristic_matches_the_quarter_catalogue_rule() {
-        let auto = StorageMode::Auto { dense_fraction: 0.25 };
         // 100 positives × (1+4) = 500 ≥ 0.25 × 1682 → dense (ML-100K shape)
-        assert!(auto.wants_dense(100, 4, 1682));
+        assert!(builds_dense(100, 4, 1682));
         // 30 positives × 5 = 150 < 0.25 × 40_000 → sparse (Gowalla shape)
-        assert!(!auto.wants_dense(30, 4, 40_000));
-        assert!(!StorageMode::Sparse.wants_dense(1_000, 4, 100));
-        assert!(StorageMode::Dense.wants_dense(0, 4, 100));
+        assert!(!builds_dense(30, 4, 40_000));
+        // the boundary is inclusive, and agrees with the f64 form of the rule
+        assert!(builds_dense(2, 4, 40));
+        assert!(!builds_dense(2, 4, 41));
+        for positives in 0..60usize {
+            for num_items in 1..700usize {
+                let expected = (positives * 5) as f64;
+                assert_eq!(
+                    builds_dense(positives, 4, num_items),
+                    expected >= 0.25 * num_items as f64,
+                    "{positives} positives over {num_items} items"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,13 @@ use std::fmt::Write as _;
 /// clients for a run to be bit-reproducible: protocol hyperparameters,
 /// model architectures, dataset dimensions, and the seed.
 ///
-/// Deliberately *excluded*: the two execution knobs that cannot change
-/// results — `threads` and the client storage policy (parallelism and
-/// representation choices with bit-identical outcomes by construction,
-/// and a shard legitimately runs with different ones than the server).
-/// The cohort size of a checkpointed run is excluded for the same reason.
+/// Deliberately *excluded*: `threads`, which cannot change results (the
+/// scheduler is bit-identical at any worker count), and `storage`, the
+/// clients' cold-row eviction schedule — a memory budget the host that
+/// trains the clients picks for itself. A client's table layout is not a
+/// setting at all: `PtfClient::new` derives it from the data, and either
+/// layout gives bit-identical results. The cohort size of a checkpointed
+/// run is excluded for the same reason as `threads`.
 ///
 /// The digest is FNV-1a 64 over a canonical text rendering with floats
 /// as raw bits — stable across platforms, not across releases (any
@@ -121,7 +123,8 @@ mod tests {
         // execution knobs must NOT change the digest
         let mut other = cfg.clone();
         other.threads = 7;
-        other.storage.mode = crate::config::StorageMode::Dense;
+        other.storage.evict_interval = 3;
+        other.storage.evict_budget = 64;
         assert_eq!(fp(&cfg), fp(&other), "execution knobs are not semantics");
     }
 

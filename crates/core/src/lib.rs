@@ -64,9 +64,7 @@ pub mod upload;
 pub use checkpoint::{CheckpointError, Manifest, MANIFEST_VERSION};
 pub use client::PtfClient;
 pub use cohort::{CohortData, CohortFedRec, CohortOptions, ServerScope, StoreKind, Stored};
-pub use config::{
-    ConfigError, DefenseKind, DisperseStrategy, PtfConfig, StorageMode, StoragePolicy,
-};
+pub use config::{ConfigError, DefenseKind, DisperseStrategy, PtfConfig, StoragePolicy};
 pub use fingerprint::{config_fingerprint, fnv1a64};
 pub use protocol::{ClientHost, ClientPhase, PtfFedRec, Resident, Round};
 pub use server::PtfServer;

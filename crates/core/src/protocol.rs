@@ -332,7 +332,7 @@ impl Round<Resident> {
         self.host.clients.iter().map(PtfClient::item_rows).sum()
     }
 
-    /// How many clients the storage policy built with a full (dense) item
+    /// How many clients `PtfClient::new` built with a full (dense) item
     /// table — the dense-fallback story in one number.
     pub fn dense_clients(&self) -> usize {
         self.host.clients.iter().filter(|c| c.item_scope().is_full()).count()
@@ -376,7 +376,7 @@ mod tests {
     use super::*;
     use crate::config::{DefenseKind, DisperseStrategy};
     use ptf_comm::Message;
-    use ptf_data::{SyntheticConfig, ThreeWaySplit, TrainTestSplit};
+    use ptf_data::{SyntheticConfig, TrainTestSplit};
     use ptf_federated::{Engine, RoundObserver};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -698,46 +698,20 @@ mod tests {
         let built =
             PtfFedRec::try_new(&split.train, ModelKind::NeuMf, ModelKind::NeuMf, &hyper, cfg);
         assert_eq!(built.err(), Some(ConfigError::OutOfUnitRange { field: "lambda", got: 7.0 }));
-    }
-
-    /// A split with a validation side, and an engine for early stopping.
-    fn early_stopping_setup(rounds: u32) -> (ThreeWaySplit, Engine<PtfFedRec>) {
-        let data = SyntheticConfig::new("es", 30, 60, 12.0).generate(&mut ptf_data::test_rng(41));
-        let split = ThreeWaySplit::split(&data, 0.2, 0.1, &mut ptf_data::test_rng(42));
-        let mut cfg = PtfConfig::small();
-        cfg.rounds = rounds;
-        cfg.client_epochs = 2;
-        let fed = quick_engine(&split.train, ModelKind::NeuMf, ModelKind::NeuMf, cfg);
-        (split, fed)
-    }
-
-    #[test]
-    fn early_stopping_respects_round_budget() {
-        let (split, mut fed) = early_stopping_setup(4);
-        let run = fed.run_with_early_stopping(&split.train, &split.validation, 10, 10);
-        assert!(run.trace.num_rounds() <= 4);
-        assert!(!run.stopped_early || run.trace.num_rounds() < 4);
-        assert!(run.best_ndcg.is_finite());
-        assert!((run.best_round as usize) < run.trace.num_rounds());
-    }
-
-    #[test]
-    fn impatient_early_stopping_stops_at_first_plateau() {
-        let (split, mut fed) = early_stopping_setup(12);
-        let run = fed.run_with_early_stopping(&split.train, &split.validation, 10, 1);
-        // with patience 1, the run ends one round after any dip — on a
-        // noisy tiny dataset that happens well before 12 rounds
-        assert!(
-            run.trace.num_rounds() < 12 || !run.stopped_early,
-            "rounds: {}",
-            run.trace.num_rounds()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "patience")]
-    fn early_stopping_rejects_zero_patience() {
-        let (split, mut fed) = early_stopping_setup(2);
-        let _ = fed.run_with_early_stopping(&split.train, &split.validation, 10, 0);
+        // a bad participation fraction used to pass and panic in round 0
+        for fraction in [1.5, -0.5, f64::NAN] {
+            let mut cfg = quick_cfg();
+            cfg.participation.fraction = fraction;
+            let built =
+                PtfFedRec::try_new(&split.train, ModelKind::NeuMf, ModelKind::NeuMf, &hyper, cfg);
+            assert!(
+                matches!(
+                    built.err(),
+                    Some(ConfigError::OutOfUnitRange { field: "participation.fraction", got })
+                        if got.to_bits() == fraction.to_bits()
+                ),
+                "fraction {fraction} was accepted"
+            );
+        }
     }
 }

@@ -239,12 +239,6 @@ impl Dataset {
         }
         self.num_interactions() as f64 / self.num_users() as f64
     }
-
-    /// A renamed shallow copy (used when deriving train/test splits).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
 }
 
 #[cfg(test)]

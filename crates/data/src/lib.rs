@@ -31,7 +31,7 @@ pub use arena::{ArenaError, ArenaWriter, CsrArena};
 pub use dataset::{Dataset, DatasetBuilder, UserId};
 pub use presets::{DatasetPreset, Scale};
 pub use scale::{ScaleConfig, SCALE_STREAM};
-pub use split::{ThreeWaySplit, TrainTestSplit};
+pub use split::TrainTestSplit;
 pub use stats::DatasetStats;
 pub use synthetic::SyntheticConfig;
 

@@ -70,32 +70,6 @@ pub fn sample_negatives_into(
     }
 }
 
-/// The labelled training pool of one client for one epoch: all positives
-/// plus `ratio`× sampled negatives, shuffled. Labels are 1.0 / 0.0.
-///
-/// This is the "trained item pool `V_t`" of the paper (§III-B2): *both*
-/// the positives and the sampled negatives count as trained items.
-pub fn build_training_pool(
-    sorted_positives: &[u32],
-    num_items: usize,
-    ratio: usize,
-    rng: &mut impl Rng,
-) -> Vec<(u32, f32)> {
-    let negatives =
-        sample_negatives(sorted_positives, num_items, sorted_positives.len() * ratio, rng);
-    let mut pool: Vec<(u32, f32)> = sorted_positives
-        .iter()
-        .map(|&i| (i, 1.0))
-        .chain(negatives.into_iter().map(|i| (i, 0.0)))
-        .collect();
-    // Fisher–Yates so batches mix labels
-    for i in (1..pool.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        pool.swap(i, j);
-    }
-    pool
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,29 +151,5 @@ mod tests {
         assert_eq!(sorted.len(), 20, "duplicates returned");
         // one gen_range per kept negative; allow a small widening slack
         assert!(rng.calls <= 2 * 20, "{} RNG draws for a 20-negative request", rng.calls);
-    }
-
-    #[test]
-    fn pool_has_correct_ratio_and_labels() {
-        let pos = vec![2, 4, 9];
-        let pool = build_training_pool(&pos, 30, 4, &mut crate::test_rng(4));
-        assert_eq!(pool.len(), 3 + 12);
-        let positives: Vec<u32> = pool.iter().filter(|(_, l)| *l == 1.0).map(|&(i, _)| i).collect();
-        let mut sorted = positives.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, pos, "every positive appears exactly once");
-        for &(i, l) in &pool {
-            if l == 0.0 {
-                assert!(pos.binary_search(&i).is_err());
-            }
-        }
-    }
-
-    #[test]
-    fn pool_is_shuffled() {
-        let pos: Vec<u32> = (0..20).map(|i| i * 2).collect();
-        let pool = build_training_pool(&pos, 100, 1, &mut crate::test_rng(5));
-        let first_labels: Vec<f32> = pool.iter().take(20).map(|&(_, l)| l).collect();
-        assert!(first_labels.contains(&0.0), "positives still at the front — pool not shuffled");
     }
 }

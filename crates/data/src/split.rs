@@ -65,37 +65,6 @@ impl TrainTestSplit {
     }
 }
 
-/// A train/validation/test partition. The paper holds out 20% for test
-/// and samples validation "from the client's local training set", which
-/// is exactly how this splits: test first, then validation out of the
-/// remaining training interactions.
-#[derive(Clone, Debug)]
-pub struct ThreeWaySplit {
-    pub train: Dataset,
-    pub validation: Dataset,
-    pub test: Dataset,
-}
-
-impl ThreeWaySplit {
-    /// Splits off `test_fraction` for test, then `val_fraction` *of the
-    /// remainder* for validation.
-    pub fn split(
-        dataset: &Dataset,
-        test_fraction: f64,
-        val_fraction: f64,
-        rng: &mut impl Rng,
-    ) -> Self {
-        let outer = TrainTestSplit::split(dataset, test_fraction, rng);
-        let inner = TrainTestSplit::split(&outer.train, val_fraction, rng);
-        let name = dataset.name().to_string();
-        Self {
-            train: inner.train.with_name(format!("{name}/train")),
-            validation: inner.test.with_name(format!("{name}/validation")),
-            test: outer.test,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,42 +129,5 @@ mod tests {
         let b = TrainTestSplit::split_80_20(&d, &mut crate::test_rng(5));
         assert_eq!(a.train, b.train);
         assert_eq!(a.test, b.test);
-    }
-}
-
-#[cfg(test)]
-mod three_way_tests {
-    use super::*;
-
-    #[test]
-    fn three_way_partitions_exactly() {
-        let by_user = vec![(0..30).collect::<Vec<u32>>(), (5..25).collect()];
-        let d = Dataset::from_user_items("d", 40, by_user);
-        let s = ThreeWaySplit::split(&d, 0.2, 0.1, &mut crate::test_rng(7));
-        assert_eq!(
-            s.train.num_interactions()
-                + s.validation.num_interactions()
-                + s.test.num_interactions(),
-            d.num_interactions()
-        );
-        for u in 0..d.num_users() as u32 {
-            for &i in s.validation.user_items(u) {
-                assert!(!s.train.contains(u, i));
-                assert!(!s.test.contains(u, i));
-            }
-            for &i in s.test.user_items(u) {
-                assert!(!s.train.contains(u, i));
-            }
-        }
-    }
-
-    #[test]
-    fn validation_comes_from_the_training_side() {
-        let by_user = vec![(0..50).collect::<Vec<u32>>()];
-        let d = Dataset::from_user_items("d", 60, by_user);
-        let s = ThreeWaySplit::split(&d, 0.2, 0.25, &mut crate::test_rng(8));
-        assert_eq!(s.test.user_items(0).len(), 10); // 20% of 50
-        assert_eq!(s.validation.user_items(0).len(), 10); // 25% of remaining 40
-        assert_eq!(s.train.user_items(0).len(), 30);
     }
 }

@@ -106,8 +106,8 @@ impl<'a> RoundCtx<'a> {
 
     /// A context with no observers — for protocols that run an inner
     /// protocol whose plaintext traffic must *not* be observed (FedMF
-    /// re-reports FCF's exchange as ciphertext messages) and for
-    /// engine-less convenience wrappers like `train_centralized`.
+    /// re-reports FCF's exchange as ciphertext messages) and for tests
+    /// that drive one protocol phase by hand.
     pub fn detached(round: u32) -> Self {
         Self::new(round, Vec::new())
     }
@@ -169,17 +169,6 @@ impl<'a> RoundCtx<'a> {
             o.on_round_end(trace);
         }
     }
-}
-
-/// Outcome of [`Engine::run_with_early_stopping`].
-#[derive(Clone, Debug)]
-pub struct ConvergedRun {
-    pub trace: RunTrace,
-    /// Round index (0-based) with the best validation NDCG.
-    pub best_round: u32,
-    pub best_ndcg: f64,
-    /// True if training stopped before the configured round budget.
-    pub stopped_early: bool,
 }
 
 /// Drives a [`FederatedProtocol`] with a pluggable observer stack.
@@ -302,50 +291,6 @@ impl<P: FederatedProtocol> Engine<P> {
             self.protocol.threads(),
         )
     }
-
-    /// Runs up to the configured round budget, evaluating on `validation`
-    /// after each round; stops when NDCG@`k` has not improved for
-    /// `patience` consecutive rounds.
-    ///
-    /// The model is left in its *final* state (no best-round rollback):
-    /// federated recommenders keep improving from accumulated knowledge,
-    /// so the final state is almost always the best, and restoring would
-    /// require snapshotting the (possibly hidden) model.
-    pub fn run_with_early_stopping(
-        &mut self,
-        train: &Dataset,
-        validation: &Dataset,
-        k: usize,
-        patience: u32,
-    ) -> ConvergedRun {
-        assert!(patience > 0, "patience must be at least 1 round");
-        let mut trace = RunTrace::default();
-        let mut best_ndcg = f64::NEG_INFINITY;
-        let mut best_round = 0u32;
-        let mut since_best = 0u32;
-        let budget = self.protocol.configured_rounds();
-        let mut stopped_early = false;
-        // like `run`, only the *remaining* budget is spent, and `round`
-        // is the engine's absolute index so `best_round` matches the
-        // round numbers in the trace
-        while self.next_round < budget {
-            let round = self.next_round;
-            trace.push(self.run_round());
-            let ndcg = self.evaluate(train, validation, k).metrics.ndcg;
-            if ndcg > best_ndcg {
-                best_ndcg = ndcg;
-                best_round = round;
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if since_best >= patience {
-                    stopped_early = self.next_round < budget;
-                    break;
-                }
-            }
-        }
-        ConvergedRun { trace, best_round, best_ndcg, stopped_early }
-    }
 }
 
 impl<P: FederatedProtocol> std::fmt::Debug for Engine<P> {
@@ -358,32 +303,16 @@ impl<P: FederatedProtocol> std::fmt::Debug for Engine<P> {
     }
 }
 
-impl<P: FederatedProtocol + 'static> Engine<P> {
-    /// Type-erases the protocol so engines over different protocols can
-    /// share one code path (`Engine<Box<dyn FederatedProtocol>>`). The
-    /// ledger, observers, and round counter carry over unchanged.
-    pub fn boxed(self) -> Engine<Box<dyn FederatedProtocol>> {
-        Engine {
-            protocol: Box::new(self.protocol),
-            ledger: self.ledger,
-            observers: self.observers,
-            next_round: self.next_round,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observer::TraceRecorder;
 
     /// A deterministic toy protocol: every round, each of three clients
-    /// uploads one triple and gets two scored items back; "validation
-    /// NDCG" rises for `improving_rounds` rounds and then plateaus.
+    /// uploads one triple and gets two scored items back.
     struct MockProtocol {
         rounds: u32,
         done: u32,
-        improving_rounds: u32,
         model: ConstModel,
     }
 
@@ -429,10 +358,6 @@ mod tests {
                 ctx.upload(c, "mock-up", Payload::Triples { count: 1 });
                 ctx.disperse(c, "mock-down", Payload::ScoredItems { count: 2 });
             }
-            // the "model improves" for the first `improving_rounds` rounds
-            if self.done < self.improving_rounds {
-                self.model.score += 0.1;
-            }
             let losses = [0.5, 0.5, 0.5];
             let trace = RoundTrace::new(self.done, &losses, 0.0, ctx.bytes());
             self.done += 1;
@@ -444,18 +369,13 @@ mod tests {
         }
     }
 
-    fn mock(rounds: u32, improving: u32) -> MockProtocol {
-        MockProtocol {
-            rounds,
-            done: 0,
-            improving_rounds: improving,
-            model: ConstModel { score: 0.2 },
-        }
+    fn mock(rounds: u32) -> MockProtocol {
+        MockProtocol { rounds, done: 0, model: ConstModel { score: 0.2 } }
     }
 
     #[test]
     fn engine_runs_configured_rounds_and_ledgers_traffic() {
-        let mut engine = Engine::new(mock(4, 4));
+        let mut engine = Engine::new(mock(4));
         let trace = engine.run();
         assert_eq!(trace.num_rounds(), 4);
         assert_eq!(engine.rounds_completed(), 4);
@@ -508,7 +428,7 @@ mod tests {
 
     #[test]
     fn manual_rounds_then_run_completes_the_budget() {
-        let mut engine = Engine::new(mock(5, 5));
+        let mut engine = Engine::new(mock(5));
         engine.run_round();
         engine.run_round();
         let rest = engine.run();
@@ -538,7 +458,7 @@ mod tests {
         }
         let counter = Counter::default();
         let counts = counter.starts.clone();
-        let mut engine = Engine::new(mock(2, 2)).with_observer(counter);
+        let mut engine = Engine::new(mock(2)).with_observer(counter);
         engine.run();
         assert_eq!(*counts.borrow(), (2, 6, 6, 2));
     }
@@ -546,69 +466,9 @@ mod tests {
     #[test]
     fn trace_recorder_matches_returned_trace() {
         let recorder = TraceRecorder::new();
-        let mut engine = Engine::new(mock(3, 3)).with_observer(recorder.clone());
+        let mut engine = Engine::new(mock(3)).with_observer(recorder.clone());
         let trace = engine.run();
         assert_eq!(recorder.trace(), trace);
-    }
-
-    #[test]
-    fn boxed_engine_keeps_ledger_and_round_counter() {
-        let mut engine = Engine::new(mock(3, 3));
-        engine.run_round();
-        let mut boxed: Engine<Box<dyn FederatedProtocol>> = engine.boxed();
-        assert_eq!(boxed.rounds_completed(), 1);
-        assert_eq!(boxed.protocol().name(), "Mock");
-        let rest = boxed.run();
-        assert_eq!(rest.num_rounds(), 2);
-        assert_eq!(boxed.ledger().summary().rounds, 3);
-    }
-
-    #[test]
-    fn early_stopping_stops_on_plateau() {
-        let train = Dataset::from_user_items("t", 4, vec![vec![0], vec![0], vec![0]]);
-        let validation = Dataset::from_user_items("v", 4, vec![vec![1], vec![1], vec![1]]);
-        // improves for 3 rounds, then plateaus; patience 2 ⇒ stop at round 5
-        let mut engine = Engine::new(mock(20, 3));
-        let run = engine.run_with_early_stopping(&train, &validation, 2, 2);
-        assert!(run.stopped_early, "plateau not detected");
-        assert!(run.trace.num_rounds() < 20);
-        assert!(run.best_ndcg.is_finite());
-        assert!((run.best_round as usize) < run.trace.num_rounds());
-    }
-
-    #[test]
-    fn early_stopping_respects_budget() {
-        let train = Dataset::from_user_items("t", 4, vec![vec![0], vec![0], vec![0]]);
-        let validation = Dataset::from_user_items("v", 4, vec![vec![1], vec![1], vec![1]]);
-        let mut engine = Engine::new(mock(4, 99));
-        let run = engine.run_with_early_stopping(&train, &validation, 2, 10);
-        assert_eq!(run.trace.num_rounds(), 4);
-        assert!(!run.stopped_early);
-    }
-
-    #[test]
-    fn early_stopping_spends_only_the_remaining_budget() {
-        // regression: manual rounds before early stopping must count
-        // against the budget, and best_round must match trace numbering
-        let train = Dataset::from_user_items("t", 4, vec![vec![0], vec![0], vec![0]]);
-        let validation = Dataset::from_user_items("v", 4, vec![vec![1], vec![1], vec![1]]);
-        let mut engine = Engine::new(mock(5, 99));
-        engine.run_round();
-        engine.run_round();
-        let run = engine.run_with_early_stopping(&train, &validation, 2, 10);
-        assert_eq!(run.trace.num_rounds(), 3, "only the remaining 3 rounds may run");
-        assert_eq!(engine.rounds_completed(), 5);
-        // best_round is an absolute engine round (2..=4), present in trace
-        assert!(run.best_round >= 2);
-        assert!(run.trace.rounds.iter().any(|r| r.round == run.best_round));
-    }
-
-    #[test]
-    #[should_panic(expected = "patience")]
-    fn early_stopping_rejects_zero_patience() {
-        let train = Dataset::from_user_items("t", 4, vec![vec![0]]);
-        let mut engine = Engine::new(mock(2, 2));
-        let _ = engine.run_with_early_stopping(&train, &train, 2, 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod scheduler;
 pub mod sim;
 
 pub use client::{partition_clients, ClientData};
-pub use engine::{ConvergedRun, Engine, FederatedProtocol, RoundCtx};
+pub use engine::{Engine, FederatedProtocol, RoundCtx};
 pub use observer::{RoundObserver, TraceRecorder};
 pub use sampler::Participation;
 pub use scheduler::{derive_seed, round_rng, RngStream, RoundScratch, Scheduler, ScratchPool};

@@ -163,16 +163,6 @@ impl Scheduler {
         self.threads
     }
 
-    /// Ordered parallel map over mutably borrowed per-client state.
-    pub fn map_clients<T, R, F>(self, clients: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut T) -> R + Sync,
-    {
-        ptf_tensor::par::map_slice_mut(self.threads, clients, f)
-    }
-
     /// Ordered parallel map over `0..n` (e.g. one task per user).
     pub fn map_indices<R, F>(self, n: usize, f: F) -> Vec<R>
     where
@@ -182,9 +172,9 @@ impl Scheduler {
         ptf_tensor::par::map_indices(self.threads, n, f)
     }
 
-    /// [`Scheduler::map_clients`] with a per-task [`RoundScratch`] checked
-    /// out of `pool` — the allocation-free client phase every protocol's
-    /// round loop runs on.
+    /// Ordered parallel map over mutably borrowed per-client state, with a
+    /// per-task [`RoundScratch`] checked out of `pool` — the
+    /// allocation-free client phase every protocol's round loop runs on.
     pub fn map_clients_with<T, R, F>(self, pool: &ScratchPool, clients: &mut [T], f: F) -> Vec<R>
     where
         T: Send,
@@ -292,22 +282,6 @@ mod tests {
         for threads in [1, 2, 8] {
             assert_eq!(run(threads, &ScratchPool::new()), baseline, "{threads} threads pooled");
             assert_eq!(run(threads, &ScratchPool::fresh()), baseline, "{threads} threads fresh");
-        }
-    }
-
-    #[test]
-    fn map_clients_is_ordered_at_any_thread_count() {
-        let run = |threads| {
-            let mut state: Vec<u64> = (0..17).collect();
-            Scheduler::new(threads).map_clients(&mut state, |i, s| {
-                let mut rng = round_rng(5, 0, RngStream::Client(i as u32));
-                *s += 1;
-                rng.gen::<u64>() ^ *s
-            })
-        };
-        let serial = run(1);
-        for t in [2, 4, 8] {
-            assert_eq!(run(t), serial, "{t} threads");
         }
     }
 }

@@ -6,7 +6,7 @@
 //! the client's true positives (γ = 0.2 = 1/(1+4)).
 
 use crate::ScoredItem;
-use ptf_metrics::{set_f1, PrecisionRecallF1};
+use ptf_metrics::{cmp_scores_desc, set_f1, PrecisionRecallF1};
 
 /// The attack, parameterized by the server's assumed positive fraction.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -31,9 +31,7 @@ impl TopGuessAttack {
         }
         let k = ((upload.len() as f64 * self.gamma).round() as usize).clamp(1, upload.len());
         let mut order: Vec<usize> = (0..upload.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            upload[b].1.partial_cmp(&upload[a].1).expect("scores must not be NaN")
-        });
+        order.sort_unstable_by(|&a, &b| cmp_scores_desc(upload[a].1, upload[b].1));
         let mut guessed: Vec<u32> = order[..k].iter().map(|&i| upload[i].0).collect();
         guessed.sort_unstable();
         guessed
@@ -120,6 +118,18 @@ mod tests {
     }
 
     #[test]
+    fn nan_scores_rank_last_instead_of_panicking() {
+        // a diverged client: NaN never crowds out a finite top score
+        let upload: Vec<ScoredItem> =
+            vec![(0, f32::NAN), (1, 0.9), (2, 0.1), (3, f32::NAN), (4, 0.3)];
+        let attack = TopGuessAttack { gamma: 0.4 };
+        assert_eq!(attack.guess(&upload), vec![1, 4]);
+        assert_eq!(TopGuessAttack { gamma: 1.0 }.guess(&upload), vec![0, 1, 2, 3, 4]);
+        let all_nan: Vec<ScoredItem> = vec![(5, f32::NAN), (6, f32::NAN)];
+        assert_eq!(TopGuessAttack::default().guess(&all_nan).len(), 1);
+    }
+
+    #[test]
     fn empty_upload_guesses_nothing() {
         assert!(TopGuessAttack::default().guess(&[]).is_empty());
     }
@@ -138,74 +148,5 @@ mod tests {
         ];
         let f1 = attack.mean_f1(uploads);
         assert!((f1 - 0.5).abs() < 1e-12, "expected mean of 1.0 and 0.0, got {f1}");
-    }
-}
-
-/// A *stronger* attacker than the paper's: an oracle that somehow learned
-/// exactly how many positives each upload contains (e.g. via a side
-/// channel), removing the uncertainty the sampling defense creates. It
-/// still ranks by score, so the swapping defense keeps working — which is
-/// precisely the point of evaluating it.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OracleCountAttack;
-
-impl OracleCountAttack {
-    /// Guesses the `true_count` top-scored items as positives.
-    pub fn guess(&self, upload: &[ScoredItem], true_count: usize) -> Vec<u32> {
-        if upload.is_empty() || true_count == 0 {
-            return Vec::new();
-        }
-        let k = true_count.min(upload.len());
-        let mut order: Vec<usize> = (0..upload.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            upload[b].1.partial_cmp(&upload[a].1).expect("scores must not be NaN")
-        });
-        let mut guessed: Vec<u32> = order[..k].iter().map(|&i| upload[i].0).collect();
-        guessed.sort_unstable();
-        guessed
-    }
-
-    /// Runs the oracle attack against one upload.
-    pub fn evaluate(&self, upload: &[ScoredItem], true_positives: &[u32]) -> PrecisionRecallF1 {
-        set_f1(&self.guess(upload, true_positives.len()), true_positives)
-    }
-}
-
-#[cfg(test)]
-mod oracle_tests {
-    use super::*;
-
-    #[test]
-    fn oracle_defeats_sampling_alone() {
-        // sampling hides the ratio, but with perfect score separation an
-        // oracle that knows the count recovers everything
-        let upload: Vec<ScoredItem> =
-            vec![(0, 0.95), (1, 0.90), (2, 0.91), (10, 0.1), (11, 0.2), (12, 0.15), (13, 0.12)];
-        let m = OracleCountAttack.evaluate(&upload, &[0, 1, 2]);
-        assert_eq!(m.f1, 1.0, "oracle should recover perfectly separated positives");
-    }
-
-    #[test]
-    fn swapping_still_blunts_the_oracle() {
-        // two of three positives carry swapped (low) scores
-        let upload: Vec<ScoredItem> = vec![
-            (0, 0.95),
-            (1, 0.05), // swapped
-            (2, 0.08), // swapped
-            (10, 0.90),
-            (11, 0.88),
-            (12, 0.15),
-            (13, 0.12),
-        ];
-        let m = OracleCountAttack.evaluate(&upload, &[0, 1, 2]);
-        assert!(m.f1 < 0.5, "swapping should defeat even the count oracle: {}", m.f1);
-    }
-
-    #[test]
-    fn oracle_bounds() {
-        let upload: Vec<ScoredItem> = vec![(0, 0.5)];
-        assert!(OracleCountAttack.guess(&upload, 0).is_empty());
-        assert_eq!(OracleCountAttack.guess(&upload, 5), vec![0]);
-        assert!(OracleCountAttack.guess(&[], 3).is_empty());
     }
 }

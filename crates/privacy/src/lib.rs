@@ -12,16 +12,13 @@
 //! * [`ldp`] — the Laplace-noise baseline the paper compares against.
 //! * [`attack`] — the honest-but-curious server's *Top Guess Attack*:
 //!   treat the top `γ·|upload|` scores as positives.
-//! * [`accountant`] — privacy-amplification-by-subsampling accounting for
-//!   the sampling defense.
 
-pub mod accountant;
 pub mod attack;
 pub mod ldp;
 pub mod sampling;
 pub mod swapping;
 
-pub use attack::{OracleCountAttack, TopGuessAttack};
+pub use attack::TopGuessAttack;
 pub use ldp::Ldp;
 pub use sampling::{sample_upload, SampledUpload, SamplingConfig};
 pub use swapping::swap_scores;

@@ -88,7 +88,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Allocation events since process start (or [`reset_counters`]).
+/// Allocation events since process start.
 pub fn total_allocs() -> u64 {
     TOTAL_ALLOCS.load(Ordering::Relaxed)
 }
@@ -96,11 +96,6 @@ pub fn total_allocs() -> u64 {
 /// Bytes requested across all allocation events.
 pub fn total_bytes() -> u64 {
     TOTAL_BYTES.load(Ordering::Relaxed)
-}
-
-/// Live heap bytes right now.
-pub fn current_bytes() -> usize {
-    CURRENT_BYTES.load(Ordering::Relaxed)
 }
 
 /// High-water mark of live heap bytes since start (or [`reset_peak`]).
@@ -117,12 +112,6 @@ pub fn thread_allocs() -> u64 {
 /// Rebases the peak to the current live size (measure a phase's peak).
 pub fn reset_peak() {
     PEAK_BYTES.store(CURRENT_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// Zeroes the cumulative counters (not the live/current figure).
-pub fn reset_counters() {
-    TOTAL_ALLOCS.store(0, Ordering::Relaxed);
-    TOTAL_BYTES.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]

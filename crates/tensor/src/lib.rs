@@ -5,9 +5,9 @@
 //! [`matrix`] products over row-major slices, CSR [`sparse::Csr`]
 //! matrices with a register-resident spmm for graph propagation, the
 //! env-selectable [`kernels`] (chunked 8-lane vector backend vs the
-//! scalar reference, `PTF_KERNEL`), the [`optim`] optimizers (Adam with
-//! lazy row-sparse embedding updates, plain SGD) over a [`Params`] store
-//! and its [`Grads`], the [`par`] fork/join primitives (plus the
+//! scalar reference, `PTF_KERNEL`), the [`optim`] Adam optimizer (with
+//! lazy row-sparse embedding updates) over a [`Params`] store and its
+//! [`Grads`], the [`par`] fork/join primitives (plus the
 //! [`par::Pool`] worker-scratch pool) behind deterministic parallel client
 //! execution, the seed-derived row [`init`], the [`packed`] raw-bits text
 //! form every `f32` buffer takes in a state envelope, and the [`alloc`]
@@ -56,7 +56,7 @@ pub mod sparse;
 
 pub use grad::{GradBuf, Grads, RowSparse};
 pub use matrix::Matrix;
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use packed::PackedF32s;
 pub use params::{ParamId, Params};
 pub use rowtable::{derive_seed, ItemScope, RowTable, ScopeIndex};
@@ -66,7 +66,7 @@ pub use sparse::{Csr, PropagationMatrix};
 pub mod prelude {
     pub use crate::grad::{GradBuf, Grads};
     pub use crate::matrix::Matrix;
-    pub use crate::optim::{Adam, Sgd};
+    pub use crate::optim::Adam;
     pub use crate::params::{ParamId, Params};
     pub use crate::sparse::{Csr, PropagationMatrix};
 }

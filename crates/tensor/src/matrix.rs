@@ -97,18 +97,6 @@ impl Matrix {
         crate::init::normal(rows, cols, std, rng)
     }
 
-    /// A 1×n row vector.
-    pub fn row_vector(data: Vec<f32>) -> Self {
-        let cols = data.len();
-        Self { rows: 1, cols, data }
-    }
-
-    /// An n×1 column vector.
-    pub fn col_vector(data: Vec<f32>) -> Self {
-        let rows = data.len();
-        Self { rows, cols: 1, data }
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }

@@ -1,35 +1,9 @@
-//! Optimizers: Adam (with lazy row-sparse embedding updates) and SGD.
+//! The Adam optimizer, with lazy row-sparse embedding updates.
 
 use crate::grad::{GradBuf, Grads};
 use crate::kernels;
 use crate::matrix::Matrix;
 use crate::params::Params;
-
-/// Plain stochastic gradient descent: `p ← p − lr·g`.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    pub lr: f32,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    pub fn step(&mut self, params: &mut Params, grads: &Grads) {
-        for (id, buf) in grads.iter() {
-            match buf {
-                GradBuf::Dense(g) => params.get_mut(id).scaled_add_assign(-self.lr, g),
-                GradBuf::Rows(rs) => {
-                    let table = params.get_mut(id);
-                    for (r, vals) in rs.iter() {
-                        kernels::axpy(-self.lr, vals, table.row_mut(r as usize));
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Adam configuration (PyTorch defaults unless stated otherwise).
 #[derive(Clone, Copy, Debug)]
@@ -201,16 +175,6 @@ impl Adam {
 mod tests {
     use super::*;
     use crate::grad::RowSparse;
-
-    #[test]
-    fn sgd_moves_against_gradient() {
-        let mut p = Params::new();
-        let w = p.push("w", Matrix::full(1, 2, 1.0));
-        let mut grads = Grads::new_for(&p);
-        *grads.slot_mut(w) = Some(GradBuf::Dense(Matrix::from_vec(1, 2, vec![1.0, -2.0])));
-        Sgd::new(0.5).step(&mut p, &grads);
-        assert_eq!(p.get(w).as_slice(), &[0.5, 2.0]);
-    }
 
     #[test]
     fn adam_minimizes_quadratic() {

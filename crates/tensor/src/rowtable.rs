@@ -26,7 +26,7 @@
 //! allocations** (arena/index growth is amortized with a bounded ~25%
 //! headroom so peak heap stays close to the touched-row footprint).
 
-use crate::matrix::{reserve_doubling, Matrix};
+use crate::matrix::reserve_doubling;
 use crate::packed::PackedF32s;
 
 /// Mixes `(master, a, b)` into one well-distributed 64-bit seed.
@@ -576,14 +576,6 @@ impl RowTable {
         r
     }
 
-    /// Writes the values row `id` *would* hold if materialized right now
-    /// (its deterministic init) into `out`, without materializing it.
-    pub fn cold_row_into(&self, id: u32, out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(self.cols, 0.0);
-        fill_row(self.init, id, out);
-    }
-
     /// Runs `f` on row `id`: the materialized row if present, otherwise
     /// its init values computed into a thread-local scratch buffer (no
     /// table mutation, no steady-state allocation). `f` must not
@@ -599,11 +591,6 @@ impl RowTable {
                 f(&buf)
             }),
         }
-    }
-
-    /// The materialized rows as a dense `rows × cols` matrix (export).
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.rows(), self.cols, self.data.clone())
     }
 }
 

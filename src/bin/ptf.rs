@@ -11,12 +11,12 @@ use ptf_fedrec::baselines::{
 };
 use ptf_fedrec::cli::{
     parse, usage, ClientArgs, Command, DataChoice, DefenseChoice, FleetArgs, PrivacyArgs,
-    ProtocolChoice, ServeArgs, StorageChoice, TrainArgs,
+    ProtocolChoice, ServeArgs, TrainArgs,
 };
 use ptf_fedrec::comm::{format_bytes, CommLedger, LedgerSummary};
 use ptf_fedrec::core::{
     checkpoint, config_fingerprint, CohortData, CohortFedRec, CohortOptions, DefenseKind,
-    PtfConfig, PtfFedRec, ServerScope, StorageMode, StoragePolicy, StoreKind,
+    PtfConfig, PtfFedRec, ServerScope, StoragePolicy, StoreKind,
 };
 use ptf_fedrec::data::{
     CsrArena, Dataset, DatasetPreset, DatasetStats, Scale, ScaleConfig, TrainTestSplit,
@@ -135,15 +135,7 @@ fn train_config(a: &TrainArgs) -> PtfConfig {
     let mut cfg = scaled_config(a.scale, a.seed);
     cfg.rounds = a.rounds.unwrap_or(cfg.rounds);
     cfg.threads = a.threads;
-    cfg.storage = StoragePolicy {
-        mode: match a.storage {
-            StorageChoice::Auto => StoragePolicy::default().mode,
-            StorageChoice::Sparse => StorageMode::Sparse,
-            StorageChoice::Dense => StorageMode::Dense,
-        },
-        evict_interval: a.evict_interval,
-        evict_budget: a.evict_budget,
-    };
+    cfg.storage = StoragePolicy { evict_interval: a.evict_interval, evict_budget: a.evict_budget };
     cfg
 }
 

@@ -60,8 +60,6 @@ pub struct TrainArgs {
     pub threads: usize,
     /// Write the trained model's checkpoint here after training.
     pub save: Option<String>,
-    /// Per-client storage representation policy.
-    pub storage: StorageChoice,
     /// Evict cold embedding rows every N local rounds (`0` = never).
     pub evict_interval: u32,
     /// Row budget an eviction pass trims each client back to.
@@ -174,17 +172,6 @@ impl DataChoice {
     }
 }
 
-/// CLI-level storage selector (maps onto `ptf_core::StorageMode`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StorageChoice {
-    /// Per-client density heuristic (the default).
-    Auto,
-    /// Force item-scoped tables on every client.
-    Sparse,
-    /// Force full tables on every client.
-    Dense,
-}
-
 /// CLI-level defense selector (maps onto `ptf_core::DefenseKind`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DefenseChoice {
@@ -282,15 +269,6 @@ impl Value for ModelKind {
         (Self::Ngcf, &["ngcf"]),
         (Self::LightGcn, &["lightgcn"]),
         (Self::Mf, &["mf"]),
-    ];
-}
-
-impl Value for StorageChoice {
-    const WHAT: &'static str = "storage";
-    const MEMBERS: &'static [(Self, &'static [&'static str])] = &[
-        (Self::Auto, &["auto"]),
-        (Self::Sparse, &["sparse", "scoped"]),
-        (Self::Dense, &["dense", "full"]),
     ];
 }
 
@@ -418,7 +396,6 @@ const COMMANDS: &[CommandSpec] = &[
             SEED,
             K,
             THREADS,
-            Flag { name: "storage", arg: OneOf(names::<StorageChoice>), required: false },
             Flag { name: "evict-interval", arg: Text("N"), required: false },
             Flag { name: "evict-budget", arg: Text("N"), required: false },
             Flag { name: "users", arg: Text("N"), required: false },
@@ -589,7 +566,6 @@ fn train(g: &Given) -> Result<Command, String> {
         k: g.positive("k")?.unwrap_or(20),
         threads: g.get("threads", 0)?,
         save: g.opt("save")?,
-        storage: g.get("storage", StorageChoice::Auto)?,
         evict_interval: g.get("evict-interval", 0)?,
         evict_budget: g.get("evict-budget", 0)?,
         users: g.opt("users")?,
@@ -729,9 +705,8 @@ MF-family baselines (fcf, fedmf, metamf) use their paper dimensions and
 ignore both. `--json` prints {trace, report, communication} for tooling.
 `--threads N` sizes the parallel client scheduler (default: every hardware
 thread); with the same seed the output is byte-identical at any N.
-`--storage` picks the per-client table representation (auto = density
-heuristic); `--evict-interval`/`--evict-budget` bound client memory by
-resetting cold embedding rows every N local rounds.
+`--evict-interval`/`--evict-budget` bound client memory by resetting cold
+embedding rows every N local rounds.
 
 The `scale-*` datasets stream a deterministic synthetic fleet
 (10k/100k/1M users; `--users N` overrides) into an on-disk CSR arena and
@@ -784,7 +759,6 @@ mod tests {
                 k: 20,
                 threads: 0,
                 save: None,
-                storage: StorageChoice::Auto,
                 evict_interval: 0,
                 evict_budget: 0,
                 users: None,
@@ -801,31 +775,14 @@ mod tests {
 
     #[test]
     fn storage_and_eviction_flags_parse() {
-        match parse(&argv(
-            "train --dataset ml100k --storage sparse --evict-interval 5 --evict-budget 512",
-        ))
-        .unwrap()
+        match parse(&argv("train --dataset ml100k --evict-interval 5 --evict-budget 512")).unwrap()
         {
-            Command::Train(TrainArgs { storage, evict_interval, evict_budget, .. }) => {
-                assert_eq!(storage, StorageChoice::Sparse);
+            Command::Train(TrainArgs { evict_interval, evict_budget, .. }) => {
                 assert_eq!(evict_interval, 5);
                 assert_eq!(evict_budget, 512);
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        for (s, want) in [
-            ("auto", StorageChoice::Auto),
-            ("dense", StorageChoice::Dense),
-            ("full", StorageChoice::Dense),
-            ("scoped", StorageChoice::Sparse),
-        ] {
-            match parse(&argv(&format!("train --dataset ml100k --storage {s}"))).unwrap() {
-                Command::Train(TrainArgs { storage, .. }) => assert_eq!(storage, want, "{s}"),
-                other => panic!("wrong parse: {other:?}"),
-            }
-        }
-        let err = parse(&argv("train --dataset ml100k --storage ram")).unwrap_err();
-        assert!(err.contains("unknown storage"), "{err}");
         let err = parse(&argv("train --dataset ml100k --evict-interval soon")).unwrap_err();
         assert!(err.contains("--evict-interval"), "{err}");
     }

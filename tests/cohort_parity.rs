@@ -17,7 +17,7 @@
 
 use ptf_fedrec::core::{
     checkpoint, config_fingerprint, CheckpointError, CohortData, CohortFedRec, CohortOptions,
-    PtfConfig, PtfFedRec, ServerScope, StorageMode, StoreKind,
+    PtfConfig, PtfFedRec, ServerScope, StoreKind,
 };
 use ptf_fedrec::data::{SyntheticConfig, TrainTestSplit};
 use ptf_fedrec::federated::{Engine, FederatedProtocol, Participation, RunTrace, TraceRecorder};
@@ -262,35 +262,6 @@ fn active_scope_is_self_consistent_across_cohorts_and_threads() {
     }
 }
 
-/// `StorageMode::Auto` picks each client's representation at
-/// construction; a fleet it builds dense must be indistinguishable in
-/// the results from an all-sparse one.
-#[test]
-fn auto_storage_reevaluation_matches_sparse() {
-    let s = split(30);
-    let run = |mode: StorageMode| {
-        let mut c = cfg(2);
-        c.rounds = 3;
-        c.storage.mode = mode;
-        let mut engine = Engine::new(
-            PtfFedRec::try_new(
-                &s.train,
-                ModelKind::NeuMf,
-                ModelKind::NeuMf,
-                &ModelHyper::small(),
-                c,
-            )
-            .expect("valid config"),
-        );
-        (engine.run(), engine.evaluate(&s.train, &s.test, 10))
-    };
-    let sparse = run(StorageMode::Sparse);
-    // a threshold low enough that every client is built dense
-    let auto = run(StorageMode::Auto { dense_fraction: 0.05 });
-    assert_eq!(sparse.0, auto.0, "auto densification changed the RunTrace");
-    assert_eq!(sparse.1, auto.1, "auto densification changed the RankingReport");
-}
-
 /// Kill-and-resume byte parity at the library level: run 2 of 5 rounds,
 /// checkpoint, rebuild everything from the manifest, finish — the
 /// stitched trace and the final ledger must equal the uninterrupted
@@ -369,6 +340,69 @@ fn checkpoint_resume_reproduces_uninterrupted_run() {
     assert_eq!(full_report, report, "resumed model diverged from the uninterrupted run");
     assert_eq!(full_ledger, engine.ledger().summary(), "resumed ledger diverged");
     std::fs::remove_dir_all(&ckpt).ok();
+}
+
+/// Retention: every commit prunes the `commit-r<N>` directories the new
+/// manifest does not point at — a stale one planted by hand included —
+/// and leaves the live client store and every other entry alone.
+#[test]
+fn checkpoint_commits_keep_only_the_manifests_round() {
+    let s = split(40);
+    let mut c = cfg(2);
+    c.rounds = 4;
+    let hyper = ModelHyper::small();
+    let fingerprint = config_fingerprint(
+        &c,
+        ModelKind::Mf,
+        ModelKind::NeuMf,
+        &hyper,
+        s.train.num_users(),
+        s.train.num_items(),
+    );
+    let dir = fresh_dir("retain");
+    let protocol = CohortFedRec::try_new(
+        CohortData::Mem(s.train.clone()),
+        ModelKind::Mf,
+        ModelKind::NeuMf,
+        &hyper,
+        c,
+        CohortOptions {
+            cohort: 16,
+            store: StoreKind::Disk(dir.join("clients")),
+            ..CohortOptions::default()
+        },
+    )
+    .expect("valid config");
+    let mut engine = Engine::new(protocol);
+    let mut traces = Vec::new();
+    let mut commit = |engine: &mut Engine<CohortFedRec>| {
+        traces.push(engine.run_round());
+        checkpoint::save_checkpoint(&dir, engine.protocol(), engine.ledger(), &traces, fingerprint)
+            .expect("checkpoint saves");
+    };
+    let entries = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("checkpoint dir lists")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort_unstable();
+        names
+    };
+
+    for _ in 0..3 {
+        commit(&mut engine);
+    }
+    assert_eq!(entries(), ["clients", "commit-r3", "manifest.json"]);
+
+    // a stale commit the next save must remove, and entries it must not
+    std::fs::create_dir_all(dir.join("commit-r1")).expect("plant a stale commit");
+    std::fs::write(dir.join("commit-r1").join("0.json"), "{}").expect("plant an envelope");
+    std::fs::create_dir_all(dir.join("commit-rlatest")).expect("plant a look-alike");
+    std::fs::write(dir.join("notes.txt"), "operator notes").expect("plant a file");
+    commit(&mut engine);
+    assert_eq!(entries(), ["clients", "commit-r4", "commit-rlatest", "manifest.json", "notes.txt"]);
+    assert_eq!(checkpoint::load_manifest(&dir).expect("manifest loads").next_round, 4);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Resume robustness: a missing manifest is an `Io` error, a truncated

@@ -1,11 +1,11 @@
 //! Cross-crate integration: the full PTF-FedRec pipeline from synthetic
 //! data generation to evaluation, through the facade crate.
 
-use ptf_fedrec::baselines::{train_centralized, CentralizedConfig};
+use ptf_fedrec::baselines::{Centralized, CentralizedConfig};
 use ptf_fedrec::core::{PtfConfig, PtfFedRec};
 use ptf_fedrec::data::{Dataset, DatasetPreset, Scale, SyntheticConfig, TrainTestSplit};
 use ptf_fedrec::federated::Engine;
-use ptf_fedrec::models::{evaluate_model, ModelHyper, ModelKind};
+use ptf_fedrec::models::{ModelHyper, ModelKind};
 
 fn engine(
     train: &Dataset,
@@ -83,8 +83,9 @@ fn centralized_upper_bounds_hold_after_training() {
     let split = tiny_split();
     let hyper = ModelHyper::small();
     let cfg = CentralizedConfig { epochs: 10, batch: 128, neg_ratio: 4, seed: 5, threads: 0 };
-    let (central, _) = train_centralized(ModelKind::LightGcn, &split.train, &hyper, &cfg);
-    let central_report = evaluate_model(&*central, &split.train, &split.test, 10);
+    let mut central = Engine::new(Centralized::new(ModelKind::LightGcn, &split.train, &hyper, cfg));
+    central.run();
+    let central_report = central.evaluate(&split.train, &split.test, 10);
     assert!(central_report.metrics.recall > 0.05, "{central_report}");
 }
 

@@ -9,7 +9,7 @@
 //! training-pool assembly, local SGD, scoring, and upload staging all run
 //! inside reused buffers.
 
-use ptf_fedrec::core::{DefenseKind, PtfConfig, PtfFedRec, StorageMode};
+use ptf_fedrec::core::{DefenseKind, PtfConfig, PtfFedRec};
 use ptf_fedrec::data::{SyntheticConfig, TrainTestSplit};
 use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
@@ -19,14 +19,22 @@ use ptf_fedrec::tensor::alloc;
 static COUNTER: alloc::CountingAlloc = alloc::CountingAlloc;
 
 fn split() -> TrainTestSplit {
+    split_over(96)
+}
+
+/// The 48-user fleet over an `items` catalogue. A client is built dense
+/// when its pool `positives × (1 + neg_ratio)` reaches a quarter of the
+/// catalogue: every client over 40 items (each holds at least 4
+/// positives), and no client over more than 20× its positives.
+fn split_over(items: usize) -> TrainTestSplit {
     let data =
-        SyntheticConfig::new("hot", 48, 96, 12.0).generate(&mut ptf_fedrec::data::test_rng(31));
+        SyntheticConfig::new("hot", 48, items, 12.0).generate(&mut ptf_fedrec::data::test_rng(31));
     TrainTestSplit::split_80_20(&data, &mut ptf_fedrec::data::test_rng(32))
 }
 
 #[test]
 fn steady_state_mf_rounds_allocate_nothing_on_the_client_path() {
-    let s = split();
+    let s = split_over(40);
     let mut cfg = PtfConfig::small();
     cfg.rounds = 5;
     cfg.client_epochs = 2;
@@ -36,11 +44,11 @@ fn steady_state_mf_rounds_allocate_nothing_on_the_client_path() {
     // so a single warmed scratch serves every client deterministically
     cfg.defense = DefenseKind::NoDefense;
     cfg.threads = 1;
-    // dense client tables: every item row exists up front, so the strict
-    // zero-allocation guarantee holds from the first steady-state round
-    // (the row-sparse path is covered by the sibling test below, where
-    // allocations may only come from first-touch row materialization)
-    cfg.storage.mode = StorageMode::Dense;
+    // dense client tables (the 40-item catalogue): every item row exists
+    // up front, so the strict zero-allocation guarantee holds from the
+    // first steady-state round (the row-sparse path is covered by the
+    // sibling test below, where allocations may only come from
+    // first-touch row materialization)
     let mut fed = Engine::new(
         PtfFedRec::try_new(&s.train, ModelKind::Mf, ModelKind::Mf, &ModelHyper::small(), cfg)
             .expect("valid config"),
@@ -69,23 +77,25 @@ fn steady_state_scoped_mf_rounds_allocate_nothing_once_rows_settle() {
     // the Rows-scoped client guarantee: lazy row materialization may
     // allocate on FIRST touch only — once a client has touched every item
     // it will ever see, rounds are as allocation-free as full tables.
-    // A dense synthetic set (many positives per 40-item catalogue) makes
-    // the negative sampler return the whole complement each round, so the
-    // fleet's row set saturates during warm-up and the assertion is
-    // deterministic.
-    let data = SyntheticConfig::new("hot-scoped", 16, 40, 16.0)
-        .generate(&mut ptf_fedrec::data::test_rng(7));
+    // Every client holds exactly 2 positives over a 48-item catalogue
+    // (more than 20× its positives, so it is built row-sparse); its
+    // negatives and dispersed items coupon-collect the catalogue, so the
+    // fleet's row set saturates during the long warm-up and the
+    // assertion is deterministic.
+    const WARM_UP: u32 = 40;
+    let shape = SyntheticConfig {
+        len_sigma: 0.0,
+        min_profile_len: 2,
+        ..SyntheticConfig::new("hot-scoped", 16, 48, 2.0)
+    };
+    let data = shape.generate(&mut ptf_fedrec::data::test_rng(7));
     let s = TrainTestSplit::split_80_20(&data, &mut ptf_fedrec::data::test_rng(8));
     let mut cfg = PtfConfig::small();
-    cfg.rounds = 8;
+    cfg.rounds = WARM_UP + 2;
     cfg.client_epochs = 2;
     cfg.alpha = 8;
     cfg.defense = DefenseKind::NoDefense;
     cfg.threads = 1;
-    // this test asserts Rows-scoped behavior specifically; the ~16-positive
-    // clients over a 40-item catalogue would otherwise trip the dense
-    // fallback and hold all 40 rows from round one
-    cfg.storage.mode = StorageMode::Sparse;
     let mut fed = Engine::new(
         PtfFedRec::try_new(&s.train, ModelKind::Mf, ModelKind::Mf, &ModelHyper::small(), cfg)
             .expect("valid config"),
@@ -99,11 +109,11 @@ fn steady_state_scoped_mf_rounds_allocate_nothing_once_rows_settle() {
 
     // warm-up: scratch buffers + first-touch materialization of sampled
     // negatives and dispersed items
-    for _ in 0..6 {
+    for _ in 0..WARM_UP {
         fed.run_round();
     }
     let settled = fed.protocol().materialized_item_rows();
-    for round in 6..8 {
+    for round in WARM_UP..WARM_UP + 2 {
         fed.run_round();
         assert_eq!(
             fed.protocol().materialized_item_rows(),
@@ -133,7 +143,6 @@ fn eviction_keeps_client_rows_bounded_over_fifty_rounds() {
     cfg.client_epochs = 1;
     cfg.defense = DefenseKind::NoDefense;
     cfg.threads = 1;
-    cfg.storage.mode = StorageMode::Sparse;
     cfg.storage.evict_interval = 5;
     // comfortably above any single round's pool (positives + 4× negatives
     // + dispersed items ≈ 50 ids) so the working set is never churned
@@ -311,7 +320,7 @@ fn a_steady_state_neumf_client_round_allocates_a_constant() {
     let mut cfg = PtfConfig::small();
     cfg.alpha = 8;
     cfg.threads = 1;
-    cfg.storage.mode = StorageMode::Dense;
+    // client 0 holds 7 positives: over 96 items it is built dense
     let mut client =
         rounds::build_client(&s.train, 0, ModelKind::NeuMf, &ModelHyper::small(), &cfg);
     let mut scratch = RoundScratch::default();
@@ -410,19 +419,23 @@ fn an_ngcf_servers_scoring_does_not_allocate_once_its_cache_is_built() {
 fn a_steady_state_sparse_lightgcn_client_round_allocates_a_constant() {
     // A LightGCN client: each round re-sets its ego graph, trains through
     // the hand-derived step and scores twice. The count does not depend on
-    // how many batches the round trained — the tape build took 45. Of the
-    // 30 left, 16 are two rebuilds of the propagation operator (8 each):
-    // one when the round's fresh negatives materialize, one for the new
-    // ego graph.
+    // how many batches the round trained — the tape build took 45. Of
+    // what is left, 16 are two rebuilds of the propagation operator (8
+    // each): one when the round's fresh negatives materialize, one for
+    // the new ego graph.
     use ptf_fedrec::core::rounds;
     use ptf_fedrec::federated::RoundScratch;
     let s = split();
     let mut cfg = PtfConfig::small();
     cfg.alpha = 8;
     cfg.threads = 1;
-    cfg.storage.mode = StorageMode::Sparse;
+    // the first client whose catalogue is more than 20× its positives,
+    // which keeps it row-sparse
+    let id = (0..s.train.num_users() as u32)
+        .find(|&u| 20 * s.train.user_items(u).len() < s.train.num_items())
+        .expect("the fleet has a sparse client");
     let mut client =
-        rounds::build_client(&s.train, 0, ModelKind::LightGcn, &ModelHyper::small(), &cfg);
+        rounds::build_client(&s.train, id, ModelKind::LightGcn, &ModelHyper::small(), &cfg);
     let mut scratch = RoundScratch::default();
     for round in 0..3 {
         let (upload, _) = rounds::client_round(&mut client, &cfg, round, &mut scratch);
