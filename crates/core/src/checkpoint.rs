@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 /// Bumped whenever the manifest or envelope wire shapes change — or the
 /// values `ptf_tensor::init::derived_normal_row` derives, since an
 /// envelope's unmaterialized item rows are re-derived on restore.
-pub const MANIFEST_VERSION: u32 = 3;
+pub const MANIFEST_VERSION: u32 = 4;
 
 /// The checkpoint manifest — everything a resume needs besides the
 /// committed client envelopes.
@@ -205,8 +205,8 @@ pub fn load_manifest(dir: &Path) -> Result<Manifest, CheckpointError> {
 }
 
 /// Rewinds a freshly constructed protocol to the manifest's commit
-/// point: server state, committed client envelopes (each validated to
-/// parse), round counter. The caller pairs this with
+/// point: server state, committed client envelopes (each restored once
+/// as a check), round counter. The caller pairs this with
 /// `ptf_federated::Engine::resume` at the same round and a
 /// `CommLedger::restore` of the manifest's ledger snapshot.
 pub fn resume_protocol(

@@ -12,10 +12,24 @@
 //!   cohort's clients are constructed (or restored from their envelopes),
 //!   trained in parallel, exported back to the client store, and
 //!   dropped before the next cohort starts;
-//! * a client's cross-round state travels as a `ClientEnvelope` —
-//!   model full-state envelope, dispersed set `D̃_i`, and the eviction
-//!   recency index. Everything else a resident client holds is either
-//!   rebuilt per round (the ego graph) or capacity-only (upload buffers).
+//! * a client's cross-round state travels as a `ClientEnvelope` of three
+//!   lines: the eviction recency index, the model's full-state envelope
+//!   verbatim, and the dispersed set `D̃_i`. The client phase writes the
+//!   first two (one tmp+rename); `deliver` appends the third (one
+//!   `O_APPEND` write — nothing is read back, parsed or rewritten).
+//!   Everything else a resident client holds is either rebuilt per round
+//!   (the ego graph) or capacity-only (upload buffers).
+//!
+//! **Why appending is safe.** Between a participant's client phase and
+//! `deliver` its file has two lines and is not a valid envelope — but
+//! nothing reads it then: the next read is the client's next
+//! participation, a checkpoint commit copies the store only at a round
+//! boundary (every parked file has its third line by then), and a
+//! resume never reads the live store at all
+//! ([`CohortFedRec::reset_clients_from`] replaces it with the committed
+//! envelopes, each restored once as a check). A torn append or a
+//! truncation anywhere is a file that is not exactly three lines, which
+//! a restore rejects.
 //!
 //! **Bit-parity.** Every RNG stream in a round is `(seed, round, id)`-
 //! derived and client construction is seed-derived, so a client restored
@@ -50,6 +64,7 @@ use ptf_privacy::ScoredItem;
 use ptf_tensor::PackedF32s;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The interaction data backing a cohort run.
@@ -138,30 +153,96 @@ impl Default for CohortOptions {
     }
 }
 
-/// A client's cross-round state at rest. Parallel arrays instead of
-/// tuple vectors keep the encoding in the workspace's minimal JSON
-/// vocabulary: ids and counters are decimal, the dispersed scores are one
-/// packed string ([`PackedF32s`], like every `f32` buffer at rest), and
-/// the model rides along as its own nested full-state envelope (see
-/// `docs/checkpoint-format.md`).
+/// A client's cross-round state at rest, as read back: a parked file is
+/// exactly three newline-terminated lines —
+///
+/// ```text
+/// {"round":R,"local_rounds":L,"touched_items":[…],"touched_rounds":[…]}
+/// <Recommender::export_full_state envelope, verbatim>
+/// {"round":R,"disp_items":[…],"disp_scores":"<packed f32>"}
+/// ```
+///
+/// — whose `round`s agree (see `docs/checkpoint-format.md`). The model
+/// line is compact JSON, so it holds no raw newline and needs no
+/// escaping. Parallel arrays instead of tuple vectors keep the other two
+/// lines in the workspace's minimal JSON vocabulary: ids and counters are
+/// decimal, the dispersed scores one packed string ([`PackedF32s`], like
+/// every `f32` buffer at rest).
+struct ClientEnvelope<'a> {
+    head: EnvelopeHead,
+    /// The model's full-state envelope; its import checks it.
+    model: &'a str,
+    /// The dispersed set `D̃_i`, zipped back into pairs.
+    dispersal: Vec<ScoredItem>,
+}
+
+/// Line 1, written by the client phase.
 #[derive(Serialize, Deserialize)]
-struct ClientEnvelope {
-    /// Global round this envelope was last written in (debug/validation).
+struct EnvelopeHead {
+    /// Global round the client last trained in.
     round: u32,
     /// Eviction schedule: the client's local-round counter…
     local_rounds: u32,
     /// …and the recency index, split `(item, last-touched round)`.
     touched_items: Vec<u32>,
     touched_rounds: Vec<u32>,
-    /// The dispersed set `D̃_i`, split `(item, score)`.
+}
+
+/// Line 3, appended by [`ClientHost::deliver`].
+#[derive(Serialize, Deserialize)]
+struct EnvelopeDispersal {
+    /// Must equal the head's: the dispersal of the round the client
+    /// trained in.
+    round: u32,
     disp_items: Vec<u32>,
     disp_scores: PackedF32s,
-    /// `Recommender::export_full_state` envelope.
-    model: String,
+}
+
+impl<'a> ClientEnvelope<'a> {
+    /// Splits and decodes client `id`'s parked file over a catalogue of
+    /// `num_items`. Anything but three newline-terminated lines with
+    /// agreeing rounds, ragged pairs, unsorted recency ids or an item
+    /// outside the catalogue is an error naming the client — never a
+    /// panic, here or in the client's next round.
+    fn parse(id: u32, text: &'a str, num_items: usize) -> Result<Self, String> {
+        let fail = |what: &str| format!("client {id} envelope: {what}");
+        let mut lines = text.split_inclusive('\n').map(|line| line.strip_suffix('\n'));
+        let (Some(Some(head)), Some(Some(model)), Some(Some(disp)), None) =
+            (lines.next(), lines.next(), lines.next(), lines.next())
+        else {
+            return Err(fail("not three newline-terminated lines"));
+        };
+        let head: EnvelopeHead =
+            serde_json::from_str(head).map_err(|e| fail(&format!("head: {e}")))?;
+        let disp: EnvelopeDispersal =
+            serde_json::from_str(disp).map_err(|e| fail(&format!("dispersal: {e}")))?;
+        if disp.round != head.round {
+            return Err(fail(&format!(
+                "dispersal of round {} after training in round {}",
+                disp.round, head.round
+            )));
+        }
+        if head.touched_items.len() != head.touched_rounds.len() {
+            return Err(fail("ragged recency index"));
+        }
+        if !head.touched_items.windows(2).all(|w| w[0] < w[1]) {
+            return Err(fail("recency index not sorted by item"));
+        }
+        let scores = disp.disp_scores.unpack("disp_scores").map_err(|e| fail(&e))?;
+        if disp.disp_items.len() != scores.len() {
+            return Err(fail("ragged dispersed set"));
+        }
+        let in_catalogue = |items: &[u32]| items.iter().all(|&i| (i as usize) < num_items);
+        if !in_catalogue(&head.touched_items) || !in_catalogue(&disp.disp_items) {
+            return Err(fail(&format!("item id outside the {num_items}-item catalogue")));
+        }
+        let dispersal = disp.disp_items.into_iter().zip(scores).collect();
+        Ok(Self { head, model, dispersal })
+    }
 }
 
 /// Envelope storage: load is read-only (called from parallel workers);
-/// save is serial.
+/// save and append are serial.
 enum ClientStore {
     Memory(BTreeMap<u32, String>),
     Disk { root: PathBuf },
@@ -187,10 +268,11 @@ impl ClientStore {
         }
     }
 
-    fn save(&mut self, id: u32, json: &str) {
+    /// Replaces `id`'s envelope with `text`.
+    fn save(&mut self, id: u32, text: String) {
         match self {
             Self::Memory(map) => {
-                map.insert(id, json.to_string());
+                map.insert(id, text);
             }
             Self::Disk { root } => {
                 let (shard, file) = envelope_rel(id);
@@ -198,17 +280,36 @@ impl ClientStore {
                 // tmp + rename so a crash mid-write never leaves a torn
                 // envelope where a resume would read it
                 let tmp = dir.join(format!("{id}.json.tmp"));
-                let written = std::fs::write(&tmp, json).or_else(|e| {
+                let written = std::fs::write(&tmp, &text).or_else(|e| {
                     if e.kind() != std::io::ErrorKind::NotFound {
                         return Err(e);
                     }
                     // the shard's first envelope: its directory is missing
                     std::fs::create_dir_all(&dir)?;
-                    std::fs::write(&tmp, json)
+                    std::fs::write(&tmp, &text)
                 });
                 written.unwrap_or_else(|e| panic!("client store write: {e}"));
                 std::fs::rename(&tmp, dir.join(file))
                     .unwrap_or_else(|e| panic!("client store rename: {e}"));
+            }
+        }
+    }
+
+    /// Appends `line` to `id`'s envelope, which must exist: on disk one
+    /// `O_APPEND` write (see the module docs for why no rename is needed).
+    fn append(&mut self, id: u32, line: &str) {
+        match self {
+            Self::Memory(map) => map
+                .get_mut(&id)
+                .unwrap_or_else(|| panic!("client {id} appended to before it was parked"))
+                .push_str(line),
+            Self::Disk { root } => {
+                let (shard, file) = envelope_rel(id);
+                std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(root.join(shard).join(file))
+                    .and_then(|mut f| f.write_all(line.as_bytes()))
+                    .unwrap_or_else(|e| panic!("client store append for {id}: {e}"));
             }
         }
     }
@@ -321,36 +422,39 @@ impl Round<Stored> {
     }
 
     /// Replaces the live client store with the committed envelopes in
-    /// `dir` — the client half of a resume. Every envelope is validated
-    /// to parse (a corrupted one fails the resume here, not mid-round).
+    /// `dir` — the client half of a resume. Every envelope is restored
+    /// once, exactly as its next participation will restore it, so a
+    /// damaged one fails the resume here, not mid-round.
     pub fn reset_clients_from(&mut self, dir: &Path) -> Result<(), String> {
-        match &mut self.host.store {
-            ClientStore::Memory(map) => {
-                map.clear();
-                let map = std::cell::RefCell::new(map);
+        let (host, cfg) = (&self.host, &self.cfg);
+        let committed = |id: u32, src: &Path| {
+            let text = std::fs::read_to_string(src)
+                .map_err(|e| format!("committed envelope for client {id}: {e}"))?;
+            host.restore_client(id, &text, cfg)?;
+            Ok::<_, String>(text)
+        };
+        match &host.store {
+            ClientStore::Memory(_) => {
+                let mut map = BTreeMap::new();
                 walk_envelopes(dir, |id, src| {
-                    let json = std::fs::read_to_string(&src)
-                        .map_err(|e| format!("committed envelope for client {id}: {e}"))?;
-                    validate_envelope(id, &json)?;
-                    map.borrow_mut().insert(id, json);
+                    map.insert(id, committed(id, &src)?);
                     Ok(())
-                })
+                })?;
+                self.host.store = ClientStore::Memory(map);
+                Ok(())
             }
             ClientStore::Disk { root } => {
-                let root = root.clone();
                 // drop any post-checkpoint state from the interrupted run
                 if root.exists() {
-                    std::fs::remove_dir_all(&root).map_err(|e| format!("clear store: {e}"))?;
+                    std::fs::remove_dir_all(root).map_err(|e| format!("clear store: {e}"))?;
                 }
-                std::fs::create_dir_all(&root).map_err(|e| format!("recreate store: {e}"))?;
+                std::fs::create_dir_all(root).map_err(|e| format!("recreate store: {e}"))?;
                 walk_envelopes(dir, |id, src| {
-                    let json = std::fs::read_to_string(&src)
-                        .map_err(|e| format!("committed envelope for client {id}: {e}"))?;
-                    validate_envelope(id, &json)?;
+                    let text = committed(id, &src)?;
                     let (shard, file) = envelope_rel(id);
                     let sdir = root.join(shard);
                     std::fs::create_dir_all(&sdir).map_err(|e| format!("restore shard: {e}"))?;
-                    std::fs::write(sdir.join(file), &json)
+                    std::fs::write(sdir.join(file), text)
                         .map_err(|e| format!("restore write for client {id}: {e}"))?;
                     Ok(())
                 })
@@ -377,40 +481,42 @@ impl Stored {
     }
 
     /// Builds the client, then replays its envelope (model state,
-    /// dispersed set, eviction index) onto it.
-    fn restore_client(&self, id: u32, json: &str, cfg: &PtfConfig) -> PtfClient {
-        let env: ClientEnvelope =
-            serde_json::from_str(json).unwrap_or_else(|e| panic!("client {id} envelope: {e}"));
+    /// dispersed set, eviction index) onto it. A damaged envelope is an
+    /// error naming the client.
+    fn restore_client(&self, id: u32, text: &str, cfg: &PtfConfig) -> Result<PtfClient, String> {
+        let env = ClientEnvelope::parse(id, text, self.data.num_items())?;
         let mut client = self.build_fresh(id, cfg);
         client
-            .import_model_state(&env.model)
-            .unwrap_or_else(|e| panic!("client {id} model restore: {e}"));
-        let touched: Vec<(u32, u32)> =
-            env.touched_items.iter().copied().zip(env.touched_rounds.iter().copied()).collect();
-        client.restore_eviction_state(env.local_rounds, touched);
-        let scores = env
-            .disp_scores
-            .unpack("disp_scores")
-            .unwrap_or_else(|e| panic!("client {id} envelope: {e}"));
-        client.receive_disperse(env.disp_items.iter().copied().zip(scores).collect());
-        client
+            .import_model_state(env.model)
+            .map_err(|e| format!("client {id} envelope: model: {e}"))?;
+        let EnvelopeHead { local_rounds, touched_items, touched_rounds, .. } = env.head;
+        client.restore_eviction_state(
+            local_rounds,
+            touched_items.into_iter().zip(touched_rounds).collect(),
+        );
+        client.receive_disperse(env.dispersal);
+        Ok(client)
     }
 
-    fn save_envelope(&mut self, client: &PtfClient, round: u32) {
+    /// Parks a trained client: lines 1–2 of its envelope, in one write.
+    /// [`ClientHost::deliver`] appends line 3.
+    fn park(&mut self, client: &PtfClient, round: u32) {
         let model =
             client.export_model_state().expect("cohort runtime requires full-state model support");
+        debug_assert!(!model.contains('\n'), "a model envelope is one line");
         let (local_rounds, touched) = client.eviction_state();
-        let env = ClientEnvelope {
+        let head = EnvelopeHead {
             round,
             local_rounds,
             touched_items: touched.iter().map(|&(i, _)| i).collect(),
             touched_rounds: touched.iter().map(|&(_, r)| r).collect(),
-            disp_items: client.server_data().iter().map(|&(i, _)| i).collect(),
-            disp_scores: pack_scores(client.server_data()),
-            model,
         };
-        let json = serde_json::to_string(&env).expect("client envelope encodes");
-        self.store.save(client.id, &json);
+        let mut text = serde_json::to_string(&head).expect("envelope head encodes");
+        text.reserve(model.len() + 2);
+        text.push('\n');
+        text.push_str(&model);
+        text.push('\n');
+        self.store.save(client.id, text);
     }
 }
 
@@ -434,17 +540,19 @@ impl ClientHost for Stored {
                 phase.scheduler.map_indices_with(phase.scratch, chunk.len(), |scratch, i| {
                     let id = chunk[i];
                     let mut client = match this.store.load(id) {
-                        Some(json) => this.restore_client(id, &json, phase.cfg),
+                        Some(text) => this
+                            .restore_client(id, &text, phase.cfg)
+                            .unwrap_or_else(|e| panic!("{e}")),
                         None => this.build_fresh(id, phase.cfg),
                     };
                     let (upload, loss) =
                         rounds::client_round(&mut client, phase.cfg, phase.round, scratch);
                     (client, upload, loss)
                 });
-            // serial: persist post-training envelopes, collect uploads in
+            // serial: park post-training clients, collect uploads in
             // participant order, drop the cohort's clients
             for (client, upload, loss) in trained {
-                self.save_envelope(&client, phase.round);
+                self.park(&client, phase.round);
                 uploads.push(upload);
                 losses.push(loss);
             }
@@ -452,26 +560,22 @@ impl ClientHost for Stored {
         (uploads, losses)
     }
 
-    /// Rewrites each participant's stored envelope with the round's
-    /// dispersal — the stored counterpart of
+    /// Appends the round's dispersal to each participant's parked
+    /// envelope — the stored counterpart of
     /// [`PtfClient::receive_disperse`].
     fn deliver(&mut self, round: u32, dispersals: Vec<(u32, Vec<ScoredItem>)>) {
         for (client, items) in dispersals {
-            let json =
-                self.store.load(client).expect("participant envelope exists after its cohort");
-            let mut env: ClientEnvelope = serde_json::from_str(&json)
-                .unwrap_or_else(|e| panic!("client {client} envelope: {e}"));
-            env.round = round;
-            env.disp_items = items.iter().map(|&(i, _)| i).collect();
-            env.disp_scores = pack_scores(&items);
-            let json = serde_json::to_string(&env).expect("client envelope encodes");
-            self.store.save(client, &json);
+            let scores: Vec<f32> = items.iter().map(|&(_, s)| s).collect();
+            let line = EnvelopeDispersal {
+                round,
+                disp_items: items.iter().map(|&(i, _)| i).collect(),
+                disp_scores: PackedF32s::pack(&scores),
+            };
+            let mut line = serde_json::to_string(&line).expect("dispersal line encodes");
+            line.push('\n');
+            self.store.append(client, &line);
         }
     }
-}
-
-fn pack_scores(items: &[ScoredItem]) -> PackedF32s {
-    PackedF32s::pack(&items.iter().map(|&(_, s)| s).collect::<Vec<f32>>())
 }
 
 /// The union of every round's participation draw — the users the server
@@ -522,28 +626,14 @@ fn walk_envelopes(
     Ok(())
 }
 
-/// Parses an envelope, rejecting internal inconsistencies — resume-time
-/// validation so corruption fails cleanly instead of mid-round.
-fn validate_envelope(id: u32, json: &str) -> Result<(), String> {
-    let env: ClientEnvelope =
-        serde_json::from_str(json).map_err(|e| format!("client {id} envelope: {e}"))?;
-    if env.touched_items.len() != env.touched_rounds.len() {
-        return Err(format!("client {id} envelope: ragged recency index"));
-    }
-    let scores =
-        env.disp_scores.unpack("disp_scores").map_err(|e| format!("client {id} envelope: {e}"))?;
-    if env.disp_items.len() != scores.len() {
-        return Err(format!("client {id} envelope: ragged dispersed set"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use ptf_data::SyntheticConfig;
+    use ptf_federated::{RoundCtx, Scheduler, ScratchPool};
     use ptf_models::{ItemScope, MfModel, NeuMf, NeuMfConfig, Recommender};
-    use ptf_tensor::{test_rng, Matrix, PackedF32s, RowTable};
+    use ptf_tensor::{test_rng, Matrix, RowTable};
 
     /// `-0.0`, a NaN with payload bits, both infinities, a subnormal.
     const ODD: [u32; 5] = [0x8000_0000, 0x7fc0_1234, 0x7f80_0000, 0xff80_0000, 0x0000_0001];
@@ -636,14 +726,179 @@ mod tests {
             cohort: 0,
         };
         let client = host.build_fresh(1, &cfg);
-        host.save_envelope(&client, 0);
+        host.park(&client, 0);
         host.deliver(0, vec![(1, scored)]);
         let parked = host.store.load(1).unwrap();
-        validate_envelope(1, &parked).unwrap();
-        let restored = host.restore_client(1, &parked, &cfg);
+        let restored = host.restore_client(1, &parked, &cfg).unwrap();
         assert_eq!(bits(restored.server_data().iter().map(|&(_, s)| s)), ODD);
-        host.save_envelope(&restored, 0);
+        host.park(&restored, 0);
+        host.deliver(0, vec![(1, restored.server_data().to_vec())]);
         assert_eq!(host.store.load(1).unwrap(), parked, "re-parking changed the envelope");
+    }
+
+    /// A cohort runtime of MF clients over `users` synthetic users, with
+    /// eviction on so every envelope line has content.
+    fn small_fed(store: StoreKind, users: usize) -> CohortFedRec {
+        let data = SyntheticConfig::new("parked", users, 60, 6.0).generate(&mut test_rng(5));
+        let mut cfg = PtfConfig::small();
+        cfg.alpha = 6;
+        cfg.storage.evict_interval = 1;
+        cfg.storage.evict_budget = 24;
+        let opts = CohortOptions { cohort: 2, store, ..CohortOptions::default() };
+        let hyper = ModelHyper::small();
+        CohortFedRec::try_new(
+            CohortData::Mem(data),
+            ModelKind::Mf,
+            ModelKind::Mf,
+            &hyper,
+            cfg,
+            opts,
+        )
+        .expect("valid config")
+    }
+
+    /// One round of the driver's order by hand, with `between` seeing the
+    /// host after its client phase and before `deliver`.
+    fn round_by_hand(fed: &mut CohortFedRec, round: u32, between: impl FnOnce(&Stored)) {
+        let participants = fed.trainable().to_vec();
+        let scratch = ScratchPool::new();
+        let phase =
+            ClientPhase { cfg: &fed.cfg, round, scheduler: Scheduler::new(1), scratch: &scratch };
+        let (uploads, _) = fed.host.client_phase(&phase, &participants);
+        between(&fed.host);
+        let mut ctx = RoundCtx::detached(round);
+        let (_, dispersals) =
+            rounds::server_phase(&mut fed.server, &fed.cfg, round, &uploads, &mut ctx, None);
+        fed.host.deliver(round, dispersals);
+    }
+
+    /// Every file under a store root, by path.
+    fn store_files(root: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = BTreeMap::new();
+        for shard in std::fs::read_dir(root).unwrap().flatten() {
+            for file in std::fs::read_dir(shard.path()).unwrap().flatten() {
+                files.insert(file.path(), std::fs::read(file.path()).unwrap());
+            }
+        }
+        files
+    }
+
+    /// `deliver` adds one line to each parked file and touches nothing
+    /// else: the client phase's bytes stay as written, no tmp file is
+    /// left behind, and the result restores.
+    #[test]
+    fn deliver_appends_exactly_one_line_to_each_parked_file() {
+        let root = std::env::temp_dir().join(format!("ptf-cohort-append-{}", std::process::id()));
+        let mut fed = small_fed(StoreKind::Disk(root.clone()), 5);
+        for round in 0..3 {
+            let mut parked = BTreeMap::new();
+            round_by_hand(&mut fed, round, |_| parked = store_files(&root));
+            let delivered = store_files(&root);
+            assert_eq!(parked.len(), fed.trainable().len(), "one file per participant");
+            assert_eq!(
+                delivered.keys().collect::<Vec<_>>(),
+                parked.keys().collect::<Vec<_>>(),
+                "deliver created or removed a file"
+            );
+            for (path, before) in &parked {
+                assert_eq!(path.extension().and_then(|e| e.to_str()), Some("json"), "{path:?}");
+                assert_eq!(before.iter().filter(|&&b| b == b'\n').count(), 2, "{path:?}");
+                let after = &delivered[path];
+                let line = after.strip_prefix(before.as_slice()).expect("parked bytes unchanged");
+                assert_eq!(line.iter().position(|&b| b == b'\n'), Some(line.len() - 1), "{path:?}");
+                let id = path.file_stem().unwrap().to_str().unwrap().parse().unwrap();
+                let text = String::from_utf8(after.clone()).unwrap();
+                fed.host
+                    .restore_client(id, &text, &fed.cfg)
+                    .expect("a delivered envelope restores");
+            }
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// One way to damage a parked envelope.
+    #[derive(Debug)]
+    enum Damage {
+        Truncate(usize),
+        Flip(usize, u8),
+        Drop(usize),
+        Duplicate(usize),
+        Swap(usize, usize),
+        NextRoundDispersal,
+    }
+
+    impl Damage {
+        /// `pick`/`at`/`mask` are raw draws, mapped onto `text`.
+        fn of(kind: u8, at: f64, mask: u8, pick: usize, text: &str) -> Self {
+            let offset = ((at * text.len() as f64) as usize).min(text.len() - 1);
+            match kind {
+                0 => Self::Truncate(offset),
+                1 => Self::Flip(offset, mask),
+                2 => Self::Drop(pick % 3),
+                3 => Self::Duplicate(pick % 3),
+                4 => Self::Swap(pick % 3, (pick % 3 + 1 + pick / 3 % 2) % 3),
+                _ => Self::NextRoundDispersal,
+            }
+        }
+
+        /// The damaged bytes, or `None` where they are not UTF-8 (which
+        /// the store's reader refuses before any decoder sees them).
+        fn apply(&self, text: &str) -> Option<String> {
+            let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+            match *self {
+                Self::Truncate(at) => return Some(text[..at].to_string()),
+                Self::Flip(at, mask) => {
+                    let mut bytes = text.as_bytes().to_vec();
+                    bytes[at] ^= mask;
+                    return String::from_utf8(bytes).ok();
+                }
+                Self::Drop(k) => drop(lines.remove(k)),
+                Self::Duplicate(k) => lines.insert(k, lines[k]),
+                Self::Swap(a, b) => lines.swap(a, b),
+                Self::NextRoundDispersal => {
+                    let round: u32 = text
+                        .strip_prefix(r#"{"round":"#)
+                        .and_then(|rest| rest.split(',').next()?.parse().ok())
+                        .expect("line 1 opens with the round");
+                    let from = format!(r#"{{"round":{round},"#);
+                    let line = lines[2].replacen(&from, &format!(r#"{{"round":{},"#, round + 1), 1);
+                    assert_ne!(line, lines[2], "line 3 opens with the same round");
+                    return Some(format!("{}{}{line}", lines[0], lines[1]));
+                }
+            }
+            Some(lines.concat())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The envelope decoder against damaged real envelopes: it never
+        /// panics, and every damage but some byte flips is rejected. The
+        /// intact envelope restores, re-parks and re-delivers to the same
+        /// bytes.
+        #[test]
+        fn damaged_envelopes_are_rejected_never_panicked_on(
+            kind in 0u8..6, at in 0.0f64..1.0, mask in 1u8..=255, pick in 0usize..6
+        ) {
+            let mut fed = small_fed(StoreKind::Memory, 3);
+            for round in 0..2 {
+                round_by_hand(&mut fed, round, |_| {});
+            }
+            let id = fed.trainable()[pick % fed.trainable().len()];
+            let intact = fed.host.store.load(id).expect("every participant is parked");
+            let client = fed.host.restore_client(id, &intact, &fed.cfg).map_err(TestCaseError::fail)?;
+            fed.host.park(&client, 1);
+            fed.host.deliver(1, vec![(id, client.server_data().to_vec())]);
+            prop_assert!(fed.host.store.load(id).as_ref() == Some(&intact), "re-parking changed the envelope");
+
+            let damage = Damage::of(kind, at, mask, pick, &intact);
+            let Some(damaged) = damage.apply(&intact) else { return Ok(()) };
+            match fed.host.restore_client(id, &damaged, &fed.cfg) {
+                Ok(_) => prop_assert!(matches!(damage, Damage::Flip(..)), "{damage:?} was accepted"),
+                Err(e) => prop_assert!(e.starts_with(&format!("client {id} envelope: ")), "{e}"),
+            }
+        }
     }
 
     /// The active-scope server table is sized by sampling every round's

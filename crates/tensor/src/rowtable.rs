@@ -668,6 +668,11 @@ impl<'de> serde::Deserialize<'de> for RowTable {
         if w.init_cols > w.cols {
             return Err(D::Error::custom("init_cols exceeds cols"));
         }
+        // `derived_normal_row` panics on such a std the first time a row
+        // is re-derived: reject it here, where the error can be reported
+        if !(w.init_std.is_finite() && w.init_std >= 0.0) {
+            return Err(D::Error::custom("init_std must be finite and non-negative"));
+        }
         let seed = u64::from_str_radix(&w.init_seed, 16)
             .map_err(|e| D::Error::custom(format!("bad init seed: {e}")))?;
         let init = if w.init_std == 0.0 && seed == 0 && w.init_cols == 0 {
@@ -854,6 +859,11 @@ mod tests {
         assert!(serde_json::from_str::<RowTable>(bad).is_err(), "unsorted ids accepted");
         let bad = r#"{"num_items":5,"cols":2,"ids":[1],"data":"00000000000000000000000000000000","init_seed":"1","init_std":0.1,"init_cols":2}"#;
         assert!(serde_json::from_str::<RowTable>(bad).is_err(), "shape mismatch accepted");
+        // one flipped byte turns `0.1` into `-.1`: a std the row init
+        // panics on, only once a row is re-derived
+        let bad = r#"{"num_items":5,"cols":2,"ids":[1],"data":"0000000000000000","init_seed":"1","init_std":-.1,"init_cols":2}"#;
+        let err = serde_json::from_str::<RowTable>(bad).unwrap_err().to_string();
+        assert!(err.contains("init_std"), "{err}");
     }
 
     #[test]

@@ -194,20 +194,20 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
     std::fs::write(&manifest, "{\"version\": tru").expect("corrupt");
     expect_clean_failure(run(&["--resume"]), "checkpoint corrupt", "corrupt manifest");
 
-    // checkpoints written by earlier formats: decimal f32 arrays (1), and
-    // item rows derived by the Box–Muller init, which unmaterialized rows
-    // would no longer re-derive to (2)
-    assert!(good.starts_with("{\"version\":3,"), "manifest head: {}", &good[..20]);
-    for old in [1, 2] {
-        std::fs::write(&manifest, good.replacen("\"version\":3", &format!("\"version\":{old}"), 1))
+    // checkpoints written by earlier formats: decimal f32 arrays (1), item
+    // rows derived by the Box–Muller init, which unmaterialized rows would
+    // no longer re-derive to (2), and one-object client envelopes (3)
+    assert!(good.starts_with("{\"version\":4,"), "manifest head: {}", &good[..20]);
+    for old in [1, 2, 3] {
+        std::fs::write(&manifest, good.replacen("\"version\":4", &format!("\"version\":{old}"), 1))
             .expect("downgrade");
         let want =
-            format!("checkpoint mismatch: manifest version {old} (this build reads version 3)");
+            format!("checkpoint mismatch: manifest version {old} (this build reads version 4)");
         expect_clean_failure(run(&["--resume"]), &want, &format!("version-{old} manifest"));
     }
     std::fs::write(&manifest, &good).expect("restore manifest");
 
-    // damaged committed client envelopes: resume validates every one it
+    // damaged committed client envelopes: resume restores every one it
     // copies back into the live store
     let envelope = std::fs::read_dir(dir.join("commit-r2"))
         .expect("commit dir")
@@ -227,6 +227,15 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
     std::fs::write(&envelope, ragged).expect("ragged envelope");
     let want = format!("checkpoint corrupt: client {id} envelope: ragged dispersed set");
     expect_clean_failure(run(&["--resume"]), &want, "ragged dispersed set");
+    // a non-hex digit in the model line's first packed buffer: every
+    // other line still parses, and the model used to fail only on import
+    // in the first resumed round, as a panic
+    let at = intact.find("\"data\":\"").expect("the model line holds a packed buffer") + 8;
+    let mut damaged = intact.clone();
+    damaged.replace_range(at..at + 1, "g");
+    std::fs::write(&envelope, damaged).expect("damaged model line");
+    let want = format!("checkpoint corrupt: client {id} envelope: model: ");
+    expect_clean_failure(run(&["--resume"]), &want, "damaged model line");
     std::fs::write(&envelope, &intact).expect("restore envelope");
 
     // fingerprint drift: valid manifest, different run config

@@ -198,11 +198,12 @@ fn eviction_keeps_client_rows_bounded_over_fifty_rounds() {
 #[test]
 fn a_stored_client_round_does_not_allocate_per_parameter() {
     // One MF client-round of the cohort runtime: restore the client from
-    // its envelope, train, save the envelope, rewrite it with the
-    // dispersal. Parameter buffers travel as one packed string each, so
-    // the count is a function of the envelope's *fields*, never of the
-    // ~8.5 k parameters a 256-row, 32-dim client holds — the decimal
-    // encoding this replaced took ≈ 18.7 k allocations for the same round.
+    // its envelope, train, park it, append the dispersal. Parameter
+    // buffers travel as one packed string each, so the count is a
+    // function of the envelope's *fields*, never of the ~8.5 k parameters
+    // a 256-row, 32-dim client holds — the decimal encoding took ≈ 18.7 k
+    // allocations for the same round. Appending D̃ instead of decoding and
+    // re-encoding the whole envelope took it from 292 to 199.
     use ptf_fedrec::core::{CohortData, CohortFedRec, CohortOptions, StoreKind};
     let data =
         SyntheticConfig::new("stored", 6, 3000, 40.0).generate(&mut ptf_fedrec::data::test_rng(51));
@@ -235,9 +236,9 @@ fn a_stored_client_round_does_not_allocate_per_parameter() {
     assert_eq!(trace.participants, 1);
     assert!(allocs > 0, "the counting shim must see the envelope buffers");
     assert!(
-        allocs <= 1_500,
+        allocs <= 250,
         "one stored client-round took {allocs} allocations; the envelope codec is allocating \
-         per parameter again"
+         per parameter, or delivering D̃ rewrites the envelope again"
     );
 }
 
