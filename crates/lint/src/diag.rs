@@ -71,7 +71,10 @@ should be rewritten to be visibly infallible, or annotated with \
 stating the invariant that makes it sound, and be listed with a matching \
 site count in docs/unsafe-inventory.md, so the unsafe surface is reviewable \
 in one place and silent growth is caught as inventory drift. The allocator \
-shim (CountingAlloc) is the canonical entry.",
+shim (CountingAlloc) is the canonical entry. Runtime instruction-set dispatch \
+stays at one point: `#[target_feature]` and `is_x86_feature_detected!` may \
+appear in non-test code only in crates/tensor/src/isa.rs; elsewhere, run the \
+code under `ptf_tensor::isa::dispatch`.",
     ),
     (
         "spec-conformance",

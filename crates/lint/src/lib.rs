@@ -11,7 +11,8 @@
 //! - **panic-policy** — no `unwrap()`/`expect()`/`panic!`, and no
 //!   `print!`/`println!`, on `ptf-net` and CLI production paths;
 //! - **unsafe-audit** — every `unsafe` has a `// SAFETY:` comment and a
-//!   matching entry in `docs/unsafe-inventory.md`;
+//!   matching entry in `docs/unsafe-inventory.md`, and runtime ISA
+//!   dispatch happens in `crates/tensor/src/isa.rs` only;
 //! - **spec-conformance** — the wire-protocol doc's frame-kind table
 //!   matches the `FrameKind` enum.
 //!

@@ -2,6 +2,13 @@
 //! comment, and the file must be inventoried in
 //! `docs/unsafe-inventory.md` with a matching site count.
 //!
+//! Runtime instruction-set dispatch is the one `unsafe` on an algorithmic
+//! path, so its constructs — a `#[target_feature]` function and the
+//! `is_x86_feature_detected!` check that guards a call into one — may
+//! appear in non-test code only in `crates/tensor/src/isa.rs`. A second
+//! dispatch point would be a second place where a missing check means
+//! SIGILL.
+//!
 //! The inventory makes the entire unsafe surface reviewable in one
 //! place; the count check turns silent growth (or a stale entry after a
 //! removal) into a lint failure. Unlike the behavioral lints, test code
@@ -15,15 +22,38 @@ use std::path::Path;
 
 pub const NAME: &str = "unsafe-audit";
 
+/// The one file allowed to select an instruction set at run time.
+const DISPATCH_FILE: &str = "crates/tensor/src/isa.rs";
+
+/// The constructs of a dispatch point, matched on whitespace-free code.
+const DISPATCH_TOKENS: &[&str] = &["#[target_feature", "is_x86_feature_detected!"];
+
 /// Parsed `docs/unsafe-inventory.md`: file → declared site count.
 pub type Inventory = BTreeMap<String, usize>;
 
-/// Checks one file's `unsafe` sites for SAFETY comments and returns the
-/// diagnostics plus the number of sites found (for the inventory check).
+/// Checks one file's `unsafe` sites for SAFETY comments and its
+/// non-test code for dispatch constructs outside `DISPATCH_FILE`, and
+/// returns the diagnostics plus the number of `unsafe` sites found (for
+/// the inventory check).
 pub fn check(sf: &SourceFile) -> (Vec<Diagnostic>, usize) {
     let mut diags = Vec::new();
     let mut sites = 0usize;
+    let test_file = sf.rel.starts_with("tests/") || sf.rel.contains("/tests/");
     for i in 0..sf.len() {
+        if sf.rel != DISPATCH_FILE && !test_file && !sf.is_test[i] && !sf.allows(i, NAME) {
+            let squashed: String = sf.code[i].chars().filter(|c| !c.is_whitespace()).collect();
+            for tok in DISPATCH_TOKENS.iter().filter(|t| squashed.contains(*t)) {
+                diags.push(Diagnostic::new(
+                    &sf.rel,
+                    i + 1,
+                    NAME,
+                    format!(
+                        "`{tok}` outside {DISPATCH_FILE}: run the code under \
+                         `ptf_tensor::isa::dispatch` instead of adding a second dispatch point"
+                    ),
+                ));
+            }
+        }
         let n = tokens(&sf.code[i]).iter().filter(|t| *t == "unsafe").count();
         if n == 0 {
             continue;
@@ -115,6 +145,15 @@ mod tests {
         assert_eq!(sites, 2);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 5);
+    }
+
+    #[test]
+    fn dispatch_constructs_are_confined_to_the_isa_module() {
+        let src = "#[target_feature(enable = \"avx2\")]\nfn v3() {}\nfn f() -> bool {\n    std::is_x86_feature_detected!(\"fma\")\n}\n#[cfg(test)]\nmod tests {\n    fn t() -> bool { is_x86_feature_detected!(\"avx2\") }\n}\n";
+        let (diags, _) = check(&SourceFile::from_text("crates/models/src/x.rs", src));
+        assert_eq!(diags.iter().map(|d| d.line).collect::<Vec<_>>(), vec![1, 4], "{diags:?}");
+        assert!(check(&SourceFile::from_text(DISPATCH_FILE, src)).0.is_empty());
+        assert!(check(&SourceFile::from_text("crates/tensor/tests/x.rs", src)).0.is_empty());
     }
 
     #[test]

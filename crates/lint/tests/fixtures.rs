@@ -99,7 +99,8 @@ fn unsafe_fixtures_count_sites_and_require_safety_comments() {
     let (bad_diags, bad_sites) =
         unsafe_audit::check(&fixture_as("unsafe_bad.rs", "crates/tensor/src/fixture.rs"));
     assert_eq!(bad_sites, 1);
-    assert_eq!(lines(&bad_diags), vec![3], "{bad_diags:?}");
+    assert_eq!(lines(&bad_diags), vec![3, 7], "{bad_diags:?}");
+    assert!(bad_diags[1].msg.contains("#[target_feature"), "{}", bad_diags[1].msg);
 
     let (good_diags, good_sites) =
         unsafe_audit::check(&fixture_as("unsafe_good.rs", "crates/tensor/src/fixture.rs"));

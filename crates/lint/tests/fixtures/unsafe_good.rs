@@ -5,3 +5,6 @@ pub fn first(xs: &[u8]) -> u8 {
     // `as_ptr()` points at initialized memory we may read.
     unsafe { *xs.as_ptr() }
 }
+
+// Fixture: a compile-time feature test is not a dispatch point.
+pub const WIDE: bool = cfg!(target_feature = "avx2");

@@ -312,6 +312,7 @@ impl GraphBackbone {
     }
 
     /// One Adam step on `grads`.
+    #[inline(always)]
     pub fn step(&mut self, grads: &Grads) {
         self.store.step(grads);
     }
@@ -329,6 +330,7 @@ impl GraphBackbone {
 
 /// Turns each logit into `∂loss/∂logit` of the batch-mean BCE in place
 /// and returns the mean loss.
+#[inline(always)]
 pub(crate) fn bce_grads(logits: &mut [f32], batch: &[(u32, u32, f32)]) -> f32 {
     let mut total = 0.0f64;
     for (x, &(_, _, t)) in logits.iter_mut().zip(batch) {
@@ -345,6 +347,7 @@ pub(crate) fn bce_grads(logits: &mut [f32], batch: &[(u32, u32, f32)]) -> f32 {
 /// at row `users[k]` and its item at row `items[k]`, read `⟨e_u, e_v⟩`
 /// with weight `dl[k]` and, for an L2 penalty `c2/2·(‖e_u‖² + ‖e_v‖²)`,
 /// contributes `∂/∂e_u = dl·e_v + c2·e_u` and symmetrically.
+#[inline(always)]
 pub(crate) fn add_pair_grads(
     g: &mut [f32],
     e: &[f32],

@@ -51,3 +51,22 @@ pub use registry::{build_model, build_model_scoped, ModelHyper, ModelKind};
 pub use traits::{cached_id_range, stable_sigmoid, train_on_samples, Recommender, ScopeView};
 
 pub use ptf_tensor::ItemScope;
+
+#[cfg(test)]
+mod test_util {
+    /// Whether `ptf_tensor::isa::dispatch` takes its AVX2 path on this
+    /// CPU. Without it a model's dispatched entry and its baseline body
+    /// are the same code, so a test comparing them skips and says so.
+    pub(crate) fn avx2_path() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            return true;
+        }
+        eprintln!("skipped: this CPU lacks AVX2+FMA, so isa::dispatch runs the baseline path");
+        false
+    }
+
+    pub(crate) fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+}

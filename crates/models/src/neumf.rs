@@ -55,7 +55,7 @@ use crate::mf::sigmoid_and_bce;
 use crate::scoped::{self, dense, ScopedParams, EMB_STD};
 use crate::traits::{Recommender, ScopeView};
 use ptf_tensor::prelude::*;
-use ptf_tensor::{init, kernels, matrix, ItemScope, ParamId, Params, RowSparse};
+use ptf_tensor::{init, isa, kernels, matrix, ItemScope, ParamId, Params, RowSparse};
 
 /// NeuMF hyperparameters (defaults follow §IV-D).
 #[derive(Clone, Debug)]
@@ -164,6 +164,7 @@ impl NeuMf {
     }
 
     /// Layer `l`'s block of a [`Forward::acts`] buffer holding `n` rows.
+    #[inline(always)]
     fn layer_acts<'a>(&self, acts: &'a [f32], n: usize, l: usize) -> &'a [f32] {
         let below: usize = self.widths[..l].iter().sum();
         &acts[n * below..n * (below + self.widths[l])]
@@ -171,6 +172,7 @@ impl NeuMf {
 
     /// The forward pass over `n` rows whose item embeddings are staged in
     /// `f.v` and whose users are `user_of(0..n)`: fills the rest of `f`.
+    #[inline(always)]
     fn forward(&self, user_of: impl Fn(usize) -> u32, n: usize, f: &mut Forward) {
         let p = self.store.params();
         let d = self.store.dim();
@@ -231,6 +233,7 @@ impl NeuMf {
     /// The backward pass of the batch whose forward pass is `work.fwd`,
     /// with `∂loss/∂logit` per row in place of the logits. Overwrites
     /// `grads`.
+    #[inline(always)]
     fn backward(&self, work: &mut Workspace, grads: &mut Grads) {
         let p = self.store.params();
         let Workspace { rows, fwd, dz, dz_below, run_sums, du, .. } = work;
@@ -302,81 +305,10 @@ impl NeuMf {
         }
     }
 
-    /// The reused gradient store: dense buffers for weights, biases and
-    /// the head, row-sparse ones for the two embedding tables.
-    fn new_grads(&self) -> Grads {
-        let p = self.store.params();
-        let mut grads = Grads::new_for(p);
-        for (id, _, m) in p.iter() {
-            *grads.slot_mut(id) = Some(if id == self.user_emb || id == self.store.emb() {
-                GradBuf::Rows(RowSparse::new(m.cols()))
-            } else {
-                GradBuf::Dense(Matrix::zeros_like(m))
-            });
-        }
-        grads
-    }
-}
-
-fn sparse(grads: &mut Grads, id: ParamId) -> &mut RowSparse {
-    match grads.slot_mut(id) {
-        Some(GradBuf::Rows(rs)) => rs,
-        _ => unreachable!("embedding tables take row-sparse gradients"),
-    }
-}
-
-/// `out = Σ` of the `width`-wide rows of `m`, summed top to bottom.
-fn col_sums(m: &[f32], width: usize, out: &mut [f32]) {
-    out.fill(0.0);
-    for row in m.chunks_exact(width) {
-        kernels::add_assign(out, row);
-    }
-}
-
-/// ReLU over a block of pre-activations, in place.
-fn relu(z: &mut [f32]) {
-    z.iter_mut().for_each(|z| *z = z.max(0.0));
-}
-
-/// Zeroes the gradient of every unit whose activation `a` is dead.
-fn mask_dead(dz: &mut [f32], a: &[f32]) {
-    for (g, &a) in dz.iter_mut().zip(a) {
-        if a <= 0.0 {
-            *g = 0.0;
-        }
-    }
-}
-
-impl Recommender for NeuMf {
-    fn name(&self) -> &'static str {
-        "NeuMF"
-    }
-
-    fn num_users(&self) -> usize {
-        self.num_users
-    }
-
-    fn num_items(&self) -> usize {
-        self.store.num_items()
-    }
-
-    fn num_params(&self) -> usize {
-        self.store.params().num_scalars()
-    }
-
-    fn item_scope(&self) -> ScopeView<'_> {
-        self.store.view()
-    }
-
-    fn prepare_items(&mut self, sorted_ids: &[u32]) {
-        self.store.ensure_many(sorted_ids);
-    }
-
-    fn evict_items(&mut self, keep_sorted: &[u32]) -> usize {
-        self.store.evict(keep_sorted)
-    }
-
-    fn logits_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
+    /// [`Recommender::logits_into`], compiled into its caller: the trait
+    /// method runs it under [`isa::dispatch`].
+    #[inline(always)]
+    fn write_logits(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
         debug_assert!((user as usize) < self.num_users, "user id out of range");
         debug_assert!(
             items.iter().all(|&i| (i as usize) < self.store.num_items()),
@@ -402,7 +334,10 @@ impl Recommender for NeuMf {
         }
     }
 
-    fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
+    /// [`Recommender::train_batch`], compiled into its caller: the trait
+    /// method runs it under [`isa::dispatch`].
+    #[inline(always)]
+    fn step(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
         if batch.is_empty() {
             return 0.0;
         }
@@ -441,6 +376,97 @@ impl Recommender for NeuMf {
         (total / batch.len() as f64) as f32
     }
 
+    /// The reused gradient store: dense buffers for weights, biases and
+    /// the head, row-sparse ones for the two embedding tables.
+    fn new_grads(&self) -> Grads {
+        let p = self.store.params();
+        let mut grads = Grads::new_for(p);
+        for (id, _, m) in p.iter() {
+            *grads.slot_mut(id) = Some(if id == self.user_emb || id == self.store.emb() {
+                GradBuf::Rows(RowSparse::new(m.cols()))
+            } else {
+                GradBuf::Dense(Matrix::zeros_like(m))
+            });
+        }
+        grads
+    }
+}
+
+fn sparse(grads: &mut Grads, id: ParamId) -> &mut RowSparse {
+    match grads.slot_mut(id) {
+        Some(GradBuf::Rows(rs)) => rs,
+        _ => unreachable!("embedding tables take row-sparse gradients"),
+    }
+}
+
+/// `out = Σ` of the `width`-wide rows of `m`, summed top to bottom.
+#[inline(always)]
+fn col_sums(m: &[f32], width: usize, out: &mut [f32]) {
+    out.fill(0.0);
+    for row in m.chunks_exact(width) {
+        kernels::add_assign(out, row);
+    }
+}
+
+/// ReLU over a block of pre-activations, in place.
+#[inline(always)]
+fn relu(z: &mut [f32]) {
+    z.iter_mut().for_each(|z| *z = z.max(0.0));
+}
+
+/// Zeroes the gradient of every unit whose activation `a` is dead.
+#[inline(always)]
+fn mask_dead(dz: &mut [f32], a: &[f32]) {
+    for (g, &a) in dz.iter_mut().zip(a) {
+        if a <= 0.0 {
+            *g = 0.0;
+        }
+    }
+}
+
+impl Recommender for NeuMf {
+    fn name(&self) -> &'static str {
+        "NeuMF"
+    }
+
+    fn num_users(&self) -> usize {
+        self.num_users
+    }
+
+    fn num_items(&self) -> usize {
+        self.store.num_items()
+    }
+
+    fn num_params(&self) -> usize {
+        self.store.params().num_scalars()
+    }
+
+    fn item_scope(&self) -> ScopeView<'_> {
+        self.store.view()
+    }
+
+    fn prepare_items(&mut self, sorted_ids: &[u32]) {
+        self.store.ensure_many(sorted_ids);
+    }
+
+    fn evict_items(&mut self, keep_sorted: &[u32]) -> usize {
+        self.store.evict(keep_sorted)
+    }
+
+    fn logits_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
+        isa::dispatch(
+            #[inline(always)]
+            || self.write_logits(user, items, out),
+        )
+    }
+
+    fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
+        isa::dispatch(
+            #[inline(always)]
+            || self.step(batch),
+        )
+    }
+
     fn export_full_state(&self) -> Option<String> {
         self.store.export("NeuMF", None)
     }
@@ -455,6 +481,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use ptf_tape::{Graph, Var};
+    use rand::Rng;
 
     /// The oracle: the same model built on the autograd tape, which is
     /// how NeuMF trained and scored before its step was written by hand.
@@ -591,6 +618,44 @@ mod tests {
             assert_eq!(m.score(1, &[i as u32])[0].to_bits(), all[i].to_bits(), "item {i}");
         }
         assert_eq!(m.score(1, &[]), Vec::<f32>::new());
+    }
+
+    #[test]
+    fn the_dispatched_entries_are_bit_identical_to_the_baseline_bodies() {
+        if !crate::test_util::avx2_path() {
+            return;
+        }
+        use crate::test_util::bits;
+        // the paper's widths (every fixed kernel width) and widths that
+        // miss them, dense and lazily growing item rows
+        for (layers, sparse) in [(vec![64, 32, 16], false), (vec![24, 12], true)] {
+            let cfg = NeuMfConfig { dim: 32, layers, lr: 1e-2 };
+            let scope = if sparse {
+                ItemScope::Rows { num_items: 40, ids: vec![3, 9] }
+            } else {
+                ItemScope::Full(40)
+            };
+            let (mut base, mut twin) =
+                (NeuMf::new_scoped(3, &cfg, &scope, 17), NeuMf::new_scoped(3, &cfg, &scope, 17));
+            let mut rng = ptf_tensor::test_rng(5);
+            for step in 0..5 {
+                // 1–3 users in runs, soft labels
+                let users = 1 + step % 3;
+                let batch: Vec<(u32, u32, f32)> = (0..48)
+                    .map(|r| ((r * users / 48) as u32, rng.gen_range(0..40), rng.gen()))
+                    .collect();
+                let (lb, lt) = (base.step(&batch), twin.train_batch(&batch));
+                assert_eq!(lb.to_bits(), lt.to_bits(), "step {step}: loss {lb} vs {lt}");
+            }
+            assert_eq!(base.export_full_state(), twin.export_full_state());
+            let all: Vec<u32> = (0..40).collect();
+            for user in 0..3 {
+                let (mut lb, mut lt) = (Vec::new(), Vec::new());
+                base.write_logits(user, &all, &mut lb);
+                twin.logits_into(user, &all, &mut lt);
+                assert_eq!(bits(&lb), bits(&lt), "user {user}");
+            }
+        }
     }
 
     fn tiny() -> NeuMf {

@@ -75,7 +75,7 @@ use crate::backbone::{add_pair_grads, bce_grads, joint_table, BatchNodes, GraphB
 use crate::scoped::{self, dense};
 use crate::traits::{Recommender, ScopeView};
 use ptf_tensor::prelude::*;
-use ptf_tensor::{init, kernels, matrix, ItemScope, ParamId, Params};
+use ptf_tensor::{init, isa, kernels, matrix, ItemScope, ParamId, Params};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Mutex;
@@ -209,6 +209,7 @@ impl Ngcf {
     }
 
     /// Copies `W⁽ˡ⁾ = [W₁⁽ˡ⁾; W₂⁽ˡ⁾]` of every layer into `w`.
+    #[inline(always)]
     fn stack_weights(&self, w: &mut Vec<f32>) {
         let p = self.base.store().params();
         w.clear();
@@ -220,6 +221,7 @@ impl Ngcf {
 
     /// `Eₗ` over every node, for `l` below the top: the embedding table at
     /// `l = 0`, else layer `l − 1`'s output.
+    #[inline(always)]
     fn input<'a>(&'a self, layers: &'a [Layer], l: usize) -> &'a [f32] {
         if l == 0 {
             self.base.emb()
@@ -231,6 +233,7 @@ impl Ngcf {
     /// The forward pass over the stacked weights `w`. Every layer covers
     /// all nodes except the top one, which covers `top` (all nodes if
     /// `None`); with `dropout`, each layer draws its keep bits from it.
+    #[inline(always)]
     fn forward(
         &self,
         w: &[f32],
@@ -289,6 +292,7 @@ impl Ngcf {
     }
 
     /// Each batch row's logit `Σₗ ⟨Eₗ[u], Eₗ[v]⟩` into `work.logits`.
+    #[inline(always)]
     fn logits(&self, work: &mut Workspace) {
         let Workspace { at, layers, logits, .. } = work;
         let (d, top) = (self.dim(), self.num_layers());
@@ -309,6 +313,7 @@ impl Ngcf {
     /// The backward pass of the batch whose forward pass is in `work`,
     /// with `∂loss/∂logit` per row in place of the logits. Overwrites
     /// `grads`.
+    #[inline(always)]
     fn backward(&self, work: &mut Workspace, grads: &mut Grads) {
         let Workspace { at, w, layers, logits: dl, g, g_below, dx, dm, dw, .. } = work;
         let (a, d, top, slope) =
@@ -381,6 +386,32 @@ impl Ngcf {
         }
     }
 
+    /// [`Recommender::train_batch`], compiled into its caller: the trait
+    /// method runs it under [`isa::dispatch`].
+    #[inline(always)]
+    fn step(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
+        if batch.is_empty() {
+            return 0.0;
+        }
+        let mut work = std::mem::take(self.work.get_mut().expect("workspace lock poisoned"));
+        self.base.begin_batch(batch, &mut work.at);
+        let mut grads = work.grads.take().unwrap_or_else(|| self.base.new_grads());
+        self.stack_weights(&mut work.w);
+        work.layers.resize_with(self.num_layers(), Layer::default);
+        // lint: allow(alloc-discipline) — StdRng clone is a 32-byte inline state copy, no heap
+        let mut rng = self.dropout_rng.clone();
+        let dropout = (self.message_dropout > 0.0).then_some(&mut rng);
+        self.forward(&work.w, Some(&work.at.nodes), dropout, &mut work.layers);
+        self.dropout_rng = rng;
+        self.logits(&mut work);
+        let loss = bce_grads(&mut work.logits, batch);
+        self.backward(&mut work, &mut grads);
+        self.base.step(&grads);
+        work.grads = Some(grads);
+        *self.work.get_mut().expect("workspace lock poisoned") = work;
+        loss
+    }
+
     /// The scoring cache: the forward pass without dropout over every
     /// node, layer `l` in columns `l·d..(l+1)·d` of `out`.
     fn build_cache(&self, out: &mut Matrix) {
@@ -418,10 +449,12 @@ impl Ngcf {
 }
 
 /// Row `i` of a block of `d`-wide rows.
+#[inline(always)]
 fn row(e: &[f32], i: u32, d: usize) -> &[f32] {
     &e[i as usize * d..(i as usize + 1) * d]
 }
 
+#[inline(always)]
 fn leaky(z: f32, slope: f32) -> f32 {
     if z > 0.0 {
         z
@@ -431,6 +464,7 @@ fn leaky(z: f32, slope: f32) -> f32 {
 }
 
 /// `g·LeakyReLU′(z)`.
+#[inline(always)]
 fn leaky_grad(g: f32, z: f32, slope: f32) -> f32 {
     if z > 0.0 {
         g
@@ -442,6 +476,7 @@ fn leaky_grad(g: f32, z: f32, slope: f32) -> f32 {
 /// Draws the keep bits of `n` elements into `bits`: one `next_u64` per
 /// two elements, each 32-bit half (low half first) keeping its element
 /// iff it is below `threshold`.
+#[inline(always)]
 fn draw_keep_bits(rng: &mut StdRng, n: usize, threshold: u64, bits: &mut Vec<u64>) {
     bits.clear();
     for start in (0..n).step_by(64) {
@@ -462,6 +497,7 @@ fn draw_keep_bits(rng: &mut StdRng, n: usize, threshold: u64, bits: &mut Vec<u64
 
 /// The lanes of a word of keep bits: all ones where the element is kept,
 /// zero where it is dropped — a dropped element is masked to `+0.0`.
+#[inline(always)]
 fn lane_masks(bits: u64) -> [u32; 64] {
     std::array::from_fn(|j| 0u32.wrapping_sub(((bits >> j) & 1) as u32))
 }
@@ -506,26 +542,10 @@ impl Recommender for Ngcf {
     }
 
     fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
-        if batch.is_empty() {
-            return 0.0;
-        }
-        let mut work = std::mem::take(self.work.get_mut().expect("workspace lock poisoned"));
-        self.base.begin_batch(batch, &mut work.at);
-        let mut grads = work.grads.take().unwrap_or_else(|| self.base.new_grads());
-        self.stack_weights(&mut work.w);
-        work.layers.resize_with(self.num_layers(), Layer::default);
-        // lint: allow(alloc-discipline) — StdRng clone is a 32-byte inline state copy, no heap
-        let mut rng = self.dropout_rng.clone();
-        let dropout = (self.message_dropout > 0.0).then_some(&mut rng);
-        self.forward(&work.w, Some(&work.at.nodes), dropout, &mut work.layers);
-        self.dropout_rng = rng;
-        self.logits(&mut work);
-        let loss = bce_grads(&mut work.logits, batch);
-        self.backward(&mut work, &mut grads);
-        self.base.step(&grads);
-        work.grads = Some(grads);
-        *self.work.get_mut().expect("workspace lock poisoned") = work;
-        loss
+        isa::dispatch(
+            #[inline(always)]
+            || self.step(batch),
+        )
     }
 
     fn set_graph(&mut self, edges: &[(u32, u32, f32)]) {
@@ -887,6 +907,38 @@ mod tests {
         let before = still.dropout_rng.state();
         still.train_batch(&batch);
         assert_eq!(still.dropout_rng.state(), before);
+    }
+
+    #[test]
+    fn the_dispatched_step_is_bit_identical_to_the_baseline_body() {
+        if !crate::test_util::avx2_path() {
+            return;
+        }
+        use crate::test_util::bits;
+        // the paper's width (d = 32, 2d = 64), a second fixed width and
+        // one that misses them all; dropout on, so the stream must agree
+        for (dim, layers, sparse) in [(32, 3, false), (16, 2, true), (5, 1, false)] {
+            let cfg = NgcfConfig { lr: 1e-2, reg: 1e-3, ..cfg(dim, layers, 0.1) };
+            let (edges, batch) = case(dim as u64, 60);
+            let mut base = Ngcf::new_scoped(3, &cfg, &scope(sparse), 8);
+            let mut twin = Ngcf::new_scoped(3, &cfg, &scope(sparse), 8);
+            base.set_graph(&edges);
+            twin.set_graph(&edges);
+            for step in 0..5 {
+                let part = &batch[..60 - 7 * step];
+                let (lb, lt) = (base.step(part), twin.train_batch(part));
+                assert_eq!(lb.to_bits(), lt.to_bits(), "dim {dim} step {step}: {lb} vs {lt}");
+            }
+            // the envelope carries the dropout stream
+            assert_eq!(base.export_full_state(), twin.export_full_state());
+            let all: Vec<u32> = (0..9).collect();
+            for user in 0..3 {
+                let (mut lb, mut lt) = (Vec::new(), Vec::new());
+                base.logits_into(user, &all, &mut lb);
+                twin.logits_into(user, &all, &mut lt);
+                assert_eq!(bits(&lb), bits(&lt), "dim {dim} user {user}");
+            }
+        }
     }
 
     fn tiny() -> Ngcf {

@@ -246,6 +246,7 @@ impl ScopedParams {
     }
 
     /// One Adam step on `grads`.
+    #[inline(always)]
     pub fn step(&mut self, grads: &Grads) {
         self.adam.step(&mut self.params, grads);
     }

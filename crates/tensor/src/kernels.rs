@@ -32,6 +32,18 @@
 //! (NGCF 8.4 → 14.5 ms/batch) — the chunk/remainder bookkeeping
 //! defeated the optimizer on the many short slices the tape emitted.
 //!
+//! **Under [`crate::isa::dispatch`].** The element-wise kernels, [`sum`]
+//! and [`frob_sq`] are `#[inline(always)]`, so inside a step that runs
+//! under the dispatch (the NeuMF and NGCF steps) they compile into the
+//! AVX2+FMA entry and their loops vectorize 256 bits wide; everywhere
+//! else they compile for baseline SSE2. [`dot`] and [`row_logits`] are
+//! left to the inliner, as measured: forced into the graph models'
+//! scoring loop, which runs at baseline, `dot`'s lanes vectorized two
+//! wide instead of four and NGCF scoring ran ≈ 1.4× slower, while the
+//! dispatched steps gained nothing from forcing it. The results are the
+//! same bits on every path: the lanes and the summation order are
+//! written in the source, and `a * b + c` is never contracted into an FMA.
+//!
 //! Both backends are pure functions of their inputs: results are
 //! independent of thread count, so the determinism suite passes under
 //! either. The backend is process-global, read once from `PTF_KERNEL`
@@ -157,13 +169,13 @@ pub fn row_logits_with(backend: Backend, u: &[f32], rows: &[f32], out: &mut [f32
 }
 
 /// Sum of all elements (reduction: backends may differ by ulps).
-#[inline]
+#[inline(always)]
 pub fn sum(x: &[f32]) -> f32 {
     sum_with(backend(), x)
 }
 
 /// [`sum`] with an explicit backend.
-#[inline]
+#[inline(always)]
 pub fn sum_with(backend: Backend, x: &[f32]) -> f32 {
     match backend {
         Backend::Scalar => x.iter().sum(),
@@ -189,13 +201,13 @@ pub fn sum_with(backend: Backend, x: &[f32]) -> f32 {
 }
 
 /// Squared Frobenius norm `Σ xᵢ²` (reduction: backends may differ by ulps).
-#[inline]
+#[inline(always)]
 pub fn frob_sq(x: &[f32]) -> f32 {
     frob_sq_with(backend(), x)
 }
 
 /// [`frob_sq`] with an explicit backend.
-#[inline]
+#[inline(always)]
 pub fn frob_sq_with(backend: Backend, x: &[f32]) -> f32 {
     match backend {
         Backend::Scalar => x.iter().map(|v| v * v).sum(),
@@ -204,7 +216,7 @@ pub fn frob_sq_with(backend: Backend, x: &[f32]) -> f32 {
 }
 
 /// `y += alpha * x` (element-wise: one plain loop, see module docs).
-#[inline]
+#[inline(always)]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len(), "axpy length mismatch");
     for (y, &x) in y.iter_mut().zip(x) {
@@ -213,7 +225,7 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 }
 
 /// `y += x` (element-wise: one plain loop, see module docs).
-#[inline]
+#[inline(always)]
 pub fn add_assign(y: &mut [f32], x: &[f32]) {
     debug_assert_eq!(x.len(), y.len(), "add_assign length mismatch");
     for (y, &x) in y.iter_mut().zip(x) {
@@ -224,7 +236,7 @@ pub fn add_assign(y: &mut [f32], x: &[f32]) {
 /// Fused per-sample MF SGD update from pre-step values (element-wise:
 /// one plain loop, see module docs):
 /// `uₖ ← uₖ − lr·(err·vₖ + reg·uₖ)`, `vₖ ← vₖ − lr·(err·uₖ + reg·vₖ)`.
-#[inline]
+#[inline(always)]
 pub fn mf_sgd_update(u: &mut [f32], v: &mut [f32], err: f32, lr: f32, reg: f32) {
     debug_assert_eq!(u.len(), v.len(), "mf_sgd_update length mismatch");
     for (u, v) in u.iter_mut().zip(v.iter_mut()) {
@@ -246,7 +258,7 @@ pub fn mf_sgd_update(u: &mut [f32], v: &mut [f32], err: f32, lr: f32, reg: f32) 
 /// updated moments are zero or normal the step is the textbook one, bit
 /// for bit; a flushed moment moves its parameter by less than it can
 /// resolve.
-#[inline]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub fn adam_update(
     p: &mut [f32],
@@ -296,7 +308,7 @@ fn flush_subnormal(x: f32) -> f32 {
 }
 
 /// Pairwise lane reduction with a fixed tree order (independent of data).
-#[inline]
+#[inline(always)]
 fn reduce_lanes(acc: &[f32; LANES]) -> f32 {
     ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
 }

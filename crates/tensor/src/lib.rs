@@ -5,7 +5,8 @@
 //! [`matrix`] products over row-major slices, CSR [`sparse::Csr`]
 //! matrices with a register-resident spmm for graph propagation, the
 //! env-selectable [`kernels`] (chunked 8-lane vector backend vs the
-//! scalar reference, `PTF_KERNEL`), the [`optim`] Adam optimizer (with
+//! scalar reference, `PTF_KERNEL`), the [`isa`] runtime AVX2 dispatch
+//! the NeuMF and NGCF steps run under, the [`optim`] Adam optimizer (with
 //! lazy row-sparse embedding updates) over a [`Params`] store and its
 //! [`Grads`], the [`par`] fork/join primitives (plus the
 //! [`par::Pool`] worker-scratch pool) behind deterministic parallel client
@@ -45,6 +46,7 @@
 pub mod alloc;
 pub mod grad;
 pub mod init;
+pub mod isa;
 pub mod kernels;
 pub mod matrix;
 pub mod optim;

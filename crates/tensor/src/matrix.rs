@@ -20,6 +20,11 @@
 //! Every other width keeps the plain loops. On the fixed widths all three
 //! forms sum each output element serially, left to right, and never read
 //! the kernel backend.
+//!
+//! The forms and their row kernels are `#[inline(always)]`: under
+//! [`crate::isa::dispatch`] (the NeuMF and NGCF steps) the output row
+//! lives in 256-bit AVX2 registers instead, with the same serial sums
+//! and so the same bits (`tests/kernel_parity.rs` runs both).
 
 use crate::kernels;
 use crate::packed::PackedF32s;
@@ -365,6 +370,7 @@ pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>, len: usize) {
 /// widths keep the output row in registers across it, every other width
 /// runs one axpy per `(row, k)` — so the result is bit-identical across
 /// kernel backends and across the two forms.
+#[inline(always)]
 pub fn acc(a: &[f32], inner: usize, b: &[f32], width: usize, out: &mut [f32]) {
     assert_eq!(b.len(), inner * width, "acc: right-hand side is not {inner}x{width}");
     assert_eq!(a.len() * width, out.len() * inner, "acc: row counts differ");
@@ -392,6 +398,7 @@ pub fn acc(a: &[f32], inner: usize, b: &[f32], width: usize, out: &mut [f32]) {
 /// left-to-right chain over a stack copy of `bᵀ`, independent of the
 /// kernel backend; otherwise each output element is a row dot through the
 /// active reduction kernel.
+#[inline(always)]
 pub fn nt_acc(g: &[f32], inner: usize, b: &[f32], width: usize, out: &mut [f32]) {
     assert_eq!(b.len(), width * inner, "nt_acc: right-hand side is not {width}x{inner}");
     assert_eq!(g.len() * width, out.len() * inner, "nt_acc: row counts differ");
@@ -417,6 +424,7 @@ pub fn nt_acc(g: &[f32], inner: usize, b: &[f32], width: usize, out: &mut [f32])
 /// rows is serial per output element at every width (the fixed widths
 /// hold an output row in registers while the rows stream past it; other
 /// widths run one axpy per `(row, k)`), bit-identical across backends.
+#[inline(always)]
 pub fn tn_acc(a: &[f32], a_cols: usize, g: &[f32], width: usize, out: &mut [f32]) {
     assert_eq!(out.len(), a_cols * width, "tn_acc: output is not {a_cols}x{width}");
     assert_eq!(a.len() * width, g.len() * a_cols, "tn_acc: row counts differ");
@@ -453,6 +461,7 @@ pub(crate) fn axpy_lanes<const N: usize>(x: f32, row: &[f32], acc: &mut [f32; N]
 /// k loop and is stored once. No zero-skip: adding `0·b` is a no-op for
 /// finite `b` (a sum that started at `+0.0` is never `-0.0`), and a
 /// branch-free k loop is what lets the row stay in registers.
+#[inline(always)]
 fn acc_rows<const N: usize>(a: &[f32], inner: usize, b: &[f32], out: &mut [f32]) {
     for (i, out_row) in out.chunks_exact_mut(N).enumerate() {
         let mut row: [f32; N] = (&*out_row).try_into().expect("a row of the kernel's width");
@@ -465,6 +474,7 @@ fn acc_rows<const N: usize>(a: &[f32], inner: usize, b: &[f32], out: &mut [f32])
 
 /// [`tn_acc`] at width `N`: output row `k` lives in a local while the
 /// shared rows stream past it.
+#[inline(always)]
 fn tn_acc_rows<const N: usize>(a: &[f32], a_cols: usize, g: &[f32], out: &mut [f32]) {
     for (k, out_row) in out.chunks_exact_mut(N).enumerate() {
         let mut row: [f32; N] = (&*out_row).try_into().expect("a row of the kernel's width");
@@ -481,6 +491,7 @@ const NT_MAX_INNER: usize = 64;
 /// [`nt_acc`] at width `N`: `b` is small, so its transpose is laid out
 /// once on the stack and every product becomes the row accumulation of
 /// [`acc_rows`], summed from zero and then added to `out`.
+#[inline(always)]
 fn nt_acc_rows<const N: usize>(g: &[f32], inner: usize, b: &[f32], out: &mut [f32]) {
     if inner == 0 {
         return;

@@ -138,6 +138,7 @@ impl Adam {
         self.v[i].row_mut(at).fill(0.0);
     }
 
+    #[inline(always)]
     pub fn step(&mut self, params: &mut Params, grads: &Grads) {
         self.t += 1;
         let b1 = self.cfg.beta1;

@@ -16,6 +16,10 @@
 //! `matrix::acc`'s rows do. Every width sums each output element serially
 //! over the row's entries in column order, so the result is bit-identical
 //! to one `axpy` per entry, at any width and under either kernel backend.
+//! The rows are registers on baseline SSE2; under
+//! [`crate::isa::dispatch`] (the NGCF step, where both spmm forms are
+//! `#[inline(always)]`) they are 256-bit AVX2 registers, with the same
+//! serial sums and so the same bits.
 
 use crate::kernels;
 use crate::matrix::{axpy_lanes, Matrix};
@@ -139,6 +143,7 @@ impl Csr {
     /// `out += self·x` over row-major slices: `x` is `cols × width`,
     /// `out` is `rows × width` (see the module docs for the summation
     /// order).
+    #[inline(always)]
     pub fn spmm_acc(&self, x: &[f32], width: usize, out: &mut [f32]) {
         assert_eq!(out.len(), self.rows * width, "spmm: output is not {}x{width}", self.rows);
         self.spmm_over(0..self.rows, x, width, out);
@@ -146,6 +151,7 @@ impl Csr {
 
     /// `out[k] += self[rows[k], :]·x` — [`Csr::spmm_acc`] restricted to
     /// the output rows `rows`, packed: `out` is `rows.len() × width`.
+    #[inline(always)]
     pub fn spmm_acc_at(&self, rows: &[u32], x: &[f32], width: usize, out: &mut [f32]) {
         assert_eq!(out.len(), rows.len() * width, "spmm: output is not {}x{width}", rows.len());
         self.spmm_over(rows.iter().map(|&r| r as usize), x, width, out);
@@ -153,6 +159,7 @@ impl Csr {
 
     /// The one spmm loop behind both forms: output row `k` takes matrix
     /// row `rows[k]`.
+    #[inline(always)]
     fn spmm_over(
         &self,
         rows: impl Iterator<Item = usize>,
@@ -184,6 +191,7 @@ impl Csr {
 
     /// [`Csr::spmm_over`] at width `N`: the output row lives in a local
     /// across the row's entries and is stored once.
+    #[inline(always)]
     fn spmm_rows<const N: usize>(
         &self,
         rows: impl Iterator<Item = usize>,

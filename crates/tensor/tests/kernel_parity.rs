@@ -20,10 +20,18 @@
 //! The three matmul forms are checked against a naive triple loop at the
 //! end of the file: on the fixed widths (16/32/64) they are serial per
 //! output element and must match it bit for bit, under either backend.
+//!
+//! Baseline vs AVX2: the NeuMF and NGCF steps run under
+//! `ptf_tensor::isa::dispatch`, which compiles them with AVX2 and FMA
+//! where the CPU has both. The matmul forms, the spmm rows, `dot` and
+//! `adam_update` are run here both directly (baseline code) and inside
+//! `isa::dispatch`, and must agree bit for bit. On a CPU without
+//! AVX2+FMA both calls take the baseline path, so those tests print a
+//! note and skip.
 
 use proptest::prelude::*;
 use ptf_tensor::kernels::{self, dot_with, frob_sq_with, sum_with, Backend};
-use ptf_tensor::Matrix;
+use ptf_tensor::{isa, matrix, Csr, Matrix};
 
 const S: Backend = Backend::Scalar;
 const V: Backend = Backend::Vector;
@@ -175,6 +183,13 @@ fn fixed_width_matmul_forms_match_the_naive_serial_loop_bit_for_bit() {
                 let mut got = Matrix::full(1, 1, 9.9); // wrong shape, dirty
                 a.matmul_into(&b, &mut got);
                 assert_eq!(bits(&got), bits(&expect), "matmul_into {rows}x{inner}x{width}");
+                let mut wide = Matrix::zeros(rows, width);
+                let out = wide.as_mut_slice();
+                isa::dispatch(
+                    #[inline(always)]
+                    || matrix::acc(a.as_slice(), inner, b.as_slice(), width, out),
+                );
+                assert_eq!(bits(&wide), bits(&expect), "dispatched acc {rows}x{inner}x{width}");
 
                 // out += aᵀ × g onto a dirty accumulator; the shared
                 // dimension is `inner` here
@@ -186,6 +201,13 @@ fn fixed_width_matmul_forms_match_the_naive_serial_loop_bit_for_bit() {
                 let mut got = dirty.clone();
                 a.matmul_tn_acc(&g, &mut got);
                 assert_eq!(bits(&got), bits(&expect), "matmul_tn_acc {inner}x{rows}x{width}");
+                let mut wide = dirty.clone();
+                let out = wide.as_mut_slice();
+                isa::dispatch(
+                    #[inline(always)]
+                    || matrix::tn_acc(a.as_slice(), rows, g.as_slice(), width, out),
+                );
+                assert_eq!(bits(&wide), bits(&expect), "dispatched tn_acc {inner}x{rows}x{width}");
 
                 // out += g × bᵀ: the product is summed from zero, then
                 // added to the accumulator
@@ -195,8 +217,15 @@ fn fixed_width_matmul_forms_match_the_naive_serial_loop_bit_for_bit() {
                 naive_acc(&g, &b.transpose(), &mut product);
                 let mut expect = dirty.clone();
                 expect.add_assign(&product);
+                let mut wide = dirty.clone();
+                let out = wide.as_mut_slice();
+                isa::dispatch(
+                    #[inline(always)]
+                    || matrix::nt_acc(g.as_slice(), inner, b.as_slice(), width, out),
+                );
                 let mut got = dirty;
                 g.matmul_nt_acc(&b, &mut got);
+                assert_eq!(bits(&wide), bits(&got), "dispatched nt_acc {rows}x{inner}x{width}");
                 if inner <= 64 {
                     assert_eq!(bits(&got), bits(&expect), "matmul_nt_acc {rows}x{inner}x{width}");
                 } else {
@@ -233,4 +262,100 @@ fn other_widths_keep_the_plain_loops() {
         g.matmul_nt_acc(&b, &mut got);
         assert!(got.max_abs_diff(&expect) < 1e-4, "matmul_nt_acc {rows}x{width}x{inner}");
     }
+}
+
+/// Whether `isa::dispatch` takes its AVX2 path on this CPU. Without it
+/// both sides of a baseline-vs-AVX2 comparison run the same code, so the
+/// caller skips and says so.
+fn avx2_path() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+        return true;
+    }
+    eprintln!("skipped: this CPU lacks AVX2+FMA, so isa::dispatch runs the baseline path");
+    false
+}
+
+#[test]
+fn spmm_rows_are_bit_identical_under_dispatch() {
+    if !avx2_path() {
+        return;
+    }
+    for width in [16usize, 32, 64, 33] {
+        let n = 29;
+        let x = salted(n, width, width as u64);
+        let weights = salted(1, 4 * n, 50 + width as u64);
+        let triplets: Vec<(u32, u32, f32)> = (0..4 * n)
+            .map(|k| ((k * 7 % n) as u32, (k * 11 % n) as u32, weights.as_slice()[k]))
+            .collect();
+        let csr = Csr::from_triplets(n, n, &triplets);
+        let dirty = salted(n, width, 90 + width as u64);
+        let mut base = dirty.clone();
+        csr.spmm_acc(x.as_slice(), width, base.as_mut_slice());
+        let mut wide = dirty;
+        let out = wide.as_mut_slice();
+        isa::dispatch(
+            #[inline(always)]
+            || csr.spmm_acc(x.as_slice(), width, out),
+        );
+        assert_eq!(bits(&wide), bits(&base), "spmm_acc width {width}");
+    }
+}
+
+#[test]
+fn dot_is_bit_identical_under_dispatch_on_both_backends() {
+    if !avx2_path() {
+        return;
+    }
+    for backend in [S, V] {
+        for len in 0..=70usize {
+            let a = salted(1, len, len as u64);
+            let b = salted(1, len, 200 + len as u64);
+            let (a, b) = (a.as_slice(), b.as_slice());
+            let base = dot_with(backend, a, b);
+            let wide = isa::dispatch(
+                #[inline(always)]
+                || dot_with(backend, a, b),
+            );
+            assert_eq!(wide.to_bits(), base.to_bits(), "{backend:?} dot of length {len}");
+        }
+    }
+}
+
+#[test]
+fn adam_is_bit_identical_under_dispatch_while_moments_decay_into_subnormals() {
+    if !avx2_path() {
+        return;
+    }
+    // 37 elements: whole vectors plus a remainder. Tiny moments and a
+    // gradient that stops after the first step decay into the
+    // subnormals within ~180 steps, where the update flushes them to 0.
+    let n = 37;
+    let p0 = salted(1, n, 1).into_vec();
+    let m0: Vec<f32> = salted(1, n, 2).as_slice().iter().map(|v| v * 1e-30).collect();
+    let v0: Vec<f32> = salted(1, n, 3).as_slice().iter().map(|v| (v * 1e-30).abs()).collect();
+    let g = salted(1, n, 4).into_vec();
+    let zero = vec![0.0f32; n];
+    let (mut base, mut wide) = ((p0.clone(), m0.clone(), v0.clone()), (p0, m0, v0));
+    let live = |m: &[f32]| m.iter().filter(|&&x| x != 0.0).count();
+    let live_at_start = live(&base.1);
+    for t in 1..=400i32 {
+        let g = if t == 1 { &g } else { &zero };
+        let (bc1, bc2) = (1.0 - 0.9f32.powi(t), 1.0 - 0.999f32.powi(t));
+        let (p, m, v) = (&mut base.0, &mut base.1, &mut base.2);
+        kernels::adam_update(p, m, v, g, 1e-3, 0.9, 0.999, 1e-8, bc1, bc2);
+        let (p, m, v) = (&mut wide.0, &mut wide.1, &mut wide.2);
+        isa::dispatch(
+            #[inline(always)]
+            || kernels::adam_update(p, m, v, g, 1e-3, 0.9, 0.999, 1e-8, bc1, bc2),
+        );
+        for (name, b, w) in
+            [("p", &base.0, &wide.0), ("m", &base.1, &wide.1), ("v", &base.2, &wide.2)]
+        {
+            let (b, w): (Vec<u32>, Vec<u32>) =
+                (b.iter().map(|x| x.to_bits()).collect(), w.iter().map(|x| x.to_bits()).collect());
+            assert_eq!(w, b, "{name} after step {t}");
+        }
+    }
+    assert!(live(&base.1) < live_at_start, "no first moment was flushed");
 }

@@ -374,9 +374,12 @@ fn run_train_scale(name: &'static str, a: &TrainArgs) -> Result<(), Failure> {
         }
         sc.num_users = u;
     }
+    if a.participants == Some(0) {
+        return Err("--participants must be > 0".into());
+    }
     let mut cfg = train_config(a);
     // exact per-round participant count: fraction 0 defers to min_clients
-    let p = a.participants.unwrap_or(64).clamp(1, sc.num_users);
+    let p = a.participants.unwrap_or(64).min(sc.num_users);
     cfg.participation = Participation { fraction: 0.0, min_clients: p };
     // a bad config must fail before the arena is streamed to disk
     cfg.validate().map_err(|e| e.to_string())?;

@@ -263,6 +263,7 @@ fn flag_misuse_is_rejected_with_an_error() {
         ("train --dataset scale-10k --protocol fcf", "--protocol ptf only"),
         ("train --dataset ml100k --cohort 8 --protocol fedmf", "--protocol ptf only"),
         ("train --dataset scale-10k --users 0", "--users must be > 0"),
+        ("train --dataset scale-10k --participants 0", "--participants must be > 0"),
         ("train --dataset ml100k --evict-budget 64", "--evict-budget requires --evict-interval"),
         ("train --dataset scale-10k --evict-interval 3", "storage.evict_budget must be positive"),
     ];
