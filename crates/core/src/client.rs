@@ -5,12 +5,29 @@
 //! soft-label set `D̃_i`. One local round is Eq. 3 — several epochs of BCE
 //! over `D_i ∪ D̃_i` — followed by the privacy-preserving construction of
 //! the upload `D̂ᵗᵢ` (§III-B2).
+//!
+//! The round has three parts, split where another client's work can run
+//! in between:
+//!
+//! * [`PtfClient::prepare_round`] — negatives, the pool and its rows, the
+//!   training samples;
+//! * `cfg.client_epochs` epochs — each shuffles the samples on the
+//!   client's stream, then trains on them;
+//! * [`PtfClient::finish_round`] — scores, the upload, eviction.
+//!
+//! A client trained alone runs its epochs through
+//! [`PtfClient::train_epoch`]. The lane driver in [`crate::rounds`] runs
+//! the epochs of up to four MF clients through one fused kernel instead.
+//! Either way a client draws from its own stream in the same order and
+//! does the same arithmetic, so the split cannot change a bit.
 
 use crate::config::{builds_dense, PtfConfig};
 use crate::upload::{build_upload_into, ClientUpload};
 use ptf_data::negative::sample_negatives_into;
 use ptf_federated::{ClientData, RoundScratch};
-use ptf_models::{build_model_scoped, ItemScope, ModelHyper, ModelKind, Recommender, ScopeView};
+use ptf_models::{
+    build_model_scoped, ItemScope, MfModel, ModelHyper, ModelKind, Recommender, ScopeView,
+};
 use ptf_privacy::ScoredItem;
 use rand::Rng;
 
@@ -168,22 +185,24 @@ impl PtfClient {
         self.model.score(0, items)
     }
 
-    /// One local round: train on `D_i ∪ D̃_i`, then build the upload.
-    /// Returns the upload and the mean training loss.
+    /// The first part of a local round: draws this round's negatives (the
+    /// trained pool `V^t_i` is the positives plus fresh 1:`neg_ratio`
+    /// negatives), materializes the pool's rows in one batch, and lays out
+    /// the round's training samples in `scratch.triples` (plus the ego
+    /// graph, for a graph model).
     ///
-    /// All transient state lives in `scratch` (worker-owned, reused
-    /// across rounds) and in the recycled upload buffers, so with an
-    /// allocation-free model (MF) a steady-state round performs zero
-    /// heap allocations here.
-    pub fn local_round(
+    /// The epochs and [`Self::finish_round`] follow on the same RNG stream
+    /// and the same `scratch` (see the module docs). Everything transient
+    /// lives in `scratch` (worker-owned, reused across rounds) and in the
+    /// recycled upload buffers, so with an allocation-free model (MF) a
+    /// steady-state round performs zero heap allocations.
+    pub fn prepare_round(
         &mut self,
         cfg: &PtfConfig,
         scratch: &mut RoundScratch,
         rng: &mut impl Rng,
-    ) -> (ClientUpload, f32) {
+    ) {
         let num_items = self.model.num_items();
-
-        // 1. this round's trained pool V^t_i: positives + fresh 1:ratio negatives
         sample_negatives_into(
             &self.positives,
             num_items,
@@ -193,7 +212,7 @@ impl PtfClient {
             &mut scratch.seen,
         );
 
-        // 2. one batched materialization of the round's whole pool, so a
+        // one batched materialization of the round's whole pool, so a
         // scoped model merges its fresh rows in a single arena pass
         // instead of shifting once per first-touched sample
         scratch.pool_ids.clear();
@@ -205,7 +224,7 @@ impl PtfClient {
 
         self.model.prepare_items(&scratch.pool_ids);
 
-        // 3. training samples (user id 0 inside the local model)
+        // training samples (user id 0 inside the local model)
         scratch.triples.clear();
         scratch.triples.extend(self.positives.iter().map(|&i| (0u32, i, 1.0f32)));
         scratch.triples.extend(scratch.negatives.iter().map(|&i| (0u32, i, 0.0f32)));
@@ -225,17 +244,39 @@ impl PtfClient {
             );
             self.model.set_graph(&scratch.edges);
         }
+    }
 
-        // 4. Eq. 3: several epochs of soft-label BCE
-        let mut loss_sum = 0.0f32;
-        for _ in 0..cfg.client_epochs {
-            shuffle(&mut scratch.triples, rng);
-            loss_sum +=
-                ptf_models::train_on_samples(&mut *self.model, &scratch.triples, cfg.client_batch);
-        }
+    /// One epoch of Eq. 3 for a client trained alone: shuffles the
+    /// prepared samples on the client's stream, then trains on them with
+    /// soft-label BCE. Returns the epoch's mean loss.
+    pub fn train_epoch(
+        &mut self,
+        cfg: &PtfConfig,
+        scratch: &mut RoundScratch,
+        rng: &mut impl Rng,
+    ) -> f32 {
+        shuffle(&mut scratch.triples, rng);
+        ptf_models::train_on_samples(&mut *self.model, &scratch.triples, cfg.client_batch)
+    }
+
+    /// The MF model the lane driver trains through
+    /// [`ptf_models::mf::train_lanes`]; `None` for any other model.
+    pub(crate) fn mf_model(&mut self) -> Option<&mut MfModel> {
+        self.model.as_mf_mut()
+    }
+
+    /// The last part of a local round (§III-B2): scores the trained pool,
+    /// builds the upload `D̂ᵗᵢ`, and runs cold-row eviction when it is due.
+    /// `loss_sum` is the sum of the epochs' losses; returns the upload and
+    /// the round's mean training loss.
+    pub fn finish_round(
+        &mut self,
+        cfg: &PtfConfig,
+        scratch: &mut RoundScratch,
+        rng: &mut impl Rng,
+        loss_sum: f32,
+    ) -> (ClientUpload, f32) {
         let mean_loss = loss_sum / cfg.client_epochs as f32;
-
-        // 5. §III-B2: score the trained pool and build D̂ᵗᵢ
         self.model.score_into(0, &self.positives, &mut scratch.scores_pos);
         self.model.score_into(0, &scratch.negatives, &mut scratch.scores_neg);
         scratch.scored_pos.clear();
@@ -259,7 +300,7 @@ impl PtfClient {
             audit,
         );
 
-        // 6. cold-row eviction: keep a client's materialized rows bounded
+        // cold-row eviction: keep a client's materialized rows bounded
         // over long runs. This is off the allocation-free hot path — an
         // eviction round may allocate — but interval rounds in between
         // stay clean because the whole block is skipped when disabled.
@@ -330,7 +371,8 @@ impl PtfClient {
     }
 }
 
-fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
+/// Fisher–Yates on the client's stream: one draw per position.
+pub(crate) fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
     for i in (1..xs.len()).rev() {
         let j = rng.gen_range(0..=i);
         xs.swap(i, j);
@@ -363,6 +405,24 @@ mod tests {
         let mut c = PtfConfig::small();
         c.client_epochs = 2;
         c
+    }
+
+    impl PtfClient {
+        /// A whole local round on one caller-held stream, the client
+        /// trained alone.
+        fn local_round(
+            &mut self,
+            cfg: &PtfConfig,
+            scratch: &mut RoundScratch,
+            rng: &mut impl Rng,
+        ) -> (ClientUpload, f32) {
+            self.prepare_round(cfg, scratch, rng);
+            let mut loss_sum = 0.0;
+            for _ in 0..cfg.client_epochs {
+                loss_sum += self.train_epoch(cfg, scratch, rng);
+            }
+            self.finish_round(cfg, scratch, rng, loss_sum)
+        }
     }
 
     #[test]

@@ -58,7 +58,8 @@ use crate::rounds;
 use crate::server::PtfServer;
 use crate::upload::ClientUpload;
 use ptf_data::{CsrArena, Dataset};
-use ptf_federated::{derive_seed, ClientData, RngStream};
+use ptf_federated::{derive_seed, ClientData, RngStream, RoundScratch};
+use ptf_models::mf::LANES;
 use ptf_models::{ModelHyper, ModelKind};
 use ptf_privacy::ScoredItem;
 use ptf_tensor::PackedF32s;
@@ -532,26 +533,40 @@ impl ClientHost for Stored {
         let mut uploads: Vec<ClientUpload> = Vec::with_capacity(participants.len());
         let mut losses: Vec<f32> = Vec::with_capacity(participants.len());
         for chunk in participants.chunks(cohort) {
-            // parallel: construct-or-restore + local round, one derived
-            // RNG stream per client — bit-identical regardless of
-            // chunking or thread count
+            // parallel: construct-or-restore + local round in the lanes of
+            // each worker, one derived RNG stream per client — bit-identical
+            // regardless of chunking, lanes or thread count
             let this = &*self;
-            let trained: Vec<(PtfClient, ClientUpload, f32)> =
-                phase.scheduler.map_indices_with(phase.scratch, chunk.len(), |scratch, i| {
-                    let id = chunk[i];
-                    let mut client = match this.store.load(id) {
+            let mut ids = chunk.to_vec();
+            let trained = phase.scheduler.map_slices_with(
+                phase.scratch,
+                &mut ids,
+                |scratch: &mut [RoundScratch; LANES], ids| {
+                    let mut out: Vec<Option<(PtfClient, ClientUpload, f32)>> =
+                        ids.iter().map(|_| None).collect();
+                    let clients = ids.iter().map(|&id| match this.store.load(id) {
                         Some(text) => this
                             .restore_client(id, &text, phase.cfg)
                             .unwrap_or_else(|e| panic!("{e}")),
                         None => this.build_fresh(id, phase.cfg),
-                    };
-                    let (upload, loss) =
-                        rounds::client_round(&mut client, phase.cfg, phase.round, scratch);
-                    (client, upload, loss)
-                });
+                    });
+                    rounds::train_in_lanes(
+                        phase.cfg,
+                        phase.round,
+                        scratch,
+                        clients,
+                        |at, c, up, loss| {
+                            out[at] = Some((c, up, loss));
+                        },
+                    );
+                    out
+                },
+            );
             // serial: park post-training clients, collect uploads in
             // participant order, drop the cohort's clients
-            for (client, upload, loss) in trained {
+            for (client, upload, loss) in
+                trained.into_iter().flatten().map(|r| r.expect("every participant trained"))
+            {
                 self.park(&client, phase.round);
                 uploads.push(upload);
                 losses.push(loss);

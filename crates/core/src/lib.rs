@@ -7,8 +7,8 @@
 //! Instead of shipping model parameters, clients and the central server
 //! exchange *prediction triples*:
 //!
-//! 1. [`client::PtfClient::local_round`] — each client trains its small
-//!    local model on `D_i ∪ D̃_i` (Eq. 3) and uploads a subsampled,
+//! 1. [`rounds::client_round`] — each client trains its small local
+//!    model on `D_i ∪ D̃_i` (Eq. 3) and uploads a subsampled,
 //!    score-swapped prediction set `D̂ᵗᵢ` ([`upload`], §III-B2);
 //! 2. [`server::PtfServer::train_on_uploads`] — the server trains its
 //!    *hidden* model on the union of uploads with soft-label BCE (Eq. 5);

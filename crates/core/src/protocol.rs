@@ -36,7 +36,10 @@ use crate::rounds;
 use crate::server::PtfServer;
 use crate::upload::ClientUpload;
 use ptf_data::Dataset;
-use ptf_federated::{FederatedProtocol, RoundCtx, RoundTrace, Scheduler, ScratchPool};
+use ptf_federated::{
+    FederatedProtocol, RoundCtx, RoundScratch, RoundTrace, Scheduler, ScratchPool,
+};
+use ptf_models::mf::LANES;
 use ptf_models::{ModelHyper, ModelKind, Recommender};
 use ptf_privacy::ScoredItem;
 
@@ -254,22 +257,36 @@ impl ClientHost for Resident {
         participants: &[u32],
     ) -> (Vec<ClientUpload>, Vec<f32>) {
         // all transient state lives in per-worker scratch buffers; the
-        // allocation counter brackets exactly the client-path work
+        // allocation counter brackets each worker's whole lane run
         // (thread-local, so parallel workers count independently)
         let mut refs = participant_refs(&mut self.clients, participants);
-        let results: Vec<(ClientUpload, f32, u64)> =
-            phase.scheduler.map_clients_with(phase.scratch, &mut refs, |scratch, _, client| {
+        let results = phase.scheduler.map_slices_with(
+            phase.scratch,
+            &mut refs,
+            |scratch: &mut [RoundScratch; LANES], slice| {
+                let mut out: Vec<Option<(ClientUpload, f32)>> = vec![None; slice.len()];
                 let allocs_before = ptf_tensor::alloc::thread_allocs();
-                let (upload, loss) = rounds::client_round(client, phase.cfg, phase.round, scratch);
-                let allocs = ptf_tensor::alloc::thread_allocs() - allocs_before;
-                (upload, loss, allocs)
-            });
-        let mut uploads = Vec::with_capacity(results.len());
-        let mut losses = Vec::with_capacity(results.len());
+                let clients = slice.iter_mut().map(|c| &mut **c);
+                rounds::train_in_lanes(
+                    phase.cfg,
+                    phase.round,
+                    scratch,
+                    clients,
+                    |at, _, up, loss| {
+                        out[at] = Some((up, loss));
+                    },
+                );
+                (out, ptf_tensor::alloc::thread_allocs() - allocs_before)
+            },
+        );
+        let mut uploads = Vec::with_capacity(participants.len());
+        let mut losses = Vec::with_capacity(participants.len());
         self.last_client_allocs = 0;
-        for (upload, loss, allocs) in results {
-            uploads.push(upload);
-            losses.push(loss);
+        for (out, allocs) in results {
+            for (upload, loss) in out.into_iter().map(|r| r.expect("every participant trained")) {
+                uploads.push(upload);
+                losses.push(loss);
+            }
             self.last_client_allocs += allocs;
         }
         (uploads, losses)

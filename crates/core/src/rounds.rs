@@ -14,8 +14,13 @@
 //!   client built alone in a remote process is bit-identical to the same
 //!   client built inside the in-process fleet;
 //! * [`sample_participants`] — the per-round `Participation` draw;
+//! * [`train_in_lanes`] — the client phase of one worker, the one
+//!   client-phase loop of the resident and stored hosts. It runs each
+//!   participant's local round in its split form — prepare, one epoch at
+//!   a time, finish (see [`crate::client`]) — and steps up to four MF
+//!   clients' epochs together through one fused SGD kernel;
 //! * [`client_round`] — one client's local training + upload on its own
-//!   `RngStream::Client` stream;
+//!   `RngStream::Client` stream: the one-lane case of [`train_in_lanes`];
 //! * [`server_phase`] — the serial reduce: upload replay into the
 //!   observer stack (in ascending client order), hidden-model training,
 //!   and per-client dispersal on `RngStream::Disperse` streams.
@@ -24,7 +29,7 @@
 //! reads ambient state, so the caller may be an in-process scheduler, a
 //! TCP client process, or a test harness.
 
-use crate::client::PtfClient;
+use crate::client::{shuffle, PtfClient};
 use crate::config::PtfConfig;
 use crate::server::PtfServer;
 use crate::upload::ClientUpload;
@@ -33,10 +38,12 @@ use ptf_data::Dataset;
 use ptf_federated::{
     derive_seed, round_rng, ClientData, RngStream, RoundCtx, RoundScratch, RoundTrace,
 };
+use ptf_models::mf::{self, EpochProgress, MfLane, LANES};
 use ptf_models::{ModelHyper, ModelKind};
 use ptf_privacy::ScoredItem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::BorrowMut;
 
 /// Builds the client for user `id` exactly as the in-process fleet
 /// build does: partition from `train`, model seeded by the client's own
@@ -77,16 +84,138 @@ pub fn sample_participants(cfg: &PtfConfig, trainable: &[u32], round: u32) -> Ve
 
 /// One client's half of a round (Algorithm 1 lines 5–8): local training
 /// on `D_i ∪ D̃_i` plus upload construction, on the client's own derived
-/// `RngStream::Client` stream. Where the client runs — scheduler worker,
-/// remote process — cannot change the result.
+/// `RngStream::Client` stream. It is the one-lane case of
+/// [`train_in_lanes`], so where the client runs — alone on a worker,
+/// beside other lanes, in a remote process — cannot change the result.
 pub fn client_round(
     client: &mut PtfClient,
     cfg: &PtfConfig,
     round: u32,
     scratch: &mut RoundScratch,
 ) -> (ClientUpload, f32) {
-    let mut rng = round_rng(cfg.seed, round, RngStream::Client(client.id));
-    client.local_round(cfg, scratch, &mut rng)
+    let mut result = None;
+    train_in_lanes(cfg, round, std::slice::from_mut(scratch), [client], |_, _, upload, loss| {
+        result = Some((upload, loss));
+    });
+    result.expect("one participant in, one upload out")
+}
+
+/// One participant in a lane, from its negative draw to its upload.
+struct Lane<C> {
+    /// Position in the participant sequence.
+    at: usize,
+    client: C,
+    rng: StdRng,
+    epochs_left: u32,
+    loss_sum: f32,
+    progress: EpochProgress,
+}
+
+/// The client phase of one worker: [`client_round`] for each of
+/// `participants`, up to `scratch.len()` (at most [`LANES`]) of them at
+/// once. Each finished participant is handed to `done` with its position
+/// in the sequence, its upload and its loss; participants finish out of
+/// order.
+///
+/// A *lane* holds one participant from its negative draw to its upload,
+/// with its own RNG stream and its own `scratch` entry. Lanes whose model
+/// is MF advance together through one
+/// [`ptf_models::mf::train_lanes`] kernel, one SGD sample of each per
+/// step, so a core overlaps their dependency chains. When a lane's client
+/// finishes, the lane takes the next participant. A client without the
+/// MF hook trains alone, all its epochs at once, in the lane it was
+/// given.
+///
+/// Interleaving cannot change a bit: a client's arithmetic and the order
+/// of its RNG draws are the same in any lane, beside any neighbours, as
+/// in [`client_round`] — the kernel steps each lane exactly as
+/// `MfModel::train_batch` would, and reduces its loss as
+/// `train_on_samples` does.
+///
+/// `C` is whatever a host keeps a participant in: `&mut PtfClient` for a
+/// resident fleet, an owned `PtfClient` for one restored per round (built
+/// lazily, when a lane pulls it from `participants`, and returned through
+/// `done`).
+///
+/// # Panics
+/// If `scratch` is empty.
+pub fn train_in_lanes<C: BorrowMut<PtfClient>>(
+    cfg: &PtfConfig,
+    round: u32,
+    scratch: &mut [RoundScratch],
+    participants: impl IntoIterator<Item = C>,
+    mut done: impl FnMut(usize, C, ClientUpload, f32),
+) {
+    let width = scratch.len().min(LANES);
+    assert!(width > 0, "a worker needs scratch for at least one lane");
+    let scratch = &mut scratch[..width];
+    let mut queue = participants.into_iter().enumerate();
+    let mut lanes: [Option<Lane<C>>; LANES] = std::array::from_fn(|_| None);
+    loop {
+        for (slot, scratch) in lanes.iter_mut().zip(scratch.iter_mut()) {
+            while slot.is_none() {
+                let Some((at, client)) = queue.next() else { break };
+                *slot = start_lane(cfg, round, scratch, at, client, &mut done);
+            }
+        }
+        if lanes.iter().all(Option::is_none) {
+            return;
+        }
+        mf::train_lanes(lanes.iter_mut().zip(scratch.iter()).filter_map(|(slot, scratch)| {
+            let Lane { client, progress, .. } = slot.as_mut()?;
+            Some(MfLane {
+                model: client.borrow_mut().mf_model().expect("a lane holds an MF client"),
+                samples: &scratch.triples,
+                batch: cfg.client_batch,
+                progress,
+            })
+        }));
+        for (slot, scratch) in lanes.iter_mut().zip(scratch.iter_mut()) {
+            let Some(lane) = slot else { continue };
+            if !lane.progress.finished(scratch.triples.len()) {
+                continue;
+            }
+            lane.loss_sum += lane.progress.mean_loss();
+            lane.epochs_left -= 1;
+            if lane.epochs_left > 0 {
+                lane.progress = EpochProgress::default();
+                shuffle(&mut scratch.triples, &mut lane.rng);
+            } else if let Some(Lane { at, mut client, mut rng, loss_sum, .. }) = slot.take() {
+                let (upload, loss) =
+                    client.borrow_mut().finish_round(cfg, scratch, &mut rng, loss_sum);
+                done(at, client, upload, loss);
+            }
+        }
+    }
+}
+
+/// Prepares participant `at` in a free lane and shuffles its first
+/// epoch. A client without the MF hook (or without epochs) is trained
+/// and finished right here instead, and the lane stays free.
+fn start_lane<C: BorrowMut<PtfClient>>(
+    cfg: &PtfConfig,
+    round: u32,
+    scratch: &mut RoundScratch,
+    at: usize,
+    mut client: C,
+    done: &mut impl FnMut(usize, C, ClientUpload, f32),
+) -> Option<Lane<C>> {
+    let c = client.borrow_mut();
+    let mut rng = round_rng(cfg.seed, round, RngStream::Client(c.id));
+    c.prepare_round(cfg, scratch, &mut rng);
+    if c.mf_model().is_some() && cfg.client_epochs > 0 {
+        shuffle(&mut scratch.triples, &mut rng);
+        let epochs_left = cfg.client_epochs;
+        let progress = EpochProgress::default();
+        return Some(Lane { at, client, rng, epochs_left, loss_sum: 0.0, progress });
+    }
+    let mut loss_sum = 0.0;
+    for _ in 0..cfg.client_epochs {
+        loss_sum += c.train_epoch(cfg, scratch, &mut rng);
+    }
+    let (upload, loss) = c.finish_round(cfg, scratch, &mut rng, loss_sum);
+    done(at, client, upload, loss);
+    None
 }
 
 /// The server's serial half of a round (Algorithm 1 lines 9–12): replay

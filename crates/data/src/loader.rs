@@ -176,4 +176,94 @@ mod tests {
         let d = parse_pairs_csv("csv", "1,2\n1,2\n1,2\n").unwrap();
         assert_eq!(d.num_interactions(), 1);
     }
+
+    #[test]
+    fn lone_headers_and_oversized_ids_are_errors() {
+        assert_eq!(parse_pairs_csv("csv", "user_id,item_id\n").unwrap_err(), ParseError::Empty);
+        assert_eq!(parse_pairs_csv("csv", "user_id,item_id").unwrap_err(), ParseError::Empty);
+        // u64::MAX is an id; one past it is not
+        assert!(parse_movielens_100k("ml", "18446744073709551615\t1\n").is_ok());
+        let err = parse_movielens_100k("ml", "18446744073709551616\t1\n").unwrap_err();
+        assert!(matches!(err, ParseError::BadField { line: 1, .. }));
+    }
+
+    /// Fragments the arbitrary inputs are spliced from: ids of every
+    /// width up to one past `u64::MAX`, junk fields, and the separators
+    /// of both formats.
+    const PIECES: [&str; 22] = [
+        "0",
+        "7",
+        "196",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999",
+        "-1",
+        "+3",
+        "1.5",
+        "abc",
+        "user_id",
+        "item_id",
+        "é",
+        "\t",
+        " ",
+        ",",
+        ",,",
+        "\n",
+        "\r\n",
+        "\n\n",
+        "\u{feff}",
+    ];
+
+    /// Arbitrary text built from [`PIECES`] and raw characters, cut at an
+    /// arbitrary char boundary, so the last line may be truncated.
+    fn arbitrary_text() -> impl proptest::Strategy<Value = String> {
+        use proptest::Strategy;
+        let piece = (0usize..PIECES.len() + 4, proptest::prelude::any::<u32>());
+        (proptest::collection::vec(piece, 0..40), 0usize..1000).prop_map(|(pieces, cut)| {
+            let mut text = String::new();
+            for (at, raw) in pieces {
+                match PIECES.get(at) {
+                    Some(p) => text.push_str(p),
+                    None => text.push(char::from_u32(raw % 0x3000).unwrap_or('?')),
+                }
+            }
+            let cut = (0..=text.len()).rev().find(|&c| c <= cut && text.is_char_boundary(c));
+            text.truncate(cut.unwrap_or(0));
+            text
+        })
+    }
+
+    /// A parsed dataset holds at least one interaction and no more than
+    /// the input has lines, and never more users or items than that.
+    fn well_formed(d: &Dataset, text: &str) -> bool {
+        let lines = text.lines().count();
+        (1..=lines).contains(&d.num_interactions())
+            && d.num_users() <= lines
+            && d.num_items() <= lines
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Neither loader panics on any input: each parses it or returns
+        /// a [`ParseError`].
+        #[test]
+        fn loaders_parse_or_reject_arbitrary_text(text in arbitrary_text()) {
+            match parse_movielens_100k("ml", &text) {
+                Ok(d) => proptest::prop_assert!(well_formed(&d, &text), "{text:?}"),
+                Err(ParseError::Empty) => {}
+                Err(ParseError::MissingColumn { line } | ParseError::BadField { line, .. }) => {
+                    proptest::prop_assert!((1..=text.lines().count()).contains(&line), "{text:?}")
+                }
+            }
+            match parse_pairs_csv("csv", &text) {
+                Ok(d) => proptest::prop_assert!(well_formed(&d, &text), "{text:?}"),
+                Err(ParseError::Empty) => {}
+                Err(ParseError::MissingColumn { line } | ParseError::BadField { line, .. }) => {
+                    proptest::prop_assert!((1..=text.lines().count()).contains(&line), "{text:?}")
+                }
+            }
+        }
+    }
 }

@@ -53,7 +53,10 @@ pub fn sample_negatives_into(
     // tiny requests. One O(num_items) scan is cheaper and bounds the RNG
     // draws at exactly `count`.
     if count * 3 >= available || available * 4 <= num_items {
-        out.extend((0..num_items as u32).filter(|c| sorted_positives.binary_search(c).is_err()));
+        // the complement in one merge walk over the sorted positives, not
+        // a binary search per catalogue item
+        let mut positives = sorted_positives.iter().peekable();
+        out.extend((0..num_items as u32).filter(|c| positives.next_if_eq(&c).is_none()));
         for i in 0..count {
             let j = rng.gen_range(i..out.len());
             out.swap(i, j);
@@ -151,5 +154,51 @@ mod tests {
         assert_eq!(sorted.len(), 20, "duplicates returned");
         // one gen_range per kept negative; allow a small widening slack
         assert!(rng.calls <= 2 * 20, "{} RNG draws for a 20-negative request", rng.calls);
+    }
+
+    /// The dense-candidate path as it was written before the merge walk:
+    /// a binary search over the positives per catalogue item.
+    fn dense_fill_oracle(
+        sorted_positives: &[u32],
+        num_items: usize,
+        count: usize,
+        rng: &mut impl Rng,
+    ) -> Vec<u32> {
+        let mut out: Vec<u32> =
+            (0..num_items as u32).filter(|c| sorted_positives.binary_search(c).is_err()).collect();
+        for i in 0..count {
+            let j = rng.gen_range(i..out.len());
+            out.swap(i, j);
+        }
+        out.truncate(count);
+        out
+    }
+
+    proptest::proptest! {
+        /// On every request the dense path serves — a large share of the
+        /// complement, or a catalogue at least ¾ positive — the merge walk
+        /// returns the binary-search filter's negatives in the same order,
+        /// from the same draws, and leaves the stream at the same place.
+        #[test]
+        fn dense_fill_matches_the_binary_search_filter(
+            positives in proptest::collection::btree_set(0u32..300, 0..290),
+            extra in 0usize..40,
+            share in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let positives: Vec<u32> = positives.into_iter().collect();
+            let num_items = positives.last().map_or(1, |&p| p as usize + 1) + extra;
+            let available = num_items - positives.len();
+            // from a third of the complement (the crossover) to all of it
+            let count = (available * (share + 1)).div_ceil(3).min(available);
+            let mut rng = crate::test_rng(seed);
+            let mut seen = std::collections::HashSet::new();
+            let mut got = Vec::new();
+            sample_negatives_into(&positives, num_items, count, &mut rng, &mut got, &mut seen);
+            let mut oracle_rng = crate::test_rng(seed);
+            let want = dense_fill_oracle(&positives, num_items, count, &mut oracle_rng);
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
+        }
     }
 }

@@ -189,6 +189,34 @@ impl Scheduler {
         })
     }
 
+    /// Ordered parallel map over contiguous slices of mutably borrowed
+    /// per-client state, one slice per worker, each worker holding `N`
+    /// [`RoundScratch`]es from `pool` — for a worker that interleaves its
+    /// clients itself (the lane driver of `ptf_core::rounds`). Returns one
+    /// result per worker, in input order.
+    pub fn map_slices_with<T, R, F, const N: usize>(
+        self,
+        pool: &ScratchPool,
+        clients: &mut [T],
+        f: F,
+    ) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(&mut [RoundScratch; N], &mut [T]) -> R + Sync,
+    {
+        ptf_tensor::par::map_chunks_mut(self.threads, clients, |_, slice| {
+            let mut scratch: [RoundScratch; N] = std::array::from_fn(|_| pool.checkout());
+            let out = f(&mut scratch, slice);
+            // restored in reverse, so the next checkout hands each slot
+            // the same warmed buffers
+            for s in scratch.into_iter().rev() {
+                pool.restore(s);
+            }
+            out
+        })
+    }
+
     /// [`Scheduler::map_indices`] with a per-task [`RoundScratch`].
     pub fn map_indices_with<R, F>(self, pool: &ScratchPool, n: usize, f: F) -> Vec<R>
     where

@@ -29,9 +29,31 @@ pub fn bce_loss(logit: f32, target: f32) -> f32 {
 /// training step needs both.
 #[inline]
 pub(crate) fn sigmoid_and_bce(logit: f32, target: f32) -> (f32, f32) {
-    let e = (-logit.abs()).exp();
-    let sigmoid = if logit >= 0.0 { 1.0 / (1.0 + e) } else { e / (1.0 + e) };
-    (sigmoid, logit.max(0.0) - logit * target + e.ln_1p())
+    let e = exp_neg_abs(logit);
+    (sigmoid_from_exp(logit, e), bce_from_exp(logit, e, target))
+}
+
+/// `exp(-|logit|)`, the one transcendental both halves of
+/// [`sigmoid_and_bce`] share.
+#[inline(always)]
+fn exp_neg_abs(logit: f32) -> f32 {
+    (-logit.abs()).exp()
+}
+
+/// `stable_sigmoid(logit)` from `e = exp_neg_abs(logit)`.
+#[inline(always)]
+fn sigmoid_from_exp(logit: f32, e: f32) -> f32 {
+    if logit >= 0.0 {
+        1.0 / (1.0 + e)
+    } else {
+        e / (1.0 + e)
+    }
+}
+
+/// `bce_loss(logit, target)` from `e = exp_neg_abs(logit)`.
+#[inline(always)]
+fn bce_from_exp(logit: f32, e: f32, target: f32) -> f32 {
+    logit.max(0.0) - logit * target + e.ln_1p()
 }
 
 /// Per-sample MF gradients for `σ(⟨u, v⟩ + b) ≈ label` under BCE with L2
@@ -180,6 +202,205 @@ impl MfModel {
     }
 }
 
+/// The most models [`train_lanes`] steps at once.
+pub const LANES: usize = 4;
+
+/// How many samples ahead a lane locates and prefetches item rows (a
+/// power of two: the rows in flight sit in a ring indexed by sample).
+const AHEAD: usize = 4;
+
+/// How many samples' losses a lane holds back before adding them to its
+/// chunk sum.
+const HELD: usize = 16;
+
+/// Where one model's SGD chain stands in a pass over its samples: the
+/// per-lane state of [`train_lanes`], which the caller keeps between
+/// calls. It reduces the loss exactly as [`crate::train_on_samples`]
+/// does: an f32 sum per `batch`-sized chunk, divided by the chunk's
+/// length, and the chunk means summed in f64.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EpochProgress {
+    /// The next sample to step.
+    next: usize,
+    /// Samples whose losses are in the open chunk's f32 sum, and the sum.
+    open: usize,
+    batch_loss: f32,
+    /// Sum of the closed chunks' mean losses.
+    loss: f64,
+    batches: usize,
+}
+
+impl EpochProgress {
+    /// True once all `samples` of the pass have been stepped.
+    pub fn finished(&self, samples: usize) -> bool {
+        self.next >= samples
+    }
+
+    /// The pass's mean loss, bit for bit what `train_on_samples` returns
+    /// for it (0 for a pass without samples).
+    pub fn mean_loss(&self) -> f32 {
+        if self.batches == 0 {
+            0.0
+        } else {
+            (self.loss / self.batches as f64) as f32
+        }
+    }
+
+    /// Adds held-back `(logit, exp(-|logit|), label)` samples' losses to
+    /// the open chunk, in sample order.
+    #[inline(always)]
+    fn add_losses(&mut self, held: &[(f32, f32, f32)]) {
+        for &(logit, e, label) in held {
+            self.batch_loss += bce_from_exp(logit, e, label);
+        }
+        self.open += held.len();
+    }
+
+    #[inline(always)]
+    fn close_chunk(&mut self) {
+        self.loss += (self.batch_loss / self.open as f32) as f64;
+        self.batches += 1;
+        self.open = 0;
+        self.batch_loss = 0.0;
+    }
+}
+
+/// One lane of [`train_lanes`]: a model, its shuffled samples for the
+/// current pass, the batch size its loss is reduced over, and where it
+/// stands.
+pub struct MfLane<'a> {
+    pub model: &'a mut MfModel,
+    pub samples: &'a [(u32, u32, f32)],
+    pub batch: usize,
+    pub progress: &'a mut EpochProgress,
+}
+
+impl MfLane<'_> {
+    /// The row of sample `s`'s item, with a prefetch of its values.
+    #[inline(always)]
+    fn locate(&self, s: usize) -> usize {
+        let items = &self.model.items;
+        let r = items.lookup(self.samples[s].1).expect("a lane's item rows are materialized");
+        ptf_tensor::isa::prefetch(items.row(r));
+        r
+    }
+}
+
+/// Per-sample SGD on up to [`LANES`] independent models at once: every
+/// step advances each lane by one sample, until some lane has stepped
+/// the last sample of its pass.
+///
+/// Each lane's arithmetic is [`MfModel::train_batch`]'s, sample for
+/// sample, so every model and every [`EpochProgress::mean_loss`] comes
+/// out bit-identical to training that model alone with
+/// `train_on_samples`. Only the instruction stream changes. One model's
+/// samples form a single dependency chain through its user row — `dot`
+/// → `exp` → divide → update → the next sample's `dot` — and a lone
+/// chain leaves the core waiting on latency. A step issues the lanes'
+/// logits, then their sigmoids, then their updates, so the out-of-order
+/// core has up to four independent chains to overlap. Two more things
+/// keep the chains short: a lane prefetches the item rows of its samples
+/// a few steps ahead, and it holds back its samples' losses (the `ln_1p`
+/// no chain waits for) and adds them up a few at a time, in order.
+///
+/// Every sample's item row must already be materialized
+/// ([`Recommender::prepare_items`]): a lane locates rows ahead of its
+/// updates, which a row inserted mid-pass would shift.
+///
+/// # Panics
+/// On more than [`LANES`] lanes, a zero batch size, or a sample whose
+/// item row is not materialized.
+pub fn train_lanes<'a>(lanes: impl IntoIterator<Item = MfLane<'a>>) {
+    use ptf_tensor::isa::dispatch;
+    let mut lanes = lanes.into_iter();
+    match (lanes.next(), lanes.next(), lanes.next(), lanes.next(), lanes.next()) {
+        (None, ..) => {}
+        (Some(a), None, ..) => dispatch(
+            #[inline(always)]
+            || step_lanes([a]),
+        ),
+        (Some(a), Some(b), None, ..) => dispatch(
+            #[inline(always)]
+            || step_lanes([a, b]),
+        ),
+        (Some(a), Some(b), Some(c), None, _) => dispatch(
+            #[inline(always)]
+            || step_lanes([a, b, c]),
+        ),
+        (Some(a), Some(b), Some(c), Some(d), None) => dispatch(
+            #[inline(always)]
+            || step_lanes([a, b, c, d]),
+        ),
+        _ => panic!("train_lanes takes at most {LANES} lanes"),
+    }
+}
+
+#[inline(always)]
+fn step_lanes<const N: usize>(mut lanes: [MfLane<'_>; N]) {
+    assert!(lanes.iter().all(|l| l.batch > 0), "batch size must be positive");
+    let steps = lanes.iter().map(|l| l.samples.len().saturating_sub(l.progress.next)).min();
+    let steps = steps.unwrap_or(0);
+    if steps == 0 {
+        return;
+    }
+    let backend = kernels::backend();
+    // per lane, the rows of its next AHEAD samples, by sample index
+    let mut ahead = [[0usize; AHEAD]; N];
+    for (lane, ring) in lanes.iter().zip(&mut ahead) {
+        let next = lane.progress.next;
+        for s in next..(next + AHEAD).min(lane.samples.len()) {
+            ring[s % AHEAD] = lane.locate(s);
+        }
+    }
+    let mut held = [[(0.0f32, 0.0f32, 0.0f32); HELD]; N];
+    let mut num_held = [0usize; N];
+    for _ in 0..steps {
+        let mut rows = [0usize; N];
+        let mut logits = [0.0f32; N];
+        for (k, lane) in lanes.iter().enumerate() {
+            let s = lane.progress.next;
+            rows[k] = ahead[k][s % AHEAD];
+            if s + AHEAD < lane.samples.len() {
+                ahead[k][s % AHEAD] = lane.locate(s + AHEAD);
+            }
+            let MfModel { user_emb, items, .. } = &*lane.model;
+            let (item_vec, bias) = items.row(rows[k]).split_at(user_emb.cols());
+            let user = user_emb.row(lane.samples[s].0 as usize);
+            logits[k] = kernels::dot_with(backend, user, item_vec) + bias[0];
+        }
+        let mut errs = [0.0f32; N];
+        for (k, lane) in lanes.iter().enumerate() {
+            let label = lane.samples[lane.progress.next].2;
+            let e = exp_neg_abs(logits[k]);
+            errs[k] = sigmoid_from_exp(logits[k], e) - label;
+            held[k][num_held[k]] = (logits[k], e, label);
+            num_held[k] += 1;
+        }
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            let u = lane.samples[lane.progress.next].0;
+            let MfModel { user_emb, items, lr, reg } = &mut *lane.model;
+            let dim = user_emb.cols();
+            let (item_vec, bias) = items.row_mut(rows[k]).split_at_mut(dim);
+            kernels::mf_sgd_update(user_emb.row_mut(u as usize), item_vec, errs[k], *lr, *reg);
+            bias[0] -= *lr * errs[k];
+            let progress = &mut *lane.progress;
+            progress.next += 1;
+            let closes =
+                progress.open + num_held[k] == lane.batch || progress.next == lane.samples.len();
+            if closes || num_held[k] == HELD {
+                progress.add_losses(&held[k][..num_held[k]]);
+                num_held[k] = 0;
+                if closes {
+                    progress.close_chunk();
+                }
+            }
+        }
+    }
+    for (lane, (held, &n)) in lanes.iter_mut().zip(held.iter().zip(&num_held)) {
+        lane.progress.add_losses(&held[..n]);
+    }
+}
+
 impl Recommender for MfModel {
     fn name(&self) -> &'static str {
         "MF"
@@ -250,6 +471,10 @@ impl Recommender for MfModel {
                 mf_sgd_step(user_emb.row_mut(u as usize), item_vec, &mut bias[0], label, *lr, *reg);
         }
         total / batch.len() as f32
+    }
+
+    fn as_mf_mut(&mut self) -> Option<&mut MfModel> {
+        Some(self)
     }
 
     fn export_full_state(&self) -> Option<String> {
@@ -334,6 +559,55 @@ mod tests {
                 let (sigmoid, loss) = sigmoid_and_bce(x, t);
                 assert_eq!(sigmoid.to_bits(), stable_sigmoid(x).to_bits(), "sigmoid, x={x:e}");
                 assert_eq!(loss.to_bits(), bce_loss(x, t).to_bits(), "loss, x={x:e} t={t}");
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_train_each_model_as_train_on_samples_does_alone() {
+        // uneven passes (a lane finishes, the rest carry on through
+        // further calls) over dense and row-scoped tables, with batch
+        // sizes on and off the held-back loss block
+        let passes: [&[u32]; 4] = [&[3, 9, 3, 40, 41], &[9; 23], &[44, 2, 30], &[1]];
+        let samples = |k: usize| -> Vec<(u32, u32, f32)> {
+            passes[k].iter().map(|&i| (0, i, (i % 3) as f32 / 2.0)).collect()
+        };
+        let model = |k: usize| {
+            let scope = if k.is_multiple_of(2) {
+                ItemScope::Full(47)
+            } else {
+                ItemScope::rows(47, vec![9])
+            };
+            MfModel::new_scoped(1, 8, 0.1, &scope, k as u64)
+        };
+        for batch in [1usize, 4, 16, 17, 64] {
+            let alone: Vec<_> = (0..LANES)
+                .map(|k| {
+                    let mut m = model(k);
+                    let loss = crate::train_on_samples(&mut m, &samples(k), batch);
+                    (m.export_full_state(), loss.to_bits())
+                })
+                .collect();
+            for width in 1..=LANES {
+                let mut lanes: Vec<_> = (0..width)
+                    .map(|k| {
+                        let mut m = model(k);
+                        let mut ids = passes[k].to_vec();
+                        ids.sort_unstable();
+                        ids.dedup();
+                        m.prepare_items(&ids);
+                        (m, samples(k), EpochProgress::default())
+                    })
+                    .collect();
+                while lanes.iter().any(|(_, s, p)| !p.finished(s.len())) {
+                    train_lanes(lanes.iter_mut().filter(|(_, s, p)| !p.finished(s.len())).map(
+                        |(model, samples, progress)| MfLane { model, samples, batch, progress },
+                    ));
+                }
+                for (k, (m, _, p)) in lanes.iter().enumerate() {
+                    let got = (m.export_full_state(), p.mean_loss().to_bits());
+                    assert!(got == alone[k], "batch {batch}, {width} lanes: lane {k} differs");
+                }
             }
         }
     }

@@ -5,6 +5,7 @@
 //! model in this crate therefore implements [`Recommender`], and the
 //! protocol crates program against `Box<dyn Recommender>`.
 
+use crate::mf::MfModel;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A borrowed view of which item-embedding rows a model holds.
@@ -227,6 +228,13 @@ pub trait Recommender: Send + Sync {
     /// One optimizer step on `(user, item, soft_label)` triples; returns
     /// the batch's mean BCE loss.
     fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32;
+
+    /// The model as an [`MfModel`], which only `MfModel` answers: a
+    /// caller training several MF models at once hands them to
+    /// [`crate::mf::train_lanes`], and trains any other model alone.
+    fn as_mf_mut(&mut self) -> Option<&mut MfModel> {
+        None
+    }
 
     /// Rebuilds internal interaction-graph structure from weighted
     /// `(user, item, weight)` edges. Non-graph models ignore this.

@@ -94,7 +94,16 @@ pub fn run_shard(
         .map(|&id| rounds::build_client(train, id, opts.client_kind, &opts.hyper, &opts.cfg))
         .collect();
     let mut scratch = RoundScratch::default();
-    let index_of = |id: u32, clients: &[PtfClient]| clients.iter().position(|c| c.id == id);
+    // `(id, slot)` sorted once, so a frame finds its client by binary
+    // search instead of a scan over the shard; among repeated ids the
+    // first slot wins, as a scan would find it
+    let mut index: Vec<(u32, usize)> =
+        clients.iter().enumerate().map(|(slot, c)| (c.id, slot)).collect();
+    index.sort_unstable();
+    let index_of = |id: u32| {
+        let at = index.partition_point(|&(i, _)| i < id);
+        index.get(at).filter(|&&(i, _)| i == id).map(|&(_, slot)| slot)
+    };
 
     for c in &clients {
         conn.send(&Frame::Hello { client: c.id, trainable: c.num_positives() > 0, fingerprint })?;
@@ -136,7 +145,7 @@ pub fn run_shard(
                         clients.len()
                     )));
                 }
-                let Some(at) = index_of(client, &clients) else {
+                let Some(at) = index_of(client) else {
                     continue; // not ours — another shard's announcement
                 };
                 if let Some(s) = opts.straggle {
@@ -162,7 +171,7 @@ pub fn run_shard(
                 conn.send(&frame)?;
             }
             Frame::Disperse { client, triples, .. } => {
-                let Some(at) = index_of(client, &clients) else { continue };
+                let Some(at) = index_of(client) else { continue };
                 summary.bytes_down += (triples.len() * ptf_comm::message::BYTES_PER_TRIPLE) as u64;
                 clients[at]
                     .receive_disperse(triples.into_iter().map(|(_, item, s)| (item, s)).collect());

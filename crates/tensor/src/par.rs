@@ -52,9 +52,33 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
+    if resolve_threads(threads) <= 1 || items.len() <= 1 {
+        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    map_chunks_mut(threads, items, |start, chunk| {
+        chunk.iter_mut().enumerate().map(|(i, t)| f(start + i, t)).collect::<Vec<R>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// Splits `items` into up to `threads` contiguous chunks of balanced
+/// length, applies `f(offset of the chunk, chunk)` to each on its own
+/// scoped thread, and returns one result per chunk, in input order — for a
+/// worker that schedules its own items.
+///
+/// `threads == 1` (or at most one item) is one inline call over all of
+/// `items`, with no spawn.
+pub fn map_chunks_mut<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
     let threads = resolve_threads(threads);
     if threads <= 1 || items.len() <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
+        return vec![f(0, items)];
     }
     let lens = chunk_lens(items.len(), threads);
     let f = &f;
@@ -67,15 +91,9 @@ where
             rest = tail;
             let start = offset;
             offset += len;
-            handles.push(scope.spawn(move || {
-                chunk.iter_mut().enumerate().map(|(i, t)| f(start + i, t)).collect::<Vec<R>>()
-            }));
+            handles.push(scope.spawn(move || f(start, chunk)));
         }
-        let mut out = Vec::with_capacity(offset);
-        for h in handles {
-            out.extend(h.join().expect("worker thread panicked"));
-        }
-        out
+        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
     })
 }
 
@@ -220,6 +238,26 @@ mod tests {
         }
         assert_eq!(serial.0[3], 6);
         assert_eq!(serial.1[3], (3, 6));
+    }
+
+    #[test]
+    fn map_chunks_mut_covers_each_item_once_in_order() {
+        for threads in [1, 2, 3, 8] {
+            let mut xs: Vec<u32> = (0..10).collect();
+            let chunks = map_chunks_mut(threads, &mut xs, |start, chunk| {
+                chunk.iter_mut().for_each(|x| *x += 100);
+                (start, chunk.len())
+            });
+            assert_eq!(chunks.len(), threads.min(10), "{threads} threads");
+            let mut next = 0;
+            for (start, len) in chunks {
+                assert_eq!(start, next, "{threads} threads: chunks out of order");
+                next += len;
+            }
+            assert_eq!(next, 10);
+            assert!(xs.iter().enumerate().all(|(i, &x)| x == i as u32 + 100));
+        }
+        assert_eq!(map_chunks_mut(4, &mut [] as &mut [u8], |_, c| c.len()), vec![0]);
     }
 
     #[test]

@@ -40,8 +40,10 @@ fn steady_state_mf_rounds_allocate_nothing_on_the_client_path() {
     cfg.client_epochs = 2;
     cfg.alpha = 8;
     // NoDefense keeps the full trained pool on the upload path (the
-    // sampling defenses draw index vectors by design); one worker thread
-    // so a single warmed scratch serves every client deterministically
+    // sampling defenses draw index vectors by design); one worker thread,
+    // so the same warmed scratch set serves every round: its 48
+    // participants pass through the worker's four MF lanes, each lane
+    // refilled as its client finishes
     cfg.defense = DefenseKind::NoDefense;
     cfg.threads = 1;
     // dense client tables (the 40-item catalogue): every item row exists
