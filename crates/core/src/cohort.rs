@@ -13,10 +13,13 @@
 //!   trained in parallel, exported back to the client store, and
 //!   dropped before the next cohort starts;
 //! * a client's cross-round state travels as a `ClientEnvelope` of three
-//!   lines: the eviction recency index, the model's full-state envelope
-//!   verbatim, and the dispersed set `D̃_i`. The client phase writes the
-//!   first two (one tmp+rename); `deliver` appends the third (one
-//!   `O_APPEND` write — nothing is read back, parsed or rewritten).
+//!   lines, one file per client in the run's on-disk store ([`StoreKind`];
+//!   there is no in-process store — a deployed client keeps its state in
+//!   local storage, not in the server's RAM): the eviction recency index,
+//!   the model's full-state envelope verbatim, and the dispersed set
+//!   `D̃_i`. The client phase writes the first two (one tmp+rename);
+//!   `deliver` appends the third (one `O_APPEND` write — nothing is read
+//!   back, parsed or rewritten).
 //!   Everything else a resident client holds is either rebuilt per round
 //!   (the ego graph) or capacity-only (upload buffers).
 //!
@@ -64,7 +67,6 @@ use ptf_models::{ModelHyper, ModelKind};
 use ptf_privacy::ScoredItem;
 use ptf_tensor::PackedF32s;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -115,15 +117,17 @@ impl CohortData {
     }
 }
 
-/// Where client envelopes live between participations.
+/// Where client envelopes live between participations: an on-disk store
+/// rooted at the given directory, laid out `<root>/{id%256:02x}/{id}.json`.
+/// The run's heap stays `O(cohort)`; the directory grows
+/// `O(touched clients)`. The directory belongs to the run: construction
+/// empties it (or creates it), so a fresh run never restores an earlier
+/// run's clients, and a resume refills it from the committed envelopes.
+///
+/// There is one store; the enum keeps its single variant because callers
+/// outside this workspace name `StoreKind::Disk`.
 #[derive(Clone, Debug)]
 pub enum StoreKind {
-    /// In-process map — `O(touched clients)` heap. Fine for parity tests
-    /// and small runs; scale runs want [`StoreKind::Disk`].
-    Memory,
-    /// On-disk store rooted at the given directory (created if absent).
-    /// The run's heap stays `O(cohort)`; the directory grows
-    /// `O(touched clients)`.
     Disk(PathBuf),
 }
 
@@ -146,12 +150,6 @@ pub struct CohortOptions {
     pub cohort: usize,
     pub store: StoreKind,
     pub server_scope: ServerScope,
-}
-
-impl Default for CohortOptions {
-    fn default() -> Self {
-        Self { cohort: 0, store: StoreKind::Memory, server_scope: ServerScope::FullFleet }
-    }
 }
 
 /// A client's cross-round state at rest, as read back: a parked file is
@@ -242,11 +240,10 @@ impl<'a> ClientEnvelope<'a> {
     }
 }
 
-/// Envelope storage: load is read-only (called from parallel workers);
-/// save and append are serial.
-enum ClientStore {
-    Memory(BTreeMap<u32, String>),
-    Disk { root: PathBuf },
+/// The parked clients' envelope files under one root directory: load is
+/// read-only (called from parallel workers); save and append are serial.
+struct ClientStore {
+    root: PathBuf,
 }
 
 /// `id`-sharded relative path of a client's envelope file.
@@ -255,64 +252,56 @@ fn envelope_rel(id: u32) -> (String, String) {
 }
 
 impl ClientStore {
+    /// Opens an empty store at `root`, removing whatever was there.
+    fn empty_at(root: PathBuf) -> std::io::Result<Self> {
+        if root.is_dir() {
+            std::fs::remove_dir_all(&root)?;
+        }
+        std::fs::create_dir_all(&root)?;
+        Ok(Self { root })
+    }
+
+    fn path(&self, id: u32) -> PathBuf {
+        let (shard, file) = envelope_rel(id);
+        self.root.join(shard).join(file)
+    }
+
     fn load(&self, id: u32) -> Option<String> {
-        match self {
-            Self::Memory(map) => map.get(&id).cloned(),
-            Self::Disk { root } => {
-                let (shard, file) = envelope_rel(id);
-                match std::fs::read_to_string(root.join(shard).join(file)) {
-                    Ok(s) => Some(s),
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-                    Err(e) => panic!("client store read for {id}: {e}"),
-                }
-            }
+        match std::fs::read_to_string(self.path(id)) {
+            Ok(s) => Some(s),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => panic!("client store read for {id}: {e}"),
         }
     }
 
     /// Replaces `id`'s envelope with `text`.
     fn save(&mut self, id: u32, text: String) {
-        match self {
-            Self::Memory(map) => {
-                map.insert(id, text);
+        let (shard, file) = envelope_rel(id);
+        let dir = self.root.join(shard);
+        // tmp + rename so a crash mid-write never leaves a torn
+        // envelope where a resume would read it
+        let tmp = dir.join(format!("{id}.json.tmp"));
+        let written = std::fs::write(&tmp, &text).or_else(|e| {
+            if e.kind() != std::io::ErrorKind::NotFound {
+                return Err(e);
             }
-            Self::Disk { root } => {
-                let (shard, file) = envelope_rel(id);
-                let dir = root.join(shard);
-                // tmp + rename so a crash mid-write never leaves a torn
-                // envelope where a resume would read it
-                let tmp = dir.join(format!("{id}.json.tmp"));
-                let written = std::fs::write(&tmp, &text).or_else(|e| {
-                    if e.kind() != std::io::ErrorKind::NotFound {
-                        return Err(e);
-                    }
-                    // the shard's first envelope: its directory is missing
-                    std::fs::create_dir_all(&dir)?;
-                    std::fs::write(&tmp, &text)
-                });
-                written.unwrap_or_else(|e| panic!("client store write: {e}"));
-                std::fs::rename(&tmp, dir.join(file))
-                    .unwrap_or_else(|e| panic!("client store rename: {e}"));
-            }
-        }
+            // the shard's first envelope: its directory is missing
+            std::fs::create_dir_all(&dir)?;
+            std::fs::write(&tmp, &text)
+        });
+        written.unwrap_or_else(|e| panic!("client store write: {e}"));
+        std::fs::rename(&tmp, dir.join(file))
+            .unwrap_or_else(|e| panic!("client store rename: {e}"));
     }
 
-    /// Appends `line` to `id`'s envelope, which must exist: on disk one
+    /// Appends `line` to `id`'s envelope, which must exist: one
     /// `O_APPEND` write (see the module docs for why no rename is needed).
     fn append(&mut self, id: u32, line: &str) {
-        match self {
-            Self::Memory(map) => map
-                .get_mut(&id)
-                .unwrap_or_else(|| panic!("client {id} appended to before it was parked"))
-                .push_str(line),
-            Self::Disk { root } => {
-                let (shard, file) = envelope_rel(id);
-                std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(root.join(shard).join(file))
-                    .and_then(|mut f| f.write_all(line.as_bytes()))
-                    .unwrap_or_else(|e| panic!("client store append for {id}: {e}"));
-            }
-        }
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(self.path(id))
+            .and_then(|mut f| f.write_all(line.as_bytes()))
+            .unwrap_or_else(|e| panic!("client store append for {id}: {e}"));
     }
 }
 
@@ -333,8 +322,10 @@ pub type CohortFedRec = Round<Stored>;
 impl Round<Stored> {
     /// Builds the cohort runtime. Unlike [`crate::PtfFedRec::try_new`]
     /// this constructs *no* clients — they materialize lazily, cohort by
-    /// cohort, as rounds sample them. Fails if `cfg` is inconsistent or
-    /// the on-disk store root cannot be created.
+    /// cohort, as rounds sample them. The store root is emptied, so the
+    /// run starts with no parked client (a resume refills it through
+    /// [`reset_clients_from`](Self::reset_clients_from)). Fails if `cfg`
+    /// is inconsistent or the store root cannot be emptied or created.
     pub fn try_new(
         data: CohortData,
         client_kind: ModelKind,
@@ -344,13 +335,9 @@ impl Round<Stored> {
         opts: CohortOptions,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let store = match opts.store {
-            StoreKind::Memory => ClientStore::Memory(BTreeMap::new()),
-            StoreKind::Disk(root) => match std::fs::create_dir_all(&root) {
-                Ok(()) => ClientStore::Disk { root },
-                Err(e) => return Err(ConfigError::StoreRoot { path: root, reason: e.to_string() }),
-            },
-        };
+        let StoreKind::Disk(root) = opts.store;
+        let store = ClientStore::empty_at(root.clone())
+            .map_err(|e| ConfigError::StoreRoot { path: root, reason: e.to_string() })?;
         let trainable = data.trainable();
         let user_map = match opts.server_scope {
             ServerScope::FullFleet => None,
@@ -400,26 +387,7 @@ impl Round<Stored> {
     /// the client half of a checkpoint commit.
     pub fn snapshot_clients_to(&self, dir: &Path) -> Result<(), String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("snapshot dir: {e}"))?;
-        match &self.host.store {
-            ClientStore::Memory(map) => {
-                for (&id, json) in map {
-                    let (shard, file) = envelope_rel(id);
-                    let sdir = dir.join(shard);
-                    std::fs::create_dir_all(&sdir).map_err(|e| format!("snapshot shard: {e}"))?;
-                    std::fs::write(sdir.join(file), json)
-                        .map_err(|e| format!("snapshot write for client {id}: {e}"))?;
-                }
-                Ok(())
-            }
-            ClientStore::Disk { root } => walk_envelopes(root, |id, src| {
-                let (shard, file) = envelope_rel(id);
-                let sdir = dir.join(shard);
-                std::fs::create_dir_all(&sdir).map_err(|e| format!("snapshot shard: {e}"))?;
-                std::fs::copy(src, sdir.join(file))
-                    .map_err(|e| format!("snapshot copy for client {id}: {e}"))?;
-                Ok(())
-            }),
-        }
+        copy_envelopes(&self.host.store.root, dir, |_, _| Ok(()))
     }
 
     /// Replaces the live client store with the committed envelopes in
@@ -427,40 +395,15 @@ impl Round<Stored> {
     /// once, exactly as its next participation will restore it, so a
     /// damaged one fails the resume here, not mid-round.
     pub fn reset_clients_from(&mut self, dir: &Path) -> Result<(), String> {
-        let (host, cfg) = (&self.host, &self.cfg);
-        let committed = |id: u32, src: &Path| {
+        let (host, cfg) = (&mut self.host, &self.cfg);
+        // drop any post-checkpoint state from the interrupted run
+        host.store = ClientStore::empty_at(host.store.root.clone())
+            .map_err(|e| format!("clear store: {e}"))?;
+        copy_envelopes(dir, &host.store.root, |id, src| {
             let text = std::fs::read_to_string(src)
                 .map_err(|e| format!("committed envelope for client {id}: {e}"))?;
-            host.restore_client(id, &text, cfg)?;
-            Ok::<_, String>(text)
-        };
-        match &host.store {
-            ClientStore::Memory(_) => {
-                let mut map = BTreeMap::new();
-                walk_envelopes(dir, |id, src| {
-                    map.insert(id, committed(id, &src)?);
-                    Ok(())
-                })?;
-                self.host.store = ClientStore::Memory(map);
-                Ok(())
-            }
-            ClientStore::Disk { root } => {
-                // drop any post-checkpoint state from the interrupted run
-                if root.exists() {
-                    std::fs::remove_dir_all(root).map_err(|e| format!("clear store: {e}"))?;
-                }
-                std::fs::create_dir_all(root).map_err(|e| format!("recreate store: {e}"))?;
-                walk_envelopes(dir, |id, src| {
-                    let text = committed(id, &src)?;
-                    let (shard, file) = envelope_rel(id);
-                    let sdir = root.join(shard);
-                    std::fs::create_dir_all(&sdir).map_err(|e| format!("restore shard: {e}"))?;
-                    std::fs::write(sdir.join(file), text)
-                        .map_err(|e| format!("restore write for client {id}: {e}"))?;
-                    Ok(())
-                })
-            }
-        }
+            host.restore_client(id, &text, cfg).map(drop)
+        })
     }
 }
 
@@ -610,14 +553,17 @@ fn active_users(cfg: &PtfConfig, trainable: &[u32]) -> Vec<u32> {
     active
 }
 
-/// Visits every envelope file under a sharded store directory as
-/// `(client id, path)`. Filesystem iteration order is irrelevant: the
-/// visit only moves bytes keyed by id.
-fn walk_envelopes(
-    dir: &Path,
-    mut f: impl FnMut(u32, PathBuf) -> Result<(), String>,
+/// Copies every envelope file under the sharded store directory `from`
+/// to the same place under `to`, after `check(client id, source path)`
+/// accepts it. Filesystem iteration order is irrelevant: the copy only
+/// moves bytes keyed by id.
+fn copy_envelopes(
+    from: &Path,
+    to: &Path,
+    mut check: impl FnMut(u32, &Path) -> Result<(), String>,
 ) -> Result<(), String> {
-    let shards = std::fs::read_dir(dir).map_err(|e| format!("store dir {}: {e}", dir.display()))?;
+    let shards =
+        std::fs::read_dir(from).map_err(|e| format!("store dir {}: {e}", from.display()))?;
     for shard in shards {
         let shard = shard.map_err(|e| format!("store dir entry: {e}"))?;
         if !shard.file_type().map_err(|e| format!("store entry type: {e}"))?.is_dir() {
@@ -635,7 +581,12 @@ fn walk_envelopes(
             let id: u32 = stem
                 .parse()
                 .map_err(|_| format!("unexpected file in client store: {}", path.display()))?;
-            f(id, path)?;
+            check(id, &path)?;
+            let (shard, file) = envelope_rel(id);
+            let dir = to.join(shard);
+            std::fs::create_dir_all(&dir).map_err(|e| format!("copy shard: {e}"))?;
+            std::fs::copy(&path, dir.join(file))
+                .map_err(|e| format!("copy envelope of client {id}: {e}"))?;
         }
     }
     Ok(())
@@ -649,6 +600,26 @@ mod tests {
     use ptf_federated::{RoundCtx, Scheduler, ScratchPool};
     use ptf_models::{ItemScope, MfModel, NeuMf, NeuMfConfig, Recommender};
     use ptf_tensor::{test_rng, Matrix, RowTable};
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A store root of its own under the temp dir, removed when dropped.
+    struct TempRoot(PathBuf);
+
+    impl TempRoot {
+        fn new(tag: &str) -> Self {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let k = NEXT.fetch_add(1, Ordering::Relaxed);
+            let name = format!("ptf-cohort-{tag}-{}-{k}", std::process::id());
+            Self(std::env::temp_dir().join(name))
+        }
+    }
+
+    impl Drop for TempRoot {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 
     /// `-0.0`, a NaN with payload bits, both infinities, a subnormal.
     const ODD: [u32; 5] = [0x8000_0000, 0x7fc0_1234, 0x7f80_0000, 0xff80_0000, 0x0000_0001];
@@ -733,11 +704,12 @@ mod tests {
         // a parked cohort client whose dispersed set holds such scores
         let scored: Vec<ScoredItem> = (3..8).zip(odd()).collect();
         let data = SyntheticConfig::new("odd", 2, 9, 3.0).generate(&mut test_rng(3));
+        let root = TempRoot::new("odd");
         let mut host = Stored {
             client_kind: ModelKind::Mf,
             hyper,
             data: CohortData::Mem(data),
-            store: ClientStore::Memory(BTreeMap::new()),
+            store: ClientStore::empty_at(root.0.clone()).expect("temp store root"),
             cohort: 0,
         };
         let client = host.build_fresh(1, &cfg);
@@ -753,13 +725,17 @@ mod tests {
 
     /// A cohort runtime of MF clients over `users` synthetic users, with
     /// eviction on so every envelope line has content.
-    fn small_fed(store: StoreKind, users: usize) -> CohortFedRec {
+    fn small_fed(root: &TempRoot, users: usize) -> CohortFedRec {
         let data = SyntheticConfig::new("parked", users, 60, 6.0).generate(&mut test_rng(5));
         let mut cfg = PtfConfig::small();
         cfg.alpha = 6;
         cfg.storage.evict_interval = 1;
         cfg.storage.evict_budget = 24;
-        let opts = CohortOptions { cohort: 2, store, ..CohortOptions::default() };
+        let opts = CohortOptions {
+            cohort: 2,
+            store: StoreKind::Disk(root.0.clone()),
+            server_scope: ServerScope::FullFleet,
+        };
         let hyper = ModelHyper::small();
         CohortFedRec::try_new(
             CohortData::Mem(data),
@@ -803,12 +779,12 @@ mod tests {
     /// left behind, and the result restores.
     #[test]
     fn deliver_appends_exactly_one_line_to_each_parked_file() {
-        let root = std::env::temp_dir().join(format!("ptf-cohort-append-{}", std::process::id()));
-        let mut fed = small_fed(StoreKind::Disk(root.clone()), 5);
+        let root = TempRoot::new("append");
+        let mut fed = small_fed(&root, 5);
         for round in 0..3 {
             let mut parked = BTreeMap::new();
-            round_by_hand(&mut fed, round, |_| parked = store_files(&root));
-            let delivered = store_files(&root);
+            round_by_hand(&mut fed, round, |_| parked = store_files(&root.0));
+            let delivered = store_files(&root.0);
             assert_eq!(parked.len(), fed.trainable().len(), "one file per participant");
             assert_eq!(
                 delivered.keys().collect::<Vec<_>>(),
@@ -828,7 +804,6 @@ mod tests {
                     .expect("a delivered envelope restores");
             }
         }
-        std::fs::remove_dir_all(&root).ok();
     }
 
     /// One way to damage a parked envelope.
@@ -896,7 +871,8 @@ mod tests {
         fn damaged_envelopes_are_rejected_never_panicked_on(
             kind in 0u8..6, at in 0.0f64..1.0, mask in 1u8..=255, pick in 0usize..6
         ) {
-            let mut fed = small_fed(StoreKind::Memory, 3);
+            let root = TempRoot::new("damage");
+            let mut fed = small_fed(&root, 3);
             for round in 0..2 {
                 round_by_hand(&mut fed, round, |_| {});
             }
@@ -922,6 +898,7 @@ mod tests {
     #[test]
     fn active_scope_rejects_a_bad_participation_fraction() {
         let data = SyntheticConfig::new("scope", 12, 20, 4.0).generate(&mut test_rng(4));
+        let root = TempRoot::new("scope");
         for fraction in [1.5, -0.5, f64::NAN] {
             let mut cfg = PtfConfig::small();
             cfg.participation.fraction = fraction;
@@ -932,8 +909,9 @@ mod tests {
                 &ModelHyper::small(),
                 cfg,
                 CohortOptions {
+                    cohort: 0,
+                    store: StoreKind::Disk(root.0.clone()),
                     server_scope: ServerScope::ActiveParticipants,
-                    ..CohortOptions::default()
                 },
             );
             assert!(

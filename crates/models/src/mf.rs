@@ -1,10 +1,11 @@
 //! Matrix factorization: the workhorse of the parameter-transmission
 //! baselines (FCF, FedMF) and a centralized reference point.
 //!
-//! Unlike the autograd-backed models, MF exposes its per-sample gradient
-//! math directly — the federated baselines need raw item-embedding
-//! gradients as *protocol messages* (FCF uploads them in the clear, FedMF
-//! encrypts them), so the math must be callable outside a training step.
+//! Unlike the autograd-backed models, MF exposes its per-sample SGD step
+//! ([`mf_sgd_step`]) directly: FCF trains a local copy of the item rows a
+//! client touches with it and uploads the trained rows minus the round's
+//! base rows as its gradient message (in the clear; FedMF wraps FCF and
+//! encrypts it), so the step must be callable outside a model.
 //!
 //! The item table is a [`RowTable`]: dense for servers, baselines and
 //! centralized runs, row-sparse for item-scoped clients, which hold only
@@ -56,55 +57,12 @@ fn bce_from_exp(logit: f32, e: f32, target: f32) -> f32 {
     logit.max(0.0) - logit * target + e.ln_1p()
 }
 
-/// Per-sample MF gradients for `σ(⟨u, v⟩ + b) ≈ label` under BCE with L2
-/// regularization `reg` on both embeddings, written into caller-owned
-/// scratch buffers (resized to `dim`, previous contents overwritten).
-///
-/// This is the allocation-free form the federated round loops use: FCF
-/// and FedMF compute these gradients once *per sample per round*, so two
-/// fresh `Vec`s per call would dominate their heap traffic. Returns
-/// `(db, loss)`.
-pub fn mf_gradients_into(
-    du: &mut Vec<f32>,
-    dv: &mut Vec<f32>,
-    user_vec: &[f32],
-    item_vec: &[f32],
-    item_bias: f32,
-    label: f32,
-    reg: f32,
-) -> (f32, f32) {
-    debug_assert_eq!(user_vec.len(), item_vec.len());
-    let logit = kernels::dot(user_vec, item_vec) + item_bias;
-    let (sigmoid, loss) = sigmoid_and_bce(logit, label);
-    let err = sigmoid - label;
-    du.clear();
-    du.extend(user_vec.iter().zip(item_vec).map(|(&u, &v)| err * v + reg * u));
-    dv.clear();
-    dv.extend(user_vec.iter().zip(item_vec).map(|(&u, &v)| err * u + reg * v));
-    (err, loss)
-}
-
-/// Allocating convenience wrapper over [`mf_gradients_into`].
-///
-/// Returns `(du, dv, db, loss)`.
-pub fn mf_gradients(
-    user_vec: &[f32],
-    item_vec: &[f32],
-    item_bias: f32,
-    label: f32,
-    reg: f32,
-) -> (Vec<f32>, Vec<f32>, f32, f32) {
-    let mut du = Vec::new();
-    let mut dv = Vec::new();
-    let (db, loss) = mf_gradients_into(&mut du, &mut dv, user_vec, item_vec, item_bias, label, reg);
-    (du, dv, db, loss)
-}
-
-/// Applies one SGD step in place; returns the sample's loss.
+/// Applies one SGD step in place for `σ(⟨u, v⟩ + b) ≈ label` under BCE
+/// with L2 regularization `reg` on both embeddings; returns the sample's
+/// loss.
 ///
 /// Allocation-free: the gradients are computed and applied elementwise
-/// from the pre-step values (bit-identical to materializing `du`/`dv`
-/// via [`mf_gradients`] and then applying them) — this runs inside every
+/// from the pre-step values — this runs inside every
 /// client's local round, where a heap allocation per sample is exactly
 /// the memory-bandwidth waste the scratch-buffer hot path eliminates.
 pub fn mf_sgd_step(
@@ -188,11 +146,6 @@ impl MfModel {
     pub fn item_row_mut(&mut self, item: u32) -> &mut [f32] {
         let r = self.items.ensure(item);
         self.items.row_mut(r)
-    }
-
-    /// Pre-reserves item-row capacity (see [`RowTable::reserve_rows`]).
-    pub fn reserve_item_rows(&mut self, additional: usize) {
-        self.items.reserve_rows(additional);
     }
 
     pub fn logit(&self, user: u32, item: u32) -> f32 {
@@ -621,34 +574,51 @@ mod tests {
         }
     }
 
+    /// `(du, dv, db, loss)` of one sample: the update [`mf_sgd_step`]
+    /// applies, divided by `-lr`.
+    fn step_gradients(
+        u: &[f32],
+        v: &[f32],
+        bias: f32,
+        label: f32,
+        reg: f32,
+    ) -> (Vec<f32>, Vec<f32>, f32, f32) {
+        let lr = 0.5;
+        let (mut u2, mut v2, mut b2) = (u.to_vec(), v.to_vec(), bias);
+        let loss = mf_sgd_step(&mut u2, &mut v2, &mut b2, label, lr, reg);
+        let grad = |before: &[f32], after: &[f32]| -> Vec<f32> {
+            before.iter().zip(after).map(|(&x, &y)| (y - x) / -lr).collect()
+        };
+        (grad(u, &u2), grad(v, &v2), (b2 - bias) / -lr, loss)
+    }
+
     #[test]
     fn gradients_match_finite_differences() {
         let u = vec![0.3f32, -0.2, 0.5];
         let v = vec![-0.1f32, 0.4, 0.2];
         let bias = 0.05f32;
         let label = 1.0f32;
-        let (du, dv, db, _) = mf_gradients(&u, &v, bias, label, 0.0);
+        let (du, dv, db, loss) = step_gradients(&u, &v, bias, label, 0.0);
+        let loss_at = |uu: &[f32], vv: &[f32], b: f32| bce_loss(kernels::dot(uu, vv) + b, label);
+        assert_eq!(loss, loss_at(&u, &v, bias), "the step reports the pre-step loss");
         let eps = 1e-3f32;
+        let nudged = |x: &[f32], k: usize, by: f32| {
+            let mut x = x.to_vec();
+            x[k] += by;
+            x
+        };
         for k in 0..3 {
-            let mut up = u.clone();
-            up[k] += eps;
-            let mut un = u.clone();
-            un[k] -= eps;
-            let logit =
-                |uu: &[f32]| -> f32 { uu.iter().zip(&v).map(|(&a, &b)| a * b).sum::<f32>() + bias };
-            let num = (bce_loss(logit(&up), label) - bce_loss(logit(&un), label)) / (2.0 * eps);
-            assert!((du[k] - num).abs() < 1e-3, "du[{k}]: {} vs {num}", du[k]);
-        }
-        // dv symmetric by construction; spot-check bias
-        let num_db =
-            (bce_loss(u.iter().zip(&v).map(|(&a, &b)| a * b).sum::<f32>() + bias + eps, label)
-                - bce_loss(
-                    u.iter().zip(&v).map(|(&a, &b)| a * b).sum::<f32>() + bias - eps,
-                    label,
-                ))
+            let num_u = (loss_at(&nudged(&u, k, eps), &v, bias)
+                - loss_at(&nudged(&u, k, -eps), &v, bias))
                 / (2.0 * eps);
-        assert!((db - num_db).abs() < 1e-3);
-        let _ = dv;
+            assert!((du[k] - num_u).abs() < 1e-3, "du[{k}]: {} vs {num_u}", du[k]);
+            let num_v = (loss_at(&u, &nudged(&v, k, eps), bias)
+                - loss_at(&u, &nudged(&v, k, -eps), bias))
+                / (2.0 * eps);
+            assert!((dv[k] - num_v).abs() < 1e-3, "dv[{k}]: {} vs {num_v}", dv[k]);
+        }
+        let num_db = (loss_at(&u, &v, bias + eps) - loss_at(&u, &v, bias - eps)) / (2.0 * eps);
+        assert!((db - num_db).abs() < 1e-3, "db: {db} vs {num_db}");
     }
 
     #[test]
@@ -656,9 +626,10 @@ mod tests {
         let u = vec![1.0f32];
         let v = vec![0.0f32];
         // err = σ(0) − 0.5 = 0 → gradient is purely the reg term
-        let (du, dv, _, _) = mf_gradients(&u, &v, 0.0, 0.5, 0.1);
-        assert!((du[0] - 0.1).abs() < 1e-6);
+        let (du, dv, db, _) = step_gradients(&u, &v, 0.0, 0.5, 0.1);
+        assert!((du[0] - 0.1).abs() < 1e-6, "du: {}", du[0]);
         assert_eq!(dv[0], 0.0);
+        assert_eq!(db, 0.0);
     }
 
     #[test]

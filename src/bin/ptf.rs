@@ -339,12 +339,10 @@ fn run_train_preset(preset: DatasetPreset, a: &TrainArgs, cohort: bool) -> Resul
     let (users, items) = (split.train.num_users(), split.train.num_items());
     let sizes = format!("{} ({users} clients, {items} items)", preset.name());
     if cohort {
+        let (root, _cleanup) = work_dir(a);
         let opts = CohortOptions {
             cohort: a.cohort.unwrap_or(0),
-            store: match &a.checkpoint {
-                Some(dir) => StoreKind::Disk(Path::new(dir).join("clients")),
-                None => StoreKind::Memory,
-            },
+            store: StoreKind::Disk(root.join("clients")),
             server_scope: ServerScope::FullFleet,
         };
         eprintln!("training PTF-FedRec/cohort on {sizes}");
@@ -383,18 +381,8 @@ fn run_train_scale(name: &'static str, a: &TrainArgs) -> Result<(), Failure> {
     cfg.participation = Participation { fraction: 0.0, min_clients: p };
     // a bad config must fail before the arena is streamed to disk
     cfg.validate().map_err(|e| e.to_string())?;
-    // The run's working directory: the checkpoint dir when durable (the
-    // arena is part of what a resume needs), a temp dir otherwise —
-    // removed on every exit path, since the arena and envelopes in it
-    // were working files of this run only.
-    let (root, _cleanup) = match &a.checkpoint {
-        Some(dir) => (PathBuf::from(dir), None),
-        None => {
-            let tmp =
-                std::env::temp_dir().join(format!("ptf-scale-{}-{}", std::process::id(), a.seed));
-            (tmp.clone(), Some(RemoveOnDrop(tmp)))
-        }
-    };
+    // the arena is part of what a resume needs, so it lives beside the store
+    let (root, _cleanup) = work_dir(a);
     std::fs::create_dir_all(&root).map_err(|e| format!("cannot create {}: {e}", root.display()))?;
     let arena_path = root.join("data.arena");
     // The sidecar pins what the arena was generated from; matching file
@@ -451,6 +439,21 @@ fn run_train_scale(name: &'static str, a: &TrainArgs) -> Result<(), Failure> {
     finish_train(a, &engine, trace, None, sc.num_users)
 }
 
+/// A cohort run's working directory, which holds its client store under
+/// `clients/` (and a scale run's arena): the checkpoint dir when the run
+/// is durable, else a per-process temp dir, removed on every exit path by
+/// the returned guard. Not created here: the store and the arena do that.
+fn work_dir(a: &TrainArgs) -> (PathBuf, Option<RemoveOnDrop>) {
+    match &a.checkpoint {
+        Some(dir) => (PathBuf::from(dir), None),
+        None => {
+            let tmp =
+                std::env::temp_dir().join(format!("ptf-work-{}-{}", std::process::id(), a.seed));
+            (tmp.clone(), Some(RemoveOnDrop(tmp)))
+        }
+    }
+}
+
 /// Deletes a directory tree when dropped (errors ignored: there is
 /// nothing useful to do about a temp dir that will not go away).
 struct RemoveOnDrop(PathBuf);
@@ -483,6 +486,12 @@ fn run_train(a: &TrainArgs) -> Result<(), Failure> {
     }
     if a.evict_budget > 0 && a.evict_interval == 0 {
         return Err("--evict-budget requires --evict-interval".into());
+    }
+    // a fresh run would overwrite the checkpoint another run committed
+    let holds_checkpoint = |dir: &&str| checkpoint::manifest_path(Path::new(dir)).exists();
+    if let Some(dir) = a.checkpoint.as_deref().filter(|_| !a.resume).filter(holds_checkpoint) {
+        let hint = "add --resume to continue that run, or point --checkpoint at a fresh directory";
+        return Err(format!("{dir} already holds a checkpoint: {hint}").into());
     }
     match a.dataset {
         DataChoice::Scale(name) => run_train_scale(name, a),

@@ -712,12 +712,15 @@ The `scale-*` datasets stream a deterministic synthetic fleet
 (10k/100k/1M users; `--users N` overrides) into an on-disk CSR arena and
 train with cohort scheduling: `--cohort N` clients are resident at once
 (default 1024 there; `0` = whole fleet), `--participants N` are sampled
-per round (default 64), client state lives in per-client envelopes on
-disk, and ranking evaluation is skipped. `--cohort` also works on the
-in-RAM presets. `--checkpoint DIR` makes any ptf-protocol cohort run
-durable: a crash-safe commit every `--checkpoint-every N` rounds (and at
-the end), resumed with `--resume` to a byte-identical trace;
-`--halt-after N` stops early after N rounds for kill-and-resume testing.
+per round (default 64), and ranking evaluation is skipped. `--cohort`
+also works on the in-RAM presets. Every cohort run parks client state in
+per-client envelopes on disk, under DIR/clients with `--checkpoint DIR`,
+else under a temp dir removed when the run exits. `--checkpoint DIR`
+makes any ptf-protocol cohort run durable: a crash-safe commit every
+`--checkpoint-every N` rounds (and at the end), resumed with `--resume`
+to a byte-identical trace; without `--resume`, a DIR that already holds
+a checkpoint is refused. `--halt-after N` stops early after N rounds for
+kill-and-resume testing.
 
 `serve`/`client` run the same protocol over TCP: the server binds
 127.0.0.1:PORT (default 7878, 0 = ephemeral — the bound address is

@@ -49,8 +49,15 @@ fn cohort_cli_run_matches_plain_engine_run() {
     assert!(plain.status.success(), "stderr: {}", stderr_of(&plain));
     let mut args = preset_args();
     args.extend(["--cohort".into(), "32".into(), "--threads".into(), "2".into()]);
-    let cohort = ptf().args(args).output().expect("spawn failed");
+    // without --checkpoint the client store lives in a temp work dir,
+    // which the run removes
+    let tmp = fresh_dir("cohort-tmp");
+    std::fs::create_dir_all(&tmp).expect("mkdir");
+    let cohort = ptf().env("TMPDIR", &tmp).args(args).output().expect("spawn failed");
     assert!(cohort.status.success(), "stderr: {}", stderr_of(&cohort));
+    let left: Vec<_> = std::fs::read_dir(&tmp).expect("read tmp").flatten().collect();
+    assert!(left.is_empty(), "the cohort run left files behind: {left:?}");
+    std::fs::remove_dir_all(&tmp).ok();
     // identical run modulo the protocol's display name
     let strip = |s: String| {
         s.lines().filter(|l| !l.contains("\"protocol\"")).collect::<Vec<_>>().join("\n")
@@ -102,6 +109,38 @@ fn kill_and_resume_reproduces_the_uninterrupted_run_byte_for_byte() {
 
     std::fs::remove_dir_all(&full_dir).ok();
     std::fs::remove_dir_all(&kill_dir).ok();
+}
+
+/// Two identical runs into one directory: the second, without
+/// `--resume`, must neither restore the first run's clients nor overwrite
+/// its checkpoint. It exits 1 naming the directory, and the checkpoint
+/// still resumes to the first run's output.
+#[test]
+fn a_fresh_run_refuses_a_directory_holding_a_checkpoint() {
+    let dir = fresh_dir("reused");
+    let run = |extra: &[&str]| {
+        let mut args = preset_args();
+        args.extend(["--checkpoint".into(), dir.display().to_string()]);
+        args.extend(extra.iter().map(|s| s.to_string()));
+        ptf().args(args).output().expect("spawn failed")
+    };
+    let first = run(&[]);
+    assert!(first.status.success(), "stderr: {}", stderr_of(&first));
+    let manifest = std::fs::read(dir.join("manifest.json")).expect("manifest written");
+
+    let second = run(&[]);
+    assert_eq!(second.status.code(), Some(1), "stderr: {}", stderr_of(&second));
+    let stderr = stderr_of(&second);
+    let want = format!("{} already holds a checkpoint", dir.display());
+    assert!(stderr.contains(&want), "expected {want:?} in stderr:\n{stderr}");
+    assert!(stderr.contains("--resume"), "the message suggests --resume:\n{stderr}");
+    assert!(stdout_of(&second).is_empty(), "the refused run printed a result");
+    assert_eq!(std::fs::read(dir.join("manifest.json")).unwrap(), manifest, "manifest changed");
+
+    let resumed = run(&["--resume"]);
+    assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
+    assert_eq!(stdout_of(&first), stdout_of(&resumed));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -268,7 +307,7 @@ fn flag_misuse_is_rejected_with_an_error() {
         ("train --dataset scale-10k --evict-interval 3", "storage.evict_budget must be positive"),
     ];
     // every rejected run gets a private temp dir and must leave it empty:
-    // a scale run that fails may not leak its `ptf-scale-*` working files
+    // a scale run that fails may not leak its `ptf-work-*` working files
     let tmp = fresh_dir("misuse-tmp");
     std::fs::create_dir_all(&tmp).expect("mkdir");
     for (cmd, want) in cases {

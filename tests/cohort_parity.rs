@@ -9,7 +9,8 @@
 //! * a cohort run's `RunTrace` (and the trained server's ranking
 //!   report) is bit-identical to the unsharded [`PtfFedRec`] engine at
 //!   every cohort size and thread count;
-//! * the on-disk envelope store is bit-identical to the in-memory one;
+//! * a store root that already holds envelopes changes nothing: a run
+//!   starts from an empty store;
 //! * a checkpointed-then-resumed run reproduces the uninterrupted run's
 //!   trace byte for byte, with the ledger carrying over exactly;
 //! * resume refuses (with an error, not a panic) manifests that are
@@ -46,6 +47,31 @@ fn fresh_dir(tag: &str) -> PathBuf {
         std::fs::remove_dir_all(&dir).expect("clear temp dir");
     }
     dir
+}
+
+/// A client store root of one test, removed when dropped — also when an
+/// assertion fails first.
+struct StoreRoot(PathBuf);
+
+impl StoreRoot {
+    fn new(tag: &str) -> Self {
+        Self(fresh_dir(tag))
+    }
+
+    /// Full-fleet cohort options over this root.
+    fn opts(&self, cohort: usize) -> CohortOptions {
+        CohortOptions {
+            cohort,
+            store: StoreKind::Disk(self.0.clone()),
+            server_scope: ServerScope::FullFleet,
+        }
+    }
+}
+
+impl Drop for StoreRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Runs a cohort protocol to completion and evaluates it.
@@ -94,10 +120,12 @@ fn cohort_runs_match_unsharded_bit_for_bit() {
         (trace, report)
     };
     assert!(reference.0.num_rounds() > 0, "empty reference run");
+    // one root for every run: each starts from an emptied store
+    let root = StoreRoot::new("matrix");
     for cohort in [64usize, 1024, 0] {
         for threads in [1usize, 4] {
-            let opts = CohortOptions { cohort, ..CohortOptions::default() };
-            let got = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(threads), opts);
+            let got =
+                run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(threads), root.opts(cohort));
             assert_eq!(
                 reference.0, got.0,
                 "RunTrace diverged at cohort={cohort} threads={threads}"
@@ -116,6 +144,7 @@ fn cohort_runs_match_unsharded_bit_for_bit() {
 #[test]
 fn cohort_parity_holds_for_every_architecture() {
     let s = split(30);
+    let root = StoreRoot::new("arch");
     for (client, server) in [
         (ModelKind::NeuMf, ModelKind::NeuMf),
         (ModelKind::LightGcn, ModelKind::NeuMf),
@@ -130,45 +159,52 @@ fn cohort_parity_holds_for_every_architecture() {
             );
             (engine.run(), engine.evaluate(&s.train, &s.test, 10))
         };
-        let got = run_cohort(
-            &s,
-            client,
-            server,
-            c,
-            CohortOptions { cohort: 7, ..CohortOptions::default() },
-        );
+        let got = run_cohort(&s, client, server, c, root.opts(7));
         assert_eq!(reference.0, got.0, "{client}->{server}: RunTrace diverged");
         assert_eq!(reference.1, got.1, "{client}->{server}: RankingReport diverged");
     }
 }
 
-/// The on-disk envelope store is an implementation detail: byte-equal
-/// results to the in-memory store at a chunked cohort size.
+/// The on-disk envelope store is an implementation detail: at a chunked
+/// cohort size it gives byte-equal results to the fleet the resident
+/// engine keeps in memory.
 #[test]
 fn disk_store_matches_memory_store() {
     let s = split(40);
-    let mem = run_cohort(
-        &s,
-        ModelKind::Mf,
-        ModelKind::NeuMf,
-        cfg(2),
-        CohortOptions { cohort: 16, ..CohortOptions::default() },
-    );
-    let root = fresh_dir("store");
-    let disk = run_cohort(
-        &s,
-        ModelKind::Mf,
-        ModelKind::NeuMf,
-        cfg(2),
-        CohortOptions {
-            cohort: 16,
-            store: StoreKind::Disk(root.clone()),
-            ..CohortOptions::default()
-        },
-    );
-    std::fs::remove_dir_all(&root).ok();
-    assert_eq!(mem.0, disk.0, "disk store changed the RunTrace");
-    assert_eq!(mem.1, disk.1, "disk store changed the RankingReport");
+    let resident = {
+        let mut engine = Engine::new(
+            PtfFedRec::try_new(
+                &s.train,
+                ModelKind::Mf,
+                ModelKind::NeuMf,
+                &ModelHyper::small(),
+                cfg(2),
+            )
+            .expect("valid config"),
+        );
+        (engine.run(), engine.evaluate(&s.train, &s.test, 10))
+    };
+    let root = StoreRoot::new("store");
+    let disk = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(2), root.opts(16));
+    assert_eq!(resident.0, disk.0, "disk store changed the RunTrace");
+    assert_eq!(resident.1, disk.1, "disk store changed the RankingReport");
+}
+
+/// A fresh run over a store root an earlier run left its envelopes in
+/// trains from scratch: the earlier clients are not restored, so the
+/// trace equals a run over an empty root.
+#[test]
+fn a_fresh_run_ignores_envelopes_left_in_its_store_root() {
+    let s = split(40);
+    let root = StoreRoot::new("reused");
+    let empty = StoreRoot::new("empty");
+    let first = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(1), root.opts(16));
+    let planted = std::fs::read_dir(&root.0).expect("the first run parked clients").count();
+    assert!(planted > 0, "the first run left no envelopes to plant");
+    let again = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(1), root.opts(16));
+    let fresh = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(1), empty.opts(16));
+    assert_eq!(first, fresh, "the same run over two empty roots diverged");
+    assert_eq!(fresh, again, "a run restored clients an earlier run parked");
 }
 
 /// `Engine::run_round_external` — the entry point a networked round
@@ -192,27 +228,22 @@ fn external_participant_sets_match_across_hosts() {
         assert_eq!(engine.ledger().summary().rounds, sets.len() as u32);
         (recorder.to_json(), engine.evaluate(&s.train, &s.test, 10))
     }
-    let cohort = |store: StoreKind| {
-        CohortFedRec::try_new(
-            CohortData::Mem(s.train.clone()),
-            ModelKind::Mf,
-            ModelKind::NeuMf,
-            &ModelHyper::small(),
-            cfg(2),
-            CohortOptions { cohort: 2, store, ..CohortOptions::default() },
-        )
-        .expect("valid config")
-    };
+    let root = StoreRoot::new("external");
+    let cohort = CohortFedRec::try_new(
+        CohortData::Mem(s.train.clone()),
+        ModelKind::Mf,
+        ModelKind::NeuMf,
+        &ModelHyper::small(),
+        cfg(2),
+        root.opts(2),
+    )
+    .expect("valid config");
     let resident =
         PtfFedRec::try_new(&s.train, ModelKind::Mf, ModelKind::NeuMf, &ModelHyper::small(), cfg(1))
             .expect("valid config");
     let reference = drive(resident, &sets, &s);
     assert!(reference.0.contains("\"participants\":3"), "sets were not deduped: {}", reference.0);
-    assert_eq!(reference, drive(cohort(StoreKind::Memory), &sets, &s), "memory store diverged");
-    let root = fresh_dir("external");
-    let disk = drive(cohort(StoreKind::Disk(root.clone())), &sets, &s);
-    std::fs::remove_dir_all(&root).ok();
-    assert_eq!(reference, disk, "disk store diverged");
+    assert_eq!(reference, drive(cohort, &sets, &s), "cohort host diverged");
 }
 
 /// `ServerScope::ActiveParticipants` is a different run than
@@ -226,6 +257,7 @@ fn active_scope_is_self_consistent_across_cohorts_and_threads() {
     let mut base = cfg(1);
     base.participation = Participation { fraction: 0.3, min_clients: 4 };
     base.rounds = 4;
+    let root = StoreRoot::new("active");
     let build = |cohort: usize, threads: usize| {
         let mut c = base.clone();
         c.threads = threads;
@@ -235,11 +267,7 @@ fn active_scope_is_self_consistent_across_cohorts_and_threads() {
             ModelKind::NeuMf,
             &ModelHyper::small(),
             c,
-            CohortOptions {
-                cohort,
-                server_scope: ServerScope::ActiveParticipants,
-                ..CohortOptions::default()
-            },
+            CohortOptions { server_scope: ServerScope::ActiveParticipants, ..root.opts(cohort) },
         )
         .expect("valid config")
     };
@@ -280,6 +308,9 @@ fn checkpoint_resume_reproduces_uninterrupted_run() {
         s.train.num_users(),
         s.train.num_items(),
     );
+    // every build empties the store: the resumed run's is refilled from
+    // the commit, not left over from the interrupted run
+    let root = StoreRoot::new("resume-store");
     let build = || {
         CohortFedRec::try_new(
             CohortData::Mem(s.train.clone()),
@@ -287,7 +318,7 @@ fn checkpoint_resume_reproduces_uninterrupted_run() {
             ModelKind::NeuMf,
             &hyper,
             c.clone(),
-            CohortOptions { cohort: 16, ..CohortOptions::default() },
+            root.opts(16),
         )
         .expect("valid config")
     };
@@ -369,7 +400,7 @@ fn checkpoint_commits_keep_only_the_manifests_round() {
         CohortOptions {
             cohort: 16,
             store: StoreKind::Disk(dir.join("clients")),
-            ..CohortOptions::default()
+            server_scope: ServerScope::FullFleet,
         },
     )
     .expect("valid config");
@@ -442,7 +473,11 @@ fn checkpoint_loading_rejects_damage_without_panicking() {
         ModelKind::NeuMf,
         &hyper,
         c.clone(),
-        CohortOptions::default(),
+        CohortOptions {
+            cohort: 0,
+            store: StoreKind::Disk(dir.join("clients")),
+            server_scope: ServerScope::FullFleet,
+        },
     )
     .expect("valid config");
     let mut engine = Engine::new(protocol);
