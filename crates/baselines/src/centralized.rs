@@ -7,13 +7,13 @@
 //! [`FederatedProtocol`] engine path as every federated method.
 
 use ptf_data::negative::sample_negatives_into;
-use ptf_data::Dataset;
+use ptf_data::{shuffle, Dataset};
 use ptf_federated::{
     round_rng, FederatedProtocol, RngStream, RoundCtx, RoundTrace, Scheduler, ScratchPool,
 };
 use ptf_models::{build_model, ModelHyper, ModelKind, Recommender};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Centralized training configuration.
 #[derive(Clone, Debug)]
@@ -125,13 +125,6 @@ impl FederatedProtocol for Centralized {
 
     fn threads(&self) -> usize {
         self.scheduler.threads()
-    }
-}
-
-fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        xs.swap(i, j);
     }
 }
 

@@ -14,16 +14,15 @@
 
 use ptf_comm::Payload;
 use ptf_data::negative::sample_negatives_into;
-use ptf_data::Dataset;
+use ptf_data::{shuffle, Dataset};
 use ptf_federated::{
     partition_clients, round_rng, ClientData, FederatedProtocol, Participation, RngStream,
     RoundCtx, RoundScratch, RoundTrace, Scheduler, ScratchPool,
 };
 use ptf_models::mf::{mf_sgd_step, MfModel};
 use ptf_models::Recommender;
-use ptf_tensor::{ItemScope, RowTable};
+use ptf_tensor::{RowTable, ScopeView};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Observer over one client's item-delta rows: `(client, delta, dim, V)`.
 /// The delta is a [`RowTable`] scoped to the items the client touched;
@@ -97,8 +96,8 @@ pub struct Fcf {
 
 impl Fcf {
     pub fn new(train: &Dataset, cfg: FcfConfig) -> Self {
-        let scope = ItemScope::Full(train.num_items());
-        let model = MfModel::new_scoped(train.num_users(), cfg.dim, cfg.lr, &scope, cfg.seed);
+        let scope = ScopeView::Full(train.num_items());
+        let model = MfModel::new_scoped(train.num_users(), cfg.dim, cfg.lr, scope, cfg.seed);
         let clients = partition_clients(train);
         let trainable = clients.iter().filter(|c| c.is_trainable()).map(|c| c.id).collect();
         let scheduler = Scheduler::new(cfg.threads);
@@ -118,10 +117,11 @@ impl Fcf {
     /// depends solely on `(client, rng)`.
     ///
     /// The local working copies live in a [`RowTable`] scoped to the
-    /// client's pool (copy-on-first-touch from the server's current
-    /// rows): the same row-sparse client-item-state machinery PTF-FedRec
-    /// clients are built on, here sized to `positives × (1 + ratio)`
-    /// instead of the full catalogue.
+    /// client's pool: each epoch grows the rows of its sorted pool in one
+    /// pass, a fresh row copied from the server's pre-round values — the
+    /// same row-sparse client-item-state machinery PTF-FedRec clients are
+    /// built on, here sized to `positives × (1 + ratio)` instead of the
+    /// full catalogue.
     fn client_update(
         model: &MfModel,
         client: &ClientData,
@@ -146,19 +146,21 @@ impl Fcf {
                 &mut scratch.negatives,
                 &mut scratch.seen,
             );
+            scratch.pool_ids.clear();
+            scratch.pool_ids.extend_from_slice(&client.positives);
+            scratch.pool_ids.extend_from_slice(&scratch.negatives);
+            scratch.pool_ids.sort_unstable();
+            local.ensure_many_with(&scratch.pool_ids, |item, row| {
+                row[..dim].copy_from_slice(model.item_embedding(item));
+                row[dim] = model.item_bias(item);
+            });
             scratch.pairs.clear();
             scratch.pairs.extend(client.positives.iter().map(|&i| (i, 1.0f32)));
             scratch.pairs.extend(scratch.negatives.iter().map(|&i| (i, 0.0f32)));
             let samples = &mut scratch.pairs;
-            for i in (1..samples.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                samples.swap(i, j);
-            }
+            shuffle(samples, rng);
             for &(item, label) in samples.iter() {
-                let r = local.ensure_with(item, |row| {
-                    row[..dim].copy_from_slice(model.item_embedding(item));
-                    row[dim] = model.item_bias(item);
-                });
+                let r = local.row_of(item);
                 let (row, bias) = local.row_mut(r).split_at_mut(dim);
                 loss_sum += mf_sgd_step(&mut user_row, row, &mut bias[0], label, cfg.lr, cfg.reg);
                 steps += 1;
@@ -244,14 +246,12 @@ impl Fcf {
             // per-item accumulation commutes across items (disjoint
             // entries); within an item the order is participant order.
             // Materialize this client's union of touched items in one
-            // backward-merge pass first — per-item `ensure` would shift
-            // the sorted arena once per fresh item (O(U²) per round at
-            // full participation)
+            // backward-merge pass first
             if let Some(ids) = result.delta.ids() {
                 delta_sum.ensure_many(ids);
             }
             for (item, row) in result.delta.iter() {
-                let r = delta_sum.ensure(item);
+                let r = delta_sum.row_of(item);
                 for (d, &v) in delta_sum.row_mut(r).iter_mut().zip(row) {
                     *d += v;
                 }

@@ -21,7 +21,7 @@
 
 use ptf_comm::Payload;
 use ptf_data::negative::sample_negatives_into;
-use ptf_data::Dataset;
+use ptf_data::{shuffle, Dataset};
 use ptf_federated::{
     partition_clients, round_rng, ClientData, FederatedProtocol, Participation, RngStream,
     RoundCtx, RoundScratch, RoundTrace, Scheduler, ScratchPool,
@@ -30,7 +30,7 @@ use ptf_models::mf::bce_loss;
 use ptf_models::{stable_sigmoid, Recommender};
 use ptf_tensor::{Matrix, RowTable};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// MetaMF configuration.
 #[derive(Clone, Debug)]
@@ -172,14 +172,16 @@ impl MetaMf {
                 &mut scratch.negatives,
                 &mut scratch.seen,
             );
+            scratch.pool_ids.clear();
+            scratch.pool_ids.extend_from_slice(positives);
+            scratch.pool_ids.extend_from_slice(&scratch.negatives);
+            scratch.pool_ids.sort_unstable();
+            g_basis_rows.ensure_many(&scratch.pool_ids);
             scratch.pairs.clear();
             scratch.pairs.extend(positives.iter().map(|&i| (i, 1.0f32)));
             scratch.pairs.extend(scratch.negatives.iter().map(|&i| (i, 0.0f32)));
             let samples = &mut scratch.pairs;
-            for i in (1..samples.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                samples.swap(i, j);
-            }
+            shuffle(samples, rng);
             for &(item, label) in samples.iter() {
                 let e_i = self.gen_item(&gate, item);
                 let logit: f32 = e_i.iter().zip(user_row.iter()).map(|(&a, &b)| a * b).sum();
@@ -188,7 +190,7 @@ impl MetaMf {
                 steps += 1;
                 // dE_i = err · p, folded straight into the reductions
                 let brow = self.basis.row(item as usize);
-                let r = g_basis_rows.ensure(item);
+                let r = g_basis_rows.row_of(item);
                 let grow = g_basis_rows.row_mut(r);
                 for k in 0..d {
                     let de = err * user_row[k];

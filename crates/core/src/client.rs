@@ -25,9 +25,7 @@ use crate::config::{builds_dense, PtfConfig};
 use crate::upload::{build_upload_into, ClientUpload};
 use ptf_data::negative::sample_negatives_into;
 use ptf_federated::{ClientData, RoundScratch};
-use ptf_models::{
-    build_model_scoped, ItemScope, MfModel, ModelHyper, ModelKind, Recommender, ScopeView,
-};
+use ptf_models::{build_model_scoped, MfModel, ModelHyper, ModelKind, Recommender, ScopeView};
 use ptf_privacy::ScoredItem;
 use rand::Rng;
 
@@ -59,13 +57,14 @@ pub struct PtfClient {
 impl PtfClient {
     /// Builds an item-scoped client from its data partition and a
     /// per-client derived seed: the local model materializes only the
-    /// embedding rows of the client's positives — sampled negatives and
-    /// dispersed items materialize lazily on first touch — so a client
-    /// never allocates the full `items × dim` table it can never use.
+    /// embedding rows of the client's positives — each round prepares its
+    /// sampled negatives and dispersed items before training — so a
+    /// client never allocates the full `items × dim` table it can never
+    /// use.
     ///
     /// A client whose expected training pool `positives × (1 + neg_ratio)`
     /// covers a quarter of the catalogue is built dense instead
-    /// (`ItemScope::Full`), from the *same* derived seed: it would
+    /// (`ScopeView::Full`), from the *same* derived seed: it would
     /// materialize most rows anyway, and a dense table skips the
     /// per-sample id→row binary search while holding bit-identical values
     /// on every shared row. The layout is decided here, never configured.
@@ -81,26 +80,25 @@ impl PtfClient {
         seed: u64,
         cfg: &PtfConfig,
     ) -> Self {
-        let scope = if builds_dense(data.positives.len(), cfg.neg_ratio, num_items) {
-            ItemScope::Full(num_items)
-        } else {
-            data.item_scope(num_items)
-        };
-        Self::with_scope(data, kind, hyper, &scope, seed)
+        let dense = builds_dense(data.positives.len(), cfg.neg_ratio, num_items);
+        Self::with_scope(data, kind, hyper, num_items, dense, seed)
     }
 
     fn with_scope(
         data: ClientData,
         kind: ModelKind,
         hyper: &ModelHyper,
-        scope: &ItemScope,
+        num_items: usize,
+        dense: bool,
         seed: u64,
     ) -> Self {
+        let scope = if dense { ScopeView::Full(num_items) } else { data.item_scope(num_items) };
+        let model = build_model_scoped(kind, 1, hyper, scope, seed);
         Self {
             id: data.id,
             positives: data.positives,
             server_data: Vec::new(),
-            model: build_model_scoped(kind, 1, hyper, scope, seed),
+            model,
             kind,
             spare_upload: None,
             local_rounds: 0,
@@ -255,7 +253,7 @@ impl PtfClient {
         scratch: &mut RoundScratch,
         rng: &mut impl Rng,
     ) -> f32 {
-        shuffle(&mut scratch.triples, rng);
+        ptf_data::shuffle(&mut scratch.triples, rng);
         ptf_models::train_on_samples(&mut *self.model, &scratch.triples, cfg.client_batch)
     }
 
@@ -368,14 +366,6 @@ impl PtfClient {
         self.model.evict_items(&self.keep);
         let keep = &self.keep;
         self.touched.retain(|(id, _)| keep.binary_search(id).is_ok());
-    }
-}
-
-/// Fisher–Yates on the client's stream: one draw per position.
-pub(crate) fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        xs.swap(i, j);
     }
 }
 
@@ -509,8 +499,8 @@ mod tests {
         assert_eq!(dense.item_rows(), 40, "dense fallback materializes the catalogue");
 
         // same seed, scoped: every shared row must be bit-identical
-        let scope = data().item_scope(40);
-        let sparse = PtfClient::with_scope(data(), ModelKind::Mf, &ModelHyper::small(), &scope, 1);
+        let sparse =
+            PtfClient::with_scope(data(), ModelKind::Mf, &ModelHyper::small(), 40, false, 1);
         assert_eq!(sparse.item_rows(), 5);
         let items: Vec<u32> = vec![1, 4, 9, 15, 22];
         assert_eq!(dense.score(&items), sparse.score(&items));
@@ -560,8 +550,8 @@ mod tests {
         config.storage.evict_budget = 30;
         let all: Vec<u32> = (0..40).collect();
         for kind in [ModelKind::Mf, ModelKind::NeuMf, ModelKind::LightGcn] {
-            let mut full = PtfClient::with_scope(data(), kind, &hyper, &ItemScope::Full(40), 1);
-            let mut rows = PtfClient::with_scope(data(), kind, &hyper, &data().item_scope(40), 1);
+            let mut full = PtfClient::with_scope(data(), kind, &hyper, 40, true, 1);
+            let mut rows = PtfClient::with_scope(data(), kind, &hyper, 40, false, 1);
             let (mut rng_full, mut rng_rows) = (test_rng(13), test_rng(13));
             let mut scratch = RoundScratch::default();
             for round in 0..6u32 {

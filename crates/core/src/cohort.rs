@@ -598,7 +598,7 @@ mod tests {
     use proptest::prelude::*;
     use ptf_data::SyntheticConfig;
     use ptf_federated::{RoundCtx, Scheduler, ScratchPool};
-    use ptf_models::{ItemScope, MfModel, NeuMf, NeuMfConfig, Recommender};
+    use ptf_models::{MfModel, NeuMf, NeuMfConfig, Recommender, ScopeView};
     use ptf_tensor::{test_rng, Matrix, RowTable};
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -646,17 +646,17 @@ mod tests {
         assert_eq!(bits(back.as_slice().iter().copied()), ODD);
 
         let mut t = RowTable::sparse_zeroed(9, 5);
-        t.ensure_with(4, |row| row.copy_from_slice(&odd()));
+        t.ensure_many_with(&[4], |_, row| row.copy_from_slice(&odd()));
         let json = serde_json::to_string(&t).expect("a NaN row table serializes");
         let back: RowTable = serde_json::from_str(&json).unwrap();
         assert_eq!(bits(back.row(0).iter().copied()), ODD);
 
         // MF full-state envelope: the user table is public
-        let scope = ItemScope::rows(9, vec![1, 4]);
-        let mut mf = MfModel::new_scoped(2, 5, 0.1, &scope, 7);
+        let scope = ScopeView::Rows { num_items: 9, ids: &[1, 4] };
+        let mut mf = MfModel::new_scoped(2, 5, 0.1, scope, 7);
         mf.user_emb.row_mut(1).copy_from_slice(&odd());
         let envelope = mf.export_full_state().expect("non-finite parameters still export");
-        let mut fresh = MfModel::new_scoped(2, 5, 0.1, &scope, 8);
+        let mut fresh = MfModel::new_scoped(2, 5, 0.1, scope, 8);
         fresh.import_full_state(&envelope).unwrap();
         assert_eq!(bits(fresh.user_emb.row(1).iter().copied()), ODD);
         assert_eq!(fresh.export_full_state().unwrap(), envelope);
@@ -664,10 +664,10 @@ mod tests {
         // NeuMF full-state envelope: its parameters are private, so the
         // odd values go into the first buffer (user_emb, 2x4) as text
         let cfg = NeuMfConfig { dim: 4, layers: vec![8, 4], lr: 0.01 };
-        let mut envelope = NeuMf::new_scoped(2, &cfg, &scope, 7).export_full_state().unwrap();
+        let mut envelope = NeuMf::new_scoped(2, &cfg, scope, 7).export_full_state().unwrap();
         let at = envelope.find(r#""data":""#).expect("parameters are packed strings") + 8;
         envelope.replace_range(at..at + ODD_HEX.len(), ODD_HEX);
-        let mut fresh = NeuMf::new_scoped(2, &cfg, &scope, 8);
+        let mut fresh = NeuMf::new_scoped(2, &cfg, scope, 8);
         fresh.import_full_state(&envelope).unwrap();
         assert_eq!(fresh.export_full_state().expect("NaN parameters still export"), envelope);
 

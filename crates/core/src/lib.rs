@@ -68,4 +68,4 @@ pub use config::{ConfigError, DefenseKind, DisperseStrategy, PtfConfig, StorageP
 pub use fingerprint::{config_fingerprint, fnv1a64};
 pub use protocol::{ClientHost, ClientPhase, PtfFedRec, Resident, Round};
 pub use server::PtfServer;
-pub use upload::{build_upload, ClientUpload};
+pub use upload::ClientUpload;

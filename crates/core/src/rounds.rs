@@ -29,12 +29,12 @@
 //! reads ambient state, so the caller may be an in-process scheduler, a
 //! TCP client process, or a test harness.
 
-use crate::client::{shuffle, PtfClient};
+use crate::client::PtfClient;
 use crate::config::PtfConfig;
 use crate::server::PtfServer;
 use crate::upload::ClientUpload;
 use ptf_comm::Payload;
-use ptf_data::Dataset;
+use ptf_data::{shuffle, Dataset};
 use ptf_federated::{
     derive_seed, round_rng, ClientData, RngStream, RoundCtx, RoundScratch, RoundTrace,
 };

@@ -147,7 +147,7 @@ impl PtfServer {
 
         let mut loss_sum = 0.0f32;
         for _ in 0..cfg.server_epochs {
-            shuffle(&mut samples, rng);
+            ptf_data::shuffle(&mut samples, rng);
             loss_sum += ptf_models::train_on_samples(&mut *self.model, &samples, cfg.server_batch);
         }
         loss_sum / cfg.server_epochs as f32
@@ -252,13 +252,6 @@ impl PtfServer {
 /// graph model's adjacency is rebuilt from.
 fn confident_edges(edges: &BTreeMap<(u32, u32), f32>, threshold: f32) -> Vec<(u32, u32, f32)> {
     edges.iter().filter(|&(_, &s)| s >= threshold).map(|(&(u, i), &s)| (u, i, s)).collect()
-}
-
-fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        xs.swap(i, j);
-    }
 }
 
 #[cfg(test)]

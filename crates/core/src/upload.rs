@@ -31,29 +31,6 @@ impl ClientUpload {
 /// Applies the configured defense to the scored trained pools and packages
 /// the upload. `pos`/`neg` carry the local model's post-training scores
 /// for this round's trained positives/negatives.
-pub fn build_upload(
-    client: u32,
-    mut pos: Vec<ScoredItem>,
-    mut neg: Vec<ScoredItem>,
-    defense: DefenseKind,
-    sampling: &SamplingConfig,
-    lambda: f64,
-    rng: &mut impl Rng,
-) -> ClientUpload {
-    build_upload_into(
-        client,
-        &mut pos,
-        &mut neg,
-        defense,
-        sampling,
-        lambda,
-        rng,
-        Vec::new(),
-        Vec::new(),
-    )
-}
-
-/// [`build_upload`] staging through caller-owned buffers.
 ///
 /// `pos`/`neg` are mutated in place (defenses select/perturb them);
 /// `predictions`/`audit` become the returned upload's backing storage —
@@ -104,10 +81,7 @@ pub fn build_upload_into(
     predictions.extend_from_slice(pos);
     predictions.extend_from_slice(neg);
     // shuffle so position in the message does not leak the label
-    for i in (1..predictions.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        predictions.swap(i, j);
-    }
+    ptf_data::shuffle(&mut predictions, rng);
     ClientUpload { client, predictions, audit_positives: audit }
 }
 
@@ -115,6 +89,30 @@ pub fn build_upload_into(
 mod tests {
     use super::*;
     use ptf_privacy::test_rng;
+
+    /// [`build_upload_into`] with fresh pools and buffers.
+    fn upload(
+        client: u32,
+        mut pos: Vec<ScoredItem>,
+        mut neg: Vec<ScoredItem>,
+        defense: DefenseKind,
+        sampling: &SamplingConfig,
+        lambda: f64,
+        rng: &mut impl Rng,
+    ) -> ClientUpload {
+        let (predictions, audit) = (Vec::new(), Vec::new());
+        build_upload_into(
+            client,
+            &mut pos,
+            &mut neg,
+            defense,
+            sampling,
+            lambda,
+            rng,
+            predictions,
+            audit,
+        )
+    }
 
     fn pools() -> (Vec<ScoredItem>, Vec<ScoredItem>) {
         let pos: Vec<ScoredItem> = (0..10).map(|i| (i, 0.9 - i as f32 * 0.01)).collect();
@@ -125,7 +123,7 @@ mod tests {
     #[test]
     fn no_defense_uploads_whole_pool() {
         let (pos, neg) = pools();
-        let up = build_upload(
+        let up = upload(
             3,
             pos,
             neg,
@@ -143,7 +141,7 @@ mod tests {
     #[test]
     fn sampling_shrinks_upload() {
         let (pos, neg) = pools();
-        let up = build_upload(
+        let up = upload(
             0,
             pos.clone(),
             neg.clone(),
@@ -163,7 +161,7 @@ mod tests {
     #[test]
     fn sampling_keeps_scores_intact() {
         let (pos, neg) = pools();
-        let up = build_upload(
+        let up = upload(
             0,
             pos.clone(),
             neg.clone(),
@@ -186,7 +184,7 @@ mod tests {
     #[test]
     fn swapping_perturbs_scores() {
         let (pos, neg) = pools();
-        let up = build_upload(
+        let up = upload(
             0,
             pos.clone(),
             neg,
@@ -207,7 +205,7 @@ mod tests {
     #[test]
     fn ldp_perturbs_all_scores() {
         let (pos, neg) = pools();
-        let up = build_upload(
+        let up = upload(
             0,
             pos.clone(),
             neg.clone(),
@@ -229,7 +227,7 @@ mod tests {
     #[test]
     fn upload_order_is_shuffled() {
         let (pos, neg) = pools();
-        let up = build_upload(
+        let up = upload(
             0,
             pos,
             neg,
@@ -245,7 +243,7 @@ mod tests {
 
     #[test]
     fn empty_pools_produce_empty_upload() {
-        let up = build_upload(
+        let up = upload(
             0,
             vec![],
             vec![],

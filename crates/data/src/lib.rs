@@ -35,6 +35,16 @@ pub use split::TrainTestSplit;
 pub use stats::DatasetStats;
 pub use synthetic::SyntheticConfig;
 
+/// Fisher–Yates shuffle: one `gen_range(0..=i)` draw per position, from
+/// the last down. Every shuffle in the workspace is this one loop, so a
+/// list shuffled anywhere consumes its stream in the same order.
+pub fn shuffle<T>(xs: &mut [T], rng: &mut impl rand::Rng) {
+    for i in (1..xs.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        xs.swap(i, j);
+    }
+}
+
 /// A deterministic RNG for examples and tests.
 pub fn test_rng(seed: u64) -> rand::rngs::StdRng {
     use rand::SeedableRng;

@@ -43,11 +43,7 @@ impl TrainTestSplit {
         for u in 0..users {
             items.clear();
             items.extend_from_slice(dataset.user_items(u as u32));
-            // Fisher–Yates
-            for i in (1..items.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                items.swap(i, j);
-            }
+            crate::shuffle(&mut items, rng);
             let n_test = ((items.len() as f64 * test_fraction).round() as usize)
                 .min(items.len().saturating_sub(1));
             let cut = items.len() - n_test;

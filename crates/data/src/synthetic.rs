@@ -19,6 +19,7 @@
 //!    weighted reservoir keys.
 
 use crate::dataset::Dataset;
+use crate::shuffle;
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal, Normal};
 
@@ -129,15 +130,6 @@ impl SyntheticConfig {
         raw.iter()
             .map(|&w| ((w * scale).round() as usize).max(self.min_profile_len).min(self.num_items))
             .collect()
-    }
-}
-
-/// Fisher–Yates shuffle (avoids pulling in rand's `SliceRandom` trait just
-/// for one call site).
-fn shuffle<T>(xs: &mut [T], rng: &mut impl Rng) {
-    for i in (1..xs.len()).rev() {
-        let j = rng.gen_range(0..=i);
-        xs.swap(i, j);
     }
 }
 

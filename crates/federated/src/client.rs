@@ -17,15 +17,13 @@ impl ClientData {
     }
 
     /// The item-embedding scope this partition justifies: exactly the
-    /// client's positives. Sampled negatives and server-dispersed items
-    /// materialize lazily on first touch, so a client model built from
-    /// this scope holds only rows it has actually used.
-    pub fn item_scope(&self, num_items: usize) -> ptf_tensor::ItemScope {
-        // the validating constructor sorts/dedups/range-checks: ClientData's
-        // fields are public, so hand-built partitions must not be able to
-        // smuggle an unsorted or out-of-range id set past the binary-search
-        // index invariants
-        ptf_tensor::ItemScope::rows(num_items, self.positives.clone())
+    /// client's positives. Each round prepares its sampled negatives and
+    /// server-dispersed items on top, so a client model built from this
+    /// scope holds only rows it has actually used. (`ClientData`'s fields
+    /// are public: a model built from a hand-made partition checks the
+    /// ids are sorted, unique and in range.)
+    pub fn item_scope(&self, num_items: usize) -> ptf_tensor::ScopeView<'_> {
+        ptf_tensor::ScopeView::Rows { num_items, ids: &self.positives }
     }
 }
 

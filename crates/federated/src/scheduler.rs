@@ -52,8 +52,8 @@ use std::collections::HashSet;
 /// Reuse is observationally pure: results depend only on
 /// `(client, round, seed)`, never on which warmed buffer served the task
 /// — thread-count parity already hands each client a different buffer at
-/// 1 vs 8 threads, and this module's tests compare the pooled map with a
-/// pass-through pool ([`ScratchPool::fresh`]).
+/// 1 vs 8 threads, and this module's tests compare the pooled map with
+/// every client served a fresh `RoundScratch`.
 #[derive(Default)]
 pub struct RoundScratch {
     /// Sampled negative item ids ([`ptf_data::negative::sample_negatives_into`]).
@@ -133,8 +133,7 @@ impl RngStream {
 /// — re-exported from [`ptf_tensor::rowtable`], which owns the
 /// workspace's single SplitMix-style derivation primitive (scoped
 /// embedding tables derive their per-row initializers from the same
-/// function, which is what keeps scheduler-driven lazy materialization
-/// deterministic).
+/// function, which is what keeps rows grown in any round deterministic).
 pub use ptf_tensor::rowtable::derive_seed;
 
 /// The per-round generator of one [`RngStream`] under `master`.
@@ -293,23 +292,28 @@ mod tests {
     }
 
     #[test]
-    fn scratch_map_is_pure_across_pool_modes_and_threads() {
-        // the pooled map must be bit-identical to the fresh-buffers map at
-        // any thread count — buffers only change where bytes live
-        let run = |threads: usize, pool: &ScratchPool| {
-            let mut state: Vec<u32> = (0..23).collect();
-            Scheduler::new(threads).map_clients_with(pool, &mut state, |s, i, c| {
-                let mut rng = round_rng(9, 1, RngStream::Client(i as u32));
-                s.negatives.clear();
-                s.negatives.extend((0..*c).map(|_| rng.gen_range(0..100u32)));
-                *c += 1;
-                s.negatives.iter().map(|&x| x as u64).sum::<u64>() ^ *c as u64
-            })
+    fn scratch_map_is_pure_across_threads() {
+        // the pooled map must be bit-identical to serving every client a
+        // fresh buffer, at any thread count — buffers only change where
+        // bytes live
+        let task = |s: &mut RoundScratch, i: usize, c: &mut u32| {
+            let mut rng = round_rng(9, 1, RngStream::Client(i as u32));
+            s.negatives.clear();
+            s.negatives.extend((0..*c).map(|_| rng.gen_range(0..100u32)));
+            *c += 1;
+            s.negatives.iter().map(|&x| x as u64).sum::<u64>() ^ *c as u64
         };
-        let baseline = run(1, &ScratchPool::fresh());
+        let mut state: Vec<u32> = (0..23).collect();
+        let fresh: Vec<u64> = state
+            .iter_mut()
+            .enumerate()
+            .map(|(i, c)| task(&mut RoundScratch::default(), i, c))
+            .collect();
         for threads in [1, 2, 8] {
-            assert_eq!(run(threads, &ScratchPool::new()), baseline, "{threads} threads pooled");
-            assert_eq!(run(threads, &ScratchPool::fresh()), baseline, "{threads} threads fresh");
+            let mut state: Vec<u32> = (0..23).collect();
+            let pooled =
+                Scheduler::new(threads).map_clients_with(&ScratchPool::new(), &mut state, task);
+            assert_eq!(pooled, fresh, "{threads} threads");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Dataset-level ranking evaluation.
 
-use crate::ranking::{rank_metrics, RankingMetrics};
+use crate::ranking::RankingMetrics;
 use serde::Serialize;
 
 /// Averaged ranking metrics over the evaluated users.
@@ -58,62 +58,20 @@ impl RankingReport {
     }
 }
 
-/// Evaluates a scoring function over every user.
-///
-/// For each user `u`, `score_items(u)` must return one score per item;
-/// `excluded(u)` returns the (sorted) items to remove from the candidate
-/// pool — normally the user's training items; `relevant(u)` the (sorted)
-/// held-out test items. Users with no relevant items are skipped.
-///
-/// `excluded`/`relevant` may return anything slice-shaped — in
-/// particular `&[u32]` borrowed straight from a dataset, so per-user
-/// evaluation does not clone interaction histories.
-pub fn evaluate_ranking<E, R>(
-    num_users: usize,
-    k: usize,
-    mut score_items: impl FnMut(u32) -> Vec<f32>,
-    mut excluded: impl FnMut(u32) -> E,
-    mut relevant: impl FnMut(u32) -> R,
-) -> RankingReport
-where
-    E: AsRef<[u32]>,
-    R: AsRef<[u32]>,
-{
-    let per_user = (0..num_users as u32).map(|u| {
-        let rel = relevant(u);
-        if rel.as_ref().is_empty() {
-            return None;
-        }
-        let scores = score_items(u);
-        let exc = excluded(u);
-        rank_metrics(&scores, exc.as_ref(), rel.as_ref(), k)
-    });
-    RankingReport::aggregate(per_user, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ranking::rank_metrics;
 
     #[test]
     fn averages_over_users_with_test_items() {
         // user 0: perfect (relevant item ranked first)
         // user 1: no test items (skipped)
         // user 2: complete miss
-        let report = evaluate_ranking(
-            3,
-            1,
-            |u| match u {
-                0 => vec![0.9, 0.1, 0.1],
-                _ => vec![0.9, 0.1, 0.1],
-            },
-            |_| vec![],
-            |u| match u {
-                0 => vec![0],
-                1 => vec![],
-                _ => vec![2],
-            },
-        );
+        let scores = [0.9f32, 0.1, 0.1];
+        let per_user =
+            [rank_metrics(&scores, &[], &[0], 1), None, rank_metrics(&scores, &[], &[2], 1)];
+        let report = RankingReport::aggregate(per_user, 1);
         assert_eq!(report.users_evaluated, 2);
         assert!((report.metrics.recall - 0.5).abs() < 1e-12);
         assert!((report.metrics.hit_rate - 0.5).abs() < 1e-12);
@@ -121,14 +79,14 @@ mod tests {
 
     #[test]
     fn no_users_is_all_zero() {
-        let report = evaluate_ranking(2, 5, |_| vec![0.0; 3], |_| vec![], |_| vec![]);
+        let report = RankingReport::aggregate([None, None], 5);
         assert_eq!(report.users_evaluated, 0);
         assert_eq!(report.metrics.recall, 0.0);
     }
 
     #[test]
     fn display_mentions_k() {
-        let report = evaluate_ranking(1, 20, |_| vec![1.0, 0.0], |_| vec![], |_| vec![0]);
+        let report = RankingReport::aggregate([rank_metrics(&[1.0, 0.0], &[], &[0], 20)], 20);
         let s = report.to_string();
         assert!(s.contains("Recall@20"), "{s}");
         assert!(s.contains("NDCG@20"), "{s}");

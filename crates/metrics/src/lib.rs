@@ -14,7 +14,7 @@ pub mod eval;
 pub mod ranking;
 
 pub use classification::{set_f1, PrecisionRecallF1};
-pub use eval::{evaluate_ranking, RankingReport};
+pub use eval::RankingReport;
 pub use ranking::{
     cmp_scores_desc, rank_metrics, rank_metrics_into, top_k_indices, top_k_indices_into,
     RankingMetrics,

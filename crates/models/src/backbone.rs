@@ -6,7 +6,7 @@
 //! and score dot products (logits) of cached final embeddings. Everything
 //! but the propagation rule itself lives here: the [`ScopedParams`] store
 //! of the joint table, the propagation operator and the global edge list
-//! it is re-derived from when lazy materialization shifts node indices,
+//! it is re-derived from when row growth or eviction shifts node indices,
 //! the final-embedding cache and the scoring loop over it, where a batch's
 //! rows sit in the node space ([`BatchNodes`]), and the pieces of the loss
 //! both hand-derived steps share. An architecture supplies its forward and
@@ -17,7 +17,7 @@ use crate::mf::sigmoid_and_bce;
 use crate::scoped::{self, ScopedParams, EMB_STD};
 use ptf_tensor::kernels;
 use ptf_tensor::prelude::*;
-use ptf_tensor::{ItemScope, ParamId};
+use ptf_tensor::{ParamId, ScopeView};
 use std::cell::RefCell;
 use std::sync::RwLock;
 
@@ -29,13 +29,13 @@ use std::sync::RwLock;
 pub(crate) fn joint_table(
     num_users: usize,
     dim: usize,
-    scope: &ItemScope,
+    scope: ScopeView<'_>,
     seed: u64,
     rng: &mut impl rand::Rng,
 ) -> Matrix {
     let mut data = Matrix::randn(num_users, dim, EMB_STD, rng).into_vec();
     data.extend_from_slice(scoped::item_block(scope, dim, seed).as_slice());
-    Matrix::from_vec(num_users + scope.initial_rows(), dim, data)
+    Matrix::from_vec(num_users + scope.len(), dim, data)
 }
 
 /// Where a batch's rows sit in the node space. The loss reads the final
@@ -92,7 +92,7 @@ impl GraphBackbone {
         num_users: usize,
         params: Params,
         emb: ParamId,
-        scope: &ItemScope,
+        scope: ScopeView<'_>,
         seed: u64,
         lr: f32,
     ) -> Self {
@@ -100,7 +100,7 @@ impl GraphBackbone {
         Self {
             num_users,
             store: ScopedParams::new(params, emb, num_users, scope, seed, lr),
-            prop: empty_propagation(num_users, scope.initial_rows()),
+            prop: empty_propagation(num_users, scope.len()),
             graph_edges: Vec::new(),
             cache: RwLock::default(),
         }
@@ -137,23 +137,14 @@ impl GraphBackbone {
         let remapped: Vec<(u32, u32, f32)> = self
             .graph_edges
             .iter()
-            .map(|&(u, i, w)| (u, self.node_of(i).expect("edge item materialized") - first_item, w))
+            .map(|&(u, i, w)| (u, self.store.row_of(i) as u32 - first_item, w))
             .collect();
         self.prop = normalized_bipartite(self.num_users, self.store.view().len(), &remapped);
     }
 
-    /// Materializes `ids` (embedding + optimizer rows); rebuilds the
-    /// propagation operator if node indices shifted.
-    pub fn ensure_items(&mut self, ids: impl Iterator<Item = u32>) {
-        if self.store.ensure(ids) {
-            self.rebuild_scoped_prop();
-            self.invalidate();
-        }
-    }
-
-    /// [`GraphBackbone::ensure_items`] for a sorted, unique batch, merged
-    /// in one pass ([`ScopedParams::ensure_many`]); the operator is
-    /// rebuilt once if anything was inserted.
+    /// Materializes a sorted, unique batch of items (embedding + optimizer
+    /// rows) in one pass ([`ScopedParams::ensure_many`]); the operator is
+    /// rebuilt once if node indices shifted.
     pub fn prepare_items(&mut self, sorted_ids: &[u32]) {
         if self.store.ensure_many(sorted_ids) {
             self.rebuild_scoped_prop();
@@ -189,7 +180,6 @@ impl GraphBackbone {
         } else {
             self.graph_edges.clear();
             self.graph_edges.extend_from_slice(edges);
-            self.store.ensure(edges.iter().map(|&(_, i, _)| i));
             self.rebuild_scoped_prop();
         }
         self.invalidate();
@@ -253,18 +243,16 @@ impl GraphBackbone {
         });
     }
 
-    /// Materializes the batch's items and records where its rows sit in
-    /// the node space; the cache goes stale because the caller is about
-    /// to train.
+    /// Records where the batch's rows sit in the node space; the cache
+    /// goes stale because the caller is about to train.
     pub fn begin_batch(&mut self, batch: &[(u32, u32, f32)], at: &mut BatchNodes) {
-        self.ensure_items(batch.iter().map(|&(_, i, _)| i));
         self.invalidate();
         at.users.clear();
         at.items.clear();
         for &(u, i, _) in batch {
             debug_assert!((u as usize) < self.num_users, "user id out of range");
             at.users.push(u);
-            at.items.push(self.node_of(i).expect("item materialized"));
+            at.items.push(self.store.row_of(i) as u32);
         }
         // mark R, then number it in node order
         at.position.clear();

@@ -80,7 +80,7 @@ pub fn evaluate_model_with_threads(
 mod tests {
     use super::*;
     use crate::mf::MfModel;
-    use ptf_tensor::ItemScope;
+    use ptf_tensor::ScopeView;
 
     #[test]
     fn trained_model_beats_untrained_on_heldout() {
@@ -93,7 +93,7 @@ mod tests {
             Dataset::from_user_items("train", 8, (0..num_users).map(|_| vec![0u32]).collect());
         let test =
             Dataset::from_user_items("test", 8, (0..num_users).map(|_| vec![1u32]).collect());
-        let mut model = MfModel::new_scoped(num_users, 8, 0.1, &ItemScope::Full(8), 1);
+        let mut model = MfModel::new_scoped(num_users, 8, 0.1, ScopeView::Full(8), 1);
         let before = evaluate_model(&model, &train, &test, 3);
 
         // co-train items 0 and 1 so their embeddings align across users
@@ -124,7 +124,7 @@ mod tests {
         // training item → it cannot crowd out the test item at k=1 …
         let train = Dataset::from_user_items("train", 3, vec![vec![0]]);
         let test = Dataset::from_user_items("test", 3, vec![vec![1]]);
-        let mut model = MfModel::new_scoped(1, 4, 0.2, &ItemScope::Full(3), 2);
+        let mut model = MfModel::new_scoped(1, 4, 0.2, ScopeView::Full(3), 2);
         for _ in 0..200 {
             model.train_batch(&[(0, 0, 1.0), (0, 1, 1.0), (0, 2, 0.0)]);
         }
@@ -181,7 +181,7 @@ mod tests {
     fn rejects_mismatched_item_spaces() {
         let train = Dataset::from_user_items("train", 3, vec![vec![0]]);
         let test = Dataset::from_user_items("test", 4, vec![vec![1]]);
-        let model = MfModel::new_scoped(1, 2, 0.1, &ItemScope::Full(3), 3);
+        let model = MfModel::new_scoped(1, 2, 0.1, ScopeView::Full(3), 3);
         let _ = evaluate_model(&model, &train, &test, 1);
     }
 }

@@ -21,11 +21,11 @@
 //! model-agnostic (the heart of the paper's "hide your model" property).
 //!
 //! An architecture is its forward pass. Each has one constructor — the
-//! seed-derived `new_scoped(num_users, cfg, &ItemScope, seed)`, which
+//! seed-derived `new_scoped(num_users, cfg, ScopeView, seed)`, which
 //! servers reach through [`registry::build_model`] with a `Full` scope —
 //! and everything around the forward pass is shared: `scoped::ScopedParams`
 //! owns an Adam-trained model's parameters, moments, item scope and seed
-//! (lazy rows, eviction, the Adam step, the full-state envelope), and
+//! (row growth and eviction, the Adam step, the full-state envelope), and
 //! `backbone::GraphBackbone` adds what NGCF and LightGCN have in common
 //! (propagation operator, global edge list, where a batch sits in the
 //! node space, the final-embedding cache and the allocation-free scoring
@@ -48,9 +48,9 @@ pub use mf::MfModel;
 pub use neumf::{NeuMf, NeuMfConfig};
 pub use ngcf::{Ngcf, NgcfConfig};
 pub use registry::{build_model, build_model_scoped, ModelHyper, ModelKind};
-pub use traits::{cached_id_range, stable_sigmoid, train_on_samples, Recommender, ScopeView};
+pub use traits::{cached_id_range, stable_sigmoid, train_on_samples, Recommender};
 
-pub use ptf_tensor::ItemScope;
+pub use ptf_tensor::ScopeView;
 
 #[cfg(test)]
 mod test_util {
@@ -68,5 +68,14 @@ mod test_util {
 
     pub(crate) fn bits(xs: &[f32]) -> Vec<u32> {
         xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Prepares every item of `batch`, as a round prepares its pool
+    /// before training.
+    pub(crate) fn prepare_batch(m: &mut dyn crate::Recommender, batch: &[(u32, u32, f32)]) {
+        let mut ids: Vec<u32> = batch.iter().map(|&(_, i, _)| i).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        m.prepare_items(&ids);
     }
 }

@@ -32,9 +32,9 @@
 
 use crate::backbone::{add_pair_grads, bce_grads, joint_table, BatchNodes, GraphBackbone};
 use crate::scoped;
-use crate::traits::{Recommender, ScopeView};
+use crate::traits::Recommender;
 use ptf_tensor::prelude::*;
-use ptf_tensor::{kernels, ItemScope, Params};
+use ptf_tensor::{kernels, Params, ScopeView};
 use std::sync::Mutex;
 
 /// LightGCN hyperparameters (defaults follow §IV-D: dim 32, 3 layers).
@@ -82,13 +82,14 @@ struct Workspace {
 
 impl LightGcn {
     /// An item-scoped LightGCN: the item block of the joint node table
-    /// materializes only `scope` (plus whatever later training or graph
-    /// edges touch), every row initialized from its `(seed, id)`-derived
-    /// stream; user rows draw from a scope-independent stream.
+    /// materializes only `scope` (plus whatever
+    /// [`Recommender::prepare_items`] adds later), every row initialized
+    /// from its `(seed, id)`-derived stream; user rows draw from a
+    /// scope-independent stream.
     pub fn new_scoped(
         num_users: usize,
         cfg: &LightGcnConfig,
-        scope: &ItemScope,
+        scope: ScopeView<'_>,
         seed: u64,
     ) -> Self {
         assert!(cfg.layers > 0, "LightGCN needs at least one propagation layer");
@@ -277,6 +278,7 @@ impl Recommender for LightGcn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::prepare_batch;
     use proptest::prelude::*;
     use ptf_tape::{Graph, Var};
     use rand::Rng;
@@ -352,12 +354,12 @@ mod tests {
             sparse in any::<bool>(),
         ) {
             // 3 users × 9 items, a soft-weighted graph over some of them,
-            // soft labels, dense or lazily growing item rows
+            // soft labels, dense or growing item rows
             let cfg = LightGcnConfig { dim: DIMS[dim], layers, lr: 1e-3 };
             let scope = if sparse {
-                ItemScope::Rows { num_items: 9, ids: vec![2, 5] }
+                ScopeView::Rows { num_items: 9, ids: &[2, 5] }
             } else {
-                ItemScope::Full(9)
+                ScopeView::Full(9)
             };
             let mut rng = ptf_tensor::test_rng(seed);
             let edges: Vec<(u32, u32, f32)> = (0..6)
@@ -366,13 +368,18 @@ mod tests {
             let batch: Vec<(u32, u32, f32)> =
                 (0..n).map(|_| (rng.gen_range(0..3u32), rng.gen_range(0..9u32), rng.gen())).collect();
 
-            let mut hand = LightGcn::new_scoped(3, &cfg, &scope, seed);
-            let mut tape = LightGcn::new_scoped(3, &cfg, &scope, seed);
+            let mut hand = LightGcn::new_scoped(3, &cfg, scope, seed);
+            let mut tape = LightGcn::new_scoped(3, &cfg, scope, seed);
+            prepare_batch(&mut hand, &edges);
+            prepare_batch(&mut tape, &edges);
             hand.set_graph(&edges);
             tape.set_graph(&edges);
             let all: Vec<u32> = (0..9).collect();
             for step in 0..5 {
-                let part = &batch[..n - (step * 7) % n];
+                // each step grows the rows its batch brings
+                let part = &batch[..(step * 7 + 1).min(n)];
+                prepare_batch(&mut hand, part);
+                prepare_batch(&mut tape, part);
                 let (lh, lt) = (hand.train_batch(part), tape.tape_train_batch(part));
                 prop_assert!((lh - lt).abs() <= 1e-6, "step {step}: loss {lh} vs tape {lt}");
             }
@@ -395,7 +402,7 @@ mod tests {
 
     fn tiny() -> LightGcn {
         let cfg = LightGcnConfig { dim: 8, layers: 2, lr: 0.02 };
-        LightGcn::new_scoped(4, &cfg, &ItemScope::Full(6), 3)
+        LightGcn::new_scoped(4, &cfg, ScopeView::Full(6), 3)
     }
 
     #[test]
@@ -408,7 +415,7 @@ mod tests {
     fn layer_mean_matches_hand_computation() {
         // 1 user, 1 item, 1 layer: Ã = [[0,1],[1,0]] after normalization.
         let cfg = LightGcnConfig { dim: 2, layers: 1, lr: 0.01 };
-        let mut m = LightGcn::new_scoped(1, &cfg, &ItemScope::Full(1), 4);
+        let mut m = LightGcn::new_scoped(1, &cfg, ScopeView::Full(1), 4);
         m.set_graph(&[(0, 0, 1.0)]);
         let store = m.base.store();
         let e = store.params().get(store.emb());
@@ -468,10 +475,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "item 4 was not prepared")]
+    fn a_graph_edge_to_an_unprepared_item_panics_naming_it() {
+        let cfg = LightGcnConfig { dim: 8, layers: 2, lr: 0.02 };
+        let mut m = LightGcn::new_scoped(2, &cfg, ScopeView::Rows { num_items: 6, ids: &[1] }, 3);
+        m.set_graph(&[(0, 1, 1.0), (1, 4, 1.0)]);
+    }
+
+    #[test]
     fn propagation_couples_neighbors() {
         // two users sharing an item should end closer than strangers
         let cfg = LightGcnConfig { dim: 8, layers: 2, lr: 0.05 };
-        let mut m = LightGcn::new_scoped(3, &cfg, &ItemScope::Full(3), 5);
+        let mut m = LightGcn::new_scoped(3, &cfg, ScopeView::Full(3), 5);
         m.set_graph(&[(0, 0, 1.0), (1, 0, 1.0), (2, 2, 1.0)]);
         for _ in 0..150 {
             m.train_batch(&[(0, 0, 1.0), (1, 0, 1.0), (2, 2, 1.0), (0, 1, 0.0), (2, 0, 0.0)]);

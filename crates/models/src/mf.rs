@@ -10,15 +10,15 @@
 //! The item table is a [`RowTable`]: dense for servers, baselines and
 //! centralized runs, row-sparse for item-scoped clients, which hold only
 //! the embedding rows they have actually touched (positives at
-//! construction; sampled negatives and dispersed items materialize
-//! lazily). Either way every row starts from its seed-derived
-//! deterministic init. The table's trailing column is the item bias, so
-//! one arena row carries the whole per-item state.
+//! construction; each round's sampled negatives and dispersed items
+//! through [`Recommender::prepare_items`]). Either way every row starts
+//! from its seed-derived deterministic init. The table's trailing column
+//! is the item bias, so one arena row carries the whole per-item state.
 
 use crate::scoped::{dense_rng, item_seed, EMB_STD};
-use crate::traits::{Recommender, ScopeView};
+use crate::traits::Recommender;
 use ptf_tensor::kernels;
-use ptf_tensor::{ItemScope, Matrix, RowTable};
+use ptf_tensor::{Matrix, RowTable, ScopeView};
 
 /// Numerically stable BCE of a logit against a (soft) target.
 pub fn bce_loss(logit: f32, target: f32) -> f32 {
@@ -104,11 +104,17 @@ struct MfWire {
 
 impl MfModel {
     /// An item-scoped MF model: the item table materializes only `scope`
-    /// (plus whatever later training touches), every row initialized from
-    /// its `(seed, id)`-derived stream. Two models with the same `seed`
-    /// — one `Full`, one `Rows` — hold bit-identical values on every
-    /// shared row.
-    pub fn new_scoped(num_users: usize, dim: usize, lr: f32, scope: &ItemScope, seed: u64) -> Self {
+    /// (plus whatever [`Recommender::prepare_items`] adds later), every
+    /// row initialized from its `(seed, id)`-derived stream. Two models
+    /// with the same `seed` — one `Full`, one `Rows` — hold bit-identical
+    /// values on every shared row.
+    pub fn new_scoped(
+        num_users: usize,
+        dim: usize,
+        lr: f32,
+        scope: ScopeView<'_>,
+        seed: u64,
+    ) -> Self {
         // the user table draws from its own derived stream so its values
         // cannot depend on the item scope (Full vs Rows parity)
         let user_emb = Matrix::randn(num_users, dim, EMB_STD, &mut dense_rng(seed));
@@ -141,10 +147,13 @@ impl MfModel {
         self.items.row(r)[self.dim()]
     }
 
-    /// Mutable `[embedding.., bias]` row of an item, materializing it if
-    /// needed (FedAvg application in the baselines).
+    /// Mutable `[embedding.., bias]` row of a materialized item (FedAvg
+    /// application in the baselines).
+    ///
+    /// # Panics
+    /// If `item` is not materialized.
     pub fn item_row_mut(&mut self, item: u32) -> &mut [f32] {
-        let r = self.items.ensure(item);
+        let r = self.items.row_of(item);
         self.items.row_mut(r)
     }
 
@@ -233,7 +242,7 @@ impl MfLane<'_> {
     #[inline(always)]
     fn locate(&self, s: usize) -> usize {
         let items = &self.model.items;
-        let r = items.lookup(self.samples[s].1).expect("a lane's item rows are materialized");
+        let r = items.row_of(self.samples[s].1);
         ptf_tensor::isa::prefetch(items.row(r));
         r
     }
@@ -257,8 +266,7 @@ impl MfLane<'_> {
 /// no chain waits for) and adds them up a few at a time, in order.
 ///
 /// Every sample's item row must already be materialized
-/// ([`Recommender::prepare_items`]): a lane locates rows ahead of its
-/// updates, which a row inserted mid-pass would shift.
+/// ([`Recommender::prepare_items`]), as for [`MfModel::train_batch`].
 ///
 /// # Panics
 /// On more than [`LANES`] lanes, a zero batch size, or a sample whose
@@ -373,10 +381,7 @@ impl Recommender for MfModel {
     }
 
     fn item_scope(&self) -> ScopeView<'_> {
-        match self.items.ids() {
-            None => ScopeView::Full(self.items.num_items()),
-            Some(ids) => ScopeView::Rows(ids),
-        }
+        self.items.index().view()
     }
 
     fn prepare_items(&mut self, sorted_ids: &[u32]) {
@@ -418,7 +423,7 @@ impl Recommender for MfModel {
         let Self { user_emb, items, lr, reg } = self;
         let mut total = 0.0;
         for &(u, i, label) in batch {
-            let r = items.ensure(i);
+            let r = items.row_of(i);
             let (item_vec, bias) = items.row_mut(r).split_at_mut(dim);
             total +=
                 mf_sgd_step(user_emb.row_mut(u as usize), item_vec, &mut bias[0], label, *lr, *reg);
@@ -475,6 +480,7 @@ impl Recommender for MfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::prepare_batch;
     use crate::traits::stable_sigmoid;
 
     #[test]
@@ -482,8 +488,10 @@ mod tests {
         // dims on and off the lane width; dense and row-scoped tables
         for dim in [3usize, 8, 13, 32] {
             let batch = [(0u32, 5u32, 1.0f32), (1, 30, 0.0), (1, 44, 1.0), (0, 2, 0.0)];
-            for scope in [ItemScope::Full(47), ItemScope::rows(47, vec![5, 9, 30])] {
-                let mut m = MfModel::new_scoped(2, dim, 0.1, &scope, 9);
+            for scope in [ScopeView::Full(47), ScopeView::Rows { num_items: 47, ids: &[5, 9, 30] }]
+            {
+                let mut m = MfModel::new_scoped(2, dim, 0.1, scope, 9);
+                prepare_batch(&mut m, &batch);
                 m.train_batch(&batch);
                 for user in 0..2 {
                     let mut all = vec![7.0; 2];
@@ -527,11 +535,13 @@ mod tests {
         };
         let model = |k: usize| {
             let scope = if k.is_multiple_of(2) {
-                ItemScope::Full(47)
+                ScopeView::Full(47)
             } else {
-                ItemScope::rows(47, vec![9])
+                ScopeView::Rows { num_items: 47, ids: &[9] }
             };
-            MfModel::new_scoped(1, 8, 0.1, &scope, k as u64)
+            let mut m = MfModel::new_scoped(1, 8, 0.1, scope, k as u64);
+            prepare_batch(&mut m, &samples(k));
+            m
         };
         for batch in [1usize, 4, 16, 17, 64] {
             let alone: Vec<_> = (0..LANES)
@@ -542,16 +552,8 @@ mod tests {
                 })
                 .collect();
             for width in 1..=LANES {
-                let mut lanes: Vec<_> = (0..width)
-                    .map(|k| {
-                        let mut m = model(k);
-                        let mut ids = passes[k].to_vec();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        m.prepare_items(&ids);
-                        (m, samples(k), EpochProgress::default())
-                    })
-                    .collect();
+                let mut lanes: Vec<_> =
+                    (0..width).map(|k| (model(k), samples(k), EpochProgress::default())).collect();
                 while lanes.iter().any(|(_, s, p)| !p.finished(s.len())) {
                     train_lanes(lanes.iter_mut().filter(|(_, s, p)| !p.finished(s.len())).map(
                         |(model, samples, progress)| MfLane { model, samples, batch, progress },
@@ -634,7 +636,7 @@ mod tests {
 
     #[test]
     fn sgd_overfits_tiny_data() {
-        let mut m = MfModel::new_scoped(2, 8, 0.1, &ItemScope::Full(4), 2);
+        let mut m = MfModel::new_scoped(2, 8, 0.1, ScopeView::Full(4), 2);
         let data: Vec<(u32, u32, f32)> = vec![(0, 0, 1.0), (0, 1, 0.0), (1, 2, 1.0), (1, 3, 0.0)];
         for _ in 0..300 {
             m.train_batch(&data);
@@ -645,36 +647,45 @@ mod tests {
 
     #[test]
     fn recommender_impl_shapes() {
-        let m = MfModel::new_scoped(3, 4, 0.1, &ItemScope::Full(5), 3);
+        let m = MfModel::new_scoped(3, 4, 0.1, ScopeView::Full(5), 3);
         assert_eq!(m.num_params(), 3 * 4 + 5 * 4 + 5);
         assert_eq!(m.score_all(1).len(), 5);
         assert_eq!(m.name(), "MF");
         assert_eq!(m.item_scope(), ScopeView::Full(5));
-        assert!(!m.scoped());
     }
 
     #[test]
     fn scoped_model_holds_only_its_rows_until_touched() {
-        let scope = ItemScope::rows(100, vec![3, 40, 77]);
-        let mut m = MfModel::new_scoped(1, 8, 0.1, &scope, 11);
+        let scope = ScopeView::Rows { num_items: 100, ids: &[3, 40, 77] };
+        let mut m = MfModel::new_scoped(1, 8, 0.1, scope, 11);
         assert_eq!(m.num_items(), 100);
         assert_eq!(m.item_scope().len(), 3);
         assert_eq!(m.num_params(), 8 + 3 * 9);
-        assert!(m.scoped());
+        assert!(!m.item_scope().is_full());
         // scoring an out-of-scope item works (cold init) without growing
         let s = m.score(0, &[50])[0];
         assert!((0.0..=1.0).contains(&s));
         assert_eq!(m.item_scope().len(), 3, "scoring must not materialize");
-        // training one touches exactly that row
-        m.train_batch(&[(0, 50, 1.0)]);
+        // preparing one adds exactly that row, with the init it scored at
+        m.prepare_items(&[40, 50]);
         assert_eq!(m.item_scope().len(), 4);
         assert!(m.item_scope().contains(50));
+        assert_eq!(m.score(0, &[50])[0], s);
+    }
+
+    #[test]
+    #[should_panic(expected = "item 50 was not prepared")]
+    fn training_an_unprepared_item_panics_naming_it() {
+        let mut m =
+            MfModel::new_scoped(1, 8, 0.1, ScopeView::Rows { num_items: 100, ids: &[3] }, 11);
+        m.train_batch(&[(0, 3, 1.0), (0, 50, 0.0)]);
     }
 
     #[test]
     fn scoped_and_full_agree_on_shared_rows() {
-        let full = MfModel::new_scoped(2, 8, 0.1, &ItemScope::Full(50), 21);
-        let rows = MfModel::new_scoped(2, 8, 0.1, &ItemScope::rows(50, vec![5, 9, 30]), 21);
+        let full = MfModel::new_scoped(2, 8, 0.1, ScopeView::Full(50), 21);
+        let rows =
+            MfModel::new_scoped(2, 8, 0.1, ScopeView::Rows { num_items: 50, ids: &[5, 9, 30] }, 21);
         assert_eq!(full.score(1, &[5, 9, 30]), rows.score(1, &[5, 9, 30]));
         // …including out-of-scope (cold) items
         assert_eq!(full.score(0, &[17]), rows.score(0, &[17]));
@@ -685,10 +696,12 @@ mod tests {
         // the contract that makes eviction safe: a Full-scope model (rows
         // reset in place) and a Rows-scope model (rows physically removed)
         // stay bit-identical under the same train-and-evict schedule
-        let mut full = MfModel::new_scoped(2, 8, 0.1, &ItemScope::Full(50), 21);
-        let mut rows = MfModel::new_scoped(2, 8, 0.1, &ItemScope::rows(50, vec![5, 9]), 21);
+        let mut full = MfModel::new_scoped(2, 8, 0.1, ScopeView::Full(50), 21);
+        let mut rows =
+            MfModel::new_scoped(2, 8, 0.1, ScopeView::Rows { num_items: 50, ids: &[5, 9] }, 21);
         let all: Vec<u32> = (0..50).collect();
         let batch = [(0u32, 5u32, 1.0f32), (0, 30, 0.0), (1, 44, 1.0), (1, 9, 0.0)];
+        prepare_batch(&mut rows, &batch);
         full.train_batch(&batch);
         rows.train_batch(&batch);
         let keep = [5u32, 9];
@@ -697,6 +710,7 @@ mod tests {
         assert_eq!(rows.item_scope().len(), 2, "sparse eviction bounds the row set");
         assert_eq!(full.score(0, &all), rows.score(0, &all), "post-evict scores diverged");
         // evicted rows re-materialize and keep training in lockstep
+        prepare_batch(&mut rows, &batch);
         full.train_batch(&batch);
         rows.train_batch(&batch);
         assert_eq!(full.score(1, &all), rows.score(1, &all), "post-re-touch scores diverged");
@@ -704,22 +718,23 @@ mod tests {
 
     #[test]
     fn export_import_roundtrip_scoped() {
-        let scope = ItemScope::rows(30, vec![1, 4, 20]);
-        let mut m = MfModel::new_scoped(2, 4, 0.2, &scope, 5);
+        let scope = ScopeView::Rows { num_items: 30, ids: &[1, 4, 20] };
+        let mut m = MfModel::new_scoped(2, 4, 0.2, scope, 5);
+        m.prepare_items(&[25]);
         for _ in 0..20 {
             m.train_batch(&[(0, 1, 1.0), (1, 4, 0.0), (0, 25, 1.0)]);
         }
         let ckpt = m.export_full_state().unwrap();
         let expected = m.score(0, &[1, 4, 20, 25, 7]);
 
-        let mut fresh = MfModel::new_scoped(2, 4, 0.2, &scope, 999);
+        let mut fresh = MfModel::new_scoped(2, 4, 0.2, scope, 999);
         assert_ne!(fresh.score(0, &[1, 4, 20, 25, 7]), expected);
         fresh.import_full_state(&ckpt).unwrap();
         assert_eq!(fresh.score(0, &[1, 4, 20, 25, 7]), expected);
         assert!(fresh.item_scope().contains(25), "materialized rows restored");
 
         // wrong-shape and wrong-arch checkpoints are rejected
-        let mut other = MfModel::new_scoped(3, 4, 0.2, &scope, 5);
+        let mut other = MfModel::new_scoped(3, 4, 0.2, scope, 5);
         assert!(other.import_full_state(&ckpt).unwrap_err().contains("shape mismatch"));
         assert!(m.import_full_state("{garbage").is_err());
     }

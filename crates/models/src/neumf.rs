@@ -46,16 +46,16 @@
 //!
 //! Gradients land in a reused [`Grads`] — dense for weights and biases,
 //! row-sparse for the two embedding tables — and go through the same
-//! [`ptf_tensor::Adam`] step as the tape models', so lazy rows, eviction
+//! [`ptf_tensor::Adam`] step as the tape models', so row growth, eviction
 //! and the state envelope are those of `ScopedParams`. The working
 //! buffers are scratch, not state: every one is fully overwritten per
 //! batch and none is exported.
 
 use crate::mf::sigmoid_and_bce;
 use crate::scoped::{self, dense, ScopedParams, EMB_STD};
-use crate::traits::{Recommender, ScopeView};
+use crate::traits::Recommender;
 use ptf_tensor::prelude::*;
-use ptf_tensor::{init, isa, kernels, matrix, ItemScope, ParamId, Params, RowSparse};
+use ptf_tensor::{init, isa, kernels, matrix, ParamId, Params, RowSparse, ScopeView};
 
 /// NeuMF hyperparameters (defaults follow §IV-D).
 #[derive(Clone, Debug)]
@@ -129,11 +129,17 @@ const SCORE_BLOCK: usize = 64;
 
 impl NeuMf {
     /// An item-scoped NeuMF: the item table materializes only `scope`
-    /// (plus whatever later training touches), every row initialized from
-    /// its `(seed, id)`-derived stream; all other parameters draw from a
-    /// scope-independent derived stream, so `Full`- and `Rows`-scoped
-    /// models with the same seed are bit-identical on shared rows.
-    pub fn new_scoped(num_users: usize, cfg: &NeuMfConfig, scope: &ItemScope, seed: u64) -> Self {
+    /// (plus whatever [`Recommender::prepare_items`] adds later), every
+    /// row initialized from its `(seed, id)`-derived stream; all other
+    /// parameters draw from a scope-independent derived stream, so
+    /// `Full`- and `Rows`-scoped models with the same seed are
+    /// bit-identical on shared rows.
+    pub fn new_scoped(
+        num_users: usize,
+        cfg: &NeuMfConfig,
+        scope: ScopeView<'_>,
+        seed: u64,
+    ) -> Self {
         assert!(num_users > 0 && scope.num_items() > 0, "empty model");
         assert!(!cfg.layers.is_empty(), "NeuMF needs at least one MLP layer");
         assert!(cfg.dim > 0 && cfg.layers.iter().all(|&w| w > 0), "NeuMF widths must be positive");
@@ -345,9 +351,7 @@ impl NeuMf {
             batch.iter().all(|&(u, _, _)| (u as usize) < self.num_users),
             "user id out of range"
         );
-        // materialize any first-touched rows, then train against the
-        // row-mapped indices (identity when dense)
-        self.store.ensure(batch.iter().map(|&(_, i, _)| i));
+        // train against the row-mapped indices (identity when dense)
         let mut work = std::mem::take(&mut self.work);
         let mut grads = work.grads.take().unwrap_or_else(|| self.new_grads());
 
@@ -355,7 +359,7 @@ impl NeuMf {
         work.rows.clear();
         work.fwd.v.clear();
         for &(_, i, _) in batch {
-            let row = self.store.lookup(i).expect("item materialized");
+            let row = self.store.row_of(i);
             work.rows.push(row as u32);
             work.fwd.v.extend_from_slice(table.row(row));
         }
@@ -479,6 +483,7 @@ impl Recommender for NeuMf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::prepare_batch;
     use proptest::prelude::*;
     use ptf_tape::{Graph, Var};
     use rand::Rng;
@@ -522,7 +527,6 @@ mod tests {
 
         /// One training step through `Graph::backward`.
         fn tape_train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
-            self.store.ensure(batch.iter().map(|&(_, i, _)| i));
             let users: Vec<u32> = batch.iter().map(|&(u, _, _)| u).collect();
             let rows: Vec<u32> =
                 batch.iter().map(|&(_, i, _)| self.store.lookup(i).unwrap() as u32).collect();
@@ -557,13 +561,13 @@ mod tests {
             shape in 0u32..12,
         ) {
             // 1–3 users, in runs or interleaved; a 9-item catalogue so
-            // items repeat; soft labels; dense or lazily growing item rows
+            // items repeat; soft labels; dense or growing item rows
             let (num_users, interleaved, sparse) = (1 + shape % 3, shape & 4 != 0, shape >= 6);
             let cfg = NeuMfConfig { dim, layers: ARCHS[arch].to_vec(), lr: 1e-3 };
             let scope = if sparse {
-                ItemScope::Rows { num_items: 9, ids: vec![2, 5] }
+                ScopeView::Rows { num_items: 9, ids: &[2, 5] }
             } else {
-                ItemScope::Full(9)
+                ScopeView::Full(9)
             };
             let mut rng = ptf_tensor::test_rng(seed);
             let batch: Vec<(u32, u32, f32)> = (0..n)
@@ -573,13 +577,15 @@ mod tests {
                 })
                 .collect();
 
-            let mut hand = NeuMf::new_scoped(3, &cfg, &scope, seed);
-            let mut tape = NeuMf::new_scoped(3, &cfg, &scope, seed);
+            let mut hand = NeuMf::new_scoped(3, &cfg, scope, seed);
+            let mut tape = NeuMf::new_scoped(3, &cfg, scope, seed);
             let all: Vec<u32> = (0..9).collect();
             for step in 0..5 {
                 // a rotating prefix, so the scratch sees shrinking and
                 // growing batches
                 let part = &batch[..n - (step * 7) % n];
+                prepare_batch(&mut hand, part);
+                prepare_batch(&mut tape, part);
                 let (lh, lt) = (hand.train_batch(part), tape.tape_train_batch(part));
                 prop_assert!((lh - lt).abs() <= 1e-6, "step {step}: loss {lh} vs tape {lt}");
             }
@@ -599,7 +605,7 @@ mod tests {
             // scratch is not state: a model restored from the envelope
             // (empty scratch) takes the next step bit for bit like the
             // one whose scratch the steps above left dirty
-            let mut fresh = NeuMf::new_scoped(3, &cfg, &scope, seed ^ 1);
+            let mut fresh = NeuMf::new_scoped(3, &cfg, scope, seed ^ 1);
             fresh.import_full_state(&hand.export_full_state().unwrap()).unwrap();
             prop_assert_eq!(hand.train_batch(&batch).to_bits(), fresh.train_batch(&batch).to_bits());
             prop_assert_eq!(hand.export_full_state(), fresh.export_full_state());
@@ -611,7 +617,7 @@ mod tests {
         // logits_into works in SCORE_BLOCK-row blocks; a row's score must
         // not depend on which block it falls in
         let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
-        let m = NeuMf::new_scoped(2, &cfg, &ItemScope::Full(3 * SCORE_BLOCK + 5), 4);
+        let m = NeuMf::new_scoped(2, &cfg, ScopeView::Full(3 * SCORE_BLOCK + 5), 4);
         let all = m.score_all(1);
         assert_eq!(all.len(), 3 * SCORE_BLOCK + 5);
         for i in [0, SCORE_BLOCK - 1, SCORE_BLOCK, 3 * SCORE_BLOCK + 4] {
@@ -627,16 +633,16 @@ mod tests {
         }
         use crate::test_util::bits;
         // the paper's widths (every fixed kernel width) and widths that
-        // miss them, dense and lazily growing item rows
+        // miss them, dense and growing item rows
         for (layers, sparse) in [(vec![64, 32, 16], false), (vec![24, 12], true)] {
             let cfg = NeuMfConfig { dim: 32, layers, lr: 1e-2 };
             let scope = if sparse {
-                ItemScope::Rows { num_items: 40, ids: vec![3, 9] }
+                ScopeView::Rows { num_items: 40, ids: &[3, 9] }
             } else {
-                ItemScope::Full(40)
+                ScopeView::Full(40)
             };
             let (mut base, mut twin) =
-                (NeuMf::new_scoped(3, &cfg, &scope, 17), NeuMf::new_scoped(3, &cfg, &scope, 17));
+                (NeuMf::new_scoped(3, &cfg, scope, 17), NeuMf::new_scoped(3, &cfg, scope, 17));
             let mut rng = ptf_tensor::test_rng(5);
             for step in 0..5 {
                 // 1–3 users in runs, soft labels
@@ -644,6 +650,8 @@ mod tests {
                 let batch: Vec<(u32, u32, f32)> = (0..48)
                     .map(|r| ((r * users / 48) as u32, rng.gen_range(0..40), rng.gen()))
                     .collect();
+                prepare_batch(&mut base, &batch);
+                prepare_batch(&mut twin, &batch);
                 let (lb, lt) = (base.step(&batch), twin.train_batch(&batch));
                 assert_eq!(lb.to_bits(), lt.to_bits(), "step {step}: loss {lb} vs {lt}");
             }
@@ -660,7 +668,7 @@ mod tests {
 
     fn tiny() -> NeuMf {
         let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
-        NeuMf::new_scoped(5, &cfg, &ItemScope::Full(12), 1)
+        NeuMf::new_scoped(5, &cfg, ScopeView::Full(12), 1)
     }
 
     #[test]
@@ -732,9 +740,17 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let cfg = NeuMfConfig::default();
-        let a = NeuMf::new_scoped(3, &cfg, &ItemScope::Full(4), 9);
-        let b = NeuMf::new_scoped(3, &cfg, &ItemScope::Full(4), 9);
+        let a = NeuMf::new_scoped(3, &cfg, ScopeView::Full(4), 9);
+        let b = NeuMf::new_scoped(3, &cfg, ScopeView::Full(4), 9);
         assert_eq!(a.score(0, &[0, 1]), b.score(0, &[0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "item 7 was not prepared")]
+    fn training_an_unprepared_item_panics_naming_it() {
+        let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
+        let mut m = NeuMf::new_scoped(1, &cfg, ScopeView::Rows { num_items: 12, ids: &[2, 5] }, 1);
+        m.train_batch(&[(0, 2, 1.0), (0, 7, 0.0)]);
     }
 
     #[test]

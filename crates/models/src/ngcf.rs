@@ -73,9 +73,9 @@
 
 use crate::backbone::{add_pair_grads, bce_grads, joint_table, BatchNodes, GraphBackbone};
 use crate::scoped::{self, dense};
-use crate::traits::{Recommender, ScopeView};
+use crate::traits::Recommender;
 use ptf_tensor::prelude::*;
-use ptf_tensor::{init, isa, kernels, matrix, ItemScope, ParamId, Params};
+use ptf_tensor::{init, isa, kernels, matrix, ParamId, Params, ScopeView};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Mutex;
@@ -163,14 +163,15 @@ struct Workspace {
 
 impl Ngcf {
     /// An item-scoped NGCF: the item block of the joint node table
-    /// materializes only `scope` (plus whatever later training or graph
-    /// edges touch), every row initialized from its `(seed, id)`-derived
-    /// stream; user rows and propagation weights draw from a
+    /// materializes only `scope` (plus whatever
+    /// [`Recommender::prepare_items`] adds later), every row initialized
+    /// from its `(seed, id)`-derived stream; user rows and propagation
+    /// weights draw from a
     /// scope-independent stream. With `message_dropout = 0`, a `Rows`
     /// model is bit-identical to a `Full` model of the same seed on every
     /// shared row (below the top layer dropout masks cover the whole node
     /// space, so their draw counts differ under scoping).
-    pub fn new_scoped(num_users: usize, cfg: &NgcfConfig, scope: &ItemScope, seed: u64) -> Self {
+    pub fn new_scoped(num_users: usize, cfg: &NgcfConfig, scope: ScopeView<'_>, seed: u64) -> Self {
         assert!(cfg.layers > 0, "NGCF needs at least one propagation layer");
         assert!(
             (0.0..1.0).contains(&cfg.message_dropout),
@@ -574,6 +575,7 @@ impl Recommender for Ngcf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::prepare_batch;
     use proptest::prelude::*;
     use ptf_tape::{Graph, Var};
 
@@ -747,11 +749,11 @@ mod tests {
         (edges, batch)
     }
 
-    fn scope(sparse: bool) -> ItemScope {
+    fn scope(sparse: bool) -> ScopeView<'static> {
         if sparse {
-            ItemScope::Rows { num_items: 9, ids: vec![2, 5] }
+            ScopeView::Rows { num_items: 9, ids: &[2, 5] }
         } else {
-            ItemScope::Full(9)
+            ScopeView::Full(9)
         }
     }
 
@@ -772,9 +774,13 @@ mod tests {
         ) {
             let cfg = cfg(DIMS[dim], layers, 0.0);
             let (edges, batch) = case(seed, n);
-            let mut hand = Ngcf::new_scoped(3, &cfg, &scope(sparse), seed);
-            let mut tape = Ngcf::new_scoped(3, &cfg, &scope(sparse), seed);
+            let mut hand = Ngcf::new_scoped(3, &cfg, scope(sparse), seed);
+            let mut tape = Ngcf::new_scoped(3, &cfg, scope(sparse), seed);
+            prepare_batch(&mut hand, &edges);
+            prepare_batch(&mut hand, &batch);
             hand.set_graph(&edges);
+            prepare_batch(&mut tape, &edges);
+            prepare_batch(&mut tape, &batch);
             tape.set_graph(&edges);
             let start = hand.base.store().params().get(hand.w1[0]).clone();
             let all: Vec<u32> = (0..9).collect();
@@ -817,9 +823,13 @@ mod tests {
         for (layers, sparse) in [(1, false), (2, true), (3, false)] {
             let cfg = cfg(16, layers, 0.4);
             let (edges, batch) = case(layers as u64, 50);
-            let mut hand = Ngcf::new_scoped(3, &cfg, &scope(sparse), 5);
-            let mut tape = Ngcf::new_scoped(3, &cfg, &scope(sparse), 5);
+            let mut hand = Ngcf::new_scoped(3, &cfg, scope(sparse), 5);
+            let mut tape = Ngcf::new_scoped(3, &cfg, scope(sparse), 5);
+            prepare_batch(&mut hand, &edges);
+            prepare_batch(&mut hand, &batch);
             hand.set_graph(&edges);
+            prepare_batch(&mut tape, &edges);
+            prepare_batch(&mut tape, &batch);
             tape.set_graph(&edges);
             for step in 0..3 {
                 let lh = hand.train_batch(&batch);
@@ -869,14 +879,20 @@ mod tests {
     fn a_restored_model_draws_the_same_masks() {
         let cfg = cfg(8, 2, 0.3);
         let (edges, batch) = case(9, 40);
-        let mut a = Ngcf::new_scoped(3, &cfg, &scope(true), 21);
+        let mut a = Ngcf::new_scoped(3, &cfg, scope(true), 21);
+        prepare_batch(&mut a, &edges);
+        prepare_batch(&mut a, &batch);
         a.set_graph(&edges);
         for _ in 0..3 {
             a.train_batch(&batch);
         }
-        let mut b = Ngcf::new_scoped(3, &cfg, &scope(false), 99);
+        let mut b = Ngcf::new_scoped(3, &cfg, scope(false), 99);
         b.import_full_state(&a.export_full_state().unwrap()).unwrap();
+        prepare_batch(&mut a, &edges);
+        prepare_batch(&mut a, &batch);
         a.set_graph(&edges);
+        prepare_batch(&mut b, &edges);
+        prepare_batch(&mut b, &batch);
         b.set_graph(&edges);
         assert_eq!(a.train_batch(&batch).to_bits(), b.train_batch(&batch).to_bits());
         let (wa, wb) = (a.work.get_mut().unwrap(), b.work.get_mut().unwrap());
@@ -892,7 +908,9 @@ mod tests {
         // ⌈rowsₗ·d/2⌉ draws per layer: every node below the top, R at it
         let cfg = cfg(5, 2, 0.25);
         let (edges, batch) = case(4, 7);
-        let mut m = Ngcf::new_scoped(3, &cfg, &scope(false), 2);
+        let mut m = Ngcf::new_scoped(3, &cfg, scope(false), 2);
+        prepare_batch(&mut m, &edges);
+        prepare_batch(&mut m, &batch);
         m.set_graph(&edges);
         let mut expect = m.dropout_rng.clone();
         m.train_batch(&batch);
@@ -903,7 +921,7 @@ mod tests {
         assert_eq!(m.dropout_rng.state(), expect.state());
         // and a rate of 0 draws nothing
         let mut still =
-            Ngcf::new_scoped(3, &NgcfConfig { message_dropout: 0.0, ..cfg }, &scope(false), 2);
+            Ngcf::new_scoped(3, &NgcfConfig { message_dropout: 0.0, ..cfg }, scope(false), 2);
         let before = still.dropout_rng.state();
         still.train_batch(&batch);
         assert_eq!(still.dropout_rng.state(), before);
@@ -920,9 +938,13 @@ mod tests {
         for (dim, layers, sparse) in [(32, 3, false), (16, 2, true), (5, 1, false)] {
             let cfg = NgcfConfig { lr: 1e-2, reg: 1e-3, ..cfg(dim, layers, 0.1) };
             let (edges, batch) = case(dim as u64, 60);
-            let mut base = Ngcf::new_scoped(3, &cfg, &scope(sparse), 8);
-            let mut twin = Ngcf::new_scoped(3, &cfg, &scope(sparse), 8);
+            let mut base = Ngcf::new_scoped(3, &cfg, scope(sparse), 8);
+            let mut twin = Ngcf::new_scoped(3, &cfg, scope(sparse), 8);
+            prepare_batch(&mut base, &edges);
+            prepare_batch(&mut base, &batch);
             base.set_graph(&edges);
+            prepare_batch(&mut twin, &edges);
+            prepare_batch(&mut twin, &batch);
             twin.set_graph(&edges);
             for step in 0..5 {
                 let part = &batch[..60 - 7 * step];
@@ -950,7 +972,7 @@ mod tests {
             reg: 1e-3,
             message_dropout: 0.1,
         };
-        Ngcf::new_scoped(4, &cfg, &ItemScope::Full(6), 7)
+        Ngcf::new_scoped(4, &cfg, ScopeView::Full(6), 7)
     }
 
     #[test]
@@ -1011,8 +1033,16 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let cfg = NgcfConfig::default();
-        let a = Ngcf::new_scoped(3, &cfg, &ItemScope::Full(4), 11);
-        let b = Ngcf::new_scoped(3, &cfg, &ItemScope::Full(4), 11);
+        let a = Ngcf::new_scoped(3, &cfg, ScopeView::Full(4), 11);
+        let b = Ngcf::new_scoped(3, &cfg, ScopeView::Full(4), 11);
         assert_eq!(a.score(0, &[0, 1]), b.score(0, &[0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "item 6 was not prepared")]
+    fn training_an_unprepared_item_panics_naming_it() {
+        let mut m = Ngcf::new_scoped(2, &cfg(8, 1, 0.0), scope(true), 3);
+        m.set_graph(&[(0, 2, 1.0)]);
+        m.train_batch(&[(0, 5, 1.0), (1, 6, 0.0)]);
     }
 }

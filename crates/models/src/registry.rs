@@ -8,7 +8,7 @@ use crate::lightgcn::{LightGcn, LightGcnConfig};
 use crate::neumf::{NeuMf, NeuMfConfig};
 use crate::ngcf::{Ngcf, NgcfConfig};
 use crate::traits::Recommender;
-use ptf_tensor::ItemScope;
+use ptf_tensor::ScopeView;
 use rand::Rng;
 
 /// The architectures the registry can build: the paper's three
@@ -100,16 +100,16 @@ pub fn build_model(
     hyper: &ModelHyper,
     rng: &mut impl Rng,
 ) -> Box<dyn Recommender> {
-    build_model_scoped(kind, num_users, hyper, &ItemScope::Full(num_items), rng.gen())
+    build_model_scoped(kind, num_users, hyper, ScopeView::Full(num_items), rng.gen())
 }
 
 /// Constructs a boxed model whose item embeddings cover exactly `scope`.
 ///
 /// This is the item-scoped model-construction API: a federated client
-/// passes `ItemScope::Rows` over its private positives and gets a model
-/// holding only those embedding rows (sampled negatives and dispersed
-/// items materialize lazily on first touch, each from its
-/// `(seed, id)`-derived init). All randomness derives from `seed`, and
+/// passes `ScopeView::Rows` over its private positives and gets a model
+/// holding only those embedding rows (each round prepares its sampled
+/// negatives and dispersed items through `Recommender::prepare_items`,
+/// each row from its `(seed, id)`-derived init). All randomness derives from `seed`, and
 /// the item-row draws are independent of the scope — so a `Rows` model
 /// and a `Full` model built from the same seed are bit-identical on
 /// every row both hold (for NGCF, under `message_dropout = 0`; see
@@ -118,7 +118,7 @@ pub fn build_model_scoped(
     kind: ModelKind,
     num_users: usize,
     hyper: &ModelHyper,
-    scope: &ItemScope,
+    scope: ScopeView<'_>,
     seed: u64,
 ) -> Box<dyn Recommender> {
     match kind {
@@ -204,18 +204,19 @@ mod tests {
     #[test]
     fn scoped_registry_builds_every_kind() {
         let hyper = ModelHyper::small();
-        let scope = ItemScope::rows(12, vec![1, 5, 9]);
+        let scope = ScopeView::Rows { num_items: 12, ids: &[1, 5, 9] };
         for kind in [ModelKind::Mf, ModelKind::NeuMf, ModelKind::Ngcf, ModelKind::LightGcn] {
-            let mut m = build_model_scoped(kind, 2, &hyper, &scope, 7);
+            let mut m = build_model_scoped(kind, 2, &hyper, scope, 7);
             assert_eq!(m.name(), kind.name());
             assert_eq!(m.num_items(), 12, "{kind}: ids stay global");
             assert_eq!(m.item_scope().len(), 3, "{kind}: only scoped rows materialized");
-            assert!(m.scoped());
+            assert!(!m.item_scope().is_full());
             // out-of-scope items score (cold) without materializing…
             let s = m.score(0, &[11]);
             assert!((0.0..=1.0).contains(&s[0]), "{kind}: {s:?}");
             assert_eq!(m.item_scope().len(), 3, "{kind}: scoring must not materialize");
-            // …and training one materializes exactly that row
+            // …and preparing one materializes exactly that row
+            m.prepare_items(&[1, 5, 11]);
             m.set_graph(&[(0, 1, 1.0)]);
             m.train_batch(&[(0, 11, 1.0), (1, 5, 0.0)]);
             assert_eq!(m.item_scope().len(), 4, "{kind}");
@@ -226,9 +227,10 @@ mod tests {
     #[test]
     fn scoped_checkpoints_roundtrip_sparse_tables() {
         let hyper = ModelHyper::small();
-        let scope = ItemScope::rows(16, vec![0, 3, 7]);
+        let scope = ScopeView::Rows { num_items: 16, ids: &[0, 3, 7] };
         for kind in [ModelKind::Mf, ModelKind::NeuMf, ModelKind::Ngcf, ModelKind::LightGcn] {
-            let mut trained = build_model_scoped(kind, 3, &hyper, &scope, 13);
+            let mut trained = build_model_scoped(kind, 3, &hyper, scope, 13);
+            trained.prepare_items(&[0, 3, 12]);
             trained.set_graph(&[(0, 0, 1.0), (1, 3, 1.0)]);
             for _ in 0..10 {
                 trained.train_batch(&[(0, 0, 1.0), (0, 12, 0.0), (1, 3, 1.0)]);
@@ -237,14 +239,14 @@ mod tests {
             let probe = [0u32, 3, 7, 12];
             let expected = trained.score(1, &probe);
 
-            let mut fresh = build_model_scoped(kind, 3, &hyper, &scope, 4242);
+            let mut fresh = build_model_scoped(kind, 3, &hyper, scope, 4242);
             fresh.import_full_state(&ckpt).unwrap_or_else(|e| panic!("{kind}: {e}"));
             if kind == ModelKind::LightGcn || kind == ModelKind::Ngcf {
                 // the graph is not part of a checkpoint
                 fresh.set_graph(&[(0, 0, 1.0), (1, 3, 1.0)]);
             }
             assert_eq!(fresh.score(1, &probe), expected, "{kind}: state not restored");
-            assert!(fresh.item_scope().contains(12), "{kind}: lazily grown row lost");
+            assert!(fresh.item_scope().contains(12), "{kind}: grown row lost");
         }
     }
 

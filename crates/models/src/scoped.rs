@@ -2,16 +2,15 @@
 //! item-row store shared by the Adam-trained models (NeuMF, NGCF, LightGCN).
 //!
 //! Everything outside a model's forward pass is the same for all three:
-//! one embedding parameter whose item block materializes lazily from a
-//! `(seed, id)`-derived init, Adam moments that must grow, shrink and
+//! one embedding parameter whose item block grows before each round from
+//! a `(seed, id)`-derived init, Adam moments that must grow, shrink and
 //! reset with it, and the full-state envelope that round-trips the lot.
 //! [`ScopedParams`] owns that state, so "id, parameter row and both
 //! moment rows move together" is a property of the type rather than a
 //! calling convention.
 
-use crate::traits::ScopeView;
 use ptf_tensor::{
-    derive_seed, init, Adam, GradBuf, Grads, ItemScope, Matrix, ParamId, Params, ScopeIndex,
+    derive_seed, init, Adam, GradBuf, Grads, Matrix, ParamId, Params, ScopeIndex, ScopeView,
 };
 
 /// Stream discriminators inside one model's seed namespace.
@@ -37,11 +36,11 @@ pub(crate) fn item_seed(seed: u64) -> u64 {
 
 /// The eagerly materialized item block of an embedding parameter: one
 /// row per id of `scope`, each from its `(seed, id)`-derived stream.
-pub(crate) fn item_block(scope: &ItemScope, dim: usize, seed: u64) -> Matrix {
+pub(crate) fn item_block(scope: ScopeView<'_>, dim: usize, seed: u64) -> Matrix {
     let seed = item_seed(seed);
     match scope {
-        ItemScope::Full(n) => init::derived_normal_rows(0..*n as u32, dim, EMB_STD, seed),
-        ItemScope::Rows { ids, .. } => {
+        ScopeView::Full(n) => init::derived_normal_rows(0..n as u32, dim, EMB_STD, seed),
+        ScopeView::Rows { ids, .. } => {
             init::derived_normal_rows(ids.iter().copied(), dim, EMB_STD, seed)
         }
     }
@@ -103,11 +102,11 @@ impl ScopedParams {
         params: Params,
         emb: ParamId,
         row_offset: usize,
-        scope: &ItemScope,
+        scope: ScopeView<'_>,
         seed: u64,
         lr: f32,
     ) -> Self {
-        let scope = ScopeIndex::from_scope(scope);
+        let scope = ScopeIndex::new(scope);
         assert_eq!(params.get(emb).rows(), row_offset + scope.len(), "item block/scope mismatch");
         let adam = Adam::with_defaults(&params, lr);
         Self { params, adam, emb, row_offset, scope, item_seed: item_seed(seed) }
@@ -136,15 +135,19 @@ impl ScopedParams {
     }
 
     pub fn view(&self) -> ScopeView<'_> {
-        match self.scope.ids() {
-            None => ScopeView::Full(self.scope.num_items()),
-            Some(ids) => ScopeView::Rows(ids),
-        }
+        self.scope.view()
     }
 
     /// Row of a *materialized* item in the embedding parameter.
     pub fn lookup(&self, id: u32) -> Option<usize> {
         self.scope.lookup(id).map(|r| self.row_offset + r)
+    }
+
+    /// Row of an item in the embedding parameter that must be
+    /// materialized ([`ScopeIndex::row_of`]).
+    #[inline(always)]
+    pub fn row_of(&self, id: u32) -> usize {
+        self.row_offset + self.scope.row_of(id)
     }
 
     /// Writes the derived init of item `id` — what its row holds while
@@ -153,96 +156,47 @@ impl ScopedParams {
         init::derived_normal_row(self.item_seed, id, EMB_STD, out);
     }
 
-    /// Materializes every id in `ids` that the scope does not hold yet:
-    /// inserts the derived-init row into the item block and a zero row
-    /// into the optimizer moments at the same position. Returns true if
-    /// anything was inserted (graph models must rebuild their propagation
-    /// operator, since node indices shifted).
-    pub fn ensure(&mut self, ids: impl Iterator<Item = u32>) -> bool {
-        let mut inserted_any = false;
-        for id in ids {
-            let (pos, inserted) = self.scope.insert(id);
-            if !inserted {
-                continue;
-            }
-            inserted_any = true;
-            let at = self.row_offset + pos;
-            let emb = self.params.get_mut(self.emb);
-            emb.insert_zero_row(at);
-            init::derived_normal_row(self.item_seed, id, EMB_STD, emb.row_mut(at));
-            self.adam.insert_zero_row(self.emb, at);
-        }
-        inserted_any
-    }
-
-    /// [`ScopedParams::ensure`] for a sorted, unique batch of ids, in one
-    /// backward merge pass over the item block and both moment buffers
-    /// ([`ScopeIndex::merge_in`]) instead of three full-tail shifts per
-    /// fresh id. The result is the same ids, rows and moments.
+    /// Materializes every id of `sorted_ids` (ascending, unique) that the
+    /// scope does not hold yet, in one backward merge pass over the item
+    /// block and both moment buffers ([`ScopeIndex::merge_in`]): a fresh
+    /// row gets its derived init and zero moments. Returns true if
+    /// anything was inserted (graph models must rebuild their
+    /// propagation operator, since node indices shifted).
     pub fn ensure_many(&mut self, sorted_ids: &[u32]) -> bool {
         let fresh = self.scope.count_absent(sorted_ids);
         if fresh == 0 {
             return false;
         }
-        let (off, seed) = (self.row_offset, self.item_seed);
-        let emb = self.params.get_mut(self.emb);
-        let (m, v) = self.adam.moments_mut(self.emb);
-        let d = emb.cols();
-        for block in [&mut *emb, &mut *m, &mut *v] {
+        let [e, m, v] = item_rows(&mut self.params, &mut self.adam, self.emb);
+        for block in [&mut *e, &mut *m, &mut *v] {
             block.push_zero_rows(fresh);
         }
-        let (e, m, v) = (emb.as_mut_slice(), m.as_mut_slice(), v.as_mut_slice());
-        self.scope.merge_in(sorted_ids, fresh, |from, to, id| {
-            let to = (off + to) * d;
-            match from {
-                Some(from) => {
-                    let from = (off + from) * d;
-                    for block in [&mut *e, &mut *m, &mut *v] {
-                        block.copy_within(from..from + d, to);
-                    }
-                }
-                None => {
-                    init::derived_normal_row(seed, id, EMB_STD, &mut e[to..to + d]);
-                    m[to..to + d].fill(0.0);
-                    v[to..to + d].fill(0.0);
-                }
-            }
-        });
+        let place = placer([e, m, v], self.row_offset, self.item_seed);
+        self.scope.merge_in(sorted_ids, fresh, place);
         true
     }
 
     /// Evicts every materialized id the sorted keep set does not cover —
-    /// the exact inverse of [`ScopedParams::ensure`].
+    /// the inverse of [`ScopedParams::ensure_many`], in one compaction
+    /// pass ([`ScopeIndex::retain`]).
     ///
-    /// Row-scoped stores remove id, parameter row, and both moment rows
-    /// together (walking ids in descending order so earlier positions
-    /// stay valid). Dense stores cannot shrink, so they reset the evicted
-    /// rows in place — parameter row back to its derived init, moment
-    /// rows to zero — which is the same post-state a row-scoped store
-    /// re-materializes into. Returns the number of rows evicted/reset.
+    /// Row-scoped stores move id, parameter row and both moment rows
+    /// together and drop the tail. Dense stores cannot shrink, so they
+    /// reset the evicted rows in place — parameter row back to its
+    /// derived init, moment rows to zero — which is the same post-state a
+    /// row-scoped store re-materializes into. Returns the number of rows
+    /// evicted/reset.
     pub fn evict(&mut self, keep_sorted: &[u32]) -> usize {
-        debug_assert!(
-            keep_sorted.windows(2).all(|w| w[0] < w[1]),
-            "keep ids must be sorted unique"
-        );
-        let victims: Vec<u32> =
-            self.view().iter().filter(|id| keep_sorted.binary_search(id).is_err()).collect();
-        for &id in victims.iter().rev() {
-            match self.scope.remove(id) {
-                Some(pos) => {
-                    self.params.get_mut(self.emb).remove_row(self.row_offset + pos);
-                    self.adam.remove_row(self.emb, self.row_offset + pos);
-                }
-                // dense identity scope: nothing to drop, reset in place
-                None => {
-                    let at = self.row_offset + id as usize;
-                    let row = self.params.get_mut(self.emb).row_mut(at);
-                    init::derived_normal_row(self.item_seed, id, EMB_STD, row);
-                    self.adam.zero_moment_row(self.emb, at);
-                }
-            }
+        let [e, m, v] = item_rows(&mut self.params, &mut self.adam, self.emb);
+        let evicted = {
+            let place = placer([&mut *e, &mut *m, &mut *v], self.row_offset, self.item_seed);
+            self.scope.retain(keep_sorted, place)
+        };
+        let rows = self.row_offset + self.scope.len();
+        for block in [e, m, v] {
+            block.truncate_rows(rows);
         }
-        victims.len()
+        evicted
     }
 
     /// One Adam step on `grads`.
@@ -342,14 +296,49 @@ impl ScopedParams {
                 Some(rand::rngs::StdRng::from_state(s))
             }
         };
-        self.scope = match wire.item_ids {
-            None => ScopeIndex::dense(num_items),
-            Some(ids) => ScopeIndex::from_scope(&ItemScope::Rows { num_items, ids }),
+        self.scope = match &wire.item_ids {
+            None => ScopeIndex::new(ScopeView::Full(num_items)),
+            Some(ids) => ScopeIndex::new(ScopeView::Rows { num_items, ids }),
         };
         self.params = wire.params;
         self.item_seed = item_seed;
         self.adam.restore_state(&self.params, t, wire.adam_m, wire.adam_v)?;
         Ok(rng)
+    }
+}
+
+/// The item-scoped parameter and its two moment buffers: the three
+/// blocks whose rows move together.
+fn item_rows<'a>(params: &'a mut Params, adam: &'a mut Adam, emb: ParamId) -> [&'a mut Matrix; 3] {
+    let (m, v) = adam.moments_mut(emb);
+    [params.get_mut(emb), m, v]
+}
+
+/// A [`ScopeIndex`] plan's `place(from, to, id)` over the three blocks of
+/// [`item_rows`], whose item rows start `off` rows in: `Some(from)` moves
+/// a row in all three, `None` writes `id`'s derived init and zero moments.
+fn placer<'a>(
+    blocks: [&'a mut Matrix; 3],
+    off: usize,
+    seed: u64,
+) -> impl FnMut(Option<usize>, usize, u32) + 'a {
+    let d = blocks[0].cols();
+    let [e, m, v] = blocks.map(Matrix::as_mut_slice);
+    move |from, to, id| {
+        let to = (off + to) * d;
+        match from {
+            Some(from) => {
+                let from = (off + from) * d;
+                for block in [&mut *e, &mut *m, &mut *v] {
+                    block.copy_within(from..from + d, to);
+                }
+            }
+            None => {
+                init::derived_normal_row(seed, id, EMB_STD, &mut e[to..to + d]);
+                m[to..to + d].fill(0.0);
+                v[to..to + d].fill(0.0);
+            }
+        }
     }
 }
 
@@ -360,13 +349,21 @@ mod tests {
 
     /// A store whose item block follows `offset` user rows, beside a
     /// second parameter, as the graph models lay theirs out.
-    fn store(offset: usize, dim: usize, scope: &ItemScope, seed: u64) -> ScopedParams {
+    fn store(offset: usize, dim: usize, scope: ScopeView<'_>, seed: u64) -> ScopedParams {
         let mut data = vec![0.25f32; offset * dim];
         data.extend_from_slice(item_block(scope, dim, seed).as_slice());
         let mut params = Params::new();
-        let emb = params.push("emb", Matrix::from_vec(offset + scope.initial_rows(), dim, data));
+        let emb = params.push("emb", Matrix::from_vec(offset + scope.len(), dim, data));
         params.push("w", Matrix::full(2, 3, 0.5));
         ScopedParams::new(params, emb, offset, scope, seed, 0.01)
+    }
+
+    fn scope_of(dense: bool, held: &[u32]) -> ScopeView<'_> {
+        if dense {
+            ScopeView::Full(40)
+        } else {
+            ScopeView::Rows { num_items: 40, ids: held }
+        }
     }
 
     /// One Adam step on a dense gradient, so every moment row is
@@ -378,6 +375,58 @@ mod tests {
             *grads.slot_mut(id) = Some(GradBuf::Dense(g));
         }
         s.step(&grads);
+    }
+
+    /// Rebuilds `block` with `edit` applied to its row-major data.
+    fn reshape(block: &mut Matrix, edit: impl FnOnce(&mut Vec<f32>)) {
+        let cols = block.cols();
+        let mut data = block.as_slice().to_vec();
+        edit(&mut data);
+        *block = Matrix::from_vec(data.len() / cols, cols, data);
+    }
+
+    /// The oracle for [`ScopedParams::ensure_many`]: one id at a time,
+    /// shifting the tail of the item block and both moment buffers once
+    /// per fresh id.
+    fn ensure_one(s: &mut ScopedParams, id: u32) -> bool {
+        let Some(held) = s.scope.ids() else { return false };
+        let Err(pos) = held.binary_search(&id) else { return false };
+        let mut ids = held.to_vec();
+        ids.insert(pos, id);
+        s.scope = ScopeIndex::new(ScopeView::Rows { num_items: s.num_items(), ids: &ids });
+        let (at, d, seed) = ((s.row_offset + pos) * s.dim(), s.dim(), s.item_seed);
+        let mut row = vec![0.0; d];
+        init::derived_normal_row(seed, id, EMB_STD, &mut row);
+        let [e, m, v] = item_rows(&mut s.params, &mut s.adam, s.emb);
+        reshape(e, |data| drop(data.splice(at..at, row)));
+        for block in [m, v] {
+            reshape(block, |data| drop(data.splice(at..at, std::iter::repeat_n(0.0, d))));
+        }
+        true
+    }
+
+    /// The oracle for [`ScopedParams::evict`]: one victim at a time —
+    /// removed with its moment rows from a row-scoped store, reset to its
+    /// init with zero moments in a dense one.
+    fn evict_one(s: &mut ScopedParams, id: u32) {
+        let (d, seed) = (s.dim(), s.item_seed);
+        let at = s.lookup(id).expect("victim is held") * d;
+        let ids = s.scope.ids().map(|held| {
+            let mut ids = held.to_vec();
+            ids.retain(|&x| x != id);
+            ids
+        });
+        let [e, m, v] = item_rows(&mut s.params, &mut s.adam, s.emb);
+        if let Some(ids) = ids {
+            for block in [e, m, v] {
+                reshape(block, |data| drop(data.drain(at..at + d)));
+            }
+            s.scope = ScopeIndex::new(ScopeView::Rows { num_items: s.num_items(), ids: &ids });
+        } else {
+            init::derived_normal_row(seed, id, EMB_STD, &mut e.as_mut_slice()[at..at + d]);
+            m.as_mut_slice()[at..at + d].fill(0.0);
+            v.as_mut_slice()[at..at + d].fill(0.0);
+        }
     }
 
     proptest! {
@@ -395,22 +444,53 @@ mod tests {
             batches in collection::vec(collection::btree_set(0u32..40, 0..15), 1..4),
         ) {
             let (offset, dim, dense) = shape;
-            let scope = if dense {
-                ItemScope::Full(40)
-            } else {
-                ItemScope::rows(40, held.into_iter().collect())
-            };
-            let mut merged = store(offset, dim, &scope, seed);
-            let mut by_row = store(offset, dim, &scope, seed);
+            let held: Vec<u32> = held.into_iter().collect();
+            let mut merged = store(offset, dim, scope_of(dense, &held), seed);
+            let mut by_row = store(offset, dim, scope_of(dense, &held), seed);
             for batch in batches {
                 warm(&mut merged);
                 warm(&mut by_row);
                 let ids: Vec<u32> = batch.into_iter().collect();
                 let grew = merged.ensure_many(&ids);
-                prop_assert_eq!(grew, by_row.ensure(ids.iter().copied()));
+                let mut by_row_grew = false;
+                for &id in &ids {
+                    by_row_grew |= ensure_one(&mut by_row, id);
+                }
+                prop_assert_eq!(grew, by_row_grew);
                 prop_assert_eq!(merged.view(), by_row.view());
                 prop_assert_eq!(merged.export("T", None), by_row.export("T", None));
             }
+        }
+
+        /// The compaction plan leaves ids, parameter rows and both moment
+        /// rows — the whole envelope — exactly as evicting the victims one
+        /// at a time does, on dense and row-scoped stores with and without
+        /// leading user rows, and the two keep training in lockstep.
+        #[test]
+        fn compaction_equals_victim_by_victim_removal(
+            seed in any::<u64>(),
+            shape in (0usize..3, 1usize..6, any::<bool>()),
+            held in collection::btree_set(0u32..40, 0..12),
+            keep in collection::btree_set(0u32..40, 0..15),
+        ) {
+            let (offset, dim, dense) = shape;
+            let held: Vec<u32> = held.into_iter().collect();
+            let keep: Vec<u32> = keep.into_iter().collect();
+            let mut plan = store(offset, dim, scope_of(dense, &held), seed);
+            warm(&mut plan);
+            let mut by_victim = store(offset, dim, scope_of(dense, &held), seed);
+            warm(&mut by_victim);
+            let victims: Vec<u32> =
+                plan.view().iter().filter(|id| keep.binary_search(id).is_err()).collect();
+            prop_assert_eq!(plan.evict(&keep), victims.len());
+            for &id in &victims {
+                evict_one(&mut by_victim, id);
+            }
+            prop_assert_eq!(plan.view(), by_victim.view());
+            prop_assert_eq!(plan.export("T", None), by_victim.export("T", None));
+            warm(&mut plan);
+            warm(&mut by_victim);
+            prop_assert_eq!(plan.export("T", None), by_victim.export("T", None));
         }
     }
 }

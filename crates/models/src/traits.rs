@@ -6,57 +6,8 @@
 //! protocol crates program against `Box<dyn Recommender>`.
 
 use crate::mf::MfModel;
+use ptf_tensor::ScopeView;
 use std::sync::{Arc, OnceLock, RwLock};
-
-/// A borrowed view of which item-embedding rows a model holds.
-///
-/// `Full(n)` is the classic dense table over the whole catalogue; `Rows`
-/// lists the (sorted, global) ids an item-scoped model has materialized
-/// so far. Consumers that used to iterate `0..num_items` — upload
-/// staging, parameter accounting, state export — iterate the scope
-/// instead, so a scoped client never pays for rows it cannot touch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScopeView<'a> {
-    /// Every item of an `n`-item catalogue is materialized.
-    Full(usize),
-    /// Only these global item ids (sorted ascending) are materialized.
-    Rows(&'a [u32]),
-}
-
-impl<'a> ScopeView<'a> {
-    /// Number of materialized item rows.
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Full(n) => *n,
-            Self::Rows(ids) => ids.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn is_full(&self) -> bool {
-        matches!(self, Self::Full(_))
-    }
-
-    /// Iterates the materialized global item ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + 'a {
-        let (range, ids) = match self {
-            Self::Full(n) => (0..*n as u32, [].as_slice()),
-            Self::Rows(ids) => (0..0, *ids),
-        };
-        range.chain(ids.iter().copied())
-    }
-
-    /// True if `id` is materialized.
-    pub fn contains(&self, id: u32) -> bool {
-        match self {
-            Self::Full(n) => (id as usize) < *n,
-            Self::Rows(ids) => ids.binary_search(&id).is_ok(),
-        }
-    }
-}
 
 /// A shared, monotonically growing `[0, 1, 2, …]` prefix cache.
 ///
@@ -129,32 +80,29 @@ pub trait Recommender: Send + Sync {
 
     /// Which item-embedding rows this model holds. Dense models report
     /// [`ScopeView::Full`]; item-scoped models report the sorted global
-    /// ids materialized so far (which grows as dispersed or sampled items
-    /// are touched).
+    /// ids materialized so far (which grows as rounds prepare dispersed
+    /// or sampled items).
     fn item_scope(&self) -> ScopeView<'_> {
         ScopeView::Full(self.num_items())
     }
 
-    /// True if this model holds only a scoped subset of the item rows.
-    fn scoped(&self) -> bool {
-        !self.item_scope().is_full()
-    }
-
-    /// Batch-materializes the item rows an upcoming training round will
-    /// touch (`sorted_ids` ascending, unique). Semantically identical to
-    /// letting `train_batch` materialize lazily — rows hold the same
-    /// derived init either way — but it lets a scoped model do the growth
-    /// up front, merging the whole batch in one backward pass: MF over
-    /// its row table (which is what keeps paper-scale round throughput
-    /// flat under scoping), the Adam-trained models over the item block
-    /// and both moment buffers together, a graph model then rebuilding
-    /// its propagation operator once. Dense models ignore it.
+    /// Materializes the item rows an upcoming training round will touch
+    /// (`sorted_ids` ascending, unique) — the one way an item row comes
+    /// into being. A scoped model must have every item it is trained on
+    /// ([`Recommender::train_batch`]) or given a graph edge to
+    /// ([`Recommender::set_graph`]) prepared first. The growth merges the
+    /// whole batch in one backward pass: MF over its row table, the
+    /// Adam-trained models over the item block and both moment buffers
+    /// together, a graph model then rebuilding its propagation operator
+    /// once. A fresh row holds its `(seed, id)`-derived init, so when it
+    /// is prepared cannot change its contents. Dense models ignore it.
     fn prepare_items(&mut self, _sorted_ids: &[u32]) {}
 
     /// Evicts every materialized item row whose global id is *not* in
     /// `keep_sorted` (ascending, unique), returning how many rows were
-    /// dropped or reset. Eviction is the inverse of lazy materialization
-    /// and is semantically free on seed-derived models: an evicted row's
+    /// dropped or reset. Eviction is the inverse of
+    /// [`Recommender::prepare_items`] and is semantically free on
+    /// seed-derived models: an evicted row's
     /// parameter state returns to its `(seed, id)`-derived init and its
     /// optimizer moments to zero, exactly what a never-touched row holds,
     /// so re-touching it later is bit-identical to a model that had never
@@ -226,7 +174,9 @@ pub trait Recommender: Send + Sync {
     }
 
     /// One optimizer step on `(user, item, soft_label)` triples; returns
-    /// the batch's mean BCE loss.
+    /// the batch's mean BCE loss. On a scoped model every item must have
+    /// been prepared ([`Recommender::prepare_items`]); an unprepared item
+    /// panics, naming the item.
     fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32;
 
     /// The model as an [`MfModel`], which only `MfModel` answers: a
@@ -237,7 +187,10 @@ pub trait Recommender: Send + Sync {
     }
 
     /// Rebuilds internal interaction-graph structure from weighted
-    /// `(user, item, weight)` edges. Non-graph models ignore this.
+    /// `(user, item, weight)` edges. Non-graph models ignore this. On a
+    /// scoped graph model every edge item must have been prepared
+    /// ([`Recommender::prepare_items`]); an unprepared item panics,
+    /// naming the item.
     fn set_graph(&mut self, _edges: &[(u32, u32, f32)]) {}
 
     /// Serializes *everything* needed to resume training bit-identically:
@@ -406,7 +359,7 @@ mod tests {
     fn default_item_scope_is_full() {
         let m = Constant { users: 1, items: 9, calls: 0 };
         assert_eq!(m.item_scope(), ScopeView::Full(9));
-        assert!(!m.scoped());
+        assert!(m.item_scope().is_full());
         assert!(m.item_scope().contains(8));
         assert!(!m.item_scope().contains(9));
     }
@@ -416,7 +369,7 @@ mod tests {
         let full: Vec<u32> = ScopeView::Full(4).iter().collect();
         assert_eq!(full, vec![0, 1, 2, 3]);
         let ids = [2u32, 5, 7];
-        let rows_view = ScopeView::Rows(&ids);
+        let rows_view = ScopeView::Rows { num_items: 9, ids: &ids };
         assert_eq!(rows_view.iter().collect::<Vec<_>>(), vec![2, 5, 7]);
         assert_eq!(rows_view.len(), 3);
         assert!(rows_view.contains(5));

@@ -4,14 +4,14 @@
 //! direction, and damaged or mismatched envelopes are rejected.
 
 use ptf_models::{
-    ItemScope, LightGcn, LightGcnConfig, MfModel, NeuMf, NeuMfConfig, Ngcf, NgcfConfig, Recommender,
+    LightGcn, LightGcnConfig, MfModel, NeuMf, NeuMfConfig, Ngcf, NgcfConfig, Recommender, ScopeView,
 };
 
 const USERS: usize = 4;
 const ITEMS: usize = 20;
 
-fn scope() -> ItemScope {
-    ItemScope::rows(ITEMS, vec![1, 4, 7, 11])
+fn scope() -> ScopeView<'static> {
+    ScopeView::Rows { num_items: ITEMS, ids: &[1, 4, 7, 11] }
 }
 
 fn warmup_batch() -> Vec<(u32, u32, f32)> {
@@ -38,6 +38,8 @@ fn assert_bit_resume(
     b: &mut dyn Recommender,
     graph: Option<&[(u32, u32, f32)]>,
 ) {
+    // every item of the warmup and probe batches, grown before export
+    a.prepare_items(&[1, 2, 4, 7, 11, 15, 18]);
     for _ in 0..3 {
         a.train_batch(&warmup_batch());
     }
@@ -49,7 +51,7 @@ fn assert_bit_resume(
         b.set_graph(e);
     }
     assert_eq!(a.score(0, &all_items()), b.score(0, &all_items()), "restored state diverged");
-    assert!(b.item_scope().contains(15), "lazily grown id set lost in the envelope");
+    assert!(b.item_scope().contains(15), "grown id set lost in the envelope");
     for step in 0..4 {
         let la = a.train_batch(&probe_batch());
         let lb = b.train_batch(&probe_batch());
@@ -65,16 +67,16 @@ fn assert_bit_resume(
 #[test]
 fn neumf_full_state_resumes_bit_identically() {
     let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
-    let mut a = NeuMf::new_scoped(USERS, &cfg, &scope(), 42);
-    let mut b = NeuMf::new_scoped(USERS, &cfg, &scope(), 999);
+    let mut a = NeuMf::new_scoped(USERS, &cfg, scope(), 42);
+    let mut b = NeuMf::new_scoped(USERS, &cfg, scope(), 999);
     assert_bit_resume(&mut a, &mut b, None);
 }
 
 #[test]
 fn lightgcn_full_state_resumes_bit_identically() {
     let cfg = LightGcnConfig { dim: 8, layers: 2, lr: 0.02 };
-    let mut a = LightGcn::new_scoped(USERS, &cfg, &scope(), 42);
-    let mut b = LightGcn::new_scoped(USERS, &cfg, &scope(), 999);
+    let mut a = LightGcn::new_scoped(USERS, &cfg, scope(), 42);
+    let mut b = LightGcn::new_scoped(USERS, &cfg, scope(), 999);
     a.set_graph(&edges());
     assert_bit_resume(&mut a, &mut b, Some(&edges()));
 }
@@ -92,16 +94,16 @@ fn ngcf_full_state_carries_the_dropout_stream() {
         reg: 1e-3,
         message_dropout: 0.3,
     };
-    let mut a = Ngcf::new_scoped(USERS, &cfg, &scope(), 42);
-    let mut b = Ngcf::new_scoped(USERS, &cfg, &scope(), 999);
+    let mut a = Ngcf::new_scoped(USERS, &cfg, scope(), 42);
+    let mut b = Ngcf::new_scoped(USERS, &cfg, scope(), 999);
     a.set_graph(&edges());
     assert_bit_resume(&mut a, &mut b, Some(&edges()));
 }
 
 #[test]
 fn mf_full_state_resumes_bit_identically() {
-    let mut a = MfModel::new_scoped(USERS, 8, 0.1, &scope(), 42);
-    let mut b = MfModel::new_scoped(USERS, 8, 0.1, &scope(), 999);
+    let mut a = MfModel::new_scoped(USERS, 8, 0.1, scope(), 42);
+    let mut b = MfModel::new_scoped(USERS, 8, 0.1, scope(), 999);
     assert_bit_resume(&mut a, &mut b, None);
 }
 
@@ -110,15 +112,15 @@ fn dense_envelope_densifies_a_scoped_model() {
     // restoring a dense model's envelope into a freshly built (sparse)
     // model must densify the model
     let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
-    let mut a = NeuMf::new_scoped(USERS, &cfg, &ItemScope::Full(ITEMS), 42);
-    assert!(!a.scoped());
+    let mut a = NeuMf::new_scoped(USERS, &cfg, ScopeView::Full(ITEMS), 42);
+    assert!(a.item_scope().is_full());
     a.train_batch(&warmup_batch());
     a.train_batch(&probe_batch());
     let envelope = a.export_full_state().unwrap();
-    let mut b = NeuMf::new_scoped(USERS, &cfg, &scope(), 999);
-    assert!(b.scoped());
+    let mut b = NeuMf::new_scoped(USERS, &cfg, scope(), 999);
+    assert!(!b.item_scope().is_full());
     b.import_full_state(&envelope).unwrap();
-    assert!(!b.scoped(), "dense envelope must densify the restored model");
+    assert!(b.item_scope().is_full(), "dense envelope must densify the restored model");
     assert_eq!(a.score(0, &all_items()), b.score(0, &all_items()));
     let la = a.train_batch(&probe_batch());
     let lb = b.train_batch(&probe_batch());
@@ -128,11 +130,11 @@ fn dense_envelope_densifies_a_scoped_model() {
 #[test]
 fn corrupt_full_state_envelopes_are_rejected() {
     let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
-    let mut m = NeuMf::new_scoped(USERS, &cfg, &scope(), 42);
+    let mut m = NeuMf::new_scoped(USERS, &cfg, scope(), 42);
     assert!(m.import_full_state("{garbage").is_err(), "syntax error accepted");
     // wrong architecture
     let lg =
-        LightGcn::new_scoped(USERS, &LightGcnConfig { dim: 8, layers: 2, lr: 0.02 }, &scope(), 42);
+        LightGcn::new_scoped(USERS, &LightGcnConfig { dim: 8, layers: 2, lr: 0.02 }, scope(), 42);
     let other = lg.export_full_state().unwrap();
     assert!(
         m.import_full_state(&other).unwrap_err().contains("architecture mismatch"),
@@ -156,7 +158,7 @@ fn corrupt_full_state_envelopes_are_rejected() {
         "torn parameter buffer accepted"
     );
     // same architecture, different embedding width
-    let wide = NeuMf::new_scoped(USERS, &NeuMfConfig { dim: 16, ..cfg }, &scope(), 42);
+    let wide = NeuMf::new_scoped(USERS, &NeuMfConfig { dim: 16, ..cfg }, scope(), 42);
     let other = wide.export_full_state().unwrap();
     assert!(
         m.import_full_state(&other).unwrap_err().contains("shape mismatch"),

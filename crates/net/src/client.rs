@@ -170,8 +170,15 @@ pub fn run_shard(
                 clients[at].recycle_upload(upload);
                 conn.send(&frame)?;
             }
-            Frame::Disperse { client, triples, .. } => {
+            Frame::Disperse { client, round, triples } => {
                 let Some(at) = index_of(client) else { continue };
+                let num_items = train.num_items() as u32;
+                if let Some((_, item, score)) = crate::server::untrainable(&triples, num_items) {
+                    return Err(NetError::Protocol(format!(
+                        "round {round} dispersal to client {client}: item {item} with score \
+                         {score} is outside the {num_items}-item catalogue or not a probability"
+                    )));
+                }
                 summary.bytes_down += (triples.len() * ptf_comm::message::BYTES_PER_TRIPLE) as u64;
                 clients[at]
                     .receive_disperse(triples.into_iter().map(|(_, item, s)| (item, s)).collect());

@@ -29,7 +29,7 @@
 use crate::config_fingerprint;
 use crate::error::NetError;
 use crate::transport::{ConnId, Event, PeerHandle};
-use crate::wire::{Frame, RejectReason};
+use crate::wire::{Frame, RejectReason, Triple};
 use ptf_comm::LedgerSummary;
 use ptf_core::{rounds, ClientHost, ClientPhase, ClientUpload, PtfConfig, PtfServer, Round};
 use ptf_data::Dataset;
@@ -357,7 +357,7 @@ impl ClientHost for Remote<'_> {
                         continue; // unsampled or duplicate upload
                     };
                     pending.swap_remove(at);
-                    if !is_trainable(&triples, self.num_items) {
+                    if untrainable(&triples, self.num_items).is_some() {
                         dropped.push(client);
                         continue;
                     }
@@ -397,13 +397,17 @@ impl ClientHost for Remote<'_> {
     }
 }
 
-/// Whether the server may train on an upload: every item inside the
-/// catalogue and every score a probability (finite, in `[0, 1]`). The
-/// hidden model indexes its rows and graph by item id, so anything else
-/// is discarded on receipt and its client dropped for the round, exactly
-/// like a straggler.
-fn is_trainable(triples: &[(u32, u32, f32)], num_items: u32) -> bool {
-    triples.iter().all(|&(_, item, score)| item < num_items && (0.0..=1.0).contains(&score))
+/// The first triple a model may not train on: an item outside the
+/// catalogue or a score that is not a probability (finite, in `[0, 1]`).
+/// Models index their rows and graph by item id, so both sides check on
+/// receipt: the server discards such an upload and drops its client for
+/// the round, exactly like a straggler; a client shard rejects such a
+/// dispersal as a protocol violation.
+pub(crate) fn untrainable(triples: &[Triple], num_items: u32) -> Option<Triple> {
+    triples
+        .iter()
+        .copied()
+        .find(|&(_, item, score)| item >= num_items || !(0.0..=1.0).contains(&score))
 }
 
 /// One step of the event loop shared by the gather and round phases:

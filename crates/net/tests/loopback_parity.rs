@@ -10,7 +10,7 @@ use ptf_federated::{Engine, Participation};
 use ptf_models::{ModelHyper, ModelKind};
 use ptf_net::wire::Frame;
 use ptf_net::{
-    loopback_hub, run_server, run_shard, NetError, NetServerOptions, ShardOptions, Straggle,
+    loopback_hub, run_server, run_shard, Event, NetError, NetServerOptions, ShardOptions, Straggle,
     StragglerDrop,
 };
 use std::time::Duration;
@@ -248,6 +248,58 @@ fn a_malformed_upload_drops_its_client_and_the_run_goes_on() {
         serde_json::to_string(&reference).unwrap(),
         "a dropped offender must equal an unsampled client"
     );
+}
+
+#[test]
+fn a_dispersal_outside_the_catalogue_is_an_error_not_a_panic() {
+    // the server half is scripted: it welcomes one client, announces
+    // round 0, reads the upload, disperses an item one past the
+    // catalogue and announces round 1. The shard must refuse the
+    // dispersal on receipt, before the item reaches the client's model
+    let train = dataset();
+    let cfg = config(1);
+    let num_items = train.num_items() as u32;
+    let client = (0..train.num_users() as u32).find(|&u| !train.user_items(u).is_empty()).unwrap();
+    let shard_opts = ShardOptions {
+        cfg: cfg.clone(),
+        client_kind: CLIENT,
+        server_kind: SERVER,
+        hyper: ModelHyper::small(),
+        ids: vec![client],
+        straggle: None,
+    };
+    let (hub, events) = loopback_hub();
+    let train = &train;
+    let joined = std::thread::scope(|scope| {
+        let shard = scope.spawn(move || run_shard(train, &mut hub.connect(), &shard_opts));
+        let peer = match events.recv().unwrap() {
+            Event::Opened { peer, .. } => peer,
+            _ => panic!("the shard's connection must open first"),
+        };
+        let next_frame = || loop {
+            if let Event::Frame { frame, .. } = events.recv().unwrap() {
+                return frame;
+            }
+        };
+        assert!(matches!(next_frame(), Frame::Hello { .. }));
+        let fleet = train.num_users() as u32;
+        peer.send(Frame::Welcome { client, fleet, rounds: cfg.rounds });
+        peer.send(Frame::Announce { client, round: 0, deadline_ms: 30_000 });
+        assert!(matches!(next_frame(), Frame::Upload { round: 0, .. }));
+        peer.send(Frame::Disperse { client, round: 0, triples: vec![(client, num_items, 0.5)] });
+        peer.send(Frame::Announce { client, round: 1, deadline_ms: 30_000 });
+        shard.join()
+    });
+    match joined.expect("a bad dispersal must not panic the shard") {
+        Err(NetError::Protocol(why)) => {
+            for part in [format!("client {client}"), "round 0".into(), format!("item {num_items}")]
+            {
+                assert!(why.contains(&part), "{why:?} does not name {part}");
+            }
+        }
+        Err(e) => panic!("expected a protocol violation, got {e}"),
+        Ok(_) => panic!("a dispersal outside the catalogue was accepted"),
+    }
 }
 
 #[test]

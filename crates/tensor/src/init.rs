@@ -6,7 +6,7 @@
 //! generated datasets are made of, so it does not change. The per-row
 //! item init behind every model, [`derived_normal_row`], runs once per
 //! weight of every dense client table (16.7 M draws for the ML-100K
-//! preset) and on every lazy materialization and eviction reset, so it
+//! preset) and on every row growth and eviction reset, so it
 //! has its own sampler: a 128-layer ziggurat (Marsaglia & Tsang 2000, in
 //! Doornik's ZIGNOR form) that accepts ≈ 99 % of draws with one `u64`
 //! and one compare, and pays `exp`/`ln` only in the wedges and the tail.
@@ -50,7 +50,7 @@ const ROW_INIT_STREAM: u64 = 0x0520_4E49_5449_414C;
 ///
 /// Because the draw depends only on `(seed, id, std, out.len())`, a row
 /// holds bit-identical values whether it was materialized eagerly in a
-/// full table, eagerly in a scoped table, or lazily on first touch — the
+/// full table, eagerly in a scoped table, or by a later growth pass — the
 /// keystone of scoped-vs-full bit-comparability. Entry `k` depends only
 /// on the stream up to it, so a shorter row is a prefix of a longer one.
 /// Each entry is `(std as f64 * z) as f32` for a standard-normal draw

@@ -276,20 +276,8 @@ impl Matrix {
         kernels::frob_sq(&self.data)
     }
 
-    /// Inserts an all-zero row at index `at`, shifting later rows down.
-    /// Backbone of lazily growing scoped embedding tables: the caller
-    /// writes the row's init in place (the optimizer shifts its per-row
-    /// state identically, see `Adam::insert_zero_row`).
-    pub fn insert_zero_row(&mut self, at: usize) {
-        assert!(at <= self.rows, "insert_zero_row at {at} out of bounds ({} rows)", self.rows);
-        let idx = at * self.cols;
-        self.data.splice(idx..idx, std::iter::repeat_n(0.0, self.cols));
-        self.rows += 1;
-    }
-
     /// Appends `extra` all-zero rows: the growth step of a batched
-    /// insertion that then merges its rows into place. Capacity doubles,
-    /// as a run of [`Matrix::insert_zero_row`] calls would leave it.
+    /// insertion that then merges its rows into place. Capacity doubles.
     pub fn push_zero_rows(&mut self, extra: usize) {
         let len = self.data.len() + extra * self.cols;
         reserve_doubling(&mut self.data, len);
@@ -297,15 +285,12 @@ impl Matrix {
         self.rows += extra;
     }
 
-    /// Removes the row at index `at`, shifting later rows up — the exact
-    /// inverse of [`Matrix::insert_zero_row`]. Backbone of cold-row eviction in
-    /// scoped embedding tables (the optimizer drops its per-row state
-    /// identically, see `Adam::remove_row`).
-    pub fn remove_row(&mut self, at: usize) {
-        assert!(at < self.rows, "remove_row at {at} out of bounds ({} rows)", self.rows);
-        let idx = at * self.cols;
-        self.data.drain(idx..idx + self.cols);
-        self.rows -= 1;
+    /// Keeps the first `rows` rows: the shrink step of a compaction that
+    /// has already moved its kept rows to the front.
+    pub fn truncate_rows(&mut self, rows: usize) {
+        assert!(rows <= self.rows, "truncate_rows to {rows} of {} rows", self.rows);
+        self.data.truncate(rows * self.cols);
+        self.rows = rows;
     }
 
     /// Gathers rows `idx` into a new `idx.len()×cols` matrix.

@@ -95,47 +95,14 @@ impl Adam {
         Ok(())
     }
 
-    /// Mirrors a `Matrix::insert_zero_row` on parameter `id`: inserts an
-    /// all-zero row into both moment matrices at `at`, so a lazily
-    /// materialized embedding row starts with fresh optimizer state while
-    /// every previously tracked row keeps its moments. A zero-moment row
-    /// is exactly what a dense Adam would hold for a row that never
-    /// received gradient, which keeps scoped and full training
-    /// bit-identical.
-    pub fn insert_zero_row(&mut self, id: crate::params::ParamId, at: usize) {
-        let i = id.index();
-        self.m[i].insert_zero_row(at);
-        self.v[i].insert_zero_row(at);
-    }
-
     /// Both moment matrices of parameter `id`, for a caller that reshapes
     /// the parameter and must move its optimizer rows in step (a batched
-    /// row insertion).
+    /// row insertion or compaction). A row's moments must travel with it:
+    /// a moment row left out of register would hand a re-materialized row
+    /// another row's stale state.
     pub fn moments_mut(&mut self, id: crate::params::ParamId) -> (&mut Matrix, &mut Matrix) {
         let i = id.index();
         (&mut self.m[i], &mut self.v[i])
-    }
-
-    /// Mirrors a `Matrix::remove_row` on parameter `id`: drops row `at`
-    /// from both moment matrices, the exact inverse of
-    /// [`Adam::insert_zero_row`]. Eviction must go through this (not a
-    /// bare parameter-row removal), otherwise the moment rows of every
-    /// later row drift one position out of register and a re-materialized
-    /// row would resurrect a *different* row's stale moments.
-    pub fn remove_row(&mut self, id: crate::params::ParamId, at: usize) {
-        let i = id.index();
-        self.m[i].remove_row(at);
-        self.v[i].remove_row(at);
-    }
-
-    /// Zeros the moment rows at `at` of parameter `id` — the dense-table
-    /// counterpart of evicting a row: the parameter row goes back to its
-    /// derived init and its optimizer state back to what a never-touched
-    /// row holds, so dense and row-sparse eviction stay bit-identical.
-    pub fn zero_moment_row(&mut self, id: crate::params::ParamId, at: usize) {
-        let i = id.index();
-        self.m[i].row_mut(at).fill(0.0);
-        self.v[i].row_mut(at).fill(0.0);
     }
 
     #[inline(always)]
@@ -277,54 +244,6 @@ mod tests {
         assert_eq!(p.get(id).row(0), &[1.0, 1.0], "untouched row moved");
         assert_eq!(p.get(id).row(3), &[1.0, 1.0], "untouched row moved");
         assert!(p.get(id).get(2, 0) < 1.0, "touched row did not move");
-    }
-
-    #[test]
-    fn evicting_then_rematerializing_a_row_cannot_resurrect_stale_moments() {
-        // Build up nonzero moments on every row, then evict row 1 the way
-        // scoped models do (parameter row + moment rows together) and
-        // re-materialize it. The fresh row must carry *zero* moments —
-        // before `Adam::remove_row` existed, dropping only the parameter
-        // row left the old moments in place, so the re-inserted row
-        // inherited row 2's stale state one position out of register.
-        let init = Matrix::from_fn(3, 2, |r, c| (r as f32) + 0.1 * (c as f32));
-        let grad = Matrix::from_fn(3, 2, |r, c| 0.2 + 0.1 * (r + c) as f32);
-        let mut p = Params::new();
-        let id = p.push("w", init);
-        let mut adam = Adam::with_defaults(&p, 0.01);
-        for _ in 0..3 {
-            let mut g = Grads::new_for(&p);
-            *g.slot_mut(id) = Some(GradBuf::Dense(grad.clone()));
-            adam.step(&mut p, &g);
-        }
-        let row2_m = adam.m[id.index()].row(2).to_vec();
-        assert!(adam.m[id.index()].row(1).iter().any(|&x| x != 0.0), "moments must be warm");
-
-        // evict row 1, coherently
-        p.get_mut(id).remove_row(1);
-        adam.remove_row(id, 1);
-        assert_eq!(adam.m[id.index()].rows(), 2);
-        assert_eq!(
-            adam.m[id.index()].row(1),
-            &row2_m[..],
-            "surviving rows must keep their own moments"
-        );
-
-        // re-materialize it: zero moments, same global step counter
-        p.get_mut(id).insert_zero_row(1);
-        adam.insert_zero_row(id, 1);
-        assert_eq!(adam.m[id.index()].row(1), &[0.0, 0.0], "stale first moment resurrected");
-        assert_eq!(adam.v[id.index()].row(1), &[0.0, 0.0], "stale second moment resurrected");
-        assert_eq!(adam.steps(), 3, "eviction must not disturb the step counter");
-
-        // and the dense counterpart: zeroing moments in place
-        let mut g = Grads::new_for(&p);
-        *g.slot_mut(id) = Some(GradBuf::Dense(grad.clone()));
-        adam.step(&mut p, &g);
-        adam.zero_moment_row(id, 1);
-        assert_eq!(adam.m[id.index()].row(1), &[0.0, 0.0]);
-        assert_eq!(adam.v[id.index()].row(1), &[0.0, 0.0]);
-        assert!(adam.m[id.index()].row(0).iter().any(|&x| x != 0.0), "other rows untouched");
     }
 
     #[test]

@@ -137,54 +137,28 @@ where
 /// uncontended lock ops per checkout, no allocation once the slot vector
 /// has grown to the worker count), which is noise next to the per-item
 /// work these maps are designed for.
-///
-/// [`Pool::fresh`] builds a pass-through pool (checkout always constructs
-/// a default value, restore drops it) — the debug mode used to prove that
-/// buffer reuse is observationally pure.
 pub struct Pool<T> {
     slots: std::sync::Mutex<Vec<T>>,
-    reuse: bool,
 }
 
 impl<T: Default> Pool<T> {
-    /// A reusing pool (the production mode).
     pub fn new() -> Self {
-        Self::with_reuse(true)
-    }
-
-    /// A pass-through pool: every checkout is a fresh `T::default()`.
-    pub fn fresh() -> Self {
-        Self::with_reuse(false)
-    }
-
-    fn with_reuse(reuse: bool) -> Self {
         // capacity for more workers than any host exposes, so the slot
         // vector itself never reallocates on the hot path
-        Self { slots: std::sync::Mutex::new(Vec::with_capacity(128)), reuse }
-    }
-
-    /// True if restored values are recycled (production mode).
-    pub fn reuses(&self) -> bool {
-        self.reuse
+        Self { slots: std::sync::Mutex::new(Vec::with_capacity(128)) }
     }
 
     /// Takes a scratch value: a warmed one when available, else fresh.
     pub fn checkout(&self) -> T {
-        if self.reuse {
-            if let Some(v) = self.slots.lock().expect("pool lock").pop() {
-                return v;
-            }
-        }
-        T::default()
+        let warmed = self.slots.lock().expect("pool lock").pop();
+        warmed.unwrap_or_default()
     }
 
-    /// Returns a scratch value for reuse (dropped in fresh mode).
+    /// Returns a scratch value for reuse.
     pub fn restore(&self, value: T) {
-        if self.reuse {
-            let mut slots = self.slots.lock().expect("pool lock");
-            if slots.len() < slots.capacity() {
-                slots.push(value);
-            }
+        let mut slots = self.slots.lock().expect("pool lock");
+        if slots.len() < slots.capacity() {
+            slots.push(value);
         }
     }
 }
@@ -282,16 +256,6 @@ mod tests {
         let cap = v.capacity();
         pool.restore(v);
         assert!(pool.checkout().capacity() >= cap, "warmed buffer was not recycled");
-    }
-
-    #[test]
-    fn fresh_pool_never_recycles() {
-        let pool: Pool<Vec<u32>> = Pool::fresh();
-        let mut v = pool.checkout();
-        v.reserve(1024);
-        pool.restore(v);
-        assert_eq!(pool.checkout().capacity(), 0);
-        assert!(!pool.reuses());
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Row-sparse embedding tables with deterministic lazy materialization.
+//! Row-sparse embedding tables with deterministic, bulk row movement.
 //!
 //! PTF-FedRec clients never transmit their models — and they also never
 //! *touch* more than a sliver of the item space: positives, per-round
-//! sampled negatives, and server-dispersed items. [`ItemScope`] makes that
+//! sampled negatives, and server-dispersed items. [`ScopeView`] makes that
 //! contract explicit at model-construction time, and [`RowTable`] backs a
 //! scoped model's item embeddings with a dense arena of only the rows in
-//! scope plus a sorted id→row index.
+//! scope plus a sorted id→row index ([`ScopeIndex`]).
 //!
 //! Two properties make scoped and full models interchangeable:
 //!
@@ -15,16 +15,16 @@
 //!   scheduler's RNG streams. A `Rows`-scoped table and a `Full` table
 //!   built from the same seed hold bit-identical values on every shared
 //!   row, so scoped and full runs stay bit-comparable.
-//! * **Lazy, order-independent materialization.** Touching an out-of-scope
-//!   row (a dispersed item the client has never seen) materializes it on
-//!   first touch with its derived init; because the init depends only on
-//!   the id, *when* and *in which order* rows materialize cannot change
-//!   their contents. Rows are kept sorted by global id so iteration (and
+//! * **Rows grown before each round, order-independently.** A client
+//!   materializes the sorted union of the rows its next round touches in
+//!   one merge pass ([`RowTable::ensure_many`]) and evicts cold rows in
+//!   one compaction pass ([`RowTable::retain_ids`]); nothing creates a
+//!   row one at a time. Because the init depends only on the id, *when*
+//!   and *in which batch* a row materializes cannot change its contents.
+//!   Rows are kept sorted by global id so iteration (and
 //!   graph-propagation summation order) matches a full table's.
 //!
-//! Materialization into reserved capacity performs **zero heap
-//! allocations** (arena/index growth is amortized with a bounded ~25%
-//! headroom so peak heap stays close to the touched-row footprint).
+//! Growth into reserved capacity performs **zero heap allocations**.
 
 use crate::matrix::reserve_doubling;
 use crate::packed::PackedF32s;
@@ -47,42 +47,24 @@ pub fn derive_seed(master: u64, a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Which item-embedding rows a model can ever touch.
+/// Which item-embedding rows a model holds: what a scoped constructor
+/// takes and what `Recommender::item_scope` reports.
 ///
-/// The model-construction contract of the scoped API
-/// (`ptf_models::build_model_scoped`): `Full(n)` allocates the classic
-/// dense `n × dim` table; `Rows` allocates only the listed rows (a
-/// client's positives, typically) and lets everything else materialize
-/// lazily on first touch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ItemScope {
+/// `Full(n)` is the classic dense table over an `n`-item catalogue;
+/// `Rows` lists the sorted, unique, global ids a row-scoped model holds
+/// out of `num_items` (ids stay global: scoping changes storage, not the
+/// id space). Consumers that would iterate `0..num_items` — upload
+/// staging, parameter accounting, state export — iterate the scope
+/// instead, so a scoped client never pays for rows it cannot touch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScopeView<'a> {
     /// Every item of an `n`-item catalogue.
     Full(usize),
-    /// Only `ids` (sorted, deduplicated, all `< num_items`) out of a
-    /// `num_items`-item catalogue.
-    Rows {
-        /// Total catalogue size (ids remain global; scoping changes
-        /// storage, not the id space).
-        num_items: usize,
-        /// Initially materialized global item ids, sorted ascending.
-        ids: Vec<u32>,
-    },
+    /// Only `ids` (sorted ascending, unique, all `< num_items`).
+    Rows { num_items: usize, ids: &'a [u32] },
 }
 
-impl ItemScope {
-    /// A `Rows` scope from any id list: sorts, deduplicates, validates.
-    pub fn rows(num_items: usize, mut ids: Vec<u32>) -> Self {
-        ids.sort_unstable();
-        ids.dedup();
-        if let Some(&last) = ids.last() {
-            assert!(
-                (last as usize) < num_items,
-                "scope id {last} out of range ({num_items} items)"
-            );
-        }
-        Self::Rows { num_items, ids }
-    }
-
+impl<'a> ScopeView<'a> {
     /// Total catalogue size (the model's global `num_items`).
     pub fn num_items(&self) -> usize {
         match self {
@@ -91,16 +73,37 @@ impl ItemScope {
         }
     }
 
-    /// Rows materialized at construction time.
-    pub fn initial_rows(&self) -> usize {
+    /// Number of held item rows.
+    pub fn len(&self) -> usize {
         match self {
             Self::Full(n) => *n,
             Self::Rows { ids, .. } => ids.len(),
         }
     }
 
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     pub fn is_full(&self) -> bool {
         matches!(self, Self::Full(_))
+    }
+
+    /// Iterates the held global item ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + 'a {
+        let (range, ids) = match *self {
+            Self::Full(n) => (0..n as u32, [].as_slice()),
+            Self::Rows { ids, .. } => (0..0, ids),
+        };
+        range.chain(ids.iter().copied())
+    }
+
+    /// True if `id` is held.
+    pub fn contains(&self, id: u32) -> bool {
+        match self {
+            Self::Full(n) => (id as usize) < *n,
+            Self::Rows { ids, .. } => ids.binary_search(&id).is_ok(),
+        }
     }
 }
 
@@ -111,6 +114,11 @@ impl ItemScope {
 /// lookup is a binary search and row order is monotone in global id —
 /// which keeps float summation order (graph propagation, delta
 /// aggregation) identical between scoped and full tables.
+///
+/// Rows move only in bulk: [`ScopeIndex::merge_in`] is the one way a row
+/// appears and [`ScopeIndex::retain`] the one way it leaves. Both report
+/// every row that parallel storage must move or (re)initialize through
+/// the same `place(from, to, id)` callback.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScopeIndex {
     num_items: usize,
@@ -119,18 +127,34 @@ pub struct ScopeIndex {
 }
 
 impl ScopeIndex {
-    pub fn from_scope(scope: &ItemScope) -> Self {
-        match scope {
-            ItemScope::Full(n) => Self { num_items: *n, ids: None },
-            ItemScope::Rows { num_items, ids } => {
-                debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "scope ids must be sorted");
-                Self { num_items: *num_items, ids: Some(ids.clone()) }
+    /// The index of `scope`.
+    ///
+    /// # Panics
+    /// If a `Rows` scope's ids are unsorted, repeated or out of range.
+    pub fn new(scope: ScopeView<'_>) -> Self {
+        let num_items = scope.num_items();
+        let ids = match scope {
+            ScopeView::Full(_) => None,
+            ScopeView::Rows { ids, .. } => {
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "scope ids must be sorted and unique");
+                if let Some(&last) = ids.last() {
+                    assert!(
+                        (last as usize) < num_items,
+                        "scope id {last} out of range ({num_items} items)"
+                    );
+                }
+                Some(ids.to_vec())
             }
-        }
+        };
+        Self { num_items, ids }
     }
 
-    pub fn dense(num_items: usize) -> Self {
-        Self { num_items, ids: None }
+    /// The scope this index maps.
+    pub fn view(&self) -> ScopeView<'_> {
+        match &self.ids {
+            None => ScopeView::Full(self.num_items),
+            Some(ids) => ScopeView::Rows { num_items: self.num_items, ids },
+        }
     }
 
     pub fn is_dense(&self) -> bool {
@@ -165,25 +189,14 @@ impl ScopeIndex {
         }
     }
 
-    /// Row index of `id`, materializing it if absent. Returns
-    /// `(row, inserted)`; on insertion every row at `row` or later shifts
-    /// down by one (callers must shift any parallel storage identically).
-    pub fn insert(&mut self, id: u32) -> (usize, bool) {
-        assert!(
-            (id as usize) < self.num_items,
-            "item {id} out of range ({} items)",
-            self.num_items
-        );
-        match &mut self.ids {
-            None => (id as usize, false),
-            Some(ids) => match ids.binary_search(&id) {
-                Ok(p) => (p, false),
-                Err(p) => {
-                    ids.insert(p, id);
-                    (p, true)
-                }
-            },
-        }
+    /// Row index of `id`, which must be materialized: a row that is
+    /// trained on was grown beforehand, never on first touch.
+    ///
+    /// # Panics
+    /// If `id` was never materialized, naming it.
+    #[inline(always)]
+    pub fn row_of(&self, id: u32) -> usize {
+        self.lookup(id).unwrap_or_else(|| panic!("item {id} was not prepared"))
     }
 
     /// How many of `sorted_ids` (ascending, unique) are not materialized
@@ -213,12 +226,11 @@ impl ScopeIndex {
 
     /// Materializes `sorted_ids`, of which [`ScopeIndex::count_absent`]
     /// counted `absent`, in **one backward merge pass**: O(rows + new)
-    /// movement instead of the O(new × rows) that per-id
-    /// [`ScopeIndex::insert`] costs. Parallel row storage, already grown
-    /// by `absent` rows, follows through `place(from, to, id)`, called
-    /// in descending `to` order: `Some(from)` moves old row `from` to
-    /// `to`, `None` puts the fresh row of `id` at `to`. Rows that keep
-    /// their position are not reported.
+    /// movement. Parallel row storage, already grown by `absent` rows,
+    /// follows through `place(from, to, id)`, called in descending `to`
+    /// order: `Some(from)` moves old row `from` to `to`, `None` puts the
+    /// fresh row of `id` at `to`. Rows that keep their position are not
+    /// reported.
     pub fn merge_in(
         &mut self,
         sorted_ids: &[u32],
@@ -253,52 +265,69 @@ impl ScopeIndex {
         debug_assert!(ids.windows(2).all(|p| p[0] < p[1]));
     }
 
+    /// The compaction plan, counterpart of [`ScopeIndex::merge_in`]:
+    /// evicts every row whose id is not in `keep_sorted` (ascending,
+    /// unique) and returns how many rows were dropped or reset.
+    ///
+    /// A sparse index compacts in **one forward pass**; parallel storage
+    /// follows through `place(Some(from), to, id)`, called in ascending
+    /// `to` order for each kept row that moves, and then truncates to
+    /// [`ScopeIndex::len`] rows. The dense identity cannot drop rows:
+    /// `place(None, row, id)` asks for each evicted row (row `id`) to be
+    /// reset to its fresh state — the same call `merge_in` makes for a
+    /// fresh row, so both representations land in the same state.
+    pub fn retain(
+        &mut self,
+        keep_sorted: &[u32],
+        mut place: impl FnMut(Option<usize>, usize, u32),
+    ) -> usize {
+        debug_assert!(
+            keep_sorted.windows(2).all(|w| w[0] < w[1]),
+            "keep ids must be sorted unique"
+        );
+        let mut k = 0usize;
+        let mut kept = |id: u32| {
+            while k < keep_sorted.len() && keep_sorted[k] < id {
+                k += 1;
+            }
+            k < keep_sorted.len() && keep_sorted[k] == id
+        };
+        match &mut self.ids {
+            None => {
+                let mut reset = 0usize;
+                for id in 0..self.num_items as u32 {
+                    if !kept(id) {
+                        place(None, id as usize, id);
+                        reset += 1;
+                    }
+                }
+                reset
+            }
+            Some(ids) => {
+                let mut w = 0usize;
+                for r in 0..ids.len() {
+                    let id = ids[r];
+                    if kept(id) {
+                        if w != r {
+                            ids[w] = id;
+                            place(Some(r), w, id);
+                        }
+                        w += 1;
+                    }
+                }
+                let removed = ids.len() - w;
+                ids.truncate(w);
+                removed
+            }
+        }
+    }
+
     /// Global id of row `r`.
     pub fn id_of(&self, r: usize) -> u32 {
         match &self.ids {
             None => r as u32,
             Some(ids) => ids[r],
         }
-    }
-
-    /// Removes `id` from a sparse index, returning the row position it
-    /// occupied; every later row shifts up by one (callers must shift any
-    /// parallel storage identically — the exact inverse of
-    /// [`ScopeIndex::insert`]). Dense identity scopes cannot drop ids and
-    /// return `None`, as does an id that was never materialized.
-    pub fn remove(&mut self, id: u32) -> Option<usize> {
-        match &mut self.ids {
-            None => None,
-            Some(ids) => match ids.binary_search(&id) {
-                Ok(p) => {
-                    ids.remove(p);
-                    Some(p)
-                }
-                Err(_) => None,
-            },
-        }
-    }
-
-    /// Replaces the materialized id set (checkpoint restore). The new ids
-    /// must be sorted, unique, in range, and — since parallel storage is
-    /// not reshaped — of the same length.
-    pub fn restore_ids(&mut self, new_ids: Vec<u32>) -> Result<(), String> {
-        if self.is_dense() {
-            return Err("cannot restore a sparse id set into a dense scope".to_string());
-        }
-        if new_ids.len() != self.len() {
-            return Err(format!("scope size mismatch: {} vs {}", new_ids.len(), self.len()));
-        }
-        if !new_ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err("scope ids must be sorted and unique".to_string());
-        }
-        if let Some(&last) = new_ids.last() {
-            if last as usize >= self.num_items {
-                return Err(format!("scope id {last} out of range ({} items)", self.num_items));
-            }
-        }
-        self.ids = Some(new_ids);
-        Ok(())
     }
 }
 
@@ -338,14 +367,14 @@ impl RowTable {
     /// seed-derived normal init (`init_cols ≤ cols` normal entries, the
     /// rest zero — MF uses the trailing column as the item bias).
     pub fn from_scope(
-        scope: &ItemScope,
+        scope: ScopeView<'_>,
         cols: usize,
         init_cols: usize,
         std: f32,
         seed: u64,
     ) -> Self {
         assert!(init_cols <= cols, "init_cols {init_cols} > cols {cols}");
-        let index = ScopeIndex::from_scope(scope);
+        let index = ScopeIndex::new(scope);
         let init = RowInit::DerivedNormal { seed, std, init_cols };
         let mut data = vec![0.0f32; index.len() * cols];
         for r in 0..index.len() {
@@ -359,7 +388,7 @@ impl RowTable {
     /// accumulator shape (per-client item deltas, gradient staging).
     pub fn sparse_zeroed(num_items: usize, cols: usize) -> Self {
         Self {
-            index: ScopeIndex::from_scope(&ItemScope::Rows { num_items, ids: Vec::new() }),
+            index: ScopeIndex { num_items, ids: Some(Vec::new()) },
             cols,
             init: RowInit::Zeros,
             data: Vec::new(),
@@ -405,6 +434,12 @@ impl RowTable {
         self.index.lookup(id)
     }
 
+    /// [`ScopeIndex::row_of`].
+    #[inline(always)]
+    pub fn row_of(&self, id: u32) -> usize {
+        self.index.row_of(id)
+    }
+
     /// Global id of materialized row `r`.
     pub fn id_of(&self, r: usize) -> u32 {
         self.index.id_of(r)
@@ -424,7 +459,7 @@ impl RowTable {
     }
 
     /// Pre-reserves capacity for `additional` more materialized rows, so
-    /// the next `additional` first-touches allocate nothing.
+    /// growing by that many allocates nothing.
     pub fn reserve_rows(&mut self, additional: usize) {
         let want = (self.rows() + additional).min(self.num_items());
         let extra_rows = want.saturating_sub(self.rows());
@@ -440,53 +475,23 @@ impl RowTable {
         }
     }
 
-    /// Grows capacity ahead of one insertion with bounded (~25%) headroom
-    /// instead of `Vec`'s doubling, so a fleet of scoped tables does not
-    /// hold 2× its touched-row footprint at peak.
-    fn reserve_for_insert(&mut self) {
-        if self.data.len() + self.cols > self.data.capacity() {
-            let headroom_rows = (self.rows() / 4).max(8);
-            self.reserve_rows(headroom_rows.max(1));
-        } else if let Some(ids) = &self.index.ids {
-            if ids.len() == ids.capacity() {
-                let headroom_rows = (self.rows() / 4).max(8);
-                self.reserve_rows(headroom_rows.max(1));
-            }
-        }
-    }
-
-    /// Row index of `id`, materializing it with the table's init on first
-    /// touch. Materialization into reserved capacity is allocation-free.
-    pub fn ensure(&mut self, id: u32) -> usize {
-        self.ensure_detailed(id).0
-    }
-
-    /// [`RowTable::ensure`] that also reports whether the row was
-    /// freshly materialized.
-    pub fn ensure_detailed(&mut self, id: u32) -> (usize, bool) {
-        if let Some(r) = self.index.lookup(id) {
-            return (r, false);
-        }
-        self.reserve_for_insert();
-        let (p, inserted) = self.index.insert(id);
-        debug_assert!(inserted);
-        // append cols zeros, then rotate them into place at row p —
-        // in-place (no temporary buffer, no allocation once reserved)
-        let at = p * self.cols;
-        let old_len = self.data.len();
-        self.data.resize(old_len + self.cols, 0.0);
-        self.data[at..].rotate_right(self.cols);
-        fill_row(self.init, id, &mut self.data[at..at + self.cols]);
-        (p, true)
-    }
-
     /// Materializes every id of `sorted_ids` (ascending, unique) that is
-    /// not yet present, in **one backward merge pass** — O(rows + new)
-    /// total arena movement instead of the O(new × rows) shifting that
-    /// per-id [`RowTable::ensure`] costs when a round touches many fresh
-    /// rows at once. Returns the number of rows materialized; zero when
+    /// not yet present, each with the table's init, in **one backward
+    /// merge pass** ([`ScopeIndex::merge_in`]): O(rows + new) arena
+    /// movement. Returns the number of rows materialized; zero when
     /// everything was already present (and then the call is free).
     pub fn ensure_many(&mut self, sorted_ids: &[u32]) -> usize {
+        self.ensure_many_with(sorted_ids, |_, _| {})
+    }
+
+    /// [`RowTable::ensure_many`] whose fresh rows are then passed to
+    /// `fill(id, row)` — copy-on-first-touch: the FCF/MetaMF clients seed
+    /// their local rows from the server's current values.
+    pub fn ensure_many_with(
+        &mut self,
+        sorted_ids: &[u32],
+        mut fill: impl FnMut(u32, &mut [f32]),
+    ) -> usize {
         let new_count = self.index.count_absent(sorted_ids);
         if new_count == 0 {
             return 0;
@@ -495,9 +500,11 @@ impl RowTable {
         let (cols, init) = (self.cols, self.init);
         let data = &mut self.data;
         data.resize(data.len() + new_count * cols, 0.0);
-        self.index.merge_in(sorted_ids, new_count, |from, to, id| match from {
-            Some(from) => data.copy_within(from * cols..(from + 1) * cols, to * cols),
-            None => fill_row(init, id, &mut data[to * cols..(to + 1) * cols]),
+        self.index.merge_in(sorted_ids, new_count, |from, to, id| {
+            place_row(data, cols, init, from, to, id);
+            if from.is_none() {
+                fill(id, &mut data[to * cols..(to + 1) * cols]);
+            }
         });
         new_count
     }
@@ -512,68 +519,19 @@ impl RowTable {
     /// (ascending, unique), returning how many rows were dropped.
     ///
     /// Eviction is *semantically free* on seed-derived tables: a dropped
-    /// row re-materializes bit-identically on next touch, because its init
-    /// is a pure function of `(table seed, id)`. Sparse tables compact the
-    /// arena in one forward merge pass (O(rows) movement); dense tables
-    /// reset the evicted rows in place to their derived init — the
+    /// row re-materializes bit-identically, because its init is a pure
+    /// function of `(table seed, id)`. Sparse tables compact the arena in
+    /// one forward pass ([`ScopeIndex::retain`]); dense tables reset the
+    /// evicted rows in place to their derived init — the
     /// representation-independent meaning of "row state is back to init".
     pub fn retain_ids(&mut self, keep_sorted: &[u32]) -> usize {
-        debug_assert!(
-            keep_sorted.windows(2).all(|w| w[0] < w[1]),
-            "keep ids must be sorted unique"
-        );
-        let cols = self.cols;
-        let init = self.init;
-        match &mut self.index.ids {
-            None => {
-                // dense table: reset non-kept rows in place,
-                // walking the keep list in lockstep with the identity rows
-                let mut k = 0usize;
-                let mut reset = 0usize;
-                for id in 0..self.index.num_items as u32 {
-                    while k < keep_sorted.len() && keep_sorted[k] < id {
-                        k += 1;
-                    }
-                    if k < keep_sorted.len() && keep_sorted[k] == id {
-                        continue;
-                    }
-                    let at = id as usize * cols;
-                    fill_row(init, id, &mut self.data[at..at + cols]);
-                    reset += 1;
-                }
-                reset
-            }
-            Some(ids) => {
-                let mut w = 0usize;
-                for r in 0..ids.len() {
-                    if keep_sorted.binary_search(&ids[r]).is_ok() {
-                        if w != r {
-                            ids[w] = ids[r];
-                            self.data.copy_within(r * cols..(r + 1) * cols, w * cols);
-                        }
-                        w += 1;
-                    }
-                }
-                let removed = ids.len() - w;
-                ids.truncate(w);
-                self.data.truncate(w * cols);
-                removed
-            }
-        }
-    }
-
-    /// Like [`RowTable::ensure`], but a freshly materialized row is
-    /// filled by `fill` instead of the table init (copy-on-first-touch —
-    /// the FCF/MetaMF clients seed their local rows from the server's
-    /// current values).
-    pub fn ensure_with(&mut self, id: u32, fill: impl FnOnce(&mut [f32])) -> usize {
-        let (r, inserted) = self.ensure_detailed(id);
-        if inserted {
-            let row = self.row_mut(r);
-            row.iter_mut().for_each(|x| *x = 0.0);
-            fill(row);
-        }
-        r
+        let (cols, init) = (self.cols, self.init);
+        let data = &mut self.data;
+        let removed = self
+            .index
+            .retain(keep_sorted, |from, to, id| place_row(data, cols, init, from, to, id));
+        data.truncate(self.index.len() * cols);
+        removed
     }
 
     /// Runs `f` on row `id`: the materialized row if present, otherwise
@@ -594,6 +552,22 @@ impl RowTable {
     }
 }
 
+/// One step of a [`ScopeIndex`] plan over a row-major arena: `Some(from)`
+/// moves row `from` to `to`, `None` writes `id`'s fresh init at `to`.
+fn place_row(
+    data: &mut [f32],
+    cols: usize,
+    init: RowInit,
+    from: Option<usize>,
+    to: usize,
+    id: u32,
+) {
+    match from {
+        Some(from) => data.copy_within(from * cols..(from + 1) * cols, to * cols),
+        None => fill_row(init, id, &mut data[to * cols..(to + 1) * cols]),
+    }
+}
+
 fn fill_row(init: RowInit, id: u32, out: &mut [f32]) {
     match init {
         RowInit::Zeros => out.iter_mut().for_each(|x| *x = 0.0),
@@ -608,7 +582,7 @@ fn fill_row(init: RowInit, id: u32, out: &mut [f32]) {
 /// The arena travels as one [`PackedF32s`] string (ids stay a decimal
 /// array). The seed travels as a hex string: the vendored JSON layer
 /// routes bare integers through `f64`, which silently rounds u64 seeds
-/// ≥ 2⁵³ — and a rounded seed would re-derive *different* lazy rows after
+/// ≥ 2⁵³ — and a rounded seed would re-derive *different* rows after
 /// a restore.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct RowTableWire {
@@ -692,14 +666,46 @@ impl<'de> serde::Deserialize<'de> for RowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn scoped(ids: &[u32]) -> RowTable {
-        RowTable::from_scope(&ItemScope::rows(20, ids.to_vec()), 4, 3, 0.1, 77)
+        RowTable::from_scope(ScopeView::Rows { num_items: 20, ids }, 4, 3, 0.1, 77)
+    }
+
+    fn full(n: usize) -> RowTable {
+        RowTable::from_scope(ScopeView::Full(n), 4, 3, 0.1, 77)
+    }
+
+    /// The oracle for [`RowTable::ensure_many`]: one row at a time,
+    /// shifting the arena tail once per fresh id.
+    fn ensure_one(t: &mut RowTable, id: u32) -> usize {
+        let Some(ids) = &mut t.index.ids else { return id as usize };
+        let Err(p) = ids.binary_search(&id) else { return t.lookup(id).unwrap() };
+        ids.insert(p, id);
+        let at = p * t.cols;
+        t.data.splice(at..at, std::iter::repeat_n(0.0, t.cols));
+        fill_row(t.init, id, &mut t.data[at..at + t.cols]);
+        p
+    }
+
+    /// The oracle for [`RowTable::retain_ids`]: one victim at a time —
+    /// removed, with the arena tail shifted up, from a sparse table, and
+    /// reset to its init in a dense one.
+    fn evict_one(t: &mut RowTable, id: u32) {
+        let r = t.lookup(id).unwrap();
+        let cols = t.cols;
+        match &mut t.index.ids {
+            Some(ids) => {
+                ids.remove(r);
+                t.data.drain(r * cols..(r + 1) * cols);
+            }
+            None => fill_row(t.init, id, &mut t.data[r * cols..(r + 1) * cols]),
+        }
     }
 
     #[test]
     fn full_and_rows_share_row_values() {
-        let full = RowTable::from_scope(&ItemScope::Full(20), 4, 3, 0.1, 77);
+        let full = full(20);
         let rows = scoped(&[2, 5, 19]);
         for &id in &[2u32, 5, 19] {
             assert_eq!(full.row(id as usize), rows.row(rows.lookup(id).unwrap()), "row {id}");
@@ -712,14 +718,13 @@ mod tests {
     fn lazy_materialization_is_order_independent() {
         let mut a = scoped(&[3]);
         let mut b = scoped(&[3]);
-        a.ensure(10);
-        a.ensure(7);
-        b.ensure(7);
-        b.ensure(10);
+        a.ensure_many(&[10]);
+        a.ensure_many(&[7]);
+        b.ensure_many(&[7, 10]);
         assert_eq!(a, b);
         assert_eq!(a.ids(), Some(&[3, 7, 10][..]));
         // and both match the full table on every shared row
-        let full = RowTable::from_scope(&ItemScope::Full(20), 4, 3, 0.1, 77);
+        let full = full(20);
         for &id in &[3u32, 7, 10] {
             assert_eq!(a.row(a.lookup(id).unwrap()), full.row(id as usize));
         }
@@ -729,13 +734,13 @@ mod tests {
     fn ensure_keeps_rows_sorted_and_shifts_arena() {
         let mut t = scoped(&[5, 10]);
         let before_5 = t.row(t.lookup(5).unwrap()).to_vec();
-        let (r, inserted) = t.ensure_detailed(7);
-        assert!(inserted);
-        assert_eq!(r, 1);
+        let before_10 = t.row(t.lookup(10).unwrap()).to_vec();
+        assert_eq!(t.ensure_many(&[7]), 1);
         assert_eq!(t.ids(), Some(&[5, 7, 10][..]));
-        assert_eq!(t.row(t.lookup(5).unwrap()), &before_5[..], "existing row moved bytes");
-        let (r2, again) = t.ensure_detailed(7);
-        assert_eq!((r2, again), (1, false));
+        assert_eq!(t.lookup(7), Some(1));
+        assert_eq!(t.row(0), &before_5[..], "existing row moved bytes");
+        assert_eq!(t.row(2), &before_10[..], "shifted row moved bytes");
+        assert_eq!(t.ensure_many(&[7]), 0);
     }
 
     #[test]
@@ -745,23 +750,58 @@ mod tests {
         let wanted = [1u32, 4, 6, 9, 15, 19];
         assert_eq!(batch.ensure_many(&wanted), 4);
         for &id in &wanted {
-            single.ensure(id);
+            ensure_one(&mut single, id);
         }
         assert_eq!(batch, single);
         // idempotent and free the second time
         assert_eq!(batch.ensure_many(&wanted), 0);
         assert_eq!(batch, single);
         // dense tables are a no-op
-        let mut dense = RowTable::from_scope(&ItemScope::Full(20), 4, 3, 0.1, 77);
+        let mut dense = full(20);
         assert_eq!(dense.ensure_many(&wanted), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The compaction plan leaves ids and every row exactly as
+        /// evicting the victims one at a time does, on dense and sparse
+        /// tables, and a later growth pass finds both in the same state.
+        #[test]
+        fn compaction_equals_victim_by_victim_removal(
+            dense in any::<bool>(),
+            held in collection::btree_set(0u32..20, 0..12),
+            keep in collection::btree_set(0u32..20, 0..12),
+            touch in collection::btree_set(0u32..20, 0..8),
+        ) {
+            let held: Vec<u32> = held.into_iter().collect();
+            let keep: Vec<u32> = keep.into_iter().collect();
+            let mut plan = if dense { full(20) } else { scoped(&held) };
+            for (r, x) in plan.data.iter_mut().enumerate() {
+                *x += r as f32; // trained rows, so a row out of place shows
+            }
+            let mut by_victim = plan.clone();
+            let victims: Vec<u32> =
+                plan.index.view().iter().filter(|id| keep.binary_search(id).is_err()).collect();
+            prop_assert_eq!(plan.retain_ids(&keep), victims.len());
+            for &id in &victims {
+                evict_one(&mut by_victim, id);
+            }
+            prop_assert_eq!(&plan, &by_victim);
+            let touch: Vec<u32> = touch.into_iter().collect();
+            plan.ensure_many(&touch);
+            by_victim.ensure_many(&touch);
+            prop_assert_eq!(plan, by_victim);
+        }
     }
 
     #[test]
     fn with_row_cold_equals_materialized() {
         let mut t = scoped(&[1]);
         let cold = t.with_row(9, <[f32]>::to_vec);
-        let r = t.ensure(9);
-        assert_eq!(t.row(r), &cold[..], "cold values must equal first-touch init");
+        t.ensure_many(&[9]);
+        let r = t.lookup(9).unwrap();
+        assert_eq!(t.row(r), &cold[..], "cold values must equal the materialized init");
     }
 
     #[test]
@@ -770,12 +810,12 @@ mod tests {
         t.reserve_rows(16);
         let before = crate::alloc::thread_allocs();
         for id in 1..10 {
-            t.ensure(id);
+            t.ensure_many(&[id]);
         }
         // the shim is only live in binaries that install it; in unit tests
         // both readings are 0 — the assertion is vacuous there but real in
         // tests/hot_path.rs, which runs the same path under the shim
-        assert_eq!(crate::alloc::thread_allocs(), before, "reserved inserts must not allocate");
+        assert_eq!(crate::alloc::thread_allocs(), before, "reserved growth must not allocate");
     }
 
     #[test]
@@ -790,15 +830,19 @@ mod tests {
         assert_eq!(t.len(), 2 * t.cols());
         // an evicted row comes back bit-identical to a never-evicted twin
         let twin = scoped(&[9]);
-        let r = t.ensure(9);
-        assert_eq!(t.row(r), twin.row(0), "re-materialization must be reproducible");
+        t.ensure_many(&[9]);
+        assert_eq!(
+            t.row(t.lookup(9).unwrap()),
+            twin.row(0),
+            "re-materialization must be reproducible"
+        );
         // keeping everything is a no-op
         assert_eq!(t.retain_ids(&[5, 9, 13]), 0);
     }
 
     #[test]
     fn retain_ids_resets_dense_seed_derived_rows_in_place() {
-        let mut dense = RowTable::from_scope(&ItemScope::Full(20), 4, 3, 0.1, 77);
+        let mut dense = full(20);
         let fresh = dense.clone();
         // perturb two rows, keep one of them
         dense.row_mut(6)[0] += 1.0;
@@ -811,43 +855,36 @@ mod tests {
     }
 
     #[test]
-    fn scope_index_remove_is_inverse_of_insert() {
-        let mut s = ScopeIndex::from_scope(&ItemScope::rows(10, vec![2, 4, 7]));
-        assert_eq!(s.remove(4), Some(1));
-        assert_eq!(s.ids(), Some(&[2, 7][..]));
-        assert_eq!(s.remove(4), None, "double-remove must be a no-op");
-        assert_eq!(s.insert(4), (1, true));
-        assert_eq!(s.ids(), Some(&[2, 4, 7][..]));
-        let mut dense = ScopeIndex::dense(4);
-        assert_eq!(dense.remove(2), None, "dense identity cannot drop ids");
-    }
-
-    #[test]
     fn zeroed_accumulator_and_ensure_with() {
         let mut t = RowTable::sparse_zeroed(10, 3);
-        let r = t.ensure_with(4, |row| row.copy_from_slice(&[1.0, 2.0, 3.0]));
-        assert_eq!(t.row(r), &[1.0, 2.0, 3.0]);
-        // second touch keeps the existing values
-        let r2 = t.ensure_with(4, |row| row.copy_from_slice(&[9.0, 9.0, 9.0]));
-        assert_eq!((r, t.row(r2)), (r2, &[1.0, 2.0, 3.0][..]));
-        let r3 = t.ensure(8);
-        assert_eq!(t.row(r3), &[0.0, 0.0, 0.0]);
+        let filled = t.ensure_many_with(&[4, 8], |id, row| {
+            if id == 4 {
+                row.copy_from_slice(&[1.0, 2.0, 3.0]);
+            }
+        });
+        assert_eq!(filled, 2);
+        assert_eq!(t.row(t.lookup(4).unwrap()), &[1.0, 2.0, 3.0]);
+        assert_eq!(t.row(t.lookup(8).unwrap()), &[0.0, 0.0, 0.0]);
+        // held rows keep their values: only fresh rows are filled
+        t.ensure_many_with(&[4, 6], |_, row| row.copy_from_slice(&[9.0, 9.0, 9.0]));
+        assert_eq!(t.row(t.lookup(4).unwrap()), &[1.0, 2.0, 3.0]);
+        assert_eq!(t.row(t.lookup(6).unwrap()), &[9.0, 9.0, 9.0]);
     }
 
     #[test]
     fn serde_roundtrip_sparse_and_dense() {
         let mut t = scoped(&[2, 8]);
-        t.ensure(5);
+        t.ensure_many(&[5]);
         let json = serde_json::to_string(&t).unwrap();
         let back: RowTable = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
-        // a restored table still lazily materializes identically
+        // a restored table still materializes identically
         let mut a = back.clone();
         let mut b = t.clone();
-        assert_eq!(a.ensure(11), b.ensure(11));
+        assert_eq!(a.ensure_many(&[11]), b.ensure_many(&[11]));
         assert_eq!(a, b);
 
-        let mut d = RowTable::from_scope(&ItemScope::Full(3), 2, 1, 0.1, 77);
+        let mut d = RowTable::from_scope(ScopeView::Full(3), 2, 1, 0.1, 77);
         d.row_mut(1).fill(5.0);
         let back: RowTable = serde_json::from_str(&serde_json::to_string(&d).unwrap()).unwrap();
         assert_eq!(d, back);
@@ -868,27 +905,18 @@ mod tests {
 
     #[test]
     fn scope_index_dense_and_sparse() {
-        let mut dense = ScopeIndex::dense(4);
+        let dense = ScopeIndex::new(ScopeView::Full(4));
         assert_eq!(dense.lookup(3), Some(3));
-        assert_eq!(dense.insert(2), (2, false));
         assert_eq!(dense.len(), 4);
+        assert_eq!(dense.view(), ScopeView::Full(4));
 
-        let mut s = ScopeIndex::from_scope(&ItemScope::rows(10, vec![4, 2]));
+        let s = ScopeIndex::new(ScopeView::Rows { num_items: 10, ids: &[2, 4] });
         assert_eq!(s.ids(), Some(&[2, 4][..]));
         assert_eq!(s.lookup(3), None);
-        assert_eq!(s.insert(3), (1, true));
-        assert_eq!(s.insert(3), (1, false));
-        assert_eq!(s.id_of(2), 4);
-    }
-
-    #[test]
-    fn scope_restore_validates() {
-        let mut s = ScopeIndex::from_scope(&ItemScope::rows(10, vec![1, 2, 3]));
-        assert!(s.restore_ids(vec![1, 2]).is_err(), "length mismatch accepted");
-        assert!(s.restore_ids(vec![3, 2, 1]).is_err(), "unsorted accepted");
-        assert!(s.restore_ids(vec![1, 2, 99]).is_err(), "out of range accepted");
-        assert!(s.restore_ids(vec![5, 6, 7]).is_ok());
-        assert_eq!(s.ids(), Some(&[5, 6, 7][..]));
+        assert_eq!(s.lookup(4), Some(1));
+        assert_eq!(s.id_of(1), 4);
+        assert_eq!(s.view(), ScopeView::Rows { num_items: 10, ids: &[2, 4] });
+        assert_eq!(s.count_absent(&[1, 2, 3]), 2);
     }
 
     #[test]
@@ -901,18 +929,14 @@ mod tests {
     }
 
     #[test]
-    fn item_scope_constructor_normalizes() {
-        let s = ItemScope::rows(10, vec![7, 3, 3, 0]);
-        assert_eq!(s, ItemScope::Rows { num_items: 10, ids: vec![0, 3, 7] });
-        assert_eq!(s.num_items(), 10);
-        assert_eq!(s.initial_rows(), 3);
-        assert!(!s.is_full());
-        assert!(ItemScope::Full(4).is_full());
+    #[should_panic(expected = "out of range")]
+    fn item_scope_rejects_out_of_range() {
+        let _ = ScopeIndex::new(ScopeView::Rows { num_items: 5, ids: &[5] });
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn item_scope_rejects_out_of_range() {
-        let _ = ItemScope::rows(5, vec![5]);
+    #[should_panic(expected = "sorted and unique")]
+    fn item_scope_rejects_unsorted_ids() {
+        let _ = ScopeIndex::new(ScopeView::Rows { num_items: 10, ids: &[7, 3] });
     }
 }

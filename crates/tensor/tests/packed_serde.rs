@@ -29,7 +29,7 @@ fn packed_envelope_text_is_pinned() {
         r#"{"rows":1,"cols":2,"data":"3f80000080000000"}"#
     );
     let mut t = RowTable::sparse_zeroed(9, 2);
-    t.ensure_with(4, |row| row.copy_from_slice(&[0.5, f32::NEG_INFINITY]));
+    t.ensure_many_with(&[4], |_, row| row.copy_from_slice(&[0.5, f32::NEG_INFINITY]));
     assert_eq!(
         serde_json::to_string(&t).unwrap(),
         r#"{"num_items":9,"cols":2,"ids":[4],"data":"3f000000ff800000","init_seed":"0000000000000000","init_std":0,"init_cols":0}"#
@@ -60,7 +60,7 @@ proptest! {
         prop_assert_eq!(serde_json::to_string(&back).unwrap(), json);
 
         let mut t = RowTable::sparse_zeroed(8, values.len());
-        t.ensure_with(3, |row| row.copy_from_slice(&values));
+        t.ensure_many_with(&[3], |_, row| row.copy_from_slice(&values));
         let json = serde_json::to_string(&t).unwrap();
         let back: RowTable = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(bits_of(back.row(0)), bits);

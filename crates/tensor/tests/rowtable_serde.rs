@@ -2,18 +2,18 @@
 //!
 //! The vendored JSON layer routes bare integers through `f64`, which
 //! silently rounds u64 values ≥ 2⁵³ — and a rounded init seed would
-//! re-derive *different* lazy rows after a restore, corrupting the
+//! re-derive *different* rows after a restore, corrupting the
 //! scoped-client parity contract without any visible error. The wire
 //! format therefore carries the seed as a hex string; these tests pin
 //! that property for the whole upper seed range, and that malformed
 //! envelopes come back as `Err`, never a panic.
 
 use proptest::prelude::*;
-use ptf_tensor::{ItemScope, RowTable};
+use ptf_tensor::{RowTable, ScopeView};
 
 const NUM_ITEMS: usize = 64;
 
-/// Round-trips a table and asserts that rows derived lazily *after* the
+/// Round-trips a table and asserts that rows materialized *after* the
 /// restore are bit-identical to rows derived by the original — the part a
 /// rounded seed would silently break.
 fn assert_lazy_rows_survive(mut original: RowTable, json: &str) {
@@ -21,9 +21,11 @@ fn assert_lazy_rows_survive(mut original: RowTable, json: &str) {
     assert_eq!(restored.num_items(), original.num_items());
     assert_eq!(restored.cols(), original.cols());
     assert_eq!(restored.len(), original.len());
+    let all: Vec<u32> = (0..NUM_ITEMS as u32).collect();
+    original.ensure_many(&all);
+    restored.ensure_many(&all);
     for id in 0..NUM_ITEMS as u32 {
-        let a = original.ensure(id);
-        let b = restored.ensure(id);
+        let (a, b) = (original.lookup(id).unwrap(), restored.lookup(id).unwrap());
         assert_eq!(
             original.row(a),
             restored.row(b),
@@ -44,7 +46,7 @@ proptest! {
         ids in proptest::collection::btree_set(0..NUM_ITEMS as u32, 1..12),
     ) {
         let ids: Vec<u32> = ids.into_iter().collect();
-        let sparse = RowTable::from_scope(&ItemScope::rows(NUM_ITEMS, ids), 5, 4, 0.1, seed);
+        let sparse = RowTable::from_scope(ScopeView::Rows { num_items: NUM_ITEMS, ids: &ids }, 5, 4, 0.1, seed);
         let json = serde_json::to_string(&sparse).unwrap();
         prop_assert!(
             json.contains(&format!("{seed:016x}")),
@@ -52,7 +54,7 @@ proptest! {
         );
         assert_lazy_rows_survive(sparse, &json);
 
-        let dense = RowTable::from_scope(&ItemScope::Full(NUM_ITEMS), 5, 4, 0.1, seed);
+        let dense = RowTable::from_scope(ScopeView::Full(NUM_ITEMS), 5, 4, 0.1, seed);
         let json = serde_json::to_string(&dense).unwrap();
         assert_lazy_rows_survive(dense, &json);
     }

@@ -7,13 +7,13 @@
 //! `crates/tensor/tests/kernel_parity.rs`, which uses the race-free
 //! `_with(backend, ..)` entry points.)
 
-use ptf_fedrec::models::{ItemScope, NeuMf, NeuMfConfig, Recommender};
+use ptf_fedrec::models::{NeuMf, NeuMfConfig, Recommender, ScopeView};
 use ptf_fedrec::tensor::kernels::{self, Backend};
 
 fn train_and_score(backend: Backend) -> (Vec<f32>, Vec<f32>) {
     kernels::set_backend(backend);
     let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
-    let mut m = NeuMf::new_scoped(6, &cfg, &ItemScope::Full(20), 77);
+    let mut m = NeuMf::new_scoped(6, &cfg, ScopeView::Full(20), 77);
     let batch: Vec<(u32, u32, f32)> =
         (0..40u32).map(|k| (k % 6, (k * 3) % 20, if k % 2 == 0 { 1.0 } else { 0.0 })).collect();
     let mut losses = Vec::new();

@@ -3,8 +3,8 @@
 //! The item-scoped model API promises that scoping changes *where rows
 //! live*, never *what they hold*: a `Rows`-scoped model and a `Full`
 //! model built from the same seed (`build_model_scoped`) are bit-identical
-//! on every row both hold — at init, through training, and through lazy
-//! materialization of rows the scoped model never started with. The
+//! on every row both hold — at init, through training, and through the
+//! growth of rows the scoped model never started with. The
 //! dense model `build_model` hands servers is the `Full` one of the seed
 //! it draws from its `rng`, so the same holds for it.
 //!
@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use ptf_fedrec::data::test_rng;
 use ptf_fedrec::models::{
-    build_model, build_model_scoped, ItemScope, ModelHyper, ModelKind, Recommender,
+    build_model, build_model_scoped, ModelHyper, ModelKind, Recommender, ScopeView,
 };
 use rand::Rng;
 
@@ -44,10 +44,20 @@ fn built_full_and_rows(kind: ModelKind, ids: &[u32], rng_seed: u64) -> [Box<dyn 
     let h = hyper(kind);
     let built = build_model(kind, 2, NUM_ITEMS, &h, &mut test_rng(rng_seed));
     let seed: u64 = test_rng(rng_seed).gen();
-    let full = build_model_scoped(kind, 2, &h, &ItemScope::Full(NUM_ITEMS), seed);
-    let rows = build_model_scoped(kind, 2, &h, &ItemScope::rows(NUM_ITEMS, ids.to_vec()), seed);
-    assert!(!built.scoped() && !full.scoped() && rows.scoped());
+    let full = build_model_scoped(kind, 2, &h, ScopeView::Full(NUM_ITEMS), seed);
+    let rows = build_model_scoped(kind, 2, &h, ScopeView::Rows { num_items: NUM_ITEMS, ids }, seed);
+    assert!(built.item_scope().is_full() && full.item_scope().is_full());
+    assert!(!rows.item_scope().is_full());
     [built, full, rows]
+}
+
+/// Prepares the items of `batch` and trains on it, as a round does.
+fn prepare_and_train(m: &mut dyn Recommender, batch: &[(u32, u32, f32)]) -> f32 {
+    let mut ids: Vec<u32> = batch.iter().map(|&(_, i, _)| i).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    m.prepare_items(&ids);
+    m.train_batch(batch)
 }
 
 /// Sorted, deduplicated, non-empty scope ids.
@@ -71,8 +81,7 @@ proptest! {
     /// Bit-identical scores and training losses between `build_model`'s
     /// model, a `Full` and a `Rows`-scoped model from the seed it drew,
     /// across every architecture, including after training on in-scope
-    /// *and* out-of-scope items (the latter exercise lazy materialization
-    /// mid-trajectory).
+    /// *and* out-of-scope items (the latter grow rows mid-trajectory).
     #[test]
     fn scoped_and_full_models_are_bit_identical(
         ids in scope_strategy(),
@@ -92,9 +101,9 @@ proptest! {
             prop_assert_eq!(&built.score(0, &all_items), &init, "{} built init scores", kind);
             prop_assert_eq!(&scoped.score(0, &all_items), &init, "{} init scores diverged", kind);
             for batch in &batches {
-                let lf = full.train_batch(batch);
-                prop_assert_eq!(built.train_batch(batch), lf, "{} built training loss", kind);
-                prop_assert_eq!(scoped.train_batch(batch), lf, "{} training loss diverged", kind);
+                let lf = prepare_and_train(&mut **full, batch);
+                prop_assert_eq!(prepare_and_train(&mut **built, batch), lf, "{} built training loss", kind);
+                prop_assert_eq!(prepare_and_train(&mut **scoped, batch), lf, "{} training loss diverged", kind);
                 let trained = full.score(1, &all_items);
                 prop_assert_eq!(&built.score(1, &all_items), &trained, "{} built scores", kind);
                 prop_assert_eq!(
@@ -138,7 +147,7 @@ proptest! {
                     m.set_graph(&edges);
                 }
                 for batch in &batches {
-                    m.train_batch(batch);
+                    prepare_and_train(&mut **m, batch);
                 }
                 m.evict_items(&keep);
             }
@@ -158,10 +167,10 @@ proptest! {
             // retraining rematerializes evicted rows from derived init on
             // every side — the trajectories must not fork
             for batch in &batches {
-                let lf = full.train_batch(batch);
-                prop_assert_eq!(built.train_batch(batch), lf, "{} built post-eviction loss", kind);
+                let lf = prepare_and_train(&mut **full, batch);
+                prop_assert_eq!(prepare_and_train(&mut **built, batch), lf, "{} built post-eviction loss", kind);
                 prop_assert_eq!(
-                    scoped.train_batch(batch),
+                    prepare_and_train(&mut **scoped, batch),
                     lf,
                     "{} post-eviction training loss diverged", kind
                 );
@@ -178,17 +187,17 @@ proptest! {
 }
 
 /// Regression: dispersing an item the client has never seen must
-/// materialize its row lazily *and deterministically* — training on it in
-/// a scoped model lands on exactly the row a full model always had, and
+/// materialize its row *deterministically* — training on it in a scoped
+/// model lands on exactly the row a full model always had, and
 /// materialization order cannot change the result.
 #[test]
 fn dispersed_out_of_scope_item_materializes_deterministically() {
     for kind in ALL_KINDS {
         let h = hyper(kind);
-        let scope = ItemScope::rows(NUM_ITEMS, vec![2, 5, 11]);
-        let mut full = build_model_scoped(kind, 1, &h, &ItemScope::Full(NUM_ITEMS), 99);
-        let mut scoped_a = build_model_scoped(kind, 1, &h, &scope, 99);
-        let mut scoped_b = build_model_scoped(kind, 1, &h, &scope, 99);
+        let scope = ScopeView::Rows { num_items: NUM_ITEMS, ids: &[2, 5, 11] };
+        let mut full = build_model_scoped(kind, 1, &h, ScopeView::Full(NUM_ITEMS), 99);
+        let mut scoped_a = build_model_scoped(kind, 1, &h, scope, 99);
+        let mut scoped_b = build_model_scoped(kind, 1, &h, scope, 99);
         if full.uses_graph() {
             let edges = [(0u32, 2u32, 1.0f32), (0, 5, 1.0)];
             full.set_graph(&edges);
@@ -197,9 +206,13 @@ fn dispersed_out_of_scope_item_materializes_deterministically() {
         }
 
         // "dispersal": item 17 arrives with a soft label; item 20 is a
-        // sampled negative. a and b touch them in opposite orders.
+        // sampled negative. a grows both rows at once, b one at a time in
+        // the opposite order, and b trains on them in the opposite order.
         let disperse = (0u32, 17u32, 0.9f32);
         let negative = (0u32, 20u32, 0.0f32);
+        scoped_a.prepare_items(&[17, 20]);
+        scoped_b.prepare_items(&[20]);
+        scoped_b.prepare_items(&[17]);
         for _ in 0..3 {
             full.train_batch(&[disperse, negative]);
             scoped_a.train_batch(&[disperse, negative]);
@@ -212,16 +225,17 @@ fn dispersed_out_of_scope_item_materializes_deterministically() {
         assert_eq!(
             full.score(0, &probe),
             scoped_a.score(0, &probe),
-            "{kind}: lazily materialized training diverged from full"
+            "{kind}: training on grown rows diverged from full"
         );
         // same-order batches were identical, so a == full covers a;
         // b touched rows in a different order within the batch and must
         // still agree on every materialized row's *values* at init time —
         // check by re-deriving fresh models trained identically
-        let mut scoped_c = build_model_scoped(kind, 1, &h, &scope, 99);
+        let mut scoped_c = build_model_scoped(kind, 1, &h, scope, 99);
         if scoped_c.uses_graph() {
             scoped_c.set_graph(&[(0u32, 2u32, 1.0f32), (0, 5, 1.0)]);
         }
+        scoped_c.prepare_items(&[17, 20]);
         for _ in 0..3 {
             scoped_c.train_batch(&[negative, disperse]);
         }
@@ -234,14 +248,15 @@ fn dispersed_out_of_scope_item_materializes_deterministically() {
 }
 
 /// The scoped checkpoint format survives a full export → import cycle
-/// with the lazily grown id set intact (tentpole acceptance: state
+/// with the grown id set intact (tentpole acceptance: state
 /// round-trips sparse tables).
 #[test]
 fn scoped_state_roundtrips_through_checkpoints() {
     for kind in ALL_KINDS {
         let h = hyper(kind);
-        let scope = ItemScope::rows(NUM_ITEMS, vec![1, 8]);
-        let mut m = build_model_scoped(kind, 1, &h, &scope, 3);
+        let scope = ScopeView::Rows { num_items: NUM_ITEMS, ids: &[1, 8] };
+        let mut m = build_model_scoped(kind, 1, &h, scope, 3);
+        m.prepare_items(&[1, 19]);
         if m.uses_graph() {
             m.set_graph(&[(0, 1, 1.0)]);
         }
@@ -249,7 +264,7 @@ fn scoped_state_roundtrips_through_checkpoints() {
             m.train_batch(&[(0, 1, 1.0), (0, 19, 0.0)]);
         }
         let ckpt = m.export_full_state().expect("scoped export");
-        let mut back = build_model_scoped(kind, 1, &h, &scope, 777);
+        let mut back = build_model_scoped(kind, 1, &h, scope, 777);
         back.import_full_state(&ckpt).unwrap_or_else(|e| panic!("{kind}: {e}"));
         if back.uses_graph() {
             back.set_graph(&[(0, 1, 1.0)]);
