@@ -13,14 +13,44 @@ use std::io::Write as _;
 /// Evaluation cut-off: the paper reports Recall@20 / NDCG@20.
 pub const EVAL_K: usize = 20;
 
-/// Experiment scale from `PTF_SCALE` (default small).
+/// Experiment scale from `PTF_SCALE`: `small` (the default) or `paper`,
+/// in any case. Any other value panics, naming it.
 pub fn scale() -> Scale {
-    Scale::from_env()
+    scale_from(env("PTF_SCALE").as_deref())
 }
 
-/// Master seed from `PTF_SEED` (default 2024).
+/// Master seed from `PTF_SEED` (default 2024). A value that is not an
+/// unsigned integer panics, naming it.
 pub fn seed() -> u64 {
-    std::env::var("PTF_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(2024)
+    seed_from(env("PTF_SEED").as_deref())
+}
+
+/// [`scale`] over a `PTF_SCALE` value, `None` when unset. A value that
+/// does not parse panics so a table never reports a scale nobody asked for.
+fn scale_from(value: Option<&str>) -> Scale {
+    match value {
+        None => Scale::Small,
+        Some(v) if v.eq_ignore_ascii_case("small") => Scale::Small,
+        Some(v) if v.eq_ignore_ascii_case("paper") => Scale::Paper,
+        Some(v) => panic!("PTF_SCALE={v:?}: expected `small` or `paper`"),
+    }
+}
+
+/// [`seed`] over a `PTF_SEED` value, `None` when unset.
+fn seed_from(value: Option<&str>) -> u64 {
+    value.map_or(2024, |v| {
+        v.parse().unwrap_or_else(|_| panic!("PTF_SEED={v:?}: expected an unsigned integer"))
+    })
+}
+
+/// The variable `name`, or `None` when unset; a value that is not
+/// Unicode panics rather than reading as unset.
+fn env(name: &str) -> Option<String> {
+    match std::env::var(name) {
+        Ok(v) => Some(v),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(v)) => panic!("{name}={v:?}: not Unicode"),
+    }
 }
 
 /// Generates a preset dataset, deterministically per preset.
@@ -257,6 +287,43 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new("t", &["a", "b"]);
         t.row(vec!["1".into()]);
+    }
+
+    #[test]
+    fn scale_from_env_defaults_to_small() {
+        assert_eq!(scale_from(None), Scale::Small);
+    }
+
+    #[test]
+    fn scale_matches_either_name_in_any_case() {
+        for v in ["small", "Small", "SMALL"] {
+            assert_eq!(scale_from(Some(v)), Scale::Small, "{v}");
+        }
+        for v in ["paper", "Paper", "PAPER"] {
+            assert_eq!(scale_from(Some(v)), Scale::Paper, "{v}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "PTF_SCALE=\"huge\"")]
+    fn malformed_scale_panics_naming_the_value() {
+        scale_from(Some("huge"));
+    }
+
+    #[test]
+    fn seed_defaults_to_2024_and_parses_integers() {
+        assert_eq!(seed_from(None), 2024);
+        assert_eq!(seed_from(Some("7")), 7);
+        assert_eq!(seed_from(Some("18446744073709551615")), u64::MAX);
+    }
+
+    #[test]
+    fn malformed_seeds_panic_naming_the_value() {
+        for v in ["12x", "", "-1", "1e3"] {
+            let err = std::panic::catch_unwind(|| seed_from(Some(v))).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.starts_with(&format!("PTF_SEED={v:?}")), "{v}: {msg}");
+        }
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! workspace root under `experiments/`.
 //!
 //! Scale is controlled by `PTF_SCALE` (`small` default, `paper` for
-//! Table II sized runs) and the master seed by `PTF_SEED`.
+//! Table II sized runs, either in any case) and the master seed by
+//! `PTF_SEED` (default 2024). [`harness::scale`] and [`harness::seed`]
+//! are the only readers of the environment; a value that does not parse
+//! stops the run with a panic that names it.
 
 pub mod harness;
 

@@ -201,6 +201,12 @@ pub fn load_manifest(dir: &Path) -> Result<Manifest, CheckpointError> {
             manifest.next_round
         )));
     }
+    if let Some((i, t)) = (0u32..).zip(&manifest.traces).find(|(i, t)| t.round != *i) {
+        return Err(CheckpointError::Corrupt(format!(
+            "manifest trace {i} is for round {}",
+            t.round
+        )));
+    }
     Ok(manifest)
 }
 
@@ -219,4 +225,80 @@ pub fn resume_protocol(
     protocol.reset_clients_from(&commit).map_err(CheckpointError::Corrupt)?;
     protocol.set_rounds_completed(manifest.next_round);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cohort::tests::{small_fed, TempRoot};
+    use proptest::prelude::*;
+    use ptf_federated::Engine;
+    use std::sync::OnceLock;
+
+    /// The manifest of a real two-round cohort run, written once.
+    fn real_manifest() -> &'static str {
+        static MANIFEST: OnceLock<String> = OnceLock::new();
+        MANIFEST.get_or_init(|| {
+            let (store, ckpt) = (TempRoot::new("ckpt-store"), TempRoot::new("ckpt"));
+            let mut engine = Engine::new(small_fed(&store, 4));
+            let traces: Vec<RoundTrace> = (0..2).map(|_| engine.run_round()).collect();
+            save_checkpoint(&ckpt.0, engine.protocol(), engine.ledger(), &traces, 0xfeed)
+                .expect("checkpoint saves");
+            std::fs::read_to_string(manifest_path(&ckpt.0)).expect("manifest reads")
+        })
+    }
+
+    /// A damaged manifest with renumbered rounds used to resume and print
+    /// a `RunTrace` whose rounds were wrong.
+    #[test]
+    fn traces_must_be_numbered_by_round() {
+        let dir = TempRoot::new("ckpt-rounds");
+        std::fs::create_dir_all(&dir.0).expect("mkdir");
+        let mut manifest: Manifest = serde_json::from_str(real_manifest()).expect("parses");
+        std::fs::write(manifest_path(&dir.0), real_manifest()).expect("write");
+        load_manifest(&dir.0).expect("the intact manifest loads");
+
+        manifest.traces[1].round = 5;
+        let json = serde_json::to_string(&manifest).expect("encodes");
+        std::fs::write(manifest_path(&dir.0), json).expect("write");
+        match load_manifest(&dir.0) {
+            Err(CheckpointError::Corrupt(m)) => {
+                assert_eq!(m, "manifest trace 1 is for round 5");
+            }
+            other => panic!("renumbered traces were not rejected: {:?}", other.map(|m| m.traces)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, and truncations and one-byte mutations of a
+        /// real manifest: `load_manifest`, then `CommLedger::restore`,
+        /// return `Ok` or `Err` and never panic.
+        #[test]
+        fn damaged_manifests_are_errors_never_panics(
+            kind in 0u8..3,
+            at in 0.0f64..1.0,
+            byte in any::<u8>(),
+            junk in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            let intact = real_manifest().as_bytes();
+            let cut = ((intact.len() as f64 * at) as usize).min(intact.len() - 1);
+            let bytes = match kind {
+                0 => junk,
+                1 => intact[..cut].to_vec(),
+                _ => {
+                    let mut b = intact.to_vec();
+                    b[cut] = byte;
+                    b
+                }
+            };
+            let dir = TempRoot::new("ckpt-damage");
+            std::fs::create_dir_all(&dir.0).expect("mkdir");
+            std::fs::write(manifest_path(&dir.0), &bytes).expect("write");
+            if let Ok(manifest) = load_manifest(&dir.0) {
+                let _ = CommLedger::restore(&manifest.ledger);
+            }
+        }
+    }
 }

@@ -593,7 +593,7 @@ fn copy_envelopes(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use ptf_data::SyntheticConfig;
@@ -604,10 +604,10 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A store root of its own under the temp dir, removed when dropped.
-    struct TempRoot(PathBuf);
+    pub(crate) struct TempRoot(pub(crate) PathBuf);
 
     impl TempRoot {
-        fn new(tag: &str) -> Self {
+        pub(crate) fn new(tag: &str) -> Self {
             static NEXT: AtomicUsize = AtomicUsize::new(0);
             let k = NEXT.fetch_add(1, Ordering::Relaxed);
             let name = format!("ptf-cohort-{tag}-{}-{k}", std::process::id());
@@ -725,7 +725,7 @@ mod tests {
 
     /// A cohort runtime of MF clients over `users` synthetic users, with
     /// eviction on so every envelope line has content.
-    fn small_fed(root: &TempRoot, users: usize) -> CohortFedRec {
+    pub(crate) fn small_fed(root: &TempRoot, users: usize) -> CohortFedRec {
         let data = SyntheticConfig::new("parked", users, 60, 6.0).generate(&mut test_rng(5));
         let mut cfg = PtfConfig::small();
         cfg.alpha = 6;

@@ -4,7 +4,7 @@
 //! counts and interaction targets; `small()` configs are ~20× reductions
 //! that preserve the *ordering* of scale, density and profile length across
 //! the three datasets, so every experiment keeps its qualitative shape
-//! while finishing quickly (`PTF_SCALE=small`, the bench default).
+//! while finishing quickly ([`Scale::Small`], the default everywhere).
 
 use crate::dataset::Dataset;
 use crate::synthetic::SyntheticConfig;
@@ -81,23 +81,13 @@ impl DatasetPreset {
     }
 }
 
-/// Experiment scale selector (see `PTF_SCALE` in the bench harness).
+/// Experiment scale selector (`--scale` on the CLI).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Table II sized datasets and paper hyperparameters.
     Paper,
     /// ~20× reduced datasets for quick runs.
     Small,
-}
-
-impl Scale {
-    /// Reads `PTF_SCALE` from the environment (default [`Scale::Small`]).
-    pub fn from_env() -> Self {
-        match std::env::var("PTF_SCALE").as_deref() {
-            Ok("paper") | Ok("PAPER") => Scale::Paper,
-            _ => Scale::Small,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -129,14 +119,5 @@ mod tests {
         assert!(steam.num_users() > ml.num_users());
         // profile length: ML longest
         assert!(ml.avg_profile_len() > steam.avg_profile_len());
-    }
-
-    #[test]
-    fn scale_from_env_defaults_to_small() {
-        // NB: don't set the variable here — tests run in parallel and the
-        // env is process-global; we only check the default path.
-        if std::env::var("PTF_SCALE").is_err() {
-            assert_eq!(Scale::from_env(), Scale::Small);
-        }
     }
 }

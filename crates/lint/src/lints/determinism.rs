@@ -1,8 +1,9 @@
-//! Determinism lints: no entropy, no wall clock, no hash-order
-//! iteration in protocol/round/model code.
+//! Determinism lints: no entropy, no wall clock, no environment reads,
+//! no hash-order iteration in protocol/round/model code.
 //!
-//! The invariant (PR 3): a run is a pure function of its config — the
-//! only RNGs are `derive_seed`/`RngStream`-derived streams, and nothing
+//! The invariant: a run is a pure function of its config — the only
+//! RNGs are `derive_seed`/`RngStream`-derived streams, no setting comes
+//! from the environment behind the config's back, and nothing
 //! order-unstable feeds an observable value. `HashMap`/`HashSet`
 //! *lookups* are fine; *iteration* is not, because std's hash seed
 //! differs per process, so iteration order silently reshuffles float
@@ -30,13 +31,19 @@ const SCOPE: &[&str] = &[
     "crates/privacy/src/",
 ];
 
-/// Tokens that read entropy or the wall clock.
+/// Tokens that read entropy, the wall clock or the environment
+/// (`env::var` also matches `env::var_os` and `env::vars`).
 const BANNED: &[(&str, &str)] = &[
     ("thread_rng", "entropy-seeded RNG; derive one via `derive_seed`/`RngStream` instead"),
     ("from_entropy", "entropy-seeded RNG; derive one via `derive_seed`/`RngStream` instead"),
     ("rand::random", "entropy-seeded RNG; derive one via `derive_seed`/`RngStream` instead"),
     ("SystemTime", "wall-clock read; runs must be pure functions of their config"),
     ("Instant::now", "wall-clock read; runs must be pure functions of their config"),
+    (
+        "env::var",
+        "ambient configuration: a run must be a pure function of its config; \
+         take the value as a parameter",
+    ),
 ];
 
 /// Methods that observe a hash collection's iteration order.

@@ -34,11 +34,12 @@ fn determinism_bad_fixture_yields_exact_findings() {
     let sf = fixture_as("determinism_bad.rs", "crates/core/src/fixture.rs");
     let mut got = determinism::check(&sf);
     got.sort();
-    assert_eq!(got.len(), 3, "{got:?}");
-    assert_eq!(lines(&got), vec![11, 12, 14]);
+    assert_eq!(got.len(), 4, "{got:?}");
+    assert_eq!(lines(&got), vec![11, 12, 14, 17]);
     assert!(got[0].msg.contains("Instant::now"));
     assert!(got[1].msg.contains("thread_rng"));
     assert!(got[2].msg.contains("`counts`"));
+    assert!(got[3].msg.contains("`env::var`: ambient configuration"));
 }
 
 #[test]

@@ -9,18 +9,6 @@
 
 use ptf_tensor::sparse::{Csr, PropagationMatrix};
 
-/// Node id of a user in the joint node space.
-#[inline]
-pub fn user_node(u: u32) -> u32 {
-    u
-}
-
-/// Node id of an item in the joint node space.
-#[inline]
-pub fn item_node(num_users: usize, i: u32) -> u32 {
-    num_users as u32 + i
-}
-
 /// Builds the symmetrically normalized bipartite propagation matrix from
 /// weighted `(user, item, weight)` edges. Zero/negative weights are
 /// dropped. Isolated nodes simply receive no messages.
@@ -69,12 +57,6 @@ pub fn empty_propagation(num_users: usize, num_items: usize) -> PropagationMatri
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn node_numbering() {
-        assert_eq!(user_node(3), 3);
-        assert_eq!(item_node(10, 3), 13);
-    }
 
     #[test]
     fn normalization_matches_hand_computation() {

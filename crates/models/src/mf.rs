@@ -304,7 +304,6 @@ fn step_lanes<const N: usize>(mut lanes: [MfLane<'_>; N]) {
     if steps == 0 {
         return;
     }
-    let backend = kernels::backend();
     // per lane, the rows of its next AHEAD samples, by sample index
     let mut ahead = [[0usize; AHEAD]; N];
     for (lane, ring) in lanes.iter().zip(&mut ahead) {
@@ -327,7 +326,7 @@ fn step_lanes<const N: usize>(mut lanes: [MfLane<'_>; N]) {
             let MfModel { user_emb, items, .. } = &*lane.model;
             let (item_vec, bias) = items.row(rows[k]).split_at(user_emb.cols());
             let user = user_emb.row(lane.samples[s].0 as usize);
-            logits[k] = kernels::dot_with(backend, user, item_vec) + bias[0];
+            logits[k] = kernels::dot(user, item_vec) + bias[0];
         }
         let mut errs = [0.0f32; N];
         for (k, lane) in lanes.iter().enumerate() {

@@ -687,12 +687,18 @@ impl<'p> Graph<'p> {
                         let cols = self.params.get(id).cols();
                         self.ensure_param_rows(&mut grads, id, cols);
                         let idx_s = self.arena().idx_range(idx);
-                        if let Some(buf) = grads.slot_mut(id).as_mut() {
-                            buf.add_rows(idx_s, &g);
+                        match grads.slot_mut(id) {
+                            Some(GradBuf::Rows(rs)) => {
+                                for (k, &r) in idx_s.iter().enumerate() {
+                                    rs.add_row(r, g.row(k));
+                                }
+                            }
+                            Some(GradBuf::Dense(d)) => scatter_add_rows(d, idx_s, &g),
+                            None => {}
                         }
                     } else {
                         self.add_to(&mut grads, src, |s, d| {
-                            d.scatter_add_rows(s.arena().idx_range(idx), &g);
+                            scatter_add_rows(d, s.arena().idx_range(idx), &g);
                         });
                     }
                 }
@@ -875,6 +881,16 @@ impl<'p> Graph<'p> {
             RowSparse::new(cols)
         };
         *grads.slot_mut(id) = Some(GradBuf::Rows(rs));
+    }
+}
+
+/// Scatter-adds the rows of `src` into rows `idx` of `dst` (duplicate
+/// indices accumulate).
+fn scatter_add_rows(dst: &mut Matrix, idx: &[u32], src: &Matrix) {
+    assert_eq!(idx.len(), src.rows(), "scatter_add_rows: index/src mismatch");
+    assert_eq!(dst.cols(), src.cols(), "scatter_add_rows: col mismatch");
+    for (r, &i) in idx.iter().enumerate() {
+        kernels::add_assign(dst.row_mut(i as usize), src.row(r));
     }
 }
 

@@ -1,9 +1,7 @@
 //! Gradient buffers.
 //!
 //! Embedding tables receive gradients only on the rows a batch touched, so
-//! [`GradBuf`] has a row-sparse representation next to the dense one. A
-//! buffer silently *promotes* to dense if a dense contribution arrives
-//! (e.g. the same table also flowed through a matmul).
+//! [`GradBuf`] has a row-sparse representation next to the dense one.
 
 use crate::matrix::Matrix;
 use crate::params::{ParamId, Params};
@@ -91,30 +89,6 @@ pub enum GradBuf {
 }
 
 impl GradBuf {
-    /// Adds a dense contribution, promoting a sparse buffer if needed.
-    pub fn add_dense(&mut self, g: &Matrix) {
-        match self {
-            GradBuf::Dense(d) => d.add_assign(g),
-            GradBuf::Rows(rs) => {
-                let mut dense = g.clone();
-                rs.add_into_dense(&mut dense);
-                *self = GradBuf::Dense(dense);
-            }
-        }
-    }
-
-    /// Adds rows `idx` of gradient `g` (shape `idx.len()×cols`).
-    pub fn add_rows(&mut self, idx: &[u32], g: &Matrix) {
-        match self {
-            GradBuf::Dense(d) => d.scatter_add_rows(idx, g),
-            GradBuf::Rows(rs) => {
-                for (k, &r) in idx.iter().enumerate() {
-                    rs.add_row(r, g.row(k));
-                }
-            }
-        }
-    }
-
     /// Materializes as a dense matrix with the given full shape.
     pub fn to_dense(&self, rows: usize, cols: usize) -> Matrix {
         match self {
@@ -207,28 +181,6 @@ mod tests {
         let d = rs.to_dense(3);
         assert_eq!(d.row(2), &[4.0, 5.0, 6.0]);
         assert_eq!(d.row(1), &[0.0; 3]);
-    }
-
-    #[test]
-    fn gradbuf_promotes_to_dense() {
-        let mut buf = GradBuf::Rows(RowSparse::new(2));
-        buf.add_rows(&[0, 2], &Matrix::from_vec(2, 2, vec![1., 1., 2., 2.]));
-        buf.add_dense(&Matrix::full(3, 2, 10.0));
-        match &buf {
-            GradBuf::Dense(d) => {
-                assert_eq!(d.row(0), &[11.0, 11.0]);
-                assert_eq!(d.row(1), &[10.0, 10.0]);
-                assert_eq!(d.row(2), &[12.0, 12.0]);
-            }
-            GradBuf::Rows(_) => panic!("expected promotion to dense"),
-        }
-    }
-
-    #[test]
-    fn dense_buf_accepts_row_updates() {
-        let mut buf = GradBuf::Dense(Matrix::zeros(3, 2));
-        buf.add_rows(&[1, 1], &Matrix::full(2, 2, 1.0));
-        assert_eq!(buf.to_dense(3, 2).row(1), &[2.0, 2.0]);
     }
 
     #[test]

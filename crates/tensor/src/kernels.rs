@@ -4,33 +4,29 @@
 //! workspace routes through this module, with one exception: on the
 //! output widths 16/32/64 the three matmul forms of [`crate::matrix`]
 //! accumulate whole output rows in registers instead of calling [`axpy`]
-//! or [`dot`] per `(row, k)` — serially per element, so they have no
-//! backend either. Its reductions dispatch between two env-selectable
-//! backends:
+//! or [`dot`] per `(row, k)`, serially per element.
 //!
-//! * [`Backend::Scalar`] — sequential reference loops
-//!   (`PTF_KERNEL=scalar`). Reductions accumulate left-to-right in one
-//!   chain.
-//! * [`Backend::Vector`] — the default: **reductions** ([`dot`],
-//!   [`sum`], [`frob_sq`]) use 8-lane chunked accumulation with
-//!   independent per-lane partials, the one transform LLVM cannot apply
-//!   itself (reassociating an f32 sum changes rounding), and the one
-//!   that makes a dim-32 dot ~2.5× faster here. Plain `a * b + acc`
-//!   per lane; `f32::mul_add` is deliberately avoided because baseline
-//!   x86-64 has no FMA and it lowers to a libm call. Chunked results
-//!   may differ from the scalar chain at the ulp level (see
-//!   `tests/kernel_parity.rs`). [`row_logits`] is [`dot`] plus a bias
-//!   over a block of item rows, one backend read per block.
+//! **Reductions** ([`dot`], [`sum`], [`frob_sq`]) use 8-lane chunked
+//! accumulation with independent per-lane partials, reduced in a fixed
+//! tree: the one transform LLVM cannot apply itself (reassociating an f32
+//! sum changes rounding), and the one that makes a dim-32 dot ~2.5×
+//! faster than the sequential chain here. Plain `a * b + acc` per lane;
+//! `f32::mul_add` is deliberately avoided because baseline x86-64 has no
+//! FMA and it lowers to a libm call. The results may differ from a
+//! sequential left-to-right chain at the ulp level; the test oracles in
+//! this module and `tests/kernel_parity.rs` keep that chain and bound the
+//! difference. [`row_logits`] is [`dot`] plus a bias over a block of item
+//! rows.
 //!
 //! **Element-wise kernels** ([`axpy`], [`add_assign`],
-//! [`mf_sgd_update`], [`adam_update`]) have no backend: each is one
-//! sequential loop. This is a measured decision, not an omission: an
-//! element-wise loop has no reassociation barrier, so LLVM already
-//! auto-vectorizes the plain form; an earlier hand-chunked 8-lane
-//! variant of these kernels benchmarked 1.5–1.8× *slower* end-to-end
-//! on the axpy-heavy models of the time, which ran on an autograd tape
-//! (NGCF 8.4 → 14.5 ms/batch) — the chunk/remainder bookkeeping
-//! defeated the optimizer on the many short slices the tape emitted.
+//! [`mf_sgd_update`], [`adam_update`]) are each one sequential loop.
+//! This is a measured decision, not an omission: an element-wise loop
+//! has no reassociation barrier, so LLVM already auto-vectorizes the
+//! plain form; an earlier hand-chunked 8-lane variant of these kernels
+//! benchmarked 1.5–1.8× *slower* end-to-end on the axpy-heavy models of
+//! the time, which ran on an autograd tape (NGCF 8.4 → 14.5 ms/batch) —
+//! the chunk/remainder bookkeeping defeated the optimizer on the many
+//! short slices the tape emitted.
 //!
 //! **Under [`crate::isa::dispatch`].** The element-wise kernels, [`sum`]
 //! and [`frob_sq`] are `#[inline(always)]`, so inside a step that runs
@@ -44,175 +40,91 @@
 //! same bits on every path: the lanes and the summation order are
 //! written in the source, and `a * b + c` is never contracted into an FMA.
 //!
-//! Both backends are pure functions of their inputs: results are
-//! independent of thread count, so the determinism suite passes under
-//! either. The backend is process-global, read once from `PTF_KERNEL`
-//! on first use; benchmarks may override it with [`set_backend`] to A/B
-//! both in one process (single-threaded phases only — flipping the
-//! backend mid-flight changes results, not soundness).
+//! Every kernel is a pure function of its inputs, so results are
+//! independent of thread count.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// A compute-kernel implementation choice.
+/// Exists only for the repository benchmark's `set_backend` call;
+/// ROADMAP item 1 removes that call, and this type with it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Sequential reference loops (bit-exact baseline, `PTF_KERNEL=scalar`).
-    Scalar,
-    /// Chunked 8-lane accumulation (the default).
+    /// The one implementation.
     Vector,
 }
 
-impl Backend {
-    /// Stable name, as accepted by `PTF_KERNEL` and recorded by benches.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Scalar => "scalar",
-            Self::Vector => "vector",
-        }
-    }
-}
-
-const UNSET: u8 = 0;
-const SCALAR: u8 = 1;
-const VECTOR: u8 = 2;
-
-static BACKEND: AtomicU8 = AtomicU8::new(UNSET);
-
-/// The active backend: `PTF_KERNEL=scalar` forces the reference loops,
-/// anything else (including unset) selects the vectorized default. Read
-/// lazily on first use and cached; [`set_backend`] overrides it.
-pub fn backend() -> Backend {
-    match BACKEND.load(Ordering::Relaxed) {
-        SCALAR => Backend::Scalar,
-        VECTOR => Backend::Vector,
-        _ => {
-            let b = match std::env::var("PTF_KERNEL").as_deref() {
-                Ok("scalar") => Backend::Scalar,
-                _ => Backend::Vector,
-            };
-            set_backend(b);
-            b
-        }
-    }
-}
-
-/// Overrides the process-global backend (benchmark A/B knob). Callers
-/// must not flip this while other threads are inside kernel calls.
-pub fn set_backend(b: Backend) {
-    let v = match b {
-        Backend::Scalar => SCALAR,
-        Backend::Vector => VECTOR,
-    };
-    BACKEND.store(v, Ordering::Relaxed);
-}
+/// Does nothing. Exists only for the repository benchmark's call;
+/// ROADMAP item 1 removes that call, and this function with it.
+pub fn set_backend(_: Backend) {}
 
 const LANES: usize = 8;
 
-/// Dot product `⟨a, b⟩` (reduction: backends may differ by ulps).
+/// Dot product `⟨a, b⟩` (reduction: 8-lane accumulation, see module docs).
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    dot_with(backend(), a, b)
-}
-
-/// [`dot`] with an explicit backend (parity tests, reference checks).
-#[inline]
-pub fn dot_with(backend: Backend, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot length mismatch");
-    match backend {
-        Backend::Scalar => a.iter().zip(b).map(|(&x, &y)| x * y).sum(),
-        Backend::Vector => {
-            // short slices (length-1 output layers) skip the
-            // lane machinery entirely — the result is the same pure
-            // left-to-right chain the remainder loop would compute
-            if a.len() < LANES {
-                return a.iter().zip(b).map(|(&x, &y)| x * y).sum();
-            }
-            // one bound for both slices: the lane loop then vectorizes
-            // without the checks two independent `chunks_exact`
-            // iterators leave in it
-            let full = a.len() - a.len() % LANES;
-            let mut acc = [0.0f32; LANES];
-            for (xa, xb) in a[..full].chunks_exact(LANES).zip(b[..full].chunks_exact(LANES)) {
-                for l in 0..LANES {
-                    acc[l] += xa[l] * xb[l];
-                }
-            }
-            let mut tail = 0.0f32;
-            for (&x, &y) in a[full..].iter().zip(&b[full..]) {
-                tail += x * y;
-            }
-            reduce_lanes(&acc) + tail
+    // short slices (length-1 output layers) skip the lane machinery
+    // entirely — the result is the same pure left-to-right chain the
+    // remainder loop would compute
+    if a.len() < LANES {
+        return a.iter().zip(b).map(|(&x, &y)| x * y).sum();
+    }
+    // one bound for both slices: the lane loop then vectorizes without
+    // the checks two independent `chunks_exact` iterators leave in it
+    let full = a.len() - a.len() % LANES;
+    let mut acc = [0.0f32; LANES];
+    for (xa, xb) in a[..full].chunks_exact(LANES).zip(b[..full].chunks_exact(LANES)) {
+        for l in 0..LANES {
+            acc[l] += xa[l] * xb[l];
         }
     }
+    let mut tail = 0.0f32;
+    for (&x, &y) in a[full..].iter().zip(&b[full..]) {
+        tail += x * y;
+    }
+    reduce_lanes(&acc) + tail
 }
 
 /// Logits of one user against a block of item rows: `out[r] = ⟨u,
 /// row_r[..d]⟩ + row_r[d]` over a row-major block of `d + 1`-wide rows
 /// (`d = u.len()`: the embedding, then the bias), one output per row.
-#[inline]
-pub fn row_logits(u: &[f32], rows: &[f32], out: &mut [f32]) {
-    row_logits_with(backend(), u, rows, out)
-}
-
-/// [`row_logits`] with an explicit backend: every logit is
-/// `dot_with(backend, u, &row[..d]) + row[d]`, bit for bit, so it is the
+///
+/// Every logit is `dot(u, &row[..d]) + row[d]`, bit for bit, so it is the
 /// logit a per-item [`dot`] gives. The block is walked one row at a time:
 /// a four-row step that shares the loads of `u` measured ≈ 2× slower on
 /// baseline x86-64 (dim 32), where the auto-vectorizer packs one row's
 /// lanes into SIMD registers but not four rows' at once.
-pub fn row_logits_with(backend: Backend, u: &[f32], rows: &[f32], out: &mut [f32]) {
+pub fn row_logits(u: &[f32], rows: &[f32], out: &mut [f32]) {
     let d = u.len();
     debug_assert_eq!(rows.len(), out.len() * (d + 1), "row_logits shape mismatch");
     for (o, row) in out.iter_mut().zip(rows.chunks_exact(d + 1)) {
-        *o = dot_with(backend, u, &row[..d]) + row[d];
+        *o = dot(u, &row[..d]) + row[d];
     }
 }
 
-/// Sum of all elements (reduction: backends may differ by ulps).
+/// Sum of all elements (reduction: 8-lane accumulation, see module docs).
 #[inline(always)]
 pub fn sum(x: &[f32]) -> f32 {
-    sum_with(backend(), x)
-}
-
-/// [`sum`] with an explicit backend.
-#[inline(always)]
-pub fn sum_with(backend: Backend, x: &[f32]) -> f32 {
-    match backend {
-        Backend::Scalar => x.iter().sum(),
-        Backend::Vector => {
-            if x.len() < LANES {
-                return x.iter().sum();
-            }
-            let mut acc = [0.0f32; LANES];
-            let chunks = x.chunks_exact(LANES);
-            let rem = chunks.remainder();
-            for c in chunks {
-                for l in 0..LANES {
-                    acc[l] += c[l];
-                }
-            }
-            let mut tail = 0.0f32;
-            for &v in rem {
-                tail += v;
-            }
-            reduce_lanes(&acc) + tail
+    if x.len() < LANES {
+        return x.iter().sum();
+    }
+    let mut acc = [0.0f32; LANES];
+    let chunks = x.chunks_exact(LANES);
+    let rem = chunks.remainder();
+    for c in chunks {
+        for l in 0..LANES {
+            acc[l] += c[l];
         }
     }
+    let mut tail = 0.0f32;
+    for &v in rem {
+        tail += v;
+    }
+    reduce_lanes(&acc) + tail
 }
 
-/// Squared Frobenius norm `Σ xᵢ²` (reduction: backends may differ by ulps).
+/// Squared Frobenius norm `Σ xᵢ²` (reduction: `dot(x, x)`).
 #[inline(always)]
 pub fn frob_sq(x: &[f32]) -> f32 {
-    frob_sq_with(backend(), x)
-}
-
-/// [`frob_sq`] with an explicit backend.
-#[inline(always)]
-pub fn frob_sq_with(backend: Backend, x: &[f32]) -> f32 {
-    match backend {
-        Backend::Scalar => x.iter().map(|v| v * v).sum(),
-        Backend::Vector => dot_with(Backend::Vector, x, x),
-    }
+    dot(x, x)
 }
 
 /// `y += alpha * x` (element-wise: one plain loop, see module docs).
@@ -333,17 +245,30 @@ mod tests {
         (terms.max(1) as f32) * magnitude.max(1e-6) * f32::EPSILON * 4.0
     }
 
+    /// The sequential left-to-right chains the 8-lane reductions are
+    /// checked against.
+    fn seq_dot(a: &[f32], b: &[f32]) -> f32 {
+        a.iter().zip(b).map(|(&x, &y)| x * y).sum()
+    }
+
+    fn seq_sum(x: &[f32]) -> f32 {
+        x.iter().sum()
+    }
+
+    fn seq_frob_sq(x: &[f32]) -> f32 {
+        x.iter().map(|v| v * v).sum()
+    }
+
     #[test]
     fn dot_parity_across_dims_including_remainders() {
         for dim in 0..=64usize {
             let a = lcg_vals(dim, 3 + dim as u64);
             let b = lcg_vals(dim, 77 + dim as u64);
-            let s = dot_with(Backend::Scalar, &a, &b);
-            let v = dot_with(Backend::Vector, &a, &b);
+            let (s, v) = (seq_dot(&a, &b), dot(&a, &b));
             let mag: f32 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
             assert!(
                 (s - v).abs() <= reduction_tol(dim, mag),
-                "dim {dim}: scalar {s} vs vector {v}"
+                "dim {dim}: sequential {s} vs 8-lane {v}"
             );
         }
     }
@@ -353,9 +278,9 @@ mod tests {
         for dim in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64] {
             let x = lcg_vals(dim, dim as u64);
             let mag: f32 = x.iter().map(|v| v.abs()).sum();
-            let (ss, sv) = (sum_with(Backend::Scalar, &x), sum_with(Backend::Vector, &x));
+            let (ss, sv) = (seq_sum(&x), sum(&x));
             assert!((ss - sv).abs() <= reduction_tol(dim, mag), "sum dim {dim}: {ss} vs {sv}");
-            let (fs, fv) = (frob_sq_with(Backend::Scalar, &x), frob_sq_with(Backend::Vector, &x));
+            let (fs, fv) = (seq_frob_sq(&x), frob_sq(&x));
             assert!((fs - fv).abs() <= reduction_tol(dim, mag), "frob dim {dim}: {fs} vs {fv}");
         }
     }
@@ -367,11 +292,11 @@ mod tests {
                 let mut a = lcg_vals(13, 5);
                 a[pos] = bad;
                 let b = lcg_vals(13, 6);
-                for be in [Backend::Scalar, Backend::Vector] {
-                    let d = dot_with(be, &a, &b);
-                    assert!(!d.is_finite() || d.is_nan(), "{be:?} dot swallowed {bad} at {pos}");
-                    let s = sum_with(be, &a);
-                    assert!(!s.is_finite() || s.is_nan(), "{be:?} sum swallowed {bad} at {pos}");
+                for (name, d) in [("sequential", seq_dot(&a, &b)), ("8-lane", dot(&a, &b))] {
+                    assert!(!d.is_finite() || d.is_nan(), "{name} dot swallowed {bad} at {pos}");
+                }
+                for (name, s) in [("sequential", seq_sum(&a)), ("8-lane", sum(&a))] {
+                    assert!(!s.is_finite() || s.is_nan(), "{name} sum swallowed {bad} at {pos}");
                 }
             }
         }
@@ -379,11 +304,9 @@ mod tests {
 
     #[test]
     fn empty_slices_are_identities() {
-        for be in [Backend::Scalar, Backend::Vector] {
-            assert_eq!(dot_with(be, &[], &[]), 0.0);
-            assert_eq!(sum_with(be, &[]), 0.0);
-            assert_eq!(frob_sq_with(be, &[]), 0.0);
-        }
+        assert_eq!(dot(&[], &[]), 0.0);
+        assert_eq!(sum(&[]), 0.0);
+        assert_eq!(frob_sq(&[]), 0.0);
         let mut y: [f32; 0] = [];
         axpy(2.0, &[], &mut y);
         add_assign(&mut y, &[]);
@@ -395,13 +318,11 @@ mod tests {
             let u = lcg_vals(dim, 11 + dim as u64);
             for n in [0usize, 1, 3, 4, 5, 7, 9, 13] {
                 let rows = lcg_vals(n * (dim + 1), 101 + (dim * n) as u64);
-                for be in [Backend::Scalar, Backend::Vector] {
-                    let mut out = vec![f32::NAN; n];
-                    row_logits_with(be, &u, &rows, &mut out);
-                    for (r, (&got, row)) in out.iter().zip(rows.chunks_exact(dim + 1)).enumerate() {
-                        let want = dot_with(be, &u, &row[..dim]) + row[dim];
-                        assert_eq!(got.to_bits(), want.to_bits(), "{be:?} dim {dim} row {r}/{n}");
-                    }
+                let mut out = vec![f32::NAN; n];
+                row_logits(&u, &rows, &mut out);
+                for (r, (&got, row)) in out.iter().zip(rows.chunks_exact(dim + 1)).enumerate() {
+                    let want = dot(&u, &row[..dim]) + row[dim];
+                    assert_eq!(got.to_bits(), want.to_bits(), "dim {dim} row {r}/{n}");
                 }
             }
         }
@@ -459,14 +380,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn backend_name_and_env_contract() {
-        assert_eq!(Backend::Scalar.name(), "scalar");
-        assert_eq!(Backend::Vector.name(), "vector");
-        // the global backend resolves to something and stays stable
-        let b = backend();
-        assert_eq!(backend(), b);
     }
 }

@@ -4,8 +4,8 @@
 //! reproduction: dense row-major [`Matrix`] values and the fixed-width
 //! [`matrix`] products over row-major slices, CSR [`sparse::Csr`]
 //! matrices with a register-resident spmm for graph propagation, the
-//! env-selectable [`kernels`] (chunked 8-lane vector backend vs the
-//! scalar reference, `PTF_KERNEL`), the [`isa`] runtime AVX2 dispatch
+//! [`kernels`] (8-lane chunked reductions, plain element-wise loops),
+//! the [`isa`] runtime AVX2 dispatch
 //! the NeuMF and NGCF steps run under, the [`optim`] Adam optimizer (with
 //! lazy row-sparse embedding updates) over a [`Params`] store and its
 //! [`Grads`], the [`par`] fork/join primitives (plus the

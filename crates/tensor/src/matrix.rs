@@ -18,8 +18,7 @@
 //! monomorphised over the width that accumulates the output row in a
 //! local `[f32; N]` (registers, on baseline SSE2) and stores it once.
 //! Every other width keeps the plain loops. On the fixed widths all three
-//! forms sum each output element serially, left to right, and never read
-//! the kernel backend.
+//! forms sum each output element serially, left to right.
 //!
 //! The forms and their row kernels are `#[inline(always)]`: under
 //! [`crate::isa::dispatch`] (the NeuMF and NGCF steps) the output row
@@ -310,19 +309,6 @@ impl Matrix {
         }
     }
 
-    /// Scatter-adds the rows of `src` into rows `idx` of `self`
-    /// (duplicate indices accumulate).
-    pub fn scatter_add_rows(&mut self, idx: &[u32], src: &Matrix) {
-        assert_eq!(idx.len(), src.rows(), "scatter_add_rows: index/src mismatch");
-        assert_eq!(self.cols, src.cols(), "scatter_add_rows: col mismatch");
-        for (r, &i) in idx.iter().enumerate() {
-            let dst = self.row_mut(i as usize);
-            for (d, &s) in dst.iter_mut().zip(src.row(r)) {
-                *d += s;
-            }
-        }
-    }
-
     /// True if every element is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -354,7 +340,7 @@ pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>, len: usize) {
 /// dimension is serial per output element at every width — the fixed
 /// widths keep the output row in registers across it, every other width
 /// runs one axpy per `(row, k)` — so the result is bit-identical across
-/// kernel backends and across the two forms.
+/// the two forms.
 #[inline(always)]
 pub fn acc(a: &[f32], inner: usize, b: &[f32], width: usize, out: &mut [f32]) {
     assert_eq!(b.len(), inner * width, "acc: right-hand side is not {inner}x{width}");
@@ -380,9 +366,8 @@ pub fn acc(a: &[f32], inner: usize, b: &[f32], width: usize, out: &mut [f32]) {
 /// `out += g × bᵀ` over row-major slices: `g` is `rows × inner`, `b` is
 /// `width × inner`, `out` is `rows × width`. When `width` is one of the
 /// fixed widths and `inner` is at most 64, each product is a serial
-/// left-to-right chain over a stack copy of `bᵀ`, independent of the
-/// kernel backend; otherwise each output element is a row dot through the
-/// active reduction kernel.
+/// left-to-right chain over a stack copy of `bᵀ`; otherwise each output
+/// element is a row [`kernels::dot`].
 #[inline(always)]
 pub fn nt_acc(g: &[f32], inner: usize, b: &[f32], width: usize, out: &mut [f32]) {
     assert_eq!(b.len(), width * inner, "nt_acc: right-hand side is not {width}x{inner}");
@@ -408,7 +393,7 @@ pub fn nt_acc(g: &[f32], inner: usize, b: &[f32], width: usize, out: &mut [f32])
 /// `rows × width`, `out` is `a_cols × width`. The sum over the shared
 /// rows is serial per output element at every width (the fixed widths
 /// hold an output row in registers while the rows stream past it; other
-/// widths run one axpy per `(row, k)`), bit-identical across backends.
+/// widths run one axpy per `(row, k)`).
 #[inline(always)]
 pub fn tn_acc(a: &[f32], a_cols: usize, g: &[f32], width: usize, out: &mut [f32]) {
     assert_eq!(out.len(), a_cols * width, "tn_acc: output is not {a_cols}x{width}");
@@ -557,10 +542,19 @@ mod tests {
         let g = m.gather_rows(&[2, 0, 2]);
         assert_eq!(g.as_slice(), &[20., 21., 0., 1., 20., 21.]);
 
-        // scatter with duplicates accumulates
-        let mut acc = Matrix::zeros(4, 2);
-        acc.scatter_add_rows(&[2, 0, 2], &Matrix::from_vec(3, 2, vec![1.; 6]));
-        assert_eq!(acc.as_slice(), &[1., 1., 0., 0., 2., 2., 0., 0.]);
+        // the scatter is a row-sparse gradient: duplicates accumulate, and
+        // ⟨gather(m), g⟩ = ⟨m, scatter(g)⟩
+        let up = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
+        let mut rows = crate::RowSparse::new(2);
+        for (k, &r) in [2u32, 0, 2].iter().enumerate() {
+            rows.add_row(r, up.row(k));
+        }
+        let acc = rows.to_dense(4);
+        assert_eq!(acc.as_slice(), &[3., 4., 0., 0., 6., 8., 0., 0.]);
+        assert_eq!(
+            kernels::dot(g.as_slice(), up.as_slice()),
+            kernels::dot(m.as_slice(), acc.as_slice())
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! while the row's stored entries stream past it, and is stored once — as
 //! `matrix::acc`'s rows do. Every width sums each output element serially
 //! over the row's entries in column order, so the result is bit-identical
-//! to one `axpy` per entry, at any width and under either kernel backend.
+//! to one `axpy` per entry, at any width.
 //! The rows are registers on baseline SSE2; under
 //! [`crate::isa::dispatch`] (the NGCF step, where both spmm forms are
 //! `#[inline(always)]`) they are 256-bit AVX2 registers, with the same

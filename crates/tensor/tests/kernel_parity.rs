@@ -1,17 +1,19 @@
-//! Backend parity for the reduction kernels.
+//! The reduction kernels against their sequential oracles, and the
+//! matmul, spmm, `dot` and Adam kernels against themselves under
+//! `ptf_tensor::isa::dispatch`.
 //!
 //! The contract under test (documented in `ptf_tensor::kernels`):
 //!
-//! * **reductions** (`dot`, `sum`, `frob_sq`) may reassociate in the
-//!   Vector backend, so they agree to a small tolerance on finite input
-//!   and both propagate NaN;
+//! * **reductions** (`dot`, `sum`, `frob_sq`) accumulate in 8 lanes, so
+//!   they agree with the sequential left-to-right chain (the oracles
+//!   below; test names call the two "backends") to a small tolerance on
+//!   finite input, and both propagate NaN and infinities;
 //! * every reduction is a pure function of its slice arguments — running
-//!   it twice on the same backend is bit-identical (the determinism
-//!   story: no thread-count dependence can exist in a function that
-//!   never threads).
+//!   it twice is bit-identical (the determinism story: no thread-count
+//!   dependence can exist in a function that never threads).
 //!
 //! The element-wise kernels (`axpy`, `add_assign`, `mf_sgd_update`,
-//! `adam_update`) have no backend and so no parity to check.
+//! `adam_update`) have no reassociation and so no oracle to check.
 //!
 //! Lengths are drawn from `0..=64`, which covers the empty slice, every
 //! sub-chunk length, the exact 8-lane width, and non-multiple-of-8
@@ -19,7 +21,7 @@
 //!
 //! The three matmul forms are checked against a naive triple loop at the
 //! end of the file: on the fixed widths (16/32/64) they are serial per
-//! output element and must match it bit for bit, under either backend.
+//! output element and must match it bit for bit.
 //!
 //! Baseline vs AVX2: the NeuMF and NGCF steps run under
 //! `ptf_tensor::isa::dispatch`, which compiles them with AVX2 and FMA
@@ -30,11 +32,23 @@
 //! note and skip.
 
 use proptest::prelude::*;
-use ptf_tensor::kernels::{self, dot_with, frob_sq_with, sum_with, Backend};
+use ptf_tensor::kernels::{self, dot, frob_sq, sum};
 use ptf_tensor::{isa, matrix, Csr, Matrix};
 
-const S: Backend = Backend::Scalar;
-const V: Backend = Backend::Vector;
+/// The sequential left-to-right chains the 8-lane reductions are
+/// checked against.
+#[inline]
+fn seq_dot(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
+}
+
+fn seq_sum(x: &[f32]) -> f32 {
+    x.iter().sum()
+}
+
+fn seq_frob_sq(x: &[f32]) -> f32 {
+    x.iter().map(|v| v * v).sum()
+}
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-2.0f32..2.0, 0..=max_len)
@@ -64,21 +78,21 @@ proptest! {
     #[test]
     fn dot_backends_agree_on_finite_input(ab in finite_pair(64)) {
         let (a, b) = ab;
-        let s = dot_with(S, &a, &b);
-        let v = dot_with(V, &a, &b);
+        let s = seq_dot(&a, &b);
+        let v = dot(&a, &b);
         let scale: f32 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
-        prop_assert!(close(s, v, scale), "scalar {s} vs vector {v}");
-        // purity: re-running either backend is bit-identical
-        prop_assert_eq!(s.to_bits(), dot_with(S, &a, &b).to_bits());
-        prop_assert_eq!(v.to_bits(), dot_with(V, &a, &b).to_bits());
+        prop_assert!(close(s, v, scale), "sequential {s} vs 8-lane {v}");
+        // purity: re-running is bit-identical
+        prop_assert_eq!(v.to_bits(), dot(&a, &b).to_bits());
     }
 
     #[test]
     fn sum_and_frob_backends_agree_on_finite_input(x in finite_vec(64)) {
         let scale: f32 = x.iter().map(|v| v.abs()).sum();
-        prop_assert!(close(sum_with(S, &x), sum_with(V, &x), scale));
-        prop_assert!(close(frob_sq_with(S, &x), frob_sq_with(V, &x), scale * 4.0));
-        prop_assert_eq!(sum_with(V, &x).to_bits(), sum_with(V, &x).to_bits());
+        prop_assert!(close(seq_sum(&x), sum(&x), scale));
+        prop_assert!(close(seq_frob_sq(&x), frob_sq(&x), scale * 4.0));
+        prop_assert_eq!(sum(&x).to_bits(), sum(&x).to_bits());
+        prop_assert_eq!(frob_sq(&x).to_bits(), frob_sq(&x).to_bits());
     }
 
     #[test]
@@ -89,19 +103,20 @@ proptest! {
         let mut x = x;
         let at = pos % x.len();
         x[at] = f32::NAN;
-        prop_assert!(sum_with(S, &x).is_nan() && sum_with(V, &x).is_nan());
-        prop_assert!(dot_with(S, &x, &x).is_nan() && dot_with(V, &x, &x).is_nan());
-        prop_assert!(frob_sq_with(S, &x).is_nan() && frob_sq_with(V, &x).is_nan());
+        prop_assert!(seq_sum(&x).is_nan() && sum(&x).is_nan());
+        prop_assert!(seq_dot(&x, &x).is_nan() && dot(&x, &x).is_nan());
+        prop_assert!(seq_frob_sq(&x).is_nan() && frob_sq(&x).is_nan());
     }
 }
 
 #[test]
 fn empty_slices_are_identities_on_both_backends() {
-    for b in [S, V] {
-        assert_eq!(dot_with(b, &[], &[]), 0.0);
-        assert_eq!(sum_with(b, &[]), 0.0);
-        assert_eq!(frob_sq_with(b, &[]), 0.0);
-    }
+    assert_eq!(seq_dot(&[], &[]), 0.0);
+    assert_eq!(dot(&[], &[]), 0.0);
+    assert_eq!(seq_sum(&[]), 0.0);
+    assert_eq!(sum(&[]), 0.0);
+    assert_eq!(seq_frob_sq(&[]), 0.0);
+    assert_eq!(frob_sq(&[]), 0.0);
 }
 
 #[test]
@@ -111,9 +126,8 @@ fn exact_lane_multiples_and_remainders_agree() {
     for n in [7usize, 8, 9, 16, 17, 24] {
         let a: Vec<f32> = (0..n).map(|k| 0.1 * k as f32 - 0.7).collect();
         let b: Vec<f32> = (0..n).map(|k| 0.3 - 0.05 * k as f32).collect();
-        let s = dot_with(S, &a, &b);
-        let v = dot_with(V, &a, &b);
-        assert!((s - v).abs() <= 1e-4, "n={n}: scalar {s} vs vector {v}");
+        let (s, v) = (seq_dot(&a, &b), dot(&a, &b));
+        assert!((s - v).abs() <= 1e-4, "n={n}: sequential {s} vs 8-lane {v}");
     }
 }
 
@@ -123,10 +137,10 @@ fn infinities_reach_the_accumulator_in_both_backends() {
     // the reduction is associated
     let mut x = vec![1.0f32; 19];
     x[11] = f32::INFINITY;
-    assert_eq!(sum_with(S, &x), f32::INFINITY);
-    assert_eq!(sum_with(V, &x), f32::INFINITY);
-    assert_eq!(frob_sq_with(S, &x), f32::INFINITY);
-    assert_eq!(frob_sq_with(V, &x), f32::INFINITY);
+    assert_eq!(seq_sum(&x), f32::INFINITY);
+    assert_eq!(sum(&x), f32::INFINITY);
+    assert_eq!(seq_frob_sq(&x), f32::INFINITY);
+    assert_eq!(frob_sq(&x), f32::INFINITY);
 }
 
 /// Deterministic values salted with the cases a skipped or reordered term
@@ -165,77 +179,71 @@ fn bits(m: &Matrix) -> Vec<u32> {
 
 #[test]
 fn fixed_width_matmul_forms_match_the_naive_serial_loop_bit_for_bit() {
-    // one test function: it flips the process-global backend, which the
-    // fixed-width paths must not read (nothing else in this binary does)
-    for backend in [S, V] {
-        kernels::set_backend(backend);
-        for width in [16usize, 32, 64] {
-            // inner dims through 65: every remainder of every unroll
-            // factor, and one past nt_acc's 64-wide stack copy
-            for inner in 1..=65usize {
-                let rows = 1 + inner % 4;
-                let seed = (width * 100 + inner) as u64;
+    for width in [16usize, 32, 64] {
+        // inner dims through 65: every remainder of every unroll
+        // factor, and one past nt_acc's 64-wide stack copy
+        for inner in 1..=65usize {
+            let rows = 1 + inner % 4;
+            let seed = (width * 100 + inner) as u64;
 
-                let a = salted(rows, inner, seed);
-                let b = salted(inner, width, seed + 1);
-                let mut expect = Matrix::zeros(rows, width);
-                naive_acc(&a, &b, &mut expect);
-                let mut got = Matrix::full(1, 1, 9.9); // wrong shape, dirty
-                a.matmul_into(&b, &mut got);
-                assert_eq!(bits(&got), bits(&expect), "matmul_into {rows}x{inner}x{width}");
-                let mut wide = Matrix::zeros(rows, width);
-                let out = wide.as_mut_slice();
-                isa::dispatch(
-                    #[inline(always)]
-                    || matrix::acc(a.as_slice(), inner, b.as_slice(), width, out),
-                );
-                assert_eq!(bits(&wide), bits(&expect), "dispatched acc {rows}x{inner}x{width}");
+            let a = salted(rows, inner, seed);
+            let b = salted(inner, width, seed + 1);
+            let mut expect = Matrix::zeros(rows, width);
+            naive_acc(&a, &b, &mut expect);
+            let mut got = Matrix::full(1, 1, 9.9); // wrong shape, dirty
+            a.matmul_into(&b, &mut got);
+            assert_eq!(bits(&got), bits(&expect), "matmul_into {rows}x{inner}x{width}");
+            let mut wide = Matrix::zeros(rows, width);
+            let out = wide.as_mut_slice();
+            isa::dispatch(
+                #[inline(always)]
+                || matrix::acc(a.as_slice(), inner, b.as_slice(), width, out),
+            );
+            assert_eq!(bits(&wide), bits(&expect), "dispatched acc {rows}x{inner}x{width}");
 
-                // out += aᵀ × g onto a dirty accumulator; the shared
-                // dimension is `inner` here
-                let a = salted(inner, rows, seed + 2);
-                let g = salted(inner, width, seed + 3);
-                let dirty = salted(rows, width, seed + 4);
-                let mut expect = dirty.clone();
-                naive_acc(&a.transpose(), &g, &mut expect);
-                let mut got = dirty.clone();
-                a.matmul_tn_acc(&g, &mut got);
-                assert_eq!(bits(&got), bits(&expect), "matmul_tn_acc {inner}x{rows}x{width}");
-                let mut wide = dirty.clone();
-                let out = wide.as_mut_slice();
-                isa::dispatch(
-                    #[inline(always)]
-                    || matrix::tn_acc(a.as_slice(), rows, g.as_slice(), width, out),
-                );
-                assert_eq!(bits(&wide), bits(&expect), "dispatched tn_acc {inner}x{rows}x{width}");
+            // out += aᵀ × g onto a dirty accumulator; the shared
+            // dimension is `inner` here
+            let a = salted(inner, rows, seed + 2);
+            let g = salted(inner, width, seed + 3);
+            let dirty = salted(rows, width, seed + 4);
+            let mut expect = dirty.clone();
+            naive_acc(&a.transpose(), &g, &mut expect);
+            let mut got = dirty.clone();
+            a.matmul_tn_acc(&g, &mut got);
+            assert_eq!(bits(&got), bits(&expect), "matmul_tn_acc {inner}x{rows}x{width}");
+            let mut wide = dirty.clone();
+            let out = wide.as_mut_slice();
+            isa::dispatch(
+                #[inline(always)]
+                || matrix::tn_acc(a.as_slice(), rows, g.as_slice(), width, out),
+            );
+            assert_eq!(bits(&wide), bits(&expect), "dispatched tn_acc {inner}x{rows}x{width}");
 
-                // out += g × bᵀ: the product is summed from zero, then
-                // added to the accumulator
-                let g = salted(rows, inner, seed + 5);
-                let b = salted(width, inner, seed + 6);
-                let mut product = Matrix::zeros(rows, width);
-                naive_acc(&g, &b.transpose(), &mut product);
-                let mut expect = dirty.clone();
-                expect.add_assign(&product);
-                let mut wide = dirty.clone();
-                let out = wide.as_mut_slice();
-                isa::dispatch(
-                    #[inline(always)]
-                    || matrix::nt_acc(g.as_slice(), inner, b.as_slice(), width, out),
-                );
-                let mut got = dirty;
-                g.matmul_nt_acc(&b, &mut got);
-                assert_eq!(bits(&wide), bits(&got), "dispatched nt_acc {rows}x{inner}x{width}");
-                if inner <= 64 {
-                    assert_eq!(bits(&got), bits(&expect), "matmul_nt_acc {rows}x{inner}x{width}");
-                } else {
-                    // past the stack copy it is a row dot per element
-                    assert!(got.max_abs_diff(&expect) < 1e-4, "matmul_nt_acc {rows}x{inner}");
-                }
+            // out += g × bᵀ: the product is summed from zero, then
+            // added to the accumulator
+            let g = salted(rows, inner, seed + 5);
+            let b = salted(width, inner, seed + 6);
+            let mut product = Matrix::zeros(rows, width);
+            naive_acc(&g, &b.transpose(), &mut product);
+            let mut expect = dirty.clone();
+            expect.add_assign(&product);
+            let mut wide = dirty.clone();
+            let out = wide.as_mut_slice();
+            isa::dispatch(
+                #[inline(always)]
+                || matrix::nt_acc(g.as_slice(), inner, b.as_slice(), width, out),
+            );
+            let mut got = dirty;
+            g.matmul_nt_acc(&b, &mut got);
+            assert_eq!(bits(&wide), bits(&got), "dispatched nt_acc {rows}x{inner}x{width}");
+            if inner <= 64 {
+                assert_eq!(bits(&got), bits(&expect), "matmul_nt_acc {rows}x{inner}x{width}");
+            } else {
+                // past the stack copy it is a row dot per element
+                assert!(got.max_abs_diff(&expect) < 1e-4, "matmul_nt_acc {rows}x{inner}");
             }
         }
     }
-    kernels::set_backend(V); // restore the default
 }
 
 #[test]
@@ -307,18 +315,22 @@ fn dot_is_bit_identical_under_dispatch_on_both_backends() {
     if !avx2_path() {
         return;
     }
-    for backend in [S, V] {
-        for len in 0..=70usize {
-            let a = salted(1, len, len as u64);
-            let b = salted(1, len, 200 + len as u64);
-            let (a, b) = (a.as_slice(), b.as_slice());
-            let base = dot_with(backend, a, b);
-            let wide = isa::dispatch(
-                #[inline(always)]
-                || dot_with(backend, a, b),
-            );
-            assert_eq!(wide.to_bits(), base.to_bits(), "{backend:?} dot of length {len}");
-        }
+    // the 8-lane kernel, and its sequential oracle so the comparisons
+    // above mean the same thing on both paths
+    for len in 0..=70usize {
+        let a = salted(1, len, len as u64);
+        let b = salted(1, len, 200 + len as u64);
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let wide = isa::dispatch(
+            #[inline(always)]
+            || dot(a, b),
+        );
+        assert_eq!(wide.to_bits(), dot(a, b).to_bits(), "8-lane dot of length {len}");
+        let wide = isa::dispatch(
+            #[inline(always)]
+            || seq_dot(a, b),
+        );
+        assert_eq!(wide.to_bits(), seq_dot(a, b).to_bits(), "sequential dot of length {len}");
     }
 }
 
