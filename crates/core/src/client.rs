@@ -21,7 +21,7 @@
 //! Either way a client draws from its own stream in the same order and
 //! does the same arithmetic, so the split cannot change a bit.
 
-use crate::config::{builds_dense, PtfConfig};
+use crate::config::PtfConfig;
 use crate::upload::{build_upload_into, ClientUpload};
 use ptf_data::negative::sample_negatives_into;
 use ptf_federated::{ClientData, RoundScratch};
@@ -62,12 +62,13 @@ impl PtfClient {
     /// client never allocates the full `items × dim` table it can never
     /// use.
     ///
-    /// A client whose expected training pool `positives × (1 + neg_ratio)`
-    /// covers a quarter of the catalogue is built dense instead
-    /// (`ScopeView::Full`), from the *same* derived seed: it would
-    /// materialize most rows anyway, and a dense table skips the
-    /// per-sample id→row binary search while holding bit-identical values
-    /// on every shared row. The layout is decided here, never configured.
+    /// The layout is never configured, and never guessed here: the
+    /// model's own row growth turns its table dense at the step that
+    /// would leave the sparse one holding at least as many bytes
+    /// (`ptf_tensor::grows_dense`). Both layouts hold bit-identical
+    /// values on every row, so the switch changes no result — except an
+    /// NGCF client's under dropout, whose masks cover the materialized
+    /// nodes. The config takes no part in the layout.
     ///
     /// Seeding by value (not by a shared `&mut rng`) is what lets the
     /// federation build the whole fleet in parallel with bit-identical
@@ -78,22 +79,14 @@ impl PtfClient {
         hyper: &ModelHyper,
         num_items: usize,
         seed: u64,
-        cfg: &PtfConfig,
+        _cfg: &PtfConfig,
     ) -> Self {
-        let dense = builds_dense(data.positives.len(), cfg.neg_ratio, num_items);
-        Self::with_scope(data, kind, hyper, num_items, dense, seed)
+        let scope = data.item_scope(num_items);
+        let model = build_model_scoped(kind, 1, hyper, scope, seed);
+        Self::with_model(data, kind, model)
     }
 
-    fn with_scope(
-        data: ClientData,
-        kind: ModelKind,
-        hyper: &ModelHyper,
-        num_items: usize,
-        dense: bool,
-        seed: u64,
-    ) -> Self {
-        let scope = if dense { ScopeView::Full(num_items) } else { data.item_scope(num_items) };
-        let model = build_model_scoped(kind, 1, hyper, scope, seed);
+    fn with_model(data: ClientData, kind: ModelKind, model: Box<dyn Recommender>) -> Self {
         Self {
             id: data.id,
             positives: data.positives,
@@ -185,9 +178,12 @@ impl PtfClient {
 
     /// The first part of a local round: draws this round's negatives (the
     /// trained pool `V^t_i` is the positives plus fresh 1:`neg_ratio`
-    /// negatives), materializes the pool's rows in one batch, and lays out
-    /// the round's training samples in `scratch.triples` (plus the ego
-    /// graph, for a graph model).
+    /// negatives), materializes the pool's rows in one batch — the growth
+    /// that may turn the table dense — and lays out the round's training
+    /// samples: an MF client's as `(item row, label)` in
+    /// `scratch.row_samples`, each id resolved once a round for the lane
+    /// kernel; any other client's as triples in `scratch.triples` (plus
+    /// the ego graph, for a graph model).
     ///
     /// The epochs and [`Self::finish_round`] follow on the same RNG stream
     /// and the same `scratch` (see the module docs). Everything transient
@@ -222,7 +218,16 @@ impl PtfClient {
 
         self.model.prepare_items(&scratch.pool_ids);
 
-        // training samples (user id 0 inside the local model)
+        // training samples of the local model's one user (user id 0)
+        if let Some(model) = self.model.as_mf_mut() {
+            let items = model.items();
+            let row = |i: u32| items.row_of(i) as u32;
+            scratch.row_samples.clear();
+            scratch.row_samples.extend(self.positives.iter().map(|&i| (row(i), 1.0f32)));
+            scratch.row_samples.extend(scratch.negatives.iter().map(|&i| (row(i), 0.0f32)));
+            scratch.row_samples.extend(self.server_data.iter().map(|&(i, s)| (row(i), s)));
+            return;
+        }
         scratch.triples.clear();
         scratch.triples.extend(self.positives.iter().map(|&i| (0u32, i, 1.0f32)));
         scratch.triples.extend(scratch.negatives.iter().map(|&i| (0u32, i, 0.0f32)));
@@ -246,13 +251,25 @@ impl PtfClient {
 
     /// One epoch of Eq. 3 for a client trained alone: shuffles the
     /// prepared samples on the client's stream, then trains on them with
-    /// soft-label BCE. Returns the epoch's mean loss.
+    /// soft-label BCE through the model's own `train_batch`. An MF
+    /// client's rows go back to their ids for it, so this stays the
+    /// reference the lane kernel is checked against. Returns the epoch's
+    /// mean loss.
     pub fn train_epoch(
         &mut self,
         cfg: &PtfConfig,
         scratch: &mut RoundScratch,
         rng: &mut impl Rng,
     ) -> f32 {
+        if let Some(model) = self.model.as_mf_mut() {
+            ptf_data::shuffle(&mut scratch.row_samples, rng);
+            let items = model.items();
+            scratch.triples.clear();
+            scratch.triples.extend(
+                scratch.row_samples.iter().map(|&(r, label)| (0, items.id_of(r as usize), label)),
+            );
+            return ptf_models::train_on_samples(model, &scratch.triples, cfg.client_batch);
+        }
         ptf_data::shuffle(&mut scratch.triples, rng);
         ptf_models::train_on_samples(&mut *self.model, &scratch.triples, cfg.client_batch)
     }
@@ -379,16 +396,23 @@ mod tests {
         ClientData { id: 7, positives: vec![1, 4, 9, 15, 22] }
     }
 
-    /// A 5-positive client over a 40-item catalogue: its ~25-item pool
-    /// covers over a quarter of the catalogue, so it is built dense.
+    /// A 5-positive client over a 40-item catalogue: built over its
+    /// positives, its ~25-item pools grow it dense within a few rounds.
     fn client(kind: ModelKind) -> PtfClient {
         PtfClient::new(data(), kind, &ModelHyper::small(), 40, 1, &cfg())
     }
 
-    /// The same client over a catalogue more than 20× its positives,
-    /// which keeps it row-sparse.
+    /// The same client over a catalogue more than 20× its positives.
     fn scoped_client(kind: ModelKind) -> PtfClient {
         PtfClient::new(data(), kind, &ModelHyper::small(), 120, 1, &cfg())
+    }
+
+    /// The client of [`data`] over `num_items` items, built dense from
+    /// the same seed as [`PtfClient::new`]'s.
+    fn dense_client(kind: ModelKind, num_items: usize) -> PtfClient {
+        let hyper = ModelHyper::small();
+        let model = build_model_scoped(kind, 1, &hyper, ScopeView::Full(num_items), 1);
+        PtfClient::with_model(data(), kind, model)
     }
 
     fn cfg() -> PtfConfig {
@@ -493,17 +517,28 @@ mod tests {
     }
 
     #[test]
-    fn dense_fallback_builds_a_full_table_from_the_same_seed() {
-        // 5 positives × (1 + 4) = 25 expected pool ≥ ¼ of 40 → dense
-        let dense = client(ModelKind::Mf);
-        assert_eq!(dense.item_rows(), 40, "dense fallback materializes the catalogue");
-
-        // same seed, scoped: every shared row must be bit-identical
-        let sparse =
-            PtfClient::with_scope(data(), ModelKind::Mf, &ModelHyper::small(), 40, false, 1);
-        assert_eq!(sparse.item_rows(), 5);
-        let items: Vec<u32> = vec![1, 4, 9, 15, 22];
-        assert_eq!(dense.score(&items), sparse.score(&items));
+    fn growth_turns_a_client_dense_at_the_rule_and_never_back() {
+        // MF at dim 16: 17-column rows plus a 4-byte id reach the dense
+        // table's bytes at 38 of 40 rows
+        let mut c = client(ModelKind::Mf);
+        assert_eq!(c.item_rows(), 5, "every client is built over its positives");
+        let (config, mut rng) = (cfg(), test_rng(17));
+        let mut scratch = RoundScratch::default();
+        let mut promoted_in = None;
+        for round in 0..12 {
+            let held = c.item_rows();
+            let _ = c.local_round(&config, &mut scratch, &mut rng);
+            let wanted = scratch.pool_ids.iter().filter(|&&i| !c.item_scope().contains(i)).count();
+            assert_eq!(wanted, 0, "round {round}: the pool was not prepared");
+            if c.item_scope().is_full() {
+                promoted_in.get_or_insert(round);
+                continue;
+            }
+            assert!(promoted_in.is_none(), "round {round}: a dense table turned sparse");
+            assert!(held <= c.item_rows() && 18 * c.item_rows() < 40 * 17);
+        }
+        assert!(promoted_in.is_some(), "the client never crossed the rule");
+        assert_eq!(c.item_rows(), 40);
     }
 
     #[test]
@@ -524,6 +559,7 @@ mod tests {
             let _ = evicting.local_round(&config, &mut scratch, &mut rng_a);
             let _ = control.local_round(&plain, &mut scratch, &mut rng_b);
         }
+        assert!(!evicting.item_scope().is_full(), "the budget sits below the promotion point");
         // interval just elapsed: the evicting client sits at ≤ budget while
         // the control has coupon-collected most of the catalogue
         assert!(
@@ -538,35 +574,58 @@ mod tests {
         }
     }
 
-    /// The layout is invisible in the results: one client built `Full`
-    /// and one built `Rows` from the same seed, driven through the same
-    /// local rounds with dispersals and eviction, upload the same
-    /// predictions, report the same losses and score every item the same.
+    /// Drives a client built dense and one built by [`PtfClient::new`]
+    /// from the same seed through the same six local rounds with
+    /// dispersals: they must upload the same predictions, report the same
+    /// losses and score every item the same. Returns the second client.
+    fn train_against_dense(kind: ModelKind, num_items: u32, config: &PtfConfig) -> PtfClient {
+        let all: Vec<u32> = (0..num_items).collect();
+        let mut full = dense_client(kind, num_items as usize);
+        let mut rows = PtfClient::new(data(), kind, &ModelHyper::small(), all.len(), 1, config);
+        assert!(!rows.item_scope().is_full());
+        let (mut rng_full, mut rng_rows) = (test_rng(13), test_rng(13));
+        let mut scratch = RoundScratch::default();
+        for round in 0..6u32 {
+            let dispersed: Vec<ScoredItem> = (0..6u32)
+                .map(|k| ((round * 7 + k * 5) % num_items, 0.1 + 0.15 * k as f32))
+                .collect();
+            full.receive_disperse(dispersed.clone());
+            rows.receive_disperse(dispersed);
+            let (up_full, loss_full) = full.local_round(config, &mut scratch, &mut rng_full);
+            let (up_rows, loss_rows) = rows.local_round(config, &mut scratch, &mut rng_rows);
+            assert_eq!(up_full, up_rows, "{kind}: uploads diverged in round {round}");
+            assert_eq!(loss_full.to_bits(), loss_rows.to_bits(), "{kind}: round {round} loss");
+        }
+        assert_eq!(full.item_rows(), all.len());
+        assert_eq!(full.score(&all), rows.score(&all), "{kind}: scores diverged");
+        rows
+    }
+
+    /// The layout is invisible in the results while eviction keeps a
+    /// client sparse: an evicting client over 120 items stays below the
+    /// promotion point and trains as the dense one does.
     #[test]
     fn full_and_rows_layouts_train_identically() {
-        let hyper = ModelHyper::small();
+        let mut config = cfg();
+        config.storage.evict_interval = 1;
+        config.storage.evict_budget = 30;
+        for kind in [ModelKind::Mf, ModelKind::NeuMf, ModelKind::LightGcn] {
+            let rows = train_against_dense(kind, 120, &config);
+            assert!(!rows.item_scope().is_full(), "{kind}: the evicting client promoted");
+            assert!(rows.item_rows() < 40, "{kind}: eviction never ran on the scoped client");
+        }
+    }
+
+    /// ...and across the promotion: over 40 items the sparse client turns
+    /// dense mid-run, and eviction then resets its rows in place.
+    #[test]
+    fn a_client_that_promotes_trains_as_the_dense_one_does() {
         let mut config = cfg();
         config.storage.evict_interval = 2;
         config.storage.evict_budget = 30;
-        let all: Vec<u32> = (0..40).collect();
         for kind in [ModelKind::Mf, ModelKind::NeuMf, ModelKind::LightGcn] {
-            let mut full = PtfClient::with_scope(data(), kind, &hyper, 40, true, 1);
-            let mut rows = PtfClient::with_scope(data(), kind, &hyper, 40, false, 1);
-            let (mut rng_full, mut rng_rows) = (test_rng(13), test_rng(13));
-            let mut scratch = RoundScratch::default();
-            for round in 0..6u32 {
-                let dispersed: Vec<ScoredItem> =
-                    (0..6u32).map(|k| ((round * 7 + k * 5) % 40, 0.1 + 0.15 * k as f32)).collect();
-                full.receive_disperse(dispersed.clone());
-                rows.receive_disperse(dispersed);
-                let (up_full, loss_full) = full.local_round(&config, &mut scratch, &mut rng_full);
-                let (up_rows, loss_rows) = rows.local_round(&config, &mut scratch, &mut rng_rows);
-                assert_eq!(up_full, up_rows, "{kind}: uploads diverged in round {round}");
-                assert_eq!(loss_full.to_bits(), loss_rows.to_bits(), "{kind}: round {round} loss");
-            }
-            assert_eq!(full.item_rows(), 40);
-            assert!(rows.item_rows() < 40, "{kind}: eviction never ran on the scoped client");
-            assert_eq!(full.score(&all), rows.score(&all), "{kind}: scores diverged");
+            let rows = train_against_dense(kind, 40, &config);
+            assert!(rows.item_scope().is_full(), "{kind}: the client never promoted");
         }
     }
 

@@ -87,22 +87,16 @@ impl DisperseStrategy {
     }
 }
 
-/// Whether a client with `positives` positive interactions over a
-/// `num_items` catalogue is built dense: its expected per-round training
-/// pool `positives × (1 + neg_ratio)` reaches a quarter of the catalogue,
-/// so it would materialize most rows anyway, and a dense table skips the
-/// binary-search id→row lookup per sample. Everyone else stays
-/// row-sparse. Both layouts are built from the same derived seed, so the
-/// choice never changes a result. Integer arithmetic decides exactly as
-/// `expected ≥ 0.25 · num_items` in `f64` for any catalogue below 2⁵³.
-pub(crate) fn builds_dense(positives: usize, neg_ratio: usize, num_items: usize) -> bool {
-    4 * positives * (1 + neg_ratio) >= num_items
-}
-
 /// Per-client cold-row eviction schedule, which bounds a client's
 /// materialized row set over long runs (without eviction the set grows
 /// monotonically — every sampled negative materializes a row that is
-/// never dropped).
+/// never dropped — until the table's growth turns it dense).
+///
+/// This is the only storage setting: the layout follows one growth-time
+/// rule (`ptf_tensor::grows_dense`). A dense table cannot drop rows, so
+/// eviction resets its cold rows to their derived init in place, the
+/// same state a sparse table re-materializes them into; a budget below
+/// the promotion point keeps a client sparse for good.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StoragePolicy {
     /// Evict cold rows every this many *local* rounds (0 = never — the
@@ -159,9 +153,9 @@ pub struct PtfConfig {
     pub threads: usize,
     /// Per-client cold-row eviction schedule. Clients are item-scoped:
     /// each holds only the embedding rows of its own pool — positives at
-    /// construction, sampled negatives and dispersed items on first touch
-    /// — unless its pool covers a quarter of the catalogue, which builds
-    /// it dense (see `PtfClient::new`).
+    /// construction, sampled negatives and dispersed items as each round
+    /// prepares them — until that growth would cost as much memory as a
+    /// dense table, which then replaces it (see `PtfClient::new`).
     pub storage: StoragePolicy,
 }
 
@@ -327,27 +321,6 @@ mod tests {
         assert_eq!(c.validate(), Err(ConfigError::NotPositive("storage.evict_budget")));
         c.storage.evict_budget = 64;
         assert_eq!(c.validate(), Ok(()));
-    }
-
-    #[test]
-    fn dense_fallback_heuristic_matches_the_quarter_catalogue_rule() {
-        // 100 positives × (1+4) = 500 ≥ 0.25 × 1682 → dense (ML-100K shape)
-        assert!(builds_dense(100, 4, 1682));
-        // 30 positives × 5 = 150 < 0.25 × 40_000 → sparse (Gowalla shape)
-        assert!(!builds_dense(30, 4, 40_000));
-        // the boundary is inclusive, and agrees with the f64 form of the rule
-        assert!(builds_dense(2, 4, 40));
-        assert!(!builds_dense(2, 4, 41));
-        for positives in 0..60usize {
-            for num_items in 1..700usize {
-                let expected = (positives * 5) as f64;
-                assert_eq!(
-                    builds_dense(positives, 4, num_items),
-                    expected >= 0.25 * num_items as f64,
-                    "{positives} positives over {num_items} items"
-                );
-            }
-        }
     }
 
     #[test]

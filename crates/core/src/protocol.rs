@@ -349,8 +349,9 @@ impl Round<Resident> {
         self.host.clients.iter().map(PtfClient::item_rows).sum()
     }
 
-    /// How many clients `PtfClient::new` built with a full (dense) item
-    /// table — the dense-fallback story in one number.
+    /// How many clients hold a full (dense) item table: every client is
+    /// built row-sparse, so these are the ones whose row growth has
+    /// turned their table dense (`ptf_tensor::grows_dense`).
     pub fn dense_clients(&self) -> usize {
         self.host.clients.iter().filter(|c| c.item_scope().is_full()).count()
     }

@@ -165,21 +165,21 @@ pub fn train_in_lanes<C: BorrowMut<PtfClient>>(
             let Lane { client, progress, .. } = slot.as_mut()?;
             Some(MfLane {
                 model: client.borrow_mut().mf_model().expect("a lane holds an MF client"),
-                samples: &scratch.triples,
+                samples: &scratch.row_samples,
                 batch: cfg.client_batch,
                 progress,
             })
         }));
         for (slot, scratch) in lanes.iter_mut().zip(scratch.iter_mut()) {
             let Some(lane) = slot else { continue };
-            if !lane.progress.finished(scratch.triples.len()) {
+            if !lane.progress.finished(scratch.row_samples.len()) {
                 continue;
             }
             lane.loss_sum += lane.progress.mean_loss();
             lane.epochs_left -= 1;
             if lane.epochs_left > 0 {
                 lane.progress = EpochProgress::default();
-                shuffle(&mut scratch.triples, &mut lane.rng);
+                shuffle(&mut scratch.row_samples, &mut lane.rng);
             } else if let Some(Lane { at, mut client, mut rng, loss_sum, .. }) = slot.take() {
                 let (upload, loss) =
                     client.borrow_mut().finish_round(cfg, scratch, &mut rng, loss_sum);
@@ -204,7 +204,7 @@ fn start_lane<C: BorrowMut<PtfClient>>(
     let mut rng = round_rng(cfg.seed, round, RngStream::Client(c.id));
     c.prepare_round(cfg, scratch, &mut rng);
     if c.mf_model().is_some() && cfg.client_epochs > 0 {
-        shuffle(&mut scratch.triples, &mut rng);
+        shuffle(&mut scratch.row_samples, &mut rng);
         let epochs_left = cfg.client_epochs;
         let progress = EpochProgress::default();
         return Some(Lane { at, client, rng, epochs_left, loss_sum: 0.0, progress });

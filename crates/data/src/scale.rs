@@ -84,13 +84,65 @@ impl Feistel {
     }
 }
 
-/// Inverse-CDF sample of a truncated power law over ranks `0..n`
-/// (exponent `s ≠ 1`): rank 0 is the most popular.
-fn power_law_rank(u: f64, n: u64, s: f64) -> u64 {
-    debug_assert!((0.0..1.0).contains(&u));
-    let one_minus_s = 1.0 - s;
-    let x = (1.0 + u * ((n as f64).powf(one_minus_s) - 1.0)).powf(1.0 / one_minus_s);
-    ((x as u64).saturating_sub(1)).min(n - 1)
+/// A truncated power law over ranks `0..n` (exponent `s ≠ 1`), sampled
+/// by inverse CDF: rank 0 is the most popular. The two constants of the
+/// inverse CDF are computed once.
+struct PowerLaw {
+    n: u64,
+    /// `n^(1−s) − 1`.
+    span: f64,
+    /// `1/(1−s)`.
+    exponent: f64,
+}
+
+impl PowerLaw {
+    fn new(n: u64, s: f64) -> Self {
+        let one_minus_s = 1.0 - s;
+        Self { n, span: (n as f64).powf(one_minus_s) - 1.0, exponent: 1.0 / one_minus_s }
+    }
+
+    fn rank(&self, u: f64) -> u64 {
+        debug_assert!((0.0..1.0).contains(&u));
+        let x = (1.0 + u * self.span).powf(self.exponent);
+        ((x as u64).saturating_sub(1)).min(self.n - 1)
+    }
+}
+
+/// What every row of one dataset shares: the popularity law and the
+/// seed-derived rank → item scatter. A lone row permutes the ranks it
+/// draws; a whole arena tabulates the permutation once
+/// ([`Popularity::tabulated`]) — the same map, so the same rows.
+struct Popularity {
+    law: PowerLaw,
+    scatter: Feistel,
+    /// `item of rank r` for every rank, when tabulated.
+    table: Option<Vec<u32>>,
+}
+
+impl Popularity {
+    fn new(cfg: &ScaleConfig, master_seed: u64) -> Self {
+        let n = cfg.num_items as u64;
+        Self {
+            law: PowerLaw::new(n, cfg.pop_exponent),
+            scatter: Feistel::new(n, derive_seed(master_seed, 0, SCALE_STREAM)),
+            table: None,
+        }
+    }
+
+    fn tabulated(mut self) -> Self {
+        let table = (0..self.law.n).map(|rank| self.scatter.permute(rank) as u32).collect();
+        self.table = Some(table);
+        self
+    }
+
+    /// The item a uniform draw `u ∈ [0, 1)` picks.
+    fn item(&self, u: f64) -> u32 {
+        let rank = self.law.rank(u);
+        match &self.table {
+            Some(table) => table[rank as usize],
+            None => self.scatter.permute(rank) as u32,
+        }
+    }
 }
 
 /// A scale-synthetic preset: user count, catalogue size, and the
@@ -143,6 +195,12 @@ impl ScaleConfig {
     /// `out`. Pure function of `(self, master_seed, user)`: any row can
     /// be generated independently, which is what lets the dataset stream.
     pub fn user_items(&self, master_seed: u64, user: u32, out: &mut Vec<u32>) {
+        self.row_into(&Popularity::new(self, master_seed), master_seed, user, out);
+    }
+
+    /// [`ScaleConfig::user_items`] under a [`Popularity`] of the same
+    /// `master_seed`.
+    fn row_into(&self, pop: &Popularity, master_seed: u64, user: u32, out: &mut Vec<u32>) {
         debug_assert!((user as usize) < self.num_users, "user out of range");
         out.clear();
         let mut rng = StdRng::seed_from_u64(derive_seed(master_seed, user as u64, SCALE_STREAM));
@@ -153,17 +211,13 @@ impl ScaleConfig {
         let len = (drawn.round() as usize)
             .clamp(self.min_profile_len, self.max_profile_len)
             .min(self.num_items);
-        let feistel =
-            Feistel::new(self.num_items as u64, derive_seed(master_seed, 0, SCALE_STREAM));
         // rejection-dedup: popular items collide often, so allow a
         // bounded number of redraws before accepting a shorter profile
         let mut attempts = 0usize;
         let max_attempts = len * 8 + 32;
         while out.len() < len && attempts < max_attempts {
             attempts += 1;
-            let u: f64 = rng.gen();
-            let rank = power_law_rank(u, self.num_items as u64, self.pop_exponent);
-            let item = feistel.permute(rank) as u32;
+            let item = pop.item(rng.gen());
             if let Err(pos) = out.binary_search(&item) {
                 out.insert(pos, item);
             }
@@ -172,12 +226,14 @@ impl ScaleConfig {
 
     /// Streams every user's row into an on-disk arena at `path`. Peak
     /// memory is O(one row) plus the writer's indptr vector (8 bytes per
-    /// user, generation-time only).
+    /// user, generation-time only) and the tabulated rank → item map (4
+    /// bytes per item).
     pub fn write_arena(&self, master_seed: u64, path: &Path) -> Result<(), ArenaError> {
         let mut w = ArenaWriter::create(path, self.num_users, self.num_items)?;
+        let pop = Popularity::new(self, master_seed).tabulated();
         let mut row = Vec::new();
         for user in 0..self.num_users as u32 {
-            self.user_items(master_seed, user, &mut row);
+            self.row_into(&pop, master_seed, user, &mut row);
             w.push_user(&row)?;
         }
         w.finish()
@@ -188,9 +244,10 @@ impl ScaleConfig {
     /// [`ScaleConfig::write_arena`] instead.
     pub fn materialize(&self, master_seed: u64) -> Dataset {
         let mut b = Dataset::builder(self.name.clone(), self.num_items, self.num_users, 0);
+        let pop = Popularity::new(self, master_seed).tabulated();
         let mut row = Vec::new();
         for user in 0..self.num_users as u32 {
-            self.user_items(master_seed, user, &mut row);
+            self.row_into(&pop, master_seed, user, &mut row);
             b.push_user(&row);
         }
         b.finish()
@@ -280,11 +337,42 @@ mod tests {
 
     #[test]
     fn power_law_rank_bounds() {
+        let law = PowerLaw::new(1000, 1.1);
         for &u in &[0.0, 0.1, 0.5, 0.9, 0.999_999] {
-            let r = power_law_rank(u, 1000, 1.1);
+            let r = law.rank(u);
             assert!(r < 1000, "rank {r} out of range for u={u}");
         }
-        assert_eq!(power_law_rank(0.0, 1000, 1.1), 0, "u=0 must map to the top rank");
+        assert_eq!(law.rank(0.0), 0, "u=0 must map to the top rank");
+    }
+
+    #[test]
+    fn a_tabulated_arena_draws_the_rows_of_lone_user_items() {
+        let cfg = ScaleConfig::new("scale-test", 2_000);
+        let (mut lone, mut tabulated) = (Vec::new(), Vec::new());
+        for seed in [2024u64, 7] {
+            let pop = Popularity::new(&cfg, seed).tabulated();
+            for user in 0..cfg.num_users as u32 {
+                cfg.user_items(seed, user, &mut lone);
+                cfg.row_into(&pop, seed, user, &mut tabulated);
+                assert_eq!(lone, tabulated, "seed {seed}, user {user}");
+            }
+        }
+    }
+
+    /// FNV-1a of the arena file `cfg` writes at `seed`, pinned: any drift
+    /// in row generation or the arena format shows here.
+    #[test]
+    fn a_small_arena_file_is_pinned() {
+        let mut cfg = ScaleConfig::new("scale-pin", 300);
+        cfg.num_items = 700;
+        let path = std::env::temp_dir().join(format!("ptf-scale-pin-{}.arena", std::process::id()));
+        cfg.write_arena(2024, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (26_284, 0xcc09_52e6_63b2_7bd2), "arena file drifted");
     }
 
     #[test]

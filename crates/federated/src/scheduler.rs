@@ -66,6 +66,10 @@ pub struct RoundScratch {
     pub seen: HashSet<u32>,
     /// `(user, item, label)` training triples.
     pub triples: Vec<(u32, u32, f32)>,
+    /// `(item row, label)` training samples of a one-user MF client, each
+    /// item id resolved to its table row once a round, after the round's
+    /// rows are prepared (`ptf_models::mf::MfLane`).
+    pub row_samples: Vec<(u32, f32)>,
     /// `(item, label-or-score)` pairs (single-user sample lists).
     pub pairs: Vec<(u32, f32)>,
     /// Weighted `(user, item, weight)` edges for graph-model clients.

@@ -34,6 +34,7 @@ pub(crate) fn joint_table(
     rng: &mut impl rand::Rng,
 ) -> Matrix {
     let mut data = Matrix::randn(num_users, dim, EMB_STD, rng).into_vec();
+    data.reserve_exact(scope.len() * dim);
     data.extend_from_slice(scoped::item_block(scope, dim, seed).as_slice());
     Matrix::from_vec(num_users + scope.len(), dim, data)
 }
@@ -66,9 +67,9 @@ pub(crate) struct GraphBackbone {
     num_users: usize,
     store: ScopedParams,
     prop: PropagationMatrix,
-    /// The last `set_graph` edge list in *global* ids — a scoped model
-    /// re-derives its propagation operator from it whenever node indices
-    /// shift. Unused (empty) when dense.
+    /// The last `set_graph` edge list in *global* ids — the operator is
+    /// re-derived from it whenever node indices shift, and when row
+    /// growth turns the store dense.
     graph_edges: Vec<(u32, u32, f32)>,
     /// Final propagated embeddings, invalidated on training/graph changes.
     /// An `RwLock` (not `RefCell`) so concurrent evaluation threads can
@@ -130,9 +131,9 @@ impl GraphBackbone {
     }
 
     /// Re-derives the propagation operator from the stored global edge
-    /// list under the current (possibly grown) scope mapping.
-    fn rebuild_scoped_prop(&mut self) {
-        debug_assert!(!self.store.is_dense());
+    /// list under the current (possibly grown, possibly dense) scope
+    /// mapping; on a dense store the mapping is the identity.
+    fn rebuild_prop(&mut self) {
         let first_item = self.num_users as u32;
         let remapped: Vec<(u32, u32, f32)> = self
             .graph_edges
@@ -144,10 +145,11 @@ impl GraphBackbone {
 
     /// Materializes a sorted, unique batch of items (embedding + optimizer
     /// rows) in one pass ([`ScopedParams::ensure_many`]); the operator is
-    /// rebuilt once if node indices shifted.
+    /// rebuilt once if node indices shifted — over the whole catalogue
+    /// when the growth turned the store dense.
     pub fn prepare_items(&mut self, sorted_ids: &[u32]) {
         if self.store.ensure_many(sorted_ids) {
-            self.rebuild_scoped_prop();
+            self.rebuild_prop();
             self.invalidate();
         }
     }
@@ -167,7 +169,7 @@ impl GraphBackbone {
             if !self.store.is_dense() {
                 // node indices shifted: re-derive the operator (the dense
                 // case keeps its node space, so only the cache is stale)
-                self.rebuild_scoped_prop();
+                self.rebuild_prop();
             }
             self.invalidate();
         }
@@ -175,13 +177,9 @@ impl GraphBackbone {
     }
 
     pub fn set_graph(&mut self, edges: &[(u32, u32, f32)]) {
-        if self.store.is_dense() {
-            self.prop = normalized_bipartite(self.num_users, self.store.num_items(), edges);
-        } else {
-            self.graph_edges.clear();
-            self.graph_edges.extend_from_slice(edges);
-            self.rebuild_scoped_prop();
-        }
+        self.graph_edges.clear();
+        self.graph_edges.extend_from_slice(edges);
+        self.rebuild_prop();
         self.invalidate();
     }
 

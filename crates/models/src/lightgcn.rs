@@ -81,6 +81,11 @@ struct Workspace {
 }
 
 impl LightGcn {
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &crate::scoped::ScopedParams {
+        self.base.store()
+    }
+
     /// An item-scoped LightGCN: the item block of the joint node table
     /// materializes only `scope` (plus whatever
     /// [`Recommender::prepare_items`] adds later), every row initialized

@@ -11,9 +11,11 @@
 //! centralized runs, row-sparse for item-scoped clients, which hold only
 //! the embedding rows they have actually touched (positives at
 //! construction; each round's sampled negatives and dispersed items
-//! through [`Recommender::prepare_items`]). Either way every row starts
-//! from its seed-derived deterministic init. The table's trailing column
-//! is the item bias, so one arena row carries the whole per-item state.
+//! through [`Recommender::prepare_items`]) until that growth would cost
+//! as much as the dense table, which then replaces it. Either way every
+//! row starts from its seed-derived deterministic init. The table's
+//! trailing column is the item bias, so one arena row carries the whole
+//! per-item state.
 
 use crate::scoped::{dense_rng, item_seed, EMB_STD};
 use crate::traits::Recommender;
@@ -167,8 +169,7 @@ impl MfModel {
 /// The most models [`train_lanes`] steps at once.
 pub const LANES: usize = 4;
 
-/// How many samples ahead a lane locates and prefetches item rows (a
-/// power of two: the rows in flight sit in a ring indexed by sample).
+/// How many samples ahead a lane prefetches item rows.
 const AHEAD: usize = 4;
 
 /// How many samples' losses a lane holds back before adding them to its
@@ -230,21 +231,24 @@ impl EpochProgress {
 /// One lane of [`train_lanes`]: a model, its shuffled samples for the
 /// current pass, the batch size its loss is reduced over, and where it
 /// stands.
+///
+/// A lane trains user 0 of its model — a client's one-user model — and
+/// each sample is `(item row, label)`: the caller resolves every item id
+/// to its row once, after preparing the rows ([`RowTable::row_of`] on
+/// [`MfModel::items`]), instead of the kernel searching for it once per
+/// sample per pass.
 pub struct MfLane<'a> {
     pub model: &'a mut MfModel,
-    pub samples: &'a [(u32, u32, f32)],
+    pub samples: &'a [(u32, f32)],
     pub batch: usize,
     pub progress: &'a mut EpochProgress,
 }
 
 impl MfLane<'_> {
-    /// The row of sample `s`'s item, with a prefetch of its values.
+    /// Prefetches the item row of sample `s`.
     #[inline(always)]
-    fn locate(&self, s: usize) -> usize {
-        let items = &self.model.items;
-        let r = items.row_of(self.samples[s].1);
-        ptf_tensor::isa::prefetch(items.row(r));
-        r
+    fn prefetch_row(&self, s: usize) {
+        ptf_tensor::isa::prefetch(self.model.items.row(self.samples[s].0 as usize));
     }
 }
 
@@ -266,11 +270,12 @@ impl MfLane<'_> {
 /// no chain waits for) and adds them up a few at a time, in order.
 ///
 /// Every sample's item row must already be materialized
-/// ([`Recommender::prepare_items`]), as for [`MfModel::train_batch`].
+/// ([`Recommender::prepare_items`]) and resolved ([`MfLane`]), and the
+/// model's rows may not move while its pass runs.
 ///
 /// # Panics
-/// On more than [`LANES`] lanes, a zero batch size, or a sample whose
-/// item row is not materialized.
+/// On more than [`LANES`] lanes, a zero batch size, or a sample row
+/// outside the table.
 pub fn train_lanes<'a>(lanes: impl IntoIterator<Item = MfLane<'a>>) {
     use ptf_tensor::isa::dispatch;
     let mut lanes = lanes.into_iter();
@@ -304,12 +309,10 @@ fn step_lanes<const N: usize>(mut lanes: [MfLane<'_>; N]) {
     if steps == 0 {
         return;
     }
-    // per lane, the rows of its next AHEAD samples, by sample index
-    let mut ahead = [[0usize; AHEAD]; N];
-    for (lane, ring) in lanes.iter().zip(&mut ahead) {
+    for lane in &lanes {
         let next = lane.progress.next;
         for s in next..(next + AHEAD).min(lane.samples.len()) {
-            ring[s % AHEAD] = lane.locate(s);
+            lane.prefetch_row(s);
         }
     }
     let mut held = [[(0.0f32, 0.0f32, 0.0f32); HELD]; N];
@@ -319,29 +322,27 @@ fn step_lanes<const N: usize>(mut lanes: [MfLane<'_>; N]) {
         let mut logits = [0.0f32; N];
         for (k, lane) in lanes.iter().enumerate() {
             let s = lane.progress.next;
-            rows[k] = ahead[k][s % AHEAD];
+            rows[k] = lane.samples[s].0 as usize;
             if s + AHEAD < lane.samples.len() {
-                ahead[k][s % AHEAD] = lane.locate(s + AHEAD);
+                lane.prefetch_row(s + AHEAD);
             }
             let MfModel { user_emb, items, .. } = &*lane.model;
             let (item_vec, bias) = items.row(rows[k]).split_at(user_emb.cols());
-            let user = user_emb.row(lane.samples[s].0 as usize);
-            logits[k] = kernels::dot(user, item_vec) + bias[0];
+            logits[k] = kernels::dot(user_emb.row(0), item_vec) + bias[0];
         }
         let mut errs = [0.0f32; N];
         for (k, lane) in lanes.iter().enumerate() {
-            let label = lane.samples[lane.progress.next].2;
+            let label = lane.samples[lane.progress.next].1;
             let e = exp_neg_abs(logits[k]);
             errs[k] = sigmoid_from_exp(logits[k], e) - label;
             held[k][num_held[k]] = (logits[k], e, label);
             num_held[k] += 1;
         }
         for (k, lane) in lanes.iter_mut().enumerate() {
-            let u = lane.samples[lane.progress.next].0;
             let MfModel { user_emb, items, lr, reg } = &mut *lane.model;
             let dim = user_emb.cols();
             let (item_vec, bias) = items.row_mut(rows[k]).split_at_mut(dim);
-            kernels::mf_sgd_update(user_emb.row_mut(u as usize), item_vec, errs[k], *lr, *reg);
+            kernels::mf_sgd_update(user_emb.row_mut(0), item_vec, errs[k], *lr, *reg);
             bias[0] -= *lr * errs[k];
             let progress = &mut *lane.progress;
             progress.next += 1;
@@ -532,6 +533,9 @@ mod tests {
         let samples = |k: usize| -> Vec<(u32, u32, f32)> {
             passes[k].iter().map(|&i| (0, i, (i % 3) as f32 / 2.0)).collect()
         };
+        let rows = |m: &MfModel, k: usize| -> Vec<(u32, f32)> {
+            samples(k).iter().map(|&(_, i, label)| (m.items().row_of(i) as u32, label)).collect()
+        };
         let model = |k: usize| {
             let scope = if k.is_multiple_of(2) {
                 ScopeView::Full(47)
@@ -551,8 +555,13 @@ mod tests {
                 })
                 .collect();
             for width in 1..=LANES {
-                let mut lanes: Vec<_> =
-                    (0..width).map(|k| (model(k), samples(k), EpochProgress::default())).collect();
+                let mut lanes: Vec<_> = (0..width)
+                    .map(|k| {
+                        let m = model(k);
+                        let rows = rows(&m, k);
+                        (m, rows, EpochProgress::default())
+                    })
+                    .collect();
                 while lanes.iter().any(|(_, s, p)| !p.finished(s.len())) {
                     train_lanes(lanes.iter_mut().filter(|(_, s, p)| !p.finished(s.len())).map(
                         |(model, samples, progress)| MfLane { model, samples, batch, progress },

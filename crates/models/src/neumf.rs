@@ -128,6 +128,11 @@ struct Workspace {
 const SCORE_BLOCK: usize = 64;
 
 impl NeuMf {
+    #[cfg(test)]
+    pub(crate) fn store(&self) -> &ScopedParams {
+        &self.store
+    }
+
     /// An item-scoped NeuMF: the item table materializes only `scope`
     /// (plus whatever [`Recommender::prepare_items`] adds later), every
     /// row initialized from its `(seed, id)`-derived stream; all other

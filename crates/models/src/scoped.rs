@@ -8,9 +8,14 @@
 //! [`ScopedParams`] owns that state, so "id, parameter row and both
 //! moment rows move together" is a property of the type rather than a
 //! calling convention.
+//!
+//! A row-scoped store grows by powers of two and follows the one
+//! layout rule of `ptf_tensor::rowtable`: the growth step whose capacity
+//! would reach the dense size grows the store dense instead.
 
 use ptf_tensor::{
-    derive_seed, init, Adam, GradBuf, Grads, Matrix, ParamId, Params, ScopeIndex, ScopeView,
+    derive_seed, grows_dense, init, Adam, GradBuf, Grads, Matrix, ParamId, Params, ScopeIndex,
+    ScopeView,
 };
 
 /// Stream discriminators inside one model's seed namespace.
@@ -156,23 +161,54 @@ impl ScopedParams {
         init::derived_normal_row(self.item_seed, id, EMB_STD, out);
     }
 
+    /// Heap bytes of the item block, both moment buffers and the id list
+    /// (the leading user rows included, which a dense store holds too).
+    pub fn heap_bytes(&self) -> usize {
+        let blocks = self.params.get(self.emb).capacity() + {
+            let (m, v) = self.adam.moments(self.emb);
+            m.capacity() + v.capacity()
+        };
+        blocks * std::mem::size_of::<f32>() + self.scope.heap_bytes()
+    }
+
     /// Materializes every id of `sorted_ids` (ascending, unique) that the
     /// scope does not hold yet, in one backward merge pass over the item
     /// block and both moment buffers ([`ScopeIndex::merge_in`]): a fresh
     /// row gets its derived init and zero moments. Returns true if
     /// anything was inserted (graph models must rebuild their
     /// propagation operator, since node indices shifted).
+    ///
+    /// A row-scoped store makes room for the next power of two of the
+    /// rows it will hold ([`capacity_rows`]). When that room would reach
+    /// the dense store's size ([`grows_dense`]), the step grows the store
+    /// dense instead: every absent row materializes in the same plan
+    /// ([`ScopeIndex::densify`]) and the id list goes.
     pub fn ensure_many(&mut self, sorted_ids: &[u32]) -> bool {
         let fresh = self.scope.count_absent(sorted_ids);
         if fresh == 0 {
             return false;
         }
+        let (off, num_items, held) = (self.row_offset, self.num_items(), self.scope.len());
+        let room = capacity_rows(held + fresh);
+        let row_bytes = 3 * self.dim() * std::mem::size_of::<f32>();
+        let promotes = grows_dense(room, row_bytes, num_items);
+        let (room, grown) = if promotes { (num_items, num_items - held) } else { (room, fresh) };
         let [e, m, v] = item_rows(&mut self.params, &mut self.adam, self.emb);
         for block in [&mut *e, &mut *m, &mut *v] {
-            block.push_zero_rows(fresh);
+            block.reserve_rows(off + room);
+            block.push_zero_rows(grown);
         }
-        let place = placer([e, m, v], self.row_offset, self.item_seed);
-        self.scope.merge_in(sorted_ids, fresh, place);
+        let place = placer([e, m, v], off, self.item_seed);
+        if promotes {
+            self.scope.densify(place);
+        } else {
+            self.scope.reserve(room);
+            self.scope.merge_in(sorted_ids, fresh, place);
+        }
+        debug_assert!(
+            self.is_dense() || self.heap_bytes() < (off + num_items) * row_bytes,
+            "a sparse store outgrew its dense size"
+        );
         true
     }
 
@@ -307,6 +343,14 @@ impl ScopedParams {
     }
 }
 
+/// The item rows a row-scoped store makes room for once it holds `rows`:
+/// the next power of two, so a growing store reallocates a logarithmic
+/// number of times. A function of the rows alone, so a store restored
+/// from an envelope grows exactly as the one that was parked.
+pub(crate) fn capacity_rows(rows: usize) -> usize {
+    rows.next_power_of_two()
+}
+
 /// The item-scoped parameter and its two moment buffers: the three
 /// blocks whose rows move together.
 fn item_rows<'a>(params: &'a mut Params, adam: &'a mut Adam, emb: ParamId) -> [&'a mut Matrix; 3] {
@@ -405,6 +449,28 @@ mod tests {
         true
     }
 
+    /// The oracle for a whole [`ScopedParams::ensure_many`] batch: id by
+    /// id, and when the batch's growth crosses [`grows_dense`], every
+    /// other absent id of the catalogue too, before the id list goes.
+    fn ensure_by_row(s: &mut ScopedParams, ids: &[u32]) -> bool {
+        let Some(held) = s.scope.ids() else { return false };
+        let rows = held.len() + ids.iter().filter(|id| held.binary_search(id).is_err()).count();
+        let row_bytes = 3 * s.dim() * std::mem::size_of::<f32>();
+        let promotes =
+            rows > held.len() && grows_dense(capacity_rows(rows), row_bytes, s.num_items());
+        let mut grew = false;
+        for &id in ids {
+            grew |= ensure_one(s, id);
+        }
+        if promotes {
+            for id in 0..s.num_items() as u32 {
+                ensure_one(s, id);
+            }
+            s.scope = ScopeIndex::new(ScopeView::Full(s.num_items()));
+        }
+        grew
+    }
+
     /// The oracle for [`ScopedParams::evict`]: one victim at a time —
     /// removed with its moment rows from a row-scoped store, reset to its
     /// init with zero moments in a dense one.
@@ -434,8 +500,9 @@ mod tests {
 
         /// Batches that hit, miss and interleave the held rows, on dense
         /// and row-scoped stores with and without leading user rows:
-        /// the one-pass merge leaves ids, parameters, moments and the
-        /// envelope bytes exactly as id-by-id insertion does.
+        /// the one-pass merge — and the densifying plan, for a batch
+        /// that crosses the rule — leaves ids, parameters, moments and
+        /// the envelope bytes exactly as id-by-id insertion does.
         #[test]
         fn one_pass_materialization_equals_row_by_row(
             seed in any::<u64>(),
@@ -452,11 +519,7 @@ mod tests {
                 warm(&mut by_row);
                 let ids: Vec<u32> = batch.into_iter().collect();
                 let grew = merged.ensure_many(&ids);
-                let mut by_row_grew = false;
-                for &id in &ids {
-                    by_row_grew |= ensure_one(&mut by_row, id);
-                }
-                prop_assert_eq!(grew, by_row_grew);
+                prop_assert_eq!(grew, ensure_by_row(&mut by_row, &ids));
                 prop_assert_eq!(merged.view(), by_row.view());
                 prop_assert_eq!(merged.export("T", None), by_row.export("T", None));
             }
@@ -491,6 +554,141 @@ mod tests {
             warm(&mut plan);
             warm(&mut by_victim);
             prop_assert_eq!(plan.export("T", None), by_victim.export("T", None));
+        }
+    }
+
+    /// The bytes a model's item state holds, its dense table's bytes, and
+    /// the `(capacity rows, row bytes)` [`grows_dense`] weighs once the
+    /// model holds `rows` item rows.
+    trait UnderTheRule: crate::Recommender {
+        fn bytes(&self) -> (usize, usize);
+        fn room(&self, rows: usize) -> (usize, usize);
+    }
+
+    impl UnderTheRule for crate::MfModel {
+        fn bytes(&self) -> (usize, usize) {
+            let t = self.items();
+            (t.heap_bytes(), t.num_items() * t.cols() * 4)
+        }
+        fn room(&self, rows: usize) -> (usize, usize) {
+            (rows, self.items().cols() * 4)
+        }
+    }
+
+    macro_rules! adam_under_the_rule {
+        ($($model:ty),*) => {$(
+            impl UnderTheRule for $model {
+                fn bytes(&self) -> (usize, usize) {
+                    let s = self.store();
+                    (s.heap_bytes(), 3 * (s.row_offset + s.num_items()) * s.dim() * 4)
+                }
+                fn room(&self, rows: usize) -> (usize, usize) {
+                    (capacity_rows(rows), 3 * self.store().dim() * 4)
+                }
+            }
+        )*};
+    }
+    adam_under_the_rule!(crate::NeuMf, crate::Ngcf, crate::LightGcn);
+
+    const ITEMS: u32 = 40;
+
+    /// A one-user model of each family over [`ITEMS`] items, NGCF without
+    /// dropout (its masks cover the materialized nodes).
+    fn one_user(kind: usize, scope: ScopeView<'_>, seed: u64) -> Box<dyn UnderTheRule> {
+        let (dim, lr) = (8, 0.05);
+        match kind {
+            0 => Box::new(crate::MfModel::new_scoped(1, dim, lr, scope, seed)),
+            1 => {
+                let cfg = crate::NeuMfConfig { dim, layers: vec![16, 8], lr };
+                Box::new(crate::NeuMf::new_scoped(1, &cfg, scope, seed))
+            }
+            2 => {
+                let cfg = crate::NgcfConfig {
+                    dim,
+                    layers: 2,
+                    lr,
+                    leaky_slope: 0.2,
+                    reg: 1e-3,
+                    message_dropout: 0.0,
+                };
+                Box::new(crate::Ngcf::new_scoped(1, &cfg, scope, seed))
+            }
+            _ => {
+                let cfg = crate::LightGcnConfig { dim, layers: 2, lr };
+                Box::new(crate::LightGcn::new_scoped(1, &cfg, scope, seed))
+            }
+        }
+    }
+
+    fn sorted(ids: impl IntoIterator<Item = u32>) -> Vec<u32> {
+        let mut ids: Vec<u32> = ids.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random prepare/train/evict rounds of a one-user model built
+        /// over its positives, beside a `Full` twin of the same seed, for
+        /// MF, NeuMF, NGCF and LightGCN: after every step the sparse store
+        /// holds fewer bytes than its dense table, it is dense exactly
+        /// once a growth step crossed the rule, and it trains and scores
+        /// as the twin does. Densifying both at the end leaves byte-equal
+        /// envelopes: parameters, both moments, the step counter.
+        #[test]
+        fn growth_keeps_stores_below_dense_and_identical_to_full(
+            kind in 0usize..4,
+            seed in any::<u64>(),
+            positives in collection::btree_set(0u32..ITEMS, 1..6),
+            rounds in collection::vec(
+                (
+                    collection::btree_set(0u32..ITEMS, 0..32),
+                    any::<bool>(),
+                    collection::btree_set(0u32..ITEMS, 0..12),
+                ),
+                1..8,
+            ),
+        ) {
+            let positives = sorted(positives);
+            let all: Vec<u32> = (0..ITEMS).collect();
+            let scope = ScopeView::Rows { num_items: ITEMS as usize, ids: &positives };
+            let mut rows = one_user(kind, scope, seed);
+            let mut full = one_user(kind, ScopeView::Full(ITEMS as usize), seed);
+            let edges: Vec<(u32, u32, f32)> = positives.iter().map(|&i| (0, i, 1.0)).collect();
+            let mut crossed = false;
+            for (round, (drawn, evicts, keep)) in rounds.into_iter().enumerate() {
+                let pool = sorted(drawn.into_iter().chain(positives.iter().copied()));
+                let held = rows.item_scope();
+                let after = held.len() + pool.iter().filter(|&&i| !held.contains(i)).count();
+                if !held.is_full() && after > held.len() {
+                    let (room, row_bytes) = rows.room(after);
+                    crossed |= grows_dense(room, row_bytes, ITEMS as usize);
+                }
+                let batch: Vec<(u32, u32, f32)> =
+                    pool.iter().map(|&i| (0, i, (i % 3) as f32 / 2.0)).collect();
+                for m in [&mut rows, &mut full] {
+                    m.prepare_items(&pool);
+                    if m.uses_graph() {
+                        m.set_graph(&edges);
+                    }
+                }
+                let loss = rows.train_batch(&batch);
+                prop_assert_eq!(loss.to_bits(), full.train_batch(&batch).to_bits(), "round {}", round);
+                if evicts {
+                    let keep = sorted(keep.into_iter().chain(positives.iter().copied()));
+                    rows.evict_items(&keep);
+                    full.evict_items(&keep);
+                }
+                let (bytes, dense) = rows.bytes();
+                prop_assert_eq!(rows.item_scope().is_full(), crossed, "round {}", round);
+                prop_assert!(crossed || bytes < dense, "round {}: {} bytes, dense {}", round, bytes, dense);
+                prop_assert_eq!(rows.score(0, &all), full.score(0, &all), "round {}", round);
+            }
+            rows.prepare_items(&all);
+            prop_assert!(rows.item_scope().is_full());
+            prop_assert_eq!(rows.export_full_state(), full.export_full_state());
         }
     }
 }

@@ -95,7 +95,10 @@ pub trait Recommender: Send + Sync {
     /// Adam-trained models over the item block and both moment buffers
     /// together, a graph model then rebuilding its propagation operator
     /// once. A fresh row holds its `(seed, id)`-derived init, so when it
-    /// is prepared cannot change its contents. Dense models ignore it.
+    /// is prepared cannot change its contents. A growth that would leave
+    /// a sparse table at least as large as the dense one
+    /// (`ptf_tensor::grows_dense`) materializes every row instead, and
+    /// the model is dense from then on. Dense models ignore it.
     fn prepare_items(&mut self, _sorted_ids: &[u32]) {}
 
     /// Evicts every materialized item row whose global id is *not* in

@@ -275,13 +275,29 @@ impl Matrix {
         kernels::frob_sq(&self.data)
     }
 
+    /// Makes room for `rows` rows in all, exactly: pushing rows up to
+    /// that count allocates nothing. A no-op when the buffer already has
+    /// the room.
+    pub fn reserve_rows(&mut self, rows: usize) {
+        let len = rows * self.cols;
+        if len > self.data.capacity() {
+            self.data.reserve_exact(len - self.data.len());
+        }
+    }
+
     /// Appends `extra` all-zero rows: the growth step of a batched
-    /// insertion that then merges its rows into place. Capacity doubles.
+    /// insertion that then merges its rows into place. Call
+    /// [`Matrix::reserve_rows`] first to choose the capacity; past it the
+    /// buffer grows as `Vec` does.
     pub fn push_zero_rows(&mut self, extra: usize) {
-        let len = self.data.len() + extra * self.cols;
-        reserve_doubling(&mut self.data, len);
-        self.data.resize(len, 0.0);
+        self.data.resize(self.data.len() + extra * self.cols, 0.0);
         self.rows += extra;
+    }
+
+    /// Element capacity of the buffer (what the matrix holds on the heap,
+    /// in `f32`s).
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Keeps the first `rows` rows: the shrink step of a compaction that
@@ -318,20 +334,6 @@ impl Matrix {
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         assert_eq!(self.shape(), other.shape(), "max_abs_diff shape mismatch");
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max)
-    }
-}
-
-/// Makes room for `v` to grow to `len` by doubling its capacity, as a
-/// run of one-at-a-time insertions would. A batch that more than doubles
-/// `v` in one go would otherwise get exactly `len` from `Vec::reserve`
-/// and leave no headroom, so every later batch would reallocate.
-pub(crate) fn reserve_doubling<T>(v: &mut Vec<T>, len: usize) {
-    if len > v.capacity() {
-        let mut cap = v.capacity().max(4);
-        while cap < len {
-            cap *= 2;
-        }
-        v.reserve_exact(cap - v.len());
     }
 }
 

@@ -95,6 +95,12 @@ impl Adam {
         Ok(())
     }
 
+    /// Both moment matrices of parameter `id`.
+    pub fn moments(&self, id: crate::params::ParamId) -> (&Matrix, &Matrix) {
+        let i = id.index();
+        (&self.m[i], &self.v[i])
+    }
+
     /// Both moment matrices of parameter `id`, for a caller that reshapes
     /// the parameter and must move its optimizer rows in step (a batched
     /// row insertion or compaction). A row's moments must travel with it:

@@ -23,10 +23,16 @@
 //!   and *in which batch* a row materializes cannot change its contents.
 //!   Rows are kept sorted by global id so iteration (and
 //!   graph-propagation summation order) matches a full table's.
+//! * **The table's own growth decides its layout.** A growth step that
+//!   would leave a seed-derived sparse table holding at least as many
+//!   bytes as its dense table grows it dense instead ([`grows_dense`]):
+//!   every absent row materializes in the same merge plan
+//!   ([`ScopeIndex::densify`]) and the id list goes. Dense tables never
+//!   turn sparse again. Zero-initialized tables never promote: for them
+//!   an absent row means "untouched".
 //!
 //! Growth into reserved capacity performs **zero heap allocations**.
 
-use crate::matrix::reserve_doubling;
 use crate::packed::PackedF32s;
 
 /// Mixes `(master, a, b)` into one well-distributed 64-bit seed.
@@ -107,6 +113,18 @@ impl<'a> ScopeView<'a> {
     }
 }
 
+/// The growth-time layout rule of every seed-derived table: a sparse
+/// table whose blocks would have room for `rows` item rows of
+/// `row_bytes` each after a growth step, plus a 4-byte id per row, grows
+/// dense instead once that reaches the `num_items × row_bytes` of the
+/// dense table. `rows` is the capacity the table's own growth policy
+/// gives it, as a function of the rows it holds, so the decision never
+/// depends on how a table's buffers were allocated before (a restored
+/// table decides as the one it was parked from).
+pub fn grows_dense(rows: usize, row_bytes: usize, num_items: usize) -> bool {
+    rows * (row_bytes + std::mem::size_of::<u32>()) >= num_items * row_bytes
+}
+
 /// Sorted id→row index of a scoped table.
 ///
 /// `Full` scopes use the dense identity mapping (no index storage, O(1)
@@ -180,6 +198,22 @@ impl ScopeIndex {
         self.ids.as_deref()
     }
 
+    /// Heap bytes of the id list (none for the dense identity).
+    pub fn heap_bytes(&self) -> usize {
+        self.ids.as_ref().map_or(0, |ids| ids.capacity() * std::mem::size_of::<u32>())
+    }
+
+    /// Makes room for `rows` ids in all, exactly (a no-op when dense or
+    /// when the room is there), so a merge up to that count allocates
+    /// nothing.
+    pub fn reserve(&mut self, rows: usize) {
+        if let Some(ids) = &mut self.ids {
+            if rows > ids.capacity() {
+                ids.reserve_exact(rows - ids.len());
+            }
+        }
+    }
+
     /// Row index of `id`, if materialized.
     pub fn lookup(&self, id: u32) -> Option<usize> {
         debug_assert!((id as usize) < self.num_items, "item {id} out of range");
@@ -239,7 +273,7 @@ impl ScopeIndex {
     ) {
         let Some(ids) = &mut self.ids else { return };
         let old_rows = ids.len();
-        reserve_doubling(ids, old_rows + absent);
+        ids.reserve_exact(absent);
         ids.resize(old_rows + absent, 0);
         // reads of old entries happen at indices < i, writes at w ≥ i,
         // so nothing unread is ever clobbered; once every fresh id is
@@ -263,6 +297,34 @@ impl ScopeIndex {
             }
         }
         debug_assert!(ids.windows(2).all(|p| p[0] < p[1]));
+    }
+
+    /// Turns a sparse index into the dense identity: the plan of
+    /// [`ScopeIndex::merge_in`] over every id of the catalogue, without
+    /// building that id list. Parallel storage, already grown to
+    /// `num_items` rows, follows through the same `place(from, to, id)`
+    /// calls in the same descending `to` order — old row `from` moves to
+    /// row `id`, every absent id gets its fresh row — and the id list is
+    /// dropped. A no-op on a dense index.
+    pub fn densify(&mut self, mut place: impl FnMut(Option<usize>, usize, u32)) {
+        let Some(ids) = self.ids.take() else { return };
+        // rows at `end` and above are placed; an old row already at its
+        // id's row closes the plan, since every row below it is too
+        let mut end = self.num_items;
+        for (from, &id) in ids.iter().enumerate().rev() {
+            let to = id as usize;
+            for fresh in (to + 1..end).rev() {
+                place(None, fresh, fresh as u32);
+            }
+            if from == to {
+                return;
+            }
+            place(Some(from), to, id);
+            end = to;
+        }
+        for fresh in (0..end).rev() {
+            place(None, fresh, fresh as u32);
+        }
     }
 
     /// The compaction plan, counterpart of [`ScopeIndex::merge_in`]:
@@ -458,6 +520,11 @@ impl RowTable {
         (0..self.rows()).map(|r| (self.index.id_of(r), self.row(r)))
     }
 
+    /// Heap bytes of the arena and the id list.
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f32>() + self.index.heap_bytes()
+    }
+
     /// Pre-reserves capacity for `additional` more materialized rows, so
     /// growing by that many allocates nothing.
     pub fn reserve_rows(&mut self, additional: usize) {
@@ -480,6 +547,10 @@ impl RowTable {
     /// merge pass** ([`ScopeIndex::merge_in`]): O(rows + new) arena
     /// movement. Returns the number of rows materialized; zero when
     /// everything was already present (and then the call is free).
+    ///
+    /// The arena grows exactly, so a seed-derived table that would hold
+    /// at least [`grows_dense`]'s share of the catalogue (≈ 97 % at 33
+    /// columns) grows dense instead, materializing every absent row.
     pub fn ensure_many(&mut self, sorted_ids: &[u32]) -> usize {
         self.ensure_many_with(sorted_ids, |_, _| {})
     }
@@ -496,17 +567,35 @@ impl RowTable {
         if new_count == 0 {
             return 0;
         }
-        self.reserve_rows(new_count);
-        let (cols, init) = (self.cols, self.init);
+        let (cols, init, old_rows) = (self.cols, self.init, self.rows());
+        let row_bytes = cols * std::mem::size_of::<f32>();
+        let derived = matches!(init, RowInit::DerivedNormal { .. });
+        let promotes = derived && grows_dense(old_rows + new_count, row_bytes, self.num_items());
+        let grown = if promotes { self.num_items() - old_rows } else { new_count };
+        if promotes {
+            // the id list is about to go: only the arena needs the room
+            self.data.reserve_exact(grown * cols);
+        } else {
+            self.reserve_rows(grown);
+        }
         let data = &mut self.data;
-        data.resize(data.len() + new_count * cols, 0.0);
-        self.index.merge_in(sorted_ids, new_count, |from, to, id| {
+        data.resize(data.len() + grown * cols, 0.0);
+        let place = |from: Option<usize>, to: usize, id: u32| {
             place_row(data, cols, init, from, to, id);
             if from.is_none() {
                 fill(id, &mut data[to * cols..(to + 1) * cols]);
             }
-        });
-        new_count
+        };
+        if promotes {
+            self.index.densify(place);
+        } else {
+            self.index.merge_in(sorted_ids, new_count, place);
+        }
+        debug_assert!(
+            !derived || self.is_dense() || self.heap_bytes() < self.num_items() * row_bytes,
+            "a sparse table outgrew its dense size"
+        );
+        grown
     }
 
     /// The materialized rows, row-major (`rows() × cols()`): on a dense
@@ -654,12 +743,10 @@ impl<'de> serde::Deserialize<'de> for RowTable {
         } else {
             RowInit::DerivedNormal { seed, std: w.init_std, init_cols: w.init_cols }
         };
-        Ok(Self {
-            index: ScopeIndex { num_items: w.num_items, ids: w.ids },
-            cols: w.cols,
-            init,
-            data,
-        })
+        let mut ids = w.ids;
+        // exact, as the table's own growth would have left it
+        ids.iter_mut().for_each(Vec::shrink_to_fit);
+        Ok(Self { index: ScopeIndex { num_items: w.num_items, ids }, cols: w.cols, init, data })
     }
 }
 
@@ -795,6 +882,64 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `densify` is `merge_in` over the whole catalogue, call for
+        /// call, without the id list.
+        #[test]
+        fn densify_is_the_merge_plan_of_every_id(
+            held in collection::btree_set(0u32..30, 0..30),
+        ) {
+            let held: Vec<u32> = held.into_iter().collect();
+            let all: Vec<u32> = (0..30).collect();
+            let mut merged = ScopeIndex::new(ScopeView::Rows { num_items: 30, ids: &held });
+            let mut dense = merged.clone();
+            let (mut plan, mut by_merge) = (Vec::new(), Vec::new());
+            let absent = merged.count_absent(&all);
+            merged.merge_in(&all, absent, |from, to, id| by_merge.push((from, to, id)));
+            dense.densify(|from, to, id| plan.push((from, to, id)));
+            prop_assert_eq!(plan, by_merge);
+            prop_assert_eq!(merged.ids(), Some(&all[..]));
+            prop_assert!(dense.is_dense());
+        }
+
+        /// Growth in random batches, with compactions between them: a
+        /// seed-derived table holds fewer bytes than its dense table until
+        /// the batch that crosses [`grows_dense`] turns it dense, with every
+        /// row the values a dense table of the seed holds; a zeroed table
+        /// never promotes.
+        #[test]
+        fn growth_promotes_at_the_rule_and_stays_below_dense_before(
+            batches in collection::vec(
+                (collection::btree_set(0u32..20, 0..12), collection::btree_set(0u32..20, 0..12)),
+                1..6,
+            ),
+        ) {
+            let mut t = scoped(&[3]);
+            let mut zeroed = RowTable::sparse_zeroed(20, 4);
+            let mut crossed = false;
+            for (grow, keep) in batches {
+                let grow: Vec<u32> = grow.into_iter().collect();
+                if !t.is_dense() && t.index.count_absent(&grow) > 0 {
+                    crossed |= grows_dense(t.rows() + t.index.count_absent(&grow), 16, 20);
+                }
+                t.ensure_many(&grow);
+                zeroed.ensure_many(&grow);
+                prop_assert_eq!(t.is_dense(), crossed);
+                prop_assert!(crossed || t.heap_bytes() < 20 * 16);
+                prop_assert!(!zeroed.is_dense());
+                let fresh = full(20);
+                for (id, row) in t.iter() {
+                    prop_assert_eq!(row, fresh.row(id as usize));
+                }
+                let keep: Vec<u32> = keep.into_iter().collect();
+                t.retain_ids(&keep);
+                zeroed.retain_ids(&keep);
+            }
+        }
+    }
+
     #[test]
     fn with_row_cold_equals_materialized() {
         let mut t = scoped(&[1]);
@@ -807,7 +952,7 @@ mod tests {
     #[test]
     fn materialization_into_reserved_capacity_allocates_nothing() {
         let mut t = scoped(&[0]);
-        t.reserve_rows(16);
+        t.reserve_rows(12);
         let before = crate::alloc::thread_allocs();
         for id in 1..10 {
             t.ensure_many(&[id]);

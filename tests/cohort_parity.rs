@@ -165,6 +165,49 @@ fn cohort_parity_holds_for_every_architecture() {
     }
 }
 
+/// Clients whose growth turns their tables dense between participations:
+/// over a 40-item catalogue every client is built row-sparse, and the
+/// first rounds' pools promote most of them. Each later participation
+/// restores a dense envelope into a freshly built sparse client. The
+/// trace and report must equal the resident fleet's, whose clients
+/// promote in place — also for NGCF clients, whose dropout masks see the
+/// layout, because the rule is a function of the rows a table holds.
+#[test]
+fn clients_that_promote_between_participations_match_the_resident_fleet() {
+    let data = SyntheticConfig::new("cohort-dense", 30, 40, 8.0)
+        .generate(&mut ptf_fedrec::data::test_rng(43));
+    let s = TrainTestSplit::split_80_20(&data, &mut ptf_fedrec::data::test_rng(44));
+    let root = StoreRoot::new("promote");
+    for (client, server) in [
+        (ModelKind::Mf, ModelKind::Mf),
+        (ModelKind::NeuMf, ModelKind::NeuMf),
+        (ModelKind::Ngcf, ModelKind::LightGcn),
+    ] {
+        let mut c = cfg(2);
+        c.rounds = 4;
+        let mut engine = Engine::new(
+            PtfFedRec::try_new(&s.train, client, server, &ModelHyper::small(), c.clone())
+                .expect("valid config"),
+        );
+        assert_eq!(engine.protocol().dense_clients(), 0, "{client}: clients start row-sparse");
+        let mut trace = RunTrace::default();
+        trace.push(engine.run_round());
+        let after_one = engine.protocol().dense_clients();
+        assert!(after_one > 0, "{client}: no client promoted in round 0");
+        for _ in 1..c.rounds {
+            trace.push(engine.run_round());
+        }
+        assert!(
+            engine.protocol().dense_clients() > after_one,
+            "{client}: no client promoted between participations"
+        );
+        let resident = (trace, engine.evaluate(&s.train, &s.test, 10));
+        let got = run_cohort(&s, client, server, c, root.opts(7));
+        assert_eq!(resident.0, got.0, "{client}->{server}: RunTrace diverged");
+        assert_eq!(resident.1, got.1, "{client}->{server}: RankingReport diverged");
+    }
+}
+
 /// The on-disk envelope store is an implementation detail: at a chunked
 /// cohort size it gives byte-equal results to the fleet the resident
 /// engine keeps in memory.

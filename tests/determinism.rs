@@ -300,9 +300,10 @@ mod lanes {
         cfg
     }
 
-    /// `users` clients with uneven pools over an `items` catalogue: over
-    /// 40 items every client is built dense, over 400 most are row-scoped,
-    /// over 120 the fleet mixes both.
+    /// `users` clients with uneven pools over an `items` catalogue. Every
+    /// client is built row-sparse: over 40 items its first rounds' growth
+    /// turns it dense, over 400 most stay row-scoped, over 120 the fleet
+    /// mixes both.
     fn fleet_split(users: usize, items: usize, seed: u64) -> TrainTestSplit {
         let shape =
             SyntheticConfig { len_sigma: 0.9, ..SyntheticConfig::new("lanes", users, items, 14.0) };

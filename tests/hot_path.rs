@@ -22,10 +22,10 @@ fn split() -> TrainTestSplit {
     split_over(96)
 }
 
-/// The 48-user fleet over an `items` catalogue. A client is built dense
-/// when its pool `positives × (1 + neg_ratio)` reaches a quarter of the
-/// catalogue: every client over 40 items (each holds at least 4
-/// positives), and no client over more than 20× its positives.
+/// The 48-user fleet over an `items` catalogue. Every client is built
+/// row-sparse; over 40 items (each client holds at least 4 positives, so
+/// a round's pool covers half the catalogue) the first rounds' growth
+/// turns every client dense.
 fn split_over(items: usize) -> TrainTestSplit {
     let data =
         SyntheticConfig::new("hot", 48, items, 12.0).generate(&mut ptf_fedrec::data::test_rng(31));
@@ -34,9 +34,13 @@ fn split_over(items: usize) -> TrainTestSplit {
 
 #[test]
 fn steady_state_mf_rounds_allocate_nothing_on_the_client_path() {
+    // the rounds it takes every client's growth to turn its table dense:
+    // 25 of the 48 are dense after round 1, 36 after round 2, 43 after
+    // round 3, all after round 4
+    const WARM_UP: u32 = 4;
     let s = split_over(40);
     let mut cfg = PtfConfig::small();
-    cfg.rounds = 5;
+    cfg.rounds = WARM_UP + 2;
     cfg.client_epochs = 2;
     cfg.alpha = 8;
     // NoDefense keeps the full trained pool on the upload path (the
@@ -46,25 +50,26 @@ fn steady_state_mf_rounds_allocate_nothing_on_the_client_path() {
     // refilled as its client finishes
     cfg.defense = DefenseKind::NoDefense;
     cfg.threads = 1;
-    // dense client tables (the 40-item catalogue): every item row exists
-    // up front, so the strict zero-allocation guarantee holds from the
-    // first steady-state round (the row-sparse path is covered by the
-    // sibling test below, where allocations may only come from
-    // first-touch row materialization)
+    // dense client tables: once every item row exists, the strict
+    // zero-allocation guarantee holds from the next round on (the
+    // row-sparse path is covered by the sibling test below, where
+    // allocations may only come from first-touch row materialization)
     let mut fed = Engine::new(
         PtfFedRec::try_new(&s.train, ModelKind::Mf, ModelKind::Mf, &ModelHyper::small(), cfg)
             .expect("valid config"),
     );
+    assert_eq!(fed.protocol().dense_clients(), 0, "every client is built row-sparse");
 
     // warm-up: round 1 grows the scratch/upload buffers, round 2 first
     // sees server-dispersed soft labels (D̃ enlarges the training pool),
-    // round 3 confirms capacities have stabilized
-    for _ in 0..3 {
+    // and by the end of round WARM_UP every client is dense
+    for _ in 0..WARM_UP {
         fed.run_round();
     }
     assert!(alloc::total_allocs() > 0, "the counting shim must be live in this binary");
+    assert_eq!(fed.protocol().dense_clients(), 48, "every client is dense after the warm-up");
 
-    for round in 3..5 {
+    for round in WARM_UP..WARM_UP + 2 {
         fed.run_round();
         assert_eq!(
             fed.protocol().last_round_client_allocs(),
@@ -331,7 +336,8 @@ fn a_steady_state_neumf_client_round_allocates_a_constant() {
     let mut cfg = PtfConfig::small();
     cfg.alpha = 8;
     cfg.threads = 1;
-    // client 0 holds 7 positives: over 96 items it is built dense
+    // client 0 holds 7 positives over 96 items: built row-sparse, its
+    // warm-up rounds grow it dense
     let mut client =
         rounds::build_client(&s.train, 0, ModelKind::NeuMf, &ModelHyper::small(), &cfg);
     let mut scratch = RoundScratch::default();
@@ -339,6 +345,7 @@ fn a_steady_state_neumf_client_round_allocates_a_constant() {
         let (upload, _) = rounds::client_round(&mut client, &cfg, round, &mut scratch);
         client.recycle_upload(upload);
     }
+    assert!(client.item_scope().is_full(), "the warm-up did not turn the client dense");
     let before = alloc::thread_allocs();
     let (upload, loss) = rounds::client_round(&mut client, &cfg, 3, &mut scratch);
     let allocs = alloc::thread_allocs() - before;

@@ -152,10 +152,13 @@ proptest! {
                 m.evict_items(&keep);
             }
             let [built, full, scoped] = &mut models;
+            // a store whose growth turned it dense resets its evicted
+            // rows in place, as the Full one does; a sparse one drops them
+            let held = scoped.item_scope();
             prop_assert!(
-                scoped.item_scope().len() <= keep.len(),
+                held.is_full() || held.len() <= keep.len(),
                 "{} eviction left {} rows for a {}-id keep set",
-                kind, scoped.item_scope().len(), keep.len()
+                kind, held.len(), keep.len()
             );
             let evicted = full.score(0, &all_items);
             prop_assert_eq!(&built.score(0, &all_items), &evicted, "{} built post-eviction", kind);
