@@ -5,7 +5,7 @@
 //! each round from the pieces here. They are public because two callers
 //! outside the driver must match it bit for bit: a `ptf client` shard
 //! process builds and trains its clients with [`build_client`] and
-//! [`client_round`], and outside choreography (a benchmark that times
+//! [`train_in_lanes`], and outside choreography (a benchmark that times
 //! each half) replays a round call by call and checks its `RunTrace`
 //! against the driver's.
 //!
@@ -15,7 +15,7 @@
 //!   client built inside the in-process fleet;
 //! * [`sample_participants`] — the per-round `Participation` draw;
 //! * [`train_in_lanes`] — the client phase of one worker, the one
-//!   client-phase loop of the resident and stored hosts. It runs each
+//!   client-phase loop of the resident, stored and shard hosts. It runs each
 //!   participant's local round in its split form — prepare, one epoch at
 //!   a time, finish (see [`crate::client`]) — and steps up to four MF
 //!   clients' epochs together through one fused SGD kernel;

@@ -2,10 +2,11 @@
 //!
 //! A `ptf client` process builds the clients for its assigned user ids —
 //! bit-identical to the same clients inside an in-process run, thanks to
-//! the per-client `ClientInit` RNG streams — then answers round
-//! announcements with locally trained uploads and folds dispersed
-//! server knowledge back in. All protocol state advances from server
-//! frames; the shard never assumes it was sampled.
+//! the per-client `ClientInit` RNG streams — then answers each round's
+//! announcement by training the listed clients in lanes, as the
+//! in-process hosts do, and folds dispersed server knowledge back in.
+//! All protocol state advances from server frames; the shard never
+//! assumes it was sampled.
 
 use crate::config_fingerprint;
 use crate::error::NetError;
@@ -14,13 +15,15 @@ use crate::wire::Frame;
 use ptf_core::{rounds, PtfClient, PtfConfig};
 use ptf_data::Dataset;
 use ptf_federated::RoundScratch;
+use ptf_models::mf::LANES;
 use ptf_models::{ModelHyper, ModelKind};
 use serde::Serialize;
 use std::time::Duration;
 
-/// Fault injection for the straggler tests: before uploading in
-/// `round`, the whole shard sleeps for `delay` — long enough past the
-/// round deadline and the server drops it for that round.
+/// Fault injection for the straggler tests: once `round`'s announcement
+/// arrives, the whole shard sleeps for `delay` before its lanes start —
+/// long enough past the round deadline and the server drops it for that
+/// round.
 #[derive(Clone, Copy, Debug)]
 pub struct Straggle {
     pub round: u32,
@@ -46,7 +49,7 @@ pub struct ShardOptions {
 pub struct ShardSummary {
     /// Logical clients hosted.
     pub clients: usize,
-    /// Uploads sent (one per announcement answered).
+    /// Uploads sent (one per announced client).
     pub participations: u64,
     /// `Dropped` notices received (uploads that missed a deadline).
     pub dropped: u64,
@@ -87,23 +90,15 @@ pub fn run_shard(
         train.num_items(),
     );
 
-    // build this shard's slice of the fleet (bit-identical to in-process)
-    let mut clients: Vec<PtfClient> = opts
-        .ids
+    // build this shard's slice of the fleet (bit-identical to in-process),
+    // in ascending id order so an announcement resolves in one merge pass
+    let mut ids = opts.ids.clone();
+    ids.sort_unstable();
+    let mut clients: Vec<PtfClient> = ids
         .iter()
         .map(|&id| rounds::build_client(train, id, opts.client_kind, &opts.hyper, &opts.cfg))
         .collect();
-    let mut scratch = RoundScratch::default();
-    // `(id, slot)` sorted once, so a frame finds its client by binary
-    // search instead of a scan over the shard; among repeated ids the
-    // first slot wins, as a scan would find it
-    let mut index: Vec<(u32, usize)> =
-        clients.iter().enumerate().map(|(slot, c)| (c.id, slot)).collect();
-    index.sort_unstable();
-    let index_of = |id: u32| {
-        let at = index.partition_point(|&(i, _)| i < id);
-        index.get(at).filter(|&&(i, _)| i == id).map(|&(_, slot)| slot)
-    };
+    let mut scratch: [RoundScratch; LANES] = Default::default();
 
     for c in &clients {
         conn.send(&Frame::Hello { client: c.id, trainable: c.num_positives() > 0, fingerprint })?;
@@ -138,40 +133,38 @@ pub fn run_shard(
                     reason.message()
                 )));
             }
-            Frame::Announce { client, round, .. } => {
+            Frame::Announce { round, clients: announced, .. } => {
                 if welcomed < clients.len() {
                     return Err(NetError::Protocol(format!(
                         "round {round} announced before all {} hellos were welcomed",
                         clients.len()
                     )));
                 }
-                let Some(at) = index_of(client) else {
-                    continue; // not ours — another shard's announcement
-                };
+                let lanes = announced_clients(&mut clients, round, &announced)?;
                 if let Some(s) = opts.straggle {
                     if s.round == round {
                         std::thread::sleep(s.delay);
                     }
                 }
-                let (upload, loss) =
-                    rounds::client_round(&mut clients[at], &opts.cfg, round, &mut scratch);
-                let frame = Frame::Upload {
-                    client,
-                    round,
-                    loss,
-                    triples: upload
-                        .predictions
-                        .iter()
-                        .map(|&(item, score)| (client, item, score))
-                        .collect(),
-                };
-                summary.bytes_up += frame.data_section_bytes() as u64;
-                summary.participations += 1;
-                clients[at].recycle_upload(upload);
-                conn.send(&frame)?;
+                // each upload leaves as soon as its lane finishes; after a
+                // failed send the round still trains out, unsent
+                let mut sent = Ok(());
+                rounds::train_in_lanes(&opts.cfg, round, &mut scratch, lanes, |_, c, up, loss| {
+                    let client = c.id;
+                    let triples =
+                        up.predictions.iter().map(|&(item, score)| (client, item, score)).collect();
+                    c.recycle_upload(up);
+                    if sent.is_ok() {
+                        let frame = Frame::Upload { client, round, loss, triples };
+                        summary.bytes_up += frame.data_section_bytes() as u64;
+                        summary.participations += 1;
+                        sent = conn.send(&frame);
+                    }
+                });
+                sent?;
             }
             Frame::Disperse { client, round, triples } => {
-                let Some(at) = index_of(client) else { continue };
+                let Ok(at) = clients.binary_search_by_key(&client, |c| c.id) else { continue };
                 let num_items = train.num_items() as u32;
                 if let Some((_, item, score)) = crate::server::untrainable(&triples, num_items) {
                     return Err(NetError::Protocol(format!(
@@ -194,5 +187,32 @@ pub fn run_shard(
                 return Err(NetError::Protocol("server sent a client-only frame".into()));
             }
         }
+    }
+}
+
+/// The hosted clients an announcement lists, in its order. The list must
+/// be strictly ascending and name only clients this shard hosts;
+/// anything else is a protocol violation naming the round and the
+/// client, not a round the server would wait out. `clients` is sorted
+/// by id.
+fn announced_clients<'c>(
+    clients: &'c mut [PtfClient],
+    round: u32,
+    announced: &[u32],
+) -> Result<Vec<&'c mut PtfClient>, NetError> {
+    if let Some(w) = announced.windows(2).find(|w| w[0] >= w[1]) {
+        let what = if w[0] == w[1] { "repeats" } else { "is out of ascending order at" };
+        return Err(NetError::Protocol(format!(
+            "round {round} announcement {what} client {}",
+            w[1]
+        )));
+    }
+    let mut want = announced.iter().copied().peekable();
+    let lanes: Vec<_> = clients.iter_mut().filter(|c| want.next_if_eq(&c.id).is_some()).collect();
+    match want.next() {
+        None => Ok(lanes),
+        Some(stray) => Err(NetError::Protocol(format!(
+            "round {round} announces client {stray}, which this shard does not host"
+        ))),
     }
 }

@@ -17,11 +17,12 @@
 //!   thread-per-connection.
 //! * [`server`] — [`run_server`]: handshake/gather, then the one round
 //!   driver, [`ptf_core::Round`], over a remote client host whose client
-//!   phase is round announcements and deadlines with straggler dropping
-//!   (partial participation).
+//!   phase is one announcement per connection and a deadline with
+//!   straggler dropping (partial participation).
 //! * [`client`] — [`run_shard`]: hosts any subset of the fleet's
-//!   clients over one connection, training each with the same
-//!   [`ptf_core::rounds::client_round`] the in-process hosts run.
+//!   clients over one connection, training each round's announced
+//!   clients with the same [`ptf_core::rounds::train_in_lanes`] the
+//!   in-process hosts run.
 //!
 //! The headline property is **parity**: for the same seed and config, a
 //! networked run (loopback or TCP, any sharding of clients over

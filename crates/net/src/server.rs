@@ -13,7 +13,8 @@
 //!    round over the `Remote` host. The driver draws the participant
 //!    set, trains the hidden model and records the trace exactly as it
 //!    does in process. `Remote` only moves frames: it announces the
-//!    round, collects uploads until the round deadline, and drops
+//!    round to each connection, listing that connection's participants,
+//!    collects uploads until the round deadline, and drops
 //!    stragglers and clients whose upload is malformed (the protocol's
 //!    partial-participation path). That is what makes the resulting
 //!    `RunTrace` bit-identical to the in-process engine when nobody
@@ -131,6 +132,11 @@ impl Sessions {
         self.conn_of[client as usize].and_then(|conn| self.peers.get(&conn))
     }
 
+    /// The live connection speaking for `client`, if any.
+    fn live_conn(&self, client: u32) -> Option<ConnId> {
+        self.conn_of[client as usize].filter(|c| self.peers.contains_key(c))
+    }
+
     fn hello(
         &mut self,
         conn: ConnId,
@@ -145,7 +151,7 @@ impl Sessions {
             Frame::Reject { client, reason: RejectReason::BadFingerprint }
         } else if client >= fleet {
             Frame::Reject { client, reason: RejectReason::UnknownClient }
-        } else if self.conn_of[client as usize].is_some_and(|c| self.peers.contains_key(&c)) {
+        } else if self.live_conn(client).is_some() {
             Frame::Reject { client, reason: RejectReason::DuplicateClient }
         } else {
             // fresh registration or graceful reconnect; the trainable
@@ -164,16 +170,12 @@ impl Sessions {
     /// connection — a hello followed by a disconnect before round 0
     /// leaves the slot pending until the client reconnects (the
     /// trainable flag stays sticky so the sampling universe is stable).
-    fn live(&self, client: usize) -> bool {
-        self.conn_of[client].is_some_and(|c| self.peers.contains_key(&c))
-    }
-
     fn gathered(&self) -> usize {
-        (0..self.conn_of.len()).filter(|&i| self.live(i)).count()
+        (0..self.conn_of.len() as u32).filter(|&i| self.live_conn(i).is_some()).count()
     }
 
     fn all_gathered(&self) -> bool {
-        (0..self.conn_of.len()).all(|i| self.live(i))
+        (0..self.conn_of.len() as u32).all(|i| self.live_conn(i).is_some())
     }
 
     fn trainable(&self) -> Vec<u32> {
@@ -315,29 +317,35 @@ struct Remote<'a> {
 impl ClientHost for Remote<'_> {
     const NAME: &'static str = "PTF-FedRec/remote";
 
-    /// Announces the round to its participants and collects uploads until
-    /// the deadline or until nobody is pending. A straggler or a malformed
-    /// upload drops its client for the round with a `Dropped` frame; the
-    /// other uploads come back in ascending client order.
+    /// Announces the round to its participants, one frame per connection
+    /// listing its sampled clients in ascending order, and collects uploads
+    /// until the deadline or until nobody is pending. A straggler or a
+    /// malformed upload drops its client for the round with a `Dropped`
+    /// frame; the other uploads come back in ascending client order.
     fn client_phase(
         &mut self,
         phase: &ClientPhase<'_>,
         participants: &[u32],
     ) -> (Vec<ClientUpload>, Vec<f32>) {
+        debug_assert!(participants.windows(2).all(|w| w[0] < w[1]));
         let round = phase.round;
         let deadline_ms = self.round_deadline.as_millis().min(u32::MAX as u128) as u32;
         // a participant with no live connection stays pending and drops
         // at the deadline (it may reconnect for a later round)
-        for &p in participants {
-            if let Some(peer) = self.sessions.peer_of(p) {
-                peer.send(Frame::Announce { client: p, round, deadline_ms });
-            }
+        let mut routed: Vec<(ConnId, u32)> =
+            participants.iter().filter_map(|&p| Some((self.sessions.live_conn(p)?, p))).collect();
+        routed.sort_by_key(|&(conn, _)| conn); // stable: ids stay ascending
+        for group in routed.chunk_by(|a, b| a.0 == b.0) {
+            let clients = group.iter().map(|&(_, p)| p).collect();
+            self.sessions.peers[&group[0].0].send(Frame::Announce { round, deadline_ms, clients });
         }
-        let mut pending = participants.to_vec();
-        let mut received: Vec<(ClientUpload, f32)> = Vec::with_capacity(pending.len());
+        // `answered[i]`: participant `participants[i]` uploaded this round
+        let mut answered = vec![false; participants.len()];
+        let mut pending = participants.len();
+        let mut received: Vec<(ClientUpload, f32)> = Vec::with_capacity(pending);
         let mut dropped: Vec<u32> = Vec::new();
         let deadline = Instant::now() + self.round_deadline;
-        while !pending.is_empty() {
+        while pending > 0 {
             let remaining = deadline.saturating_duration_since(Instant::now());
             match recv_step(
                 self.events,
@@ -353,10 +361,13 @@ impl ClientHost for Remote<'_> {
                     if self.sessions.conn_of.get(client as usize).copied().flatten() != Some(conn) {
                         continue; // not the connection speaking for this id
                     }
-                    let Some(at) = pending.iter().position(|&p| p == client) else {
-                        continue; // unsampled or duplicate upload
+                    let Ok(at) = participants.binary_search(&client) else {
+                        continue; // unsampled
                     };
-                    pending.swap_remove(at);
+                    if std::mem::replace(&mut answered[at], true) {
+                        continue; // duplicate upload
+                    }
+                    pending -= 1;
                     if untrainable(&triples, self.num_items).is_some() {
                         dropped.push(client);
                         continue;
@@ -374,7 +385,7 @@ impl ClientHost for Remote<'_> {
                 }
             }
         }
-        dropped.append(&mut pending);
+        dropped.extend(participants.iter().zip(&answered).filter(|(_, &a)| !a).map(|(&p, _)| p));
         dropped.sort_unstable();
         for &client in &dropped {
             self.stragglers.push(StragglerDrop { round, client });

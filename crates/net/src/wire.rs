@@ -36,7 +36,7 @@ use std::io::{ErrorKind, Read, Write};
 /// First two bytes of every frame (`"pt"` little-endian).
 pub const MAGIC: u16 = 0x7074;
 /// The protocol version this build speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Bytes in the fixed frame header.
 pub const HEADER_BYTES: usize = 8;
 /// Upper bound on a frame body (~5.5 M triples); corrupt length prefixes
@@ -134,9 +134,10 @@ pub enum Frame {
     Welcome { client: u32, fleet: u32, rounds: u32 },
     /// Server → client: `Hello` refused.
     Reject { client: u32, reason: RejectReason },
-    /// Server → client: `client` is sampled this round; upload within
-    /// `deadline_ms` or be dropped (partial participation).
-    Announce { client: u32, round: u32, deadline_ms: u32 },
+    /// Server → client: the connection's `clients` sampled this round, in
+    /// ascending order, one frame per connection; each uploads within
+    /// `deadline_ms` or is dropped (partial participation).
+    Announce { round: u32, deadline_ms: u32, clients: Vec<u32> },
     /// Client → server: the round's prediction upload `D̂ᵗᵢ` plus the
     /// local training loss (trace telemetry, not protocol data).
     Upload { client: u32, round: u32, loss: f32, triples: Vec<Triple> },
@@ -211,10 +212,13 @@ impl Frame {
                 buf.extend_from_slice(&client.to_le_bytes());
                 buf.push(reason.code());
             }
-            Frame::Announce { client, round, deadline_ms } => {
-                buf.extend_from_slice(&client.to_le_bytes());
+            Frame::Announce { round, deadline_ms, ref clients } => {
                 buf.extend_from_slice(&round.to_le_bytes());
                 buf.extend_from_slice(&deadline_ms.to_le_bytes());
+                buf.extend_from_slice(&(clients.len() as u32).to_le_bytes());
+                for &client in clients {
+                    buf.extend_from_slice(&client.to_le_bytes());
+                }
             }
             Frame::Upload { client, round, loss, ref triples } => {
                 buf.extend_from_slice(&client.to_le_bytes());
@@ -311,6 +315,21 @@ impl<'a> Body<'a> {
         Ok(out)
     }
 
+    /// A `count u32` then `count` ids. A count past the end of the body
+    /// is an error before anything is allocated; one short of it leaves
+    /// trailing bytes for [`Body::finish`].
+    fn ids(&mut self) -> Result<Vec<u32>, NetError> {
+        let count = self.u32()? as usize;
+        if count > (self.bytes.len() - self.at) / 4 {
+            return Err(NetError::Truncated("id count overruns the body"));
+        }
+        let mut ids = Vec::with_capacity(count);
+        for _ in 0..count {
+            ids.push(self.u32()?);
+        }
+        Ok(ids)
+    }
+
     fn finish(self, kind: u8) -> Result<(), NetError> {
         if self.at == self.bytes.len() {
             Ok(())
@@ -355,7 +374,7 @@ fn decode_body(kind: u8, bytes: &[u8]) -> Result<Frame, NetError> {
             Frame::Reject { client, reason }
         }
         FrameKind::Announce => {
-            Frame::Announce { client: b.u32()?, round: b.u32()?, deadline_ms: b.u32()? }
+            Frame::Announce { round: b.u32()?, deadline_ms: b.u32()?, clients: b.ids()? }
         }
         FrameKind::Upload => Frame::Upload {
             client: b.u32()?,
@@ -431,7 +450,8 @@ mod tests {
             Frame::Hello { client: 7, trainable: true, fingerprint: 0xDEAD_BEEF_0BAD_CAFE },
             Frame::Welcome { client: 7, fleet: 120, rounds: 40 },
             Frame::Reject { client: 9, reason: RejectReason::BadFingerprint },
-            Frame::Announce { client: 7, round: 3, deadline_ms: 5000 },
+            Frame::Announce { round: 3, deadline_ms: 5000, clients: vec![2, 7, 40] },
+            Frame::Announce { round: 4, deadline_ms: 5000, clients: Vec::new() },
             Frame::Upload {
                 client: 7,
                 round: 3,
@@ -510,8 +530,30 @@ mod tests {
     }
 
     #[test]
+    fn an_announcement_count_must_fit_the_body_exactly() {
+        let good = Frame::Announce { round: 1, deadline_ms: 2, clients: vec![3, 4] }.to_bytes();
+        let count_at = HEADER_BYTES + 8;
+        let with_count = |count: u32| {
+            let mut bytes = good.clone();
+            bytes[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+            decode_frame(&bytes)
+        };
+        assert!(with_count(2).is_ok());
+        assert!(matches!(with_count(3), Err(NetError::Truncated(_))));
+        assert!(matches!(with_count(u32::MAX), Err(NetError::Truncated(_))));
+        assert!(matches!(with_count(1), Err(NetError::TrailingBytes { kind: 4 })));
+    }
+
+    #[test]
+    fn a_version_1_frame_is_refused() {
+        let mut v1 = Frame::Finished { rounds: 1 }.to_bytes();
+        v1[2] = 1;
+        assert!(matches!(decode_frame(&v1), Err(NetError::Version { got: 1, want: VERSION })));
+    }
+
+    #[test]
     fn stream_reader_handles_eof_at_and_inside_boundaries() {
-        let frame = Frame::Announce { client: 1, round: 2, deadline_ms: 3 };
+        let frame = Frame::Announce { round: 2, deadline_ms: 3, clients: vec![1] };
         let mut bytes = frame.to_bytes();
         let mut two = bytes.clone();
         two.extend_from_slice(&bytes);

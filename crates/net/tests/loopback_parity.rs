@@ -130,6 +130,34 @@ fn loopback_partial_participation_matches_engine() {
 }
 
 #[test]
+fn uneven_shards_at_partial_participation_match_engine() {
+    // clients 1 and 5 on shards of their own, the rest on a third: some
+    // rounds announce nothing to the one-client shards, and the wide
+    // shard's lanes refill as its clients finish
+    let train = dataset();
+    let mut cfg = config(1);
+    cfg.participation = Participation { fraction: 0.4, min_clients: 1 };
+    let shards: Vec<Vec<u32>> =
+        vec![vec![1], vec![5], (0..24).filter(|&c| c != 1 && c != 5).collect()];
+    let protocol =
+        PtfFedRec::try_new(&train, CLIENT, SERVER, &ModelHyper::small(), cfg.clone()).unwrap();
+    let sampled: Vec<Vec<u32>> = (0..cfg.rounds)
+        .map(|r| ptf_core::rounds::sample_participants(&cfg, protocol.trainable(), r))
+        .collect();
+    for lone in [1, 5] {
+        assert!(
+            sampled.iter().any(|p| !p.contains(&lone)),
+            "test needs a round that announces nothing to client {lone}'s shard"
+        );
+    }
+    let reference = engine_trace_json(&train, &cfg);
+    let (net, stragglers) =
+        loopback_trace_json(&train, &cfg, &shards, None, Duration::from_secs(30));
+    assert!(stragglers.is_empty());
+    assert_eq!(net, reference);
+}
+
+#[test]
 fn straggler_is_dropped_and_trace_matches_unsampled_reference() {
     let train = dataset();
     let cfg = config(1);
@@ -219,8 +247,9 @@ fn a_malformed_upload_drops_its_client_and_the_run_goes_on() {
                 let mut dropped = Vec::new();
                 loop {
                     match conn.recv().unwrap().expect("the server finishes the run") {
-                        Frame::Announce { client, round, .. } => {
-                            assert_eq!(client, bad);
+                        Frame::Announce { round, clients, .. } => {
+                            assert_eq!(clients, [bad]);
+                            let client = bad;
                             let triples = vec![(bad, 1, 0.25), malformed[round as usize % 3]];
                             conn.send(&Frame::Upload { client, round, loss: 0.5, triples })
                                 .unwrap();
@@ -284,10 +313,10 @@ fn a_dispersal_outside_the_catalogue_is_an_error_not_a_panic() {
         assert!(matches!(next_frame(), Frame::Hello { .. }));
         let fleet = train.num_users() as u32;
         peer.send(Frame::Welcome { client, fleet, rounds: cfg.rounds });
-        peer.send(Frame::Announce { client, round: 0, deadline_ms: 30_000 });
+        peer.send(Frame::Announce { round: 0, deadline_ms: 30_000, clients: vec![client] });
         assert!(matches!(next_frame(), Frame::Upload { round: 0, .. }));
         peer.send(Frame::Disperse { client, round: 0, triples: vec![(client, num_items, 0.5)] });
-        peer.send(Frame::Announce { client, round: 1, deadline_ms: 30_000 });
+        peer.send(Frame::Announce { round: 1, deadline_ms: 30_000, clients: vec![client] });
         shard.join()
     });
     match joined.expect("a bad dispersal must not panic the shard") {
@@ -299,6 +328,62 @@ fn a_dispersal_outside_the_catalogue_is_an_error_not_a_panic() {
         }
         Err(e) => panic!("expected a protocol violation, got {e}"),
         Ok(_) => panic!("a dispersal outside the catalogue was accepted"),
+    }
+}
+
+/// Runs a two-client shard (ids 2 and 5) against a scripted server that
+/// welcomes both and sends one round-2 announcement listing `announced`.
+fn shard_against_one_announcement(announced: Vec<u32>) -> Result<(), NetError> {
+    let train = dataset();
+    let cfg = config(1);
+    let shard_opts = ShardOptions {
+        cfg: cfg.clone(),
+        client_kind: CLIENT,
+        server_kind: SERVER,
+        hyper: ModelHyper::small(),
+        ids: vec![2, 5],
+        straggle: None,
+    };
+    let (hub, events) = loopback_hub();
+    let train = &train;
+    let joined = std::thread::scope(|scope| {
+        let shard = scope.spawn(move || run_shard(train, &mut hub.connect(), &shard_opts));
+        let peer = match events.recv().unwrap() {
+            Event::Opened { peer, .. } => peer,
+            _ => panic!("the shard's connection must open first"),
+        };
+        let fleet = train.num_users() as u32;
+        let mut hellos = 0;
+        while hellos < 2 {
+            if let Event::Frame { frame: Frame::Hello { client, .. }, .. } = events.recv().unwrap()
+            {
+                peer.send(Frame::Welcome { client, fleet, rounds: cfg.rounds });
+                hellos += 1;
+            }
+        }
+        peer.send(Frame::Announce { round: 2, deadline_ms: 30_000, clients: announced });
+        // a shard that accepted the announcement ends here instead of hanging
+        peer.send(Frame::Finished { rounds: cfg.rounds });
+        shard.join()
+    });
+    joined.expect("a bad announcement must not panic the shard").map(|_| ())
+}
+
+#[test]
+fn a_bad_announcement_is_an_error_not_a_stall() {
+    // a client the shard does not host, a repeated id and a descending
+    // list: each must end the shard naming the round and the client,
+    // instead of leaving the server to wait out its deadline
+    for (announced, client) in [(vec![2, 7], 7), (vec![5, 5], 5), (vec![5, 2], 2)] {
+        match shard_against_one_announcement(announced.clone()) {
+            Err(NetError::Protocol(why)) => {
+                for part in ["round 2".to_string(), format!("client {client}")] {
+                    assert!(why.contains(&part), "{announced:?}: {why:?} does not name {part}");
+                }
+            }
+            Err(e) => panic!("{announced:?}: expected a protocol violation, got {e}"),
+            Ok(()) => panic!("{announced:?}: the shard finished a run it was never given"),
+        }
     }
 }
 
@@ -388,7 +473,7 @@ fn client_reconnect_during_gather_still_reaches_parity() {
 fn a_transport_that_dies_mid_run_is_an_error_not_a_hang() {
     // one hand-driven shard speaks for the whole fleet and owns the only
     // hub: it answers round 0, then drops its connection and the hub on
-    // round 1's first announcement. With every sender gone the event
+    // round 1's announcement. With every sender gone the event
     // queue closes, and the server must report that long before the
     // round deadline instead of waiting it out
     let train = dataset();
@@ -413,9 +498,12 @@ fn a_transport_that_dies_mid_run_is_an_error_not_a_hang() {
             }
             loop {
                 match conn.recv().unwrap().expect("the server is still running") {
-                    Frame::Announce { client, round: 0, .. } => {
-                        let triples = vec![(client, 1, 0.25)];
-                        conn.send(&Frame::Upload { client, round: 0, loss: 0.5, triples }).unwrap();
+                    Frame::Announce { round: 0, clients, .. } => {
+                        for client in clients {
+                            let triples = vec![(client, 1, 0.25)];
+                            conn.send(&Frame::Upload { client, round: 0, loss: 0.5, triples })
+                                .unwrap();
+                        }
                     }
                     Frame::Announce { .. } => return, // drops `conn` and `hub`
                     _ => {}

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use ptf_net::wire::{decode_frame, Frame, RejectReason, Triple, HEADER_BYTES, MAGIC, VERSION};
+use ptf_net::NetError;
 
 fn triple_strategy() -> impl Strategy<Value = Triple> {
     // score from raw bits: every f32 bit pattern (NaNs, infinities,
@@ -13,6 +14,10 @@ fn triple_strategy() -> impl Strategy<Value = Triple> {
 
 fn triples_strategy() -> impl Strategy<Value = Vec<Triple>> {
     proptest::collection::vec(triple_strategy(), 0..64)
+}
+
+fn ids_strategy() -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(any::<u32>(), 0..=64)
 }
 
 fn frame_strategy() -> impl Strategy<Value = Frame> {
@@ -31,8 +36,8 @@ fn frame_strategy() -> impl Strategy<Value = Frame> {
             ]
         )
             .prop_map(|(client, reason)| Frame::Reject { client, reason }),
-        (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(client, round, deadline_ms)| {
-            Frame::Announce { client, round, deadline_ms }
+        (any::<u32>(), any::<u32>(), ids_strategy()).prop_map(|(round, deadline_ms, clients)| {
+            Frame::Announce { round, deadline_ms, clients }
         }),
         (any::<u32>(), any::<u32>(), any::<u32>(), triples_strategy()).prop_map(
             |(client, round, bits, triples)| Frame::Upload {
@@ -74,7 +79,8 @@ proptest! {
         let body_len = bytes.len() - HEADER_BYTES;
         let metadata = match &frame {
             Frame::Hello { .. } => 13,
-            Frame::Welcome { .. } | Frame::Announce { .. } => 12,
+            Frame::Welcome { .. } => 12,
+            Frame::Announce { clients, .. } => 12 + 4 * clients.len(), // + count, ids
             Frame::Reject { .. } => 5,
             Frame::Upload { .. } => 12 + 4,   // ids + loss + triple count
             Frame::Disperse { .. } => 8 + 4,  // ids + triple count
@@ -90,6 +96,28 @@ proptest! {
         let bytes = frame.to_bytes();
         let cut = cut_seed % bytes.len(); // 0..len, always a strict prefix
         prop_assert!(decode_frame(&bytes[..cut]).is_err());
+    }
+
+    /// An announcement's ids survive the wire exactly, and its body is
+    /// `round, deadline_ms, count` plus four bytes an id.
+    #[test]
+    fn announcements_round_trip(round in any::<u32>(), deadline_ms in any::<u32>(), clients in ids_strategy()) {
+        let frame = Frame::Announce { round, deadline_ms, clients: clients.clone() };
+        let bytes = frame.to_bytes();
+        prop_assert_eq!(bytes.len() - HEADER_BYTES, 12 + 4 * clients.len());
+        prop_assert_eq!(decode_frame(&bytes).expect("own encoding must decode"), frame);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_frame(&bytes[..cut]).is_err());
+        }
+    }
+
+    /// A count past the ids the body holds is rejected, never misread.
+    #[test]
+    fn an_overrunning_announcement_count_is_rejected(clients in ids_strategy(), extra in 1u32..=u32::MAX / 2) {
+        let mut bytes = Frame::Announce { round: 0, deadline_ms: 0, clients: clients.clone() }.to_bytes();
+        let count = clients.len() as u32 + extra;
+        bytes[HEADER_BYTES + 8..HEADER_BYTES + 12].copy_from_slice(&count.to_le_bytes());
+        prop_assert!(matches!(decode_frame(&bytes), Err(NetError::Truncated(_))));
     }
 
     /// Flipping the magic, version, or kind byte is always rejected.

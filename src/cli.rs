@@ -145,8 +145,9 @@ pub struct ClientArgs {
     /// Inclusive client-id range `A-B` (or a single id `A`) this
     /// process hosts; `None` hosts the whole fleet.
     pub ids: Option<(u32, u32)>,
-    /// Test/chaos hook: before uploading in this round, sleep
-    /// `--straggle-ms` (the server drops the shard for that round).
+    /// Test/chaos hook: once this round is announced, sleep
+    /// `--straggle-ms` before training (the server drops the shard for
+    /// that round).
     pub straggle_round: Option<u32>,
     pub straggle_ms: u64,
 }

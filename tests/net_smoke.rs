@@ -134,6 +134,76 @@ fn tcp_run_with_four_clients_and_a_straggler() {
     straggler.wait().ok();
 }
 
+/// The `trace` of a `ptf serve --json` or `ptf train --json` report.
+#[derive(serde::Deserialize)]
+struct Traced {
+    trace: ptf_federated::RunTrace,
+}
+
+fn trace_json(stdout: &[u8]) -> String {
+    let stdout = String::from_utf8_lossy(stdout);
+    let report: Traced = serde_json::from_str(&stdout)
+        .unwrap_or_else(|e| panic!("stdout is not a JSON report ({e}):\n{stdout}"));
+    serde_json::to_string(&report.trace).unwrap()
+}
+
+/// Byte parity over real sockets: three uneven shards, the first
+/// narrower than a lane, must reproduce `ptf train`'s trace exactly.
+#[test]
+fn tcp_run_over_uneven_shards_equals_ptf_train() {
+    let seed = ["--seed", "11"];
+    let (serve, addr, drain) = spawn_serve(&[
+        "serve",
+        "--dataset",
+        "ml100k",
+        "--port",
+        "0",
+        "--client",
+        "mf",
+        "--server",
+        "mf",
+        "--rounds",
+        "3",
+        "--seed",
+        "11",
+        "--deadline-ms",
+        "60000",
+        "--gather-ms",
+        "60000",
+        "--json",
+    ]);
+    let shards: Vec<Child> = ["0-2", "3-59", "60-119"]
+        .into_iter()
+        .map(|ids| {
+            ptf()
+                .args(client_args(&addr, ids))
+                .args(seed)
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("failed to spawn ptf client")
+        })
+        .collect();
+    let served = serve.wait_with_output().expect("serve wait failed");
+    let stderr = drain.join().unwrap();
+    assert!(served.status.success(), "serve failed; stderr:\n{stderr}");
+    for shard in shards {
+        let out = shard.wait_with_output().expect("client wait failed");
+        assert!(out.status.success(), "a shard failed:\n{}", String::from_utf8_lossy(&out.stderr));
+    }
+
+    let trained = ptf()
+        .args(["train", "--dataset", "ml100k", "--client", "mf", "--server", "mf"])
+        .args(["--rounds", "3", "--json"])
+        .args(seed)
+        .output()
+        .expect("failed to run ptf train");
+    assert!(trained.status.success(), "{}", String::from_utf8_lossy(&trained.stderr));
+    let served = trace_json(&served.stdout);
+    assert_eq!(served.matches("\"mean_client_loss\"").count(), 3, "{served}");
+    assert_eq!(served, trace_json(&trained.stdout));
+}
+
 #[test]
 fn serve_on_a_busy_port_exits_one_with_a_message() {
     // hold the port so the server's bind must fail
