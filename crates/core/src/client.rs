@@ -66,9 +66,8 @@ impl PtfClient {
     /// model's own row growth turns its table dense at the step that
     /// would leave the sparse one holding at least as many bytes
     /// (`ptf_tensor::grows_dense`). Both layouts hold bit-identical
-    /// values on every row, so the switch changes no result — except an
-    /// NGCF client's under dropout, whose masks cover the materialized
-    /// nodes. The config takes no part in the layout.
+    /// values on every row, so the switch changes no result. The config
+    /// takes no part in the layout.
     ///
     /// Seeding by value (not by a shared `&mut rng`) is what lets the
     /// federation build the whole fleet in parallel with bit-identical

@@ -130,6 +130,17 @@ impl GraphBackbone {
         self.store.lookup(i).map(|r| r as u32)
     }
 
+    /// The global id of node `node`, whatever the layout: a user is its
+    /// own id, and the item of a materialized row follows every user.
+    #[inline(always)]
+    pub fn global_node(&self, node: u32) -> u64 {
+        let node = node as usize;
+        match node.checked_sub(self.num_users) {
+            None => node as u64,
+            Some(row) => (self.num_users + self.store.id_of(row) as usize) as u64,
+        }
+    }
+
     /// Re-derives the propagation operator from the stored global edge
     /// list under the current (possibly grown, possibly dense) scope
     /// mapping; on a dense store the mapping is the identity.

@@ -57,11 +57,16 @@
 //!   a server batch. Every lower layer covers all nodes, since `Ã` spreads
 //!   them. Each layer keeps its own block, so the `[E₀ | … | E_L]`
 //!   concatenation is never built during training.
-//! * **Dropout masks are bits.** One `next_u64` draws two elements: each
-//!   32-bit half keeps its element iff it is below `round(keep·2³²)`. The
-//!   mask is stored one bit per element and the backward reads the same
-//!   bits. Layer `l` advances the dropout stream by `⌈rowsₗ·d/2⌉` draws
-//!   (`rowsₗ = |R|` on the top layer); a rate of 0 draws nothing. (A keep
+//! * **Dropout masks are bits, and a node's bits are its own.** A batch
+//!   draws one key from the dropout stream (a rate of 0 draws nothing).
+//!   The `d` elements of a node on layer `l` take their bits from the
+//!   `(key, l, global node id)`-derived stream, users first, then the
+//!   catalogue (`num_users + item id`): one `u64` per two elements, each
+//!   32-bit half keeping its element iff it is below `round(keep·2³²)`.
+//!   So a mask is O(materialized nodes) to draw and does not depend on
+//!   which nodes a table holds: a row-scoped model drops exactly what its
+//!   `Full` twin drops on every node both hold. The mask is stored one bit
+//!   per element and the backward reads the same bits. (A keep
 //!   probability of 0.9 needs more than one random bit per element, so
 //!   one `u64` cannot serve 64 elements.)
 //!
@@ -75,7 +80,7 @@ use crate::backbone::{add_pair_grads, bce_grads, joint_table, BatchNodes, GraphB
 use crate::scoped::{self, dense};
 use crate::traits::Recommender;
 use ptf_tensor::prelude::*;
-use ptf_tensor::{init, isa, kernels, matrix, ParamId, Params, ScopeView};
+use ptf_tensor::{derive_seed, init, isa, kernels, matrix, ParamId, Params, ScopeView};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Mutex;
@@ -114,7 +119,7 @@ pub struct Ngcf {
     /// `W₁⁽ˡ⁾`/`W₂⁽ˡ⁾`, one pair per propagation layer.
     w1: Vec<ParamId>,
     w2: Vec<ParamId>,
-    /// Model-owned RNG for training-time dropout masks.
+    /// Model-owned RNG for training-time dropout: one key per batch.
     dropout_rng: StdRng,
     /// The working buffers of `train_batch` (taken out for the step's
     /// duration) and of the cache build, which runs under `&self`.
@@ -171,11 +176,9 @@ impl Ngcf {
     /// materializes only `scope` (plus whatever
     /// [`Recommender::prepare_items`] adds later), every row initialized
     /// from its `(seed, id)`-derived stream; user rows and propagation
-    /// weights draw from a
-    /// scope-independent stream. With `message_dropout = 0`, a `Rows`
-    /// model is bit-identical to a `Full` model of the same seed on every
-    /// shared row (below the top layer dropout masks cover the whole node
-    /// space, so their draw counts differ under scoping).
+    /// weights draw from a scope-independent stream, and dropout masks
+    /// from per-node streams. A `Rows` model is bit-identical to a `Full`
+    /// model of the same seed on every shared row.
     pub fn new_scoped(num_users: usize, cfg: &NgcfConfig, scope: ScopeView<'_>, seed: u64) -> Self {
         assert!(cfg.layers > 0, "NGCF needs at least one propagation layer");
         assert!(
@@ -238,15 +241,10 @@ impl Ngcf {
 
     /// The forward pass over the stacked weights `w`. Every layer covers
     /// all nodes except the top one, which covers `top` (all nodes if
-    /// `None`); with `dropout`, each layer draws its keep bits from it.
+    /// `None`); with a batch's dropout `key`, each layer draws the keep
+    /// bits of the nodes it covers.
     #[inline(always)]
-    fn forward(
-        &self,
-        w: &[f32],
-        top: Option<&[u32]>,
-        mut dropout: Option<&mut StdRng>,
-        layers: &mut [Layer],
-    ) {
+    fn forward(&self, w: &[f32], top: Option<&[u32]>, key: Option<u64>, layers: &mut [Layer]) {
         let (a, d, slope) = (self.base.prop(), self.dim(), self.leaky_slope);
         let keep = 1.0 - self.message_dropout;
         let (threshold, scale) = ((keep as f64 * 4_294_967_296.0).round() as u64, 1.0 / keep);
@@ -278,8 +276,9 @@ impl Ngcf {
             layer.z.resize(n * d, 0.0);
             matrix::acc(&layer.x, 2 * d, &w[l * 2 * d * d..(l + 1) * 2 * d * d], d, &mut layer.z);
             layer.keep.clear();
-            if let Some(rng) = dropout.as_deref_mut() {
-                draw_keep_bits(rng, n * d, threshold, &mut layer.keep);
+            if let Some(key) = key {
+                let node = |k: usize| self.base.global_node(rows.map_or(k as u32, |rows| rows[k]));
+                draw_keep_bits(key, l, n, d, threshold, node, &mut layer.keep);
             }
             layer.e.resize(n * d, 0.0);
             if layer.keep.is_empty() {
@@ -404,11 +403,8 @@ impl Ngcf {
         let mut grads = work.grads.take().unwrap_or_else(|| self.base.new_grads());
         self.stack_weights(&mut work.w);
         work.layers.resize_with(self.num_layers(), Layer::default);
-        // lint: allow(alloc-discipline) — StdRng clone is a 32-byte inline state copy, no heap
-        let mut rng = self.dropout_rng.clone();
-        let dropout = (self.message_dropout > 0.0).then_some(&mut rng);
-        self.forward(&work.w, Some(&work.at.nodes), dropout, &mut work.layers);
-        self.dropout_rng = rng;
+        let key = (self.message_dropout > 0.0).then(|| self.dropout_rng.next_u64());
+        self.forward(&work.w, Some(&work.at.nodes), key, &mut work.layers);
         self.logits(&mut work);
         let loss = bce_grads(&mut work.logits, batch);
         self.backward(&mut work, &mut grads);
@@ -479,25 +475,49 @@ fn leaky_grad(g: f32, z: f32, slope: f32) -> f32 {
     }
 }
 
-/// Draws the keep bits of `n` elements into `bits`: one `next_u64` per
-/// two elements, each 32-bit half (low half first) keeping its element
-/// iff it is below `threshold`.
+/// Draws the keep bits of `n` rows of `d` elements on `layer` into
+/// `bits`, row `k` from the `(key, layer, node(k))`-derived stream of its
+/// global node: one `u64` per two elements, each 32-bit half (low half
+/// first) keeping its element iff it is below `threshold`.
 #[inline(always)]
-fn draw_keep_bits(rng: &mut StdRng, n: usize, threshold: u64, bits: &mut Vec<u64>) {
+fn draw_keep_bits(
+    key: u64,
+    layer: usize,
+    n: usize,
+    d: usize,
+    threshold: u64,
+    node: impl Fn(usize) -> u64,
+    bits: &mut Vec<u64>,
+) {
     bits.clear();
-    for start in (0..n).step_by(64) {
-        let mut word = 0;
-        for pair in 0..(n - start).min(64).div_ceil(2) {
-            let r = rng.next_u64();
-            let two =
-                ((r & 0xffff_ffff) < threshold) as u64 | (((r >> 32) < threshold) as u64) << 1;
-            word |= two << (2 * pair);
+    let mut len = 0;
+    for k in 0..n {
+        let stream = derive_seed(key, layer as u64, node(k));
+        for start in (0..d).step_by(64) {
+            let width = (d - start).min(64);
+            let mut word = 0;
+            for pair in 0..width.div_ceil(2) {
+                let r = derive_seed(stream, (start / 2 + pair) as u64, 0);
+                let two =
+                    ((r & 0xffff_ffff) < threshold) as u64 | (((r >> 32) < threshold) as u64) << 1;
+                word |= two << (2 * pair);
+            }
+            if width < 64 {
+                // an odd width's last draw has no element in its high half
+                word &= (1 << width) - 1;
+            }
+            // append `width` bits at bit `len`
+            let at = len % 64;
+            if at == 0 {
+                bits.push(word);
+            } else {
+                *bits.last_mut().expect("a partial word") |= word << at;
+                if at + width > 64 {
+                    bits.push(word >> (64 - at));
+                }
+            }
+            len += width;
         }
-        bits.push(word);
-    }
-    if n % 2 == 1 {
-        // the last draw's high half has no element
-        bits[n / 64] &= !(1 << (n % 64));
     }
 }
 
@@ -855,18 +875,16 @@ mod tests {
 
     #[test]
     fn the_kept_share_is_the_keep_probability() {
-        // 2·10⁶ elements are 10⁶ draws; the kept count is binomial
+        // 54,055 nodes of 37 elements: ≈ 10⁶ draws, and an odd width whose
+        // rows straddle the words; the kept count is binomial
         for rate in [0.1f32, 0.5, 0.9] {
             let keep = 1.0 - rate;
             let threshold = (keep as f64 * 4_294_967_296.0).round() as u64;
-            let n = 2_000_001;
+            let (nodes, d) = (54_055, 37);
+            let n = nodes * d;
             let mut bits = Vec::new();
-            draw_keep_bits(
-                &mut ptf_tensor::test_rng(rate.to_bits() as u64),
-                n,
-                threshold,
-                &mut bits,
-            );
+            draw_keep_bits(rate.to_bits() as u64, 1, nodes, d, threshold, |k| k as u64, &mut bits);
+            assert_eq!(bits.len(), n.div_ceil(64));
             let count: u32 = bits.iter().map(|w| w.count_ones()).sum();
             let p = keep as f64;
             let sigma = (n as f64 * p * (1.0 - p)).sqrt();
@@ -877,6 +895,40 @@ mod tests {
                 count as usize,
                 "no bit past the last element"
             );
+        }
+    }
+
+    #[test]
+    fn a_nodes_keep_bits_do_not_depend_on_the_layout() {
+        // a row-scoped model and its Full twin drop the same elements of
+        // every node both hold, on every layer, and so train alike
+        let cfg = cfg(5, 3, 0.3);
+        let edges = [(0, 2, 0.9), (1, 5, 1.0), (2, 3, 0.6), (0, 7, 0.8)];
+        let batch: Vec<(u32, u32, f32)> =
+            (0..30).map(|k| (k % 3, [2, 3, 5, 7][k as usize % 4], (k % 2) as f32)).collect();
+        let mut full = Ngcf::new_scoped(3, &cfg, scope(false), 13);
+        let mut rows = Ngcf::new_scoped(3, &cfg, scope(true), 13);
+        for m in [&mut full, &mut rows] {
+            prepare_batch(m, &edges);
+            prepare_batch(m, &batch);
+            m.set_graph(&edges);
+        }
+        for step in 0..3 {
+            let (lf, lr) = (full.train_batch(&batch), rows.train_batch(&batch));
+            assert_eq!(lf.to_bits(), lr.to_bits(), "step {step}");
+            let held = rows.base.prop().rows() as u32;
+            assert!(held < full.base.prop().rows() as u32, "the scoped model holds every node");
+            let (wf, wr) = (full.work.get_mut().unwrap(), rows.work.get_mut().unwrap());
+            for l in 0..2 {
+                for node in 0..held {
+                    let at = rows.base.global_node(node) as usize;
+                    for j in 0..5 {
+                        let (f, r) = (&wf.layers[l].keep, &wr.layers[l].keep);
+                        assert_eq!(kept(f, at * 5 + j), kept(r, node as usize * 5 + j));
+                    }
+                }
+            }
+            assert_eq!(wf.layers[2].keep, wr.layers[2].keep, "the top layer covers R alike");
         }
     }
 
@@ -909,8 +961,7 @@ mod tests {
     }
 
     #[test]
-    fn the_draw_count_follows_the_rows_each_layer_covers() {
-        // ⌈rowsₗ·d/2⌉ draws per layer: every node below the top, R at it
+    fn a_batch_draws_one_key_and_none_without_dropout() {
         let cfg = cfg(5, 2, 0.25);
         let (edges, batch) = case(4, 7);
         let mut m = Ngcf::new_scoped(3, &cfg, scope(false), 2);
@@ -919,12 +970,8 @@ mod tests {
         m.set_graph(&edges);
         let mut expect = m.dropout_rng.clone();
         m.train_batch(&batch);
-        let r = m.work.get_mut().unwrap().at.nodes.len();
-        for _ in 0..(12 * 5usize).div_ceil(2) + (r * 5).div_ceil(2) {
-            expect.next_u64();
-        }
+        expect.next_u64();
         assert_eq!(m.dropout_rng.state(), expect.state());
-        // and a rate of 0 draws nothing
         let mut still =
             Ngcf::new_scoped(3, &NgcfConfig { message_dropout: 0.0, ..cfg }, scope(false), 2);
         let before = still.dropout_rng.state();

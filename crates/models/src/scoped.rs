@@ -155,6 +155,12 @@ impl ScopedParams {
         self.row_offset + self.scope.row_of(id)
     }
 
+    /// Global id of the item in row `r` of the item block.
+    #[inline(always)]
+    pub fn id_of(&self, r: usize) -> u32 {
+        self.scope.id_of(r)
+    }
+
     /// Writes the derived init of item `id` — what its row holds while
     /// unmaterialized — into `out` (`dim` entries).
     pub fn cold_row(&self, id: u32, out: &mut [f32]) {
@@ -592,8 +598,7 @@ mod tests {
 
     const ITEMS: u32 = 40;
 
-    /// A one-user model of each family over [`ITEMS`] items, NGCF without
-    /// dropout (its masks cover the materialized nodes).
+    /// A one-user model of each family over [`ITEMS`] items.
     fn one_user(kind: usize, scope: ScopeView<'_>, seed: u64) -> Box<dyn UnderTheRule> {
         let (dim, lr) = (8, 0.05);
         match kind {
@@ -609,7 +614,7 @@ mod tests {
                     lr,
                     leaky_slope: 0.2,
                     reg: 1e-3,
-                    message_dropout: 0.0,
+                    message_dropout: 0.1,
                 };
                 Box::new(crate::Ngcf::new_scoped(1, &cfg, scope, seed))
             }

@@ -385,6 +385,7 @@ impl ScopeIndex {
     }
 
     /// Global id of row `r`.
+    #[inline]
     pub fn id_of(&self, r: usize) -> u32 {
         match &self.ids {
             None => r as u32,

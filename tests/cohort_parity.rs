@@ -170,8 +170,7 @@ fn cohort_parity_holds_for_every_architecture() {
 /// first rounds' pools promote most of them. Each later participation
 /// restores a dense envelope into a freshly built sparse client. The
 /// trace and report must equal the resident fleet's, whose clients
-/// promote in place — also for NGCF clients, whose dropout masks see the
-/// layout, because the rule is a function of the rows a table holds.
+/// promote in place.
 #[test]
 fn clients_that_promote_between_participations_match_the_resident_fleet() {
     let data = SyntheticConfig::new("cohort-dense", 30, 40, 8.0)

@@ -6,12 +6,9 @@
 //! on every row both hold — at init, through training, and through the
 //! growth of rows the scoped model never started with. The
 //! dense model `build_model` hands servers is the `Full` one of the seed
-//! it draws from its `rng`, so the same holds for it.
-//!
-//! NGCF runs with `message_dropout = 0` here: dropout masks span the
-//! whole node space, so their RNG draw counts differ between a scoped and
-//! a full table (the values still match whenever no element is dropped,
-//! but training trajectories under active dropout are not comparable).
+//! it draws from its `rng`, so the same holds for it. NGCF trains at its
+//! default message dropout: each node's mask comes from its own stream,
+//! so a scoped model drops what the full one drops.
 
 use proptest::prelude::*;
 use ptf_fedrec::data::test_rng;
@@ -27,9 +24,6 @@ fn hyper(kind: ModelKind) -> ModelHyper {
     h.dim = 8;
     h.gcn_layers = 2;
     h.mlp_layers = vec![16, 8];
-    if kind == ModelKind::Ngcf {
-        h.ngcf_dropout = 0.0;
-    }
     h
 }
 
