@@ -169,7 +169,7 @@ impl Fcf {
         let loss = if steps == 0 { 0.0 } else { loss_sum / steps as f32 };
         // the gradient message: trained local rows minus the pre-round base
         for r in 0..local.rows() {
-            let item = local.id_of(r);
+            let item = local.index().id_of(r);
             let base_row = model.item_embedding(item);
             let base_bias = model.item_bias(item);
             let row = local.row_mut(r);
@@ -247,7 +247,7 @@ impl Fcf {
             // entries); within an item the order is participant order.
             // Materialize this client's union of touched items in one
             // backward-merge pass first
-            if let Some(ids) = result.delta.ids() {
+            if let Some(ids) = result.delta.index().ids() {
                 delta_sum.ensure_many(ids);
             }
             for (item, row) in result.delta.iter() {

@@ -265,7 +265,10 @@ impl PtfClient {
             let items = model.items();
             scratch.triples.clear();
             scratch.triples.extend(
-                scratch.row_samples.iter().map(|&(r, label)| (0, items.id_of(r as usize), label)),
+                scratch
+                    .row_samples
+                    .iter()
+                    .map(|&(r, label)| (0, items.index().id_of(r as usize), label)),
             );
             return ptf_models::train_on_samples(model, &scratch.triples, cfg.client_batch);
         }

@@ -127,18 +127,18 @@ impl GraphBackbone {
 
     /// Node index of a *materialized* item in the joint table.
     fn node_of(&self, i: u32) -> Option<u32> {
-        self.store.lookup(i).map(|r| r as u32)
+        self.store.rows().lookup(i).map(|r| r as u32)
     }
 
     /// The global id of node `node`, whatever the layout: a user is its
     /// own id, and the item of a materialized row follows every user.
     #[inline(always)]
     pub fn global_node(&self, node: u32) -> u64 {
-        let node = node as usize;
-        match node.checked_sub(self.num_users) {
-            None => node as u64,
-            Some(row) => (self.num_users + self.store.id_of(row) as usize) as u64,
-        }
+        let items = self.store.rows().index();
+        let users = self.num_users as u64;
+        (node as u64)
+            .checked_sub(users)
+            .map_or(node as u64, |r| users + items.id_of(r as usize) as u64)
     }
 
     /// Re-derives the propagation operator from the stored global edge
@@ -149,9 +149,10 @@ impl GraphBackbone {
         let remapped: Vec<(u32, u32, f32)> = self
             .graph_edges
             .iter()
-            .map(|&(u, i, w)| (u, self.store.row_of(i) as u32 - first_item, w))
+            .map(|&(u, i, w)| (u, self.store.rows().row_of(i) as u32 - first_item, w))
             .collect();
-        self.prop = normalized_bipartite(self.num_users, self.store.view().len(), &remapped);
+        self.prop =
+            normalized_bipartite(self.num_users, self.store.rows().index().len(), &remapped);
     }
 
     /// Materializes a sorted, unique batch of items (embedding + optimizer
@@ -177,7 +178,7 @@ impl GraphBackbone {
         );
         let evicted = self.store.evict(keep_sorted);
         if evicted > 0 {
-            if !self.store.is_dense() {
+            if !self.store.rows().index().is_dense() {
                 // node indices shifted: re-derive the operator (the dense
                 // case keeps its node space, so only the cache is stale)
                 self.rebuild_prop();
@@ -239,7 +240,10 @@ impl GraphBackbone {
                 let mut cold = cell.borrow_mut();
                 cold.resize(emb.cols(), 0.0);
                 out.extend(items.iter().map(|&i| {
-                    debug_assert!((i as usize) < self.store.num_items(), "item id out of range");
+                    debug_assert!(
+                        (i as usize) < self.store.rows().index().num_items(),
+                        "item id out of range"
+                    );
                     match self.node_of(i) {
                         Some(node) => kernels::dot(u, emb.row(node as usize)),
                         None => {
@@ -261,7 +265,7 @@ impl GraphBackbone {
         for &(u, i, _) in batch {
             debug_assert!((u as usize) < self.num_users, "user id out of range");
             at.users.push(u);
-            at.items.push(self.store.row_of(i) as u32);
+            at.items.push(self.store.rows().row_of(i) as u32);
         }
         // mark R, then number it in node order
         at.position.clear();
@@ -319,7 +323,7 @@ impl GraphBackbone {
     pub fn import(&mut self, arch: &str, json: &str) -> Result<Option<rand::rngs::StdRng>, String> {
         let rng = self.store.import(arch, json)?;
         self.graph_edges.clear();
-        self.prop = empty_propagation(self.num_users, self.store.view().len());
+        self.prop = empty_propagation(self.num_users, self.store.rows().index().len());
         self.invalidate();
         Ok(rng)
     }

@@ -199,7 +199,7 @@ impl Recommender for LightGcn {
     }
 
     fn num_items(&self) -> usize {
-        self.base.store().num_items()
+        self.base.store().rows().index().num_items()
     }
 
     fn num_params(&self) -> usize {
@@ -207,7 +207,7 @@ impl Recommender for LightGcn {
     }
 
     fn item_scope(&self) -> ScopeView<'_> {
-        self.base.store().view()
+        self.base.store().rows().index().view()
     }
 
     fn prepare_items(&mut self, sorted_ids: &[u32]) {
@@ -229,7 +229,7 @@ impl Recommender for LightGcn {
             out,
             |f| self.build_cache(f),
             |i, cold| {
-                self.base.store().cold_row(i, cold);
+                self.base.store().rows().cold_row(i, cold);
                 cold.iter_mut().for_each(|x| *x *= s);
             },
         );
@@ -329,10 +329,10 @@ mod tests {
             items
                 .iter()
                 .map(|&i| {
-                    let fi = match self.base.store().lookup(i) {
+                    let fi = match self.base.store().rows().lookup(i) {
                         Some(node) => f.row(node),
                         None => {
-                            self.base.store().cold_row(i, &mut cold);
+                            self.base.store().rows().cold_row(i, &mut cold);
                             let s = self.mean_scale();
                             cold.iter_mut().for_each(|x| *x *= s);
                             &cold

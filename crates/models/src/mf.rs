@@ -405,7 +405,7 @@ impl Recommender for MfModel {
     /// scores id by id, deriving the cold rows.
     fn logits_all_into(&self, user: u32, out: &mut Vec<f32>) {
         out.clear();
-        if self.items.is_dense() {
+        if self.items.index().is_dense() {
             out.resize(self.num_items(), 0.0);
             kernels::row_logits(self.user_emb.row(user as usize), self.items.arena(), out);
         } else {

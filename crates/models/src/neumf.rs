@@ -322,7 +322,7 @@ impl NeuMf {
     fn write_logits(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
         debug_assert!((user as usize) < self.num_users, "user id out of range");
         debug_assert!(
-            items.iter().all(|&i| (i as usize) < self.store.num_items()),
+            items.iter().all(|&i| (i as usize) < self.store.rows().index().num_items()),
             "item id out of range"
         );
         out.clear();
@@ -334,10 +334,10 @@ impl NeuMf {
         for block in items.chunks(SCORE_BLOCK) {
             f.v.resize(block.len() * d, 0.0);
             for (&i, v) in block.iter().zip(f.v.chunks_exact_mut(d)) {
-                match self.store.lookup(i) {
+                match self.store.rows().lookup(i) {
                     Some(row) => v.copy_from_slice(table.row(row)),
                     // not materialized: the row still holds its derived init
-                    None => self.store.cold_row(i, v),
+                    None => self.store.rows().cold_row(i, v),
                 }
             }
             self.forward(|_| user, block.len(), &mut f);
@@ -364,7 +364,7 @@ impl NeuMf {
         work.rows.clear();
         work.fwd.v.clear();
         for &(_, i, _) in batch {
-            let row = self.store.row_of(i);
+            let row = self.store.rows().row_of(i);
             work.rows.push(row as u32);
             work.fwd.v.extend_from_slice(table.row(row));
         }
@@ -443,7 +443,7 @@ impl Recommender for NeuMf {
     }
 
     fn num_items(&self) -> usize {
-        self.store.num_items()
+        self.store.rows().index().num_items()
     }
 
     fn num_params(&self) -> usize {
@@ -451,7 +451,7 @@ impl Recommender for NeuMf {
     }
 
     fn item_scope(&self) -> ScopeView<'_> {
-        self.store.view()
+        self.store.rows().index().view()
     }
 
     fn prepare_items(&mut self, sorted_ids: &[u32]) {
@@ -518,9 +518,9 @@ mod tests {
             let table = self.store.params().get(self.store.emb());
             let mut v = Matrix::zeros(items.len(), self.store.dim());
             for (r, &i) in items.iter().enumerate() {
-                match self.store.lookup(i) {
+                match self.store.rows().lookup(i) {
                     Some(row) => v.row_mut(r).copy_from_slice(table.row(row)),
-                    None => self.store.cold_row(i, v.row_mut(r)),
+                    None => self.store.rows().cold_row(i, v.row_mut(r)),
                 }
             }
             let mut g = Graph::new(self.store.params());
@@ -533,8 +533,10 @@ mod tests {
         /// One training step through `Graph::backward`.
         fn tape_train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
             let users: Vec<u32> = batch.iter().map(|&(u, _, _)| u).collect();
-            let rows: Vec<u32> =
-                batch.iter().map(|&(_, i, _)| self.store.lookup(i).unwrap() as u32).collect();
+            let rows: Vec<u32> = batch
+                .iter()
+                .map(|&(_, i, _)| self.store.rows().lookup(i).unwrap() as u32)
+                .collect();
             let labels: Vec<f32> = batch.iter().map(|&(_, _, l)| l).collect();
             let (grads, loss) = {
                 let mut g = Graph::new(self.store.params());

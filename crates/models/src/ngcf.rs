@@ -439,7 +439,7 @@ impl Ngcf {
     /// model's edgeless item bit for bit.
     fn cold_item_final(&self, id: u32, out: &mut [f32]) {
         let (p, d) = (self.base.store().params(), self.dim());
-        self.base.store().cold_row(id, &mut out[..d]);
+        self.base.store().rows().cold_row(id, &mut out[..d]);
         for (l, &w1) in self.w1.iter().enumerate() {
             let (done, todo) = out.split_at_mut((l + 1) * d);
             let next = &mut todo[..d];
@@ -490,7 +490,8 @@ fn draw_keep_bits(
     bits: &mut Vec<u64>,
 ) {
     bits.clear();
-    let mut len = 0;
+    // one spare word, which a row's last bits may spill into
+    bits.resize((n * d).div_ceil(64) + 1, 0);
     for k in 0..n {
         let stream = derive_seed(key, layer as u64, node(k));
         for start in (0..d).step_by(64) {
@@ -502,23 +503,14 @@ fn draw_keep_bits(
                     ((r & 0xffff_ffff) < threshold) as u64 | (((r >> 32) < threshold) as u64) << 1;
                 word |= two << (2 * pair);
             }
-            if width < 64 {
-                // an odd width's last draw has no element in its high half
-                word &= (1 << width) - 1;
-            }
-            // append `width` bits at bit `len`
-            let at = len % 64;
-            if at == 0 {
-                bits.push(word);
-            } else {
-                *bits.last_mut().expect("a partial word") |= word << at;
-                if at + width > 64 {
-                    bits.push(word >> (64 - at));
-                }
-            }
-            len += width;
+            // an odd width's last draw has no element in its high half
+            word &= u64::MAX >> (64 - width);
+            let at = k * d + start;
+            bits[at / 64] |= word << (at % 64);
+            bits[at / 64 + 1] |= (word >> 1) >> (63 - at % 64);
         }
     }
+    bits.pop();
 }
 
 /// The lanes of a word of keep bits: all ones where the element is kept,
@@ -538,7 +530,7 @@ impl Recommender for Ngcf {
     }
 
     fn num_items(&self) -> usize {
-        self.base.store().num_items()
+        self.base.store().rows().index().num_items()
     }
 
     fn num_params(&self) -> usize {
@@ -546,7 +538,7 @@ impl Recommender for Ngcf {
     }
 
     fn item_scope(&self) -> ScopeView<'_> {
-        self.base.store().view()
+        self.base.store().rows().index().view()
     }
 
     fn prepare_items(&mut self, sorted_ids: &[u32]) {
@@ -702,12 +694,12 @@ mod tests {
             items
                 .iter()
                 .map(|&i| {
-                    let fi = match self.base.store().lookup(i) {
+                    let fi = match self.base.store().rows().lookup(i) {
                         Some(node) => g.value(f).row(node).to_vec(),
                         None => {
                             let d = self.dim();
                             let mut init = Matrix::zeros(1, d);
-                            self.base.store().cold_row(i, init.as_mut_slice());
+                            self.base.store().rows().cold_row(i, init.as_mut_slice());
                             let mut c = Graph::new(self.base.store().params());
                             let (mut e, mut out) = (c.leaf(init.clone()), c.leaf(init));
                             for l in 0..self.num_layers() {

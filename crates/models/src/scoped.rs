@@ -7,14 +7,12 @@
 //! reset with it, and the full-state envelope that round-trips the lot.
 //! [`ScopedParams`] owns that state, so "id, parameter row and both
 //! moment rows move together" is a property of the type rather than a
-//! calling convention.
-//!
-//! A row-scoped store grows by powers of two and follows the one
-//! layout rule of `ptf_tensor::rowtable`: the growth step whose capacity
-//! would reach the dense size grows the store dense instead.
+//! calling convention: its item rows are an [`ItemRows`] over three
+//! planes, the embedding parameter and both moments, and they grow,
+//! promote and compact as every other item table does.
 
 use ptf_tensor::{
-    derive_seed, grows_dense, init, Adam, GradBuf, Grads, Matrix, ParamId, Params, ScopeIndex,
+    derive_seed, Adam, GradBuf, Grads, ItemRows, Matrix, ParamId, Params, RowInit, ScopeIndex,
     ScopeView,
 };
 
@@ -42,13 +40,7 @@ pub(crate) fn item_seed(seed: u64) -> u64 {
 /// The eagerly materialized item block of an embedding parameter: one
 /// row per id of `scope`, each from its `(seed, id)`-derived stream.
 pub(crate) fn item_block(scope: ScopeView<'_>, dim: usize, seed: u64) -> Matrix {
-    let seed = item_seed(seed);
-    match scope {
-        ScopeView::Full(n) => init::derived_normal_rows(0..n as u32, dim, EMB_STD, seed),
-        ScopeView::Rows { ids, .. } => {
-            init::derived_normal_rows(ids.iter().copied(), dim, EMB_STD, seed)
-        }
-    }
+    row_init(item_seed(seed), dim).rows(scope, dim)
 }
 
 /// The dense gradient buffer of `id` in a model's reused [`Grads`].
@@ -60,17 +52,15 @@ pub(crate) fn dense(grads: &mut Grads, id: ParamId) -> &mut [f32] {
 }
 
 /// An Adam-trained model's state: its [`Params`], their [`Adam`]
-/// moments, and the bookkeeping of the one item-scoped embedding
-/// parameter — which global item id backs which row (the item block
-/// starts `row_offset` rows into the parameter; NGCF/LightGCN put user
-/// rows first), and the seed every unmaterialized row derives from.
+/// moments, and the [`ItemRows`] of the one item-scoped embedding
+/// parameter — which global item id backs which row (NGCF/LightGCN put
+/// their user rows first, as leading rows), and the init every
+/// unmaterialized row derives from.
 pub(crate) struct ScopedParams {
     params: Params,
     adam: Adam,
     emb: ParamId,
-    row_offset: usize,
-    scope: ScopeIndex,
-    item_seed: u64,
+    rows: ItemRows,
 }
 
 /// Full-state envelope: everything a model needs to *resume training
@@ -102,19 +92,20 @@ struct FullWire {
 impl ScopedParams {
     /// Takes ownership of a fully registered parameter store whose `emb`
     /// parameter ends in the [`item_block`] of `(scope, seed)`, preceded
-    /// by `row_offset` scope-independent rows.
+    /// by `lead` scope-independent rows.
     pub fn new(
         params: Params,
         emb: ParamId,
-        row_offset: usize,
+        lead: usize,
         scope: ScopeView<'_>,
         seed: u64,
         lr: f32,
     ) -> Self {
-        let scope = ScopeIndex::new(scope);
-        assert_eq!(params.get(emb).rows(), row_offset + scope.len(), "item block/scope mismatch");
+        assert_eq!(params.get(emb).rows(), lead + scope.len(), "item block/scope mismatch");
+        let init = row_init(item_seed(seed), params.get(emb).cols());
+        let rows = ItemRows::new(ScopeIndex::new(scope), init, lead);
         let adam = Adam::with_defaults(&params, lr);
-        Self { params, adam, emb, row_offset, scope, item_seed: item_seed(seed) }
+        Self { params, adam, emb, rows }
     }
 
     pub fn params(&self) -> &Params {
@@ -130,115 +121,28 @@ impl ScopedParams {
         self.params.get(self.emb).cols()
     }
 
-    /// Total catalogue size (global id space).
-    pub fn num_items(&self) -> usize {
-        self.scope.num_items()
+    /// The item rows of the embedding parameter.
+    pub fn rows(&self) -> &ItemRows {
+        &self.rows
     }
 
-    pub fn is_dense(&self) -> bool {
-        self.scope.is_dense()
-    }
-
-    pub fn view(&self) -> ScopeView<'_> {
-        self.scope.view()
-    }
-
-    /// Row of a *materialized* item in the embedding parameter.
-    pub fn lookup(&self, id: u32) -> Option<usize> {
-        self.scope.lookup(id).map(|r| self.row_offset + r)
-    }
-
-    /// Row of an item in the embedding parameter that must be
-    /// materialized ([`ScopeIndex::row_of`]).
-    #[inline(always)]
-    pub fn row_of(&self, id: u32) -> usize {
-        self.row_offset + self.scope.row_of(id)
-    }
-
-    /// Global id of the item in row `r` of the item block.
-    #[inline(always)]
-    pub fn id_of(&self, r: usize) -> u32 {
-        self.scope.id_of(r)
-    }
-
-    /// Writes the derived init of item `id` — what its row holds while
-    /// unmaterialized — into `out` (`dim` entries).
-    pub fn cold_row(&self, id: u32, out: &mut [f32]) {
-        init::derived_normal_row(self.item_seed, id, EMB_STD, out);
-    }
-
-    /// Heap bytes of the item block, both moment buffers and the id list
-    /// (the leading user rows included, which a dense store holds too).
-    pub fn heap_bytes(&self) -> usize {
-        let blocks = self.params.get(self.emb).capacity() + {
-            let (m, v) = self.adam.moments(self.emb);
-            m.capacity() + v.capacity()
-        };
-        blocks * std::mem::size_of::<f32>() + self.scope.heap_bytes()
-    }
-
-    /// Materializes every id of `sorted_ids` (ascending, unique) that the
-    /// scope does not hold yet, in one backward merge pass over the item
-    /// block and both moment buffers ([`ScopeIndex::merge_in`]): a fresh
-    /// row gets its derived init and zero moments. Returns true if
-    /// anything was inserted (graph models must rebuild their
-    /// propagation operator, since node indices shifted).
-    ///
-    /// A row-scoped store makes room for the next power of two of the
-    /// rows it will hold ([`capacity_rows`]). When that room would reach
-    /// the dense store's size ([`grows_dense`]), the step grows the store
-    /// dense instead: every absent row materializes in the same plan
-    /// ([`ScopeIndex::densify`]) and the id list goes.
+    /// Materializes every id of `sorted_ids` (ascending, unique) not held
+    /// yet, moving the item block and both moment buffers together
+    /// ([`ItemRows::grow`]): a fresh row gets its derived init and zero
+    /// moments. Returns true if anything was inserted (graph models must
+    /// rebuild their propagation operator, since node indices shifted).
     pub fn ensure_many(&mut self, sorted_ids: &[u32]) -> bool {
-        let fresh = self.scope.count_absent(sorted_ids);
-        if fresh == 0 {
-            return false;
-        }
-        let (off, num_items, held) = (self.row_offset, self.num_items(), self.scope.len());
-        let room = capacity_rows(held + fresh);
-        let row_bytes = 3 * self.dim() * std::mem::size_of::<f32>();
-        let promotes = grows_dense(room, row_bytes, num_items);
-        let (room, grown) = if promotes { (num_items, num_items - held) } else { (room, fresh) };
-        let [e, m, v] = item_rows(&mut self.params, &mut self.adam, self.emb);
-        for block in [&mut *e, &mut *m, &mut *v] {
-            block.reserve_rows(off + room);
-            block.push_zero_rows(grown);
-        }
-        let place = placer([e, m, v], off, self.item_seed);
-        if promotes {
-            self.scope.densify(place);
-        } else {
-            self.scope.reserve(room);
-            self.scope.merge_in(sorted_ids, fresh, place);
-        }
-        debug_assert!(
-            self.is_dense() || self.heap_bytes() < (off + num_items) * row_bytes,
-            "a sparse store outgrew its dense size"
-        );
-        true
+        let planes = item_planes(&mut self.params, &mut self.adam, self.emb);
+        self.rows.grow(planes, sorted_ids, |_, _| {}) > 0
     }
 
-    /// Evicts every materialized id the sorted keep set does not cover —
-    /// the inverse of [`ScopedParams::ensure_many`], in one compaction
-    /// pass ([`ScopeIndex::retain`]).
-    ///
-    /// Row-scoped stores move id, parameter row and both moment rows
-    /// together and drop the tail. Dense stores cannot shrink, so they
-    /// reset the evicted rows in place — parameter row back to its
-    /// derived init, moment rows to zero — which is the same post-state a
-    /// row-scoped store re-materializes into. Returns the number of rows
-    /// evicted/reset.
+    /// Evicts every materialized id the sorted keep set does not cover
+    /// ([`ItemRows::retain`]): a row-scoped store drops the parameter row
+    /// and both moment rows, a dense one resets them to the derived init
+    /// and zero moments. Returns the number of rows evicted/reset.
     pub fn evict(&mut self, keep_sorted: &[u32]) -> usize {
-        let [e, m, v] = item_rows(&mut self.params, &mut self.adam, self.emb);
-        let evicted = {
-            let place = placer([&mut *e, &mut *m, &mut *v], self.row_offset, self.item_seed);
-            self.scope.retain(keep_sorted, place)
-        };
-        let rows = self.row_offset + self.scope.len();
-        for block in [e, m, v] {
-            block.truncate_rows(rows);
-        }
-        evicted
+        let planes = item_planes(&mut self.params, &mut self.adam, self.emb);
+        self.rows.retain(planes, keep_sorted)
     }
 
     /// One Adam step on `grads`.
@@ -251,10 +155,13 @@ impl ScopedParams {
     /// (dense and scoped stores alike — the scope travels inside).
     pub fn export(&self, arch: &str, rng: Option<&rand::rngs::StdRng>) -> Option<String> {
         let (t, m, v) = self.adam.export_state();
+        let RowInit::DerivedNormal { seed, .. } = self.rows.init() else {
+            unreachable!("embedding rows are seed-derived")
+        };
         serde_json::to_string(&FullWire {
             arch: arch.to_string(),
-            item_ids: self.scope.ids().map(<[u32]>::to_vec),
-            item_seed: format!("{:016x}", self.item_seed),
+            item_ids: self.rows.index().ids().map(<[u32]>::to_vec),
+            item_seed: format!("{seed:016x}"),
             params: self.params.clone(),
             adam_t: format!("{t:x}"),
             adam_m: m,
@@ -287,8 +194,10 @@ impl ScopedParams {
                 self.params.len()
             ));
         }
-        let num_items = self.scope.num_items();
-        let item_rows = wire.item_ids.as_ref().map_or(num_items, Vec::len);
+        let lead = self.rows.lead();
+        let index = ScopeIndex::checked(self.rows.index().num_items(), wire.item_ids)
+            .map_err(|e| format!("bad checkpoint item ids: {e}"))?;
+        let item_rows = index.len();
         for ((id, name_new, mat_new), (_, name_live, mat_live)) in
             wire.params.iter().zip(self.params.iter())
         {
@@ -296,9 +205,7 @@ impl ScopedParams {
                 return Err(format!("parameter name mismatch: {name_new:?} vs {name_live:?}"));
             }
             if id == self.emb {
-                if mat_new.cols() != mat_live.cols()
-                    || mat_new.rows() != self.row_offset + item_rows
-                {
+                if mat_new.cols() != mat_live.cols() || mat_new.rows() != lead + item_rows {
                     return Err(format!(
                         "shape mismatch for {name_new:?}: {:?} does not fit {item_rows} item rows",
                         mat_new.shape(),
@@ -310,14 +217,6 @@ impl ScopedParams {
                     mat_new.shape(),
                     mat_live.shape()
                 ));
-            }
-        }
-        if let Some(ids) = &wire.item_ids {
-            if !ids.windows(2).all(|w| w[0] < w[1]) {
-                return Err("checkpoint item ids must be sorted and unique".to_string());
-            }
-            if ids.last().is_some_and(|&l| l as usize >= num_items) {
-                return Err("checkpoint item id out of range".to_string());
             }
         }
         let item_seed = u64::from_str_radix(&wire.item_seed, 16)
@@ -338,237 +237,47 @@ impl ScopedParams {
                 Some(rand::rngs::StdRng::from_state(s))
             }
         };
-        self.scope = match &wire.item_ids {
-            None => ScopeIndex::new(ScopeView::Full(num_items)),
-            Some(ids) => ScopeIndex::new(ScopeView::Rows { num_items, ids }),
-        };
+        self.rows = ItemRows::new(index, row_init(item_seed, self.dim()), lead);
         self.params = wire.params;
-        self.item_seed = item_seed;
         self.adam.restore_state(&self.params, t, wire.adam_m, wire.adam_v)?;
         Ok(rng)
     }
 }
 
-/// The item rows a row-scoped store makes room for once it holds `rows`:
-/// the next power of two, so a growing store reallocates a logarithmic
-/// number of times. A function of the rows alone, so a store restored
-/// from an envelope grows exactly as the one that was parked.
-pub(crate) fn capacity_rows(rows: usize) -> usize {
-    rows.next_power_of_two()
+/// The fresh state of an embedding row `dim` wide: every entry from the
+/// row's derived stream.
+fn row_init(seed: u64, dim: usize) -> RowInit {
+    RowInit::DerivedNormal { seed, std: EMB_STD, init_cols: dim }
 }
 
 /// The item-scoped parameter and its two moment buffers: the three
-/// blocks whose rows move together.
-fn item_rows<'a>(params: &'a mut Params, adam: &'a mut Adam, emb: ParamId) -> [&'a mut Matrix; 3] {
+/// planes whose rows move together.
+fn item_planes<'a>(
+    params: &'a mut Params,
+    adam: &'a mut Adam,
+    emb: ParamId,
+) -> [&'a mut Matrix; 3] {
     let (m, v) = adam.moments_mut(emb);
     [params.get_mut(emb), m, v]
-}
-
-/// A [`ScopeIndex`] plan's `place(from, to, id)` over the three blocks of
-/// [`item_rows`], whose item rows start `off` rows in: `Some(from)` moves
-/// a row in all three, `None` writes `id`'s derived init and zero moments.
-fn placer<'a>(
-    blocks: [&'a mut Matrix; 3],
-    off: usize,
-    seed: u64,
-) -> impl FnMut(Option<usize>, usize, u32) + 'a {
-    let d = blocks[0].cols();
-    let [e, m, v] = blocks.map(Matrix::as_mut_slice);
-    move |from, to, id| {
-        let to = (off + to) * d;
-        match from {
-            Some(from) => {
-                let from = (off + from) * d;
-                for block in [&mut *e, &mut *m, &mut *v] {
-                    block.copy_within(from..from + d, to);
-                }
-            }
-            None => {
-                init::derived_normal_row(seed, id, EMB_STD, &mut e[to..to + d]);
-                m[to..to + d].fill(0.0);
-                v[to..to + d].fill(0.0);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use ptf_tensor::grows_dense;
 
-    /// A store whose item block follows `offset` user rows, beside a
-    /// second parameter, as the graph models lay theirs out.
-    fn store(offset: usize, dim: usize, scope: ScopeView<'_>, seed: u64) -> ScopedParams {
-        let mut data = vec![0.25f32; offset * dim];
-        data.extend_from_slice(item_block(scope, dim, seed).as_slice());
-        let mut params = Params::new();
-        let emb = params.push("emb", Matrix::from_vec(offset + scope.len(), dim, data));
-        params.push("w", Matrix::full(2, 3, 0.5));
-        ScopedParams::new(params, emb, offset, scope, seed, 0.01)
-    }
-
-    fn scope_of(dense: bool, held: &[u32]) -> ScopeView<'_> {
-        if dense {
-            ScopeView::Full(40)
-        } else {
-            ScopeView::Rows { num_items: 40, ids: held }
-        }
-    }
-
-    /// One Adam step on a dense gradient, so every moment row is
-    /// distinct and a row that moved out of register would show.
-    fn warm(s: &mut ScopedParams) {
-        let mut grads = Grads::new_for(s.params());
-        for (id, _, p) in s.params().iter() {
-            let g = Matrix::from_fn(p.rows(), p.cols(), |r, c| 0.01 * (r * 7 + c) as f32 + 0.003);
-            *grads.slot_mut(id) = Some(GradBuf::Dense(g));
-        }
-        s.step(&grads);
-    }
-
-    /// Rebuilds `block` with `edit` applied to its row-major data.
-    fn reshape(block: &mut Matrix, edit: impl FnOnce(&mut Vec<f32>)) {
-        let cols = block.cols();
-        let mut data = block.as_slice().to_vec();
-        edit(&mut data);
-        *block = Matrix::from_vec(data.len() / cols, cols, data);
-    }
-
-    /// The oracle for [`ScopedParams::ensure_many`]: one id at a time,
-    /// shifting the tail of the item block and both moment buffers once
-    /// per fresh id.
-    fn ensure_one(s: &mut ScopedParams, id: u32) -> bool {
-        let Some(held) = s.scope.ids() else { return false };
-        let Err(pos) = held.binary_search(&id) else { return false };
-        let mut ids = held.to_vec();
-        ids.insert(pos, id);
-        s.scope = ScopeIndex::new(ScopeView::Rows { num_items: s.num_items(), ids: &ids });
-        let (at, d, seed) = ((s.row_offset + pos) * s.dim(), s.dim(), s.item_seed);
-        let mut row = vec![0.0; d];
-        init::derived_normal_row(seed, id, EMB_STD, &mut row);
-        let [e, m, v] = item_rows(&mut s.params, &mut s.adam, s.emb);
-        reshape(e, |data| drop(data.splice(at..at, row)));
-        for block in [m, v] {
-            reshape(block, |data| drop(data.splice(at..at, std::iter::repeat_n(0.0, d))));
-        }
-        true
-    }
-
-    /// The oracle for a whole [`ScopedParams::ensure_many`] batch: id by
-    /// id, and when the batch's growth crosses [`grows_dense`], every
-    /// other absent id of the catalogue too, before the id list goes.
-    fn ensure_by_row(s: &mut ScopedParams, ids: &[u32]) -> bool {
-        let Some(held) = s.scope.ids() else { return false };
-        let rows = held.len() + ids.iter().filter(|id| held.binary_search(id).is_err()).count();
-        let row_bytes = 3 * s.dim() * std::mem::size_of::<f32>();
-        let promotes =
-            rows > held.len() && grows_dense(capacity_rows(rows), row_bytes, s.num_items());
-        let mut grew = false;
-        for &id in ids {
-            grew |= ensure_one(s, id);
-        }
-        if promotes {
-            for id in 0..s.num_items() as u32 {
-                ensure_one(s, id);
-            }
-            s.scope = ScopeIndex::new(ScopeView::Full(s.num_items()));
-        }
-        grew
-    }
-
-    /// The oracle for [`ScopedParams::evict`]: one victim at a time —
-    /// removed with its moment rows from a row-scoped store, reset to its
-    /// init with zero moments in a dense one.
-    fn evict_one(s: &mut ScopedParams, id: u32) {
-        let (d, seed) = (s.dim(), s.item_seed);
-        let at = s.lookup(id).expect("victim is held") * d;
-        let ids = s.scope.ids().map(|held| {
-            let mut ids = held.to_vec();
-            ids.retain(|&x| x != id);
-            ids
-        });
-        let [e, m, v] = item_rows(&mut s.params, &mut s.adam, s.emb);
-        if let Some(ids) = ids {
-            for block in [e, m, v] {
-                reshape(block, |data| drop(data.drain(at..at + d)));
-            }
-            s.scope = ScopeIndex::new(ScopeView::Rows { num_items: s.num_items(), ids: &ids });
-        } else {
-            init::derived_normal_row(seed, id, EMB_STD, &mut e.as_mut_slice()[at..at + d]);
-            m.as_mut_slice()[at..at + d].fill(0.0);
-            v.as_mut_slice()[at..at + d].fill(0.0);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Batches that hit, miss and interleave the held rows, on dense
-        /// and row-scoped stores with and without leading user rows:
-        /// the one-pass merge — and the densifying plan, for a batch
-        /// that crosses the rule — leaves ids, parameters, moments and
-        /// the envelope bytes exactly as id-by-id insertion does.
-        #[test]
-        fn one_pass_materialization_equals_row_by_row(
-            seed in any::<u64>(),
-            shape in (0usize..3, 1usize..6, any::<bool>()),
-            held in collection::btree_set(0u32..40, 0..12),
-            batches in collection::vec(collection::btree_set(0u32..40, 0..15), 1..4),
-        ) {
-            let (offset, dim, dense) = shape;
-            let held: Vec<u32> = held.into_iter().collect();
-            let mut merged = store(offset, dim, scope_of(dense, &held), seed);
-            let mut by_row = store(offset, dim, scope_of(dense, &held), seed);
-            for batch in batches {
-                warm(&mut merged);
-                warm(&mut by_row);
-                let ids: Vec<u32> = batch.into_iter().collect();
-                let grew = merged.ensure_many(&ids);
-                prop_assert_eq!(grew, ensure_by_row(&mut by_row, &ids));
-                prop_assert_eq!(merged.view(), by_row.view());
-                prop_assert_eq!(merged.export("T", None), by_row.export("T", None));
-            }
-        }
-
-        /// The compaction plan leaves ids, parameter rows and both moment
-        /// rows — the whole envelope — exactly as evicting the victims one
-        /// at a time does, on dense and row-scoped stores with and without
-        /// leading user rows, and the two keep training in lockstep.
-        #[test]
-        fn compaction_equals_victim_by_victim_removal(
-            seed in any::<u64>(),
-            shape in (0usize..3, 1usize..6, any::<bool>()),
-            held in collection::btree_set(0u32..40, 0..12),
-            keep in collection::btree_set(0u32..40, 0..15),
-        ) {
-            let (offset, dim, dense) = shape;
-            let held: Vec<u32> = held.into_iter().collect();
-            let keep: Vec<u32> = keep.into_iter().collect();
-            let mut plan = store(offset, dim, scope_of(dense, &held), seed);
-            warm(&mut plan);
-            let mut by_victim = store(offset, dim, scope_of(dense, &held), seed);
-            warm(&mut by_victim);
-            let victims: Vec<u32> =
-                plan.view().iter().filter(|id| keep.binary_search(id).is_err()).collect();
-            prop_assert_eq!(plan.evict(&keep), victims.len());
-            for &id in &victims {
-                evict_one(&mut by_victim, id);
-            }
-            prop_assert_eq!(plan.view(), by_victim.view());
-            prop_assert_eq!(plan.export("T", None), by_victim.export("T", None));
-            warm(&mut plan);
-            warm(&mut by_victim);
-            prop_assert_eq!(plan.export("T", None), by_victim.export("T", None));
-        }
-    }
-
-    /// The bytes a model's item state holds, its dense table's bytes, and
-    /// the `(capacity rows, row bytes)` [`grows_dense`] weighs once the
-    /// model holds `rows` item rows.
+    /// The bytes a model's item state holds, its dense layout's bytes,
+    /// and the bytes of one item row over every plane it moves.
     trait UnderTheRule: crate::Recommender {
         fn bytes(&self) -> (usize, usize);
-        fn room(&self, rows: usize) -> (usize, usize);
+        fn row_bytes(&self) -> usize;
+
+        /// Whether growing to `rows` item rows crosses [`grows_dense`]:
+        /// the one layout rule, for every store.
+        fn crosses(&self, rows: usize) -> bool {
+            grows_dense(rows, self.row_bytes(), ITEMS as usize)
+        }
     }
 
     impl UnderTheRule for crate::MfModel {
@@ -576,8 +285,8 @@ mod tests {
             let t = self.items();
             (t.heap_bytes(), t.num_items() * t.cols() * 4)
         }
-        fn room(&self, rows: usize) -> (usize, usize) {
-            (rows, self.items().cols() * 4)
+        fn row_bytes(&self) -> usize {
+            self.items().cols() * 4
         }
     }
 
@@ -586,10 +295,12 @@ mod tests {
             impl UnderTheRule for $model {
                 fn bytes(&self) -> (usize, usize) {
                     let s = self.store();
-                    (s.heap_bytes(), 3 * (s.row_offset + s.num_items()) * s.dim() * 4)
+                    let (m, v) = s.adam.moments(s.emb);
+                    let heap = s.rows.heap_bytes([s.params.get(s.emb), m, v]);
+                    (heap, (s.rows.lead() + s.rows.index().num_items()) * self.row_bytes())
                 }
-                fn room(&self, rows: usize) -> (usize, usize) {
-                    (capacity_rows(rows), 3 * self.store().dim() * 4)
+                fn row_bytes(&self) -> usize {
+                    3 * self.store().dim() * 4
                 }
             }
         )*};
@@ -668,8 +379,7 @@ mod tests {
                 let held = rows.item_scope();
                 let after = held.len() + pool.iter().filter(|&&i| !held.contains(i)).count();
                 if !held.is_full() && after > held.len() {
-                    let (room, row_bytes) = rows.room(after);
-                    crossed |= grows_dense(room, row_bytes, ITEMS as usize);
+                    crossed |= rows.crosses(after);
                 }
                 let batch: Vec<(u32, u32, f32)> =
                     pool.iter().map(|&i| (0, i, (i % 3) as f32 / 2.0)).collect();
@@ -694,6 +404,35 @@ mod tests {
             rows.prepare_items(&all);
             prop_assert!(rows.item_scope().is_full());
             prop_assert_eq!(rows.export_full_state(), full.export_full_state());
+        }
+    }
+
+    /// A store restored from its own envelope weighs what the resident
+    /// one does and promotes at the same growth step: the growth policy
+    /// is a function of the rows held, not of how the buffers came to be.
+    #[test]
+    fn a_restored_store_weighs_and_promotes_as_the_resident_one() {
+        let positives = [1u32, 9, 17];
+        let scope = ScopeView::Rows { num_items: ITEMS as usize, ids: &positives };
+        for kind in 0..4 {
+            let mut resident = one_user(kind, scope, 31);
+            let mut promoted = None;
+            for round in 0..16 {
+                // three new ids a round, until the catalogue is covered
+                let pool = sorted((3 * round..3 * round + 3).map(|i| i % ITEMS));
+                let mut restored = one_user(kind, scope, 31);
+                restored.import_full_state(&resident.export_full_state().unwrap()).unwrap();
+                assert_eq!(restored.bytes(), resident.bytes(), "kind {kind}, round {round}");
+                for m in [&mut resident, &mut restored] {
+                    m.prepare_items(&pool);
+                }
+                assert_eq!(restored.item_scope(), resident.item_scope(), "kind {kind}");
+                assert_eq!(restored.bytes(), resident.bytes(), "kind {kind}, round {round}");
+                if resident.item_scope().is_full() {
+                    promoted.get_or_insert(round);
+                }
+            }
+            assert!(promoted.is_some_and(|r| r > 0), "kind {kind} promoted at {promoted:?}");
         }
     }
 }

@@ -143,22 +143,6 @@ impl Ziggurat {
     }
 }
 
-/// A `rows × cols` matrix whose row `r` carries the derived init of
-/// global id `ids(r)` — the eager bulk form of [`derived_normal_row`].
-pub fn derived_normal_rows(
-    ids: impl ExactSizeIterator<Item = u32>,
-    cols: usize,
-    std: f32,
-    seed: u64,
-) -> Matrix {
-    let rows = ids.len();
-    let mut m = Matrix::zeros(rows, cols);
-    for (r, id) in ids.enumerate() {
-        derived_normal_row(seed, id, std, m.row_mut(r));
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -61,7 +61,7 @@ pub use matrix::Matrix;
 pub use optim::Adam;
 pub use packed::PackedF32s;
 pub use params::{ParamId, Params};
-pub use rowtable::{derive_seed, grows_dense, RowTable, ScopeIndex, ScopeView};
+pub use rowtable::{derive_seed, grows_dense, ItemRows, RowInit, RowTable, ScopeIndex, ScopeView};
 pub use sparse::{Csr, PropagationMatrix};
 
 /// Convenience prelude that re-exports the types almost every user needs.

@@ -3,11 +3,13 @@
 //! PTF-FedRec clients never transmit their models — and they also never
 //! *touch* more than a sliver of the item space: positives, per-round
 //! sampled negatives, and server-dispersed items. [`ScopeView`] makes that
-//! contract explicit at model-construction time, and [`RowTable`] backs a
-//! scoped model's item embeddings with a dense arena of only the rows in
-//! scope plus a sorted id→row index ([`ScopeIndex`]).
+//! contract explicit at model-construction time, and [`ItemRows`] backs a
+//! scoped model's item state with dense planes of only the rows in scope
+//! plus a sorted id→row index ([`ScopeIndex`]). It is every model's one
+//! item store: [`RowTable`] is it over one plane, and the Adam-trained
+//! models put their embedding rows and both moment buffers in three.
 //!
-//! Two properties make scoped and full models interchangeable:
+//! Three properties make scoped and full models interchangeable:
 //!
 //! * **Seed-derived per-row initialization.** Every row's initial value is
 //!   a pure function of `(table seed, global item id)` via [`derive_seed`]
@@ -17,15 +19,16 @@
 //!   row, so scoped and full runs stay bit-comparable.
 //! * **Rows grown before each round, order-independently.** A client
 //!   materializes the sorted union of the rows its next round touches in
-//!   one merge pass ([`RowTable::ensure_many`]) and evicts cold rows in
-//!   one compaction pass ([`RowTable::retain_ids`]); nothing creates a
-//!   row one at a time. Because the init depends only on the id, *when*
+//!   one merge pass ([`ItemRows::grow`]) and evicts cold rows in one
+//!   compaction pass ([`ItemRows::retain`]); nothing creates a row one at
+//!   a time. Because the init depends only on the id, *when*
 //!   and *in which batch* a row materializes cannot change its contents.
 //!   Rows are kept sorted by global id so iteration (and
 //!   graph-propagation summation order) matches a full table's.
-//! * **The table's own growth decides its layout.** A growth step that
-//!   would leave a seed-derived sparse table holding at least as many
-//!   bytes as its dense table grows it dense instead ([`grows_dense`]):
+//! * **The table's own growth decides its layout.** Growth is exact, and
+//!   a growth step that would leave a seed-derived sparse table holding
+//!   at least as many bytes as its dense table grows it dense instead
+//!   ([`grows_dense`]):
 //!   every absent row materializes in the same merge plan
 //!   ([`ScopeIndex::densify`]) and the id list goes. Dense tables never
 //!   turn sparse again. Zero-initialized tables never promote: for them
@@ -33,6 +36,7 @@
 //!
 //! Growth into reserved capacity performs **zero heap allocations**.
 
+use crate::matrix::Matrix;
 use crate::packed::PackedF32s;
 
 /// Mixes `(master, a, b)` into one well-distributed 64-bit seed.
@@ -150,21 +154,28 @@ impl ScopeIndex {
     /// # Panics
     /// If a `Rows` scope's ids are unsorted, repeated or out of range.
     pub fn new(scope: ScopeView<'_>) -> Self {
-        let num_items = scope.num_items();
         let ids = match scope {
             ScopeView::Full(_) => None,
-            ScopeView::Rows { ids, .. } => {
-                assert!(ids.windows(2).all(|w| w[0] < w[1]), "scope ids must be sorted and unique");
-                if let Some(&last) = ids.last() {
-                    assert!(
-                        (last as usize) < num_items,
-                        "scope id {last} out of range ({num_items} items)"
-                    );
-                }
-                Some(ids.to_vec())
-            }
+            ScopeView::Rows { ids, .. } => Some(ids.to_vec()),
         };
-        Self { num_items, ids }
+        Self::checked(scope.num_items(), ids).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The index of `num_items` items that holds `ids` (`None`: every
+    /// item), its id list sized exactly as the table's own growth would
+    /// leave it, or why `ids` cannot be one: what a restored envelope
+    /// goes through.
+    pub fn checked(num_items: usize, mut ids: Option<Vec<u32>>) -> Result<Self, String> {
+        if let Some(ids) = &mut ids {
+            if !ids.windows(2).all(|w| w[0] < w[1]) {
+                return Err("scope ids must be sorted and unique".to_string());
+            }
+            if let Some(&last) = ids.last().filter(|&&last| last as usize >= num_items) {
+                return Err(format!("scope id {last} out of range ({num_items} items)"));
+            }
+            ids.shrink_to_fit();
+        }
+        Ok(Self { num_items, ids })
     }
 
     /// The scope this index maps.
@@ -394,29 +405,220 @@ impl ScopeIndex {
     }
 }
 
-/// How a [`RowTable`] fills a freshly materialized row.
+/// How an [`ItemRows`] store fills a fresh row of its first plane; every
+/// other plane's fresh row starts at zero.
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum RowInit {
-    /// All-zero rows (delta/accumulator tables).
+pub enum RowInit {
+    /// All-zero rows (delta/accumulator tables). A table of them never
+    /// promotes: an absent row means "untouched".
     Zeros,
     /// First `init_cols` entries i.i.d. `N(0, std²)` from the row's
     /// derived seed; trailing columns (e.g. a bias column) start at zero.
     DerivedNormal { seed: u64, std: f32, init_cols: usize },
 }
 
-/// A row-sparse embedding table: a dense arena of the materialized rows
-/// (sorted by global item id) plus a [`ScopeIndex`].
+impl RowInit {
+    /// Writes the fresh values of item `id` into `out`.
+    pub fn fill(self, id: u32, out: &mut [f32]) {
+        match self {
+            Self::Zeros => out.fill(0.0),
+            Self::DerivedNormal { seed, std, init_cols } => {
+                crate::init::derived_normal_row(seed, id, std, &mut out[..init_cols]);
+                out[init_cols..].fill(0.0);
+            }
+        }
+    }
+
+    /// The fresh rows, `cols` wide, of every item `scope` holds.
+    pub fn rows(self, scope: ScopeView<'_>, cols: usize) -> Matrix {
+        let mut m = Matrix::zeros(scope.len(), cols);
+        for (r, id) in scope.iter().enumerate() {
+            self.fill(id, m.row_mut(r));
+        }
+        m
+    }
+}
+
+/// The item rows of a model, over `K` planes whose rows move together:
+/// a [`ScopeIndex`], how a fresh row starts, and `lead` rows that come
+/// before the item block in every plane (a graph model's user rows).
 ///
-/// See the module docs for the determinism contract. The arena grows with
-/// bounded headroom (~25%) rather than doubling, so a Gowalla-scale
-/// client fleet's peak heap stays close to the sum of touched rows.
+/// The planes stay with their owner, as [`Matrix`]es
+/// where its math wants them: [`RowTable`] holds one (`K = 1`), an
+/// Adam-trained model its embedding parameter and both moment buffers
+/// (`K = 3`). Everything that moves a row is here: the one growth policy
+/// (exact: room for the rows held, no headroom), the [`grows_dense`]
+/// promotion, the row mover the [`ScopeIndex`] plans drive, the
+/// compaction's truncation, and the heap accounting.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ItemRows {
+    index: ScopeIndex,
+    init: RowInit,
+    lead: usize,
+}
+
+impl ItemRows {
+    /// The rows `index` holds, behind `lead` rows, whose planes the
+    /// caller built with `init` in every held row.
+    pub fn new(index: ScopeIndex, init: RowInit, lead: usize) -> Self {
+        Self { index, init, lead }
+    }
+
+    pub fn index(&self) -> &ScopeIndex {
+        &self.index
+    }
+
+    pub fn init(&self) -> RowInit {
+        self.init
+    }
+
+    /// Rows before the item block in every plane.
+    pub fn lead(&self) -> usize {
+        self.lead
+    }
+
+    /// Plane row of a *materialized* item.
+    pub fn lookup(&self, id: u32) -> Option<usize> {
+        self.index.lookup(id).map(|r| self.lead + r)
+    }
+
+    /// Plane row of an item that must be materialized
+    /// ([`ScopeIndex::row_of`]).
+    #[inline(always)]
+    pub fn row_of(&self, id: u32) -> usize {
+        self.lead + self.index.row_of(id)
+    }
+
+    /// The first plane's values of item `id` while it is not materialized.
+    pub fn cold_row(&self, id: u32, out: &mut [f32]) {
+        self.init.fill(id, out);
+    }
+
+    /// Heap bytes of the planes and the id list (the leading rows
+    /// included, which a dense table holds too).
+    pub fn heap_bytes<const K: usize>(&self, planes: [&Matrix; K]) -> usize {
+        let floats: usize = planes.iter().map(|p| p.capacity()).sum();
+        floats * std::mem::size_of::<f32>() + self.index.heap_bytes()
+    }
+
+    /// Makes room for `rows` item rows in all (at most the catalogue), so
+    /// growing to that count allocates nothing.
+    pub fn reserve<const K: usize>(&mut self, planes: [&mut Matrix; K], rows: usize) {
+        let rows = rows.min(self.index.num_items());
+        for p in planes {
+            p.reserve_rows(self.lead + rows);
+        }
+        self.index.reserve(rows);
+    }
+
+    /// Materializes every id of `sorted_ids` (ascending, unique) not held
+    /// yet in **one backward merge pass** ([`ScopeIndex::merge_in`]):
+    /// O(rows + new) movement in every plane. A fresh row gets the init in
+    /// its first plane, then `fill(id, row)` there (copy-on-first-touch),
+    /// and zeros in the rest. Returns how many rows were added; zero, and
+    /// free, when everything was held.
+    ///
+    /// Growth is exact, so a seed-derived table that would reach
+    /// [`grows_dense`]'s share of the catalogue grows dense instead: every
+    /// absent row materializes in the same plan ([`ScopeIndex::densify`])
+    /// and the id list goes.
+    pub fn grow<const K: usize>(
+        &mut self,
+        mut planes: [&mut Matrix; K],
+        sorted_ids: &[u32],
+        mut fill: impl FnMut(u32, &mut [f32]),
+    ) -> usize {
+        let fresh = self.index.count_absent(sorted_ids);
+        if fresh == 0 {
+            return 0;
+        }
+        let (held, num_items) = (self.index.len(), self.index.num_items());
+        let row_bytes = planes.iter().map(|p| p.cols()).sum::<usize>() * std::mem::size_of::<f32>();
+        let derived = matches!(self.init, RowInit::DerivedNormal { .. });
+        let promotes = derived && grows_dense(held + fresh, row_bytes, num_items);
+        let rows = if promotes { num_items } else { held + fresh };
+        for p in planes.iter_mut() {
+            p.reserve_rows(self.lead + rows);
+            p.push_zero_rows(rows - held);
+        }
+        let place = mover(self.lead, self.init, &mut planes, &mut fill);
+        if promotes {
+            self.index.densify(place);
+        } else {
+            self.index.merge_in(sorted_ids, fresh, place);
+        }
+        debug_assert!(
+            !derived
+                || self.index.is_dense()
+                || self.heap_bytes(planes.each_ref().map(|p| &**p))
+                    < (self.lead + num_items) * row_bytes,
+            "a sparse table outgrew its dense size"
+        );
+        rows - held
+    }
+
+    /// Evicts every row whose id is not in `keep_sorted` (ascending,
+    /// unique) in **one compaction pass** ([`ScopeIndex::retain`]) and
+    /// returns how many rows were dropped or reset.
+    ///
+    /// Eviction is *semantically free* on seed-derived tables: a dropped
+    /// row re-materializes bit-identically. A sparse table moves its kept
+    /// rows up in every plane and truncates them; a dense one resets each
+    /// evicted row in place to its fresh state, which is where a sparse
+    /// table's row starts when it comes back.
+    pub fn retain<const K: usize>(
+        &mut self,
+        mut planes: [&mut Matrix; K],
+        keep_sorted: &[u32],
+    ) -> usize {
+        let removed = self
+            .index
+            .retain(keep_sorted, mover(self.lead, self.init, &mut planes, &mut |_, _| {}));
+        for p in planes {
+            p.truncate_rows(self.lead + self.index.len());
+        }
+        removed
+    }
+}
+
+/// The `place(from, to, id)` step of a [`ScopeIndex`] plan over `planes`,
+/// whose item rows start `lead` rows in: `Some(from)` moves a row in
+/// every plane, `None` writes `id`'s fresh row (`init`, then `fill`, in
+/// the first plane; zeros in the rest).
+fn mover<'a, const K: usize>(
+    lead: usize,
+    init: RowInit,
+    planes: &'a mut [&mut Matrix; K],
+    fill: &'a mut impl FnMut(u32, &mut [f32]),
+) -> impl FnMut(Option<usize>, usize, u32) + 'a {
+    let cols = planes.each_ref().map(|p| p.cols());
+    let mut data = planes.each_mut().map(|p| p.as_mut_slice());
+    move |from, to, id| {
+        for (k, (plane, &c)) in data.iter_mut().zip(&cols).enumerate() {
+            let at = (lead + to) * c;
+            match from {
+                Some(from) => plane.copy_within((lead + from) * c..(lead + from + 1) * c, at),
+                None if k == 0 => {
+                    init.fill(id, &mut plane[at..at + c]);
+                    fill(id, &mut plane[at..at + c]);
+                }
+                None => plane[at..at + c].fill(0.0),
+            }
+        }
+    }
+}
+
+/// A row-sparse embedding table: [`ItemRows`] over one plane, the
+/// materialized rows sorted by global item id.
+///
+/// See the module docs for the determinism contract. The plane grows
+/// exactly ([`ItemRows::grow`]), so a client fleet's peak heap stays
+/// close to the sum of touched rows.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RowTable {
-    index: ScopeIndex,
-    cols: usize,
-    init: RowInit,
-    /// Row-major arena, `index.len() × cols`.
-    data: Vec<f32>,
+    rows: ItemRows,
+    /// Row-major, `index.len() × cols`.
+    data: Matrix,
 }
 
 std::thread_local! {
@@ -437,38 +639,28 @@ impl RowTable {
         seed: u64,
     ) -> Self {
         assert!(init_cols <= cols, "init_cols {init_cols} > cols {cols}");
-        let index = ScopeIndex::new(scope);
         let init = RowInit::DerivedNormal { seed, std, init_cols };
-        let mut data = vec![0.0f32; index.len() * cols];
-        for r in 0..index.len() {
-            let id = index.id_of(r);
-            fill_row(init, id, &mut data[r * cols..r * cols + cols]);
-        }
-        Self { index, cols, init, data }
+        Self { rows: ItemRows::new(ScopeIndex::new(scope), init, 0), data: init.rows(scope, cols) }
     }
 
     /// A sparse zero-initialized table with no materialized rows — the
     /// accumulator shape (per-client item deltas, gradient staging).
     pub fn sparse_zeroed(num_items: usize, cols: usize) -> Self {
-        Self {
-            index: ScopeIndex { num_items, ids: Some(Vec::new()) },
-            cols,
-            init: RowInit::Zeros,
-            data: Vec::new(),
-        }
+        let index = ScopeIndex { num_items, ids: Some(Vec::new()) };
+        Self { rows: ItemRows::new(index, RowInit::Zeros, 0), data: Matrix::zeros(0, cols) }
     }
 
     pub fn num_items(&self) -> usize {
-        self.index.num_items()
+        self.rows.index.num_items()
     }
 
     pub fn cols(&self) -> usize {
-        self.cols
+        self.data.cols()
     }
 
     /// Materialized row count.
     pub fn rows(&self) -> usize {
-        self.index.len()
+        self.rows.index.len()
     }
 
     /// Materialized scalar count (the table's parameter count).
@@ -480,78 +672,47 @@ impl RowTable {
         self.data.is_empty()
     }
 
-    pub fn is_dense(&self) -> bool {
-        self.index.is_dense()
-    }
-
-    /// Materialized ids in row order (`None` when dense).
-    pub fn ids(&self) -> Option<&[u32]> {
-        self.index.ids()
-    }
-
     pub fn index(&self) -> &ScopeIndex {
-        &self.index
+        &self.rows.index
     }
 
     pub fn lookup(&self, id: u32) -> Option<usize> {
-        self.index.lookup(id)
+        self.rows.lookup(id)
     }
 
     /// [`ScopeIndex::row_of`].
     #[inline(always)]
     pub fn row_of(&self, id: u32) -> usize {
-        self.index.row_of(id)
-    }
-
-    /// Global id of materialized row `r`.
-    pub fn id_of(&self, r: usize) -> u32 {
-        self.index.id_of(r)
+        self.rows.row_of(id)
     }
 
     pub fn row(&self, r: usize) -> &[f32] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        self.data.row(r)
     }
 
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
+        self.data.row_mut(r)
     }
 
     /// Iterates `(global id, row)` in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &[f32])> {
-        (0..self.rows()).map(|r| (self.index.id_of(r), self.row(r)))
+        (0..self.rows()).map(|r| (self.rows.index.id_of(r), self.row(r)))
     }
 
-    /// Heap bytes of the arena and the id list.
+    /// [`ItemRows::heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<f32>() + self.index.heap_bytes()
+        self.rows.heap_bytes([&self.data])
     }
 
     /// Pre-reserves capacity for `additional` more materialized rows, so
     /// growing by that many allocates nothing.
     pub fn reserve_rows(&mut self, additional: usize) {
-        let want = (self.rows() + additional).min(self.num_items());
-        let extra_rows = want.saturating_sub(self.rows());
-        let need = self.data.len() + extra_rows * self.cols;
-        if need > self.data.capacity() {
-            self.data.reserve_exact(need - self.data.len());
-        }
-        if let Some(ids) = &mut self.index.ids {
-            if want > ids.capacity() {
-                let extra = want - ids.len();
-                ids.reserve_exact(extra);
-            }
-        }
+        let rows = self.rows() + additional;
+        self.rows.reserve([&mut self.data], rows);
     }
 
-    /// Materializes every id of `sorted_ids` (ascending, unique) that is
-    /// not yet present, each with the table's init, in **one backward
-    /// merge pass** ([`ScopeIndex::merge_in`]): O(rows + new) arena
-    /// movement. Returns the number of rows materialized; zero when
-    /// everything was already present (and then the call is free).
-    ///
-    /// The arena grows exactly, so a seed-derived table that would hold
-    /// at least [`grows_dense`]'s share of the catalogue (≈ 97 % at 33
-    /// columns) grows dense instead, materializing every absent row.
+    /// Materializes every id of `sorted_ids` not yet present
+    /// ([`ItemRows::grow`]). Returns the number of rows materialized.
     pub fn ensure_many(&mut self, sorted_ids: &[u32]) -> usize {
         self.ensure_many_with(sorted_ids, |_, _| {})
     }
@@ -562,66 +723,21 @@ impl RowTable {
     pub fn ensure_many_with(
         &mut self,
         sorted_ids: &[u32],
-        mut fill: impl FnMut(u32, &mut [f32]),
+        fill: impl FnMut(u32, &mut [f32]),
     ) -> usize {
-        let new_count = self.index.count_absent(sorted_ids);
-        if new_count == 0 {
-            return 0;
-        }
-        let (cols, init, old_rows) = (self.cols, self.init, self.rows());
-        let row_bytes = cols * std::mem::size_of::<f32>();
-        let derived = matches!(init, RowInit::DerivedNormal { .. });
-        let promotes = derived && grows_dense(old_rows + new_count, row_bytes, self.num_items());
-        let grown = if promotes { self.num_items() - old_rows } else { new_count };
-        if promotes {
-            // the id list is about to go: only the arena needs the room
-            self.data.reserve_exact(grown * cols);
-        } else {
-            self.reserve_rows(grown);
-        }
-        let data = &mut self.data;
-        data.resize(data.len() + grown * cols, 0.0);
-        let place = |from: Option<usize>, to: usize, id: u32| {
-            place_row(data, cols, init, from, to, id);
-            if from.is_none() {
-                fill(id, &mut data[to * cols..(to + 1) * cols]);
-            }
-        };
-        if promotes {
-            self.index.densify(place);
-        } else {
-            self.index.merge_in(sorted_ids, new_count, place);
-        }
-        debug_assert!(
-            !derived || self.is_dense() || self.heap_bytes() < self.num_items() * row_bytes,
-            "a sparse table outgrew its dense size"
-        );
-        grown
+        self.rows.grow([&mut self.data], sorted_ids, fill)
     }
 
     /// The materialized rows, row-major (`rows() × cols()`): on a dense
     /// table, row `i` is item `i`.
     pub fn arena(&self) -> &[f32] {
-        &self.data
+        self.data.as_slice()
     }
 
     /// Evicts every row whose global id is not in `keep_sorted`
-    /// (ascending, unique), returning how many rows were dropped.
-    ///
-    /// Eviction is *semantically free* on seed-derived tables: a dropped
-    /// row re-materializes bit-identically, because its init is a pure
-    /// function of `(table seed, id)`. Sparse tables compact the arena in
-    /// one forward pass ([`ScopeIndex::retain`]); dense tables reset the
-    /// evicted rows in place to their derived init — the
-    /// representation-independent meaning of "row state is back to init".
+    /// ([`ItemRows::retain`]), returning how many rows were dropped.
     pub fn retain_ids(&mut self, keep_sorted: &[u32]) -> usize {
-        let (cols, init) = (self.cols, self.init);
-        let data = &mut self.data;
-        let removed = self
-            .index
-            .retain(keep_sorted, |from, to, id| place_row(data, cols, init, from, to, id));
-        data.truncate(self.index.len() * cols);
-        removed
+        self.rows.retain([&mut self.data], keep_sorted)
     }
 
     /// Runs `f` on row `id`: the materialized row if present, otherwise
@@ -629,41 +745,15 @@ impl RowTable {
     /// table mutation, no steady-state allocation). `f` must not
     /// re-enter `with_row` on the same thread.
     pub fn with_row<R>(&self, id: u32, f: impl FnOnce(&[f32]) -> R) -> R {
-        match self.index.lookup(id) {
+        match self.lookup(id) {
             Some(r) => f(self.row(r)),
             None => COLD_ROW.with(|cell| {
                 let mut buf = cell.borrow_mut();
                 buf.clear();
-                buf.resize(self.cols, 0.0);
-                fill_row(self.init, id, &mut buf);
+                buf.resize(self.cols(), 0.0);
+                self.rows.cold_row(id, &mut buf);
                 f(&buf)
             }),
-        }
-    }
-}
-
-/// One step of a [`ScopeIndex`] plan over a row-major arena: `Some(from)`
-/// moves row `from` to `to`, `None` writes `id`'s fresh init at `to`.
-fn place_row(
-    data: &mut [f32],
-    cols: usize,
-    init: RowInit,
-    from: Option<usize>,
-    to: usize,
-    id: u32,
-) {
-    match from {
-        Some(from) => data.copy_within(from * cols..(from + 1) * cols, to * cols),
-        None => fill_row(init, id, &mut data[to * cols..(to + 1) * cols]),
-    }
-}
-
-fn fill_row(init: RowInit, id: u32, out: &mut [f32]) {
-    match init {
-        RowInit::Zeros => out.iter_mut().for_each(|x| *x = 0.0),
-        RowInit::DerivedNormal { seed, std, init_cols } => {
-            crate::init::derived_normal_row(seed, id, std, &mut out[..init_cols]);
-            out[init_cols..].iter_mut().for_each(|x| *x = 0.0);
         }
     }
 }
@@ -688,15 +778,15 @@ struct RowTableWire {
 
 impl serde::Serialize for RowTable {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let (init_seed, init_std, init_cols) = match self.init {
+        let (init_seed, init_std, init_cols) = match self.rows.init {
             RowInit::Zeros => (0, 0.0, 0),
             RowInit::DerivedNormal { seed, std, init_cols } => (seed, std, init_cols),
         };
         RowTableWire {
             num_items: self.num_items(),
-            cols: self.cols,
-            ids: self.index.ids().map(<[u32]>::to_vec),
-            data: PackedF32s::pack(&self.data),
+            cols: self.cols(),
+            ids: self.rows.index.ids().map(<[u32]>::to_vec),
+            data: PackedF32s::pack(self.arena()),
             init_seed: format!("{init_seed:016x}"),
             init_std,
             init_cols,
@@ -709,18 +799,8 @@ impl<'de> serde::Deserialize<'de> for RowTable {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         use serde::de::Error;
         let w = RowTableWire::deserialize(deserializer)?;
-        let rows = match &w.ids {
-            None => w.num_items,
-            Some(ids) => {
-                if !ids.windows(2).all(|p| p[0] < p[1]) {
-                    return Err(D::Error::custom("row table ids must be sorted and unique"));
-                }
-                if ids.last().is_some_and(|&l| l as usize >= w.num_items) {
-                    return Err(D::Error::custom("row table id out of range"));
-                }
-                ids.len()
-            }
-        };
+        let index = ScopeIndex::checked(w.num_items, w.ids).map_err(D::Error::custom)?;
+        let rows = index.len();
         let data = w.data.unpack("row table data").map_err(D::Error::custom)?;
         if rows.checked_mul(w.cols) != Some(data.len()) {
             return Err(D::Error::custom(format!(
@@ -744,10 +824,8 @@ impl<'de> serde::Deserialize<'de> for RowTable {
         } else {
             RowInit::DerivedNormal { seed, std: w.init_std, init_cols: w.init_cols }
         };
-        let mut ids = w.ids;
-        // exact, as the table's own growth would have left it
-        ids.iter_mut().for_each(Vec::shrink_to_fit);
-        Ok(Self { index: ScopeIndex { num_items: w.num_items, ids }, cols: w.cols, init, data })
+        let data = Matrix::from_vec(rows, w.cols, data);
+        Ok(Self { rows: ItemRows::new(index, init, 0), data })
     }
 }
 
@@ -764,30 +842,271 @@ mod tests {
         RowTable::from_scope(ScopeView::Full(n), 4, 3, 0.1, 77)
     }
 
-    /// The oracle for [`RowTable::ensure_many`]: one row at a time,
-    /// shifting the arena tail once per fresh id.
-    fn ensure_one(t: &mut RowTable, id: u32) -> usize {
-        let Some(ids) = &mut t.index.ids else { return id as usize };
-        let Err(p) = ids.binary_search(&id) else { return t.lookup(id).unwrap() };
-        ids.insert(p, id);
-        let at = p * t.cols;
-        t.data.splice(at..at, std::iter::repeat_n(0.0, t.cols));
-        fill_row(t.init, id, &mut t.data[at..at + t.cols]);
-        p
+    /// Catalogue and row width of the [`Store`] suite.
+    const N: usize = 24;
+    const COLS: usize = 3;
+
+    /// An [`ItemRows`] store over `k` planes of [`COLS`] columns behind
+    /// `lead` rows, with every value trained away from its init so that a
+    /// row out of place shows.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Store {
+        rows: ItemRows,
+        planes: Vec<Matrix>,
     }
 
-    /// The oracle for [`RowTable::retain_ids`]: one victim at a time —
-    /// removed, with the arena tail shifted up, from a sparse table, and
-    /// reset to its init in a dense one.
-    fn evict_one(t: &mut RowTable, id: u32) {
-        let r = t.lookup(id).unwrap();
-        let cols = t.cols;
-        match &mut t.index.ids {
-            Some(ids) => {
-                ids.remove(r);
-                t.data.drain(r * cols..(r + 1) * cols);
+    impl Store {
+        fn new(k: usize, lead: usize, derived: bool, scope: ScopeView<'_>, seed: u64) -> Self {
+            let init = if derived {
+                RowInit::DerivedNormal { seed, std: 0.1, init_cols: COLS - 1 }
+            } else {
+                RowInit::Zeros
+            };
+            let rows = ItemRows::new(ScopeIndex::new(scope), init, lead);
+            let mut planes = vec![Matrix::zeros(lead + scope.len(), COLS); k];
+            planes[0].as_mut_slice()[lead * COLS..]
+                .copy_from_slice(init.rows(scope, COLS).as_slice());
+            let mut s = Self { rows, planes };
+            s.train(seed);
+            s
+        }
+
+        /// Moves every value by an amount unique to its plane, row and
+        /// column.
+        fn train(&mut self, salt: u64) {
+            for (p, plane) in self.planes.iter_mut().enumerate() {
+                for (j, x) in plane.as_mut_slice().iter_mut().enumerate() {
+                    *x += ((salt % 7) as usize + 3 * j + p) as f32 * 0.01;
+                }
             }
-            None => fill_row(t.init, id, &mut t.data[r * cols..(r + 1) * cols]),
+        }
+
+        fn row_bytes(&self) -> usize {
+            self.planes.len() * COLS * 4
+        }
+
+        fn heap_bytes(&self) -> usize {
+            match self.planes.as_slice() {
+                [a] => self.rows.heap_bytes([a]),
+                [a, b, c] => self.rows.heap_bytes([a, b, c]),
+                _ => unreachable!(),
+            }
+        }
+
+        fn dense_bytes(&self) -> usize {
+            (self.rows.lead + N) * self.row_bytes()
+        }
+
+        fn grow(&mut self, ids: &[u32]) -> usize {
+            match self.planes.as_mut_slice() {
+                [a] => self.rows.grow([a], ids, |_, _| {}),
+                [a, b, c] => self.rows.grow([a, b, c], ids, |_, _| {}),
+                _ => unreachable!(),
+            }
+        }
+
+        fn retain(&mut self, keep: &[u32]) -> usize {
+            match self.planes.as_mut_slice() {
+                [a] => self.rows.retain([a], keep),
+                [a, b, c] => self.rows.retain([a, b, c], keep),
+                _ => unreachable!(),
+            }
+        }
+
+        /// Writes `id`'s fresh row at plane row `at` of every plane.
+        fn reset(&mut self, at: usize, id: u32) {
+            for (p, plane) in self.planes.iter_mut().enumerate() {
+                let row = plane.row_mut(at);
+                if p == 0 {
+                    self.rows.init.fill(id, row);
+                } else {
+                    row.fill(0.0);
+                }
+            }
+        }
+
+        /// Rebuilds every plane with `edit` applied to its row-major data.
+        fn reshape(&mut self, edit: impl Fn(&mut Vec<f32>)) {
+            for plane in &mut self.planes {
+                let mut data = plane.as_slice().to_vec();
+                edit(&mut data);
+                *plane = Matrix::from_vec(data.len() / COLS, COLS, data);
+            }
+        }
+
+        /// The oracle of growth: one id at a time, shifting the tail of
+        /// every plane once per fresh id.
+        fn insert_one(&mut self, id: u32) {
+            let Some(ids) = &mut self.rows.index.ids else { return };
+            let Err(pos) = ids.binary_search(&id) else { return };
+            ids.insert(pos, id);
+            let at = self.rows.lead + pos;
+            self.reshape(|data| drop(data.splice(at * COLS..at * COLS, [0.0; COLS])));
+            self.reset(at, id);
+        }
+
+        /// The oracle of a whole growth batch: id by id, and when the
+        /// batch crosses [`grows_dense`], every other absent id of the
+        /// catalogue too, before the id list goes.
+        fn grow_by_row(&mut self, ids: &[u32]) -> usize {
+            let Some(held) = self.rows.index.ids().map(<[u32]>::len) else { return 0 };
+            let rows = held + self.rows.index.count_absent(ids);
+            let derived = matches!(self.rows.init, RowInit::DerivedNormal { .. });
+            let promotes = derived && rows > held && self.crosses(rows);
+            for &id in ids {
+                self.insert_one(id);
+            }
+            if promotes {
+                (0..N as u32).for_each(|id| self.insert_one(id));
+                self.rows.index.ids = None;
+            }
+            self.rows.index.len() - held
+        }
+
+        /// The oracle of compaction: one victim at a time — removed, with
+        /// the tail of every plane shifted up, from a sparse store; reset
+        /// to its fresh row in a dense one.
+        fn remove_one(&mut self, id: u32) {
+            let at = self.rows.lookup(id).expect("victim is held");
+            match &mut self.rows.index.ids {
+                Some(ids) => {
+                    ids.retain(|&x| x != id);
+                    self.reshape(|data| drop(data.drain(at * COLS..(at + 1) * COLS)));
+                }
+                None => self.reset(at, id),
+            }
+        }
+
+        /// The one layout rule, stated once: a store growing to `rows`
+        /// item rows grows dense instead.
+        fn crosses(&self, rows: usize) -> bool {
+            grows_dense(rows, self.row_bytes(), N)
+        }
+    }
+
+    /// Plane count, leading rows, derived init and a dense layout: the
+    /// shapes every item store takes (`RowTable`: one plane, the Adam
+    /// stores: three behind their user rows).
+    fn shapes() -> impl Strategy<Value = (usize, usize, bool, bool)> {
+        (prop_oneof![Just(1usize), Just(3)], 0usize..3, any::<bool>(), any::<bool>())
+    }
+
+    fn store(shape: (usize, usize, bool, bool), held: &[u32], seed: u64) -> Store {
+        let (k, lead, derived, dense) = shape;
+        let scope =
+            if dense { ScopeView::Full(N) } else { ScopeView::Rows { num_items: N, ids: held } };
+        Store::new(k, lead, derived, scope, seed)
+    }
+
+    fn ids(set: std::collections::BTreeSet<u32>) -> Vec<u32> {
+        set.into_iter().collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Batches that hit, miss and interleave the held rows: the
+        /// one-pass merge — and the densifying plan, for a batch that
+        /// crosses the rule — leaves ids and every plane exactly as
+        /// id-by-id insertion does.
+        #[test]
+        fn one_pass_materialization_equals_row_by_row(
+            seed in any::<u64>(),
+            shape in shapes(),
+            held in collection::btree_set(0u32..N as u32, 0..12),
+            batches in collection::vec(collection::btree_set(0u32..N as u32, 0..15), 1..4),
+        ) {
+            let mut merged = store(shape, &ids(held), seed);
+            let mut by_row = merged.clone();
+            for (b, batch) in batches.into_iter().enumerate() {
+                let batch = ids(batch);
+                prop_assert_eq!(merged.grow(&batch), by_row.grow_by_row(&batch));
+                prop_assert_eq!(&merged, &by_row);
+                merged.train(b as u64);
+                by_row.train(b as u64);
+            }
+        }
+
+        /// The compaction plan leaves ids and every plane exactly as
+        /// evicting the victims one at a time does, and a later growth
+        /// pass finds both in the same state.
+        #[test]
+        fn compaction_equals_victim_by_victim_removal(
+            seed in any::<u64>(),
+            shape in shapes(),
+            held in collection::btree_set(0u32..N as u32, 0..12),
+            keep in collection::btree_set(0u32..N as u32, 0..15),
+            touch in collection::btree_set(0u32..N as u32, 0..8),
+        ) {
+            let keep = ids(keep);
+            let mut plan = store(shape, &ids(held), seed);
+            let mut by_victim = plan.clone();
+            let victims: Vec<u32> =
+                plan.rows.index.view().iter().filter(|id| keep.binary_search(id).is_err()).collect();
+            prop_assert_eq!(plan.retain(&keep), victims.len());
+            for &id in &victims {
+                by_victim.remove_one(id);
+            }
+            prop_assert_eq!(&plan, &by_victim);
+            let touch = ids(touch);
+            plan.grow(&touch);
+            by_victim.grow_by_row(&touch);
+            prop_assert_eq!(plan, by_victim);
+        }
+
+        /// `densify` is `merge_in` over the whole catalogue, call for
+        /// call, without the id list.
+        #[test]
+        fn densify_is_the_merge_plan_of_every_id(
+            held in collection::btree_set(0u32..30, 0..30),
+        ) {
+            let held = ids(held);
+            let all: Vec<u32> = (0..30).collect();
+            let mut merged = ScopeIndex::new(ScopeView::Rows { num_items: 30, ids: &held });
+            let mut dense = merged.clone();
+            let (mut plan, mut by_merge) = (Vec::new(), Vec::new());
+            let absent = merged.count_absent(&all);
+            merged.merge_in(&all, absent, |from, to, id| by_merge.push((from, to, id)));
+            dense.densify(|from, to, id| plan.push((from, to, id)));
+            prop_assert_eq!(plan, by_merge);
+            prop_assert_eq!(merged.ids(), Some(&all[..]));
+            prop_assert!(dense.is_dense());
+        }
+
+        /// Growth in random batches, with compactions between them: a
+        /// seed-derived store holds fewer bytes than its dense layout
+        /// until the batch that crosses [`grows_dense`] turns it dense,
+        /// with every row the fresh values of its id; a zeroed store
+        /// never promotes.
+        #[test]
+        fn growth_promotes_at_the_rule_and_stays_below_dense_before(
+            shape in (prop_oneof![Just(1usize), Just(3)], 0usize..3, any::<bool>()),
+            batches in collection::vec(
+                (collection::btree_set(0u32..N as u32, 0..16), collection::btree_set(0u32..N as u32, 0..16)),
+                1..6,
+            ),
+        ) {
+            let (k, lead, derived) = shape;
+            let scope = ScopeView::Rows { num_items: N, ids: &[3] };
+            let mut s = Store::new(k, lead, derived, scope, 77);
+            s.planes.iter_mut().for_each(|p| p.as_mut_slice().fill(0.0));
+            s.reset(lead, 3);
+            let mut crossed = false;
+            for (grow, keep) in batches {
+                let grow = ids(grow);
+                if !s.rows.index.is_dense() && s.rows.index.count_absent(&grow) > 0 {
+                    crossed |= derived && s.crosses(s.rows.index.len() + s.rows.index.count_absent(&grow));
+                }
+                s.grow(&grow);
+                prop_assert_eq!(s.rows.index.is_dense(), crossed);
+                prop_assert!(crossed || !derived || s.heap_bytes() < s.dense_bytes());
+                let mut fresh = s.clone();
+                for (r, id) in s.rows.index.view().iter().enumerate() {
+                    fresh.reset(lead + r, id);
+                }
+                prop_assert_eq!(&fresh, &s);
+                s.retain(&ids(keep));
+            }
         }
     }
 
@@ -810,7 +1129,7 @@ mod tests {
         a.ensure_many(&[7]);
         b.ensure_many(&[7, 10]);
         assert_eq!(a, b);
-        assert_eq!(a.ids(), Some(&[3, 7, 10][..]));
+        assert_eq!(a.index().ids(), Some(&[3, 7, 10][..]));
         // and both match the full table on every shared row
         let full = full(20);
         for &id in &[3u32, 7, 10] {
@@ -824,7 +1143,7 @@ mod tests {
         let before_5 = t.row(t.lookup(5).unwrap()).to_vec();
         let before_10 = t.row(t.lookup(10).unwrap()).to_vec();
         assert_eq!(t.ensure_many(&[7]), 1);
-        assert_eq!(t.ids(), Some(&[5, 7, 10][..]));
+        assert_eq!(t.index().ids(), Some(&[5, 7, 10][..]));
         assert_eq!(t.lookup(7), Some(1));
         assert_eq!(t.row(0), &before_5[..], "existing row moved bytes");
         assert_eq!(t.row(2), &before_10[..], "shifted row moved bytes");
@@ -838,7 +1157,7 @@ mod tests {
         let wanted = [1u32, 4, 6, 9, 15, 19];
         assert_eq!(batch.ensure_many(&wanted), 4);
         for &id in &wanted {
-            ensure_one(&mut single, id);
+            single.ensure_many(&[id]);
         }
         assert_eq!(batch, single);
         // idempotent and free the second time
@@ -847,98 +1166,6 @@ mod tests {
         // dense tables are a no-op
         let mut dense = full(20);
         assert_eq!(dense.ensure_many(&wanted), 0);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The compaction plan leaves ids and every row exactly as
-        /// evicting the victims one at a time does, on dense and sparse
-        /// tables, and a later growth pass finds both in the same state.
-        #[test]
-        fn compaction_equals_victim_by_victim_removal(
-            dense in any::<bool>(),
-            held in collection::btree_set(0u32..20, 0..12),
-            keep in collection::btree_set(0u32..20, 0..12),
-            touch in collection::btree_set(0u32..20, 0..8),
-        ) {
-            let held: Vec<u32> = held.into_iter().collect();
-            let keep: Vec<u32> = keep.into_iter().collect();
-            let mut plan = if dense { full(20) } else { scoped(&held) };
-            for (r, x) in plan.data.iter_mut().enumerate() {
-                *x += r as f32; // trained rows, so a row out of place shows
-            }
-            let mut by_victim = plan.clone();
-            let victims: Vec<u32> =
-                plan.index.view().iter().filter(|id| keep.binary_search(id).is_err()).collect();
-            prop_assert_eq!(plan.retain_ids(&keep), victims.len());
-            for &id in &victims {
-                evict_one(&mut by_victim, id);
-            }
-            prop_assert_eq!(&plan, &by_victim);
-            let touch: Vec<u32> = touch.into_iter().collect();
-            plan.ensure_many(&touch);
-            by_victim.ensure_many(&touch);
-            prop_assert_eq!(plan, by_victim);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// `densify` is `merge_in` over the whole catalogue, call for
-        /// call, without the id list.
-        #[test]
-        fn densify_is_the_merge_plan_of_every_id(
-            held in collection::btree_set(0u32..30, 0..30),
-        ) {
-            let held: Vec<u32> = held.into_iter().collect();
-            let all: Vec<u32> = (0..30).collect();
-            let mut merged = ScopeIndex::new(ScopeView::Rows { num_items: 30, ids: &held });
-            let mut dense = merged.clone();
-            let (mut plan, mut by_merge) = (Vec::new(), Vec::new());
-            let absent = merged.count_absent(&all);
-            merged.merge_in(&all, absent, |from, to, id| by_merge.push((from, to, id)));
-            dense.densify(|from, to, id| plan.push((from, to, id)));
-            prop_assert_eq!(plan, by_merge);
-            prop_assert_eq!(merged.ids(), Some(&all[..]));
-            prop_assert!(dense.is_dense());
-        }
-
-        /// Growth in random batches, with compactions between them: a
-        /// seed-derived table holds fewer bytes than its dense table until
-        /// the batch that crosses [`grows_dense`] turns it dense, with every
-        /// row the values a dense table of the seed holds; a zeroed table
-        /// never promotes.
-        #[test]
-        fn growth_promotes_at_the_rule_and_stays_below_dense_before(
-            batches in collection::vec(
-                (collection::btree_set(0u32..20, 0..12), collection::btree_set(0u32..20, 0..12)),
-                1..6,
-            ),
-        ) {
-            let mut t = scoped(&[3]);
-            let mut zeroed = RowTable::sparse_zeroed(20, 4);
-            let mut crossed = false;
-            for (grow, keep) in batches {
-                let grow: Vec<u32> = grow.into_iter().collect();
-                if !t.is_dense() && t.index.count_absent(&grow) > 0 {
-                    crossed |= grows_dense(t.rows() + t.index.count_absent(&grow), 16, 20);
-                }
-                t.ensure_many(&grow);
-                zeroed.ensure_many(&grow);
-                prop_assert_eq!(t.is_dense(), crossed);
-                prop_assert!(crossed || t.heap_bytes() < 20 * 16);
-                prop_assert!(!zeroed.is_dense());
-                let fresh = full(20);
-                for (id, row) in t.iter() {
-                    prop_assert_eq!(row, fresh.row(id as usize));
-                }
-                let keep: Vec<u32> = keep.into_iter().collect();
-                t.retain_ids(&keep);
-                zeroed.retain_ids(&keep);
-            }
-        }
     }
 
     #[test]
@@ -970,7 +1197,7 @@ mod tests {
         let keep_5 = t.row(t.lookup(5).unwrap()).to_vec();
         let keep_13 = t.row(t.lookup(13).unwrap()).to_vec();
         assert_eq!(t.retain_ids(&[5, 13]), 3);
-        assert_eq!(t.ids(), Some(&[5, 13][..]));
+        assert_eq!(t.index().ids(), Some(&[5, 13][..]));
         assert_eq!(t.row(0), &keep_5[..], "kept row moved bytes");
         assert_eq!(t.row(1), &keep_13[..], "kept row moved bytes");
         assert_eq!(t.len(), 2 * t.cols());

@@ -19,7 +19,7 @@ use rand::Rng;
 
 const NUM_ITEMS: usize = 24;
 
-fn hyper(kind: ModelKind) -> ModelHyper {
+fn hyper() -> ModelHyper {
     let mut h = ModelHyper::small();
     h.dim = 8;
     h.gcn_layers = 2;
@@ -35,7 +35,7 @@ const ALL_KINDS: [ModelKind; 4] =
 /// `Full`-scoped model of the seed that `rng` yields, and a `Rows`-scoped
 /// model of the same seed. All three must stay bit-identical.
 fn built_full_and_rows(kind: ModelKind, ids: &[u32], rng_seed: u64) -> [Box<dyn Recommender>; 3] {
-    let h = hyper(kind);
+    let h = hyper();
     let built = build_model(kind, 2, NUM_ITEMS, &h, &mut test_rng(rng_seed));
     let seed: u64 = test_rng(rng_seed).gen();
     let full = build_model_scoped(kind, 2, &h, ScopeView::Full(NUM_ITEMS), seed);
@@ -190,7 +190,7 @@ proptest! {
 #[test]
 fn dispersed_out_of_scope_item_materializes_deterministically() {
     for kind in ALL_KINDS {
-        let h = hyper(kind);
+        let h = hyper();
         let scope = ScopeView::Rows { num_items: NUM_ITEMS, ids: &[2, 5, 11] };
         let mut full = build_model_scoped(kind, 1, &h, ScopeView::Full(NUM_ITEMS), 99);
         let mut scoped_a = build_model_scoped(kind, 1, &h, scope, 99);
@@ -250,7 +250,7 @@ fn dispersed_out_of_scope_item_materializes_deterministically() {
 #[test]
 fn scoped_state_roundtrips_through_checkpoints() {
     for kind in ALL_KINDS {
-        let h = hyper(kind);
+        let h = hyper();
         let scope = ScopeView::Rows { num_items: NUM_ITEMS, ids: &[1, 8] };
         let mut m = build_model_scoped(kind, 1, &h, scope, 3);
         m.prepare_items(&[1, 19]);
