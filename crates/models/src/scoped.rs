@@ -307,6 +307,101 @@ mod tests {
     }
     adam_under_the_rule!(crate::NeuMf, crate::Ngcf, crate::LightGcn);
 
+    /// A store whose item block follows `lead` user rows, beside a second
+    /// parameter, as the graph models lay theirs out.
+    fn store(lead: usize, dim: usize, scope: ScopeView<'_>, seed: u64) -> ScopedParams {
+        let mut data = vec![0.25f32; lead * dim];
+        data.extend_from_slice(item_block(scope, dim, seed).as_slice());
+        let mut params = Params::new();
+        let emb = params.push("emb", Matrix::from_vec(lead + scope.len(), dim, data));
+        params.push("w", Matrix::full(2, 3, 0.5));
+        ScopedParams::new(params, emb, lead, scope, seed, 0.01)
+    }
+
+    fn scope_of(dense: bool, held: &[u32]) -> ScopeView<'_> {
+        if dense {
+            ScopeView::Full(ITEMS as usize)
+        } else {
+            ScopeView::Rows { num_items: ITEMS as usize, ids: held }
+        }
+    }
+
+    /// One Adam step on a dense gradient, so every moment row is
+    /// distinct and a row that moved out of register would show.
+    fn warm(s: &mut ScopedParams) {
+        let mut grads = Grads::new_for(s.params());
+        for (id, _, p) in s.params().iter() {
+            let g = Matrix::from_fn(p.rows(), p.cols(), |r, c| 0.01 * (r * 7 + c) as f32 + 0.003);
+            *grads.slot_mut(id) = Some(GradBuf::Dense(g));
+        }
+        s.step(&grads);
+    }
+
+    /// The oracle for [`ScopedParams::evict`]: one victim at a time —
+    /// removed with its moment rows from a row-scoped store, reset to its
+    /// init with zero moments in a dense one.
+    fn evict_one(s: &mut ScopedParams, id: u32) {
+        let d = s.dim();
+        let at = s.rows.lookup(id).expect("victim is held") * d;
+        let mut fresh = vec![0.0; d];
+        s.rows.cold_row(id, &mut fresh);
+        let ids = s.rows.index().ids().map(|held| {
+            let mut ids = held.to_vec();
+            ids.retain(|&x| x != id);
+            ids
+        });
+        let planes = item_planes(&mut s.params, &mut s.adam, s.emb);
+        if let Some(ids) = ids {
+            for plane in planes {
+                let mut data = plane.as_slice().to_vec();
+                data.drain(at..at + d);
+                *plane = Matrix::from_vec(data.len() / d, d, data);
+            }
+            let scope = ScopeView::Rows { num_items: ITEMS as usize, ids: &ids };
+            s.rows = ItemRows::new(ScopeIndex::new(scope), s.rows.init(), s.rows.lead());
+        } else {
+            let [e, m, v] = planes;
+            e.as_mut_slice()[at..at + d].copy_from_slice(&fresh);
+            m.as_mut_slice()[at..at + d].fill(0.0);
+            v.as_mut_slice()[at..at + d].fill(0.0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The compaction plan leaves ids, parameter rows and both moment
+        /// rows — the whole envelope — exactly as evicting the victims one
+        /// at a time does, on dense and row-scoped stores with and without
+        /// leading user rows, and the two keep training in lockstep.
+        #[test]
+        fn compaction_equals_victim_by_victim_removal(
+            seed in any::<u64>(),
+            shape in (0usize..3, 1usize..6, any::<bool>()),
+            held in collection::btree_set(0u32..ITEMS, 0..12),
+            keep in collection::btree_set(0u32..ITEMS, 0..15),
+        ) {
+            let (lead, dim, dense) = shape;
+            let held: Vec<u32> = held.into_iter().collect();
+            let keep: Vec<u32> = keep.into_iter().collect();
+            let mut plan = store(lead, dim, scope_of(dense, &held), seed);
+            warm(&mut plan);
+            let mut by_victim = store(lead, dim, scope_of(dense, &held), seed);
+            warm(&mut by_victim);
+            let victims: Vec<u32> =
+                plan.rows().index().view().iter().filter(|id| keep.binary_search(id).is_err()).collect();
+            prop_assert_eq!(plan.evict(&keep), victims.len());
+            for &id in &victims {
+                evict_one(&mut by_victim, id);
+            }
+            prop_assert_eq!(plan.rows(), by_victim.rows());
+            prop_assert_eq!(plan.export("T", None), by_victim.export("T", None));
+            warm(&mut plan);
+            warm(&mut by_victim);
+            prop_assert_eq!(plan.export("T", None), by_victim.export("T", None));
+        }
+    }
+
     const ITEMS: u32 = 40;
 
     /// A one-user model of each family over [`ITEMS`] items.
