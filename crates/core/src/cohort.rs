@@ -17,22 +17,28 @@
 //!   there is no in-process store — a deployed client keeps its state in
 //!   local storage, not in the server's RAM): the eviction recency index,
 //!   the model's full-state envelope verbatim, and the dispersed set
-//!   `D̃_i`. The client phase writes the first two (one tmp+rename);
-//!   `deliver` appends the third (one `O_APPEND` write — nothing is read
-//!   back, parsed or rewritten).
+//!   `D̃_i`. The client phase writes the first two over the file in
+//!   place (one write at offset 0 and a `set_len`); `deliver` appends the
+//!   third (one `O_APPEND` write — nothing is read back, parsed or
+//!   rewritten).
 //!   Everything else a resident client holds is either rebuilt per round
 //!   (the ego graph) or capacity-only (upload buffers).
 //!
-//! **Why appending is safe.** Between a participant's client phase and
-//! `deliver` its file has two lines and is not a valid envelope — but
-//! nothing reads it then: the next read is the client's next
-//! participation, a checkpoint commit copies the store only at a round
-//! boundary (every parked file has its third line by then), and a
-//! resume never reads the live store at all
-//! ([`CohortFedRec::reset_clients_from`] replaces it with the committed
-//! envelopes, each restored once as a check). A torn append or a
-//! truncation anywhere is a file that is not exactly three lines, which
-//! a restore rejects.
+//! **Why writing in place is safe.** Between a participant's client
+//! phase and `deliver` its file has two lines and is not a valid
+//! envelope, and a crash mid-write leaves a torn one — but nothing reads
+//! it then: the next read is the client's next participation, a
+//! checkpoint commit copies the store only at a round boundary (every
+//! parked file has its third line by then), and a resume never reads the
+//! live store at all ([`CohortFedRec::reset_clients_from`] replaces it
+//! with the committed envelopes, each restored once as a check). So the
+//! live store needs neither a tmp + rename nor an `O_TRUNC`, and it gets
+//! neither: on ext4 both are replace patterns that `auto_da_alloc` flushes,
+//! and on `scale100k-cohort-disk` the rename made every park pay for that
+//! (in-place parking took `round_s` to 0.68–0.76× of the rename's; an
+//! `O_TRUNC` open kept most of that cost). A torn write or a truncation
+//! anywhere is a file that is not exactly three lines, which a restore
+//! rejects.
 //!
 //! **Bit-parity.** Every RNG stream in a round is `(seed, round, id)`-
 //! derived and client construction is seed-derived, so a client restored
@@ -67,6 +73,7 @@ use ptf_models::{ModelHyper, ModelKind};
 use ptf_privacy::ScoredItem;
 use ptf_tensor::PackedF32s;
 use serde::{Deserialize, Serialize};
+use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -274,30 +281,28 @@ impl ClientStore {
         }
     }
 
-    /// Replaces `id`'s envelope with `text`.
+    /// Writes `text`, lines 1–2 of `id`'s envelope, over its file in
+    /// place: one write at offset 0, then `set_len` drops the rest of the
+    /// previous envelope (the module docs say why not tmp + rename).
     fn save(&mut self, id: u32, text: String) {
         let (shard, file) = envelope_rel(id);
         let dir = self.root.join(shard);
-        // tmp + rename so a crash mid-write never leaves a torn
-        // envelope where a resume would read it
-        let tmp = dir.join(format!("{id}.json.tmp"));
-        let written = std::fs::write(&tmp, &text).or_else(|e| {
-            if e.kind() != std::io::ErrorKind::NotFound {
-                return Err(e);
-            }
+        let open =
+            || OpenOptions::new().write(true).create(true).truncate(false).open(dir.join(&file));
+        let written = open()
             // the shard's first envelope: its directory is missing
-            std::fs::create_dir_all(&dir)?;
-            std::fs::write(&tmp, &text)
-        });
-        written.unwrap_or_else(|e| panic!("client store write: {e}"));
-        std::fs::rename(&tmp, dir.join(file))
-            .unwrap_or_else(|e| panic!("client store rename: {e}"));
+            .or_else(|_| std::fs::create_dir_all(&dir).and_then(|()| open()))
+            .and_then(|mut f| {
+                f.write_all(text.as_bytes())?;
+                f.set_len(text.len() as u64)
+            });
+        written.unwrap_or_else(|e| panic!("client store write for {id}: {e}"));
     }
 
     /// Appends `line` to `id`'s envelope, which must exist: one
-    /// `O_APPEND` write (see the module docs for why no rename is needed).
+    /// `O_APPEND` write.
     fn append(&mut self, id: u32, line: &str) {
-        std::fs::OpenOptions::new()
+        OpenOptions::new()
             .append(true)
             .open(self.path(id))
             .and_then(|mut f| f.write_all(line.as_bytes()))
@@ -585,6 +590,7 @@ fn copy_envelopes(
             let (shard, file) = envelope_rel(id);
             let dir = to.join(shard);
             std::fs::create_dir_all(&dir).map_err(|e| format!("copy shard: {e}"))?;
+            // a copy, never a hard link: the live file is rewritten in place
             std::fs::copy(&path, dir.join(file))
                 .map_err(|e| format!("copy envelope of client {id}: {e}"))?;
         }
@@ -776,12 +782,16 @@ pub(crate) mod tests {
 
     /// `deliver` adds one line to each parked file and touches nothing
     /// else: the client phase's bytes stay as written, no tmp file is
-    /// left behind, and the result restores.
+    /// left behind, and the result restores. A park writes over the
+    /// previous round's longer file in place and must leave exactly its
+    /// own two lines, not a tail of the old third.
     #[test]
     fn deliver_appends_exactly_one_line_to_each_parked_file() {
         let root = TempRoot::new("append");
         let mut fed = small_fed(&root, 5);
+        let mut overwrote_longer = 0;
         for round in 0..3 {
+            let previous = store_files(&root.0);
             let mut parked = BTreeMap::new();
             round_by_hand(&mut fed, round, |_| parked = store_files(&root.0));
             let delivered = store_files(&root.0);
@@ -793,7 +803,13 @@ pub(crate) mod tests {
             );
             for (path, before) in &parked {
                 assert_eq!(path.extension().and_then(|e| e.to_str()), Some("json"), "{path:?}");
+                overwrote_longer +=
+                    previous.get(path).is_some_and(|p| p.len() > before.len()) as usize;
                 assert_eq!(before.iter().filter(|&&b| b == b'\n').count(), 2, "{path:?}");
+                assert_eq!(before.last(), Some(&b'\n'), "{path:?}");
+                let head = std::str::from_utf8(before).unwrap().lines().next().unwrap();
+                let head: EnvelopeHead = serde_json::from_str(head).expect("line 1 is a head");
+                assert_eq!(head.round, round, "{path:?}");
                 let after = &delivered[path];
                 let line = after.strip_prefix(before.as_slice()).expect("parked bytes unchanged");
                 assert_eq!(line.iter().position(|&b| b == b'\n'), Some(line.len() - 1), "{path:?}");
@@ -804,6 +820,7 @@ pub(crate) mod tests {
                     .expect("a delivered envelope restores");
             }
         }
+        assert!(overwrote_longer > 0, "no park wrote over a longer envelope");
     }
 
     /// One way to damage a parked envelope.

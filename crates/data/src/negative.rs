@@ -5,6 +5,7 @@
 //! ratio throughout.
 
 use rand::Rng;
+use std::collections::HashSet;
 
 /// Samples up to `count` *distinct* negative item ids uniformly from the
 /// complement of the **sorted** positive set. The trained pool `V_t` is a
@@ -20,23 +21,81 @@ pub fn sample_negatives(
     rng: &mut impl Rng,
 ) -> Vec<u32> {
     let mut out = Vec::with_capacity(count);
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = ItemBits::default();
     sample_negatives_into(sorted_positives, num_items, count, rng, &mut out, &mut seen);
     out
 }
 
+/// The rejection path's workspace: the ids one call has accepted so far.
+/// [`ItemBits`] is the one every round reuses; a `HashSet<u32>` accepts
+/// the same ids from the same draws.
+pub trait Seen {
+    /// Readies an empty set for ids below `num_items`.
+    fn prepare(&mut self, num_items: usize);
+    /// Marks `id`; `false` when it was marked already.
+    fn insert(&mut self, id: u32) -> bool;
+    /// Empties the set; `accepted` holds every id marked since `prepare`.
+    fn reset(&mut self, accepted: &[u32]);
+}
+
+/// One bit per catalogue item, emptied through the ids a call accepted —
+/// `O(accepted)`, not `O(catalogue)` — so a draw costs a shift and a mask
+/// instead of a hash. Its words grow once, to the largest catalogue seen.
+#[derive(Default)]
+pub struct ItemBits {
+    words: Vec<u64>,
+}
+
+impl Seen for ItemBits {
+    fn prepare(&mut self, num_items: usize) {
+        let words = num_items.div_ceil(64);
+        if self.words.len() < words {
+            self.words.resize(words, 0);
+        }
+        debug_assert!(self.words.iter().all(|&w| w == 0), "an ItemBits was left marked");
+    }
+
+    #[inline]
+    fn insert(&mut self, id: u32) -> bool {
+        let (word, bit) = (&mut self.words[id as usize / 64], 1u64 << (id % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    fn reset(&mut self, accepted: &[u32]) {
+        // every marked bit is an accepted id, so zeroing their words
+        // zeroes them all
+        for &id in accepted {
+            self.words[id as usize / 64] = 0;
+        }
+    }
+}
+
+impl Seen for HashSet<u32> {
+    fn prepare(&mut self, _: usize) {
+        self.clear();
+    }
+
+    fn insert(&mut self, id: u32) -> bool {
+        HashSet::insert(self, id)
+    }
+
+    fn reset(&mut self, _: &[u32]) {}
+}
+
 /// [`sample_negatives`] into caller-owned buffers: `out` receives the
-/// sampled negatives, `seen` is rejection-sampling workspace. Both are
-/// cleared on entry and keep their capacity, so a steady-state caller
-/// (one buffer pair per scheduler worker) allocates nothing. Draw-for-draw
-/// identical to [`sample_negatives`].
+/// sampled negatives, `seen` is rejection-sampling workspace. `out` is
+/// cleared on entry, `seen` is left empty, and both keep their capacity,
+/// so a steady-state caller (one buffer pair per scheduler worker)
+/// allocates nothing. Draw-for-draw identical to [`sample_negatives`].
 pub fn sample_negatives_into(
     sorted_positives: &[u32],
     num_items: usize,
     count: usize,
     rng: &mut impl Rng,
     out: &mut Vec<u32>,
-    seen: &mut std::collections::HashSet<u32>,
+    seen: &mut impl Seen,
 ) {
     debug_assert!(sorted_positives.windows(2).all(|w| w[0] < w[1]), "positives must be sorted");
     out.clear();
@@ -64,13 +123,14 @@ pub fn sample_negatives_into(
         out.truncate(count);
         return;
     }
-    seen.clear();
+    seen.prepare(num_items);
     while out.len() < count {
         let candidate = rng.gen_range(0..num_items as u32);
         if sorted_positives.binary_search(&candidate).is_err() && seen.insert(candidate) {
             out.push(candidate);
         }
     }
+    seen.reset(out);
 }
 
 #[cfg(test)]
@@ -192,7 +252,7 @@ mod tests {
             // from a third of the complement (the crossover) to all of it
             let count = (available * (share + 1)).div_ceil(3).min(available);
             let mut rng = crate::test_rng(seed);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = ItemBits::default();
             let mut got = Vec::new();
             sample_negatives_into(&positives, num_items, count, &mut rng, &mut got, &mut seen);
             let mut oracle_rng = crate::test_rng(seed);
@@ -200,5 +260,55 @@ mod tests {
             proptest::prop_assert_eq!(got, want);
             proptest::prop_assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
         }
+
+        /// The bitset accepts exactly what a fresh `HashSet` accepted, in
+        /// the same order and from the same draws, on both paths — and
+        /// one `ItemBits` reused across catalogues is left empty by every
+        /// call.
+        #[test]
+        fn item_bits_match_the_hash_set_oracle(
+            positives in proptest::collection::btree_set(0u32..700, 0..200),
+            extra in 1usize..400,
+            counts in proptest::collection::vec(0usize..300, 1..4),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let positives: Vec<u32> = positives.into_iter().collect();
+            let mut seen = ItemBits::default();
+            let mut got = Vec::new();
+            for (k, count) in counts.into_iter().enumerate() {
+                // catalogues of alternating size, over one `ItemBits`
+                let num_items = positives.last().map_or(0, |&p| p as usize + 1) + extra * (k % 2 + 1);
+                let mut rng = crate::test_rng(seed ^ k as u64);
+                sample_negatives_into(&positives, num_items, count, &mut rng, &mut got, &mut seen);
+                let mut oracle_rng = crate::test_rng(seed ^ k as u64);
+                let want = hash_set_oracle(&positives, num_items, count, &mut oracle_rng);
+                proptest::prop_assert_eq!(&got, &want);
+                proptest::prop_assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
+                proptest::prop_assert!(seen.words.iter().all(|&w| w == 0), "left marked");
+            }
+        }
+    }
+
+    /// The reference sampler: every rejection draw checked with an
+    /// insert into a fresh `HashSet`.
+    fn hash_set_oracle(
+        sorted_positives: &[u32],
+        num_items: usize,
+        count: usize,
+        rng: &mut impl Rng,
+    ) -> Vec<u32> {
+        let available = num_items - sorted_positives.len();
+        let count = count.min(available);
+        if count * 3 >= available || available * 4 <= num_items {
+            return dense_fill_oracle(sorted_positives, num_items, count, rng);
+        }
+        let (mut out, mut seen) = (Vec::new(), HashSet::new());
+        while out.len() < count {
+            let candidate = rng.gen_range(0..num_items as u32);
+            if sorted_positives.binary_search(&candidate).is_err() && seen.insert(candidate) {
+                out.push(candidate);
+            }
+        }
+        out
     }
 }

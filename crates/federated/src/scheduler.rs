@@ -36,7 +36,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 
 /// Reusable per-worker buffers for the parallel client phase.
 ///
@@ -62,8 +61,9 @@ pub struct RoundScratch {
     /// `Recommender::prepare_items` so scoped models batch-materialize
     /// their rows in one pass.
     pub pool_ids: Vec<u32>,
-    /// Rejection-sampling workspace for negative sampling.
-    pub seen: HashSet<u32>,
+    /// Rejection-sampling workspace for negative sampling: one bit per
+    /// catalogue item, left empty by every call.
+    pub seen: ptf_data::negative::ItemBits,
     /// `(user, item, label)` training triples.
     pub triples: Vec<(u32, u32, f32)>,
     /// `(item row, label)` training samples of a one-user MF client, each

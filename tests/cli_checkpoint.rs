@@ -3,7 +3,7 @@
 //! datasets, and checkpoint robustness (corruption, truncation, fingerprint
 //! drift) as a user would hit them.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn ptf() -> Command {
@@ -41,6 +41,31 @@ fn scale_args() -> Vec<String> {
         .split_whitespace()
         .map(String::from)
         .collect()
+}
+
+/// Tears every envelope in the live client store `<dir>/clients` —
+/// truncating every other file, appending garbage to the rest — and
+/// returns how many it damaged. A resume must never read them.
+fn tear_live_store(dir: &Path) -> usize {
+    let mut files = Vec::new();
+    for shard in std::fs::read_dir(dir.join("clients")).expect("live store").flatten() {
+        for file in std::fs::read_dir(shard.path()).expect("store shard").flatten() {
+            if file.path().extension().is_some_and(|e| e == "json") {
+                files.push(file.path());
+            }
+        }
+    }
+    files.sort();
+    for (k, path) in files.iter().enumerate() {
+        let bytes = std::fs::read(path).expect("live envelope");
+        let torn = if k % 2 == 0 {
+            bytes[..bytes.len() / 2].to_vec()
+        } else {
+            [bytes, b"{\"round\":9,\"garbage\n".to_vec()].concat()
+        };
+        std::fs::write(path, torn).expect("tear live envelope");
+    }
+    files.len()
 }
 
 #[test]
@@ -96,6 +121,8 @@ fn kill_and_resume_reproduces_the_uninterrupted_run_byte_for_byte() {
     let halted = with_ckpt(&kill_dir, &["--halt-after", "2"]);
     assert!(halted.status.success(), "stderr: {}", stderr_of(&halted));
     assert!(stderr_of(&halted).contains("halting after round 2"));
+    // a crash mid-write tears live envelopes: resume must not read them
+    assert!(tear_live_store(&kill_dir) > 0, "the halted run parked no client");
     let resumed = with_ckpt(&kill_dir, &["--resume"]);
     assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
     assert!(stderr_of(&resumed).contains("resumed at round 2"));
@@ -181,6 +208,7 @@ fn scale_kill_and_resume_is_byte_identical() {
     assert!(full.status.success(), "stderr: {}", stderr_of(&full));
     let halted = with_ckpt(&kill_dir, &["--halt-after", "1"]);
     assert!(halted.status.success(), "stderr: {}", stderr_of(&halted));
+    assert!(tear_live_store(&kill_dir) > 0, "the halted run parked no client");
     let resumed = with_ckpt(&kill_dir, &["--resume"]);
     assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
     assert_eq!(stdout_of(&full), stdout_of(&resumed));
