@@ -823,6 +823,51 @@ pub(crate) mod tests {
         assert!(overwrote_longer > 0, "no park wrote over a longer envelope");
     }
 
+    /// A parked client file is part of the checkpoint format
+    /// (`docs/checkpoint-format.md`): a tiny one is pinned as text, and a
+    /// client of [`small_fed`] after three rounds with eviction by its
+    /// length and FNV-1a digest.
+    #[test]
+    fn a_parked_client_file_is_pinned() {
+        let cfg = PtfConfig::small();
+        let hyper = ModelHyper { dim: 1, ..ModelHyper::small() };
+        let data = SyntheticConfig::new("pin", 2, 8, 2.0).generate(&mut test_rng(3));
+        let root = TempRoot::new("pin");
+        let mut host = Stored {
+            client_kind: ModelKind::Mf,
+            hyper,
+            data: CohortData::Mem(data),
+            store: ClientStore::empty_at(root.0.clone()).expect("temp store root"),
+            cohort: 0,
+        };
+        let mut client = host.build_fresh(1, &cfg);
+        client.restore_eviction_state(3, vec![(2, 1), (5, 0)]);
+        host.park(&client, 1);
+        host.deliver(1, vec![(1, vec![(3, 0.5), (0, -0.0)])]);
+        assert_eq!(
+            host.store.load(1).unwrap(),
+            concat!(
+                r#"{"round":1,"local_rounds":3,"touched_items":[2,5],"touched_rounds":[1,0]}"#,
+                "\n",
+                r#"{"arch":"MF","user_emb":{"rows":1,"cols":1,"data":"3d46be27"},"items":{"num_items":8,"cols":2,"ids":[0,1,2,3,5],"data":"bdf521ff000000003df9e66100000000bde12d4e00000000be2821c1000000003dbbdc9000000000","init_seed":"8272495485c8a93b","init_std":0.10000000149011612,"init_cols":1}}"#,
+                "\n",
+                r#"{"round":1,"disp_items":[3,0],"disp_scores":"3f00000080000000"}"#,
+                "\n",
+            )
+        );
+
+        let root = TempRoot::new("pin-fed");
+        let mut fed = small_fed(&root, 5);
+        for round in 0..3 {
+            round_by_hand(&mut fed, round, |_| {});
+        }
+        let id = fed.trainable()[1];
+        let parked = fed.host.store.load(id).unwrap();
+        assert_eq!(parked.lines().count(), 3);
+        let got = (parked.len(), crate::fingerprint::fnv1a64(parked.as_bytes()));
+        assert_eq!(got, (4_514, 0x3fc6_b192_baf0_5d73), "client {id}'s parked file drifted");
+    }
+
     /// One way to damage a parked envelope.
     #[derive(Debug)]
     enum Damage {

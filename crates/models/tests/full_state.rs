@@ -165,3 +165,84 @@ fn corrupt_full_state_envelopes_are_rejected() {
         "wrong-shape envelope accepted"
     );
 }
+
+/// FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// `model`'s envelope after it grew every item of both batches and
+/// trained three warm-up steps: parameters, moments, a grown id set and,
+/// for NGCF, a dropout stream that has moved.
+fn trained_envelope(model: &mut dyn Recommender, graph: bool) -> String {
+    model.prepare_items(&[1, 2, 4, 7, 11, 15, 18]);
+    if graph {
+        model.set_graph(&edges());
+    }
+    for _ in 0..3 {
+        model.train_batch(&warmup_batch());
+    }
+    model.export_full_state().expect("model supports full-state export")
+}
+
+/// Every byte of every model's envelope is part of the checkpoint format
+/// (`docs/checkpoint-format.md`): field order, number spelling, packed
+/// buffers. A tiny envelope is pinned as text, and a trained envelope of
+/// each model — sparse and dense id sets, Adam moments, NGCF's dropout
+/// words — by its length and FNV-1a digest.
+#[test]
+fn full_state_envelopes_are_pinned() {
+    let tiny = MfModel::new_scoped(1, 1, 0.1, ScopeView::Rows { num_items: 3, ids: &[2] }, 5);
+    assert_eq!(
+        tiny.export_full_state().unwrap(),
+        r#"{"arch":"MF","user_emb":{"rows":1,"cols":1,"data":"bc53c335"},"items":{"num_items":3,"cols":2,"ids":[2],"data":"be70004b00000000","init_seed":"fc23d87e2b904d52","init_std":0.10000000149011612,"init_cols":1}}"#
+    );
+
+    let neumf = NeuMfConfig { dim: 4, layers: vec![8, 4], lr: 0.01 };
+    let ngcf = NgcfConfig {
+        dim: 4,
+        layers: 2,
+        lr: 0.02,
+        leaky_slope: 0.2,
+        reg: 1e-3,
+        message_dropout: 0.3,
+    };
+    let lightgcn = LightGcnConfig { dim: 4, layers: 2, lr: 0.02 };
+    let envelopes = [
+        ("MF", trained_envelope(&mut MfModel::new_scoped(USERS, 4, 0.1, scope(), 42), false)),
+        (
+            "MF dense",
+            trained_envelope(
+                &mut MfModel::new_scoped(USERS, 4, 0.1, ScopeView::Full(ITEMS), 42),
+                false,
+            ),
+        ),
+        ("NeuMF", trained_envelope(&mut NeuMf::new_scoped(USERS, &neumf, scope(), 42), false)),
+        (
+            "NeuMF dense",
+            trained_envelope(
+                &mut NeuMf::new_scoped(USERS, &neumf, ScopeView::Full(ITEMS), 42),
+                false,
+            ),
+        ),
+        ("NGCF", trained_envelope(&mut Ngcf::new_scoped(USERS, &ngcf, scope(), 42), true)),
+        (
+            "LightGCN",
+            trained_envelope(&mut LightGcn::new_scoped(USERS, &lightgcn, scope(), 42), true),
+        ),
+    ];
+    let got: Vec<(&str, usize, u64)> =
+        envelopes.iter().map(|(name, e)| (*name, e.len(), fnv1a(e.as_bytes()))).collect();
+    let pinned = vec![
+        ("MF", 607, 0xd9ce_4f4b_e9f2_ff8b),
+        ("MF dense", 1_113, 0x7e38_c2aa_f0b0_5629),
+        ("NeuMF", 4_701, 0xbaac_02d2_a16b_e816),
+        ("NeuMF dense", 5_938, 0xacf3_5354_c59a_3ecb),
+        ("NGCF", 3_304, 0x08cb_f381_7f9a_f999),
+        ("LightGCN", 1_311, 0xf50c_3375_11ea_3794),
+    ];
+    assert_eq!(got, pinned, "a full-state envelope drifted");
+    assert!(envelopes[4].1.contains(r#""rng":[""#), "NGCF's envelope carries its dropout words");
+}
