@@ -27,6 +27,7 @@ use ptf_data::negative::sample_negatives_into;
 use ptf_federated::{ClientData, RoundScratch};
 use ptf_models::{build_model_scoped, MfModel, ModelHyper, ModelKind, Recommender, ScopeView};
 use ptf_privacy::ScoredItem;
+use ptf_tensor::packed::Writer;
 use rand::Rng;
 
 /// A PTF-FedRec client.
@@ -138,6 +139,13 @@ impl PtfClient {
     /// ego graph is rebuilt each local round).
     pub fn export_model_state(&self) -> Option<String> {
         self.model.export_full_state()
+    }
+
+    /// Writes the model's full-state envelope into `w` — what
+    /// [`Self::export_model_state`] returns as text — and returns false,
+    /// writing nothing, for models without full-state support.
+    pub(crate) fn write_model_state(&self, w: &mut Writer<'_>) -> bool {
+        self.model.write_full_state(w)
     }
 
     /// Restores a model envelope from [`Self::export_model_state`]. The client

@@ -20,7 +20,12 @@
 //!   `D̃_i`. The client phase writes the first two over the file in
 //!   place (one write at offset 0 and a `set_len`); `deliver` appends the
 //!   third (one `O_APPEND` write — nothing is read back, parsed or
-//!   rewritten).
+//!   rewritten). All three lines go through the one state codec
+//!   ([`ptf_tensor::packed`]): a park writes the head and the model's
+//!   envelope straight into the store's reused buffer, and a restore reads
+//!   each line with a cursor that decodes ids and packed buffers into
+//!   their destinations — no JSON value tree, no intermediate copy of the
+//!   model text — and takes only the writer's canonical spelling.
 //!   Everything else a resident client holds is either rebuilt per round
 //!   (the ego graph) or capacity-only (upload buffers).
 //!
@@ -71,8 +76,7 @@ use ptf_federated::{derive_seed, ClientData, RngStream, RoundScratch};
 use ptf_models::mf::LANES;
 use ptf_models::{ModelHyper, ModelKind};
 use ptf_privacy::ScoredItem;
-use ptf_tensor::PackedF32s;
-use serde::{Deserialize, Serialize};
+use ptf_tensor::packed::{Reader, Writer};
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -164,44 +168,54 @@ pub struct CohortOptions {
 ///
 /// ```text
 /// {"round":R,"local_rounds":L,"touched_items":[…],"touched_rounds":[…]}
-/// <Recommender::export_full_state envelope, verbatim>
+/// <Recommender::write_full_state envelope, verbatim>
 /// {"round":R,"disp_items":[…],"disp_scores":"<packed f32>"}
 /// ```
 ///
-/// — whose `round`s agree (see `docs/checkpoint-format.md`). The model
-/// line is compact JSON, so it holds no raw newline and needs no
-/// escaping. Parallel arrays instead of tuple vectors keep the other two
-/// lines in the workspace's minimal JSON vocabulary: ids and counters are
-/// decimal, the dispersed scores one packed string ([`PackedF32s`], like
-/// every `f32` buffer at rest).
+/// — whose `round`s agree (see `docs/checkpoint-format.md`). Every line
+/// is canonical JSON from the state codec ([`ptf_tensor::packed`]), read
+/// back by its [`Reader`], which takes nothing but the writer's
+/// spelling; the model line holds no raw newline and needs no escaping.
+/// Parallel arrays instead of tuple vectors keep the other two lines in
+/// the codec's vocabulary: ids and counters are decimal, the dispersed
+/// scores one packed string, like every `f32` buffer at rest.
 struct ClientEnvelope<'a> {
-    head: EnvelopeHead,
+    /// Eviction schedule: the client's local-round counter and its
+    /// recency index `(item, last-touched round)`, from the split arrays.
+    local_rounds: u32,
+    touched: Vec<(u32, u32)>,
     /// The model's full-state envelope; its import checks it.
     model: &'a str,
     /// The dispersed set `D̃_i`, zipped back into pairs.
     dispersal: Vec<ScoredItem>,
 }
 
-/// Line 1, written by the client phase.
-#[derive(Serialize, Deserialize)]
-struct EnvelopeHead {
-    /// Global round the client last trained in.
-    round: u32,
-    /// Eviction schedule: the client's local-round counter…
-    local_rounds: u32,
-    /// …and the recency index, split `(item, last-touched round)`.
-    touched_items: Vec<u32>,
-    touched_rounds: Vec<u32>,
+/// Writes line 1 (without its newline), for the client phase.
+fn write_head(w: &mut Writer<'_>, round: u32, local_rounds: u32, touched: &[(u32, u32)]) {
+    w.open();
+    w.key("round");
+    w.uint(round.into());
+    w.key("local_rounds");
+    w.uint(local_rounds.into());
+    w.key("touched_items");
+    w.array(touched, |w, &(item, _)| w.uint(item.into()));
+    w.key("touched_rounds");
+    w.array(touched, |w, &(_, round)| w.uint(round.into()));
+    w.close();
 }
 
-/// Line 3, appended by [`ClientHost::deliver`].
-#[derive(Serialize, Deserialize)]
-struct EnvelopeDispersal {
-    /// Must equal the head's: the dispersal of the round the client
-    /// trained in.
-    round: u32,
-    disp_items: Vec<u32>,
-    disp_scores: PackedF32s,
+/// Writes line 3 (without its newline), for [`ClientHost::deliver`]:
+/// the dispersal of the round the client trained in, its scores packed
+/// from `scores`.
+fn write_dispersal(w: &mut Writer<'_>, round: u32, items: &[ScoredItem], scores: &[f32]) {
+    w.open();
+    w.key("round");
+    w.uint(round.into());
+    w.key("disp_items");
+    w.array(items, |w, &(item, _)| w.uint(item.into()));
+    w.key("disp_scores");
+    w.f32s(scores);
+    w.close();
 }
 
 impl<'a> ClientEnvelope<'a> {
@@ -211,46 +225,87 @@ impl<'a> ClientEnvelope<'a> {
     /// outside the catalogue is an error naming the client — never a
     /// panic, here or in the client's next round.
     fn parse(id: u32, text: &'a str, num_items: usize) -> Result<Self, String> {
-        let fail = |what: &str| format!("client {id} envelope: {what}");
+        let fail = |what: &dyn std::fmt::Display| format!("client {id} envelope: {what}");
         let mut lines = text.split_inclusive('\n').map(|line| line.strip_suffix('\n'));
         let (Some(Some(head)), Some(Some(model)), Some(Some(disp)), None) =
             (lines.next(), lines.next(), lines.next(), lines.next())
         else {
-            return Err(fail("not three newline-terminated lines"));
+            return Err(fail(&"not three newline-terminated lines"));
         };
-        let head: EnvelopeHead =
-            serde_json::from_str(head).map_err(|e| fail(&format!("head: {e}")))?;
-        let disp: EnvelopeDispersal =
-            serde_json::from_str(disp).map_err(|e| fail(&format!("dispersal: {e}")))?;
-        if disp.round != head.round {
-            return Err(fail(&format!(
-                "dispersal of round {} after training in round {}",
-                disp.round, head.round
+
+        let mut r = Reader::new(head.as_bytes());
+        let mut items = Vec::new();
+        let mut touched = Vec::new();
+        let head = (|| {
+            r.open()?;
+            r.key("round")?;
+            let round = r.u32()?;
+            r.key("local_rounds")?;
+            let local_rounds = r.u32()?;
+            r.key("touched_items")?;
+            r.u32s(&mut items)?;
+            r.key("touched_rounds")?;
+            touched.reserve_exact(items.len());
+            let rounds = r.array(|r| {
+                let round = r.u32()?;
+                if let Some(&item) = items.get(touched.len()) {
+                    touched.push((item, round));
+                }
+                Ok(())
+            })?;
+            r.close()?;
+            Ok::<_, String>((round, local_rounds, rounds))
+        })()
+        .and_then(|head| r.finish().map(|()| head));
+        let (round, local_rounds, rounds) = head.map_err(|e| fail(&format_args!("head: {e}")))?;
+
+        let mut r = Reader::new(disp.as_bytes());
+        let mut disp_items = Vec::new();
+        let disp = (|| {
+            r.open()?;
+            r.key("round")?;
+            let round = r.u32()?;
+            r.key("disp_items")?;
+            r.u32s(&mut disp_items)?;
+            r.key("disp_scores")?;
+            let scores = r.packed()?;
+            r.close()?;
+            Ok::<_, String>((round, scores))
+        })()
+        .and_then(|disp| r.finish().map(|()| disp));
+        let (disp_round, scores) = disp.map_err(|e| fail(&format_args!("dispersal: {e}")))?;
+
+        if disp_round != round {
+            return Err(fail(&format_args!(
+                "dispersal of round {disp_round} after training in round {round}"
             )));
         }
-        if head.touched_items.len() != head.touched_rounds.len() {
-            return Err(fail("ragged recency index"));
+        if rounds != items.len() {
+            return Err(fail(&"ragged recency index"));
         }
-        if !head.touched_items.windows(2).all(|w| w[0] < w[1]) {
-            return Err(fail("recency index not sorted by item"));
+        if !items.windows(2).all(|w| w[0] < w[1]) {
+            return Err(fail(&"recency index not sorted by item"));
         }
-        let scores = disp.disp_scores.unpack("disp_scores").map_err(|e| fail(&e))?;
-        if disp.disp_items.len() != scores.len() {
-            return Err(fail("ragged dispersed set"));
+        if disp_items.len() != scores.len() {
+            return Err(fail(&"ragged dispersed set"));
         }
+        let mut values = vec![0.0; scores.len()];
+        scores.unpack_into(&mut values).map_err(|e| fail(&format_args!("dispersal: {e}")))?;
         let in_catalogue = |items: &[u32]| items.iter().all(|&i| (i as usize) < num_items);
-        if !in_catalogue(&head.touched_items) || !in_catalogue(&disp.disp_items) {
-            return Err(fail(&format!("item id outside the {num_items}-item catalogue")));
+        if !in_catalogue(&items) || !in_catalogue(&disp_items) {
+            return Err(fail(&format_args!("item id outside the {num_items}-item catalogue")));
         }
-        let dispersal = disp.disp_items.into_iter().zip(scores).collect();
-        Ok(Self { head, model, dispersal })
+        let dispersal = disp_items.into_iter().zip(values).collect();
+        Ok(Self { local_rounds, touched, model, dispersal })
     }
 }
 
 /// The parked clients' envelope files under one root directory: load is
-/// read-only (called from parallel workers); save and append are serial.
+/// read-only (called from parallel workers); save and append are serial,
+/// and write through one buffer the store keeps.
 struct ClientStore {
     root: PathBuf,
+    text: Vec<u8>,
 }
 
 /// `id`-sharded relative path of a client's envelope file.
@@ -265,7 +320,7 @@ impl ClientStore {
             std::fs::remove_dir_all(&root)?;
         }
         std::fs::create_dir_all(&root)?;
-        Ok(Self { root })
+        Ok(Self { root, text: Vec::new() })
     }
 
     fn path(&self, id: u32) -> PathBuf {
@@ -281,31 +336,41 @@ impl ClientStore {
         }
     }
 
-    /// Writes `text`, lines 1–2 of `id`'s envelope, over its file in
-    /// place: one write at offset 0, then `set_len` drops the rest of the
-    /// previous envelope (the module docs say why not tmp + rename).
-    fn save(&mut self, id: u32, text: String) {
+    /// The store's write buffer, emptied, for `write` to fill.
+    fn fill(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> &[u8] {
+        self.text.clear();
+        write(&mut self.text);
+        &self.text
+    }
+
+    /// Writes what `write` puts in the buffer — lines 1–2 of `id`'s
+    /// envelope — over its file in place: one write at offset 0, then
+    /// `set_len` drops the rest of the previous envelope (the module docs
+    /// say why not tmp + rename).
+    fn save(&mut self, id: u32, write: impl FnOnce(&mut Vec<u8>)) {
         let (shard, file) = envelope_rel(id);
         let dir = self.root.join(shard);
+        let text = self.fill(write);
         let open =
             || OpenOptions::new().write(true).create(true).truncate(false).open(dir.join(&file));
         let written = open()
             // the shard's first envelope: its directory is missing
             .or_else(|_| std::fs::create_dir_all(&dir).and_then(|()| open()))
             .and_then(|mut f| {
-                f.write_all(text.as_bytes())?;
+                f.write_all(text)?;
                 f.set_len(text.len() as u64)
             });
         written.unwrap_or_else(|e| panic!("client store write for {id}: {e}"));
     }
-
-    /// Appends `line` to `id`'s envelope, which must exist: one
-    /// `O_APPEND` write.
-    fn append(&mut self, id: u32, line: &str) {
+    /// Appends what `write` puts in the buffer — a line — to `id`'s
+    /// envelope, which must exist: one `O_APPEND` write.
+    fn append(&mut self, id: u32, write: impl FnOnce(&mut Vec<u8>)) {
+        let path = self.path(id);
+        let line = self.fill(write);
         OpenOptions::new()
             .append(true)
-            .open(self.path(id))
-            .and_then(|mut f| f.write_all(line.as_bytes()))
+            .open(path)
+            .and_then(|mut f| f.write_all(line))
             .unwrap_or_else(|e| panic!("client store append for {id}: {e}"));
     }
 }
@@ -438,34 +503,23 @@ impl Stored {
         client
             .import_model_state(env.model)
             .map_err(|e| format!("client {id} envelope: model: {e}"))?;
-        let EnvelopeHead { local_rounds, touched_items, touched_rounds, .. } = env.head;
-        client.restore_eviction_state(
-            local_rounds,
-            touched_items.into_iter().zip(touched_rounds).collect(),
-        );
+        client.restore_eviction_state(env.local_rounds, env.touched);
         client.receive_disperse(env.dispersal);
         Ok(client)
     }
 
-    /// Parks a trained client: lines 1–2 of its envelope, in one write.
+    /// Parks a trained client: lines 1–2 of its envelope, written
+    /// straight into the store's buffer and out in one write.
     /// [`ClientHost::deliver`] appends line 3.
     fn park(&mut self, client: &PtfClient, round: u32) {
-        let model =
-            client.export_model_state().expect("cohort runtime requires full-state model support");
-        debug_assert!(!model.contains('\n'), "a model envelope is one line");
         let (local_rounds, touched) = client.eviction_state();
-        let head = EnvelopeHead {
-            round,
-            local_rounds,
-            touched_items: touched.iter().map(|&(i, _)| i).collect(),
-            touched_rounds: touched.iter().map(|&(_, r)| r).collect(),
-        };
-        let mut text = serde_json::to_string(&head).expect("envelope head encodes");
-        text.reserve(model.len() + 2);
-        text.push('\n');
-        text.push_str(&model);
-        text.push('\n');
-        self.store.save(client.id, text);
+        self.store.save(client.id, |text| {
+            write_head(&mut Writer::new(text), round, local_rounds, touched);
+            text.push(b'\n');
+            let supported = client.write_model_state(&mut Writer::new(text));
+            assert!(supported, "cohort runtime requires full-state model support");
+            text.push(b'\n');
+        });
     }
 }
 
@@ -527,16 +581,14 @@ impl ClientHost for Stored {
     /// envelope — the stored counterpart of
     /// [`PtfClient::receive_disperse`].
     fn deliver(&mut self, round: u32, dispersals: Vec<(u32, Vec<ScoredItem>)>) {
+        let mut scores = Vec::new();
         for (client, items) in dispersals {
-            let scores: Vec<f32> = items.iter().map(|&(_, s)| s).collect();
-            let line = EnvelopeDispersal {
-                round,
-                disp_items: items.iter().map(|&(i, _)| i).collect(),
-                disp_scores: PackedF32s::pack(&scores),
-            };
-            let mut line = serde_json::to_string(&line).expect("dispersal line encodes");
-            line.push('\n');
-            self.store.append(client, &line);
+            scores.clear();
+            scores.extend(items.iter().map(|&(_, s)| s));
+            self.store.append(client, |line| {
+                write_dispersal(&mut Writer::new(line), round, &items, &scores);
+                line.push(b'\n');
+            });
         }
     }
 }
@@ -647,14 +699,18 @@ pub(crate) mod tests {
     #[test]
     fn odd_bit_patterns_survive_every_state_envelope() {
         let m = Matrix::from_vec(1, 5, odd());
-        let json = serde_json::to_string(&m).expect("a NaN matrix serializes");
-        let back: Matrix = serde_json::from_str(&json).unwrap();
+        let mut json = Vec::new();
+        m.write_state(&mut Writer::new(&mut json));
+        let mut back = Matrix::default();
+        back.read_state(&mut Reader::new(&json), |_, _| Ok(())).unwrap();
         assert_eq!(bits(back.as_slice().iter().copied()), ODD);
 
         let mut t = RowTable::sparse_zeroed(9, 5);
         t.ensure_many_with(&[4], |_, row| row.copy_from_slice(&odd()));
-        let json = serde_json::to_string(&t).expect("a NaN row table serializes");
-        let back: RowTable = serde_json::from_str(&json).unwrap();
+        let mut json = Vec::new();
+        t.write_state(&mut Writer::new(&mut json));
+        let mut back = RowTable::sparse_zeroed(0, 0);
+        back.read_state(&mut Reader::new(&json), |_, _| Ok(())).unwrap();
         assert_eq!(bits(back.row(0).iter().copied()), ODD);
 
         // MF full-state envelope: the user table is public
@@ -691,7 +747,7 @@ pub(crate) mod tests {
         };
         let tame = [0.25, 0.5, 0.75, 1.0, 0.0];
         let envelope = trained(ModelKind::LightGcn, &tame);
-        let tame_hex = serde_json::to_string(&PackedF32s::pack(&tame)).unwrap();
+        let tame_hex = serde_json::to_string(&ptf_tensor::PackedF32s::pack(&tame)).unwrap();
         let field = format!(r#""edge_scores":{tame_hex}"#);
         assert!(envelope.contains(&field), "{envelope}");
         let envelope = envelope.replace(&field, &format!(r#""edge_scores":"{ODD_HEX}""#));
@@ -808,8 +864,9 @@ pub(crate) mod tests {
                 assert_eq!(before.iter().filter(|&&b| b == b'\n').count(), 2, "{path:?}");
                 assert_eq!(before.last(), Some(&b'\n'), "{path:?}");
                 let head = std::str::from_utf8(before).unwrap().lines().next().unwrap();
-                let head: EnvelopeHead = serde_json::from_str(head).expect("line 1 is a head");
-                assert_eq!(head.round, round, "{path:?}");
+                let mut head = Reader::new(head.as_bytes());
+                head.open().and_then(|()| head.key("round")).expect("line 1 is a head");
+                assert_eq!(head.u32(), Ok(round), "{path:?}");
                 let after = &delivered[path];
                 let line = after.strip_prefix(before.as_slice()).expect("parked bytes unchanged");
                 assert_eq!(line.iter().position(|&b| b == b'\n'), Some(line.len() - 1), "{path:?}");

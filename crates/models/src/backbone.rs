@@ -16,6 +16,7 @@ use crate::graph::{empty_propagation, normalized_bipartite};
 use crate::mf::sigmoid_and_bce;
 use crate::scoped::{self, ScopedParams, EMB_STD};
 use ptf_tensor::kernels;
+use ptf_tensor::packed::Reader;
 use ptf_tensor::prelude::*;
 use ptf_tensor::{ParamId, ScopeView};
 use std::cell::RefCell;
@@ -318,10 +319,14 @@ impl GraphBackbone {
         self.store.step(grads);
     }
 
-    /// Restores a full-state envelope (see [`ScopedParams::import`]). The
+    /// Reads a full-state envelope (see [`ScopedParams::read`]). The
     /// graph is not part of the envelope; callers re-set it.
-    pub fn import(&mut self, arch: &str, json: &str) -> Result<Option<rand::rngs::StdRng>, String> {
-        let rng = self.store.import(arch, json)?;
+    pub fn read(
+        &mut self,
+        r: &mut Reader<'_>,
+        arch: &str,
+    ) -> Result<Option<rand::rngs::StdRng>, String> {
+        let rng = self.store.read(r, arch)?;
         self.graph_edges.clear();
         self.prop = empty_propagation(self.num_users, self.store.rows().index().len());
         self.invalidate();

@@ -33,6 +33,7 @@
 use crate::backbone::{add_pair_grads, bce_grads, joint_table, BatchNodes, GraphBackbone};
 use crate::scoped;
 use crate::traits::Recommender;
+use ptf_tensor::packed::{Reader, Writer};
 use ptf_tensor::prelude::*;
 use ptf_tensor::{kernels, Params, ScopeView};
 use std::sync::Mutex;
@@ -269,14 +270,15 @@ impl Recommender for LightGcn {
         true
     }
 
-    fn export_full_state(&self) -> Option<String> {
+    fn write_full_state(&self, w: &mut Writer<'_>) -> bool {
         // LightGCN draws no randomness after init, so the envelope
         // carries no RNG stream
-        self.base.store().export("LightGCN", None)
+        self.base.store().write(w, "LightGCN", None);
+        true
     }
 
-    fn import_full_state(&mut self, json: &str) -> Result<(), String> {
-        self.base.import("LightGCN", json).map(drop)
+    fn read_full_state(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        self.base.read(r, "LightGCN").map(drop)
     }
 }
 

@@ -20,6 +20,7 @@
 use crate::scoped::{dense_rng, item_seed, EMB_STD};
 use crate::traits::Recommender;
 use ptf_tensor::kernels;
+use ptf_tensor::packed::{Reader, Writer};
 use ptf_tensor::{Matrix, RowTable, ScopeView};
 
 /// Numerically stable BCE of a logit against a (soft) target.
@@ -94,14 +95,6 @@ pub struct MfModel {
     items: RowTable,
     pub lr: f32,
     pub reg: f32,
-}
-
-/// Checkpoint wire form (state only; hyperparameters stay live).
-#[derive(serde::Serialize, serde::Deserialize)]
-struct MfWire {
-    arch: String,
-    user_emb: Matrix,
-    items: RowTable,
 }
 
 impl MfModel {
@@ -435,45 +428,45 @@ impl Recommender for MfModel {
         Some(self)
     }
 
-    fn export_full_state(&self) -> Option<String> {
-        // MF trains with plain SGD (no optimizer moments, no RNG), so the
-        // user table + full row table with its ids and init seed is
-        // already lossless for bit-identical resume
-        let wire = MfWire {
-            arch: "MF".to_string(),
-            user_emb: self.user_emb.clone(),
-            items: self.items.clone(),
-        };
-        serde_json::to_string(&wire).ok()
+    /// `{"arch":"MF","user_emb":…,"items":…}`: state only, the
+    /// hyperparameters stay live. MF trains with plain SGD (no optimizer
+    /// moments, no RNG), so the user table and the full row table with its
+    /// ids and init seed are already lossless for bit-identical resume.
+    fn write_full_state(&self, w: &mut Writer<'_>) -> bool {
+        w.open();
+        w.key("arch");
+        w.str("MF");
+        w.key("user_emb");
+        self.user_emb.write_state(w);
+        w.key("items");
+        self.items.write_state(w);
+        w.close();
+        true
     }
 
-    fn import_full_state(&mut self, json: &str) -> Result<(), String> {
-        let wire: MfWire =
-            serde_json::from_str(json).map_err(|e| format!("bad checkpoint: {e}"))?;
-        if wire.arch != "MF" {
-            return Err(format!("architecture mismatch: expected MF, got {}", wire.arch));
+    fn read_full_state(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        r.open()?;
+        r.key("arch")?;
+        let arch = r.str()?;
+        if arch != "MF" {
+            return Err(r.error(format_args!("architecture mismatch: expected MF, got {arch}")));
         }
-        if wire.user_emb.shape() != self.user_emb.shape() {
-            return Err(format!(
-                "shape mismatch for user_emb: {:?} vs {:?}",
-                wire.user_emb.shape(),
-                self.user_emb.shape()
-            ));
-        }
-        if wire.items.num_items() != self.items.num_items()
-            || wire.items.cols() != self.items.cols()
-        {
-            return Err(format!(
-                "shape mismatch for items: {}x{} vs {}x{}",
-                wire.items.num_items(),
-                wire.items.cols(),
-                self.items.num_items(),
-                self.items.cols()
-            ));
-        }
-        self.user_emb = wire.user_emb;
-        self.items = wire.items;
-        Ok(())
+        r.key("user_emb")?;
+        let live = self.user_emb.shape();
+        self.user_emb.read_state(r, |rows, cols| match (rows, cols) == live {
+            true => Ok(()),
+            false => Err(format!("shape mismatch for user_emb: {:?} vs {live:?}", (rows, cols))),
+        })?;
+        r.key("items")?;
+        let live = (self.items.num_items(), self.items.cols());
+        self.items.read_state(r, |num_items, cols| match (num_items, cols) == live {
+            true => Ok(()),
+            false => Err(format!(
+                "shape mismatch for items: {num_items}x{cols} vs {}x{}",
+                live.0, live.1
+            )),
+        })?;
+        r.close()
     }
 }
 

@@ -54,6 +54,7 @@
 use crate::mf::sigmoid_and_bce;
 use crate::scoped::{self, dense, ScopedParams, EMB_STD};
 use crate::traits::Recommender;
+use ptf_tensor::packed::{Reader, Writer};
 use ptf_tensor::prelude::*;
 use ptf_tensor::{init, isa, kernels, matrix, ParamId, Params, RowSparse, ScopeView};
 
@@ -476,12 +477,13 @@ impl Recommender for NeuMf {
         )
     }
 
-    fn export_full_state(&self) -> Option<String> {
-        self.store.export("NeuMF", None)
+    fn write_full_state(&self, w: &mut Writer<'_>) -> bool {
+        self.store.write(w, "NeuMF", None);
+        true
     }
 
-    fn import_full_state(&mut self, json: &str) -> Result<(), String> {
-        self.store.import("NeuMF", json).map(drop)
+    fn read_full_state(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
+        self.store.read(r, "NeuMF").map(drop)
     }
 }
 

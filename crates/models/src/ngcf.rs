@@ -79,6 +79,7 @@
 use crate::backbone::{add_pair_grads, bce_grads, joint_table, BatchNodes, GraphBackbone};
 use crate::scoped::{self, dense};
 use crate::traits::Recommender;
+use ptf_tensor::packed::{Reader, Writer};
 use ptf_tensor::prelude::*;
 use ptf_tensor::{derive_seed, init, isa, kernels, matrix, ParamId, Params, ScopeView};
 use rand::rngs::StdRng;
@@ -574,16 +575,17 @@ impl Recommender for Ngcf {
         true
     }
 
-    fn export_full_state(&self) -> Option<String> {
-        self.base.store().export("NGCF", Some(&self.dropout_rng))
+    fn write_full_state(&self, w: &mut Writer<'_>) -> bool {
+        self.base.store().write(w, "NGCF", Some(&self.dropout_rng));
+        true
     }
 
-    fn import_full_state(&mut self, json: &str) -> Result<(), String> {
+    fn read_full_state(&mut self, r: &mut Reader<'_>) -> Result<(), String> {
         // the dropout stream is part of the training state: without it a
         // resumed model would draw different masks than the original
         self.dropout_rng = self
             .base
-            .import("NGCF", json)?
+            .read(r, "NGCF")?
             .ok_or_else(|| "NGCF checkpoint is missing the dropout RNG state".to_string())?;
         Ok(())
     }

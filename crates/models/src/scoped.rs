@@ -11,6 +11,7 @@
 //! planes, the embedding parameter and both moments, and they grow,
 //! promote and compact as every other item table does.
 
+use ptf_tensor::packed::{Reader, Writer};
 use ptf_tensor::{
     derive_seed, Adam, GradBuf, Grads, ItemRows, Matrix, ParamId, Params, RowInit, ScopeIndex,
     ScopeView,
@@ -61,32 +62,6 @@ pub(crate) struct ScopedParams {
     adam: Adam,
     emb: ParamId,
     rows: ItemRows,
-}
-
-/// Full-state envelope: everything a model needs to *resume training
-/// bit-identically* — parameters, scope mapping, init seed, optimizer
-/// step counter + both moment buffers, and (for models that own one) the
-/// raw state of the training-time RNG. This is the cohort runtime's
-/// client-recycling format and what `ptf train --save` writes. All u64s
-/// travel as hex strings — the vendored JSON layer routes bare integers
-/// through `f64`, which silently rounds values ≥ 2⁵³ — and every matrix
-/// (parameters and both moment buffers) carries its values as one packed
-/// string of raw `f32` bits ([`ptf_tensor::PackedF32s`]), so non-finite
-/// values and `-0.0` round-trip and the cost of an export does not grow
-/// with a float formatter call per parameter.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct FullWire {
-    arch: String,
-    /// `None` = dense identity mapping over the whole catalogue.
-    item_ids: Option<Vec<u32>>,
-    item_seed: String,
-    params: Params,
-    adam_t: String,
-    adam_m: Vec<Matrix>,
-    adam_v: Vec<Matrix>,
-    /// xoshiro256++ state of the model-owned training RNG (NGCF's
-    /// dropout stream), 4 hex words; `None` for RNG-free models.
-    rng: Option<Vec<String>>,
 }
 
 impl ScopedParams {
@@ -151,95 +126,117 @@ impl ScopedParams {
         self.adam.step(&mut self.params, grads);
     }
 
-    /// Serializes the complete training state as a [`FullWire`] envelope
-    /// (dense and scoped stores alike — the scope travels inside).
-    pub fn export(&self, arch: &str, rng: Option<&rand::rngs::StdRng>) -> Option<String> {
-        let (t, m, v) = self.adam.export_state();
+    /// Writes the full-state envelope: everything a model needs to
+    /// *resume training bit-identically* —
+    ///
+    /// ```text
+    /// {"arch":A,"item_ids":[…]|null,"item_seed":"<16 hex>","params":{…},
+    ///  "adam_t":"<hex>","adam_m":[…],"adam_v":[…],"rng":["<16 hex>",…]|null}
+    /// ```
+    ///
+    /// (one line): the scope mapping (`null` = dense identity over the
+    /// whole catalogue), the item init seed, the parameters, the optimizer
+    /// step counter and both moment buffers, and the xoshiro256++ state of
+    /// the model-owned training RNG (NGCF's dropout stream) as 4 words, or
+    /// `null` for RNG-free models. Dense and scoped stores alike: the
+    /// scope travels inside. Every `u64` is a hex string and every matrix
+    /// carries its values as one packed string of raw `f32` bits.
+    pub fn write(&self, w: &mut Writer<'_>, arch: &str, rng: Option<&rand::rngs::StdRng>) {
         let RowInit::DerivedNormal { seed, .. } = self.rows.init() else {
             unreachable!("embedding rows are seed-derived")
         };
-        serde_json::to_string(&FullWire {
-            arch: arch.to_string(),
-            item_ids: self.rows.index().ids().map(<[u32]>::to_vec),
-            item_seed: format!("{seed:016x}"),
-            params: self.params.clone(),
-            adam_t: format!("{t:x}"),
-            adam_m: m,
-            adam_v: v,
-            rng: rng.map(|r| r.state().iter().map(|w| format!("{w:016x}")).collect()),
-        })
-        .ok()
+        w.open();
+        w.key("arch");
+        w.str(arch);
+        w.key("item_ids");
+        match self.rows.index().ids() {
+            Some(ids) => w.u32s(ids),
+            None => w.null(),
+        }
+        w.key("item_seed");
+        w.hex16(seed);
+        w.key("params");
+        self.params.write_state(w);
+        self.adam.write_state(w);
+        w.key("rng");
+        match rng {
+            Some(rng) => w.array(rng.state(), |w, word| w.hex16(word)),
+            None => w.null(),
+        }
+        w.close();
     }
 
-    /// Restores a [`ScopedParams::export`] envelope, returning the
-    /// envelope's training RNG if it carried one. The scope may *reshape*
-    /// in either direction: a sparse envelope restores its id set
-    /// (however grown), a dense envelope densifies the live store —
-    /// either way the whole parameter store and both optimizer moment
-    /// buffers are replaced, so the restored model continues training
-    /// bit-identically to the exported one.
+    /// Reads a [`ScopedParams::write`] envelope into this store,
+    /// returning the envelope's training RNG if it carried one. The scope
+    /// may *reshape* in either direction: a sparse envelope restores its
+    /// id set (however grown), a dense envelope densifies the live store —
+    /// either way every parameter and both optimizer moment buffers are
+    /// replaced, so the restored model continues training bit-identically
+    /// to the written one.
     ///
     /// On error the store may be left partially restored; callers must
     /// discard it (the cohort runtime rebuilds from scratch or aborts).
-    pub fn import(&mut self, arch: &str, json: &str) -> Result<Option<rand::rngs::StdRng>, String> {
-        let wire: FullWire = serde_json::from_str(json)
-            .map_err(|e| format!("bad full-state checkpoint (expected {arch} envelope): {e}"))?;
-        if wire.arch != arch {
-            return Err(format!("architecture mismatch: expected {arch}, got {}", wire.arch));
+    pub fn read(
+        &mut self,
+        r: &mut Reader<'_>,
+        arch: &str,
+    ) -> Result<Option<rand::rngs::StdRng>, String> {
+        r.open()?;
+        r.key("arch")?;
+        let got = r.str()?;
+        if got != arch {
+            return Err(r.error(format_args!("architecture mismatch: expected {arch}, got {got}")));
         }
-        if wire.params.len() != self.params.len() {
-            return Err(format!(
-                "parameter count mismatch: {} vs {}",
-                wire.params.len(),
-                self.params.len()
-            ));
-        }
-        let lead = self.rows.lead();
-        let index = ScopeIndex::checked(self.rows.index().num_items(), wire.item_ids)
-            .map_err(|e| format!("bad checkpoint item ids: {e}"))?;
-        let item_rows = index.len();
-        for ((id, name_new, mat_new), (_, name_live, mat_live)) in
-            wire.params.iter().zip(self.params.iter())
-        {
-            if name_new != name_live {
-                return Err(format!("parameter name mismatch: {name_new:?} vs {name_live:?}"));
+        r.key("item_ids")?;
+        let ids = match r.null() {
+            true => None,
+            false => {
+                let mut ids = Vec::new();
+                r.u32s(&mut ids)?;
+                Some(ids)
             }
-            if id == self.emb {
-                if mat_new.cols() != mat_live.cols() || mat_new.rows() != lead + item_rows {
+        };
+        let index = ScopeIndex::checked(self.rows.index().num_items(), ids)
+            .map_err(|e| r.error(format_args!("bad checkpoint item ids: {e}")))?;
+        r.key("item_seed")?;
+        let item_seed = r.hex16()?;
+        r.key("params")?;
+        let (lead, item_rows, emb) = (self.rows.lead(), index.len(), self.emb);
+        self.params.read_state(r, |id, name, got, live| {
+            if id == emb {
+                if got.1 != live.1 || got.0 != lead + item_rows {
                     return Err(format!(
-                        "shape mismatch for {name_new:?}: {:?} does not fit {item_rows} item rows",
-                        mat_new.shape(),
+                        "shape mismatch for {name:?}: {got:?} does not fit {item_rows} item rows"
                     ));
                 }
-            } else if mat_new.shape() != mat_live.shape() {
-                return Err(format!(
-                    "shape mismatch for {name_new:?}: {:?} vs {:?}",
-                    mat_new.shape(),
-                    mat_live.shape()
-                ));
+            } else if got != live {
+                return Err(format!("shape mismatch for {name:?}: {got:?} vs {live:?}"));
             }
-        }
-        let item_seed = u64::from_str_radix(&wire.item_seed, 16)
-            .map_err(|e| format!("bad checkpoint item seed: {e}"))?;
-        let t = u64::from_str_radix(&wire.adam_t, 16)
-            .map_err(|e| format!("bad checkpoint step counter: {e}"))?;
-        let rng = match &wire.rng {
-            None => None,
-            Some(words) => {
-                if words.len() != 4 {
-                    return Err(format!("rng state must be 4 words, got {}", words.len()));
-                }
+            Ok(())
+        })?;
+        self.adam.read_state(&self.params, r)?;
+        r.key("rng")?;
+        let rng = match r.null() {
+            true => None,
+            false => {
                 let mut s = [0u64; 4];
-                for (slot, word) in s.iter_mut().zip(words) {
-                    *slot = u64::from_str_radix(word, 16)
-                        .map_err(|e| format!("bad checkpoint rng word: {e}"))?;
+                let mut k = 0;
+                let words = r.array(|r| {
+                    let word = r.hex16()?;
+                    if let Some(slot) = s.get_mut(k) {
+                        *slot = word;
+                    }
+                    k += 1;
+                    Ok(())
+                })?;
+                if words != 4 {
+                    return Err(r.error(format_args!("rng state must be 4 words, got {words}")));
                 }
                 Some(rand::rngs::StdRng::from_state(s))
             }
         };
+        r.close()?;
         self.rows = ItemRows::new(index, row_init(item_seed, self.dim()), lead);
-        self.params = wire.params;
-        self.adam.restore_state(&self.params, t, wire.adam_m, wire.adam_v)?;
         Ok(rng)
     }
 }
@@ -395,14 +392,21 @@ mod tests {
                 evict_one(&mut by_victim, id);
             }
             prop_assert_eq!(plan.rows(), by_victim.rows());
-            prop_assert_eq!(plan.export("T", None), by_victim.export("T", None));
+            prop_assert_eq!(envelope(&plan), envelope(&by_victim));
             warm(&mut plan);
             warm(&mut by_victim);
-            prop_assert_eq!(plan.export("T", None), by_victim.export("T", None));
+            prop_assert_eq!(envelope(&plan), envelope(&by_victim));
         }
     }
 
     const ITEMS: u32 = 40;
+
+    /// `store`'s full-state envelope.
+    fn envelope(store: &ScopedParams) -> Vec<u8> {
+        let mut text = Vec::new();
+        store.write(&mut Writer::new(&mut text), "T", None);
+        text
+    }
 
     /// A one-user model of each family over [`ITEMS`] items.
     fn one_user(kind: usize, scope: ScopeView<'_>, seed: u64) -> Box<dyn UnderTheRule> {

@@ -6,6 +6,7 @@
 //! protocol crates program against `Box<dyn Recommender>`.
 
 use crate::mf::MfModel;
+use ptf_tensor::packed::{Reader, Writer};
 use ptf_tensor::ScopeView;
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -196,29 +197,47 @@ pub trait Recommender: Send + Sync {
     /// naming the item.
     fn set_graph(&mut self, _edges: &[(u32, u32, f32)]) {}
 
-    /// Serializes *everything* needed to resume training bit-identically:
+    /// Writes *everything* needed to resume training bit-identically —
     /// parameters, scope mapping, init seed, optimizer step counter and
-    /// moment buffers, and any model-owned training RNG. This is the
-    /// cohort runtime's client-recycling format and the one model-state
-    /// format (`ptf train --save` writes it too) — a model restored via
-    /// [`Recommender::import_full_state`] produces the same bytes per
-    /// training step as one that was never serialized. The envelope is
-    /// JSON text whose `f32` buffers are packed strings of raw bits
-    /// ([`ptf_tensor::PackedF32s`]; `docs/checkpoint-format.md`), so any
-    /// parameter value — NaN, ±inf, `-0.0` — exports and restores exactly.
-    /// Models that cannot make the bit-resume guarantee return `None`.
-    fn export_full_state(&self) -> Option<String> {
-        None
+    /// moment buffers, and any model-owned training RNG — as one envelope
+    /// through the state codec ([`ptf_tensor::packed`]), and returns true.
+    /// This is the cohort runtime's client-recycling format and the one
+    /// model-state format (`ptf train --save` writes it too) — a model
+    /// restored via [`Recommender::read_full_state`] produces the same
+    /// bytes per training step as one that was never written. The
+    /// envelope is canonical JSON whose `f32` buffers are packed strings
+    /// of raw bits (`docs/checkpoint-format.md`), so any parameter value —
+    /// NaN, ±inf, `-0.0` — exports and restores exactly. Models that
+    /// cannot make the bit-resume guarantee write nothing and return
+    /// false.
+    fn write_full_state(&self, _out: &mut Writer<'_>) -> bool {
+        false
     }
 
-    /// Restores a [`Recommender::export_full_state`] envelope. The item
-    /// scope may reshape in either direction (grown id set, or a dense
-    /// envelope densifying a scoped model). Graph structure is *not* part
-    /// of the envelope — graph models reset their propagation operator and
-    /// callers re-`set_graph` after restoring. On error the model may be
-    /// left partially restored; discard it.
-    fn import_full_state(&mut self, _json: &str) -> Result<(), String> {
+    /// Reads a [`Recommender::write_full_state`] envelope at `r`. The
+    /// item scope may reshape in either direction (grown id set, or a
+    /// dense envelope densifying a scoped model). Graph structure is *not*
+    /// part of the envelope — graph models reset their propagation
+    /// operator and callers re-`set_graph` after restoring. On error the
+    /// model may be left partially restored; discard it.
+    fn read_full_state(&mut self, _r: &mut Reader<'_>) -> Result<(), String> {
         Err("this model does not support full-state checkpointing".to_string())
+    }
+
+    /// [`Recommender::write_full_state`] as text, or `None` for a model
+    /// without full-state support.
+    fn export_full_state(&self) -> Option<String> {
+        let mut text = Vec::new();
+        self.write_full_state(&mut Writer::new(&mut text))
+            .then(|| String::from_utf8(text).expect("an envelope is ASCII"))
+    }
+
+    /// Restores an [`Recommender::export_full_state`] envelope, which
+    /// must be the whole of `json` ([`Recommender::read_full_state`]).
+    fn import_full_state(&mut self, json: &str) -> Result<(), String> {
+        let mut r = Reader::new(json.as_bytes());
+        self.read_full_state(&mut r)?;
+        r.finish()
     }
 }
 

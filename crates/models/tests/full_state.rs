@@ -3,9 +3,11 @@
 //! that exported it, the item scope reshapes to the envelope's in either
 //! direction, and damaged or mismatched envelopes are rejected.
 
+use proptest::prelude::*;
 use ptf_models::{
     LightGcn, LightGcnConfig, MfModel, NeuMf, NeuMfConfig, Ngcf, NgcfConfig, Recommender, ScopeView,
 };
+use ptf_tensor::packed::Reader;
 
 const USERS: usize = 4;
 const ITEMS: usize = 20;
@@ -153,9 +155,12 @@ fn corrupt_full_state_envelopes_are_rejected() {
     );
     // a packed buffer with a stray digit is not a whole number of values
     let torn = good.replacen(&shape, &format!("{shape}0"), 1);
+    let err = m.import_full_state(&torn).expect_err("torn parameter buffer accepted");
+    // the error points at the buffer's opening quote
+    let at = good.find(&shape).unwrap() + shape.len() - 1;
     assert!(
-        m.import_full_state(&torn).unwrap_err().contains("matrix data: packed f32 string"),
-        "torn parameter buffer accepted"
+        err.contains(&format!("data at byte {at}: packed f32 string of 257 characters")),
+        "{err}"
     );
     // same architecture, different embedding width
     let wide = NeuMf::new_scoped(USERS, &NeuMfConfig { dim: 16, ..cfg }, scope(), 42);
@@ -245,4 +250,62 @@ fn full_state_envelopes_are_pinned() {
     ];
     assert_eq!(got, pinned, "a full-state envelope drifted");
     assert!(envelopes[4].1.contains(r#""rng":[""#), "NGCF's envelope carries its dropout words");
+}
+
+/// The envelope and a freshly built twin of a trained MF or NGCF model
+/// (NGCF's envelope carries its dropout words).
+fn trained_and_fresh(ngcf: bool) -> (Vec<u8>, Box<dyn Recommender>) {
+    if ngcf {
+        let cfg = NgcfConfig {
+            dim: 4,
+            layers: 2,
+            lr: 0.02,
+            leaky_slope: 0.2,
+            reg: 1e-3,
+            message_dropout: 0.3,
+        };
+        let envelope = trained_envelope(&mut Ngcf::new_scoped(USERS, &cfg, scope(), 42), true);
+        (envelope.into_bytes(), Box::new(Ngcf::new_scoped(USERS, &cfg, scope(), 7)))
+    } else {
+        let envelope =
+            trained_envelope(&mut MfModel::new_scoped(USERS, 4, 0.1, scope(), 42), false);
+        (envelope.into_bytes(), Box::new(MfModel::new_scoped(USERS, 4, 0.1, scope(), 7)))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The model-envelope reader against truncated, flipped and grown
+    /// envelopes: it never panics, every refusal names a byte offset, and
+    /// anything it accepts re-exports to exactly the damaged bytes — the
+    /// reader takes nothing but the writer's spelling.
+    #[test]
+    fn damaged_model_envelopes_are_refused_or_reexported_exactly(
+        ngcf in any::<bool>(),
+        kind in 0u8..3,
+        at in 0.0f64..1.0,
+        raw in any::<u8>(),
+        plausible in any::<bool>(),
+    ) {
+        // half the new bytes are ones the format uses, so damage often
+        // parses as far as the field it lands in
+        const TOKENS: &[u8] = b"0123456789abcdef\",:[]{}-+.eEnul ";
+        let byte = if plausible { TOKENS[raw as usize % TOKENS.len()] } else { raw };
+        let (mut bytes, mut fresh) = trained_and_fresh(ngcf);
+        let at = ((at * bytes.len() as f64) as usize).min(bytes.len() - 1);
+        match kind {
+            0 => bytes.truncate(at),
+            1 => bytes[at] ^= byte.max(1),
+            _ => bytes.insert(at, byte),
+        }
+        let mut r = Reader::new(&bytes);
+        match fresh.read_full_state(&mut r).and_then(|()| r.finish()) {
+            Ok(()) => {
+                let again = fresh.export_full_state().expect("a restored model exports");
+                prop_assert!(again.as_bytes() == bytes.as_slice(), "accepted damage re-exported differently");
+            }
+            Err(e) => prop_assert!(e.contains("byte "), "{e} names no byte offset"),
+        }
+    }
 }

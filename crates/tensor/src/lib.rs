@@ -10,8 +10,9 @@
 //! lazy row-sparse embedding updates) over a [`Params`] store and its
 //! [`Grads`], the [`par`] fork/join primitives (plus the
 //! [`par::Pool`] worker-scratch pool) behind deterministic parallel client
-//! execution, the seed-derived row [`init`], the [`packed`] raw-bits text
-//! form every `f32` buffer takes in a state envelope, and the [`alloc`]
+//! execution, the seed-derived row [`init`], the [`packed`] state codec
+//! every model and client envelope is written and read through (its
+//! `f32` buffers as raw-bits text), and the [`alloc`]
 //! counting-allocator shim behind heap accounting in the perf harness.
 //!
 //! There is no autograd here. Every model writes its forward and

@@ -26,7 +26,7 @@
 //! and so the same bits (`tests/kernel_parity.rs` runs both).
 
 use crate::kernels;
-use crate::packed::PackedF32s;
+use crate::packed::{Packed, Reader, Writer};
 use rand::Rng;
 
 /// A dense row-major matrix of `f32`.
@@ -623,64 +623,102 @@ mod tests {
     }
 }
 
-/// Wire form for (de)serialization: the shape plus the row-major buffer
-/// as one [`PackedF32s`] string. Shape consistency is re-validated on
-/// load so corrupted checkpoints fail loudly instead of mis-shaping math.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct MatrixWire {
-    rows: usize,
-    cols: usize,
-    data: PackedF32s,
-}
-
-impl serde::Serialize for Matrix {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        MatrixWire { rows: self.rows, cols: self.cols, data: PackedF32s::pack(&self.data) }
-            .serialize(serializer)
+impl Matrix {
+    /// Appends the matrix as `{"rows":R,"cols":C,"data":"…"}`, its
+    /// row-major buffer packed in place ([`crate::packed`]).
+    pub fn write_state(&self, w: &mut Writer<'_>) {
+        w.open();
+        w.key("rows");
+        w.uint(self.rows as u64);
+        w.key("cols");
+        w.uint(self.cols as u64);
+        w.key("data");
+        w.f32s(&self.data);
+        w.close();
     }
-}
 
-impl<'de> serde::Deserialize<'de> for Matrix {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error;
-        let wire = MatrixWire::deserialize(deserializer)?;
-        let data = wire.data.unpack("matrix data").map_err(D::Error::custom)?;
-        if wire.rows.checked_mul(wire.cols) != Some(data.len()) {
-            return Err(D::Error::custom(format!(
-                "matrix buffer of {} elements cannot be {}x{}",
-                data.len(),
-                wire.rows,
-                wire.cols
+    /// Reads a [`Matrix::write_state`] object into this matrix. The shape
+    /// must agree with the buffer's length and then pass `fits(rows,
+    /// cols)` before anything is decoded ([`Matrix::unpack_from`]).
+    pub fn read_state(
+        &mut self,
+        r: &mut Reader<'_>,
+        fits: impl FnOnce(usize, usize) -> Result<(), String>,
+    ) -> Result<(), String> {
+        r.open()?;
+        r.key("rows")?;
+        let rows = r.usize()?;
+        r.key("cols")?;
+        let cols = r.usize()?;
+        r.key("data")?;
+        let data = r.packed()?;
+        self.unpack_from(rows, cols, &data, "matrix", r, fits)?;
+        r.close()
+    }
+
+    /// Decodes `data` into this matrix as `rows × cols` once the counts
+    /// agree and `fits(rows, cols)` accepts the shape: in place when the
+    /// buffer already has that length, into an exact allocation
+    /// otherwise. `what` names the buffer in a count error.
+    pub(crate) fn unpack_from(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        data: &Packed<'_>,
+        what: &str,
+        r: &Reader<'_>,
+        fits: impl FnOnce(usize, usize) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(r.error(format_args!(
+                "{what} buffer of {} elements cannot be {rows}x{cols}",
+                data.len()
             )));
         }
-        Ok(Matrix { rows: wire.rows, cols: wire.cols, data })
+        fits(rows, cols).map_err(|e| r.error(e))?;
+        if self.data.len() != data.len() {
+            self.data = vec![0.0; data.len()];
+        }
+        data.unpack_into(&mut self.data)?;
+        (self.rows, self.cols) = (rows, cols);
+        Ok(())
     }
 }
 
+/// The state codec's tests (the module keeps the name it had when the
+/// codec was serde's).
 #[cfg(test)]
 mod serde_tests {
     use super::*;
 
+    fn read(text: &str) -> Result<Matrix, String> {
+        let mut m = Matrix::default();
+        let mut r = Reader::new(text.as_bytes());
+        m.read_state(&mut r, |_, _| Ok(()))?;
+        r.finish().map(|()| m)
+    }
+
     #[test]
     fn json_roundtrip() {
         let m = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let json = serde_json::to_string(&m).unwrap();
-        let back: Matrix = serde_json::from_str(&json).unwrap();
+        let mut text = Vec::new();
+        m.write_state(&mut Writer::new(&mut text));
+        let back = read(std::str::from_utf8(&text).unwrap()).unwrap();
         assert_eq!(m, back);
     }
 
     #[test]
     fn corrupted_shape_is_rejected() {
         let json = r#"{"rows":2,"cols":2,"data":"3f8000004000000040400000"}"#;
-        let err = serde_json::from_str::<Matrix>(json).unwrap_err();
-        assert!(err.to_string().contains("cannot be 2x2"), "{err}");
+        let err = read(json).unwrap_err();
+        assert!(err.contains("cannot be 2x2"), "{err}");
     }
 
     #[test]
     fn overflowing_shape_is_rejected() {
         // rows * cols wraps to 0 == data.len() in release, panics in debug
         let json = r#"{"rows":4294967296,"cols":4294967296,"data":""}"#;
-        let err = serde_json::from_str::<Matrix>(json).unwrap_err();
-        assert!(err.to_string().contains("cannot be 4294967296x4294967296"), "{err}");
+        let err = read(json).unwrap_err();
+        assert!(err.contains("cannot be 4294967296x4294967296"), "{err}");
     }
 }

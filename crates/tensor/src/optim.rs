@@ -3,7 +3,8 @@
 use crate::grad::{GradBuf, Grads};
 use crate::kernels;
 use crate::matrix::Matrix;
-use crate::params::Params;
+use crate::packed::{Reader, Writer};
+use crate::params::{ParamId, Params};
 
 /// Adam configuration (PyTorch defaults unless stated otherwise).
 #[derive(Clone, Copy, Debug)]
@@ -52,46 +53,58 @@ impl Adam {
         self.t
     }
 
-    /// Snapshots the optimizer state — step counter and both moment
-    /// buffers — for a *full* checkpoint ([`Adam::restore_state`] is the
-    /// inverse). A round-tripped optimizer continues training
-    /// bit-identically.
-    pub fn export_state(&self) -> (u64, Vec<Matrix>, Vec<Matrix>) {
-        (self.t, self.m.clone(), self.v.clone())
+    /// Appends the optimizer's state as the fields
+    /// `"adam_t":"<hex>","adam_m":[…],"adam_v":[…]` of the envelope being
+    /// written: the step counter and both moment buffers, each by
+    /// [`Matrix::write_state`]. [`Adam::read_state`] is the inverse; a
+    /// round-tripped optimizer continues training bit-identically.
+    pub fn write_state(&self, w: &mut Writer<'_>) {
+        w.key("adam_t");
+        w.hex(self.t);
+        w.key("adam_m");
+        w.array(&self.m, |w, m| m.write_state(w));
+        w.key("adam_v");
+        w.array(&self.v, |w, v| v.write_state(w));
     }
 
-    /// Restores a snapshot taken by [`Adam::export_state`]. The moment
-    /// buffers must match `params` shape-for-shape — a checkpoint written
-    /// against different parameter shapes is rejected.
-    pub fn restore_state(
-        &mut self,
-        params: &Params,
-        t: u64,
-        m: Vec<Matrix>,
-        v: Vec<Matrix>,
-    ) -> Result<(), String> {
-        let shapes: Vec<(usize, usize)> = params.iter().map(|(_, _, p)| p.shape()).collect();
-        for (which, buf) in [("first", &m), ("second", &v)] {
-            if buf.len() != shapes.len() {
-                return Err(format!(
-                    "optimizer {which}-moment count mismatch: {} vs {} parameters",
-                    buf.len(),
-                    shapes.len()
-                ));
-            }
-            for (i, mat) in buf.iter().enumerate() {
-                if mat.shape() != shapes[i] {
-                    return Err(format!(
-                        "optimizer {which}-moment shape mismatch at parameter {i}: {:?} vs {:?}",
-                        mat.shape(),
-                        shapes[i]
-                    ));
-                }
+    /// Reads [`Adam::write_state`]'s fields into this optimizer, each
+    /// moment buffer in place. Every buffer must match its parameter in
+    /// `params` shape-for-shape — state written against different
+    /// parameter shapes is rejected.
+    pub fn read_state(&mut self, params: &Params, r: &mut Reader<'_>) -> Result<(), String> {
+        r.key("adam_t")?;
+        let t = r.hex()?;
+        let n = params.len();
+        for (which, key, bufs) in
+            [("first", "adam_m", &mut self.m), ("second", "adam_v", &mut self.v)]
+        {
+            r.key(key)?;
+            let mut k = 0;
+            let count = r.array(|r| {
+                let Some(buf) = bufs.get_mut(k).filter(|_| k < n) else {
+                    return Err(r.error(format_args!(
+                        "optimizer {which}-moment count mismatch: more than {n} parameters"
+                    )));
+                };
+                let want = params.get(ParamId(k)).shape();
+                buf.read_state(r, |rows, cols| match (rows, cols) == want {
+                    true => Ok(()),
+                    false => Err(format!(
+                        "optimizer {which}-moment shape mismatch at parameter {k}: \
+                         {:?} vs {want:?}",
+                        (rows, cols)
+                    )),
+                })?;
+                k += 1;
+                Ok(())
+            })?;
+            if count != n {
+                return Err(r.error(format_args!(
+                    "optimizer {which}-moment count mismatch: {count} vs {n} parameters"
+                )));
             }
         }
         self.t = t;
-        self.m = m;
-        self.v = v;
         Ok(())
     }
 
@@ -265,10 +278,24 @@ mod tests {
             adam.step(&mut p, &g);
         }
         // snapshot, then diverge one copy and restore the other
-        let (t, m, v) = adam.export_state();
+        let state = |adam: &Adam| {
+            let mut text = Vec::new();
+            let mut w = Writer::new(&mut text);
+            w.open();
+            adam.write_state(&mut w);
+            w.close();
+            text
+        };
+        let restore = |into: &mut Adam, params: &Params, text: &[u8]| {
+            let mut r = Reader::new(text);
+            r.open()?;
+            into.read_state(params, &mut r)?;
+            r.close()?;
+            r.finish()
+        };
         let p_snap = p.clone();
         let mut resumed = Adam::with_defaults(&p_snap, 0.01);
-        resumed.restore_state(&p_snap, t, m, v).unwrap();
+        restore(&mut resumed, &p_snap, &state(&adam)).unwrap();
         assert_eq!(resumed.steps(), 4);
 
         let mut p_live = p.clone();
@@ -284,9 +311,9 @@ mod tests {
         // shape drift is rejected
         let mut other = Params::new();
         other.push("w", Matrix::zeros(2, 2));
-        let (t, m, v) = adam.export_state();
         let mut bad = Adam::with_defaults(&other, 0.01);
-        assert!(bad.restore_state(&other, t, m, v).is_err());
+        let err = restore(&mut bad, &other, &state(&adam)).unwrap_err();
+        assert!(err.contains("first-moment shape mismatch at parameter 0"), "{err}");
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! indices so models can keep them in their structs.
 
 use crate::matrix::Matrix;
+use crate::packed::{Reader, Writer};
+
+/// `(rows, cols)`.
+type Shape = (usize, usize);
 
 /// Handle to one parameter matrix inside a [`Params`] store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -101,30 +105,70 @@ mod tests {
     }
 }
 
-/// Wire form of a parameter store. Names travel with the values so a
-/// checkpoint loaded into a differently-shaped model fails loudly.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct ParamsWire {
-    names: Vec<String>,
-    mats: Vec<Matrix>,
-}
-
-impl serde::Serialize for Params {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        ParamsWire { names: self.names.clone(), mats: self.mats.clone() }.serialize(serializer)
+impl Params {
+    /// Appends the store as `{"names":[…],"mats":[…]}`, each matrix by
+    /// [`Matrix::write_state`]. Names travel with the values so an
+    /// envelope read into a differently-shaped model fails loudly.
+    pub fn write_state(&self, w: &mut Writer<'_>) {
+        w.open();
+        w.key("names");
+        w.array(&self.names, |w, name| w.str(name));
+        w.key("mats");
+        w.array(&self.mats, |w, m| m.write_state(w));
+        w.close();
     }
-}
 
-impl<'de> serde::Deserialize<'de> for Params {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let wire = ParamsWire::deserialize(deserializer)?;
-        if wire.names.len() != wire.mats.len() {
-            return Err(serde::de::Error::custom("names/values length mismatch"));
+    /// Reads a [`Params::write_state`] object into this store, which must
+    /// hold the same names in the same order; each matrix is read in
+    /// place ([`Matrix::read_state`]) once `fits(id, name, shape read,
+    /// live shape)` accepts its shape.
+    pub fn read_state(
+        &mut self,
+        r: &mut Reader<'_>,
+        mut fits: impl FnMut(ParamId, &str, Shape, Shape) -> Result<(), String>,
+    ) -> Result<(), String> {
+        r.open()?;
+        r.key("names")?;
+        let live = &self.names;
+        let mut k = 0;
+        let names = r.array(|r| {
+            let name = r.str()?;
+            match live.get(k) {
+                Some(want) if want != name => {
+                    return Err(
+                        r.error(format_args!("parameter name mismatch: {name:?} vs {want:?}"))
+                    )
+                }
+                _ => k += 1,
+            }
+            Ok(())
+        })?;
+        if names != self.len() {
+            return Err(
+                r.error(format_args!("parameter count mismatch: {names} vs {}", self.len()))
+            );
         }
-        Ok(Params { mats: wire.mats, names: wire.names })
+        r.key("mats")?;
+        let (mats, names_live) = (&mut self.mats, &self.names);
+        let mut k = 0;
+        let count = r.array(|r| {
+            let Some(m) = mats.get_mut(k) else {
+                return Err(r.error(format_args!("more than {names} matrices")));
+            };
+            let live = m.shape();
+            m.read_state(r, |rows, cols| fits(ParamId(k), &names_live[k], (rows, cols), live))?;
+            k += 1;
+            Ok(())
+        })?;
+        if count != names {
+            return Err(r.error(format_args!("{count} matrices for {names} names")));
+        }
+        r.close()
     }
 }
 
+/// The state codec's tests (the module keeps the name it had when the
+/// codec was serde's).
 #[cfg(test)]
 mod serde_tests {
     use super::*;
@@ -139,10 +183,28 @@ mod serde_tests {
     #[test]
     fn json_roundtrip_preserves_names_and_values() {
         let p = store();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: Params = serde_json::from_str(&json).unwrap();
+        let mut text = Vec::new();
+        p.write_state(&mut Writer::new(&mut text));
+        let mut back = Params::new();
+        back.push("emb", Matrix::default());
+        back.push("w", Matrix::default());
+        let mut r = Reader::new(&text);
+        back.read_state(&mut r, |_, _, _, _| Ok(())).unwrap();
+        r.finish().unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back.name(ParamId(0)), "emb");
+        assert_eq!(back.get(ParamId(0)).shape(), (2, 2));
         assert_eq!(back.get(ParamId(1)).as_slice(), &[5., 6.]);
+
+        // another store's names, or another count, are refused
+        let mut other = Params::new();
+        other.push("emb", Matrix::default());
+        other.push("v", Matrix::default());
+        let err = other.read_state(&mut Reader::new(&text), |_, _, _, _| Ok(())).unwrap_err();
+        assert!(err.contains(r#"parameter name mismatch: "w" vs "v""#), "{err}");
+        let mut one = Params::new();
+        one.push("emb", Matrix::default());
+        let err = one.read_state(&mut Reader::new(&text), |_, _, _, _| Ok(())).unwrap_err();
+        assert!(err.contains("parameter count mismatch: 2 vs 1"), "{err}");
     }
 }

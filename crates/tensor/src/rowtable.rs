@@ -37,7 +37,7 @@
 //! Growth into reserved capacity performs **zero heap allocations**.
 
 use crate::matrix::Matrix;
-use crate::packed::PackedF32s;
+use crate::packed::{Reader, Writer};
 
 /// Mixes `(master, a, b)` into one well-distributed 64-bit seed.
 ///
@@ -758,74 +758,89 @@ impl RowTable {
     }
 }
 
-/// Wire form; shape and ordering invariants are re-validated on load.
-/// The arena travels as one [`PackedF32s`] string (ids stay a decimal
-/// array). The seed travels as a hex string: the vendored JSON layer
-/// routes bare integers through `f64`, which silently rounds u64 seeds
-/// ≥ 2⁵³ — and a rounded seed would re-derive *different* rows after
-/// a restore.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct RowTableWire {
-    num_items: usize,
-    cols: usize,
-    /// `None` = dense identity mapping.
-    ids: Option<Vec<u32>>,
-    data: PackedF32s,
-    init_seed: String,
-    init_std: f32,
-    init_cols: usize,
-}
-
-impl serde::Serialize for RowTable {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+impl RowTable {
+    /// Appends the table as `{"num_items":N,"cols":C,"ids":[…],"data":"…",
+    /// "init_seed":"…","init_std":S,"init_cols":K}`: `ids` is `null` for
+    /// a dense table, `data` the packed rows, and the seed 16 hex digits —
+    /// a seed rounded through `f64` would re-derive *different* rows after
+    /// a restore. A zero-initialized table writes seed, std and
+    /// `init_cols` as zeros.
+    pub fn write_state(&self, w: &mut Writer<'_>) {
         let (init_seed, init_std, init_cols) = match self.rows.init {
             RowInit::Zeros => (0, 0.0, 0),
             RowInit::DerivedNormal { seed, std, init_cols } => (seed, std, init_cols),
         };
-        RowTableWire {
-            num_items: self.num_items(),
-            cols: self.cols(),
-            ids: self.rows.index.ids().map(<[u32]>::to_vec),
-            data: PackedF32s::pack(self.arena()),
-            init_seed: format!("{init_seed:016x}"),
-            init_std,
-            init_cols,
+        w.open();
+        w.key("num_items");
+        w.uint(self.num_items() as u64);
+        w.key("cols");
+        w.uint(self.cols() as u64);
+        w.key("ids");
+        match self.rows.index.ids() {
+            Some(ids) => w.u32s(ids),
+            None => w.null(),
         }
-        .serialize(serializer)
+        w.key("data");
+        w.f32s(self.arena());
+        w.key("init_seed");
+        w.hex16(init_seed);
+        w.key("init_std");
+        w.number(init_std);
+        w.key("init_cols");
+        w.uint(init_cols as u64);
+        w.close();
     }
-}
 
-impl<'de> serde::Deserialize<'de> for RowTable {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error;
-        let w = RowTableWire::deserialize(deserializer)?;
-        let index = ScopeIndex::checked(w.num_items, w.ids).map_err(D::Error::custom)?;
-        let rows = index.len();
-        let data = w.data.unpack("row table data").map_err(D::Error::custom)?;
-        if rows.checked_mul(w.cols) != Some(data.len()) {
-            return Err(D::Error::custom(format!(
-                "row table buffer of {} elements cannot be {rows}x{}",
-                data.len(),
-                w.cols
-            )));
-        }
-        if w.init_cols > w.cols {
-            return Err(D::Error::custom("init_cols exceeds cols"));
-        }
+    /// Reads a [`RowTable::write_state`] object into this table, once
+    /// `fits(num_items, cols)` accepts its shape. Shape and ordering
+    /// invariants are re-validated: sorted in-range ids, a buffer of
+    /// exactly `rows × cols` values, `init_cols ≤ cols`, a finite
+    /// non-negative std. On error the table is left partly read.
+    pub fn read_state(
+        &mut self,
+        r: &mut Reader<'_>,
+        fits: impl FnOnce(usize, usize) -> Result<(), String>,
+    ) -> Result<(), String> {
+        r.open()?;
+        r.key("num_items")?;
+        let num_items = r.usize()?;
+        r.key("cols")?;
+        let cols = r.usize()?;
+        fits(num_items, cols).map_err(|e| r.error(e))?;
+        r.key("ids")?;
+        let ids = match r.null() {
+            true => None,
+            false => {
+                let mut ids = Vec::new();
+                r.u32s(&mut ids)?;
+                Some(ids)
+            }
+        };
+        let index = ScopeIndex::checked(num_items, ids).map_err(|e| r.error(e))?;
+        r.key("data")?;
+        let data = r.packed()?;
+        self.data.unpack_from(index.len(), cols, &data, "row table", r, |_, _| Ok(()))?;
+        r.key("init_seed")?;
+        let seed = r.hex16()?;
+        r.key("init_std")?;
+        let std = r.number("init_std")?;
         // `derived_normal_row` panics on such a std the first time a row
         // is re-derived: reject it here, where the error can be reported
-        if !(w.init_std.is_finite() && w.init_std >= 0.0) {
-            return Err(D::Error::custom("init_std must be finite and non-negative"));
+        if std < 0.0 {
+            return Err(r.error("init_std must be finite and non-negative"));
         }
-        let seed = u64::from_str_radix(&w.init_seed, 16)
-            .map_err(|e| D::Error::custom(format!("bad init seed: {e}")))?;
-        let init = if w.init_std == 0.0 && seed == 0 && w.init_cols == 0 {
+        r.key("init_cols")?;
+        let init_cols = r.usize()?;
+        if init_cols > cols {
+            return Err(r.error("init_cols exceeds cols"));
+        }
+        let init = if std == 0.0 && seed == 0 && init_cols == 0 {
             RowInit::Zeros
         } else {
-            RowInit::DerivedNormal { seed, std: w.init_std, init_cols: w.init_cols }
+            RowInit::DerivedNormal { seed, std, init_cols }
         };
-        let data = Matrix::from_vec(rows, w.cols, data);
-        Ok(Self { rows: ItemRows::new(index, init, 0), data })
+        self.rows = ItemRows::new(index, init, 0);
+        r.close()
     }
 }
 
@@ -1244,12 +1259,26 @@ mod tests {
         assert_eq!(t.row(t.lookup(6).unwrap()), &[9.0, 9.0, 9.0]);
     }
 
+    /// `t`'s state text, and a table read back from it.
+    fn through_state(t: &RowTable) -> (String, Result<RowTable, String>) {
+        let mut text = Vec::new();
+        t.write_state(&mut Writer::new(&mut text));
+        let text = String::from_utf8(text).unwrap();
+        (text.clone(), read_table(&text))
+    }
+
+    fn read_table(text: &str) -> Result<RowTable, String> {
+        let mut back = RowTable::sparse_zeroed(0, 0);
+        let mut r = Reader::new(text.as_bytes());
+        back.read_state(&mut r, |_, _| Ok(()))?;
+        r.finish().map(|()| back)
+    }
+
     #[test]
     fn serde_roundtrip_sparse_and_dense() {
         let mut t = scoped(&[2, 8]);
         t.ensure_many(&[5]);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: RowTable = serde_json::from_str(&json).unwrap();
+        let back = through_state(&t).1.unwrap();
         assert_eq!(t, back);
         // a restored table still materializes identically
         let mut a = back.clone();
@@ -1259,21 +1288,31 @@ mod tests {
 
         let mut d = RowTable::from_scope(ScopeView::Full(3), 2, 1, 0.1, 77);
         d.row_mut(1).fill(5.0);
-        let back: RowTable = serde_json::from_str(&serde_json::to_string(&d).unwrap()).unwrap();
-        assert_eq!(d, back);
+        let (text, back) = through_state(&d);
+        assert_eq!(d, back.unwrap());
+        assert!(text.contains(r#""ids":null"#), "{text}");
     }
 
     #[test]
     fn serde_rejects_corrupt_tables() {
-        let bad = r#"{"num_items":5,"cols":2,"ids":[3,1],"data":"00000000000000000000000000000000","init_seed":"1","init_std":0.1,"init_cols":2}"#;
-        assert!(serde_json::from_str::<RowTable>(bad).is_err(), "unsorted ids accepted");
-        let bad = r#"{"num_items":5,"cols":2,"ids":[1],"data":"00000000000000000000000000000000","init_seed":"1","init_std":0.1,"init_cols":2}"#;
-        assert!(serde_json::from_str::<RowTable>(bad).is_err(), "shape mismatch accepted");
+        let bad = r#"{"num_items":5,"cols":2,"ids":[3,1],"data":"00000000000000000000000000000000","init_seed":"0000000000000001","init_std":0.1,"init_cols":2}"#;
+        let err = read_table(bad).unwrap_err();
+        assert!(
+            err.contains("ids at byte") && err.contains("sorted"),
+            "unsorted ids accepted: {err}"
+        );
+        let bad = r#"{"num_items":5,"cols":2,"ids":[1],"data":"00000000000000000000000000000000","init_seed":"0000000000000001","init_std":0.1,"init_cols":2}"#;
+        let err = read_table(bad).unwrap_err();
+        assert!(err.contains("cannot be 1x2"), "shape mismatch accepted: {err}");
         // one flipped byte turns `0.1` into `-.1`: a std the row init
         // panics on, only once a row is re-derived
-        let bad = r#"{"num_items":5,"cols":2,"ids":[1],"data":"0000000000000000","init_seed":"1","init_std":-.1,"init_cols":2}"#;
-        let err = serde_json::from_str::<RowTable>(bad).unwrap_err().to_string();
+        let bad = r#"{"num_items":5,"cols":2,"ids":[1],"data":"0000000000000000","init_seed":"0000000000000001","init_std":-.1,"init_cols":2}"#;
+        let err = read_table(bad).unwrap_err();
         assert!(err.contains("init_std"), "{err}");
+        // and the writer's own spelling of a negative std is refused too
+        let bad = bad.replace("-.1", "-0.10000000149011612");
+        let err = read_table(&bad).unwrap_err();
+        assert!(err.contains("init_std must be finite and non-negative"), "{err}");
     }
 
     #[test]

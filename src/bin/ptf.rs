@@ -211,6 +211,9 @@ struct ScaleTrainJson {
     communication: LedgerSummary,
 }
 
+/// Why `--save` is refused for a model without full-state support.
+const UNSAVABLE: &str = "this model does not support checkpointing";
+
 /// The tail of every `ptf train`: evaluate when there is a held-out split
 /// (a streamed fleet of `users` has none), report as JSON or text, and
 /// honour `--save`.
@@ -250,11 +253,7 @@ fn finish_train<P: FederatedProtocol>(
         print_traffic(&communication)?;
     }
     if let Some(path) = &a.save {
-        let state = engine
-            .protocol()
-            .recommender()
-            .export_full_state()
-            .ok_or("this model does not support checkpointing")?;
+        let state = engine.protocol().recommender().export_full_state().ok_or(UNSAVABLE)?;
         std::fs::write(path, state).map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("trained model checkpointed to {path}");
     }
@@ -351,6 +350,11 @@ fn run_train_preset(preset: DatasetPreset, a: &TrainArgs, cohort: bool) -> Resul
         finish_train(a, &engine, trace, Some(&split), users)
     } else {
         let protocol = build_protocol(a, &split.train)?;
+        // a model without full-state support cannot honour --save: say so
+        // before the first round, not after the last
+        if a.save.is_some() && protocol.recommender().export_full_state().is_none() {
+            return Err(UNSAVABLE.into());
+        }
         eprintln!("training {} on {sizes}", protocol.name());
         let mut engine = Engine::new(protocol);
         let trace = engine.run();

@@ -130,6 +130,26 @@ fn every_protocol_trains_through_the_cli() {
 }
 
 #[test]
+fn save_is_refused_before_the_first_round_for_a_model_without_full_state() {
+    // MetaMF's model cannot make the bit-resume guarantee, so it has no
+    // full-state envelope: `--save` is an error before any training
+    let path = std::env::temp_dir().join(format!("ptf-save-metamf-{}.json", std::process::id()));
+    let out = ptf()
+        .args(["train", "--dataset", "ml100k", "--protocol", "metamf", "--rounds", "2"])
+        .args(["--seed", "7", "--save"])
+        .arg(&path)
+        .output()
+        .expect("spawn failed");
+    assert_eq!(out.status.code(), Some(1), "--save of a MetaMF model must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("this model does not support checkpointing"), "{stderr}");
+    assert!(!stderr.contains("round"), "it trained before refusing:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "it reported a run: {}", String::from_utf8_lossy(&out.stdout));
+    assert!(!path.exists(), "a file was written to {}", path.display());
+}
+
+#[test]
 fn privacy_json_reports_attack_f1() {
     let out =
         ptf().args(["privacy", "--dataset", "ml100k", "--rounds"]).output().expect("spawn failed");
