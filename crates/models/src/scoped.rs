@@ -149,10 +149,7 @@ impl ScopedParams {
         w.key("arch");
         w.str(arch);
         w.key("item_ids");
-        match self.rows.index().ids() {
-            Some(ids) => w.u32s(ids),
-            None => w.null(),
-        }
+        w.u32s_or_null(self.rows.index().ids());
         w.key("item_seed");
         w.hex16(seed);
         w.key("params");
@@ -188,14 +185,7 @@ impl ScopedParams {
             return Err(r.error(format_args!("architecture mismatch: expected {arch}, got {got}")));
         }
         r.key("item_ids")?;
-        let ids = match r.null() {
-            true => None,
-            false => {
-                let mut ids = Vec::new();
-                r.u32s(&mut ids)?;
-                Some(ids)
-            }
-        };
+        let ids = r.u32s_or_null()?;
         let index = ScopeIndex::checked(self.rows.index().num_items(), ids)
             .map_err(|e| r.error(format_args!("bad checkpoint item ids: {e}")))?;
         r.key("item_seed")?;

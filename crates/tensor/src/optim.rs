@@ -75,19 +75,20 @@ impl Adam {
         r.key("adam_t")?;
         let t = r.hex()?;
         let n = params.len();
+        assert_eq!(self.m.len(), n, "an optimizer reads state only for its own parameters");
         for (which, key, bufs) in
             [("first", "adam_m", &mut self.m), ("second", "adam_v", &mut self.v)]
         {
             r.key(key)?;
             let mut k = 0;
             let count = r.array(|r| {
-                let Some(buf) = bufs.get_mut(k).filter(|_| k < n) else {
+                if k == n {
                     return Err(r.error(format_args!(
                         "optimizer {which}-moment count mismatch: more than {n} parameters"
                     )));
-                };
+                }
                 let want = params.get(ParamId(k)).shape();
-                buf.read_state(r, |rows, cols| match (rows, cols) == want {
+                bufs[k].read_state(r, |rows, cols| match (rows, cols) == want {
                     true => Ok(()),
                     false => Err(format!(
                         "optimizer {which}-moment shape mismatch at parameter {k}: \

@@ -288,6 +288,14 @@ impl<'a> Writer<'a> {
         self.array(ids, |w, &id| w.uint(u64::from(id)));
     }
 
+    /// An id array, or `null` for `None` (a dense scope: every id).
+    pub fn u32s_or_null(&mut self, ids: Option<&[u32]>) {
+        match ids {
+            Some(ids) => self.u32s(ids),
+            None => self.null(),
+        }
+    }
+
     /// An array of `items`, each written by `each`.
     pub fn array<T>(
         &mut self,
@@ -443,7 +451,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A decimal integer: digits only, no leading zero, below 2⁵³.
-    pub fn uint(&mut self) -> Result<u64, String> {
+    fn uint(&mut self) -> Result<u64, String> {
         self.start();
         let digits = self.text[self.pos..].iter().take_while(|b| b.is_ascii_digit()).count();
         if digits == 0 {
@@ -476,7 +484,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A scalar `f32` in [`Writer::number`]'s spelling, and only that.
-    pub fn number(&mut self, what: &str) -> Result<f32, String> {
+    pub fn number(&mut self) -> Result<f32, String> {
         self.start();
         let len = self.text[self.pos..]
             .iter()
@@ -485,21 +493,24 @@ impl<'a> Reader<'a> {
         let token = &self.text[self.pos..self.pos + len];
         let value = std::str::from_utf8(token).ok().and_then(|t| t.parse::<f64>().ok());
         let Some(value) = value.map(|v| v as f32) else {
-            return self.fail(format_args!("expected {what} as a JSON number"));
+            return self.fail("expected a JSON number");
         };
-        let mut canonical = Vec::new();
-        if spell_number(&mut canonical, value as f64).is_none() || canonical != token {
-            return self.fail(format_args!("{what} is not spelled as the writer spells it"));
+        // the longest spelling, a subnormal's, is under 70 bytes
+        let mut spelled = [0u8; 96];
+        let mut rest = &mut spelled[..];
+        let canonical = spell_number(&mut rest, value as f64).map(|()| 96 - rest.len());
+        if canonical.map(|len| &spelled[..len]) != Some(token) {
+            return self.fail("a number not spelled as the writer spells it");
         }
         self.pos += len;
         if !self.ends_number() {
-            return self.fail(format_args!("{what} is not a canonical JSON number"));
+            return self.fail("not a canonical JSON number");
         }
         Ok(value)
     }
 
     /// The digits of a hex string, 1 to 16 of `[0-9a-f]`.
-    fn hex_digits(&mut self) -> Result<&'a [u8], String> {
+    fn hex_token(&mut self) -> Result<&'a [u8], String> {
         self.start();
         self.expect(b'"')?;
         let from = self.pos;
@@ -521,7 +532,7 @@ impl<'a> Reader<'a> {
 
     /// A [`Writer::hex`] `u64`: no leading zeros.
     pub fn hex(&mut self) -> Result<u64, String> {
-        let digits = self.hex_digits()?;
+        let digits = self.hex_token()?;
         if digits.len() > 1 && digits[0] == b'0' {
             return self.fail("a hex integer with a leading zero");
         }
@@ -530,7 +541,7 @@ impl<'a> Reader<'a> {
 
     /// A [`Writer::hex16`] `u64`: exactly 16 digits.
     pub fn hex16(&mut self) -> Result<u64, String> {
-        let digits = self.hex_digits()?;
+        let digits = self.hex_token()?;
         if digits.len() != 16 {
             return self.fail("expected exactly 16 lowercase hex digits");
         }
@@ -571,6 +582,16 @@ impl<'a> Reader<'a> {
             Ok(())
         })
         .map(drop)
+    }
+
+    /// A [`Writer::u32s_or_null`] id array.
+    pub fn u32s_or_null(&mut self) -> Result<Option<Vec<u32>>, String> {
+        if self.null() {
+            return Ok(None);
+        }
+        let mut ids = Vec::new();
+        self.u32s(&mut ids)?;
+        Ok(Some(ids))
     }
 
     /// An array whose elements `each` reads; returns how many there were.
@@ -671,6 +692,24 @@ mod tests {
         let mut out = [0.0f32; 3];
         assert_eq!(unpack_into(b"3f8000003f8000003f80000G", &mut out), Err(2));
         assert_eq!(unpack_into(b"3F8000003f8000003f80000G", &mut out), Err(0));
+    }
+
+    /// Every `f32` the writer spells reads back as itself, from the
+    /// smallest subnormal to the largest finite value; another spelling
+    /// of the same value is refused.
+    #[test]
+    fn numbers_read_back_only_in_the_writers_spelling() {
+        let values = [0.0, 0.1, 1.0, -2.5, 1e-45, f32::MIN_POSITIVE, f32::MAX, f32::MIN];
+        for v in values {
+            let mut text = Vec::new();
+            Writer::new(&mut text).number(v);
+            let mut r = Reader::new(&text);
+            assert_eq!(r.number().map(f32::to_bits), Ok(v.to_bits()), "{v}");
+            r.finish().unwrap();
+        }
+        for other in ["0.1", "1.0", "-0", "1e0", "+1", ".5", "01", "1 ", ""] {
+            assert!(Reader::new(other.as_bytes()).number().is_err(), "{other:?} accepted");
+        }
     }
 
     #[test]

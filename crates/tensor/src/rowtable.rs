@@ -631,6 +631,11 @@ impl RowTable {
     /// Builds a table over `scope` whose materialized rows carry the
     /// seed-derived normal init (`init_cols ≤ cols` normal entries, the
     /// rest zero — MF uses the trailing column as the item bias).
+    ///
+    /// # Panics
+    /// If `init_cols > cols`, or `std` is not finite and non-negative
+    /// (the row init's own condition, checked here so that every table
+    /// can write its state).
     pub fn from_scope(
         scope: ScopeView<'_>,
         cols: usize,
@@ -639,6 +644,7 @@ impl RowTable {
         seed: u64,
     ) -> Self {
         assert!(init_cols <= cols, "init_cols {init_cols} > cols {cols}");
+        assert!(std.is_finite() && std >= 0.0, "std must be finite and non-negative: {std}");
         let init = RowInit::DerivedNormal { seed, std, init_cols };
         Self { rows: ItemRows::new(ScopeIndex::new(scope), init, 0), data: init.rows(scope, cols) }
     }
@@ -776,10 +782,7 @@ impl RowTable {
         w.key("cols");
         w.uint(self.cols() as u64);
         w.key("ids");
-        match self.rows.index.ids() {
-            Some(ids) => w.u32s(ids),
-            None => w.null(),
-        }
+        w.u32s_or_null(self.rows.index.ids());
         w.key("data");
         w.f32s(self.arena());
         w.key("init_seed");
@@ -808,14 +811,7 @@ impl RowTable {
         let cols = r.usize()?;
         fits(num_items, cols).map_err(|e| r.error(e))?;
         r.key("ids")?;
-        let ids = match r.null() {
-            true => None,
-            false => {
-                let mut ids = Vec::new();
-                r.u32s(&mut ids)?;
-                Some(ids)
-            }
-        };
+        let ids = r.u32s_or_null()?;
         let index = ScopeIndex::checked(num_items, ids).map_err(|e| r.error(e))?;
         r.key("data")?;
         let data = r.packed()?;
@@ -823,7 +819,7 @@ impl RowTable {
         r.key("init_seed")?;
         let seed = r.hex16()?;
         r.key("init_std")?;
-        let std = r.number("init_std")?;
+        let std = r.number()?;
         // `derived_normal_row` panics on such a std the first time a row
         // is re-derived: reject it here, where the error can be reported
         if std < 0.0 {
