@@ -2,7 +2,7 @@
 
 use crate::message::{Endpoint, Message, Payload};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Append-only record of every message a protocol run produced, with the
 /// aggregations the paper's Table IV reports.
@@ -15,19 +15,24 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default)]
 pub struct CommLedger {
     total_bytes: u64,
-    /// bytes by (client, round) — the unit Table IV averages over.
-    by_client_round: HashMap<(u32, u32), u64>,
     uploads_bytes: u64,
     downloads_bytes: u64,
     messages: u64,
     rounds_seen: u32,
+    /// Bytes of every message to or from a client, and the number of
+    /// `(client, round)` pairs they came in — the sum and the count
+    /// Table IV averages.
+    client_bytes: u64,
+    client_rounds: u64,
+    /// The round of the last recorded message, and the clients already
+    /// counted in it.
+    counted_round: u32,
+    counted: HashSet<u32>,
 }
 
-/// Serialized form of a [`CommLedger`], used by checkpoint manifests.
-///
-/// The per-(client, round) map is flattened into three parallel arrays
-/// sorted by `(client, round)` so the encoding is deterministic (the
-/// in-memory map is a `HashMap`, whose iteration order is not).
+/// Serialized form of a [`CommLedger`], used by checkpoint manifests:
+/// its counters. A checkpoint commits at a round boundary, so the set of
+/// clients counted in the current round is not part of it.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LedgerWire {
     pub total_bytes: u64,
@@ -35,9 +40,8 @@ pub struct LedgerWire {
     pub downloads_bytes: u64,
     pub messages: u64,
     pub rounds_seen: u32,
-    pub entry_clients: Vec<u32>,
-    pub entry_rounds: Vec<u32>,
-    pub entry_bytes: Vec<u64>,
+    pub client_bytes: u64,
+    pub client_rounds: u64,
 }
 
 /// Aggregated view of a ledger.
@@ -69,6 +73,12 @@ impl CommLedger {
     }
 
     /// Records a message.
+    ///
+    /// Messages arrive grouped by round: every message of round `r`
+    /// before any of round `r + 1`, as a round driver reports them. A
+    /// client's messages within one round count as one client-round;
+    /// the clients already counted are forgotten when `msg.round`
+    /// changes.
     pub fn record(&mut self, msg: &Message) {
         let bytes = msg.bytes() as u64;
         self.total_bytes += bytes;
@@ -82,7 +92,14 @@ impl CommLedger {
             _ => {}
         }
         if let Some(c) = msg.client() {
-            *self.by_client_round.entry((c, msg.round)).or_default() += bytes;
+            self.client_bytes += bytes;
+            if msg.round != self.counted_round {
+                self.counted_round = msg.round;
+                self.counted.clear();
+            }
+            if self.counted.insert(c) {
+                self.client_rounds += 1;
+            }
         }
     }
 
@@ -103,59 +120,39 @@ impl CommLedger {
 
     /// Average bytes a participating client exchanges in one round.
     pub fn avg_client_bytes_per_round(&self) -> f64 {
-        if self.by_client_round.is_empty() {
+        if self.client_rounds == 0 {
             return 0.0;
         }
-        // lint: allow(determinism) — u64 sum over values is order-independent
-        let sum: u64 = self.by_client_round.values().sum();
-        sum as f64 / self.by_client_round.len() as f64
+        self.client_bytes as f64 / self.client_rounds as f64
     }
 
-    /// Captures the full ledger state for a checkpoint manifest.
+    /// Captures the ledger's counters for a checkpoint manifest, which
+    /// commits at a round boundary.
     pub fn snapshot(&self) -> LedgerWire {
-        let mut entries: Vec<(u32, u32, u64)> =
-            // lint: allow(determinism) — entries are sorted before encoding
-            self.by_client_round.iter().map(|(&(c, r), &b)| (c, r, b)).collect();
-        entries.sort_unstable();
         LedgerWire {
             total_bytes: self.total_bytes,
             uploads_bytes: self.uploads_bytes,
             downloads_bytes: self.downloads_bytes,
             messages: self.messages,
             rounds_seen: self.rounds_seen,
-            entry_clients: entries.iter().map(|e| e.0).collect(),
-            entry_rounds: entries.iter().map(|e| e.1).collect(),
-            entry_bytes: entries.iter().map(|e| e.2).collect(),
+            client_bytes: self.client_bytes,
+            client_rounds: self.client_rounds,
         }
     }
 
-    /// Rebuilds a ledger from a [`snapshot`](Self::snapshot).
-    ///
-    /// Fails if the parallel entry arrays disagree in length.
-    pub fn restore(wire: &LedgerWire) -> Result<Self, String> {
-        if wire.entry_clients.len() != wire.entry_rounds.len()
-            || wire.entry_clients.len() != wire.entry_bytes.len()
-        {
-            return Err(format!(
-                "ledger snapshot arrays disagree: {} clients, {} rounds, {} bytes",
-                wire.entry_clients.len(),
-                wire.entry_rounds.len(),
-                wire.entry_bytes.len()
-            ));
-        }
-        let mut by_client_round = HashMap::with_capacity(wire.entry_clients.len());
-        for i in 0..wire.entry_clients.len() {
-            by_client_round
-                .insert((wire.entry_clients[i], wire.entry_rounds[i]), wire.entry_bytes[i]);
-        }
-        Ok(Self {
+    /// Rebuilds a ledger from a [`snapshot`](Self::snapshot); it counts
+    /// the next round's clients as the snapshotted ledger would.
+    pub fn restore(wire: &LedgerWire) -> Self {
+        Self {
             total_bytes: wire.total_bytes,
-            by_client_round,
             uploads_bytes: wire.uploads_bytes,
             downloads_bytes: wire.downloads_bytes,
             messages: wire.messages,
             rounds_seen: wire.rounds_seen,
-        })
+            client_bytes: wire.client_bytes,
+            client_rounds: wire.client_rounds,
+            ..Self::default()
+        }
     }
 
     pub fn summary(&self) -> LedgerSummary {
@@ -229,22 +226,55 @@ mod tests {
         ledger.begin_round(1);
         ledger.upload(1, 1, "up", Payload::Triples { count: 9 });
         let wire = ledger.snapshot();
-        // entries are sorted by (client, round) for deterministic encoding
-        assert_eq!(wire.entry_clients, vec![1, 3]);
-        let restored = CommLedger::restore(&wire).expect("restore");
+        let expected = LedgerWire {
+            total_bytes: 60 + 16 + 108,
+            uploads_bytes: 60 + 108,
+            downloads_bytes: 16,
+            messages: 3,
+            rounds_seen: 2,
+            client_bytes: 60 + 16 + 108,
+            client_rounds: 2,
+        };
+        assert_eq!(wire, expected);
+        let restored = CommLedger::restore(&wire);
+        assert_eq!(restored.snapshot(), wire);
         assert_eq!(restored.summary(), ledger.summary());
-        // restored ledger keeps accumulating correctly
+        // the next round's clients count exactly as on the uninterrupted
+        // ledger: client 1 again, once for its two messages, and client 2
         let mut a = ledger.clone();
         let mut b = restored;
-        a.upload(2, 2, "up", Payload::Triples { count: 1 });
-        b.upload(2, 2, "up", Payload::Triples { count: 1 });
+        for l in [&mut a, &mut b] {
+            l.begin_round(2);
+            l.upload(1, 2, "up", Payload::Triples { count: 1 });
+            download(l, 1, 2, Payload::ScoredItems { count: 1 });
+            l.upload(2, 2, "up", Payload::Triples { count: 1 });
+        }
+        assert_eq!(a.snapshot(), b.snapshot());
+        assert_eq!(b.snapshot().client_rounds, 4);
         assert_eq!(a.summary(), b.summary());
     }
 
     #[test]
-    fn restore_rejects_ragged_arrays() {
-        let mut wire = CommLedger::new().snapshot();
-        wire.entry_clients.push(0);
-        assert!(CommLedger::restore(&wire).is_err());
+    fn a_client_counts_once_per_round() {
+        let mut ledger = CommLedger::new();
+        // round 0: client 5 uploads twice and downloads once
+        ledger.upload(5, 0, "up", Payload::Triples { count: 1 });
+        ledger.upload(5, 0, "up", Payload::Triples { count: 1 });
+        download(&mut ledger, 5, 0, Payload::ScoredItems { count: 1 });
+        assert_eq!(ledger.snapshot().client_rounds, 1);
+        // round 1: the same client is a new client-round
+        ledger.upload(5, 1, "up", Payload::Triples { count: 1 });
+        assert_eq!(ledger.snapshot().client_rounds, 2);
+        // client-less traffic moves no per-client counter
+        ledger.record(&Message {
+            from: Endpoint::Server,
+            to: Endpoint::Server,
+            round: 1,
+            label: "internal",
+            payload: Payload::Triples { count: 4 },
+        });
+        let wire = ledger.snapshot();
+        assert_eq!((wire.client_bytes, wire.client_rounds), (12 + 12 + 8 + 12, 2));
+        assert!((ledger.avg_client_bytes_per_round() - 44.0 / 2.0).abs() < 1e-12);
     }
 }

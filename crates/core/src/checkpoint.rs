@@ -9,13 +9,16 @@
 //! ```text
 //! CKPT/
 //!   manifest.json        round counter, config fingerprint, traces,
-//!                        ledger snapshot, server full-state envelope
-//!   commit-r{N}/         committed client envelopes as of round N
+//!                        ledger counters
+//!   commit-r{N}/         committed state as of round N
+//!     server.json        the hidden server's full-state envelope
 //!     {id % 256:02x}/{id}.json
+//!                        committed client envelopes
 //! ```
 //!
 //! **Crash safety by ordering.** A commit is written as (1) fresh
-//! `commit-r{N}` directory, (2) `manifest.json` via tmp-file + rename,
+//! `commit-r{N}` directory with the client envelopes and `server.json`,
+//! (2) `manifest.json` via tmp-file + rename,
 //! (3) prune of older `commit-r{M}` directories. The manifest rename is
 //! the atomic commit point: a crash before it leaves the previous
 //! manifest (pointing at the previous, still-present commit dir) in
@@ -39,10 +42,10 @@ use std::path::{Path, PathBuf};
 /// Bumped whenever the manifest or envelope wire shapes change — or the
 /// values `ptf_tensor::init::derived_normal_row` derives, since an
 /// envelope's unmaterialized item rows are re-derived on restore.
-pub const MANIFEST_VERSION: u32 = 4;
+pub const MANIFEST_VERSION: u32 = 5;
 
 /// The checkpoint manifest — everything a resume needs besides the
-/// committed client envelopes.
+/// committed server and client envelopes.
 #[derive(Serialize, Deserialize)]
 pub struct Manifest {
     pub version: u32,
@@ -50,15 +53,19 @@ pub struct Manifest {
     /// (a full-range u64 does not survive the JSON number channel).
     pub fingerprint: String,
     /// The next round the resumed engine will execute; `commit-r{next_round}`
-    /// holds the matching client envelopes.
+    /// holds the matching server and client envelopes.
     pub next_round: u32,
     /// Traces of rounds `0..next_round`, replayed into the resumed
     /// recorder so the final `RunTrace` covers the whole run.
     pub traces: Vec<RoundTrace>,
-    /// Communication-ledger snapshot at the commit point.
+    /// Communication-ledger counters at the commit point.
     pub ledger: LedgerWire,
-    /// `PtfServer::export_full_state` envelope.
-    pub server: String,
+}
+
+/// The one manifest field every version shares.
+#[derive(Deserialize)]
+struct Version {
+    version: u32,
 }
 
 impl Manifest {
@@ -126,9 +133,9 @@ pub fn commit_dir(dir: &Path, next_round: u32) -> PathBuf {
 }
 
 /// Commits the run's state after `protocol.rounds_completed()` rounds:
-/// client envelopes, then the manifest (the atomic commit point), then
-/// the prune of older commits. See the module docs for the crash-safety
-/// argument.
+/// client envelopes and `server.json`, then the manifest (the atomic
+/// commit point), then the prune of older commits. See the module docs
+/// for the crash-safety argument.
 pub fn save_checkpoint(
     dir: &Path,
     protocol: &CohortFedRec,
@@ -147,13 +154,14 @@ pub fn save_checkpoint(
     let server = protocol.export_server_state().ok_or_else(|| {
         CheckpointError::Corrupt("server model does not support full-state export".to_string())
     })?;
+    let server_json = commit.join("server.json");
+    std::fs::write(&server_json, server).map_err(io_at(&server_json))?;
     let manifest = Manifest {
         version: MANIFEST_VERSION,
         fingerprint: format!("{fingerprint:016x}"),
         next_round,
         traces: traces.to_vec(),
         ledger: ledger.snapshot(),
-        server,
     };
     let json =
         serde_json::to_string(&manifest).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
@@ -186,14 +194,15 @@ fn prune_old_commits(dir: &Path, keep: u32) -> Result<(), CheckpointError> {
 pub fn load_manifest(dir: &Path) -> Result<Manifest, CheckpointError> {
     let path = manifest_path(dir);
     let text = std::fs::read_to_string(&path).map_err(io_at(&path))?;
-    let manifest: Manifest = serde_json::from_str(&text)
-        .map_err(|e| CheckpointError::Corrupt(format!("manifest: {e}")))?;
-    if manifest.version != MANIFEST_VERSION {
+    let corrupt = |e: serde_json::Error| CheckpointError::Corrupt(format!("manifest: {e}"));
+    // the version first: an older manifest's other fields have other shapes
+    let Version { version } = serde_json::from_str(&text).map_err(corrupt)?;
+    if version != MANIFEST_VERSION {
         return Err(CheckpointError::Mismatch(format!(
-            "manifest version {} (this build reads version {MANIFEST_VERSION})",
-            manifest.version
+            "manifest version {version} (this build reads version {MANIFEST_VERSION})"
         )));
     }
+    let manifest: Manifest = serde_json::from_str(&text).map_err(corrupt)?;
     if manifest.traces.len() != manifest.next_round as usize {
         return Err(CheckpointError::Corrupt(format!(
             "manifest holds {} traces for next_round {}",
@@ -211,17 +220,21 @@ pub fn load_manifest(dir: &Path) -> Result<Manifest, CheckpointError> {
 }
 
 /// Rewinds a freshly constructed protocol to the manifest's commit
-/// point: server state, committed client envelopes (each restored once
-/// as a check), round counter. The caller pairs this with
-/// `ptf_federated::Engine::resume` at the same round and a
-/// `CommLedger::restore` of the manifest's ledger snapshot.
+/// point: server state from `commit-r{N}/server.json`, committed client
+/// envelopes (each restored once as a check), round counter. The caller
+/// pairs this with `ptf_federated::Engine::resume` at the same round and
+/// a `CommLedger::restore` of the manifest's ledger counters.
 pub fn resume_protocol(
     dir: &Path,
     manifest: &Manifest,
     protocol: &mut CohortFedRec,
 ) -> Result<(), CheckpointError> {
-    protocol.restore_server_state(&manifest.server).map_err(CheckpointError::Corrupt)?;
     let commit = commit_dir(dir, manifest.next_round);
+    let server_json = commit.join("server.json");
+    let server = std::fs::read(&server_json).map_err(io_at(&server_json))?;
+    protocol
+        .restore_server_state(&server)
+        .map_err(|e| CheckpointError::Corrupt(format!("{}: {e}", server_json.display())))?;
     protocol.reset_clients_from(&commit).map_err(CheckpointError::Corrupt)?;
     protocol.set_rounds_completed(manifest.next_round);
     Ok(())
@@ -269,12 +282,30 @@ mod tests {
         }
     }
 
+    /// A version-4 manifest holds the server envelope and a ledger of
+    /// parallel arrays, which this build's `Manifest` cannot parse: it is
+    /// still refused as a version mismatch, not as a corrupt manifest.
+    #[test]
+    fn an_older_manifest_is_a_version_mismatch() {
+        let dir = TempRoot::new("ckpt-v4");
+        std::fs::create_dir_all(&dir.0).expect("mkdir");
+        let v4 = r#"{"version":4,"fingerprint":"000000000000feed","next_round":0,"traces":[],"ledger":{"total_bytes":0,"uploads_bytes":0,"downloads_bytes":0,"messages":0,"rounds_seen":0,"entry_clients":[],"entry_rounds":[],"entry_bytes":[]},"server":"{}"}"#;
+        std::fs::write(manifest_path(&dir.0), v4).expect("write");
+        match load_manifest(&dir.0) {
+            Err(CheckpointError::Mismatch(m)) => {
+                assert_eq!(m, "manifest version 4 (this build reads version 5)");
+            }
+            Err(e) => panic!("a version-4 manifest was not a mismatch: {e}"),
+            Ok(_) => panic!("a version-4 manifest loaded"),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Arbitrary bytes, and truncations and one-byte mutations of a
-        /// real manifest: `load_manifest`, then `CommLedger::restore`,
-        /// return `Ok` or `Err` and never panic.
+        /// real manifest: `load_manifest` returns `Ok` or `Err` and never
+        /// panics, and `CommLedger::restore` takes whatever it accepts.
         #[test]
         fn damaged_manifests_are_errors_never_panics(
             kind in 0u8..3,
@@ -297,7 +328,7 @@ mod tests {
             std::fs::create_dir_all(&dir.0).expect("mkdir");
             std::fs::write(manifest_path(&dir.0), &bytes).expect("write");
             if let Ok(manifest) = load_manifest(&dir.0) {
-                let _ = CommLedger::restore(&manifest.ledger);
+                CommLedger::restore(&manifest.ledger);
             }
         }
     }

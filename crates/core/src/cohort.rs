@@ -29,6 +29,14 @@
 //!   Everything else a resident client holds is either rebuilt per round
 //!   (the ego graph) or capacity-only (upload buffers).
 //!
+//! A checkpoint commit copies the store beside the server's envelope,
+//! which goes through the same codec:
+//!
+//! ```text
+//! CKPT/commit-r{N}/server.json                hidden server, as of round N
+//! CKPT/commit-r{N}/{id % 256:02x}/{id}.json   the store's client envelopes
+//! ```
+//!
 //! **Why writing in place is safe.** Between a participant's client
 //! phase and `deliver` its file has two lines and is not a valid
 //! envelope, and a crash mid-write leaves a torn one — but nothing reads
@@ -426,13 +434,13 @@ impl Round<Stored> {
         self.server.model().num_users()
     }
 
-    /// Serializes the server's full state for a checkpoint manifest.
+    /// Serializes the server's full state: a checkpoint's `server.json`.
     pub fn export_server_state(&self) -> Option<String> {
         self.server.export_full_state()
     }
 
-    /// Restores the server from a checkpoint manifest's envelope.
-    pub fn restore_server_state(&mut self, envelope: &str) -> Result<(), String> {
+    /// Restores the server from a checkpoint's `server.json`.
+    pub fn restore_server_state(&mut self, envelope: &[u8]) -> Result<(), String> {
         self.server = PtfServer::import_full_state(
             envelope,
             self.server_users(),
@@ -747,11 +755,19 @@ pub(crate) mod tests {
         };
         let tame = [0.25, 0.5, 0.75, 1.0, 0.0];
         let envelope = trained(ModelKind::LightGcn, &tame);
-        let tame_hex = serde_json::to_string(&ptf_tensor::PackedF32s::pack(&tame)).unwrap();
-        let field = format!(r#""edge_scores":{tame_hex}"#);
+        let mut field = br#""edge_scores":"#.to_vec();
+        Writer::new(&mut field).f32s(&tame);
+        let field = String::from_utf8(field).unwrap();
         assert!(envelope.contains(&field), "{envelope}");
         let envelope = envelope.replace(&field, &format!(r#""edge_scores":"{ODD_HEX}""#));
-        let back = PtfServer::import_full_state(&envelope, 2, 9, ModelKind::LightGcn, &hyper, 0.5);
+        let back = PtfServer::import_full_state(
+            envelope.as_bytes(),
+            2,
+            9,
+            ModelKind::LightGcn,
+            &hyper,
+            0.5,
+        );
         assert_eq!(back.unwrap().export_full_state().unwrap(), envelope);
 
         // a graph-less server keeps no edge memory, whatever it trains on
@@ -760,7 +776,8 @@ pub(crate) mod tests {
         let envelope = trained(ModelKind::Mf, &odd());
         let empty = r#""edge_users":[],"edge_items":[],"edge_scores":"""#;
         assert!(envelope.contains(empty), "{envelope}");
-        let back = PtfServer::import_full_state(&envelope, 2, 9, ModelKind::Mf, &hyper, 0.5);
+        let back =
+            PtfServer::import_full_state(envelope.as_bytes(), 2, 9, ModelKind::Mf, &hyper, 0.5);
         assert_eq!(back.unwrap().export_full_state().unwrap(), envelope);
 
         // a parked cohort client whose dispersed set holds such scores

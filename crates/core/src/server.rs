@@ -19,25 +19,9 @@ use crate::disperse::{rank_by_confidence, select_disperse_items, SelectScratch};
 use crate::upload::ClientUpload;
 use ptf_models::{build_model, ModelHyper, ModelKind, Recommender};
 use ptf_privacy::ScoredItem;
-use ptf_tensor::PackedF32s;
+use ptf_tensor::packed::{Reader, Writer};
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Checkpoint wire format of the server's full state. The soft-edge
-/// memory is flattened into parallel arrays in `BTreeMap` (key) order,
-/// so the encoding is deterministic — ids as decimal arrays, scores as
-/// one packed string, all three empty unless the hidden model is a graph
-/// model; the model rides along as its own nested full-state envelope.
-#[derive(Serialize, Deserialize)]
-struct ServerWire {
-    kind: String,
-    model: String,
-    counts: Vec<u64>,
-    edge_users: Vec<u32>,
-    edge_items: Vec<u32>,
-    edge_scores: PackedF32s,
-}
 
 /// The central server: hidden model + the state backing D̃ construction.
 pub struct PtfServer {
@@ -175,21 +159,37 @@ impl PtfServer {
         )
     }
 
-    /// Serializes the server's complete training state — hidden-model
-    /// envelope, per-item update counts, and the soft-edge memory — for a
-    /// checkpoint manifest. Returns `None` if the model does not support
+    /// Serializes the server's complete training state through the state
+    /// codec — the checkpoint's `server.json`:
+    ///
+    /// ```text
+    /// {"kind":K,"model":<Recommender::write_full_state envelope, verbatim>,"counts":[…],"edge_users":[…],"edge_items":[…],"edge_scores":"<packed f32>"}
+    /// ```
+    ///
+    /// The soft-edge memory is flattened into parallel arrays in
+    /// `BTreeMap` (key) order, all three empty unless the hidden model is
+    /// a graph model. Returns `None` if the model does not support
     /// full-state export.
     pub fn export_full_state(&self) -> Option<String> {
-        let model = self.model.export_full_state()?;
-        let wire = ServerWire {
-            kind: self.kind.name().to_string(),
-            model,
-            counts: self.item_update_counts.clone(),
-            edge_users: self.edges.keys().map(|&(u, _)| u).collect(),
-            edge_items: self.edges.keys().map(|&(_, i)| i).collect(),
-            edge_scores: PackedF32s::pack(&self.edges.values().copied().collect::<Vec<f32>>()),
-        };
-        serde_json::to_string(&wire).ok()
+        let mut text = Vec::new();
+        let mut w = Writer::new(&mut text);
+        w.open();
+        w.key("kind");
+        w.str(self.kind.name());
+        w.key("model");
+        if !self.model.write_full_state(&mut w) {
+            return None;
+        }
+        w.key("counts");
+        w.array(&self.item_update_counts, |w, &c| w.uint(c));
+        w.key("edge_users");
+        w.array(self.edges.keys(), |w, &(u, _)| w.uint(u.into()));
+        w.key("edge_items");
+        w.array(self.edges.keys(), |w, &(_, i)| w.uint(i.into()));
+        w.key("edge_scores");
+        w.f32s(&self.edges.values().copied().collect::<Vec<f32>>());
+        w.close();
+        Some(String::from_utf8(text).expect("an envelope is ASCII"))
     }
 
     /// Rebuilds a server from [`export_full_state`](Self::export_full_state).
@@ -198,53 +198,78 @@ impl PtfServer {
     /// server's construction; `graph_threshold` is needed because the
     /// model's graph is not part of any envelope — it is re-derived here
     /// from the restored soft edges, exactly as `train_on_uploads` would.
+    /// Only what the writer writes is accepted: one count per item, and
+    /// edges only under a graph model, as three arrays of one length, in
+    /// strictly ascending `(user, item)` order, inside users × items.
+    /// Every refusal names the field and the byte.
     pub fn import_full_state(
-        envelope: &str,
+        envelope: &[u8],
         num_users: usize,
         num_items: usize,
         kind: ModelKind,
         hyper: &ModelHyper,
         graph_threshold: f32,
     ) -> Result<Self, String> {
-        let wire: ServerWire =
-            serde_json::from_str(envelope).map_err(|e| format!("server envelope: {e}"))?;
-        if wire.kind != kind.name() {
-            return Err(format!(
-                "server model mismatch: checkpoint has {}, run configured {}",
-                wire.kind,
+        let mut r = Reader::new(envelope);
+        r.open()?;
+        r.key("kind")?;
+        let found = r.str()?;
+        if found != kind.name() {
+            return Err(r.error(format_args!(
+                "server model mismatch: checkpoint has {found}, run configured {}",
                 kind.name()
-            ));
+            )));
         }
-        if wire.counts.len() != num_items {
-            return Err(format!(
-                "server item count mismatch: checkpoint has {}, run has {num_items}",
-                wire.counts.len()
-            ));
-        }
-        let edge_scores = wire.edge_scores.unpack("server edge_scores")?;
-        if wire.edge_users.len() != wire.edge_items.len()
-            || wire.edge_users.len() != edge_scores.len()
-        {
-            return Err(format!(
-                "server edge arrays disagree: {} users, {} items, {} scores",
-                wire.edge_users.len(),
-                wire.edge_items.len(),
-                edge_scores.len()
-            ));
-        }
+        r.key("model")?;
         // throwaway init — every parameter is overwritten by the envelope
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let mut model = build_model(kind, num_users, num_items, hyper, &mut rng);
-        model.import_full_state(&wire.model)?;
-        let mut edges = BTreeMap::new();
-        if model.uses_graph() {
-            edges.extend(wire.edge_users.into_iter().zip(wire.edge_items).zip(edge_scores));
+        model.read_full_state(&mut r)?;
+        let graph = model.uses_graph();
+
+        r.key("counts")?;
+        let mut counts = Vec::with_capacity(num_items);
+        r.array(|r| r.uint().map(|c| counts.push(c)))?;
+        if counts.len() != num_items {
+            return Err(r.error(format_args!("{} counts for {num_items} items", counts.len())));
+        }
+        let (mut users, mut items) = (Vec::new(), Vec::new());
+        r.key("edge_users")?;
+        r.u32s(&mut users)?;
+        if !graph && !users.is_empty() {
+            return Err(r.error(format_args!("edges under the graph-less {}", kind.name())));
+        }
+        r.key("edge_items")?;
+        r.u32s(&mut items)?;
+        if items.len() != users.len() {
+            return Err(r.error(format_args!("{} items for {} users", items.len(), users.len())));
+        }
+        let keys: Vec<(u32, u32)> = users.into_iter().zip(items).collect();
+        let outside = |&&(u, i): &&(u32, u32)| u as usize >= num_users || i as usize >= num_items;
+        if let Some((u, i)) = keys.iter().find(outside) {
+            return Err(r.error(format_args!("edge ({u}, {i}) outside {num_users}x{num_items}")));
+        }
+        if let Some(w) = keys.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(r.error(format_args!("edge {:?} out of (user, item) order", w[1])));
+        }
+        r.key("edge_scores")?;
+        let packed = r.packed()?;
+        if packed.len() != keys.len() {
+            return Err(r.error(format_args!("{} scores for {} edges", packed.len(), keys.len())));
+        }
+        let mut scores = vec![0.0; keys.len()];
+        packed.unpack_into(&mut scores)?;
+        r.close()?;
+        r.finish()?;
+
+        let edges: BTreeMap<(u32, u32), f32> = keys.into_iter().zip(scores).collect();
+        if graph {
             // the graph is not part of the model envelope: re-derive it so
             // a resumed server disperses identically even if its first
             // post-resume round trains on nothing
             model.set_graph(&confident_edges(&edges, graph_threshold));
         }
-        Ok(Self::assemble(model, kind, wire.counts, edges))
+        Ok(Self::assemble(model, kind, counts, edges))
     }
 }
 
@@ -322,22 +347,195 @@ mod tests {
         let mut s = server(ModelKind::NeuMf);
         s.train_on_uploads(&ups, &config, &mut test_rng(4));
         assert!(s.edges.is_empty());
+        let own = s.export_full_state().unwrap();
+        assert!(own.ends_with(r#","edge_users":[],"edge_items":[],"edge_scores":""}"#), "{own}");
 
         // an envelope that carries edges anyway (a graph server's arrays
-        // under a graph-less kind) imports without them
+        // under a graph-less kind) is refused, naming the field and byte
         let mut graph = server(ModelKind::LightGcn);
         graph.train_on_uploads(&ups, &config, &mut test_rng(4));
-        let mut wire: ServerWire =
-            serde_json::from_str(&graph.export_full_state().unwrap()).unwrap();
-        assert_eq!(wire.edge_items, vec![3, 7]);
-        let own: ServerWire = serde_json::from_str(&s.export_full_state().unwrap()).unwrap();
-        (wire.kind, wire.model) = (own.kind, own.model);
-        let envelope = serde_json::to_string(&wire).unwrap();
+        let theirs = graph.export_full_state().unwrap();
+        let edges = &theirs[theirs.find(r#","edge_users":"#).unwrap()..];
+        assert!(edges.starts_with(r#","edge_users":[0,0],"edge_items":[3,7],"#), "{edges}");
+        let envelope = own.replace(r#","edge_users":[],"edge_items":[],"edge_scores":""}"#, edges);
+        let at = envelope.find(r#""edge_users":"#).unwrap() + r#""edge_users":"#.len();
         let hyper = ModelHyper::small();
-        let back = PtfServer::import_full_state(&envelope, 4, 30, ModelKind::NeuMf, &hyper, 0.5);
-        let back = back.unwrap();
-        assert!(back.edges.is_empty());
-        assert_eq!(back.export_full_state(), s.export_full_state());
+        let err = PtfServer::import_full_state(envelope.as_bytes(), 4, 30, s.kind, &hyper, 0.5)
+            .err()
+            .expect("edges under a graph-less kind are refused");
+        assert_eq!(err, format!("edge_users at byte {at}: edges under the graph-less NeuMF"));
+    }
+
+    /// A tiny hyper-parameter set: every server envelope fits on a line.
+    fn tiny_hyper() -> ModelHyper {
+        ModelHyper {
+            dim: 1,
+            lr: 0.01,
+            gcn_layers: 1,
+            mlp_layers: vec![2],
+            ngcf_reg: 0.0,
+            ngcf_dropout: 0.0,
+        }
+    }
+
+    /// A tiny MF server (1 user, 2 items) with one count, and a tiny
+    /// LightGCN server (2 users, 2 items) holding two soft edges.
+    fn tiny_servers() -> [PtfServer; 2] {
+        let hyper = tiny_hyper();
+        let mut mf = PtfServer::new(1, 2, ModelKind::Mf, &hyper, &mut test_rng(1));
+        mf.item_update_counts[1] = 3;
+        let mut lightgcn = PtfServer::new(2, 2, ModelKind::LightGcn, &hyper, &mut test_rng(1));
+        lightgcn.item_update_counts = vec![1, 1];
+        lightgcn.edges.extend([((0, 1), 0.75), ((1, 0), -0.0)]);
+        [mf, lightgcn]
+    }
+
+    /// `server.json` is part of the checkpoint format
+    /// (`docs/checkpoint-format.md`): the model envelope nested verbatim,
+    /// field order, id arrays, the packed edge scores.
+    #[test]
+    fn server_envelopes_are_pinned() {
+        let [mf, lightgcn] = tiny_servers();
+        assert_eq!(mf.export_full_state().unwrap(), PINNED_MF);
+        assert_eq!(lightgcn.export_full_state().unwrap(), PINNED_LIGHTGCN);
+        // each reads back into a server that writes the same bytes
+        let hyper = tiny_hyper();
+        for (text, users, kind) in
+            [(PINNED_MF, 1, ModelKind::Mf), (PINNED_LIGHTGCN, 2, ModelKind::LightGcn)]
+        {
+            let back = PtfServer::import_full_state(text.as_bytes(), users, 2, kind, &hyper, 0.5);
+            assert_eq!(back.unwrap().export_full_state().unwrap(), text);
+        }
+    }
+
+    const PINNED_MF: &str = r#"{"kind":"MF","model":{"arch":"MF","user_emb":{"rows":1,"cols":1,"data":"3baf5062"},"items":{"num_items":2,"cols":2,"ids":null,"data":"3c39382e00000000bd9adeee00000000","init_seed":"8bd2880a432e8659","init_std":0.10000000149011612,"init_cols":1}},"counts":[0,3],"edge_users":[],"edge_items":[],"edge_scores":""}"#;
+    const PINNED_LIGHTGCN: &str = r#"{"kind":"LightGCN","model":{"arch":"LightGCN","item_ids":null,"item_seed":"8bd2880a432e8659","params":{"names":["emb"],"mats":[{"rows":4,"cols":1,"data":"3baf50623dbfee6d3c39382ebd9adeee"}]},"adam_t":"0","adam_m":[{"rows":4,"cols":1,"data":"00000000000000000000000000000000"}],"adam_v":[{"rows":4,"cols":1,"data":"00000000000000000000000000000000"}],"rng":null},"counts":[1,1],"edge_users":[0,1],"edge_items":[1,0],"edge_scores":"3f40000080000000"}"#;
+
+    /// The server reader refuses what the writer never writes, naming the
+    /// field and the byte: a count per item, edges in key order inside
+    /// users × items, and arrays of one length.
+    #[test]
+    fn malformed_server_envelopes_are_refused_naming_the_field() {
+        let hyper = tiny_hyper();
+        let read = |text: &str, kind| {
+            let users = if kind == ModelKind::Mf { 1 } else { 2 };
+            PtfServer::import_full_state(text.as_bytes(), users, 2, kind, &hyper, 0.5).err()
+        };
+        let lg = ModelKind::LightGcn;
+        let cases: &[(&str, String, ModelKind, &str)] = &[
+            (
+                "a count short",
+                PINNED_MF.replace(r#""counts":[0,3]"#, r#""counts":[0]"#),
+                ModelKind::Mf,
+                "counts at byte",
+            ),
+            (
+                "a count over",
+                PINNED_MF.replace(r#""counts":[0,3]"#, r#""counts":[0,3,1]"#),
+                ModelKind::Mf,
+                "counts at byte",
+            ),
+            (
+                "ragged items",
+                PINNED_LIGHTGCN.replace(r#""edge_items":[1,0]"#, r#""edge_items":[1]"#),
+                lg,
+                "edge_items at byte",
+            ),
+            (
+                "an item over",
+                PINNED_LIGHTGCN.replace(r#""edge_items":[1,0]"#, r#""edge_items":[1,0,1]"#),
+                lg,
+                "edge_items at byte",
+            ),
+            (
+                "ragged scores",
+                PINNED_LIGHTGCN.replace(r#"80000000""#, r#"""#),
+                lg,
+                "edge_scores at byte",
+            ),
+            (
+                "out of order",
+                PINNED_LIGHTGCN.replace(r#""edge_users":[0,1]"#, r#""edge_users":[1,0]"#),
+                lg,
+                "edge_items at byte",
+            ),
+            (
+                "a duplicate",
+                PINNED_LIGHTGCN.replace(
+                    r#""edge_users":[0,1],"edge_items":[1,0]"#,
+                    r#""edge_users":[0,0],"edge_items":[1,1]"#,
+                ),
+                lg,
+                "edge_items at byte",
+            ),
+            (
+                "a user outside",
+                PINNED_LIGHTGCN.replace(r#""edge_users":[0,1]"#, r#""edge_users":[0,2]"#),
+                lg,
+                "edge_items at byte",
+            ),
+            (
+                "an item outside",
+                PINNED_LIGHTGCN.replace(r#""edge_items":[1,0]"#, r#""edge_items":[1,2]"#),
+                lg,
+                "edge_items at byte",
+            ),
+            (
+                "another kind",
+                PINNED_MF.replace(r#"{"kind":"MF""#, r#"{"kind":"NeuMF""#),
+                ModelKind::Mf,
+                "kind at byte",
+            ),
+            ("trailing bytes", format!("{PINNED_MF} "), ModelKind::Mf, "trailing bytes at byte"),
+        ];
+        for (what, text, kind, field) in cases {
+            assert!(
+                text != PINNED_MF && text != PINNED_LIGHTGCN,
+                "{what}: the damage did not apply"
+            );
+            let err = read(text, *kind).unwrap_or_else(|| panic!("{what}: accepted"));
+            assert!(err.contains(field), "{what}: {err:?} does not name {field:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The server reader against truncated, flipped and grown pinned
+        /// envelopes: it never panics, every refusal names a byte, and
+        /// anything it accepts re-exports to exactly the damaged bytes.
+        #[test]
+        fn damaged_server_envelopes_are_refused_or_reexported_exactly(
+            lightgcn in proptest::prelude::any::<bool>(),
+            kind in 0u8..3,
+            at in 0.0f64..1.0,
+            raw in proptest::prelude::any::<u8>(),
+            plausible in proptest::prelude::any::<bool>(),
+        ) {
+            // half the new bytes are ones the format uses, so damage often
+            // parses as far as the field it lands in
+            const TOKENS: &[u8] = b"0123456789abcdef\",:[]{}-+.eEnul ";
+            let byte = if plausible { TOKENS[raw as usize % TOKENS.len()] } else { raw };
+            let (text, users, model) = if lightgcn {
+                (PINNED_LIGHTGCN, 2, ModelKind::LightGcn)
+            } else {
+                (PINNED_MF, 1, ModelKind::Mf)
+            };
+            let mut bytes = text.as_bytes().to_vec();
+            let at = ((at * bytes.len() as f64) as usize).min(bytes.len() - 1);
+            match kind {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= byte.max(1),
+                _ => bytes.insert(at, byte),
+            }
+            match PtfServer::import_full_state(&bytes, users, 2, model, &tiny_hyper(), 0.5) {
+                Ok(back) => {
+                    let again = back.export_full_state().expect("a restored server exports");
+                    proptest::prop_assert!(again.as_bytes() == bytes.as_slice(), "accepted damage re-exported differently");
+                }
+                Err(e) => proptest::prop_assert!(e.contains("byte "), "{} names no byte offset", e),
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! Profile lengths are log-normal (as in [`crate::synthetic`]), clamped
 //! to `[min_profile_len, max_profile_len]`.
 
-use crate::arena::{ArenaError, ArenaWriter, CsrArena};
+use crate::arena::{ArenaError, ArenaWriter};
 use crate::dataset::Dataset;
 use ptf_tensor::derive_seed;
 use rand::rngs::StdRng;
@@ -254,18 +254,6 @@ impl ScaleConfig {
     }
 }
 
-/// Convenience: materializes one arena row set into an in-memory
-/// [`Dataset`] (cohort-scoped fallback paths and tests).
-pub fn arena_to_dataset(arena: &CsrArena, name: impl Into<String>) -> Result<Dataset, ArenaError> {
-    let mut b = Dataset::builder(name, arena.num_items(), arena.num_users(), arena.nnz() as usize);
-    let mut row = Vec::new();
-    for user in 0..arena.num_users() as u32 {
-        arena.read_user_into(user, &mut row)?;
-        b.push_user(&row);
-    }
-    Ok(b.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,7 +369,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("ptf-scale-test-{}.arena", std::process::id()));
         cfg.write_arena(2024, &path).unwrap();
-        let arena = CsrArena::open(&path).unwrap();
+        let arena = crate::arena::CsrArena::open(&path).unwrap();
         let mem = cfg.materialize(2024);
         assert_eq!(arena.num_users(), mem.num_users());
         let mut row = Vec::new();
@@ -389,9 +377,6 @@ mod tests {
             arena.read_user_into(user, &mut row).unwrap();
             assert_eq!(&row[..], mem.user_items(user), "user {user} row diverged");
         }
-        // and the fully-materialized arena equals the in-memory build
-        let back = arena_to_dataset(&arena, "scale-test").unwrap();
-        assert_eq!(back.user_items(5), mem.user_items(5));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -112,8 +112,7 @@ pub fn build_model(
 /// each row from its `(seed, id)`-derived init). All randomness derives from `seed`, and
 /// the item-row draws are independent of the scope — so a `Rows` model
 /// and a `Full` model built from the same seed are bit-identical on
-/// every row both hold (for NGCF, under `message_dropout = 0`; see
-/// [`Ngcf::new_scoped`]).
+/// every row both hold.
 pub fn build_model_scoped(
     kind: ModelKind,
     num_users: usize,

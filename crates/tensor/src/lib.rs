@@ -60,7 +60,6 @@ pub mod sparse;
 pub use grad::{GradBuf, Grads, RowSparse};
 pub use matrix::Matrix;
 pub use optim::Adam;
-pub use packed::PackedF32s;
 pub use params::{ParamId, Params};
 pub use rowtable::{derive_seed, grows_dense, ItemRows, RowInit, RowTable, ScopeIndex, ScopeView};
 pub use sparse::{Csr, PropagationMatrix};

@@ -33,9 +33,7 @@
 //!
 //! The hex kernel is branch-free digit arithmetic on 64-bit words (one
 //! word is one value's 8 digits) and runs under [`crate::isa::dispatch`],
-//! where it vectorizes. [`PackedF32s`] is the same packing as a serde
-//! value, for the envelopes that still go through the JSON layer (the
-//! server's, inside a checkpoint manifest).
+//! where it vectorizes.
 
 use crate::isa;
 use std::fmt::Display;
@@ -118,51 +116,8 @@ fn bad_group(i: usize) -> String {
     format!("value {i} of the packed f32 string is not {DIGITS} lowercase hex digits")
 }
 
-/// An `f32` buffer in its packed text form (see the module docs), as a
-/// serde value: that one string.
-pub struct PackedF32s(String);
-
-impl PackedF32s {
-    /// Packs `values`, straight from the slice into one pre-sized buffer.
-    pub fn pack(values: &[f32]) -> Self {
-        let mut text = vec![0u8; values.len() * DIGITS];
-        pack_into(values, &mut text);
-        Self(String::from_utf8(text).expect("hex digits are ASCII"))
-    }
-
-    /// Decodes the buffer. Strict: the text must be a whole number of
-    /// 8-digit groups of `[0-9a-f]` — no upper-case digits, whitespace or
-    /// separators — so export → import → export is byte-identical. A
-    /// violation is an `Err` that names the buffer as `what`.
-    pub fn unpack(&self, what: &str) -> Result<Vec<f32>, String> {
-        let text = self.0.as_bytes();
-        if !text.len().is_multiple_of(DIGITS) {
-            return Err(format!("{what}: {}", bad_length(text.len())));
-        }
-        let mut values = vec![0.0f32; text.len() / DIGITS];
-        unpack_into(text, &mut values).map_err(|i| format!("{what}: {}", bad_group(i)))?;
-        Ok(values)
-    }
-}
-
 fn bad_length(len: usize) -> String {
     format!("packed f32 string of {len} characters is not a multiple of {DIGITS}")
-}
-
-impl serde::Serialize for PackedF32s {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.0.serialize(serializer)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for PackedF32s {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        // a pre-packing envelope holds a decimal array here: say what
-        // this build reads instead
-        String::deserialize(deserializer)
-            .map(Self)
-            .map_err(|e| serde::de::Error::custom(format!("packed f32 hex string: {e}")))
-    }
 }
 
 /// The one spelling of a number: the vendored JSON layer's, through
@@ -450,8 +405,9 @@ impl<'a> Reader<'a> {
         matches!(self.peek(), None | Some(b',' | b'}' | b']'))
     }
 
-    /// A decimal integer: digits only, no leading zero, below 2⁵³.
-    fn uint(&mut self) -> Result<u64, String> {
+    /// A [`Writer::uint`] integer: digits only, no leading zero, below
+    /// 2⁵³.
+    pub fn uint(&mut self) -> Result<u64, String> {
         self.start();
         let digits = self.text[self.pos..].iter().take_while(|b| b.is_ascii_digit()).count();
         if digits == 0 {
@@ -595,11 +551,13 @@ impl<'a> Reader<'a> {
     }
 
     /// An array whose elements `each` reads; returns how many there were.
+    /// An [`error`](Self::error) after it names where the array starts.
     pub fn array(
         &mut self,
         mut each: impl FnMut(&mut Self) -> Result<(), String>,
     ) -> Result<usize, String> {
         self.start();
+        let start = self.pos;
         self.expect(b'[')?;
         if self.peek() == Some(b']') {
             self.pos += 1;
@@ -613,6 +571,8 @@ impl<'a> Reader<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    // the value just read is the whole array
+                    self.at = start;
                     return Ok(count);
                 }
                 _ => {

@@ -1,38 +1,34 @@
 //! The packed `f32` buffer codec and the two state objects every model
 //! envelope is written through ([`Matrix::write_state`],
 //! [`RowTable::write_state`]): exact for every bit pattern, strict and
-//! canonical on the way in, and pinned as text. [`PackedF32s`], the same
-//! packing as a serde value, is held to the same rules.
+//! canonical on the way in, and pinned as text.
 
 use proptest::prelude::*;
 use ptf_tensor::packed::{Reader, Writer};
-use ptf_tensor::{Matrix, PackedF32s, RowTable};
+use ptf_tensor::{Matrix, RowTable};
 
 fn bits_of(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Decodes `text` as the packed buffer of a field named `buf`, through
-/// the reader, and checks the serde value agrees.
+/// Decodes `text` as the packed buffer of a field named `buf`.
 fn unpack(text: &str) -> Result<Vec<f32>, String> {
     let envelope = format!(r#"{{"buf":"{text}"}}"#);
     let mut r = Reader::new(envelope.as_bytes());
-    let read = (|| {
-        r.open()?;
-        r.key("buf")?;
-        let packed = r.packed()?;
-        let mut values = vec![0.0; packed.len()];
-        packed.unpack_into(&mut values)?;
-        r.close()?;
-        Ok(values)
-    })();
-    let serde = serde_json::from_str::<PackedF32s>(&format!("\"{text}\"")).unwrap().unpack("buf");
-    assert_eq!(
-        read.as_ref().map(|v| bits_of(v)).ok(),
-        serde.map(|v| bits_of(&v)).ok(),
-        "reader and serde value disagree on {text:?}"
-    );
-    read
+    r.open()?;
+    r.key("buf")?;
+    let packed = r.packed()?;
+    let mut values = vec![0.0; packed.len()];
+    packed.unpack_into(&mut values)?;
+    r.close()?;
+    r.finish().map(|()| values)
+}
+
+/// `values` as one packed buffer, quotes included.
+fn packed_text(values: &[f32]) -> String {
+    let mut text = Vec::new();
+    Writer::new(&mut text).f32s(values);
+    String::from_utf8(text).unwrap()
 }
 
 fn matrix_text(m: &Matrix) -> String {
@@ -65,10 +61,9 @@ fn read_table(text: &str) -> Result<RowTable, String> {
 /// (`docs/checkpoint-format.md`): digit order, case and field order.
 #[test]
 fn packed_envelope_text_is_pinned() {
-    let text = |values: &[f32]| serde_json::to_string(&PackedF32s::pack(values)).unwrap();
-    assert_eq!(text(&[]), r#""""#);
+    assert_eq!(packed_text(&[]), r#""""#);
     assert_eq!(
-        text(&[f32::from_bits(0x0123_4567), f32::from_bits(0x89ab_cdef)]),
+        packed_text(&[f32::from_bits(0x0123_4567), f32::from_bits(0x89ab_cdef)]),
         r#""0123456789abcdef""#
     );
     let m = Matrix::from_vec(1, 2, vec![1.0, -0.0]);
@@ -86,17 +81,18 @@ proptest! {
 
     /// Every `u32` is some `f32`'s bits — NaN payloads, both zeros,
     /// infinities, subnormals — and each one comes back exactly, through
-    /// the serde value and through both state objects, and re-encodes to
-    /// the same text.
+    /// one packed buffer and through both state objects, and re-encodes
+    /// to the same text.
     #[test]
     fn arbitrary_bit_patterns_round_trip_exactly(
         bits in proptest::collection::vec(any::<u32>(), 0..40),
     ) {
         let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        let text = serde_json::to_string(&PackedF32s::pack(&values)).unwrap();
+        let text = packed_text(&values);
         prop_assert_eq!(text.len(), 8 * values.len() + 2);
-        let back: PackedF32s = serde_json::from_str(&text).unwrap();
-        prop_assert_eq!(bits_of(&back.unpack("buf").unwrap()), bits.clone());
+        let back = unpack(&text[1..text.len() - 1]).unwrap();
+        prop_assert_eq!(bits_of(&back), bits.clone());
+        prop_assert_eq!(packed_text(&back), text);
 
         let m = Matrix::from_vec(1, values.len(), values.clone());
         let json = matrix_text(&m);

@@ -286,8 +286,7 @@ fn run_cohort_engine(
         let manifest = checkpoint::load_manifest(dir).map_err(|e| e.to_string())?;
         manifest.verify_fingerprint(fingerprint).map_err(|e| e.to_string())?;
         checkpoint::resume_protocol(dir, &manifest, &mut protocol).map_err(|e| e.to_string())?;
-        let ledger = CommLedger::restore(&manifest.ledger)
-            .map_err(|e| format!("checkpoint corrupt: {e}"))?;
+        let ledger = CommLedger::restore(&manifest.ledger);
         let mut replay = recorder.clone();
         for t in &manifest.traces {
             replay.on_round_end(t);

@@ -263,22 +263,25 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
 
     // checkpoints written by earlier formats: decimal f32 arrays (1), item
     // rows derived by the Box–Muller init, which unmaterialized rows would
-    // no longer re-derive to (2), and one-object client envelopes (3)
-    assert!(good.starts_with("{\"version\":4,"), "manifest head: {}", &good[..20]);
-    for old in [1, 2, 3] {
-        std::fs::write(&manifest, good.replacen("\"version\":4", &format!("\"version\":{old}"), 1))
+    // no longer re-derive to (2), one-object client envelopes (3), and the
+    // server envelope inside the manifest (4)
+    assert!(good.starts_with("{\"version\":5,"), "manifest head: {}", &good[..20]);
+    for old in [1, 2, 3, 4] {
+        std::fs::write(&manifest, good.replacen("\"version\":5", &format!("\"version\":{old}"), 1))
             .expect("downgrade");
         let want =
-            format!("checkpoint mismatch: manifest version {old} (this build reads version 4)");
+            format!("checkpoint mismatch: manifest version {old} (this build reads version 5)");
         expect_clean_failure(run(&["--resume"]), &want, &format!("version-{old} manifest"));
     }
     std::fs::write(&manifest, &good).expect("restore manifest");
 
     // damaged committed client envelopes: resume restores every one it
-    // copies back into the live store
+    // copies back into the live store (the shard directories beside
+    // server.json)
     let envelope = std::fs::read_dir(dir.join("commit-r2"))
         .expect("commit dir")
         .flatten()
+        .filter(|entry| entry.path().is_dir())
         .flat_map(|shard| std::fs::read_dir(shard.path()).expect("shard dir").flatten())
         .map(|file| file.path())
         .min()
@@ -304,6 +307,21 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
     let want = format!("checkpoint corrupt: client {id} envelope: model: ");
     expect_clean_failure(run(&["--resume"]), &want, "damaged model line");
     std::fs::write(&envelope, &intact).expect("restore envelope");
+
+    // the committed server envelope: a non-hex digit in its model's first
+    // packed buffer, then no server.json at all; each message names the file
+    let server = dir.join("commit-r2").join("server.json");
+    let intact = std::fs::read_to_string(&server).expect("server.json written");
+    let at = intact.find("\"data\":\"").expect("the model holds a packed buffer") + 8;
+    let mut damaged = intact.clone();
+    damaged.replace_range(at..at + 1, "g");
+    std::fs::write(&server, damaged).expect("damaged server envelope");
+    let want = format!("checkpoint corrupt: {}: data at byte {at}: value 0 ", server.display());
+    expect_clean_failure(run(&["--resume"]), &want, "damaged server model buffer");
+    std::fs::remove_file(&server).expect("remove server.json");
+    let want = format!("checkpoint io: {}", server.display());
+    expect_clean_failure(run(&["--resume"]), &want, "missing server.json");
+    std::fs::write(&server, &intact).expect("restore server envelope");
 
     // fingerprint drift: valid manifest, different run config
     let mut args = preset_args();

@@ -334,71 +334,101 @@ fn active_scope_is_self_consistent_across_cohorts_and_threads() {
 
 /// Kill-and-resume byte parity at the library level: run 2 of 5 rounds,
 /// checkpoint, rebuild everything from the manifest, finish — the
-/// stitched trace and the final ledger must equal the uninterrupted
-/// run's exactly.
+/// stitched trace, the final ledger and the final `server.json` must
+/// equal the uninterrupted run's exactly. The graph servers restore a
+/// soft-edge memory and rebuild their graph from it on resume.
 #[test]
 fn checkpoint_resume_reproduces_uninterrupted_run() {
+    for (client, server) in [
+        (ModelKind::Mf, ModelKind::NeuMf),
+        (ModelKind::NeuMf, ModelKind::Ngcf),
+        (ModelKind::Mf, ModelKind::LightGcn),
+    ] {
+        resume_matches_uninterrupted(client, server);
+    }
+}
+
+fn resume_matches_uninterrupted(client: ModelKind, server: ModelKind) {
     let s = split(40);
     let mut c = cfg(2);
     c.rounds = 5;
     let hyper = ModelHyper::small();
-    let fingerprint = config_fingerprint(
-        &c,
-        ModelKind::Mf,
-        ModelKind::NeuMf,
-        &hyper,
-        s.train.num_users(),
-        s.train.num_items(),
-    );
+    let fingerprint =
+        config_fingerprint(&c, client, server, &hyper, s.train.num_users(), s.train.num_items());
     // every build empties the store: the resumed run's is refilled from
     // the commit, not left over from the interrupted run
     let root = StoreRoot::new("resume-store");
     let build = || {
         CohortFedRec::try_new(
             CohortData::Mem(s.train.clone()),
-            ModelKind::Mf,
-            ModelKind::NeuMf,
+            client,
+            server,
             &hyper,
             c.clone(),
             root.opts(16),
         )
         .expect("valid config")
     };
-
-    let (full_trace, full_report, full_ledger) = {
-        let mut engine = Engine::new(build());
-        let trace = engine.run();
-        let report = engine.evaluate(&s.train, &s.test, 10);
-        (trace, report, engine.ledger().summary())
+    let pair = format!("{client}/{server}");
+    // the server envelope a final commit of `engine` writes
+    let final_server = |engine: &Engine<CohortFedRec>, traces: &[_], tag: &str| {
+        let dir = StoreRoot::new(tag);
+        checkpoint::save_checkpoint(
+            &dir.0,
+            engine.protocol(),
+            engine.ledger(),
+            traces,
+            fingerprint,
+        )
+        .expect("checkpoint saves");
+        std::fs::read(checkpoint::commit_dir(&dir.0, 5).join("server.json"))
+            .expect("server.json written")
     };
 
-    let ckpt = fresh_dir("ckpt");
+    let (full_trace, at_commit, full_report, full_ledger, full_server) = {
+        let mut engine = Engine::new(build());
+        let mut trace = RunTrace::default();
+        for _ in 0..2 {
+            trace.push(engine.run_round());
+        }
+        let at_commit = engine.evaluate(&s.train, &s.test, 10);
+        for t in engine.run().rounds {
+            trace.push(t);
+        }
+        let report = engine.evaluate(&s.train, &s.test, 10);
+        let server = final_server(&engine, &trace.rounds, "final-full");
+        (trace, at_commit, report, engine.ledger().summary(), server)
+    };
+    let no_edges = String::from_utf8_lossy(&full_server).contains(r#""edge_users":[]"#);
+    let graph = matches!(server, ModelKind::Ngcf | ModelKind::LightGcn);
+    assert_eq!(no_edges, !graph, "{pair}: a soft-edge memory exactly for a graph server");
+
+    let ckpt_root = StoreRoot::new("ckpt");
+    let ckpt = &ckpt_root.0;
     {
         let mut engine = Engine::new(build());
         let mut traces = Vec::new();
         for _ in 0..2 {
             traces.push(engine.run_round());
         }
-        checkpoint::save_checkpoint(
-            &ckpt,
-            engine.protocol(),
-            engine.ledger(),
-            &traces,
-            fingerprint,
-        )
-        .expect("checkpoint saves");
+        checkpoint::save_checkpoint(ckpt, engine.protocol(), engine.ledger(), &traces, fingerprint)
+            .expect("checkpoint saves");
         // the interrupted run trains one more round *after* the commit;
         // resume must discard it, not replay on top of it
         engine.run_round();
     }
 
-    let manifest = checkpoint::load_manifest(&ckpt).expect("manifest loads");
+    let manifest = checkpoint::load_manifest(ckpt).expect("manifest loads");
     manifest.verify_fingerprint(fingerprint).expect("fingerprint matches");
     assert_eq!(manifest.next_round, 2);
     let mut protocol = build();
-    checkpoint::resume_protocol(&ckpt, &manifest, &mut protocol).expect("resume succeeds");
-    let ledger = ptf_fedrec::comm::CommLedger::restore(&manifest.ledger).expect("ledger restores");
+    checkpoint::resume_protocol(ckpt, &manifest, &mut protocol).expect("resume succeeds");
+    let ledger = ptf_fedrec::comm::CommLedger::restore(&manifest.ledger);
     let mut engine = Engine::resume(protocol, ledger, manifest.next_round);
+    // a graph server's graph is rebuilt from the restored soft edges before
+    // any round trains it again
+    let resumed = engine.evaluate(&s.train, &s.test, 10);
+    assert_eq!(at_commit, resumed, "{pair}: the resumed server scores differently");
     let rest = engine.run();
     let report = engine.evaluate(&s.train, &s.test, 10);
 
@@ -409,10 +439,11 @@ fn checkpoint_resume_reproduces_uninterrupted_run() {
     for t in &rest.rounds {
         stitched.push(*t);
     }
-    assert_eq!(full_trace, stitched, "resumed trace diverged from the uninterrupted run");
-    assert_eq!(full_report, report, "resumed model diverged from the uninterrupted run");
-    assert_eq!(full_ledger, engine.ledger().summary(), "resumed ledger diverged");
-    std::fs::remove_dir_all(&ckpt).ok();
+    assert_eq!(full_trace, stitched, "{pair}: resumed trace diverged from the uninterrupted run");
+    assert_eq!(full_report, report, "{pair}: resumed model diverged from the uninterrupted run");
+    assert_eq!(full_ledger, engine.ledger().summary(), "{pair}: resumed ledger diverged");
+    let server_json = final_server(&engine, &stitched.rounds, "final-resumed");
+    assert!(full_server == server_json, "{pair}: resumed server.json diverged");
 }
 
 /// Retention: every commit prunes the `commit-r<N>` directories the new
