@@ -664,7 +664,7 @@ pub(crate) mod tests {
     use proptest::prelude::*;
     use ptf_data::SyntheticConfig;
     use ptf_federated::{RoundCtx, Scheduler, ScratchPool};
-    use ptf_models::{MfModel, NeuMf, NeuMfConfig, Recommender, ScopeView};
+    use ptf_models::{MfModel, ModelHyper, NeuMf, Recommender, ScopeView};
     use ptf_tensor::{test_rng, Matrix, RowTable};
     use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -733,7 +733,7 @@ pub(crate) mod tests {
 
         // NeuMF full-state envelope: its parameters are private, so the
         // odd values go into the first buffer (user_emb, 2x4) as text
-        let cfg = NeuMfConfig { dim: 4, layers: vec![8, 4], lr: 0.01 };
+        let cfg = ModelHyper { dim: 4, mlp_layers: vec![8, 4], lr: 0.01, ..ModelHyper::default() };
         let mut envelope = NeuMf::new_scoped(2, &cfg, scope, 7).export_full_state().unwrap();
         let at = envelope.find(r#""data":""#).expect("parameters are packed strings") + 8;
         envelope.replace_range(at..at + ODD_HEX.len(), ODD_HEX);

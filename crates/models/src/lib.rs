@@ -21,7 +21,8 @@
 //! model-agnostic (the heart of the paper's "hide your model" property).
 //!
 //! An architecture is its forward pass. Each has one constructor — the
-//! seed-derived `new_scoped(num_users, cfg, ScopeView, seed)`, which
+//! seed-derived `new_scoped(num_users, &ModelHyper, ScopeView, seed)`
+//! (MF's takes `dim` and `lr` instead, since FCF passes its own), which
 //! servers reach through [`registry::build_model`] with a `Full` scope —
 //! and everything around the forward pass is shared: `scoped::ScopedParams`
 //! owns an Adam-trained model's parameters, moments, item scope and seed
@@ -43,10 +44,10 @@ mod scoped;
 pub mod traits;
 
 pub use eval::{evaluate_model, evaluate_model_with_threads};
-pub use lightgcn::{LightGcn, LightGcnConfig};
+pub use lightgcn::LightGcn;
 pub use mf::MfModel;
-pub use neumf::{NeuMf, NeuMfConfig};
-pub use ngcf::{Ngcf, NgcfConfig};
+pub use neumf::NeuMf;
+pub use ngcf::Ngcf;
 pub use registry::{build_model, build_model_scoped, ModelHyper, ModelKind};
 pub use traits::{cached_id_range, stable_sigmoid, train_on_samples, Recommender};
 

@@ -31,26 +31,13 @@
 //! scratch, not state.
 
 use crate::backbone::{add_pair_grads, bce_grads, joint_table, BatchNodes, GraphBackbone};
+use crate::registry::ModelHyper;
 use crate::scoped;
 use crate::traits::Recommender;
 use ptf_tensor::packed::{Reader, Writer};
 use ptf_tensor::prelude::*;
 use ptf_tensor::{kernels, Params, ScopeView};
 use std::sync::Mutex;
-
-/// LightGCN hyperparameters (defaults follow §IV-D: dim 32, 3 layers).
-#[derive(Clone, Debug)]
-pub struct LightGcnConfig {
-    pub dim: usize,
-    pub layers: usize,
-    pub lr: f32,
-}
-
-impl Default for LightGcnConfig {
-    fn default() -> Self {
-        Self { dim: 32, layers: 3, lr: 1e-3 }
-    }
-}
 
 /// The LightGCN model: the shared graph backbone with a parameter-free
 /// propagation rule.
@@ -91,20 +78,15 @@ impl LightGcn {
     /// materializes only `scope` (plus whatever
     /// [`Recommender::prepare_items`] adds later), every row initialized
     /// from its `(seed, id)`-derived stream; user rows draw from a
-    /// scope-independent stream.
-    pub fn new_scoped(
-        num_users: usize,
-        cfg: &LightGcnConfig,
-        scope: ScopeView<'_>,
-        seed: u64,
-    ) -> Self {
-        assert!(cfg.layers > 0, "LightGCN needs at least one propagation layer");
+    /// scope-independent stream. Reads `dim`, `gcn_layers` and `lr`.
+    pub fn new_scoped(num_users: usize, cfg: &ModelHyper, scope: ScopeView<'_>, seed: u64) -> Self {
+        assert!(cfg.gcn_layers > 0, "LightGCN needs at least one propagation layer");
         let mut rng = scoped::dense_rng(seed);
         let mut params = Params::new();
         let emb = params.push("emb", joint_table(num_users, cfg.dim, scope, seed, &mut rng));
         Self {
             base: GraphBackbone::new(num_users, params, emb, scope, seed, cfg.lr),
-            layers: cfg.layers,
+            layers: cfg.gcn_layers,
             work: Mutex::default(),
         }
     }
@@ -362,7 +344,7 @@ mod tests {
         ) {
             // 3 users × 9 items, a soft-weighted graph over some of them,
             // soft labels, dense or growing item rows
-            let cfg = LightGcnConfig { dim: DIMS[dim], layers, lr: 1e-3 };
+            let cfg = ModelHyper { dim: DIMS[dim], gcn_layers: layers, lr: 1e-3, ..ModelHyper::default() };
             let scope = if sparse {
                 ScopeView::Rows { num_items: 9, ids: &[2, 5] }
             } else {
@@ -408,7 +390,7 @@ mod tests {
     }
 
     fn tiny() -> LightGcn {
-        let cfg = LightGcnConfig { dim: 8, layers: 2, lr: 0.02 };
+        let cfg = ModelHyper { dim: 8, gcn_layers: 2, lr: 0.02, ..ModelHyper::default() };
         LightGcn::new_scoped(4, &cfg, ScopeView::Full(6), 3)
     }
 
@@ -421,7 +403,7 @@ mod tests {
     #[test]
     fn layer_mean_matches_hand_computation() {
         // 1 user, 1 item, 1 layer: Ã = [[0,1],[1,0]] after normalization.
-        let cfg = LightGcnConfig { dim: 2, layers: 1, lr: 0.01 };
+        let cfg = ModelHyper { dim: 2, gcn_layers: 1, lr: 0.01, ..ModelHyper::default() };
         let mut m = LightGcn::new_scoped(1, &cfg, ScopeView::Full(1), 4);
         m.set_graph(&[(0, 0, 1.0)]);
         let store = m.base.store();
@@ -484,7 +466,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "item 4 was not prepared")]
     fn a_graph_edge_to_an_unprepared_item_panics_naming_it() {
-        let cfg = LightGcnConfig { dim: 8, layers: 2, lr: 0.02 };
+        let cfg = ModelHyper { dim: 8, gcn_layers: 2, lr: 0.02, ..ModelHyper::default() };
         let mut m = LightGcn::new_scoped(2, &cfg, ScopeView::Rows { num_items: 6, ids: &[1] }, 3);
         m.set_graph(&[(0, 1, 1.0), (1, 4, 1.0)]);
     }
@@ -492,7 +474,7 @@ mod tests {
     #[test]
     fn propagation_couples_neighbors() {
         // two users sharing an item should end closer than strangers
-        let cfg = LightGcnConfig { dim: 8, layers: 2, lr: 0.05 };
+        let cfg = ModelHyper { dim: 8, gcn_layers: 2, lr: 0.05, ..ModelHyper::default() };
         let mut m = LightGcn::new_scoped(3, &cfg, ScopeView::Full(3), 5);
         m.set_graph(&[(0, 0, 1.0), (1, 0, 1.0), (2, 2, 1.0)]);
         for _ in 0..150 {

@@ -52,28 +52,12 @@
 //! batch and none is exported.
 
 use crate::mf::sigmoid_and_bce;
+use crate::registry::ModelHyper;
 use crate::scoped::{self, dense, ScopedParams, EMB_STD};
 use crate::traits::Recommender;
 use ptf_tensor::packed::{Reader, Writer};
 use ptf_tensor::prelude::*;
 use ptf_tensor::{init, isa, kernels, matrix, ParamId, Params, RowSparse, ScopeView};
-
-/// NeuMF hyperparameters (defaults follow §IV-D).
-#[derive(Clone, Debug)]
-pub struct NeuMfConfig {
-    /// Embedding dimension (paper: 32).
-    pub dim: usize,
-    /// MLP layer output widths (paper: 64, 32, 16).
-    pub layers: Vec<usize>,
-    /// Adam learning rate (paper: 0.001).
-    pub lr: f32,
-}
-
-impl Default for NeuMfConfig {
-    fn default() -> Self {
-        Self { dim: 32, layers: vec![64, 32, 16], lr: 1e-3 }
-    }
-}
 
 /// The NeuMF model.
 pub struct NeuMf {
@@ -139,24 +123,22 @@ impl NeuMf {
     /// row initialized from its `(seed, id)`-derived stream; all other
     /// parameters draw from a scope-independent derived stream, so
     /// `Full`- and `Rows`-scoped models with the same seed are
-    /// bit-identical on shared rows.
-    pub fn new_scoped(
-        num_users: usize,
-        cfg: &NeuMfConfig,
-        scope: ScopeView<'_>,
-        seed: u64,
-    ) -> Self {
+    /// bit-identical on shared rows. Reads `dim`, `mlp_layers` and `lr`.
+    pub fn new_scoped(num_users: usize, cfg: &ModelHyper, scope: ScopeView<'_>, seed: u64) -> Self {
         assert!(num_users > 0 && scope.num_items() > 0, "empty model");
-        assert!(!cfg.layers.is_empty(), "NeuMF needs at least one MLP layer");
-        assert!(cfg.dim > 0 && cfg.layers.iter().all(|&w| w > 0), "NeuMF widths must be positive");
+        assert!(!cfg.mlp_layers.is_empty(), "NeuMF needs at least one MLP layer");
+        assert!(
+            cfg.dim > 0 && cfg.mlp_layers.iter().all(|&w| w > 0),
+            "NeuMF widths must be positive"
+        );
         let mut rng = scoped::dense_rng(seed);
         let mut params = Params::new();
         let user_emb =
             params.push("user_emb", Matrix::randn(num_users, cfg.dim, EMB_STD, &mut rng));
         let item_emb = params.push("item_emb", scoped::item_block(scope, cfg.dim, seed));
-        let mut layers = Vec::with_capacity(cfg.layers.len());
+        let mut layers = Vec::with_capacity(cfg.mlp_layers.len());
         let mut fan_in = 2 * cfg.dim;
-        for (l, &width) in cfg.layers.iter().enumerate() {
+        for (l, &width) in cfg.mlp_layers.iter().enumerate() {
             let w = params.push(format!("w{l}"), init::xavier_uniform(fan_in, width, &mut rng));
             let b = params.push(format!("b{l}"), Matrix::zeros(1, width));
             layers.push((w, b));
@@ -170,7 +152,7 @@ impl NeuMf {
             user_emb,
             layers,
             head: (head_w, head_b),
-            widths: cfg.layers.clone(),
+            widths: cfg.mlp_layers.clone(),
             work: Workspace::default(),
         }
     }
@@ -572,7 +554,7 @@ mod tests {
             // 1–3 users, in runs or interleaved; a 9-item catalogue so
             // items repeat; soft labels; dense or growing item rows
             let (num_users, interleaved, sparse) = (1 + shape % 3, shape & 4 != 0, shape >= 6);
-            let cfg = NeuMfConfig { dim, layers: ARCHS[arch].to_vec(), lr: 1e-3 };
+            let cfg = ModelHyper { dim, mlp_layers: ARCHS[arch].to_vec(), lr: 1e-3, ..ModelHyper::default() };
             let scope = if sparse {
                 ScopeView::Rows { num_items: 9, ids: &[2, 5] }
             } else {
@@ -625,7 +607,7 @@ mod tests {
     fn long_item_lists_score_block_by_block_like_short_ones() {
         // logits_into works in SCORE_BLOCK-row blocks; a row's score must
         // not depend on which block it falls in
-        let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
+        let cfg = ModelHyper { dim: 8, mlp_layers: vec![16, 8], lr: 0.01, ..ModelHyper::default() };
         let m = NeuMf::new_scoped(2, &cfg, ScopeView::Full(3 * SCORE_BLOCK + 5), 4);
         let all = m.score_all(1);
         assert_eq!(all.len(), 3 * SCORE_BLOCK + 5);
@@ -644,7 +626,7 @@ mod tests {
         // the paper's widths (every fixed kernel width) and widths that
         // miss them, dense and growing item rows
         for (layers, sparse) in [(vec![64, 32, 16], false), (vec![24, 12], true)] {
-            let cfg = NeuMfConfig { dim: 32, layers, lr: 1e-2 };
+            let cfg = ModelHyper { dim: 32, mlp_layers: layers, lr: 1e-2, ..ModelHyper::default() };
             let scope = if sparse {
                 ScopeView::Rows { num_items: 40, ids: &[3, 9] }
             } else {
@@ -676,7 +658,7 @@ mod tests {
     }
 
     fn tiny() -> NeuMf {
-        let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
+        let cfg = ModelHyper { dim: 8, mlp_layers: vec![16, 8], lr: 0.01, ..ModelHyper::default() };
         NeuMf::new_scoped(5, &cfg, ScopeView::Full(12), 1)
     }
 
@@ -748,7 +730,7 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let cfg = NeuMfConfig::default();
+        let cfg = ModelHyper::default();
         let a = NeuMf::new_scoped(3, &cfg, ScopeView::Full(4), 9);
         let b = NeuMf::new_scoped(3, &cfg, ScopeView::Full(4), 9);
         assert_eq!(a.score(0, &[0, 1]), b.score(0, &[0, 1]));
@@ -757,7 +739,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "item 7 was not prepared")]
     fn training_an_unprepared_item_panics_naming_it() {
-        let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
+        let cfg = ModelHyper { dim: 8, mlp_layers: vec![16, 8], lr: 0.01, ..ModelHyper::default() };
         let mut m = NeuMf::new_scoped(1, &cfg, ScopeView::Rows { num_items: 12, ids: &[2, 5] }, 1);
         m.train_batch(&[(0, 2, 1.0), (0, 7, 0.0)]);
     }

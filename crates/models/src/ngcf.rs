@@ -77,6 +77,7 @@
 //! one `nodes × d(L+1)` matrix.
 
 use crate::backbone::{add_pair_grads, bce_grads, joint_table, BatchNodes, GraphBackbone};
+use crate::registry::ModelHyper;
 use crate::scoped::{self, dense};
 use crate::traits::Recommender;
 use ptf_tensor::packed::{Reader, Writer};
@@ -86,36 +87,19 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::Mutex;
 
-/// NGCF hyperparameters (defaults follow §IV-D: dim 32, 3 GCN layers,
-/// propagation weights sized like the embeddings).
-#[derive(Clone, Debug)]
-pub struct NgcfConfig {
-    pub dim: usize,
-    pub layers: usize,
-    pub lr: f32,
-    /// Negative slope of the LeakyReLU (reference implementation: 0.2).
-    pub leaky_slope: f32,
-    /// L2 penalty on batch embeddings and propagation weights — the
-    /// reference NGCF's weight decay; without it the extra W₁/W₂
-    /// parameters overfit sparse interaction data badly.
-    pub reg: f32,
-    /// Message dropout rate applied to each layer's output during
-    /// training (reference NGCF: 0.1). Inference never drops.
-    pub message_dropout: f32,
-}
-
-impl Default for NgcfConfig {
-    fn default() -> Self {
-        Self { dim: 32, layers: 3, lr: 1e-3, leaky_slope: 0.2, reg: 1e-3, message_dropout: 0.1 }
-    }
-}
+/// Negative slope of the LeakyReLU (reference implementation: 0.2).
+const LEAKY_SLOPE: f32 = 0.2;
 
 /// The NGCF model: the shared graph backbone plus per-layer propagation
 /// weights and a dropout stream.
 pub struct Ngcf {
     base: GraphBackbone,
-    leaky_slope: f32,
+    /// L2 penalty on batch embeddings and propagation weights — the
+    /// reference NGCF's weight decay; without it the extra W₁/W₂
+    /// parameters overfit sparse interaction data badly.
     reg: f32,
+    /// Message dropout rate applied to each layer's output during
+    /// training (reference NGCF: 0.1). Inference never drops.
     message_dropout: f32,
     /// `W₁⁽ˡ⁾`/`W₂⁽ˡ⁾`, one pair per propagation layer.
     w1: Vec<ParamId>,
@@ -179,30 +163,30 @@ impl Ngcf {
     /// from its `(seed, id)`-derived stream; user rows and propagation
     /// weights draw from a scope-independent stream, and dropout masks
     /// from per-node streams. A `Rows` model is bit-identical to a `Full`
-    /// model of the same seed on every shared row.
-    pub fn new_scoped(num_users: usize, cfg: &NgcfConfig, scope: ScopeView<'_>, seed: u64) -> Self {
-        assert!(cfg.layers > 0, "NGCF needs at least one propagation layer");
+    /// model of the same seed on every shared row. Reads `dim`,
+    /// `gcn_layers`, `lr`, `ngcf_reg` and `ngcf_dropout`.
+    pub fn new_scoped(num_users: usize, cfg: &ModelHyper, scope: ScopeView<'_>, seed: u64) -> Self {
+        assert!(cfg.gcn_layers > 0, "NGCF needs at least one propagation layer");
         assert!(
-            (0.0..1.0).contains(&cfg.message_dropout),
+            (0.0..1.0).contains(&cfg.ngcf_dropout),
             "dropout rate must be in [0,1), got {}",
-            cfg.message_dropout
+            cfg.ngcf_dropout
         );
         let mut rng = scoped::dense_rng(seed);
         let mut params = Params::new();
         let emb = params.push("emb", joint_table(num_users, cfg.dim, scope, seed, &mut rng));
-        let mut w1 = Vec::with_capacity(cfg.layers);
-        let mut w2 = Vec::with_capacity(cfg.layers);
+        let mut w1 = Vec::with_capacity(cfg.gcn_layers);
+        let mut w2 = Vec::with_capacity(cfg.gcn_layers);
         let dim = cfg.dim;
-        for l in 0..cfg.layers {
+        for l in 0..cfg.gcn_layers {
             w1.push(params.push(format!("w1_{l}"), init::xavier_uniform(dim, dim, &mut rng)));
             w2.push(params.push(format!("w2_{l}"), init::xavier_uniform(dim, dim, &mut rng)));
         }
         let dropout_rng = StdRng::seed_from_u64(rng.gen());
         Self {
             base: GraphBackbone::new(num_users, params, emb, scope, seed, cfg.lr),
-            leaky_slope: cfg.leaky_slope,
-            reg: cfg.reg,
-            message_dropout: cfg.message_dropout,
+            reg: cfg.ngcf_reg,
+            message_dropout: cfg.ngcf_dropout,
             w1,
             w2,
             dropout_rng,
@@ -246,7 +230,7 @@ impl Ngcf {
     /// bits of the nodes it covers.
     #[inline(always)]
     fn forward(&self, w: &[f32], top: Option<&[u32]>, key: Option<u64>, layers: &mut [Layer]) {
-        let (a, d, slope) = (self.base.prop(), self.dim(), self.leaky_slope);
+        let (a, d, slope) = (self.base.prop(), self.dim(), LEAKY_SLOPE);
         let keep = 1.0 - self.message_dropout;
         let (threshold, scale) = ((keep as f64 * 4_294_967_296.0).round() as u64, 1.0 / keep);
         for l in 0..layers.len() {
@@ -322,8 +306,7 @@ impl Ngcf {
     #[inline(always)]
     fn backward(&self, work: &mut Workspace, grads: &mut Grads) {
         let Workspace { at, w, layers, logits: dl, g, g_below, dx, dm, dw, .. } = work;
-        let (a, d, top, slope) =
-            (self.base.prop(), self.dim(), self.num_layers(), self.leaky_slope);
+        let (a, d, top, slope) = (self.base.prop(), self.dim(), self.num_layers(), LEAKY_SLOPE);
         let c2 = 2.0 * self.reg / dl.len() as f32;
         let scale = 1.0 / (1.0 - self.message_dropout);
 
@@ -446,7 +429,7 @@ impl Ngcf {
             let next = &mut todo[..d];
             next.fill(0.0);
             matrix::acc(&done[l * d..], d, p.get(w1).as_slice(), d, next);
-            next.iter_mut().for_each(|z| *z = leaky(*z, self.leaky_slope));
+            next.iter_mut().for_each(|z| *z = leaky(*z, LEAKY_SLOPE));
         }
     }
 }
@@ -628,7 +611,7 @@ mod tests {
             let w2 = g.param(self.w2[l]);
             let term2 = g.matmul(affinity, w2);
             let summed = g.add(term1, term2);
-            let out = g.leaky_relu(summed, self.leaky_slope);
+            let out = g.leaky_relu(summed, LEAKY_SLOPE);
             match mask {
                 Some(mask) => {
                     let mask = g.leaf(mask);
@@ -751,8 +734,9 @@ mod tests {
     /// orders) steps by up to `lr` whichever way the noise falls: the
     /// comparisons run at `lr = 1e-4`, where five steps still move the
     /// parameters by a multiple of the 1e-5 tolerance.
-    fn cfg(dim: usize, layers: usize, message_dropout: f32) -> NgcfConfig {
-        NgcfConfig { dim, layers, lr: 1e-4, leaky_slope: 0.2, reg: 1e-2, message_dropout }
+    fn cfg(dim: usize, layers: usize, dropout: f32) -> ModelHyper {
+        let (lr, ngcf_reg, ngcf_dropout) = (1e-4, 1e-2, dropout);
+        ModelHyper { dim, gcn_layers: layers, lr, ngcf_reg, ngcf_dropout, ..ModelHyper::default() }
     }
 
     /// 3 users × 9 items: a soft-weighted graph over some of them, and a
@@ -967,7 +951,7 @@ mod tests {
         expect.next_u64();
         assert_eq!(m.dropout_rng.state(), expect.state());
         let mut still =
-            Ngcf::new_scoped(3, &NgcfConfig { message_dropout: 0.0, ..cfg }, scope(false), 2);
+            Ngcf::new_scoped(3, &ModelHyper { ngcf_dropout: 0.0, ..cfg }, scope(false), 2);
         let before = still.dropout_rng.state();
         still.train_batch(&batch);
         assert_eq!(still.dropout_rng.state(), before);
@@ -982,7 +966,7 @@ mod tests {
         // the paper's width (d = 32, 2d = 64), a second fixed width and
         // one that misses them all; dropout on, so the stream must agree
         for (dim, layers, sparse) in [(32, 3, false), (16, 2, true), (5, 1, false)] {
-            let cfg = NgcfConfig { lr: 1e-2, reg: 1e-3, ..cfg(dim, layers, 0.1) };
+            let cfg = ModelHyper { lr: 1e-2, ngcf_reg: 1e-3, ..cfg(dim, layers, 0.1) };
             let (edges, batch) = case(dim as u64, 60);
             let mut base = Ngcf::new_scoped(3, &cfg, scope(sparse), 8);
             let mut twin = Ngcf::new_scoped(3, &cfg, scope(sparse), 8);
@@ -1010,13 +994,13 @@ mod tests {
     }
 
     fn tiny() -> Ngcf {
-        let cfg = NgcfConfig {
+        let cfg = ModelHyper {
             dim: 8,
-            layers: 2,
+            gcn_layers: 2,
             lr: 0.02,
-            leaky_slope: 0.2,
-            reg: 1e-3,
-            message_dropout: 0.1,
+            ngcf_reg: 1e-3,
+            ngcf_dropout: 0.1,
+            ..ModelHyper::default()
         };
         Ngcf::new_scoped(4, &cfg, ScopeView::Full(6), 7)
     }
@@ -1078,7 +1062,7 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let cfg = NgcfConfig::default();
+        let cfg = ModelHyper::default();
         let a = Ngcf::new_scoped(3, &cfg, ScopeView::Full(4), 11);
         let b = Ngcf::new_scoped(3, &cfg, ScopeView::Full(4), 11);
         assert_eq!(a.score(0, &[0, 1]), b.score(0, &[0, 1]));

@@ -4,9 +4,9 @@
 //! protocols construct models through [`ModelKind`] + [`ModelHyper`]
 //! instead of naming concrete types.
 
-use crate::lightgcn::{LightGcn, LightGcnConfig};
-use crate::neumf::{NeuMf, NeuMfConfig};
-use crate::ngcf::{Ngcf, NgcfConfig};
+use crate::lightgcn::LightGcn;
+use crate::neumf::NeuMf;
+use crate::ngcf::Ngcf;
 use crate::traits::Recommender;
 use ptf_tensor::ScopeView;
 use rand::Rng;
@@ -46,7 +46,8 @@ impl std::fmt::Display for ModelKind {
     }
 }
 
-/// Shared hyperparameters (§IV-D defaults).
+/// The model hyperparameters (§IV-D defaults): the one struct every
+/// architecture's constructor reads. Each reads only its own fields.
 #[derive(Clone, Debug)]
 pub struct ModelHyper {
     /// Embedding dimension (paper: 32).
@@ -57,9 +58,12 @@ pub struct ModelHyper {
     pub gcn_layers: usize,
     /// MLP widths for NeuMF (paper: 64, 32, 16).
     pub mlp_layers: Vec<usize>,
-    /// L2 weight decay for NGCF's propagation weights/embeddings.
+    /// L2 weight decay for NGCF's propagation weights and batch
+    /// embeddings — the reference NGCF's weight decay; without it the
+    /// extra W₁/W₂ parameters overfit sparse interaction data badly.
     pub ngcf_reg: f32,
-    /// NGCF message dropout rate (reference implementation: 0.1).
+    /// NGCF message dropout rate on each layer's output during training
+    /// (reference implementation: 0.1); inference never drops.
     pub ngcf_dropout: f32,
 }
 
@@ -121,31 +125,9 @@ pub fn build_model_scoped(
     seed: u64,
 ) -> Box<dyn Recommender> {
     match kind {
-        ModelKind::NeuMf => Box::new(NeuMf::new_scoped(
-            num_users,
-            &NeuMfConfig { dim: hyper.dim, layers: hyper.mlp_layers.clone(), lr: hyper.lr },
-            scope,
-            seed,
-        )),
-        ModelKind::Ngcf => Box::new(Ngcf::new_scoped(
-            num_users,
-            &NgcfConfig {
-                dim: hyper.dim,
-                layers: hyper.gcn_layers,
-                lr: hyper.lr,
-                leaky_slope: 0.2,
-                reg: hyper.ngcf_reg,
-                message_dropout: hyper.ngcf_dropout,
-            },
-            scope,
-            seed,
-        )),
-        ModelKind::LightGcn => Box::new(LightGcn::new_scoped(
-            num_users,
-            &LightGcnConfig { dim: hyper.dim, layers: hyper.gcn_layers, lr: hyper.lr },
-            scope,
-            seed,
-        )),
+        ModelKind::NeuMf => Box::new(NeuMf::new_scoped(num_users, hyper, scope, seed)),
+        ModelKind::Ngcf => Box::new(Ngcf::new_scoped(num_users, hyper, scope, seed)),
+        ModelKind::LightGcn => Box::new(LightGcn::new_scoped(num_users, hyper, scope, seed)),
         ModelKind::Mf => {
             Box::new(crate::mf::MfModel::new_scoped(num_users, hyper.dim, hyper.lr, scope, seed))
         }

@@ -401,27 +401,19 @@ mod tests {
     /// A one-user model of each family over [`ITEMS`] items.
     fn one_user(kind: usize, scope: ScopeView<'_>, seed: u64) -> Box<dyn UnderTheRule> {
         let (dim, lr) = (8, 0.05);
+        let hyper = crate::ModelHyper {
+            dim,
+            lr,
+            gcn_layers: 2,
+            mlp_layers: vec![16, 8],
+            ngcf_reg: 1e-3,
+            ngcf_dropout: 0.1,
+        };
         match kind {
             0 => Box::new(crate::MfModel::new_scoped(1, dim, lr, scope, seed)),
-            1 => {
-                let cfg = crate::NeuMfConfig { dim, layers: vec![16, 8], lr };
-                Box::new(crate::NeuMf::new_scoped(1, &cfg, scope, seed))
-            }
-            2 => {
-                let cfg = crate::NgcfConfig {
-                    dim,
-                    layers: 2,
-                    lr,
-                    leaky_slope: 0.2,
-                    reg: 1e-3,
-                    message_dropout: 0.1,
-                };
-                Box::new(crate::Ngcf::new_scoped(1, &cfg, scope, seed))
-            }
-            _ => {
-                let cfg = crate::LightGcnConfig { dim, layers: 2, lr };
-                Box::new(crate::LightGcn::new_scoped(1, &cfg, scope, seed))
-            }
+            1 => Box::new(crate::NeuMf::new_scoped(1, &hyper, scope, seed)),
+            2 => Box::new(crate::Ngcf::new_scoped(1, &hyper, scope, seed)),
+            _ => Box::new(crate::LightGcn::new_scoped(1, &hyper, scope, seed)),
         }
     }
 

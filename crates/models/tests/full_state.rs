@@ -4,9 +4,7 @@
 //! direction, and damaged or mismatched envelopes are rejected.
 
 use proptest::prelude::*;
-use ptf_models::{
-    LightGcn, LightGcnConfig, MfModel, NeuMf, NeuMfConfig, Ngcf, NgcfConfig, Recommender, ScopeView,
-};
+use ptf_models::{LightGcn, MfModel, ModelHyper, NeuMf, Ngcf, Recommender, ScopeView};
 use ptf_tensor::packed::Reader;
 
 const USERS: usize = 4;
@@ -68,7 +66,7 @@ fn assert_bit_resume(
 
 #[test]
 fn neumf_full_state_resumes_bit_identically() {
-    let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
+    let cfg = ModelHyper { dim: 8, mlp_layers: vec![16, 8], lr: 0.01, ..ModelHyper::default() };
     let mut a = NeuMf::new_scoped(USERS, &cfg, scope(), 42);
     let mut b = NeuMf::new_scoped(USERS, &cfg, scope(), 999);
     assert_bit_resume(&mut a, &mut b, None);
@@ -76,7 +74,7 @@ fn neumf_full_state_resumes_bit_identically() {
 
 #[test]
 fn lightgcn_full_state_resumes_bit_identically() {
-    let cfg = LightGcnConfig { dim: 8, layers: 2, lr: 0.02 };
+    let cfg = ModelHyper { dim: 8, gcn_layers: 2, lr: 0.02, ..ModelHyper::default() };
     let mut a = LightGcn::new_scoped(USERS, &cfg, scope(), 42);
     let mut b = LightGcn::new_scoped(USERS, &cfg, scope(), 999);
     a.set_graph(&edges());
@@ -88,13 +86,13 @@ fn ngcf_full_state_carries_the_dropout_stream() {
     // message_dropout > 0 makes the dropout RNG part of the training
     // state: resume only stays bit-identical if the stream position
     // travels in the envelope
-    let cfg = NgcfConfig {
+    let cfg = ModelHyper {
         dim: 8,
-        layers: 2,
+        gcn_layers: 2,
         lr: 0.02,
-        leaky_slope: 0.2,
-        reg: 1e-3,
-        message_dropout: 0.3,
+        ngcf_reg: 1e-3,
+        ngcf_dropout: 0.3,
+        ..ModelHyper::default()
     };
     let mut a = Ngcf::new_scoped(USERS, &cfg, scope(), 42);
     let mut b = Ngcf::new_scoped(USERS, &cfg, scope(), 999);
@@ -113,7 +111,7 @@ fn mf_full_state_resumes_bit_identically() {
 fn dense_envelope_densifies_a_scoped_model() {
     // restoring a dense model's envelope into a freshly built (sparse)
     // model must densify the model
-    let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
+    let cfg = ModelHyper { dim: 8, mlp_layers: vec![16, 8], lr: 0.01, ..ModelHyper::default() };
     let mut a = NeuMf::new_scoped(USERS, &cfg, ScopeView::Full(ITEMS), 42);
     assert!(a.item_scope().is_full());
     a.train_batch(&warmup_batch());
@@ -131,12 +129,16 @@ fn dense_envelope_densifies_a_scoped_model() {
 
 #[test]
 fn corrupt_full_state_envelopes_are_rejected() {
-    let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 0.01 };
+    let cfg = ModelHyper { dim: 8, mlp_layers: vec![16, 8], lr: 0.01, ..ModelHyper::default() };
     let mut m = NeuMf::new_scoped(USERS, &cfg, scope(), 42);
     assert!(m.import_full_state("{garbage").is_err(), "syntax error accepted");
     // wrong architecture
-    let lg =
-        LightGcn::new_scoped(USERS, &LightGcnConfig { dim: 8, layers: 2, lr: 0.02 }, scope(), 42);
+    let lg = LightGcn::new_scoped(
+        USERS,
+        &ModelHyper { dim: 8, gcn_layers: 2, lr: 0.02, ..ModelHyper::default() },
+        scope(),
+        42,
+    );
     let other = lg.export_full_state().unwrap();
     assert!(
         m.import_full_state(&other).unwrap_err().contains("architecture mismatch"),
@@ -163,7 +165,7 @@ fn corrupt_full_state_envelopes_are_rejected() {
         "{err}"
     );
     // same architecture, different embedding width
-    let wide = NeuMf::new_scoped(USERS, &NeuMfConfig { dim: 16, ..cfg }, scope(), 42);
+    let wide = NeuMf::new_scoped(USERS, &ModelHyper { dim: 16, ..cfg }, scope(), 42);
     let other = wide.export_full_state().unwrap();
     assert!(
         m.import_full_state(&other).unwrap_err().contains("shape mismatch"),
@@ -205,16 +207,16 @@ fn full_state_envelopes_are_pinned() {
         r#"{"arch":"MF","user_emb":{"rows":1,"cols":1,"data":"bc53c335"},"items":{"num_items":3,"cols":2,"ids":[2],"data":"be70004b00000000","init_seed":"fc23d87e2b904d52","init_std":0.10000000149011612,"init_cols":1}}"#
     );
 
-    let neumf = NeuMfConfig { dim: 4, layers: vec![8, 4], lr: 0.01 };
-    let ngcf = NgcfConfig {
+    let neumf = ModelHyper { dim: 4, mlp_layers: vec![8, 4], lr: 0.01, ..ModelHyper::default() };
+    let ngcf = ModelHyper {
         dim: 4,
-        layers: 2,
+        gcn_layers: 2,
         lr: 0.02,
-        leaky_slope: 0.2,
-        reg: 1e-3,
-        message_dropout: 0.3,
+        ngcf_reg: 1e-3,
+        ngcf_dropout: 0.3,
+        ..ModelHyper::default()
     };
-    let lightgcn = LightGcnConfig { dim: 4, layers: 2, lr: 0.02 };
+    let lightgcn = ModelHyper { dim: 4, gcn_layers: 2, lr: 0.02, ..ModelHyper::default() };
     let envelopes = [
         ("MF", trained_envelope(&mut MfModel::new_scoped(USERS, 4, 0.1, scope(), 42), false)),
         (
@@ -256,13 +258,13 @@ fn full_state_envelopes_are_pinned() {
 /// (NGCF's envelope carries its dropout words).
 fn trained_and_fresh(ngcf: bool) -> (Vec<u8>, Box<dyn Recommender>) {
     if ngcf {
-        let cfg = NgcfConfig {
+        let cfg = ModelHyper {
             dim: 4,
-            layers: 2,
+            gcn_layers: 2,
             lr: 0.02,
-            leaky_slope: 0.2,
-            reg: 1e-3,
-            message_dropout: 0.3,
+            ngcf_reg: 1e-3,
+            ngcf_dropout: 0.3,
+            ..ModelHyper::default()
         };
         let envelope = trained_envelope(&mut Ngcf::new_scoped(USERS, &cfg, scope(), 42), true);
         (envelope.into_bytes(), Box::new(Ngcf::new_scoped(USERS, &cfg, scope(), 7)))

@@ -370,8 +370,8 @@ fn neumf_server_batch_loop_is_allocation_free_after_warmup() {
     // reused gradient store — so after the first batch has grown every
     // capacity, further batches of the same shape may not touch the heap
     // at all (mixed users: one run per row, the worst case for staging).
-    use ptf_fedrec::models::{NeuMf, NeuMfConfig, Recommender, ScopeView};
-    let cfg = NeuMfConfig { dim: 8, layers: vec![16, 8], lr: 1e-3 };
+    use ptf_fedrec::models::{ModelHyper, NeuMf, Recommender, ScopeView};
+    let cfg = ModelHyper { dim: 8, mlp_layers: vec![16, 8], lr: 1e-3, ..ModelHyper::default() };
     let mut m = NeuMf::new_scoped(6, &cfg, ScopeView::Full(24), 11);
     let batch: Vec<(u32, u32, f32)> =
         (0..32u32).map(|k| (k % 6, (k * 7) % 24, if k % 2 == 0 { 1.0 } else { 0.3 })).collect();
@@ -392,8 +392,8 @@ fn ngcf_server_batch_loop_is_allocation_free_after_warmup() {
     // the gradient blocks, the reused gradient store — so once the first
     // batches have grown them, further batches of the same shape may not
     // touch the heap (dropout on, three layers, a soft-edge graph).
-    use ptf_fedrec::models::{Ngcf, NgcfConfig, Recommender, ScopeView};
-    let cfg = NgcfConfig { dim: 16, ..NgcfConfig::default() };
+    use ptf_fedrec::models::{ModelHyper, Ngcf, Recommender, ScopeView};
+    let cfg = ModelHyper { dim: 16, ngcf_reg: 1e-3, ..ModelHyper::default() };
     let mut m = Ngcf::new_scoped(6, &cfg, ScopeView::Full(24), 11);
     let edges: Vec<(u32, u32, f32)> = (0..30u32).map(|k| (k % 6, (k * 5) % 24, 0.9)).collect();
     m.set_graph(&edges);
@@ -416,8 +416,8 @@ fn an_ngcf_servers_scoring_does_not_allocate_once_its_cache_is_built() {
     // cache (and the caller's buffer has grown), scoring is a read of it
     // — cold items included, whose final rows go through a thread-local
     // buffer
-    use ptf_fedrec::models::{Ngcf, NgcfConfig, Recommender, ScopeView};
-    let cfg = NgcfConfig { dim: 16, ..NgcfConfig::default() };
+    use ptf_fedrec::models::{ModelHyper, Ngcf, Recommender, ScopeView};
+    let cfg = ModelHyper { dim: 16, ngcf_reg: 1e-3, ..ModelHyper::default() };
     let mut m = Ngcf::new_scoped(6, &cfg, ScopeView::Rows { num_items: 40, ids: &[3, 9] }, 5);
     m.prepare_items(&[3, 9, 12, 20]);
     m.set_graph(&[(0, 3, 0.9), (1, 9, 0.8), (2, 12, 0.7)]);
