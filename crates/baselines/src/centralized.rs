@@ -7,7 +7,7 @@
 //! [`FederatedProtocol`] engine path as every federated method.
 
 use ptf_data::negative::sample_negatives_into;
-use ptf_data::{shuffle, Dataset};
+use ptf_data::{shuffle, Dataset, Scale};
 use ptf_federated::{
     round_rng, FederatedProtocol, RngStream, RoundCtx, RoundTrace, Scheduler, ScratchPool,
 };
@@ -41,6 +41,11 @@ impl Default for CentralizedConfig {
 impl CentralizedConfig {
     pub fn small() -> Self {
         Self { epochs: 12, batch: 256, ..Self::default() }
+    }
+
+    /// The configuration at `scale`: [`Self::default`] or [`Self::small`].
+    pub fn at(scale: Scale) -> Self {
+        scale.pick(Self::default, Self::small)
     }
 }
 

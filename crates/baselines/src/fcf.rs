@@ -14,7 +14,7 @@
 
 use ptf_comm::Payload;
 use ptf_data::negative::sample_negatives_into;
-use ptf_data::{shuffle, Dataset};
+use ptf_data::{shuffle, Dataset, Scale};
 use ptf_federated::{
     partition_clients, round_rng, ClientData, FederatedProtocol, Participation, RngStream,
     RoundCtx, RoundScratch, RoundTrace, Scheduler, ScratchPool,
@@ -76,6 +76,11 @@ impl Default for FcfConfig {
 impl FcfConfig {
     pub fn small() -> Self {
         Self { rounds: 10, local_epochs: 3, dim: 16, ..Self::default() }
+    }
+
+    /// The configuration at `scale`: [`Self::default`] or [`Self::small`].
+    pub fn at(scale: Scale) -> Self {
+        scale.pick(Self::default, Self::small)
     }
 }
 

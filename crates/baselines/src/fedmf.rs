@@ -28,7 +28,7 @@
 use crate::fcf::{Fcf, FcfConfig};
 use crate::he::HeContext;
 use ptf_comm::Payload;
-use ptf_data::Dataset;
+use ptf_data::{Dataset, Scale};
 use ptf_federated::{FederatedProtocol, RoundCtx, RoundTrace};
 use ptf_models::Recommender;
 
@@ -49,6 +49,11 @@ impl Default for FedMfConfig {
 impl FedMfConfig {
     pub fn small() -> Self {
         Self { base: FcfConfig { seed: 37, ..FcfConfig::small() }, he_key: 0xFED }
+    }
+
+    /// The configuration at `scale`: [`Self::default`] or [`Self::small`].
+    pub fn at(scale: Scale) -> Self {
+        scale.pick(Self::default, Self::small)
     }
 }
 

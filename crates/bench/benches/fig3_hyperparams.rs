@@ -6,11 +6,11 @@
 
 use ptf_bench::*;
 use ptf_data::DatasetPreset;
-use ptf_models::ModelKind;
+use ptf_models::{ModelHyper, ModelKind};
 
 fn main() {
     let scale = scale();
-    let h = hyper(scale);
+    let h = ModelHyper::at(scale);
     let mut table = Table::new(
         format!("Fig. 3 — privacy hyperparameter sweeps ({scale:?} scale)"),
         &["Dataset", "Parameter", "Setting", "NDCG@20", "Attack F1"],

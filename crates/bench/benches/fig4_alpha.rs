@@ -6,11 +6,11 @@
 
 use ptf_bench::*;
 use ptf_data::DatasetPreset;
-use ptf_models::ModelKind;
+use ptf_models::{ModelHyper, ModelKind};
 
 fn main() {
     let scale = scale();
-    let h = hyper(scale);
+    let h = ModelHyper::at(scale);
     let alphas = [10usize, 30, 50, 70, 90];
 
     let mut table = Table::new(

@@ -5,11 +5,11 @@
 
 use ptf_bench::*;
 use ptf_data::DatasetPreset;
-use ptf_models::ModelKind;
+use ptf_models::{ModelHyper, ModelKind};
 
 fn main() {
     let scale = scale();
-    let h = hyper(scale);
+    let h = ModelHyper::at(scale);
     let split = split_for(DatasetPreset::MovieLens100K, scale);
     let rounds = ptf_config(scale).rounds;
 

@@ -8,11 +8,11 @@
 use ptf_bench::*;
 use ptf_data::DatasetPreset;
 use ptf_federated::Participation;
-use ptf_models::ModelKind;
+use ptf_models::{ModelHyper, ModelKind};
 
 fn main() {
     let scale = scale();
-    let h = hyper(scale);
+    let h = ModelHyper::at(scale);
     let split = split_for(DatasetPreset::MovieLens100K, scale);
     let fractions = [0.1f64, 0.25, 0.5, 1.0];
 

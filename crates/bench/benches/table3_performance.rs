@@ -4,11 +4,11 @@
 use ptf_baselines::{Centralized, Engine, Fcf, FedMf, FederatedProtocol, MetaMf};
 use ptf_bench::*;
 use ptf_data::DatasetPreset;
-use ptf_models::ModelKind;
+use ptf_models::{ModelHyper, ModelKind};
 
 fn main() {
     let scale = scale();
-    let h = hyper(scale);
+    let h = ModelHyper::at(scale);
 
     // method name → (recall, ndcg) per dataset, in preset order
     let mut rows: Vec<(String, Vec<(f64, f64)>)> = Vec::new();

@@ -10,14 +10,14 @@ use ptf_bench::*;
 use ptf_comm::format_bytes;
 use ptf_core::PtfFedRec;
 use ptf_data::DatasetPreset;
-use ptf_models::ModelKind;
+use ptf_models::{ModelHyper, ModelKind};
 
 /// Communication per round is stationary, so a few rounds suffice.
 const MEASURE_ROUNDS: u32 = 3;
 
 fn main() {
     let scale = scale();
-    let h = hyper(scale);
+    let h = ModelHyper::at(scale);
     let mut table = Table::new(
         format!("Table IV — avg communication per client per round ({scale:?} scale)"),
         &["Method", "MovieLens-100K", "Steam-200K", "Gowalla"],

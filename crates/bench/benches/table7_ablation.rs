@@ -7,11 +7,11 @@
 use ptf_bench::*;
 use ptf_core::DisperseStrategy;
 use ptf_data::DatasetPreset;
-use ptf_models::ModelKind;
+use ptf_models::{ModelHyper, ModelKind};
 
 fn main() {
     let scale = scale();
-    let h = hyper(scale);
+    let h = ModelHyper::at(scale);
     let mut table = Table::new(
         format!(
             "Table VII — D̃ construction ablation, Recall@{EVAL_K}/NDCG@{EVAL_K} ({scale:?} scale)"

@@ -6,7 +6,6 @@ use ptf_data::{DatasetPreset, Scale, TrainTestSplit};
 use ptf_federated::{Engine, FederatedProtocol};
 use ptf_models::{ModelHyper, ModelKind};
 use ptf_privacy::TopGuessAttack;
-use rand::SeedableRng;
 use serde::Serialize;
 use std::io::Write as _;
 
@@ -55,15 +54,12 @@ fn env(name: &str) -> Option<String> {
 
 /// Generates a preset dataset, deterministically per preset.
 pub fn dataset_for(preset: DatasetPreset, scale: Scale) -> ptf_data::Dataset {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed() ^ preset_salt(preset));
-    preset.generate(scale, &mut rng)
+    preset.generate(scale, seed() ^ preset_salt(preset))
 }
 
 /// Generates a preset and splits it 8:2, deterministically per preset.
 pub fn split_for(preset: DatasetPreset, scale: Scale) -> TrainTestSplit {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed() ^ preset_salt(preset));
-    let data = preset.generate(scale, &mut rng);
-    TrainTestSplit::split_80_20(&data, &mut rng)
+    preset.split(scale, seed() ^ preset_salt(preset))
 }
 
 fn preset_salt(preset: DatasetPreset) -> u64 {
@@ -74,62 +70,31 @@ fn preset_salt(preset: DatasetPreset) -> u64 {
     }
 }
 
-/// Model hyperparameters per scale.
-pub fn hyper(scale: Scale) -> ModelHyper {
-    match scale {
-        Scale::Paper => ModelHyper::default(),
-        Scale::Small => ModelHyper::small(),
-    }
-}
-
-/// PTF-FedRec configuration per scale.
+/// PTF-FedRec configuration per scale, under the master seed.
 pub fn ptf_config(scale: Scale) -> PtfConfig {
-    let mut cfg = match scale {
-        Scale::Paper => PtfConfig::paper(),
-        Scale::Small => PtfConfig::small(),
-    };
-    cfg.seed = seed();
-    cfg
+    PtfConfig { seed: seed(), ..PtfConfig::at(scale) }
 }
 
-/// FCF configuration per scale.
+/// FCF configuration per scale, under its salted seed.
 pub fn fcf_config(scale: Scale) -> FcfConfig {
-    let mut cfg = match scale {
-        Scale::Paper => FcfConfig::default(),
-        Scale::Small => FcfConfig::small(),
-    };
-    cfg.seed = seed() ^ 0xFCF;
-    cfg
+    FcfConfig { seed: seed() ^ 0xFCF, ..FcfConfig::at(scale) }
 }
 
-/// FedMF configuration per scale.
+/// FedMF configuration per scale, under its salted seed.
 pub fn fedmf_config(scale: Scale) -> FedMfConfig {
-    let mut cfg = match scale {
-        Scale::Paper => FedMfConfig::default(),
-        Scale::Small => FedMfConfig::small(),
-    };
+    let mut cfg = FedMfConfig::at(scale);
     cfg.base.seed = seed() ^ 0xFED;
     cfg
 }
 
-/// MetaMF configuration per scale.
+/// MetaMF configuration per scale, under its salted seed.
 pub fn metamf_config(scale: Scale) -> MetaMfConfig {
-    let mut cfg = match scale {
-        Scale::Paper => MetaMfConfig::default(),
-        Scale::Small => MetaMfConfig::small(),
-    };
-    cfg.seed = seed() ^ 0x4D4D;
-    cfg
+    MetaMfConfig { seed: seed() ^ 0x4D4D, ..MetaMfConfig::at(scale) }
 }
 
-/// Centralized configuration per scale.
+/// Centralized configuration per scale, under its salted seed.
 pub fn centralized_config(scale: Scale) -> CentralizedConfig {
-    let mut cfg = match scale {
-        Scale::Paper => CentralizedConfig::default(),
-        Scale::Small => CentralizedConfig::small(),
-    };
-    cfg.seed = seed() ^ 0xCE;
-    cfg
+    CentralizedConfig { seed: seed() ^ 0xCE, ..CentralizedConfig::at(scale) }
 }
 
 /// Builds a PTF-FedRec federation engine without running it.
@@ -200,10 +165,8 @@ pub fn privacy_run(
     defense: ptf_core::DefenseKind,
     scale: Scale,
 ) -> (f64, f64) {
-    let mut cfg = ptf_config(scale);
-    cfg.defense = defense;
-    let h = hyper(scale);
-    let fed = run_ptf(split, ModelKind::NeuMf, ModelKind::Ngcf, cfg, &h);
+    let cfg = PtfConfig { defense, ..ptf_config(scale) };
+    let fed = run_ptf(split, ModelKind::NeuMf, ModelKind::Ngcf, cfg, &ModelHyper::at(scale));
     let ndcg = fed.evaluate(&split.train, &split.test, EVAL_K).metrics.ndcg;
     (attack_f1(&fed), ndcg)
 }

@@ -1,5 +1,6 @@
 //! PTF-FedRec hyperparameters (§IV-D of the paper) and their validation.
 
+use ptf_data::Scale;
 use ptf_federated::Participation;
 use ptf_privacy::SamplingConfig;
 
@@ -195,6 +196,11 @@ impl PtfConfig {
             alpha: 20,
             ..Self::paper()
         }
+    }
+
+    /// The settings at `scale`: [`Self::paper`] or [`Self::small`].
+    pub fn at(scale: Scale) -> Self {
+        scale.pick(Self::paper, Self::small)
     }
 
     /// Validates internal consistency.

@@ -31,9 +31,7 @@
 //! use ptf_federated::{Engine, TraceRecorder};
 //! use ptf_models::{ModelHyper, ModelKind};
 //!
-//! let mut rng = ptf_data::test_rng(7);
-//! let data = DatasetPreset::MovieLens100K.generate(Scale::Small, &mut rng);
-//! let split = TrainTestSplit::split_80_20(&data, &mut rng);
+//! let split = DatasetPreset::MovieLens100K.split(Scale::Small, 7);
 //!
 //! let recorder = TraceRecorder::new();
 //! let protocol = PtfFedRec::try_new(

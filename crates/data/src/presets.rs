@@ -7,8 +7,10 @@
 //! while finishing quickly ([`Scale::Small`], the default everywhere).
 
 use crate::dataset::Dataset;
+use crate::split::TrainTestSplit;
 use crate::synthetic::SyntheticConfig;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The three evaluation datasets of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,12 +74,17 @@ impl DatasetPreset {
         }
     }
 
-    /// Generates the preset at the requested scale.
-    pub fn generate(self, scale: Scale, rng: &mut impl Rng) -> Dataset {
-        match scale {
-            Scale::Paper => self.paper().generate(rng),
-            Scale::Small => self.small().generate(rng),
-        }
+    /// Generates the preset at `scale` from `seed`.
+    pub fn generate(self, scale: Scale, seed: u64) -> Dataset {
+        scale.pick(|| self.paper(), || self.small()).generate(&mut StdRng::seed_from_u64(seed))
+    }
+
+    /// The preset at `scale` generated from `seed` and split 8:2 by the
+    /// same stream: the split every `ptf` command and paper table runs on.
+    pub fn split(self, scale: Scale, seed: u64) -> TrainTestSplit {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = scale.pick(|| self.paper(), || self.small()).generate(&mut rng);
+        TrainTestSplit::split_80_20(&data, &mut rng)
     }
 }
 
@@ -88,6 +95,17 @@ pub enum Scale {
     Paper,
     /// ~20× reduced datasets for quick runs.
     Small,
+}
+
+impl Scale {
+    /// `paper()` at [`Scale::Paper`], `small()` at [`Scale::Small`]. Each
+    /// scaled type resolves a scale once, through this, in its `at`.
+    pub fn pick<T>(self, paper: impl FnOnce() -> T, small: impl FnOnce() -> T) -> T {
+        match self {
+            Self::Paper => paper(),
+            Self::Small => small(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use crate::lightgcn::LightGcn;
 use crate::neumf::NeuMf;
 use crate::ngcf::Ngcf;
 use crate::traits::Recommender;
+use ptf_data::Scale;
 use ptf_tensor::ScopeView;
 use rand::Rng;
 
@@ -91,6 +92,11 @@ impl ModelHyper {
             ngcf_reg: 5e-2,
             ngcf_dropout: 0.1,
         }
+    }
+
+    /// The hyperparameters at `scale`: [`Self::default`] or [`Self::small`].
+    pub fn at(scale: Scale) -> Self {
+        scale.pick(Self::default, Self::small)
     }
 }
 

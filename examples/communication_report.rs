@@ -12,13 +12,13 @@
 use ptf_fedrec::baselines::{Fcf, FcfConfig, FedMf, FedMfConfig, MetaMf, MetaMfConfig};
 use ptf_fedrec::comm::format_bytes;
 use ptf_fedrec::core::{PtfConfig, PtfFedRec};
-use ptf_fedrec::data::{DatasetPreset, Scale, TrainTestSplit};
+use ptf_fedrec::data::{DatasetPreset, TrainTestSplit};
 use ptf_fedrec::federated::{Engine, FederatedProtocol};
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 
 fn main() {
     let mut rng = ptf_fedrec::data::test_rng(31);
-    let data = DatasetPreset::Gowalla.generate(Scale::Small, &mut rng);
+    let data = DatasetPreset::Gowalla.small().generate(&mut rng);
     let split = TrainTestSplit::split_80_20(&data, &mut rng);
     println!(
         "task: {} clients, {} items, 3 measured rounds each\n",

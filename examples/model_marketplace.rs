@@ -11,14 +11,12 @@
 //! ```
 
 use ptf_fedrec::core::{PtfConfig, PtfFedRec};
-use ptf_fedrec::data::{DatasetPreset, Scale, TrainTestSplit};
+use ptf_fedrec::data::{DatasetPreset, Scale};
 use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 
 fn main() {
-    let mut rng = ptf_fedrec::data::test_rng(29);
-    let data = DatasetPreset::Steam200K.generate(Scale::Small, &mut rng);
-    let split = TrainTestSplit::split_80_20(&data, &mut rng);
+    let split = DatasetPreset::Steam200K.split(Scale::Small, 29);
 
     println!("platform evaluates three hidden architectures on the same fleet:\n");
     println!(

@@ -6,15 +6,13 @@
 //! ```
 
 use ptf_fedrec::core::{DefenseKind, PtfConfig, PtfFedRec};
-use ptf_fedrec::data::{DatasetPreset, Scale, TrainTestSplit};
+use ptf_fedrec::data::{DatasetPreset, Scale};
 use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 use ptf_fedrec::privacy::TopGuessAttack;
 
 fn main() {
-    let mut rng = ptf_fedrec::data::test_rng(13);
-    let data = DatasetPreset::MovieLens100K.generate(Scale::Small, &mut rng);
-    let split = TrainTestSplit::split_80_20(&data, &mut rng);
+    let split = DatasetPreset::MovieLens100K.split(Scale::Small, 13);
 
     let defenses = [
         DefenseKind::NoDefense,

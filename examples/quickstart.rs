@@ -5,14 +5,14 @@
 //! ```
 
 use ptf_fedrec::core::{ConfigError, PtfConfig, PtfFedRec};
-use ptf_fedrec::data::{DatasetPreset, Scale, TrainTestSplit};
+use ptf_fedrec::data::{DatasetPreset, TrainTestSplit};
 use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 
 fn main() -> Result<(), ConfigError> {
     // 1. Data: a MovieLens-100K-shaped synthetic dataset, split 8:2.
     let mut rng = ptf_fedrec::data::test_rng(7);
-    let data = DatasetPreset::MovieLens100K.generate(Scale::Small, &mut rng);
+    let data = DatasetPreset::MovieLens100K.small().generate(&mut rng);
     let split = TrainTestSplit::split_80_20(&data, &mut rng);
     println!(
         "dataset: {} users × {} items, {} interactions",

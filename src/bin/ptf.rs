@@ -19,7 +19,7 @@ use ptf_fedrec::core::{
     PtfConfig, PtfFedRec, ServerScope, StoragePolicy, StoreKind,
 };
 use ptf_fedrec::data::{
-    CsrArena, Dataset, DatasetPreset, DatasetStats, Scale, ScaleConfig, TrainTestSplit,
+    CsrArena, Dataset, DatasetPreset, DatasetStats, ScaleConfig, TrainTestSplit,
 };
 use ptf_fedrec::federated::{
     Engine, FederatedProtocol, Participation, RoundObserver, RoundTrace, RunTrace, TraceRecorder,
@@ -31,7 +31,6 @@ use ptf_fedrec::net::{
     StragglerDrop,
 };
 use ptf_fedrec::privacy::TopGuessAttack;
-use rand::SeedableRng;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -98,33 +97,11 @@ fn print_traffic(summary: &LedgerSummary) -> Result<(), Failure> {
     ))
 }
 
-fn scaled_hyper(scale: Scale) -> ModelHyper {
-    match scale {
-        Scale::Paper => ModelHyper::default(),
-        Scale::Small => ModelHyper::small(),
-    }
-}
-
-fn scaled_config(scale: Scale, seed: u64) -> PtfConfig {
-    let mut cfg = match scale {
-        Scale::Paper => PtfConfig::paper(),
-        Scale::Small => PtfConfig::small(),
-    };
-    cfg.seed = seed;
-    cfg
-}
-
-fn load_split(dataset: DatasetPreset, scale: Scale, seed: u64) -> TrainTestSplit {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let data = dataset.generate(scale, &mut rng);
-    TrainTestSplit::split_80_20(&data, &mut rng)
-}
-
 /// The config a networked run uses. `ptf serve` and every `ptf client`
 /// build this independently from the same flags — the handshake
 /// fingerprint rejects the connection if they disagree.
 fn net_config(f: &FleetArgs) -> PtfConfig {
-    let mut cfg = scaled_config(f.scale, f.seed);
+    let mut cfg = PtfConfig { seed: f.seed, ..PtfConfig::at(f.scale) };
     cfg.rounds = f.rounds.unwrap_or(cfg.rounds);
     cfg.participation.fraction = f.participation;
     cfg
@@ -132,7 +109,7 @@ fn net_config(f: &FleetArgs) -> PtfConfig {
 
 /// The PTF-FedRec config of every `ptf train` path.
 fn train_config(a: &TrainArgs) -> PtfConfig {
-    let mut cfg = scaled_config(a.scale, a.seed);
+    let mut cfg = PtfConfig { seed: a.seed, ..PtfConfig::at(a.scale) };
     cfg.rounds = a.rounds.unwrap_or(cfg.rounds);
     cfg.threads = a.threads;
     cfg.storage = StoragePolicy { evict_interval: a.evict_interval, evict_budget: a.evict_budget };
@@ -142,40 +119,44 @@ fn train_config(a: &TrainArgs) -> PtfConfig {
 /// One `match`, one `Box<dyn FederatedProtocol>`: everything downstream
 /// (run, evaluate, report, JSON) is protocol-agnostic.
 fn build_protocol(a: &TrainArgs, train: &Dataset) -> Result<Box<dyn FederatedProtocol>, String> {
-    let small = matches!(a.scale, Scale::Small);
     Ok(match a.protocol {
         ProtocolChoice::Ptf => Box::new(
-            PtfFedRec::try_new(train, a.client, a.server, &scaled_hyper(a.scale), train_config(a))
-                .map_err(|e| e.to_string())?,
+            PtfFedRec::try_new(
+                train,
+                a.client,
+                a.server,
+                &ModelHyper::at(a.scale),
+                train_config(a),
+            )
+            .map_err(|e| e.to_string())?,
         ),
         ProtocolChoice::Fcf => {
-            let mut cfg = if small { FcfConfig::small() } else { FcfConfig::default() };
+            let mut cfg = FcfConfig::at(a.scale);
             cfg.seed = a.seed;
             cfg.threads = a.threads;
             cfg.rounds = a.rounds.unwrap_or(cfg.rounds);
             Box::new(Fcf::new(train, cfg))
         }
         ProtocolChoice::FedMf => {
-            let mut cfg = if small { FedMfConfig::small() } else { FedMfConfig::default() };
+            let mut cfg = FedMfConfig::at(a.scale);
             cfg.base.seed = a.seed;
             cfg.base.threads = a.threads;
             cfg.base.rounds = a.rounds.unwrap_or(cfg.base.rounds);
             Box::new(FedMf::new(train, cfg))
         }
         ProtocolChoice::MetaMf => {
-            let mut cfg = if small { MetaMfConfig::small() } else { MetaMfConfig::default() };
+            let mut cfg = MetaMfConfig::at(a.scale);
             cfg.seed = a.seed;
             cfg.threads = a.threads;
             cfg.rounds = a.rounds.unwrap_or(cfg.rounds);
             Box::new(MetaMf::new(train, cfg))
         }
         ProtocolChoice::Centralized => {
-            let mut cfg =
-                if small { CentralizedConfig::small() } else { CentralizedConfig::default() };
+            let mut cfg = CentralizedConfig::at(a.scale);
             cfg.seed = a.seed;
             cfg.threads = a.threads;
             cfg.epochs = a.rounds.unwrap_or(cfg.epochs);
-            Box::new(Centralized::new(a.server, train, &scaled_hyper(a.scale), cfg))
+            Box::new(Centralized::new(a.server, train, &ModelHyper::at(a.scale), cfg))
         }
     })
 }
@@ -273,7 +254,7 @@ fn run_cohort_engine(
     cfg: PtfConfig,
     opts: CohortOptions,
 ) -> Result<(Engine<CohortFedRec>, RunTrace), String> {
-    let hyper = scaled_hyper(a.scale);
+    let hyper = ModelHyper::at(a.scale);
     let ckpt = a.checkpoint.as_deref().map(Path::new);
     let fingerprint =
         config_fingerprint(&cfg, a.client, a.server, &hyper, data.num_users(), data.num_items());
@@ -333,7 +314,7 @@ fn run_cohort_engine(
 /// and/or `--checkpoint` — through the cohort engine, where
 /// `ServerScope::FullFleet` keeps the run bit-identical to the classic one.
 fn run_train_preset(preset: DatasetPreset, a: &TrainArgs, cohort: bool) -> Result<(), Failure> {
-    let split = load_split(preset, a.scale, a.seed);
+    let split = preset.split(a.scale, a.seed);
     let (users, items) = (split.train.num_users(), split.train.num_items());
     let sizes = format!("{} ({users} clients, {items} items)", preset.name());
     if cohort {
@@ -515,8 +496,8 @@ struct PrivacyJson {
 }
 
 fn run_privacy(a: &PrivacyArgs) -> Result<(), Failure> {
-    let split = load_split(a.dataset, a.scale, a.seed);
-    let mut cfg = scaled_config(a.scale, a.seed);
+    let split = a.dataset.split(a.scale, a.seed);
+    let mut cfg = PtfConfig { seed: a.seed, ..PtfConfig::at(a.scale) };
     cfg.threads = a.threads;
     cfg.defense = match a.defense {
         DefenseChoice::None => DefenseKind::NoDefense,
@@ -525,7 +506,7 @@ fn run_privacy(a: &PrivacyArgs) -> Result<(), Failure> {
         DefenseChoice::Full => DefenseKind::SamplingSwapping,
     };
     let defense = cfg.defense.name();
-    let hyper = scaled_hyper(a.scale);
+    let hyper = ModelHyper::at(a.scale);
     let mut fed = Engine::new(
         PtfFedRec::try_new(&split.train, ModelKind::NeuMf, ModelKind::Ngcf, &hyper, cfg)
             .map_err(|e| e.to_string())?,
@@ -570,12 +551,12 @@ struct ServeJson {
 
 fn run_serve(a: &ServeArgs) -> Result<(), Failure> {
     let f = &a.fleet;
-    let split = load_split(f.dataset, f.scale, f.seed);
+    let split = f.dataset.split(f.scale, f.seed);
     let opts = NetServerOptions {
         cfg: net_config(f),
         client_kind: f.client,
         server_kind: f.server,
-        hyper: scaled_hyper(f.scale),
+        hyper: ModelHyper::at(f.scale),
         round_deadline: Duration::from_millis(a.deadline_ms),
         gather_timeout: Duration::from_millis(a.gather_ms),
         verbose: true,
@@ -630,7 +611,7 @@ struct ClientJson {
 
 fn run_client(a: &ClientArgs) -> Result<(), Failure> {
     let f = &a.fleet;
-    let split = load_split(f.dataset, f.scale, f.seed);
+    let split = f.dataset.split(f.scale, f.seed);
     let fleet = split.train.num_users() as u32;
     // checked before the range is materialized: `--ids 0-4294967295`
     // would otherwise allocate 16 GiB of ids to be told this by the shard
@@ -642,7 +623,7 @@ fn run_client(a: &ClientArgs) -> Result<(), Failure> {
         cfg: net_config(f),
         client_kind: f.client,
         server_kind: f.server,
-        hyper: scaled_hyper(f.scale),
+        hyper: ModelHyper::at(f.scale),
         ids: (lo..=hi).collect(),
         straggle: a
             .straggle_round
@@ -671,16 +652,14 @@ fn run(cmd: Command) -> Result<(), Failure> {
     match cmd {
         Command::Help => emit(&usage()),
         Command::Stats { scale, seed } => DatasetPreset::ALL.iter().try_for_each(|preset| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            emit(&DatasetStats::of(&preset.generate(scale, &mut rng)).to_string())
+            emit(&DatasetStats::of(&preset.generate(scale, seed)).to_string())
         }),
         Command::Train(args) => run_train(&args),
         Command::Privacy(args) => run_privacy(&args),
         Command::Serve(args) => run_serve(&args),
         Command::Client(args) => run_client(&args),
         Command::Generate { dataset, out, scale, seed } => {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let data = dataset.generate(scale, &mut rng);
+            let data = dataset.generate(scale, seed);
             std::fs::write(&out, data.to_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
             emit(&format!("wrote {} ({})", out, DatasetStats::of(&data)))
         }

@@ -169,9 +169,8 @@ fn privacy_json_reports_attack_f1() {
 
 #[test]
 fn saved_model_restores_the_printed_runs_server_scores() {
-    use ptf_fedrec::data::{DatasetPreset, Scale, TrainTestSplit};
+    use ptf_fedrec::data::{DatasetPreset, Scale};
     use ptf_fedrec::models::{build_model, evaluate_model, ModelHyper, ModelKind};
-    use rand::SeedableRng;
 
     let dir = std::env::temp_dir().join(format!("ptf-smoke-save-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -189,9 +188,7 @@ fn saved_model_restores_the_printed_runs_server_scores() {
 
     // the split `ptf train` evaluated on, and a same-shape server model
     // built from an unrelated seed so nothing can match by accident
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let data = DatasetPreset::MovieLens100K.generate(Scale::Small, &mut rng);
-    let split = TrainTestSplit::split_80_20(&data, &mut rng);
+    let split = DatasetPreset::MovieLens100K.split(Scale::Small, 7);
     let mut server = build_model(
         ModelKind::NeuMf,
         split.train.num_users(),

@@ -64,8 +64,7 @@ fn trace_bytes_match_ledger() {
 #[test]
 fn facade_reexports_compose() {
     // one object from every sub-crate, all through the facade
-    let mut rng = ptf_fedrec::data::test_rng(3);
-    let data = DatasetPreset::MovieLens100K.generate(Scale::Small, &mut rng);
+    let data = DatasetPreset::MovieLens100K.generate(Scale::Small, 3);
     assert!(data.num_users() > 0);
     let stats = ptf_fedrec::data::DatasetStats::of(&data);
     assert!(stats.density_pct > 0.0);

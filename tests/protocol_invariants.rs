@@ -186,10 +186,8 @@ fn all_empty_clients_yield_empty_rounds() {
 #[test]
 #[ignore = "paper-scale smoke test (~minutes, several GB RAM); run with --ignored"]
 fn paper_scale_movielens_smoke() {
-    use ptf_fedrec::data::{DatasetPreset, Scale, TrainTestSplit};
-    let mut rng = ptf_fedrec::data::test_rng(2024);
-    let data = DatasetPreset::MovieLens100K.generate(Scale::Paper, &mut rng);
-    let split = TrainTestSplit::split_80_20(&data, &mut rng);
+    use ptf_fedrec::data::{DatasetPreset, Scale};
+    let split = DatasetPreset::MovieLens100K.split(Scale::Paper, 2024);
     let mut cfg = ptf_fedrec::core::PtfConfig::paper();
     cfg.rounds = 2;
     let hyper = ModelHyper::default();
