@@ -34,7 +34,7 @@ fn main() {
                 "beta".into(),
                 format!("[{beta_lo},1]"),
                 fmt4(ndcg),
-                fmt4(attack_f1(&fed)),
+                fmt4(fed.protocol().attack_f1()),
             ]);
         }
 
@@ -49,7 +49,7 @@ fn main() {
                 "gamma".into(),
                 format!("[{gamma_lo},4]"),
                 fmt4(ndcg),
-                fmt4(attack_f1(&fed)),
+                fmt4(fed.protocol().attack_f1()),
             ]);
         }
 
@@ -64,7 +64,7 @@ fn main() {
                 "lambda".into(),
                 format!("{lambda}"),
                 fmt4(ndcg),
-                fmt4(attack_f1(&fed)),
+                fmt4(fed.protocol().attack_f1()),
             ]);
         }
     }

@@ -5,6 +5,7 @@
 //! PTF-FedRec(NGCF) shows the utility each defense costs.
 
 use ptf_bench::*;
+use ptf_core::DefenseKind;
 use ptf_data::DatasetPreset;
 
 fn main() {
@@ -14,7 +15,7 @@ fn main() {
         &["Defense", "ML F1", "ML NDCG", "Steam F1", "Steam NDCG", "Gowalla F1", "Gowalla NDCG"],
     );
 
-    let defenses = defense_rows();
+    let defenses = DefenseKind::TABLE_V;
     let mut cells: Vec<Vec<String>> = defenses.iter().map(|d| vec![d.name().to_string()]).collect();
 
     for preset in DatasetPreset::ALL {

@@ -13,7 +13,7 @@ fn main() {
         format!("Table VI — ΔF1/ΔNDCG cost-effectiveness ({scale:?} scale)"),
         &["Method", "MovieLens-100K", "Steam-200K", "Gowalla"],
     );
-    let defenses = defense_rows();
+    let defenses = DefenseKind::TABLE_V;
     let mut cells: Vec<Vec<String>> = defenses
         .iter()
         .skip(1) // the baseline row (No Defense) defines the deltas

@@ -5,7 +5,6 @@ use ptf_core::{PtfConfig, PtfFedRec};
 use ptf_data::{DatasetPreset, Scale, TrainTestSplit};
 use ptf_federated::{Engine, FederatedProtocol};
 use ptf_models::{ModelHyper, ModelKind};
-use ptf_privacy::TopGuessAttack;
 use serde::Serialize;
 use std::io::Write as _;
 
@@ -131,33 +130,6 @@ pub fn run_protocol(protocol: Box<dyn FederatedProtocol>) -> Engine<Box<dyn Fede
     engine
 }
 
-/// Mean Top-Guess-Attack F1 over the final round's uploads (Table V).
-pub fn attack_f1(fed: &Engine<PtfFedRec>) -> f64 {
-    let attack = TopGuessAttack::default();
-    attack.mean_f1(
-        fed.protocol()
-            .last_uploads()
-            .iter()
-            .map(|u| (u.predictions.as_slice(), u.audit_positives.as_slice())),
-    )
-}
-
-/// The LDP budget used for the Table V comparison row (the CLI's
-/// `--epsilon` default — the paper does not state its ε; 5.0 lands the
-/// attack F1 between the sampling rows as in Table V).
-pub const LDP_EPSILON: f64 = 5.0;
-
-/// The four defense rows of Table V.
-pub fn defense_rows() -> [ptf_core::DefenseKind; 4] {
-    use ptf_core::DefenseKind;
-    [
-        DefenseKind::NoDefense,
-        DefenseKind::Ldp { epsilon: LDP_EPSILON },
-        DefenseKind::Sampling,
-        DefenseKind::SamplingSwapping,
-    ]
-}
-
 /// Runs PTF-FedRec(NGCF) under one defense; returns `(attack F1, NDCG@20)`.
 /// Shared by Tables V and VI.
 pub fn privacy_run(
@@ -168,7 +140,7 @@ pub fn privacy_run(
     let cfg = PtfConfig { defense, ..ptf_config(scale) };
     let fed = run_ptf(split, ModelKind::NeuMf, ModelKind::Ngcf, cfg, &ModelHyper::at(scale));
     let ndcg = fed.evaluate(&split.train, &split.test, EVAL_K).metrics.ndcg;
-    (attack_f1(&fed), ndcg)
+    (fed.protocol().attack_f1(), ndcg)
 }
 
 /// A printable/serializable experiment table.

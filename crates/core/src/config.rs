@@ -50,6 +50,19 @@ pub enum DefenseKind {
 }
 
 impl DefenseKind {
+    /// The LDP budget of Table V's LDP row, and `ptf privacy --defense
+    /// ldp`'s default. The paper does not state its ε; 5.0 lands the
+    /// attack F1 between the sampling rows, as in Table V.
+    pub const LDP_EPSILON: f64 = 5.0;
+
+    /// The four defense rows of Table V, in order.
+    pub const TABLE_V: [DefenseKind; 4] = [
+        Self::NoDefense,
+        Self::Ldp { epsilon: Self::LDP_EPSILON },
+        Self::Sampling,
+        Self::SamplingSwapping,
+    ];
+
     pub fn name(self) -> &'static str {
         match self {
             Self::NoDefense => "No Defense",

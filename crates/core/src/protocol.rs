@@ -41,7 +41,7 @@ use ptf_federated::{
 };
 use ptf_models::mf::LANES;
 use ptf_models::{ModelHyper, ModelKind, Recommender};
-use ptf_privacy::ScoredItem;
+use ptf_privacy::{ScoredItem, TopGuessAttack};
 
 /// What the driver lends a host for one round's client phase.
 pub struct ClientPhase<'a> {
@@ -150,6 +150,16 @@ impl<H: ClientHost> Round<H> {
     /// The uploads of the most recent round (for privacy audits).
     pub fn last_uploads(&self) -> &[ClientUpload] {
         &self.last_uploads
+    }
+
+    /// Table V's privacy measure: the mean Top Guess attack F1 of the
+    /// honest-but-curious server over the final round's uploads.
+    pub fn attack_f1(&self) -> f64 {
+        TopGuessAttack::default().mean_f1(
+            self.last_uploads
+                .iter()
+                .map(|u| (u.predictions.as_slice(), u.audit_positives.as_slice())),
+        )
     }
 
     pub fn rounds_completed(&self) -> u32 {

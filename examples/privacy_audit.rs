@@ -9,7 +9,6 @@ use ptf_fedrec::core::{DefenseKind, PtfConfig, PtfFedRec};
 use ptf_fedrec::data::{DatasetPreset, Scale};
 use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
-use ptf_fedrec::privacy::TopGuessAttack;
 
 fn main() {
     let split = DatasetPreset::MovieLens100K.split(Scale::Small, 13);
@@ -35,10 +34,7 @@ fn main() {
 
         // the curious server's view: the final round of uploads
         let uploads = fed.protocol().last_uploads();
-        let attack = TopGuessAttack::default();
-        let f1 = attack.mean_f1(
-            uploads.iter().map(|u| (u.predictions.as_slice(), u.audit_positives.as_slice())),
-        );
+        let f1 = fed.protocol().attack_f1();
         let ndcg = fed.evaluate(&split.train, &split.test, 20).metrics.ndcg;
         let avg_upload: f64 =
             uploads.iter().map(|u| u.len() as f64).sum::<f64>() / uploads.len().max(1) as f64;

@@ -10,8 +10,8 @@ use ptf_fedrec::baselines::{
     Centralized, CentralizedConfig, Fcf, FcfConfig, FedMf, FedMfConfig, MetaMf, MetaMfConfig,
 };
 use ptf_fedrec::cli::{
-    parse, usage, ClientArgs, Command, DataChoice, DefenseChoice, FleetArgs, PrivacyArgs,
-    ProtocolChoice, ServeArgs, TrainArgs,
+    parse, usage, ClientArgs, Command, DataChoice, FleetArgs, PrivacyArgs, ProtocolChoice,
+    ServeArgs, TrainArgs,
 };
 use ptf_fedrec::comm::{format_bytes, CommLedger, LedgerSummary};
 use ptf_fedrec::core::{
@@ -30,7 +30,6 @@ use ptf_fedrec::net::{
     run_server, run_shard, tcp, NetServerOptions, ShardOptions, ShardSummary, Straggle,
     StragglerDrop,
 };
-use ptf_fedrec::privacy::TopGuessAttack;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -496,32 +495,24 @@ struct PrivacyJson {
 }
 
 fn run_privacy(a: &PrivacyArgs) -> Result<(), Failure> {
-    let split = a.dataset.split(a.scale, a.seed);
-    let mut cfg = PtfConfig { seed: a.seed, ..PtfConfig::at(a.scale) };
-    cfg.threads = a.threads;
-    cfg.defense = match a.defense {
-        DefenseChoice::None => DefenseKind::NoDefense,
-        DefenseChoice::Ldp => DefenseKind::Ldp { epsilon: a.epsilon },
-        DefenseChoice::Sampling => DefenseKind::Sampling,
-        DefenseChoice::Full => DefenseKind::SamplingSwapping,
+    let defense = match (a.defense, a.epsilon) {
+        (DefenseKind::Ldp { .. }, Some(epsilon)) => DefenseKind::Ldp { epsilon },
+        (defense, None) => defense,
+        (_, Some(_)) => return Err("--epsilon applies only to --defense ldp".into()),
     };
-    let defense = cfg.defense.name();
+    let split = a.dataset.split(a.scale, a.seed);
+    let cfg = PtfConfig { seed: a.seed, threads: a.threads, defense, ..PtfConfig::at(a.scale) };
     let hyper = ModelHyper::at(a.scale);
     let mut fed = Engine::new(
         PtfFedRec::try_new(&split.train, ModelKind::NeuMf, ModelKind::Ngcf, &hyper, cfg)
             .map_err(|e| e.to_string())?,
     );
     let trace = fed.run();
-    let f1 = TopGuessAttack::default().mean_f1(
-        fed.protocol()
-            .last_uploads()
-            .iter()
-            .map(|u| (u.predictions.as_slice(), u.audit_positives.as_slice())),
-    );
+    let f1 = fed.protocol().attack_f1();
     let report = fed.evaluate(&split.train, &split.test, 20);
     if a.json {
         print_json(&PrivacyJson {
-            defense: defense.to_string(),
+            defense: defense.name().to_string(),
             attack_f1: f1,
             dataset: a.dataset.name().to_string(),
             seed: a.seed,
@@ -531,7 +522,8 @@ fn run_privacy(a: &PrivacyArgs) -> Result<(), Failure> {
         })
     } else {
         emit(&format!(
-            "defense: {defense}\ntop-guess attack F1: {f1:.4} (lower = better privacy)\n{report}"
+            "defense: {}\ntop-guess attack F1: {f1:.4} (lower = better privacy)\n{report}",
+            defense.name()
         ))
     }
 }

@@ -18,6 +18,7 @@
 //! that is declared and never read, or read and never declared, fails
 //! `tests::every_row_parses_prints_and_is_read_by_its_builder`.
 
+use ptf_core::DefenseKind;
 use ptf_data::{DatasetPreset, Scale};
 use ptf_models::ModelKind;
 use std::cell::RefCell;
@@ -93,8 +94,10 @@ pub struct TrainArgs {
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrivacyArgs {
     pub dataset: DatasetPreset,
-    pub defense: DefenseChoice,
-    pub epsilon: f64,
+    /// Table V's row; `ldp` carries [`DefenseKind::LDP_EPSILON`].
+    pub defense: DefenseKind,
+    /// `--epsilon`, which replaces the LDP row's budget.
+    pub epsilon: Option<f64>,
     pub scale: Scale,
     pub seed: u64,
     /// Worker threads for the parallel client phase (`0` = all).
@@ -171,15 +174,6 @@ impl DataChoice {
             Self::Scale(name) => name,
         }
     }
-}
-
-/// CLI-level defense selector (maps onto `ptf_core::DefenseKind`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DefenseChoice {
-    None,
-    Ldp,
-    Sampling,
-    Full,
 }
 
 /// CLI-level protocol selector — every variant runs through the same
@@ -273,13 +267,13 @@ impl Value for ModelKind {
     ];
 }
 
-impl Value for DefenseChoice {
+impl Value for DefenseKind {
     const WHAT: &'static str = "defense";
     const MEMBERS: &'static [(Self, &'static [&'static str])] = &[
-        (Self::None, &["none"]),
-        (Self::Ldp, &["ldp"]),
+        (Self::NoDefense, &["none"]),
+        (Self::Ldp { epsilon: Self::LDP_EPSILON }, &["ldp"]),
         (Self::Sampling, &["sampling"]),
-        (Self::Full, &["full", "sampling+swapping"]),
+        (Self::SamplingSwapping, &["full", "sampling+swapping"]),
     ];
 }
 
@@ -415,7 +409,7 @@ const COMMANDS: &[CommandSpec] = &[
         name: "privacy",
         flags: &[
             DATASET,
-            Flag { name: "defense", arg: OneOf(names::<DefenseChoice>), required: false },
+            Flag { name: "defense", arg: OneOf(names::<DefenseKind>), required: false },
             Flag { name: "epsilon", arg: Text("E"), required: false },
             SCALE,
             SEED,
@@ -583,8 +577,8 @@ fn train(g: &Given) -> Result<Command, String> {
 fn privacy(g: &Given) -> Result<Command, String> {
     Ok(Command::Privacy(PrivacyArgs {
         dataset: g.req("dataset")?,
-        defense: g.get("defense", DefenseChoice::Full)?,
-        epsilon: g.positive("epsilon")?.unwrap_or(5.0),
+        defense: g.get("defense", DefenseKind::SamplingSwapping)?,
+        epsilon: g.positive("epsilon")?,
         scale: g.get("scale", Scale::Small)?,
         seed: g.get("seed", 2024)?,
         threads: g.get("threads", 0)?,
@@ -978,10 +972,10 @@ mod tests {
     #[test]
     fn privacy_defense_parsing() {
         for (s, want) in [
-            ("none", DefenseChoice::None),
-            ("ldp", DefenseChoice::Ldp),
-            ("sampling", DefenseChoice::Sampling),
-            ("full", DefenseChoice::Full),
+            ("none", DefenseKind::NoDefense),
+            ("ldp", DefenseKind::Ldp { epsilon: DefenseKind::LDP_EPSILON }),
+            ("sampling", DefenseKind::Sampling),
+            ("full", DefenseKind::SamplingSwapping),
         ] {
             let cmd = parse(&argv(&format!("privacy --dataset steam --defense {s}"))).unwrap();
             match cmd {

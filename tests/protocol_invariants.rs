@@ -6,7 +6,6 @@ use ptf_fedrec::core::{DefenseKind, PtfConfig, PtfFedRec};
 use ptf_fedrec::data::{Dataset, SyntheticConfig, TrainTestSplit};
 use ptf_fedrec::federated::Engine;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
-use ptf_fedrec::privacy::TopGuessAttack;
 
 fn split() -> TrainTestSplit {
     let data =
@@ -36,15 +35,6 @@ fn run(defense: DefenseKind) -> Engine<PtfFedRec> {
     fed
 }
 
-fn mean_attack_f1(fed: &Engine<PtfFedRec>) -> f64 {
-    TopGuessAttack::default().mean_f1(
-        fed.protocol()
-            .last_uploads()
-            .iter()
-            .map(|u| (u.predictions.as_slice(), u.audit_positives.as_slice())),
-    )
-}
-
 #[test]
 fn uploads_only_contain_trained_items() {
     let s = split();
@@ -72,8 +62,8 @@ fn uploads_only_contain_trained_items() {
 
 #[test]
 fn full_defense_beats_no_defense_against_the_attack() {
-    let f1_undefended = mean_attack_f1(&run(DefenseKind::NoDefense));
-    let f1_defended = mean_attack_f1(&run(DefenseKind::SamplingSwapping));
+    let f1_undefended = run(DefenseKind::NoDefense).protocol().attack_f1();
+    let f1_defended = run(DefenseKind::SamplingSwapping).protocol().attack_f1();
     assert!(
         f1_defended < f1_undefended - 0.2,
         "defense ineffective: {f1_defended} vs {f1_undefended}"
@@ -84,8 +74,8 @@ fn full_defense_beats_no_defense_against_the_attack() {
 
 #[test]
 fn swapping_adds_protection_over_sampling_alone() {
-    let f1_sampling = mean_attack_f1(&run(DefenseKind::Sampling));
-    let f1_full = mean_attack_f1(&run(DefenseKind::SamplingSwapping));
+    let f1_sampling = run(DefenseKind::Sampling).protocol().attack_f1();
+    let f1_full = run(DefenseKind::SamplingSwapping).protocol().attack_f1();
     assert!(
         f1_full < f1_sampling,
         "swapping should strengthen the defense: {f1_full} vs {f1_sampling}"
