@@ -39,10 +39,12 @@ use ptf_federated::RoundTrace;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
-/// Bumped whenever the manifest or envelope wire shapes change — or the
-/// values `ptf_tensor::init::derived_normal_row` derives, since an
-/// envelope's unmaterialized item rows are re-derived on restore.
-pub const MANIFEST_VERSION: u32 = 5;
+/// Bumped whenever the manifest or envelope wire shapes change, the
+/// values `ptf_tensor::init::derived_normal_row` derives (an envelope's
+/// unmaterialized item rows are re-derived on restore), or the text
+/// `crate::config_fingerprint` digests — so an older checkpoint is
+/// refused as a version mismatch, not as config drift.
+pub const MANIFEST_VERSION: u32 = 6;
 
 /// The checkpoint manifest — everything a resume needs besides the
 /// committed server and client envelopes.
@@ -293,7 +295,7 @@ mod tests {
         std::fs::write(manifest_path(&dir.0), v4).expect("write");
         match load_manifest(&dir.0) {
             Err(CheckpointError::Mismatch(m)) => {
-                assert_eq!(m, "manifest version 4 (this build reads version 5)");
+                assert_eq!(m, "manifest version 4 (this build reads version 6)");
             }
             Err(e) => panic!("a version-4 manifest was not a mismatch: {e}"),
             Ok(_) => panic!("a version-4 manifest loaded"),

@@ -3,29 +3,31 @@
 //!
 //! Shared by the networked deployment (server/client handshake refuses
 //! mismatched shards) and the checkpoint subsystem (`--resume` refuses a
-//! checkpoint taken under a different config).
+//! checkpoint taken under a different config). The digest is taken from
+//! the config's own `Debug` rendering, not from a list of its fields, so
+//! a field added to [`PtfConfig`] or [`ModelHyper`] is fingerprinted the
+//! day it is added.
 
-use crate::config::{DefenseKind, PtfConfig};
+use crate::config::PtfConfig;
 use ptf_models::{ModelHyper, ModelKind};
-use std::fmt::Write as _;
 
 /// Digest of everything that must match between a server and its
-/// clients for a run to be bit-reproducible: protocol hyperparameters,
-/// model architectures, dataset dimensions, and the seed.
+/// clients, or between a checkpoint and the run resuming it, for a run
+/// to be bit-reproducible: every field of `cfg` (the eviction schedule
+/// in `storage` included, which changes which rows a client re-derives),
+/// both model kinds, every field of `hyper`, and the dataset dimensions.
 ///
-/// Deliberately *excluded*: `threads`, which cannot change results (the
-/// scheduler is bit-identical at any worker count), and `storage`, the
-/// clients' cold-row eviction schedule — a memory budget the host that
-/// trains the clients picks for itself. A client's table layout is not a
-/// setting at all: `PtfClient::new` derives it from the data, and either
-/// layout gives bit-identical results. The cohort size of a checkpointed
-/// run is excluded for the same reason as `threads`.
+/// Only `threads` is set to a fixed value first: every thread count gives
+/// the same bytes (the scheduler is bit-identical at any worker count),
+/// so a run may resume or pair at another. The cohort size of a
+/// checkpointed run is not part of `cfg` and is free for the same reason.
 ///
-/// The digest is FNV-1a 64 over a canonical text rendering with floats
-/// as raw bits — stable across platforms, not across releases (any
-/// semantic change to the config vocabulary is *supposed* to change
-/// fingerprints; version skew is caught by the frame version byte /
-/// manifest version field first).
+/// The digest is FNV-1a 64 over the `Debug` text of the inputs, in
+/// which every float prints as its shortest round-trip decimal, so two
+/// configs that differ in any bit of any field differ in text. It is
+/// stable across platforms, not across releases (a change to the config
+/// vocabulary is *supposed* to change fingerprints; version skew is
+/// caught first by the frame version byte or the manifest version).
 pub fn config_fingerprint(
     cfg: &PtfConfig,
     client_kind: ModelKind,
@@ -34,59 +36,11 @@ pub fn config_fingerprint(
     num_users: usize,
     num_items: usize,
 ) -> u64 {
-    let mut s = String::with_capacity(256);
-    let _ = write!(
-        s,
-        "rounds={};ce={};se={};cb={};sb={};neg={};alpha={};mu={:x};lambda={:x};",
-        cfg.rounds,
-        cfg.client_epochs,
-        cfg.server_epochs,
-        cfg.client_batch,
-        cfg.server_batch,
-        cfg.neg_ratio,
-        cfg.alpha,
-        cfg.mu.to_bits(),
-        cfg.lambda.to_bits(),
+    let cfg = PtfConfig { threads: 0, ..cfg.clone() };
+    let text = format!(
+        "{cfg:?};{client_kind:?};{server_kind:?};{hyper:?};users={num_users};items={num_items}"
     );
-    let _ = write!(
-        s,
-        "beta={:x},{:x};gamma={:x},{:x};",
-        cfg.sampling.beta_range.0.to_bits(),
-        cfg.sampling.beta_range.1.to_bits(),
-        cfg.sampling.gamma_range.0.to_bits(),
-        cfg.sampling.gamma_range.1.to_bits(),
-    );
-    match cfg.defense {
-        DefenseKind::NoDefense => s.push_str("def=none;"),
-        DefenseKind::Ldp { epsilon } => {
-            let _ = write!(s, "def=ldp:{:x};", epsilon.to_bits());
-        }
-        DefenseKind::Sampling => s.push_str("def=sampling;"),
-        DefenseKind::SamplingSwapping => s.push_str("def=sampling+swapping;"),
-    }
-    let _ = write!(
-        s,
-        "disperse={};part={:x},{};graph={:x};seed={};",
-        cfg.disperse.name(),
-        cfg.participation.fraction.to_bits(),
-        cfg.participation.min_clients,
-        cfg.graph_threshold.to_bits(),
-        cfg.seed,
-    );
-    let _ = write!(
-        s,
-        "ck={};sk={};dim={};lr={:x};gcn={};mlp={:?};reg={:x};drop={:x};",
-        client_kind.name(),
-        server_kind.name(),
-        hyper.dim,
-        hyper.lr.to_bits(),
-        hyper.gcn_layers,
-        hyper.mlp_layers,
-        hyper.ngcf_reg.to_bits(),
-        hyper.ngcf_dropout.to_bits(),
-    );
-    let _ = write!(s, "users={num_users};items={num_items}");
-    fnv1a64(s.as_bytes())
+    fnv1a64(text.as_bytes())
 }
 
 /// FNV-1a 64-bit over raw bytes.
@@ -105,27 +59,102 @@ mod tests {
 
     #[test]
     fn fingerprint_is_stable_and_sensitive() {
+        use crate::config::{DefenseKind, DisperseStrategy};
         let cfg = PtfConfig::small();
         let hyper = ModelHyper::small();
-        let fp = |c: &PtfConfig| {
-            config_fingerprint(c, ModelKind::NeuMf, ModelKind::NeuMf, &hyper, 100, 200)
+        let fp = |c: &PtfConfig, h: &ModelHyper| {
+            config_fingerprint(c, ModelKind::NeuMf, ModelKind::NeuMf, h, 100, 200)
         };
-        assert_eq!(fp(&cfg), fp(&cfg.clone()), "same config, same digest");
+        let base = fp(&cfg, &hyper);
+        assert_eq!(base, fp(&cfg.clone(), &hyper.clone()), "same config, same digest");
 
-        let mut other = cfg.clone();
-        other.seed += 1;
-        assert_ne!(fp(&cfg), fp(&other), "seed must be fingerprinted");
+        // naming every field here makes a field added later fail to
+        // compile until it has a row below
+        let PtfConfig {
+            rounds: _,
+            client_epochs: _,
+            server_epochs: _,
+            client_batch: _,
+            server_batch: _,
+            neg_ratio: _,
+            alpha: _,
+            mu: _,
+            lambda: _,
+            sampling: _,
+            defense: _,
+            disperse: _,
+            participation: _,
+            graph_threshold: _,
+            seed: _,
+            threads: _,
+            storage: _,
+        } = cfg;
+        let ModelHyper {
+            dim: _,
+            lr: _,
+            gcn_layers: _,
+            mlp_layers: _,
+            ngcf_reg: _,
+            ngcf_dropout: _,
+        } = hyper;
+        type Edit = fn(&mut PtfConfig);
+        let config_edits: [(&str, Edit); 22] = [
+            ("rounds", |c| c.rounds += 1),
+            ("client_epochs", |c| c.client_epochs += 1),
+            ("server_epochs", |c| c.server_epochs += 1),
+            ("client_batch", |c| c.client_batch += 1),
+            ("server_batch", |c| c.server_batch += 1),
+            ("neg_ratio", |c| c.neg_ratio += 1),
+            ("alpha", |c| c.alpha += 1),
+            ("mu", |c| c.mu = f64::from_bits(c.mu.to_bits() + 1)),
+            ("lambda", |c| c.lambda = f64::from_bits(c.lambda.to_bits() + 1)),
+            ("sampling.beta_range.0", |c| c.sampling.beta_range.0 += 0.01),
+            ("sampling.beta_range.1", |c| c.sampling.beta_range.1 -= 0.01),
+            ("sampling.gamma_range.0", |c| c.sampling.gamma_range.0 += 0.5),
+            ("sampling.gamma_range.1", |c| c.sampling.gamma_range.1 -= 0.5),
+            ("defense", |c| c.defense = DefenseKind::Sampling),
+            ("defense ldp", |c| c.defense = DefenseKind::Ldp { epsilon: 5.0 }),
+            ("disperse", |c| c.disperse = DisperseStrategy::Random),
+            ("participation.fraction", |c| c.participation.fraction = 0.5),
+            ("participation.min_clients", |c| c.participation.min_clients += 1),
+            ("graph_threshold", |c| c.graph_threshold = 0.6),
+            ("seed", |c| c.seed += 1),
+            ("storage.evict_interval", |c| c.storage.evict_interval = 1),
+            ("storage.evict_budget", |c| c.storage.evict_budget = 64),
+        ];
+        for (field, edit) in config_edits {
+            let mut other = cfg.clone();
+            edit(&mut other);
+            assert_ne!(base, fp(&other, &hyper), "{field} must be fingerprinted");
+        }
+        let ldp = |epsilon| PtfConfig { defense: DefenseKind::Ldp { epsilon }, ..cfg.clone() };
+        assert_ne!(fp(&ldp(5.0), &hyper), fp(&ldp(2.0), &hyper), "the LDP budget");
 
-        let mut other = cfg.clone();
-        other.alpha += 1;
-        assert_ne!(fp(&cfg), fp(&other), "alpha must be fingerprinted");
+        type HyperEdit = fn(&mut ModelHyper);
+        let hyper_edits: [(&str, HyperEdit); 7] = [
+            ("dim", |h| h.dim += 1),
+            ("lr", |h| h.lr = f32::from_bits(h.lr.to_bits() + 1)),
+            ("gcn_layers", |h| h.gcn_layers += 1),
+            ("mlp_layers width", |h| h.mlp_layers[0] += 1),
+            ("mlp_layers depth", |h| h.mlp_layers.push(8)),
+            ("ngcf_reg", |h| h.ngcf_reg *= 2.0),
+            ("ngcf_dropout", |h| h.ngcf_dropout = 0.2),
+        ];
+        for (field, edit) in hyper_edits {
+            let mut other = hyper.clone();
+            edit(&mut other);
+            assert_ne!(base, fp(&cfg, &other), "hyper.{field} must be fingerprinted");
+        }
 
-        // execution knobs must NOT change the digest
-        let mut other = cfg.clone();
-        other.threads = 7;
-        other.storage.evict_interval = 3;
-        other.storage.evict_budget = 64;
-        assert_eq!(fp(&cfg), fp(&other), "execution knobs are not semantics");
+        // every thread count gives the same bytes, so it is the one field
+        // left out
+        for threads in [1, 3, 64] {
+            assert_eq!(
+                base,
+                fp(&PtfConfig { threads, ..cfg.clone() }, &hyper),
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]

@@ -263,14 +263,15 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
 
     // checkpoints written by earlier formats: decimal f32 arrays (1), item
     // rows derived by the Box–Muller init, which unmaterialized rows would
-    // no longer re-derive to (2), one-object client envelopes (3), and the
-    // server envelope inside the manifest (4)
-    assert!(good.starts_with("{\"version\":5,"), "manifest head: {}", &good[..20]);
-    for old in [1, 2, 3, 4] {
-        std::fs::write(&manifest, good.replacen("\"version\":5", &format!("\"version\":{old}"), 1))
+    // no longer re-derive to (2), one-object client envelopes (3), the
+    // server envelope inside the manifest (4), and a fingerprint over a
+    // hand-kept field list that left the eviction schedule out (5)
+    assert!(good.starts_with("{\"version\":6,"), "manifest head: {}", &good[..20]);
+    for old in [1, 2, 3, 4, 5] {
+        std::fs::write(&manifest, good.replacen("\"version\":6", &format!("\"version\":{old}"), 1))
             .expect("downgrade");
         let want =
-            format!("checkpoint mismatch: manifest version {old} (this build reads version 5)");
+            format!("checkpoint mismatch: manifest version {old} (this build reads version 6)");
         expect_clean_failure(run(&["--resume"]), &want, &format!("version-{old} manifest"));
     }
     std::fs::write(&manifest, &good).expect("restore manifest");
@@ -330,6 +331,10 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
     args.extend(["--checkpoint".into(), dir.display().to_string(), "--resume".into()]);
     let drifted = ptf().args(args).output().expect("spawn failed");
     expect_clean_failure(drifted, "fingerprint mismatch", "drifted config");
+    // an eviction schedule the checkpoint was not taken under changes
+    // which rows the clients re-derive, so it is drift too
+    let evicting = run(&["--resume", "--evict-interval", "1", "--evict-budget", "64"]);
+    expect_clean_failure(evicting, "fingerprint mismatch", "drifted eviction schedule");
 
     // the intact checkpoint still resumes after all that
     let ok = run(&["--resume"]);
