@@ -467,6 +467,9 @@ fn run_train(a: &TrainArgs) -> Result<(), Failure> {
     if cohort && a.protocol != ProtocolChoice::Ptf {
         return Err("cohort scheduling and checkpointing support --protocol ptf only".into());
     }
+    if (a.evict_interval > 0 || a.evict_budget > 0) && a.protocol != ProtocolChoice::Ptf {
+        return Err("--evict-interval/--evict-budget apply to --protocol ptf only".into());
+    }
     if a.evict_budget > 0 && a.evict_interval == 0 {
         return Err("--evict-budget requires --evict-interval".into());
     }

@@ -701,7 +701,8 @@ ignore both. `--json` prints {trace, report, communication} for tooling.
 `--threads N` sizes the parallel client scheduler (default: every hardware
 thread); with the same seed the output is byte-identical at any N.
 `--evict-interval`/`--evict-budget` bound client memory by resetting cold
-embedding rows every N local rounds.
+embedding rows every N local rounds (ptf protocol only). `--epsilon` sets
+the LDP budget of `--defense ldp` and is refused with any other defense.
 
 The `scale-*` datasets stream a deterministic synthetic fleet
 (10k/100k/1M users; `--users N` overrides) into an on-disk CSR arena and

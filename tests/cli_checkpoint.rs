@@ -10,11 +10,29 @@ fn ptf() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ptf"))
 }
 
-/// Fresh per-test scratch dir (tests run concurrently in one process).
-fn fresh_dir(tag: &str) -> PathBuf {
+/// Fresh per-test scratch path (tests run concurrently in one process),
+/// removed when dropped — also when an assertion fails first.
+fn fresh_dir(tag: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("ptf-ckpt-smoke-{}-{tag}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    dir
+    Scratch(dir)
+}
+
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        // one test uses its path as a file
+        let _ = std::fs::remove_dir_all(&self.0).or_else(|_| std::fs::remove_file(&self.0));
+    }
 }
 
 fn stdout_of(out: &Output) -> String {
@@ -77,12 +95,11 @@ fn cohort_cli_run_matches_plain_engine_run() {
     // without --checkpoint the client store lives in a temp work dir,
     // which the run removes
     let tmp = fresh_dir("cohort-tmp");
-    std::fs::create_dir_all(&tmp).expect("mkdir");
-    let cohort = ptf().env("TMPDIR", &tmp).args(args).output().expect("spawn failed");
+    std::fs::create_dir_all(&*tmp).expect("mkdir");
+    let cohort = ptf().env("TMPDIR", &*tmp).args(args).output().expect("spawn failed");
     assert!(cohort.status.success(), "stderr: {}", stderr_of(&cohort));
-    let left: Vec<_> = std::fs::read_dir(&tmp).expect("read tmp").flatten().collect();
+    let left: Vec<_> = std::fs::read_dir(&*tmp).expect("read tmp").flatten().collect();
     assert!(left.is_empty(), "the cohort run left files behind: {left:?}");
-    std::fs::remove_dir_all(&tmp).ok();
     // identical run modulo the protocol's display name
     let strip = |s: String| {
         s.lines().filter(|l| !l.contains("\"protocol\"")).collect::<Vec<_>>().join("\n")
@@ -99,7 +116,7 @@ fn cohort_cli_run_matches_plain_engine_run() {
 fn kill_and_resume_reproduces_the_uninterrupted_run_byte_for_byte() {
     let full_dir = fresh_dir("resume-full");
     let kill_dir = fresh_dir("resume-kill");
-    let with_ckpt = |dir: &PathBuf, extra: &[&str]| {
+    let with_ckpt = |dir: &Path, extra: &[&str]| {
         let mut args = preset_args();
         args.extend(["--checkpoint".into(), dir.display().to_string()]);
         args.extend(["--checkpoint-every".into(), "1".into()]);
@@ -133,9 +150,6 @@ fn kill_and_resume_reproduces_the_uninterrupted_run_byte_for_byte() {
     assert!(again.status.success(), "stderr: {}", stderr_of(&again));
     assert!(stderr_of(&again).contains("resumed at round 3"));
     assert_eq!(stdout_of(&full), stdout_of(&again));
-
-    std::fs::remove_dir_all(&full_dir).ok();
-    std::fs::remove_dir_all(&kill_dir).ok();
 }
 
 /// Two identical runs into one directory: the second, without
@@ -167,7 +181,6 @@ fn a_fresh_run_refuses_a_directory_holding_a_checkpoint() {
     let resumed = run(&["--resume"]);
     assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
     assert_eq!(stdout_of(&first), stdout_of(&resumed));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -197,7 +210,7 @@ fn scale_dataset_streams_and_is_cohort_and_thread_invariant() {
 fn scale_kill_and_resume_is_byte_identical() {
     let full_dir = fresh_dir("scale-full");
     let kill_dir = fresh_dir("scale-kill");
-    let with_ckpt = |dir: &PathBuf, extra: &[&str]| {
+    let with_ckpt = |dir: &Path, extra: &[&str]| {
         let mut args = scale_args();
         args.extend(["--checkpoint".into(), dir.display().to_string()]);
         args.extend(["--checkpoint-every".into(), "1".into()]);
@@ -212,8 +225,6 @@ fn scale_kill_and_resume_is_byte_identical() {
     let resumed = with_ckpt(&kill_dir, &["--resume"]);
     assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
     assert_eq!(stdout_of(&full), stdout_of(&resumed));
-    std::fs::remove_dir_all(&full_dir).ok();
-    std::fs::remove_dir_all(&kill_dir).ok();
 }
 
 #[test]
@@ -245,13 +256,12 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
 
     // a checkpoint path that cannot hold the client store (it is a file)
     let file = fresh_dir("damage-file");
-    std::fs::write(&file, "not a directory").expect("write file");
+    std::fs::write(&*file, "not a directory").expect("write file");
     let mut args = preset_args();
     args.extend(["--checkpoint".into(), file.display().to_string()]);
     let blocked = ptf().args(args).output().expect("spawn failed");
     let want = format!("cannot create client store {}", file.join("clients").display());
     expect_clean_failure(blocked, &want, "checkpoint path is a file");
-    std::fs::remove_file(&file).ok();
 
     // truncated manifest
     std::fs::write(&manifest, &good[..40]).expect("truncate");
@@ -339,7 +349,6 @@ fn damaged_checkpoints_fail_cleanly_not_with_a_panic() {
     // the intact checkpoint still resumes after all that
     let ok = run(&["--resume"]);
     assert!(ok.status.success(), "stderr: {}", stderr_of(&ok));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -356,20 +365,27 @@ fn flag_misuse_is_rejected_with_an_error() {
         ("train --dataset scale-10k --participants 0", "--participants must be > 0"),
         ("train --dataset ml100k --evict-budget 64", "--evict-budget requires --evict-interval"),
         ("train --dataset scale-10k --evict-interval 3", "storage.evict_budget must be positive"),
+        (
+            "train --dataset ml100k --protocol fcf --evict-interval 1 --evict-budget 8",
+            "--evict-interval/--evict-budget apply to --protocol ptf only",
+        ),
+        (
+            "privacy --dataset ml100k --defense full --epsilon 2",
+            "--epsilon applies only to --defense ldp",
+        ),
     ];
     // every rejected run gets a private temp dir and must leave it empty:
     // a scale run that fails may not leak its `ptf-work-*` working files
     let tmp = fresh_dir("misuse-tmp");
-    std::fs::create_dir_all(&tmp).expect("mkdir");
+    std::fs::create_dir_all(&*tmp).expect("mkdir");
     for (cmd, want) in cases {
         let args: Vec<String> = cmd.split_whitespace().map(String::from).collect();
-        let out = ptf().env("TMPDIR", &tmp).args(&args).output().expect("spawn failed");
+        let out = ptf().env("TMPDIR", &*tmp).args(&args).output().expect("spawn failed");
         assert_eq!(out.status.code(), Some(1), "{cmd:?} should be a run error");
         let stderr = stderr_of(&out);
         assert!(stderr.contains(want), "{cmd:?}: expected {want:?} in stderr:\n{stderr}");
         assert!(!stderr.contains("panicked"), "{cmd:?} panicked:\n{stderr}");
-        let left: Vec<_> = std::fs::read_dir(&tmp).expect("read tmp").flatten().collect();
+        let left: Vec<_> = std::fs::read_dir(&*tmp).expect("read tmp").flatten().collect();
         assert!(left.is_empty(), "{cmd:?} left files behind: {left:?}");
     }
-    std::fs::remove_dir_all(&tmp).ok();
 }

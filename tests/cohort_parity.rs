@@ -41,21 +41,17 @@ fn cfg(threads: usize) -> PtfConfig {
     cfg
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("ptf-cohort-{tag}-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).expect("clear temp dir");
-    }
-    dir
-}
-
-/// A client store root of one test, removed when dropped — also when an
-/// assertion fails first.
+/// A client store or checkpoint root of one test, removed when dropped —
+/// also when an assertion fails first.
 struct StoreRoot(PathBuf);
 
 impl StoreRoot {
     fn new(tag: &str) -> Self {
-        Self(fresh_dir(tag))
+        let dir = std::env::temp_dir().join(format!("ptf-cohort-{tag}-{}", std::process::id()));
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).expect("clear temp dir");
+        }
+        Self(dir)
     }
 
     /// Full-fleet cohort options over this root.
@@ -463,7 +459,8 @@ fn checkpoint_commits_keep_only_the_manifests_round() {
         s.train.num_users(),
         s.train.num_items(),
     );
-    let dir = fresh_dir("retain");
+    let root = StoreRoot::new("retain");
+    let dir = &root.0;
     let protocol = CohortFedRec::try_new(
         CohortData::Mem(s.train.clone()),
         ModelKind::Mf,
@@ -506,7 +503,6 @@ fn checkpoint_commits_keep_only_the_manifests_round() {
     commit(&mut engine);
     assert_eq!(entries(), ["clients", "commit-r4", "commit-rlatest", "manifest.json", "notes.txt"]);
     assert_eq!(checkpoint::load_manifest(&dir).expect("manifest loads").next_round, 4);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Resume robustness: a missing manifest is an `Io` error, a truncated
@@ -514,7 +510,8 @@ fn checkpoint_commits_keep_only_the_manifests_round() {
 /// `Mismatch` — all plain `Err`s a CLI can turn into exit 1.
 #[test]
 fn checkpoint_loading_rejects_damage_without_panicking() {
-    let dir = fresh_dir("damage");
+    let root = StoreRoot::new("damage");
+    let dir = &root.0;
     assert!(
         matches!(checkpoint::load_manifest(&dir), Err(CheckpointError::Io { .. })),
         "missing checkpoint dir must be an Io error"
@@ -572,5 +569,4 @@ fn checkpoint_loading_rejects_damage_without_panicking() {
         "foreign fingerprint must be Mismatch"
     );
     manifest.verify_fingerprint(fingerprint).expect("own fingerprint verifies");
-    std::fs::remove_dir_all(&dir).ok();
 }
