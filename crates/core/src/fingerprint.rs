@@ -68,8 +68,8 @@ mod tests {
         let base = fp(&cfg, &hyper);
         assert_eq!(base, fp(&cfg.clone(), &hyper.clone()), "same config, same digest");
 
-        // naming every field here makes a field added later fail to
-        // compile until it has a row below
+        // every field is named, so a field added later stops this test
+        // compiling until it is named here and given a row below
         let PtfConfig {
             rounds: _,
             client_epochs: _,

@@ -74,17 +74,20 @@ impl DatasetPreset {
         }
     }
 
+    fn at(self, scale: Scale) -> SyntheticConfig {
+        scale.pick(|| self.paper(), || self.small())
+    }
+
     /// Generates the preset at `scale` from `seed`.
     pub fn generate(self, scale: Scale, seed: u64) -> Dataset {
-        scale.pick(|| self.paper(), || self.small()).generate(&mut StdRng::seed_from_u64(seed))
+        self.at(scale).generate(&mut StdRng::seed_from_u64(seed))
     }
 
     /// The preset at `scale` generated from `seed` and split 8:2 by the
     /// same stream: the split every `ptf` command and paper table runs on.
     pub fn split(self, scale: Scale, seed: u64) -> TrainTestSplit {
         let mut rng = StdRng::seed_from_u64(seed);
-        let data = scale.pick(|| self.paper(), || self.small()).generate(&mut rng);
-        TrainTestSplit::split_80_20(&data, &mut rng)
+        TrainTestSplit::split_80_20(&self.at(scale).generate(&mut rng), &mut rng)
     }
 }
 
