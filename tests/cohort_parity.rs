@@ -460,7 +460,7 @@ fn checkpoint_commits_keep_only_the_manifests_round() {
         s.train.num_items(),
     );
     let root = StoreRoot::new("retain");
-    let dir = &root.0;
+    let dir = root.0.clone();
     let protocol = CohortFedRec::try_new(
         CohortData::Mem(s.train.clone()),
         ModelKind::Mf,
@@ -511,7 +511,7 @@ fn checkpoint_commits_keep_only_the_manifests_round() {
 #[test]
 fn checkpoint_loading_rejects_damage_without_panicking() {
     let root = StoreRoot::new("damage");
-    let dir = &root.0;
+    let dir = root.0.clone();
     assert!(
         matches!(checkpoint::load_manifest(&dir), Err(CheckpointError::Io { .. })),
         "missing checkpoint dir must be an Io error"
