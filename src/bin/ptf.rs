@@ -118,16 +118,11 @@ fn train_config(a: &TrainArgs) -> PtfConfig {
 /// One `match`, one `Box<dyn FederatedProtocol>`: everything downstream
 /// (run, evaluate, report, JSON) is protocol-agnostic.
 fn build_protocol(a: &TrainArgs, train: &Dataset) -> Result<Box<dyn FederatedProtocol>, String> {
+    let hyper = ModelHyper::at(a.scale);
     Ok(match a.protocol {
         ProtocolChoice::Ptf => Box::new(
-            PtfFedRec::try_new(
-                train,
-                a.client,
-                a.server,
-                &ModelHyper::at(a.scale),
-                train_config(a),
-            )
-            .map_err(|e| e.to_string())?,
+            PtfFedRec::try_new(train, a.client, a.server, &hyper, train_config(a))
+                .map_err(|e| e.to_string())?,
         ),
         ProtocolChoice::Fcf => {
             let mut cfg = FcfConfig::at(a.scale);
@@ -155,7 +150,7 @@ fn build_protocol(a: &TrainArgs, train: &Dataset) -> Result<Box<dyn FederatedPro
             cfg.seed = a.seed;
             cfg.threads = a.threads;
             cfg.epochs = a.rounds.unwrap_or(cfg.epochs);
-            Box::new(Centralized::new(a.server, train, &ModelHyper::at(a.scale), cfg))
+            Box::new(Centralized::new(a.server, train, &hyper, cfg))
         }
     })
 }
