@@ -187,16 +187,18 @@ impl Table {
         }
     }
 
-    /// Writes the table as JSON under `<workspace>/experiments/<name>.json`.
+    /// Writes the table as JSON under `<workspace>/experiments/<name>.json`
+    /// and prints that path relative to the workspace, so the output is
+    /// the same wherever the repository is checked out.
     pub fn save(&self, name: &str) {
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../experiments");
-        if std::fs::create_dir_all(&dir).is_err() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let file = format!("experiments/{name}.json");
+        if std::fs::create_dir_all(root.join("experiments")).is_err() {
             return;
         }
-        let path = dir.join(format!("{name}.json"));
         if let Ok(json) = serde_json::to_string_pretty(self) {
-            let _ = std::fs::write(&path, json);
-            println!("[saved {}]", path.display());
+            let _ = std::fs::write(root.join(&file), json);
+            println!("[saved {file}]");
         }
     }
 }

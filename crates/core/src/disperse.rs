@@ -13,10 +13,10 @@
 //! share's place, in draw order. An item the server scores NaN is never
 //! picked; a random draw that lands on one is spent. (The selection
 //! marks uploaded and already-picked items the same way, by overwriting
-//! their logits with NaN.) The confidence rank is the same for every
-//! participant of a round — only the excluded uploads differ — so the
-//! caller ranks once ([`rank_by_confidence`]) and each selection walks
-//! down that order.
+//! their logits with NaN, so the uploaded ids may come in any order.)
+//! The confidence rank is the same for every participant of a round —
+//! only the excluded uploads differ — so the caller ranks once
+//! ([`rank_by_confidence`]) and each selection walks down that order.
 //!
 //! **Selection reads logits.** A score is `σ(logit)` ([`stable_sigmoid`]),
 //! and the server's model hands over logits, so the sigmoid is taken only
@@ -79,26 +79,29 @@ pub struct SelectScratch {
 ///   item out of the running by overwriting its logit with NaN, the mark
 ///   a NaN-scored item carries already, so on return the entries of the
 ///   uploaded items and of the first share are NaN;
-/// * `uploaded` — sorted items of the client's current upload V̂ᵗᵢ
-///   (excluded per Eq. 9).
+/// * `uploaded` — the items of the client's current upload V̂ᵗᵢ, distinct,
+///   in any order (excluded per Eq. 9; an id beyond the catalogue is
+///   ignored).
 pub fn select_disperse_items(
     confidence_order: &[u32],
     server_logits: &mut [f32],
-    uploaded: &[u32],
+    uploaded: impl IntoIterator<Item = u32>,
     cfg: &PtfConfig,
     rng: &mut impl Rng,
     scratch: &mut SelectScratch,
 ) -> Vec<ScoredItem> {
     let num_items = server_logits.len();
     assert_eq!(confidence_order.len(), num_items, "signal length mismatch");
-    debug_assert!(uploaded.windows(2).all(|w| w[0] < w[1]), "uploaded must be sorted");
 
     let conf_quota = ((cfg.alpha as f64) * cfg.mu).round() as usize;
     let hard_quota = cfg.alpha.saturating_sub(conf_quota);
 
-    let excluded = uploaded.partition_point(|&i| (i as usize) < num_items);
-    for &i in &uploaded[..excluded] {
-        server_logits[i as usize] = f32::NAN;
+    let mut excluded = 0;
+    for i in uploaded {
+        if let Some(x) = server_logits.get_mut(i as usize) {
+            *x = f32::NAN;
+            excluded += 1;
+        }
     }
     let free = num_items - excluded;
     let mut selected: Vec<ScoredItem> = Vec::with_capacity(cfg.alpha.min(free));
@@ -343,7 +346,8 @@ mod tests {
         let mut order = Vec::new();
         rank_by_confidence(counts, &mut order);
         let mut work = logits.to_vec();
-        let picked = select_disperse_items(&order, &mut work, uploaded, cfg, rng, scratch);
+        let picked =
+            select_disperse_items(&order, &mut work, uploaded.iter().copied(), cfg, rng, scratch);
         for &(i, s) in &picked {
             let want = stable_sigmoid(logits[i as usize]);
             assert_eq!(s.to_bits(), want.to_bits(), "item {i}: foreign score");
@@ -566,6 +570,45 @@ mod tests {
             let got = select_with(scratch, &counts, &logits, &uploaded, &cfg, &mut got_rng);
             prop_assert_eq!(got, want);
             prop_assert_eq!(got_rng.gen::<u64>(), want_rng.gen::<u64>(), "RNG streams diverged");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The selection marks the uploaded items one by one, so their
+        /// order cannot matter: a sorted and a shuffled upload (ids
+        /// beyond the catalogue included) give the same D̃ᵢ, scores
+        /// and all, after the same draws.
+        #[test]
+        fn a_shuffled_upload_disperses_as_the_sorted_one(
+            items in proptest::collection::vec((0u64..4, 0usize..PALETTE.len(), 0u8..3), 1..120),
+            alpha in 0usize..40,
+            strategy in 0usize..4,
+            seed in 0u64..1000,
+        ) {
+            let counts: Vec<u64> = items.iter().map(|t| t.0).collect();
+            let logits: Vec<f32> = items.iter().map(|t| PALETTE[t.1]).collect();
+            let mut sorted: Vec<u32> =
+                (0..items.len() as u32).filter(|&i| items[i as usize].2 == 0).collect();
+            sorted.extend([items.len() as u32, 5_000]);
+            let mut shuffled = sorted.clone();
+            ptf_data::shuffle(&mut shuffled, &mut test_rng(seed + 7));
+            let cfg = cfg(alpha, 0.5, STRATEGIES[strategy]);
+            let mut order = Vec::new();
+            rank_by_confidence(&counts, &mut order);
+            let mut picks = Vec::new();
+            let mut next_draws = Vec::new();
+            for uploaded in [&sorted, &shuffled] {
+                let (mut work, mut rng) = (logits.clone(), test_rng(seed));
+                let scratch = &mut SelectScratch::default();
+                let ids = uploaded.iter().copied();
+                let picked = select_disperse_items(&order, &mut work, ids, &cfg, &mut rng, scratch);
+                picks.push(picked.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>());
+                next_draws.push(rng.gen::<u64>());
+            }
+            prop_assert_eq!(&picks[0], &picks[1]);
+            prop_assert_eq!(next_draws[0], next_draws[1], "RNG streams diverged");
         }
     }
 

@@ -23,7 +23,9 @@
 //!   `RngStream::Client` stream: the one-lane case of [`train_in_lanes`];
 //! * [`server_phase`] — the serial reduce: upload replay into the
 //!   observer stack (in ascending client order), hidden-model training,
-//!   and per-client dispersal on `RngStream::Disperse` streams.
+//!   and per-client dispersal on `RngStream::Disperse` streams, the
+//!   catalogue scored for eight participants per pass over the server's
+//!   item table.
 //!
 //! Everything here is deterministic given `(cfg.seed, round)`: no step
 //! reads ambient state, so the caller may be an in-process scheduler, a
@@ -31,7 +33,7 @@
 
 use crate::client::PtfClient;
 use crate::config::PtfConfig;
-use crate::server::PtfServer;
+use crate::server::{PtfServer, DISPERSE_BLOCK};
 use crate::upload::ClientUpload;
 use ptf_comm::Payload;
 use ptf_data::{shuffle, Dataset};
@@ -222,6 +224,11 @@ fn start_lane<C: BorrowMut<PtfClient>>(
 /// the collected uploads into the observer stack, train the hidden model
 /// on their union, and compute each participant's dispersal set.
 ///
+/// The dispersal scores the catalogue for a block of up to eight
+/// participants at once, then selects each one's D̃ᵢ in ascending order
+/// on its own `RngStream::Disperse` stream: the same sets, bit for bit,
+/// as [`PtfServer::disperse_for`] gives each participant alone.
+///
 /// `uploads` must be in ascending client order — the order every host
 /// hands the driver its uploads in. Returns the server training loss and
 /// one `(client, items)` dispersal per upload; delivering the items
@@ -259,16 +266,19 @@ pub fn server_phase(
     let mut server_rng = round_rng(cfg.seed, round, RngStream::Server);
     let server_loss = server.train_on_uploads_as(uploads, cfg, &mut server_rng, compact);
     let mut disperses = Vec::with_capacity(uploads.len());
-    let mut uploaded: Vec<u32> =
-        Vec::with_capacity(uploads.iter().map(ClientUpload::len).max().unwrap_or(0));
-    for up in uploads {
-        uploaded.clear();
-        uploaded.extend(up.predictions.iter().map(|&(i, _)| i));
-        uploaded.sort_unstable();
-        let mut disperse_rng = round_rng(cfg.seed, round, RngStream::Disperse(up.client));
-        let items = server.disperse_for(compact(up.client), &uploaded, cfg, &mut disperse_rng);
-        ctx.disperse(up.client, "server-predictions", Payload::Triples { count: items.len() });
-        disperses.push((up.client, items));
+    for block in uploads.chunks(DISPERSE_BLOCK) {
+        let mut users = [0; DISPERSE_BLOCK];
+        for (user, up) in users.iter_mut().zip(block) {
+            *user = compact(up.client);
+        }
+        server.score_block(&users[..block.len()]);
+        for (k, up) in block.iter().enumerate() {
+            let uploaded = up.predictions.iter().map(|&(i, _)| i);
+            let mut disperse_rng = round_rng(cfg.seed, round, RngStream::Disperse(up.client));
+            let items = server.select_scored(k, uploaded, cfg, &mut disperse_rng);
+            ctx.disperse(up.client, "server-predictions", Payload::Triples { count: items.len() });
+            disperses.push((up.client, items));
+        }
     }
     (server_loss, disperses)
 }
@@ -278,4 +288,72 @@ pub fn server_phase(
 /// and the context's byte total.
 pub fn round_trace(round: u32, losses: &[f32], server_loss: f32, ctx: &RoundCtx<'_>) -> RoundTrace {
     RoundTrace::new(round, losses, server_loss, ctx.bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ptf_data::{SyntheticConfig, TrainTestSplit};
+
+    /// A round scores its participants in blocks; `disperse_for` scores
+    /// one client. Over three trained rounds of an MF server, with 13, 8
+    /// and 18 participants drawn from part of the fleet (partial blocks
+    /// of five and two), keyed by raw id
+    /// and through an active-user map, every participant gets the D̃ᵢ the
+    /// one-client entry gives it from its sorted upload: ids, order and
+    /// score bits.
+    #[test]
+    fn block_dispersal_equals_per_client_disperse_for() {
+        let data =
+            SyntheticConfig::new("blocks", 40, 400, 10.0).generate(&mut ptf_data::test_rng(3));
+        let split = TrainTestSplit::split_80_20(&data, &mut ptf_data::test_rng(4));
+        let (users, items) = (split.train.num_users(), split.train.num_items());
+        let hyper = ModelHyper::small();
+        let mut cfg = PtfConfig::small();
+        cfg.alpha = 8;
+        let active: Vec<u32> = (0..users as u32).filter(|u| u % 3 != 1).collect();
+        let all: Vec<u32> = (0..users as u32).collect();
+        for map in [None, Some(&active[..])] {
+            let pool = map.unwrap_or(&all);
+            let compact = |raw: u32| match map {
+                None => raw,
+                Some(active) => active.binary_search(&raw).unwrap() as u32,
+            };
+            let [mut blocks, mut alone] =
+                [(); 2].map(|_| build_server(pool.len(), items, ModelKind::Mf, &hyper, &cfg));
+            assert!(blocks.model().item_scope().is_full(), "the server table is dense");
+            let mut scratch = RoundScratch::default();
+            for (round, count) in [(0u32, 13usize), (1, 8), (2, 18)] {
+                let participants = pool.iter().skip(round as usize).step_by(1 + round as usize % 2);
+                let uploads: Vec<ClientUpload> = participants
+                    .take(count)
+                    .map(|&id| {
+                        let mut client =
+                            build_client(&split.train, id, ModelKind::Mf, &hyper, &cfg);
+                        client_round(&mut client, &cfg, round, &mut scratch).0
+                    })
+                    .collect();
+                assert_eq!(uploads.len(), count);
+                let mut ctx = RoundCtx::detached(round);
+                let (loss, got) = server_phase(&mut blocks, &cfg, round, &uploads, &mut ctx, map);
+
+                let mut rng = round_rng(cfg.seed, round, RngStream::Server);
+                let want_loss = alone.train_on_uploads_as(&uploads, &cfg, &mut rng, compact);
+                assert_eq!(loss.to_bits(), want_loss.to_bits());
+                assert_eq!(got.len(), count);
+                for (up, (client, dispersal)) in uploads.iter().zip(&got) {
+                    let mut uploaded: Vec<u32> = up.predictions.iter().map(|&(i, _)| i).collect();
+                    uploaded.sort_unstable();
+                    let mut rng = round_rng(cfg.seed, round, RngStream::Disperse(up.client));
+                    let want = alone.disperse_for(compact(up.client), &uploaded, &cfg, &mut rng);
+                    let bits = |d: &[ScoredItem]| -> Vec<(u32, u32)> {
+                        d.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+                    };
+                    assert_eq!(*client, up.client);
+                    assert_eq!(dispersal.len(), cfg.alpha);
+                    assert_eq!(bits(dispersal), bits(&want), "round {round}, client {client}");
+                }
+            }
+        }
+    }
 }

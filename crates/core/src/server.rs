@@ -8,11 +8,14 @@
 //! model needs: the soft-edge memory exists only for a model that
 //! [`uses_graph`](Recommender::uses_graph), the confidence ranking of D̃
 //! is computed once where the update counts change rather than once per
-//! participant, and the logit buffer (where the selection also marks
-//! what it has taken) and the selection's buffers are scratch the server
-//! keeps from one dispersal to the next. D̃ᵢ comes out in the
-//! order [`crate::disperse`] specifies: confidence share, then hard share,
-//! each in rank order.
+//! participant, and a round scores its participants' catalogues eight at
+//! a time (`PtfServer::score_block`): an MF server reads its item table
+//! once per block instead of once per participant, and every logit keeps
+//! the bits one participant alone would get. The logit rows (where the
+//! selection also marks what it has taken) and the selection's buffers
+//! are scratch the server keeps from one dispersal to the next. D̃ᵢ comes
+//! out in the order [`crate::disperse`] specifies: confidence share, then
+//! hard share, each in rank order.
 
 use crate::config::PtfConfig;
 use crate::disperse::{rank_by_confidence, select_disperse_items, SelectScratch};
@@ -22,6 +25,10 @@ use ptf_privacy::ScoredItem;
 use ptf_tensor::packed::{Reader, Writer};
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+/// How many participants a round scores in one pass over the hidden
+/// model's item table ([`PtfServer::score_block`]).
+pub(crate) const DISPERSE_BLOCK: usize = ptf_tensor::kernels::USER_BLOCK;
 
 /// The central server: hidden model + the state backing D̃ construction.
 pub struct PtfServer {
@@ -38,9 +45,9 @@ pub struct PtfServer {
     /// order — which feeds `set_graph` — is a function of the keys, never
     /// of a per-process hash seed.
     edges: BTreeMap<(u32, u32), f32>,
-    /// Scratch kept across dispersals: one participant's catalogue-wide
-    /// logits, the selection's buffers.
-    logits: Vec<f32>,
+    /// Scratch kept across dispersals: up to [`DISPERSE_BLOCK`]
+    /// participants' catalogue-wide logits, the selection's buffers.
+    logits: Vec<Vec<f32>>,
     select: SelectScratch,
 }
 
@@ -138,21 +145,52 @@ impl PtfServer {
     }
 
     /// §III-B3: builds D̃ᵢ for one client — α confidence/hard items scored
-    /// by the hidden model, in [`crate::disperse`]'s order. The model
-    /// hands over logits; the selection takes the sigmoid only where it
-    /// needs a score. The returned set is the call's one allocation.
+    /// by the hidden model, in [`crate::disperse`]'s order, excluding the
+    /// `uploaded` items (any order). The model hands over logits; the
+    /// selection takes the sigmoid only where it needs a score. The
+    /// returned set is the call's one allocation.
+    ///
+    /// The one-client entry: a round scores its participants in blocks of
+    /// up to eight, which gives each the same D̃ᵢ.
     pub fn disperse_for(
         &mut self,
         client: u32,
-        uploaded_sorted: &[u32],
+        uploaded: &[u32],
         cfg: &PtfConfig,
         rng: &mut impl Rng,
     ) -> Vec<ScoredItem> {
-        self.model.logits_all_into(client, &mut self.logits);
+        self.score_block(&[client]);
+        self.select_scored(0, uploaded.iter().copied(), cfg, rng)
+    }
+
+    /// Scores the whole catalogue for each of `users` (model user ids, at
+    /// most [`DISPERSE_BLOCK`]) in one pass over the hidden model's item
+    /// table where the model can
+    /// ([`Recommender::block_logits_all_into`]), into the server's logit
+    /// rows; [`PtfServer::select_scored`] then takes each user's D̃ᵢ.
+    pub(crate) fn score_block(&mut self, users: &[u32]) {
+        debug_assert!(users.len() <= DISPERSE_BLOCK, "a block of {} users", users.len());
+        if self.logits.len() < users.len() {
+            self.logits.resize_with(users.len(), Vec::new);
+        }
+        self.model.block_logits_all_into(users, &mut self.logits[..users.len()]);
+    }
+
+    /// D̃ᵢ of the `k`-th user of the last [`PtfServer::score_block`],
+    /// excluding `uploaded`, as [`PtfServer::disperse_for`] builds it.
+    /// Once per user: the selection marks what it takes in that user's
+    /// logit row.
+    pub(crate) fn select_scored(
+        &mut self,
+        k: usize,
+        uploaded: impl IntoIterator<Item = u32>,
+        cfg: &PtfConfig,
+        rng: &mut impl Rng,
+    ) -> Vec<ScoredItem> {
         select_disperse_items(
             &self.confidence_order,
-            &mut self.logits,
-            uploaded_sorted,
+            &mut self.logits[k],
+            uploaded,
             cfg,
             rng,
             &mut self.select,

@@ -19,8 +19,8 @@
 
 use crate::scoped::{dense_rng, item_seed, EMB_STD};
 use crate::traits::Recommender;
-use ptf_tensor::kernels;
 use ptf_tensor::packed::{Reader, Writer};
+use ptf_tensor::{isa, kernels};
 use ptf_tensor::{Matrix, RowTable, ScopeView};
 
 /// Numerically stable BCE of a logit against a (soft) target.
@@ -406,6 +406,39 @@ impl Recommender for MfModel {
         }
     }
 
+    /// A dense table scores [`kernels::USER_BLOCK`] users per pass over
+    /// it through [`kernels::block_row_logits`], under
+    /// [`isa::dispatch`]; each logit equals [`MfModel::logit`]'s bit for
+    /// bit. A row-scoped table scores user by user.
+    fn block_logits_all_into(&self, users: &[u32], out: &mut [Vec<f32>]) {
+        debug_assert_eq!(users.len(), out.len(), "one logit row per user");
+        if !self.items.index().is_dense() {
+            for (&user, row) in users.iter().zip(out) {
+                self.logits_all_into(user, row);
+            }
+            return;
+        }
+        let table = self.items.arena();
+        let blocks = users.chunks(kernels::USER_BLOCK).zip(out.chunks_mut(kernels::USER_BLOCK));
+        for (users, out) in blocks {
+            let mut embs: [&[f32]; kernels::USER_BLOCK] = Default::default();
+            let mut rows: [&mut [f32]; kernels::USER_BLOCK] = Default::default();
+            for ((emb, row), (&user, logits)) in
+                embs.iter_mut().zip(&mut rows).zip(users.iter().zip(out))
+            {
+                *emb = self.user_emb.row(user as usize);
+                // the kernel writes every entry: a reused row is not re-zeroed
+                logits.resize(self.num_items(), 0.0);
+                *row = logits;
+            }
+            let (embs, rows) = (&embs[..users.len()], &mut rows[..users.len()]);
+            isa::dispatch(
+                #[inline(always)]
+                || kernels::block_row_logits(embs, table, rows),
+            );
+        }
+    }
+
     fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
         if batch.is_empty() {
             return 0.0;
@@ -478,7 +511,8 @@ mod tests {
 
     #[test]
     fn catalogue_logits_equal_the_per_item_logit_bit_for_bit() {
-        // dims on and off the lane width; dense and row-scoped tables
+        // dims on and off the lane width; dense and row-scoped tables;
+        // one user at a time and in blocks
         for dim in [3usize, 8, 13, 32] {
             let batch = [(0u32, 5u32, 1.0f32), (1, 30, 0.0), (1, 44, 1.0), (0, 2, 0.0)];
             for scope in [ScopeView::Full(47), ScopeView::Rows { num_items: 47, ids: &[5, 9, 30] }]
@@ -496,6 +530,18 @@ mod tests {
                     let scores = m.score_all(user);
                     for (s, x) in scores.iter().zip(&all) {
                         assert_eq!(s.to_bits(), stable_sigmoid(*x).to_bits());
+                    }
+                }
+                // blocks of 1–11 users (one full lane block and a rest)
+                for n in 1..=11 {
+                    let users: Vec<u32> = (0..n).map(|k| (k % 3 % 2) as u32).collect();
+                    let mut block = vec![vec![7.0; 3]; n];
+                    m.block_logits_all_into(&users, &mut block);
+                    for (&user, row) in users.iter().zip(&block) {
+                        let mut alone = Vec::new();
+                        m.logits_all_into(user, &mut alone);
+                        let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(row), bits(&alone), "{n} users, dim {dim}");
                     }
                 }
             }

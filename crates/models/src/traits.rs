@@ -141,6 +141,18 @@ pub trait Recommender: Send + Sync {
         self.logits_into(user, &ids[..self.num_items()], out);
     }
 
+    /// [`Recommender::logits_all_into`] for each of `users`, into the
+    /// matching row of `out` (one row per user). The default scores the
+    /// users one at a time; a model whose item table is one dense block
+    /// may override it to score several users in one pass over the
+    /// table, with every logit the bits `logits_all_into` gives.
+    fn block_logits_all_into(&self, users: &[u32], out: &mut [Vec<f32>]) {
+        debug_assert_eq!(users.len(), out.len(), "one logit row per user");
+        for (&user, row) in users.iter().zip(out) {
+            self.logits_all_into(user, row);
+        }
+    }
+
     /// Predicted preference of `user` for each of `items`.
     fn score(&self, user: u32, items: &[u32]) -> Vec<f32> {
         let mut out = Vec::new();

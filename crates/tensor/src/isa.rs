@@ -23,7 +23,11 @@
 //! does the MF lane kernel (`ptf_models::mf::train_lanes`): stepping
 //! four MF clients at once, it ran ≈ 1.2× faster per sample dispatched
 //! than at baseline, where a lone MF chain (`MfModel::train_batch`,
-//! still baseline) measured no gain. LightGCN runs at baseline; no
+//! still baseline) measured no gain. So does the MF server's block
+//! scoring (`MfModel::block_logits_all_into` over
+//! [`crate::kernels::block_row_logits`]): eight users in the lanes read
+//! 2.0–2.5× faster per logit dispatched than at baseline, where one
+//! user's `row_logits` measured no gain. LightGCN runs at baseline; no
 //! benchmark workload measures it yet.
 //!
 //! [`prefetch`] is the module's other hint to the CPU: the MF lane kernel

@@ -16,7 +16,9 @@
 //! sequential left-to-right chain at the ulp level; the test oracles in
 //! this module and `tests/kernel_parity.rs` keep that chain and bound the
 //! difference. [`row_logits`] is [`dot`] plus a bias over a block of item
-//! rows.
+//! rows, and [`block_row_logits`] is [`row_logits`] for up to eight users
+//! in one pass over the block, each user in one SIMD lane, with every
+//! logit the same bits.
 //!
 //! **Element-wise kernels** ([`axpy`], [`add_assign`],
 //! [`mf_sgd_update`], [`adam_update`]) are each one sequential loop.
@@ -32,13 +34,15 @@
 //! and [`frob_sq`] are `#[inline(always)]`, so inside a step that runs
 //! under the dispatch (the NeuMF and NGCF steps) they compile into the
 //! AVX2+FMA entry and their loops vectorize 256 bits wide; everywhere
-//! else they compile for baseline SSE2. [`dot`] and [`row_logits`] are
-//! left to the inliner, as measured: forced into the graph models'
-//! scoring loop, which runs at baseline, `dot`'s lanes vectorized two
-//! wide instead of four and NGCF scoring ran ≈ 1.4× slower, while the
-//! dispatched steps gained nothing from forcing it. The results are the
-//! same bits on every path: the lanes and the summation order are
-//! written in the source, and `a * b + c` is never contracted into an FMA.
+//! else they compile for baseline SSE2. So is [`block_row_logits`], which
+//! the MF server's block scoring runs under the dispatch. [`dot`] and
+//! [`row_logits`] are left to the inliner, as measured: forced into the
+//! graph models' scoring loop, which runs at baseline, `dot`'s lanes
+//! vectorized two wide instead of four and NGCF scoring ran ≈ 1.4×
+//! slower, while the dispatched steps gained nothing from forcing it.
+//! The results are the same bits on every path: the lanes and the
+//! summation order are written in the source, and `a * b + c` is never
+//! contracted into an FMA.
 //!
 //! Every kernel is a pure function of its inputs, so results are
 //! independent of thread count.
@@ -91,13 +95,124 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// logit a per-item [`dot`] gives. The block is walked one row at a time:
 /// a four-row step that shares the loads of `u` measured ≈ 2× slower on
 /// baseline x86-64 (dim 32), where the auto-vectorizer packs one row's
-/// lanes into SIMD registers but not four rows' at once.
+/// lanes into SIMD registers but not four rows' at once. That measured
+/// rows side by side; putting several *users* in the lanes instead is
+/// [`block_row_logits`], which reads the block once for all of them.
 pub fn row_logits(u: &[f32], rows: &[f32], out: &mut [f32]) {
     let d = u.len();
     debug_assert_eq!(rows.len(), out.len() * (d + 1), "row_logits shape mismatch");
     for (o, row) in out.iter_mut().zip(rows.chunks_exact(d + 1)) {
         *o = dot(u, &row[..d]) + row[d];
     }
+}
+
+/// The most users [`block_row_logits`] scores in one pass: one per lane
+/// of its accumulators.
+pub const USER_BLOCK: usize = 8;
+
+/// The widest embedding [`block_row_logits`] holds lane-major on the
+/// stack (8 KB); wider users are scored one at a time.
+const BLOCK_DIM: usize = 256;
+
+/// Items whose logits [`block_row_logits`] stages item-major before it
+/// writes them out to the users' rows: 16 KB.
+const STAGE_ROWS: usize = 512;
+
+/// [`row_logits`] for up to [`USER_BLOCK`] users in one pass over
+/// `rows`: `out[k]` gets the bits `row_logits(users[k], rows, out[k])`
+/// writes.
+///
+/// The users sit in the SIMD lanes (column `k` of the block is one
+/// `[f32; 8]` across them), each row element is broadcast into all of
+/// them, and the table is read once per block. Per lane this is [`dot`]'s
+/// arithmetic: the same eight partial sums in column order, the same
+/// `reduce_lanes` tree, `+ tail`, then the bias. The partial sums are
+/// eight separate `[f32; 8]`s: as one `[[f32; 8]; 8]`, LLVM has
+/// vectorized the tree across the wrong axis in some builds (≈ 1.4×
+/// slower in one measured here). Spare lanes hold zeros and their
+/// outputs are dropped; logits are staged item-major, 16 KB at a time.
+///
+/// At dim 32 (64 users × 10,000 items, 2-vCPU x86-64) [`row_logits`]
+/// reads 6.2–7.4 ns per logit, the lanes 2.0–2.6 ns under
+/// [`crate::isa::dispatch`] and 5.1–6.2 ns at baseline SSE2. A padded
+/// lane costs as much as a live one (two users read 8.2–9.2 ns), so
+/// blocks of one or two users, and users narrower than one lane chunk
+/// (`d < 8`) or wider than 256, go through [`row_logits`].
+///
+/// # Panics
+/// If there are more than [`USER_BLOCK`] users, or not one output row
+/// per user.
+#[inline(always)]
+pub fn block_row_logits(users: &[&[f32]], rows: &[f32], out: &mut [&mut [f32]]) {
+    assert!(users.len() <= USER_BLOCK && users.len() == out.len(), "block_row_logits shape");
+    let Some(d) = users.first().map(|u| u.len()) else { return };
+    debug_assert!(users.iter().all(|u| u.len() == d), "block_row_logits user widths differ");
+    debug_assert!(out.iter().all(|o| rows.len() == o.len() * (d + 1)), "block_row_logits rows");
+    if users.len() < 3 || !(LANES..=BLOCK_DIM).contains(&d) {
+        for (u, o) in users.iter().zip(out) {
+            row_logits(u, rows, o);
+        }
+        return;
+    }
+    let mut lane_major = [[0.0f32; USER_BLOCK]; BLOCK_DIM];
+    for (l, u) in users.iter().enumerate() {
+        for (col, &x) in lane_major.iter_mut().zip(*u) {
+            col[l] = x;
+        }
+    }
+    let cols = &lane_major[..d];
+    let mut stage = [[0.0f32; USER_BLOCK]; STAGE_ROWS];
+    for (c, chunk) in rows.chunks(STAGE_ROWS * (d + 1)).enumerate() {
+        let staged = chunk.len() / (d + 1);
+        for (s, row) in stage.iter_mut().zip(chunk.chunks_exact(d + 1)) {
+            *s = lane_logits(cols, row);
+        }
+        let at = c * STAGE_ROWS;
+        for (l, o) in out.iter_mut().enumerate() {
+            for (o, s) in o[at..at + staged].iter_mut().zip(&stage) {
+                *o = s[l];
+            }
+        }
+    }
+}
+
+/// One `[embedding | bias]` row against the users of `cols` (`cols[k][l]`
+/// is column `k` of user `l`, `d = cols.len() ≥ 8`): each lane's logit,
+/// computed as [`dot`] plus the bias computes it.
+#[inline(always)]
+fn lane_logits(cols: &[[f32; USER_BLOCK]], row: &[f32]) -> [f32; USER_BLOCK] {
+    #[inline(always)]
+    fn mul_add(acc: &mut [f32; USER_BLOCK], u: &[f32; USER_BLOCK], x: f32) {
+        for l in 0..USER_BLOCK {
+            acc[l] += u[l] * x;
+        }
+    }
+    let d = cols.len();
+    let full = d - d % LANES;
+    let zero = [0.0f32; USER_BLOCK];
+    let (mut a0, mut a1, mut a2, mut a3, mut a4, mut a5, mut a6, mut a7) =
+        (zero, zero, zero, zero, zero, zero, zero, zero);
+    for (u, x) in cols[..full].chunks_exact(LANES).zip(row[..full].chunks_exact(LANES)) {
+        mul_add(&mut a0, &u[0], x[0]);
+        mul_add(&mut a1, &u[1], x[1]);
+        mul_add(&mut a2, &u[2], x[2]);
+        mul_add(&mut a3, &u[3], x[3]);
+        mul_add(&mut a4, &u[4], x[4]);
+        mul_add(&mut a5, &u[5], x[5]);
+        mul_add(&mut a6, &u[6], x[6]);
+        mul_add(&mut a7, &u[7], x[7]);
+    }
+    let mut tail = zero;
+    for (u, &x) in cols[full..].iter().zip(&row[full..d]) {
+        mul_add(&mut tail, u, x);
+    }
+    let bias = row[d];
+    let mut out = zero;
+    for l in 0..USER_BLOCK {
+        let lanes = [a0[l], a1[l], a2[l], a3[l], a4[l], a5[l], a6[l], a7[l]];
+        out[l] = reduce_lanes(&lanes) + tail[l] + bias;
+    }
+    out
 }
 
 /// Sum of all elements (reduction: 8-lane accumulation, see module docs).

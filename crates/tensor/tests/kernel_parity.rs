@@ -21,15 +21,17 @@
 //!
 //! The three matmul forms are checked against a naive triple loop at the
 //! end of the file: on the fixed widths (16/32/64) they are serial per
-//! output element and must match it bit for bit.
+//! output element and must match it bit for bit. The users-in-lanes
+//! `block_row_logits` must give every logit per-user `row_logits` gives,
+//! bit for bit.
 //!
-//! Baseline vs AVX2: the NeuMF and NGCF steps run under
-//! `ptf_tensor::isa::dispatch`, which compiles them with AVX2 and FMA
-//! where the CPU has both. The matmul forms, the spmm rows, `dot` and
-//! `adam_update` are run here both directly (baseline code) and inside
-//! `isa::dispatch`, and must agree bit for bit. On a CPU without
-//! AVX2+FMA both calls take the baseline path, so those tests print a
-//! note and skip.
+//! Baseline vs AVX2: the NeuMF and NGCF steps and the MF server's block
+//! scoring run under `ptf_tensor::isa::dispatch`, which compiles them with
+//! AVX2 and FMA where the CPU has both. The matmul forms, the spmm rows,
+//! `dot`, `block_row_logits` and `adam_update` are run here both directly
+//! (baseline code) and inside `isa::dispatch`, and must agree bit for
+//! bit. On a CPU without AVX2+FMA both calls take the baseline path, so
+//! those tests print a note and skip.
 
 use proptest::prelude::*;
 use ptf_tensor::kernels::{self, dot, frob_sq, sum};
@@ -370,4 +372,84 @@ fn adam_is_bit_identical_under_dispatch_while_moments_decay_into_subnormals() {
         }
     }
     assert!(live(&base.1) < live_at_start, "no first moment was flushed");
+}
+
+/// Values salted like [`salted`], plus a few ±∞ and NaN: a lane that
+/// skipped, reordered or mixed up a user's terms would move their bits.
+fn salted_with_specials(len: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let bits = (state >> 40) as u32;
+            match (state >> 33) % 400 {
+                0 => f32::INFINITY,
+                1 => f32::NEG_INFINITY,
+                2 => f32::NAN,
+                3..=30 => 0.0,
+                31..=58 => -0.0,
+                59..=86 => f32::from_bits((bits & 0x007f_ffff) | 1),
+                87..=114 => -f32::from_bits((bits & 0x007f_ffff) | 1),
+                _ => (bits as f32 / (1u64 << 24) as f32) * 3.0 - 1.5,
+            }
+        })
+        .collect()
+}
+
+/// The same bits, or NaN on both sides (a NaN's payload is not pinned).
+fn same_logit(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+#[test]
+fn block_row_logits_equal_per_user_row_logits_bit_for_bit() {
+    // d on both sides of `dot`'s 8-lane chunk and off its multiples,
+    // and either side of the widest lane-major block (256); 1–8 users;
+    // catalogues shorter than a staging chunk and one (1,682 items,
+    // ML-100K's) that spans four. Each block is checked as plain
+    // baseline code and inside `isa::dispatch`.
+    let wide = avx2_path();
+    for d in (1..=70usize).chain([256, 257]) {
+        let users = salted_with_specials(kernels::USER_BLOCK * d, d as u64);
+        let users: Vec<&[f32]> = users.chunks_exact(d).collect();
+        for items in (0..=17usize).chain((d <= 70).then_some(1682)) {
+            let rows = salted_with_specials(items * (d + 1), 1000 * d as u64 + items as u64);
+            let want: Vec<Vec<f32>> = users
+                .iter()
+                .map(|u| {
+                    let mut out = vec![0.0; items];
+                    kernels::row_logits(u, &rows, &mut out);
+                    out
+                })
+                .collect();
+            let counts: &[usize] = if items > 17 { &[3, 8] } else { &[1, 2, 3, 4, 5, 6, 7, 8] };
+            for &n in counts {
+                for dispatched in [false, true] {
+                    if dispatched && !wide {
+                        continue;
+                    }
+                    let mut got = vec![vec![f32::NAN; items]; n];
+                    let mut out: Vec<&mut [f32]> = got.iter_mut().map(|o| &mut o[..]).collect();
+                    let users = &users[..n];
+                    if dispatched {
+                        isa::dispatch(
+                            #[inline(always)]
+                            || kernels::block_row_logits(users, &rows, &mut out),
+                        );
+                    } else {
+                        kernels::block_row_logits(users, &rows, &mut out);
+                    }
+                    for (k, (got, want)) in got.iter().zip(&want).enumerate() {
+                        for (r, (&g, &w)) in got.iter().zip(want).enumerate() {
+                            assert!(
+                                same_logit(g, w),
+                                "d {d}, {n} users, {items} items, dispatched {dispatched}: \
+                                 user {k} row {r}: {g:e} vs {w:e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
