@@ -16,11 +16,23 @@
 //! row starts from its seed-derived deterministic init. The table's
 //! trailing column is the item bias, so one arena row carries the whole
 //! per-item state.
+//!
+//! Two kernels train it, both under [`isa::dispatch`] and both the
+//! arithmetic of [`mf_sgd_step`] sample by sample: [`train_lanes`] steps
+//! up to four one-user client models side by side, and
+//! [`MfModel::train_batch`] (the server's, over many users) steps runs of
+//! up to four consecutive samples whose users and items are pairwise
+//! distinct. Each takes its samples' `exp` four lanes at a time through
+//! [`math::exp`] (glibc's FMA `expf` ported, on the AVX2+FMA path only;
+//! libm on the baseline one) and their losses' `ln_1p` sixteen at a time
+//! through [`math::ln_1p`], so no output bit depends on which path ran.
+//! [`mf_sgd_step`] itself, the FCF/FedMF step, still calls libm.
 
 use crate::scoped::{dense_rng, item_seed, EMB_STD};
 use crate::traits::Recommender;
+use ptf_tensor::isa::{self, Isa};
 use ptf_tensor::packed::{Reader, Writer};
-use ptf_tensor::{isa, kernels};
+use ptf_tensor::{kernels, math};
 use ptf_tensor::{Matrix, RowTable, ScopeView};
 
 /// Numerically stable BCE of a logit against a (soft) target.
@@ -42,6 +54,15 @@ pub(crate) fn sigmoid_and_bce(logit: f32, target: f32) -> (f32, f32) {
 #[inline(always)]
 fn exp_neg_abs(logit: f32) -> f32 {
     (-logit.abs()).exp()
+}
+
+/// `-|logit|` of every lane: the argument of [`exp_neg_abs`].
+#[inline(always)]
+fn neg_abs<const N: usize>(mut logits: [f32; N]) -> [f32; N] {
+    for logit in &mut logits {
+        *logit = -logit.abs();
+    }
+    logits
 }
 
 /// `stable_sigmoid(logit)` from `e = exp_neg_abs(logit)`.
@@ -157,6 +178,88 @@ impl MfModel {
         let dim = u.len();
         self.items.with_row(item, |row| kernels::dot(u, &row[..dim]) + row[dim])
     }
+
+    /// [`Recommender::train_batch`], compiled into its caller: the batch
+    /// is cut into runs of up to [`LANES`] consecutive samples whose
+    /// users are pairwise distinct and whose items are too, so no sample
+    /// of a run reads a row another one writes. A run takes its logits,
+    /// then one [`math::exp`] over them, then its updates: the arithmetic
+    /// of [`mf_sgd_step`] sample by sample, so the model and the mean loss
+    /// come out bit-identical to stepping the samples one at a time, while
+    /// the out-of-order core overlaps up to four chains. The losses are
+    /// held back and added in sample order, [`HELD`] at a time.
+    #[inline(always)]
+    fn step_runs(&mut self, isa: Isa, batch: &[(u32, u32, f32)]) -> f32 {
+        let mut total = 0.0f32;
+        let mut held = [(0.0f32, 0.0f32, 0.0f32); HELD];
+        let mut num_held = 0;
+        let mut rest = batch;
+        while !rest.is_empty() {
+            let (run, tail) = rest.split_at(run_len(rest));
+            if num_held + run.len() > HELD {
+                add_bce(&mut total, &held[..num_held]);
+                num_held = 0;
+            }
+            let out = &mut held[num_held..num_held + run.len()];
+            match *run {
+                [a] => self.step_run(isa, [a], out),
+                [a, b] => self.step_run(isa, [a, b], out),
+                [a, b, c] => self.step_run(isa, [a, b, c], out),
+                [a, b, c, d] => self.step_run(isa, [a, b, c, d], out),
+                _ => unreachable!("a run holds 1 to {LANES} samples"),
+            }
+            num_held += run.len();
+            rest = tail;
+        }
+        add_bce(&mut total, &held[..num_held]);
+        total / batch.len() as f32
+    }
+
+    /// Steps one run of samples with distinct users and distinct items,
+    /// writing each sample's `(logit, exp(-|logit|), label)` to `held`.
+    #[inline(always)]
+    fn step_run<const N: usize>(
+        &mut self,
+        isa: Isa,
+        run: [(u32, u32, f32); N],
+        held: &mut [(f32, f32, f32)],
+    ) {
+        // disjoint field borrows: the user rows and the item rows live in
+        // different containers, so the whole step runs in place
+        let dim = self.dim();
+        let Self { user_emb, items, lr, reg } = self;
+        let mut rows = [0; N];
+        let mut logits = [0.0f32; N];
+        for (k, &(u, i, _)) in run.iter().enumerate() {
+            rows[k] = items.row_of(i);
+            let (item_vec, bias) = items.row(rows[k]).split_at(dim);
+            logits[k] = kernels::dot(user_emb.row(u as usize), item_vec) + bias[0];
+        }
+        let es = math::exp(isa, neg_abs(logits));
+        for (k, &(u, _, label)) in run.iter().enumerate() {
+            let err = sigmoid_from_exp(logits[k], es[k]) - label;
+            let (item_vec, bias) = items.row_mut(rows[k]).split_at_mut(dim);
+            kernels::mf_sgd_update(user_emb.row_mut(u as usize), item_vec, err, *lr, *reg);
+            bias[0] -= *lr * err;
+            held[k] = (logits[k], es[k], label);
+        }
+    }
+}
+
+/// The length of the run [`MfModel::step_runs`] takes from the head of
+/// a non-empty `batch`: the longest prefix, up to [`LANES`] samples, whose
+/// users are pairwise distinct and whose items are too.
+#[inline(always)]
+fn run_len(batch: &[(u32, u32, f32)]) -> usize {
+    let mut n = 1;
+    while n < LANES.min(batch.len()) {
+        let (user, item, _) = batch[n];
+        if batch[..n].iter().any(|&(u, i, _)| u == user || i == item) {
+            break;
+        }
+        n += 1;
+    }
+    n
 }
 
 /// The most models [`train_lanes`] steps at once.
@@ -206,9 +309,7 @@ impl EpochProgress {
     /// the open chunk, in sample order.
     #[inline(always)]
     fn add_losses(&mut self, held: &[(f32, f32, f32)]) {
-        for &(logit, e, label) in held {
-            self.batch_loss += bce_from_exp(logit, e, label);
-        }
+        add_bce(&mut self.batch_loss, held);
         self.open += held.len();
     }
 
@@ -218,6 +319,22 @@ impl EpochProgress {
         self.batches += 1;
         self.open = 0;
         self.batch_loss = 0.0;
+    }
+}
+
+/// Adds up to [`HELD`] held-back `(logit, exp(-|logit|), label)`
+/// samples' losses to `sum`, in sample order: each is
+/// `bce_from_exp(logit, e, label)`, bit for bit, with every `ln_1p` taken
+/// in one lane-wise [`math::ln_1p`].
+#[inline(always)]
+fn add_bce(sum: &mut f32, held: &[(f32, f32, f32)]) {
+    // lanes past `held` keep an input the port computes itself
+    let mut es = [0.5f32; HELD];
+    for (e, &(_, held_e, _)) in es.iter_mut().zip(held) {
+        *e = held_e;
+    }
+    for (&(logit, _, label), log) in held.iter().zip(math::ln_1p(es)) {
+        *sum += logit.max(0.0) - logit * label + log;
     }
 }
 
@@ -256,11 +373,13 @@ impl MfLane<'_> {
 /// samples form a single dependency chain through its user row — `dot`
 /// → `exp` → divide → update → the next sample's `dot` — and a lone
 /// chain leaves the core waiting on latency. A step issues the lanes'
-/// logits, then their sigmoids, then their updates, so the out-of-order
-/// core has up to four independent chains to overlap. Two more things
-/// keep the chains short: a lane prefetches the item rows of its samples
-/// a few steps ahead, and it holds back its samples' losses (the `ln_1p`
-/// no chain waits for) and adds them up a few at a time, in order.
+/// logits, then their sigmoids (one [`math::exp`] over the lanes), then
+/// their updates, so the out-of-order core has up to four independent
+/// chains to overlap. Two more things keep the chains short: a lane
+/// prefetches the item rows of its samples a few steps ahead, and it
+/// holds back its samples' losses (the `ln_1p` no chain waits for) and
+/// adds them up sixteen at a time, in order, through one
+/// [`math::ln_1p`].
 ///
 /// Every sample's item row must already be materialized
 /// ([`Recommender::prepare_items`]) and resolved ([`MfLane`]), and the
@@ -276,26 +395,26 @@ pub fn train_lanes<'a>(lanes: impl IntoIterator<Item = MfLane<'a>>) {
         (None, ..) => {}
         (Some(a), None, ..) => dispatch(
             #[inline(always)]
-            || step_lanes([a]),
+            |isa| step_lanes(isa, [a]),
         ),
         (Some(a), Some(b), None, ..) => dispatch(
             #[inline(always)]
-            || step_lanes([a, b]),
+            |isa| step_lanes(isa, [a, b]),
         ),
         (Some(a), Some(b), Some(c), None, _) => dispatch(
             #[inline(always)]
-            || step_lanes([a, b, c]),
+            |isa| step_lanes(isa, [a, b, c]),
         ),
         (Some(a), Some(b), Some(c), Some(d), None) => dispatch(
             #[inline(always)]
-            || step_lanes([a, b, c, d]),
+            |isa| step_lanes(isa, [a, b, c, d]),
         ),
         _ => panic!("train_lanes takes at most {LANES} lanes"),
     }
 }
 
 #[inline(always)]
-fn step_lanes<const N: usize>(mut lanes: [MfLane<'_>; N]) {
+fn step_lanes<const N: usize>(isa: Isa, mut lanes: [MfLane<'_>; N]) {
     assert!(lanes.iter().all(|l| l.batch > 0), "batch size must be positive");
     let steps = lanes.iter().map(|l| l.samples.len().saturating_sub(l.progress.next)).min();
     let steps = steps.unwrap_or(0);
@@ -323,12 +442,12 @@ fn step_lanes<const N: usize>(mut lanes: [MfLane<'_>; N]) {
             let (item_vec, bias) = items.row(rows[k]).split_at(user_emb.cols());
             logits[k] = kernels::dot(user_emb.row(0), item_vec) + bias[0];
         }
+        let es = math::exp(isa, neg_abs(logits));
         let mut errs = [0.0f32; N];
         for (k, lane) in lanes.iter().enumerate() {
             let label = lane.samples[lane.progress.next].1;
-            let e = exp_neg_abs(logits[k]);
-            errs[k] = sigmoid_from_exp(logits[k], e) - label;
-            held[k][num_held[k]] = (logits[k], e, label);
+            errs[k] = sigmoid_from_exp(logits[k], es[k]) - label;
+            held[k][num_held[k]] = (logits[k], es[k], label);
             num_held[k] += 1;
         }
         for (k, lane) in lanes.iter_mut().enumerate() {
@@ -434,27 +553,22 @@ impl Recommender for MfModel {
             let (embs, rows) = (&embs[..users.len()], &mut rows[..users.len()]);
             isa::dispatch(
                 #[inline(always)]
-                || kernels::block_row_logits(embs, table, rows),
+                |_| kernels::block_row_logits(embs, table, rows),
             );
         }
     }
 
+    /// Per-sample SGD, bit for bit the one-sample-at-a-time loop over
+    /// [`mf_sgd_step`], in runs of up to [`LANES`] consecutive samples
+    /// with distinct users and distinct items, under [`isa::dispatch`].
     fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
         if batch.is_empty() {
             return 0.0;
         }
-        // disjoint field borrows: the user row and the item row live in
-        // different containers, so the whole step runs in place
-        let dim = self.dim();
-        let Self { user_emb, items, lr, reg } = self;
-        let mut total = 0.0;
-        for &(u, i, label) in batch {
-            let r = items.row_of(i);
-            let (item_vec, bias) = items.row_mut(r).split_at_mut(dim);
-            total +=
-                mf_sgd_step(user_emb.row_mut(u as usize), item_vec, &mut bias[0], label, *lr, *reg);
-        }
-        total / batch.len() as f32
+        isa::dispatch(
+            #[inline(always)]
+            |isa| self.step_runs(isa, batch),
+        )
     }
 
     fn as_mf_mut(&mut self) -> Option<&mut MfModel> {
@@ -610,6 +724,70 @@ mod tests {
                     let got = (m.export_full_state(), p.mean_loss().to_bits());
                     assert!(got == alone[k], "batch {batch}, {width} lanes: lane {k} differs");
                 }
+            }
+        }
+    }
+
+    /// `train_batch` as it was before runs: one sample at a time through
+    /// [`mf_sgd_step`], libm's `exp` and `ln_1p` included.
+    fn one_sample_at_a_time(m: &mut MfModel, batch: &[(u32, u32, f32)]) -> f32 {
+        let dim = m.dim();
+        let MfModel { user_emb, items, lr, reg } = m;
+        let mut total = 0.0;
+        for &(u, i, label) in batch {
+            let r = items.row_of(i);
+            let (item_vec, bias) = items.row_mut(r).split_at_mut(dim);
+            total +=
+                mf_sgd_step(user_emb.row_mut(u as usize), item_vec, &mut bias[0], label, *lr, *reg);
+        }
+        total / batch.len() as f32
+    }
+
+    #[test]
+    fn dispatched_runs_train_as_the_one_sample_loop_does() {
+        // batches built to break runs: sample p of an eight-sample batch
+        // repeats the user, then the item, of an earlier sample q of its
+        // run, at each p in 1–3; one user throughout; one item throughout
+        let distinct: Vec<(u32, u32, f32)> =
+            (0..8).map(|k| (k, 3 * k + 1, (k % 3) as f32 / 2.0)).collect();
+        let mut built = Vec::new();
+        for p in 1..LANES {
+            for q in 0..p {
+                let mut user = distinct.clone();
+                user[p].0 = user[q].0;
+                let mut item = distinct.clone();
+                item[p].1 = item[q].1;
+                built.extend([user, item]);
+            }
+        }
+        built.push((0..9).map(|k| (3, 2 * k, 0.75)).collect());
+        built.push((0..9).map(|k| (k, 7, 0.25)).collect());
+        let bits = |m: &MfModel| -> Vec<u32> {
+            m.user_emb.as_slice().iter().chain(m.items().arena()).map(|x| x.to_bits()).collect()
+        };
+        let scopes = [ScopeView::Full(60), ScopeView::Rows { num_items: 60, ids: &[1, 7, 30] }];
+        for scope in scopes {
+            let fresh = || MfModel::new_scoped(12, 13, 0.05, scope, 5);
+            let (mut oracle, mut runs, mut baseline) = (fresh(), fresh(), fresh());
+            let mut rng = ptf_tensor::test_rng(3);
+            let random = (1..=1030).map(|n| {
+                let mut sample = || {
+                    use rand::Rng;
+                    (rng.gen_range(0..12), rng.gen_range(0..60), rng.gen_range(0..=4) as f32 / 4.0)
+                };
+                (0..n).map(|_| sample()).collect::<Vec<_>>()
+            });
+            for batch in built.iter().cloned().chain(random) {
+                for m in [&mut oracle, &mut runs, &mut baseline] {
+                    prepare_batch(m, &batch);
+                }
+                let want = one_sample_at_a_time(&mut oracle, &batch).to_bits();
+                let n = batch.len();
+                assert_eq!(runs.train_batch(&batch).to_bits(), want, "loss, batch of {n}");
+                let got = baseline.step_runs(Isa::Baseline, &batch).to_bits();
+                assert_eq!(got, want, "baseline loss, batch of {n}");
+                assert!(bits(&runs) == bits(&oracle), "state, batch of {n}: {batch:?}");
+                assert!(bits(&baseline) == bits(&oracle), "baseline state, batch of {n}");
             }
         }
     }

@@ -448,14 +448,14 @@ impl Recommender for NeuMf {
     fn logits_into(&self, user: u32, items: &[u32], out: &mut Vec<f32>) {
         isa::dispatch(
             #[inline(always)]
-            || self.write_logits(user, items, out),
+            |_| self.write_logits(user, items, out),
         )
     }
 
     fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
         isa::dispatch(
             #[inline(always)]
-            || self.step(batch),
+            |_| self.step(batch),
         )
     }
 

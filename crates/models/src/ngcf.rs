@@ -546,7 +546,7 @@ impl Recommender for Ngcf {
     fn train_batch(&mut self, batch: &[(u32, u32, f32)]) -> f32 {
         isa::dispatch(
             #[inline(always)]
-            || self.step(batch),
+            |_| self.step(batch),
         )
     }
 

@@ -32,17 +32,20 @@
 //!
 //! **Under [`crate::isa::dispatch`].** The element-wise kernels, [`sum`]
 //! and [`frob_sq`] are `#[inline(always)]`, so inside a step that runs
-//! under the dispatch (the NeuMF and NGCF steps) they compile into the
-//! AVX2+FMA entry and their loops vectorize 256 bits wide; everywhere
-//! else they compile for baseline SSE2. So is [`block_row_logits`], which
-//! the MF server's block scoring runs under the dispatch. [`dot`] and
-//! [`row_logits`] are left to the inliner, as measured: forced into the
-//! graph models' scoring loop, which runs at baseline, `dot`'s lanes
-//! vectorized two wide instead of four and NGCF scoring ran ≈ 1.4×
-//! slower, while the dispatched steps gained nothing from forcing it.
-//! The results are the same bits on every path: the lanes and the
-//! summation order are written in the source, and `a * b + c` is never
-//! contracted into an FMA.
+//! under the dispatch (the NeuMF and NGCF steps, the MF lane kernel and
+//! the MF server's runs) they compile into the AVX2+FMA entry and their
+//! loops vectorize 256 bits wide; everywhere else they compile for
+//! baseline SSE2. So is [`block_row_logits`], which the MF server's block
+//! scoring runs under the dispatch. [`dot`] and [`row_logits`] are left
+//! to the inliner, as measured: forced into the graph models' scoring
+//! loop, which runs at baseline, `dot`'s lanes vectorized two wide
+//! instead of four and NGCF scoring ran ≈ 1.4× slower, while the
+//! dispatched steps gained nothing from forcing it. The results are the
+//! same bits on every path: the lanes and the summation order are written
+//! in the source, and `a * b + c` is never contracted into an FMA. The
+//! MF steps' `exp` and `ln_1p` are not kernels here but lane-wise ports
+//! in [`crate::math`], whose `exp` follows glibc's own split between
+//! its SSE2 and FMA builds.
 //!
 //! Every kernel is a pure function of its inputs, so results are
 //! independent of thread count.

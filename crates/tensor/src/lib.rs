@@ -6,7 +6,8 @@
 //! matrices with a register-resident spmm for graph propagation, the
 //! [`kernels`] (8-lane chunked reductions, plain element-wise loops),
 //! the [`isa`] runtime AVX2 dispatch
-//! the NeuMF and NGCF steps run under, the [`optim`] Adam optimizer (with
+//! the NeuMF, NGCF and MF steps run under, the lane-wise [`math`] ports of
+//! libm's `expf` and `log1pf` the MF steps take, the [`optim`] Adam optimizer (with
 //! lazy row-sparse embedding updates) over a [`Params`] store and its
 //! [`Grads`], the [`par`] fork/join primitives (plus the
 //! [`par::Pool`] worker-scratch pool) behind deterministic parallel client
@@ -49,6 +50,7 @@ pub mod grad;
 pub mod init;
 pub mod isa;
 pub mod kernels;
+pub mod math;
 pub mod matrix;
 pub mod optim;
 pub mod packed;

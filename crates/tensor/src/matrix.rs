@@ -639,7 +639,7 @@ impl Matrix {
 
     /// Reads a [`Matrix::write_state`] object into this matrix. The shape
     /// must agree with the buffer's length and then pass `fits(rows,
-    /// cols)` before anything is decoded ([`Matrix::unpack_from`]).
+    /// cols)` before anything is decoded.
     pub fn read_state(
         &mut self,
         r: &mut Reader<'_>,

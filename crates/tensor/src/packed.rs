@@ -81,7 +81,7 @@ fn hex_value(word: u64) -> (u32, u64) {
 fn pack_into(values: &[f32], text: &mut [u8]) {
     isa::dispatch(
         #[inline(always)]
-        || {
+        |_| {
             for (group, value) in text.chunks_exact_mut(DIGITS).zip(values) {
                 group.copy_from_slice(&hex_digits(value.to_bits()).to_be_bytes());
             }
@@ -95,7 +95,7 @@ fn unpack_into(text: &[u8], values: &mut [f32]) -> Result<(), usize> {
     let group = |g: &[u8]| hex_value(u64::from_be_bytes(g.try_into().expect("8-byte group")));
     let invalid = isa::dispatch(
         #[inline(always)]
-        || {
+        |_| {
             let mut invalid = 0;
             for (g, value) in text.chunks_exact(DIGITS).zip(values.iter_mut()) {
                 let (bits, bad) = group(g);

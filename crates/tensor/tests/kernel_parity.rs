@@ -199,7 +199,7 @@ fn fixed_width_matmul_forms_match_the_naive_serial_loop_bit_for_bit() {
             let out = wide.as_mut_slice();
             isa::dispatch(
                 #[inline(always)]
-                || matrix::acc(a.as_slice(), inner, b.as_slice(), width, out),
+                |_| matrix::acc(a.as_slice(), inner, b.as_slice(), width, out),
             );
             assert_eq!(bits(&wide), bits(&expect), "dispatched acc {rows}x{inner}x{width}");
 
@@ -217,7 +217,7 @@ fn fixed_width_matmul_forms_match_the_naive_serial_loop_bit_for_bit() {
             let out = wide.as_mut_slice();
             isa::dispatch(
                 #[inline(always)]
-                || matrix::tn_acc(a.as_slice(), rows, g.as_slice(), width, out),
+                |_| matrix::tn_acc(a.as_slice(), rows, g.as_slice(), width, out),
             );
             assert_eq!(bits(&wide), bits(&expect), "dispatched tn_acc {inner}x{rows}x{width}");
 
@@ -233,7 +233,7 @@ fn fixed_width_matmul_forms_match_the_naive_serial_loop_bit_for_bit() {
             let out = wide.as_mut_slice();
             isa::dispatch(
                 #[inline(always)]
-                || matrix::nt_acc(g.as_slice(), inner, b.as_slice(), width, out),
+                |_| matrix::nt_acc(g.as_slice(), inner, b.as_slice(), width, out),
             );
             let mut got = dirty;
             g.matmul_nt_acc(&b, &mut got);
@@ -306,7 +306,7 @@ fn spmm_rows_are_bit_identical_under_dispatch() {
         let out = wide.as_mut_slice();
         isa::dispatch(
             #[inline(always)]
-            || csr.spmm_acc(x.as_slice(), width, out),
+            |_| csr.spmm_acc(x.as_slice(), width, out),
         );
         assert_eq!(bits(&wide), bits(&base), "spmm_acc width {width}");
     }
@@ -325,12 +325,12 @@ fn dot_is_bit_identical_under_dispatch_on_both_backends() {
         let (a, b) = (a.as_slice(), b.as_slice());
         let wide = isa::dispatch(
             #[inline(always)]
-            || dot(a, b),
+            |_| dot(a, b),
         );
         assert_eq!(wide.to_bits(), dot(a, b).to_bits(), "8-lane dot of length {len}");
         let wide = isa::dispatch(
             #[inline(always)]
-            || seq_dot(a, b),
+            |_| seq_dot(a, b),
         );
         assert_eq!(wide.to_bits(), seq_dot(a, b).to_bits(), "sequential dot of length {len}");
     }
@@ -361,7 +361,7 @@ fn adam_is_bit_identical_under_dispatch_while_moments_decay_into_subnormals() {
         let (p, m, v) = (&mut wide.0, &mut wide.1, &mut wide.2);
         isa::dispatch(
             #[inline(always)]
-            || kernels::adam_update(p, m, v, g, 1e-3, 0.9, 0.999, 1e-8, bc1, bc2),
+            |_| kernels::adam_update(p, m, v, g, 1e-3, 0.9, 0.999, 1e-8, bc1, bc2),
         );
         for (name, b, w) in
             [("p", &base.0, &wide.0), ("m", &base.1, &wide.1), ("v", &base.2, &wide.2)]
@@ -434,7 +434,7 @@ fn block_row_logits_equal_per_user_row_logits_bit_for_bit() {
                     if dispatched {
                         isa::dispatch(
                             #[inline(always)]
-                            || kernels::block_row_logits(users, &rows, &mut out),
+                            |_| kernels::block_row_logits(users, &rows, &mut out),
                         );
                     } else {
                         kernels::block_row_logits(users, &rows, &mut out);
