@@ -51,8 +51,6 @@ pub struct PtfClient {
     /// recency signal the eviction pass ranks cold rows by. Maintained
     /// only when eviction is enabled.
     touched: Vec<(u32, u32)>,
-    /// Reusable keep-set buffer for eviction passes.
-    keep: Vec<u32>,
 }
 
 impl PtfClient {
@@ -86,7 +84,11 @@ impl PtfClient {
         Self::with_model(data, kind, model)
     }
 
-    fn with_model(data: ClientData, kind: ModelKind, model: Box<dyn Recommender>) -> Self {
+    pub(crate) fn with_model(
+        data: ClientData,
+        kind: ModelKind,
+        model: Box<dyn Recommender>,
+    ) -> Self {
         Self {
             id: data.id,
             positives: data.positives,
@@ -96,7 +98,6 @@ impl PtfClient {
             spare_upload: None,
             local_rounds: 0,
             touched: Vec::new(),
-            keep: Vec::new(),
         }
     }
 
@@ -216,12 +217,9 @@ impl PtfClient {
         // one batched materialization of the round's whole pool, so a
         // scoped model merges its fresh rows in a single arena pass
         // instead of shifting once per first-touched sample
-        scratch.pool_ids.clear();
-        scratch.pool_ids.extend_from_slice(&self.positives);
-        scratch.pool_ids.extend_from_slice(&scratch.negatives);
-        scratch.pool_ids.extend(self.server_data.iter().map(|&(i, _)| i));
-        scratch.pool_ids.sort_unstable();
-        scratch.pool_ids.dedup();
+        let dispersed = self.server_data.iter().map(|&(i, _)| i);
+        let pool = self.positives.iter().chain(&scratch.negatives).copied().chain(dispersed);
+        scratch.seen.sorted_union(num_items, pool, &mut scratch.pool_ids);
 
         self.model.prepare_items(&scratch.pool_ids);
 
@@ -315,8 +313,7 @@ impl PtfClient {
         let (predictions, audit) = self.spare_upload.take().unwrap_or_default();
         let upload = build_upload_into(
             self.id,
-            &mut scratch.scored_pos,
-            &mut scratch.scored_neg,
+            scratch,
             cfg.defense,
             &cfg.sampling,
             cfg.lambda,
@@ -326,48 +323,41 @@ impl PtfClient {
         );
 
         // cold-row eviction: keep a client's materialized rows bounded
-        // over long runs. This is off the allocation-free hot path — an
-        // eviction round may allocate — but interval rounds in between
-        // stay clean because the whole block is skipped when disabled.
+        // over long runs; it works in the recency index's own capacity
+        // and in `scratch`, which allocate nothing once grown
         if cfg.storage.evict_interval > 0 {
             self.local_rounds += 1;
             self.note_touched(&scratch.pool_ids);
             if self.local_rounds.is_multiple_of(cfg.storage.evict_interval) {
-                self.evict_cold_rows(cfg.storage.evict_budget, &scratch.pool_ids);
+                self.evict_cold_rows(cfg.storage.evict_budget, scratch);
             }
         }
 
         (upload, mean_loss)
     }
 
-    /// Merges this round's trained pool into the recency index
+    /// Merges this round's trained pool into the recency index in place
     /// (`touched` stays sorted by item id; each entry keeps its *last*
-    /// touched local round).
+    /// touched local round): merged from the back into room for the whole
+    /// pool, then moved down over the room the pool's known ids left.
     fn note_touched(&mut self, pool: &[u32]) {
-        let round = self.local_rounds;
-        let old = std::mem::take(&mut self.touched);
-        let mut merged = Vec::with_capacity(old.len() + pool.len());
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() && j < pool.len() {
-            match old[i].0.cmp(&pool[j]) {
-                std::cmp::Ordering::Less => {
-                    merged.push(old[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((pool[j], round));
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push((pool[j], round));
-                    j += 1;
-                }
+        let (now, touched) = (self.local_rounds, &mut self.touched);
+        let (mut i, mut j) = (touched.len(), pool.len());
+        touched.resize(i + j, (0, 0));
+        let mut w = touched.len();
+        while j > 0 {
+            w -= 1;
+            if i > 0 && touched[i - 1].0 > pool[j - 1] {
+                i -= 1;
+                touched[w] = touched[i];
+            } else {
+                i -= usize::from(i > 0 && touched[i - 1].0 == pool[j - 1]);
+                j -= 1;
+                touched[w] = (pool[j], now);
             }
         }
-        merged.extend_from_slice(&old[i..]);
-        merged.extend(pool[j..].iter().map(|&id| (id, round)));
-        self.touched = merged;
+        touched.copy_within(w.., i);
+        touched.truncate(touched.len() - (w - i));
     }
 
     /// Drops cold embedding rows back to their derived init. The keep set
@@ -375,24 +365,33 @@ impl PtfClient {
     /// ego-graph edge item) topped up to `budget` rows with the most
     /// recently touched survivors (ties broken by ascending id) — so the
     /// working set a client re-touches every round is never churned.
-    fn evict_cold_rows(&mut self, budget: usize, pool: &[u32]) {
-        self.keep.clear();
-        self.keep.extend_from_slice(pool);
-        if self.keep.len() < budget {
-            let mut extra: Vec<(u32, u32)> = self
-                .touched
-                .iter()
-                .copied()
-                .filter(|(id, _)| pool.binary_search(id).is_err())
-                .collect();
-            extra.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            extra.truncate(budget - self.keep.len());
-            self.keep.extend(extra.iter().map(|&(id, _)| id));
-            self.keep.sort_unstable();
-        }
-        self.model.evict_items(&self.keep);
-        let keep = &self.keep;
-        self.touched.retain(|(id, _)| keep.binary_search(id).is_ok());
+    ///
+    /// The pool's rows are those stamped with this round; one selection
+    /// over the other rows' rounds finds the top-up's last round, and one
+    /// walk in id order keeps the rows above it and the lowest ids at it.
+    fn evict_cold_rows(&mut self, budget: usize, scratch: &mut RoundScratch) {
+        let now = self.local_rounds;
+        let RoundScratch { pool_ids, keep, recency, .. } = scratch;
+        recency.clear();
+        recency.extend(self.touched.iter().filter(|&&(_, r)| r != now).map(|&(_, r)| r));
+        let (extra, others) = (budget.saturating_sub(pool_ids.len()), recency.len());
+        let (cut, mut at_cut) = match extra {
+            0 => (u32::MAX, 0),
+            _ if extra >= others => (0, usize::MAX),
+            _ => {
+                let (_, &mut cut, above) = recency.select_nth_unstable(others - extra);
+                (cut, extra - above.iter().filter(|&&r| r > cut).count())
+            }
+        };
+        keep.clear();
+        self.touched.retain(|&(id, r)| {
+            let tied = r == cut && r != now && at_cut > 0;
+            at_cut -= usize::from(tied);
+            let kept = r == now || r > cut || tied;
+            keep.extend(kept.then_some(id));
+            kept
+        });
+        self.model.evict_items(keep);
     }
 }
 
@@ -636,6 +635,137 @@ mod tests {
         for kind in [ModelKind::Mf, ModelKind::NeuMf, ModelKind::LightGcn] {
             let rows = train_against_dense(kind, 40, &config);
             assert!(rows.item_scope().is_full(), "{kind}: the client never promoted");
+        }
+    }
+
+    impl PtfClient {
+        /// The merge into a fresh vector that [`PtfClient::note_touched`]
+        /// replaced, kept as its oracle.
+        fn note_touched_by_copy(&mut self, pool: &[u32]) {
+            let round = self.local_rounds;
+            let old = std::mem::take(&mut self.touched);
+            let mut merged = Vec::with_capacity(old.len() + pool.len());
+            let (mut i, mut j) = (0, 0);
+            while i < old.len() && j < pool.len() {
+                match old[i].0.cmp(&pool[j]) {
+                    std::cmp::Ordering::Less => {
+                        merged.push(old[i]);
+                        i += 1;
+                    }
+                    std::cmp::Ordering::Equal => {
+                        merged.push((pool[j], round));
+                        i += 1;
+                        j += 1;
+                    }
+                    std::cmp::Ordering::Greater => {
+                        merged.push((pool[j], round));
+                        j += 1;
+                    }
+                }
+            }
+            merged.extend_from_slice(&old[i..]);
+            merged.extend(pool[j..].iter().map(|&id| (id, round)));
+            self.touched = merged;
+        }
+
+        /// The sort-based pass [`PtfClient::evict_cold_rows`] replaced,
+        /// kept as its oracle: the pool by binary search, the rest sorted
+        /// by (round descending, id ascending) and cut at the budget.
+        /// Returns its keep set.
+        fn evict_cold_rows_by_sort(&mut self, budget: usize, pool: &[u32]) -> Vec<u32> {
+            let mut keep = pool.to_vec();
+            if keep.len() < budget {
+                let mut extra: Vec<(u32, u32)> = self
+                    .touched
+                    .iter()
+                    .copied()
+                    .filter(|(id, _)| pool.binary_search(id).is_err())
+                    .collect();
+                extra.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                extra.truncate(budget - keep.len());
+                keep.extend(extra.iter().map(|&(id, _)| id));
+                keep.sort_unstable();
+            }
+            self.model.evict_items(&keep);
+            self.touched.retain(|(id, _)| keep.binary_search(id).is_ok());
+            keep
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The linear eviction pass against the sort-based one over random
+        /// touch histories of a row-scoped MF client over 120 items: pools
+        /// of 5–60 ids (so many rows share a round), evicted every
+        /// `interval` rounds, with a budget below, at or above the pool, or
+        /// above every row held; `restored` starts both clients from the
+        /// same random recency index, as a parked client's restore does.
+        /// The merged index, the keep set, the compacted index and the
+        /// model's full state must be equal after every round.
+        #[test]
+        fn linear_eviction_keeps_what_the_sort_did(
+            seed in 0u64..1 << 20,
+            restored in proptest::prelude::any::<bool>(),
+            interval in 1u32..4,
+            budget_kind in 0u8..5,
+            slack in 0usize..50,
+        ) {
+            let mut rng = test_rng(seed);
+            let (mut linear, mut sorted) = (scoped_client(ModelKind::Mf), scoped_client(ModelKind::Mf));
+            let draw = |rng: &mut rand::rngs::StdRng, n: usize| {
+                let mut ids: Vec<u32> = (0..n).map(|_| rng.gen_range(0..120)).collect();
+                ids.extend([1, 4, 9, 15, 22]);
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            };
+            if restored {
+                let local_rounds = rng.gen_range(0..6u32);
+                let n = rng.gen_range(0..80);
+                let touched: Vec<(u32, u32)> = draw(&mut rng, n)
+                    .into_iter()
+                    .map(|id| (id, rng.gen_range(0..=local_rounds)))
+                    .collect();
+                let ids: Vec<u32> = touched.iter().map(|&(id, _)| id).collect();
+                for c in [&mut linear, &mut sorted] {
+                    c.model.prepare_items(&ids);
+                    c.restore_eviction_state(local_rounds, touched.clone());
+                }
+            }
+            let mut scratch = RoundScratch::default();
+            for round in 0..8 {
+                let n = rng.gen_range(0..56);
+                let pool = draw(&mut rng, n);
+                for c in [&mut linear, &mut sorted] {
+                    c.local_rounds += 1;
+                    c.model.prepare_items(&pool);
+                }
+                linear.note_touched(&pool);
+                sorted.note_touched_by_copy(&pool);
+                proptest::prop_assert_eq!(&linear.touched, &sorted.touched, "round {}: merge", round);
+                if !linear.local_rounds.is_multiple_of(interval) {
+                    continue;
+                }
+                let budget = match budget_kind {
+                    0 => pool.len().saturating_sub(1 + slack % 5),
+                    1 => pool.len(),
+                    2 => pool.len() + 1,
+                    3 => pool.len() + slack,
+                    _ => usize::MAX,
+                };
+                scratch.pool_ids.clone_from(&pool);
+                linear.evict_cold_rows(budget, &mut scratch);
+                let keep = sorted.evict_cold_rows_by_sort(budget, &pool);
+                proptest::prop_assert_eq!(&scratch.keep, &keep, "round {}: keep set", round);
+                proptest::prop_assert_eq!(&linear.touched, &sorted.touched, "round {}: index", round);
+                proptest::prop_assert_eq!(
+                    linear.export_model_state(),
+                    sorted.export_model_state(),
+                    "round {}: model state",
+                    round
+                );
+            }
         }
     }
 

@@ -4,14 +4,16 @@
 //! `PtfClient` (model + optimizer state) per user — which is exactly
 //! right up to ~10⁵ users and hopeless at 10⁶. [`CohortFedRec`] is the
 //! *same* round driver ([`crate::protocol::Round`]) over the [`Stored`]
-//! client host, with peak memory `O(cohort)` instead of `O(users)`:
+//! client host, whose clients are alive only while they train:
 //!
 //! * the dataset stays on disk ([`CohortData::Arena`] reads one user row
 //!   per client construction — see `ptf_data::arena`);
-//! * each round's participants are processed in bounded **cohorts**: a
-//!   cohort's clients are constructed (or restored from their envelopes),
-//!   trained in parallel, exported back to the client store, and
-//!   dropped before the next cohort starts;
+//! * each worker pulls its share of the round's participants into its
+//!   lanes ([`rounds::train_in_lanes`]) one at a time, constructing each
+//!   client (or restoring it from its envelope) as a lane frees up, and
+//!   parks it back in the client store the moment its lane finishes, so
+//!   at most `threads × LANES` clients are alive at once whatever the
+//!   round's size ([`CohortOptions::cohort`] no longer bounds anything);
 //! * a client's cross-round state travels as a `ClientEnvelope` of three
 //!   lines, one file per client in the run's on-disk store ([`StoreKind`];
 //!   there is no in-process store — a deployed client keeps its state in
@@ -22,7 +24,7 @@
 //!   third (one `O_APPEND` write — nothing is read back, parsed or
 //!   rewritten). All three lines go through the one state codec
 //!   ([`ptf_tensor::packed`]): a park writes the head and the model's
-//!   envelope straight into the store's reused buffer, and a restore reads
+//!   envelope straight into its worker's reused buffer, and a restore reads
 //!   each line with a cursor that decodes ids and packed buffers into
 //!   their destinations — no JSON value tree, no intermediate copy of the
 //!   model text — and takes only the writer's canonical spelling.
@@ -82,9 +84,10 @@ use crate::upload::ClientUpload;
 use ptf_data::{CsrArena, Dataset};
 use ptf_federated::{derive_seed, ClientData, RngStream, RoundScratch};
 use ptf_models::mf::LANES;
-use ptf_models::{ModelHyper, ModelKind};
+use ptf_models::{build_model_scoped, ModelHyper, ModelKind, ScopeView};
 use ptf_privacy::ScoredItem;
 use ptf_tensor::packed::{Reader, Writer};
+use ptf_tensor::par::Pool;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -138,7 +141,7 @@ impl CohortData {
 
 /// Where client envelopes live between participations: an on-disk store
 /// rooted at the given directory, laid out `<root>/{id%256:02x}/{id}.json`.
-/// The run's heap stays `O(cohort)`; the directory grows
+/// The run's heap holds no parked client; the directory grows
 /// `O(touched clients)`. The directory belongs to the run: construction
 /// empties it (or creates it), so a fresh run never restores an earlier
 /// run's clients, and a resume refills it from the committed envelopes.
@@ -164,8 +167,9 @@ pub enum ServerScope {
 /// Construction knobs for [`CohortFedRec`].
 #[derive(Clone, Debug)]
 pub struct CohortOptions {
-    /// Max clients resident during the parallel client phase
-    /// (0 = all of the round's participants in one cohort).
+    /// Ignored: every client is parked as soon as it finishes training,
+    /// so at most `threads × LANES` are resident whatever this says. The
+    /// field stays because callers outside this workspace construct it.
     pub cohort: usize,
     pub store: StoreKind,
     pub server_scope: ServerScope,
@@ -308,12 +312,12 @@ impl<'a> ClientEnvelope<'a> {
     }
 }
 
-/// The parked clients' envelope files under one root directory: load is
-/// read-only (called from parallel workers); save and append are serial,
-/// and write through one buffer the store keeps.
+/// The parked clients' envelope files under one root directory. Load and
+/// save run on the parallel workers, each client's file written by the
+/// one worker that trained it; save and append write through a buffer the
+/// caller keeps.
 struct ClientStore {
     root: PathBuf,
-    text: Vec<u8>,
 }
 
 /// `id`-sharded relative path of a client's envelope file.
@@ -328,7 +332,7 @@ impl ClientStore {
             std::fs::remove_dir_all(&root)?;
         }
         std::fs::create_dir_all(&root)?;
-        Ok(Self { root, text: Vec::new() })
+        Ok(Self { root })
     }
 
     fn path(&self, id: u32) -> PathBuf {
@@ -344,21 +348,15 @@ impl ClientStore {
         }
     }
 
-    /// The store's write buffer, emptied, for `write` to fill.
-    fn fill(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> &[u8] {
-        self.text.clear();
-        write(&mut self.text);
-        &self.text
-    }
-
-    /// Writes what `write` puts in the buffer — lines 1–2 of `id`'s
-    /// envelope — over its file in place: one write at offset 0, then
-    /// `set_len` drops the rest of the previous envelope (the module docs
-    /// say why not tmp + rename).
-    fn save(&mut self, id: u32, write: impl FnOnce(&mut Vec<u8>)) {
+    /// Writes what `write` puts in `text`, emptied first — lines 1–2 of
+    /// `id`'s envelope — over its file in place: one write at offset 0,
+    /// then `set_len` drops the rest of the previous envelope (the module
+    /// docs say why not tmp + rename).
+    fn save(&self, id: u32, text: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
         let (shard, file) = envelope_rel(id);
         let dir = self.root.join(shard);
-        let text = self.fill(write);
+        text.clear();
+        write(text);
         let open =
             || OpenOptions::new().write(true).create(true).truncate(false).open(dir.join(&file));
         let written = open()
@@ -370,28 +368,30 @@ impl ClientStore {
             });
         written.unwrap_or_else(|e| panic!("client store write for {id}: {e}"));
     }
-    /// Appends what `write` puts in the buffer — a line — to `id`'s
+
+    /// Appends what `write` puts in `line`, emptied first, to `id`'s
     /// envelope, which must exist: one `O_APPEND` write.
-    fn append(&mut self, id: u32, write: impl FnOnce(&mut Vec<u8>)) {
-        let path = self.path(id);
-        let line = self.fill(write);
+    fn append(&self, id: u32, line: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+        line.clear();
+        write(line);
         OpenOptions::new()
             .append(true)
-            .open(path)
+            .open(self.path(id))
             .and_then(|mut f| f.write_all(line))
             .unwrap_or_else(|e| panic!("client store append for {id}: {e}"));
     }
 }
 
 /// The host whose clients live in envelopes between participations (see
-/// module docs): a round's participants are rebuilt, trained and parked
-/// again in cohort-sized slices.
+/// module docs): each participant is rebuilt, trained and parked again
+/// within its lane.
 pub struct Stored {
     client_kind: ModelKind,
     hyper: ModelHyper,
     data: CohortData,
     store: ClientStore,
-    cohort: usize,
+    /// Envelope text buffers, one checked out per worker and by `deliver`.
+    texts: Pool<Vec<u8>>,
 }
 
 /// Cohort-sharded PTF-FedRec (see module docs).
@@ -399,8 +399,8 @@ pub type CohortFedRec = Round<Stored>;
 
 impl Round<Stored> {
     /// Builds the cohort runtime. Unlike [`crate::PtfFedRec::try_new`]
-    /// this constructs *no* clients — they materialize lazily, cohort by
-    /// cohort, as rounds sample them. The store root is emptied, so the
+    /// this constructs *no* clients — they materialize lazily, lane by
+    /// lane, as rounds sample them. The store root is emptied, so the
     /// run starts with no parked client (a resume refills it through
     /// [`reset_clients_from`](Self::reset_clients_from)). Fails if `cfg`
     /// is inconsistent or the store root cannot be emptied or created.
@@ -423,7 +423,8 @@ impl Round<Stored> {
         };
         let server_users = user_map.as_ref().map_or(data.num_users(), Vec::len);
         let server = rounds::build_server(server_users, data.num_items(), server_kind, hyper, &cfg);
-        let host = Stored { client_kind, hyper: hyper.clone(), data, store, cohort: opts.cohort };
+        let texts = Pool::new();
+        let host = Stored { client_kind, hyper: hyper.clone(), data, store, texts };
         Ok(Self::new(cfg, host, server, user_map, trainable))
     }
 
@@ -487,27 +488,28 @@ impl Round<Stored> {
 
 impl Stored {
     /// Builds user `id`'s client exactly as the resident fleet would —
-    /// same partition, same derived `ClientInit` seed.
-    fn build_fresh(&self, id: u32, cfg: &PtfConfig) -> PtfClient {
+    /// same partition, same derived `ClientInit` seed — or, to `restore`
+    /// it, the same client over no item rows.
+    fn build(&self, id: u32, cfg: &PtfConfig, restore: bool) -> PtfClient {
         let mut positives = Vec::new();
         self.data.row_into(id, &mut positives);
         let seed = derive_seed(cfg.seed, 0, RngStream::ClientInit(id).id());
-        PtfClient::new(
-            ClientData { id, positives },
-            self.client_kind,
-            &self.hyper,
-            self.data.num_items(),
-            seed,
-            cfg,
-        )
+        let (data, kind, num_items) =
+            (ClientData { id, positives }, self.client_kind, self.data.num_items());
+        if !restore {
+            return PtfClient::new(data, kind, &self.hyper, num_items, seed, cfg);
+        }
+        let model =
+            build_model_scoped(kind, 1, &self.hyper, ScopeView::Rows { num_items, ids: &[] }, seed);
+        PtfClient::with_model(data, kind, model)
     }
 
-    /// Builds the client, then replays its envelope (model state,
-    /// dispersed set, eviction index) onto it. A damaged envelope is an
-    /// error naming the client.
+    /// Builds the client over no item rows, then replays its envelope
+    /// (model state with its scope, dispersed set, eviction index) onto
+    /// it. A damaged envelope is an error naming the client.
     fn restore_client(&self, id: u32, text: &str, cfg: &PtfConfig) -> Result<PtfClient, String> {
         let env = ClientEnvelope::parse(id, text, self.data.num_items())?;
-        let mut client = self.build_fresh(id, cfg);
+        let mut client = self.build(id, cfg, true);
         client
             .import_model_state(env.model)
             .map_err(|e| format!("client {id} envelope: model: {e}"))?;
@@ -517,11 +519,11 @@ impl Stored {
     }
 
     /// Parks a trained client: lines 1–2 of its envelope, written
-    /// straight into the store's buffer and out in one write.
+    /// straight into `text` and out in one write.
     /// [`ClientHost::deliver`] appends line 3.
-    fn park(&mut self, client: &PtfClient, round: u32) {
+    fn park(&self, client: &PtfClient, round: u32, text: &mut Vec<u8>) {
         let (local_rounds, touched) = client.eviction_state();
-        self.store.save(client.id, |text| {
+        self.store.save(client.id, text, |text| {
             write_head(&mut Writer::new(text), round, local_rounds, touched);
             text.push(b'\n');
             let supported = client.write_model_state(&mut Writer::new(text));
@@ -539,65 +541,56 @@ impl ClientHost for Stored {
         phase: &ClientPhase<'_>,
         participants: &[u32],
     ) -> (Vec<ClientUpload>, Vec<f32>) {
-        let cohort = if self.cohort == 0 { participants.len().max(1) } else { self.cohort };
-        let mut uploads: Vec<ClientUpload> = Vec::with_capacity(participants.len());
-        let mut losses: Vec<f32> = Vec::with_capacity(participants.len());
-        for chunk in participants.chunks(cohort) {
-            // parallel: construct-or-restore + local round in the lanes of
-            // each worker, one derived RNG stream per client — bit-identical
-            // regardless of chunking, lanes or thread count
-            let this = &*self;
-            let mut ids = chunk.to_vec();
-            let trained = phase.scheduler.map_slices_with(
-                phase.scratch,
-                &mut ids,
-                |scratch: &mut [RoundScratch; LANES], ids| {
-                    let mut out: Vec<Option<(PtfClient, ClientUpload, f32)>> =
-                        ids.iter().map(|_| None).collect();
-                    let clients = ids.iter().map(|&id| match this.store.load(id) {
-                        Some(text) => this
-                            .restore_client(id, &text, phase.cfg)
-                            .unwrap_or_else(|e| panic!("{e}")),
-                        None => this.build_fresh(id, phase.cfg),
-                    });
-                    rounds::train_in_lanes(
-                        phase.cfg,
-                        phase.round,
-                        scratch,
-                        clients,
-                        |at, c, up, loss| {
-                            out[at] = Some((c, up, loss));
-                        },
-                    );
-                    out
-                },
-            );
-            // serial: park post-training clients, collect uploads in
-            // participant order, drop the cohort's clients
-            for (client, upload, loss) in
-                trained.into_iter().flatten().map(|r| r.expect("every participant trained"))
-            {
-                self.park(&client, phase.round);
-                uploads.push(upload);
-                losses.push(loss);
-            }
-        }
-        (uploads, losses)
+        // parallel: each worker restores (or builds) its participants as
+        // its lanes free up, one derived RNG stream per client, and parks
+        // each one as its lane finishes — bit-identical regardless of
+        // lanes or thread count
+        let this = &*self;
+        let mut ids = participants.to_vec();
+        let trained = phase.scheduler.map_slices_with(
+            phase.scratch,
+            &mut ids,
+            |scratch: &mut [RoundScratch; LANES], ids| {
+                let mut text = this.texts.checkout();
+                let mut out: Vec<Option<(ClientUpload, f32)>> = ids.iter().map(|_| None).collect();
+                let clients = ids.iter().map(|&id| match this.store.load(id) {
+                    Some(text) => {
+                        this.restore_client(id, &text, phase.cfg).unwrap_or_else(|e| panic!("{e}"))
+                    }
+                    None => this.build(id, phase.cfg, false),
+                });
+                rounds::train_in_lanes(
+                    phase.cfg,
+                    phase.round,
+                    scratch,
+                    clients,
+                    |at, c, up, loss| {
+                        this.park(&c, phase.round, &mut text);
+                        out[at] = Some((up, loss));
+                    },
+                );
+                this.texts.restore(text);
+                out
+            },
+        );
+        // uploads in participant order
+        trained.into_iter().flatten().map(|r| r.expect("every participant trained")).unzip()
     }
 
     /// Appends the round's dispersal to each participant's parked
     /// envelope — the stored counterpart of
     /// [`PtfClient::receive_disperse`].
     fn deliver(&mut self, round: u32, dispersals: Vec<(u32, Vec<ScoredItem>)>) {
-        let mut scores = Vec::new();
+        let (mut line, mut scores) = (self.texts.checkout(), Vec::new());
         for (client, items) in dispersals {
             scores.clear();
             scores.extend(items.iter().map(|&(_, s)| s));
-            self.store.append(client, |line| {
+            self.store.append(client, &mut line, |line| {
                 write_dispersal(&mut Writer::new(line), round, &items, &scores);
                 line.push(b'\n');
             });
         }
+        self.texts.restore(line);
     }
 }
 
@@ -789,15 +782,15 @@ pub(crate) mod tests {
             hyper,
             data: CohortData::Mem(data),
             store: ClientStore::empty_at(root.0.clone()).expect("temp store root"),
-            cohort: 0,
+            texts: Pool::new(),
         };
-        let client = host.build_fresh(1, &cfg);
-        host.park(&client, 0);
+        let client = host.build(1, &cfg, false);
+        host.park(&client, 0, &mut Vec::new());
         host.deliver(0, vec![(1, scored)]);
         let parked = host.store.load(1).unwrap();
         let restored = host.restore_client(1, &parked, &cfg).unwrap();
         assert_eq!(bits(restored.server_data().iter().map(|&(_, s)| s)), ODD);
-        host.park(&restored, 0);
+        host.park(&restored, 0, &mut Vec::new());
         host.deliver(0, vec![(1, restored.server_data().to_vec())]);
         assert_eq!(host.store.load(1).unwrap(), parked, "re-parking changed the envelope");
     }
@@ -912,11 +905,11 @@ pub(crate) mod tests {
             hyper,
             data: CohortData::Mem(data),
             store: ClientStore::empty_at(root.0.clone()).expect("temp store root"),
-            cohort: 0,
+            texts: Pool::new(),
         };
-        let mut client = host.build_fresh(1, &cfg);
+        let mut client = host.build(1, &cfg, false);
         client.restore_eviction_state(3, vec![(2, 1), (5, 0)]);
-        host.park(&client, 1);
+        host.park(&client, 1, &mut Vec::new());
         host.deliver(1, vec![(1, vec![(3, 0.5), (0, -0.0)])]);
         assert_eq!(
             host.store.load(1).unwrap(),
@@ -1015,7 +1008,7 @@ pub(crate) mod tests {
             let id = fed.trainable()[pick % fed.trainable().len()];
             let intact = fed.host.store.load(id).expect("every participant is parked");
             let client = fed.host.restore_client(id, &intact, &fed.cfg).map_err(TestCaseError::fail)?;
-            fed.host.park(&client, 1);
+            fed.host.park(&client, 1, &mut Vec::new());
             fed.host.deliver(1, vec![(id, client.server_data().to_vec())]);
             prop_assert!(fed.host.store.load(id).as_ref() == Some(&intact), "re-parking changed the envelope");
 

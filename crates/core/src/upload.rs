@@ -1,7 +1,8 @@
 //! Privacy-preserving construction of the client upload D̂ᵗᵢ (§III-B2).
 
 use crate::config::DefenseKind;
-use ptf_privacy::{sample_upload, swap_scores, Ldp, SamplingConfig, ScoredItem};
+use ptf_federated::RoundScratch;
+use ptf_privacy::{sample_upload_into, swap_scores_with, Ldp, SamplingConfig, ScoredItem};
 use rand::Rng;
 
 /// What a client sends to the server after one local round.
@@ -29,20 +30,20 @@ impl ClientUpload {
 }
 
 /// Applies the configured defense to the scored trained pools and packages
-/// the upload. `pos`/`neg` carry the local model's post-training scores
-/// for this round's trained positives/negatives.
+/// the upload. `scratch.scored_pos`/`scratch.scored_neg` carry the local
+/// model's post-training scores for this round's trained
+/// positives/negatives.
 ///
-/// `pos`/`neg` are mutated in place (defenses select/perturb them);
+/// The pools are mutated in place (defenses select/perturb them), and the
+/// defenses draw their indices into `scratch`'s workspaces;
 /// `predictions`/`audit` become the returned upload's backing storage —
 /// pass the buffers recycled from this client's *previous* upload and a
-/// steady-state `NoDefense`/LDP round performs zero heap allocations here
-/// (the sampling defenses draw index vectors internally and stay
-/// allocating; they are sized by the defense, not the hot path).
+/// steady-state round performs zero heap allocations here under every
+/// defense.
 #[allow(clippy::too_many_arguments)]
 pub fn build_upload_into(
     client: u32,
-    pos: &mut Vec<ScoredItem>,
-    neg: &mut Vec<ScoredItem>,
+    scratch: &mut RoundScratch,
     defense: DefenseKind,
     sampling: &SamplingConfig,
     lambda: f64,
@@ -50,22 +51,27 @@ pub fn build_upload_into(
     mut predictions: Vec<ScoredItem>,
     mut audit: Vec<u32>,
 ) -> ClientUpload {
+    let RoundScratch { scored_pos: pos, scored_neg: neg, picked, pos_idx, neg_idx, .. } = scratch;
     predictions.clear();
     audit.clear();
+    // room for the whole pool: a sampled upload's size varies by round,
+    // and this way a bigger one never regrows the recycled buffers
+    predictions.reserve(pos.len() + neg.len());
+    audit.reserve(pos.len());
 
     if matches!(defense, DefenseKind::Sampling | DefenseKind::SamplingSwapping) {
-        let s = sample_upload(pos.len(), neg.len(), sampling, rng);
-        let sel_pos: Vec<ScoredItem> = s.positives.iter().map(|&i| pos[i]).collect();
-        let sel_neg: Vec<ScoredItem> = s.negatives.iter().map(|&i| neg[i]).collect();
-        pos.clear();
-        pos.extend_from_slice(&sel_pos);
-        neg.clear();
-        neg.extend_from_slice(&sel_neg);
+        sample_upload_into(pos.len(), neg.len(), sampling, rng, pos_idx, neg_idx);
+        for (pool, idx) in [(&mut *pos, &*pos_idx), (&mut *neg, &*neg_idx)] {
+            picked.clear();
+            picked.extend(idx.iter().map(|&i| pool[i]));
+            pool.clear();
+            pool.extend_from_slice(picked);
+        }
     }
 
     match defense {
         DefenseKind::SamplingSwapping => {
-            swap_scores(pos, neg, lambda, rng);
+            swap_scores_with(pos, neg, lambda, rng, pos_idx, neg_idx);
         }
         DefenseKind::Ldp { epsilon } => {
             let ldp = Ldp::new(epsilon);
@@ -93,25 +99,17 @@ mod tests {
     /// [`build_upload_into`] with fresh pools and buffers.
     fn upload(
         client: u32,
-        mut pos: Vec<ScoredItem>,
-        mut neg: Vec<ScoredItem>,
+        pos: Vec<ScoredItem>,
+        neg: Vec<ScoredItem>,
         defense: DefenseKind,
         sampling: &SamplingConfig,
         lambda: f64,
         rng: &mut impl Rng,
     ) -> ClientUpload {
+        let mut scratch =
+            RoundScratch { scored_pos: pos, scored_neg: neg, ..RoundScratch::default() };
         let (predictions, audit) = (Vec::new(), Vec::new());
-        build_upload_into(
-            client,
-            &mut pos,
-            &mut neg,
-            defense,
-            sampling,
-            lambda,
-            rng,
-            predictions,
-            audit,
-        )
+        build_upload_into(client, &mut scratch, defense, sampling, lambda, rng, predictions, audit)
     }
 
     fn pools() -> (Vec<ScoredItem>, Vec<ScoredItem>) {
@@ -239,6 +237,67 @@ mod tests {
         // if positives stayed at the head, the first 10 ids would all be < 10
         let head_positives = up.predictions[..10].iter().filter(|&&(i, _)| i < 10).count();
         assert!(head_positives < 10, "upload not shuffled");
+    }
+
+    /// The upload each defense builds in reused workspaces, against the
+    /// allocating `sample_upload` and `swap_scores` run on the same
+    /// stream: the same draws in the same order give the same upload, and
+    /// the rest of the stream is where both leave it. One scratch serves
+    /// every call, so its workspaces arrive warm and sized for other pools.
+    #[test]
+    fn workspaces_draw_as_the_allocating_defenses_do() {
+        use ptf_privacy::{sample_upload, swap_scores};
+        let mut scratch = RoundScratch::default();
+        let defenses = [
+            DefenseKind::NoDefense,
+            DefenseKind::Sampling,
+            DefenseKind::SamplingSwapping,
+            DefenseKind::Ldp { epsilon: 1.0 },
+        ];
+        for (seed, defense) in (0..40).zip(defenses.into_iter().cycle()) {
+            let pos: Vec<ScoredItem> =
+                (0..3 + seed % 17).map(|i| (i, ((i * 7 + seed) % 11) as f32 / 10.0)).collect();
+            let neg: Vec<ScoredItem> =
+                (100..104 + seed * 3 % 50).map(|i| (i, (i % 5) as f32 / 9.0)).collect();
+            let (mut p, mut n, mut rng) = (pos.clone(), neg.clone(), test_rng(seed.into()));
+            if matches!(defense, DefenseKind::Sampling | DefenseKind::SamplingSwapping) {
+                let s = sample_upload(p.len(), n.len(), &SamplingConfig::default(), &mut rng);
+                p = s.positives.iter().map(|&i| pos[i]).collect();
+                n = s.negatives.iter().map(|&i| neg[i]).collect();
+            }
+            match defense {
+                DefenseKind::SamplingSwapping => swap_scores(&mut p, &mut n, 0.3, &mut rng),
+                DefenseKind::Ldp { epsilon } => {
+                    Ldp::new(epsilon).perturb(&mut p, &mut rng);
+                    Ldp::new(epsilon).perturb(&mut n, &mut rng);
+                }
+                _ => {}
+            }
+            let mut audit: Vec<u32> = p.iter().map(|&(i, _)| i).collect();
+            audit.sort_unstable();
+            let mut predictions = [p, n].concat();
+            ptf_data::shuffle(&mut predictions, &mut rng);
+            let want = ClientUpload { client: 9, predictions, audit_positives: audit };
+
+            let mut got_rng = test_rng(seed.into());
+            (scratch.scored_pos, scratch.scored_neg) = (pos, neg);
+            let got = build_upload_into(
+                9,
+                &mut scratch,
+                defense,
+                &SamplingConfig::default(),
+                0.3,
+                &mut got_rng,
+                Vec::new(),
+                Vec::new(),
+            );
+            let bits = |u: &ClientUpload| -> Vec<(u32, u32)> {
+                u.predictions.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{defense:?}, seed {seed}");
+            assert_eq!(got.audit_positives, want.audit_positives, "{defense:?}, seed {seed}");
+            assert_eq!(got_rng.gen::<u64>(), rng.gen::<u64>(), "{defense:?}, seed {seed}");
+        }
     }
 
     #[test]

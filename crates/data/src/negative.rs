@@ -46,6 +46,34 @@ pub struct ItemBits {
     words: Vec<u64>,
 }
 
+impl ItemBits {
+    /// Writes the ascending, duplicate-free union of `ids` (each below
+    /// `num_items`) into `out`, cleared first, and leaves the set empty:
+    /// one bit set per id, then one sweep of the words they fell in.
+    pub fn sorted_union(
+        &mut self,
+        num_items: usize,
+        ids: impl IntoIterator<Item = u32>,
+        out: &mut Vec<u32>,
+    ) {
+        self.prepare(num_items);
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for id in ids {
+            let at = id as usize / 64;
+            self.words[at] |= 1 << (id % 64);
+            (lo, hi) = (lo.min(at), hi.max(at + 1));
+        }
+        out.clear();
+        for at in lo..hi {
+            let mut word = std::mem::take(&mut self.words[at]);
+            while word != 0 {
+                out.push(at as u32 * 64 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+    }
+}
+
 impl Seen for ItemBits {
     fn prepare(&mut self, num_items: usize) {
         let words = num_items.div_ceil(64);
@@ -159,6 +187,33 @@ mod tests {
         let mut sorted = negs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 3, 4, 5], "complement is {{1,3,4,5}}");
+    }
+
+    /// The bitset union against sort + dedup, over catalogues on and off
+    /// a word boundary and id lists with repeats, one `ItemBits` serving
+    /// every call (so each must leave it empty) and negative sampling in
+    /// between.
+    #[test]
+    fn sorted_union_equals_sort_and_dedup() {
+        use rand::Rng;
+        let (mut bits, mut out, mut negatives) = (ItemBits::default(), Vec::new(), Vec::new());
+        let mut rng = crate::test_rng(11);
+        for (case, num_items) in
+            [1usize, 63, 64, 65, 200, 1682, 128, 7].into_iter().cycle().take(40).enumerate()
+        {
+            let ids: Vec<u32> = (0..rng.gen_range(0..3 * num_items))
+                .map(|_| rng.gen_range(0..num_items as u32))
+                .collect();
+            let mut want = ids.clone();
+            want.sort_unstable();
+            want.dedup();
+            bits.sorted_union(num_items, ids.iter().copied(), &mut out);
+            assert_eq!(out, want, "case {case}: {num_items} items");
+            if num_items > 1 {
+                sample_negatives_into(&[0], num_items, 1, &mut rng, &mut negatives, &mut bits);
+            }
+        }
+        assert!(bits.words.iter().all(|&w| w == 0), "the union left bits set");
     }
 
     #[test]

@@ -61,8 +61,9 @@ pub struct RoundScratch {
     /// `Recommender::prepare_items` so scoped models batch-materialize
     /// their rows in one pass.
     pub pool_ids: Vec<u32>,
-    /// Rejection-sampling workspace for negative sampling: one bit per
-    /// catalogue item, left empty by every call.
+    /// One bit per catalogue item, left empty by every call: the
+    /// rejection-sampling workspace of negative sampling, and the union
+    /// that lays out `pool_ids`.
     pub seen: ptf_data::negative::ItemBits,
     /// `(user, item, label)` training triples.
     pub triples: Vec<(u32, u32, f32)>,
@@ -82,6 +83,17 @@ pub struct RoundScratch {
     pub scored_pos: Vec<(u32, f32)>,
     /// Scored negatives (upload staging).
     pub scored_neg: Vec<(u32, f32)>,
+    /// The pairs a sampling defense keeps of one scored pool.
+    pub picked: Vec<(u32, f32)>,
+    /// Index workspaces of the sampling and swap defenses: the sampled
+    /// positions in the positive and negative pools, then the positives'
+    /// rank order and the negatives' swap partners.
+    pub pos_idx: Vec<usize>,
+    pub neg_idx: Vec<usize>,
+    /// An eviction pass's keep set (sorted ids) and the last-touched
+    /// rounds it ranks the rows outside the pool by.
+    pub keep: Vec<u32>,
+    pub recency: Vec<u32>,
 }
 
 /// A shared checkout/restore pool of [`RoundScratch`] values — a thin

@@ -20,8 +20,8 @@ pub mod swapping;
 
 pub use attack::TopGuessAttack;
 pub use ldp::Ldp;
-pub use sampling::{sample_upload, SampledUpload, SamplingConfig};
-pub use swapping::swap_scores;
+pub use sampling::{sample_upload, sample_upload_into, SampledUpload, SamplingConfig};
+pub use swapping::{swap_scores, swap_scores_with};
 
 /// One scored item inside an upload: `(item id, predicted score)`.
 pub type ScoredItem = (u32, f32);

@@ -55,6 +55,24 @@ pub fn sample_upload(
     cfg: &SamplingConfig,
     rng: &mut impl Rng,
 ) -> SampledUpload {
+    let (mut positives, mut negatives) = (Vec::new(), Vec::new());
+    let (beta, gamma) =
+        sample_upload_into(num_positives, num_negatives, cfg, rng, &mut positives, &mut negatives);
+    SampledUpload { positives, negatives, beta, gamma }
+}
+
+/// [`sample_upload`] into caller-owned index buffers (cleared on entry),
+/// returning `(β, γ)`: the same draws in the same order, so a caller that
+/// keeps the buffers between rounds allocates nothing once they have
+/// grown to its pools.
+pub fn sample_upload_into(
+    num_positives: usize,
+    num_negatives: usize,
+    cfg: &SamplingConfig,
+    rng: &mut impl Rng,
+    positives: &mut Vec<usize>,
+    negatives: &mut Vec<usize>,
+) -> (f64, f64) {
     let beta = draw(cfg.beta_range, rng);
     let gamma = draw(cfg.gamma_range, rng);
     let n_pos = if num_positives == 0 {
@@ -63,12 +81,9 @@ pub fn sample_upload(
         ((num_positives as f64 * beta).round() as usize).clamp(1, num_positives)
     };
     let n_neg = ((n_pos as f64 * gamma).round() as usize).min(num_negatives);
-    SampledUpload {
-        positives: sample_indices(num_positives, n_pos, rng),
-        negatives: sample_indices(num_negatives, n_neg, rng),
-        beta,
-        gamma,
-    }
+    sample_indices(num_positives, n_pos, rng, positives);
+    sample_indices(num_negatives, n_neg, rng, negatives);
+    (beta, gamma)
 }
 
 fn draw(range: (f64, f64), rng: &mut impl Rng) -> f64 {
@@ -80,17 +95,17 @@ fn draw(range: (f64, f64), rng: &mut impl Rng) -> f64 {
     }
 }
 
-/// Uniformly samples `k` distinct indices from `0..n` (partial
-/// Fisher–Yates on an index vector).
-fn sample_indices(n: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+/// Uniformly samples `k` distinct indices from `0..n` into `idx`
+/// (partial Fisher–Yates on an index vector).
+fn sample_indices(n: usize, k: usize, rng: &mut impl Rng, idx: &mut Vec<usize>) {
     debug_assert!(k <= n);
-    let mut idx: Vec<usize> = (0..n).collect();
+    idx.clear();
+    idx.extend(0..n);
     for i in 0..k {
         let j = rng.gen_range(i..n);
         idx.swap(i, j);
     }
     idx.truncate(k);
-    idx
 }
 
 #[cfg(test)]

@@ -18,6 +18,20 @@ pub fn swap_scores(
     lambda: f64,
     rng: &mut impl Rng,
 ) {
+    swap_scores_with(positives, negatives, lambda, rng, &mut Vec::new(), &mut Vec::new());
+}
+
+/// [`swap_scores`] with caller-owned workspaces for the positives' rank
+/// order and the negatives' partner draw: the same draws in the same
+/// order, and no allocation once the buffers have grown to the pools.
+pub fn swap_scores_with(
+    positives: &mut [ScoredItem],
+    negatives: &mut [ScoredItem],
+    lambda: f64,
+    rng: &mut impl Rng,
+    pos_order: &mut Vec<usize>,
+    neg_idx: &mut Vec<usize>,
+) {
     if lambda <= 0.0 || positives.is_empty() || negatives.is_empty() {
         return;
     }
@@ -32,13 +46,15 @@ pub fn swap_scores(
     // `sort_unstable_by` gives equal keys an *unspecified* order, which
     // would let a compiler/std upgrade silently break the bit-identical
     // determinism guarantee.
-    let mut pos_order: Vec<usize> = (0..positives.len()).collect();
+    pos_order.clear();
+    pos_order.extend(0..positives.len());
     pos_order.sort_unstable_by(|&a, &b| {
         ptf_metrics::cmp_scores_desc(positives[a].1, positives[b].1).then(a.cmp(&b))
     });
 
     // k distinct negative partners (partial Fisher–Yates)
-    let mut neg_idx: Vec<usize> = (0..negatives.len()).collect();
+    neg_idx.clear();
+    neg_idx.extend(0..negatives.len());
     for i in 0..k {
         let j = rng.gen_range(i..neg_idx.len());
         neg_idx.swap(i, j);

@@ -406,12 +406,8 @@ fn run_train_scale(name: &'static str, a: &TrainArgs) -> Result<(), Failure> {
         server_scope: ServerScope::ActiveParticipants,
     };
     eprintln!(
-        "training PTF-FedRec/cohort on {} ({} clients, {} items, cohort {}, {} participants/round)",
-        name,
-        sc.num_users,
-        sc.num_items,
-        if opts.cohort == 0 { sc.num_users } else { opts.cohort },
-        p,
+        "training PTF-FedRec/cohort on {} ({} clients, {} items, {} participants/round)",
+        name, sc.num_users, sc.num_items, p,
     );
     let (engine, trace) = run_cohort_engine(a, CohortData::Arena(arena), cfg, opts)?;
     finish_train(a, &engine, trace, None, sc.num_users)

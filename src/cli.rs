@@ -67,10 +67,9 @@ pub struct TrainArgs {
     pub evict_budget: usize,
     /// Override a scale preset's user count (scale datasets only).
     pub users: Option<usize>,
-    /// Clients resident in memory at once during the parallel phase
-    /// (`0` = the whole fleet; cohorting is what bounds peak heap).
-    /// Defaults to the whole fleet on the in-RAM presets and 1024 on
-    /// the scale presets.
+    /// Selects the cohort runtime on an in-RAM preset. The number bounds
+    /// nothing: every client is parked the moment it finishes training,
+    /// so at most threads × 4 are resident whatever it says.
     pub cohort: Option<usize>,
     /// Exact number of participants sampled per round (scale
     /// datasets only; default 64 there).
@@ -706,10 +705,12 @@ the LDP budget of `--defense ldp` and is refused with any other defense.
 
 The `scale-*` datasets stream a deterministic synthetic fleet
 (10k/100k/1M users; `--users N` overrides) into an on-disk CSR arena and
-train with cohort scheduling: `--cohort N` clients are resident at once
-(default 1024 there; `0` = whole fleet), `--participants N` are sampled
-per round (default 64), and ranking evaluation is skipped. `--cohort`
-also works on the in-RAM presets. Every cohort run parks client state in
+train with cohort scheduling: each client is restored, trained and
+parked again as soon as it finishes, so at most threads × 4 clients are
+resident at once; `--participants N` are sampled per round (default
+64), and ranking evaluation is skipped. `--cohort N` selects the cohort
+runtime on the in-RAM presets too; its N no longer bounds anything.
+Every cohort run parks client state in
 per-client envelopes on disk, under DIR/clients with `--checkpoint DIR`,
 else under a temp dir removed when the run exits. `--checkpoint DIR`
 makes any ptf-protocol cohort run durable: a crash-safe commit every

@@ -203,6 +203,57 @@ fn clients_that_promote_between_participations_match_the_resident_fleet() {
     }
 }
 
+/// Eviction every round: a restored client merges its recency index,
+/// ranks and compacts it, and drops rows exactly as the resident one does,
+/// at one worker and at four, for MF clients (the lanes) and NeuMF
+/// clients (trained alone). Under the lower budget every pool exceeds it,
+/// so each participant keeps exactly its pool; under the higher one the
+/// pools fit and are topped up from the recency index to the budget. Both
+/// hold fewer rows than a fleet that never evicts.
+#[test]
+fn evicting_cohort_runs_match_the_resident_fleet() {
+    let s = split(40);
+    let root = StoreRoot::new("evict");
+    for (client, budget) in
+        [(ModelKind::Mf, 16), (ModelKind::Mf, 64), (ModelKind::NeuMf, 16), (ModelKind::NeuMf, 64)]
+    {
+        let evicting = |threads: usize, evict_interval: u32| {
+            let mut c = cfg(threads);
+            c.storage.evict_interval = evict_interval;
+            c.storage.evict_budget = budget;
+            c
+        };
+        let resident = |c: PtfConfig| {
+            let mut engine = Engine::new(
+                PtfFedRec::try_new(&s.train, client, ModelKind::Mf, &ModelHyper::small(), c)
+                    .expect("valid config"),
+            );
+            let trace = engine.run();
+            let report = engine.evaluate(&s.train, &s.test, 10);
+            (trace, report, engine)
+        };
+        let (trace, report, engine) = resident(evicting(1, 1));
+        let (.., kept_all) = resident(evicting(1, 0));
+        let fleet = engine.protocol();
+        let rows: Vec<usize> =
+            fleet.trainable().iter().map(|&u| fleet.client(u).item_rows()).collect();
+        match budget {
+            16 => assert!(rows.iter().all(|&r| r > budget), "{client}: a pool fit in {budget}"),
+            _ => assert!(rows.contains(&budget), "{client}: no top-up reached {budget}"),
+        }
+        assert!(
+            fleet.materialized_item_rows() < kept_all.protocol().materialized_item_rows(),
+            "{client}: eviction to {budget} dropped no row"
+        );
+        for threads in [1usize, 4] {
+            let got = run_cohort(&s, client, ModelKind::Mf, evicting(threads, 1), root.opts(16));
+            let at = format!("{client}, budget {budget}, threads {threads}");
+            assert_eq!(trace, got.0, "{at}: RunTrace diverged");
+            assert_eq!(report, got.1, "{at}: RankingReport diverged");
+        }
+    }
+}
+
 /// The on-disk envelope store is an implementation detail: at a chunked
 /// cohort size it gives byte-equal results to the fleet the resident
 /// engine keeps in memory.
@@ -340,20 +391,36 @@ fn checkpoint_resume_reproduces_uninterrupted_run() {
         (ModelKind::NeuMf, ModelKind::Ngcf),
         (ModelKind::Mf, ModelKind::LightGcn),
     ] {
-        resume_matches_uninterrupted(client, server);
+        resume_matches_uninterrupted(client, server, 0);
     }
 }
 
-fn resume_matches_uninterrupted(client: ModelKind, server: ModelKind) {
+/// The same under eviction every round, with a budget some pools exceed
+/// and others are topped up to: the committed envelopes carry compacted
+/// recency indexes and evicted tables, and the resumed run ranks and
+/// evicts on from them as the uninterrupted run does.
+#[test]
+fn checkpoint_resume_under_eviction_reproduces_uninterrupted_run() {
+    resume_matches_uninterrupted(ModelKind::Mf, ModelKind::Mf, 48);
+}
+
+/// Kill-and-resume of a `client`/`server` run; an `evict_budget` above 0
+/// evicts every round down to it.
+fn resume_matches_uninterrupted(client: ModelKind, server: ModelKind, evict_budget: usize) {
     let s = split(40);
     let mut c = cfg(2);
     c.rounds = 5;
+    c.storage.evict_interval = u32::from(evict_budget > 0);
+    c.storage.evict_budget = evict_budget;
     let hyper = ModelHyper::small();
     let fingerprint =
         config_fingerprint(&c, client, server, &hyper, s.train.num_users(), s.train.num_items());
     // every build empties the store: the resumed run's is refilled from
     // the commit, not left over from the interrupted run
-    let root = StoreRoot::new("resume-store");
+    // the eviction and plain cases run as two tests at once: their roots
+    // differ by the budget
+    let tag = |name: &str| StoreRoot::new(&format!("{name}-{evict_budget}"));
+    let root = tag("resume-store");
     let build = || {
         CohortFedRec::try_new(
             CohortData::Mem(s.train.clone()),
@@ -367,8 +434,8 @@ fn resume_matches_uninterrupted(client: ModelKind, server: ModelKind) {
     };
     let pair = format!("{client}/{server}");
     // the server envelope a final commit of `engine` writes
-    let final_server = |engine: &Engine<CohortFedRec>, traces: &[_], tag: &str| {
-        let dir = StoreRoot::new(tag);
+    let final_server = |engine: &Engine<CohortFedRec>, traces: &[_], name: &str| {
+        let dir = tag(name);
         checkpoint::save_checkpoint(
             &dir.0,
             engine.protocol(),
@@ -399,7 +466,7 @@ fn resume_matches_uninterrupted(client: ModelKind, server: ModelKind) {
     let graph = matches!(server, ModelKind::Ngcf | ModelKind::LightGcn);
     assert_eq!(no_edges, !graph, "{pair}: a soft-edge memory exactly for a graph server");
 
-    let ckpt_root = StoreRoot::new("ckpt");
+    let ckpt_root = tag("ckpt");
     let ckpt = &ckpt_root.0;
     {
         let mut engine = Engine::new(build());

@@ -1,5 +1,5 @@
 //! The cohort runtime's flat-heap guarantee: peak heap is bounded by the
-//! cohort, not the fleet.
+//! clients in training, not the fleet.
 //!
 //! This binary installs the `ptf_tensor::alloc::CountingAlloc` shim and
 //! runs the same few `CohortFedRec` rounds (streamed on-disk arena, disk
@@ -7,8 +7,9 @@
 //! participant count) at growing user counts. The runtime's heap has two
 //! parts:
 //!
-//! * an O(cohort) part — resident client models, server state, scratch —
-//!   identical across user counts, and
+//! * a part bounded by the clients in training (each is parked as its
+//!   lane finishes, so at most threads × 4 are live) — their models,
+//!   server state, scratch — identical across user counts, and
 //! * O(users) *index* transients that are fundamental and cheap: the
 //!   arena writer's u64 indptr (8 B/user, freed when generation
 //!   finishes), the trainable-user sweep and the per-round partial
@@ -18,8 +19,8 @@
 //! `PER_USER_BYTES × Δusers + ABS_SLACK_BYTES` and nothing more; any
 //! per-user *model* state (tens of KB per user) exceeds the bound by
 //! orders of magnitude. Measured (MF/MF, 3 rounds, 256 participants,
-//! cohort 1024): 10k users → 7.0 MB peak, 100k → 7.8 MB, 1M → 14.9 MB —
-//! ~8 B/user of growth, i.e. the indptr.
+//! release build): 10k users → 2.8 MB peak, 100k → 3.7 MB, 1M → 10.6 MB
+//! — ~8 B/user of growth, i.e. the indptr.
 //!
 //! `alloc::peak_bytes` is process-wide, so the two tests below serialize
 //! on [`MEASURING`]; keep every test in this binary behind it.
