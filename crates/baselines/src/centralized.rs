@@ -58,7 +58,6 @@ pub struct Centralized {
     train: Dataset,
     scheduler: Scheduler,
     scratch: ScratchPool,
-    round: u32,
 }
 
 impl Centralized {
@@ -74,7 +73,7 @@ impl Centralized {
         let edges: Vec<(u32, u32, f32)> = train.pairs().map(|(u, i)| (u, i, 1.0)).collect();
         model.set_graph(&edges);
         let scheduler = Scheduler::new(cfg.threads);
-        Self { cfg, model, train: train.clone(), scheduler, scratch: ScratchPool::new(), round: 0 }
+        Self { cfg, model, train: train.clone(), scheduler, scratch: ScratchPool::new() }
     }
 }
 
@@ -93,7 +92,7 @@ impl FederatedProtocol for Centralized {
     /// replay in user order on the caller's thread.
     fn run_round(&mut self, ctx: &mut RoundCtx<'_>) -> RoundTrace {
         ctx.begin(&[]);
-        let (seed, round) = (self.cfg.seed, self.round);
+        let (seed, round) = (self.cfg.seed, ctx.round());
         let users: Vec<u32> = self.train.active_users().collect();
         let (train, neg_ratio) = (&self.train, self.cfg.neg_ratio);
         let per_user: Vec<Vec<(u32, u32, f32)>> =
@@ -119,9 +118,7 @@ impl FederatedProtocol for Centralized {
         let mut shuffle_rng = round_rng(seed, round, RngStream::Shuffle);
         shuffle(&mut samples, &mut shuffle_rng);
         let loss = ptf_models::train_on_samples(&mut *self.model, &samples, self.cfg.batch);
-        let trace = RoundTrace::new(self.round, &[], loss, ctx.bytes());
-        self.round += 1;
-        trace
+        RoundTrace::new(round, &[], loss, ctx.bytes())
     }
 
     fn recommender(&self) -> &dyn Recommender {

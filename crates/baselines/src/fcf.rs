@@ -96,7 +96,6 @@ pub struct Fcf {
     trainable: Vec<u32>,
     scheduler: Scheduler,
     scratch: ScratchPool,
-    round: u32,
 }
 
 impl Fcf {
@@ -106,7 +105,7 @@ impl Fcf {
         let clients = partition_clients(train);
         let trainable = clients.iter().filter(|c| c.is_trainable()).map(|c| c.id).collect();
         let scheduler = Scheduler::new(cfg.threads);
-        Self { cfg, model, clients, trainable, scheduler, scratch: ScratchPool::new(), round: 0 }
+        Self { cfg, model, clients, trainable, scheduler, scratch: ScratchPool::new() }
     }
 
     /// The wire size of one direction of the exchange (item matrix+bias).
@@ -220,7 +219,7 @@ impl Fcf {
         ctx: &mut RoundCtx<'_>,
         observer: &mut DeltaObserver<'_>,
     ) -> RoundTrace {
-        let (seed, round) = (self.cfg.seed, self.round);
+        let (seed, round) = (self.cfg.seed, ctx.round());
         let mut part_rng = round_rng(seed, round, RngStream::Participation);
         let participants = self.cfg.participation.sample(&self.trainable, &mut part_rng);
         ctx.begin(&participants);
@@ -273,9 +272,7 @@ impl Fcf {
             }
         }
 
-        let trace = RoundTrace::new(self.round, &losses, 0.0, ctx.bytes());
-        self.round += 1;
-        trace
+        RoundTrace::new(round, &losses, 0.0, ctx.bytes())
     }
 }
 

@@ -7,7 +7,7 @@
 //! `ciphertext_bytes` (64 B ≈ 1024-bit Paillier with packing), producing
 //! the MB-scale traffic of Table IV's FedMF row.
 //!
-//! Simulation note (DESIGN.md §4): the real FedMF keeps the item matrix
+//! Simulation note: the real FedMF keeps the item matrix
 //! encrypted server-side across rounds; we run the encrypt → aggregate →
 //! decrypt cycle within each round over every client's *actual* gradient
 //! matrix (the key-holding clients could do the same decryption) and keep
@@ -61,8 +61,6 @@ impl FedMfConfig {
 pub struct FedMf {
     inner: Fcf,
     he: HeContext,
-    round: u32,
-    rounds: u32,
     dim: usize,
     he_verified: bool,
 }
@@ -70,12 +68,9 @@ pub struct FedMf {
 impl FedMf {
     pub fn new(train: &Dataset, cfg: FedMfConfig) -> Self {
         let dim = cfg.base.dim;
-        let rounds = cfg.base.rounds;
         Self {
             inner: Fcf::new(train, cfg.base),
             he: HeContext::new(cfg.he_key),
-            round: 0,
-            rounds,
             dim,
             he_verified: false,
         }
@@ -94,7 +89,7 @@ impl FederatedProtocol for FedMf {
     }
 
     fn configured_rounds(&self) -> u32 {
-        self.rounds
+        self.inner.configured_rounds()
     }
 
     fn run_round(&mut self, ctx: &mut RoundCtx<'_>) -> RoundTrace {
@@ -108,7 +103,7 @@ impl FederatedProtocol for FedMf {
         // The plaintext exchange goes to a detached context — the real
         // wire carries ciphertexts, reported below.
         let he = self.he;
-        let round = self.round;
+        let round = ctx.round();
         let mut ct_sum: Vec<i128> = vec![0; values_per_transfer];
         let mut plain_sum: Vec<f32> = vec![0.0; values_per_transfer];
         let mut contributors: Vec<u32> = Vec::new();
@@ -157,9 +152,7 @@ impl FederatedProtocol for FedMf {
                 },
             );
         }
-        let trace = RoundTrace { round: self.round, bytes: ctx.bytes(), ..inner_trace };
-        self.round += 1;
-        trace
+        RoundTrace { bytes: ctx.bytes(), ..inner_trace }
     }
 
     fn recommender(&self) -> &dyn Recommender {

@@ -1,4 +1,5 @@
-//! Additively homomorphic encryption, simulated (see DESIGN.md §4).
+//! Additively homomorphic encryption, simulated: a behavioural stand-in
+//! for Paillier.
 //!
 //! FedMF wraps item-embedding gradients in Paillier ciphertexts so the
 //! server can aggregate without reading them. A real Paillier needs

@@ -8,7 +8,7 @@
 //!   parameter-transmission FedRec;
 //! * [`fedmf`] — FCF dynamics with homomorphically encrypted gradient
 //!   uploads ([`he`] provides the simulated additively homomorphic
-//!   cipher — see DESIGN.md §4 for the substitution note);
+//!   cipher; its module docs say what it stands in for and why);
 //! * [`metamf`] — a hypernetwork server generating personalized item
 //!   embeddings.
 //!

@@ -93,7 +93,6 @@ pub struct MetaMf {
     trainable: Vec<u32>,
     scheduler: Scheduler,
     scratch: ScratchPool,
-    round: u32,
 }
 
 impl MetaMf {
@@ -113,7 +112,6 @@ impl MetaMf {
             trainable,
             scheduler,
             scratch: ScratchPool::new(),
-            round: 0,
             cfg,
         }
     }
@@ -244,7 +242,7 @@ impl FederatedProtocol for MetaMf {
     /// accumulation into the meta gradients replay serially in
     /// participant order, so the result is identical at any thread count.
     fn run_round(&mut self, ctx: &mut RoundCtx<'_>) -> RoundTrace {
-        let (seed, round) = (self.cfg.seed, self.round);
+        let (seed, round) = (self.cfg.seed, ctx.round());
         let mut part_rng = round_rng(seed, round, RngStream::Participation);
         let participants = self.cfg.participation.sample(&self.trainable, &mut part_rng);
         ctx.begin(&participants);
@@ -335,9 +333,7 @@ impl FederatedProtocol for MetaMf {
             }
         }
 
-        let trace = RoundTrace::new(self.round, &losses, 0.0, ctx.bytes());
-        self.round += 1;
-        trace
+        RoundTrace::new(round, &losses, 0.0, ctx.bytes())
     }
 
     fn recommender(&self) -> &dyn Recommender {

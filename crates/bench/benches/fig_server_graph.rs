@@ -1,4 +1,5 @@
-//! Extension ablation (DESIGN.md §5) — the server-side graph threshold.
+//! Extension ablation — the server-side graph threshold
+//! (`PtfConfig::graph_threshold`).
 //!
 //! The hidden NGCF builds its bipartite graph from uploaded soft labels
 //! with `r̂ ≥ threshold` treated as edges. The paper does not specify this

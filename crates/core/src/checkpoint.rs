@@ -35,7 +35,7 @@
 
 use crate::cohort::CohortFedRec;
 use ptf_comm::{CommLedger, LedgerWire};
-use ptf_federated::RoundTrace;
+use ptf_federated::{Engine, RoundTrace, RunTrace};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -57,8 +57,8 @@ pub struct Manifest {
     /// The next round the resumed engine will execute; `commit-r{next_round}`
     /// holds the matching server and client envelopes.
     pub next_round: u32,
-    /// Traces of rounds `0..next_round`, replayed into the resumed
-    /// recorder so the final `RunTrace` covers the whole run.
+    /// Traces of rounds `0..next_round`: the resumed engine's trace, so
+    /// the final `RunTrace` covers the whole run.
     pub traces: Vec<RoundTrace>,
     /// Communication-ledger counters at the commit point.
     pub ledger: LedgerWire,
@@ -134,10 +134,30 @@ pub fn commit_dir(dir: &Path, next_round: u32) -> PathBuf {
     dir.join(format!("commit-r{next_round}"))
 }
 
-/// Commits the run's state after `protocol.rounds_completed()` rounds:
-/// client envelopes and `server.json`, then the manifest (the atomic
-/// commit point), then the prune of older commits. See the module docs
-/// for the crash-safety argument.
+/// Checks that `traces` are the rounds `0..next_round`, one each, in
+/// order: what a manifest holds and what a resumed engine continues.
+/// `whose` names them in the error.
+fn check_traces(
+    traces: &[RoundTrace],
+    next_round: u32,
+    whose: &str,
+) -> Result<(), CheckpointError> {
+    let inconsistent = if traces.len() != next_round as usize {
+        format!("{whose} holds {} traces for next_round {next_round}", traces.len())
+    } else if let Some((i, t)) = (0u32..).zip(traces).find(|(i, t)| t.round != *i) {
+        format!("{whose} trace {i} is for round {}", t.round)
+    } else {
+        return Ok(());
+    };
+    Err(CheckpointError::Corrupt(inconsistent))
+}
+
+/// Commits the run's state after the rounds `ledger` counted — the
+/// engine's ledger and its trace, `traces`, which must hold exactly those
+/// rounds (anything else is refused before a byte is written): client
+/// envelopes and `server.json`, then the manifest (the atomic commit
+/// point), then the prune of older commits. See the module docs for the
+/// crash-safety argument.
 pub fn save_checkpoint(
     dir: &Path,
     protocol: &CohortFedRec,
@@ -145,8 +165,9 @@ pub fn save_checkpoint(
     traces: &[RoundTrace],
     fingerprint: u64,
 ) -> Result<(), CheckpointError> {
+    let next_round = ledger.summary().rounds;
+    check_traces(traces, next_round, "commit")?;
     std::fs::create_dir_all(dir).map_err(io_at(dir))?;
-    let next_round = protocol.rounds_completed();
     let commit = commit_dir(dir, next_round);
     if commit.exists() {
         // leftover from a crash between envelope copy and manifest rename
@@ -205,32 +226,20 @@ pub fn load_manifest(dir: &Path) -> Result<Manifest, CheckpointError> {
         )));
     }
     let manifest: Manifest = serde_json::from_str(&text).map_err(corrupt)?;
-    if manifest.traces.len() != manifest.next_round as usize {
-        return Err(CheckpointError::Corrupt(format!(
-            "manifest holds {} traces for next_round {}",
-            manifest.traces.len(),
-            manifest.next_round
-        )));
-    }
-    if let Some((i, t)) = (0u32..).zip(&manifest.traces).find(|(i, t)| t.round != *i) {
-        return Err(CheckpointError::Corrupt(format!(
-            "manifest trace {i} is for round {}",
-            t.round
-        )));
-    }
+    check_traces(&manifest.traces, manifest.next_round, "manifest")?;
     Ok(manifest)
 }
 
-/// Rewinds a freshly constructed protocol to the manifest's commit
-/// point: server state from `commit-r{N}/server.json`, committed client
-/// envelopes (each restored once as a check), round counter. The caller
-/// pairs this with `ptf_federated::Engine::resume` at the same round and
-/// a `CommLedger::restore` of the manifest's ledger counters.
-pub fn resume_protocol(
+/// Rebuilds the engine of a freshly constructed protocol at the
+/// manifest's commit point: server state from `commit-r{N}/server.json`,
+/// the committed client envelopes (each restored once as a check), and
+/// the manifest's ledger and trace, from which the engine continues at
+/// round `N`.
+pub fn resume(
     dir: &Path,
-    manifest: &Manifest,
-    protocol: &mut CohortFedRec,
-) -> Result<(), CheckpointError> {
+    manifest: Manifest,
+    mut protocol: CohortFedRec,
+) -> Result<Engine<CohortFedRec>, CheckpointError> {
     let commit = commit_dir(dir, manifest.next_round);
     let server_json = commit.join("server.json");
     let server = std::fs::read(&server_json).map_err(io_at(&server_json))?;
@@ -238,8 +247,8 @@ pub fn resume_protocol(
         .restore_server_state(&server)
         .map_err(|e| CheckpointError::Corrupt(format!("{}: {e}", server_json.display())))?;
     protocol.reset_clients_from(&commit).map_err(CheckpointError::Corrupt)?;
-    protocol.set_rounds_completed(manifest.next_round);
-    Ok(())
+    let ledger = CommLedger::restore(&manifest.ledger);
+    Ok(Engine::resume(protocol, ledger, RunTrace { rounds: manifest.traces }))
 }
 
 #[cfg(test)]
@@ -247,7 +256,6 @@ mod tests {
     use super::*;
     use crate::cohort::tests::{small_fed, TempRoot};
     use proptest::prelude::*;
-    use ptf_federated::Engine;
     use std::sync::OnceLock;
 
     /// The manifest of a real two-round cohort run, written once.
@@ -256,8 +264,10 @@ mod tests {
         MANIFEST.get_or_init(|| {
             let (store, ckpt) = (TempRoot::new("ckpt-store"), TempRoot::new("ckpt"));
             let mut engine = Engine::new(small_fed(&store, 4));
-            let traces: Vec<RoundTrace> = (0..2).map(|_| engine.run_round()).collect();
-            save_checkpoint(&ckpt.0, engine.protocol(), engine.ledger(), &traces, 0xfeed)
+            engine.run_round();
+            engine.run_round();
+            let traces = &engine.trace().rounds;
+            save_checkpoint(&ckpt.0, engine.protocol(), engine.ledger(), traces, 0xfeed)
                 .expect("checkpoint saves");
             std::fs::read_to_string(manifest_path(&ckpt.0)).expect("manifest reads")
         })
@@ -282,6 +292,36 @@ mod tests {
             }
             other => panic!("renumbered traces were not rejected: {:?}", other.map(|m| m.traces)),
         }
+    }
+
+    /// A commit whose trace is not exactly the ledger's rounds used to
+    /// write a manifest that `load_manifest` then refused. It is refused
+    /// before anything is written.
+    #[test]
+    fn a_commit_refuses_traces_that_are_not_the_ledgers_rounds() {
+        let (store, ckpt) = (TempRoot::new("ckpt-count-store"), TempRoot::new("ckpt-count"));
+        let mut engine = Engine::new(small_fed(&store, 4));
+        engine.run_round();
+        engine.run_round();
+        let [r0, r1] = [engine.trace().rounds[0], engine.trace().rounds[1]];
+        for (traces, refusal) in [
+            (&[r0][..], "commit holds 1 traces for next_round 2"),
+            (&[r0, r1, r1][..], "commit holds 3 traces for next_round 2"),
+            (&[r1, r0][..], "commit trace 0 is for round 1"),
+        ] {
+            let saved =
+                save_checkpoint(&ckpt.0, engine.protocol(), engine.ledger(), traces, 0xfeed);
+            match saved {
+                Err(CheckpointError::Corrupt(m)) => assert_eq!(m, refusal),
+                Err(e) => panic!("{refusal}: refused as {e}"),
+                Ok(()) => panic!("{refusal}: committed"),
+            }
+            assert!(!ckpt.0.exists(), "{refusal}: a refused commit wrote {}", ckpt.0.display());
+        }
+        let traces = &engine.trace().rounds;
+        save_checkpoint(&ckpt.0, engine.protocol(), engine.ledger(), traces, 0xfeed)
+            .expect("the engine's own trace commits");
+        assert_eq!(load_manifest(&ckpt.0).expect("manifest loads").traces, *traces);
     }
 
     /// A version-4 manifest holds the server envelope and a ledger of

@@ -27,7 +27,7 @@ use ptf_data::negative::sample_negatives_into;
 use ptf_federated::{ClientData, RoundScratch};
 use ptf_models::{build_model_scoped, MfModel, ModelHyper, ModelKind, Recommender, ScopeView};
 use ptf_privacy::ScoredItem;
-use ptf_tensor::packed::Writer;
+use ptf_tensor::packed::{Reader, Writer};
 use rand::Rng;
 
 /// A PTF-FedRec client.
@@ -153,7 +153,15 @@ impl PtfClient {
     /// must have been built from the same architecture, per-client seed,
     /// and data partition as the exporter.
     pub fn import_model_state(&mut self, envelope: &str) -> Result<(), String> {
-        self.model.import_full_state(envelope)
+        self.read_model_state(envelope.as_bytes())
+    }
+
+    /// [`Self::import_model_state`] from the envelope's bytes, as the
+    /// cohort runtime reads them from its store.
+    pub(crate) fn read_model_state(&mut self, envelope: &[u8]) -> Result<(), String> {
+        let mut r = Reader::new(envelope);
+        self.model.read_full_state(&mut r)?;
+        r.finish()
     }
 
     /// The eviction-schedule state that must survive a client being

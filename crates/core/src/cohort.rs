@@ -25,9 +25,10 @@
 //!   rewritten). All three lines go through the one state codec
 //!   ([`ptf_tensor::packed`]): a park writes the head and the model's
 //!   envelope straight into its worker's reused buffer, and a restore reads
-//!   each line with a cursor that decodes ids and packed buffers into
-//!   their destinations — no JSON value tree, no intermediate copy of the
-//!   model text — and takes only the writer's canonical spelling.
+//!   the file into a second one and each line with a cursor that decodes
+//!   ids and packed buffers into their destinations — no JSON value tree,
+//!   no intermediate copy of the model text — and takes only the writer's
+//!   canonical spelling.
 //!   Everything else a resident client holds is either rebuilt per round
 //!   (the ego graph) or capacity-only (upload buffers).
 //!
@@ -88,8 +89,8 @@ use ptf_models::{build_model_scoped, ModelHyper, ModelKind, ScopeView};
 use ptf_privacy::ScoredItem;
 use ptf_tensor::packed::{Reader, Writer};
 use ptf_tensor::par::Pool;
-use std::fs::OpenOptions;
-use std::io::Write;
+use std::fs::{File, OpenOptions};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// The interaction data backing a cohort run.
@@ -197,7 +198,7 @@ struct ClientEnvelope<'a> {
     local_rounds: u32,
     touched: Vec<(u32, u32)>,
     /// The model's full-state envelope; its import checks it.
-    model: &'a str,
+    model: &'a [u8],
     /// The dispersed set `D̃_i`, zipped back into pairs.
     dispersal: Vec<ScoredItem>,
 }
@@ -236,16 +237,22 @@ impl<'a> ClientEnvelope<'a> {
     /// agreeing rounds, ragged pairs, unsorted recency ids or an item
     /// outside the catalogue is an error naming the client — never a
     /// panic, here or in the client's next round.
-    fn parse(id: u32, text: &'a str, num_items: usize) -> Result<Self, String> {
+    fn parse(id: u32, text: &'a [u8], num_items: usize) -> Result<Self, String> {
         let fail = |what: &dyn std::fmt::Display| format!("client {id} envelope: {what}");
-        let mut lines = text.split_inclusive('\n').map(|line| line.strip_suffix('\n'));
-        let (Some(Some(head)), Some(Some(model)), Some(Some(disp)), None) =
-            (lines.next(), lines.next(), lines.next(), lines.next())
-        else {
+        // lines 1 and 3 are short: their ends are found from either side,
+        // so nothing scans the long model line before its own reader,
+        // which takes no newline (a fourth line fails there)
+        let lines = text.strip_suffix(b"\n").and_then(|body| {
+            let head_end = body.iter().position(|&b| b == b'\n')?;
+            let disp_at = body.iter().rposition(|&b| b == b'\n')? + 1;
+            let model = body.get(head_end + 1..disp_at - 1)?;
+            Some((&body[..head_end], model, &body[disp_at..]))
+        });
+        let Some((head, model, disp)) = lines else {
             return Err(fail(&"not three newline-terminated lines"));
         };
 
-        let mut r = Reader::new(head.as_bytes());
+        let mut r = Reader::new(head);
         let mut items = Vec::new();
         let mut touched = Vec::new();
         let head = (|| {
@@ -271,7 +278,7 @@ impl<'a> ClientEnvelope<'a> {
         .and_then(|head| r.finish().map(|()| head));
         let (round, local_rounds, rounds) = head.map_err(|e| fail(&format_args!("head: {e}")))?;
 
-        let mut r = Reader::new(disp.as_bytes());
+        let mut r = Reader::new(disp);
         let mut disp_items = Vec::new();
         let disp = (|| {
             r.open()?;
@@ -340,10 +347,13 @@ impl ClientStore {
         self.root.join(shard).join(file)
     }
 
-    fn load(&self, id: u32) -> Option<String> {
-        match std::fs::read_to_string(self.path(id)) {
-            Ok(s) => Some(s),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+    /// Reads `id`'s envelope into `text` (emptied first), the buffer the
+    /// caller keeps; false if the client was never parked.
+    fn load(&self, id: u32, text: &mut Vec<u8>) -> bool {
+        text.clear();
+        match File::open(self.path(id)).and_then(|mut f| f.read_to_end(text)) {
+            Ok(_) => true,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
             Err(e) => panic!("client store read for {id}: {e}"),
         }
     }
@@ -390,7 +400,8 @@ pub struct Stored {
     hyper: ModelHyper,
     data: CohortData,
     store: ClientStore,
-    /// Envelope text buffers, one checked out per worker and by `deliver`.
+    /// Envelope text buffers: two checked out per worker (one a restore
+    /// reads into, one a park writes through) and one by `deliver`.
     texts: Pool<Vec<u8>>,
 }
 
@@ -453,15 +464,6 @@ impl Round<Stored> {
         Ok(())
     }
 
-    /// Fast-forwards the round counter to a checkpoint's `next_round`.
-    /// Only meaningful right after construction, together with
-    /// [`restore_server_state`](Self::restore_server_state) and
-    /// [`reset_clients_from`](Self::reset_clients_from); the engine must
-    /// be resumed at the same round (`ptf_federated::Engine::resume`).
-    pub fn set_rounds_completed(&mut self, round: u32) {
-        self.round = round;
-    }
-
     /// Copies every stored client envelope into `dir` (created fresh) —
     /// the client half of a checkpoint commit.
     pub fn snapshot_clients_to(&self, dir: &Path) -> Result<(), String> {
@@ -479,7 +481,7 @@ impl Round<Stored> {
         host.store = ClientStore::empty_at(host.store.root.clone())
             .map_err(|e| format!("clear store: {e}"))?;
         copy_envelopes(dir, &host.store.root, |id, src| {
-            let text = std::fs::read_to_string(src)
+            let text = std::fs::read(src)
                 .map_err(|e| format!("committed envelope for client {id}: {e}"))?;
             host.restore_client(id, &text, cfg).map(drop)
         })
@@ -507,11 +509,11 @@ impl Stored {
     /// Builds the client over no item rows, then replays its envelope
     /// (model state with its scope, dispersed set, eviction index) onto
     /// it. A damaged envelope is an error naming the client.
-    fn restore_client(&self, id: u32, text: &str, cfg: &PtfConfig) -> Result<PtfClient, String> {
+    fn restore_client(&self, id: u32, text: &[u8], cfg: &PtfConfig) -> Result<PtfClient, String> {
         let env = ClientEnvelope::parse(id, text, self.data.num_items())?;
         let mut client = self.build(id, cfg, true);
         client
-            .import_model_state(env.model)
+            .read_model_state(env.model)
             .map_err(|e| format!("client {id} envelope: model: {e}"))?;
         client.restore_eviction_state(env.local_rounds, env.touched);
         client.receive_disperse(env.dispersal);
@@ -551,13 +553,14 @@ impl ClientHost for Stored {
             phase.scratch,
             &mut ids,
             |scratch: &mut [RoundScratch; LANES], ids| {
-                let mut text = this.texts.checkout();
+                let (mut read, mut text) = (this.texts.checkout(), this.texts.checkout());
                 let mut out: Vec<Option<(ClientUpload, f32)>> = ids.iter().map(|_| None).collect();
-                let clients = ids.iter().map(|&id| match this.store.load(id) {
-                    Some(text) => {
-                        this.restore_client(id, &text, phase.cfg).unwrap_or_else(|e| panic!("{e}"))
+                let clients = ids.iter().map(|&id| {
+                    if this.store.load(id, &mut read) {
+                        this.restore_client(id, &read, phase.cfg).unwrap_or_else(|e| panic!("{e}"))
+                    } else {
+                        this.build(id, phase.cfg, false)
                     }
-                    None => this.build(id, phase.cfg, false),
                 });
                 rounds::train_in_lanes(
                     phase.cfg,
@@ -569,7 +572,10 @@ impl ClientHost for Stored {
                         out[at] = Some((up, loss));
                     },
                 );
+                // `read` last, so `deliver` and the next round's restore
+                // take the buffer that already holds a whole envelope
                 this.texts.restore(text);
+                this.texts.restore(read);
                 out
             },
         );
@@ -787,12 +793,18 @@ pub(crate) mod tests {
         let client = host.build(1, &cfg, false);
         host.park(&client, 0, &mut Vec::new());
         host.deliver(0, vec![(1, scored)]);
-        let parked = host.store.load(1).unwrap();
+        let parked = parked_file(&host, 1).unwrap();
         let restored = host.restore_client(1, &parked, &cfg).unwrap();
         assert_eq!(bits(restored.server_data().iter().map(|&(_, s)| s)), ODD);
         host.park(&restored, 0, &mut Vec::new());
         host.deliver(0, vec![(1, restored.server_data().to_vec())]);
-        assert_eq!(host.store.load(1).unwrap(), parked, "re-parking changed the envelope");
+        assert_eq!(parked_file(&host, 1).unwrap(), parked, "re-parking changed the envelope");
+    }
+
+    /// Client `id`'s parked file, read as a round reads it.
+    fn parked_file(host: &Stored, id: u32) -> Option<Vec<u8>> {
+        let mut text = vec![b'x'; 3];
+        host.store.load(id, &mut text).then_some(text)
     }
 
     /// A cohort runtime of MF clients over `users` synthetic users, with
@@ -881,9 +893,8 @@ pub(crate) mod tests {
                 let line = after.strip_prefix(before.as_slice()).expect("parked bytes unchanged");
                 assert_eq!(line.iter().position(|&b| b == b'\n'), Some(line.len() - 1), "{path:?}");
                 let id = path.file_stem().unwrap().to_str().unwrap().parse().unwrap();
-                let text = String::from_utf8(after.clone()).unwrap();
                 fed.host
-                    .restore_client(id, &text, &fed.cfg)
+                    .restore_client(id, after, &fed.cfg)
                     .expect("a delivered envelope restores");
             }
         }
@@ -912,7 +923,7 @@ pub(crate) mod tests {
         host.park(&client, 1, &mut Vec::new());
         host.deliver(1, vec![(1, vec![(3, 0.5), (0, -0.0)])]);
         assert_eq!(
-            host.store.load(1).unwrap(),
+            String::from_utf8(parked_file(&host, 1).unwrap()).unwrap(),
             concat!(
                 r#"{"round":1,"local_rounds":3,"touched_items":[2,5],"touched_rounds":[1,0]}"#,
                 "\n",
@@ -929,9 +940,9 @@ pub(crate) mod tests {
             round_by_hand(&mut fed, round, |_| {});
         }
         let id = fed.trainable()[1];
-        let parked = fed.host.store.load(id).unwrap();
-        assert_eq!(parked.lines().count(), 3);
-        let got = (parked.len(), crate::fingerprint::fnv1a64(parked.as_bytes()));
+        let parked = parked_file(&fed.host, id).unwrap();
+        assert_eq!(parked.iter().filter(|&&b| b == b'\n').count(), 3);
+        let got = (parked.len(), crate::fingerprint::fnv1a64(&parked));
         assert_eq!(got, (4_514, 0x3fc6_b192_baf0_5d73), "client {id}'s parked file drifted");
     }
 
@@ -948,7 +959,7 @@ pub(crate) mod tests {
 
     impl Damage {
         /// `pick`/`at`/`mask` are raw draws, mapped onto `text`.
-        fn of(kind: u8, at: f64, mask: u8, pick: usize, text: &str) -> Self {
+        fn of(kind: u8, at: f64, mask: u8, pick: usize, text: &[u8]) -> Self {
             let offset = ((at * text.len() as f64) as usize).min(text.len() - 1);
             match kind {
                 0 => Self::Truncate(offset),
@@ -960,32 +971,34 @@ pub(crate) mod tests {
             }
         }
 
-        /// The damaged bytes, or `None` where they are not UTF-8 (which
-        /// the store's reader refuses before any decoder sees them).
-        fn apply(&self, text: &str) -> Option<String> {
-            let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+        /// The damaged bytes; a flip may leave them not UTF-8, which the
+        /// decoder sees like any other damage.
+        fn apply(&self, text: &[u8]) -> Vec<u8> {
+            let mut lines: Vec<&[u8]> = text.split_inclusive(|&b| b == b'\n').collect();
             match *self {
-                Self::Truncate(at) => return Some(text[..at].to_string()),
+                Self::Truncate(at) => return text[..at].to_vec(),
                 Self::Flip(at, mask) => {
-                    let mut bytes = text.as_bytes().to_vec();
+                    let mut bytes = text.to_vec();
                     bytes[at] ^= mask;
-                    return String::from_utf8(bytes).ok();
+                    return bytes;
                 }
                 Self::Drop(k) => drop(lines.remove(k)),
                 Self::Duplicate(k) => lines.insert(k, lines[k]),
                 Self::Swap(a, b) => lines.swap(a, b),
                 Self::NextRoundDispersal => {
-                    let round: u32 = text
+                    let [head, model, disp] =
+                        [0, 1, 2].map(|k| std::str::from_utf8(lines[k]).expect("UTF-8 lines"));
+                    let round: u32 = head
                         .strip_prefix(r#"{"round":"#)
                         .and_then(|rest| rest.split(',').next()?.parse().ok())
                         .expect("line 1 opens with the round");
                     let from = format!(r#"{{"round":{round},"#);
-                    let line = lines[2].replacen(&from, &format!(r#"{{"round":{},"#, round + 1), 1);
-                    assert_ne!(line, lines[2], "line 3 opens with the same round");
-                    return Some(format!("{}{}{line}", lines[0], lines[1]));
+                    let line = disp.replacen(&from, &format!(r#"{{"round":{},"#, round + 1), 1);
+                    assert_ne!(line, disp, "line 3 opens with the same round");
+                    return format!("{head}{model}{line}").into_bytes();
                 }
             }
-            Some(lines.concat())
+            lines.concat()
         }
     }
 
@@ -1006,14 +1019,14 @@ pub(crate) mod tests {
                 round_by_hand(&mut fed, round, |_| {});
             }
             let id = fed.trainable()[pick % fed.trainable().len()];
-            let intact = fed.host.store.load(id).expect("every participant is parked");
+            let intact = parked_file(&fed.host, id).expect("every participant is parked");
             let client = fed.host.restore_client(id, &intact, &fed.cfg).map_err(TestCaseError::fail)?;
             fed.host.park(&client, 1, &mut Vec::new());
             fed.host.deliver(1, vec![(id, client.server_data().to_vec())]);
-            prop_assert!(fed.host.store.load(id).as_ref() == Some(&intact), "re-parking changed the envelope");
+            prop_assert!(parked_file(&fed.host, id).as_ref() == Some(&intact), "re-parking changed the envelope");
 
             let damage = Damage::of(kind, at, mask, pick, &intact);
-            let Some(damaged) = damage.apply(&intact) else { return Ok(()) };
+            let damaged = damage.apply(&intact);
             match fed.host.restore_client(id, &damaged, &fed.cfg) {
                 Ok(_) => prop_assert!(matches!(damage, Damage::Flip(..)), "{damage:?} was accepted"),
                 Err(e) => prop_assert!(e.starts_with(&format!("client {id} envelope: ")), "{e}"),

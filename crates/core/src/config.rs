@@ -156,8 +156,9 @@ pub struct PtfConfig {
     pub disperse: DisperseStrategy,
     /// Participation policy (paper: all clients every round).
     pub participation: Participation,
-    /// Soft-label threshold above which an uploaded prediction becomes an
-    /// edge of the server's interaction graph (see DESIGN.md §5).
+    /// Soft-label threshold at or above which an uploaded prediction
+    /// becomes an edge of the server's interaction graph. The paper does
+    /// not specify it; `fig_server_graph` sweeps it.
     pub graph_threshold: f32,
     /// Master seed for all protocol randomness.
     pub seed: u64,

@@ -21,19 +21,18 @@
 //! [`protocol::ClientHost`]: [`PtfFedRec`] keeps the fleet resident,
 //! [`CohortFedRec`] parks it in envelopes, and `ptf-net`'s round server
 //! reaches it over a transport. Wrap the driver in an
-//! [`ptf_federated::Engine`], whose observer stack carries the
-//! communication ledger, JSON trace recording, and any custom
+//! [`ptf_federated::Engine`], which keeps the run's trace and whose
+//! observer stack carries the communication ledger and any custom
 //! [`ptf_federated::RoundObserver`]:
 //!
 //! ```no_run
 //! use ptf_core::{PtfConfig, PtfFedRec};
 //! use ptf_data::{DatasetPreset, Scale, TrainTestSplit};
-//! use ptf_federated::{Engine, TraceRecorder};
+//! use ptf_federated::Engine;
 //! use ptf_models::{ModelHyper, ModelKind};
 //!
 //! let split = DatasetPreset::MovieLens100K.split(Scale::Small, 7);
 //!
-//! let recorder = TraceRecorder::new();
 //! let protocol = PtfFedRec::try_new(
 //!     &split.train,
 //!     ModelKind::NeuMf, // public client model
@@ -41,10 +40,10 @@
 //!     &ModelHyper::default(),
 //!     PtfConfig::paper(),
 //! )?; // ConfigError instead of a panic
-//! let mut fed = Engine::new(protocol).with_observer(recorder.clone()); // JSON round traces
-//! fed.run();
+//! let mut fed = Engine::new(protocol);
+//! let trace = fed.run(); // every round's RoundTrace, kept by the engine
 //! println!("{}", fed.evaluate(&split.train, &split.test, 20));
-//! println!("{}", recorder.to_json());
+//! println!("{} rounds, {} bytes", trace.num_rounds(), trace.total_bytes());
 //! # Ok::<(), ptf_core::ConfigError>(())
 //! ```
 

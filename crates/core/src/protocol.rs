@@ -19,8 +19,8 @@
 //!
 //! The driver implements [`FederatedProtocol`], so an
 //! [`ptf_federated::Engine`] drives its rounds and wires in the
-//! communication ledger, trace recording, and any other
-//! [`ptf_federated::RoundObserver`] from the outside:
+//! communication ledger and any other [`ptf_federated::RoundObserver`]
+//! from the outside, and keeps the round number and the trace:
 //! `Engine::new(PtfFedRec::try_new(..)?)`, plus `.with_observer(..)` for
 //! each extra sink.
 //!
@@ -95,7 +95,6 @@ pub struct Round<H> {
     trainable: Vec<u32>,
     scheduler: Scheduler,
     scratch: ScratchPool,
-    pub(crate) round: u32,
     /// Uploads of the most recent round (kept for privacy auditing).
     last_uploads: Vec<ClientUpload>,
 }
@@ -122,7 +121,6 @@ impl<H: ClientHost> Round<H> {
             trainable,
             scheduler,
             scratch: ScratchPool::new(),
-            round: 0,
             last_uploads: Vec::new(),
         }
     }
@@ -162,17 +160,13 @@ impl<H: ClientHost> Round<H> {
         )
     }
 
-    pub fn rounds_completed(&self) -> u32 {
-        self.round
-    }
-
     /// One round over an explicit participant set (ascending, unique):
     /// the shared body of [`FederatedProtocol::run_round`] (which samples
     /// the set) and [`FederatedProtocol::run_round_external`] (which is
     /// handed one, e.g. by a parity test replaying a run without a
     /// dropped straggler).
     fn round_with(&mut self, ctx: &mut RoundCtx<'_>, participants: Vec<u32>) -> RoundTrace {
-        let round = self.round;
+        let round = ctx.round();
         self.host.recycle(std::mem::take(&mut self.last_uploads));
         ctx.begin(&participants);
 
@@ -200,7 +194,6 @@ impl<H: ClientHost> Round<H> {
 
         let trace = rounds::round_trace(round, &losses, server_loss, ctx);
         self.last_uploads = uploads;
-        self.round += 1;
         trace
     }
 }
@@ -217,7 +210,7 @@ impl<H: ClientHost> FederatedProtocol for Round<H> {
     /// Executes one global round of Algorithm 1 as a two-phase
     /// map/reduce (see the module docs).
     fn run_round(&mut self, ctx: &mut RoundCtx<'_>) -> RoundTrace {
-        let participants = rounds::sample_participants(&self.cfg, &self.trainable, self.round);
+        let participants = rounds::sample_participants(&self.cfg, &self.trainable, ctx.round());
         self.round_with(ctx, participants)
     }
 
@@ -543,7 +536,7 @@ mod tests {
                 HostCall::Deliver(1, vec![]),
             ]
         );
-        assert_eq!(engine.protocol().rounds_completed(), 2);
+        assert_eq!(engine.rounds_completed(), 2);
         assert_eq!(engine.ledger().summary().rounds, 2);
         assert!(engine.protocol().last_uploads().is_empty());
         assert_eq!(engine.protocol().name(), "fake");
@@ -561,7 +554,7 @@ mod tests {
         let trace = fed.run();
         assert_eq!(trace.num_rounds(), 3);
         assert_eq!(fed.rounds_completed(), 3);
-        assert_eq!(fed.protocol().rounds_completed(), 3);
+        assert_eq!(fed.trace(), &trace);
         // every round has participants and non-zero traffic
         for r in &trace.rounds {
             assert!(r.participants > 0);

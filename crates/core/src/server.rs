@@ -40,7 +40,9 @@ pub struct PtfServer {
     /// re-ranked wherever `item_update_counts` changes.
     confidence_order: Vec<u32>,
     /// Persistent soft-edge memory `(user, item) → last uploaded score`,
-    /// backing the graph models' adjacency (DESIGN.md §5); stays empty
+    /// backing the graph models' adjacency: the paper's server sees no
+    /// raw interactions, so its graph is the remembered uploads scoring at
+    /// least `PtfConfig::graph_threshold` ([`confident_edges`]); stays empty
     /// for a model that does not use a graph. A `BTreeMap` so iteration
     /// order — which feeds `set_graph` — is a function of the keys, never
     /// of a per-process hash seed.

@@ -7,10 +7,10 @@
 //!   every model and protocol in the workspace.
 //! * [`synthetic`] — a latent-factor interaction generator whose presets
 //!   ([`presets`]) are calibrated to the Table II statistics of
-//!   MovieLens-100K, Steam-200K and Gowalla (see `DESIGN.md` §4 for the
-//!   substitution rationale: raw dumps are not redistributable, so we match
-//!   user/item counts, interaction volume, profile-length skew and density,
-//!   which are the properties the paper's experiments actually exercise).
+//!   MovieLens-100K, Steam-200K and Gowalla. They stand in for the raw
+//!   dumps, which are not redistributable: they match user/item counts,
+//!   interaction volume, profile-length skew and density, which are the
+//!   properties the paper's experiments actually exercise.
 //! * [`split`] — the paper's 8:2 per-user train/test split.
 //! * [`negative`] — negative sampling at the paper's 1:4 ratio.
 //! * [`loader`] — parsers for the real MovieLens/CSV formats, for users who

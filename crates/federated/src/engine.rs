@@ -2,11 +2,12 @@
 //!
 //! One [`FederatedProtocol`] trait covers PTF-FedRec *and* every
 //! parameter-transmission baseline; an [`Engine`] owns a protocol plus an
-//! observer stack ([`RoundObserver`]) and drives rounds through it. The
-//! protocol reports its wire traffic through the per-round [`RoundCtx`]
-//! instead of owning a ledger, so run/evaluate/report plumbing is written
-//! once — the CLI, examples, and bench harness all drive a
-//! `Box<dyn FederatedProtocol>` through the same code path.
+//! observer stack ([`RoundObserver`]), drives rounds through it and keeps
+//! their trace. The protocol reports its wire traffic through the
+//! per-round [`RoundCtx`] instead of owning a ledger, so
+//! run/evaluate/report plumbing is written once — the CLI, examples, and
+//! bench harness all drive a `Box<dyn FederatedProtocol>` through the
+//! same code path.
 
 use crate::observer::RoundObserver;
 use crate::sim::{RoundTrace, RunTrace};
@@ -171,35 +172,34 @@ impl<'a> RoundCtx<'a> {
     }
 }
 
-/// Drives a [`FederatedProtocol`] with a pluggable observer stack.
+/// Drives a [`FederatedProtocol`] with a pluggable observer stack, and
+/// keeps the run: every [`RoundTrace`] it ran, in round order. That trace
+/// is the one record of where the run stands — the next round's index is
+/// its length, and no protocol keeps a round counter of its own.
 ///
 /// The engine always carries a [`CommLedger`] (as its first observer) so
 /// every run has Table IV style accounting for free; further observers —
-/// a [`crate::TraceRecorder`], convergence probes, transport shims — are
-/// attached with [`Engine::with_observer`].
+/// convergence probes, transport shims — are attached with
+/// [`Engine::with_observer`].
 pub struct Engine<P> {
     protocol: P,
     ledger: CommLedger,
     observers: Vec<Box<dyn RoundObserver>>,
-    next_round: u32,
+    trace: RunTrace,
 }
 
 impl<P: FederatedProtocol> Engine<P> {
-    /// Wraps a *fresh* protocol (round counter at 0). Protocols pre-run
-    /// outside an engine (e.g. via detached contexts) would desync the
-    /// engine's round numbering from the protocol's internal counter.
+    /// Wraps a fresh protocol: the run starts at round 0.
     pub fn new(protocol: P) -> Self {
-        Self { protocol, ledger: CommLedger::new(), observers: Vec::new(), next_round: 0 }
+        Self::resume(protocol, CommLedger::new(), RunTrace::default())
     }
 
-    /// Wraps a protocol restored from a checkpoint: the engine continues
-    /// at `next_round` with the restored ledger, so a resumed run's
-    /// accounting is indistinguishable from one that never stopped. The
-    /// protocol's internal round counter must already agree with
-    /// `next_round` (the checkpoint subsystem restores both from one
-    /// manifest).
-    pub fn resume(protocol: P, ledger: CommLedger, next_round: u32) -> Self {
-        Self { protocol, ledger, observers: Vec::new(), next_round }
+    /// Wraps a protocol restored from a checkpoint together with the
+    /// ledger and trace of the rounds it already ran: the engine continues
+    /// at round `trace.num_rounds()`, so a resumed run's accounting and
+    /// trace are indistinguishable from one that never stopped.
+    pub fn resume(protocol: P, ledger: CommLedger, trace: RunTrace) -> Self {
+        Self { protocol, ledger, observers: Vec::new(), trace }
     }
 
     /// Attaches an observer (builder style).
@@ -232,23 +232,18 @@ impl<P: FederatedProtocol> Engine<P> {
         &self.ledger
     }
 
+    /// Every round run so far, from round 0 — across a resume too.
+    pub fn trace(&self) -> &RunTrace {
+        &self.trace
+    }
+
     pub fn rounds_completed(&self) -> u32 {
-        self.next_round
+        self.trace.num_rounds() as u32
     }
 
     /// Executes one global round through the observer stack.
     pub fn run_round(&mut self) -> RoundTrace {
-        let mut observers: Vec<&mut dyn RoundObserver> =
-            Vec::with_capacity(1 + self.observers.len());
-        observers.push(&mut self.ledger);
-        for o in &mut self.observers {
-            observers.push(o.as_mut());
-        }
-        let mut ctx = RoundCtx::new(self.next_round, observers);
-        let trace = self.protocol.run_round(&mut ctx);
-        ctx.finish(&trace);
-        self.next_round += 1;
-        trace
+        self.step(|protocol, ctx| Some(protocol.run_round(ctx))).expect("a sampled round runs")
     }
 
     /// Executes one round over an externally chosen participant set (see
@@ -257,26 +252,34 @@ impl<P: FederatedProtocol> Engine<P> {
     /// consuming a round — if the protocol does not support external
     /// participant sets.
     pub fn run_round_external(&mut self, participants: &[u32]) -> Option<RoundTrace> {
+        self.step(|protocol, ctx| protocol.run_round_external(ctx, participants))
+    }
+
+    /// Runs `round` as the next round and appends its trace.
+    fn step(
+        &mut self,
+        round: impl FnOnce(&mut P, &mut RoundCtx<'_>) -> Option<RoundTrace>,
+    ) -> Option<RoundTrace> {
         let mut observers: Vec<&mut dyn RoundObserver> =
             Vec::with_capacity(1 + self.observers.len());
         observers.push(&mut self.ledger);
         for o in &mut self.observers {
             observers.push(o.as_mut());
         }
-        let mut ctx = RoundCtx::new(self.next_round, observers);
-        let trace = self.protocol.run_round_external(&mut ctx, participants)?;
+        let mut ctx = RoundCtx::new(self.trace.num_rounds() as u32, observers);
+        let trace = round(&mut self.protocol, &mut ctx)?;
         ctx.finish(&trace);
-        self.next_round += 1;
+        self.trace.push(trace);
         Some(trace)
     }
 
-    /// Runs the remaining configured rounds and returns their trace.
+    /// Runs the remaining configured rounds and returns the whole run's
+    /// trace.
     pub fn run(&mut self) -> RunTrace {
-        let mut trace = RunTrace::default();
-        while self.next_round < self.protocol.configured_rounds() {
-            trace.push(self.run_round());
+        while self.rounds_completed() < self.protocol.configured_rounds() {
+            self.run_round();
         }
-        trace
+        self.trace.clone()
     }
 
     /// Evaluates the protocol's trained model with the paper's ranking
@@ -297,7 +300,7 @@ impl<P: FederatedProtocol> std::fmt::Debug for Engine<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("protocol", &self.protocol.name())
-            .field("rounds_completed", &self.next_round)
+            .field("rounds_completed", &self.rounds_completed())
             .field("observers", &self.observers.len())
             .finish_non_exhaustive()
     }
@@ -306,14 +309,27 @@ impl<P: FederatedProtocol> std::fmt::Debug for Engine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::TraceRecorder;
 
-    /// A deterministic toy protocol: every round, each of three clients
-    /// uploads one triple and gets two scored items back.
+    /// A deterministic toy protocol: every round, each participant
+    /// uploads one triple and gets two scored items back — clients 0, 1
+    /// and 2 unless a round is handed its own set, which it honors when
+    /// `external` is set.
     struct MockProtocol {
         rounds: u32,
-        done: u32,
+        external: bool,
         model: ConstModel,
+    }
+
+    impl MockProtocol {
+        fn round_over(&mut self, ctx: &mut RoundCtx<'_>, participants: &[u32]) -> RoundTrace {
+            ctx.begin(participants);
+            for &c in participants {
+                ctx.upload(c, "mock-up", Payload::Triples { count: 1 });
+                ctx.disperse(c, "mock-down", Payload::ScoredItems { count: 2 });
+            }
+            let losses = vec![0.5; participants.len()];
+            RoundTrace::new(ctx.round(), &losses, 0.0, ctx.bytes())
+        }
     }
 
     struct ConstModel {
@@ -352,16 +368,15 @@ mod tests {
         }
 
         fn run_round(&mut self, ctx: &mut RoundCtx<'_>) -> RoundTrace {
-            let participants = [0u32, 1, 2];
-            ctx.begin(&participants);
-            for &c in &participants {
-                ctx.upload(c, "mock-up", Payload::Triples { count: 1 });
-                ctx.disperse(c, "mock-down", Payload::ScoredItems { count: 2 });
-            }
-            let losses = [0.5, 0.5, 0.5];
-            let trace = RoundTrace::new(self.done, &losses, 0.0, ctx.bytes());
-            self.done += 1;
-            trace
+            self.round_over(ctx, &[0, 1, 2])
+        }
+
+        fn run_round_external(
+            &mut self,
+            ctx: &mut RoundCtx<'_>,
+            participants: &[u32],
+        ) -> Option<RoundTrace> {
+            self.external.then(|| self.round_over(ctx, participants))
         }
 
         fn recommender(&self) -> &dyn Recommender {
@@ -370,7 +385,7 @@ mod tests {
     }
 
     fn mock(rounds: u32) -> MockProtocol {
-        MockProtocol { rounds, done: 0, model: ConstModel { score: 0.2 } }
+        MockProtocol { rounds, external: true, model: ConstModel { score: 0.2 } }
     }
 
     #[test]
@@ -383,8 +398,8 @@ mod tests {
         assert_eq!(trace.rounds[0].bytes, 3 * (12 + 16));
         assert_eq!(engine.ledger().summary().total_bytes, trace.total_bytes());
         assert_eq!(engine.ledger().summary().rounds, 4);
-        // run() again is a no-op once the budget is spent
-        assert_eq!(engine.run().num_rounds(), 0);
+        // run() again runs nothing once the budget is spent
+        assert_eq!(engine.run(), trace);
     }
 
     #[test]
@@ -394,7 +409,6 @@ mod tests {
         // it used to be derived from message tags alone, inflating
         // per-round traffic averages
         struct QuietTail {
-            done: u32,
             model: ConstModel,
         }
         impl FederatedProtocol for QuietTail {
@@ -405,21 +419,19 @@ mod tests {
                 4
             }
             fn run_round(&mut self, ctx: &mut RoundCtx<'_>) -> RoundTrace {
-                if self.done == 0 {
+                if ctx.round() == 0 {
                     ctx.begin(&[0]);
                     ctx.upload(0, "up", Payload::Triples { count: 1 });
                 } else {
                     ctx.begin(&[]); // zero sampled participants
                 }
-                let trace = RoundTrace::new(self.done, &[], 0.0, ctx.bytes());
-                self.done += 1;
-                trace
+                RoundTrace::new(ctx.round(), &[], 0.0, ctx.bytes())
             }
             fn recommender(&self) -> &dyn Recommender {
                 &self.model
             }
         }
-        let mut engine = Engine::new(QuietTail { done: 0, model: ConstModel { score: 0.5 } });
+        let mut engine = Engine::new(QuietTail { model: ConstModel { score: 0.5 } });
         engine.run();
         let s = engine.ledger().summary();
         assert_eq!(s.rounds, 4, "message-free rounds must count");
@@ -429,10 +441,10 @@ mod tests {
     #[test]
     fn manual_rounds_then_run_completes_the_budget() {
         let mut engine = Engine::new(mock(5));
-        engine.run_round();
-        engine.run_round();
-        let rest = engine.run();
-        assert_eq!(rest.num_rounds(), 3);
+        let first = [engine.run_round(), engine.run_round()];
+        let whole = engine.run();
+        assert_eq!(whole.num_rounds(), 5);
+        assert_eq!(whole.rounds[..2], first);
         assert_eq!(engine.rounds_completed(), 5);
     }
 
@@ -463,12 +475,62 @@ mod tests {
         assert_eq!(*counts.borrow(), (2, 6, 6, 2));
     }
 
+    /// The engine's trace holds every round it ran — sampled, external
+    /// and from `run` — numbered by round, each as the call returned it,
+    /// and nothing for an external round the protocol refuses.
     #[test]
-    fn trace_recorder_matches_returned_trace() {
-        let recorder = TraceRecorder::new();
-        let mut engine = Engine::new(mock(3)).with_observer(recorder.clone());
-        let trace = engine.run();
-        assert_eq!(recorder.trace(), trace);
+    fn the_engine_trace_covers_every_kind_of_round() {
+        let mut engine = Engine::new(mock(5));
+        let mut returned = vec![engine.run_round()];
+        returned.extend(engine.run_round_external(&[7]));
+        returned.extend(engine.run_round_external(&[]));
+        assert_eq!(engine.trace().rounds, returned);
+        let whole = engine.run();
+        assert_eq!(&whole, engine.trace());
+        assert_eq!(whole.rounds[..3], returned);
+        let rounds: Vec<u32> = whole.rounds.iter().map(|r| r.round).collect();
+        assert_eq!(rounds, [0, 1, 2, 3, 4]);
+        let participants: Vec<usize> = whole.rounds.iter().map(|r| r.participants).collect();
+        assert_eq!(participants, [3, 1, 0, 3, 3]);
+        assert_eq!(whole.total_bytes(), engine.ledger().summary().total_bytes);
+        assert_eq!(engine.rounds_completed(), 5);
+
+        // an external set the protocol cannot honor consumes no round
+        let mut quiet = Engine::new(MockProtocol { external: false, ..mock(2) });
+        assert_eq!(quiet.run_round_external(&[0]), None);
+        assert_eq!(quiet.rounds_completed(), 0);
+        assert_eq!(quiet.run().num_rounds(), 2);
+    }
+
+    /// `ptf train --json` prints the engine's trace: a full `RunTrace`
+    /// object, one round object per round.
+    #[test]
+    fn the_engine_trace_serializes_as_a_full_run_trace() {
+        let mut engine = Engine::new(mock(2));
+        engine.run();
+        let json = serde_json::to_string(engine.trace()).expect("RunTrace serializes");
+        for field in ["\"rounds\"", "\"mean_client_loss\"", "\"server_loss\"", "\"bytes\":84"] {
+            assert!(json.contains(field), "missing {field} in {json}");
+        }
+        let back: RunTrace = serde_json::from_str(&json).expect("RunTrace parses");
+        assert_eq!(&back, engine.trace());
+    }
+
+    /// A resumed engine continues the trace it was handed: its next round
+    /// is numbered after it, and the whole run equals one never stopped.
+    #[test]
+    fn a_resumed_engine_continues_its_trace() {
+        let mut whole = Engine::new(mock(4));
+        whole.run();
+        let mut first = Engine::new(mock(4));
+        first.run_round();
+        first.run_round();
+        let ledger = CommLedger::restore(&first.ledger().snapshot());
+        let mut resumed = Engine::resume(mock(4), ledger, first.trace().clone());
+        assert_eq!(resumed.rounds_completed(), 2);
+        assert_eq!(resumed.run_round().round, 2);
+        assert_eq!(resumed.run(), *whole.trace());
+        assert_eq!(resumed.ledger().summary(), whole.ledger().summary());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! * [`sampler`] — per-round participant selection (`U^t ⊆ U`);
 //! * [`sim`] — round-by-round run traces every protocol reports;
 //! * [`engine`] — the [`FederatedProtocol`] trait and the [`Engine`] that
-//!   drives any protocol through a pluggable observer stack;
+//!   drives any protocol through a pluggable observer stack and keeps the
+//!   run's trace;
 //! * [`observer`] — the [`RoundObserver`] hook API (communication ledger,
-//!   JSON [`TraceRecorder`], custom sinks);
+//!   custom sinks);
 //! * [`scheduler`] — the deterministic parallel client [`Scheduler`] and
 //!   the per-`(seed, round, stream)` RNG derivation every protocol's
 //!   two-phase round loop is built on.
@@ -24,7 +25,7 @@ pub mod sim;
 
 pub use client::{partition_clients, ClientData};
 pub use engine::{Engine, FederatedProtocol, RoundCtx};
-pub use observer::{RoundObserver, TraceRecorder};
+pub use observer::RoundObserver;
 pub use sampler::Participation;
 pub use scheduler::{derive_seed, round_rng, RngStream, RoundScratch, Scheduler, ScratchPool};
 pub use sim::{RoundTrace, RunTrace};

@@ -1,15 +1,13 @@
 //! Round observers — the engine's hook API.
 //!
-//! Everything that used to be baked into `PtfFedRec` (the communication
-//! ledger, trace capture) now rides along as a [`RoundObserver`]: the
+//! The communication ledger rides along as a [`RoundObserver`]: the
 //! [`crate::Engine`] fires the hooks as its protocol reports wire traffic
 //! through the [`crate::RoundCtx`], so adding a metric sink or a transport
-//! probe is a one-file change that touches no protocol code.
+//! probe is a one-file change that touches no protocol code. The run's
+//! trace is not an observer's: the engine keeps it ([`crate::Engine::trace`]).
 
-use crate::sim::{RoundTrace, RunTrace};
+use crate::sim::RoundTrace;
 use ptf_comm::{CommLedger, Message};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Hooks fired around every global round of a federated run.
 ///
@@ -50,48 +48,6 @@ impl RoundObserver for CommLedger {
     }
 }
 
-/// Captures every [`RoundTrace`] and serializes the run as JSON — the
-/// sink behind `ptf train --json`.
-///
-/// A `TraceRecorder` is a cheap shared handle (`Clone` shares the same
-/// buffer), so callers keep one copy and hand the other to the engine:
-///
-/// ```
-/// use ptf_federated::{RoundObserver, RoundTrace, TraceRecorder};
-///
-/// let recorder = TraceRecorder::new();
-/// let mut observer = recorder.clone(); // give this one to the engine
-/// observer.on_round_end(&RoundTrace::new(0, &[0.5], 0.1, 64));
-/// assert_eq!(recorder.trace().num_rounds(), 1);
-/// assert!(recorder.to_json().contains("\"round\":0"));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct TraceRecorder {
-    rounds: Rc<RefCell<Vec<RoundTrace>>>,
-}
-
-impl TraceRecorder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A snapshot of the rounds recorded so far.
-    pub fn trace(&self) -> RunTrace {
-        RunTrace { rounds: self.rounds.borrow().clone() }
-    }
-
-    /// The recorded rounds as a JSON array of round objects.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.trace()).expect("RunTrace serialization cannot fail")
-    }
-}
-
-impl RoundObserver for TraceRecorder {
-    fn on_round_end(&mut self, trace: &RoundTrace) {
-        self.rounds.borrow_mut().push(*trace);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,26 +71,6 @@ mod tests {
         assert_eq!(s.messages, 2);
         assert_eq!(s.uploads_bytes, 24);
         assert_eq!(s.downloads_bytes, 24);
-    }
-
-    #[test]
-    fn recorder_handles_share_one_buffer() {
-        let recorder = TraceRecorder::new();
-        let mut engine_side = recorder.clone();
-        engine_side.on_round_end(&RoundTrace::new(0, &[0.4], 0.2, 10));
-        engine_side.on_round_end(&RoundTrace::new(1, &[0.3], 0.1, 10));
-        assert_eq!(recorder.trace().num_rounds(), 2);
-        assert_eq!(recorder.trace().total_bytes(), 20);
-    }
-
-    #[test]
-    fn recorder_json_is_a_full_run_trace() {
-        let recorder = TraceRecorder::new();
-        recorder.clone().on_round_end(&RoundTrace::new(0, &[0.5, 0.7], 0.3, 99));
-        let json = recorder.to_json();
-        for field in ["\"rounds\"", "\"mean_client_loss\"", "\"server_loss\"", "\"bytes\":99"] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!    exactly the in-process `num_positives() > 0` filter.
 //! 2. **Rounds** — the one round driver, [`ptf_core::Round`], runs every
 //!    round over the `Remote` host. The driver draws the participant
-//!    set, trains the hidden model and records the trace exactly as it
-//!    does in process. `Remote` only moves frames: it announces the
+//!    set and trains the hidden model, and the engine keeps the trace,
+//!    exactly as in process. `Remote` only moves frames: it announces the
 //!    round to each connection, listing that connection's participants,
 //!    collects uploads until the round deadline, and drops
 //!    stragglers and clients whose upload is malformed (the protocol's
@@ -252,7 +252,6 @@ pub fn run_server(
         error: None,
     };
     let mut engine = Engine::new(Round::new(opts.cfg.clone(), host, server, None, trainable));
-    let mut trace = RunTrace::default();
     for _ in 0..opts.cfg.rounds {
         let round = engine.run_round();
         let host = engine.protocol_mut().host_mut();
@@ -269,9 +268,8 @@ pub fn run_server(
                 round.server_loss
             );
         }
-        trace.push(round);
     }
-    let communication = engine.ledger().summary();
+    let (communication, trace) = (engine.ledger().summary(), engine.trace().clone());
     let mut driver = engine.into_protocol();
     let host = driver.host_mut();
 

@@ -13,7 +13,7 @@ use ptf_fedrec::cli::{
     parse, usage, ClientArgs, Command, DataChoice, FleetArgs, PrivacyArgs, ProtocolChoice,
     ServeArgs, TrainArgs,
 };
-use ptf_fedrec::comm::{format_bytes, CommLedger, LedgerSummary};
+use ptf_fedrec::comm::{format_bytes, LedgerSummary};
 use ptf_fedrec::core::{
     checkpoint, config_fingerprint, CohortData, CohortFedRec, CohortOptions, DefenseKind,
     PtfConfig, PtfFedRec, ServerScope, StoragePolicy, StoreKind,
@@ -21,9 +21,7 @@ use ptf_fedrec::core::{
 use ptf_fedrec::data::{
     CsrArena, Dataset, DatasetPreset, DatasetStats, ScaleConfig, TrainTestSplit,
 };
-use ptf_fedrec::federated::{
-    Engine, FederatedProtocol, Participation, RoundObserver, RoundTrace, RunTrace, TraceRecorder,
-};
+use ptf_fedrec::federated::{Engine, FederatedProtocol, Participation, RoundTrace, RunTrace};
 use ptf_fedrec::metrics::RankingReport;
 use ptf_fedrec::models::{evaluate_model, ModelHyper, ModelKind};
 use ptf_fedrec::net::{
@@ -190,16 +188,16 @@ struct ScaleTrainJson {
 const UNSAVABLE: &str = "this model does not support checkpointing";
 
 /// The tail of every `ptf train`: evaluate when there is a held-out split
-/// (a streamed fleet of `users` has none), report as JSON or text, and
-/// honour `--save`.
+/// (a streamed fleet of `users` has none), report the engine's trace and
+/// ledger as JSON or text, and honour `--save`.
 fn finish_train<P: FederatedProtocol>(
     a: &TrainArgs,
     engine: &Engine<P>,
-    trace: RunTrace,
     held_out: Option<&TrainTestSplit>,
     users: usize,
 ) -> Result<(), Failure> {
     let protocol = engine.protocol().name().to_string();
+    let trace = engine.trace().clone();
     let dataset = a.dataset.name().to_string();
     let communication = engine.ledger().summary();
     let report = held_out.map(|split| engine.evaluate(&split.train, &split.test, a.k));
@@ -238,40 +236,36 @@ fn finish_train<P: FederatedProtocol>(
 /// Builds (and on `--resume` rewinds) a cohort protocol, then drives it
 /// to its round budget — or to `--halt-after` — committing a durable
 /// checkpoint every `--checkpoint-every` completed rounds plus one at the
-/// stopping point whenever `--checkpoint` is set. Returns the engine
-/// (for evaluation/export) and the trace, which after a resume is the
-/// *whole* run's: the manifest's committed rounds are replayed into the
-/// recorder before the first live round.
+/// stopping point whenever `--checkpoint` is set. Returns the engine,
+/// whose trace after a resume is the *whole* run's: the resumed engine
+/// continues the manifest's.
 fn run_cohort_engine(
     a: &TrainArgs,
     data: CohortData,
     cfg: PtfConfig,
-    opts: CohortOptions,
-) -> Result<(Engine<CohortFedRec>, RunTrace), String> {
+    root: &Path,
+    server_scope: ServerScope,
+) -> Result<Engine<CohortFedRec>, String> {
     let hyper = ModelHyper::at(a.scale);
+    // `--cohort N` only selects this runtime: the size bounds nothing
+    let store = StoreKind::Disk(root.join("clients"));
+    let opts = CohortOptions { cohort: 0, store, server_scope };
     let ckpt = a.checkpoint.as_deref().map(Path::new);
     let fingerprint =
         config_fingerprint(&cfg, a.client, a.server, &hyper, data.num_users(), data.num_items());
     let budget = cfg.rounds;
-    let mut protocol = CohortFedRec::try_new(data, a.client, a.server, &hyper, cfg, opts)
+    let protocol = CohortFedRec::try_new(data, a.client, a.server, &hyper, cfg, opts)
         .map_err(|e| e.to_string())?;
-    let recorder = TraceRecorder::new();
     let mut engine = if a.resume {
         let dir = ckpt.ok_or("--resume requires --checkpoint DIR")?;
         let manifest = checkpoint::load_manifest(dir).map_err(|e| e.to_string())?;
         manifest.verify_fingerprint(fingerprint).map_err(|e| e.to_string())?;
-        checkpoint::resume_protocol(dir, &manifest, &mut protocol).map_err(|e| e.to_string())?;
-        let ledger = CommLedger::restore(&manifest.ledger);
-        let mut replay = recorder.clone();
-        for t in &manifest.traces {
-            replay.on_round_end(t);
-        }
-        eprintln!("resumed at round {} from {}", manifest.next_round, dir.display());
-        Engine::resume(protocol, ledger, manifest.next_round)
+        let engine = checkpoint::resume(dir, manifest, protocol).map_err(|e| e.to_string())?;
+        eprintln!("resumed at round {} from {}", engine.rounds_completed(), dir.display());
+        engine
     } else {
         Engine::new(protocol)
-    }
-    .with_observer(recorder.clone());
+    };
     while engine.rounds_completed() < budget {
         if a.halt_after.is_some_and(|h| engine.rounds_completed() >= h) {
             break;
@@ -287,7 +281,7 @@ fn run_cohort_engine(
                     dir,
                     engine.protocol(),
                     engine.ledger(),
-                    &recorder.trace().rounds,
+                    &engine.trace().rounds,
                     fingerprint,
                 )
                 .map_err(|e| e.to_string())?;
@@ -299,8 +293,7 @@ fn run_cohort_engine(
             break;
         }
     }
-    let trace = recorder.trace();
-    Ok((engine, trace))
+    Ok(engine)
 }
 
 /// `ptf train` on one of the in-RAM Table II presets: through the classic
@@ -313,15 +306,10 @@ fn run_train_preset(preset: DatasetPreset, a: &TrainArgs, cohort: bool) -> Resul
     let sizes = format!("{} ({users} clients, {items} items)", preset.name());
     if cohort {
         let (root, _cleanup) = work_dir(a);
-        let opts = CohortOptions {
-            cohort: a.cohort.unwrap_or(0),
-            store: StoreKind::Disk(root.join("clients")),
-            server_scope: ServerScope::FullFleet,
-        };
         eprintln!("training PTF-FedRec/cohort on {sizes}");
         let data = CohortData::Mem(split.train.clone());
-        let (engine, trace) = run_cohort_engine(a, data, train_config(a), opts)?;
-        finish_train(a, &engine, trace, Some(&split), users)
+        let engine = run_cohort_engine(a, data, train_config(a), &root, ServerScope::FullFleet)?;
+        finish_train(a, &engine, Some(&split), users)
     } else {
         let protocol = build_protocol(a, &split.train)?;
         // a model without full-state support cannot honour --save: say so
@@ -331,9 +319,8 @@ fn run_train_preset(preset: DatasetPreset, a: &TrainArgs, cohort: bool) -> Resul
         }
         eprintln!("training {} on {sizes}", protocol.name());
         let mut engine = Engine::new(protocol);
-        let trace = engine.run();
-        trace.rounds.iter().for_each(log_round);
-        finish_train(a, &engine, trace, Some(&split), users)
+        engine.run().rounds.iter().for_each(log_round);
+        finish_train(a, &engine, Some(&split), users)
     }
 }
 
@@ -400,17 +387,13 @@ fn run_train_scale(name: &'static str, a: &TrainArgs) -> Result<(), Failure> {
         )
         .into());
     }
-    let opts = CohortOptions {
-        cohort: a.cohort.unwrap_or(1024),
-        store: StoreKind::Disk(root.join("clients")),
-        server_scope: ServerScope::ActiveParticipants,
-    };
     eprintln!(
         "training PTF-FedRec/cohort on {} ({} clients, {} items, {} participants/round)",
         name, sc.num_users, sc.num_items, p,
     );
-    let (engine, trace) = run_cohort_engine(a, CohortData::Arena(arena), cfg, opts)?;
-    finish_train(a, &engine, trace, None, sc.num_users)
+    let data = CohortData::Arena(arena);
+    let engine = run_cohort_engine(a, data, cfg, &root, ServerScope::ActiveParticipants)?;
+    finish_train(a, &engine, None, sc.num_users)
 }
 
 /// A cohort run's working directory, which holds its client store under

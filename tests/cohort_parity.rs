@@ -1,14 +1,14 @@
 //! Cohort-sharded runtime parity — the tentpole guarantee of the
 //! million-user runtime.
 //!
-//! [`CohortFedRec`] trains clients in bounded cohorts, parking their
-//! cross-round state in envelopes between participations; the whole
+//! [`CohortFedRec`] keeps clients alive only while they train, parking
+//! their cross-round state in envelopes between participations; the whole
 //! point is that this is a *memory* optimization, never a *semantic*
 //! one. These tests pin the contract:
 //!
 //! * a cohort run's `RunTrace` (and the trained server's ranking
 //!   report) is bit-identical to the unsharded [`PtfFedRec`] engine at
-//!   every cohort size and thread count;
+//!   every thread count;
 //! * a store root that already holds envelopes changes nothing: a run
 //!   starts from an empty store;
 //! * a checkpointed-then-resumed run reproduces the uninterrupted run's
@@ -21,7 +21,7 @@ use ptf_fedrec::core::{
     PtfConfig, PtfFedRec, ServerScope, StoreKind,
 };
 use ptf_fedrec::data::{SyntheticConfig, TrainTestSplit};
-use ptf_fedrec::federated::{Engine, FederatedProtocol, Participation, RunTrace, TraceRecorder};
+use ptf_fedrec::federated::{Engine, FederatedProtocol, Participation, RunTrace};
 use ptf_fedrec::metrics::RankingReport;
 use ptf_fedrec::models::{ModelHyper, ModelKind};
 use std::path::PathBuf;
@@ -54,10 +54,11 @@ impl StoreRoot {
         Self(dir)
     }
 
-    /// Full-fleet cohort options over this root.
-    fn opts(&self, cohort: usize) -> CohortOptions {
+    /// Full-fleet cohort options over this root (the cohort size bounds
+    /// nothing).
+    fn opts(&self) -> CohortOptions {
         CohortOptions {
-            cohort,
+            cohort: 0,
             store: StoreKind::Disk(self.0.clone()),
             server_scope: ServerScope::FullFleet,
         }
@@ -93,10 +94,10 @@ fn run_cohort(
     (trace, report)
 }
 
-/// The headline acceptance matrix: cohort sizes {64, 1024, all} ×
-/// threads {1, 4}, each bit-identical to the unsharded engine. 150
-/// trainable users with full participation make cohort 64 genuinely
-/// multi-chunk and cohort 1024 a single chunk larger than the fleet.
+/// The headline acceptance matrix: threads {1, 3, 4}, each bit-identical
+/// to the unsharded engine, over 150 users with full participation. At 3
+/// threads the fleet splits into odd slices, so some lanes run partly
+/// empty.
 #[test]
 fn cohort_runs_match_unsharded_bit_for_bit() {
     let s = split(150);
@@ -118,19 +119,10 @@ fn cohort_runs_match_unsharded_bit_for_bit() {
     assert!(reference.0.num_rounds() > 0, "empty reference run");
     // one root for every run: each starts from an emptied store
     let root = StoreRoot::new("matrix");
-    for cohort in [64usize, 1024, 0] {
-        for threads in [1usize, 4] {
-            let got =
-                run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(threads), root.opts(cohort));
-            assert_eq!(
-                reference.0, got.0,
-                "RunTrace diverged at cohort={cohort} threads={threads}"
-            );
-            assert_eq!(
-                reference.1, got.1,
-                "RankingReport diverged at cohort={cohort} threads={threads}"
-            );
-        }
+    for threads in [1usize, 3, 4] {
+        let got = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(threads), root.opts());
+        assert_eq!(reference.0, got.0, "RunTrace diverged at threads={threads}");
+        assert_eq!(reference.1, got.1, "RankingReport diverged at threads={threads}");
     }
 }
 
@@ -155,7 +147,7 @@ fn cohort_parity_holds_for_every_architecture() {
             );
             (engine.run(), engine.evaluate(&s.train, &s.test, 10))
         };
-        let got = run_cohort(&s, client, server, c, root.opts(7));
+        let got = run_cohort(&s, client, server, c, root.opts());
         assert_eq!(reference.0, got.0, "{client}->{server}: RunTrace diverged");
         assert_eq!(reference.1, got.1, "{client}->{server}: RankingReport diverged");
     }
@@ -197,7 +189,7 @@ fn clients_that_promote_between_participations_match_the_resident_fleet() {
             "{client}: no client promoted between participations"
         );
         let resident = (trace, engine.evaluate(&s.train, &s.test, 10));
-        let got = run_cohort(&s, client, server, c, root.opts(7));
+        let got = run_cohort(&s, client, server, c, root.opts());
         assert_eq!(resident.0, got.0, "{client}->{server}: RunTrace diverged");
         assert_eq!(resident.1, got.1, "{client}->{server}: RankingReport diverged");
     }
@@ -246,7 +238,7 @@ fn evicting_cohort_runs_match_the_resident_fleet() {
             "{client}: eviction to {budget} dropped no row"
         );
         for threads in [1usize, 4] {
-            let got = run_cohort(&s, client, ModelKind::Mf, evicting(threads, 1), root.opts(16));
+            let got = run_cohort(&s, client, ModelKind::Mf, evicting(threads, 1), root.opts());
             let at = format!("{client}, budget {budget}, threads {threads}");
             assert_eq!(trace, got.0, "{at}: RunTrace diverged");
             assert_eq!(report, got.1, "{at}: RankingReport diverged");
@@ -254,9 +246,8 @@ fn evicting_cohort_runs_match_the_resident_fleet() {
     }
 }
 
-/// The on-disk envelope store is an implementation detail: at a chunked
-/// cohort size it gives byte-equal results to the fleet the resident
-/// engine keeps in memory.
+/// The on-disk envelope store is an implementation detail: it gives
+/// byte-equal results to the fleet the resident engine keeps in memory.
 #[test]
 fn disk_store_matches_memory_store() {
     let s = split(40);
@@ -274,7 +265,7 @@ fn disk_store_matches_memory_store() {
         (engine.run(), engine.evaluate(&s.train, &s.test, 10))
     };
     let root = StoreRoot::new("store");
-    let disk = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(2), root.opts(16));
+    let disk = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(2), root.opts());
     assert_eq!(resident.0, disk.0, "disk store changed the RunTrace");
     assert_eq!(resident.1, disk.1, "disk store changed the RankingReport");
 }
@@ -287,11 +278,11 @@ fn a_fresh_run_ignores_envelopes_left_in_its_store_root() {
     let s = split(40);
     let root = StoreRoot::new("reused");
     let empty = StoreRoot::new("empty");
-    let first = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(1), root.opts(16));
+    let first = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(1), root.opts());
     let planted = std::fs::read_dir(&root.0).expect("the first run parked clients").count();
     assert!(planted > 0, "the first run left no envelopes to plant");
-    let again = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(1), root.opts(16));
-    let fresh = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(1), empty.opts(16));
+    let again = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(1), root.opts());
+    let fresh = run_cohort(&s, ModelKind::Mf, ModelKind::NeuMf, cfg(1), empty.opts());
     assert_eq!(first, fresh, "the same run over two empty roots diverged");
     assert_eq!(fresh, again, "a run restored clients an earlier run parked");
 }
@@ -309,13 +300,13 @@ fn external_participant_sets_match_across_hosts() {
         sets: &[&[u32]],
         s: &TrainTestSplit,
     ) -> (String, RankingReport) {
-        let recorder = TraceRecorder::new();
-        let mut engine = Engine::new(protocol).with_observer(recorder.clone());
+        let mut engine = Engine::new(protocol);
         for set in sets {
             engine.run_round_external(set).expect("PTF-FedRec honors external sets");
         }
         assert_eq!(engine.ledger().summary().rounds, sets.len() as u32);
-        (recorder.to_json(), engine.evaluate(&s.train, &s.test, 10))
+        let trace = serde_json::to_string(engine.trace()).expect("RunTrace serializes");
+        (trace, engine.evaluate(&s.train, &s.test, 10))
     }
     let root = StoreRoot::new("external");
     let cohort = CohortFedRec::try_new(
@@ -324,7 +315,7 @@ fn external_participant_sets_match_across_hosts() {
         ModelKind::NeuMf,
         &ModelHyper::small(),
         cfg(2),
-        root.opts(2),
+        root.opts(),
     )
     .expect("valid config");
     let resident =
@@ -337,9 +328,8 @@ fn external_participant_sets_match_across_hosts() {
 
 /// `ServerScope::ActiveParticipants` is a different run than
 /// `FullFleet` (smaller server user table ⇒ different init draws) but
-/// must be self-consistent: the same trace at every cohort size and
-/// thread count, and a server table sized by the active union, not the
-/// fleet.
+/// must be self-consistent: the same trace at every thread count, and a
+/// server table sized by the active union, not the fleet.
 #[test]
 fn active_scope_is_self_consistent_across_cohorts_and_threads() {
     let s = split(60);
@@ -347,7 +337,7 @@ fn active_scope_is_self_consistent_across_cohorts_and_threads() {
     base.participation = Participation { fraction: 0.3, min_clients: 4 };
     base.rounds = 4;
     let root = StoreRoot::new("active");
-    let build = |cohort: usize, threads: usize| {
+    let build = |threads: usize| {
         let mut c = base.clone();
         c.threads = threads;
         CohortFedRec::try_new(
@@ -356,11 +346,11 @@ fn active_scope_is_self_consistent_across_cohorts_and_threads() {
             ModelKind::NeuMf,
             &ModelHyper::small(),
             c,
-            CohortOptions { server_scope: ServerScope::ActiveParticipants, ..root.opts(cohort) },
+            CohortOptions { server_scope: ServerScope::ActiveParticipants, ..root.opts() },
         )
         .expect("valid config")
     };
-    let reference_protocol = build(0, 1);
+    let reference_protocol = build(1);
     let active_users = reference_protocol.server_users();
     assert!(
         active_users < s.train.num_users(),
@@ -370,12 +360,9 @@ fn active_scope_is_self_consistent_across_cohorts_and_threads() {
     );
     let reference = Engine::new(reference_protocol).run();
     assert!(reference.num_rounds() > 0);
-    for (cohort, threads) in [(5usize, 1usize), (5, 4), (0, 4)] {
-        let got = Engine::new(build(cohort, threads)).run();
-        assert_eq!(
-            reference, got,
-            "active-scope trace diverged at cohort={cohort} threads={threads}"
-        );
+    for threads in [3usize, 4] {
+        let got = Engine::new(build(threads)).run();
+        assert_eq!(reference, got, "active-scope trace diverged at threads={threads}");
     }
 }
 
@@ -428,19 +415,19 @@ fn resume_matches_uninterrupted(client: ModelKind, server: ModelKind, evict_budg
             server,
             &hyper,
             c.clone(),
-            root.opts(16),
+            root.opts(),
         )
         .expect("valid config")
     };
     let pair = format!("{client}/{server}");
     // the server envelope a final commit of `engine` writes
-    let final_server = |engine: &Engine<CohortFedRec>, traces: &[_], name: &str| {
+    let final_server = |engine: &Engine<CohortFedRec>, name: &str| {
         let dir = tag(name);
         checkpoint::save_checkpoint(
             &dir.0,
             engine.protocol(),
             engine.ledger(),
-            traces,
+            &engine.trace().rounds,
             fingerprint,
         )
         .expect("checkpoint saves");
@@ -450,16 +437,12 @@ fn resume_matches_uninterrupted(client: ModelKind, server: ModelKind, evict_budg
 
     let (full_trace, at_commit, full_report, full_ledger, full_server) = {
         let mut engine = Engine::new(build());
-        let mut trace = RunTrace::default();
-        for _ in 0..2 {
-            trace.push(engine.run_round());
-        }
+        let first = [engine.run_round(), engine.run_round()];
         let at_commit = engine.evaluate(&s.train, &s.test, 10);
-        for t in engine.run().rounds {
-            trace.push(t);
-        }
+        let trace = engine.run();
+        assert_eq!(trace.rounds[..2], first, "{pair}: run() dropped the rounds before it");
         let report = engine.evaluate(&s.train, &s.test, 10);
-        let server = final_server(&engine, &trace.rounds, "final-full");
+        let server = final_server(&engine, "final-full");
         (trace, at_commit, report, engine.ledger().summary(), server)
     };
     let no_edges = String::from_utf8_lossy(&full_server).contains(r#""edge_users":[]"#);
@@ -470,11 +453,10 @@ fn resume_matches_uninterrupted(client: ModelKind, server: ModelKind, evict_budg
     let ckpt = &ckpt_root.0;
     {
         let mut engine = Engine::new(build());
-        let mut traces = Vec::new();
-        for _ in 0..2 {
-            traces.push(engine.run_round());
-        }
-        checkpoint::save_checkpoint(ckpt, engine.protocol(), engine.ledger(), &traces, fingerprint)
+        engine.run_round();
+        engine.run_round();
+        let traces = &engine.trace().rounds;
+        checkpoint::save_checkpoint(ckpt, engine.protocol(), engine.ledger(), traces, fingerprint)
             .expect("checkpoint saves");
         // the interrupted run trains one more round *after* the commit;
         // resume must discard it, not replay on top of it
@@ -484,28 +466,25 @@ fn resume_matches_uninterrupted(client: ModelKind, server: ModelKind, evict_budg
     let manifest = checkpoint::load_manifest(ckpt).expect("manifest loads");
     manifest.verify_fingerprint(fingerprint).expect("fingerprint matches");
     assert_eq!(manifest.next_round, 2);
-    let mut protocol = build();
-    checkpoint::resume_protocol(ckpt, &manifest, &mut protocol).expect("resume succeeds");
-    let ledger = ptf_fedrec::comm::CommLedger::restore(&manifest.ledger);
-    let mut engine = Engine::resume(protocol, ledger, manifest.next_round);
+    let mut engine = checkpoint::resume(ckpt, manifest, build()).expect("resume succeeds");
+    assert_eq!(engine.rounds_completed(), 2, "{pair}: resumed at the wrong round");
+    assert_eq!(
+        engine.trace().rounds,
+        full_trace.rounds[..2],
+        "{pair}: the resumed engine does not hold the committed rounds"
+    );
     // a graph server's graph is rebuilt from the restored soft edges before
     // any round trains it again
     let resumed = engine.evaluate(&s.train, &s.test, 10);
     assert_eq!(at_commit, resumed, "{pair}: the resumed server scores differently");
-    let rest = engine.run();
+    let whole = engine.run();
     let report = engine.evaluate(&s.train, &s.test, 10);
 
-    let mut stitched = RunTrace::default();
-    for t in &manifest.traces {
-        stitched.push(*t);
-    }
-    for t in &rest.rounds {
-        stitched.push(*t);
-    }
-    assert_eq!(full_trace, stitched, "{pair}: resumed trace diverged from the uninterrupted run");
+    assert_eq!(full_trace, whole, "{pair}: resumed trace diverged from the uninterrupted run");
+    assert_eq!(&whole, engine.trace(), "{pair}: run() returned another trace than the engine's");
     assert_eq!(full_report, report, "{pair}: resumed model diverged from the uninterrupted run");
     assert_eq!(full_ledger, engine.ledger().summary(), "{pair}: resumed ledger diverged");
-    let server_json = final_server(&engine, &stitched.rounds, "final-resumed");
+    let server_json = final_server(&engine, "final-resumed");
     assert!(full_server == server_json, "{pair}: resumed server.json diverged");
 }
 
@@ -535,17 +514,17 @@ fn checkpoint_commits_keep_only_the_manifests_round() {
         &hyper,
         c,
         CohortOptions {
-            cohort: 16,
+            cohort: 0,
             store: StoreKind::Disk(dir.join("clients")),
             server_scope: ServerScope::FullFleet,
         },
     )
     .expect("valid config");
     let mut engine = Engine::new(protocol);
-    let mut traces = Vec::new();
-    let mut commit = |engine: &mut Engine<CohortFedRec>| {
-        traces.push(engine.run_round());
-        checkpoint::save_checkpoint(&dir, engine.protocol(), engine.ledger(), &traces, fingerprint)
+    let commit = |engine: &mut Engine<CohortFedRec>| {
+        engine.run_round();
+        let traces = &engine.trace().rounds;
+        checkpoint::save_checkpoint(&dir, engine.protocol(), engine.ledger(), traces, fingerprint)
             .expect("checkpoint saves");
     };
     let entries = || {

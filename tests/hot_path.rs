@@ -232,8 +232,10 @@ fn a_stored_client_round_does_not_allocate_per_parameter() {
     // copy of the model text, park and deliver through one reused buffer —
     // it took 63. Restoring over an empty item scope, evicting in the
     // scratch buffers and drawing the defense's samples into workspaces
-    // took it to 45; the bound leaves 15 % above that, so a value tree
-    // cannot creep back.
+    // took it to 45. Reading the envelope into a pooled buffer instead of
+    // a fresh `String` saves one more, and the engine's trace doubling its
+    // capacity at this, its fifth, round costs one: 45 again, the bound,
+    // so a value tree cannot creep back.
     use ptf_fedrec::core::{CohortData, CohortFedRec, CohortOptions, ServerScope, StoreKind};
     let data =
         SyntheticConfig::new("stored", 6, 3000, 40.0).generate(&mut ptf_fedrec::data::test_rng(51));
@@ -272,7 +274,7 @@ fn a_stored_client_round_does_not_allocate_per_parameter() {
     assert_eq!(trace.participants, 1);
     assert!(allocs > 0, "the counting shim must see the envelope buffers");
     assert!(
-        allocs <= 51,
+        allocs <= 45,
         "one stored client-round took {allocs} allocations; the envelope codec is allocating \
          per parameter, or delivering D̃ rewrites the envelope again"
     );
