@@ -327,9 +327,19 @@ struct ClientStore {
     root: PathBuf,
 }
 
-/// `id`-sharded relative path of a client's envelope file.
-fn envelope_rel(id: u32) -> (String, String) {
-    (format!("{:02x}", id % 256), format!("{id}.json"))
+/// `id`'s envelope file under `root`: `<id % 256, two hex digits>/<id>.json`,
+/// built in one allocation sized to fit. The name is formatted on the
+/// stack and `root` is pushed as it is, UTF-8 or not.
+fn envelope_path(root: &Path, id: u32) -> PathBuf {
+    let mut name = [0u8; 18]; // "ff/4294967295.json"
+    let mut rest = &mut name[..];
+    write!(rest, "{:02x}/{id}.json", id % 256).expect("an envelope name fits 18 bytes");
+    let len = 18 - rest.len();
+    let name = std::str::from_utf8(&name[..len]).expect("ASCII");
+    let mut path = PathBuf::with_capacity(root.as_os_str().len() + 1 + len);
+    path.push(root);
+    path.push(name);
+    path
 }
 
 impl ClientStore {
@@ -343,8 +353,7 @@ impl ClientStore {
     }
 
     fn path(&self, id: u32) -> PathBuf {
-        let (shard, file) = envelope_rel(id);
-        self.root.join(shard).join(file)
+        envelope_path(&self.root, id)
     }
 
     /// Reads `id`'s envelope into `text` (emptied first), the buffer the
@@ -363,15 +372,14 @@ impl ClientStore {
     /// then `set_len` drops the rest of the previous envelope (the module
     /// docs say why not tmp + rename).
     fn save(&self, id: u32, text: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
-        let (shard, file) = envelope_rel(id);
-        let dir = self.root.join(shard);
+        let path = self.path(id);
+        let shard = path.parent().expect("an envelope path ends in its shard directory");
         text.clear();
         write(text);
-        let open =
-            || OpenOptions::new().write(true).create(true).truncate(false).open(dir.join(&file));
+        let open = || OpenOptions::new().write(true).create(true).truncate(false).open(&path);
         let written = open()
             // the shard's first envelope: its directory is missing
-            .or_else(|_| std::fs::create_dir_all(&dir).and_then(|()| open()))
+            .or_else(|_| std::fs::create_dir_all(shard).and_then(|()| open()))
             .and_then(|mut f| {
                 f.write_all(text)?;
                 f.set_len(text.len() as u64)
@@ -646,11 +654,11 @@ fn copy_envelopes(
                 .parse()
                 .map_err(|_| format!("unexpected file in client store: {}", path.display()))?;
             check(id, &path)?;
-            let (shard, file) = envelope_rel(id);
-            let dir = to.join(shard);
-            std::fs::create_dir_all(&dir).map_err(|e| format!("copy shard: {e}"))?;
+            let dest = envelope_path(to, id);
+            let shard = dest.parent().expect("an envelope path ends in its shard directory");
+            std::fs::create_dir_all(shard).map_err(|e| format!("copy shard: {e}"))?;
             // a copy, never a hard link: the live file is rewritten in place
-            std::fs::copy(&path, dir.join(file))
+            std::fs::copy(&path, &dest)
                 .map_err(|e| format!("copy envelope of client {id}: {e}"))?;
         }
     }
@@ -696,6 +704,20 @@ pub(crate) mod tests {
 
     fn bits(values: impl IntoIterator<Item = f32>) -> Vec<u32> {
         values.into_iter().map(f32::to_bits).collect()
+    }
+
+    /// An envelope path is `root/<shard>/<id>.json` under a root that need
+    /// not be UTF-8, in a buffer allocated once at its final length.
+    #[cfg(unix)]
+    #[test]
+    fn envelope_paths_shard_by_id_under_any_root() {
+        use std::os::unix::ffi::OsStrExt;
+        let root = Path::new(std::ffi::OsStr::from_bytes(b"store-\xff"));
+        for (id, shard, file) in [(7, "07", "7.json"), (u32::MAX, "ff", "4294967295.json")] {
+            let path = envelope_path(root, id);
+            assert_eq!(path, root.join(shard).join(file));
+            assert_eq!(path.capacity(), path.as_os_str().len());
+        }
     }
 
     /// The decimal encoding lost the sign of `-0.0` on a "bit-identical"

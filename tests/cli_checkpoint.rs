@@ -1,7 +1,8 @@
 //! Smoke tests of the `ptf train` cohort/checkpoint/scale surface, shelling
 //! out to the compiled binary: kill-and-resume byte parity, streamed scale
 //! datasets, and checkpoint robustness (corruption, truncation, fingerprint
-//! drift) as a user would hit them.
+//! drift) as a user would hit them. Every run that completes must print
+//! the bytes committed for its row of `tests/golden.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -43,23 +44,35 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// A fast `ptf train --json` invocation on the ml100k preset.
+/// A fast `ptf train --json` invocation on the ml100k preset: the
+/// `ml100k-mf-r3-s11` row of `tests/golden.rs`.
 fn preset_args() -> Vec<String> {
-    "train --dataset ml100k --scale small --client mf --server mf --rounds 3 --seed 11 --json"
+    "train --dataset ml100k --client mf --server mf --rounds 3 --seed 11 --json"
         .split_whitespace()
         .map(String::from)
         .collect()
 }
 
-/// A fast streamed scale invocation (small --users override keeps debug
-/// binaries quick; the preset name still exercises the full scale path).
+/// What [`preset_args`] prints on the cohort runtime, which a
+/// `--checkpoint` or `--cohort` run takes: the same run under another
+/// protocol name.
+fn cohort_golden() -> String {
+    include_str!("golden/ml100k-mf-r3-s11.json").replacen("FedRec\"", "FedRec/cohort\"", 1)
+}
+
+/// A fast streamed scale invocation: the `scale10k` row, in cohorts of 8
+/// (small --users override keeps debug binaries quick; the preset name
+/// still exercises the full scale path).
 fn scale_args() -> Vec<String> {
-    "train --dataset scale-10k --users 1500 --client mf --server mf --rounds 3 \
-     --participants 16 --cohort 8 --seed 11 --json"
+    "train --dataset scale-10k --users 2000 --participants 16 --client mf --server mf \
+     --rounds 2 --seed 7 --k 5 --cohort 8 --json"
         .split_whitespace()
         .map(String::from)
         .collect()
 }
+
+/// What [`scale_args`] prints, whatever the cohort size and thread count.
+const SCALE_GOLDEN: &str = include_str!("golden/scale10k.json");
 
 /// Tears every envelope in the live client store `<dir>/clients` —
 /// truncating every other file, appending garbage to the rest — and
@@ -88,8 +101,6 @@ fn tear_live_store(dir: &Path) -> usize {
 
 #[test]
 fn cohort_cli_run_matches_plain_engine_run() {
-    let plain = ptf().args(preset_args()).output().expect("spawn failed");
-    assert!(plain.status.success(), "stderr: {}", stderr_of(&plain));
     let mut args = preset_args();
     args.extend(["--cohort".into(), "32".into(), "--threads".into(), "2".into()]);
     // without --checkpoint the client store lives in a temp work dir,
@@ -100,21 +111,11 @@ fn cohort_cli_run_matches_plain_engine_run() {
     assert!(cohort.status.success(), "stderr: {}", stderr_of(&cohort));
     let left: Vec<_> = std::fs::read_dir(&*tmp).expect("read tmp").flatten().collect();
     assert!(left.is_empty(), "the cohort run left files behind: {left:?}");
-    // identical run modulo the protocol's display name
-    let strip = |s: String| {
-        s.lines().filter(|l| !l.contains("\"protocol\"")).collect::<Vec<_>>().join("\n")
-    };
-    assert_eq!(
-        strip(stdout_of(&plain)),
-        strip(stdout_of(&cohort)),
-        "cohort scheduling must not change the run"
-    );
-    assert!(stdout_of(&cohort).contains("PTF-FedRec/cohort"));
+    assert_eq!(stdout_of(&cohort), cohort_golden(), "cohort scheduling must not change the run");
 }
 
 #[test]
 fn kill_and_resume_reproduces_the_uninterrupted_run_byte_for_byte() {
-    let full_dir = fresh_dir("resume-full");
     let kill_dir = fresh_dir("resume-kill");
     let with_ckpt = |dir: &Path, extra: &[&str]| {
         let mut args = preset_args();
@@ -124,17 +125,8 @@ fn kill_and_resume_reproduces_the_uninterrupted_run_byte_for_byte() {
         ptf().args(args).output().expect("spawn failed")
     };
 
-    // checkpointing must not perturb the run at all
-    let plain = ptf().args(preset_args()).output().expect("spawn failed");
-    let full = with_ckpt(&full_dir, &[]);
-    assert!(full.status.success(), "stderr: {}", stderr_of(&full));
-    let strip = |s: String| {
-        s.lines().filter(|l| !l.contains("\"protocol\"")).collect::<Vec<_>>().join("\n")
-    };
-    assert_eq!(strip(stdout_of(&plain)), strip(stdout_of(&full)));
-
     // kill after 2 of 3 rounds, then resume: stdout must be byte-equal to
-    // the uninterrupted checkpointed run
+    // the uninterrupted run's
     let halted = with_ckpt(&kill_dir, &["--halt-after", "2"]);
     assert!(halted.status.success(), "stderr: {}", stderr_of(&halted));
     assert!(stderr_of(&halted).contains("halting after round 2"));
@@ -143,13 +135,13 @@ fn kill_and_resume_reproduces_the_uninterrupted_run_byte_for_byte() {
     let resumed = with_ckpt(&kill_dir, &["--resume"]);
     assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
     assert!(stderr_of(&resumed).contains("resumed at round 2"));
-    assert_eq!(stdout_of(&full), stdout_of(&resumed), "resume diverged from uninterrupted run");
+    assert_eq!(stdout_of(&resumed), cohort_golden(), "resume diverged from uninterrupted run");
 
     // resuming a finished run replays zero rounds and reprints the output
     let again = with_ckpt(&kill_dir, &["--resume"]);
     assert!(again.status.success(), "stderr: {}", stderr_of(&again));
     assert!(stderr_of(&again).contains("resumed at round 3"));
-    assert_eq!(stdout_of(&full), stdout_of(&again));
+    assert_eq!(stdout_of(&again), cohort_golden());
 }
 
 /// Two identical runs into one directory: the second, without
@@ -167,6 +159,7 @@ fn a_fresh_run_refuses_a_directory_holding_a_checkpoint() {
     };
     let first = run(&[]);
     assert!(first.status.success(), "stderr: {}", stderr_of(&first));
+    assert_eq!(stdout_of(&first), cohort_golden());
     let manifest = std::fs::read(dir.join("manifest.json")).expect("manifest written");
 
     let second = run(&[]);
@@ -180,17 +173,14 @@ fn a_fresh_run_refuses_a_directory_holding_a_checkpoint() {
 
     let resumed = run(&["--resume"]);
     assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
-    assert_eq!(stdout_of(&first), stdout_of(&resumed));
+    assert_eq!(stdout_of(&resumed), cohort_golden());
 }
 
 #[test]
 fn scale_dataset_streams_and_is_cohort_and_thread_invariant() {
     let a = ptf().args(scale_args()).output().expect("spawn failed");
     assert!(a.status.success(), "stderr: {}", stderr_of(&a));
-    let stdout = stdout_of(&a);
-    assert!(stdout.contains("\"users\": 1500"), "{stdout}");
-    assert!(stdout.contains("\"dataset\": \"scale-10k\""), "{stdout}");
-    assert_eq!(stdout.matches("\"mean_client_loss\"").count(), 3);
+    assert_eq!(stdout_of(&a), SCALE_GOLDEN);
 
     // different cohort size and thread count: byte-identical output
     let mut args = scale_args();
@@ -203,12 +193,11 @@ fn scale_dataset_streams_and_is_cohort_and_thread_invariant() {
     }
     let b = ptf().args(args).output().expect("spawn failed");
     assert!(b.status.success(), "stderr: {}", stderr_of(&b));
-    assert_eq!(stdout, stdout_of(&b), "cohort size/threads changed a scale run");
+    assert_eq!(stdout_of(&b), SCALE_GOLDEN, "cohort size/threads changed a scale run");
 }
 
 #[test]
 fn scale_kill_and_resume_is_byte_identical() {
-    let full_dir = fresh_dir("scale-full");
     let kill_dir = fresh_dir("scale-kill");
     let with_ckpt = |dir: &Path, extra: &[&str]| {
         let mut args = scale_args();
@@ -217,14 +206,12 @@ fn scale_kill_and_resume_is_byte_identical() {
         args.extend(extra.iter().map(|s| s.to_string()));
         ptf().args(args).output().expect("spawn failed")
     };
-    let full = with_ckpt(&full_dir, &[]);
-    assert!(full.status.success(), "stderr: {}", stderr_of(&full));
     let halted = with_ckpt(&kill_dir, &["--halt-after", "1"]);
     assert!(halted.status.success(), "stderr: {}", stderr_of(&halted));
     assert!(tear_live_store(&kill_dir) > 0, "the halted run parked no client");
     let resumed = with_ckpt(&kill_dir, &["--resume"]);
     assert!(resumed.status.success(), "stderr: {}", stderr_of(&resumed));
-    assert_eq!(stdout_of(&full), stdout_of(&resumed));
+    assert_eq!(stdout_of(&resumed), SCALE_GOLDEN);
 }
 
 #[test]

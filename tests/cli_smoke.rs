@@ -68,33 +68,13 @@ fn tiny_train_run_reports_metrics_and_traffic() {
 
 #[test]
 fn train_json_emits_machine_readable_run() {
-    let out = ptf()
-        .args([
-            "train",
-            "--dataset",
-            "ml100k",
-            "--rounds",
-            "2",
-            "--seed",
-            "7",
-            "--k",
-            "5",
-            "--json",
-        ])
-        .output()
-        .expect("spawn failed");
+    let args = "train --dataset ml100k --rounds 2 --seed 7 --k 5 --json";
+    let out = ptf().args(args.split(' ')).output().expect("spawn failed");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    // pure JSON, and the defaults are PTF-FedRec with NeuMF clients and an
+    // NGCF server: the `ptf-neumf-ngcf` row of tests/golden.rs
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.trim_start().starts_with('{'), "stdout must be pure JSON:\n{stdout}");
-    // the vendored serde_json shim has no dynamic Value reader, so assert
-    // on the serialized structure directly
-    for field in
-        ["\"protocol\"", "PTF-FedRec", "\"trace\"", "\"rounds\"", "\"ndcg\"", "\"total_bytes\""]
-    {
-        assert!(stdout.contains(field), "missing {field} in:\n{stdout}");
-    }
-    let rounds = stdout.matches("\"mean_client_loss\"").count();
-    assert_eq!(rounds, 2, "expected 2 serialized rounds in:\n{stdout}");
+    assert_eq!(stdout, include_str!("golden/ptf-neumf-ngcf.json"));
 }
 
 #[test]

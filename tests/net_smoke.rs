@@ -192,16 +192,11 @@ fn tcp_run_over_uneven_shards_equals_ptf_train() {
         assert!(out.status.success(), "a shard failed:\n{}", String::from_utf8_lossy(&out.stderr));
     }
 
-    let trained = ptf()
-        .args(["train", "--dataset", "ml100k", "--client", "mf", "--server", "mf"])
-        .args(["--rounds", "3", "--json"])
-        .args(seed)
-        .output()
-        .expect("failed to run ptf train");
-    assert!(trained.status.success(), "{}", String::from_utf8_lossy(&trained.stderr));
+    // `ptf train`'s stdout for the same run: the `ml100k-mf-r3-s11` row of tests/golden.rs
+    let trained = include_bytes!("golden/ml100k-mf-r3-s11.json");
     let served = trace_json(&served.stdout);
     assert_eq!(served.matches("\"mean_client_loss\"").count(), 3, "{served}");
-    assert_eq!(served, trace_json(&trained.stdout));
+    assert_eq!(served, trace_json(trained));
 }
 
 #[test]
