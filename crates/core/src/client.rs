@@ -176,6 +176,15 @@ impl PtfClient {
         self.touched = touched;
     }
 
+    /// What a parked client's envelope restores, for the cohort store to
+    /// decode in place: the local-round counter, the recency index and
+    /// `D̃ᵢ`.
+    pub(crate) fn parked_state_mut(
+        &mut self,
+    ) -> (&mut u32, &mut Vec<(u32, u32)>, &mut Vec<ScoredItem>) {
+        (&mut self.local_rounds, &mut self.touched, &mut self.server_data)
+    }
+
     /// Returns a spent upload's backing storage for reuse by this
     /// client's next round. The protocol calls this with the previous
     /// round's retained uploads before sampling the next one.

@@ -14,7 +14,7 @@
 //!   parks it back in the client store the moment its lane finishes, so
 //!   at most `threads × LANES` clients are alive at once whatever the
 //!   round's size ([`CohortOptions::cohort`] no longer bounds anything);
-//! * a client's cross-round state travels as a `ClientEnvelope` of three
+//! * a client's cross-round state travels as an envelope of three
 //!   lines, one file per client in the run's on-disk store ([`StoreKind`];
 //!   there is no in-process store — a deployed client keeps its state in
 //!   local storage, not in the server's RAM): the eviction recency index,
@@ -176,33 +176,6 @@ pub struct CohortOptions {
     pub server_scope: ServerScope,
 }
 
-/// A client's cross-round state at rest, as read back: a parked file is
-/// exactly three newline-terminated lines —
-///
-/// ```text
-/// {"round":R,"local_rounds":L,"touched_items":[…],"touched_rounds":[…]}
-/// <Recommender::write_full_state envelope, verbatim>
-/// {"round":R,"disp_items":[…],"disp_scores":"<packed f32>"}
-/// ```
-///
-/// — whose `round`s agree (see `docs/checkpoint-format.md`). Every line
-/// is canonical JSON from the state codec ([`ptf_tensor::packed`]), read
-/// back by its [`Reader`], which takes nothing but the writer's
-/// spelling; the model line holds no raw newline and needs no escaping.
-/// Parallel arrays instead of tuple vectors keep the other two lines in
-/// the codec's vocabulary: ids and counters are decimal, the dispersed
-/// scores one packed string, like every `f32` buffer at rest.
-struct ClientEnvelope<'a> {
-    /// Eviction schedule: the client's local-round counter and its
-    /// recency index `(item, last-touched round)`, from the split arrays.
-    local_rounds: u32,
-    touched: Vec<(u32, u32)>,
-    /// The model's full-state envelope; its import checks it.
-    model: &'a [u8],
-    /// The dispersed set `D̃_i`, zipped back into pairs.
-    dispersal: Vec<ScoredItem>,
-}
-
 /// Writes line 1 (without its newline), for the client phase.
 fn write_head(w: &mut Writer<'_>, round: u32, local_rounds: u32, touched: &[(u32, u32)]) {
     w.open();
@@ -231,92 +204,130 @@ fn write_dispersal(w: &mut Writer<'_>, round: u32, items: &[ScoredItem], scores:
     w.close();
 }
 
-impl<'a> ClientEnvelope<'a> {
-    /// Splits and decodes client `id`'s parked file over a catalogue of
-    /// `num_items`. Anything but three newline-terminated lines with
-    /// agreeing rounds, ragged pairs, unsorted recency ids or an item
-    /// outside the catalogue is an error naming the client — never a
-    /// panic, here or in the client's next round.
-    fn parse(id: u32, text: &'a [u8], num_items: usize) -> Result<Self, String> {
-        let fail = |what: &dyn std::fmt::Display| format!("client {id} envelope: {what}");
-        // lines 1 and 3 are short: their ends are found from either side,
-        // so nothing scans the long model line before its own reader,
-        // which takes no newline (a fourth line fails there)
-        let lines = text.strip_suffix(b"\n").and_then(|body| {
-            let head_end = body.iter().position(|&b| b == b'\n')?;
-            let disp_at = body.iter().rposition(|&b| b == b'\n')? + 1;
-            let model = body.get(head_end + 1..disp_at - 1)?;
-            Some((&body[..head_end], model, &body[disp_at..]))
-        });
-        let Some((head, model, disp)) = lines else {
-            return Err(fail(&"not three newline-terminated lines"));
-        };
+/// Decodes `client`'s parked file `text` onto the client, rebuilt over
+/// no item rows. The file is exactly three newline-terminated lines —
+///
+/// ```text
+/// {"round":R,"local_rounds":L,"touched_items":[…],"touched_rounds":[…]}
+/// <Recommender::write_full_state envelope, verbatim>
+/// {"round":R,"disp_items":[…],"disp_scores":"<packed f32>"}
+/// ```
+///
+/// — whose `round`s agree (see `docs/checkpoint-format.md`). Every line
+/// is canonical JSON from the state codec ([`ptf_tensor::packed`]), read
+/// by its [`Reader`], which takes nothing but the writer's spelling; the
+/// model line holds no raw newline and needs no escaping. Parallel arrays
+/// instead of tuple vectors keep the other two lines in the codec's
+/// vocabulary: ids and counters are decimal, the dispersed scores one
+/// packed string, like every `f32` buffer at rest.
+///
+/// Each line is decoded straight into the client: the recency index
+/// `(item, last-touched round)` from the split arrays, with room for one
+/// more round's pool when `cfg` evicts, so the next round's merge grows
+/// nothing; the dispersed set `D̃ᵢ` from its ids and scores; the model
+/// through its own import, which checks it. Anything but three
+/// newline-terminated lines with agreeing rounds, ragged pairs, unsorted
+/// recency ids or an item outside the catalogue of `num_items` is an
+/// error naming the client — never a panic, here or in the client's next
+/// round.
+fn read_envelope(
+    client: &mut PtfClient,
+    text: &[u8],
+    num_items: usize,
+    cfg: &PtfConfig,
+) -> Result<(), String> {
+    let id = client.id;
+    let fail = |what: &dyn std::fmt::Display| format!("client {id} envelope: {what}");
+    // lines 1 and 3 are short: their ends are found from either side, so
+    // nothing scans the long model line before its own reader, which
+    // takes no newline (a fourth line fails there)
+    let lines = text.strip_suffix(b"\n").and_then(|body| {
+        let head_end = body.iter().position(|&b| b == b'\n')?;
+        let disp_at = body.iter().rposition(|&b| b == b'\n')? + 1;
+        let model = body.get(head_end + 1..disp_at - 1)?;
+        Some((&body[..head_end], model, &body[disp_at..]))
+    });
+    let Some((head, model, disp)) = lines else {
+        return Err(fail(&"not three newline-terminated lines"));
+    };
+    let pool = if cfg.storage.evict_interval > 0 {
+        client.num_positives() * (1 + cfg.neg_ratio) + cfg.alpha
+    } else {
+        0
+    };
+    let (local_rounds, touched, dispersal) = client.parked_state_mut();
 
-        let mut r = Reader::new(head);
-        let mut items = Vec::new();
-        let mut touched = Vec::new();
-        let head = (|| {
-            r.open()?;
-            r.key("round")?;
+    let mut r = Reader::new(head);
+    let head = (|| {
+        r.open()?;
+        r.key("round")?;
+        let round = r.u32()?;
+        r.key("local_rounds")?;
+        *local_rounds = r.u32()?;
+        r.key("touched_items")?;
+        touched.reserve_exact(r.array_len() + pool);
+        r.array(|r| {
+            touched.push((r.u32()?, 0));
+            Ok(())
+        })?;
+        r.key("touched_rounds")?;
+        let mut k = 0;
+        let rounds = r.array(|r| {
             let round = r.u32()?;
-            r.key("local_rounds")?;
-            let local_rounds = r.u32()?;
-            r.key("touched_items")?;
-            r.u32s(&mut items)?;
-            r.key("touched_rounds")?;
-            touched.reserve_exact(items.len());
-            let rounds = r.array(|r| {
-                let round = r.u32()?;
-                if let Some(&item) = items.get(touched.len()) {
-                    touched.push((item, round));
-                }
-                Ok(())
-            })?;
-            r.close()?;
-            Ok::<_, String>((round, local_rounds, rounds))
-        })()
-        .and_then(|head| r.finish().map(|()| head));
-        let (round, local_rounds, rounds) = head.map_err(|e| fail(&format_args!("head: {e}")))?;
+            if let Some(entry) = touched.get_mut(k) {
+                entry.1 = round;
+            }
+            k += 1;
+            Ok(())
+        })?;
+        r.close()?;
+        Ok::<_, String>((round, rounds))
+    })()
+    .and_then(|head| r.finish().map(|()| head));
+    let (round, rounds) = head.map_err(|e| fail(&format_args!("head: {e}")))?;
 
-        let mut r = Reader::new(disp);
-        let mut disp_items = Vec::new();
-        let disp = (|| {
-            r.open()?;
-            r.key("round")?;
-            let round = r.u32()?;
-            r.key("disp_items")?;
-            r.u32s(&mut disp_items)?;
-            r.key("disp_scores")?;
-            let scores = r.packed()?;
-            r.close()?;
-            Ok::<_, String>((round, scores))
-        })()
-        .and_then(|disp| r.finish().map(|()| disp));
-        let (disp_round, scores) = disp.map_err(|e| fail(&format_args!("dispersal: {e}")))?;
+    let mut r = Reader::new(disp);
+    let disp = (|| {
+        r.open()?;
+        r.key("round")?;
+        let round = r.u32()?;
+        r.key("disp_items")?;
+        dispersal.reserve_exact(r.array_len());
+        r.array(|r| {
+            dispersal.push((r.u32()?, 0.0));
+            Ok(())
+        })?;
+        r.key("disp_scores")?;
+        let scores = r.packed()?;
+        r.close()?;
+        Ok::<_, String>((round, scores))
+    })()
+    .and_then(|disp| r.finish().map(|()| disp));
+    let (disp_round, scores) = disp.map_err(|e| fail(&format_args!("dispersal: {e}")))?;
 
-        if disp_round != round {
-            return Err(fail(&format_args!(
-                "dispersal of round {disp_round} after training in round {round}"
-            )));
-        }
-        if rounds != items.len() {
-            return Err(fail(&"ragged recency index"));
-        }
-        if !items.windows(2).all(|w| w[0] < w[1]) {
-            return Err(fail(&"recency index not sorted by item"));
-        }
-        if disp_items.len() != scores.len() {
-            return Err(fail(&"ragged dispersed set"));
-        }
-        let mut values = vec![0.0; scores.len()];
-        scores.unpack_into(&mut values).map_err(|e| fail(&format_args!("dispersal: {e}")))?;
-        let in_catalogue = |items: &[u32]| items.iter().all(|&i| (i as usize) < num_items);
-        if !in_catalogue(&items) || !in_catalogue(&disp_items) {
-            return Err(fail(&format_args!("item id outside the {num_items}-item catalogue")));
-        }
-        let dispersal = disp_items.into_iter().zip(values).collect();
-        Ok(Self { local_rounds, touched, model, dispersal })
+    if disp_round != round {
+        return Err(fail(&format_args!(
+            "dispersal of round {disp_round} after training in round {round}"
+        )));
     }
+    if rounds != touched.len() {
+        return Err(fail(&"ragged recency index"));
+    }
+    if !touched.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Err(fail(&"recency index not sorted by item"));
+    }
+    if dispersal.len() != scores.len() {
+        return Err(fail(&"ragged dispersed set"));
+    }
+    let mut entries = dispersal.iter_mut();
+    scores
+        .unpack_each(|score| entries.next().expect("one entry per score").1 = score)
+        .map_err(|e| fail(&format_args!("dispersal: {e}")))?;
+    let outside = |item: u32| item as usize >= num_items;
+    if touched.iter().any(|&(i, _)| outside(i)) || dispersal.iter().any(|&(i, _)| outside(i)) {
+        return Err(fail(&format_args!("item id outside the {num_items}-item catalogue")));
+    }
+    client.read_model_state(model).map_err(|e| fail(&format_args!("model: {e}")))
 }
 
 /// The parked clients' envelope files under one root directory. Load and
@@ -518,13 +529,8 @@ impl Stored {
     /// (model state with its scope, dispersed set, eviction index) onto
     /// it. A damaged envelope is an error naming the client.
     fn restore_client(&self, id: u32, text: &[u8], cfg: &PtfConfig) -> Result<PtfClient, String> {
-        let env = ClientEnvelope::parse(id, text, self.data.num_items())?;
         let mut client = self.build(id, cfg, true);
-        client
-            .read_model_state(env.model)
-            .map_err(|e| format!("client {id} envelope: model: {e}"))?;
-        client.restore_eviction_state(env.local_rounds, env.touched);
-        client.receive_disperse(env.dispersal);
+        read_envelope(&mut client, text, self.data.num_items(), cfg)?;
         Ok(client)
     }
 

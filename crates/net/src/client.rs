@@ -166,10 +166,13 @@ pub fn run_shard(
             Frame::Disperse { client, round, triples } => {
                 let Ok(at) = clients.binary_search_by_key(&client, |c| c.id) else { continue };
                 let num_items = train.num_items() as u32;
-                if let Some((_, item, score)) = crate::server::untrainable(&triples, num_items) {
+                if let Some((user, item, score)) =
+                    crate::server::untrainable(&triples, client, num_items)
+                {
                     return Err(NetError::Protocol(format!(
-                        "round {round} dispersal to client {client}: item {item} with score \
-                         {score} is outside the {num_items}-item catalogue or not a probability"
+                        "round {round} dispersal to client {client}: the triple of user {user}, \
+                         item {item} and score {score} names another user, an item outside the \
+                         {num_items}-item catalogue or a score that is not a probability"
                     )));
                 }
                 summary.bytes_down += (triples.len() * ptf_comm::message::BYTES_PER_TRIPLE) as u64;

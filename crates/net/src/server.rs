@@ -68,8 +68,8 @@ pub struct NetServerOptions {
 }
 
 /// One straggler drop event: `client` missed `round`'s deadline, or sent
-/// an upload the server cannot train on (an item outside the catalogue, a
-/// score that is not a probability).
+/// an upload the server cannot train on (a triple naming another user, an
+/// item outside the catalogue, a score that is not a probability).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct StragglerDrop {
     pub round: u32,
@@ -366,7 +366,7 @@ impl ClientHost for Remote<'_> {
                         continue; // duplicate upload
                     }
                     pending -= 1;
-                    if untrainable(&triples, self.num_items).is_some() {
+                    if untrainable(&triples, client, self.num_items).is_some() {
                         dropped.push(client);
                         continue;
                     }
@@ -406,17 +406,17 @@ impl ClientHost for Remote<'_> {
     }
 }
 
-/// The first triple a model may not train on: an item outside the
-/// catalogue or a score that is not a probability (finite, in `[0, 1]`).
-/// Models index their rows and graph by item id, so both sides check on
-/// receipt: the server discards such an upload and drops its client for
-/// the round, exactly like a straggler; a client shard rejects such a
-/// dispersal as a protocol violation.
-pub(crate) fn untrainable(triples: &[Triple], num_items: u32) -> Option<Triple> {
-    triples
-        .iter()
-        .copied()
-        .find(|&(_, item, score)| item >= num_items || !(0.0..=1.0).contains(&score))
+/// The first triple of frame `client`'s that a model may not train on:
+/// one naming another user, an item outside the catalogue or a score that
+/// is not a probability (finite, in `[0, 1]`). Every triple is trained
+/// as the frame's client's, and models index their rows and graph by item
+/// id, so both sides check on receipt: the server discards such an upload
+/// and drops its client for the round, exactly like a straggler; a client
+/// shard rejects such a dispersal as a protocol violation.
+pub(crate) fn untrainable(triples: &[Triple], client: u32, num_items: u32) -> Option<Triple> {
+    triples.iter().copied().find(|&(user, item, score)| {
+        user != client || item >= num_items || !(0.0..=1.0).contains(&score)
+    })
 }
 
 /// One step of the event loop shared by the gather and round phases:

@@ -195,14 +195,16 @@ fn straggler_is_dropped_and_trace_matches_unsampled_reference() {
 fn a_malformed_upload_drops_its_client_and_the_run_goes_on() {
     // one logical client speaks the protocol by hand and answers every
     // announcement with an upload the server cannot train on — an item
-    // past the catalogue, then a NaN score, then a score above 1. Each is
-    // discarded on receipt and its client dropped for that round like a
-    // straggler, so the run must equal an engine run that never sampled it
+    // past the catalogue, then a NaN score, then a score above 1, then a
+    // triple naming another user. Each is discarded on receipt and its
+    // client dropped for that round like a straggler, so the run must
+    // equal an engine run that never sampled it
     let train = dataset();
-    let cfg = config(1);
+    let mut cfg = config(1);
+    cfg.rounds = 4;
     let bad = 7u32;
     let num_items = train.num_items() as u32;
-    let malformed = [(bad, num_items, 0.5), (bad, 3, f32::NAN), (bad, 3, 1.5)];
+    let malformed = [(bad, num_items, 0.5), (bad, 3, f32::NAN), (bad, 3, 1.5), (bad + 1, 3, 0.5)];
 
     let protocol =
         PtfFedRec::try_new(&train, CLIENT, SERVER, &ModelHyper::small(), cfg.clone()).unwrap();
@@ -250,7 +252,7 @@ fn a_malformed_upload_drops_its_client_and_the_run_goes_on() {
                         Frame::Announce { round, clients, .. } => {
                             assert_eq!(clients, [bad]);
                             let client = bad;
-                            let triples = vec![(bad, 1, 0.25), malformed[round as usize % 3]];
+                            let triples = vec![(bad, 1, 0.25), malformed[round as usize]];
                             conn.send(&Frame::Upload { client, round, loss: 0.5, triples })
                                 .unwrap();
                         }
@@ -282,52 +284,60 @@ fn a_malformed_upload_drops_its_client_and_the_run_goes_on() {
 #[test]
 fn a_dispersal_outside_the_catalogue_is_an_error_not_a_panic() {
     // the server half is scripted: it welcomes one client, announces
-    // round 0, reads the upload, disperses an item one past the
-    // catalogue and announces round 1. The shard must refuse the
-    // dispersal on receipt, before the item reaches the client's model
+    // round 0, reads the upload, disperses one bad triple — an item one
+    // past the catalogue, or a triple naming another user — and announces
+    // round 1. The shard must refuse the dispersal on receipt, before the
+    // triple reaches the client's model
     let train = dataset();
     let cfg = config(1);
     let num_items = train.num_items() as u32;
     let client = (0..train.num_users() as u32).find(|&u| !train.user_items(u).is_empty()).unwrap();
-    let shard_opts = ShardOptions {
-        cfg: cfg.clone(),
-        client_kind: CLIENT,
-        server_kind: SERVER,
-        hyper: ModelHyper::small(),
-        ids: vec![client],
-        straggle: None,
-    };
-    let (hub, events) = loopback_hub();
-    let train = &train;
-    let joined = std::thread::scope(|scope| {
-        let shard = scope.spawn(move || run_shard(train, &mut hub.connect(), &shard_opts));
-        let peer = match events.recv().unwrap() {
-            Event::Opened { peer, .. } => peer,
-            _ => panic!("the shard's connection must open first"),
+    let cases = [((client, num_items, 0.5), format!("item {num_items}")), {
+        let other = client + 1;
+        ((other, 1, 0.5), format!("user {other}"))
+    }];
+    for (bad, names) in cases {
+        let shard_opts = ShardOptions {
+            cfg: cfg.clone(),
+            client_kind: CLIENT,
+            server_kind: SERVER,
+            hyper: ModelHyper::small(),
+            ids: vec![client],
+            straggle: None,
         };
-        let next_frame = || loop {
-            if let Event::Frame { frame, .. } = events.recv().unwrap() {
-                return frame;
+        let (hub, events) = loopback_hub();
+        let train = &train;
+        let joined = std::thread::scope(|scope| {
+            let shard = scope.spawn(move || run_shard(train, &mut hub.connect(), &shard_opts));
+            let peer = match events.recv().unwrap() {
+                Event::Opened { peer, .. } => peer,
+                _ => panic!("the shard's connection must open first"),
+            };
+            let next_frame = || loop {
+                if let Event::Frame { frame, .. } = events.recv().unwrap() {
+                    return frame;
+                }
+            };
+            assert!(matches!(next_frame(), Frame::Hello { .. }));
+            let fleet = train.num_users() as u32;
+            peer.send(Frame::Welcome { client, fleet, rounds: cfg.rounds });
+            peer.send(Frame::Announce { round: 0, deadline_ms: 30_000, clients: vec![client] });
+            assert!(matches!(next_frame(), Frame::Upload { round: 0, .. }));
+            peer.send(Frame::Disperse { client, round: 0, triples: vec![bad] });
+            peer.send(Frame::Announce { round: 1, deadline_ms: 30_000, clients: vec![client] });
+            // a shard that took the triple ends on the closed connection
+            drop(peer);
+            shard.join()
+        });
+        match joined.expect("a bad dispersal must not panic the shard") {
+            Err(NetError::Protocol(why)) => {
+                for part in [&format!("client {client}"), "round 0", &names] {
+                    assert!(why.contains(part), "{why:?} does not name {part}");
+                }
             }
-        };
-        assert!(matches!(next_frame(), Frame::Hello { .. }));
-        let fleet = train.num_users() as u32;
-        peer.send(Frame::Welcome { client, fleet, rounds: cfg.rounds });
-        peer.send(Frame::Announce { round: 0, deadline_ms: 30_000, clients: vec![client] });
-        assert!(matches!(next_frame(), Frame::Upload { round: 0, .. }));
-        peer.send(Frame::Disperse { client, round: 0, triples: vec![(client, num_items, 0.5)] });
-        peer.send(Frame::Announce { round: 1, deadline_ms: 30_000, clients: vec![client] });
-        shard.join()
-    });
-    match joined.expect("a bad dispersal must not panic the shard") {
-        Err(NetError::Protocol(why)) => {
-            for part in [format!("client {client}"), "round 0".into(), format!("item {num_items}")]
-            {
-                assert!(why.contains(&part), "{why:?} does not name {part}");
-            }
+            Err(e) => panic!("expected a protocol violation for {bad:?}, got {e}"),
+            Ok(_) => panic!("the dispersal {bad:?} was accepted"),
         }
-        Err(e) => panic!("expected a protocol violation, got {e}"),
-        Ok(_) => panic!("a dispersal outside the catalogue was accepted"),
     }
 }
 

@@ -46,8 +46,8 @@ proptest! {
             let av = g.param(ia);
             let bv = g.param(ib);
             let c = g.matmul(av, bv);
-            let s = g.tanh(c);
-            let l = g.mean_all(s);
+            let s = g.sigmoid(c);
+            let l = g.frob_sq(s);
             g.scalar(l)
         };
         let grads = {
@@ -55,8 +55,8 @@ proptest! {
             let av = g.param(ia);
             let bv = g.param(ib);
             let c = g.matmul(av, bv);
-            let s = g.tanh(c);
-            let l = g.mean_all(s);
+            let s = g.sigmoid(c);
+            let l = g.frob_sq(s);
             g.backward(l)
         };
         for id in [ia, ib] {
@@ -105,7 +105,7 @@ proptest! {
             let e = g.param(id);
             let rows = g.gather(e, &idx2);
             let s = g.sigmoid(rows);
-            let l = g.sum_all(s);
+            let l = g.frob_sq(s);
             g.scalar(l)
         };
         let grads = {
@@ -113,7 +113,7 @@ proptest! {
             let e = g.param(id);
             let rows = g.gather(e, &idx);
             let s = g.sigmoid(rows);
-            let l = g.sum_all(s);
+            let l = g.frob_sq(s);
             g.backward(l)
         };
         let analytic = grads.dense(id, &p);

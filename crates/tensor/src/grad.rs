@@ -115,13 +115,6 @@ impl Grads {
         Self { bufs: (0..params.len()).map(|_| None).collect() }
     }
 
-    /// Empties every slot and re-sizes to `params`, keeping the `Vec`
-    /// allocation — for reusing a `Grads` shell.
-    pub fn reset_for(&mut self, params: &Params) {
-        self.bufs.clear();
-        self.bufs.resize_with(params.len(), || None);
-    }
-
     /// Mutable access to the gradient slot of `id` (where a hand-derived
     /// backward pass writes its gradients).
     pub fn slot_mut(&mut self, id: ParamId) -> &mut Option<GradBuf> {

@@ -9,7 +9,7 @@
 //!
 //! The three matmul forms — [`acc`] (`out += a × b`), [`nt_acc`]
 //! (`out += g × bᵀ`) and [`tn_acc`] (`out += aᵀ × g`), which
-//! [`Matrix::matmul_into`], [`Matrix::matmul_nt_acc`] and
+//! [`Matrix::matmul`], [`Matrix::matmul_nt_acc`] and
 //! [`Matrix::matmul_tn_acc`] wrap with shape checks and which NeuMF's
 //! hand-derived step calls on its own buffers — are load/store-bound when
 //! written as one `axpy` or `dot` per `(row, k)`: the same short output
@@ -192,23 +192,16 @@ impl Matrix {
         out
     }
 
-    /// Dense matrix product `self × rhs` (see [`Matrix::matmul_into`]).
+    /// Dense matrix product `self × rhs` ([`acc`] into zeros).
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// In-place [`Matrix::matmul`]: overwrites `out` with `self × rhs`,
-    /// reusing its buffer ([`acc`] into zeros).
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: {}x{} × {}x{} shape mismatch",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        out.reset_to(self.rows, rhs.cols);
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
         acc(&self.data, self.cols, &rhs.data, rhs.cols, &mut out.data);
+        out
     }
 
     /// `out += self × rhsᵀ` — the `dA = dY × Bᵀ` backward form, computed
@@ -310,19 +303,13 @@ impl Matrix {
 
     /// Gathers rows `idx` into a new `idx.len()×cols` matrix.
     pub fn gather_rows(&self, idx: &[u32]) -> Matrix {
-        let mut out = Matrix::default();
-        self.gather_rows_into(idx, &mut out);
-        out
-    }
-
-    /// In-place [`Matrix::gather_rows`], reusing `out`'s buffer.
-    pub fn gather_rows_into(&self, idx: &[u32], out: &mut Matrix) {
-        out.reset_to(idx.len(), self.cols);
+        let mut out = Matrix::zeros(idx.len(), self.cols);
         for (o, &i) in idx.iter().enumerate() {
             let i = i as usize;
             assert!(i < self.rows, "gather_rows: row {i} out of bounds ({} rows)", self.rows);
             out.row_mut(o).copy_from_slice(self.row(i));
         }
+        out
     }
 
     /// True if every element is finite.
@@ -590,15 +577,6 @@ mod tests {
         assert_eq!(m.len(), 2);
         m.reset_to(2, 3);
         assert_eq!(m.as_slice(), &[0.0; 6]);
-    }
-
-    #[test]
-    fn matmul_into_matches_matmul() {
-        let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let b = Matrix::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let mut out = Matrix::full(5, 5, 9.9); // wrong shape + dirty buffer
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out.as_slice(), a.matmul(&b).as_slice());
     }
 
     #[test]

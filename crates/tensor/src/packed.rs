@@ -290,10 +290,25 @@ impl Packed<'_> {
     /// Decodes every value into `out`, which must be [`Packed::len`] long.
     pub fn unpack_into(&self, out: &mut [f32]) -> Result<(), String> {
         assert_eq!(out.len(), self.len(), "destination of the wrong length");
-        unpack_into(self.digits, out).map_err(|i| {
-            // lint: allow(alloc-discipline) — the error of a damaged buffer, once
-            format!("{} at byte {}: {}", self.field, self.at + i * DIGITS, bad_group(i))
-        })
+        unpack_into(self.digits, out).map_err(|i| self.bad_group(i))
+    }
+
+    /// Decodes the values in order, handing each to `each`: for a
+    /// destination that is not one `f32` slice. On a damaged group the
+    /// values before it have been handed over.
+    pub fn unpack_each(&self, mut each: impl FnMut(f32)) -> Result<(), String> {
+        for (i, g) in self.digits.chunks_exact(DIGITS).enumerate() {
+            match hex_value(u64::from_be_bytes(g.try_into().expect("8-byte group"))) {
+                (bits, 0) => each(f32::from_bits(bits)),
+                _ => return Err(self.bad_group(i)),
+            }
+        }
+        Ok(())
+    }
+
+    fn bad_group(&self, i: usize) -> String {
+        // lint: allow(alloc-discipline) — the error of a damaged buffer, once
+        format!("{} at byte {}: {}", self.field, self.at + i * DIGITS, bad_group(i))
     }
 }
 
@@ -524,15 +539,20 @@ impl<'a> Reader<'a> {
         Ok(Packed { digits: &self.text[from..from + len], field: self.field, at: from })
     }
 
+    /// The element count of the flat array at the cursor, counted up to
+    /// the first `]` without reading it: what sizes a destination in one
+    /// exact allocation. A damaged array can miscount; reading it fails.
+    pub fn array_len(&self) -> usize {
+        let rest = &self.text[self.pos..];
+        rest.iter().position(|&b| b == b']').map_or(0, |end| {
+            rest[..end].iter().filter(|&&b| b == b',').count() + usize::from(end > 1)
+        })
+    }
+
     /// An array of decimal ids into `out` (cleared first).
     pub fn u32s(&mut self, out: &mut Vec<u32>) -> Result<(), String> {
         out.clear();
-        // one exact allocation: count the elements up to the first `]`
-        let rest = &self.text[self.pos..];
-        if let Some(end) = rest.iter().position(|&b| b == b']') {
-            let commas = rest[..end].iter().filter(|&&b| b == b',').count();
-            out.reserve_exact(commas + usize::from(end > 1));
-        }
+        out.reserve_exact(self.array_len());
         self.array(|r| {
             out.push(r.u32()?);
             Ok(())

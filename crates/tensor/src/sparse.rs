@@ -112,16 +112,9 @@ impl Csr {
 
     /// Sparse × dense product `self × rhs`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.matmul_into(rhs, &mut out);
+        let mut out = Matrix::zeros(self.rows, rhs.cols());
+        self.matmul_acc(rhs, &mut out);
         out
-    }
-
-    /// In-place [`Csr::matmul`]: overwrites `out` with `self × rhs`,
-    /// reusing its buffer.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        out.reset_to(self.rows, rhs.cols());
-        self.matmul_acc(rhs, out);
     }
 
     /// Accumulating sparse × dense product `out += self × rhs`: the
@@ -280,13 +273,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_reuses_dirty_buffer() {
+    fn matmul_acc_adds_on_top() {
         let m = sample();
         let x = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let mut out = Matrix::full(1, 7, 9.0); // wrong shape + dirty contents
-        m.matmul_into(&x, &mut out);
-        assert_eq!(out.as_slice(), m.matmul(&x).as_slice());
-        // the accumulating form adds on top
+        let mut out = m.matmul(&x);
         m.matmul_acc(&x, &mut out);
         let mut doubled = m.matmul(&x);
         doubled.add_assign(&m.matmul(&x));

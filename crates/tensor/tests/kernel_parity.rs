@@ -192,9 +192,8 @@ fn fixed_width_matmul_forms_match_the_naive_serial_loop_bit_for_bit() {
             let b = salted(inner, width, seed + 1);
             let mut expect = Matrix::zeros(rows, width);
             naive_acc(&a, &b, &mut expect);
-            let mut got = Matrix::full(1, 1, 9.9); // wrong shape, dirty
-            a.matmul_into(&b, &mut got);
-            assert_eq!(bits(&got), bits(&expect), "matmul_into {rows}x{inner}x{width}");
+            let got = a.matmul(&b);
+            assert_eq!(bits(&got), bits(&expect), "matmul {rows}x{inner}x{width}");
             let mut wide = Matrix::zeros(rows, width);
             let out = wide.as_mut_slice();
             isa::dispatch(

@@ -11,7 +11,8 @@ fn bits_of(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Decodes `text` as the packed buffer of a field named `buf`.
+/// Decodes `text` as the packed buffer of a field named `buf`, through
+/// `unpack_into` and `unpack_each` alike.
 fn unpack(text: &str) -> Result<Vec<f32>, String> {
     let envelope = format!(r#"{{"buf":"{text}"}}"#);
     let mut r = Reader::new(envelope.as_bytes());
@@ -19,7 +20,13 @@ fn unpack(text: &str) -> Result<Vec<f32>, String> {
     r.key("buf")?;
     let packed = r.packed()?;
     let mut values = vec![0.0; packed.len()];
-    packed.unpack_into(&mut values)?;
+    let into = packed.unpack_into(&mut values);
+    let mut each = Vec::new();
+    assert_eq!(packed.unpack_each(|v| each.push(v)), into, "the two decoders disagree");
+    if into.is_ok() {
+        assert_eq!(bits_of(&each), bits_of(&values), "the two decoders disagree");
+    }
+    into?;
     r.close()?;
     r.finish().map(|()| values)
 }

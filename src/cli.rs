@@ -1194,8 +1194,7 @@ mod tests {
     /// `(line, flag)` for every `--flag` after a `ptf` invocation in
     /// `text` that is not a flag of the command the invocation names — of
     /// any command, when it names none (`ptf $args …`). Lines continued
-    /// with `\` count as one, anchored at the first; `"$BIN"` is how
-    /// `ci/net_smoke.sh` spells the binary.
+    /// with `\` count as one, anchored at the first.
     fn stray_flags(text: &str) -> Vec<(usize, String)> {
         let mut out = Vec::new();
         let mut logical = String::new();
@@ -1214,7 +1213,7 @@ mod tests {
             let (mut after_flag, mut expect_command) = (false, false);
             for t in logical.split_whitespace() {
                 let t = t.trim_matches(|c: char| "`,.();:*\"'[]".contains(c));
-                if (t == "ptf" || t.ends_with("/ptf") || t == "$BIN") && !after_flag {
+                if (t == "ptf" || t.ends_with("/ptf")) && !after_flag {
                     rows = Some(COMMANDS.iter().collect());
                     expect_command = true;
                     continue;
@@ -1246,7 +1245,7 @@ mod tests {
     #[test]
     fn documented_invocations_use_flags_of_the_named_command() {
         let mut files: Vec<String> =
-            ["README.md", ".github/workflows/ci.yml", "ci/net_smoke.sh"].map(String::from).into();
+            ["README.md", ".github/workflows/ci.yml"].map(String::from).into();
         let docs = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("docs");
         for entry in std::fs::read_dir(&docs).expect("docs/ is readable").flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
@@ -1254,7 +1253,7 @@ mod tests {
                 files.push(format!("docs/{name}"));
             }
         }
-        assert!(files.len() > 3, "no docs/*.md found");
+        assert!(files.len() > 2, "no docs/*.md found");
         for rel in &files {
             assert_eq!(stray_flags(&repo_file(rel)), [], "{rel}: (line, --flag) no command takes");
         }
@@ -1262,10 +1261,9 @@ mod tests {
         let drift = "Run `ptf train --dataset ml100k --bogus-flag 3`.\n\
                      cargo bench --bench foo\n\
                      ./target/release/ptf serve --port 0 \\\n  --cohort 8 --json\n\
-                     timeout 9 \"$BIN\" client --addr h:1 --protocol ptf --k 5\n\
                      ./target/release/ptf $args --checkpoint /tmp/c --frobnicate\n";
         let got = stray_flags(drift);
-        let want = [(1, "bogus-flag"), (3, "cohort"), (5, "protocol"), (5, "k"), (6, "frobnicate")];
+        let want = [(1, "bogus-flag"), (3, "cohort"), (5, "frobnicate")];
         assert_eq!(got, want.map(|(line, flag)| (line, flag.to_string())));
     }
 }
