@@ -8,10 +8,9 @@
 
 use ptf_data::negative::sample_negatives_into;
 use ptf_data::{shuffle, Dataset, Scale};
-use ptf_federated::{
-    round_rng, FederatedProtocol, RngStream, RoundCtx, RoundTrace, Scheduler, ScratchPool,
-};
+use ptf_federated::{round_rng, FederatedProtocol, RngStream, RoundCtx, RoundScratch, RoundTrace};
 use ptf_models::{build_model, ModelHyper, ModelKind, Recommender};
+use ptf_tensor::par::{map_chunks, resolve_threads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -56,8 +55,8 @@ pub struct Centralized {
     cfg: CentralizedConfig,
     model: Box<dyn Recommender>,
     train: Dataset,
-    scheduler: Scheduler,
-    scratch: ScratchPool,
+    /// Each sample-assembly worker's scratch, kept across epochs.
+    workers: Vec<RoundScratch>,
 }
 
 impl Centralized {
@@ -72,8 +71,7 @@ impl Centralized {
         // graph models see the full interaction graph
         let edges: Vec<(u32, u32, f32)> = train.pairs().map(|(u, i)| (u, i, 1.0)).collect();
         model.set_graph(&edges);
-        let scheduler = Scheduler::new(cfg.threads);
-        Self { cfg, model, train: train.clone(), scheduler, scratch: ScratchPool::new() }
+        Self { cfg, model, train: train.clone(), workers: Vec::new() }
     }
 }
 
@@ -93,28 +91,28 @@ impl FederatedProtocol for Centralized {
     fn run_round(&mut self, ctx: &mut RoundCtx<'_>) -> RoundTrace {
         ctx.begin(&[]);
         let (seed, round) = (self.cfg.seed, ctx.round());
-        let users: Vec<u32> = self.train.active_users().collect();
+        let mut users: Vec<u32> = self.train.active_users().collect();
         let (train, neg_ratio) = (&self.train, self.cfg.neg_ratio);
-        let per_user: Vec<Vec<(u32, u32, f32)>> =
-            self.scheduler.map_indices_with(&self.scratch, users.len(), |scratch, idx| {
-                let u = users[idx];
-                let positives = train.user_items(u);
-                let mut rng = round_rng(seed, round, RngStream::Client(u));
-                sample_negatives_into(
-                    positives,
-                    train.num_items(),
-                    positives.len() * neg_ratio,
-                    &mut rng,
-                    &mut scratch.negatives,
-                    &mut scratch.seen,
-                );
-                positives
-                    .iter()
-                    .map(|&i| (u, i, 1.0f32))
-                    .chain(scratch.negatives.iter().map(|&i| (u, i, 0.0f32)))
-                    .collect()
+        let per_chunk =
+            map_chunks(self.cfg.threads, &mut users, &mut self.workers, |_, users, s| {
+                let mut samples: Vec<(u32, u32, f32)> = Vec::new();
+                for &u in &*users {
+                    let positives = train.user_items(u);
+                    let mut rng = round_rng(seed, round, RngStream::Client(u));
+                    sample_negatives_into(
+                        positives,
+                        train.num_items(),
+                        positives.len() * neg_ratio,
+                        &mut rng,
+                        &mut s.negatives,
+                        &mut s.seen,
+                    );
+                    samples.extend(positives.iter().map(|&i| (u, i, 1.0f32)));
+                    samples.extend(s.negatives.iter().map(|&i| (u, i, 0.0f32)));
+                }
+                samples
             });
-        let mut samples: Vec<(u32, u32, f32)> = per_user.into_iter().flatten().collect();
+        let mut samples = per_chunk.concat();
         let mut shuffle_rng = round_rng(seed, round, RngStream::Shuffle);
         shuffle(&mut samples, &mut shuffle_rng);
         let loss = ptf_models::train_on_samples(&mut *self.model, &samples, self.cfg.batch);
@@ -126,7 +124,7 @@ impl FederatedProtocol for Centralized {
     }
 
     fn threads(&self) -> usize {
-        self.scheduler.threads()
+        resolve_threads(self.cfg.threads)
     }
 }
 

@@ -17,10 +17,11 @@ use ptf_data::negative::sample_negatives_into;
 use ptf_data::{shuffle, Dataset, Scale};
 use ptf_federated::{
     partition_clients, round_rng, ClientData, FederatedProtocol, Participation, RngStream,
-    RoundCtx, RoundScratch, RoundTrace, Scheduler, ScratchPool,
+    RoundCtx, RoundScratch, RoundTrace,
 };
 use ptf_models::mf::{mf_sgd_step, MfModel};
 use ptf_models::Recommender;
+use ptf_tensor::par::{map_chunks, resolve_threads};
 use ptf_tensor::{RowTable, ScopeView};
 use rand::rngs::StdRng;
 
@@ -94,8 +95,8 @@ pub struct Fcf {
     model: MfModel,
     clients: Vec<ClientData>,
     trainable: Vec<u32>,
-    scheduler: Scheduler,
-    scratch: ScratchPool,
+    /// Each client-phase worker's scratch, kept across rounds.
+    workers: Vec<RoundScratch>,
 }
 
 impl Fcf {
@@ -104,8 +105,7 @@ impl Fcf {
         let model = MfModel::new_scoped(train.num_users(), cfg.dim, cfg.lr, scope, cfg.seed);
         let clients = partition_clients(train);
         let trainable = clients.iter().filter(|c| c.is_trainable()).map(|c| c.id).collect();
-        let scheduler = Scheduler::new(cfg.threads);
-        Self { cfg, model, clients, trainable, scheduler, scratch: ScratchPool::new() }
+        Self { cfg, model, clients, trainable, workers: Vec::new() }
     }
 
     /// The wire size of one direction of the exchange (item matrix+bias).
@@ -116,7 +116,7 @@ impl Fcf {
     /// One client's local phase, against a *read-only* model snapshot:
     /// trains a private copy of the user vector plus local copies of the
     /// item rows it touches, and returns the finished [`ClientResult`]
-    /// (user row, item-row deltas, mean loss). Runs on scheduler workers —
+    /// (user row, item-row deltas, mean loss). Runs on client-phase workers —
     /// the only shared state it sees is the pre-round model, so the result
     /// depends solely on `(client, rng)`.
     ///
@@ -232,11 +232,14 @@ impl Fcf {
         // model snapshot, per-worker scratch buffers
         let (model, cfg, clients) = (&self.model, &self.cfg, &self.clients);
         let mut ids: Vec<u32> = participants.clone();
-        let results: Vec<ClientResult> =
-            self.scheduler.map_clients_with(&self.scratch, &mut ids, |scratch, _, &mut cid| {
+        let per_chunk = map_chunks(cfg.threads, &mut ids, &mut self.workers, |_, ids, scratch| {
+            let each = ids.iter().map(|&cid| {
                 let mut rng = round_rng(seed, round, RngStream::Client(cid));
                 Self::client_update(model, &clients[cid as usize], cfg, scratch, &mut rng)
             });
+            each.collect::<Vec<ClientResult>>()
+        });
+        let results: Vec<ClientResult> = per_chunk.into_iter().flatten().collect();
 
         // serial phase: replay in participant order; the round aggregate
         // is itself a row-sparse table over the union of touched items
@@ -294,7 +297,7 @@ impl FederatedProtocol for Fcf {
     }
 
     fn threads(&self) -> usize {
-        self.scheduler.threads()
+        resolve_threads(self.cfg.threads)
     }
 }
 

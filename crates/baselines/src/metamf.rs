@@ -24,10 +24,11 @@ use ptf_data::negative::sample_negatives_into;
 use ptf_data::{shuffle, Dataset, Scale};
 use ptf_federated::{
     partition_clients, round_rng, ClientData, FederatedProtocol, Participation, RngStream,
-    RoundCtx, RoundScratch, RoundTrace, Scheduler, ScratchPool,
+    RoundCtx, RoundScratch, RoundTrace,
 };
 use ptf_models::mf::bce_loss;
 use ptf_models::{stable_sigmoid, Recommender};
+use ptf_tensor::par::{map_chunks, resolve_threads};
 use ptf_tensor::{Matrix, RowTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,8 +92,8 @@ pub struct MetaMf {
     user_emb: Matrix,
     clients: Vec<ClientData>,
     trainable: Vec<u32>,
-    scheduler: Scheduler,
-    scratch: ScratchPool,
+    /// Each client-phase worker's scratch, kept across rounds.
+    workers: Vec<RoundScratch>,
 }
 
 impl MetaMf {
@@ -101,7 +102,6 @@ impl MetaMf {
         let d = cfg.dim;
         let clients = partition_clients(train);
         let trainable = clients.iter().filter(|c| c.is_trainable()).map(|c| c.id).collect();
-        let scheduler = Scheduler::new(cfg.threads);
         Self {
             basis: Matrix::randn(train.num_items(), d, 0.1, &mut rng),
             w_gate: Matrix::randn(d, d, 0.1, &mut rng),
@@ -110,8 +110,7 @@ impl MetaMf {
             user_emb: Matrix::randn(train.num_users(), d, 0.1, &mut rng),
             clients,
             trainable,
-            scheduler,
-            scratch: ScratchPool::new(),
+            workers: Vec::new(),
             cfg,
         }
     }
@@ -143,7 +142,7 @@ impl MetaMf {
     /// folded into `d_gate` and per-item basis-gradient rows in step
     /// order, so the buffered result is O(touched items × d), not
     /// O(steps × d) — the whole participant fleet's results are resident
-    /// at once between the phases). Runs on scheduler workers; the basis
+    /// at once between the phases). Runs on client-phase workers; the basis
     /// it reads is the pre-round snapshot, matching the serial semantics.
     fn client_phase(
         &self,
@@ -250,14 +249,20 @@ impl FederatedProtocol for MetaMf {
         let d = self.cfg.dim;
         let num_items = self.basis.rows();
 
-        // parallel client phase (per-worker scratch buffers)
+        // parallel client phase (per-worker scratch buffers, out of
+        // `self` while the workers borrow it)
+        let mut workers = std::mem::take(&mut self.workers);
         let this = &*self;
         let mut ids: Vec<u32> = participants.clone();
-        let results: Vec<MetaClientResult> =
-            this.scheduler.map_clients_with(&this.scratch, &mut ids, |scratch, _, &mut cid| {
+        let per_chunk = map_chunks(this.cfg.threads, &mut ids, &mut workers, |_, ids, scratch| {
+            let each = ids.iter().map(|&cid| {
                 let mut rng = round_rng(seed, round, RngStream::Client(cid));
                 this.client_phase(cid, scratch, &mut rng)
             });
+            each.collect::<Vec<MetaClientResult>>()
+        });
+        self.workers = workers;
+        let results: Vec<MetaClientResult> = per_chunk.into_iter().flatten().collect();
 
         // serial phase: wire events + server-side backprop through the
         // generator (E_u = B ⊙ g, g = 1 + tanh(pre), pre = z W + b), in
@@ -341,7 +346,7 @@ impl FederatedProtocol for MetaMf {
     }
 
     fn threads(&self) -> usize {
-        self.scheduler.threads()
+        resolve_threads(self.cfg.threads)
     }
 }
 

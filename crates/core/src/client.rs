@@ -231,6 +231,15 @@ impl PtfClient {
             &mut scratch.seen,
         );
 
+        // each pool buffer gets room for the largest pool this client can
+        // train on, so the capacity a reused buffer needs depends on the
+        // client, never on how many of its draws repeat or how many items
+        // the server could disperse to it this round
+        let room = self.positives.len() + scratch.negatives.len();
+        let room = room + cfg.alpha.max(self.server_data.len());
+        scratch.pool_ids.clear();
+        scratch.pool_ids.reserve(room);
+
         // one batched materialization of the round's whole pool, so a
         // scoped model merges its fresh rows in a single arena pass
         // instead of shifting once per first-touched sample
@@ -245,12 +254,14 @@ impl PtfClient {
             let items = model.items();
             let row = |i: u32| items.row_of(i) as u32;
             scratch.row_samples.clear();
+            scratch.row_samples.reserve(room);
             scratch.row_samples.extend(self.positives.iter().map(|&i| (row(i), 1.0f32)));
             scratch.row_samples.extend(scratch.negatives.iter().map(|&i| (row(i), 0.0f32)));
             scratch.row_samples.extend(self.server_data.iter().map(|&(i, s)| (row(i), s)));
             return;
         }
         scratch.triples.clear();
+        scratch.triples.reserve(room);
         scratch.triples.extend(self.positives.iter().map(|&i| (0u32, i, 1.0f32)));
         scratch.triples.extend(scratch.negatives.iter().map(|&i| (0u32, i, 0.0f32)));
         scratch.triples.extend(self.server_data.iter().map(|&(i, s)| (0u32, i, s)));

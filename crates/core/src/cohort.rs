@@ -25,7 +25,7 @@
 //!   rewritten). All three lines go through the one state codec
 //!   ([`ptf_tensor::packed`]): a park writes the head and the model's
 //!   envelope straight into its worker's reused buffer, and a restore reads
-//!   the file into a second one and each line with a cursor that decodes
+//!   the file into the worker's second one and each line with a cursor that decodes
 //!   ids and packed buffers into their destinations — no JSON value tree,
 //!   no intermediate copy of the model text — and takes only the writer's
 //!   canonical spelling.
@@ -78,7 +78,7 @@
 
 use crate::client::PtfClient;
 use crate::config::{ConfigError, PtfConfig};
-use crate::protocol::{ClientHost, ClientPhase, Round};
+use crate::protocol::{ClientHost, Round};
 use crate::rounds;
 use crate::server::PtfServer;
 use crate::upload::ClientUpload;
@@ -88,7 +88,7 @@ use ptf_models::mf::LANES;
 use ptf_models::{build_model_scoped, ModelHyper, ModelKind, ScopeView};
 use ptf_privacy::ScoredItem;
 use ptf_tensor::packed::{Reader, Writer};
-use ptf_tensor::par::Pool;
+use ptf_tensor::par::map_chunks;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -419,9 +419,20 @@ pub struct Stored {
     hyper: ModelHyper,
     data: CohortData,
     store: ClientStore,
-    /// Envelope text buffers: two checked out per worker (one a restore
-    /// reads into, one a park writes through) and one by `deliver`.
-    texts: Pool<Vec<u8>>,
+    /// Each client-phase worker's state, kept across rounds.
+    workers: Vec<StoredWorker>,
+    /// The line buffer `deliver` writes each dispersal through.
+    line: Vec<u8>,
+}
+
+/// One [`Stored`] worker's reusable buffers: its lanes' scratch and two
+/// envelope texts, one a restore reads into and one a park writes
+/// through.
+#[derive(Default)]
+struct StoredWorker {
+    scratch: [RoundScratch; LANES],
+    read: Vec<u8>,
+    text: Vec<u8>,
 }
 
 /// Cohort-sharded PTF-FedRec (see module docs).
@@ -453,8 +464,8 @@ impl Round<Stored> {
         };
         let server_users = user_map.as_ref().map_or(data.num_users(), Vec::len);
         let server = rounds::build_server(server_users, data.num_items(), server_kind, hyper, &cfg);
-        let texts = Pool::new();
-        let host = Stored { client_kind, hyper: hyper.clone(), data, store, texts };
+        let (workers, line) = (Vec::new(), Vec::new());
+        let host = Stored { client_kind, hyper: hyper.clone(), data, store, workers, line };
         Ok(Self::new(cfg, host, server, user_map, trainable))
     }
 
@@ -554,45 +565,35 @@ impl ClientHost for Stored {
 
     fn client_phase(
         &mut self,
-        phase: &ClientPhase<'_>,
+        cfg: &PtfConfig,
+        round: u32,
         participants: &[u32],
     ) -> (Vec<ClientUpload>, Vec<f32>) {
         // parallel: each worker restores (or builds) its participants as
         // its lanes free up, one derived RNG stream per client, and parks
         // each one as its lane finishes — bit-identical regardless of
-        // lanes or thread count
+        // lanes or thread count. The workers leave `self` for the phase,
+        // which every worker reads.
+        let mut workers = std::mem::take(&mut self.workers);
         let this = &*self;
         let mut ids = participants.to_vec();
-        let trained = phase.scheduler.map_slices_with(
-            phase.scratch,
-            &mut ids,
-            |scratch: &mut [RoundScratch; LANES], ids| {
-                let (mut read, mut text) = (this.texts.checkout(), this.texts.checkout());
-                let mut out: Vec<Option<(ClientUpload, f32)>> = ids.iter().map(|_| None).collect();
-                let clients = ids.iter().map(|&id| {
-                    if this.store.load(id, &mut read) {
-                        this.restore_client(id, &read, phase.cfg).unwrap_or_else(|e| panic!("{e}"))
-                    } else {
-                        this.build(id, phase.cfg, false)
-                    }
-                });
-                rounds::train_in_lanes(
-                    phase.cfg,
-                    phase.round,
-                    scratch,
-                    clients,
-                    |at, c, up, loss| {
-                        this.park(&c, phase.round, &mut text);
-                        out[at] = Some((up, loss));
-                    },
-                );
-                // `read` last, so `deliver` and the next round's restore
-                // take the buffer that already holds a whole envelope
-                this.texts.restore(text);
-                this.texts.restore(read);
-                out
-            },
-        );
+        let trained = map_chunks(cfg.threads, &mut ids, &mut workers, |_, ids, w| {
+            let StoredWorker { scratch, read, text } = w;
+            let mut out: Vec<Option<(ClientUpload, f32)>> = ids.iter().map(|_| None).collect();
+            let clients = ids.iter().map(|&id| {
+                if this.store.load(id, read) {
+                    this.restore_client(id, read, cfg).unwrap_or_else(|e| panic!("{e}"))
+                } else {
+                    this.build(id, cfg, false)
+                }
+            });
+            rounds::train_in_lanes(cfg, round, scratch, clients, |at, c, up, loss| {
+                this.park(&c, round, text);
+                out[at] = Some((up, loss));
+            });
+            out
+        });
+        self.workers = workers;
         // uploads in participant order
         trained.into_iter().flatten().map(|r| r.expect("every participant trained")).unzip()
     }
@@ -601,16 +602,15 @@ impl ClientHost for Stored {
     /// envelope — the stored counterpart of
     /// [`PtfClient::receive_disperse`].
     fn deliver(&mut self, round: u32, dispersals: Vec<(u32, Vec<ScoredItem>)>) {
-        let (mut line, mut scores) = (self.texts.checkout(), Vec::new());
+        let mut scores = Vec::new();
         for (client, items) in dispersals {
             scores.clear();
             scores.extend(items.iter().map(|&(_, s)| s));
-            self.store.append(client, &mut line, |line| {
+            self.store.append(client, &mut self.line, |line| {
                 write_dispersal(&mut Writer::new(line), round, &items, &scores);
                 line.push(b'\n');
             });
         }
-        self.texts.restore(line);
     }
 }
 
@@ -676,7 +676,7 @@ pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use ptf_data::SyntheticConfig;
-    use ptf_federated::{RoundCtx, Scheduler, ScratchPool};
+    use ptf_federated::RoundCtx;
     use ptf_models::{MfModel, ModelHyper, NeuMf, Recommender, ScopeView};
     use ptf_tensor::{test_rng, Matrix, RowTable};
     use std::collections::BTreeMap;
@@ -816,7 +816,8 @@ pub(crate) mod tests {
             hyper,
             data: CohortData::Mem(data),
             store: ClientStore::empty_at(root.0.clone()).expect("temp store root"),
-            texts: Pool::new(),
+            workers: Vec::new(),
+            line: Vec::new(),
         };
         let client = host.build(1, &cfg, false);
         host.park(&client, 0, &mut Vec::new());
@@ -864,10 +865,7 @@ pub(crate) mod tests {
     /// host after its client phase and before `deliver`.
     fn round_by_hand(fed: &mut CohortFedRec, round: u32, between: impl FnOnce(&Stored)) {
         let participants = fed.trainable().to_vec();
-        let scratch = ScratchPool::new();
-        let phase =
-            ClientPhase { cfg: &fed.cfg, round, scheduler: Scheduler::new(1), scratch: &scratch };
-        let (uploads, _) = fed.host.client_phase(&phase, &participants);
+        let (uploads, _) = fed.host.client_phase(&fed.cfg, round, &participants);
         between(&fed.host);
         let mut ctx = RoundCtx::detached(round);
         let (_, dispersals) =
@@ -944,7 +942,8 @@ pub(crate) mod tests {
             hyper,
             data: CohortData::Mem(data),
             store: ClientStore::empty_at(root.0.clone()).expect("temp store root"),
-            texts: Pool::new(),
+            workers: Vec::new(),
+            line: Vec::new(),
         };
         let mut client = host.build(1, &cfg, false);
         client.restore_eviction_state(3, vec![(2, 1), (5, 0)]);

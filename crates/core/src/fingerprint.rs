@@ -18,7 +18,7 @@ use ptf_models::{ModelHyper, ModelKind};
 /// both model kinds, every field of `hyper`, and the dataset dimensions.
 ///
 /// Only `threads` is set to a fixed value first: every thread count gives
-/// the same bytes (the scheduler is bit-identical at any worker count),
+/// the same bytes (the client phase is bit-identical at any worker count),
 /// so a run may resume or pair at another. The cohort size of a
 /// checkpointed run is not part of `cfg` and is free for the same reason.
 ///

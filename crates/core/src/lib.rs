@@ -63,6 +63,6 @@ pub use client::PtfClient;
 pub use cohort::{CohortData, CohortFedRec, CohortOptions, ServerScope, StoreKind, Stored};
 pub use config::{ConfigError, DefenseKind, DisperseStrategy, PtfConfig, StoragePolicy};
 pub use fingerprint::{config_fingerprint, fnv1a64};
-pub use protocol::{ClientHost, ClientPhase, PtfFedRec, Resident, Round};
+pub use protocol::{ClientHost, PtfFedRec, Resident, Round};
 pub use server::PtfServer;
 pub use upload::ClientUpload;

@@ -36,41 +36,34 @@ use crate::rounds;
 use crate::server::PtfServer;
 use crate::upload::ClientUpload;
 use ptf_data::Dataset;
-use ptf_federated::{
-    FederatedProtocol, RoundCtx, RoundScratch, RoundTrace, Scheduler, ScratchPool,
-};
+use ptf_federated::{FederatedProtocol, RoundCtx, RoundScratch, RoundTrace};
 use ptf_models::mf::LANES;
 use ptf_models::{ModelHyper, ModelKind, Recommender};
 use ptf_privacy::{ScoredItem, TopGuessAttack};
-
-/// What the driver lends a host for one round's client phase.
-pub struct ClientPhase<'a> {
-    pub cfg: &'a PtfConfig,
-    pub round: u32,
-    pub scheduler: Scheduler,
-    /// Per-worker reusable client-phase buffers (see
-    /// [`ptf_federated::RoundScratch`]).
-    pub scratch: &'a ScratchPool,
-}
+use ptf_tensor::par::{map_chunks, map_indices, resolve_threads};
 
 /// Where a participant's state lives and where its local round runs.
 ///
 /// A host never sees the server, the observers or the round order — the
 /// driver owns those — so a new host (a segment store, a remote shard)
 /// implements the two required methods and inherits every parity suite.
+/// A host that trains in this process owns its workers' state: one
+/// `[RoundScratch; LANES]` per worker of [`ptf_tensor::par::map_chunks`]
+/// (see [`ptf_federated::RoundScratch`]), kept across rounds.
 pub trait ClientHost {
     /// Protocol name the driver reports at this host.
     const NAME: &'static str;
 
-    /// Algorithm 1 lines 5–8 for every id in `participants` (ascending):
-    /// one [`rounds::client_round`] each, on `phase.scheduler` with
-    /// scratch from `phase.scratch`, or in the participant's own process.
+    /// Algorithm 1 lines 5–8 of `round` for every id in `participants`
+    /// (ascending): [`rounds::train_in_lanes`] on `cfg.threads` workers,
+    /// each over its own scratch, or each participant in its own process.
     /// Returns the uploads and the local losses, both in participant
     /// order. A host may leave out a participant whose upload never
     /// arrived; the round then treats it as unsampled.
     fn client_phase(
         &mut self,
-        phase: &ClientPhase<'_>,
+        cfg: &PtfConfig,
+        round: u32,
         participants: &[u32],
     ) -> (Vec<ClientUpload>, Vec<f32>);
 
@@ -93,8 +86,6 @@ pub struct Round<H> {
     /// [`rounds::server_phase`]).
     user_map: Option<Vec<u32>>,
     trainable: Vec<u32>,
-    scheduler: Scheduler,
-    scratch: ScratchPool,
     /// Uploads of the most recent round (kept for privacy auditing).
     last_uploads: Vec<ClientUpload>,
 }
@@ -112,17 +103,7 @@ impl<H: ClientHost> Round<H> {
         user_map: Option<Vec<u32>>,
         trainable: Vec<u32>,
     ) -> Self {
-        let scheduler = Scheduler::new(cfg.threads);
-        Self {
-            cfg,
-            host,
-            server,
-            user_map,
-            trainable,
-            scheduler,
-            scratch: ScratchPool::new(),
-            last_uploads: Vec::new(),
-        }
+        Self { cfg, host, server, user_map, trainable, last_uploads: Vec::new() }
     }
 
     pub fn server(&self) -> &PtfServer {
@@ -172,13 +153,7 @@ impl<H: ClientHost> Round<H> {
 
         // lines 5–8, parallel phase: local training + upload construction
         // on one derived RNG stream per client
-        let phase = ClientPhase {
-            cfg: &self.cfg,
-            round,
-            scheduler: self.scheduler,
-            scratch: &self.scratch,
-        };
-        let (uploads, losses) = self.host.client_phase(&phase, &participants);
+        let (uploads, losses) = self.host.client_phase(&self.cfg, round, &participants);
 
         // lines 9–12, serial phase: replay uploads into the observer stack
         // in participant order, train the hidden model, disperse
@@ -237,7 +212,7 @@ impl<H: ClientHost> FederatedProtocol for Round<H> {
     }
 
     fn threads(&self) -> usize {
-        self.scheduler.threads()
+        resolve_threads(self.cfg.threads)
     }
 }
 
@@ -245,6 +220,8 @@ impl<H: ClientHost> FederatedProtocol for Round<H> {
 /// + optimizer state) per user, built once and trained in place.
 pub struct Resident {
     clients: Vec<PtfClient>,
+    /// Each client-phase worker's lanes of scratch, kept across rounds.
+    workers: Vec<[RoundScratch; LANES]>,
     /// Heap allocations performed *inside* the most recent round's
     /// parallel client phase (0 unless the `ptf_tensor::alloc` shim is
     /// installed; 0 in steady state with an allocation-free client model).
@@ -256,32 +233,23 @@ impl ClientHost for Resident {
 
     fn client_phase(
         &mut self,
-        phase: &ClientPhase<'_>,
+        cfg: &PtfConfig,
+        round: u32,
         participants: &[u32],
     ) -> (Vec<ClientUpload>, Vec<f32>) {
         // all transient state lives in per-worker scratch buffers; the
         // allocation counter brackets each worker's whole lane run
         // (thread-local, so parallel workers count independently)
         let mut refs = participant_refs(&mut self.clients, participants);
-        let results = phase.scheduler.map_slices_with(
-            phase.scratch,
-            &mut refs,
-            |scratch: &mut [RoundScratch; LANES], slice| {
-                let mut out: Vec<Option<(ClientUpload, f32)>> = vec![None; slice.len()];
-                let allocs_before = ptf_tensor::alloc::thread_allocs();
-                let clients = slice.iter_mut().map(|c| &mut **c);
-                rounds::train_in_lanes(
-                    phase.cfg,
-                    phase.round,
-                    scratch,
-                    clients,
-                    |at, _, up, loss| {
-                        out[at] = Some((up, loss));
-                    },
-                );
-                (out, ptf_tensor::alloc::thread_allocs() - allocs_before)
-            },
-        );
+        let results = map_chunks(cfg.threads, &mut refs, &mut self.workers, |_, slice, scratch| {
+            let mut out: Vec<Option<(ClientUpload, f32)>> = vec![None; slice.len()];
+            let allocs_before = ptf_tensor::alloc::thread_allocs();
+            let clients = slice.iter_mut().map(|c| &mut **c);
+            rounds::train_in_lanes(cfg, round, scratch, clients, |at, _, up, loss| {
+                out[at] = Some((up, loss));
+            });
+            (out, ptf_tensor::alloc::thread_allocs() - allocs_before)
+        });
         let mut uploads = Vec::with_capacity(participants.len());
         let mut losses = Vec::with_capacity(participants.len());
         self.last_client_allocs = 0;
@@ -319,7 +287,7 @@ impl Round<Resident> {
     /// server model, and fresh per-participant state. Fails (instead of
     /// panicking) if `cfg` is inconsistent.
     ///
-    /// The whole fleet builds in parallel on the scheduler: each client's
+    /// The whole fleet builds in parallel on `cfg.threads` workers: each client's
     /// partition *and* item-scoped model come from one task seeded by its
     /// own derived `RngStream::ClientInit` stream, so the build is
     /// bit-identical at any thread count and proportional to the
@@ -333,15 +301,14 @@ impl Round<Resident> {
         cfg: PtfConfig,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let scheduler = Scheduler::new(cfg.threads);
-        let clients: Vec<PtfClient> = scheduler.map_indices(train.num_users(), |u| {
+        let clients: Vec<PtfClient> = map_indices(cfg.threads, train.num_users(), |u| {
             rounds::build_client(train, u as u32, client_kind, hyper, &cfg)
         });
         let server =
             rounds::build_server(train.num_users(), train.num_items(), server_kind, hyper, &cfg);
         let trainable: Vec<u32> =
             clients.iter().filter(|c| c.num_positives() > 0).map(|c| c.id).collect();
-        let host = Resident { clients, last_client_allocs: 0 };
+        let host = Resident { clients, workers: Vec::new(), last_client_allocs: 0 };
         Ok(Self::new(cfg, host, server, None, trainable))
     }
 
@@ -433,7 +400,7 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum HostCall {
         Recycle(Vec<u32>),
-        ClientPhase(u32, Vec<u32>),
+        Train(u32, Vec<u32>),
         Deliver(u32, Vec<u32>),
     }
 
@@ -446,10 +413,11 @@ mod tests {
 
         fn client_phase(
             &mut self,
-            phase: &ClientPhase<'_>,
+            _cfg: &PtfConfig,
+            round: u32,
             participants: &[u32],
         ) -> (Vec<ClientUpload>, Vec<f32>) {
-            self.0.borrow_mut().push(HostCall::ClientPhase(phase.round, participants.to_vec()));
+            self.0.borrow_mut().push(HostCall::Train(round, participants.to_vec()));
             let uploads = participants
                 .iter()
                 .map(|&client| ClientUpload {
@@ -509,7 +477,7 @@ mod tests {
             *calls.borrow(),
             [
                 HostCall::Recycle(vec![]),
-                HostCall::ClientPhase(0, vec![3, 9]),
+                HostCall::Train(0, vec![3, 9]),
                 HostCall::Deliver(0, vec![3, 9]),
             ]
         );
@@ -532,7 +500,7 @@ mod tests {
             *calls.borrow(),
             [
                 HostCall::Recycle(vec![3, 9]),
-                HostCall::ClientPhase(1, vec![]),
+                HostCall::Train(1, vec![]),
                 HostCall::Deliver(1, vec![]),
             ]
         );
@@ -680,7 +648,7 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_run() {
-        // the scheduler's headline guarantee at protocol level: identical
+        // the parallel client phase's headline guarantee: identical
         // traces and identical trained models at 1 vs 4 threads
         let split = tiny_split();
         let run = |threads: usize| {

@@ -28,7 +28,7 @@
 //!   item table.
 //!
 //! Everything here is deterministic given `(cfg.seed, round)`: no step
-//! reads ambient state, so the caller may be an in-process scheduler, a
+//! reads ambient state, so the caller may be an in-process worker, a
 //! TCP client process, or a test harness.
 
 use crate::client::PtfClient;
@@ -134,6 +134,11 @@ struct Lane<C> {
 /// `MfModel::train_batch` would, and reduces its loss as
 /// `train_on_samples` does.
 ///
+/// Once every participant is done, the buffers of the lanes that took one
+/// are levelled ([`RoundScratch::level`]), so a worker that keeps its
+/// `scratch` across rounds stops allocating once it has served each of
+/// its clients.
+///
 /// `C` is whatever a host keeps a participant in: `&mut PtfClient` for a
 /// resident fleet, an owned `PtfClient` for one restored per round (built
 /// lazily, when a lane pulls it from `participants`, and returned through
@@ -153,14 +158,19 @@ pub fn train_in_lanes<C: BorrowMut<PtfClient>>(
     let scratch = &mut scratch[..width];
     let mut queue = participants.into_iter().enumerate();
     let mut lanes: [Option<Lane<C>>; LANES] = std::array::from_fn(|_| None);
+    // lanes that took a participant: a non-MF client trains to the end in
+    // the lane it is given, so those all pass through lane 0
+    let mut used = 0;
     loop {
-        for (slot, scratch) in lanes.iter_mut().zip(scratch.iter_mut()) {
+        for (k, (slot, scratch)) in lanes.iter_mut().zip(scratch.iter_mut()).enumerate() {
             while slot.is_none() {
                 let Some((at, client)) = queue.next() else { break };
+                used = used.max(k + 1);
                 *slot = start_lane(cfg, round, scratch, at, client, &mut done);
             }
         }
         if lanes.iter().all(Option::is_none) {
+            RoundScratch::level(&mut scratch[..used]);
             return;
         }
         mf::train_lanes(lanes.iter_mut().zip(scratch.iter()).filter_map(|(slot, scratch)| {

@@ -60,6 +60,9 @@ pub fn build_upload_into(
     audit.reserve(pos.len());
 
     if matches!(defense, DefenseKind::Sampling | DefenseKind::SamplingSwapping) {
+        // room for either whole pool: the sampled share varies by round
+        picked.clear();
+        picked.reserve(pos.len().max(neg.len()));
         sample_upload_into(pos.len(), neg.len(), sampling, rng, pos_idx, neg_idx);
         for (pool, idx) in [(&mut *pos, &*pos_idx), (&mut *neg, &*neg_idx)] {
             picked.clear();

@@ -49,8 +49,8 @@ pub trait FederatedProtocol {
     /// A scoring view of the trained global model, for evaluation.
     fn recommender(&self) -> &dyn Recommender;
 
-    /// Worker threads the protocol's scheduler resolved from its config
-    /// (`0` = every hardware thread). [`Engine::evaluate`] reuses this so
+    /// Worker threads the protocol resolved from its config's `threads`
+    /// knob (`0` = every hardware thread). [`Engine::evaluate`] reuses this so
     /// one `threads` knob caps *all* CPU use of a run, evaluation
     /// included.
     fn threads(&self) -> usize {
@@ -204,13 +204,8 @@ impl<P: FederatedProtocol> Engine<P> {
 
     /// Attaches an observer (builder style).
     pub fn with_observer(mut self, observer: impl RoundObserver + 'static) -> Self {
-        self.add_observer(Box::new(observer));
+        self.observers.push(Box::new(observer));
         self
-    }
-
-    /// Attaches an observer.
-    pub fn add_observer(&mut self, observer: Box<dyn RoundObserver>) {
-        self.observers.push(observer);
     }
 
     pub fn protocol(&self) -> &P {

@@ -12,9 +12,10 @@
 //!   run's trace;
 //! * [`observer`] — the [`RoundObserver`] hook API (communication ledger,
 //!   custom sinks);
-//! * [`scheduler`] — the deterministic parallel client [`Scheduler`] and
-//!   the per-`(seed, round, stream)` RNG derivation every protocol's
-//!   two-phase round loop is built on.
+//! * [`scheduler`] — the per-worker [`RoundScratch`] and the
+//!   per-`(seed, round, stream)` RNG derivation every protocol's
+//!   two-phase round loop is built on (its parallel phase runs on
+//!   `ptf_tensor::par::map_chunks`).
 
 pub mod client;
 pub mod engine;
@@ -27,5 +28,5 @@ pub use client::{partition_clients, ClientData};
 pub use engine::{Engine, FederatedProtocol, RoundCtx};
 pub use observer::RoundObserver;
 pub use sampler::Participation;
-pub use scheduler::{derive_seed, round_rng, RngStream, RoundScratch, Scheduler, ScratchPool};
+pub use scheduler::{derive_seed, round_rng, RngStream, RoundScratch};
 pub use sim::{RoundTrace, RunTrace};

@@ -4,7 +4,8 @@
 //!
 //! 1. **Parallel client phase** — each sampled participant's local work
 //!    (training, negative sampling, upload construction) runs on a
-//!    [`Scheduler`] worker, touching only client-local state plus
+//!    worker of [`ptf_tensor::par::map_chunks`], touching only
+//!    client-local state, the worker's own [`RoundScratch`], and
 //!    read-only server state.
 //! 2. **Serial aggregation phase** — the buffered per-client results are
 //!    replayed on the caller's thread **in participant order**: wire
@@ -41,18 +42,19 @@ use rand::SeedableRng;
 ///
 /// Every protocol's hot path used to allocate fresh vectors per client
 /// per round — negative-sample pools, training triples, score buffers,
-/// upload staging. A `RoundScratch` owns all of them; workers check one
-/// out of a [`ScratchPool`] for each client task, every consumer clears
+/// upload staging. A `RoundScratch` owns all of them. Each protocol
+/// keeps one (or one set) per worker across rounds and hands chunk *k* of
+/// [`ptf_tensor::par::map_chunks`] its worker *k*'s; every consumer clears
 /// a buffer before reading it, and capacities survive across rounds, so
 /// a steady-state round allocates nothing on the client path (asserted
-/// end-to-end by the release-mode allocator-shim test; see
+/// end-to-end by the allocator-shim tests in `tests/hot_path.rs`; see
 /// `ptf_tensor::alloc`).
 ///
 /// Reuse is observationally pure: results depend only on
 /// `(client, round, seed)`, never on which warmed buffer served the task
 /// — thread-count parity already hands each client a different buffer at
-/// 1 vs 8 threads, and this module's tests compare the pooled map with
-/// every client served a fresh `RoundScratch`.
+/// 1 vs 8 threads, and this module's tests compare a map over warmed
+/// per-worker scratch with every client served a fresh `RoundScratch`.
 #[derive(Default)]
 pub struct RoundScratch {
     /// Sampled negative item ids ([`ptf_data::negative::sample_negatives_into`]).
@@ -96,9 +98,37 @@ pub struct RoundScratch {
     pub recency: Vec<u32>,
 }
 
-/// A shared checkout/restore pool of [`RoundScratch`] values — a thin
-/// alias over the generic [`ptf_tensor::par::Pool`].
-pub type ScratchPool = ptf_tensor::par::Pool<RoundScratch>;
+impl RoundScratch {
+    /// Grows each buffer of every scratch in `set` to the largest
+    /// capacity that buffer has anywhere in `set`, exactly. A worker
+    /// levels its lanes after a round, so each lane can then hold any
+    /// client the worker served, whichever lane that client lands in
+    /// next: the lane a client gets shifts from round to round with the
+    /// other clients' pool sizes.
+    pub fn level(set: &mut [RoundScratch]) {
+        fn level<T>(set: &mut [RoundScratch], field: fn(&mut RoundScratch) -> &mut Vec<T>) {
+            let cap = set.iter_mut().map(|s| field(s).capacity()).max().unwrap_or(0);
+            for v in set.iter_mut().map(field) {
+                v.reserve_exact(cap - v.len());
+            }
+        }
+        level(set, |s| &mut s.negatives);
+        level(set, |s| &mut s.pool_ids);
+        level(set, |s| &mut s.triples);
+        level(set, |s| &mut s.row_samples);
+        level(set, |s| &mut s.pairs);
+        level(set, |s| &mut s.edges);
+        level(set, |s| &mut s.scores_pos);
+        level(set, |s| &mut s.scores_neg);
+        level(set, |s| &mut s.scored_pos);
+        level(set, |s| &mut s.scored_neg);
+        level(set, |s| &mut s.picked);
+        level(set, |s| &mut s.pos_idx);
+        level(set, |s| &mut s.neg_idx);
+        level(set, |s| &mut s.keep);
+        level(set, |s| &mut s.recency);
+    }
+}
 
 /// A logical random stream within one `(seed, round)` scope.
 ///
@@ -157,106 +187,10 @@ pub fn round_rng(master: u64, round: u32, stream: RngStream) -> StdRng {
     StdRng::seed_from_u64(derive_seed(master, round as u64, stream.id()))
 }
 
-/// A worker pool handle for the parallel client phase.
-///
-/// Thin wrapper over [`ptf_tensor::par`] carrying the resolved thread
-/// count; protocols build one from their config's `threads` knob
-/// (`0` = every hardware thread) and reuse it each round.
-#[derive(Clone, Copy, Debug)]
-pub struct Scheduler {
-    threads: usize,
-}
-
-impl Scheduler {
-    /// `requested == 0` resolves to the number of hardware threads.
-    pub fn new(requested: usize) -> Self {
-        Self { threads: ptf_tensor::par::resolve_threads(requested) }
-    }
-
-    /// The resolved worker count (≥ 1).
-    pub fn threads(self) -> usize {
-        self.threads
-    }
-
-    /// Ordered parallel map over `0..n` (e.g. one task per user).
-    pub fn map_indices<R, F>(self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        ptf_tensor::par::map_indices(self.threads, n, f)
-    }
-
-    /// Ordered parallel map over mutably borrowed per-client state, with a
-    /// per-task [`RoundScratch`] checked out of `pool` — the
-    /// allocation-free client phase every protocol's round loop runs on.
-    pub fn map_clients_with<T, R, F>(self, pool: &ScratchPool, clients: &mut [T], f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&mut RoundScratch, usize, &mut T) -> R + Sync,
-    {
-        ptf_tensor::par::map_slice_mut(self.threads, clients, |i, t| {
-            let mut scratch = pool.checkout();
-            let out = f(&mut scratch, i, t);
-            pool.restore(scratch);
-            out
-        })
-    }
-
-    /// Ordered parallel map over contiguous slices of mutably borrowed
-    /// per-client state, one slice per worker, each worker holding `N`
-    /// [`RoundScratch`]es from `pool` — for a worker that interleaves its
-    /// clients itself (the lane driver of `ptf_core::rounds`). Returns one
-    /// result per worker, in input order.
-    pub fn map_slices_with<T, R, F, const N: usize>(
-        self,
-        pool: &ScratchPool,
-        clients: &mut [T],
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&mut [RoundScratch; N], &mut [T]) -> R + Sync,
-    {
-        ptf_tensor::par::map_chunks_mut(self.threads, clients, |_, slice| {
-            let mut scratch: [RoundScratch; N] = std::array::from_fn(|_| pool.checkout());
-            let out = f(&mut scratch, slice);
-            // restored in reverse, so the next checkout hands each slot
-            // the same warmed buffers
-            for s in scratch.into_iter().rev() {
-                pool.restore(s);
-            }
-            out
-        })
-    }
-
-    /// [`Scheduler::map_indices`] with a per-task [`RoundScratch`].
-    pub fn map_indices_with<R, F>(self, pool: &ScratchPool, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut RoundScratch, usize) -> R + Sync,
-    {
-        ptf_tensor::par::map_indices(self.threads, n, |i| {
-            let mut scratch = pool.checkout();
-            let out = f(&mut scratch, i);
-            pool.restore(scratch);
-            out
-        })
-    }
-}
-
-impl Default for Scheduler {
-    /// All hardware threads.
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptf_tensor::par::map_chunks;
     use rand::Rng;
 
     #[test]
@@ -301,16 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_resolves_thread_knob() {
-        assert!(Scheduler::new(0).threads() >= 1);
-        assert_eq!(Scheduler::new(4).threads(), 4);
-        assert_eq!(Scheduler::default().threads(), Scheduler::new(0).threads());
-    }
-
-    #[test]
     fn scratch_map_is_pure_across_threads() {
-        // the pooled map must be bit-identical to serving every client a
-        // fresh buffer, at any thread count — buffers only change where
+        // a map over per-worker scratch must be bit-identical to serving
+        // every client a fresh buffer, at any thread count and with the
+        // buffers the previous round warmed — buffers only change where
         // bytes live
         let task = |s: &mut RoundScratch, i: usize, c: &mut u32| {
             let mut rng = round_rng(9, 1, RngStream::Client(i as u32));
@@ -320,16 +248,24 @@ mod tests {
             s.negatives.iter().map(|&x| x as u64).sum::<u64>() ^ *c as u64
         };
         let mut state: Vec<u32> = (0..23).collect();
-        let fresh: Vec<u64> = state
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| task(&mut RoundScratch::default(), i, c))
+        let fresh: Vec<Vec<u64>> = (0..2)
+            .map(|_| {
+                let each = state.iter_mut().enumerate();
+                each.map(|(i, c)| task(&mut RoundScratch::default(), i, c)).collect()
+            })
             .collect();
         for threads in [1, 2, 8] {
-            let mut state: Vec<u32> = (0..23).collect();
-            let pooled =
-                Scheduler::new(threads).map_clients_with(&ScratchPool::new(), &mut state, task);
-            assert_eq!(pooled, fresh, "{threads} threads");
+            let (mut state, mut workers): (Vec<u32>, Vec<RoundScratch>) =
+                ((0..23).collect(), vec![]);
+            for round in &fresh {
+                let mapped: Vec<u64> =
+                    map_chunks(threads, &mut state, &mut workers, |at, cs, s| {
+                        let each = cs.iter_mut().enumerate();
+                        each.map(|(i, c)| task(s, at + i, c)).collect::<Vec<u64>>()
+                    })
+                    .concat();
+                assert_eq!(&mapped, round, "{threads} threads");
+            }
         }
     }
 }

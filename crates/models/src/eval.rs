@@ -6,8 +6,8 @@ use ptf_metrics::{rank_metrics_into, RankingMetrics, RankingReport};
 use ptf_tensor::par;
 
 /// Per-worker evaluation scratch: the full-item score buffer plus the
-/// top-k selection workspace. One of these is checked out of a
-/// [`par::Pool`] per user, so a steady-state evaluation pass performs no
+/// top-k selection workspace. Each worker of [`par::map_chunks`] owns one
+/// for its whole share of the users, so an evaluation pass performs no
 /// heap allocation per user beyond what the model's own `logits_all_into`
 /// implementation needs (zero for MF).
 #[derive(Default)]
@@ -53,25 +53,24 @@ pub fn evaluate_model_with_threads(
     if num_users > 0 {
         let _ = model.score(0, &[]);
     }
-    let pool: par::Pool<EvalScratch> = par::Pool::new();
-    let per_user: Vec<Option<RankingMetrics>> = par::map_indices(threads, num_users, |u| {
-        let u = u as u32;
-        let relevant = test.user_items(u);
-        if relevant.is_empty() {
-            return None;
+    let mut per_user: Vec<Option<RankingMetrics>> = (0..num_users).map(|_| None).collect();
+    let mut workers: Vec<EvalScratch> = Vec::new();
+    par::map_chunks(threads, &mut per_user, &mut workers, |start, slots, s| {
+        for (u, slot) in (start as u32..).zip(slots) {
+            let relevant = test.user_items(u);
+            if relevant.is_empty() {
+                continue;
+            }
+            model.score_all_into(u, &mut s.scores);
+            *slot = rank_metrics_into(
+                &s.scores,
+                train.user_items(u),
+                relevant,
+                k,
+                &mut s.candidates,
+                &mut s.head,
+            );
         }
-        let mut s = pool.checkout();
-        model.score_all_into(u, &mut s.scores);
-        let m = rank_metrics_into(
-            &s.scores,
-            train.user_items(u),
-            relevant,
-            k,
-            &mut s.candidates,
-            &mut s.head,
-        );
-        pool.restore(s);
-        m
     });
     RankingReport::aggregate(per_user, k)
 }

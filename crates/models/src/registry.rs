@@ -22,7 +22,7 @@ pub enum ModelKind {
     /// Plain MF with per-sample SGD — not in the paper's tables, but the
     /// throughput workhorse for paper-scale runs: its score/train paths
     /// are fully allocation-free, so an MF client round stays inside the
-    /// scheduler's scratch buffers.
+    /// client-phase workers' scratch buffers.
     Mf,
 }
 

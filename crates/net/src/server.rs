@@ -32,7 +32,7 @@ use crate::error::NetError;
 use crate::transport::{ConnId, Event, PeerHandle};
 use crate::wire::{Frame, RejectReason, Triple};
 use ptf_comm::LedgerSummary;
-use ptf_core::{rounds, ClientHost, ClientPhase, ClientUpload, PtfConfig, PtfServer, Round};
+use ptf_core::{rounds, ClientHost, ClientUpload, PtfConfig, PtfServer, Round};
 use ptf_data::Dataset;
 use ptf_federated::{Engine, RunTrace};
 use ptf_models::{ModelHyper, ModelKind};
@@ -322,11 +322,11 @@ impl ClientHost for Remote<'_> {
     /// frame; the other uploads come back in ascending client order.
     fn client_phase(
         &mut self,
-        phase: &ClientPhase<'_>,
+        _cfg: &PtfConfig,
+        round: u32,
         participants: &[u32],
     ) -> (Vec<ClientUpload>, Vec<f32>) {
         debug_assert!(participants.windows(2).all(|w| w[0] < w[1]));
-        let round = phase.round;
         let deadline_ms = self.round_deadline.as_millis().min(u32::MAX as u128) as u32;
         // a participant with no live connection stays pending and drops
         // at the deadline (it may reconnect for a later round)

@@ -9,9 +9,8 @@
 //! the NeuMF, NGCF and MF steps run under, the lane-wise [`math`] ports of
 //! libm's `expf` and `log1pf` the MF steps take, the [`optim`] Adam optimizer (with
 //! lazy row-sparse embedding updates) over a [`Params`] store and its
-//! [`Grads`], the [`par`] fork/join primitives (plus the
-//! [`par::Pool`] worker-scratch pool) behind deterministic parallel client
-//! execution, the seed-derived row [`init`], the [`packed`] state codec
+//! [`Grads`], the [`par`] fork/join over caller-owned per-worker state
+//! behind deterministic parallel client execution, the seed-derived row [`init`], the [`packed`] state codec
 //! every model and client envelope is written and read through (its
 //! `f32` buffers as raw-bits text), and the [`alloc`]
 //! counting-allocator shim behind heap accounting in the perf harness.

@@ -1,172 +1,96 @@
-//! A minimal deterministic fork/join worker pool on `std::thread::scope`.
+//! A minimal deterministic fork/join on `std::thread::scope`.
 //!
 //! The crate has no crates.io access, so this is the whole parallel
-//! substrate: ordered map primitives that split the input into contiguous
-//! chunks, run each chunk on its own scoped thread, and splice the
-//! results back **in input order**. Nothing here is work-stealing or
-//! lock-free — per-item work in this workspace (a client's local training
-//! round, a user's full ranking pass) is orders of magnitude heavier than
-//! a thread spawn, and static chunking keeps the schedule — and therefore
-//! the output — independent of timing.
+//! substrate: one ordered map, [`map_chunks`], that splits the input into
+//! contiguous chunks, runs each chunk on its own scoped thread with its
+//! own per-worker state, and returns the results **in input order**.
+//! Nothing here is work-stealing or lock-free — per-item work in this
+//! workspace (a client's local training round, a user's full ranking
+//! pass) is orders of magnitude heavier than a thread spawn, and static
+//! chunking keeps the schedule — and therefore the output — independent
+//! of timing.
 //!
-//! Determinism contract: for a pure-per-item `f`, every function in this
-//! module returns **bit-identical output at any thread count, including
-//! 1** (the single-thread path is a plain loop, not a pool of one).
-//! Callers that need randomness derive an independent RNG per item (see
+//! Per-worker state is owned by the caller, not by a shared pool: chunk
+//! *k* always runs with `workers[k]`, so a caller that keeps its `workers`
+//! between calls hands the same warmed buffers to the same share of the
+//! input every time, at any thread count.
+//!
+//! Determinism contract: for an `f` whose result depends only on its
+//! items (never on what a worker state held before), [`map_chunks`]
+//! returns **bit-identical output at any thread count, including 1** (one
+//! chunk is a plain inline call, not a pool of one). Callers that need
+//! randomness derive an independent RNG per item (see
 //! `ptf_federated::scheduler`) instead of threading one generator through
 //! the loop.
 
-/// Number of hardware threads, with a floor of 1 when the platform cannot
-/// report it.
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 /// Resolves a user-facing thread knob: `0` means "use every hardware
-/// thread", any other value is taken literally.
+/// thread" (1 when the platform cannot report it), any other value is
+/// taken literally.
 pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        available_threads()
-    } else {
-        requested
+    match requested {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     }
 }
 
-/// Splits `n` items into at most `parts` contiguous chunk lengths whose
+/// Splits `n` items into `min(parts, n)` contiguous chunk lengths whose
 /// sizes differ by at most one (earlier chunks take the remainder).
-fn chunk_lens(n: usize, parts: usize) -> Vec<usize> {
-    let parts = parts.min(n).max(1);
-    let base = n / parts;
-    let extra = n % parts;
-    (0..parts).map(|i| base + usize::from(i < extra)).collect()
+fn chunk_lens(n: usize, parts: usize) -> impl Iterator<Item = usize> {
+    let parts = parts.min(n);
+    (0..parts).map(move |i| n / parts + usize::from(i < n % parts))
 }
 
-/// Applies `f(index, &mut item)` to every element of `items` across up to
-/// `threads` scoped threads and returns the results in input order.
+/// Splits `items` into `min(threads, items.len())` contiguous chunks of
+/// balanced length and applies `f(offset of the chunk, chunk, worker
+/// state)` to each, chunk *k* with `workers[k]`, on its own scoped
+/// thread. Returns one result per chunk, in input order.
 ///
-/// `threads` is resolved with [`resolve_threads`]; `threads == 1` (or a
-/// single item) runs inline on the caller's thread with no spawn at all.
-pub fn map_slice_mut<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
+/// `threads` is resolved with [`resolve_threads`]. One chunk is one
+/// inline call on the caller's thread, with no spawn; no items is no
+/// call. `workers` grows with `W::default()` to the number of chunks run
+/// and never shrinks, so states keep their warmed buffers across calls.
+pub fn map_chunks<T, W, R, F>(threads: usize, items: &mut [T], workers: &mut Vec<W>, f: F) -> Vec<R>
 where
     T: Send,
+    W: Default + Send,
     R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
+    F: Fn(usize, &mut [T], &mut W) -> R + Sync,
 {
-    if resolve_threads(threads) <= 1 || items.len() <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
+    let parts = resolve_threads(threads).min(items.len());
+    if workers.len() < parts {
+        workers.resize_with(parts, W::default);
     }
-    map_chunks_mut(threads, items, |start, chunk| {
-        chunk.iter_mut().enumerate().map(|(i, t)| f(start + i, t)).collect::<Vec<R>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// Splits `items` into up to `threads` contiguous chunks of balanced
-/// length, applies `f(offset of the chunk, chunk)` to each on its own
-/// scoped thread, and returns one result per chunk, in input order — for a
-/// worker that schedules its own items.
-///
-/// `threads == 1` (or at most one item) is one inline call over all of
-/// `items`, with no spawn.
-pub fn map_chunks_mut<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    let threads = resolve_threads(threads);
-    if threads <= 1 || items.len() <= 1 {
-        return vec![f(0, items)];
+    match parts {
+        0 => Vec::new(),
+        1 => vec![f(0, items, &mut workers[0])],
+        _ => std::thread::scope(|scope| {
+            let f = &f;
+            let mut handles = Vec::with_capacity(parts);
+            let (mut rest, mut offset) = (items, 0);
+            for (len, worker) in chunk_lens(rest.len(), parts).zip(workers.iter_mut()) {
+                let (chunk, tail) = rest.split_at_mut(len);
+                let start = offset;
+                (rest, offset) = (tail, offset + len);
+                handles.push(scope.spawn(move || f(start, chunk, worker)));
+            }
+            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+        }),
     }
-    let lens = chunk_lens(items.len(), threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(lens.len());
-        let mut rest = items;
-        let mut offset = 0usize;
-        for len in lens {
-            let (chunk, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let start = offset;
-            offset += len;
-            handles.push(scope.spawn(move || f(start, chunk)));
-        }
-        handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-    })
 }
 
 /// Applies `f(index)` for `index in 0..n` across up to `threads` scoped
-/// threads and returns the results in index order.
+/// threads and returns the results in index order: [`map_chunks`] with no
+/// per-worker state.
 pub fn map_indices<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = resolve_threads(threads);
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let lens = chunk_lens(n, threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(lens.len());
-        let mut start = 0usize;
-        for len in lens {
-            let range = start..start + len;
-            start += len;
-            handles.push(scope.spawn(move || range.map(f).collect::<Vec<R>>()));
-        }
-        let mut out = Vec::with_capacity(n);
-        for h in handles {
-            out.extend(h.join().expect("worker thread panicked"));
-        }
-        out
-    })
-}
-
-/// A checkout/restore pool of reusable worker-scratch values.
-///
-/// The deterministic map primitives above run closures on scoped worker
-/// threads; hot-path callers give each closure invocation a scratch value
-/// from a shared `Pool` so steady-state iterations reuse warmed buffers
-/// instead of allocating. A `Pool` never affects results — scratch
-/// contents are cleared by the consumer before use — it only affects
-/// *where the bytes live*. The pool is a `Mutex<Vec<T>>` (two
-/// uncontended lock ops per checkout, no allocation once the slot vector
-/// has grown to the worker count), which is noise next to the per-item
-/// work these maps are designed for.
-pub struct Pool<T> {
-    slots: std::sync::Mutex<Vec<T>>,
-}
-
-impl<T: Default> Pool<T> {
-    pub fn new() -> Self {
-        // capacity for more workers than any host exposes, so the slot
-        // vector itself never reallocates on the hot path
-        Self { slots: std::sync::Mutex::new(Vec::with_capacity(128)) }
-    }
-
-    /// Takes a scratch value: a warmed one when available, else fresh.
-    pub fn checkout(&self) -> T {
-        let warmed = self.slots.lock().expect("pool lock").pop();
-        warmed.unwrap_or_default()
-    }
-
-    /// Returns a scratch value for reuse.
-    pub fn restore(&self, value: T) {
-        let mut slots = self.slots.lock().expect("pool lock");
-        if slots.len() < slots.capacity() {
-            slots.push(value);
-        }
-    }
-}
-
-impl<T: Default> Default for Pool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
+    // zero-sized items and states: neither vector allocates
+    let chunks = map_chunks(threads, &mut vec![(); n], &mut Vec::<()>::new(), |start, chunk, _| {
+        (start..start + chunk.len()).map(&f).collect::<Vec<R>>()
+    });
+    chunks.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -175,11 +99,11 @@ mod tests {
 
     #[test]
     fn chunks_cover_exactly_and_balance() {
-        assert_eq!(chunk_lens(10, 3), vec![4, 3, 3]);
-        assert_eq!(chunk_lens(2, 8), vec![1, 1]);
-        assert_eq!(chunk_lens(0, 4), vec![0]);
+        assert_eq!(chunk_lens(10, 3).collect::<Vec<_>>(), vec![4, 3, 3]);
+        assert_eq!(chunk_lens(2, 8).collect::<Vec<_>>(), vec![1, 1]);
+        assert_eq!(chunk_lens(0, 4).count(), 0);
         for (n, p) in [(1, 1), (7, 2), (100, 16), (5, 5)] {
-            let lens = chunk_lens(n, p);
+            let lens: Vec<usize> = chunk_lens(n, p).collect();
             assert_eq!(lens.iter().sum::<usize>(), n);
             let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
             assert!(max - min <= 1, "unbalanced: {lens:?}");
@@ -197,28 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn map_slice_mut_mutates_every_item_once() {
-        let run = |threads: usize| {
-            let mut xs: Vec<u32> = (0..23).collect();
-            let doubled = map_slice_mut(threads, &mut xs, |i, x| {
-                *x *= 2;
-                (i as u32, *x)
-            });
-            (xs, doubled)
-        };
-        let serial = run(1);
-        for threads in [2, 4, 16] {
-            assert_eq!(run(threads), serial, "{threads} threads");
-        }
-        assert_eq!(serial.0[3], 6);
-        assert_eq!(serial.1[3], (3, 6));
-    }
-
-    #[test]
-    fn map_chunks_mut_covers_each_item_once_in_order() {
+    fn map_chunks_covers_each_item_once_in_order() {
         for threads in [1, 2, 3, 8] {
             let mut xs: Vec<u32> = (0..10).collect();
-            let chunks = map_chunks_mut(threads, &mut xs, |start, chunk| {
+            let chunks = map_chunks(threads, &mut xs, &mut Vec::<()>::new(), |start, chunk, _| {
                 chunk.iter_mut().for_each(|x| *x += 100);
                 (start, chunk.len())
             });
@@ -231,45 +137,75 @@ mod tests {
             assert_eq!(next, 10);
             assert!(xs.iter().enumerate().all(|(i, &x)| x == i as u32 + 100));
         }
-        assert_eq!(map_chunks_mut(4, &mut [] as &mut [u8], |_, c| c.len()), vec![0]);
+    }
+
+    #[test]
+    fn chunk_k_runs_with_worker_k() {
+        // pre-seeded states: each chunk reports the state it was handed and
+        // leaves its offset in it
+        let mut workers: Vec<usize> = vec![100, 101, 102, 103];
+        let mut xs = [0u8; 10];
+        let seen = map_chunks(4, &mut xs, &mut workers, |start, _, w| {
+            let handed = *w;
+            *w = start;
+            handed
+        });
+        assert_eq!(seen, [100, 101, 102, 103]);
+        assert_eq!(workers, [0, 3, 6, 8], "chunk offsets of 4 + 3 + 2 + 1 items");
+    }
+
+    #[test]
+    fn workers_grow_to_the_chunk_count_and_no_further() {
+        let mut workers: Vec<Vec<u8>> = Vec::new();
+        let caller = std::thread::current().id();
+        let ran_on =
+            map_chunks(8, &mut [1u8, 2, 3], &mut workers, |_, _, _| std::thread::current().id());
+        assert_eq!(workers.len(), 3, "8 threads over 3 items");
+        let mut threads = ran_on.clone();
+        threads.dedup();
+        assert_eq!(threads.len(), 3, "one spawned thread per chunk: {ran_on:?}");
+        assert!(!ran_on.contains(&caller), "a spawned chunk ran on the caller");
+        // one chunk runs inline and leaves the other states alone
+        let inline = map_chunks(1, &mut [1u8, 2, 3], &mut workers, |_, c, _| {
+            (std::thread::current().id(), c.len())
+        });
+        assert_eq!(inline, [(caller, 3)]);
+        assert_eq!(workers.len(), 3);
+        // no items, no call
+        assert!(map_chunks(8, &mut [] as &mut [u8], &mut Vec::<()>::new(), |_, _, _| ()).is_empty());
+    }
+
+    #[test]
+    fn warmed_worker_state_survives_into_the_next_call() {
+        let mut workers: Vec<Vec<u64>> = Vec::new();
+        let mut xs: Vec<u64> = (0..12).collect();
+        let fill = |_: usize, chunk: &mut [u64], buf: &mut Vec<u64>| {
+            let warmed = buf.capacity();
+            buf.clear();
+            buf.extend(chunk.iter().map(|x| x * x));
+            (warmed, buf.iter().sum::<u64>())
+        };
+        let first = map_chunks(3, &mut xs, &mut workers, fill);
+        assert!(first.iter().all(|&(warmed, _)| warmed == 0), "fresh states: {first:?}");
+        let caps: Vec<usize> = workers.iter().map(Vec::capacity).collect();
+        let second = map_chunks(3, &mut xs, &mut workers, fill);
+        let warmed: Vec<usize> = second.iter().map(|&(w, _)| w).collect();
+        assert_eq!(warmed, caps, "each chunk got back the buffer it warmed");
+        assert_eq!(second.iter().map(|s| s.1).collect::<Vec<_>>(), [14, 126, 366]);
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
         assert!(map_indices(4, 0, |i| i).is_empty());
         let mut one = [7u8];
-        assert_eq!(map_slice_mut(4, &mut one, |_, x| *x), vec![7]);
+        assert_eq!(map_chunks(4, &mut one, &mut Vec::<()>::new(), |_, c, _| c[0]), vec![7]);
     }
 
     #[test]
     fn resolve_zero_means_all_cores() {
-        assert_eq!(resolve_threads(0), available_threads());
+        let all = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(0), all);
         assert_eq!(resolve_threads(3), 3);
-        assert!(available_threads() >= 1);
-    }
-
-    #[test]
-    fn pool_recycles_restored_values() {
-        let pool: Pool<Vec<u32>> = Pool::new();
-        let mut v = pool.checkout();
-        v.reserve(1024);
-        let cap = v.capacity();
-        pool.restore(v);
-        assert!(pool.checkout().capacity() >= cap, "warmed buffer was not recycled");
-    }
-
-    #[test]
-    fn pool_is_safe_across_worker_threads() {
-        let pool: Pool<Vec<u64>> = Pool::new();
-        let out = map_indices(4, 64, |i| {
-            let mut s = pool.checkout();
-            s.clear();
-            s.extend(0..i as u64);
-            let sum: u64 = s.iter().sum();
-            pool.restore(s);
-            sum
-        });
-        let expected: Vec<u64> = (0..64).map(|i| (0..i as u64).sum()).collect();
-        assert_eq!(out, expected);
+        assert!(resolve_threads(0) >= 1);
     }
 }

@@ -4,7 +4,7 @@
 //! every protocol round reports how many heap allocations happened
 //! *inside* the parallel client phase (`PtfFedRec::last_round_client_allocs`).
 //! The headline assertion: with an allocation-free client model (MF) and
-//! the scratch-buffer pool warmed up, a steady-state PTF-FedRec round
+//! every worker's scratch warmed up, a steady-state PTF-FedRec round
 //! performs **zero** client-path heap allocations — negative sampling,
 //! training-pool assembly, local SGD, scoring, and upload staging all run
 //! inside reused buffers.
@@ -52,19 +52,31 @@ fn steady_state_mf_rounds_under_sampling_and_swapping_allocate_nothing() {
     steady_state_dense_mf_rounds_allocate_nothing(DefenseKind::SamplingSwapping, 8);
 }
 
-/// Runs `warm_up` rounds, after which every client must be dense, then
-/// asserts two more allocate nothing on the client path.
+/// At each of 1, 3 and 40 worker threads: runs `warm_up` rounds, after
+/// which every client must be dense, then asserts two more allocate
+/// nothing on the client path.
 fn steady_state_dense_mf_rounds_allocate_nothing(defense: DefenseKind, warm_up: u32) {
+    for threads in [1, 3, 40] {
+        steady_state_dense_mf_rounds_allocate_nothing_at(defense, warm_up, threads);
+    }
+}
+
+fn steady_state_dense_mf_rounds_allocate_nothing_at(
+    defense: DefenseKind,
+    warm_up: u32,
+    threads: usize,
+) {
     let s = split_over(40);
     let mut cfg = PtfConfig::small();
     cfg.rounds = warm_up + 2;
     cfg.client_epochs = 2;
     cfg.alpha = 8;
-    // one worker thread, so the same warmed scratch set serves every
-    // round: its 48 participants pass through the worker's four MF lanes,
-    // each lane refilled as its client finishes
+    // every round samples all 48 clients, and chunk k of the client phase
+    // always runs with worker k's scratch, so each worker serves the same
+    // participants with the same warmed lanes every round: all 48 through
+    // one worker's four MF lanes at 1 thread, one or two per worker at 40
     cfg.defense = defense;
-    cfg.threads = 1;
+    cfg.threads = threads;
     // dense client tables: once every item row exists, the strict
     // zero-allocation guarantee holds from the next round on (the
     // row-sparse path is covered by the sibling test below, where
@@ -89,7 +101,8 @@ fn steady_state_dense_mf_rounds_allocate_nothing(defense: DefenseKind, warm_up: 
         assert_eq!(
             fed.protocol().last_round_client_allocs(),
             0,
-            "{defense:?}, round {round}: steady-state client path must not touch the heap"
+            "{defense:?}, {threads} threads, round {round}: \
+             steady-state client path must not touch the heap"
         );
     }
 }
@@ -229,7 +242,7 @@ fn a_stored_client_round_does_not_allocate_per_parameter() {
     // an in-process store; the on-disk store adds path joins and file
     // handles, and the round took 222. Since the state codec writes and
     // reads envelopes in one pass — no JSON value tree, no intermediate
-    // copy of the model text, park and deliver through one reused buffer —
+    // copy of the model text, park and deliver through reused buffers —
     // it took 63. Restoring over an empty item scope, evicting in the
     // scratch buffers and drawing the defense's samples into workspaces
     // took it to 45. Reading the envelope into a pooled buffer instead of
