@@ -17,7 +17,7 @@
 //! up to fixed-point quantization, and the wire costs are modelled
 //! exactly. The inner FCF exchange runs against a *detached*
 //! [`RoundCtx`], so only the ciphertext messages — the ones that really
-//! cross the wire — reach the engine's observers.
+//! cross the wire — reach the engine's ledger.
 //!
 //! Parallelism: FedMF inherits FCF's two-phase round loop (parallel
 //! client phase on `cfg.base.threads` workers, serial aggregation), and
@@ -32,23 +32,25 @@ use ptf_data::{Dataset, Scale};
 use ptf_federated::{FederatedProtocol, RoundCtx, RoundTrace};
 use ptf_models::Recommender;
 
-/// FedMF configuration: FCF dynamics + an HE context.
+/// The clients' shared key for the simulated cipher. Decryption
+/// subtracts exactly the masks encryption added, so no output reads it.
+const HE_KEY: u64 = 0xFEDF;
+
+/// FedMF configuration: the FCF dynamics it runs under the cipher.
 #[derive(Clone, Debug)]
 pub struct FedMfConfig {
     pub base: FcfConfig,
-    /// Shared client key for the simulated cipher.
-    pub he_key: u64,
 }
 
 impl Default for FedMfConfig {
     fn default() -> Self {
-        Self { base: FcfConfig { seed: 37, ..FcfConfig::default() }, he_key: 0xFEDF }
+        Self { base: FcfConfig { seed: 37, ..FcfConfig::default() } }
     }
 }
 
 impl FedMfConfig {
     pub fn small() -> Self {
-        Self { base: FcfConfig { seed: 37, ..FcfConfig::small() }, he_key: 0xFED }
+        Self { base: FcfConfig { seed: 37, ..FcfConfig::small() } }
     }
 
     /// The configuration at `scale`: [`Self::default`] or [`Self::small`].
@@ -70,7 +72,7 @@ impl FedMf {
         let dim = cfg.base.dim;
         Self {
             inner: Fcf::new(train, cfg.base),
-            he: HeContext::new(cfg.he_key),
+            he: HeContext::new(HE_KEY),
             dim,
             he_verified: false,
         }

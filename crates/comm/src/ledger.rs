@@ -8,7 +8,7 @@ use std::collections::HashSet;
 /// aggregations the paper's Table IV reports.
 ///
 /// Protocols no longer own a ledger: `ptf_federated::Engine` carries one
-/// as its first `RoundObserver` (the impl lives in `ptf_federated`, which
+/// as its `RoundObserver` (the impl lives in `ptf_federated`, which
 /// owns the observer trait) and feeds it every message the protocol
 /// reports through its `RoundCtx`. [`CommLedger::record`] and
 /// [`CommLedger::upload`] remain for direct, engine-less recording.

@@ -43,7 +43,7 @@ pub struct PtfClient {
     /// Upload backing storage recycled from this client's previous round
     /// (see [`PtfClient::recycle_upload`]); per-client upload sizes are
     /// stable, so steady-state rounds reuse the same capacity.
-    spare_upload: Option<(Vec<ScoredItem>, Vec<u32>)>,
+    spare_upload: Vec<ScoredItem>,
     /// Local rounds this client has trained (its own counter, robust
     /// under partial participation); drives the eviction schedule.
     local_rounds: u32,
@@ -95,7 +95,7 @@ impl PtfClient {
             server_data: Vec::new(),
             model,
             kind,
-            spare_upload: None,
+            spare_upload: Vec::new(),
             local_rounds: 0,
             touched: Vec::new(),
         }
@@ -103,6 +103,11 @@ impl PtfClient {
 
     pub fn num_positives(&self) -> usize {
         self.positives.len()
+    }
+
+    /// Private positives `D_i` (sorted item ids).
+    pub(crate) fn positives(&self) -> &[u32] {
+        &self.positives
     }
 
     /// The item-embedding rows this client's model currently holds.
@@ -190,10 +195,7 @@ impl PtfClient {
     /// round's retained uploads before sampling the next one.
     pub fn recycle_upload(&mut self, upload: ClientUpload) {
         debug_assert_eq!(upload.client, self.id);
-        let ClientUpload { mut predictions, mut audit_positives, .. } = upload;
-        predictions.clear();
-        audit_positives.clear();
-        self.spare_upload = Some((predictions, audit_positives));
+        self.spare_upload = upload.predictions;
     }
 
     /// Local model scores for `items` (exposed for evaluation/attacks).
@@ -338,7 +340,6 @@ impl PtfClient {
         scratch
             .scored_neg
             .extend(scratch.negatives.iter().copied().zip(scratch.scores_neg.iter().copied()));
-        let (predictions, audit) = self.spare_upload.take().unwrap_or_default();
         let upload = build_upload_into(
             self.id,
             scratch,
@@ -346,8 +347,7 @@ impl PtfClient {
             &cfg.sampling,
             cfg.lambda,
             rng,
-            predictions,
-            audit,
+            std::mem::take(&mut self.spare_upload),
         );
 
         // cold-row eviction: keep a client's materialized rows bounded
@@ -483,11 +483,13 @@ mod tests {
         assert_eq!(upload.client, 7);
         assert!(!upload.is_empty());
         assert!(loss.is_finite() && loss > 0.0);
-        // uploads only trained items: positives or sampled negatives (which
-        // are never positives) — so every audit positive is a true positive
-        for &p in &upload.audit_positives {
-            assert!(c.positives.binary_search(&p).is_ok());
-        }
+        // uploads trained items, each once: positives (at least one) and
+        // sampled negatives, which are never positives
+        let mut ids: Vec<u32> = upload.predictions.iter().map(|&(i, _)| i).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), upload.len(), "an item was uploaded twice");
+        assert!(ids.iter().any(|i| c.positives.binary_search(i).is_ok()));
     }
 
     #[test]

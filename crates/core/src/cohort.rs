@@ -776,7 +776,7 @@ pub(crate) mod tests {
         let trained = |kind: ModelKind, scores: &[f32]| {
             let mut server = PtfServer::new(2, 9, kind, &hyper, &mut test_rng(1));
             let predictions = (3..8).zip(scores.iter().copied()).collect();
-            let upload = ClientUpload { client: 1, predictions, audit_positives: vec![] };
+            let upload = ClientUpload { client: 1, predictions };
             server.train_on_uploads(&[upload], &cfg, &mut test_rng(2));
             server.export_full_state().expect("the server exports")
         };

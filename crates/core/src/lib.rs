@@ -21,9 +21,8 @@
 //! [`protocol::ClientHost`]: [`PtfFedRec`] keeps the fleet resident,
 //! [`CohortFedRec`] parks it in envelopes, and `ptf-net`'s round server
 //! reaches it over a transport. Wrap the driver in an
-//! [`ptf_federated::Engine`], which keeps the run's trace and whose
-//! observer stack carries the communication ledger and any custom
-//! [`ptf_federated::RoundObserver`]:
+//! [`ptf_federated::Engine`], which keeps the run's trace and its
+//! communication ledger:
 //!
 //! ```no_run
 //! use ptf_core::{PtfConfig, PtfFedRec};

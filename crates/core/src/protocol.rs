@@ -18,11 +18,9 @@
 //!   count as unsampled.
 //!
 //! The driver implements [`FederatedProtocol`], so an
-//! [`ptf_federated::Engine`] drives its rounds and wires in the
-//! communication ledger and any other [`ptf_federated::RoundObserver`]
-//! from the outside, and keeps the round number and the trace:
-//! `Engine::new(PtfFedRec::try_new(..)?)`, plus `.with_observer(..)` for
-//! each extra sink.
+//! [`ptf_federated::Engine`] drives its rounds, records their traffic in
+//! its communication ledger and keeps the round number and the trace:
+//! `Engine::new(PtfFedRec::try_new(..)?)`.
 //!
 //! Each round is the two-phase map/reduce of
 //! [`ptf_federated::scheduler`]: client local training runs in parallel
@@ -44,7 +42,7 @@ use ptf_tensor::par::{map_chunks, map_indices, resolve_threads};
 
 /// Where a participant's state lives and where its local round runs.
 ///
-/// A host never sees the server, the observers or the round order — the
+/// A host never sees the server, the ledger or the round order — the
 /// driver owns those — so a new host (a segment store, a remote shard)
 /// implements the two required methods and inherits every parity suite.
 /// A host that trains in this process owns its workers' state: one
@@ -131,16 +129,6 @@ impl<H: ClientHost> Round<H> {
         &self.last_uploads
     }
 
-    /// Table V's privacy measure: the mean Top Guess attack F1 of the
-    /// honest-but-curious server over the final round's uploads.
-    pub fn attack_f1(&self) -> f64 {
-        TopGuessAttack::default().mean_f1(
-            self.last_uploads
-                .iter()
-                .map(|u| (u.predictions.as_slice(), u.audit_positives.as_slice())),
-        )
-    }
-
     /// One round over an explicit participant set (ascending, unique):
     /// the shared body of [`FederatedProtocol::run_round`] (which samples
     /// the set) and [`FederatedProtocol::run_round_external`] (which is
@@ -155,8 +143,8 @@ impl<H: ClientHost> Round<H> {
         // on one derived RNG stream per client
         let (uploads, losses) = self.host.client_phase(&self.cfg, round, &participants);
 
-        // lines 9–12, serial phase: replay uploads into the observer stack
-        // in participant order, train the hidden model, disperse
+        // lines 9–12, serial phase: replay uploads into the ledger in
+        // participant order, train the hidden model, disperse
         let (server_loss, dispersals) = rounds::server_phase(
             &mut self.server,
             &self.cfg,
@@ -330,6 +318,27 @@ impl Round<Resident> {
         &self.host.clients[id as usize]
     }
 
+    /// Table V's privacy measure: the mean Top Guess attack F1 of the
+    /// honest-but-curious server over the final round's uploads. Each
+    /// upload is scored against its items in the client's partition:
+    /// exactly the positives it uploaded, since sampled negatives are
+    /// never positives and the defenses move scores, not ids.
+    pub fn attack_f1(&self) -> f64 {
+        let truths: Vec<Vec<u32>> = self
+            .last_uploads
+            .iter()
+            .map(|u| {
+                let positives = self.client(u.client).positives();
+                let mut truth: Vec<u32> = u.predictions.iter().map(|&(i, _)| i).collect();
+                truth.retain(|i| positives.binary_search(i).is_ok());
+                truth.sort_unstable();
+                truth
+            })
+            .collect();
+        let uploads = self.last_uploads.iter().map(|u| u.predictions.as_slice());
+        TopGuessAttack::default().mean_f1(uploads.zip(truths.iter().map(Vec::as_slice)))
+    }
+
     /// Heap allocations inside the most recent round's parallel client
     /// phase. Always 0 unless the binary installed the
     /// `ptf_tensor::alloc::CountingAlloc` shim; with the shim and an
@@ -423,7 +432,6 @@ mod tests {
                 .map(|&client| ClientUpload {
                     client,
                     predictions: vec![(client % 7, 0.9), (client % 7 + 1, 0.2)],
-                    audit_positives: vec![client % 7],
                 })
                 .collect();
             (uploads, vec![0.5; participants.len()])
@@ -440,23 +448,19 @@ mod tests {
         }
     }
 
-    /// The observer hooks of a round as `(hook, client or count, bytes)`.
-    type HookLog = Vec<(&'static str, u32, u64)>;
-
-    struct Hooks(Rc<RefCell<HookLog>>);
+    /// What a round reported, as `(hook, client, bytes)`.
+    #[derive(Default)]
+    struct Hooks(Vec<(&'static str, u32, u64)>);
 
     impl RoundObserver for Hooks {
         fn on_round_start(&mut self, _round: u32, participants: &[u32]) {
-            self.0.borrow_mut().extend(participants.iter().map(|&p| ("begin", p, 0)));
+            self.0.extend(participants.iter().map(|&p| ("begin", p, 0)));
         }
         fn on_upload(&mut self, msg: &Message) {
-            self.0.borrow_mut().push(("up", msg.client().unwrap(), msg.bytes() as u64));
+            self.0.push(("up", msg.client().unwrap(), msg.bytes() as u64));
         }
         fn on_disperse(&mut self, msg: &Message) {
-            self.0.borrow_mut().push(("down", msg.client().unwrap(), msg.bytes() as u64));
-        }
-        fn on_round_end(&mut self, trace: &RoundTrace) {
-            self.0.borrow_mut().push(("end", trace.participants as u32, trace.bytes));
+            self.0.push(("down", msg.client().unwrap(), msg.bytes() as u64));
         }
     }
 
@@ -466,12 +470,13 @@ mod tests {
         cfg.alpha = 4;
         let server = rounds::build_server(12, 16, ModelKind::Mf, &ModelHyper::small(), &cfg);
         let calls = Rc::new(RefCell::new(Vec::new()));
-        let hooks = Rc::new(RefCell::new(HookLog::new()));
         // user 4 exists but has nothing to train on; 999 does not exist
-        let round = Round::new(cfg, FakeHost(calls.clone()), server, None, vec![3, 5, 9]);
-        let mut engine = Engine::new(round).with_observer(Hooks(hooks.clone()));
+        let mut round = Round::new(cfg, FakeHost(calls.clone()), server, None, vec![3, 5, 9]);
 
-        let t0 = engine.run_round_external(&[9, 3, 3, 999, 4]).expect("external sets are honored");
+        let mut hooks = Hooks::default();
+        let t0 = round
+            .run_round_external(&mut RoundCtx::new(0, vec![&mut hooks]), &[9, 3, 3, 999, 4])
+            .expect("external sets are honored");
         assert_eq!(t0.participants, 2);
         assert_eq!(
             *calls.borrow(),
@@ -481,20 +486,20 @@ mod tests {
                 HostCall::Deliver(0, vec![3, 9]),
             ]
         );
-        let seen = hooks.borrow().clone();
-        let order: Vec<String> = seen.iter().map(|(hook, c, _)| format!("{hook} {c}")).collect();
-        assert_eq!(order.join(", "), "begin 3, begin 9, up 3, up 9, down 3, down 9, end 2");
-        let wire: u64 = seen.iter().filter(|e| e.0 != "end").map(|e| e.2).sum();
+        let order: Vec<String> = hooks.0.iter().map(|(hook, c, _)| format!("{hook} {c}")).collect();
+        assert_eq!(order.join(", "), "begin 3, begin 9, up 3, up 9, down 3, down 9");
+        let wire: u64 = hooks.0.iter().map(|e| e.2).sum();
         assert!(wire > 0);
-        assert_eq!(wire, t0.bytes, "trace bytes must equal what the observers saw");
-        assert_eq!(engine.ledger().summary().total_bytes, t0.bytes);
-        let audited: Vec<u32> = engine.protocol().last_uploads().iter().map(|u| u.client).collect();
+        assert_eq!(wire, t0.bytes, "trace bytes must equal what the observer saw");
+        let audited: Vec<u32> = round.last_uploads().iter().map(|u| u.client).collect();
         assert_eq!(audited, [3, 9]);
 
-        // an empty set still counts a round, and round 0's uploads come
+        // an empty set still makes a round, and round 0's uploads come
         // back to the host before it starts
         calls.borrow_mut().clear();
-        let t1 = engine.run_round_external(&[]).expect("external sets are honored");
+        let t1 = round
+            .run_round_external(&mut RoundCtx::detached(1), &[])
+            .expect("external sets are honored");
         assert_eq!((t1.round, t1.participants, t1.bytes), (1, 0, 0));
         assert_eq!(
             *calls.borrow(),
@@ -504,13 +509,10 @@ mod tests {
                 HostCall::Deliver(1, vec![]),
             ]
         );
-        assert_eq!(engine.rounds_completed(), 2);
-        assert_eq!(engine.ledger().summary().rounds, 2);
-        assert!(engine.protocol().last_uploads().is_empty());
-        assert_eq!(engine.protocol().name(), "fake");
+        assert!(round.last_uploads().is_empty());
+        assert_eq!(round.name(), "fake");
 
         // a host outside this crate gets its state and the server back
-        let mut round = engine.into_protocol();
         assert!(Rc::ptr_eq(&round.host_mut().0, &calls));
         assert_eq!(round.into_server().model().num_users(), 12);
     }

@@ -22,7 +22,7 @@
 //! * [`client_round`] — one client's local training + upload on its own
 //!   `RngStream::Client` stream: the one-lane case of [`train_in_lanes`];
 //! * [`server_phase`] — the serial reduce: upload replay into the
-//!   observer stack (in ascending client order), hidden-model training,
+//!   round's ledger (in ascending client order), hidden-model training,
 //!   and per-client dispersal on `RngStream::Disperse` streams, the
 //!   catalogue scored for eight participants per pass over the server's
 //!   item table.
@@ -231,7 +231,7 @@ fn start_lane<C: BorrowMut<PtfClient>>(
 }
 
 /// The server's serial half of a round (Algorithm 1 lines 9–12): replay
-/// the collected uploads into the observer stack, train the hidden model
+/// the collected uploads into the round's ledger, train the hidden model
 /// on their union, and compute each participant's dispersal set.
 ///
 /// The dispersal scores the catalogue for a block of up to eight

@@ -332,10 +332,7 @@ mod tests {
     }
 
     fn upload(client: u32, items: &[(u32, f32)]) -> ClientUpload {
-        let mut audit: Vec<u32> =
-            items.iter().filter(|&&(_, s)| s >= 0.5).map(|&(i, _)| i).collect();
-        audit.sort_unstable();
-        ClientUpload { client, predictions: items.to_vec(), audit_positives: audit }
+        ClientUpload { client, predictions: items.to_vec() }
     }
 
     fn server(kind: ModelKind) -> PtfServer {

@@ -1,4 +1,8 @@
 //! Privacy-preserving construction of the client upload D̂ᵗᵢ (§III-B2).
+//!
+//! The upload is the message and nothing more: Table V's ground truth —
+//! which uploaded items are the client's positives — is the client's
+//! partition, which the experiment holds (`PtfFedRec::attack_f1`).
 
 use crate::config::DefenseKind;
 use ptf_federated::RoundScratch;
@@ -11,12 +15,6 @@ pub struct ClientUpload {
     pub client: u32,
     /// The prediction set D̂ᵗᵢ: `(item, r̂)` pairs, order-shuffled.
     pub predictions: Vec<ScoredItem>,
-    /// Ground truth: which uploaded items are true positives (sorted).
-    ///
-    /// **Not part of the protocol message.** The experiment harness keeps
-    /// it to score the Top Guess Attack (Table V); a deployment would not
-    /// transmit it.
-    pub audit_positives: Vec<u32>,
 }
 
 impl ClientUpload {
@@ -36,11 +34,10 @@ impl ClientUpload {
 ///
 /// The pools are mutated in place (defenses select/perturb them), and the
 /// defenses draw their indices into `scratch`'s workspaces;
-/// `predictions`/`audit` become the returned upload's backing storage —
-/// pass the buffers recycled from this client's *previous* upload and a
+/// `predictions` becomes the returned upload's backing storage — pass the
+/// buffer recycled from this client's *previous* upload and a
 /// steady-state round performs zero heap allocations here under every
 /// defense.
-#[allow(clippy::too_many_arguments)]
 pub fn build_upload_into(
     client: u32,
     scratch: &mut RoundScratch,
@@ -49,15 +46,12 @@ pub fn build_upload_into(
     lambda: f64,
     rng: &mut impl Rng,
     mut predictions: Vec<ScoredItem>,
-    mut audit: Vec<u32>,
 ) -> ClientUpload {
     let RoundScratch { scored_pos: pos, scored_neg: neg, picked, pos_idx, neg_idx, .. } = scratch;
     predictions.clear();
-    audit.clear();
     // room for the whole pool: a sampled upload's size varies by round,
-    // and this way a bigger one never regrows the recycled buffers
+    // and this way a bigger one never regrows the recycled buffer
     predictions.reserve(pos.len() + neg.len());
-    audit.reserve(pos.len());
 
     if matches!(defense, DefenseKind::Sampling | DefenseKind::SamplingSwapping) {
         // room for either whole pool: the sampled share varies by round
@@ -84,14 +78,11 @@ pub fn build_upload_into(
         _ => {}
     }
 
-    audit.extend(pos.iter().map(|&(i, _)| i));
-    audit.sort_unstable();
-
     predictions.extend_from_slice(pos);
     predictions.extend_from_slice(neg);
     // shuffle so position in the message does not leak the label
     ptf_data::shuffle(&mut predictions, rng);
-    ClientUpload { client, predictions, audit_positives: audit }
+    ClientUpload { client, predictions }
 }
 
 #[cfg(test)]
@@ -111,8 +102,7 @@ mod tests {
     ) -> ClientUpload {
         let mut scratch =
             RoundScratch { scored_pos: pos, scored_neg: neg, ..RoundScratch::default() };
-        let (predictions, audit) = (Vec::new(), Vec::new());
-        build_upload_into(client, &mut scratch, defense, sampling, lambda, rng, predictions, audit)
+        build_upload_into(client, &mut scratch, defense, sampling, lambda, rng, Vec::new())
     }
 
     fn pools() -> (Vec<ScoredItem>, Vec<ScoredItem>) {
@@ -134,9 +124,9 @@ mod tests {
             &mut test_rng(1),
         );
         assert_eq!(up.client, 3);
-        assert_eq!(up.len(), 50);
-        assert_eq!(up.audit_positives.len(), 10);
-        assert_eq!(up.audit_positives, (0..10).collect::<Vec<u32>>());
+        let mut ids: Vec<u32> = up.predictions.iter().map(|&(i, _)| i).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [(0..10).collect::<Vec<u32>>(), (100..140).collect()].concat());
     }
 
     #[test]
@@ -152,7 +142,7 @@ mod tests {
             &mut test_rng(2),
         );
         assert!(up.len() < 50, "sampling should drop items, kept {}", up.len());
-        assert!(!up.audit_positives.is_empty());
+        assert!(up.predictions.iter().any(|&(i, _)| i < 10), "sampling kept no positive");
         // every uploaded item comes from the trained pool
         for &(i, _) in &up.predictions {
             assert!(i < 10 || (100..140).contains(&i));
@@ -276,11 +266,9 @@ mod tests {
                 }
                 _ => {}
             }
-            let mut audit: Vec<u32> = p.iter().map(|&(i, _)| i).collect();
-            audit.sort_unstable();
             let mut predictions = [p, n].concat();
             ptf_data::shuffle(&mut predictions, &mut rng);
-            let want = ClientUpload { client: 9, predictions, audit_positives: audit };
+            let want = ClientUpload { client: 9, predictions };
 
             let mut got_rng = test_rng(seed.into());
             (scratch.scored_pos, scratch.scored_neg) = (pos, neg);
@@ -292,13 +280,11 @@ mod tests {
                 0.3,
                 &mut got_rng,
                 Vec::new(),
-                Vec::new(),
             );
             let bits = |u: &ClientUpload| -> Vec<(u32, u32)> {
                 u.predictions.iter().map(|&(i, s)| (i, s.to_bits())).collect()
             };
             assert_eq!(bits(&got), bits(&want), "{defense:?}, seed {seed}");
-            assert_eq!(got.audit_positives, want.audit_positives, "{defense:?}, seed {seed}");
             assert_eq!(got_rng.gen::<u64>(), rng.gen::<u64>(), "{defense:?}, seed {seed}");
         }
     }
@@ -315,6 +301,5 @@ mod tests {
             &mut test_rng(7),
         );
         assert!(up.is_empty());
-        assert!(up.audit_positives.is_empty());
     }
 }

@@ -1,8 +1,8 @@
 //! The protocol-agnostic federation engine.
 //!
 //! One [`FederatedProtocol`] trait covers PTF-FedRec *and* every
-//! parameter-transmission baseline; an [`Engine`] owns a protocol plus an
-//! observer stack ([`RoundObserver`]), drives rounds through it and keeps
+//! parameter-transmission baseline; an [`Engine`] owns a protocol and a
+//! communication ledger, drives rounds through the protocol and keeps
 //! their trace. The protocol reports its wire traffic through the
 //! per-round [`RoundCtx`] instead of owning a ledger, so
 //! run/evaluate/report plumbing is written once — the CLI, examples, and
@@ -19,8 +19,8 @@ use ptf_models::{evaluate_model_with_threads, Recommender};
 /// A runnable federated recommendation protocol.
 ///
 /// Implementations own their model state, client fleet, and RNG; they do
-/// *not* own a ledger or observers — all wire traffic is reported through
-/// the [`RoundCtx`] so any sink can be plugged in from outside.
+/// *not* own a ledger — all wire traffic is reported through the
+/// [`RoundCtx`], whose sinks the caller chooses.
 pub trait FederatedProtocol {
     /// Name as printed in the paper's tables.
     fn name(&self) -> &'static str;
@@ -28,7 +28,7 @@ pub trait FederatedProtocol {
     /// Configured number of global rounds.
     fn configured_rounds(&self) -> u32;
 
-    /// Executes one global round, reporting traffic and hooks via `ctx`.
+    /// Executes one global round, reporting its traffic via `ctx`.
     fn run_round(&mut self, ctx: &mut RoundCtx<'_>) -> RoundTrace;
 
     /// Executes one round over an *externally chosen* participant set
@@ -88,7 +88,9 @@ impl<P: FederatedProtocol + ?Sized> FederatedProtocol for Box<P> {
     }
 }
 
-/// The per-round channel between a protocol and its observers.
+/// The per-round channel between a protocol and its [`RoundObserver`]s —
+/// the engine's ledger, or the sinks of a caller that drives a protocol
+/// by hand.
 ///
 /// Protocols call [`RoundCtx::begin`] once after sampling participants,
 /// then [`RoundCtx::upload`]/[`RoundCtx::disperse`] for every message they
@@ -164,27 +166,16 @@ impl<'a> RoundCtx<'a> {
             }
         }
     }
-
-    fn finish(&mut self, trace: &RoundTrace) {
-        for o in &mut self.observers {
-            o.on_round_end(trace);
-        }
-    }
 }
 
-/// Drives a [`FederatedProtocol`] with a pluggable observer stack, and
-/// keeps the run: every [`RoundTrace`] it ran, in round order. That trace
-/// is the one record of where the run stands — the next round's index is
-/// its length, and no protocol keeps a round counter of its own.
-///
-/// The engine always carries a [`CommLedger`] (as its first observer) so
-/// every run has Table IV style accounting for free; further observers —
-/// convergence probes, transport shims — are attached with
-/// [`Engine::with_observer`].
+/// Drives a [`FederatedProtocol`] and keeps the run: every [`RoundTrace`]
+/// it ran, in round order, and a [`CommLedger`] of every message — Table
+/// IV style accounting for free. That trace is the one record of where
+/// the run stands — the next round's index is its length, and no
+/// protocol keeps a round counter of its own.
 pub struct Engine<P> {
     protocol: P,
     ledger: CommLedger,
-    observers: Vec<Box<dyn RoundObserver>>,
     trace: RunTrace,
 }
 
@@ -199,13 +190,7 @@ impl<P: FederatedProtocol> Engine<P> {
     /// at round `trace.num_rounds()`, so a resumed run's accounting and
     /// trace are indistinguishable from one that never stopped.
     pub fn resume(protocol: P, ledger: CommLedger, trace: RunTrace) -> Self {
-        Self { protocol, ledger, observers: Vec::new(), trace }
-    }
-
-    /// Attaches an observer (builder style).
-    pub fn with_observer(mut self, observer: impl RoundObserver + 'static) -> Self {
-        self.observers.push(Box::new(observer));
-        self
+        Self { protocol, ledger, trace }
     }
 
     pub fn protocol(&self) -> &P {
@@ -236,14 +221,14 @@ impl<P: FederatedProtocol> Engine<P> {
         self.trace.num_rounds() as u32
     }
 
-    /// Executes one global round through the observer stack.
+    /// Executes one global round, recording its traffic in the ledger.
     pub fn run_round(&mut self) -> RoundTrace {
         self.step(|protocol, ctx| Some(protocol.run_round(ctx))).expect("a sampled round runs")
     }
 
     /// Executes one round over an externally chosen participant set (see
-    /// [`FederatedProtocol::run_round_external`]) through the same
-    /// observer stack as [`Engine::run_round`]. Returns `None` — without
+    /// [`FederatedProtocol::run_round_external`]), recorded as
+    /// [`Engine::run_round`] records. Returns `None` — without
     /// consuming a round — if the protocol does not support external
     /// participant sets.
     pub fn run_round_external(&mut self, participants: &[u32]) -> Option<RoundTrace> {
@@ -255,15 +240,8 @@ impl<P: FederatedProtocol> Engine<P> {
         &mut self,
         round: impl FnOnce(&mut P, &mut RoundCtx<'_>) -> Option<RoundTrace>,
     ) -> Option<RoundTrace> {
-        let mut observers: Vec<&mut dyn RoundObserver> =
-            Vec::with_capacity(1 + self.observers.len());
-        observers.push(&mut self.ledger);
-        for o in &mut self.observers {
-            observers.push(o.as_mut());
-        }
-        let mut ctx = RoundCtx::new(self.trace.num_rounds() as u32, observers);
+        let mut ctx = RoundCtx::new(self.trace.num_rounds() as u32, vec![&mut self.ledger]);
         let trace = round(&mut self.protocol, &mut ctx)?;
-        ctx.finish(&trace);
         self.trace.push(trace);
         Some(trace)
     }
@@ -296,7 +274,6 @@ impl<P: FederatedProtocol> std::fmt::Debug for Engine<P> {
         f.debug_struct("Engine")
             .field("protocol", &self.protocol.name())
             .field("rounds_completed", &self.rounds_completed())
-            .field("observers", &self.observers.len())
             .finish_non_exhaustive()
     }
 }
@@ -441,33 +418,6 @@ mod tests {
         assert_eq!(whole.num_rounds(), 5);
         assert_eq!(whole.rounds[..2], first);
         assert_eq!(engine.rounds_completed(), 5);
-    }
-
-    #[test]
-    fn observers_see_every_hook() {
-        #[derive(Default)]
-        struct Counter {
-            starts: std::rc::Rc<std::cell::RefCell<(u32, u32, u32, u32)>>,
-        }
-        impl RoundObserver for Counter {
-            fn on_round_start(&mut self, _r: u32, _p: &[u32]) {
-                self.starts.borrow_mut().0 += 1;
-            }
-            fn on_upload(&mut self, _m: &Message) {
-                self.starts.borrow_mut().1 += 1;
-            }
-            fn on_disperse(&mut self, _m: &Message) {
-                self.starts.borrow_mut().2 += 1;
-            }
-            fn on_round_end(&mut self, _t: &RoundTrace) {
-                self.starts.borrow_mut().3 += 1;
-            }
-        }
-        let counter = Counter::default();
-        let counts = counter.starts.clone();
-        let mut engine = Engine::new(mock(2)).with_observer(counter);
-        engine.run();
-        assert_eq!(*counts.borrow(), (2, 6, 6, 2));
     }
 
     /// The engine's trace holds every round it ran — sampled, external

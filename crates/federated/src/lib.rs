@@ -8,10 +8,9 @@
 //! * [`sampler`] — per-round participant selection (`U^t ⊆ U`);
 //! * [`sim`] — round-by-round run traces every protocol reports;
 //! * [`engine`] — the [`FederatedProtocol`] trait and the [`Engine`] that
-//!   drives any protocol through a pluggable observer stack and keeps the
-//!   run's trace;
-//! * [`observer`] — the [`RoundObserver`] hook API (communication ledger,
-//!   custom sinks);
+//!   drives any protocol, ledgers its traffic and keeps the run's trace;
+//! * [`observer`] — the [`RoundObserver`] sinks of a round's traffic (the
+//!   communication ledger is one);
 //! * [`scheduler`] — the per-worker [`RoundScratch`] and the
 //!   per-`(seed, round, stream)` RNG derivation every protocol's
 //!   two-phase round loop is built on (its parallel phase runs on

@@ -1,20 +1,17 @@
-//! Round observers — the engine's hook API.
+//! Round observers — the sinks of a [`crate::RoundCtx`].
 //!
-//! The communication ledger rides along as a [`RoundObserver`]: the
-//! [`crate::Engine`] fires the hooks as its protocol reports wire traffic
-//! through the [`crate::RoundCtx`], so adding a metric sink or a transport
-//! probe is a one-file change that touches no protocol code. The run's
-//! trace is not an observer's: the engine keeps it ([`crate::Engine::trace`]).
+//! A protocol reports its wire traffic through the context, and the
+//! context hands each message to its observers. The [`crate::Engine`]'s
+//! one observer is its communication ledger; the run's trace is not an
+//! observer's: the engine keeps it ([`crate::Engine::trace`]).
 
-use crate::sim::RoundTrace;
 use ptf_comm::{CommLedger, Message};
 
-/// Hooks fired around every global round of a federated run.
+/// Hooks fired during every global round of a federated run.
 ///
 /// All methods default to no-ops, so an observer implements only what it
 /// cares about. Hook order within one round: `on_round_start` once, then
-/// any number of `on_upload`/`on_disperse` (in wire order), then
-/// `on_round_end` with the finished [`RoundTrace`].
+/// any number of `on_upload`/`on_disperse` (in wire order).
 pub trait RoundObserver {
     /// A round began; `participants` are the sampled client ids.
     fn on_round_start(&mut self, _round: u32, _participants: &[u32]) {}
@@ -24,16 +21,13 @@ pub trait RoundObserver {
 
     /// A server → client message crossed the wire.
     fn on_disperse(&mut self, _msg: &Message) {}
-
-    /// The round finished with `trace`.
-    fn on_round_end(&mut self, _trace: &RoundTrace) {}
 }
 
 /// The communication ledger *is* an observer: it records every message it
 /// sees, exactly as protocols used to record into a privately-owned
 /// ledger, and counts rounds authoritatively from the engine's
 /// round-start notification — so a round with an empty participant set
-/// (no messages) still counts. [`crate::Engine`] wires one in by default.
+/// (no messages) still counts. Every [`crate::Engine`] records into one.
 impl RoundObserver for CommLedger {
     fn on_round_start(&mut self, round: u32, _participants: &[u32]) {
         self.begin_round(round);
@@ -81,6 +75,5 @@ mod tests {
         o.on_round_start(0, &[1, 2]);
         o.on_upload(&msg(0, true));
         o.on_disperse(&msg(0, false));
-        o.on_round_end(&RoundTrace::new(0, &[], 0.0, 0));
     }
 }

@@ -372,7 +372,7 @@ impl ClientHost for Remote<'_> {
                     }
                     let predictions =
                         triples.into_iter().map(|(_, item, score)| (item, score)).collect();
-                    let upload = ClientUpload { client, predictions, audit_positives: Vec::new() };
+                    let upload = ClientUpload { client, predictions };
                     received.push((upload, loss));
                 }
                 Ok(Step::Frame(..) | Step::Nothing) => {}

@@ -247,7 +247,6 @@ fn run_cohort_engine(
     server_scope: ServerScope,
 ) -> Result<Engine<CohortFedRec>, String> {
     let hyper = ModelHyper::at(a.scale);
-    // `--cohort N` only selects this runtime: the size bounds nothing
     let store = StoreKind::Disk(root.join("clients"));
     let opts = CohortOptions { cohort: 0, store, server_scope };
     let ckpt = a.checkpoint.as_deref().map(Path::new);
@@ -425,7 +424,7 @@ impl Drop for RemoveOnDrop {
 /// the cohort/checkpoint flags select.
 fn run_train(a: &TrainArgs) -> Result<(), Failure> {
     let is_scale = matches!(a.dataset, DataChoice::Scale(_));
-    let cohort = is_scale || a.cohort.is_some() || a.checkpoint.is_some();
+    let cohort = is_scale || a.cohort || a.checkpoint.is_some();
     if a.resume && a.checkpoint.is_none() {
         return Err("--resume requires --checkpoint DIR".into());
     }
@@ -434,6 +433,9 @@ fn run_train(a: &TrainArgs) -> Result<(), Failure> {
     }
     if (a.users.is_some() || a.participants.is_some()) && !is_scale {
         return Err("--users/--participants apply only to the scale-* datasets".into());
+    }
+    if a.cohort && is_scale {
+        return Err("--cohort applies only to in-RAM presets; scale-* runs always use it".into());
     }
     if a.halt_after.is_some() && !cohort {
         return Err("--halt-after requires --checkpoint, --cohort, or a scale-* dataset".into());

@@ -67,10 +67,10 @@ pub struct TrainArgs {
     pub evict_budget: usize,
     /// Override a scale preset's user count (scale datasets only).
     pub users: Option<usize>,
-    /// Selects the cohort runtime on an in-RAM preset. The number bounds
-    /// nothing: every client is parked the moment it finishes training,
-    /// so at most threads × 4 are resident whatever it says.
-    pub cohort: Option<usize>,
+    /// Selects the cohort runtime on an in-RAM preset: every client is
+    /// parked the moment it finishes training, so at most threads × 4
+    /// are resident.
+    pub cohort: bool,
     /// Exact number of participants sampled per round (scale
     /// datasets only; default 64 there).
     pub participants: Option<usize>,
@@ -393,7 +393,7 @@ const COMMANDS: &[CommandSpec] = &[
             Flag { name: "evict-interval", arg: Text("N"), required: false },
             Flag { name: "evict-budget", arg: Text("N"), required: false },
             Flag { name: "users", arg: Text("N"), required: false },
-            Flag { name: "cohort", arg: Text("N"), required: false },
+            Flag { name: "cohort", arg: Switch, required: false },
             Flag { name: "participants", arg: Text("N"), required: false },
             Flag { name: "checkpoint", arg: Text("DIR"), required: false },
             Flag { name: "checkpoint-every", arg: Text("N"), required: false },
@@ -563,7 +563,7 @@ fn train(g: &Given) -> Result<Command, String> {
         evict_interval: g.get("evict-interval", 0)?,
         evict_budget: g.get("evict-budget", 0)?,
         users: g.opt("users")?,
-        cohort: g.opt("cohort")?,
+        cohort: g.switch("cohort"),
         participants: g.opt("participants")?,
         checkpoint: g.opt("checkpoint")?,
         checkpoint_every: g.get("checkpoint-every", 0)?,
@@ -708,8 +708,9 @@ The `scale-*` datasets stream a deterministic synthetic fleet
 train with cohort scheduling: each client is restored, trained and
 parked again as soon as it finishes, so at most threads × 4 clients are
 resident at once; `--participants N` are sampled per round (default
-64), and ranking evaluation is skipped. `--cohort N` selects the cohort
-runtime on the in-RAM presets too; its N no longer bounds anything.
+64), and ranking evaluation is skipped. `--cohort` selects the cohort
+runtime on the in-RAM presets; a scale-* run, always a cohort run,
+refuses it.
 Every cohort run parks client state in
 per-client envelopes on disk, under DIR/clients with `--checkpoint DIR`,
 else under a temp dir removed when the run exits. `--checkpoint DIR`
@@ -762,7 +763,7 @@ mod tests {
                 evict_interval: 0,
                 evict_budget: 0,
                 users: None,
-                cohort: None,
+                cohort: false,
                 participants: None,
                 checkpoint: None,
                 checkpoint_every: 0,
@@ -850,21 +851,24 @@ mod tests {
                 other => panic!("wrong parse: {other:?}"),
             }
         }
-        match parse(&argv("train --dataset scale-10k --users 5000 --cohort 256 --participants 32"))
+        match parse(&argv("train --dataset scale-10k --users 5000 --cohort --participants 32"))
             .unwrap()
         {
             Command::Train(TrainArgs { users, cohort, participants, .. }) => {
                 assert_eq!(users, Some(5000));
-                assert_eq!(cohort, Some(256));
+                assert!(cohort);
                 assert_eq!(participants, Some(32));
             }
             other => panic!("wrong parse: {other:?}"),
         }
+        // `--cohort` takes no size any more
+        let err = parse(&argv("train --dataset ml100k --cohort 16")).unwrap_err();
+        assert!(err.contains("unexpected argument \"16\""), "{err}");
         // unset: defaults are decided by the binary per dataset kind
         match parse(&argv("train --dataset scale-1m")).unwrap() {
             Command::Train(TrainArgs { users, cohort, participants, .. }) => {
                 assert_eq!(users, None);
-                assert_eq!(cohort, None);
+                assert!(!cohort);
                 assert_eq!(participants, None);
             }
             other => panic!("wrong parse: {other:?}"),

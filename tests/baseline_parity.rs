@@ -20,8 +20,7 @@ fn fedmf_learns_exactly_like_fcf() {
     // FedMF = FCF dynamics + encryption; same seed ⇒ identical model
     let s = split();
     let mut fcf = Engine::new(Fcf::new(&s.train, quick_base()));
-    let mut fedmf =
-        Engine::new(FedMf::new(&s.train, FedMfConfig { base: quick_base(), he_key: 7 }));
+    let mut fedmf = Engine::new(FedMf::new(&s.train, FedMfConfig { base: quick_base() }));
     fcf.run();
     fedmf.run();
     let user = 0u32;
@@ -35,8 +34,7 @@ fn fedmf_learns_exactly_like_fcf() {
 fn fedmf_pays_exactly_the_ciphertext_expansion() {
     let s = split();
     let mut fcf = Engine::new(Fcf::new(&s.train, quick_base()));
-    let mut fedmf =
-        Engine::new(FedMf::new(&s.train, FedMfConfig { base: quick_base(), he_key: 7 }));
+    let mut fedmf = Engine::new(FedMf::new(&s.train, FedMfConfig { base: quick_base() }));
     fcf.run_round();
     fedmf.run_round();
     let ratio =
@@ -67,7 +65,7 @@ fn all_baselines_improve_over_their_initialization() {
 fn baselines_report_paper_names() {
     let s = split();
     assert_eq!(Fcf::new(&s.train, quick_base()).name(), "FCF");
-    assert_eq!(FedMf::new(&s.train, FedMfConfig { base: quick_base(), he_key: 1 }).name(), "FedMF");
+    assert_eq!(FedMf::new(&s.train, FedMfConfig { base: quick_base() }).name(), "FedMF");
     assert_eq!(MetaMf::new(&s.train, MetaMfConfig::small()).name(), "MetaMF");
 }
 
@@ -79,7 +77,7 @@ fn every_protocol_drives_through_one_engine_loop() {
     let s = split();
     let protocols: Vec<Box<dyn FederatedProtocol>> = vec![
         Box::new(Fcf::new(&s.train, quick_base())),
-        Box::new(FedMf::new(&s.train, FedMfConfig { base: quick_base(), he_key: 7 })),
+        Box::new(FedMf::new(&s.train, FedMfConfig { base: quick_base() })),
         Box::new(MetaMf::new(
             &s.train,
             MetaMfConfig { rounds: 4, local_epochs: 2, dim: 8, ..MetaMfConfig::default() },

@@ -60,18 +60,18 @@ fn cohort_golden() -> String {
     include_str!("golden/ml100k-mf-r3-s11.json").replacen("FedRec\"", "FedRec/cohort\"", 1)
 }
 
-/// A fast streamed scale invocation: the `scale10k` row, in cohorts of 8
-/// (small --users override keeps debug binaries quick; the preset name
-/// still exercises the full scale path).
+/// A fast streamed scale invocation: the `scale10k` row (small --users
+/// override keeps debug binaries quick; the preset name still exercises
+/// the full scale path).
 fn scale_args() -> Vec<String> {
     "train --dataset scale-10k --users 2000 --participants 16 --client mf --server mf \
-     --rounds 2 --seed 7 --k 5 --cohort 8 --json"
+     --rounds 2 --seed 7 --k 5 --json"
         .split_whitespace()
         .map(String::from)
         .collect()
 }
 
-/// What [`scale_args`] prints, whatever the cohort size and thread count.
+/// What [`scale_args`] prints, whatever the thread count.
 const SCALE_GOLDEN: &str = include_str!("golden/scale10k.json");
 
 /// Tears every envelope in the live client store `<dir>/clients` —
@@ -102,7 +102,7 @@ fn tear_live_store(dir: &Path) -> usize {
 #[test]
 fn cohort_cli_run_matches_plain_engine_run() {
     let mut args = preset_args();
-    args.extend(["--cohort".into(), "32".into(), "--threads".into(), "2".into()]);
+    args.extend(["--cohort".into(), "--threads".into(), "2".into()]);
     // without --checkpoint the client store lives in a temp work dir,
     // which the run removes
     let tmp = fresh_dir("cohort-tmp");
@@ -182,18 +182,12 @@ fn scale_dataset_streams_and_is_cohort_and_thread_invariant() {
     assert!(a.status.success(), "stderr: {}", stderr_of(&a));
     assert_eq!(stdout_of(&a), SCALE_GOLDEN);
 
-    // different cohort size and thread count: byte-identical output
+    // another thread count: byte-identical output
     let mut args = scale_args();
-    for (flag, v) in [("--cohort", "3"), ("--threads", "2")] {
-        let i = args.iter().position(|a| a == flag);
-        match i {
-            Some(i) => args[i + 1] = v.into(),
-            None => args.extend([flag.to_string(), v.to_string()]),
-        }
-    }
+    args.extend(["--threads".into(), "2".into()]);
     let b = ptf().args(args).output().expect("spawn failed");
     assert!(b.status.success(), "stderr: {}", stderr_of(&b));
-    assert_eq!(stdout_of(&b), SCALE_GOLDEN, "cohort size/threads changed a scale run");
+    assert_eq!(stdout_of(&b), SCALE_GOLDEN, "the thread count changed a scale run");
 }
 
 #[test]
@@ -347,7 +341,8 @@ fn flag_misuse_is_rejected_with_an_error() {
         ("train --dataset ml100k --participants 8", "scale-* datasets"),
         ("train --dataset ml100k --halt-after 1", "--halt-after requires"),
         ("train --dataset scale-10k --protocol fcf", "--protocol ptf only"),
-        ("train --dataset ml100k --cohort 8 --protocol fedmf", "--protocol ptf only"),
+        ("train --dataset ml100k --cohort --protocol fedmf", "--protocol ptf only"),
+        ("train --dataset scale-10k --cohort", "--cohort applies only to in-RAM presets"),
         ("train --dataset scale-10k --users 0", "--users must be > 0"),
         ("train --dataset scale-10k --participants 0", "--participants must be > 0"),
         ("train --dataset ml100k --evict-budget 64", "--evict-budget requires --evict-interval"),

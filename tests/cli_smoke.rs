@@ -30,6 +30,9 @@ fn no_args_prints_usage() {
 fn unknown_flag_is_a_parse_error() {
     let out = ptf().args(["train", "--bogus"]).output().expect("failed to spawn ptf");
     assert_eq!(out.status.code(), Some(2));
+    // `--cohort` is a switch: a size after it is a stray argument
+    let out = ptf().args(["train", "--dataset", "ml100k", "--cohort", "16"]).output();
+    assert_eq!(out.expect("failed to spawn ptf").status.code(), Some(2));
 }
 
 #[test]

@@ -208,12 +208,12 @@ mod lanes {
 
     /// A client-round as bits: the upload, the loss, and the client's
     /// model envelope after the round.
-    type Outcome = (u32, Vec<(u32, u32)>, Vec<u32>, u32, Option<String>);
+    type Outcome = (u32, Vec<(u32, u32)>, u32, Option<String>);
 
     fn outcome(client: &PtfClient, upload: &ClientUpload, loss: f32) -> Outcome {
         let predictions = upload.predictions.iter().map(|&(i, s)| (i, s.to_bits())).collect();
         let state = client.export_model_state();
-        (upload.client, predictions, upload.audit_positives.clone(), loss.to_bits(), state)
+        (upload.client, predictions, loss.to_bits(), state)
     }
 
     fn train_alone(

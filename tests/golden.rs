@@ -1,9 +1,10 @@
 //! Golden traces: each row of [`ROWS`] runs `ptf train` one or more
-//! ways, and every run must print the bytes committed in
-//! `tests/golden/<row>.json`. A run that leaves a checkpoint directory
-//! must also leave the row's pinned files with the FNV-1a digests
-//! committed in `tests/golden/<row>.fnv`. So a change that moves every
-//! thread count, work dir or resume of a row alike fails here too.
+//! ways, each of [`PRIVACY_ROWS`] runs `ptf privacy`, and every run must
+//! print the bytes committed in `tests/golden/<row>.json`. A run that
+//! leaves a checkpoint directory must also leave the row's pinned files
+//! with the FNV-1a digests committed in `tests/golden/<row>.fnv`. So a
+//! change that moves every thread count, work dir or resume of a row
+//! alike fails here too.
 //!
 //! A run that prints other bytes, or a row with no golden yet, writes
 //! what it printed to `$CARGO_TARGET_TMPDIR/golden/`, and the test fails
@@ -35,7 +36,7 @@ enum Run {
 
 struct Row {
     name: &'static str,
-    /// `ptf train` arguments; every run adds `--json --threads N`
+    /// the command's arguments; every run adds `--json --threads N`
     args: &'static str,
     runs: &'static [Run],
     /// files under the checkpoint directory whose digests are pinned; a
@@ -63,12 +64,21 @@ const ROWS: &[Row] = &[
     Row { name: "evict-mf-mf", args: "--dataset ml100k --client mf --server mf --evict-interval 1 --evict-budget 64 --rounds 2 --seed 7 --k 5", runs: T1_T4, pins: &[] },
     Row { name: "evict-neumf-ngcf", args: "--dataset ml100k --client neumf --server ngcf --evict-interval 1 --evict-budget 64 --rounds 2 --seed 7 --k 5", runs: T1_T4, pins: &[] },
     Row { name: "evict-lightgcn-lightgcn", args: "--dataset ml100k --client lightgcn --server lightgcn --evict-interval 1 --evict-budget 64 --rounds 2 --seed 7 --k 5", runs: T1_T4, pins: &[] },
-    Row { name: "cohort16", args: "--dataset ml100k --client mf --server mf --cohort 16 --evict-interval 1 --evict-budget 64 --rounds 2 --seed 7 --k 5", runs: &[Checkpoint(1), Checkpoint(4), Threads(1)], pins: &["commit-r2/server.json"] },
+    Row { name: "cohort16", args: "--dataset ml100k --client mf --server mf --cohort --evict-interval 1 --evict-budget 64 --rounds 2 --seed 7 --k 5", runs: &[Checkpoint(1), Checkpoint(4), Threads(1)], pins: &["commit-r2/server.json"] },
     Row { name: "scale10k", args: "--dataset scale-10k --users 2000 --participants 16 --client mf --server mf --rounds 2 --seed 7 --k 5", runs: T1_T4, pins: &[] },
-    Row { name: "scale100k-resume", args: "--dataset scale-100k --client mf --server mf --rounds 3 --participants 64 --cohort 512 --seed 7 --checkpoint-every 1", runs: &[Checkpoint(1), HaltTearResume(4)], pins: &["manifest.json", "commit-r3"] },
-    Row { name: "scale100k-evict-resume", args: "--dataset scale-100k --client mf --server mf --rounds 3 --participants 64 --cohort 512 --seed 7 --evict-interval 1 --evict-budget 64 --checkpoint-every 1", runs: &[Checkpoint(1), HaltTearResume(4)], pins: &["manifest.json", "commit-r3"] },
+    Row { name: "scale100k-resume", args: "--dataset scale-100k --client mf --server mf --rounds 3 --participants 64 --seed 7 --checkpoint-every 1", runs: &[Checkpoint(1), HaltTearResume(4)], pins: &["manifest.json", "commit-r3"] },
+    Row { name: "scale100k-evict-resume", args: "--dataset scale-100k --client mf --server mf --rounds 3 --participants 64 --seed 7 --evict-interval 1 --evict-budget 64 --checkpoint-every 1", runs: &[Checkpoint(1), HaltTearResume(4)], pins: &["manifest.json", "commit-r3"] },
     // the reference run of tests/cli_checkpoint.rs and tests/net_smoke.rs
     Row { name: "ml100k-mf-r3-s11", args: "--dataset ml100k --client mf --server mf --rounds 3 --seed 11", runs: &[Threads(2)], pins: &[] },
+];
+
+/// Table V's privacy audit under each defense, at the default seed.
+#[rustfmt::skip]
+const PRIVACY_ROWS: &[Row] = &[
+    Row { name: "privacy-none", args: "--dataset ml100k --defense none", runs: T1_T4, pins: &[] },
+    Row { name: "privacy-ldp", args: "--dataset ml100k --defense ldp", runs: T1_T4, pins: &[] },
+    Row { name: "privacy-sampling", args: "--dataset ml100k --defense sampling", runs: T1_T4, pins: &[] },
+    Row { name: "privacy-full", args: "--dataset ml100k --defense full", runs: T1_T4, pins: &[] },
 ];
 
 /// FNV-1a of a file's bytes; of a directory, of each entry's name and
@@ -106,12 +116,12 @@ impl Run {
     /// Makes the run in the fresh directory `dir`, removed afterwards, and
     /// returns the golden files it makes: `<row>.json`, its stdout, and if
     /// it checkpoints `<row>.fnv`, one `<digest>  <pin>` line per pin.
-    fn make(self, row: &Row, dir: &Path) -> Vec<(String, Vec<u8>)> {
+    fn make(self, command: &str, row: &Row, dir: &Path) -> Vec<(String, Vec<u8>)> {
         let (ckpt, tmp) = (dir.join("ckpt"), dir.join("tmp"));
         std::fs::create_dir_all(&tmp).unwrap();
         let train = |threads: u32, extra: &[&str]| {
             let mut cmd = Command::new(env!("CARGO_BIN_EXE_ptf"));
-            cmd.arg("train").args(row.args.split_whitespace()).env("TMPDIR", &tmp);
+            cmd.arg(command).args(row.args.split_whitespace()).env("TMPDIR", &tmp);
             cmd.args(["--json", "--threads", &threads.to_string()]).args(extra);
             if !matches!(self, Threads(_)) {
                 cmd.arg("--checkpoint").arg(&ckpt);
@@ -143,13 +153,32 @@ impl Run {
 
 #[test]
 fn every_run_of_every_row_matches_its_golden() {
+    check("train", ROWS);
+}
+
+/// A privacy audit trains a NeuMF/NGCF federation, ≈ 0.3–0.5 s a row in a
+/// release build and far longer in a debug one, so only a release test
+/// run makes these.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn every_privacy_row_matches_its_golden() {
+    check("privacy", PRIVACY_ROWS);
+}
+
+/// Runs every run of `rows` through `ptf <command>` and compares what
+/// each makes with its golden files.
+fn check(command: &str, rows: &[Row]) {
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let actual = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden");
-    let scratch =
-        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("golden-runs-{}", std::process::id()));
-    std::fs::remove_dir_all(&actual).ok();
+    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("golden-runs-{command}-{}", std::process::id()));
+    for row in rows {
+        for ext in ["json", "fnv"] {
+            std::fs::remove_file(actual.join(format!("{}.{ext}", row.name))).ok();
+        }
+    }
     let jobs: Vec<(&Row, Run)> =
-        ROWS.iter().flat_map(|row| row.runs.iter().map(move |&run| (row, run))).collect();
+        rows.iter().flat_map(|row| row.runs.iter().map(move |&run| (row, run))).collect();
     let next = AtomicUsize::new(0);
     let moved = Mutex::new(Vec::new());
     // every job is a process of its own: two at a time keep two cores busy
@@ -158,7 +187,7 @@ fn every_run_of_every_row_matches_its_golden() {
             s.spawn(|| loop {
                 let k = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&(row, run)) = jobs.get(k) else { break };
-                for (file, got) in run.make(row, &scratch.join(k.to_string())) {
+                for (file, got) in run.make(command, row, &scratch.join(k.to_string())) {
                     if std::fs::read(golden.join(&file)).ok().as_ref() != Some(&got) {
                         std::fs::create_dir_all(&actual).unwrap();
                         std::fs::write(actual.join(&file), got).unwrap();

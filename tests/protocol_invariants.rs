@@ -41,22 +41,30 @@ fn uploads_only_contain_trained_items() {
     let fed = run(DefenseKind::SamplingSwapping);
     for up in fed.protocol().last_uploads() {
         let positives = s.train.user_items(up.client);
+        let mut ids: Vec<u32> = up.predictions.iter().map(|&(i, _)| i).collect();
         for &(item, score) in &up.predictions {
             assert!((item as usize) < s.train.num_items());
             assert!((0.0..=1.0).contains(&score), "score {score} out of range");
-            // an uploaded item is either a true positive or a sampled
-            // negative — never an interaction of *another* user presented
-            // as this client's
-            let _ = positives;
         }
-        // audit positives really are the client's interactions
-        for &p in &up.audit_positives {
-            assert!(
-                positives.binary_search(&p).is_ok(),
-                "audit positive {p} is not a true positive of client {}",
-                up.client
-            );
-        }
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), up.len(), "client {} uploaded an item twice", up.client);
+        // an uploaded item is either one of the client's positives or one
+        // of its sampled negatives: β keeps 1..=|P| positives and γ ≤ 4
+        // draws at most four negatives per kept positive
+        let kept = ids.iter().filter(|i| positives.binary_search(i).is_ok()).count();
+        assert!(
+            (1..=positives.len()).contains(&kept),
+            "client {} uploaded {kept} of its {} positives",
+            up.client,
+            positives.len()
+        );
+        assert!(
+            ids.len() - kept <= 4 * kept,
+            "client {} uploaded {} negatives for {kept} positives",
+            up.client,
+            ids.len() - kept
+        );
     }
 }
 
@@ -145,13 +153,8 @@ fn poisoned_uploads_do_not_break_server_training() {
     let honest = ClientUpload {
         client: 0,
         predictions: vec![(1, 0.95), (2, 0.9), (10, 0.05), (11, 0.1), (12, 0.08)],
-        audit_positives: vec![1, 2],
     };
-    let poisoned = ClientUpload {
-        client: 1,
-        predictions: (0..40).map(|i| (i, 1.0)).collect(),
-        audit_positives: vec![],
-    };
+    let poisoned = ClientUpload { client: 1, predictions: (0..40).map(|i| (i, 1.0)).collect() };
     for _ in 0..4 {
         let loss = server.train_on_uploads(&[honest.clone(), poisoned.clone()], &cfg, &mut rng);
         assert!(loss.is_finite(), "server loss diverged under poisoning");
